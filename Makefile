@@ -5,7 +5,8 @@
 # run of the simulation/experiment packages, 64-host scale, malleability
 # and multi-job smokes, and the benchmark drift guard); `make bench`
 # regenerates BENCH_scale.json, BENCH_livemig.json, BENCH_malleable.json,
-# BENCH_multijob.json and BENCH_persist.json.
+# BENCH_multijob.json and BENCH_persist.json; `make e2e` runs the
+# end-to-end benchmark (cmd/bench, every workload in BENCHMARK.json).
 
 GO ?= go
 
@@ -18,7 +19,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/events ./internal/livemig ./internal/malleable \
             ./internal/jobs ./internal/scenario ./internal/persist
 
-.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard
+.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard e2e
 
 all: check
 
@@ -97,43 +98,40 @@ fleet: build
 # multi-part send path, and one whole 64-host sweep end to end. All runs
 # carry -benchmem so the reports track B/op and allocs/op alongside ns/op.
 # Live-migration microbenchmarks (paged writes, dirty scans, modeled
-# downtime) -> BENCH_livemig.json.
+# downtime) -> BENCH_livemig.json. GUARD is empty here; benchguard sets it,
+# and every report ($(1)) is then also compared against the committed copy
+# it overwrites.
+GUARD =
+benchjson = $(GO) run ./cmd/benchjson -o $(1) $(if $(GUARD),-baseline $(1) $(GUARD))
+
 bench: build
 	{ $(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate' \
 	      -benchtime 1000x -benchmem ./internal/registry ; \
 	  $(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi ; \
 	  $(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_scale.json
+	| $(call benchjson,BENCH_scale.json)
 	$(GO) test -run '^$$' -bench . -benchtime 1000x -benchmem ./internal/livemig \
-	| $(GO) run ./cmd/benchjson -o BENCH_livemig.json
+	| $(call benchjson,BENCH_livemig.json)
 	$(GO) test -run '^$$' -bench BenchmarkResize -benchtime 100x -benchmem ./internal/malleable \
-	| $(GO) run ./cmd/benchjson -o BENCH_malleable.json
+	| $(call benchjson,BENCH_malleable.json)
 	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 1000x -benchmem ./internal/jobs \
-	| $(GO) run ./cmd/benchjson -o BENCH_multijob.json
+	| $(call benchjson,BENCH_multijob.json)
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAppend|BenchmarkSnapshotRoundtrip' \
 	      -benchtime 1000x -benchmem ./internal/persist ; \
 	  $(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_persist.json
+	| $(call benchjson,BENCH_persist.json)
 
-# Drift guard: regenerate the benchmark reports and fail if any benchmark
-# regressed more than 3x against the committed ones — a coarse fence
-# against algorithmic regressions (and >3x downtime blowups in the live
-# migration model) that survives machine-to-machine ns/op variation. The
-# same fence applies to allocs/op where both sides measured it, so an
-# allocation creeping back onto a zero-alloc hot path fails the gate.
-benchguard: build
-	{ $(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate' \
-	      -benchtime 1000x -benchmem ./internal/registry ; \
-	  $(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi ; \
-	  $(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_scale.json -baseline BENCH_scale.json -max-ratio 3
-	$(GO) test -run '^$$' -bench . -benchtime 1000x -benchmem ./internal/livemig \
-	| $(GO) run ./cmd/benchjson -o BENCH_livemig.json -baseline BENCH_livemig.json -max-ratio 3
-	$(GO) test -run '^$$' -bench BenchmarkResize -benchtime 100x -benchmem ./internal/malleable \
-	| $(GO) run ./cmd/benchjson -o BENCH_malleable.json -baseline BENCH_malleable.json -max-ratio 3
-	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 1000x -benchmem ./internal/jobs \
-	| $(GO) run ./cmd/benchjson -o BENCH_multijob.json -baseline BENCH_multijob.json -max-ratio 3
-	{ $(GO) test -run '^$$' -bench 'BenchmarkAppend|BenchmarkSnapshotRoundtrip' \
-	      -benchtime 1000x -benchmem ./internal/persist ; \
-	  $(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_persist.json -baseline BENCH_persist.json -max-ratio 3
+# Drift guard: the bench recipe, with each regenerated report compared to
+# the committed one and failing if any benchmark regressed more than 3x — a
+# coarse fence against algorithmic regressions (and >3x downtime blowups in
+# the live migration model) that survives machine-to-machine ns/op
+# variation. The same fence applies to allocs/op where both sides measured
+# it, so an allocation creeping back onto a zero-alloc hot path fails the
+# gate.
+benchguard: GUARD = -max-ratio 3
+benchguard: bench
+
+# The end-to-end benchmark the PR driver runs (BENCHMARK.json): six
+# closed-loop workloads, eight end-to-end metrics each, ~10 s per workload.
+e2e:
+	$(GO) run ./cmd/bench -workload all -seed 1

@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/persist"
@@ -122,9 +123,9 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 		registry.WithName("registry"),
 		registry.WithPolicy(policy),
 		registry.WithMetrics(mreg),
-		registry.WithOnEvent(func(e registry.Event) {
+		registry.WithEvents(events.SinkFunc(func(e events.Event) {
 			log.Printf("decision: %s", e)
-		}),
+		})),
 	}
 	if storeDir != "" {
 		store, err := persist.OpenFileStore(storeDir, persist.FileConfig{})
@@ -139,10 +140,12 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 			storeDir, snapshotEvery, store.Epoch())
 	}
 	// Pre-create the decision-latency histogram so /metrics serves it
-	// (empty) before the first placement.
+	// (empty) before the first placement; the registry's and the server's
+	// counters are created by their constructors.
 	mreg.Histogram(registry.MetricDecideSeconds)
 	reg := registry.NewRegistry(regOpts...)
-	srv, err := proto.NewServer("registry", listen, loggingHandler(reg.Handler()))
+	srv, err := proto.NewServerOptions("registry", listen, loggingHandler(reg.Handler()),
+		proto.Options{Metrics: mreg})
 	if err != nil {
 		log.Fatalf("reschedd: listen: %v", err)
 	}

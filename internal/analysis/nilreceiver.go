@@ -5,7 +5,7 @@ import (
 )
 
 // checkNilReceiver enforces the documented contract of the metrics
-// package: components hold optional *Histogram/*Gauge/*Counters/... and
+// package: components hold optional *Histogram/*Gauge/*Counter/... and
 // call them unconditionally, so every exported method with a pointer
 // receiver on an exported type must begin with a nil-receiver guard
 //

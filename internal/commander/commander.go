@@ -37,13 +37,17 @@ type Config struct {
 	// redelivering the same order. Zero disables. Keep it below the
 	// registry's cooldown so legitimate repeat orders still pass.
 	DedupWindow time.Duration
-	// Counters, when set, receives the commander/* control-plane counters.
-	Counters *metrics.Counters
+	// Metrics, when set, receives the commander/orders_deduped counter.
+	Metrics *metrics.Registry
 	// Events, when set, receives one SourceCommander/"order" event per
 	// executed (non-deduped) migrate order, stamped with the clock's time.
 	// The span builder anchors migration latency on this event.
 	Events events.Sink
 }
+
+// CtrOrdersDeduped counts redelivered migrate orders the dedup window
+// acknowledged without re-executing.
+const CtrOrdersDeduped = "commander/orders_deduped"
 
 // Commander is one host's commander entity.
 type Commander struct {
@@ -137,7 +141,7 @@ func (c *Commander) Migrate(order proto.MigrateOrder) error {
 			c.cfg.Clock.Now().Sub(last.at) <= c.cfg.DedupWindow {
 			c.deduped++
 			c.mu.Unlock()
-			c.cfg.Counters.Inc(metrics.CtrOrdersDeduped)
+			c.cfg.Metrics.Counter(CtrOrdersDeduped).Inc()
 			return nil
 		}
 	}

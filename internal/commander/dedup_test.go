@@ -11,11 +11,11 @@ import (
 
 func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	c := newFromConfig("ws1", "", Config{
 		Clock:       clock,
 		DedupWindow: 30 * time.Second,
-		Counters:    ctr,
+		Metrics:     mreg,
 	})
 	p := &fakeProc{pid: 42}
 	c.Manage(p)
@@ -34,8 +34,8 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	if c.Orders() != 1 || c.Deduped() != 1 {
 		t.Fatalf("orders=%d deduped=%d", c.Orders(), c.Deduped())
 	}
-	if ctr.Get(metrics.CtrOrdersDeduped) != 1 {
-		t.Fatalf("counter = %d", ctr.Get(metrics.CtrOrdersDeduped))
+	if mreg.Counter(CtrOrdersDeduped).Value() != 1 {
+		t.Fatalf("counter = %d", mreg.Counter(CtrOrdersDeduped).Value())
 	}
 	// A different destination is a new decision, not a duplicate.
 	if err := c.Migrate(proto.MigrateOrder{PID: 42, DestHost: "ws5", DestAddr: "cmd://ws5"}); err != nil {

@@ -40,9 +40,9 @@ func WithDedupWindow(d time.Duration) Option {
 	return func(o *options) { o.cfg.DedupWindow = d }
 }
 
-// WithCounters sets the control-plane counter set.
-func WithCounters(m *metrics.Counters) Option {
-	return func(o *options) { o.cfg.Counters = m }
+// WithMetrics sets the metrics registry receiving the commander's counters.
+func WithMetrics(m *metrics.Registry) Option {
+	return func(o *options) { o.cfg.Metrics = m }
 }
 
 // WithEvents sets the sink receiving the commander's "order" events.

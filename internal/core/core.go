@@ -111,24 +111,22 @@ type Options struct {
 	// snapshot every N appended records (requires Store); zero disables
 	// periodic compaction.
 	SnapshotEvery int
-	// Counters, when set, receives control-plane counters from every layer
-	// of the runtime.
-	Counters *metrics.Counters
-	// Observer, when set, receives migration phase events (after the
-	// runtime's own counting observer).
-	Observer hpcm.MigrationObserver
 	// Events, when set, receives the unified runtime event stream: registry
-	// decisions (Source "registry"), commander orders (Source "commander")
-	// and migration phases (Source "hpcm") flow through this one sink; pass
-	// the same sink to the fault injector to fold its events (Source
-	// "faults") in too.
+	// decisions (Source "registry"), commander orders (Source "commander"),
+	// migration and checkpoint phases (Source "hpcm") and job transitions
+	// (Source "jobs") flow through this one sink, synchronously on the
+	// emitting goroutine and after the runtime's own bookkeeping. Subscribe
+	// to a layer's typed payload with events.On[T] (the fault injector's
+	// Sink does, to crash hosts at exact migration phases); compose several
+	// consumers with events.Multi.
 	Events events.Sink
-	// Metrics, when set, receives the runtime's gauges and latency
-	// histograms from every layer: the registry's hosts gauge and decide
+	// Metrics, when set, receives every layer's instruments: the control-
+	// plane counters (proto/*, monitor/*, commander/*, registry/*,
+	// persist/*, core/*, jobs/*), the registry's hosts gauge and decide
 	// timings, monitor cycle durations, hpcm migration/downtime/checkpoint
 	// histograms, and the per-migration phase spans (span/*) derived from
-	// the event stream by a metrics.Spans sink the runtime installs
-	// alongside Events.
+	// the event stream by a metrics.Spans sink the runtime installs after
+	// Events.
 	Metrics *metrics.Registry
 	// WrapReporter, when set, wraps each node's status reporter. The fault
 	// injector uses this to drop, duplicate or delay heartbeats on the
@@ -149,6 +147,22 @@ type Options struct {
 	// immediately.
 	SchedInterval time.Duration
 }
+
+// Counter names the runtime increments on Options.Metrics: migration
+// outcomes (from the hpcm event stream), failover recoveries, post-restart
+// process resyncs and the job layer's dispatch outcomes.
+const (
+	CtrMigrCommitted    = "core/migrations_committed"
+	CtrMigrAborted      = "core/migrations_aborted"
+	CtrCkptRestores     = "core/checkpoint_restores"
+	CtrColdRestarts     = "core/cold_restarts"
+	CtrProcResyncs      = "registry/proc_resyncs"
+	CtrJobsAdmitted     = "jobs/admitted"
+	CtrJobsRequeued     = "jobs/requeued"
+	CtrJobsShrunk       = "jobs/shrunk"
+	CtrJobsMigrated     = "jobs/migrated"
+	CtrJobsReservations = "jobs/reservations_lost"
+)
 
 // DefaultEngine returns a rule engine encoding the paper's running
 // thresholds: a host is busy above load 1 and overloaded above load 2, or
@@ -291,43 +305,30 @@ func New(opts Options) (*System, error) {
 		dispatchDone: make(chan struct{}),
 	}
 	s.universe = universe
-	// The event sink every layer publishes to: the caller's sink plus,
-	// when metrics are on, the span builder deriving per-phase migration
-	// latency histograms from the same stream.
-	sink := opts.Events
+	// The event sink every layer publishes to. Order is part of the
+	// contract: the runtime's own subscriptions first (commit/abort
+	// counting, restart resync), then the caller's sink — so a fault
+	// injector's trap fires at the exact phase, after the phase is counted
+	// — and last, when metrics are on, the span builder deriving per-phase
+	// migration latency histograms from the same stream.
+	var spans events.Sink
 	if opts.Metrics != nil {
-		if opts.Counters != nil {
-			opts.Metrics.AttachCounters(opts.Counters)
-		}
-		sink = events.Multi(sink, metrics.NewSpans(opts.Metrics))
+		spans = metrics.NewSpans(opts.Metrics)
 	}
+	sink := events.Multi(
+		events.On(s.onMigrationEvent),
+		events.On(s.onRegistryRestart),
+		opts.Events,
+		spans,
+	)
 	s.events = sink
 	s.queue = jobs.NewQueue(clock, sink)
-	// The runtime's own observer keeps the commit/abort counters; a
-	// user-supplied observer (fault injection) chains after it. The
-	// middleware publishes the same events — with typed payloads — on the
-	// unified sink itself.
-	observer := func(ev hpcm.MigrationEvent) {
-		switch ev.Phase {
-		case hpcm.PhaseResume:
-			opts.Counters.Inc(metrics.CtrMigrCommitted)
-		case hpcm.PhaseAborted:
-			opts.Counters.Inc(metrics.CtrMigrAborted)
-		default:
-			// Intermediate phases (start/init/precopy/freeze/restore) and
-			// failures are span material, not commit/abort outcomes.
-		}
-		if opts.Observer != nil {
-			opts.Observer(ev)
-		}
-	}
 	mw, err := hpcm.New(hpcm.Options{
 		Universe:        universe,
 		Hosts:           opts.Cluster,
 		ChunkBytes:      opts.ChunkBytes,
 		Checkpoints:     opts.Checkpoints,
 		CheckpointEvery: opts.CheckpointEvery,
-		Observer:        observer,
 		Events:          sink,
 		Metrics:         opts.Metrics,
 		Live:            opts.Live,
@@ -346,8 +347,6 @@ func New(opts Options) (*System, error) {
 		registry.WithCooldown(opts.Cooldown),
 		registry.WithParent(opts.Parent),
 		registry.WithDomain(opts.Domain),
-		registry.WithCounters(opts.Counters),
-		registry.WithOnEvent(s.onRegistryEvent),
 		registry.WithEvents(sink),
 		registry.WithMetrics(opts.Metrics),
 		registry.WithStore(opts.Store),
@@ -357,20 +356,33 @@ func New(opts Options) (*System, error) {
 		s.batcher = registry.NewBatcher(s.reg, registry.BatcherConfig{
 			Clock:      clock,
 			FlushEvery: opts.BatchStatusEvery,
-			Counters:   opts.Counters,
+			Metrics:    opts.Metrics,
 		})
 	}
 	return s, nil
 }
 
-// onRegistryEvent reacts to registry trace events: a restart means the
-// registry lost its soft state, so the runtime resyncs its live process
-// registrations once the monitors' heartbeats have re-registered the hosts.
-// With a durable store the restart is a crash-consistent recovery — process
-// registrations come back from the change log — so no resync is needed (the
-// zero-re-registration property the chaos suite counter-asserts).
-func (s *System) onRegistryEvent(e registry.Event) {
-	if e.Kind == registry.EventRestart && s.opts.Store == nil {
+// onMigrationEvent keeps the commit/abort counters.
+func (s *System) onMigrationEvent(ev hpcm.MigrationEvent) {
+	switch ev.Phase {
+	case hpcm.PhaseResume:
+		s.opts.Metrics.Counter(CtrMigrCommitted).Inc()
+	case hpcm.PhaseAborted:
+		s.opts.Metrics.Counter(CtrMigrAborted).Inc()
+	default:
+		// Intermediate phases (start/init/precopy/freeze/restore) and
+		// failures are span material, not commit/abort outcomes.
+	}
+}
+
+// onRegistryRestart reacts to a registry restart that dropped the soft
+// state: the runtime resyncs its live process registrations once the
+// monitors' heartbeats have re-registered the hosts. A crash-consistent
+// recovery from a durable store brings the process registrations back from
+// the change log, so no resync is needed (the zero-re-registration property
+// the chaos suite counter-asserts).
+func (s *System) onRegistryRestart(ev registry.RestartEvent) {
+	if !ev.Recovered {
 		go s.resyncProcs()
 	}
 }
@@ -430,7 +442,7 @@ func (s *System) AddNode(host string) (*Node, error) {
 		commander.WithDir(s.opts.CommandDir),
 		commander.WithClock(s.clock),
 		commander.WithDedupWindow(s.opts.OrderDedupWindow),
-		commander.WithCounters(s.opts.Counters),
+		commander.WithMetrics(s.opts.Metrics),
 		commander.WithEvents(s.events),
 	)
 
@@ -469,7 +481,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 		monitor.WithDefaultFrequency(s.opts.MonitorInterval),
 		monitor.WithCommandAddr("cmd://" + host),
 		monitor.WithSoftware([]string{"hpcm", "lam-mpi"}),
-		monitor.WithCounters(s.opts.Counters),
 		monitor.WithMetrics(s.opts.Metrics),
 	}
 	if charger != nil {

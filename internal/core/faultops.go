@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"autoresched/internal/hpcm"
-	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/registry"
 )
@@ -86,7 +85,7 @@ func (s *System) failover(app *App, cause error) bool {
 		restored, err := s.mw.Restore(s.opts.Checkpoints, name, cand.Host, app.main)
 		if err == nil {
 			p = restored
-			s.opts.Counters.Inc(metrics.CtrCkptRestores)
+			s.opts.Metrics.Counter(CtrCkptRestores).Inc()
 		}
 	}
 	if p == nil {
@@ -97,7 +96,7 @@ func (s *System) failover(app *App, cause error) bool {
 			return false
 		}
 		p = started
-		s.opts.Counters.Inc(metrics.CtrColdRestarts)
+		s.opts.Metrics.Counter(CtrColdRestarts).Inc()
 	}
 
 	app.mu.Lock()
@@ -137,7 +136,7 @@ func (s *System) resyncProcs() {
 				still = append(still, app)
 				continue
 			}
-			s.opts.Counters.Inc(metrics.CtrProcResyncs)
+			s.opts.Metrics.Counter(CtrProcResyncs).Inc()
 		}
 		pending = still
 	}

@@ -7,6 +7,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
+	"autoresched/internal/registry"
 	"autoresched/internal/workload"
 )
 
@@ -16,12 +17,12 @@ import (
 // fresh first-fit host and runs the computation to a correct completion.
 func TestFailoverAfterHostCrash(t *testing.T) {
 	store := hpcm.NewMemStore()
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	s, _ := newSystem(t, 1000, 3, Options{
 		Checkpoints:     store,
 		CheckpointEvery: 20 * time.Second,
 		FailoverRetries: 2,
-		Counters:        ctr,
+		Metrics:         mreg,
 	})
 
 	cfg := workload.TreeConfig{
@@ -61,8 +62,8 @@ func TestFailoverAfterHostCrash(t *testing.T) {
 	if got := app.Host(); got == "ws1" {
 		t.Fatal("app finished on the crashed host")
 	}
-	if ctr.Get(metrics.CtrCkptRestores) != 1 {
-		t.Fatalf("checkpoint restores = %d, want 1", ctr.Get(metrics.CtrCkptRestores))
+	if mreg.Counter(CtrCkptRestores).Value() != 1 {
+		t.Fatalf("checkpoint restores = %d, want 1", mreg.Counter(CtrCkptRestores).Value())
 	}
 
 	want := workload.ExpectedSums(cfg)
@@ -82,10 +83,10 @@ func TestFailoverAfterHostCrash(t *testing.T) {
 // state, heartbeats re-register the hosts and the runtime resyncs its live
 // process registrations.
 func TestRegistryRestartResyncsSoftState(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	s, _ := newSystem(t, 1000, 2, Options{
 		MonitorInterval: 10 * time.Second,
-		Counters:        ctr,
+		Metrics:         mreg,
 	})
 	cfg := workload.TreeConfig{
 		Levels: 10, Rounds: 200, Seed: 3,
@@ -114,11 +115,11 @@ func TestRegistryRestartResyncsSoftState(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 {
-		t.Fatalf("restart counter = %d", ctr.Get(metrics.CtrRegistryRestarts))
+	if mreg.Counter(registry.CtrRestarts).Value() != 1 {
+		t.Fatalf("restart counter = %d", mreg.Counter(registry.CtrRestarts).Value())
 	}
-	if ctr.Get(metrics.CtrProcResyncs) < 1 {
-		t.Fatalf("resync counter = %d", ctr.Get(metrics.CtrProcResyncs))
+	if mreg.Counter(CtrProcResyncs).Value() < 1 {
+		t.Fatalf("resync counter = %d", mreg.Counter(CtrProcResyncs).Value())
 	}
 	app.Process().Kill()
 	_ = app.Wait()

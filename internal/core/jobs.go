@@ -9,7 +9,6 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
-	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
 	"autoresched/internal/schema"
@@ -364,7 +363,7 @@ func (s *System) execAdmission(adm jobs.Admission, occ map[string]string) {
 	run := s.claimRun(spec, hosts)
 	if err := g.Commit(); err != nil {
 		s.dropRun(run)
-		s.opts.Counters.Inc(metrics.CtrJobsReservations)
+		s.opts.Metrics.Counter(CtrJobsReservations).Inc()
 		requeue("reservation lost: " + err.Error())
 		return
 	}
@@ -372,7 +371,7 @@ func (s *System) execAdmission(adm jobs.Admission, occ map[string]string) {
 		requeue("launch failed: " + err.Error())
 		return
 	}
-	s.opts.Counters.Inc(metrics.CtrJobsAdmitted)
+	s.opts.Metrics.Counter(CtrJobsAdmitted).Inc()
 }
 
 // evictVictim fires one eviction. Completion is observed by awaitVacated
@@ -406,7 +405,7 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 			}
 		}
 		run.mu.Unlock()
-		s.opts.Counters.Inc(metrics.CtrJobsShrunk)
+		s.opts.Metrics.Counter(CtrJobsShrunk).Inc()
 	case jobs.EvictMigrate:
 		type move struct {
 			from, to string
@@ -430,7 +429,7 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 				DestAddr: "cmd://" + m.to,
 			})
 		}
-		s.opts.Counters.Inc(metrics.CtrJobsMigrated)
+		s.opts.Metrics.Counter(CtrJobsMigrated).Inc()
 	}
 }
 
@@ -534,7 +533,7 @@ func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main,
 			restored, err := s.mw.Restore(s.opts.Checkpoints, name, host, main)
 			if err == nil {
 				p = restored
-				s.opts.Counters.Inc(metrics.CtrCkptRestores)
+				s.opts.Metrics.Counter(CtrCkptRestores).Inc()
 			}
 		}
 	}
@@ -611,14 +610,14 @@ func (s *System) rankSettled(run *jobRun, idx int, err error) {
 	case intent == intentCancel:
 		s.queue.Settle(run.name, jobs.StateCancelled, jobs.ErrCancelled, "cancelled")
 	case intent == intentRequeue:
-		s.opts.Counters.Inc(metrics.CtrJobsRequeued)
+		s.opts.Metrics.Counter(CtrJobsRequeued).Inc()
 		_ = s.queue.Transition(run.name, jobs.StatePending, "requeued")
 	case failErr != nil:
 		s.queue.Settle(run.name, jobs.StateFailed, failErr, "rank failed")
 	case preempted && !shrunk:
 		// Evicted without a recorded intent (e.g. unwound mid-launch):
 		// requeue rather than invent an outcome.
-		s.opts.Counters.Inc(metrics.CtrJobsRequeued)
+		s.opts.Metrics.Counter(CtrJobsRequeued).Inc()
 		_ = s.queue.Transition(run.name, jobs.StatePending, "requeued")
 	default:
 		s.queue.Settle(run.name, jobs.StateCompleted, nil, "")

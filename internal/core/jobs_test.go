@@ -40,7 +40,7 @@ func waitState(t *testing.T, job *jobs.Job, want jobs.State) {
 // two is admitted by the dispatcher onto two distinct hosts, both ranks run
 // as ordinary migration-enabled Apps, and the job settles Completed.
 func TestSubmitGangRunsToCompletion(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	var mu sync.Mutex
 	var trans []jobs.Event
 	sink := events.On(func(ev jobs.Event) {
@@ -49,7 +49,7 @@ func TestSubmitGangRunsToCompletion(t *testing.T) {
 		mu.Unlock()
 	})
 	s, _ := newSystem(t, 1000, 4, Options{
-		Counters:      ctr,
+		Metrics:       mreg,
 		Events:        sink,
 		SchedInterval: 500 * time.Millisecond,
 	})
@@ -63,7 +63,7 @@ func TestSubmitGangRunsToCompletion(t *testing.T) {
 	if got := job.State(); got != jobs.StateCompleted {
 		t.Fatalf("state = %s, want completed", got)
 	}
-	if got := ctr.Get(metrics.CtrJobsAdmitted); got != 1 {
+	if got := mreg.Counter(CtrJobsAdmitted).Value(); got != 1 {
 		t.Fatalf("admitted counter = %d, want 1", got)
 	}
 	// The lifecycle ran pending -> reserving -> running -> completed.
@@ -89,10 +89,10 @@ func TestSubmitGangRunsToCompletion(t *testing.T) {
 // checkpoints at its next poll-point, requeues, and reruns from the
 // checkpoint once capacity frees.
 func TestSubmitPriorityPreemptionRequeue(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	store := hpcm.NewMemStore()
 	s, _ := newSystem(t, 1000, 2, Options{
-		Counters:      ctr,
+		Metrics:       mreg,
 		Checkpoints:   store,
 		JobPolicy:     jobs.PriorityPreemptive{},
 		SchedInterval: 300 * time.Millisecond,
@@ -115,10 +115,10 @@ func TestSubmitPriorityPreemptionRequeue(t *testing.T) {
 	if victim.Requeues() < 1 {
 		t.Fatalf("victim requeues = %d, want >= 1", victim.Requeues())
 	}
-	if got := ctr.Get(metrics.CtrJobsRequeued); got < 1 {
+	if got := mreg.Counter(CtrJobsRequeued).Value(); got < 1 {
 		t.Fatalf("requeued counter = %d, want >= 1", got)
 	}
-	if got := ctr.Get(metrics.CtrCkptRestores); got < 1 {
+	if got := mreg.Counter(CtrCkptRestores).Value(); got < 1 {
 		t.Fatalf("checkpoint restores = %d, want >= 1 (victim should resume, not cold-start)", got)
 	}
 }
@@ -127,9 +127,9 @@ func TestSubmitPriorityPreemptionRequeue(t *testing.T) {
 // — it keeps running at the smaller world while the high-priority job takes
 // the freed host, and never requeues.
 func TestSubmitElasticShrink(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	s, _ := newSystem(t, 1000, 2, Options{
-		Counters:      ctr,
+		Metrics:       mreg,
 		JobPolicy:     jobs.PriorityPreemptive{},
 		SchedInterval: 300 * time.Millisecond,
 	})
@@ -154,7 +154,7 @@ func TestSubmitElasticShrink(t *testing.T) {
 	if victim.Requeues() != 0 {
 		t.Fatalf("victim requeues = %d, want 0 (shrink, not requeue)", victim.Requeues())
 	}
-	if got := ctr.Get(metrics.CtrJobsShrunk); got < 1 {
+	if got := mreg.Counter(CtrJobsShrunk).Value(); got < 1 {
 		t.Fatalf("shrunk counter = %d, want >= 1", got)
 	}
 }

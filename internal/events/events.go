@@ -1,10 +1,16 @@
-// Package events is the runtime's unified event surface. The registry's
-// decision trace, the migration middleware's phase observer and the fault
-// injector's applied/triggered log each grew their own callback shape; a
-// Sink receives all of them as one normalised stream, wired once through
-// core.Options.Events. The original surfaces (registry.Config.OnEvent,
-// hpcm.MigrationObserver, faults.Injector.Applied) keep working — they are
-// thin adapters over, or alongside, the sink.
+// Package events is the runtime's one observer surface. Every layer that
+// has something to announce — registry decisions and restarts, commander
+// orders, migration and checkpoint phases, resize phases, job transitions,
+// applied faults and fired traps — publishes an Event on a Sink, wired once
+// through core.Options.Events (or the layer's own Events option when it
+// runs standalone). There are no per-subsystem callback types: a consumer
+// that wants a source's typed struct subscribes with On[T], several
+// consumers compose with Multi, and tests buffer with a Ring.
+//
+// Delivery is synchronous on the emitting goroutine and Multi preserves
+// sink order, so a subscriber may act at an exact protocol step — the
+// fault injector's crash-on-phase trap depends on it — and must in turn be
+// concurrency-safe and quick.
 package events
 
 import (
@@ -27,9 +33,9 @@ const (
 // Event is one normalised runtime event. Source and Kind identify it;
 // the remaining fields are set when the source vocabulary carries them.
 // Payload, when non-nil, carries the source's typed event struct
-// (hpcm.MigrationEvent, hpcm.CheckpointEvent, malleable.Event, jobs.Event)
-// so consumers needing more than the normalised fields register one On[T]
-// sink instead of a per-subsystem callback interface.
+// (hpcm.MigrationEvent, hpcm.CheckpointEvent, malleable.Event, jobs.Event,
+// registry.RestartEvent) for consumers needing more than the normalised
+// fields; see On.
 type Event struct {
 	Time    time.Time
 	Source  string // one of the Source* constants
@@ -103,12 +109,12 @@ func (m multi) Publish(e Event) {
 }
 
 // On registers a typed observer as a Sink: fn runs for every event whose
-// Payload is a T, and all other events pass through silently. This is the
-// single registration pattern replacing the per-subsystem callback
-// interfaces (hpcm.MigrationObserver, malleable.ResizeObserver, a would-be
-// job observer): wire events.On[jobs.Event](fn) into the one sink instead.
-// fn runs synchronously on the emitting goroutine and must follow the Sink
-// contract (concurrency-safe, non-blocking).
+// Payload is a T, and all other events pass through silently. It is the
+// one registration pattern for typed consumers — events.On(func(ev
+// hpcm.MigrationEvent) {...}), events.On(func(ev jobs.Event) {...}) — in
+// place of a callback type per subsystem. fn runs synchronously on the
+// emitting goroutine and must follow the Sink contract (concurrency-safe,
+// non-blocking).
 func On[T any](fn func(T)) Sink {
 	return SinkFunc(func(e Event) {
 		if p, ok := e.Payload.(T); ok {

@@ -7,12 +7,15 @@ import (
 	"sync"
 	"time"
 
+	"autoresched/internal/commander"
 	"autoresched/internal/core"
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
+	"autoresched/internal/monitor"
+	"autoresched/internal/registry"
 	"autoresched/internal/workload"
 )
 
@@ -70,26 +73,35 @@ type ChaosRow struct {
 // every one is driven by a count-based or phase-based trigger, never by a
 // wall-time race.
 var chaosCounterNames = []string{
-	metrics.CtrStatusDropped,
-	metrics.CtrStatusDuplicated,
-	metrics.CtrStatusDelayed,
-	metrics.CtrReregisters,
-	metrics.CtrOrdersDeduped,
-	metrics.CtrRegistryRestarts,
-	metrics.CtrRegistryRecoveries,
-	metrics.CtrStandbyPromotions,
-	metrics.CtrProcResyncs,
-	metrics.CtrMigrAborted,
-	metrics.CtrMigrCommitted,
-	metrics.CtrCkptRestores,
-	metrics.CtrColdRestarts,
-	metrics.CtrResizeCommitted,
-	metrics.CtrResizeAborted,
-	metrics.CtrRanksSpawned,
-	metrics.CtrRanksRetired,
-	metrics.CtrJobsAdmitted,
-	metrics.CtrJobsRequeued,
-	metrics.CtrJobsReservations,
+	faults.CtrStatusDropped,
+	faults.CtrStatusDuplicated,
+	faults.CtrStatusDelayed,
+	monitor.CtrReregisters,
+	commander.CtrOrdersDeduped,
+	registry.CtrRestarts,
+	registry.CtrRecoveries,
+	registry.CtrStandbyPromotions,
+	core.CtrProcResyncs,
+	core.CtrMigrAborted,
+	core.CtrMigrCommitted,
+	core.CtrCkptRestores,
+	core.CtrColdRestarts,
+	malleable.CtrResizeCommitted,
+	malleable.CtrResizeAborted,
+	malleable.CtrRanksSpawned,
+	malleable.CtrRanksRetired,
+	core.CtrJobsAdmitted,
+	core.CtrJobsRequeued,
+	core.CtrJobsReservations,
+}
+
+// counterValues reads the named counters out of a scenario's registry.
+func counterValues(reg *metrics.Registry, names []string) map[string]int64 {
+	out := make(map[string]int64, len(names))
+	for _, name := range names {
+		out[name] = reg.Counter(name).Value()
+	}
+	return out
 }
 
 const chaosApp = "test_tree"
@@ -281,9 +293,8 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
-	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
 		MonitorInterval:  cfg.Interval,
@@ -296,9 +307,8 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		CheckpointEvery:  30 * time.Second,
 		FailoverRetries:  2,
 		OrderDedupWindow: 30 * time.Second,
-		Counters:         ctr,
 		Metrics:          mreg,
-		Observer:         in.Observer(),
+		Events:           in.Sink(),
 		WrapReporter:     in.WrapReporter,
 		Live:             cfg.Live,
 	})
@@ -369,15 +379,12 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		Checkpoints: app.Process().Checkpoints(),
 		Retries:     app.Retries(),
 		Schedule:    append(in.Applied(), in.Triggered()...),
-		Counters:    make(map[string]int64, len(chaosCounterNames)),
 		VirtualSec:  elapsed.Seconds(),
 	}
 	if err := app.Wait(); err != nil {
 		row.FinalErr = err.Error()
 	}
-	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
-	}
+	row.Counters = counterValues(mreg, chaosCounterNames)
 	row.Spans = mreg.SpanStats("span/")
 	cfg.Metrics.Merge(mreg)
 	want := workload.ExpectedSums(tree)

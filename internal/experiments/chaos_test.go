@@ -4,7 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"autoresched/internal/commander"
+	"autoresched/internal/core"
+	"autoresched/internal/faults"
+	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
+	"autoresched/internal/monitor"
+	"autoresched/internal/registry"
 )
 
 // TestChaosCrashDestScenarioIsDeterministic runs the required
@@ -41,11 +47,11 @@ func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	if r.Retries != 1 {
 		t.Fatalf("retries = %d, want 1", r.Retries)
 	}
-	if r.Counters[metrics.CtrMigrAborted] != 1 {
-		t.Fatalf("aborted = %d, want 1", r.Counters[metrics.CtrMigrAborted])
+	if r.Counters[core.CtrMigrAborted] != 1 {
+		t.Fatalf("aborted = %d, want 1", r.Counters[core.CtrMigrAborted])
 	}
-	if r.Counters[metrics.CtrCkptRestores] != 1 {
-		t.Fatalf("checkpoint restores = %d, want 1", r.Counters[metrics.CtrCkptRestores])
+	if r.Counters[core.CtrCkptRestores] != 1 {
+		t.Fatalf("checkpoint restores = %d, want 1", r.Counters[core.CtrCkptRestores])
 	}
 	if r.FinalHost == "ws2" {
 		t.Fatal("app ended on the crashed destination")
@@ -61,7 +67,8 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
-	rows, err := RunChaos(ChaosConfig{Params: Params{Scale: 1000, Seed: 3}})
+	run := metrics.NewRegistry()
+	rows, err := RunChaos(ChaosConfig{Params: Params{Scale: 1000, Seed: 3}, Metrics: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,32 +86,32 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Scenario] = r
 	}
-	if r := byName["partition-abort"]; r.Counters[metrics.CtrMigrAborted] != 1 || r.Counters[metrics.CtrCkptRestores] != 1 {
+	if r := byName["partition-abort"]; r.Counters[core.CtrMigrAborted] != 1 || r.Counters[core.CtrCkptRestores] != 1 {
 		t.Errorf("partition-abort counters: %v", r.Counters)
 	}
-	if r := byName["crash-source-post-commit"]; r.Counters[metrics.CtrMigrCommitted] != 1 || r.Counters[metrics.CtrCkptRestores] != 1 {
+	if r := byName["crash-source-post-commit"]; r.Counters[core.CtrMigrCommitted] != 1 || r.Counters[core.CtrCkptRestores] != 1 {
 		t.Errorf("crash-source-post-commit counters: %v", r.Counters)
 	}
-	if r := byName["registry-restart"]; r.Counters[metrics.CtrRegistryRestarts] != 1 ||
-		r.Counters[metrics.CtrReregisters] != 4 || r.Counters[metrics.CtrProcResyncs] != 1 {
+	if r := byName["registry-restart"]; r.Counters[registry.CtrRestarts] != 1 ||
+		r.Counters[monitor.CtrReregisters] != 4 || r.Counters[core.CtrProcResyncs] != 1 {
 		t.Errorf("registry-restart counters: %v", r.Counters)
 	}
-	if r := byName["duplicate-order"]; r.Counters[metrics.CtrOrdersDeduped] != 2 || r.Counters[metrics.CtrMigrCommitted] != 1 {
+	if r := byName["duplicate-order"]; r.Counters[commander.CtrOrdersDeduped] != 2 || r.Counters[core.CtrMigrCommitted] != 1 {
 		t.Errorf("duplicate-order counters: %v", r.Counters)
 	}
-	if r := byName["heartbeat-faults"]; r.Counters[metrics.CtrStatusDropped] != 2 ||
-		r.Counters[metrics.CtrStatusDuplicated] != 2 || r.Counters[metrics.CtrStatusDelayed] != 1 {
+	if r := byName["heartbeat-faults"]; r.Counters[faults.CtrStatusDropped] != 2 ||
+		r.Counters[faults.CtrStatusDuplicated] != 2 || r.Counters[faults.CtrStatusDelayed] != 1 {
 		t.Errorf("heartbeat-faults counters: %v", r.Counters)
 	}
 	// The resize scenarios must take the exact paths they target: losing a
 	// fresh rank mid-expand aborts the resize (the job finishes at the old
 	// size), losing a victim mid-shrink after the drain still commits.
-	if r := byName["resize-crash-new-rank"]; r.Counters[metrics.CtrResizeAborted] != 1 ||
-		r.Counters[metrics.CtrResizeCommitted] != 0 {
+	if r := byName["resize-crash-new-rank"]; r.Counters[malleable.CtrResizeAborted] != 1 ||
+		r.Counters[malleable.CtrResizeCommitted] != 0 {
 		t.Errorf("resize-crash-new-rank counters: %v", r.Counters)
 	}
-	if r := byName["resize-crash-victim"]; r.Counters[metrics.CtrResizeCommitted] != 1 ||
-		r.Counters[metrics.CtrRanksRetired] != 1 {
+	if r := byName["resize-crash-victim"]; r.Counters[malleable.CtrResizeCommitted] != 1 ||
+		r.Counters[malleable.CtrRanksRetired] != 1 {
 		t.Errorf("resize-crash-victim counters: %v", r.Counters)
 	}
 	// The jobs scenarios must take their exact paths too: killing a victim
@@ -112,13 +119,13 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	// rank resumes from its surviving image); crashing a reserved host
 	// mid-gang-reserve poisons the reservation (Commit fails, the admission
 	// replans) without orphaning a lease.
-	if r := byName["jobs-kill-victim-mid-ckpt"]; r.Counters[metrics.CtrJobsRequeued] != 1 ||
-		r.Counters[metrics.CtrJobsAdmitted] != 3 || r.Counters[metrics.CtrCkptRestores] != 1 ||
-		r.Counters[metrics.CtrJobsReservations] != 0 {
+	if r := byName["jobs-kill-victim-mid-ckpt"]; r.Counters[core.CtrJobsRequeued] != 1 ||
+		r.Counters[core.CtrJobsAdmitted] != 3 || r.Counters[core.CtrCkptRestores] != 1 ||
+		r.Counters[core.CtrJobsReservations] != 0 {
 		t.Errorf("jobs-kill-victim-mid-ckpt counters: %v", r.Counters)
 	}
-	if r := byName["jobs-crash-host-mid-reserve"]; r.Counters[metrics.CtrJobsReservations] != 1 ||
-		r.Counters[metrics.CtrJobsRequeued] != 1 || r.Counters[metrics.CtrJobsAdmitted] != 3 {
+	if r := byName["jobs-crash-host-mid-reserve"]; r.Counters[core.CtrJobsReservations] != 1 ||
+		r.Counters[core.CtrJobsRequeued] != 1 || r.Counters[core.CtrJobsAdmitted] != 3 {
 		t.Errorf("jobs-crash-host-mid-reserve counters: %v", r.Counters)
 	}
 	// The persist scenarios must take the durable paths: every crash-loop
@@ -126,14 +133,30 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	// crash-consistent recovery with zero monitor re-registrations and zero
 	// process resyncs, and the standby promotion fences the primary exactly
 	// once.
-	if r := byName["registry-crashloop-under-load"]; r.Counters[metrics.CtrRegistryRestarts] != 4 ||
-		r.Counters[metrics.CtrRegistryRecoveries] != 4 ||
-		r.Counters[metrics.CtrReregisters] != 0 || r.Counters[metrics.CtrProcResyncs] != 0 {
+	if r := byName["registry-crashloop-under-load"]; r.Counters[registry.CtrRestarts] != 4 ||
+		r.Counters[registry.CtrRecoveries] != 4 ||
+		r.Counters[monitor.CtrReregisters] != 0 || r.Counters[core.CtrProcResyncs] != 0 {
 		t.Errorf("registry-crashloop-under-load counters: %v", r.Counters)
 	}
-	if r := byName["registry-standby-promote"]; r.Counters[metrics.CtrStandbyPromotions] != 1 ||
-		r.Counters[metrics.CtrReregisters] != 0 || r.Counters[metrics.CtrProcResyncs] != 0 {
+	if r := byName["registry-standby-promote"]; r.Counters[registry.CtrStandbyPromotions] != 1 ||
+		r.Counters[monitor.CtrReregisters] != 0 || r.Counters[core.CtrProcResyncs] != 0 {
 		t.Errorf("registry-standby-promote counters: %v", r.Counters)
+	}
+	// Regression: the run-wide registry `repro -metrics` writes out used to
+	// lose every scenario's counters in Merge. Its counters must equal the
+	// per-scenario counters the report prints, summed.
+	snap := run.Snapshot().Counters
+	if len(snap) == 0 {
+		t.Fatal("run-wide snapshot has no counters")
+	}
+	for _, name := range chaosCounterNames {
+		var sum int64
+		for _, r := range rows {
+			sum += r.Counters[name]
+		}
+		if snap[name] != sum {
+			t.Errorf("run-wide %s = %d, scenarios sum to %d", name, snap[name], sum)
+		}
 	}
 }
 
@@ -175,7 +198,7 @@ func TestChaosJobsScenariosDeterministic(t *testing.T) {
 	if strings.Count(out1, "check reservations-outstanding=0") != 2 {
 		t.Fatalf("orphaned-lease checks missing:\n%s", out1)
 	}
-	if got := rows1[1].Counters[metrics.CtrJobsReservations]; got != 1 {
+	if got := rows1[1].Counters[core.CtrJobsReservations]; got != 1 {
 		t.Fatalf("reservations lost = %d, want 1 (Commit must fail on the crashed host)", got)
 	}
 }
@@ -228,10 +251,10 @@ func TestChaosPersistScenariosDeterministic(t *testing.T) {
 		!strings.Contains(out1, "check promoted-digest-match=true") {
 		t.Fatalf("standby promotion checks missing:\n%s", out1)
 	}
-	if got := rows1[0].Counters[metrics.CtrRegistryRecoveries]; got != 4 {
+	if got := rows1[0].Counters[registry.CtrRecoveries]; got != 4 {
 		t.Fatalf("recoveries = %d, want 4", got)
 	}
-	if got := rows1[1].Counters[metrics.CtrStandbyPromotions]; got != 1 {
+	if got := rows1[1].Counters[registry.CtrStandbyPromotions]; got != 1 {
 		t.Fatalf("standby promotions = %d, want 1", got)
 	}
 }

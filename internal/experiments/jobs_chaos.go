@@ -76,7 +76,6 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 
 	// The system pointer is published after New; the trap only fires from
@@ -134,7 +133,6 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		RegistryHost:    names[2],
 		ChunkBytes:      8 << 20,
 		Checkpoints:     hpcm.NewMemStore(),
-		Counters:        ctr,
 		Metrics:         mreg,
 		Events:          sink,
 		JobPolicy:       jobs.PriorityPreemptive{},
@@ -247,7 +245,6 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		Scenario:   sc.name,
 		Completed:  completed,
 		Schedule:   schedule,
-		Counters:   make(map[string]int64, len(chaosCounterNames)),
 		VirtualSec: elapsed.Seconds(),
 	}
 	var errs []string
@@ -260,9 +257,7 @@ func runJobsChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		errs = append(errs, fmt.Sprintf("orphaned reservations: %v", reserved))
 	}
 	row.FinalErr = strings.Join(errs, "; ")
-	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
-	}
+	row.Counters = counterValues(mreg, chaosCounterNames)
 	row.Spans = mreg.SpanStats("span/")
 	cfg.Metrics.Merge(mreg)
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autoresched/internal/core"
 	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
 )
@@ -98,7 +99,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 	if !ok {
 		t.Fatal("crash-dest-mid-precopy scenario missing")
 	}
-	if r.Counters[metrics.CtrMigrAborted] != 1 || r.Counters[metrics.CtrCkptRestores] != 1 {
+	if r.Counters[core.CtrMigrAborted] != 1 || r.Counters[core.CtrCkptRestores] != 1 {
 		t.Errorf("crash-dest-mid-precopy counters: %v", r.Counters)
 	}
 	if r.Retries != 1 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -54,10 +55,10 @@ type MalleableRow struct {
 // malleableCounterNames is the deterministic counter subset each arm
 // reports.
 var malleableCounterNames = []string{
-	metrics.CtrResizeCommitted,
-	metrics.CtrResizeAborted,
-	metrics.CtrRanksSpawned,
-	metrics.CtrRanksRetired,
+	malleable.CtrResizeCommitted,
+	malleable.CtrResizeAborted,
+	malleable.CtrRanksSpawned,
+	malleable.CtrRanksRetired,
 }
 
 // The churn script, in virtual seconds after launch. The job starts on
@@ -109,7 +110,6 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		return MalleableRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	// Few, heavy steps: per-step compute (5.76 virtual seconds at the
 	// initial world) dominates the per-step scheduling-jitter floor, so the
@@ -146,9 +146,8 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		App:          app,
 		Hosts:        cl,
 		InitialHosts: names[:4],
-		Observer:     observer,
+		Events:       events.On(observer),
 		Metrics:      mreg,
-		Counters:     ctr,
 	})
 	if err != nil {
 		return MalleableRow{}, err
@@ -260,16 +259,13 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		Committed:  committed,
 		Aborted:    aborted,
 		FinalWorld: job.World(),
-		Counters:   make(map[string]int64, len(malleableCounterNames)),
 		Spans:      mreg.SpanStats("malleable/"),
 		VirtualSec: elapsed.Seconds(),
 	}
 	if werr != nil {
 		row.FinalErr = werr.Error()
 	}
-	for _, name := range malleableCounterNames {
-		row.Counters[name] = ctr.Get(name)
-	}
+	row.Counters = counterValues(mreg, malleableCounterNames)
 	cfg.Metrics.Merge(mreg)
 	if werr == nil {
 		sum, cerr := workload.ElasticJacobiChecksum(result)

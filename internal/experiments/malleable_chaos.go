@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/faults"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
@@ -16,17 +17,16 @@ import (
 // elastic job instead of the core system: the malleability engine is its own
 // control plane, so the scenario interprets the plan directly — KindResize
 // proposes the placement to the job, KindCrashOnResizePhase arms a one-shot
-// trap on the job's ResizeObserver (the elastic analogue of the injector's
-// migration-phase traps). Applied events and fired traps are recorded in the
-// injector's line formats, so the deterministic report section reads the
-// same either way.
+// trap on the job's resize-phase events (the elastic analogue of the
+// injector's migration-phase traps). Applied events and fired traps are
+// recorded in the injector's line formats, so the deterministic report
+// section reads the same either way.
 func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	cl, names, err := newCluster(cfg.Params, 5)
 	if err != nil {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	app := &workload.ElasticJacobi{N: 24, Iters: 60, WorkPerCell: 35000}
 
@@ -88,9 +88,8 @@ func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 		App:          app,
 		Hosts:        cl,
 		InitialHosts: names[:4],
-		Observer:     observer,
+		Events:       events.On(observer),
 		Metrics:      mreg,
-		Counters:     ctr,
 	})
 	if err != nil {
 		return ChaosRow{}, err
@@ -154,15 +153,12 @@ func runMalleableChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 		Completed:  completed,
 		FinalHost:  j.Placement()[0],
 		Schedule:   schedule,
-		Counters:   make(map[string]int64, len(chaosCounterNames)),
 		VirtualSec: elapsed.Seconds(),
 	}
 	if werr != nil {
 		row.FinalErr = werr.Error()
 	}
-	for _, name := range chaosCounterNames {
-		row.Counters[name] = ctr.Get(name)
-	}
+	row.Counters = counterValues(mreg, chaosCounterNames)
 	row.Spans = mreg.SpanStats("malleable/")
 	cfg.Metrics.Merge(mreg)
 	if werr == nil {

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"autoresched/internal/metrics"
+	"autoresched/internal/malleable"
 )
 
 // TestChaosResizeScenariosAreDeterministic runs the two malleability crash
@@ -41,12 +41,12 @@ func TestChaosResizeScenariosAreDeterministic(t *testing.T) {
 				r.Scenario, r.Survived, r.Completed, r.Correct, r.FinalErr)
 		}
 	}
-	if r := byName["resize-crash-new-rank"]; r.Counters[metrics.CtrResizeAborted] != 1 ||
-		r.Counters[metrics.CtrResizeCommitted] != 0 || r.Counters[metrics.CtrRanksSpawned] != 0 {
+	if r := byName["resize-crash-new-rank"]; r.Counters[malleable.CtrResizeAborted] != 1 ||
+		r.Counters[malleable.CtrResizeCommitted] != 0 || r.Counters[malleable.CtrRanksSpawned] != 0 {
 		t.Errorf("resize-crash-new-rank counters: %v", r.Counters)
 	}
-	if r := byName["resize-crash-victim"]; r.Counters[metrics.CtrResizeCommitted] != 1 ||
-		r.Counters[metrics.CtrRanksRetired] != 1 || r.Counters[metrics.CtrResizeAborted] != 0 {
+	if r := byName["resize-crash-victim"]; r.Counters[malleable.CtrResizeCommitted] != 1 ||
+		r.Counters[malleable.CtrRanksRetired] != 1 || r.Counters[malleable.CtrResizeAborted] != 0 {
 		t.Errorf("resize-crash-victim counters: %v", r.Counters)
 	}
 	if !strings.Contains(out1, "trap crash-host host=ws5 proc=elastic-jacobi phase=spawn") {
@@ -90,7 +90,7 @@ func TestMalleableExperimentDeterministicAndOrdered(t *testing.T) {
 		t.Errorf("fixed arm resized: %+v", r)
 	}
 	if r := byArm["migrate"]; r.Committed != 1 || r.FinalWorld != 4 ||
-		r.Counters[metrics.CtrRanksSpawned] != 2 || r.Counters[metrics.CtrRanksRetired] != 2 {
+		r.Counters[malleable.CtrRanksSpawned] != 2 || r.Counters[malleable.CtrRanksRetired] != 2 {
 		t.Errorf("migrate arm shape: %+v", r)
 	}
 	if r := byArm["malleable"]; r.Committed != 2 || r.FinalWorld != 5 {

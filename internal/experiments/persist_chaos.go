@@ -11,6 +11,7 @@ import (
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
+	"autoresched/internal/monitor"
 	"autoresched/internal/persist"
 	"autoresched/internal/registry"
 	"autoresched/internal/workload"
@@ -23,7 +24,6 @@ import (
 type persistChaosRun struct {
 	sys    *core.System
 	store  *persist.MemStore
-	ctr    *metrics.Counters
 	mreg   *metrics.Registry
 	in     *faults.Injector
 	app    *core.App
@@ -45,14 +45,13 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		return nil, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	store := persist.NewMemStore()
 
 	var mu sync.Mutex
 	checks := []string{}
 	restarts := 0
-	sink := events.On(func(ev registry.RestartEvent) {
+	restartLog := events.On(func(ev registry.RestartEvent) {
 		mu.Lock()
 		restarts++
 		checks = append(checks, fmt.Sprintf(
@@ -61,7 +60,7 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		mu.Unlock()
 	})
 
-	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
 		MonitorInterval:  cfg.Interval,
@@ -74,10 +73,8 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 		CheckpointEvery:  30 * time.Second,
 		FailoverRetries:  2,
 		OrderDedupWindow: 30 * time.Second,
-		Counters:         ctr,
 		Metrics:          mreg,
-		Events:           sink,
-		Observer:         in.Observer(),
+		Events:           events.Multi(in.Sink(), restartLog),
 		WrapReporter:     in.WrapReporter,
 		Store:            store,
 		SnapshotEvery:    64,
@@ -111,7 +108,7 @@ func newPersistChaosRun(cfg ChaosConfig) (*persistChaosRun, error) {
 	}
 	in.BindApp(chaosApp, app)
 	return &persistChaosRun{
-		sys: sys, store: store, ctr: ctr, mreg: mreg, in: in, app: app,
+		sys: sys, store: store, mreg: mreg, in: in, app: app,
 		tree: tree, sums: sums, mu: &mu, checks: &checks, start: clock.Now(),
 	}, nil
 }
@@ -164,15 +161,12 @@ func (p *persistChaosRun) row(cfg ChaosConfig, sc chaosScenario, completed bool,
 		Checkpoints: p.app.Process().Checkpoints(),
 		Retries:     p.app.Retries(),
 		Schedule:    schedule,
-		Counters:    make(map[string]int64, len(chaosCounterNames)),
 		VirtualSec:  elapsed.Seconds(),
 	}
 	if err := p.app.Wait(); err != nil {
 		row.FinalErr = err.Error()
 	}
-	for _, name := range chaosCounterNames {
-		row.Counters[name] = p.ctr.Get(name)
-	}
+	row.Counters = counterValues(p.mreg, chaosCounterNames)
 	row.Spans = p.mreg.SpanStats("span/")
 	cfg.Metrics.Merge(p.mreg)
 	want := workload.ExpectedSums(p.tree)
@@ -207,7 +201,7 @@ func runPersistCrashloopScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, e
 	// the monitors, so the log is final and the comparison race-free.
 	p.sys.Stop()
 	p.check("reregisters=%d proc-resyncs=%d",
-		p.ctr.Get(metrics.CtrReregisters), p.ctr.Get(metrics.CtrProcResyncs))
+		p.mreg.Counter(monitor.CtrReregisters).Value(), p.mreg.Counter(core.CtrProcResyncs).Value())
 	replica, err := registry.NewStandby(p.store)
 	if err != nil {
 		return ChaosRow{}, err
@@ -236,7 +230,7 @@ func runPersistStandbyScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 	// The standby shares the cluster's virtual clock: its lease-expiry view
 	// of the replayed LastSeen stamps must match the primary's.
 	standby, err := registry.NewStandby(p.store,
-		registry.WithClock(clock), registry.WithCounters(p.ctr))
+		registry.WithClock(clock), registry.WithMetrics(p.mreg))
 	if err != nil {
 		return ChaosRow{}, err
 	}
@@ -291,7 +285,7 @@ func runPersistStandbyScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, err
 	completed := p.await()
 	p.in.Stop()
 	p.check("reregisters=%d proc-resyncs=%d",
-		p.ctr.Get(metrics.CtrReregisters), p.ctr.Get(metrics.CtrProcResyncs))
+		p.mreg.Counter(monitor.CtrReregisters).Value(), p.mreg.Counter(core.CtrProcResyncs).Value())
 	mu.Lock()
 	extra := append([]string(nil), applied...)
 	mu.Unlock()

@@ -131,7 +131,6 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 		return ScaleRow{}, err
 	}
 	clock := cl.Clock()
-	ctr := metrics.NewCounters()
 	mreg := metrics.NewRegistry()
 	ring := &events.Ring{Cap: 4096}
 	heartbeats := &atomic.Int64{}
@@ -142,7 +141,6 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 		Cooldown:         10 * time.Minute,
 		ChunkBytes:       8 << 20,
 		BatchStatusEvery: cfg.Interval / 2,
-		Counters:         ctr,
 		Metrics:          mreg,
 		Events:           ring,
 		WrapReporter: func(host string, r monitor.Reporter) monitor.Reporter {
@@ -260,8 +258,8 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 		Overloads:           cfg.Overloads,
 		VirtualSec:          elapsed.Seconds(),
 		Heartbeats:          heartbeats.Load(),
-		BatchFlushes:        ctr.Get(metrics.CtrBatchFlushes),
-		MigrationsCommitted: ctr.Get(metrics.CtrMigrCommitted),
+		BatchFlushes:        mreg.Counter(registry.CtrBatchFlushes).Value(),
+		MigrationsCommitted: mreg.Counter(core.CtrMigrCommitted).Value(),
 		EventsSeen:          ring.Count(),
 		DecisionMicros:      decisionMicros,
 	}

@@ -8,9 +8,11 @@ import (
 
 	"autoresched/internal/cluster"
 	"autoresched/internal/core"
+	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
+	"autoresched/internal/registry"
 	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
 )
@@ -64,8 +66,8 @@ func (c *countingReporter) count() int {
 }
 
 func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
-	ctr := metrics.NewCounters()
-	in := NewInjector(Config{Clock: vclock.Real(), Counters: ctr})
+	mreg := metrics.NewRegistry()
+	in := NewInjector(Config{Clock: vclock.Real(), Metrics: mreg})
 	inner := &countingReporter{}
 	tapped := in.WrapReporter("ws1", inner)
 
@@ -82,13 +84,13 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 	if got := inner.count(); got != 4 { // 0+0+2+1+1
 		t.Fatalf("delivered statuses = %d, want 4", got)
 	}
-	if d := ctr.Get(metrics.CtrStatusDropped); d != 2 {
+	if d := mreg.Counter(CtrStatusDropped).Value(); d != 2 {
 		t.Fatalf("dropped = %d, want 2", d)
 	}
-	if d := ctr.Get(metrics.CtrStatusDuplicated); d != 1 {
+	if d := mreg.Counter(CtrStatusDuplicated).Value(); d != 1 {
 		t.Fatalf("duplicated = %d, want 1", d)
 	}
-	if d := ctr.Get(metrics.CtrStatusDelayed); d != 1 {
+	if d := mreg.Counter(CtrStatusDelayed).Value(); d != 1 {
 		t.Fatalf("delayed = %d, want 1", d)
 	}
 	// A tap on a different host is untouched.
@@ -101,10 +103,15 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 	}
 }
 
-func TestObserverTrapFiresOnceOnMatchingPhase(t *testing.T) {
+func TestSinkTrapFiresOnceOnMatchingPhase(t *testing.T) {
 	in := NewInjector(Config{Clock: vclock.Real()})
 	in.apply(Event{Kind: KindCrashOnPhase, Proc: "app", Phase: hpcm.PhaseInit, Target: "dest"})
-	obs := in.Observer()
+	sink := in.Sink()
+	obs := func(ev hpcm.MigrationEvent) {
+		sink.Publish(events.Event{Source: events.SourceHPCM, Kind: ev.Phase, Payload: ev})
+	}
+	// Events without a migration payload pass through the trap untouched.
+	sink.Publish(events.Event{Source: events.SourceRegistry, Kind: "ordered"})
 
 	obs(hpcm.MigrationEvent{Proc: "other", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"})
 	obs(hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseStart, From: "ws1", To: "ws2"})
@@ -129,13 +136,13 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := metrics.NewCounters()
-	in := NewInjector(Config{Clock: clock, Counters: ctr})
+	mreg := metrics.NewRegistry()
+	in := NewInjector(Config{Clock: clock, Metrics: mreg})
 	sys, err := core.New(core.Options{
 		Cluster:      cl,
-		Counters:     ctr,
+		Metrics:      mreg,
 		WrapReporter: in.WrapReporter,
-		Observer:     in.Observer(),
+		Events:       in.Sink(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +175,7 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if !cl.Net().Partitioned("ws1", "ws3") {
 		t.Fatal("partition not applied")
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 {
-		t.Fatalf("registry restarts = %d, want 1", ctr.Get(metrics.CtrRegistryRestarts))
+	if mreg.Counter(registry.CtrRestarts).Value() != 1 {
+		t.Fatalf("registry restarts = %d, want 1", mreg.Counter(registry.CtrRestarts).Value())
 	}
 }

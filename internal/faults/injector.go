@@ -17,10 +17,12 @@ import (
 
 // Config configures an Injector. Clock is required; System is bound with
 // Bind (after core.New, since the system itself needs the injector's
-// reporter wrapper and migration observer at construction time).
+// reporter wrapper and event sink at construction time).
 type Config struct {
-	Clock    vclock.Clock
-	Counters *metrics.Counters
+	Clock vclock.Clock
+	// Metrics, when set, receives the monitor/status_* counters of the
+	// heartbeat faults the injector applied.
+	Metrics *metrics.Registry
 	// Events, when set, receives every applied fault and fired trap on the
 	// unified runtime sink (Source "faults") — pass the same sink as
 	// core.Options.Events to see faults interleaved with the decisions and
@@ -28,15 +30,23 @@ type Config struct {
 	Events events.Sink
 }
 
+// Counter names the injector increments on Config.Metrics, one per
+// heartbeat fault applied on the monitor->registry path.
+const (
+	CtrStatusDropped    = "monitor/status_dropped"
+	CtrStatusDuplicated = "monitor/status_duplicated"
+	CtrStatusDelayed    = "monitor/status_delayed"
+)
+
 // Injector applies a Plan against a bound core.System in virtual time.
 //
 // Construction order matters because the injector and the system reference
 // each other:
 //
-//	in := faults.NewInjector(faults.Config{Clock: clock, Counters: ctr})
+//	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 //	sys, _ := core.New(core.Options{
 //		WrapReporter: in.WrapReporter,
-//		Observer:     in.Observer(),
+//		Events:       in.Sink(),
 //		...
 //	})
 //	in.Bind(sys)
@@ -275,11 +285,12 @@ func (in *Injector) migrate(ev Event) error {
 	return nil
 }
 
-// Observer returns an hpcm.MigrationObserver for core.Options.Observer. It
-// fires armed crash-on-phase traps synchronously from the migrating
-// goroutine, so the crash lands at the exact protocol step.
-func (in *Injector) Observer() hpcm.MigrationObserver {
-	return func(ev hpcm.MigrationEvent) {
+// Sink returns the injector's subscription for core.Options.Events
+// (compose it with other consumers through events.Multi). It fires armed
+// crash-on-phase traps on hpcm.MigrationEvent payloads, synchronously from
+// the migrating goroutine, so the crash lands at the exact protocol step.
+func (in *Injector) Sink() events.Sink {
+	return events.On(func(ev hpcm.MigrationEvent) {
 		in.mu.Lock()
 		var victim string
 		for _, tr := range in.traps {
@@ -321,7 +332,7 @@ func (in *Injector) Observer() hpcm.MigrationObserver {
 				Note:   line,
 			})
 		}
-	}
+	})
 }
 
 // WrapReporter implements core.Options.WrapReporter: each node's status
@@ -388,15 +399,15 @@ func (t *tap) RegisterHost(host string, static proto.StaticInfo) error {
 func (t *tap) ReportStatus(host string, status proto.Status) error {
 	switch act, d := t.in.takeStatus(t.host); act {
 	case tapDrop:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDropped)
+		t.in.cfg.Metrics.Counter(CtrStatusDropped).Inc()
 		return nil // swallowed; the lease absorbs a bounded gap
 	case tapDup:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDuplicated)
+		t.in.cfg.Metrics.Counter(CtrStatusDuplicated).Inc()
 		if err := t.inner.ReportStatus(host, status); err != nil {
 			return err
 		}
 	case tapDelay:
-		t.in.cfg.Counters.Inc(metrics.CtrStatusDelayed)
+		t.in.cfg.Metrics.Counter(CtrStatusDelayed).Inc()
 		t.in.cfg.Clock.Sleep(d)
 	case tapPass:
 		// No fault armed: the report falls through untouched.

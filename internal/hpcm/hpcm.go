@@ -93,16 +93,12 @@ type Options struct {
 	// CheckpointEvery automatically checkpoints at the first poll-point
 	// after each interval (zero: only on RequestCheckpoint).
 	CheckpointEvery time.Duration
-	// Observer, when set, receives migration phase events synchronously
-	// from the migrating goroutine (fault injection, metrics). It is the
-	// legacy callback shape; new consumers register on Events with
-	// events.On[MigrationEvent] instead.
-	Observer MigrationObserver
 	// Events, when set, receives every migration phase event and every
 	// checkpoint event on the unified runtime sink (Source "hpcm"), each
 	// carrying its typed struct (MigrationEvent, CheckpointEvent) as the
-	// Payload. Published synchronously from the emitting goroutine, like
-	// Observer.
+	// Payload. Published synchronously from the migrating goroutine, so an
+	// events.On[MigrationEvent] subscriber — a fault injector — can crash
+	// a host at an exact protocol step. Sinks must not block indefinitely.
 	Events events.Sink
 	// Metrics, when set, receives the middleware's latency histograms:
 	// hpcm/migration_seconds and hpcm/downtime_seconds (virtual-clock, per
@@ -158,7 +154,6 @@ type Middleware struct {
 	chunk     int
 	ckptStore CheckpointStore
 	ckptEvery time.Duration
-	observer  MigrationObserver
 	events    events.Sink
 	metrics   *metrics.Registry
 	live      *livemig.Config
@@ -193,7 +188,6 @@ func New(opts Options) (*Middleware, error) {
 		chunk:     opts.ChunkBytes,
 		ckptStore: opts.Checkpoints,
 		ckptEvery: opts.CheckpointEvery,
-		observer:  opts.Observer,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
 		live:      opts.Live,

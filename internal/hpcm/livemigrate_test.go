@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
@@ -85,7 +86,7 @@ func expectedPagedSum(stages, dirtyPages int) float64 {
 	return total
 }
 
-func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs MigrationObserver) (*Middleware, vclock.Clock) {
+func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs func(MigrationEvent)) (*Middleware, vclock.Clock) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	if st, ok := transport.(*latchTransport); ok && st.inner == nil {
@@ -99,7 +100,7 @@ func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs 
 		Transport:    transport,
 		SpawnLatency: 10 * time.Millisecond,
 	})
-	mw, err := New(Options{Universe: u, Hosts: &testBinder{}, Live: live, Observer: obs})
+	mw, err := New(Options{Universe: u, Hosts: &testBinder{}, Live: live, Events: events.On(obs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +372,13 @@ func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 	mw, err := New(Options{
 		Universe: u,
 		Hosts:    &testBinder{},
-		Observer: func(ev MigrationEvent) {
+		Events: events.On(func(ev MigrationEvent) {
 			if ev.Phase == PhaseResume {
 				// The destination has taken over; the lazy stream is next.
 				cut.cut.Store(true)
 			}
 			log.observe(ev)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"autoresched/internal/events"
 )
 
-// Migration phases, as reported to a MigrationObserver. The chaos engine
+// Migration phases, as carried by MigrationEvent. The chaos engine
 // keys host-crash triggers on these, so a "mid-migration crash" happens at
 // an exact protocol step rather than an approximate virtual time.
 const (
@@ -50,11 +50,6 @@ type MigrationEvent struct {
 	// Err is set for PhaseAborted and PhaseFailed.
 	Err error
 }
-
-// MigrationObserver receives migration phase events synchronously from the
-// migrating goroutine; a fault injector can therefore crash a host at an
-// exact protocol step. Observers must not block indefinitely.
-type MigrationObserver func(MigrationEvent)
 
 // MigrationFailure reports a migration that did not complete. Committed
 // distinguishes the two very different situations: false means the source
@@ -106,25 +101,23 @@ type CheckpointEvent struct {
 	Begin bool
 }
 
-// observe emits a migration phase event to the legacy observer and, with
-// its typed payload attached, to the unified event sink.
+// observe emits a migration phase event, with its typed payload attached,
+// on the unified event sink.
 func (m *Middleware) observe(ev MigrationEvent) {
-	if m.observer != nil {
-		m.observer(ev)
+	if m.events == nil {
+		return
 	}
-	if m.events != nil {
-		m.events.Publish(events.Event{
-			Time:    m.clock.Now(),
-			Source:  events.SourceHPCM,
-			Kind:    ev.Phase,
-			Host:    ev.From,
-			Dest:    ev.To,
-			Proc:    ev.Proc,
-			Note:    ev.Label,
-			Err:     ev.Err,
-			Payload: ev,
-		})
-	}
+	m.events.Publish(events.Event{
+		Time:    m.clock.Now(),
+		Source:  events.SourceHPCM,
+		Kind:    ev.Phase,
+		Host:    ev.From,
+		Dest:    ev.To,
+		Proc:    ev.Proc,
+		Note:    ev.Label,
+		Err:     ev.Err,
+		Payload: ev,
+	})
 }
 
 // observeCheckpoint emits a checkpoint event on the unified sink.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"autoresched/internal/events"
 )
 
 func TestObserverSeesPhaseSequence(t *testing.T) {
@@ -12,11 +14,11 @@ func TestObserverSeesPhaseSequence(t *testing.T) {
 	mw, _ := newMW(t, binder, 10*time.Millisecond)
 	var mu sync.Mutex
 	var phases []string
-	mw.observer = func(ev MigrationEvent) {
+	mw.events = events.On(func(ev MigrationEvent) {
 		mu.Lock()
 		phases = append(phases, ev.Phase)
 		mu.Unlock()
-	}
+	})
 	gate := make(chan struct{})
 	var got []int
 	var sinkMu sync.Mutex
@@ -49,13 +51,13 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 	mw, _ := newMW(t, binder, 10*time.Millisecond)
 	var mu sync.Mutex
 	var aborted []MigrationEvent
-	mw.observer = func(ev MigrationEvent) {
+	mw.events = events.On(func(ev MigrationEvent) {
 		if ev.Phase == PhaseAborted {
 			mu.Lock()
 			aborted = append(aborted, ev)
 			mu.Unlock()
 		}
-	}
+	})
 	gate := make(chan struct{})
 	var got []int
 	var sinkMu sync.Mutex

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/mpi"
 )
 
@@ -17,11 +18,11 @@ func benchJob(b *testing.B, n int) (*Job, chan Event) {
 		App:          &countApp{size: 64, steps: 1 << 30},
 		InitialHosts: hosts("h", n),
 		DrainPoll:    100 * time.Microsecond,
-		Observer: func(ev Event) {
+		Events: events.On(func(ev Event) {
 			if ev.Phase == PhaseResume {
 				resumed <- ev
 			}
-		},
+		}),
 	})
 	if err != nil {
 		b.Fatalf("Start: %v", err)

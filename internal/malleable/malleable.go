@@ -14,8 +14,8 @@
 // migration — proposing a same-size placement with different hosts moves
 // ranks without changing the world size.
 //
-// Phases are announced synchronously through a ResizeObserver (the
-// fault-injection trap surface, mirroring hpcm.MigrationObserver) and timed
+// Phases are announced synchronously on the unified event sink (the
+// fault-injection trap surface, as for hpcm's migration phases) and timed
 // into malleable/* histograms on the shared metrics registry.
 package malleable
 
@@ -56,12 +56,6 @@ type App interface {
 	// charging on the current host.
 	Step(rc *Rank, shard []byte) ([]byte, error)
 }
-
-// ResizeObserver receives phase events synchronously from the goroutine
-// driving the resize (rank 0, or the proposer for PhasePropose). Keep it
-// fast; it is on the protocol's critical path. The synchronous delivery is
-// what lets fault injection crash a host at an exact protocol phase.
-type ResizeObserver func(Event)
 
 // Phases of one resize attempt, in protocol order.
 const (
@@ -113,6 +107,15 @@ const (
 	MetricResizeSeconds = "malleable/resize_seconds"
 )
 
+// Counter names the engine increments on Options.Metrics: resize outcomes
+// and the ranks committed resizes spawned and retired.
+const (
+	CtrResizeCommitted = "malleable/resizes_committed"
+	CtrResizeAborted   = "malleable/resizes_aborted"
+	CtrRanksSpawned    = "malleable/ranks_spawned"
+	CtrRanksRetired    = "malleable/ranks_retired"
+)
+
 // ErrStopped is the terminal error of a job cancelled with Stop.
 var ErrStopped = errors.New("malleable: job stopped")
 
@@ -137,17 +140,16 @@ type Options struct {
 	// non-empty; InitialHosts[0] carries rank 0, which is pinned for the
 	// job's lifetime (a proposal dropping it is rejected).
 	InitialHosts []string
-	// Observer receives resize phase events; nil disables.
-	Observer ResizeObserver
 	// Events, when set, receives each resize phase on the unified sink
 	// (Source "malleable", Kind = phase, Payload = the Event). Delivery is
-	// synchronous, same as Observer.
+	// synchronous from the goroutine driving the resize (rank 0, or the
+	// proposer for PhasePropose), which is what lets an events.On[Event]
+	// subscriber crash a host at an exact protocol phase; keep sinks fast,
+	// they are on the protocol's critical path.
 	Events events.Sink
-	// Metrics records the malleable/* histograms; nil disables.
+	// Metrics records the malleable/* histograms and counters; nil
+	// disables.
 	Metrics *metrics.Registry
-	// Counters tallies committed/aborted resizes and spawned/retired
-	// ranks; nil disables.
-	Counters *metrics.Counters
 	// DrainPoll paces the liveness-aware receive loop of the drain phase;
 	// zero selects 1 ms of virtual time.
 	DrainPoll time.Duration
@@ -219,16 +221,14 @@ type proposal struct {
 
 // Job is one running malleable application.
 type Job struct {
-	u        *mpi.Universe
-	clock    vclock.Clock
-	app      App
-	name     string
-	binder   hpcm.HostBinder
-	observer ResizeObserver
-	events   events.Sink
-	metrics  *metrics.Registry
-	counters *metrics.Counters
-	poll     time.Duration
+	u       *mpi.Universe
+	clock   vclock.Clock
+	app     App
+	name    string
+	binder  hpcm.HostBinder
+	events  events.Sink
+	metrics *metrics.Registry
+	poll    time.Duration
 
 	mu              sync.Mutex
 	pending         *proposal
@@ -287,10 +287,8 @@ func Start(opts Options) (*Job, error) {
 		app:       opts.App,
 		name:      opts.Name,
 		binder:    opts.Hosts,
-		observer:  opts.Observer,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
-		counters:  opts.Counters,
 		poll:      opts.DrainPoll,
 		placement: append([]string(nil), opts.InitialHosts...),
 		dead:      make(map[string]bool),
@@ -450,24 +448,22 @@ func (j *Job) hostDead(host string) bool {
 }
 
 func (j *Job) emit(ev Event) {
-	if j.observer != nil {
-		j.observer(ev)
+	if j.events == nil {
+		return
 	}
-	if j.events != nil {
-		var err error
-		if ev.Err != "" {
-			err = errors.New(ev.Err)
-		}
-		j.events.Publish(events.Event{
-			Time:    j.clock.Now(),
-			Source:  events.SourceMalleable,
-			Kind:    ev.Phase,
-			Proc:    ev.Job,
-			Note:    fmt.Sprintf("world %d->%d", ev.OldWorld, ev.NewWorld),
-			Err:     err,
-			Payload: ev,
-		})
+	var err error
+	if ev.Err != "" {
+		err = errors.New(ev.Err)
 	}
+	j.events.Publish(events.Event{
+		Time:    j.clock.Now(),
+		Source:  events.SourceMalleable,
+		Kind:    ev.Phase,
+		Proc:    ev.Job,
+		Note:    fmt.Sprintf("world %d->%d", ev.OldWorld, ev.NewWorld),
+		Err:     err,
+		Payload: ev,
+	})
 }
 
 func (j *Job) observe(name string, d time.Duration) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
@@ -162,7 +163,6 @@ func TestExpandCommit(t *testing.T) {
 	app := &countApp{size: 64, steps: 12}
 	log := &eventLog{}
 	reg := metrics.NewRegistry()
-	ctrs := metrics.NewCounters()
 
 	var jr jref
 	gated := &stepGate{App: app, at: 4, hook: func() {
@@ -172,7 +172,7 @@ func TestExpandCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 2),
-		Observer: log.observe, Metrics: reg, Counters: ctrs,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -194,7 +194,7 @@ func TestExpandCommit(t *testing.T) {
 	if committed != 1 || aborted != 0 {
 		t.Fatalf("resizes = %d committed / %d aborted, want 1/0", committed, aborted)
 	}
-	if n := ctrs.Get(metrics.CtrRanksSpawned); n != 3 {
+	if n := reg.Counter(CtrRanksSpawned).Value(); n != 3 {
 		t.Fatalf("ranks spawned = %d, want 3", n)
 	}
 	want := []string{PhasePropose, PhaseQuiesce, PhaseReshape, PhaseSpawn, PhaseResume}
@@ -217,7 +217,7 @@ func TestShrinkCommit(t *testing.T) {
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 60, steps: 10}
 	log := &eventLog{}
-	ctrs := metrics.NewCounters()
+	reg := metrics.NewRegistry()
 
 	var jr jref
 	gated := &stepGate{App: app, at: 3, hook: func() {
@@ -229,7 +229,7 @@ func TestShrinkCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 4),
-		Observer: log.observe, Counters: ctrs,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -243,7 +243,7 @@ func TestShrinkCommit(t *testing.T) {
 	if got := fmt.Sprint(j.Placement()); got != fmt.Sprint([]string{"h1", "h4"}) {
 		t.Fatalf("placement = %s, want [h1 h4]", got)
 	}
-	if n := ctrs.Get(metrics.CtrRanksRetired); n != 2 {
+	if n := reg.Counter(CtrRanksRetired).Value(); n != 2 {
 		t.Fatalf("ranks retired = %d, want 2", n)
 	}
 	resume, ok := log.find(PhaseResume)
@@ -305,7 +305,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 	}})
 	app := &countApp{size: 48, steps: 10}
 	log := &eventLog{}
-	ctrs := metrics.NewCounters()
+	reg := metrics.NewRegistry()
 
 	var jr jref
 	gated := &stepGate{App: app, at: 2, hook: func() {
@@ -315,7 +315,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 3),
-		Observer: log.observe, Counters: ctrs,
+		Events: events.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -332,7 +332,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 	if committed, aborted := j.Resizes(); committed != 0 || aborted != 1 {
 		t.Fatalf("resizes = %d/%d, want 0 committed / 1 aborted", committed, aborted)
 	}
-	if n := ctrs.Get(metrics.CtrResizeAborted); n != 1 {
+	if n := reg.Counter(CtrResizeAborted).Value(); n != 1 {
 		t.Fatalf("abort counter = %d, want 1", n)
 	}
 	ab, ok := log.find(PhaseAbort)
@@ -377,7 +377,7 @@ func TestCrashNewRankMidExpandAborts(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Observer: obs,
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -417,7 +417,7 @@ func TestCrashVictimMidShrinkCommits(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Observer: obs,
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)

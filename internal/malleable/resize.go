@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 )
 
@@ -304,7 +303,7 @@ func (j *Job) rootAbort(rc *Rank, pl *plan, comm *mpi.Comm, oldW int, reason str
 	j.mu.Lock()
 	j.aborted++
 	j.mu.Unlock()
-	j.counters.Inc(metrics.CtrResizeAborted)
+	j.metrics.Counter(CtrResizeAborted).Inc()
 	j.emit(Event{
 		Job: j.name, Phase: PhaseAbort, Epoch: pl.epoch, Step: rc.step,
 		OldWorld: oldW, NewWorld: len(pl.target),
@@ -320,9 +319,9 @@ func (j *Job) commitJobState(pl *plan) {
 	j.committed++
 	j.lastCommitEpoch = pl.epoch
 	j.mu.Unlock()
-	j.counters.Inc(metrics.CtrResizeCommitted)
-	j.counters.Add(metrics.CtrRanksSpawned, int64(len(pl.added)))
-	j.counters.Add(metrics.CtrRanksRetired, int64(len(pl.victim)))
+	j.metrics.Counter(CtrResizeCommitted).Inc()
+	j.metrics.Counter(CtrRanksSpawned).Add(int64(len(pl.added)))
+	j.metrics.Counter(CtrRanksRetired).Add(int64(len(pl.victim)))
 }
 
 // memberCommit is the non-root side after the drain: survivors and victims

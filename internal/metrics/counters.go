@@ -1,138 +1,37 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync/atomic"
 
-// Control-plane counter names. Components increment these on a shared
-// Counters instance so a run's robustness behaviour — retries, reconnects,
-// aborted migrations, checkpoint restores — is observable in one place
-// (the chaos experiment's summary, cmd/repro output).
-const (
-	CtrProtoDropped       = "proto/msgs_dropped"
-	CtrProtoDuplicated    = "proto/msgs_duplicated"
-	CtrProtoDelayed       = "proto/msgs_delayed"
-	CtrProtoRetries       = "proto/call_retries"
-	CtrProtoReconnects    = "proto/reconnects"
-	CtrProtoDeduped       = "proto/msgs_deduped"
-	CtrStatusDropped      = "monitor/status_dropped"
-	CtrStatusDuplicated   = "monitor/status_duplicated"
-	CtrStatusDelayed      = "monitor/status_delayed"
-	CtrReregisters        = "monitor/reregisters"
-	CtrOrdersDeduped      = "commander/orders_deduped"
-	CtrRegistryRestarts   = "registry/restarts"
-	CtrRegistryRecoveries = "registry/recoveries"
-	CtrStandbyPromotions  = "registry/standby_promotions"
-	CtrPersistAppends     = "persist/appends"
-	CtrPersistSnapshots   = "persist/snapshots"
-	CtrProcResyncs        = "registry/proc_resyncs"
-	CtrBatchFlushes       = "registry/batch_flushes"
-	CtrBatchedReports     = "registry/batched_reports"
-	CtrHealthReports      = "registry/health_reports"
-	CtrMigrAborted        = "core/migrations_aborted"
-	CtrMigrCommitted      = "core/migrations_committed"
-	CtrCkptRestores       = "core/checkpoint_restores"
-	CtrColdRestarts       = "core/cold_restarts"
-	CtrResizeCommitted    = "malleable/resizes_committed"
-	CtrResizeAborted      = "malleable/resizes_aborted"
-	CtrRanksSpawned       = "malleable/ranks_spawned"
-	CtrRanksRetired       = "malleable/ranks_retired"
-	CtrJobsAdmitted       = "jobs/admitted"
-	CtrJobsRequeued       = "jobs/requeued"
-	CtrJobsShrunk         = "jobs/shrunk"
-	CtrJobsMigrated       = "jobs/migrated"
-	CtrJobsReservations   = "jobs/reservations_lost"
-)
-
-// Counters is a set of named monotonic counters, safe for concurrent use.
-// Names are created on first Add/Get; Snapshot and Render report them in
-// sorted order so output is deterministic regardless of increment order.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
+// Counter is a monotonic count, safe for concurrent use. All methods are
+// nil-receiver safe: a component resolves its counters once from an
+// optional Registry and counts unconditionally, so a disabled counter
+// costs one compare and a live one an atomic add. Counter names are
+// declared beside the code that increments them (proto.CtrRetries,
+// core.CtrMigrCommitted, ...).
+type Counter struct {
+	v atomic.Int64
 }
 
-// NewCounters creates an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Add increments a counter by delta. A nil receiver is a no-op, so
-// components can count unconditionally without a configuration check.
-func (c *Counters) Add(name string, delta int64) {
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
+	c.v.Add(delta)
 }
 
-// Inc increments a counter by one.
-func (c *Counters) Inc(name string) {
+// Inc increments the counter by one.
+func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.Add(name, 1)
+	c.v.Add(1)
 }
 
-// Get returns a counter's value (0 if never incremented or nil receiver).
-func (c *Counters) Get(name string) int64 {
+// Value returns the current count (0 for a nil receiver).
+func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 {
-	if c == nil {
-		return map[string]int64{}
-	}
-	out := make(map[string]int64)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Names returns the counter names in sorted order.
-func (c *Counters) Names() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Render prints the non-zero counters, one per line, sorted by name.
-func (c *Counters) Render() string {
-	if c == nil {
-		return ""
-	}
-	names := c.Names()
-	width := 28
-	for _, name := range names {
-		if c.Get(name) != 0 && len(name) > width {
-			width = len(name)
-		}
-	}
-	var b strings.Builder
-	for _, name := range names {
-		if v := c.Get(name); v != 0 {
-			fmt.Fprintf(&b, "%-*s %d\n", width, name, v)
-		}
-	}
-	return b.String()
+	return c.v.Load()
 }

@@ -127,9 +127,7 @@ func TestFormatSeconds(t *testing.T) {
 
 func TestRegistryPrometheusText(t *testing.T) {
 	reg := NewRegistry()
-	ctr := NewCounters()
-	ctr.Inc("registry/restarts")
-	reg.AttachCounters(ctr)
+	reg.Counter("registry/restarts").Inc()
 	reg.Gauge("registry/hosts").Set(4)
 	reg.Histogram("span/total").Observe(1.5)
 
@@ -175,6 +173,7 @@ func TestRegistryMergeAndSnapshot(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Histogram("x").Observe(1)
 	nilReg.Gauge("x").Set(1)
+	nilReg.Counter("x").Inc()
 	nilReg.Merge(a)
 	if err := nilReg.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)

@@ -255,20 +255,3 @@ func TestStopThenStopPolls(t *testing.T) {
 	stop()
 	r.StopPolls()
 }
-
-func TestRenderWidensForLongNames(t *testing.T) {
-	c := NewCounters()
-	long := "registry/some_extremely_long_counter_name_total"
-	c.Inc(long)
-	c.Inc("short")
-	out := c.Render()
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		i := strings.LastIndex(line, " ")
-		if i <= len(long)-1 && !strings.HasPrefix(line, long) {
-			t.Fatalf("column not aligned past longest name:\n%s", out)
-		}
-	}
-	if !strings.Contains(out, long+" 1") {
-		t.Fatalf("long name squeezed:\n%s", out)
-	}
-}

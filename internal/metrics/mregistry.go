@@ -17,7 +17,7 @@ import (
 // take an optional registry and instrument unconditionally.
 type Registry struct {
 	mu       sync.Mutex
-	counters *Counters
+	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -25,21 +25,27 @@ type Registry struct {
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
-// AttachCounters folds an existing counter set into the registry's output.
-// The registry does not copy: the counters keep living where they are and
-// are read at render time.
-func (r *Registry) AttachCounters(c *Counters) {
+// Counter returns the named counter, creating it (at zero) on first use.
+// Hot paths resolve their counters once at construction and keep the
+// pointer; cold paths may look up per call.
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
-	r.counters = c
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{}
+		r.counters[name] = c
+	}
+	return c
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -79,19 +85,42 @@ func (r *Registry) HistogramNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
+	return sortedNames(r.hists)
+}
+
+// instruments copies the three name->instrument maps under the lock, so
+// readers can walk them (and call into the instruments' own locks)
+// without holding the registry's.
+func (r *Registry) instruments() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	counters := make(map[string]*Counter, len(r.counters))
+	for k, v := range r.counters {
+		counters[k] = v
+	}
+	gauges := make(map[string]*Gauge, len(r.gauges))
+	for k, v := range r.gauges {
+		gauges[k] = v
+	}
+	hists := make(map[string]*Histogram, len(r.hists))
+	for k, v := range r.hists {
+		hists[k] = v
+	}
+	return counters, gauges, hists
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Merge folds another registry's histograms and gauges into this one
-// (histograms add bucket-wise, gauges take the other's value) and adds its
-// attached counters into this registry's attached counter set when both
-// exist. Experiments use this to accumulate per-scenario registries into
-// one run-wide snapshot.
+// Merge folds another registry into this one: counters add, histograms
+// add bucket-wise, gauges take the other's value. Experiments use this to
+// accumulate per-scenario registries into one run-wide snapshot.
 func (r *Registry) Merge(o *Registry) {
 	if r == nil {
 		return
@@ -99,33 +128,15 @@ func (r *Registry) Merge(o *Registry) {
 	if o == nil {
 		return
 	}
-	o.mu.Lock()
-	hists := make(map[string]*Histogram, len(o.hists))
-	for k, v := range o.hists {
-		hists[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(o.gauges))
-	for k, v := range o.gauges {
-		gauges[k] = v
-	}
-	octr := o.counters
-	o.mu.Unlock()
-
-	for name, h := range hists {
-		r.Histogram(name).Merge(h)
+	counters, gauges, hists := o.instruments()
+	for name, c := range counters {
+		r.Counter(name).Add(c.Value())
 	}
 	for name, g := range gauges {
 		r.Gauge(name).Set(g.Value())
 	}
-	if octr != nil {
-		r.mu.Lock()
-		mine := r.counters
-		r.mu.Unlock()
-		if mine != nil {
-			for name, v := range octr.Snapshot() {
-				mine.Add(name, v)
-			}
-		}
+	for name, h := range hists {
+		r.Histogram(name).Merge(h)
 	}
 }
 
@@ -141,21 +152,13 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	counters, gauges, hists := r.instruments()
 	s := Snapshot{}
-	r.mu.Lock()
-	ctr := r.counters
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	r.mu.Unlock()
-
-	if ctr != nil {
-		s.Counters = ctr.Snapshot()
+	if len(counters) > 0 {
+		s.Counters = make(map[string]int64, len(counters))
+		for name, c := range counters {
+			s.Counters[name] = c.Value()
+		}
 	}
 	if len(gauges) > 0 {
 		s.Gauges = make(map[string]float64, len(gauges))
@@ -211,59 +214,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	ctr := r.counters
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	r.mu.Unlock()
-
+	counters, gauges, hists := r.instruments()
 	var b strings.Builder
-	if ctr != nil {
-		snap := ctr.Snapshot()
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			pn := promName(name) + "_total"
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", pn, pn, snap[name])
-		}
+	for _, name := range sortedNames(counters) {
+		pn := promName(name) + "_total"
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", pn, pn, counters[name].Value())
 	}
-	{
-		names := make([]string, 0, len(gauges))
-		for name := range gauges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			pn := promName(name)
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", pn, pn, gauges[name].Value())
-		}
+	for _, name := range sortedNames(gauges) {
+		pn := promName(name)
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", pn, pn, gauges[name].Value())
 	}
-	{
-		names := make([]string, 0, len(hists))
-		for name := range hists {
-			names = append(names, name)
+	for _, name := range sortedNames(hists) {
+		pn := promName(name)
+		bounds, cums, total, sum := hists[name].cumulativeBuckets()
+		fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)
+		for i, le := range bounds {
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", pn, formatLE(le), cums[i])
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			pn := promName(name)
-			bounds, cums, total, sum := hists[name].cumulativeBuckets()
-			fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)
-			for i, le := range bounds {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", pn, formatLE(le), cums[i])
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", pn, total)
-			fmt.Fprintf(&b, "%s_sum %g\n", pn, sum)
-			fmt.Fprintf(&b, "%s_count %d\n", pn, total)
-		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", pn, total)
+		fmt.Fprintf(&b, "%s_sum %g\n", pn, sum)
+		fmt.Fprintf(&b, "%s_count %d\n", pn, total)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

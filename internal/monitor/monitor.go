@@ -68,17 +68,20 @@ type Config struct {
 	CommandAddr string
 	// Software lists locally installed packages for requirement matching.
 	Software []string
-	// Counters, when set, receives the monitor/* control-plane counters.
-	Counters *metrics.Counters
-	// Metrics, when set, receives the monitor's latency histograms
-	// (monitor/cycle_seconds, virtual-clock duration of one
-	// gather-evaluate-report cycle). Nil disables.
+	// Metrics, when set, receives the monitor/cycle_seconds histogram
+	// (virtual-clock duration of one gather-evaluate-report cycle) and the
+	// monitor/reregisters counter. Nil disables.
 	Metrics *metrics.Registry
 }
 
 // MetricCycleSeconds is the virtual-time duration of one monitor cycle —
 // the per-host rescheduler overhead Figure 5 measures.
 const MetricCycleSeconds = "monitor/cycle_seconds"
+
+// CtrReregisters counts the re-registrations a monitor performed after the
+// registry rejected a refresh as unregistered (it restarted without a
+// durable store).
+const CtrReregisters = "monitor/reregisters"
 
 // Sample is one monitoring-database record.
 type Sample struct {
@@ -257,7 +260,7 @@ func (m *Monitor) Cycle() (Sample, error) {
 			// soft-state registration makes this survivable): re-register
 			// the host and retry the refresh once.
 			if rerr := m.register(); rerr == nil {
-				m.cfg.Counters.Inc(metrics.CtrReregisters)
+				m.cfg.Metrics.Counter(CtrReregisters).Inc()
 				err = m.cfg.Reporter.ReportStatus(m.cfg.Host, status)
 			}
 		}

@@ -58,9 +58,6 @@ func WithCommandAddr(addr string) Option { return func(c *Config) { c.CommandAdd
 // WithSoftware lists locally installed packages for requirement matching.
 func WithSoftware(pkgs []string) Option { return func(c *Config) { c.Software = pkgs } }
 
-// WithCounters sets the control-plane counter set.
-func WithCounters(m *metrics.Counters) Option { return func(c *Config) { c.Counters = m } }
-
-// WithMetrics sets the metrics registry receiving the monitor's latency
-// histograms.
+// WithMetrics sets the metrics registry receiving the monitor's cycle
+// histogram and re-registration counter.
 func WithMetrics(m *metrics.Registry) Option { return func(c *Config) { c.Metrics = m } }

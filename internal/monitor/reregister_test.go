@@ -59,13 +59,13 @@ func TestCycleReregistersAfterRegistryRestart(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
 	rep := &amnesiacReporter{}
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	m, err := newFromConfig(Config{
 		Host:     "ws1",
 		Source:   sysinfo.NewSimSource(host, nil),
 		Reporter: rep,
 		Clock:    clock,
-		Counters: ctr,
+		Metrics:  mreg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestCycleReregistersAfterRegistryRestart(t *testing.T) {
 	if stats != 2 {
 		t.Fatalf("statuses = %d, want 2", stats)
 	}
-	if ctr.Get(metrics.CtrReregisters) != 1 {
-		t.Fatalf("reregister counter = %d", ctr.Get(metrics.CtrReregisters))
+	if mreg.Counter(CtrReregisters).Value() != 1 {
+		t.Fatalf("reregister counter = %d", mreg.Counter(CtrReregisters).Value())
 	}
 }

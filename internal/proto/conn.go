@@ -57,8 +57,9 @@ type Conn struct {
 	wr       sync.Mutex
 	whdr     [4]byte // write-side frame header, reused under wr
 	injector FaultInjector
-	counters *metrics.Counters
 	clock    vclock.Clock
+	// Injected-fault counters, resolved by SetInjector (nil = uncounted).
+	delayed, dropped, duplicated *metrics.Counter
 
 	// rhdr and readBuf are the read-side scratch: one header, one payload
 	// buffer grown geometrically, reused across frames by the single
@@ -70,10 +71,13 @@ type Conn struct {
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
-// SetInjector installs a fault injector consulted before every Send.
-func (c *Conn) SetInjector(f FaultInjector, counters *metrics.Counters) {
+// SetInjector installs a fault injector consulted before every Send; its
+// verdicts are counted as proto/msgs_* on reg (nil disables).
+func (c *Conn) SetInjector(f FaultInjector, reg *metrics.Registry) {
 	c.injector = f
-	c.counters = counters
+	c.delayed = reg.Counter(CtrDelayed)
+	c.dropped = reg.Counter(CtrDropped)
+	c.duplicated = reg.Counter(CtrDuplicated)
 }
 
 // SetClock sets the clock pacing injected delays. Nil (the default)
@@ -95,15 +99,15 @@ func (c *Conn) Send(m *Message) error {
 	if c.injector != nil {
 		v := c.injector.Outbound(m)
 		if v.Delay > 0 {
-			c.counters.Inc(metrics.CtrProtoDelayed)
+			c.delayed.Inc()
 			c.sleep(v.Delay)
 		}
 		if v.Drop {
-			c.counters.Inc(metrics.CtrProtoDropped)
+			c.dropped.Inc()
 			return nil
 		}
 		if v.Duplicate {
-			c.counters.Inc(metrics.CtrProtoDuplicated)
+			c.duplicated.Inc()
 			if err := c.sendRaw(m); err != nil {
 				return err
 			}
@@ -204,11 +208,11 @@ type Handler func(m *Message) (*Message, error)
 // message to a handler. Every request receives exactly one response: the
 // handler's message, or an ack (with the handler error, if any).
 type Server struct {
-	name     string
-	ln       net.Listener
-	handler  Handler
-	dedup    *dedupCache
-	counters *metrics.Counters
+	name    string
+	ln      net.Listener
+	handler Handler
+	dedup   *dedupCache
+	deduped *metrics.Counter
 
 	mu     sync.Mutex
 	closed bool
@@ -224,20 +228,21 @@ func NewServer(name, addr string, handler Handler) (*Server, error) {
 
 // NewServerOptions starts a server with explicit robustness options:
 // DedupWindow enables idempotent redelivery (a retried request is answered
-// from the response cache instead of re-invoking the handler), Counters
-// makes deduplications observable.
+// from the response cache instead of re-invoking the handler), Metrics
+// makes deduplications observable (proto/msgs_deduped, served at zero from
+// the start).
 func NewServerOptions(name, addr string, handler Handler, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		name:     name,
-		ln:       ln,
-		handler:  handler,
-		dedup:    newDedupCache(opts.dedupWindow()),
-		counters: opts.Counters,
-		conns:    make(map[net.Conn]struct{}),
+		name:    name,
+		ln:      ln,
+		handler: handler,
+		dedup:   newDedupCache(opts.dedupWindow()),
+		deduped: opts.Metrics.Counter(CtrDeduped),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -285,7 +290,7 @@ func (s *Server) serve(conn net.Conn) {
 		// — a client retry whose response was lost — replays the cached
 		// response instead of re-invoking the handler.
 		if cached, ok := s.dedup.lookup(req.From, req.Seq); ok {
-			s.counters.Inc(metrics.CtrProtoDeduped)
+			s.deduped.Inc()
 			if err := c.Send(cached); err != nil {
 				return
 			}
@@ -372,7 +377,7 @@ func (c *Client) reconnect() error {
 	c.conn = NewConn(raw)
 	c.conn.SetClock(c.opts.Clock)
 	if c.opts.Injector != nil {
-		c.conn.SetInjector(c.opts.Injector, c.opts.Counters)
+		c.conn.SetInjector(c.opts.Injector, c.opts.Metrics)
 	}
 	return nil
 }
@@ -403,12 +408,12 @@ func (c *Client) Call(m *Message) (*Message, error) {
 		if d := c.opts.backoffFor(attempt, c.rng); d > 0 {
 			c.opts.clock().Sleep(d)
 		}
-		c.opts.Counters.Inc(metrics.CtrProtoRetries)
+		c.opts.Metrics.Counter(CtrRetries).Inc()
 		if rerr := c.reconnect(); rerr != nil {
 			err = fmt.Errorf("proto: call failed (%v) and reconnect failed: %w", err, rerr)
 			continue
 		}
-		c.opts.Counters.Inc(metrics.CtrProtoReconnects)
+		c.opts.Metrics.Counter(CtrReconnects).Inc()
 		resp, err = c.callOnce(m)
 		if err == nil || resp != nil {
 			return resp, err

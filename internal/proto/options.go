@@ -40,10 +40,9 @@ type Options struct {
 	// of re-invoking the handler. Zero disables (deduplication assumes
 	// client names are unique, which not every deployment guarantees).
 	DedupWindow int
-	// Counters, when set, receives the proto/* control-plane counters.
-	Counters *metrics.Counters
-	// Metrics, when set, receives the proto/call_seconds histogram: the
-	// wall-clock duration of each Call, retries and backoff included.
+	// Metrics, when set, receives the proto/* control-plane counters and
+	// the proto/call_seconds histogram: the wall-clock duration of each
+	// Call, retries and backoff included.
 	Metrics *metrics.Registry
 	// Injector, when set, intercepts outbound messages (drop, duplicate,
 	// delay) — the proto-level fault hook the chaos engine drives.
@@ -109,6 +108,18 @@ func (o Options) backoffFor(attempt int, rng *rand.Rand) time.Duration {
 // MetricCallSeconds is the wall-clock duration of one client Call (an
 // approximate metric — retries, backoff and the wire round trip included).
 const MetricCallSeconds = "proto/call_seconds"
+
+// Counter names the proto layer increments on Options.Metrics: injected
+// faults on the send path, client retries and re-dials, and server-side
+// idempotent redeliveries.
+const (
+	CtrDropped    = "proto/msgs_dropped"
+	CtrDuplicated = "proto/msgs_duplicated"
+	CtrDelayed    = "proto/msgs_delayed"
+	CtrRetries    = "proto/call_retries"
+	CtrReconnects = "proto/reconnects"
+	CtrDeduped    = "proto/msgs_deduped"
+)
 
 // Verdict is a fault injector's decision about one outbound message.
 type Verdict struct {

@@ -97,7 +97,7 @@ func TestClientCallTimeoutOnSilentServer(t *testing.T) {
 }
 
 func TestClientRetriesWithBackoffAfterRestart(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	srv, err := NewServer("registry", "127.0.0.1:0", func(m *Message) (*Message, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestClientRetriesWithBackoffAfterRestart(t *testing.T) {
 		Backoff:     time.Millisecond,
 		Jitter:      0.5,
 		Seed:        42,
-		Counters:    ctr,
+		Metrics:     mreg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +127,10 @@ func TestClientRetriesWithBackoffAfterRestart(t *testing.T) {
 	if _, err := cli.Call(statusMsg("ws1")); err != nil {
 		t.Fatalf("call after restart: %v", err)
 	}
-	if ctr.Get(metrics.CtrProtoRetries) == 0 {
+	if mreg.Counter(CtrRetries).Value() == 0 {
 		t.Fatal("no retry counted")
 	}
-	if ctr.Get(metrics.CtrProtoReconnects) == 0 {
+	if mreg.Counter(CtrReconnects).Value() == 0 {
 		t.Fatal("no reconnect counted")
 	}
 }
@@ -183,11 +183,11 @@ func TestClientDoesNotRetryRemoteErrors(t *testing.T) {
 
 func TestServerDedupReplaysCachedResponse(t *testing.T) {
 	var calls atomic.Int64
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	srv, err := NewServerOptions("registry", "127.0.0.1:0", func(m *Message) (*Message, error) {
 		calls.Add(1)
 		return nil, nil
-	}, Options{DedupWindow: 8, Counters: ctr})
+	}, Options{DedupWindow: 8, Metrics: mreg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +218,13 @@ func TestServerDedupReplaysCachedResponse(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("handler ran %d times; want 1 (second delivery deduped)", got)
 	}
-	if ctr.Get(metrics.CtrProtoDeduped) != 1 {
-		t.Fatalf("deduped counter = %d, want 1", ctr.Get(metrics.CtrProtoDeduped))
+	if mreg.Counter(CtrDeduped).Value() != 1 {
+		t.Fatalf("deduped counter = %d, want 1", mreg.Counter(CtrDeduped).Value())
 	}
 }
 
 func TestInjectorDropForcesRetry(t *testing.T) {
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	srv, err := NewServer("registry", "127.0.0.1:0", func(m *Message) (*Message, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestInjectorDropForcesRetry(t *testing.T) {
 	cli, err := DialOptions("ws1", srv.Addr(), Options{
 		CallTimeout: 100 * time.Millisecond,
 		Retries:     2,
-		Counters:    ctr,
+		Metrics:     mreg,
 		Injector:    &dropFirstN{left: 1},
 	})
 	if err != nil {
@@ -245,10 +245,10 @@ func TestInjectorDropForcesRetry(t *testing.T) {
 	if _, err := cli.Call(statusMsg("ws1")); err != nil {
 		t.Fatalf("Call with one dropped message: %v", err)
 	}
-	if ctr.Get(metrics.CtrProtoDropped) != 1 {
-		t.Fatalf("dropped counter = %d, want 1", ctr.Get(metrics.CtrProtoDropped))
+	if mreg.Counter(CtrDropped).Value() != 1 {
+		t.Fatalf("dropped counter = %d, want 1", mreg.Counter(CtrDropped).Value())
 	}
-	if ctr.Get(metrics.CtrProtoRetries) == 0 {
+	if mreg.Counter(CtrRetries).Value() == 0 {
 		t.Fatal("no retry counted after a dropped message")
 	}
 }

@@ -3,6 +3,7 @@ package registry
 import (
 	"testing"
 
+	"autoresched/internal/metrics"
 	"autoresched/internal/vclock"
 )
 
@@ -30,4 +31,29 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("batched status ingest allocates %.1f objects per op, want 0", avg)
 	}
+}
+
+// TestZeroAllocInstruments pins the telemetry floor the hot paths rely on:
+// with no metrics registry every instrument call is a no-op on a nil
+// pointer, and a counter resolved at construction costs an atomic add —
+// neither allocates, so counting stays legal under //hot:path.
+func TestZeroAllocInstruments(t *testing.T) {
+	var none *metrics.Registry
+	if avg := testing.AllocsPerRun(200, func() {
+		none.Counter("x").Inc()
+		none.Counter("x").Add(2)
+		none.Gauge("x").Set(1)
+		none.Histogram("x").Observe(1)
+	}); avg != 0 {
+		t.Errorf("nil-registry instruments allocate %.1f objects per op, want 0", avg)
+	}
+
+	resolved := metrics.NewRegistry().Counter("registry/batch_flushes")
+	if avg := testing.AllocsPerRun(200, resolved.Inc); avg != 0 {
+		t.Errorf("pre-resolved Counter.Inc allocates %.1f objects per op, want 0", avg)
+	}
+	if got := resolved.Value(); got != 201 { // AllocsPerRun warms up once
+		t.Errorf("counter = %d after 201 increments", got)
+	}
+
 }

@@ -52,9 +52,19 @@ type BatcherConfig struct {
 	// MaxPending flushes when this many hosts have buffered reports;
 	// zero selects 64.
 	MaxPending int
-	// Counters, when set, receives the registry/batch_* counters.
-	Counters *metrics.Counters
+	// Metrics, when set, receives the registry/batch_* counters and the
+	// batcher's share of monitor/reregisters.
+	Metrics *metrics.Registry
 }
+
+// Counter names the batcher increments on BatcherConfig.Metrics. A batcher
+// re-registering a host after a registry restart stands in for the monitor
+// it fronts, so CtrReregisters is the monitors' own counter name.
+const (
+	CtrBatchFlushes   = "registry/batch_flushes"
+	CtrBatchedReports = "registry/batched_reports"
+	CtrReregisters    = "monitor/reregisters"
+)
 
 // Batcher coalesces per-host status reports into ReportStatusBatch calls.
 // It implements the monitor's Reporter shape, so it slots between the
@@ -73,6 +83,8 @@ type Batcher struct {
 	index     map[string]int // host -> slot in pending
 	statics   map[string]proto.StaticInfo
 	lastFlush time.Time
+
+	flushes, batched, reregisters *metrics.Counter // resolved once; nil = uncounted
 }
 
 // NewBatcher creates a Batcher in front of reg.
@@ -93,6 +105,10 @@ func NewBatcher(reg *Registry, cfg BatcherConfig) *Batcher {
 		index:     make(map[string]int, cfg.MaxPending),
 		statics:   make(map[string]proto.StaticInfo),
 		lastFlush: cfg.Clock.Now(),
+
+		flushes:     cfg.Metrics.Counter(CtrBatchFlushes),
+		batched:     cfg.Metrics.Counter(CtrBatchedReports),
+		reregisters: cfg.Metrics.Counter(CtrReregisters),
 	}
 }
 
@@ -162,8 +178,8 @@ func (b *Batcher) Flush() error {
 	if len(batch) == 0 {
 		return nil
 	}
-	b.cfg.Counters.Inc(metrics.CtrBatchFlushes)
-	b.cfg.Counters.Add(metrics.CtrBatchedReports, int64(len(batch)))
+	b.flushes.Inc()
+	b.batched.Add(int64(len(batch)))
 	if err := b.reg.ReportStatusBatch(batch); err != nil {
 		return b.recover(batch)
 	}
@@ -189,7 +205,7 @@ func (b *Batcher) recover(batch []proto.HostStatus) error {
 			errs = append(errs, err)
 			continue
 		}
-		b.cfg.Counters.Inc(metrics.CtrReregisters)
+		b.reregisters.Inc()
 		if err := b.reg.ReportStatus(rep.Host, rep.Status); err != nil {
 			errs = append(errs, err)
 		}

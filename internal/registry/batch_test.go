@@ -71,9 +71,9 @@ func TestReportStatusBatchDecides(t *testing.T) {
 
 func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	r := newFromConfig(Config{Clock: clock})
-	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Counters: ctr})
+	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := b.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -99,19 +99,19 @@ func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 		t.Fatalf("loads after flush = %v/%v, want 0.1 (latest wins) and 0.2",
 			hosts[0].Status.Load1, hosts[1].Status.Load1)
 	}
-	if got := ctr.Get(metrics.CtrBatchFlushes); got != 1 {
+	if got := mreg.Counter(CtrBatchFlushes).Value(); got != 1 {
 		t.Fatalf("flushes = %d, want 1", got)
 	}
-	if got := ctr.Get(metrics.CtrBatchedReports); got != 2 {
+	if got := mreg.Counter(CtrBatchedReports).Value(); got != 2 {
 		t.Fatalf("batched reports = %d, want 2 (latest-wins coalescing)", got)
 	}
 }
 
 func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
+	mreg := metrics.NewRegistry()
 	r := newFromConfig(Config{Clock: clock})
-	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Counters: ctr})
+	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := b.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
 	if len(hosts) != 2 || hosts[0].State != rules.Busy || hosts[1].State != rules.Busy {
 		t.Fatalf("hosts after recovery = %+v", hosts)
 	}
-	if got := ctr.Get(metrics.CtrReregisters); got != 2 {
+	if got := mreg.Counter(CtrReregisters).Value(); got != 2 {
 		t.Fatalf("re-registers = %d, want 2", got)
 	}
 }

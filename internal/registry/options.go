@@ -69,17 +69,12 @@ func WithWarmup(n int) Option { return func(c *Config) { c.Warmup = n } }
 // WithCooldown sets the per-host cooldown between migrate orders.
 func WithCooldown(d time.Duration) Option { return func(c *Config) { c.Cooldown = d } }
 
-// WithOnEvent sets the per-event trace observer.
-func WithOnEvent(fn func(Event)) Option { return func(c *Config) { c.OnEvent = fn } }
-
-// WithEvents sets the unified runtime event sink.
+// WithEvents sets the unified runtime event sink receiving the decision
+// trace.
 func WithEvents(s events.Sink) Option { return func(c *Config) { c.Events = s } }
 
-// WithCounters sets the control-plane counter set.
-func WithCounters(m *metrics.Counters) Option { return func(c *Config) { c.Counters = m } }
-
-// WithMetrics sets the metrics registry receiving the registry's gauges
-// and latency histograms.
+// WithMetrics sets the metrics registry receiving the registry's counters,
+// gauges and latency histograms.
 func WithMetrics(m *metrics.Registry) Option { return func(c *Config) { c.Metrics = m } }
 
 // WithStore makes the protocol state durable through a write-ahead store:

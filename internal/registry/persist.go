@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
@@ -153,7 +152,7 @@ func (r *Registry) appendLocked(kind string, v any) error {
 		return fmt.Errorf("registry: append %s record: %w", kind, err)
 	}
 	r.lastApplied = seq
-	r.cfg.Counters.Inc(metrics.CtrPersistAppends)
+	r.ctr.appends.Inc()
 	return nil
 }
 
@@ -169,7 +168,7 @@ func (r *Registry) snapshotLocked(seq uint64) {
 		return
 	}
 	r.lastSnap = seq
-	r.cfg.Counters.Inc(metrics.CtrPersistSnapshots)
+	r.ctr.snapshots.Inc()
 }
 
 // encodeStateLocked renders the protocol state as the canonical snapshot

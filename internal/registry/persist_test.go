@@ -14,17 +14,17 @@ import (
 	"autoresched/internal/vclock"
 )
 
-func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Manual, *metrics.Counters) {
+func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Manual, *metrics.Registry) {
 	t.Helper()
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
-	r := newFromConfig(Config{Clock: clock, Counters: ctr, Store: store})
-	return r, clock, ctr
+	mreg := metrics.NewRegistry()
+	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Store: store})
+	return r, clock, mreg
 }
 
 func TestRestartRecoversFromStore(t *testing.T) {
 	store := persist.NewMemStore()
-	r, clock, ctr := storedRegistry(t, store)
+	r, clock, mreg := storedRegistry(t, store)
 	for i := 1; i <= 4; i++ {
 		if err := r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 			t.Fatal(err)
@@ -58,9 +58,9 @@ func TestRestartRecoversFromStore(t *testing.T) {
 	if got := hosts[1].Status.Load1; got != 1.25 {
 		t.Fatalf("recovered ws2 load = %v", got)
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 || ctr.Get(metrics.CtrRegistryRecoveries) != 1 {
+	if mreg.Counter(CtrRestarts).Value() != 1 || mreg.Counter(CtrRecoveries).Value() != 1 {
 		t.Fatalf("restart/recovery counters = %d/%d",
-			ctr.Get(metrics.CtrRegistryRestarts), ctr.Get(metrics.CtrRegistryRecoveries))
+			mreg.Counter(CtrRestarts).Value(), mreg.Counter(CtrRecoveries).Value())
 	}
 }
 
@@ -112,8 +112,8 @@ func TestWarmStartFromExistingStore(t *testing.T) {
 func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 	store := persist.NewMemStore()
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
-	r := newFromConfig(Config{Clock: clock, Counters: ctr, Store: store, SnapshotEvery: 10})
+	mreg := metrics.NewRegistry()
+	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Store: store, SnapshotEvery: 10})
 	for i := 1; i <= 8; i++ {
 		if err := r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{}); err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 			}
 		}
 	}
-	if ctr.Get(metrics.CtrPersistSnapshots) == 0 {
+	if mreg.Counter(CtrPersistSnapshots).Value() == 0 {
 		t.Fatal("no snapshot written despite SnapshotEvery")
 	}
 	snap, ok, err := store.LoadSnapshot()
@@ -236,8 +236,8 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 		}
 	}
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
-	sb, err := NewStandby(store, WithClock(clock), WithCounters(ctr))
+	mreg := metrics.NewRegistry()
+	sb, err := NewStandby(store, WithClock(clock), WithMetrics(mreg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctr.Get(metrics.CtrStandbyPromotions) != 1 {
-		t.Fatalf("promotions = %d", ctr.Get(metrics.CtrStandbyPromotions))
+	if mreg.Counter(CtrStandbyPromotions).Value() != 1 {
+		t.Fatalf("promotions = %d", mreg.Counter(CtrStandbyPromotions).Value())
 	}
 	// No double admission: the deposed primary's commit is fenced...
 	if err := g.Commit(); err == nil || !errors.Is(err, persist.ErrFenced) {

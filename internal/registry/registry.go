@@ -9,7 +9,7 @@
 // # Concurrency contract
 //
 // A Registry is safe for concurrent use. Read methods (Hosts, Processes,
-// Health, Trace, StateOf, Stats, Domains) return deep-enough copies that the
+// Health, StateOf, Stats, Domains) return deep-enough copies that the
 // caller may use without synchronisation. Ordering is deterministic:
 // Hosts returns hosts in registration order, Processes returns processes in
 // PID order, Domains returns domains in attach order. Concurrent writers
@@ -84,14 +84,11 @@ type Config struct {
 	// Cooldown is the minimum gap between migrate orders concerning the
 	// same source host; zero selects 60 seconds.
 	Cooldown time.Duration
-	// OnEvent, if set, observes every scheduling-decision event as it
-	// happens (the trace is also kept in a ring buffer; see Trace).
-	OnEvent func(Event)
-	// Events, if set, additionally receives every trace event on the
-	// unified runtime sink (Source "registry").
+	// Events, if set, receives every scheduling-decision event as it
+	// happens on the unified runtime sink (Source "registry", Kind one of
+	// the EventKind values; restarts and promotions carry a RestartEvent
+	// payload). Buffer with an events.Ring to keep a trace.
 	Events events.Sink
-	// Counters, when set, receives the registry/* control-plane counters.
-	Counters *metrics.Counters
 	// Store, when set, makes the protocol state durable: every mutation
 	// appends a typed change record to this write-ahead store, and Restart
 	// becomes crash-consistent bootstrap (snapshot + log suffix replay,
@@ -103,7 +100,9 @@ type Config struct {
 	// snapshots (the log then grows until someone snapshots explicitly).
 	SnapshotEvery int
 	// Metrics, when set, receives the registry's gauges and latency
-	// histograms (registry/hosts, registry/decide_seconds). Nil disables.
+	// histograms (registry/hosts, registry/decide_seconds) and its
+	// registry/* and persist/* counters, which are created at construction
+	// so a scrape serves them at zero. Nil disables.
 	Metrics *metrics.Registry
 }
 
@@ -115,6 +114,34 @@ const (
 	MetricHosts         = "registry/hosts"
 	MetricDecideSeconds = "registry/decide_seconds"
 )
+
+// Counter names the registry increments on Config.Metrics.
+const (
+	CtrRestarts          = "registry/restarts"
+	CtrRecoveries        = "registry/recoveries"
+	CtrStandbyPromotions = "registry/standby_promotions"
+	CtrHealthReports     = "registry/health_reports"
+	CtrPersistAppends    = "persist/appends"
+	CtrPersistSnapshots  = "persist/snapshots"
+)
+
+// counters are the registry's counters, resolved once at construction so
+// counting under r.mu (every durable mutation appends) is a nil check plus
+// an atomic add. All nil without Config.Metrics.
+type counters struct {
+	restarts, recoveries, promotions, healthReports, appends, snapshots *metrics.Counter
+}
+
+func newCounters(m *metrics.Registry) counters {
+	return counters{
+		restarts:      m.Counter(CtrRestarts),
+		recoveries:    m.Counter(CtrRecoveries),
+		promotions:    m.Counter(CtrStandbyPromotions),
+		healthReports: m.Counter(CtrHealthReports),
+		appends:       m.Counter(CtrPersistAppends),
+		snapshots:     m.Counter(CtrPersistSnapshots),
+	}
+}
 
 // HostInfo is the registry's view of one host.
 type HostInfo struct {
@@ -156,6 +183,7 @@ type Registry struct {
 	clock  vclock.Clock
 	probes *sysinfo.Probes
 	sched  Scheduler
+	ctr    counters
 
 	mu    sync.Mutex
 	hosts map[string]*hostEntry
@@ -172,7 +200,6 @@ type Registry struct {
 	// reserved marks hosts held by pending gang reservations; candidate
 	// scans skip them until the reservation commits or aborts.
 	reserved map[string]*GangReservation
-	events   []Event
 	regSeq   int
 	decided  int // migrate orders issued
 	declined int // decision cycles that found no destination
@@ -243,6 +270,7 @@ func newFromConfig(cfg Config) *Registry {
 		clock:     cfg.Clock,
 		probes:    cfg.Probes,
 		sched:     sched,
+		ctr:       newCounters(cfg.Metrics),
 		hosts:     make(map[string]*hostEntry),
 		sets:      newStateSets(),
 		procs:     make(map[procKey]*ProcInfo),
@@ -392,8 +420,7 @@ func (r *Registry) applyStatusLocked(host string, status proto.Status) error {
 // no re-registration storm, zero monitor re-registrations — and pending
 // gang reservations are presumed aborted (their pre-crash handles stay
 // poisoned, so a Commit from before the crash still fails). Scheduler
-// damping re-warms either way. The decision trace is diagnostic state, not
-// protocol state, so it survives in both modes.
+// damping re-warms either way.
 func (r *Registry) Restart() {
 	r.mu.Lock()
 	// Pending gang reservations do not survive the incarnation in either
@@ -424,10 +451,10 @@ func (r *Registry) Restart() {
 		Domains:   len(r.domains),
 	}
 	r.mu.Unlock()
-	r.cfg.Counters.Inc(metrics.CtrRegistryRestarts)
+	r.ctr.restarts.Inc()
 	note := "soft state dropped"
 	if recovered {
-		r.cfg.Counters.Inc(metrics.CtrRegistryRecoveries)
+		r.ctr.recoveries.Inc()
 		note = fmt.Sprintf("recovered from store: %d hosts, %d procs at seq %d", ev.Hosts, ev.Procs, ev.Seq)
 	}
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))

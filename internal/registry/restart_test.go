@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
@@ -11,8 +12,9 @@ import (
 
 func TestRestartDropsSoftState(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ctr := metrics.NewCounters()
-	r := newFromConfig(Config{Clock: clock, Counters: ctr})
+	mreg := metrics.NewRegistry()
+	ring := &events.Ring{}
+	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Events: ring})
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +39,12 @@ func TestRestartDropsSoftState(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unregistered host") {
 		t.Fatalf("status after restart: %v", err)
 	}
-	if ctr.Get(metrics.CtrRegistryRestarts) != 1 {
-		t.Fatalf("restart counter = %d", ctr.Get(metrics.CtrRegistryRestarts))
+	if got := mreg.Counter(CtrRestarts).Value(); got != 1 {
+		t.Fatalf("restart counter = %d", got)
 	}
-	// The diagnostic trace survives and records the restart.
-	var found bool
-	for _, e := range r.Trace() {
-		if e.Kind == EventRestart {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no restart event in trace: %+v", r.Trace())
+	// The decision trace records the restart.
+	if ring.CountBy(events.SourceRegistry, string(EventRestart)) != 1 {
+		t.Fatalf("no restart event in trace: %+v", ring.Events())
 	}
 	// Re-registration resumes normal service.
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {

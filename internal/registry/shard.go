@@ -3,7 +3,6 @@ package registry
 import (
 	"time"
 
-	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 )
 
@@ -59,7 +58,7 @@ func (r *Registry) ReportDomainHealth(name string, child *Registry, h Health) {
 	d.health = h
 	d.lastSeen = now
 	r.mu.Unlock()
-	r.cfg.Counters.Inc(metrics.CtrHealthReports)
+	r.ctr.healthReports.Inc()
 }
 
 // Domains returns the parent's view of its child domains, in attach order.

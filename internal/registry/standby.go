@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 )
 
@@ -139,7 +138,7 @@ func (s *Standby) Promote() (*Registry, error) {
 	}
 	hosts := ev.Hosts
 	r.mu.Unlock()
-	r.cfg.Counters.Inc(metrics.CtrStandbyPromotions)
+	r.ctr.promotions.Inc()
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
 	r.traceWith(ev, EventPromoted, "", 0, "",
 		fmt.Sprintf("standby promoted at epoch %d, seq %d: %d hosts, %d procs", epoch, ev.Seq, ev.Hosts, ev.Procs))

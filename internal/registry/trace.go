@@ -1,13 +1,13 @@
 package registry
 
 import (
-	"fmt"
 	"time"
 
 	"autoresched/internal/events"
 )
 
-// EventKind classifies a scheduling-decision event.
+// EventKind classifies a scheduling-decision event; its values are the Kind
+// strings of the registry's events on the unified sink (Source "registry").
 type EventKind string
 
 // The decision trace vocabulary.
@@ -35,32 +35,6 @@ const (
 	EventPromoted EventKind = "promoted"
 )
 
-// Event is one entry of the scheduler's decision trace.
-type Event struct {
-	At   time.Time
-	Kind EventKind
-	Host string
-	// PID and Dest are set for process-level events.
-	PID  int
-	Dest string
-	Note string
-}
-
-// String renders the event for logs.
-func (e Event) String() string {
-	s := fmt.Sprintf("%s %s host=%s", e.At.Format("15:04:05"), e.Kind, e.Host)
-	if e.PID != 0 {
-		s += fmt.Sprintf(" pid=%d", e.PID)
-	}
-	if e.Dest != "" {
-		s += " dest=" + e.Dest
-	}
-	if e.Note != "" {
-		s += " (" + e.Note + ")"
-	}
-	return s
-}
-
 // RestartEvent is the typed payload published on the unified sink for a
 // registry restart, so events.On[RestartEvent] subscribers — the runtime's
 // process resync, the standby promoter, test harnesses — can distinguish a
@@ -80,53 +54,26 @@ type RestartEvent struct {
 	Domains int
 }
 
-// traceCap bounds the in-memory decision trace.
-const traceCap = 512
-
-// trace appends an event (callers must not hold r.mu).
+// trace publishes one decision event on the unified sink (callers must
+// not hold r.mu).
 func (r *Registry) trace(kind EventKind, host string, pid int, dest, note string) {
 	r.traceWith(nil, kind, host, pid, dest, note)
 }
 
-// traceWith appends an event carrying a typed payload on the unified sink
-// (callers must not hold r.mu). The trace ring and the OnEvent observer see
-// the plain Event; the payload rides only on events.Sink, where On[T]
-// subscribers pick it up.
+// traceWith publishes a decision event carrying a typed payload, which
+// events.On[T] subscribers pick up (callers must not hold r.mu).
 func (r *Registry) traceWith(payload any, kind EventKind, host string, pid int, dest, note string) {
-	e := Event{At: r.clock.Now(), Kind: kind, Host: host, PID: pid, Dest: dest, Note: note}
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	if len(r.events) > traceCap {
-		r.events = r.events[len(r.events)-traceCap:]
+	if r.cfg.Events == nil {
+		return
 	}
-	r.mu.Unlock()
-	if r.cfg.OnEvent != nil {
-		r.cfg.OnEvent(e)
-	}
-	if r.cfg.Events != nil {
-		u := e.Unified()
-		u.Payload = payload
-		r.cfg.Events.Publish(u)
-	}
-}
-
-// Unified converts the trace event to the unified runtime event vocabulary
-// (the registry's adapter onto events.Sink).
-func (e Event) Unified() events.Event {
-	return events.Event{
-		Time:   e.At,
-		Source: events.SourceRegistry,
-		Kind:   string(e.Kind),
-		Host:   e.Host,
-		Dest:   e.Dest,
-		PID:    e.PID,
-		Note:   e.Note,
-	}
-}
-
-// Trace returns the recent decision events, oldest first.
-func (r *Registry) Trace() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	r.cfg.Events.Publish(events.Event{
+		Time:    r.clock.Now(),
+		Source:  events.SourceRegistry,
+		Kind:    string(kind),
+		Host:    host,
+		Dest:    dest,
+		PID:     pid,
+		Note:    note,
+		Payload: payload,
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/events"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
 )
@@ -14,15 +15,16 @@ import (
 func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{}
-	var observed []EventKind
+	ring := &events.Ring{}
+	var observed []string
 	var mu sync.Mutex
 	r := newFromConfig(Config{
 		Clock: clock, Commands: sink, Warmup: 2, Cooldown: time.Minute,
-		OnEvent: func(e Event) {
+		Events: events.Multi(ring, events.SinkFunc(func(e events.Event) {
 			mu.Lock()
 			observed = append(observed, e.Kind)
 			mu.Unlock()
-		},
+		})),
 	})
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -56,10 +58,13 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 		}
 	}
 
-	events := r.Trace()
-	kinds := make([]EventKind, len(events))
-	for i, e := range events {
-		kinds[i] = e.Kind
+	trace := ring.Events()
+	kinds := make([]EventKind, len(trace))
+	for i, e := range trace {
+		if e.Source != events.SourceRegistry {
+			t.Fatalf("trace event %d has source %q", i, e.Source)
+		}
+		kinds[i] = EventKind(e.Kind)
 	}
 	want := []EventKind{EventWarmup, EventNoProcess, EventOrdered, EventWarmup, EventCooldown}
 	if len(kinds) != len(want) {
@@ -70,7 +75,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 			t.Fatalf("trace = %v, want %v", kinds, want)
 		}
 	}
-	ordered := events[2]
+	ordered := trace[2]
 	if ordered.Host != "ws1" || ordered.PID != 9 || ordered.Dest != "ws4" {
 		t.Fatalf("ordered event = %+v", ordered)
 	}
@@ -80,14 +85,15 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(observed) != len(want) {
-		t.Fatalf("OnEvent saw %v", observed)
+		t.Fatalf("subscribed sink saw %v", observed)
 	}
 }
 
 func TestDecisionTraceOrderFailed(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{err: errors.New("commander unreachable")}
-	r := newFromConfig(Config{Clock: clock, Commands: sink, Warmup: 1, Cooldown: time.Minute})
+	ring := &events.Ring{}
+	r := newFromConfig(Config{Clock: clock, Commands: sink, Warmup: 1, Cooldown: time.Minute, Events: ring})
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -102,22 +108,11 @@ func TestDecisionTraceOrderFailed(t *testing.T) {
 	if err := r.ReportStatus("ws1", status("overloaded", 3, 200)); err != nil {
 		t.Fatal(err)
 	}
-	events := r.Trace()
-	if len(events) != 1 || events[0].Kind != EventOrderFailed {
-		t.Fatalf("trace = %+v", events)
+	trace := ring.Events()
+	if len(trace) != 1 || trace[0].Kind != string(EventOrderFailed) {
+		t.Fatalf("trace = %+v", trace)
 	}
-	if !strings.Contains(events[0].Note, "unreachable") {
-		t.Fatalf("note = %q", events[0].Note)
-	}
-}
-
-func TestDecisionTraceBounded(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
-	for i := 0; i < traceCap+100; i++ {
-		r.trace(EventWarmup, "ws1", 0, "", "")
-	}
-	if got := len(r.Trace()); got != traceCap {
-		t.Fatalf("trace len = %d, want %d", got, traceCap)
+	if !strings.Contains(trace[0].Note, "unreachable") {
+		t.Fatalf("note = %q", trace[0].Note)
 	}
 }

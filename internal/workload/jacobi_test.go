@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"autoresched/internal/cluster"
+	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
@@ -212,11 +213,11 @@ func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	phases := map[string]bool{}
 	mw, err := hpcm.New(hpcm.Options{
 		Universe: u, Hosts: cl, Live: &livemig.Config{},
-		Observer: func(ev hpcm.MigrationEvent) {
+		Events: events.On(func(ev hpcm.MigrationEvent) {
 			obsMu.Lock()
 			phases[ev.Phase] = true
 			obsMu.Unlock()
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
