@@ -6,7 +6,8 @@
 # and multi-job smokes, and the benchmark drift guard); `make bench`
 # regenerates BENCH_scale.json, BENCH_livemig.json, BENCH_malleable.json,
 # BENCH_multijob.json and BENCH_persist.json; `make e2e` runs the
-# end-to-end benchmark (cmd/bench, every workload in BENCHMARK.json).
+# end-to-end benchmark (cmd/bench, every workload in BENCHMARK.json);
+# `make loc` prints the north-star line count every simplicity PR reports.
 
 GO ?= go
 
@@ -19,7 +20,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/events ./internal/livemig ./internal/malleable \
             ./internal/jobs ./internal/scenario ./internal/persist
 
-.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard e2e
+.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench benchguard e2e loc
 
 all: check
 
@@ -81,7 +82,8 @@ malleable: build
 	$(GO) run ./cmd/repro -exp malleable -seed 42
 
 # The job-queue policy shoot-out: FIFO vs priority-preemptive vs backfill
-# over 64 queued gangs under host churn (byte-deterministic per seed).
+# over 64 queued gangs under host churn, three pinned scenarios on the
+# fleet runner (byte-deterministic per seed).
 multijob: build
 	$(GO) run ./cmd/repro -exp multijob -seed 42
 
@@ -135,3 +137,9 @@ benchguard: bench
 # closed-loop workloads, eight end-to-end metrics each, ~10 s per workload.
 e2e:
 	$(GO) run ./cmd/bench -workload all -seed 1
+
+# The north-star number (ROADMAP "Quality of design"): non-test Go lines
+# outside the frozen benchmark and the analyzer fixtures.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' \
+		! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l

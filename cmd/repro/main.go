@@ -24,9 +24,10 @@
 //
 // The chaos, scale and malleable experiments are deterministic per -seed in
 // their headline sections: the chaos fault schedule, robustness counters and
-// migration phase counts, the scale sweeps' completion/correctness lines,
-// the malleable resize trajectories, and the migration cost model's quantile
-// table are byte-identical across runs. The measured phase durations and
+// migration phase counts, the scale sweeps' completion/correctness lines
+// and the malleable resize trajectories are byte-identical across runs
+// (deterministic downtime/migration quantiles come from -exp livemig and
+// -exp fleet). The measured phase durations and
 // completion times below those sections carry scheduling jitter (wall
 // wake-up latency multiplied by the time-scale factor) and are labeled
 // approximate. All three are excluded from "all" to keep that target's
@@ -129,8 +130,6 @@ func main() {
 		fatal(err)
 		fmt.Print(experiments.RenderChaos(rows))
 		fmt.Println()
-		fmt.Print(experiments.RenderMigrationModel(*seed, 64))
-		fmt.Println()
 	}
 	if *exp == "scale" {
 		ran = true
@@ -145,8 +144,6 @@ func main() {
 		})
 		fatal(err)
 		fmt.Print(experiments.RenderScale(rows))
-		fmt.Println()
-		fmt.Print(experiments.RenderMigrationModel(*seed, 64))
 		fmt.Println()
 	}
 	if *exp == "malleable" {

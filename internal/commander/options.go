@@ -14,7 +14,6 @@ import (
 type Option func(*options)
 
 type options struct {
-	dir string
 	cfg Config
 }
 
@@ -25,12 +24,8 @@ func NewCommander(host string, opts ...Option) *Commander {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newFromConfig(host, o.dir, o.cfg)
+	return newFromConfig(host, "", o.cfg)
 }
-
-// WithDir sets the directory receiving the temporary address files the
-// paper's migration mechanism writes; it must exist.
-func WithDir(dir string) Option { return func(o *options) { o.dir = dir } }
 
 // WithClock sets the clock driving the dedup window.
 func WithClock(clock vclock.Clock) Option { return func(o *options) { o.cfg.Clock = clock } }

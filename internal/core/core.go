@@ -39,8 +39,6 @@ type Options struct {
 	// Policy drives migration decisions; nil selects the state-based
 	// default (migrate off Overloaded hosts onto Free ones).
 	Policy *rules.MigrationPolicy
-	// EngineFor builds each host's rule engine; nil selects DefaultEngine.
-	EngineFor func(host string) *rules.Engine
 	// MonitorInterval is the default monitoring frequency; zero selects
 	// 10 s (the paper's sampling interval).
 	MonitorInterval time.Duration
@@ -60,9 +58,6 @@ type Options struct {
 	SpawnLatency time.Duration
 	// ChunkBytes is the lazy state streaming chunk size.
 	ChunkBytes int
-	// CommandDir, when set, receives the commanders' migrate-address temp
-	// files.
-	CommandDir string
 	// Parent chains this system's registry under an upper-level one.
 	Parent *registry.Registry
 	// Domain names this system's control domain under Parent: the registry
@@ -79,12 +74,9 @@ type Options struct {
 	BatchStatusEvery time.Duration
 	// RegistryHost, when set, names the host the registry/scheduler runs
 	// on; status refreshes from other hosts are then charged to the
-	// network as StatusBytes-sized transfers, making the rescheduler's
+	// network as statusBytes-sized transfers, making the rescheduler's
 	// control traffic visible in the NIC counters (Figure 6).
 	RegistryHost string
-	// StatusBytes is the wire size of one status refresh; zero selects
-	// 600 bytes (a typical XML status message).
-	StatusBytes int64
 	// Checkpoints enables the checkpointing extension (see internal/hpcm):
 	// applications periodically persist their state and can be recovered
 	// on another host after a crash — the paper's fault-tolerance
@@ -434,12 +426,7 @@ func (s *System) AddNode(host string) (*Node, error) {
 	s.mu.Unlock()
 
 	source, _ := s.cluster.Source(host)
-	engine := DefaultEngine()
-	if s.opts.EngineFor != nil {
-		engine = s.opts.EngineFor(host)
-	}
 	cmd := commander.NewCommander(host,
-		commander.WithDir(s.opts.CommandDir),
 		commander.WithClock(s.clock),
 		commander.WithDedupWindow(s.opts.OrderDedupWindow),
 		commander.WithMetrics(s.opts.Metrics),
@@ -459,22 +446,17 @@ func (s *System) AddNode(host string) (*Node, error) {
 		reporter = s.batcher
 	}
 	if s.opts.RegistryHost != "" && host != s.opts.RegistryHost {
-		bytes := s.opts.StatusBytes
-		if bytes <= 0 {
-			bytes = 600
-		}
 		reporter = &chargedReporter{
 			inner: reporter,
 			net:   s.cluster.Net(),
 			to:    s.opts.RegistryHost,
-			bytes: bytes,
 		}
 	}
 	if s.opts.WrapReporter != nil {
 		reporter = s.opts.WrapReporter(host, reporter)
 	}
 	monOpts := []monitor.Option{
-		monitor.WithEngine(engine),
+		monitor.WithEngine(DefaultEngine()),
 		monitor.WithReporter(reporter),
 		monitor.WithClock(s.clock),
 		monitor.WithFrequencies(s.opts.Frequencies),

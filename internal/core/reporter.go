@@ -14,12 +14,15 @@ type chargedReporter struct {
 	inner monitor.Reporter
 	net   *simnet.Network
 	to    string
-	bytes int64
 }
+
+// statusBytes is the wire size charged per control message: a typical XML
+// status refresh.
+const statusBytes = 600
 
 func (c *chargedReporter) charge(from string) {
 	// Best effort: a down registry host fails registration paths already.
-	_ = c.net.Transfer(from, c.to, c.bytes)
+	_ = c.net.Transfer(from, c.to, statusBytes)
 }
 
 func (c *chargedReporter) RegisterHost(host string, static proto.StaticInfo) error {

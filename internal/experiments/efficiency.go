@@ -24,10 +24,6 @@ type EfficiencyConfig struct {
 	// Warmup is the scheduler's consecutive-report damping; zero selects
 	// 7 (with 10 s monitoring, roughly the paper's 72 s reaction).
 	Warmup int
-	// BallastBytes sizes the migrated state; zero selects 40 MB (about
-	// 6-8 s of migration on contended 100 Mbps Ethernet, the paper's
-	// 7.5 s).
-	BallastBytes int64
 }
 
 // EfficiencyResult holds the Figure 7/8 reproduction.
@@ -71,9 +67,6 @@ func RunEfficiency(cfg EfficiencyConfig) (*EfficiencyResult, error) {
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 7
 	}
-	if cfg.BallastBytes <= 0 {
-		cfg.BallastBytes = 40 << 20
-	}
 	if cfg.LoadStart <= cfg.AppStart {
 		return nil, errors.New("experiments: LoadStart must follow AppStart")
 	}
@@ -113,12 +106,14 @@ func RunEfficiency(cfg EfficiencyConfig) (*EfficiencyResult, error) {
 	clock.Sleep(cfg.AppStart)
 
 	// test_tree sized so a sort phase (the longest inter-poll-point gap)
-	// takes ~1 s solo and total solo execution ~9 minutes.
+	// takes ~1 s solo and total solo execution ~9 minutes; 40 MB of
+	// migrated state is about 6-8 s of migration on contended 100 Mbps
+	// Ethernet, the paper's 7.5 s.
 	tree := workload.TreeConfig{
 		Levels: 13, Rounds: 460, Seed: cfg.Seed + 7,
 		WorkPerNode:  9,
 		BytesPerNode: 8,
-		BallastBytes: cfg.BallastBytes,
+		BallastBytes: 40 << 20,
 	}
 	app, err := sys.Launch("test_tree", "ws1", tree.Schema(hostSpeed), workload.TestTree(tree))
 	if err != nil {

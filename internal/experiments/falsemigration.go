@@ -16,12 +16,6 @@ type FalseMigrationConfig struct {
 	Params
 	// Warmup is the scheduler damping under test.
 	Warmup int
-	// Burst is how long the transient load lasts; zero selects 45 s —
-	// long enough to push the load average over the threshold, far
-	// shorter than a real long-running intruder.
-	Burst time.Duration
-	// Observe is how long to watch after the burst; zero selects 4 min.
-	Observe time.Duration
 }
 
 // FalseMigrationResult reports whether the transient fooled the scheduler.
@@ -39,12 +33,6 @@ func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) 
 	cfg.Params = cfg.Params.withDefaults()
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 1
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 45 * time.Second
-	}
-	if cfg.Observe <= 0 {
-		cfg.Observe = 4 * time.Minute
 	}
 	cl, names, err := newCluster(cfg.Params, 2)
 	if err != nil {
@@ -77,18 +65,20 @@ func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) 
 	}
 
 	// Let the app settle, then hit the host with a burst of heavy load
-	// that ends on its own — the "short task".
+	// that ends on its own — the "short task": 45 s, long enough to push
+	// the load average over the threshold, far shorter than a real
+	// long-running intruder.
 	clock.Sleep(time.Minute)
 	ws1, _ := cl.Host("ws1")
 	burst := workload.NewLoadGen(ws1, workload.LoadOptions{
 		Workers: 4, Duty: 1.0, Period: 2 * time.Second, Seed: cfg.Seed,
 	})
 	burst.Start()
-	clock.Sleep(cfg.Burst)
+	clock.Sleep(45 * time.Second)
 	burst.Stop()
 
 	// Watch whether the scheduler (wrongly) fires after the burst is gone.
-	clock.Sleep(cfg.Observe)
+	clock.Sleep(4 * time.Minute)
 	ordered, _ := sys.Registry().Stats()
 	res := &FalseMigrationResult{
 		Warmup:     cfg.Warmup,

@@ -14,9 +14,6 @@ import (
 // driver) evaluated over a grid of page-dirtying rates and migration link
 // speeds. Everything is pure arithmetic — the sweep is byte-deterministic.
 type LivemigConfig struct {
-	// Bandwidths are the link speeds swept, in bytes/s. Default: 10, 100
-	// and 1000 Mbps Ethernet.
-	Bandwidths []float64
 	// DirtyRates are the application page-dirtying rates swept, in pages/s.
 	DirtyRates []float64
 	// TotalPages and PageBytes size the migrated region; defaults model a
@@ -32,9 +29,6 @@ type LivemigConfig struct {
 }
 
 func (cfg LivemigConfig) withDefaults() LivemigConfig {
-	if len(cfg.Bandwidths) == 0 {
-		cfg.Bandwidths = []float64{1.25e6, 12.5e6, 125e6}
-	}
 	if len(cfg.DirtyRates) == 0 {
 		cfg.DirtyRates = []float64{0, 50, 100, 200, 400, 800, 1600, 3200, 6400}
 	}
@@ -58,11 +52,13 @@ type LivemigRow struct {
 // scenario's spawn latency and handshake overhead match the experiment
 // cluster's nominal parameters (300 ms dynamic process creation, 2 ms
 // control round-trip), so the stop-and-copy baseline here is the same
-// quantity the measured migration-cost model reports.
+// quantity a measured stop-and-copy migration reports.
 func RunLivemig(cfg LivemigConfig) []LivemigRow {
 	cfg = cfg.withDefaults()
-	rows := make([]LivemigRow, 0, len(cfg.Bandwidths)*len(cfg.DirtyRates))
-	for _, bw := range cfg.Bandwidths {
+	// The link speeds swept, in bytes/s: 10, 100 and 1000 Mbps Ethernet.
+	bandwidths := []float64{1.25e6, 12.5e6, 125e6}
+	rows := make([]LivemigRow, 0, len(bandwidths)*len(cfg.DirtyRates))
+	for _, bw := range bandwidths {
 		for _, rate := range cfg.DirtyRates {
 			out := livemig.Simulate(cfg.Live, livemig.Scenario{
 				TotalPages:       cfg.TotalPages,

@@ -7,37 +7,31 @@ import (
 	"strings"
 
 	"autoresched/internal/jobs"
+	"autoresched/internal/scenario"
 )
 
 // The multi-job policy shoot-out: FIFO vs. priority-preemptive vs. backfill
-// over one seeded queue of gang jobs on one seeded host-churn script. The
-// simulation is a discrete-tick model — one rank per host, progress in
-// rank-ticks, preemption and crash-requeue preserving progress (the
-// checkpoint) — driven by the same pure planner (jobs.PlanCycle) the live
-// dispatcher executes, so a policy difference measured here is the decision
-// difference of the real control plane, free of runtime noise. Every
+// over one seeded queue of gang jobs on one seeded host-churn script. Each
+// arm is a pinned scenario.Scenario — same jobs, same crashes, only the
+// policy differs — executed by scenario.Runner, the one discrete-tick model
+// of the cluster: admissions from the planner the live dispatcher executes
+// (jobs.PlanCycle), preemption and crash-requeue preserving progress (the
+// checkpoint), migrate evictions paying the livemig freeze window. Every
 // quantity is an integer derived from the seed: the report is
 // byte-deterministic, and a seed + policy name pins the whole schedule.
+
+// The shoot-out's fixed shape: a queue deep enough for contention on a
+// fleet whose every fourth host is "big" (the heterogeneous class some jobs
+// require), arrivals and crashes inside a 200 s horizon.
+const (
+	multijobJobs       = 64
+	multijobHosts      = 16
+	multijobHorizonSec = 200
+)
 
 // MultijobConfig tunes the shoot-out.
 type MultijobConfig struct {
 	Params
-	// Jobs is the queue depth; values below 64 are raised to 64 (the
-	// experiment is about contention, which needs a deep queue).
-	Jobs int
-	// Hosts is the fleet size; zero selects 16. Every fourth host is
-	// "big" (the heterogeneous class some jobs require).
-	Hosts int
-}
-
-func (c MultijobConfig) withDefaults() MultijobConfig {
-	if c.Jobs < 64 {
-		c.Jobs = 64
-	}
-	if c.Hosts <= 0 {
-		c.Hosts = 16
-	}
-	return c
 }
 
 // WaitQuantiles are per-priority queue-wait statistics, in ticks.
@@ -54,7 +48,8 @@ type MultijobRow struct {
 	Policy        string
 	Completed     int
 	MakespanTicks int
-	// Waits keys per-priority wait quantiles by priority level.
+	// Waits keys per-priority wait quantiles (arrival to first admission,
+	// over the jobs that were admitted) by priority level.
 	Waits map[int]WaitQuantiles
 	// Preemptions counts planner evictions by mode.
 	Preemptions map[jobs.EvictMode]int
@@ -64,267 +59,131 @@ type MultijobRow struct {
 	ChurnShrinks  int
 }
 
-// simJob is one job's simulation state.
-type simJob struct {
-	name     string
-	seq      int64
-	priority int
-	gang     int
-	elastic  bool
-	minWorld int
-	big      bool // requires the big host class
-	arrival  int  // tick the job joins the queue
-	work     int  // total rank-ticks
-
-	progress   int
-	hosts      []string
-	running    bool
-	done       bool
-	firstStart int
-	finish     int
-}
-
-func (j *simJob) view() jobs.JobView {
-	return jobs.JobView{
-		Name:     j.name,
-		Priority: j.priority,
-		Gang:     j.gang,
-		Elastic:  j.elastic,
-		MinWorld: j.minWorld,
-		Seq:      j.seq,
-		Hosts:    append([]string(nil), j.hosts...),
-	}
-}
-
-// churnEvent takes one host down for a stretch of ticks.
-type churnEvent struct {
-	tick, host, duration int
-}
-
 // genJobs derives the job set from the seed: gangs of 1..8, three priority
 // levels, a third of the multi-rank jobs elastic, and a slice of small jobs
 // pinned to the big host class so preemption's migrate arm has a
 // heterogeneous case to find.
-func genJobs(cfg MultijobConfig) []*simJob {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func genJobs(seed int64) []scenario.JobSpec {
+	rng := rand.New(rand.NewSource(seed))
 	gangs := []int{1, 1, 2, 2, 4, 8}
-	out := make([]*simJob, cfg.Jobs)
+	out := make([]scenario.JobSpec, multijobJobs)
 	for i := range out {
-		j := &simJob{
-			name:       fmt.Sprintf("job%03d", i),
-			priority:   rng.Intn(3),
-			gang:       gangs[rng.Intn(len(gangs))],
-			big:        rng.Intn(8) == 0,
-			arrival:    rng.Intn(150),
-			firstStart: -1,
+		j := scenario.JobSpec{
+			Name:       fmt.Sprintf("job%03d", i),
+			Priority:   rng.Intn(3),
+			Gang:       gangs[rng.Intn(len(gangs))],
+			Big:        rng.Intn(8) == 0,
+			ArrivalSec: rng.Intn(150),
 		}
-		if j.big {
+		if j.Big {
 			// The big class is a quarter of the fleet; keep its gangs small
 			// so they always remain feasible.
-			j.gang = 1 + rng.Intn(2)
+			j.Gang = 1 + rng.Intn(2)
 		}
-		if j.gang >= 2 && rng.Intn(3) == 0 {
-			j.elastic = true
+		j.MinWorld = j.Gang
+		if j.Gang >= 2 && rng.Intn(3) == 0 {
+			j.Elastic = true
+			j.MinWorld = j.Gang / 2
 		}
-		j.minWorld = max(1, j.gang/2)
-		j.work = j.gang * (10 + rng.Intn(40))
+		j.WorkSec = 10 + rng.Intn(40)
 		out[i] = j
-	}
-	// Submission order: arrival tick, index as the tiebreak.
-	sort.SliceStable(out, func(a, b int) bool { return out[a].arrival < out[b].arrival })
-	for i, j := range out {
-		j.seq = int64(i + 1)
 	}
 	return out
 }
 
 // genChurn derives the host-churn script from the seed.
-func genChurn(cfg MultijobConfig) []churnEvent {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	n := cfg.Hosts / 4
-	out := make([]churnEvent, n)
+func genChurn(seed int64) []scenario.FaultSpec {
+	rng := rand.New(rand.NewSource(seed + 1))
+	out := make([]scenario.FaultSpec, multijobHosts/4)
 	for i := range out {
-		out[i] = churnEvent{
-			tick:     30 + rng.Intn(150),
-			host:     rng.Intn(cfg.Hosts),
-			duration: 20 + rng.Intn(30),
+		out[i] = scenario.FaultSpec{
+			Kind:    scenario.FaultCrashHost,
+			AtSec:   30 + rng.Intn(150),
+			Host:    scenario.HostName(rng.Intn(multijobHosts)),
+			DownSec: 20 + rng.Intn(30),
 		}
 	}
+	// Same-second crashes apply in fleet order (the Runner's own sort is
+	// stable on AtSec alone).
 	sort.Slice(out, func(a, b int) bool {
-		if out[a].tick != out[b].tick {
-			return out[a].tick < out[b].tick
+		if out[a].AtSec != out[b].AtSec {
+			return out[a].AtSec < out[b].AtSec
 		}
-		return out[a].host < out[b].host
+		return out[a].Host < out[b].Host
 	})
 	return out
 }
 
-// multijobTickCap bounds a run; any schedule that has not drained by then is
-// reported with its incomplete count rather than looping forever.
-const multijobTickCap = 20000
+// multijobSpace is DefaultSpace narrowed to the shoot-out's fixed shape;
+// every scenario RunMultijob hands the Runner passes its Check.
+func multijobSpace() scenario.Space {
+	sp := scenario.DefaultSpace()
+	sp.Hosts = scenario.Range{Min: multijobHosts, Max: multijobHosts}
+	sp.JobCount = scenario.Range{Min: multijobJobs, Max: multijobJobs}
+	sp.Duration = scenario.Range{Min: multijobHorizonSec, Max: multijobHorizonSec}
+	return sp
+}
+
+// multijobScenarios builds the shoot-out for one seed: one scenario per
+// stock policy over the same job set and churn script.
+func multijobScenarios(seed int64) []scenario.Scenario {
+	jobSet, churn := genJobs(seed), genChurn(seed)
+	var out []scenario.Scenario
+	for i, p := range jobs.Policies() {
+		out = append(out, scenario.Scenario{
+			Name:          fmt.Sprintf("multijob-s%d-%s", seed, p.Name()),
+			Seed:          seed,
+			Index:         i,
+			Workload:      scenario.WorkloadJacobi,
+			MemMode:       scenario.MemElastic,
+			Migration:     scenario.MigrateStopCopy,
+			Policy:        p.Name(),
+			Persistence:   scenario.PersistNone,
+			LinkMbps:      1000,
+			Hosts:         multijobHosts,
+			StateMB:       1,
+			DurationSec:   multijobHorizonSec,
+			SchedEverySec: 1,
+			Jobs:          jobSet,
+			Faults:        churn,
+		})
+	}
+	return out
+}
 
 // RunMultijob runs the shoot-out: each stock policy over the same seeded
 // job set and churn script.
 func RunMultijob(cfg MultijobConfig) []MultijobRow {
-	cfg = cfg.withDefaults()
-	rows := make([]MultijobRow, 0, 3)
-	for _, p := range jobs.Policies() {
-		rows = append(rows, runMultijobArm(cfg, p))
+	space := multijobSpace()
+	var rows []MultijobRow
+	for _, s := range multijobScenarios(cfg.Seed) {
+		if err := space.Check(s); err != nil {
+			panic(fmt.Sprintf("experiments: multijob built an incoherent scenario: %v", err))
+		}
+		rows = append(rows, multijobRow(scenario.Runner{}.Run(s)))
 	}
 	return rows
 }
 
-func runMultijobArm(cfg MultijobConfig, policy jobs.Policy) MultijobRow {
-	jobSet := genJobs(cfg)
-	churn := genChurn(cfg)
-	hostNames := make([]string, cfg.Hosts)
-	bigHost := make(map[string]bool, cfg.Hosts)
-	for i := range hostNames {
-		hostNames[i] = fmt.Sprintf("mj%02d", i+1)
-		if i%4 == 0 {
-			bigHost[hostNames[i]] = true
-		}
-	}
-	byName := make(map[string]*simJob, len(jobSet))
-	for _, j := range jobSet {
-		byName[j.name] = j
-	}
-	eligible := func(job, host string) bool {
-		if j, ok := byName[job]; ok && j.big {
-			return bigHost[host]
-		}
-		return true
-	}
-
+// multijobRow reads one arm's report row off the Runner's result.
+func multijobRow(res scenario.Result) MultijobRow {
 	row := MultijobRow{
-		Policy:      policy.Name(),
-		Waits:       make(map[int]WaitQuantiles),
-		Preemptions: make(map[jobs.EvictMode]int),
+		Policy:        res.Outcome.Policy,
+		Completed:     res.Outcome.JobsCompleted,
+		MakespanTicks: res.Outcome.MakespanSec,
+		Waits:         make(map[int]WaitQuantiles),
+		Preemptions:   make(map[jobs.EvictMode]int),
+		ChurnRequeues: res.Outcome.ChurnRequeues,
+		ChurnShrinks:  res.Outcome.ChurnShrinks,
 	}
-	downUntil := make(map[string]int) // host -> tick it revives
-	nextChurn := 0
-	remaining := len(jobSet)
-
-	for tick := 0; tick <= multijobTickCap && remaining > 0; tick++ {
-		// 1. Revive hosts whose outage ended.
-		for h, until := range downUntil {
-			if until <= tick {
-				delete(downUntil, h)
-			}
-		}
-		// 2. Crash hosts scheduled for this tick. Victim ranks checkpointed
-		// at the previous tick: elastic jobs shed the dead hosts when
-		// MinWorld allows, rigid ones requeue with progress intact.
-		for nextChurn < len(churn) && churn[nextChurn].tick == tick {
-			ev := churn[nextChurn]
-			nextChurn++
-			h := hostNames[ev.host]
-			if _, down := downUntil[h]; down {
-				continue
-			}
-			downUntil[h] = tick + ev.duration
-			for _, j := range jobSet {
-				if !j.running {
-					continue
-				}
-				lost := 0
-				for _, jh := range j.hosts {
-					if jh == h {
-						lost++
-					}
-				}
-				if lost == 0 {
-					continue
-				}
-				if j.elastic && len(j.hosts)-lost >= j.minWorld {
-					j.hosts = withoutHost(j.hosts, h)
-					row.ChurnShrinks++
-				} else {
-					j.hosts = nil
-					j.running = false
-					row.ChurnRequeues++
-				}
-			}
-		}
-		// 3. Plan one admission cycle over the live fleet.
-		occ := make(map[string]string, cfg.Hosts)
-		var running []jobs.JobView
-		for _, j := range jobSet {
-			if !j.running {
-				continue
-			}
-			running = append(running, j.view())
-			for _, h := range j.hosts {
-				occ[h] = j.name
-			}
-		}
-		var pending []jobs.JobView
-		for _, j := range jobSet {
-			if !j.done && !j.running && j.arrival <= tick {
-				pending = append(pending, j.view())
-			}
-		}
-		var hosts []jobs.HostView
-		for _, h := range hostNames {
-			if _, down := downUntil[h]; down {
-				continue
-			}
-			hosts = append(hosts, jobs.HostView{Name: h, Job: occ[h]})
-		}
-		view := jobs.ClusterView{Hosts: hosts, Running: running, Eligible: eligible}
-		for _, adm := range jobs.PlanCycle(policy, pending, view) {
-			for _, ev := range adm.Evictions {
-				v := byName[ev.Job]
-				row.Preemptions[ev.Mode]++
-				switch ev.Mode {
-				case jobs.EvictRequeue:
-					v.hosts = nil
-					v.running = false
-				case jobs.EvictShrink:
-					for _, h := range ev.Hosts {
-						v.hosts = withoutHost(v.hosts, h)
-					}
-				case jobs.EvictMigrate:
-					for i, h := range v.hosts {
-						if dest, ok := ev.Moves[h]; ok {
-							v.hosts[i] = dest
-						}
-					}
-				}
-			}
-			j := byName[adm.Job]
-			j.hosts = append([]string(nil), adm.Hosts...)
-			j.running = true
-			if j.firstStart < 0 {
-				j.firstStart = tick
-			}
-		}
-		// 4. Advance every running job by its live world.
-		for _, j := range jobSet {
-			if !j.running {
-				continue
-			}
-			j.progress += len(j.hosts)
-			if j.progress >= j.work {
-				j.running = false
-				j.done = true
-				j.hosts = nil
-				j.finish = tick + 1
-				remaining--
-			}
-		}
+	for mode, n := range res.Outcome.Preemptions {
+		row.Preemptions[jobs.EvictMode(mode)] = n
 	}
-
 	waits := make(map[int][]int)
-	for _, j := range jobSet {
-		if !j.done {
-			continue
+	for _, j := range res.Scenario.Jobs {
+		if at, ok := res.FirstAdmitSec[j.Name]; ok {
+			waits[j.Priority] = append(waits[j.Priority], at-j.ArrivalSec)
 		}
-		row.Completed++
-		if j.finish > row.MakespanTicks {
-			row.MakespanTicks = j.finish
-		}
-		waits[j.priority] = append(waits[j.priority], j.firstStart-j.arrival)
 	}
 	for prio, w := range waits {
 		sort.Ints(w)
@@ -336,16 +195,6 @@ func runMultijobArm(cfg MultijobConfig, policy jobs.Policy) MultijobRow {
 		}
 	}
 	return row
-}
-
-// withoutHost removes the first occurrence of h, preserving order.
-func withoutHost(hosts []string, h string) []string {
-	for i, x := range hosts {
-		if x == h {
-			return append(hosts[:i:i], hosts[i+1:]...)
-		}
-	}
-	return hosts
 }
 
 // RenderMultijob prints the shoot-out report. Every number is an integer

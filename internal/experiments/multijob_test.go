@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -32,8 +33,8 @@ func TestMultijobPolicyOrdering(t *testing.T) {
 		rows := RunMultijob(cfg)
 		byPolicy := make(map[string]MultijobRow, len(rows))
 		for _, r := range rows {
-			if r.Completed != cfg.withDefaults().Jobs {
-				t.Fatalf("seed %d: policy %s completed %d of %d jobs", seed, r.Policy, r.Completed, cfg.withDefaults().Jobs)
+			if r.Completed != multijobJobs {
+				t.Fatalf("seed %d: policy %s completed %d of %d jobs", seed, r.Policy, r.Completed, multijobJobs)
 			}
 			byPolicy[r.Policy] = r
 		}
@@ -62,6 +63,42 @@ func TestMultijobPolicyOrdering(t *testing.T) {
 		}
 		if n := fifo.Preemptions[jobs.EvictRequeue] + fifo.Preemptions[jobs.EvictShrink] + fifo.Preemptions[jobs.EvictMigrate]; n != 0 {
 			t.Errorf("seed %d: fifo planned %d preemptions; want none", seed, n)
+		}
+	}
+}
+
+// TestMultijobGolden pins the documented seed-42 report byte for byte: the
+// file is what `repro -exp multijob -seed 42` prints (captured from the
+// bespoke tick model before the shoot-out moved onto scenario.Runner).
+func TestMultijobGolden(t *testing.T) {
+	const golden = "testdata/multijob-seed42.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RenderMultijob(RunMultijob(MultijobConfig{Params: Params{Seed: 42}})) + "\n"
+	if got != string(want) {
+		t.Fatalf("seed-42 report drifted from %s; if the change is intended, regenerate with\n"+
+			"  go run ./cmd/repro -exp multijob -seed 42 > internal/experiments/%s\n--- got\n%s--- want\n%s",
+			golden, golden, got, want)
+	}
+}
+
+// TestMultijobScenariosInSpace: every hand-built arm is a scenario the
+// generator could have drawn from the narrowed space, so the Runner never
+// sees a value (a zero scheduling interval, a fault naming an unknown host)
+// its generated inputs would not contain.
+func TestMultijobScenariosInSpace(t *testing.T) {
+	space := multijobSpace()
+	for seed := int64(1); seed <= 100; seed++ {
+		arms := multijobScenarios(seed)
+		if len(arms) != len(jobs.Policies()) {
+			t.Fatalf("seed %d: %d arms for %d policies", seed, len(arms), len(jobs.Policies()))
+		}
+		for _, s := range arms {
+			if err := space.Check(s); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+			}
 		}
 	}
 }

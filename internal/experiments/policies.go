@@ -32,11 +32,6 @@ type PoliciesConfig struct {
 	Params
 	// Warmup damps the scheduler; zero selects 4.
 	Warmup int
-	// BallastBytes sizes the migrated state; zero selects 80 MB, which
-	// makes the transfer-time difference between a free and a
-	// communication-busy destination (full versus shared receive path)
-	// larger than poll-point timing noise.
-	BallastBytes int64
 }
 
 // RunPolicies reproduces Table 2. Five workstations: ws1 runs the
@@ -48,9 +43,6 @@ func RunPolicies(cfg PoliciesConfig) ([]PolicyRow, error) {
 	cfg.Params = cfg.Params.withDefaults()
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 4
-	}
-	if cfg.BallastBytes <= 0 {
-		cfg.BallastBytes = 160 << 20
 	}
 	policies := []*rules.MigrationPolicy{rules.Policy1(), rules.Policy2(), rules.Policy3()}
 	rows := make([]PolicyRow, 0, len(policies))
@@ -127,10 +119,12 @@ func runPolicyArm(cfg PoliciesConfig, pol *rules.MigrationPolicy) (PolicyRow, er
 
 	// Dense poll-points (the longest phase is ~0.6 s solo, ~2.5 s under the
 	// overload) keep the command-to-poll-point wait small relative to the
-	// transfer times.
+	// transfer times; 160 MB of migrated state makes the transfer-time
+	// difference between a free and a communication-busy destination (full
+	// versus shared receive path) larger than poll-point timing noise.
 	tree := workload.TreeConfig{
 		Levels: 13, Rounds: 420, Seed: cfg.Seed + 1,
-		WorkPerNode: 6, BytesPerNode: 8, BallastBytes: cfg.BallastBytes,
+		WorkPerNode: 6, BytesPerNode: 8, BallastBytes: 160 << 20,
 	}
 	app, err := sys.Launch("test_tree", "ws1", tree.Schema(hostSpeed), workload.TestTree(tree))
 	if err != nil {

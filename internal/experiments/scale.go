@@ -26,20 +26,21 @@ type ScaleConfig struct {
 	Params
 	// Hosts lists the sweep sizes; empty selects 64, 256, 512.
 	Hosts []int
-	// Apps is how many tree applications run per sweep; zero selects 4.
-	Apps int
-	// Overloads is how many app hosts get overloaded mid-run (provoking
-	// migrations); zero selects 2, capped at Apps.
-	Overloads int
-	// BackgroundEvery puts a busy-but-not-overloaded load generator on
-	// every k-th host — the churn the registry must index through; zero
-	// selects 8.
-	BackgroundEvery int
 	// Metrics, when set, accumulates every sweep's metrics registry
 	// (histograms merged bucket-wise) for a run-wide snapshot — the
 	// cmd/repro -metrics flag feeds from here.
 	Metrics *metrics.Registry
 }
+
+// Each sweep's fixed shape: scaleApps tree applications, the first
+// scaleOverloads of their hosts overloaded mid-run (provoking migrations),
+// and a busy-but-not-overloaded load generator on every
+// scaleBackgroundEvery-th host — the churn the registry must index through.
+const (
+	scaleApps            = 4
+	scaleOverloads       = 2
+	scaleBackgroundEvery = 8
+)
 
 // ScaleRow is one sweep's outcome. Hosts, Apps, Completed, Correct and
 // Overloads depend only on the seed; the measurements below the line carry
@@ -73,18 +74,6 @@ func (cfg ScaleConfig) withScaleDefaults() ScaleConfig {
 	cfg.Params = cfg.Params.withDefaults()
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = []int{64, 256, 512}
-	}
-	if cfg.Apps <= 0 {
-		cfg.Apps = 4
-	}
-	if cfg.Overloads <= 0 {
-		cfg.Overloads = 2
-	}
-	if cfg.Overloads > cfg.Apps {
-		cfg.Overloads = cfg.Apps
-	}
-	if cfg.BackgroundEvery <= 0 {
-		cfg.BackgroundEvery = 8
 	}
 	return cfg
 }
@@ -163,7 +152,7 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 			g.Stop()
 		}
 	}()
-	for i := cfg.Apps; i < nHosts; i += cfg.BackgroundEvery {
+	for i := scaleApps; i < nHosts; i += scaleBackgroundEvery {
 		h, _ := cl.Host(names[i])
 		g := workload.NewLoadGen(h, workload.LoadOptions{
 			Workers: 2, Duty: 0.75, Period: 5 * time.Second,
@@ -176,15 +165,15 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	// A couple of monitoring cycles so the registry has fresh samples.
 	clock.Sleep(25 * time.Second)
 
-	// The applications: small checksummed trees on the first Apps hosts.
+	// The applications: small checksummed trees on the first scaleApps hosts.
 	type appRun struct {
 		app  *core.App
 		tree workload.TreeConfig
 		sums map[int]int64
 		mu   *sync.Mutex
 	}
-	runs := make([]*appRun, 0, cfg.Apps)
-	for i := 0; i < cfg.Apps; i++ {
+	runs := make([]*appRun, 0, scaleApps)
+	for i := 0; i < scaleApps; i++ {
 		tree := workload.TreeConfig{
 			Levels: 8, Rounds: 20, Seed: cfg.Seed + int64(i) + 1,
 			WorkPerNode: 600, BytesPerNode: 8,
@@ -205,11 +194,11 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	}
 	start := clock.Now()
 
-	// The injected overloads: extra tasks arrive on the first Overloads app
+	// The injected overloads: extra tasks arrive on the first scaleOverloads app
 	// hosts, pushing them over the Table 1 threshold so the scheduler must
 	// find each a destination among hundreds of candidates.
 	clock.Sleep(20 * time.Second)
-	for i := 0; i < cfg.Overloads; i++ {
+	for i := 0; i < scaleOverloads; i++ {
 		h, _ := cl.Host(names[i])
 		g := workload.NewLoadGen(h, workload.LoadOptions{
 			Workers: 3, Duty: 1.0, Period: 4 * time.Second,
@@ -252,10 +241,10 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 
 	row := ScaleRow{
 		Hosts:               nHosts,
-		Apps:                cfg.Apps,
+		Apps:                scaleApps,
 		Completed:           completed,
 		Correct:             true,
-		Overloads:           cfg.Overloads,
+		Overloads:           scaleOverloads,
 		VirtualSec:          elapsed.Seconds(),
 		Heartbeats:          heartbeats.Load(),
 		BatchFlushes:        mreg.Counter(registry.CtrBatchFlushes).Value(),

@@ -6,7 +6,8 @@
 // while keeping every decision deterministic on the sim clock: admission
 // order is the submission sequence, and the planner is a pure function of
 // the queue and a cluster snapshot, so the live dispatcher (internal/core)
-// and the -exp multijob discrete simulation share one brain.
+// and the scenario.Runner discrete simulation (-exp multijob, -exp fleet)
+// share one brain.
 package jobs
 
 import (
@@ -194,28 +195,13 @@ func (j *Job) WaitTime() time.Duration {
 	return j.waited
 }
 
-// View snapshots the job for the planner.
-func (j *Job) View() JobView {
-	j.q.mu.Lock()
-	defer j.q.mu.Unlock()
-	return JobView{
-		Name:     j.spec.Name,
-		Priority: j.spec.Priority,
-		Gang:     j.spec.Gang,
-		Elastic:  j.spec.Elastic,
-		MinWorld: j.spec.MinWorld,
-		Seq:      j.seq,
-		Hosts:    append([]string(nil), j.placement...),
-	}
-}
-
 // ErrCancelled is the terminal error of a cancelled job.
 var ErrCancelled = errors.New("jobs: job cancelled")
 
 // Queue is the submission queue: it owns every job's state machine and
 // hands the planner deterministic pending/running snapshots. Admission
-// itself is the dispatcher's business (core.System live, the multijob
-// simulation offline); the queue only keeps the book.
+// itself is the dispatcher's business (core.System live, scenario.Runner
+// offline); the queue only keeps the book.
 type Queue struct {
 	clock vclock.Clock
 	sink  events.Sink

@@ -2,7 +2,7 @@ package jobs
 
 // The admission planner. PlanCycle is a pure function of a policy, the
 // pending queue and a cluster snapshot: no clocks, no goroutines, no
-// randomness. The live dispatcher (core.System) and the -exp multijob
+// randomness. The live dispatcher (core.System) and the scenario.Runner
 // discrete simulation both call it, so a policy decision observed in the
 // simulation is the same decision the live control plane makes — and the
 // whole schedule is deterministic given the submission sequence.

@@ -151,7 +151,7 @@ func (s *Spans) hpcmEvent(e events.Event) {
 // phase-driven (as deterministic as the event schedule); the quantile
 // strings are exact functions of the observed durations' buckets, so they
 // are byte-identical across runs only when the durations themselves are —
-// true for synthetic schedules (MigrationModel), not for live runs under a
+// true for exact event timestamps (spans_test.go), not for live runs under a
 // wall-paced scaled clock, whose durations carry goroutine wake-up jitter
 // multiplied by the scale factor.
 type SpanStat struct {

@@ -362,11 +362,14 @@ func DialOptions(name, addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
+// dialTimeout bounds each TCP dial.
+const dialTimeout = 5 * time.Second
+
 func (c *Client) reconnect() error {
 	if c.closed {
 		return fmt.Errorf("proto: client closed")
 	}
-	raw, err := net.DialTimeout("tcp", c.addr, c.opts.dialTimeout())
+	raw, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,6 @@ import (
 // value reproduces the historical behaviour: a 5-second dial timeout, one
 // re-dial retry, no call deadline, no backoff, no deduplication.
 type Options struct {
-	// DialTimeout bounds each TCP dial; zero selects 5 seconds.
-	DialTimeout time.Duration
 	// CallTimeout bounds one send+receive attempt on the wire; zero leaves
 	// calls unbounded (a dropped response then blocks forever, so chaos
 	// harnesses set this).
@@ -25,10 +23,8 @@ type Options struct {
 	// request was already processed.
 	Retries int
 	// Backoff is the wait before the first retry, doubled each further
-	// retry up to MaxBackoff. Zero retries immediately.
+	// retry up to 10*Backoff. Zero retries immediately.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff; zero selects 10*Backoff.
-	MaxBackoff time.Duration
 	// Jitter adds up to this fraction (0..1) of each backoff, drawn from a
 	// PRNG seeded with Seed so retry schedules are reproducible.
 	Jitter float64
@@ -60,13 +56,6 @@ func (o Options) clock() vclock.Clock {
 	return o.Clock
 }
 
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
-}
-
 func (o Options) retries() int {
 	switch {
 	case o.Retries < 0:
@@ -91,14 +80,7 @@ func (o Options) backoffFor(attempt int, rng *rand.Rand) time.Duration {
 	if o.Backoff <= 0 {
 		return 0
 	}
-	d := o.Backoff << (attempt - 1)
-	max := o.MaxBackoff
-	if max <= 0 {
-		max = 10 * o.Backoff
-	}
-	if d > max {
-		d = max
-	}
+	d := min(o.Backoff<<(attempt-1), 10*o.Backoff)
 	if o.Jitter > 0 && rng != nil {
 		d += time.Duration(o.Jitter * rng.Float64() * float64(d))
 	}

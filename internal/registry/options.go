@@ -7,7 +7,6 @@ import (
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/rules"
-	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
 
@@ -38,9 +37,6 @@ func WithLease(d time.Duration) Option { return func(c *Config) { c.Lease = d } 
 // WithPolicy sets the migration policy.
 func WithPolicy(p *rules.MigrationPolicy) Option { return func(c *Config) { c.Policy = p } }
 
-// WithProbes sets the probe set policies evaluate against.
-func WithProbes(p *sysinfo.Probes) Option { return func(c *Config) { c.Probes = p } }
-
 // WithCommands sets the migrate-order sink, making the registry active.
 func WithCommands(s CommandSink) Option { return func(c *Config) { c.Commands = s } }
 
@@ -53,15 +49,6 @@ func WithParent(p *Registry) Option { return func(c *Config) { c.Parent = p } }
 // WithDomain names this registry's control domain under its parent and
 // enables the upward health reports.
 func WithDomain(name string) Option { return func(c *Config) { c.Domain = name } }
-
-// WithDomainLease sets how long child domains stay live without a health
-// report.
-func WithDomainLease(d time.Duration) Option { return func(c *Config) { c.DomainLease = d } }
-
-// WithHealthReportEvery caps how often health is pushed to the parent.
-func WithHealthReportEvery(d time.Duration) Option {
-	return func(c *Config) { c.HealthReportEvery = d }
-}
 
 // WithWarmup sets the warm-up damping window.
 func WithWarmup(n int) Option { return func(c *Config) { c.Warmup = n } }

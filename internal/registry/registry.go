@@ -52,8 +52,6 @@ type Config struct {
 	// selects the pure state-based policy: migrate off overloaded hosts,
 	// onto free hosts (Table 1 semantics).
 	Policy *rules.MigrationPolicy
-	// Probes evaluates policy conditions; nil selects the standard set.
-	Probes *sysinfo.Probes
 	// Commands receives migrate orders; nil leaves the registry passive
 	// (candidates are still served on request).
 	Commands CommandSink
@@ -66,16 +64,10 @@ type Config struct {
 	Parent *Registry
 	// Domain names this registry's control domain under Parent. When set,
 	// the registry reports its Health upward on a lease (piggybacked on
-	// status refreshes, at most once per HealthReportEvery), and the parent
+	// status refreshes, at most once per healthReportEvery), and the parent
 	// delegates placements across its live domains before consulting its
 	// own parent.
 	Domain string
-	// DomainLease is how long a child domain stays live at this registry
-	// without a health report; zero selects Lease.
-	DomainLease time.Duration
-	// HealthReportEvery caps how often this registry pushes Health to its
-	// Parent; zero selects 10 seconds (the monitor's refresh cadence).
-	HealthReportEvery time.Duration
 	// Warmup is how many consecutive qualifying reports a host must send
 	// before the scheduler acts — the configurable damping that gave the
 	// paper its 72-second reaction and avoided "fault migration caused by
@@ -241,15 +233,6 @@ func newFromConfig(cfg Config) *Registry {
 	if cfg.Lease <= 0 {
 		cfg.Lease = 35 * time.Second
 	}
-	if cfg.DomainLease <= 0 {
-		cfg.DomainLease = cfg.Lease
-	}
-	if cfg.HealthReportEvery <= 0 {
-		cfg.HealthReportEvery = 10 * time.Second
-	}
-	if cfg.Probes == nil {
-		cfg.Probes = sysinfo.StandardProbes()
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 3
 	}
@@ -268,7 +251,7 @@ func newFromConfig(cfg Config) *Registry {
 	r := &Registry{
 		cfg:       cfg,
 		clock:     cfg.Clock,
-		probes:    cfg.Probes,
+		probes:    sysinfo.StandardProbes(),
 		sched:     sched,
 		ctr:       newCounters(cfg.Metrics),
 		hosts:     make(map[string]*hostEntry),

@@ -9,10 +9,14 @@ import (
 // Domain sharding (Section 3.2's hierarchical arrangement, promoted from
 // examples/hierarchy into the registry itself). A child registry configured
 // with Parent+Domain pushes its Health summary upward — piggybacked on
-// status refreshes, at most once per HealthReportEvery — and the parent
+// status refreshes, at most once per healthReportEvery — and the parent
 // keeps one soft-state domainEntry per child. The lease mirrors the
 // host-level push model: a domain whose child stops heartbeating expires
 // and is skipped by delegation, with no teardown protocol.
+
+// healthReportEvery caps how often a child pushes Health to its parent: the
+// monitor's refresh cadence.
+const healthReportEvery = 10 * time.Second
 
 type domainEntry struct {
 	name     string
@@ -78,8 +82,9 @@ func (r *Registry) Domains() []DomainInfo {
 	return out
 }
 
+// domainAliveLocked: a child domain's lease is the host lease.
 func (r *Registry) domainAliveLocked(d *domainEntry, now time.Time) bool {
-	return now.Sub(d.lastSeen) <= r.cfg.DomainLease
+	return now.Sub(d.lastSeen) <= r.cfg.Lease
 }
 
 // placeDomains delegates a placement across this registry's live child
@@ -122,7 +127,7 @@ func (r *Registry) healthDueLocked() (bool, Health) {
 		return false, Health{}
 	}
 	now := r.clock.Now()
-	if r.healthPushed && now.Sub(r.lastHealthPush) < r.cfg.HealthReportEvery {
+	if r.healthPushed && now.Sub(r.lastHealthPush) < healthReportEvery {
 		return false, Health{}
 	}
 	r.healthPushed = true

@@ -108,7 +108,7 @@ func TestChildReannouncesAfterParentRestart(t *testing.T) {
 
 	// The child's next health push re-attaches it: ReportDomainHealth is an
 	// upsert, so no separate re-registration protocol exists or is needed.
-	clock.Advance(11 * time.Second) // past HealthReportEvery
+	clock.Advance(11 * time.Second) // past healthReportEvery
 	if err := childA.ReportStatus("a1", status("busy", 1.2, 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestHealthPushThrottled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First report pushes; reports inside HealthReportEvery do not.
+	// First report pushes; reports inside healthReportEvery do not.
 	if err := child.ReportStatus("a1", status("free", 0.1, 3)); err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,9 @@ type Result struct {
 	Spans    []MigrationSpan
 	Resizes  []ResizeSpan
 	Metrics  *metrics.Registry
+	// FirstAdmitSec is the virtual second each admitted job first started,
+	// by job name: queue wait is FirstAdmitSec minus the spec's ArrivalSec.
+	FirstAdmitSec map[string]int
 }
 
 // Runner executes scenarios. The zero value is ready.
@@ -153,8 +156,9 @@ func (Runner) Run(s Scenario) Result {
 	}
 
 	res := Result{
-		Scenario: s,
-		Metrics:  mreg,
+		Scenario:      s,
+		Metrics:       mreg,
+		FirstAdmitSec: map[string]int{},
 		Outcome: Outcome{
 			Scenario:    s.Name,
 			Policy:      s.Policy,
@@ -514,6 +518,9 @@ func (Runner) Run(s Scenario) Result {
 				j := byName[adm.Job]
 				j.hosts = append([]string(nil), adm.Hosts...)
 				j.running = true
+				if _, readmit := res.FirstAdmitSec[adm.Job]; !readmit {
+					res.FirstAdmitSec[adm.Job] = tick
+				}
 				res.Outcome.Admissions++
 				digest("admit job=%s gang=%d hosts=%v", adm.Job, j.spec.Gang, adm.Hosts)
 			}

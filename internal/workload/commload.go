@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"autoresched/internal/simnet"
-	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
 )
 
@@ -19,15 +18,6 @@ type CommOptions struct {
 	// Bidirectional also drives traffic the other way, which is what makes
 	// migration INTO the busy host slow (its receive path is contended).
 	Bidirectional bool
-	// CPUPerByte charges protocol-processing CPU on the receiving host,
-	// in work units per byte. This is why a communication-busy
-	// workstation is also a slow compute host (Table 2: the application
-	// ran 1.7x slower on the communicating workstation 2 than on the free
-	// workstation 4). Requires FromHost/ToHost.
-	CPUPerByte float64
-	// FromHost and ToHost bind the generator to the simulated hosts for
-	// CPU charging.
-	FromHost, ToHost *simnode.Host
 }
 
 // CommLoad keeps two hosts communicating — the paper's workstation 2 and 5,
@@ -64,24 +54,18 @@ func (c *CommLoad) Start() {
 	}
 	c.stop = make(chan struct{})
 	c.stopped.Add(1)
-	go c.drive(c.stop, c.from, c.to, c.opts.ToHost)
+	go c.drive(c.stop, c.from, c.to)
 	if c.opts.Bidirectional {
 		c.stopped.Add(1)
-		go c.drive(c.stop, c.to, c.from, c.opts.FromHost)
+		go c.drive(c.stop, c.to, c.from)
 	}
 }
 
 // drive pushes chunks, pacing so the average application rate approaches
 // the target: each chunk "covers" chunk/rate seconds of wall time; whatever
-// the transfer itself did not use is slept off. When CPUPerByte is set, the
-// receiving host pays protocol-processing CPU for each chunk.
-func (c *CommLoad) drive(stop chan struct{}, from, to string, recvHost *simnode.Host) {
+// the transfer itself did not use is slept off.
+func (c *CommLoad) drive(stop chan struct{}, from, to string) {
 	defer c.stopped.Done()
-	var recvProc *simnode.Proc
-	if c.opts.CPUPerByte > 0 && recvHost != nil {
-		recvProc = recvHost.Spawn("commload-rx", 4<<20)
-		defer recvProc.Exit()
-	}
 	interval := time.Duration(float64(c.opts.Chunk) / c.opts.Rate * float64(time.Second))
 	for {
 		select {
@@ -92,11 +76,6 @@ func (c *CommLoad) drive(stop chan struct{}, from, to string, recvHost *simnode.
 		start := c.clock.Now()
 		if err := c.net.Transfer(from, to, c.opts.Chunk); err != nil {
 			return
-		}
-		if recvProc != nil {
-			if err := recvProc.Compute(float64(c.opts.Chunk) * c.opts.CPUPerByte); err != nil {
-				return
-			}
 		}
 		if remaining := interval - c.clock.Since(start); remaining > 0 {
 			c.clock.Sleep(remaining)
