@@ -80,22 +80,11 @@ func (s *System) failover(app *App, cause error) bool {
 		return false
 	}
 
-	var p *hpcm.Process
-	if s.opts.Checkpoints != nil {
-		restored, err := s.mw.Restore(s.opts.Checkpoints, name, cand.Host, app.main)
-		if err == nil {
-			p = restored
-			s.opts.Metrics.Counter(CtrCkptRestores).Inc()
-		}
+	p, restored, err := s.startProc(name, cand.Host, app.main, true)
+	if err != nil {
+		return false
 	}
-	if p == nil {
-		// No checkpoint (or its restoration failed): restart from the
-		// beginning — slow, but the computation still survives the fault.
-		started, err := s.mw.Start(name, cand.Host, app.main)
-		if err != nil {
-			return false
-		}
-		p = started
+	if !restored {
 		s.opts.Metrics.Counter(CtrColdRestarts).Inc()
 	}
 

@@ -520,29 +520,16 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 
 // startApp launches (or restores) one migration-enabled process and wraps
 // it in the App machinery — commander management, registry registration,
-// and the follow loop with its failover budget. Launch and the job
-// dispatcher share it.
+// and the follow loop with its failover budget. Launch, the job dispatcher
+// and Recover share it.
 func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main, restore bool) (*App, error) {
 	node, ok := s.Node(host)
 	if !ok {
 		return nil, fmt.Errorf("core: no node on host %q", host)
 	}
-	var p *hpcm.Process
-	if restore && s.opts.Checkpoints != nil {
-		if _, ok, err := s.opts.Checkpoints.Load(name); err == nil && ok {
-			restored, err := s.mw.Restore(s.opts.Checkpoints, name, host, main)
-			if err == nil {
-				p = restored
-				s.opts.Metrics.Counter(CtrCkptRestores).Inc()
-			}
-		}
-	}
-	if p == nil {
-		fresh, err := s.mw.Start(name, host, main)
-		if err != nil {
-			return nil, err
-		}
-		p = fresh
+	p, _, err := s.startProc(name, host, main, restore)
+	if err != nil {
+		return nil, err
 	}
 	app := &App{
 		Proc:       p,
@@ -565,6 +552,20 @@ func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main,
 	// The caller wires app.onSettled and starts app.follow() — the hook
 	// must be in place before the follow loop can observe completion.
 	return app, nil
+}
+
+// startProc starts one process on host: restored from its latest checkpoint
+// when restore is set and the store holds a usable image (reported true),
+// from the beginning otherwise — slow, but the computation still survives.
+func (s *System) startProc(name, host string, main hpcm.Main, restore bool) (*hpcm.Process, bool, error) {
+	if restore && s.opts.Checkpoints != nil {
+		if p, err := s.mw.Restore(s.opts.Checkpoints, name, host, main); err == nil {
+			s.opts.Metrics.Counter(CtrCkptRestores).Inc()
+			return p, true, nil
+		}
+	}
+	p, err := s.mw.Start(name, host, main)
+	return p, false, err
 }
 
 // rankSettled folds one rank's settle into the job state machine. It runs

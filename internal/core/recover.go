@@ -38,32 +38,16 @@ func (s *System) Recover(name, host string, sch *schema.Schema, main hpcm.Main) 
 		}
 		host = cand.Host
 	}
-	node, ok := s.Node(host)
-	if !ok {
-		return nil, fmt.Errorf("core: no node on host %q", host)
+	// Recover never cold-starts: without an image there is nothing to recover.
+	if _, ok, err := s.opts.Checkpoints.Load(name); err != nil {
+		return nil, fmt.Errorf("core: checkpoint load for %q: %w", name, err)
+	} else if !ok {
+		return nil, fmt.Errorf("core: no checkpoint for %q", name)
 	}
-	p, err := s.mw.Restore(s.opts.Checkpoints, name, host, main)
+	app, err := s.startApp(name, host, sch, main, true)
 	if err != nil {
 		return nil, err
 	}
-	app := &App{
-		Proc:       p,
-		Schema:     sch,
-		sys:        s,
-		main:       main,
-		settled:    make(chan struct{}),
-		pid:        p.PID(),
-		host:       host,
-		launchHost: host,
-		launched:   s.clock.Now(),
-	}
-	node.Commander.Manage(p)
-	if err := s.registerProc(app); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.apps = append(s.apps, app)
-	s.mu.Unlock()
 	go app.follow()
 	return app, nil
 }

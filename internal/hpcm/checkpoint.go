@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"autoresched/internal/mpi"
 )
 
 // The paper positions its design as extensible "for checkpointing-based or
@@ -230,27 +228,5 @@ func (m *Middleware) Restore(store CheckpointStore, app, host string, main Main)
 		saved.completeLazy(name, blob)
 	}
 
-	p := &Process{
-		mw:     m,
-		name:   app,
-		main:   main,
-		signal: make(chan pendingCmd, 1),
-		events: make(chan Record, 16),
-		mbox:   newMailbox(),
-		host:   host,
-		done:   make(chan struct{}),
-	}
-	if err := m.register(p); err != nil {
-		return nil, err
-	}
-	hp, err := m.hosts.Attach(host, app, 0)
-	if err != nil {
-		m.deregister(p)
-		return nil, fmt.Errorf("hpcm: attach %q to %q: %w", app, host, err)
-	}
-	p.hostProc = hp
-	m.universe.Start([]string{host}, func(env *mpi.Env) error {
-		return p.incarnation(env, img.Label, saved)
-	})
-	return p, nil
+	return m.launch(app, host, main, img.Label, saved)
 }

@@ -139,12 +139,7 @@ func (c *Context) PollPoint(label string) error {
 		}
 		c.proc.xfer.Add(1)
 		defer c.proc.xfer.Done()
-		if c.proc.mw.live != nil {
-			if started, err := c.startLive(label, sig); started || err != nil {
-				return err
-			}
-		}
-		return c.migrate(label, sig)
+		return c.migrate(label, sig, c.proc.mw.live)
 	default:
 		return c.maybeCheckpoint(label)
 	}

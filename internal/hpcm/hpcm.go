@@ -212,8 +212,8 @@ type Process struct {
 	mu       sync.Mutex
 	host     string
 	hostProc HostProc
-	saved    *savedState  // the current resumed incarnation's inbound state
-	live     *liveAttempt // in-flight precopy attempt, resolved at a poll-point
+	saved    *savedState // the current resumed incarnation's inbound state
+	live     *attempt    // in-flight precopy attempt, resolved at a poll-point
 	records  []Record
 	migrs    int
 	preinit  map[string]string // destination -> waiting port (Section 5.2)
@@ -272,6 +272,12 @@ func (r Record) Downtime() time.Duration {
 
 // Start launches a migration-enabled process named name on host.
 func (m *Middleware) Start(name, host string, main Main) (*Process, error) {
+	return m.launch(name, host, main, "", nil)
+}
+
+// launch registers a process and starts its first incarnation on host;
+// label and saved carry resume state when it continues from a checkpoint.
+func (m *Middleware) launch(name, host string, main Main, label string, saved *savedState) (*Process, error) {
 	p := &Process{
 		mw:     m,
 		name:   name,
@@ -292,7 +298,7 @@ func (m *Middleware) Start(name, host string, main Main) (*Process, error) {
 	}
 	p.hostProc = hp
 	m.universe.Start([]string{host}, func(env *mpi.Env) error {
-		return p.incarnation(env, "", nil)
+		return p.incarnation(env, label, saved)
 	})
 	return p, nil
 }

@@ -3,131 +3,52 @@ package hpcm
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
 )
 
-// Live migration: the iterative-precopy extension of the Section 3
-// protocol. The classic path freezes the process for its whole memory
-// transfer; the live path ships the paged region in rounds over the
+// Live migration: iterative precopy as an optional prefix of the Section 3
+// handover. Stop-and-copy freezes the process for its whole memory
+// transfer; a live attempt first ships the paged region in rounds over the
 // intercommunicator while the source keeps computing — round 1 carries
 // every page, rounds 2..N only the pages dirtied since the previous round
 // — and freezes the process only for the residual dirty set plus the
-// classic execution-state transfer. When the dirty set stops shrinking the
-// attempt falls back to stop-and-copy, paying one extra spawn.
+// ordinary handover. When the dirty set stops shrinking the attempt falls
+// back to stop-and-copy, paying one extra spawn.
 //
-// The flow is split across poll-points: startLive launches the attempt and
-// returns immediately (the application computes through the rounds);
-// pollLive resolves it at the first poll-point after the driver reached a
-// terminal decision — freezeLive for a converged attempt, a cancel plus
-// classic migrate for fallback.
+// The flow is split across poll-points: migrate launches the rounds and
+// returns immediately (the application computes through them); pollLive
+// resolves the attempt at the first poll-point after the driver reached a
+// terminal decision — freeze and hand over for a converged attempt, a
+// cancel plus a fresh stop-and-copy migrate for fallback.
 
-// liveAttempt is one in-flight precopy attempt, created at the poll-point
-// that consumed the migrate command and resolved at a later one.
-type liveAttempt struct {
-	proc      string
-	label     string // poll-point that started the attempt
-	sig       pendingCmd
-	pagesName string
-	pages     *livemig.Pages
-	inter     *mpi.Comm
-	rec       Record
-	driver    *livemig.Driver
-	send      livemig.SendFunc
-
-	cancelled atomic.Bool
-	done      chan struct{} // closed when the driver goroutine finished
-	res       livemig.Result
-	err       error
-}
-
-func (att *liveAttempt) event(phase string, round int, err error) MigrationEvent {
-	return MigrationEvent{
-		Proc: att.proc, From: att.rec.From, To: att.rec.To,
-		Label: att.label, Phase: phase, Round: round, Err: err,
+// sendBatch ships one precopy batch: metadata plus one multi-part raw
+// message. The blocking sends charge the virtual transfer time, which paces
+// the rounds and makes them contend with application traffic on the
+// simulated network.
+func (att *attempt) sendBatch(meta livemig.BatchMeta, parts [][]byte) error {
+	if err := att.inter.Send(meta, 0, tagPrecopy); err != nil {
+		return err
 	}
-}
-
-// sendCancel tells the destination to discard the partial region and exit.
-func (att *liveAttempt) sendCancel() error {
-	return att.send(livemig.BatchMeta{Cancel: true}, nil)
-}
-
-// startLive begins a precopy attempt for the consumed migrate command. It
-// reports started=false (and no error) when the process has no single
-// paged region, in which case the caller migrates classically. When
-// started, PollPoint returns nil and the application computes while the
-// driver goroutine ships rounds; a later poll-point resolves the attempt.
-func (c *Context) startLive(label string, sig pendingCmd) (started bool, err error) {
-	pagesName, pages := c.state.pagesRegion()
-	if pages == nil {
-		return false, nil
+	if len(meta.PageIDs) > 0 {
+		return att.inter.SendParts(parts, 0, tagPrecopy)
 	}
+	return nil
+}
+
+// release tells the destination to discard the partial region and exit.
+// Best-effort: every caller has already given up on this destination, and a
+// failed send means it is gone anyway.
+func (att *attempt) release() {
+	_ = att.sendBatch(livemig.BatchMeta{Cancel: true}, nil) //lint:allow discardederr best-effort release of an abandoned destination; the caller's own outcome carries the cause
+}
+
+// startPrecopy runs the attempt's driver in the background; a later
+// poll-point resolves it.
+func (c *Context) startPrecopy(att *attempt) {
 	p := c.proc
-	mw := p.mw
-	cmd := sig.cmd
-
-	att := &liveAttempt{
-		proc:      p.name,
-		label:     label,
-		sig:       sig,
-		pagesName: pagesName,
-		pages:     pages,
-		done:      make(chan struct{}),
-		rec: Record{
-			From:        c.env.Host,
-			To:          cmd.DestHost,
-			Label:       label,
-			CommandAt:   sig.at,
-			PollPointAt: mw.clock.Now(),
-		},
-	}
-	mw.observe(att.event(PhaseStart, 0, nil))
-
-	// The destination assembles pages until the freeze batch; the live path
-	// always spawns — pre-initialized processes speak only the classic
-	// protocol.
-	inter, serr := c.env.Spawn([]string{cmd.DestHost}, func(child *mpi.Env) error {
-		return p.bootstrapLive(child, child.Parent)
-	})
-	if serr != nil {
-		mf := &MigrationFailure{
-			From: att.rec.From, To: att.rec.To, Label: label, Phase: PhaseStart,
-			Err: fmt.Errorf("hpcm: dynamic process creation on %q: %w", cmd.DestHost, serr),
-		}
-		mw.observe(att.event(PhaseAborted, 0, mf))
-		return true, mf
-	}
-	att.inter = inter
-	att.rec.InitDone = mw.clock.Now()
-	mw.observe(att.event(PhaseInit, 0, nil))
-
-	// Batches move as metadata plus one multi-part raw message; the blocking
-	// sends charge the virtual transfer time, which paces the rounds and
-	// makes them contend with application traffic on the simulated network.
-	att.send = func(meta livemig.BatchMeta, parts [][]byte) error {
-		if err := inter.Send(meta, 0, tagPrecopy); err != nil {
-			return err
-		}
-		if len(meta.PageIDs) > 0 {
-			return inter.SendParts(parts, 0, tagPrecopy)
-		}
-		return nil
-	}
-	onRound := func(round, sent, dirty int) {
-		mw.observe(att.event(PhasePrecopy, round, nil))
-	}
-	driver, derr := livemig.NewDriver(*mw.live, pages, att.send, onRound)
-	if derr != nil {
-		// Unmigratable shape (empty region): cancel the spawn and let the
-		// classic path handle the command.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release of the spawned destination; the classic path takes over either way
-		return false, nil
-	}
-	att.driver = driver
-
+	att.done = make(chan struct{})
 	p.mu.Lock()
 	p.live = att
 	p.mu.Unlock()
@@ -135,15 +56,14 @@ func (c *Context) startLive(label string, sig pendingCmd) (started bool, err err
 	p.xfer.Add(1)
 	go func() {
 		defer p.xfer.Done()
-		att.res, att.err = driver.Run()
+		att.res, att.err = att.driver.Run()
 		if att.cancelled.Load() {
 			// Stopped between rounds (process finished or was killed): the
-			// destination is still waiting for batches; release it.
-			_ = att.sendCancel() //lint:allow discardederr best-effort release; the attempt is already abandoned
+			// destination is still waiting for batches.
+			att.release()
 		}
 		close(att.done)
 	}()
-	return true, nil
 }
 
 // pollLive resolves an in-flight live attempt. handled=false means no
@@ -180,62 +100,31 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 
 	mw := p.mw
 	if att.err != nil {
-		_ = att.sendCancel() //lint:allow discardederr the stream already failed; the failure below carries the cause
-		mf := &MigrationFailure{
-			From: att.rec.From, To: att.rec.To, Label: att.label,
-			Phase: PhasePrecopy, Err: att.err,
-		}
-		mw.observe(att.event(PhaseAborted, att.res.Rounds, mf))
-		return true, mf
+		att.release()
+		return true, mw.abort(att, PhasePrecopy, att.res.Rounds, att.err)
 	}
 	if att.res.Decision == livemig.Fallback {
 		// The dirty set never converged: discard the precopy work and pay
-		// the classic stop-and-copy price — including a second spawn, which
-		// is exactly the visible fallback cost the experiments measure.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release; the fallback migration spawns its own destination
+		// the stop-and-copy price — including a second spawn, which is
+		// exactly the visible fallback cost the experiments measure.
+		att.release()
 		mw.observe(att.event(PhaseAborted, att.res.Rounds, fmt.Errorf(
 			"hpcm: precopy did not converge after %d rounds: falling back to stop-and-copy", att.res.Rounds)))
-		return true, c.migrate(label, att.sig)
+		return true, c.migrate(label, att.sig, nil)
 	}
-	return true, c.freezeLive(label, att)
-}
 
-// freezeLive is the live path's commit sequence, run at the poll-point
-// where the process freezes: ship the residual dirty pages, then the
-// classic execution-state transfer minus the paged region the destination
-// already holds. The window from here to the destination's resume is the
-// migration's downtime.
-func (c *Context) freezeLive(label string, att *liveAttempt) error {
-	p := c.proc
-	mw := p.mw
-	clock := mw.clock
-	inter := att.inter
-
-	rec := att.rec
-	rec.Label = label
-	rec.FreezeAt = clock.Now()
-	rec.PrecopyRounds = att.res.Rounds
-
-	event := func(phase string, err error) MigrationEvent {
-		return MigrationEvent{
-			Proc: p.name, From: rec.From, To: rec.To,
-			Label: label, Phase: phase, Err: err,
-		}
-	}
-	abort := func(phase string, err error) error {
-		mf := &MigrationFailure{
-			From: rec.From, To: rec.To, Label: label, Phase: phase, Err: err,
-		}
-		mw.observe(event(PhaseAborted, mf))
-		return mf
-	}
-	mw.observe(event(PhaseFreeze, nil))
+	// Converged: the process freezes at this poll-point. The window from
+	// here to the destination's resume is the migration's downtime.
+	att.rec.Label = label
+	att.rec.FreezeAt = mw.clock.Now()
+	att.rec.PrecopyRounds = att.res.Rounds
+	mw.observe(att.event(PhaseFreeze, 0, nil))
 
 	// Residual dirty pages: applying the freeze batch completes the region.
 	// Every residual page was already shipped in an earlier round, so it
 	// counts as resent alongside the driver's rounds 2..N.
 	ids, parts, _ := att.pages.Snapshot(att.res.ShippedGen)
-	rec.PagesResent = att.res.PagesResent + len(ids)
+	att.rec.PagesResent = att.res.PagesResent + len(ids)
 	meta := livemig.BatchMeta{
 		Round:     att.res.Rounds + 1,
 		PageIDs:   ids,
@@ -243,65 +132,13 @@ func (c *Context) freezeLive(label string, att *liveAttempt) error {
 		Total:     att.pages.Len(),
 		Final:     true,
 	}
-	if err := att.send(meta, parts); err != nil {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: residual page transfer: %w", err))
+	if err := att.sendBatch(meta, parts); err != nil {
+		return true, mw.abort(att, PhaseFreeze, 0, fmt.Errorf("hpcm: residual page transfer: %w", err))
 	}
-
-	eager, lazy, err := c.state.collect(att.pagesName)
-	if err != nil {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: state collection: %w", err))
+	if err := c.collectState(att); err != nil {
+		return true, mw.abort(att, PhaseFreeze, 0, err)
 	}
-	hdr := header{Label: label, PagesName: att.pagesName}
-	sortLazyNames(&hdr, lazy)
-	for _, name := range hdr.LazyNames {
-		rec.LazyBytes += int64(len(lazy[name]))
-	}
-	for _, data := range eager {
-		rec.EagerBytes += int64(len(data))
-	}
-
-	p.mu.Lock()
-	oldHP := p.hostProc
-	p.mu.Unlock()
-
-	if pending := p.pendingBytes(); pending > 0 {
-		rec.CommBytes = pending
-		if err := mw.universe.Transport().Send(c.env.Host, rec.To, pending); err != nil {
-			return abort(PhaseFreeze, fmt.Errorf("hpcm: communication state transfer: %w", err))
-		}
-	}
-	if err := inter.Send(hdr, 0, tagHeader); err != nil {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: execution state transfer: %w", err))
-	}
-	if err := inter.Send(eager, 0, tagEager); err != nil {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: eager state transfer: %w", err))
-	}
-	var resumed resumeStatus
-	if _, err := inter.Recv(&resumed, 0, tagResumed); err != nil {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: resume handshake: %w", err))
-	}
-	if !resumed.OK {
-		return abort(PhaseFreeze, fmt.Errorf("hpcm: destination %q failed to initialize: %s", rec.To, resumed.Err))
-	}
-	rec.ResumeAt = clock.Now()
-
-	// Commit: identical bookkeeping to the classic path, plus the live
-	// histograms.
-	p.mu.Lock()
-	p.records = append(p.records, rec)
-	recIdx := len(p.records) - 1
-	p.migrs++
-	p.mu.Unlock()
-	select {
-	case p.events <- rec:
-	default:
-	}
-	mw.metrics.Histogram(MetricDowntimeSeconds).Observe(rec.Downtime().Seconds())
-	mw.metrics.Histogram(MetricPrecopyRounds).Observe(float64(rec.PrecopyRounds))
-	mw.metrics.Histogram(MetricPagesResent).Observe(float64(rec.PagesResent))
-	mw.observe(event(PhaseResume, nil))
-
-	return c.completeMigration(inter, oldHP, hdr, lazy, recIdx, event)
+	return true, c.handover(att, PhaseFreeze)
 }
 
 // cancelLive stops an in-flight live attempt, if any: the driver quits at
@@ -321,18 +158,18 @@ func (p *Process) cancelLive() {
 	case <-att.done:
 		// The driver already finished and nobody will poll the result: tell
 		// the destination ourselves.
-		_ = att.sendCancel() //lint:allow discardederr best-effort release during teardown; the process is exiting
+		att.release()
 	default:
 		// The driver goroutine observes the stop and sends the cancel.
 	}
 }
 
-// bootstrapLive is the live path's initialized process: it assembles the
-// paged region from precopy batches (each a BatchMeta plus one multi-part
-// raw page message) until the freeze batch completes it, then runs the
-// classic resume with the region pre-restored. A cancel batch — fallback,
-// or the source giving up — discards everything.
-func (p *Process) bootstrapLive(env *mpi.Env, parent *mpi.Comm) error {
+// receivePages is the destination side of the precopy prefix: it assembles
+// the paged region from batches (each a BatchMeta plus one multi-part raw
+// page message) until the freeze batch completes it. A cancel batch —
+// fallback, or the source giving up — discards everything and returns a nil
+// region.
+func receivePages(parent *mpi.Comm) ([]byte, error) {
 	var (
 		image     []byte
 		pageBytes int
@@ -340,10 +177,10 @@ func (p *Process) bootstrapLive(env *mpi.Env, parent *mpi.Comm) error {
 	for {
 		var meta livemig.BatchMeta
 		if _, err := parent.Recv(&meta, 0, tagPrecopy); err != nil {
-			return fmt.Errorf("hpcm: receive precopy batch: %w", err)
+			return nil, fmt.Errorf("hpcm: receive precopy batch: %w", err)
 		}
 		if meta.Cancel {
-			return nil
+			return nil, nil
 		}
 		if image == nil {
 			image = make([]byte, meta.Total)
@@ -352,20 +189,19 @@ func (p *Process) bootstrapLive(env *mpi.Env, parent *mpi.Comm) error {
 		if len(meta.PageIDs) > 0 {
 			var parts [][]byte
 			if _, err := parent.Recv(&parts, 0, tagPrecopy); err != nil {
-				return fmt.Errorf("hpcm: receive precopy pages: %w", err)
+				return nil, fmt.Errorf("hpcm: receive precopy pages: %w", err)
 			}
 			for k, id := range meta.PageIDs {
 				if k >= len(parts) || id < 0 || id*pageBytes >= len(image) {
-					return fmt.Errorf("hpcm: malformed precopy batch: page %d of %d-byte region", id, len(image))
+					return nil, fmt.Errorf("hpcm: malformed precopy batch: page %d of %d-byte region", id, len(image))
 				}
 				copy(image[id*pageBytes:], parts[k])
 			}
 		}
 		if meta.Final {
-			break
+			return image, nil
 		}
 	}
-	return p.bootstrapResume(env, parent, image)
 }
 
 // sortLazyNames fills the header's lazy inventory smallest-first: the

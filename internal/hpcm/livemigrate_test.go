@@ -223,7 +223,15 @@ func (t *latchTransport) Send(from, to string, bytes int64) error {
 	return t.inner.Send(from, to, bytes)
 }
 
-func TestLiveFallbackRunsClassicMigration(t *testing.T) {
+func TestLiveFallbackRunsClassicMigration(t *testing.T) { runLiveFallback(t, false) }
+
+// TestLiveFallbackAfterConsumingPreInit: the non-converging attempt took the
+// destination's pre-initialized process, so the cancel must release that
+// process (it speaks the precopy prefix like any initialized process) and
+// the fallback must create its own destination.
+func TestLiveFallbackAfterConsumingPreInit(t *testing.T) { runLiveFallback(t, true) }
+
+func runLiveFallback(t *testing.T, preinit bool) {
 	const stages, dirty = 5, 2
 	latch := &latchTransport{
 		armed:   true,
@@ -240,6 +248,11 @@ func TestLiveFallbackRunsClassicMigration(t *testing.T) {
 	p, err := mw.Start("app", "ws1", pagedMain(stages, dirty, gate, &sum, &mu))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if preinit {
+		if err := p.PreInit("ws2"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p.Signal(Command{DestHost: "ws2"})
 	gate <- struct{}{} // stage 1: poll consumes the command, precopy starts
@@ -284,6 +297,20 @@ func TestLiveFallbackRunsClassicMigration(t *testing.T) {
 	}
 	if _, ok := log.find(PhaseResume); !ok {
 		t.Fatalf("classic migration never resumed: %v", log.phases())
+	}
+	if len(p.PreInited()) != 0 {
+		t.Fatalf("pre-initialized process not consumed: %v", p.PreInited())
+	}
+	// Every initialized process — the cancelled one included — has exited.
+	drained := make(chan struct{})
+	go func() {
+		mw.universe.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled destination never released")
 	}
 }
 
@@ -423,5 +450,92 @@ func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 	case <-p.Done():
 	default:
 		t.Fatal("process did not settle")
+	}
+}
+
+// TestLiveMigrationConnectsToPreInit: the initialized process learns from
+// its first message whether pages precede the execution state, so a live
+// migration uses a waiting pre-initialized process like a classic one does.
+// The spawn latency is huge: paying it would push InitDone >= 2s out.
+func TestLiveMigrationConnectsToPreInit(t *testing.T) {
+	const stages, dirty = 400, 2
+	mw, _ := newMW(t, &testBinder{}, 2*time.Second)
+	mw.live = &livemig.Config{}
+	var sum float64
+	var mu sync.Mutex
+	p, err := mw.Start("app", "ws1", pagedMain(stages, dirty, nil, &sum, &mu))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PreInit("ws2"); err != nil {
+		t.Fatal(err)
+	}
+	p.Signal(Command{DestHost: "ws2"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Migrations() != 1 || p.Host() != "ws2" {
+		t.Fatalf("migrations=%d host=%s", p.Migrations(), p.Host())
+	}
+	rec := p.Records()[0]
+	if rec.FreezeAt.IsZero() || rec.PrecopyRounds < 1 {
+		t.Fatalf("not a live migration: %+v", rec)
+	}
+	if init := rec.InitDone.Sub(rec.PollPointAt); init >= 1500*time.Millisecond {
+		t.Fatalf("init took %v despite pre-initialization (spawn latency paid)", init)
+	}
+	if len(p.PreInited()) != 0 {
+		t.Fatal("pre-initialized process not consumed")
+	}
+	mu.Lock()
+	got := sum
+	mu.Unlock()
+	if want := expectedPagedSum(stages, dirty); got != want {
+		t.Fatalf("checksum = %v, want %v", got, want)
+	}
+}
+
+// TestResumeRefusalAbortsInThePathsOwnPhase: the destination refusing the
+// resume handshake (Attach fails on "bad*" hosts) is the last pre-commit
+// failure of the one handover; the phase it reports is what tells the two
+// paths apart — init for stop-and-copy, freeze after precopy.
+func TestResumeRefusalAbortsInThePathsOwnPhase(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		live  *livemig.Config
+		phase string
+	}{
+		{"stop-and-copy", nil, PhaseInit},
+		{"live", &livemig.Config{}, PhaseFreeze},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &phaseLog{}
+			mw, _ := newLiveMW(t, nil, tc.live, log.observe)
+			var sum float64
+			var mu sync.Mutex
+			p, err := mw.Start("app", "ws1", pagedMain(400, 2, nil, &sum, &mu))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Signal(Command{DestHost: "badhost"})
+			var mf *MigrationFailure
+			if err := p.Wait(); !errors.As(err, &mf) {
+				t.Fatalf("Wait = %v, want *MigrationFailure", err)
+			}
+			if mf.Committed || mf.Phase != tc.phase || !strings.Contains(mf.Error(), "failed to initialize") {
+				t.Fatalf("failure = %+v", mf)
+			}
+			ab, ok := log.find(PhaseAborted)
+			var evMF *MigrationFailure
+			if !ok || ab.Round != 0 || !errors.As(ab.Err, &evMF) || evMF != mf {
+				t.Fatalf("aborted event = %+v (ok=%v), want the returned failure", ab, ok)
+			}
+			if _, ok := log.find(PhaseResume); ok {
+				t.Fatalf("refused migration resumed: %v", log.phases())
+			}
+			if p.Migrations() != 0 {
+				t.Fatalf("migrations = %d", p.Migrations())
+			}
+		})
 	}
 }

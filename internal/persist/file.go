@@ -128,8 +128,11 @@ func (s *FileStore) recoverSnapshot() error {
 	// The snapshot is replaced by atomic rename, so unlike the log tail a
 	// short or mismatched frame here is corruption, not a crash artifact.
 	payload, n, err := readFrame(b, 0)
-	if err != nil || n != int64(len(b)) {
-		return fmt.Errorf("persist: corrupt snapshot: %v", err)
+	if err != nil {
+		return fmt.Errorf("persist: corrupt snapshot: %w", err)
+	}
+	if n != int64(len(b)) {
+		return fmt.Errorf("persist: corrupt snapshot: %d-byte frame in a %d-byte file", n, len(b))
 	}
 	if err := json.Unmarshal(payload, &s.snap); err != nil {
 		return fmt.Errorf("persist: corrupt snapshot: %w", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -148,6 +149,50 @@ func TestLiveTruncateTailMatchesReopen(t *testing.T) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatalf("close: %v", err)
+		}
+	}
+}
+
+// TestDamagedSnapshotRejectedLoudly covers the snapshot file, which — unlike
+// the log tail — is replaced by atomic rename, so any damage is corruption,
+// never a crash artifact: a torn file and an intact frame followed by stray
+// bytes must both refuse to open, and the error must say what is wrong.
+func TestDamagedSnapshotRejectedLoudly(t *testing.T) {
+	master := t.TempDir()
+	s, err := OpenFileStore(master, FileConfig{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := s.Append(0, "kind", []byte("payload")); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := s.WriteSnapshot(0, Snapshot{Seq: 1, Data: []byte(`{"state":1}`)}); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	full, err := os.ReadFile(filepath.Join(master, snapshotName))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"torn", errShortFrame.Error(), full[:len(full)-3]},
+		{"trailing bytes", fmt.Sprintf("%d-byte frame in a %d-byte file", len(full), len(full)+2), append(append([]byte(nil), full...), 0, 0)},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), tc.file, 0o644); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		_, err := OpenFileStore(dir, FileConfig{})
+		if err == nil {
+			t.Fatalf("%s: damaged snapshot opened", tc.name)
+		}
+		if !strings.Contains(err.Error(), "corrupt snapshot") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name the damage (%q)", tc.name, err, tc.want)
 		}
 	}
 }

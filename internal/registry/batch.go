@@ -21,7 +21,7 @@ func (r *Registry) ReportStatusBatch(reports []proto.HostStatus) error {
 	var errs []error
 	applied := reports[:0:0]
 	for _, rep := range reports {
-		if err := r.applyStatusLocked(rep.Host, rep.Status); err != nil {
+		if err := r.applyLocked(&recHostStatus{Host: rep.Host, Status: rep.Status, At: r.clock.Now()}); err != nil {
 			errs = append(errs, err)
 			continue
 		}

@@ -80,7 +80,7 @@ func (g *GangReservation) Commit() error {
 	if len(lost) > 0 {
 		// Resolve the reservation as aborted in the durable log (unless a
 		// bootstrap's presumed abort already did).
-		_ = r.resolveGangLocked(g.id, false)
+		_ = r.applyLocked(&recGangResolve{ID: g.id})
 		sort.Strings(lost)
 		return fmt.Errorf("%w: %v", ErrReservationLost, lost)
 	}
@@ -88,26 +88,9 @@ func (g *GangReservation) Commit() error {
 	// deposed primary's append fails with persist.ErrFenced here, which is
 	// what keeps a promoted standby (that presumed this reservation
 	// aborted) from ever seeing the same gang admitted twice.
-	if err := r.resolveGangLocked(g.id, true); err != nil {
+	if err := r.applyLocked(&recGangResolve{ID: g.id, Commit: true}); err != nil {
 		return fmt.Errorf("registry: gang commit rejected: %w", err)
 	}
-	return nil
-}
-
-// resolveGangLocked durably resolves reservation id (commit or abort) and
-// drops it from the unresolved set. A reservation the durable state no
-// longer tracks — already resolved by presumed abort — is a no-op.
-func (r *Registry) resolveGangLocked(id uint64, commit bool) error {
-	if id == 0 {
-		return nil
-	}
-	if _, ok := r.gangs[id]; !ok {
-		return nil
-	}
-	if err := r.appendLocked(recKindGangResolve, recGangResolve{ID: id, Commit: commit}); err != nil {
-		return err
-	}
-	delete(r.gangs, id)
 	return nil
 }
 
@@ -123,7 +106,7 @@ func (g *GangReservation) Abort() {
 	g.r.releaseLocked(g)
 	// A fenced abort still aborts: the promoted standby's presumed abort
 	// already resolved the reservation durably.
-	_ = g.r.resolveGangLocked(g.id, false)
+	_ = g.r.applyLocked(&recGangResolve{ID: g.id})
 }
 
 // releaseLocked drops every reservation mark still pointing at g.
@@ -209,12 +192,10 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 func (r *Registry) reserveGangLocked(g *GangReservation) bool {
 	if r.store != nil {
 		id := r.gangSeq + 1
-		if err := r.appendLocked(recKindGangReserve, recGangReserve{ID: id, Hosts: g.hosts}); err != nil {
+		if err := r.applyLocked(&recGangReserve{ID: id, Hosts: g.hosts}); err != nil {
 			return false
 		}
-		r.gangSeq = id
 		g.id = id
-		r.gangs[id] = append([]string(nil), g.hosts...)
 	}
 	for _, h := range g.hosts {
 		r.reserved[h] = g

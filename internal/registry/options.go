@@ -15,8 +15,7 @@ import (
 // onto one Config field; see Config for semantics and defaults.
 type Option func(*Config)
 
-// NewRegistry creates a registry/scheduler from functional options. It is
-// the only constructor.
+// NewRegistry creates a registry/scheduler from functional options.
 func NewRegistry(opts ...Option) *Registry {
 	var cfg Config
 	for _, o := range opts {

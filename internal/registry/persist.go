@@ -284,58 +284,75 @@ func (r *Registry) resetStateLocked() {
 func (r *Registry) bootstrapLocked() error {
 	r.resetStateLocked()
 	r.lastApplied = 0
-	r.replaying = true
-	snap, ok, err := r.store.LoadSnapshot()
+	if err := r.catchUpLocked(r.store); err != nil {
+		return err
+	}
+	return r.presumeAbortLocked()
+}
+
+// catchUpLocked brings the state up to store's tail: the latest snapshot
+// when it is ahead of this registry's position (always, for a bootstrap; for
+// a standby, when the primary compacted records it has not applied — skipping
+// the gap silently would lose them), then every record after it.
+func (r *Registry) catchUpLocked(store persist.Store) error {
+	snap, ok, err := store.LoadSnapshot()
 	if err != nil {
-		r.replaying = false
 		return fmt.Errorf("registry: load snapshot: %w", err)
 	}
-	if ok {
+	if ok && snap.Seq > r.lastApplied {
 		if err := r.restoreStateLocked(snap.Data); err != nil {
-			r.replaying = false
 			return err
 		}
 		r.lastApplied = snap.Seq
 		r.lastSnap = snap.Seq
 	}
-	recs, err := r.store.ReadSince(r.lastApplied)
+	recs, err := store.ReadSince(r.lastApplied)
 	if err != nil {
-		r.replaying = false
 		return fmt.Errorf("registry: read log suffix: %w", err)
 	}
+	r.replaying = true
+	defer func() { r.replaying = false }()
 	for _, rec := range recs {
-		if err := r.applyRecordLocked(rec); err != nil {
-			r.replaying = false
-			return err
+		p := newPayload(rec.Kind)
+		if p == nil {
+			return fmt.Errorf("registry: replay: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
+		}
+		if err := json.Unmarshal(rec.Data, p); err != nil {
+			return replayErr(rec, err)
+		}
+		if err := r.applyLocked(p); err != nil {
+			return replayErr(rec, err)
 		}
 		r.lastApplied = rec.Seq
 	}
-	r.replaying = false
-	// Presumed abort: reservations with no resolution were held by the
-	// crashed incarnation. Resolve them durably so a standby replaying the
-	// same log reaches the same conclusion.
-	if len(r.gangs) > 0 {
-		ids := make([]uint64, 0, len(r.gangs))
-		for id := range r.gangs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if err := r.appendLocked(recKindGangResolve, recGangResolve{ID: id}); err != nil {
-				return err
-			}
-			delete(r.gangs, id)
+	return nil
+}
+
+// presumeAbortLocked durably aborts every reservation the log leaves
+// unresolved: it was held by the crashed (or deposed) incarnation. The
+// resolution is journalled so a standby replaying the same log reaches the
+// same conclusion.
+func (r *Registry) presumeAbortLocked() error {
+	ids := make([]uint64, 0, len(r.gangs))
+	for id := range r.gangs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if err := r.applyLocked(&recGangResolve{ID: id}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// restoreStateLocked loads a snapshot document.
+// restoreStateLocked replaces the protocol state with a snapshot document.
 func (r *Registry) restoreStateLocked(data []byte) error {
 	var st persistedState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("registry: decode snapshot: %w", err)
 	}
+	r.resetStateLocked()
 	r.regSeq = st.RegSeq
 	r.domSeq = st.DomSeq
 	r.gangSeq = st.GangSeq
@@ -376,14 +393,43 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 	return nil
 }
 
-// applyRecordLocked replays one change record against the in-memory state,
-// mirroring exactly what the mutation method did when it appended it.
-func (r *Registry) applyRecordLocked(rec persist.Record) error {
-	switch rec.Kind {
+// newPayload returns an empty payload of the type a change-record kind
+// carries, or nil for a kind this registry does not know.
+func newPayload(kind string) any {
+	switch kind {
 	case recKindHostRegister:
-		var p recHostRegister
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
+		return new(recHostRegister)
+	case recKindHostStatus:
+		return new(recHostStatus)
+	case recKindHostUnregister:
+		return new(recHostUnregister)
+	case recKindProcRegister:
+		return new(recProcRegister)
+	case recKindProcExit:
+		return new(recProcExit)
+	case recKindDomainHealth:
+		return new(recDomainHealth)
+	case recKindGangReserve:
+		return new(recGangReserve)
+	case recKindGangResolve:
+		return new(recGangResolve)
+	}
+	return nil
+}
+
+// applyLocked is the one place protocol state moves. Given a change-record
+// payload it checks the payload against the current state, journals it
+// (appendLocked: nothing without a store, nothing while replaying), and only
+// then mutates. The public mutation methods call it with a payload they just
+// built and add their runtime-only effects (gauges, reservation marks, the
+// child pointer, the scheduling decision); bootstrap and the standby call it
+// with a payload decoded from the log. A withdrawal of something already gone
+// is a no-op and is not journalled. The caller holds r.mu.
+func (r *Registry) applyLocked(payload any) error {
+	switch p := payload.(type) {
+	case *recHostRegister:
+		if err := r.appendLocked(recKindHostRegister, p); err != nil {
+			return err
 		}
 		e, ok := r.hosts[p.Host]
 		if !ok {
@@ -399,30 +445,28 @@ func (r *Registry) applyRecordLocked(rec persist.Record) error {
 		e.info.Name = p.Host
 		e.info.Static = p.Static
 		e.info.LastSeen = p.At
-	case recKindHostStatus:
-		var p recHostStatus
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
-		}
+	case *recHostStatus:
 		e, ok := r.hosts[p.Host]
 		if !ok {
-			return replayErr(rec, fmt.Errorf("status for unknown host %q", p.Host))
+			return fmt.Errorf("registry: status from unregistered host %q", p.Host)
 		}
 		state, err := rules.ParseState(p.Status.State)
 		if err != nil {
-			return replayErr(rec, err)
+			return err
+		}
+		if err := r.appendLocked(recKindHostStatus, p); err != nil {
+			return err
 		}
 		e.info.Status = p.Status
 		r.setStateLocked(e, state)
 		e.info.LastSeen = p.At
-	case recKindHostUnregister:
-		var p recHostUnregister
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
-		}
+	case *recHostUnregister:
 		e, ok := r.hosts[p.Host]
 		if !ok {
 			return nil
+		}
+		if err := r.appendLocked(recKindHostUnregister, p); err != nil {
+			return err
 		}
 		delete(r.hosts, p.Host)
 		r.order = removeOrdered(r.order, e)
@@ -431,18 +475,20 @@ func (r *Registry) applyRecordLocked(rec persist.Record) error {
 			delete(r.procs, procKey{p.Host, pid})
 		}
 		delete(r.hostProcs, p.Host)
-	case recKindProcRegister:
-		var p recProcRegister
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
-		}
+	case *recProcRegister:
 		var sch *schema.Schema
 		if p.Info.SchemaXML != "" {
 			parsed, err := schema.Unmarshal([]byte(p.Info.SchemaXML))
 			if err != nil {
-				return replayErr(rec, err)
+				return fmt.Errorf("registry: process schema: %w", err)
 			}
 			sch = parsed
+		}
+		if _, ok := r.hosts[p.Host]; !ok {
+			return fmt.Errorf("registry: process from unregistered host %q", p.Host)
+		}
+		if err := r.appendLocked(recKindProcRegister, p); err != nil {
+			return err
 		}
 		pi := &ProcInfo{
 			Host:      p.Host,
@@ -457,17 +503,18 @@ func (r *Registry) applyRecordLocked(rec persist.Record) error {
 			r.hostProcs[p.Host] = make(map[int]*ProcInfo)
 		}
 		r.hostProcs[p.Host][p.Info.PID] = pi
-	case recKindProcExit:
-		var p recProcExit
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
+	case *recProcExit:
+		if _, ok := r.procs[procKey{p.Host, p.PID}]; !ok {
+			return nil
+		}
+		if err := r.appendLocked(recKindProcExit, p); err != nil {
+			return err
 		}
 		delete(r.procs, procKey{p.Host, p.PID})
 		delete(r.hostProcs[p.Host], p.PID)
-	case recKindDomainHealth:
-		var p recDomainHealth
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
+	case *recDomainHealth:
+		if err := r.appendLocked(recKindDomainHealth, p); err != nil {
+			return err
 		}
 		d, ok := r.domains[p.Name]
 		if !ok {
@@ -478,21 +525,25 @@ func (r *Registry) applyRecordLocked(rec persist.Record) error {
 		}
 		d.health = p.Health
 		d.lastSeen = p.At
-	case recKindGangReserve:
-		var p recGangReserve
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
+	case *recGangReserve:
+		if err := r.appendLocked(recKindGangReserve, p); err != nil {
+			return err
 		}
 		r.gangSeq = p.ID
 		r.gangs[p.ID] = append([]string(nil), p.Hosts...)
-	case recKindGangResolve:
-		var p recGangResolve
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return replayErr(rec, err)
+	case *recGangResolve:
+		// A reservation the durable state no longer tracks — already resolved
+		// by presumed abort, or never journalled (no store) — has nothing to
+		// resolve.
+		if _, ok := r.gangs[p.ID]; !ok {
+			return nil
+		}
+		if err := r.appendLocked(recKindGangResolve, p); err != nil {
+			return err
 		}
 		delete(r.gangs, p.ID)
 	default:
-		return fmt.Errorf("registry: replay: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
+		return fmt.Errorf("registry: no apply for change record %T", payload)
 	}
 	return nil
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,41 +114,216 @@ func TestWarmStartFromExistingStore(t *testing.T) {
 	}
 }
 
+// copyStore rebuilds a MemStore holding src's snapshot and log suffix, so a
+// test can bootstrap from the primary's records without the bootstrap's own
+// appends (presumed abort) reaching the primary's store.
+func copyStore(t *testing.T, src persist.Store) *persist.MemStore {
+	t.Helper()
+	cp := persist.NewMemStore()
+	snap, ok, err := src.LoadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		if err := cp.WriteSnapshot(0, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := src.ReadSince(snap.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if seq, err := cp.Append(0, rec.Kind, rec.Data); err != nil || seq != rec.Seq {
+			t.Fatalf("copy record %d: seq %d err %v", rec.Seq, seq, err)
+		}
+	}
+	return cp
+}
+
+// TestSnapshotCompactionKeepsBootstrapEquivalent drives every change-record
+// kind through the public mutation methods and checks, after each step, that
+// the three consumers of a record agree: the live registry that journalled
+// it, a fresh bootstrap from the store, and a standby following the log —
+// across the snapshot compactions SnapshotEvery forces along the way.
 func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 	store := persist.NewMemStore()
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Store: store, SnapshotEvery: 10})
-	for i := 1; i <= 8; i++ {
-		if err := r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{}); err != nil {
+	sb, err := NewStandby(store, WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := newFromConfig(Config{Clock: clock})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 5; round++ {
-		clock.Advance(time.Second)
-		for i := 1; i <= 8; i++ {
-			if err := r.ReportStatus(fmt.Sprintf("ws%d", i), proto.Status{State: "busy"}); err != nil {
-				t.Fatal(err)
+	var g *GangReservation
+	reserve := func(hosts ...string) {
+		t.Helper()
+		var err error
+		if g, err = r.ReserveHosts(hosts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		name    string
+		pending bool // a reservation is unresolved after the step
+		do      func()
+	}{
+		{"register hosts", false, func() {
+			for i := 1; i <= 8; i++ {
+				must(r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{CPUSpeed: float64(i)}))
 			}
+		}},
+		{"status", false, func() { must(r.ReportStatus("ws2", proto.Status{State: "busy", Load1: 1.5})) }},
+		{"re-register known host", false, func() { must(r.RegisterHost("ws2", proto.StaticInfo{CPUSpeed: 9})) }},
+		{"register processes", false, func() {
+			must(r.RegisterProcess("ws1", proto.ProcessInfo{PID: 11, Name: "plain", Start: 7}))
+			must(r.RegisterProcess("ws3", proto.ProcessInfo{PID: 31, Name: "test_tree", Start: 9, SchemaXML: testTreeXML(t)}))
+		}},
+		{"process exit", false, func() {
+			must(r.ProcessExit("ws1", 11))
+			must(r.ProcessExit("ws1", 11)) // already gone: no record
+		}},
+		{"new domain", false, func() { r.ReportDomainHealth("east", child, Health{Hosts: 2, Free: 1}) }},
+		{"known domain", false, func() { r.ReportDomainHealth("east", child, Health{Hosts: 2, Busy: 2}) }},
+		{"reserve", true, func() { reserve("ws3", "ws4") }},
+		{"unregister host holding a process and a reservation", true, func() { must(r.UnregisterHost("ws3")) }},
+		{"commit of the poisoned reservation aborts", false, func() {
+			if err := g.Commit(); !errors.Is(err, ErrReservationLost) {
+				t.Fatalf("Commit = %v, want ErrReservationLost", err)
+			}
+		}},
+		{"reserve again", true, func() { reserve("ws1", "ws2") }},
+		{"commit", false, func() { must(g.Commit()) }},
+		{"reserve a third time", true, func() { reserve("ws4") }},
+		{"abort", false, func() { g.Abort() }},
+		{"status rounds across the snapshot cadence", false, func() {
+			for round := 0; round < 3; round++ {
+				clock.Advance(time.Second)
+				for _, h := range r.Hosts() {
+					must(r.ReportStatus(h.Name, proto.Status{State: "busy"}))
+				}
+			}
+		}},
+	}
+	kinds := map[string]bool{}
+	var seen uint64
+	for _, step := range steps {
+		step.do()
+		recs, err := store.ReadSince(seen)
+		must(err)
+		for _, rec := range recs {
+			kinds[rec.Kind] = true
+			seen = rec.Seq
+		}
+		live := r.StateDigest()
+		if _, err := sb.Sync(); err != nil {
+			t.Fatalf("%s: standby sync: %v", step.name, err)
+		}
+		if got := sb.Registry().StateDigest(); got != live {
+			t.Fatalf("%s: standby digest = %s, live %s", step.name, got, live)
+		}
+		if !step.pending {
+			if got := newFromConfig(Config{Clock: clock, Store: store}).StateDigest(); got != live {
+				t.Fatalf("%s: bootstrap digest = %s, live %s", step.name, got, live)
+			}
+			continue
+		}
+		// A bootstrap presumes the pending reservation aborted and journals
+		// that, so it runs on a copy of the records — and must reach the
+		// state a standby promoted over the same records reaches.
+		boot := newFromConfig(Config{Clock: clock, Store: copyStore(t, store)})
+		follower, err := NewStandby(copyStore(t, store), WithClock(clock))
+		must(err)
+		promoted, err := follower.Promote()
+		must(err)
+		if len(boot.gangs) != 0 || len(promoted.gangs) != 0 {
+			t.Fatalf("%s: reservations survived presumed abort: %v / %v", step.name, boot.gangs, promoted.gangs)
+		}
+		if b, p := boot.StateDigest(), promoted.StateDigest(); b != p || b == live {
+			t.Fatalf("%s: bootstrap digest %s, promoted %s, live (still pending) %s", step.name, b, p, live)
+		}
+	}
+	for _, kind := range recordKinds(t) {
+		if !kinds[kind] {
+			t.Errorf("no step journalled a %s record", kind)
 		}
 	}
 	if mreg.Counter(CtrPersistSnapshots).Value() == 0 {
 		t.Fatal("no snapshot written despite SnapshotEvery")
 	}
-	snap, ok, err := store.LoadSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("store snapshot: ok=%v err=%v", ok, err)
-	}
-	if recs, err := store.ReadSince(0); err != nil || len(recs) == 0 || recs[0].Seq <= snap.Seq-uint64(len(recs)) {
-		// Compaction happened: the log no longer starts at 1.
-		if err != nil {
-			t.Fatalf("ReadSince: %v", err)
-		}
+	if recs, err := store.ReadSince(0); err != nil || len(recs) == 0 || recs[0].Seq == 1 {
+		t.Fatalf("log not compacted behind the snapshot: %d records, err %v", len(recs), err)
 	}
 	digest := r.StateDigest()
 	r.Restart()
 	if got := r.StateDigest(); got != digest {
 		t.Fatalf("post-compaction recovery digest = %s, want %s", got, digest)
+	}
+}
+
+// recordKinds lists every recKind* constant persist.go declares, read from
+// the source so a kind added later cannot be left out of the checks here.
+func recordKinds(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "persist.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if !strings.HasPrefix(name.Name, "recKind") {
+				continue
+			}
+			kind, err := strconv.Unquote(spec.Values[i].(*ast.BasicLit).Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds = append(kinds, kind)
+		}
+		return false
+	})
+	if len(kinds) == 0 {
+		t.Fatal("no recKind* constants found in persist.go")
+	}
+	return kinds
+}
+
+// TestEveryRecordKindHasOneApply is the guard on the replay switch: each
+// declared kind decodes to a payload applyLocked knows, and a kind (or
+// payload) nobody declared is refused rather than skipped.
+func TestEveryRecordKindHasOneApply(t *testing.T) {
+	for _, kind := range recordKinds(t) {
+		p := newPayload(kind)
+		if p == nil {
+			t.Fatalf("%s: no payload type", kind)
+		}
+		r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+		if err := r.applyLocked(p); err != nil && strings.Contains(err.Error(), "no apply") {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+	if err := r.applyLocked(&struct{}{}); err == nil || !strings.Contains(err.Error(), "no apply") {
+		t.Fatalf("apply of an undeclared payload = %v", err)
+	}
+	store := persist.NewMemStore()
+	if _, err := store.Append(0, "made-up", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.catchUpLocked(store); err == nil || !strings.Contains(err.Error(), `unknown record kind "made-up"`) {
+		t.Fatalf("replay of an undeclared kind = %v", err)
 	}
 }
 

@@ -221,8 +221,7 @@ type Registry struct {
 }
 
 // newFromConfig creates a registry/scheduler from an assembled Config,
-// applying defaults. NewRegistry is the public constructor; the former
-// exported Config-style New is gone.
+// applying defaults.
 func newFromConfig(cfg Config) *Registry {
 	if cfg.Name == "" {
 		cfg.Name = "registry"
@@ -327,24 +326,9 @@ func (r *Registry) RegisterHost(host string, static proto.StaticInfo) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clock.Now()
-	if err := r.appendLocked(recKindHostRegister, recHostRegister{Host: host, Static: static, At: now}); err != nil {
+	if err := r.applyLocked(&recHostRegister{Host: host, Static: static, At: r.clock.Now()}); err != nil {
 		return err
 	}
-	e, ok := r.hosts[host]
-	if !ok {
-		r.regSeq++
-		e = &hostEntry{regOrder: r.regSeq}
-		e.info.State = rules.Free
-		r.hosts[host] = e
-		r.order = append(r.order, e)
-		r.sets[rules.Free] = insertOrdered(r.sets[rules.Free], e)
-	} else {
-		r.setStateLocked(e, rules.Free)
-	}
-	e.info.Name = host
-	e.info.Static = static
-	e.info.LastSeen = now
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
 	return nil
 }
@@ -354,7 +338,7 @@ func (r *Registry) RegisterHost(host string, static proto.StaticInfo) error {
 // runs the scheduling decision.
 func (r *Registry) ReportStatus(host string, status proto.Status) error {
 	r.mu.Lock()
-	if err := r.applyStatusLocked(host, status); err != nil {
+	if err := r.applyLocked(&recHostStatus{Host: host, Status: status, At: r.clock.Now()}); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -367,26 +351,6 @@ func (r *Registry) ReportStatus(host string, status proto.Status) error {
 	if r.cfg.Commands != nil {
 		r.decide(host)
 	}
-	return nil
-}
-
-// applyStatusLocked applies one status refresh; the caller holds the lock.
-func (r *Registry) applyStatusLocked(host string, status proto.Status) error {
-	e, ok := r.hosts[host]
-	if !ok {
-		return fmt.Errorf("registry: status from unregistered host %q", host)
-	}
-	state, err := rules.ParseState(status.State)
-	if err != nil {
-		return err
-	}
-	now := r.clock.Now()
-	if err := r.appendLocked(recKindHostStatus, recHostStatus{Host: host, Status: status, At: now}); err != nil {
-		return err
-	}
-	e.info.Status = status
-	r.setStateLocked(e, state)
-	e.info.LastSeen = now
 	return nil
 }
 
@@ -448,16 +412,9 @@ func (r *Registry) Restart() {
 func (r *Registry) UnregisterHost(host string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.hosts[host]
-	if !ok {
-		return nil
-	}
-	if err := r.appendLocked(recKindHostUnregister, recHostUnregister{Host: host}); err != nil {
+	if err := r.applyLocked(&recHostUnregister{Host: host}); err != nil {
 		return err
 	}
-	delete(r.hosts, host)
-	r.order = removeOrdered(r.order, e)
-	r.sets[e.info.State] = removeOrdered(r.sets[e.info.State], e)
 	// A reservation holding this host can no longer launch its full gang:
 	// poison it (Commit fails, the admission rolls back) and drop the mark
 	// so the dead host leaves no orphaned lease behind.
@@ -465,10 +422,6 @@ func (r *Registry) UnregisterHost(host string) error {
 		g.lost = append(g.lost, host)
 		delete(r.reserved, host)
 	}
-	for pid := range r.hostProcs[host] {
-		delete(r.procs, procKey{host, pid})
-	}
-	delete(r.hostProcs, host)
 	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
 	return nil
 }
@@ -498,51 +451,16 @@ func (r *Registry) Hosts() []HostInfo {
 // RegisterProcess records a migration-enabled process and its application
 // schema (carried as XML, as on the wire).
 func (r *Registry) RegisterProcess(host string, info proto.ProcessInfo) error {
-	var sch *schema.Schema
-	if info.SchemaXML != "" {
-		parsed, err := schema.Unmarshal([]byte(info.SchemaXML))
-		if err != nil {
-			return fmt.Errorf("registry: process schema: %w", err)
-		}
-		sch = parsed
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.hosts[host]; !ok {
-		return fmt.Errorf("registry: process from unregistered host %q", host)
-	}
-	if err := r.appendLocked(recKindProcRegister, recProcRegister{Host: host, Info: info}); err != nil {
-		return err
-	}
-	p := &ProcInfo{
-		Host:      host,
-		PID:       info.PID,
-		Name:      info.Name,
-		Start:     time.Unix(0, info.Start),
-		Schema:    sch,
-		schemaXML: info.SchemaXML,
-	}
-	r.procs[procKey{host, info.PID}] = p
-	if r.hostProcs[host] == nil {
-		r.hostProcs[host] = make(map[int]*ProcInfo)
-	}
-	r.hostProcs[host][info.PID] = p
-	return nil
+	return r.applyLocked(&recProcRegister{Host: host, Info: info})
 }
 
 // ProcessExit withdraws a process.
 func (r *Registry) ProcessExit(host string, pid int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.procs[procKey{host, pid}]; !ok {
-		return nil
-	}
-	if err := r.appendLocked(recKindProcExit, recProcExit{Host: host, PID: pid}); err != nil {
-		return err
-	}
-	delete(r.procs, procKey{host, pid})
-	delete(r.hostProcs[host], pid)
-	return nil
+	return r.applyLocked(&recProcExit{Host: host, PID: pid})
 }
 
 // Processes returns a copy of the registered processes on a host, in PID

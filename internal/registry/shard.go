@@ -44,23 +44,13 @@ func (r *Registry) ReportDomainHealth(name string, child *Registry, h Health) {
 		return
 	}
 	r.mu.Lock()
-	now := r.clock.Now()
-	if err := r.appendLocked(recKindDomainHealth, recDomainHealth{Name: name, Health: h, At: now}); err != nil {
+	if err := r.applyLocked(&recDomainHealth{Name: name, Health: h, At: r.clock.Now()}); err != nil {
 		// A fenced parent is logically dead; dropping the attach is the
 		// correct refusal (the child will report to the promoted parent).
 		r.mu.Unlock()
 		return
 	}
-	d, ok := r.domains[name]
-	if !ok {
-		r.domSeq++
-		d = &domainEntry{name: name, regOrder: r.domSeq}
-		r.domains[name] = d
-		r.domainOrder = append(r.domainOrder, d)
-	}
-	d.child = child
-	d.health = h
-	d.lastSeen = now
+	r.domains[name].child = child
 	r.mu.Unlock()
 	r.ctr.healthReports.Inc()
 }

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 
 	"autoresched/internal/persist"
 )
@@ -16,10 +15,11 @@ import (
 // the primary left unresolved are presumed aborted by the promoted
 // registry, and the pair can therefore never admit the same gang twice.
 //
-// The shadow registry is passive while standing by: it is built without
-// Parent, Commands or Events side effects firing from replay (records are
-// applied structurally, not through the public mutation methods), and the
-// store is attached — making it the writing primary — only at Promote.
+// The shadow registry is passive while standing by: no Parent, Commands or
+// Events side effect fires from replay (records go through applyLocked, the
+// same state move the primary made, without the public methods' runtime
+// effects), and the store is attached — making it the writing primary — only
+// at Promote.
 type Standby struct {
 	store persist.Store
 	r     *Registry
@@ -50,34 +50,8 @@ func (s *Standby) Sync() (uint64, error) {
 	r := s.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap, ok, err := s.store.LoadSnapshot()
-	if err != nil {
-		return r.lastApplied, fmt.Errorf("registry: standby snapshot: %w", err)
-	}
-	if ok && snap.Seq > r.lastApplied {
-		// The primary compacted records we have not applied: restart from
-		// the snapshot rather than silently skipping the gap.
-		r.resetStateLocked()
-		if err := r.restoreStateLocked(snap.Data); err != nil {
-			return r.lastApplied, err
-		}
-		r.lastApplied = snap.Seq
-		r.lastSnap = snap.Seq
-	}
-	recs, err := s.store.ReadSince(r.lastApplied)
-	if err != nil {
-		return r.lastApplied, fmt.Errorf("registry: standby catch-up: %w", err)
-	}
-	r.replaying = true
-	for _, rec := range recs {
-		if err := r.applyRecordLocked(rec); err != nil {
-			r.replaying = false
-			return r.lastApplied, err
-		}
-		r.lastApplied = rec.Seq
-	}
-	r.replaying = false
-	return r.lastApplied, nil
+	err := r.catchUpLocked(s.store)
+	return r.lastApplied, err
 }
 
 // Lag reports how many records the standby is behind the store's tail.
@@ -113,22 +87,11 @@ func (s *Standby) Promote() (*Registry, error) {
 	r.mu.Lock()
 	r.store = s.store
 	r.storeEpoch = epoch
-	var ev RestartEvent
-	if len(r.gangs) > 0 {
-		ids := make([]uint64, 0, len(r.gangs))
-		for id := range r.gangs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if err := r.appendLocked(recKindGangResolve, recGangResolve{ID: id}); err != nil {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("registry: promote: presumed abort: %w", err)
-			}
-			delete(r.gangs, id)
-		}
+	if err := r.presumeAbortLocked(); err != nil {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("registry: promote: presumed abort: %w", err)
 	}
-	ev = RestartEvent{
+	ev := RestartEvent{
 		At:        r.clock.Now(),
 		Recovered: true,
 		Seq:       r.lastApplied,
