@@ -66,10 +66,12 @@ ci: check
 	$(GO) run ./cmd/repro -exp fleet -seed 7 -runs 25
 	$(MAKE) benchguard
 
-# Two chaos runs with the same seed must print identical fault schedules
-# and counters (the deterministic section above `timings`).
+# Every chaos run must print the same fault schedules, trap and check lines,
+# counters and span counts: the deterministic section (above `timings`) is
+# diffed against the committed golden, and any difference fails.
 chaos: build
-	$(GO) run ./cmd/repro -exp chaos -seed 42
+	$(GO) run ./cmd/repro -exp chaos -seed 42 | awk '/^timings/{exit}{print}' \
+		| diff internal/experiments/testdata/chaos.txt -
 
 # The 64/256/512-host sweeps under churn (deterministic outcome section per
 # seed; the control-plane measurements below it are approximate).

@@ -45,8 +45,8 @@ func describeDefault(s State) string {
 // kindTier dispatches over the imported faults.Kind enum and forgets two
 // members.
 func kindTier(k faults.Kind) int {
-	switch k { // want `\[eventcase\] switch over faults\.Kind misses KindHeal, KindReviveHost; add the cases or an explicit default`
-	case faults.KindCrashHost, faults.KindRestartRegistry, faults.KindPartition:
+	switch k { // want `\[eventcase\] switch over faults\.Kind misses KindHeal, KindPartition; add the cases or an explicit default`
+	case faults.KindCrashHost, faults.KindRestartRegistry:
 		return 2
 	case faults.KindLinkFactor, faults.KindDropStatus, faults.KindDupStatus, faults.KindDelayStatus:
 		return 1

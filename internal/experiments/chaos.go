@@ -9,22 +9,25 @@ import (
 
 	"autoresched/internal/commander"
 	"autoresched/internal/core"
+	"autoresched/internal/events"
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
+	"autoresched/internal/jobs"
 	"autoresched/internal/livemig"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
+	"autoresched/internal/persist"
 	"autoresched/internal/registry"
-	"autoresched/internal/workload"
 )
 
-// ChaosConfig tunes the chaos experiment: a fixed set of seeded fault
-// scenarios runs the same checksummed tree computation on a four-host
-// cluster while the injector crashes hosts, partitions links, restarts the
-// registry and redelivers orders. Scale defaults higher than the figure
-// experiments because outcomes hinge on counts and protocol phases, not on
-// rate fidelity.
+// ChaosConfig tunes the chaos experiment: a fixed table of seeded fault
+// scenarios (chaosScenarios), each run on the one rig (runChaosScenario) —
+// a checksummed workload on a small cluster while the injector crashes
+// hosts, partitions links, restarts the registry, redelivers orders and
+// springs crashes at exact protocol phases. Scale defaults higher than the
+// figure experiments because outcomes hinge on counts and protocol phases,
+// not on rate fidelity.
 type ChaosConfig struct {
 	Params
 	// Scenarios selects a subset by name; empty runs all.
@@ -104,112 +107,173 @@ func counterValues(reg *metrics.Registry, names []string) map[string]int64 {
 	return out
 }
 
-const chaosApp = "test_tree"
-
+// chaosScenario is one entry of the chaos table: everything that differs
+// between two runs of the one rig (runChaosScenario).
 type chaosScenario struct {
 	name string
-	plan faults.Plan
+	// events is the fault plan, run through the rig's faults.Injector.
+	events []faults.Event
+	hosts  int
+	// bare leaves the cluster without monitors and skips the warm-up: the
+	// workload brings its own control plane (the malleability engine).
+	bare bool
+	// sys holds the core.Options this scenario chose — checkpoint, failover
+	// and dedup settings, Live, the job policy, a durable Store and its
+	// snapshot cadence; the rig supplies every other field. With a Store,
+	// each registry restart's typed payload goes to the check log.
+	sys  core.Options
+	load chaosWorkload
+	// spans is the metric prefix of the row's phase summaries.
+	spans string
+	// inflates marks a run of the baseline's workload, whose completion time
+	// is reported as inflation over the baseline's.
+	inflates bool
+	// drive, when set, runs between the start of the plan and the watch: a
+	// sequence that interleaves actions with assertions, which a fault plan
+	// cannot express (the standby drill).
+	drive func(*chaosRig) error
+	// check, when set, appends the scenario's post-run assertions to the
+	// check log once the workload has settled.
+	check func(*chaosRig)
 }
 
-// chaosScenarios is the fixed scenario set. Offsets are virtual seconds
-// after launch; the workload runs several hundred virtual seconds, so every
-// fault lands mid-computation. live appends the precopy-specific scenario,
-// which only makes sense when the live path is enabled.
-func chaosScenarios(live bool) []chaosScenario {
+// chaosWorkload is what a scenario runs under its faults. One value serves
+// one run.
+type chaosWorkload interface {
+	// launch starts the workload (or binds what the plan will submit) and
+	// binds it to the rig's injector under the names the plan uses.
+	launch(r *chaosRig) error
+	// settled is closed once the workload has finished, either way.
+	settled(r *chaosRig) <-chan struct{}
+	// putDown forces a workload that outlived the watchdog to settle; the
+	// rig repeats it until settled closes.
+	putDown(r *chaosRig)
+	// verify fills the row's outcome fields: Correct, FinalErr and whatever
+	// of Retries, FinalHost and Checkpoints the workload has.
+	verify(r *chaosRig, row *ChaosRow)
+}
+
+// chaosScenarios is the fixed scenario set, one table entry each; adding a
+// scenario is adding an entry (EXPERIMENTS.md, "Chaos"). Offsets are virtual
+// seconds after launch; every workload runs several hundred virtual seconds,
+// so every fault lands mid-computation. A non-nil live turns the tree
+// workload's migrations into iterative precopy and adds the
+// precopy-specific scenario, which only makes sense on that path.
+func chaosScenarios(live *livemig.Config) []chaosScenario {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
-	scenarios := []chaosScenario{
-		{"baseline", faults.Plan{Name: "baseline"}},
-		{"heartbeat-faults", faults.Plan{Name: "heartbeat-faults", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindDropStatus, Host: "ws2", Count: 2},
-			{After: at(45), Kind: faults.KindDupStatus, Host: "ws3", Count: 2},
-			{After: at(50), Kind: faults.KindDelayStatus, Host: "ws2", Count: 1, Delay: 2 * time.Second},
-		}}},
-		{"degraded-migration", faults.Plan{Name: "degraded-migration", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 0.25},
-			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
-			{After: at(150), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 1},
-		}}},
-		{"partition-abort", faults.Plan{Name: "partition-abort", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindPartition, Host: "ws1", Peer: "ws2"},
-			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
-			{After: at(150), Kind: faults.KindHeal, Host: "ws1", Peer: "ws2"},
-		}}},
-		{"crash-dest-mid-migration", faults.Plan{Name: "crash-dest-mid-migration", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseInit, Target: "dest"},
-			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
-		}}},
-		{"crash-source-post-commit", faults.Plan{Name: "crash-source-post-commit", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseResume, Target: "source"},
-			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
-		}}},
-		{"registry-restart", faults.Plan{Name: "registry-restart", Events: []faults.Event{
-			{After: at(60), Kind: faults.KindRestartRegistry},
-		}}},
-		{"duplicate-order", faults.Plan{Name: "duplicate-order", Events: []faults.Event{
-			{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2", Count: 3},
-		}}},
+	recovering := core.Options{
+		CheckpointEvery:  30 * time.Second,
+		FailoverRetries:  2,
+		OrderDedupWindow: 30 * time.Second,
 	}
-	if live {
+	// The checksummed tree computation on four monitored hosts, launched on
+	// ws1 and recovered from its last checkpoint on failure.
+	tree := func(name string, evs ...faults.Event) chaosScenario {
+		sys := recovering
+		sys.Live = live
+		return chaosScenario{name: name, events: evs, hosts: 4, sys: sys,
+			load: &treeLoad{paged: live != nil}, spans: "span/", inflates: true}
+	}
+	// An elastic Jacobi job on four of five hosts, driven by the
+	// malleability engine: the resize crash windows.
+	elastic := func(name string, evs ...faults.Event) chaosScenario {
+		return chaosScenario{name: name, events: evs, hosts: 5, bare: true,
+			load: &elasticLoad{}, spans: "malleable/"}
+	}
+	// The batch/express gang pair on three hosts under a preemptive policy:
+	// express finds one free host and must evict batch, which is the window
+	// the plans land their kills in. No failover budget: rank recovery is
+	// the job layer's business (requeue and rerun), which is what the
+	// scenarios assert survives.
+	gangs := func(name string, evs ...faults.Event) chaosScenario {
+		return chaosScenario{name: name, events: evs, hosts: 3,
+			sys:  core.Options{JobPolicy: jobs.PriorityPreemptive{}, SchedInterval: 2 * time.Second},
+			load: &gangLoad{}, spans: "span/"}
+	}
+	// The tree computation again (always stop-and-copy), with the registry
+	// journalling every mutation to a persist.MemStore, so a restart is a
+	// crash-consistent bootstrap instead of a soft-state drop.
+	durable := func(name string, evs ...faults.Event) chaosScenario {
+		sys := recovering
+		sys.Store, sys.SnapshotEvery = persist.NewMemStore(), 64
+		return chaosScenario{name: name, events: evs, hosts: 4, sys: sys,
+			load: &treeLoad{}, spans: "span/", inflates: true}
+	}
+
+	scenarios := []chaosScenario{
+		tree("baseline"),
+		tree("heartbeat-faults",
+			faults.Event{After: at(40), Kind: faults.KindDropStatus, Host: "ws2", Count: 2},
+			faults.Event{After: at(45), Kind: faults.KindDupStatus, Host: "ws3", Count: 2},
+			faults.Event{After: at(50), Kind: faults.KindDelayStatus, Host: "ws2", Count: 1, Delay: 2 * time.Second}),
+		tree("degraded-migration",
+			faults.Event{After: at(40), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 0.25},
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
+			faults.Event{After: at(150), Kind: faults.KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 1}),
+		tree("partition-abort",
+			faults.Event{After: at(40), Kind: faults.KindPartition, Host: "ws1", Peer: "ws2"},
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
+			faults.Event{After: at(150), Kind: faults.KindHeal, Host: "ws1", Peer: "ws2"}),
+		tree("crash-dest-mid-migration",
+			faults.Event{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseInit, Target: "dest"},
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"}),
+		tree("crash-source-post-commit",
+			faults.Event{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhaseResume, Target: "source"},
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"}),
+		tree("registry-restart",
+			faults.Event{After: at(60), Kind: faults.KindRestartRegistry}),
+		tree("duplicate-order",
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2", Count: 3}),
+	}
+	if live != nil {
 		// The destination dies after the first precopy round: the freeze (or
 		// next round) hits a dead host, the attempt aborts pre-commit, and
 		// the runtime falls back to checkpoint recovery.
-		scenarios = append(scenarios, chaosScenario{
-			"crash-dest-mid-precopy", faults.Plan{Name: "crash-dest-mid-precopy", Events: []faults.Event{
-				{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhasePrecopy, Round: 1, Target: "dest"},
-				{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"},
-			}},
-		})
+		scenarios = append(scenarios, tree("crash-dest-mid-precopy",
+			faults.Event{After: at(40), Kind: faults.KindCrashOnPhase, Proc: chaosApp, Phase: hpcm.PhasePrecopy, Round: 1, Target: "dest"},
+			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2"}))
 	}
-	// The resize-* scenarios run the malleability engine's crash windows
-	// against a dedicated elastic job (runMalleableChaosScenario). One kills
-	// a freshly spawned rank mid-expand, which must abort the resize cleanly
-	// back to the old world; the other kills a victim host mid-shrink after
-	// the drain, which must not stop the shrink from committing.
+	// One plan kills a freshly spawned rank mid-expand, which must abort the
+	// resize cleanly back to the old world; the other kills a victim host
+	// mid-shrink after the drain, which must not stop the shrink from
+	// committing.
 	scenarios = append(scenarios,
-		chaosScenario{"resize-crash-new-rank", faults.Plan{Name: "resize-crash-new-rank", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseSpawn, Target: "new"},
-			{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3", "ws4", "ws5"}},
-		}}},
-		chaosScenario{"resize-crash-victim", faults.Plan{Name: "resize-crash-victim", Events: []faults.Event{
-			{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseReshape, Target: "victim"},
-			{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3"}},
-		}}},
+		elastic("resize-crash-new-rank",
+			faults.Event{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseSpawn, Target: "new"},
+			faults.Event{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3", "ws4", "ws5"}}),
+		elastic("resize-crash-victim",
+			faults.Event{After: at(40), Kind: faults.KindCrashOnResizePhase, Phase: malleable.PhaseReshape, Target: "victim"},
+			faults.Event{After: at(60), Kind: faults.KindResize, Hosts: []string{"ws1", "ws2", "ws3"}}),
 	)
-	// The jobs-* scenarios run the multi-job control plane's preemption
-	// crash windows (runJobsChaosScenario): a high-priority gang evicts a
-	// low-priority one, and the fault lands inside the eviction. One kills a
-	// victim rank mid-eviction-checkpoint — the image is lost, but the job
-	// must still requeue and the gang rerun; the other crashes a reserved
-	// host while the gang reservation is pending — Commit must fail with
-	// ErrReservationLost and roll every mark back, leaving no orphaned
-	// leases.
+	// Express's admission reserves a gang two-phase and evicts batch by
+	// checkpoint-and-requeue. One plan kills a victim rank mid-eviction-
+	// checkpoint — the image is lost, but the job must still requeue and
+	// the gang rerun; the other crashes a reserved host while the gang
+	// reservation is pending — Commit must fail with ErrReservationLost and
+	// roll every mark back, leaving no orphaned leases.
 	scenarios = append(scenarios,
-		chaosScenario{"jobs-kill-victim-mid-ckpt", faults.Plan{Name: "jobs-kill-victim-mid-ckpt", Events: []faults.Event{
-			{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
-			{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.0", Target: "proc"},
-			{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"},
-		}}},
-		chaosScenario{"jobs-crash-host-mid-reserve", faults.Plan{Name: "jobs-crash-host-mid-reserve", Events: []faults.Event{
-			{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
-			{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.1", Target: "host"},
-			{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"},
-		}}},
+		gangs("jobs-kill-victim-mid-ckpt",
+			faults.Event{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
+			faults.Event{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.0", Target: "proc"},
+			faults.Event{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"}),
+		gangs("jobs-crash-host-mid-reserve",
+			faults.Event{After: at(5), Kind: faults.KindSubmitJob, Proc: "batch"},
+			faults.Event{After: at(40), Kind: faults.KindKillOnCkpt, Proc: "batch.1", Target: "host"},
+			faults.Event{After: at(45), Kind: faults.KindSubmitJob, Proc: "express"}),
 	)
-	// The registry-crashloop-* / registry-standby-* scenarios run the durable
-	// control plane (persist_chaos.go): the registry journals every mutation
-	// to a persist store, so a crash-looping parent bootstraps from snapshot
-	// + log suffix with zero monitor re-registrations — even after a torn
-	// tail write — and a warm standby promotes over the fenced primary
-	// without double-admitting its pending gang reservation.
-	scenarios = append(scenarios,
-		chaosScenario{"registry-crashloop-under-load", faults.Plan{Name: "registry-crashloop-under-load", Events: []faults.Event{
-			{After: at(60), Kind: faults.KindCrashLoopRegistry, Count: 3},
-			{After: at(90), Kind: faults.KindTornWrite, Count: 5},
-			{After: at(95), Kind: faults.KindRestartRegistry},
-		}}},
-		chaosScenario{"registry-standby-promote", faults.Plan{Name: "registry-standby-promote"}},
-	)
-	return scenarios
+	// The durable control plane (persist_chaos.go): a crash-looping parent
+	// bootstraps from snapshot + log suffix with zero monitor
+	// re-registrations — even after a torn tail write — and a warm standby
+	// promotes over the fenced primary without double-admitting its pending
+	// gang reservation.
+	crashloop := durable("registry-crashloop-under-load",
+		faults.Event{After: at(60), Kind: faults.KindCrashLoopRegistry, Count: 3},
+		faults.Event{After: at(90), Kind: faults.KindTornWrite, Count: 5},
+		faults.Event{After: at(95), Kind: faults.KindRestartRegistry})
+	crashloop.check = checkCrashloopRecovery
+	standby := durable("registry-standby-promote")
+	standby.drive, standby.check = driveStandbyPromotion, checkNoResync
+	return append(scenarios, crashloop, standby)
 }
 
 // ChaosScenarioNames lists the chaos scenario set in run order — the one
@@ -220,7 +284,11 @@ func chaosScenarios(live bool) []chaosScenario {
 // EXPERIMENTS.md's stated counts are pinned to them by
 // TestChaosCountsMatchDocs.
 func ChaosScenarioNames(live bool) []string {
-	scs := chaosScenarios(live)
+	var cfg *livemig.Config
+	if live {
+		cfg = &livemig.Config{}
+	}
+	scs := chaosScenarios(cfg)
 	names := make([]string, 0, len(scs))
 	for _, sc := range scs {
 		names = append(names, sc.name)
@@ -238,7 +306,7 @@ func (cfg ChaosConfig) withChaosDefaults() ChaosConfig {
 
 // RunChaos runs every selected scenario and reports survival, correctness
 // and the robustness counters. The baseline scenario (no faults) anchors
-// the completion-time inflation of the others.
+// the completion-time inflation of the others that run its workload.
 func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	cfg = cfg.withChaosDefaults()
 	selected := func(name string) bool {
@@ -254,32 +322,17 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	}
 	var rows []ChaosRow
 	baseline := 0.0
-	for _, sc := range chaosScenarios(cfg.Live != nil) {
+	for _, sc := range chaosScenarios(cfg.Live) {
 		if !selected(sc.name) {
 			continue
 		}
-		var row ChaosRow
-		var err error
-		switch {
-		case strings.HasPrefix(sc.name, "resize-"):
-			row, err = runMalleableChaosScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "jobs-"):
-			row, err = runJobsChaosScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "registry-crashloop-"):
-			row, err = runPersistCrashloopScenario(cfg, sc)
-		case strings.HasPrefix(sc.name, "registry-standby-"):
-			row, err = runPersistStandbyScenario(cfg, sc)
-		default:
-			row, err = runChaosScenario(cfg, sc)
-		}
+		row, err := runChaosScenario(cfg, sc)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos %s: %w", sc.name, err)
 		}
 		if sc.name == "baseline" {
 			baseline = row.VirtualSec
-		} else if baseline > 0 && !strings.HasPrefix(sc.name, "resize-") && !strings.HasPrefix(sc.name, "jobs-") {
-			// The resize and jobs scenarios run different workloads;
-			// inflation against the tree baseline would be meaningless.
+		} else if baseline > 0 && sc.inflates {
 			row.InflationPct = (row.VirtualSec/baseline - 1) * 100
 		}
 		rows = append(rows, row)
@@ -287,115 +340,138 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	return rows, nil
 }
 
+// chaosRig is one scenario's run: the system under test, the injector
+// faulting it, and the note/check log the scenario's own steps append to.
+type chaosRig struct {
+	cfg   ChaosConfig
+	names []string
+	mreg  *metrics.Registry
+	in    *faults.Injector
+	sys   *core.System
+
+	mu    sync.Mutex
+	notes []string
+}
+
+// note appends one deterministic line to the schedule digest, after the
+// injector's applied and triggered lines.
+func (r *chaosRig) note(format string, args ...any) {
+	r.mu.Lock()
+	r.notes = append(r.notes, fmt.Sprintf(format, args...))
+	r.mu.Unlock()
+}
+
+// restartLog notes every registry restart's typed payload. Recovered, Hosts
+// and Procs are count-driven (never wall-time-driven), so the lines are
+// byte-identical across runs with the same seed.
+func (r *chaosRig) restartLog() events.Sink {
+	restarts := 0
+	return events.On(func(ev registry.RestartEvent) {
+		r.mu.Lock()
+		restarts++
+		r.notes = append(r.notes, fmt.Sprintf("check restart-%d recovered=%v hosts=%d procs=%d domains=%d",
+			restarts, ev.Recovered, ev.Hosts, ev.Procs, ev.Domains))
+		r.mu.Unlock()
+	})
+}
+
+// runChaosScenario is the one rig: cluster, injector and core.System; warm
+// up; launch the workload; run the plan through the injector; watch; and
+// assemble the row.
 func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
-	cl, names, err := newCluster(cfg.Params, 4)
+	cl, names, err := newCluster(cfg.Params, sc.hosts)
 	if err != nil {
 		return ChaosRow{}, err
 	}
 	clock := cl.Clock()
-	mreg := metrics.NewRegistry()
-	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
-	sys, err := core.New(core.Options{
-		Cluster:          cl,
-		MonitorInterval:  cfg.Interval,
-		GatherCost:       0.05 * hostSpeed,
-		Warmup:           2,
-		Cooldown:         10 * time.Minute,
-		RegistryHost:     names[3],
-		ChunkBytes:       8 << 20,
-		Checkpoints:      hpcm.NewMemStore(),
-		CheckpointEvery:  30 * time.Second,
-		FailoverRetries:  2,
-		OrderDedupWindow: 30 * time.Second,
-		Metrics:          mreg,
-		Events:           in.Sink(),
-		WrapReporter:     in.WrapReporter,
-		Live:             cfg.Live,
+	r := &chaosRig{cfg: cfg, names: names, mreg: metrics.NewRegistry()}
+	r.in = faults.NewInjector(faults.Config{Clock: clock, Metrics: r.mreg})
+	var restarts events.Sink
+	if sc.sys.Store != nil {
+		restarts = r.restartLog()
+	}
+	r.sys, err = core.New(core.Options{
+		Cluster:         cl,
+		MonitorInterval: cfg.Interval,
+		GatherCost:      0.05 * hostSpeed,
+		Warmup:          2,
+		Cooldown:        10 * time.Minute,
+		RegistryHost:    names[len(names)-1],
+		ChunkBytes:      8 << 20,
+		Checkpoints:     hpcm.NewMemStore(),
+		Metrics:         r.mreg,
+		Events:          events.Multi(r.in.Sink(), restarts),
+		WrapReporter:    r.in.WrapReporter,
+
+		CheckpointEvery:  sc.sys.CheckpointEvery,
+		FailoverRetries:  sc.sys.FailoverRetries,
+		OrderDedupWindow: sc.sys.OrderDedupWindow,
+		Live:             sc.sys.Live,
+		JobPolicy:        sc.sys.JobPolicy,
+		SchedInterval:    sc.sys.SchedInterval,
+		Store:            sc.sys.Store,
+		SnapshotEvery:    sc.sys.SnapshotEvery,
 	})
 	if err != nil {
 		return ChaosRow{}, err
 	}
-	if err := sys.AddNodes(names...); err != nil {
-		return ChaosRow{}, err
+	defer r.sys.Stop()
+	r.in.Bind(r.sys)
+	if !sc.bare {
+		if err := r.sys.AddNodes(names...); err != nil {
+			return ChaosRow{}, err
+		}
+		// A couple of monitoring cycles so the registry has fresh samples and
+		// leases for its first-fit searches (and a durable change log a
+		// realistic prefix) before the faults land.
+		clock.Sleep(25 * time.Second)
 	}
-	defer sys.Stop()
-	in.Bind(sys)
 
-	// A couple of monitoring cycles so the registry has fresh samples for
-	// its first-fit searches.
-	clock.Sleep(25 * time.Second)
-
-	tree := workload.TreeConfig{
-		Levels: 10, Rounds: 40, Seed: cfg.Seed + 1,
-		WorkPerNode: 600, BytesPerNode: 8,
-	}
-	if cfg.Live != nil {
-		// A paged bulk region makes the run eligible for the live path.
-		tree.BallastBytes = 4 << 20
-		tree.PagedBallast = true
-	}
-	var mu sync.Mutex
-	sums := map[int]int64{}
-	tree.OnSum = func(round int, sum int64) {
-		mu.Lock()
-		sums[round] = sum
-		mu.Unlock()
-	}
-	app, err := sys.Launch(chaosApp, "ws1", tree.Schema(hostSpeed), workload.TestTree(tree))
-	if err != nil {
+	if err := sc.load.launch(r); err != nil {
 		return ChaosRow{}, err
 	}
 	start := clock.Now()
-	in.BindApp(chaosApp, app)
-	in.Run(sc.plan)
+	r.in.Run(faults.Plan{Name: sc.name, Events: sc.events})
+	if sc.drive != nil {
+		if err := sc.drive(r); err != nil {
+			return ChaosRow{}, err
+		}
+	}
 
 	// Virtual-deadline watchdog: a scenario that hangs is a failed scenario,
-	// not a hung experiment.
+	// not a hung experiment. The workload is then put down, repeatedly (an
+	// app has a failover budget to exhaust, a job mid-admission refuses a
+	// cancel until it lands), so the run can be torn down cleanly.
 	completed := true
+	settled := sc.load.settled(r)
 	watchdog := clock.NewTimer(30 * time.Minute)
 	select {
-	case <-app.Settled():
+	case <-settled:
 		watchdog.Stop()
 	case <-watchdog.C:
 		completed = false
-		// Put the app down (exhausting its failover budget) so the run can
-		// be torn down cleanly.
-		for settled := false; !settled; {
-			app.Process().Kill()
+		for down := false; !down; {
+			sc.load.putDown(r)
 			select {
-			case <-app.Settled():
-				settled = true
+			case <-settled:
+				down = true
 			case <-clock.After(100 * time.Millisecond):
 			}
 		}
 	}
-	in.Stop()
-	elapsed := clock.Since(start)
+	r.in.Stop()
+	row := ChaosRow{Scenario: sc.name, Completed: completed, VirtualSec: clock.Since(start).Seconds()}
 
-	row := ChaosRow{
-		Scenario:    sc.name,
-		Completed:   completed,
-		FinalHost:   app.Host(),
-		Checkpoints: app.Process().Checkpoints(),
-		Retries:     app.Retries(),
-		Schedule:    append(in.Applied(), in.Triggered()...),
-		VirtualSec:  elapsed.Seconds(),
+	if sc.check != nil {
+		sc.check(r)
 	}
-	if err := app.Wait(); err != nil {
-		row.FinalErr = err.Error()
-	}
-	row.Counters = counterValues(mreg, chaosCounterNames)
-	row.Spans = mreg.SpanStats("span/")
-	cfg.Metrics.Merge(mreg)
-	want := workload.ExpectedSums(tree)
-	mu.Lock()
-	row.Correct = len(sums) == tree.Rounds
-	for round, sum := range want {
-		if sums[round] != sum {
-			row.Correct = false
-		}
-	}
-	mu.Unlock()
+	sc.load.verify(r, &row)
+	r.mu.Lock()
+	row.Schedule = append(append(r.in.Applied(), r.in.Triggered()...), r.notes...)
+	r.mu.Unlock()
+	row.Counters = counterValues(r.mreg, chaosCounterNames)
+	row.Spans = r.mreg.SpanStats(sc.spans)
+	cfg.Metrics.Merge(r.mreg)
 	row.Survived = row.Completed && row.Correct && row.FinalErr == ""
 	return row, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,8 +63,26 @@ func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	}
 }
 
+// checkChaosGolden compares a full sweep's deterministic section with the
+// committed golden, which is that section as `repro -exp chaos` prints it
+// (`make chaos` diffs the CLI against the same file): every fault, trap and
+// check line, counter and span count of every scenario. The section does
+// not depend on the seed. Both goldens were captured from the binary of the
+// commit before the five chaos runners became one rig.
+func checkChaosGolden(t *testing.T, rows []ChaosRow, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RenderChaosDeterministic(rows) + "\n"; got != string(want) {
+		t.Errorf("deterministic section differs from testdata/%s:\n--- got\n%s--- want\n%s", golden, got, want)
+	}
+}
+
 // TestChaosAllScenariosSurvive sweeps the full scenario set: every fault
-// plan must terminate (no hang) and complete the checksummed computation.
+// plan must terminate (no hang) and complete the checksummed computation,
+// and the deterministic section must equal the golden.
 func TestChaosAllScenariosSurvive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
@@ -72,6 +92,7 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkChaosGolden(t, rows, "chaos.txt")
 	if len(rows) != 14 {
 		t.Fatalf("scenarios = %d, want 14 (8 classic + 2 resize + 2 jobs + 2 persist)", len(rows))
 	}

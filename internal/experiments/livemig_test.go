@@ -84,6 +84,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkChaosGolden(t, rows, "chaos-live.txt")
 	if len(rows) != 15 {
 		t.Fatalf("scenarios = %d, want 15 (8 classic + crash-dest-mid-precopy + 2 resize + 2 jobs + 2 persist)", len(rows))
 	}

@@ -1,11 +1,15 @@
 // Package faults is a deterministic fault-injection engine for the runtime
 // system. A Plan schedules faults in virtual time — host crashes, registry
-// restarts, network partitions, link degradation, heartbeat loss, forced and
-// duplicated migrate orders, and crashes pinned to exact migration protocol
-// phases — and an Injector applies them against a core.System. Because
-// triggers are either virtual-time offsets or protocol events (never wall
-// time), the same plan against the same seeded workload produces the same
-// fault schedule and the same robustness counters on every run.
+// restarts and crash loops, torn store writes, network partitions, link
+// degradation, heartbeat loss, forced and duplicated migrate orders, job
+// submissions, elastic resizes, and crashes pinned to exact migration,
+// checkpoint and resize protocol phases — and an Injector, the one
+// interpreter of every Kind, applies them against a core.System and
+// whatever the plan's targets are bound to it as (BindApp, BindSpec,
+// BindElastic). Because triggers are either virtual-time offsets or
+// protocol events (never wall time), the same plan against the same seeded
+// workload produces the same fault schedule and the same robustness
+// counters on every run.
 package faults
 
 import (
@@ -20,14 +24,9 @@ type Kind string
 
 const (
 	// KindCrashHost takes Host down permanently: network down, monitor
-	// stopped (unregistering the host), local incarnations killed.
+	// stopped (unregistering the host), local incarnations killed — those
+	// of a bound elastic job included.
 	KindCrashHost Kind = "crash-host"
-	// KindReviveHost returns a crashed Host to service after an outage.
-	// Interpreted by the scenario fleet runner (internal/scenario), whose
-	// generated crash faults are outages with a bounded duration; the live
-	// injector treats KindCrashHost as permanent and reports this kind as
-	// unknown.
-	KindReviveHost Kind = "revive-host"
 	// KindRestartRegistry drops the registry's soft state; monitors
 	// re-register through heartbeats and the runtime resyncs processes.
 	KindRestartRegistry Kind = "restart-registry"
@@ -44,23 +43,24 @@ const (
 	KindDupStatus Kind = "dup-status"
 	// KindDelayStatus delays Host's next Count status reports by Delay.
 	KindDelayStatus Kind = "delay-status"
-	// KindMigrate orders the app named Proc to migrate to Dest, Count
-	// times back to back (Count > 1 models a redelivered order and
-	// exercises the commander's dedup).
+	// KindMigrate orders the app bound as Proc (BindApp) to migrate to
+	// Dest, Count times back to back (Count > 1 models a redelivered order
+	// and exercises the commander's dedup).
 	KindMigrate Kind = "migrate"
 	// KindCrashOnPhase arms a one-shot trap: when a migration of Proc
 	// reaches Phase (an hpcm.Phase* constant), crash Target ("source" or
 	// "dest") of that migration. For hpcm.PhasePrecopy, Round > 0 narrows
 	// the trap to that precopy round (0 fires on the first round seen).
 	KindCrashOnPhase Kind = "crash-on-phase"
-	// KindResize proposes the placement Hosts to a malleable job — the
-	// elastic analogue of KindMigrate. Interpreted by the malleable chaos
-	// runner, which binds the event to its job.
+	// KindResize proposes the placement Hosts to the bound elastic job
+	// (BindElastic) — the elastic analogue of KindMigrate.
 	KindResize Kind = "resize"
 	// KindCrashOnResizePhase arms a one-shot trap on the malleable resize
 	// protocol: when a resize reaches Phase (a malleable.Phase* constant),
 	// crash Target — "new" crashes the first freshly spawned host of the
-	// resize, "victim" the first retiring one.
+	// resize, "victim" the first retiring one. The job must publish its
+	// phases to the injector's Sink and be bound (BindElastic) so the crash
+	// reaches its ranks.
 	KindCrashOnResizePhase Kind = "crash-on-resize-phase"
 	// KindCrashLoopRegistry restarts the registry Count times back to back,
 	// modelling a crash-looping parent. With a durable store each restart is
@@ -73,15 +73,15 @@ const (
 	// store must implement persist.TailTruncator; the registry's next
 	// bootstrap recovers the longest intact record prefix.
 	KindTornWrite Kind = "torn-write"
-	// KindSubmitJob submits the pre-registered job spec named Proc to the
-	// multi-job queue. Interpreted by the jobs chaos runner, which holds the
-	// scenario's spec set.
+	// KindSubmitJob submits the job spec bound as Proc (BindSpec) to the
+	// multi-job queue; Injector.Jobs returns the handles.
 	KindSubmitJob Kind = "submit-job"
 	// KindKillOnCkpt arms a one-shot trap on the checkpoint protocol: when
-	// the process named Proc begins writing a checkpoint (the eviction
-	// checkpoint of a preemption victim, in the jobs scenarios), put it down
-	// mid-write — Target "proc" kills just that incarnation, Target "host"
-	// crashes its whole host. Either way the in-progress image is lost.
+	// the process named Proc — a rank of a submitted job, "job.N" — begins
+	// writing a checkpoint (the eviction checkpoint of a preemption victim,
+	// in the jobs scenarios), put it down mid-write — Target "proc" kills
+	// just that incarnation, Target "host" crashes its whole host. Either
+	// way the in-progress image is lost.
 	KindKillOnCkpt Kind = "kill-on-checkpoint"
 )
 
@@ -100,7 +100,7 @@ type Event struct {
 	Delay  time.Duration
 	Phase  string
 	Round  int      // precopy round a crash-on-phase trap waits for (0: any)
-	Target string   // "source" | "dest" | "new" | "victim"
+	Target string   // "source" | "dest" | "new" | "victim" | "proc" | "host"
 	Hosts  []string // resize target placement, rank order
 }
 

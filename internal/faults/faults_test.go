@@ -10,11 +10,14 @@ import (
 	"autoresched/internal/core"
 	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
+	"autoresched/internal/jobs"
+	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
 	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
+	"autoresched/internal/workload"
 )
 
 func TestPlanRenderSortsAndIsDeterministic(t *testing.T) {
@@ -103,37 +106,14 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 	}
 }
 
-func TestSinkTrapFiresOnceOnMatchingPhase(t *testing.T) {
-	in := NewInjector(Config{Clock: vclock.Real()})
-	in.apply(Event{Kind: KindCrashOnPhase, Proc: "app", Phase: hpcm.PhaseInit, Target: "dest"})
-	sink := in.Sink()
-	obs := func(ev hpcm.MigrationEvent) {
-		sink.Publish(events.Event{Source: events.SourceHPCM, Kind: ev.Phase, Payload: ev})
-	}
-	// Events without a migration payload pass through the trap untouched.
-	sink.Publish(events.Event{Source: events.SourceRegistry, Kind: "ordered"})
-
-	obs(hpcm.MigrationEvent{Proc: "other", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"})
-	obs(hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseStart, From: "ws1", To: "ws2"})
-	if got := in.Triggered(); len(got) != 0 {
-		t.Fatalf("trap fired early: %v", got)
-	}
-	obs(hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"})
-	obs(hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseInit, From: "ws1", To: "ws3"})
-	got := in.Triggered()
-	if len(got) != 1 {
-		t.Fatalf("trap fired %d times, want 1: %v", len(got), got)
-	}
-	if !strings.Contains(got[0], "host=ws2") {
-		t.Fatalf("trap picked wrong victim: %s", got[0])
-	}
-}
-
-func TestInjectorAppliesScheduledEvents(t *testing.T) {
+// newBoundInjector builds a three-host cluster (ws1..ws3), an injector and a
+// system wired to each other the way the Injector doc prescribes. The hosts
+// carry no monitors unless the caller adds nodes.
+func newBoundInjector(t *testing.T) (*Injector, *core.System, *metrics.Registry) {
+	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 1000)
 	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
-	names, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6, MemTotal: 128 << 20})
-	if err != nil {
+	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	mreg := metrics.NewRegistry()
@@ -147,16 +127,203 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AddNodes(names...); err != nil {
+	t.Cleanup(sys.Stop)
+	in.Bind(sys)
+	return in, sys, mreg
+}
+
+// idleSpec is a one-rank job, placed by the dispatcher, whose body returns
+// at once.
+func idleSpec(name string) jobs.Spec {
+	return jobs.Spec{Name: name, Rank: func(int, int) hpcm.Main {
+		return func(*hpcm.Context) error { return nil }
+	}}
+}
+
+// TestSinkTrapFiresOnceOnMatchingPhase drives the one trap table with
+// each of the three payload types the sink subscribes to: a wrong process,
+// phase, round or an unresolvable target does not fire, the first match
+// fires exactly once, the victim is the right host, and the line is exact.
+func TestSinkTrapFiresOnceOnMatchingPhase(t *testing.T) {
+	cases := []struct {
+		name  string
+		arm   Event
+		miss  []any // payloads that must not fire the trap
+		hit   any
+		again any // a second match after the trap has fired
+		line  string
+		down  string // the host that must be down afterwards ("": none)
+	}{
+		{
+			name: "migration phase",
+			arm:  Event{Kind: KindCrashOnPhase, Proc: "app", Phase: hpcm.PhaseInit, Target: "dest"},
+			miss: []any{
+				hpcm.MigrationEvent{Proc: "other", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"},
+				hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseStart, From: "ws1", To: "ws2"},
+				hpcm.CheckpointEvent{Proc: "app", Host: "ws1", Begin: true},
+			},
+			hit:   hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseInit, From: "ws1", To: "ws2"},
+			again: hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhaseInit, From: "ws1", To: "ws3"},
+			line:  "trap crash-host host=ws2 proc=app phase=init",
+			down:  "ws2",
+		},
+		{
+			name: "migration precopy round",
+			arm:  Event{Kind: KindCrashOnPhase, Proc: "app", Phase: hpcm.PhasePrecopy, Round: 2, Target: "source"},
+			miss: []any{
+				hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhasePrecopy, Round: 1, From: "ws1", To: "ws2"},
+			},
+			hit:   hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhasePrecopy, Round: 2, From: "ws1", To: "ws2"},
+			again: hpcm.MigrationEvent{Proc: "app", Phase: hpcm.PhasePrecopy, Round: 2, From: "ws3", To: "ws2"},
+			line:  "trap crash-host host=ws1 proc=app phase=precopy",
+			down:  "ws1",
+		},
+		{
+			name: "checkpoint begin, host",
+			arm:  Event{Kind: KindKillOnCkpt, Proc: "batch.1", Target: "host"},
+			miss: []any{
+				hpcm.CheckpointEvent{Proc: "batch.0", Host: "ws1", Begin: true},
+				hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws2", Begin: false},
+			},
+			hit:   hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws2", Begin: true},
+			again: hpcm.CheckpointEvent{Proc: "batch.1", Host: "ws3", Begin: true},
+			line:  "trap kill-on-checkpoint proc=batch.1 host=ws2 target=host",
+			down:  "ws2",
+		},
+		{
+			// No job "batch" runs here, so the kill of the one incarnation is
+			// refused — which shows the trap took that path and left the host up.
+			name:  "checkpoint begin, proc",
+			arm:   Event{Kind: KindKillOnCkpt, Proc: "batch.0", Target: "proc"},
+			miss:  []any{hpcm.MigrationEvent{Proc: "batch.0", From: "ws1", To: "ws2"}},
+			hit:   hpcm.CheckpointEvent{Proc: "batch.0", Host: "ws1", Begin: true},
+			again: hpcm.CheckpointEvent{Proc: "batch.0", Host: "ws1", Begin: true},
+			line:  `trap kill-on-checkpoint proc=batch.0 host=ws1 target=proc error=core: job "batch" is not running`,
+		},
+		{
+			name: "resize phase, new",
+			arm:  Event{Kind: KindCrashOnResizePhase, Phase: malleable.PhaseSpawn, Target: "new"},
+			miss: []any{
+				malleable.Event{Job: "ej", Phase: malleable.PhaseQuiesce, Added: []string{"ws3"}},
+				malleable.Event{Job: "ej", Phase: malleable.PhaseSpawn, Removed: []string{"ws2"}},
+			},
+			hit:   malleable.Event{Job: "ej", Phase: malleable.PhaseSpawn, Added: []string{"ws3", "ws2"}},
+			again: malleable.Event{Job: "ej", Phase: malleable.PhaseSpawn, Added: []string{"ws2"}},
+			line:  "trap crash-host host=ws3 proc=ej phase=spawn",
+			down:  "ws3",
+		},
+		{
+			name: "resize phase, victim",
+			arm:  Event{Kind: KindCrashOnResizePhase, Phase: malleable.PhaseReshape, Target: "victim"},
+			miss: []any{
+				malleable.Event{Job: "ej", Phase: malleable.PhaseReshape, Added: []string{"ws3"}},
+			},
+			hit:   malleable.Event{Job: "ej", Phase: malleable.PhaseReshape, Removed: []string{"ws2"}},
+			again: malleable.Event{Job: "ej", Phase: malleable.PhaseReshape, Removed: []string{"ws3"}},
+			line:  "trap crash-host host=ws2 proc=ej phase=reshape",
+			down:  "ws2",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, sys, _ := newBoundInjector(t)
+			in.apply(tc.arm)
+			sink := in.Sink()
+			// Events without a payload pass through the traps untouched.
+			sink.Publish(events.Event{Source: events.SourceRegistry, Kind: "ordered"})
+			for _, p := range tc.miss {
+				sink.Publish(events.Event{Payload: p})
+			}
+			if got := in.Triggered(); len(got) != 0 {
+				t.Fatalf("trap fired early: %v", got)
+			}
+			sink.Publish(events.Event{Payload: tc.hit})
+			sink.Publish(events.Event{Payload: tc.again})
+			got := in.Triggered()
+			if len(got) != 1 {
+				t.Fatalf("trap fired %d times, want 1: %v", len(got), got)
+			}
+			if got[0] != tc.line {
+				t.Fatalf("trap line = %q, want %q", got[0], tc.line)
+			}
+			for _, host := range []string{"ws1", "ws2", "ws3"} {
+				if down := sys.Cluster().Net().HostDown(host); down != (host == tc.down) {
+					t.Errorf("host %s down = %v after the trap, want %v", host, down, host == tc.down)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAppliesInAfterOrderAndReportsUnboundTargets: a plan listed out of
+// time order applies in After order whatever kinds it mixes, and a kind
+// whose target was never bound is an error= on its applied line, not a
+// silent no-op.
+func TestRunAppliesInAfterOrderAndReportsUnboundTargets(t *testing.T) {
+	in, sys, _ := newBoundInjector(t)
+	in.BindSpec(idleSpec("solo"))
+	in.Run(Plan{Name: "unordered", Events: []Event{
+		{After: 3 * time.Second, Kind: KindCrashHost, Host: "ws3"},
+		{After: 4 * time.Second, Kind: KindResize, Hosts: []string{"ws1", "ws2"}},
+		{After: time.Second, Kind: KindSubmitJob, Proc: "solo"},
+		{After: 2 * time.Second, Kind: KindSubmitJob, Proc: "ghost"},
+	}})
+	select {
+	case <-in.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("injector never finished")
+	}
+	want := []string{
+		"+1s     submit-job       proc=solo",
+		`+2s     submit-job       proc=ghost error=faults: no job spec bound as "ghost"`,
+		"+3s     crash-host       host=ws3",
+		"+4s     resize           hosts=ws1,ws2 error=faults: no elastic job bound",
+	}
+	got := in.Applied()
+	if len(got) != len(want) {
+		t.Fatalf("applied %d events, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("applied[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if jobs := in.Jobs(); len(jobs) != 1 || jobs[0].Name() != "solo" {
+		t.Fatalf("submitted job handles = %v, want solo alone", jobs)
+	}
+	if !sys.Cluster().Net().HostDown("ws3") {
+		t.Fatal("crash-host not applied")
+	}
+}
+
+func TestInjectorAppliesScheduledEvents(t *testing.T) {
+	in, sys, mreg := newBoundInjector(t)
+	if err := sys.AddNodes("ws1", "ws2", "ws3"); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
-	in.Bind(sys)
+	in.BindSpec(idleSpec("solo"))
+	// Forty sweeps of about one virtual second each: the resize below lands
+	// mid-run.
+	elastic, err := malleable.Start(malleable.Options{
+		Universe:     sys.Universe(),
+		App:          &workload.ElasticJacobi{N: 8, Iters: 40, WorkPerCell: 15000},
+		Hosts:        sys.Cluster(),
+		InitialHosts: []string{"ws1"},
+		Events:       in.Sink(),
+		Metrics:      mreg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer elastic.Stop()
+	in.BindElastic(elastic)
 
 	in.Run(Plan{Name: "sched", Events: []Event{
 		{After: time.Second, Kind: KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 0.5},
 		{After: 2 * time.Second, Kind: KindPartition, Host: "ws1", Peer: "ws3"},
 		{After: 3 * time.Second, Kind: KindRestartRegistry},
+		{After: 4 * time.Second, Kind: KindSubmitJob, Proc: "solo"},
+		{After: 5 * time.Second, Kind: KindResize, Hosts: []string{"ws1", "ws2"}},
 	}})
 	select {
 	case <-in.Done():
@@ -164,18 +331,36 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 		t.Fatal("injector never finished")
 	}
 	applied := in.Applied()
-	if len(applied) != 3 {
-		t.Fatalf("applied %d events, want 3: %v", len(applied), applied)
+	if len(applied) != 5 {
+		t.Fatalf("applied %d events, want 5: %v", len(applied), applied)
 	}
 	for _, line := range applied {
-		if strings.Contains(line, "error=") {
+		if strings.Contains(line, "error=") || strings.Contains(line, "failed") {
 			t.Fatalf("event failed: %s", line)
 		}
 	}
-	if !cl.Net().Partitioned("ws1", "ws3") {
+	if !sys.Cluster().Net().Partitioned("ws1", "ws3") {
 		t.Fatal("partition not applied")
 	}
 	if mreg.Counter(registry.CtrRestarts).Value() != 1 {
 		t.Fatalf("registry restarts = %d, want 1", mreg.Counter(registry.CtrRestarts).Value())
+	}
+	submitted := in.Jobs()
+	if len(submitted) != 1 {
+		t.Fatalf("submitted job handles = %d, want 1", len(submitted))
+	}
+	select {
+	case <-submitted[0].Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("submitted job never finished")
+	}
+	if err := submitted[0].Err(); err != nil {
+		t.Fatalf("submitted job: %v", err)
+	}
+	if _, err := elastic.Wait(); err != nil {
+		t.Fatalf("elastic job: %v", err)
+	}
+	if committed, _ := elastic.Resizes(); committed != 1 || elastic.World() != 2 {
+		t.Fatalf("resize: committed=%d world=%d, want 1 and 2", committed, elastic.World())
 	}
 }

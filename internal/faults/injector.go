@@ -1,13 +1,18 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"autoresched/internal/core"
 	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
+	"autoresched/internal/jobs"
+	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/persist"
@@ -38,10 +43,12 @@ const (
 	CtrStatusDelayed    = "monitor/status_delayed"
 )
 
-// Injector applies a Plan against a bound core.System in virtual time.
+// Injector applies a Plan against a bound core.System in virtual time. It
+// is the only interpreter of the DSL: every Kind has a case in apply.
 //
 // Construction order matters because the injector and the system reference
-// each other:
+// each other, and because a plan names its targets (Event.Proc) while the
+// injector needs the things themselves:
 //
 //	in := faults.NewInjector(faults.Config{Clock: clock, Metrics: mreg})
 //	sys, _ := core.New(core.Options{
@@ -51,7 +58,12 @@ const (
 //	})
 //	in.Bind(sys)
 //	app, _ := sys.Launch("test_tree", ...)
-//	in.BindApp("test_tree", app)
+//	in.BindApp("test_tree", app) // migrate, crash-on-phase
+//	in.BindSpec(jobs.Spec{Name: "batch", ...}) // submit-job, kill-on-checkpoint
+//	job, _ := malleable.Start(malleable.Options{
+//		Universe: sys.Universe(), Hosts: sys.Cluster(), Events: in.Sink(), ...
+//	})
+//	in.BindElastic(job) // resize, crash-on-resize-phase
 //	in.Run(plan)
 type Injector struct {
 	cfg Config
@@ -59,8 +71,11 @@ type Injector struct {
 	mu        sync.Mutex
 	sys       *core.System
 	apps      map[string]*core.App
+	specs     map[string]jobs.Spec
+	jobs      []*jobs.Job
+	elastic   *malleable.Job
 	taps      map[string]*tapState
-	traps     []*phaseTrap
+	traps     []*trap
 	applied   []string
 	triggered []string
 	running   bool
@@ -78,14 +93,12 @@ type tapState struct {
 	delayBy time.Duration
 }
 
-// phaseTrap is an armed one-shot crash-on-migration-phase trigger. round,
-// when positive, narrows a precopy trap to one exact round.
-type phaseTrap struct {
-	proc   string
-	phase  string
-	round  int
-	target string
-	fired  bool
+// trap is an armed one-shot trigger: the arming event (KindCrashOnPhase,
+// KindKillOnCkpt or KindCrashOnResizePhase, with the Proc, Phase, Round and
+// Target it waits for) and whether it has fired.
+type trap struct {
+	ev    Event
+	fired bool
 }
 
 // NewInjector creates an unbound injector.
@@ -94,11 +107,12 @@ func NewInjector(cfg Config) *Injector {
 		cfg.Clock = vclock.Real()
 	}
 	return &Injector{
-		cfg:  cfg,
-		apps: make(map[string]*core.App),
-		taps: make(map[string]*tapState),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:   cfg,
+		apps:  make(map[string]*core.App),
+		specs: make(map[string]jobs.Spec),
+		taps:  make(map[string]*tapState),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -115,6 +129,30 @@ func (in *Injector) BindApp(name string, app *core.App) {
 	in.mu.Lock()
 	in.apps[name] = app
 	in.mu.Unlock()
+}
+
+// BindSpec registers a job spec under its Name so KindSubmitJob events can
+// submit it.
+func (in *Injector) BindSpec(spec jobs.Spec) {
+	in.mu.Lock()
+	in.specs[spec.Name] = spec
+	in.mu.Unlock()
+}
+
+// BindElastic attaches the malleable job KindResize proposes to. Host
+// crashes — scheduled or trapped — reach its ranks as well as the system's.
+func (in *Injector) BindElastic(job *malleable.Job) {
+	in.mu.Lock()
+	in.elastic = job
+	in.mu.Unlock()
+}
+
+// Jobs returns the handles of the jobs KindSubmitJob events have submitted
+// so far, in submission order.
+func (in *Injector) Jobs() []*jobs.Job {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]*jobs.Job(nil), in.jobs...)
 }
 
 // Run applies the plan's events at their virtual offsets on a single
@@ -176,16 +214,21 @@ func (in *Injector) Triggered() []string {
 	return append([]string(nil), in.triggered...)
 }
 
-// apply executes one event and records it.
+// apply executes one event and records it. The switch names every Kind and
+// has no default, so reschedvet's eventcase check fails the tree when a Kind
+// is declared without an interpreter. err is a plan that could not be
+// applied as written (unknown host, unbound target); refused is the runtime
+// turning the operation down, which is an outcome, not an injector error.
 func (in *Injector) apply(ev Event) {
 	in.mu.Lock()
 	sys := in.sys
 	in.mu.Unlock()
 
 	var err error
+	var refused string
 	switch ev.Kind {
 	case KindCrashHost:
-		err = sys.CrashHost(ev.Host)
+		err = in.crashHost(ev.Host)
 	case KindRestartRegistry:
 		sys.RestartRegistry()
 	case KindCrashLoopRegistry:
@@ -211,33 +254,90 @@ func (in *Injector) apply(ev Event) {
 		})
 	case KindMigrate:
 		err = in.migrate(ev)
-	case KindCrashOnPhase:
+	case KindSubmitJob:
+		refused, err = in.submit(ev, sys)
+	case KindResize:
+		refused, err = in.resize(ev)
+	case KindCrashOnPhase, KindKillOnCkpt, KindCrashOnResizePhase:
 		in.mu.Lock()
-		in.traps = append(in.traps, &phaseTrap{proc: ev.Proc, phase: ev.Phase, round: ev.Round, target: ev.Target})
+		in.traps = append(in.traps, &trap{ev: ev})
 		in.mu.Unlock()
-	default:
-		err = fmt.Errorf("faults: unknown kind %q", ev.Kind)
 	}
 
-	line := ev.String()
+	line := ev.String() + refused
 	if err != nil {
 		line += " error=" + err.Error()
 	}
+	in.record(&in.applied, events.Event{
+		Kind: string(ev.Kind),
+		Host: ev.Host,
+		Dest: ev.Dest,
+		Proc: ev.Proc,
+		Note: line,
+		Err:  err,
+	})
+}
+
+// record appends e.Note to one of the injector's two logs and publishes e
+// on the configured sink.
+func (in *Injector) record(log *[]string, e events.Event) {
 	in.mu.Lock()
-	in.applied = append(in.applied, line)
+	*log = append(*log, e.Note)
 	in.mu.Unlock()
 	if in.cfg.Events != nil {
-		in.cfg.Events.Publish(events.Event{
-			Time:   in.cfg.Clock.Now(),
-			Source: events.SourceFaults,
-			Kind:   string(ev.Kind),
-			Host:   ev.Host,
-			Dest:   ev.Dest,
-			Proc:   ev.Proc,
-			Note:   line,
-			Err:    err,
-		})
+		e.Time = in.cfg.Clock.Now()
+		e.Source = events.SourceFaults
+		in.cfg.Events.Publish(e)
 	}
+}
+
+// crashHost is the one host crash: the system loses the host (network down,
+// monitor stopped, incarnations killed), and a bound elastic job — whose
+// ranks the system does not know — loses its ranks there. The transport
+// fails first so in-flight payloads fail before the job's liveness checks
+// see the host dead.
+func (in *Injector) crashHost(host string) error {
+	in.mu.Lock()
+	sys, job := in.sys, in.elastic
+	in.mu.Unlock()
+	err := sys.CrashHost(host)
+	if job != nil {
+		job.CrashHost(host)
+	}
+	return err
+}
+
+// submit hands the spec bound as ev.Proc to the job queue and keeps the
+// handle for Jobs.
+func (in *Injector) submit(ev Event, sys *core.System) (refused string, err error) {
+	in.mu.Lock()
+	spec, ok := in.specs[ev.Proc]
+	in.mu.Unlock()
+	if !ok {
+		return "", fmt.Errorf("faults: no job spec bound as %q", ev.Proc)
+	}
+	job, serr := sys.Submit(spec)
+	if serr != nil {
+		return " (submit failed: " + serr.Error() + ")", nil
+	}
+	in.mu.Lock()
+	in.jobs = append(in.jobs, job)
+	in.mu.Unlock()
+	return "", nil
+}
+
+// resize proposes ev.Hosts to the bound elastic job.
+func (in *Injector) resize(ev Event) (refused string, err error) {
+	in.mu.Lock()
+	job := in.elastic
+	in.mu.Unlock()
+	if job == nil {
+		return "", errors.New("faults: no elastic job bound")
+	}
+	if perr := job.Propose(ev.Hosts); perr != nil {
+		return " (propose failed: " + perr.Error() + ")", nil
+	}
+	return "", nil
 }
 
 // tornWrite chops Count bytes off the tail of the system's persist store,
@@ -285,54 +385,101 @@ func (in *Injector) migrate(ev Event) error {
 	return nil
 }
 
-// Sink returns the injector's subscription for core.Options.Events
-// (compose it with other consumers through events.Multi). It fires armed
-// crash-on-phase traps on hpcm.MigrationEvent payloads, synchronously from
-// the migrating goroutine, so the crash lands at the exact protocol step.
+// Sink returns the injector's subscription for core.Options.Events and
+// malleable.Options.Events (compose it with other consumers through
+// events.Multi). It springs armed traps on the three protocol payloads —
+// migration phases, checkpoint begins, resize phases — synchronously from
+// the goroutine driving the protocol, so the crash lands at the exact step.
 func (in *Injector) Sink() events.Sink {
-	return events.On(func(ev hpcm.MigrationEvent) {
-		in.mu.Lock()
-		var victim string
-		for _, tr := range in.traps {
-			if tr.fired || tr.proc != ev.Proc || tr.phase != ev.Phase {
-				continue
+	return events.Multi(
+		events.On(func(ev hpcm.MigrationEvent) {
+			in.spring(KindCrashOnPhase, ev.Proc, ev.Phase, ev.Round, func(target string) string {
+				if target == "dest" {
+					return ev.To
+				}
+				return ev.From
+			})
+		}),
+		events.On(func(ev hpcm.CheckpointEvent) {
+			if ev.Begin {
+				in.spring(KindKillOnCkpt, ev.Proc, "", 0, func(string) string { return ev.Host })
 			}
-			if tr.round > 0 && tr.round != ev.Round {
-				continue
-			}
-			tr.fired = true
-			if tr.target == "dest" {
-				victim = ev.To
-			} else {
-				victim = ev.From
-			}
+		}),
+		events.On(func(ev malleable.Event) {
+			in.spring(KindCrashOnResizePhase, ev.Job, ev.Phase, 0, func(target string) string {
+				hosts := ev.Removed
+				if target == "new" {
+					hosts = ev.Added
+				}
+				if len(hosts) == 0 {
+					return ""
+				}
+				return hosts[0]
+			})
+		}),
+	)
+}
+
+// spring is the one fire path of every trap kind: the first armed trap of
+// kind that waits for this protocol event — its Proc (when set), Phase and
+// Round (when positive) match, and its Target resolves to a host through
+// victim — fires once: crash, log line, publish.
+func (in *Injector) spring(kind Kind, proc, phase string, round int, victim func(target string) string) {
+	in.mu.Lock()
+	var target, host string
+	for _, tr := range in.traps {
+		arm := tr.ev
+		if tr.fired || arm.Kind != kind || arm.Phase != phase ||
+			(arm.Proc != "" && arm.Proc != proc) || (arm.Round > 0 && arm.Round != round) {
+			continue
+		}
+		if host = victim(arm.Target); host != "" {
+			tr.fired, target = true, arm.Target
 			break
 		}
-		sys := in.sys
-		in.mu.Unlock()
-		if victim == "" {
-			return
+	}
+	in.mu.Unlock()
+	if host == "" {
+		return
+	}
+	line := fmt.Sprintf("trap crash-host host=%s proc=%s phase=%s", host, proc, phase)
+	if kind == KindKillOnCkpt {
+		line = fmt.Sprintf("trap kill-on-checkpoint proc=%s host=%s target=%s", proc, host, target)
+	}
+	var err error
+	if kind == KindKillOnCkpt && target == "proc" {
+		// Only the incarnation dies mid-write; the host stays up.
+		err = in.killRank(proc)
+	} else {
+		// A whole host dying mid-checkpoint also poisons a pending gang
+		// reservation that holds it.
+		err = in.crashHost(host)
+	}
+	if err != nil {
+		line += " error=" + err.Error()
+	}
+	in.record(&in.triggered, events.Event{Kind: "trap", Host: host, Proc: proc, Note: line})
+}
+
+// killRank kills the running incarnation of one gang rank, named as
+// jobs.RankName names it ("batch.1" is rank 1 of "batch"; a name without a
+// rank suffix is a single-rank job).
+func (in *Injector) killRank(proc string) error {
+	job, rank := proc, 0
+	if i := strings.LastIndex(proc, "."); i >= 0 {
+		if n, err := strconv.Atoi(proc[i+1:]); err == nil {
+			job, rank = proc[:i], n
 		}
-		line := fmt.Sprintf("trap crash-host host=%s proc=%s phase=%s", victim, ev.Proc, ev.Phase)
-		if sys != nil {
-			if err := sys.CrashHost(victim); err != nil {
-				line += " error=" + err.Error()
-			}
-		}
-		in.mu.Lock()
-		in.triggered = append(in.triggered, line)
-		in.mu.Unlock()
-		if in.cfg.Events != nil {
-			in.cfg.Events.Publish(events.Event{
-				Time:   in.cfg.Clock.Now(),
-				Source: events.SourceFaults,
-				Kind:   "trap",
-				Host:   victim,
-				Proc:   ev.Proc,
-				Note:   line,
-			})
-		}
-	})
+	}
+	in.mu.Lock()
+	sys := in.sys
+	in.mu.Unlock()
+	app, err := sys.RankApp(job, rank)
+	if err != nil {
+		return err
+	}
+	app.Process().Kill()
+	return nil
 }
 
 // WrapReporter implements core.Options.WrapReporter: each node's status

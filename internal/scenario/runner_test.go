@@ -157,35 +157,6 @@ func TestRunnerResizeShrinksWorld(t *testing.T) {
 	}
 }
 
-// TestFaultPlanLowering: the scenario's fault schedule lowers onto the real
-// faults DSL — crash outages become crash/revive pairs, degradations paired
-// link-factor events — and renders deterministically.
-func TestFaultPlanLowering(t *testing.T) {
-	s := Scenario{
-		Name:        "lower",
-		DurationSec: 100,
-		Hosts:       4,
-		Faults: []FaultSpec{
-			{AtSec: 5, Kind: FaultCrashHost, Host: "h02", DownSec: 20},
-			{AtSec: 9, Kind: FaultLinkDegrade, Factor: 0.5, ForSec: 10},
-			{AtSec: 12, Kind: FaultMigrate, Job: "a"},
-		},
-	}
-	plan := s.FaultPlan()
-	if len(plan.Events) != 5 {
-		t.Fatalf("lowered to %d events, want 5 (crash+revive, degrade+restore, migrate)", len(plan.Events))
-	}
-	rendered := plan.Render()
-	for _, want := range []string{"crash-host", "revive-host", "link-factor", "migrate"} {
-		if !strings.Contains(rendered, want) {
-			t.Fatalf("lowered plan missing %q:\n%s", want, rendered)
-		}
-	}
-	if again := s.FaultPlan().Render(); again != rendered {
-		t.Fatal("lowered plan renders differently across calls")
-	}
-}
-
 // testSpace widens the default space's queue floor so the focused
 // single-job scenarios above still type-check against it.
 func testSpace() Space {

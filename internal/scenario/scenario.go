@@ -12,12 +12,7 @@
 // up as a readable golden diff instead of a silent change.
 package scenario
 
-import (
-	"fmt"
-	"time"
-
-	"autoresched/internal/faults"
-)
+import "fmt"
 
 // Workload kinds, memory modes, migration modes and fault kinds a Scenario
 // can carry, one const family per axis (the eventcase check holds
@@ -146,42 +141,3 @@ func (s Scenario) TotalPages() int { return s.StateMB * 256 }
 
 // Bandwidth is the nominal migration-link speed in bytes per second.
 func (s Scenario) Bandwidth() float64 { return float64(s.LinkMbps) * 1e6 / 8 }
-
-// FaultPlan lowers the scenario's fault schedule onto the real
-// fault-injection DSL (internal/faults): crashes become
-// KindCrashHost/KindReviveHost pairs, degradations KindLinkFactor windows,
-// forced migrations KindMigrate orders and resizes KindResize proposals
-// (with Count carrying the target world, since the model picks the
-// placement). The fleet Runner interprets the plan itself; the live path
-// hands the host-level events to a faults.Injector.
-func (s Scenario) FaultPlan() faults.Plan {
-	at := func(sec int) time.Duration { return time.Duration(sec) * time.Second }
-	plan := faults.Plan{Name: s.Name}
-	for _, f := range s.Faults {
-		switch f.Kind {
-		case FaultCrashHost:
-			plan.Events = append(plan.Events,
-				faults.Event{After: at(f.AtSec), Kind: faults.KindCrashHost, Host: f.Host},
-				faults.Event{After: at(f.AtSec + f.DownSec), Kind: faults.KindReviveHost, Host: f.Host})
-		case FaultLinkDegrade:
-			plan.Events = append(plan.Events,
-				faults.Event{After: at(f.AtSec), Kind: faults.KindLinkFactor, Host: s.degradeEdgeA(), Peer: s.degradeEdgeB(), Factor: f.Factor},
-				faults.Event{After: at(f.AtSec + f.ForSec), Kind: faults.KindLinkFactor, Host: s.degradeEdgeA(), Peer: s.degradeEdgeB(), Factor: 1})
-		case FaultMigrate:
-			plan.Events = append(plan.Events,
-				faults.Event{After: at(f.AtSec), Kind: faults.KindMigrate, Proc: f.Job})
-		case FaultResize:
-			plan.Events = append(plan.Events,
-				faults.Event{After: at(f.AtSec), Kind: faults.KindResize, Proc: f.Job, Count: f.World})
-		case FaultRegistryCrash:
-			plan.Events = append(plan.Events,
-				faults.Event{After: at(f.AtSec), Kind: faults.KindCrashLoopRegistry, Count: f.Loops})
-		}
-	}
-	return plan
-}
-
-// The model degrades the whole migration path; the DSL wants an edge, so
-// the lowered plan pins the first two hosts.
-func (s Scenario) degradeEdgeA() string { return HostName(0) }
-func (s Scenario) degradeEdgeB() string { return HostName(1) }
