@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"autoresched/internal/hpcm"
+	"autoresched/internal/mpi"
 	"autoresched/internal/simnode"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
@@ -98,6 +101,68 @@ func TestAttachBindsProcesses(t *testing.T) {
 	}
 	if _, err := c.Attach("ghost", "app", 0); err == nil {
 		t.Fatal("attach to unknown host succeeded")
+	}
+}
+
+// TestMovedProcessAttachesWithItsMemory: the memory a process last reported
+// travels in its state image, so a migrated and a restored incarnation both
+// occupy their new host from the moment they attach — before the application
+// gets round to calling SetMemory again, the window in which the registry
+// would otherwise see that host's memory as free.
+func TestMovedProcessAttachesWithItsMemory(t *testing.T) {
+	const mem = 48 << 20
+	c := New(Options{Clock: vclock.Scaled(vclock.Epoch, 500)})
+	if _, err := c.AddHosts("ws", 3, simnode.Config{MemTotal: 256 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	used := func(host string) int64 {
+		h, _ := c.Host(host)
+		_, u := h.Memory()
+		return u
+	}
+	idle := used("ws2")
+	store := hpcm.NewMemStore()
+	mw, err := hpcm.New(hpcm.Options{
+		Universe:    mpi.NewUniverse(mpi.Options{Clock: c.Clock(), Transport: mpi.SimTransport{Net: c.Net()}}),
+		Hosts:       c,
+		Checkpoints: store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On a resumed incarnation main reports what its host charged it on
+	// arrival, without calling SetMemory itself.
+	main := func(ctx *hpcm.Context) error {
+		bulk := make([]byte, 1<<20)
+		if err := ctx.RegisterLazy("bulk", &bulk); err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			if got := used(ctx.Host()) - idle; got != mem {
+				return fmt.Errorf("%s charges the arriving process %d bytes, want %d", ctx.Host(), got, mem)
+			}
+			return ctx.Await("bulk")
+		}
+		ctx.SetMemory(mem)
+		if err := ctx.PollPoint("moved"); err != nil {
+			return err
+		}
+		return fmt.Errorf("no migration at the poll-point")
+	}
+	p, err := mw.Start("app", "ws1", main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Signal(hpcm.Command{DestHost: "ws2"}) // also writes the safety checkpoint
+	if err := p.Wait(); err != nil {
+		t.Fatalf("migrated incarnation: %v", err)
+	}
+	restored, err := mw.Restore(store, "app", "ws3", main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Wait(); err != nil {
+		t.Fatalf("restored incarnation: %v", err)
 	}
 }
 

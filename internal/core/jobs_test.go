@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +221,45 @@ func TestSubmitConcurrentRace(t *testing.T) {
 		if err := j.Wait(); err != nil {
 			t.Fatalf("job %s: %v", j.Name(), err)
 		}
+	}
+}
+
+// TestOverlappingCyclesAdmitOnce: a kicked cycle can plan from the queue
+// before the previous cycle's executor goroutine has marked its job
+// Reserving. Both executors then race for the same job; the transition is a
+// compare-and-set, so exactly one reserves and launches. One P keeps the
+// executors from running between the two cycles.
+func TestOverlappingCyclesAdmitOnce(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	var reserving atomic.Int32
+	s, _ := newSystem(t, 1000, 2, Options{
+		Metrics: mreg,
+		Events: events.On(func(ev jobs.Event) {
+			if ev.To == jobs.StateReserving {
+				reserving.Add(1)
+			}
+		}),
+	})
+	// Straight into the queue: no dispatcher runs cycles of its own.
+	job, err := s.Queue().Submit(jobs.Spec{Name: "gang", Gang: 2, Rank: rankJacobi(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(1)
+	s.runCycle()
+	s.runCycle()
+	runtime.GOMAXPROCS(procs)
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reserving.Load(); got != 1 {
+		t.Fatalf("reserving events = %d, want 1", got)
+	}
+	if got := mreg.Counter(CtrJobsAdmitted).Value(); got != 1 {
+		t.Fatalf("admitted counter = %d, want 1", got)
+	}
+	if job.Requeues() != 0 {
+		t.Fatalf("requeues = %d, want 0", job.Requeues())
 	}
 }
 

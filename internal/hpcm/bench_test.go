@@ -167,7 +167,7 @@ func BenchmarkStateCollection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := reg.collect(""); err != nil {
+		if _, err := reg.collect(""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,6 @@
 package hpcm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -15,10 +13,10 @@ import (
 // mobile computing systems" and lists fault tolerance ("reschedule when the
 // machine will shut down") among the Grid motivations (Sections 1 and 6).
 // This file adds that extension: at a poll-point a process can write its
-// execution and memory state to a checkpoint store instead of (or in
-// addition to) migrating, and a new incarnation can later be restored from
-// the store on any host — the recovery path when a host dies instead of
-// being gracefully drained.
+// state image (image.go — the same bytes a migration streams) to a
+// checkpoint store instead of (or in addition to) migrating, and a new
+// incarnation can later be restored from the store on any host — the
+// recovery path when a host dies instead of being gracefully drained.
 
 // ErrKilled reports that the incarnation was terminated by Kill — the
 // simulated host crash.
@@ -89,14 +87,6 @@ func (s FileStore) Load(app string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	return data, true, nil
-}
-
-// image is the serialised checkpoint: the same execution + memory state a
-// migration transfers, in one blob.
-type image struct {
-	Label string
-	Eager map[string][]byte
-	Lazy  map[string][]byte
 }
 
 // RequestCheckpoint asks the process to write a checkpoint at its next
@@ -170,15 +160,15 @@ func (c *Context) checkpointNow(label string) error {
 	if p.killed.Load() {
 		return ErrKilled
 	}
-	eager, lazy, err := c.state.collect("")
+	img, err := c.collect(label, "")
 	if err != nil {
 		return fmt.Errorf("hpcm: checkpoint collection: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(image{Label: label, Eager: eager, Lazy: lazy}); err != nil {
+	data, err := img.marshal()
+	if err != nil {
 		return fmt.Errorf("hpcm: checkpoint encoding: %w", err)
 	}
-	if err := mw.ckptStore.Save(p.name, buf.Bytes()); err != nil {
+	if err := mw.ckptStore.Save(p.name, data); err != nil {
 		return fmt.Errorf("hpcm: checkpoint save: %w", err)
 	}
 	p.mu.Lock()
@@ -218,15 +208,9 @@ func (m *Middleware) Restore(store CheckpointStore, app, host string, main Main)
 	if !ok {
 		return nil, fmt.Errorf("hpcm: no checkpoint for %q", app)
 	}
-	var img image
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
+	img, saved, err := unmarshalImage(data)
+	if err != nil {
 		return nil, fmt.Errorf("hpcm: checkpoint decoding: %w", err)
 	}
-	saved := newSavedState()
-	saved.eager = img.Eager
-	for name, blob := range img.Lazy {
-		saved.completeLazy(name, blob)
-	}
-
-	return m.launch(app, host, main, img.Label, saved)
+	return m.launch(app, host, main, img, saved)
 }

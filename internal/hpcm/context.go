@@ -88,11 +88,14 @@ func (c *Context) Compute(work float64) error {
 	return nil
 }
 
-// SetMemory updates the incarnation's resident memory accounting.
+// SetMemory updates the incarnation's resident memory accounting. The value
+// travels with the process: a destination or restored incarnation attaches
+// with it.
 func (c *Context) SetMemory(bytes int64) {
 	c.proc.mu.Lock()
 	hp := c.proc.hostProc
 	c.proc.mu.Unlock()
+	c.proc.memory.Store(bytes)
 	hp.SetMemory(bytes)
 }
 

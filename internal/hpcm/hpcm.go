@@ -208,6 +208,7 @@ type Process struct {
 	ckptReq  atomic.Bool     // checkpoint requested for the next poll-point
 	killed   atomic.Bool     // host-crash simulation flag
 	evictReq atomic.Bool     // preemption eviction armed for the next poll-point
+	memory   atomic.Int64    // last SetMemory value; travels in the state image
 
 	mu       sync.Mutex
 	host     string
@@ -272,12 +273,13 @@ func (r Record) Downtime() time.Duration {
 
 // Start launches a migration-enabled process named name on host.
 func (m *Middleware) Start(name, host string, main Main) (*Process, error) {
-	return m.launch(name, host, main, "", nil)
+	return m.launch(name, host, main, image{}, nil)
 }
 
-// launch registers a process and starts its first incarnation on host;
-// label and saved carry resume state when it continues from a checkpoint.
-func (m *Middleware) launch(name, host string, main Main, label string, saved *savedState) (*Process, error) {
+// launch registers a process and starts its first incarnation on host; img
+// (label, memory) and saved carry resume state when it continues from a
+// checkpoint.
+func (m *Middleware) launch(name, host string, main Main, img image, saved *savedState) (*Process, error) {
 	p := &Process{
 		mw:     m,
 		name:   name,
@@ -288,17 +290,18 @@ func (m *Middleware) launch(name, host string, main Main, label string, saved *s
 		host:   host,
 		done:   make(chan struct{}),
 	}
+	p.memory.Store(img.Memory)
 	if err := m.register(p); err != nil {
 		return nil, err
 	}
-	hp, err := m.hosts.Attach(host, name, 0)
+	hp, err := m.hosts.Attach(host, name, img.Memory)
 	if err != nil {
 		m.deregister(p)
 		return nil, fmt.Errorf("hpcm: attach %q to %q: %w", name, host, err)
 	}
 	p.hostProc = hp
 	m.universe.Start([]string{host}, func(env *mpi.Env) error {
-		return p.incarnation(env, label, saved)
+		return p.incarnation(env, img.Label, saved)
 	})
 	return p, nil
 }

@@ -1,0 +1,306 @@
+package hpcm
+
+// The state image: the one format a process's transferable state takes,
+// whether it streams to an initialized process on another host or is saved
+// to a checkpoint store. Four operations, and every state path uses them:
+// collect (registry → image), stream (sendState, then sendLazy over the
+// chunk table), receive (receiveState, then savedState.restore in the
+// background) and marshal / unmarshal (the same bytes in one buffer).
+//
+// An image is a header followed by raw segment bytes. The header is JSON,
+// {Label, Memory, PagesName, Segments: [{Name, Lazy, Size}]}: the poll-point
+// label (execution state), the resident memory the destination attaches
+// with, the paged region a live migration shipped ahead (never in the
+// inventory), and the inventory. Inventory order is the order of the bytes:
+// eager segments by name, then lazy segments smallest first with the name
+// as tie-break — the quickly restored variables are the ones a resumed
+// application Awaits first. Segment data is whatever encodeState produced
+// (raw []byte and paged regions by reference, gob for everything else); the
+// image never looks inside it. JSON rather than gob because gob's bytes
+// depend on which types the process encoded before, and a checkpoint's
+// bytes should depend on the checkpoint alone.
+//
+// On the wire (tags in migrate.go), around the commit point:
+//
+//	source → tagHeader    the header, one raw message
+//	source → tagEager     the eager segments, by reference, as the fragments
+//	                      of one message (none if there are no eager bytes)
+//	dest   → tagResumed   empty: attached and resuming; else the error text
+//	  -- commit: the destination owns the process and is already running --
+//	source → tagLazy      the lazy segments in inventory order, each cut
+//	                      into raw chunks of at most Options.ChunkBytes
+//	dest   → tagRestored  empty: all lazy state restored; else the error text
+//
+// No message describes a chunk: the receiver cuts the stream by the sizes
+// the header declared, a zero-length segment sends nothing, and a chunk
+// that overruns its segment fails the restoration.
+//
+// In a checkpoint: one magic byte, the header's length as a big-endian
+// uint32, the header, then every segment's bytes in inventory order.
+// Restoring copies them once, so restored state never aliases the store's
+// copy. There is no version negotiation on either carrier: both ends of a
+// stream are the same binary, and a checkpoint never outlives the run that
+// wrote it — any other magic byte is rejected, not interpreted.
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+
+	"autoresched/internal/mpi"
+)
+
+const imageMagic = 0xC5
+
+// segment is one registered variable's serialised state. Data is absent
+// from the header and travels behind it.
+type segment struct {
+	Name string
+	Lazy bool
+	Size int
+	Data []byte `json:"-"`
+}
+
+// image is a process's transferable state. Decoded from a header alone, its
+// segments are the inventory: sizes without data.
+type image struct {
+	Label     string
+	Memory    int64
+	PagesName string
+	Segments  []segment
+}
+
+// collect serialises the registered memory state in inventory order. skip
+// names one entry to leave out — the live path ships its paged region
+// page-by-page and must not duplicate it in the freeze payload; everything
+// else passes "".
+func (r *registry) collect(skip string) (image, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	img := image{PagesName: skip, Segments: make([]segment, 0, len(r.entries))}
+	for name, e := range r.entries {
+		if skip != "" && name == skip {
+			continue
+		}
+		data, err := encodeState(e.ptr)
+		if err != nil {
+			return image{}, fmt.Errorf("hpcm: collect %q: %w", name, err)
+		}
+		img.Segments = append(img.Segments, segment{Name: name, Lazy: e.lazy, Size: len(data), Data: data})
+	}
+	sort.Slice(img.Segments, func(i, j int) bool {
+		a, b := &img.Segments[i], &img.Segments[j]
+		if a.Lazy != b.Lazy {
+			return b.Lazy
+		}
+		if a.Lazy && a.Size != b.Size {
+			return a.Size < b.Size
+		}
+		return a.Name < b.Name
+	})
+	return img, nil
+}
+
+// collect freezes this incarnation's state at a poll-point: the registered
+// memory state, the label, and the memory size SetMemory last reported.
+func (c *Context) collect(label, skip string) (image, error) {
+	img, err := c.state.collect(skip)
+	img.Label, img.Memory = label, c.proc.memory.Load()
+	return img, err
+}
+
+// parseHeader decodes and checks a header. A header may be input from
+// outside the program (a checkpoint file): sizes must be non-negative and
+// names unique, so no later step has to trust them.
+func parseHeader(hdr []byte) (image, error) {
+	var img image
+	if err := json.Unmarshal(hdr, &img); err != nil {
+		return image{}, fmt.Errorf("hpcm: state image header: %w", err)
+	}
+	seen := make(map[string]bool, len(img.Segments))
+	for _, s := range img.Segments {
+		if s.Size < 0 || seen[s.Name] {
+			return image{}, fmt.Errorf("hpcm: state image header: bad or duplicate segment %q (%d bytes)", s.Name, s.Size)
+		}
+		seen[s.Name] = true
+	}
+	return img, nil
+}
+
+// chunks cuts the eager or the lazy segments, in inventory order, into
+// windows of at most size bytes. Nothing is copied.
+func (img *image) chunks(lazy bool, size int) [][]byte {
+	var table [][]byte
+	for _, s := range img.Segments {
+		if s.Lazy != lazy {
+			continue
+		}
+		for off := 0; off < s.Size; off += size {
+			table = append(table, s.Data[off:min(off+size, s.Size)])
+		}
+	}
+	return table
+}
+
+// sendState streams the pre-commit half: the header, then the eager
+// segments whole, as the fragments of one message.
+func (img *image) sendState(inter *mpi.Comm) error {
+	hdr, err := json.Marshal(img)
+	if err == nil {
+		err = inter.Send(hdr, 0, tagHeader)
+	}
+	if err != nil {
+		return fmt.Errorf("hpcm: execution state transfer: %w", err)
+	}
+	if eager := img.chunks(false, math.MaxInt); len(eager) > 0 {
+		if err := inter.SendParts(eager, 0, tagEager); err != nil {
+			return fmt.Errorf("hpcm: eager state transfer: %w", err)
+		}
+	}
+	return nil
+}
+
+// sendLazy streams the post-commit half: the lazy segments' bytes as raw
+// chunks, each a one-fragment window of the chunk table — nothing encoded,
+// boxed or allocated per chunk. hotalloc fails the tree if that stops being
+// true.
+//
+//hot:path
+func sendLazy(inter *mpi.Comm, chunks [][]byte) error {
+	for i := range chunks {
+		if err := inter.SendParts(chunks[i:i+1], 0, tagLazy); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// receiveState is the initialized process's side of sendState: the image's
+// inventory and a savedState with every eager segment complete.
+func receiveState(parent *mpi.Comm) (image, *savedState, error) {
+	var hdr []byte
+	if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {
+		return image{}, nil, fmt.Errorf("hpcm: receive execution state: %w", err)
+	}
+	img, err := parseHeader(hdr)
+	if err != nil {
+		return image{}, nil, err
+	}
+	saved := newSavedState(img)
+	if err := saved.restore(parent, img, false); err != nil {
+		return image{}, nil, fmt.Errorf("hpcm: receive eager state: %w", err)
+	}
+	return img, saved, nil
+}
+
+// restore is the receiving side of both halves: it cuts the fragments
+// arriving on tagEager or tagLazy into the image's eager or lazy segments by
+// the sizes the inventory declares, completing each segment as its last
+// byte arrives. Buffers are sized from the inventory, so reassembly is one
+// sequential copy per segment; a fragment that overruns its segment is an
+// error.
+func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
+	tag := tagEager
+	if lazy {
+		tag = tagLazy
+	}
+	var frags [][]byte
+	for _, seg := range img.Segments {
+		if seg.Lazy != lazy {
+			continue
+		}
+		buf := make([]byte, 0, seg.Size)
+		for len(buf) < seg.Size {
+			if len(frags) == 0 {
+				if _, err := parent.Recv(&frags, 0, tag); err != nil {
+					return err
+				}
+			} else if len(frags[0]) > seg.Size-len(buf) {
+				return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frags[0]), seg.Name, seg.Size)
+			} else {
+				buf, frags = append(buf, frags[0]...), frags[1:]
+			}
+		}
+		s.completeLazy(seg.Name, buf)
+	}
+	return nil
+}
+
+// statusText is a handshake's payload: empty for success, anything else is
+// the error text.
+func statusText(err error) []byte {
+	if err == nil {
+		return nil
+	}
+	return []byte(err.Error())
+}
+
+// recvStatus waits for a handshake and returns the peer's refusal, if any.
+func recvStatus(c *mpi.Comm, tag int) error {
+	var text []byte
+	if _, err := c.Recv(&text, 0, tag); err != nil {
+		return err
+	}
+	if len(text) > 0 {
+		return errors.New(string(text))
+	}
+	return nil
+}
+
+// marshal writes the image into one exactly-sized buffer.
+func (img *image) marshal() ([]byte, error) {
+	hdr, err := json.Marshal(img)
+	if err != nil {
+		return nil, err
+	}
+	size := 5 + len(hdr)
+	for _, s := range img.Segments {
+		size += s.Size
+	}
+	buf := append(make([]byte, 0, size), imageMagic)
+	buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(hdr))), hdr...)
+	for _, s := range img.Segments {
+		buf = append(buf, s.Data...)
+	}
+	return buf, nil
+}
+
+// unmarshalImage is the checkpoint's receiveState: the inventory and a
+// savedState with every segment complete. It returns an error — never
+// panics, never allocates from a declared size — unless the header is
+// intact and its sizes account for exactly the bytes present, and it copies
+// those bytes, so the restored state does not alias data.
+func unmarshalImage(data []byte) (image, *savedState, error) {
+	if len(data) < 5 || data[0] != imageMagic {
+		return image{}, nil, errors.New("hpcm: not a state image")
+	}
+	n := int64(binary.BigEndian.Uint32(data[1:5]))
+	if n > int64(len(data)-5) {
+		return image{}, nil, errors.New("hpcm: state image header truncated")
+	}
+	img, err := parseHeader(data[5 : 5+n])
+	if err != nil {
+		return image{}, nil, err
+	}
+	body := data[5+n:]
+	left := len(body)
+	for _, s := range img.Segments {
+		if s.Size > left {
+			return image{}, nil, errors.New("hpcm: state image truncated")
+		}
+		left -= s.Size
+	}
+	if left != 0 {
+		return image{}, nil, fmt.Errorf("hpcm: state image has %d trailing bytes", left)
+	}
+	body = append([]byte(nil), body...)
+	saved := newSavedState(img)
+	for _, s := range img.Segments {
+		saved.completeLazy(s.Name, body[:s.Size:s.Size])
+		body = body[s.Size:]
+	}
+	return img, saved, nil
+}

@@ -2,7 +2,6 @@ package hpcm
 
 import (
 	"fmt"
-	"sort"
 
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
@@ -201,24 +200,5 @@ func receivePages(parent *mpi.Comm) ([]byte, error) {
 		if meta.Final {
 			return image, nil
 		}
-	}
-}
-
-// sortLazyNames fills the header's lazy inventory smallest-first: the
-// quickly-restored variables are the ones a resumed application is most
-// likely to Await, so this maximises the restoration/execution overlap.
-func sortLazyNames(hdr *header, lazy map[string][]byte) {
-	for name := range lazy {
-		hdr.LazyNames = append(hdr.LazyNames, name)
-	}
-	sort.Slice(hdr.LazyNames, func(i, j int) bool {
-		a, b := hdr.LazyNames[i], hdr.LazyNames[j]
-		if len(lazy[a]) != len(lazy[b]) {
-			return len(lazy[a]) < len(lazy[b])
-		}
-		return a < b
-	})
-	for _, name := range hdr.LazyNames {
-		hdr.LazySizes = append(hdr.LazySizes, int64(len(lazy[name])))
 	}
 }

@@ -1,6 +1,7 @@
 package hpcm
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -9,44 +10,15 @@ import (
 )
 
 // Wire tags of the state-transfer protocol on the parent/child
-// intercommunicator.
+// intercommunicator. image.go specifies the messages and their order.
 const (
-	tagHeader   = 1 // execution state: label, lazy inventory, memory size
-	tagEager    = 2 // eager memory image
-	tagLazy     = 3 // lazy state chunks
-	tagResumed  = 4 // child -> parent: execution resumed
-	tagRestored = 5 // child -> parent: all lazy state restored
+	tagHeader   = 1 // the state image's header
+	tagEager    = 2 // eager segments
+	tagLazy     = 3 // lazy segment chunks
+	tagResumed  = 4 // child -> parent: execution resumed (or why not)
+	tagRestored = 5 // child -> parent: all lazy state restored (or why not)
 	tagPrecopy  = 6 // live path: precopy batch metadata and page batches
 )
-
-// header is the execution-state message: everything the initialized process
-// needs before it can take over the computation.
-type header struct {
-	Label     string
-	LazyNames []string
-	LazySizes []int64
-	Memory    int64
-	// PagesName, on the live path, names the paged region the destination
-	// already assembled from precopy batches; it is excluded from LazyNames.
-	PagesName string
-}
-
-// chunkMeta announces one lazy-state fragment; the fragment's bytes follow
-// as a raw message (the mpi []byte fast path), so large memory images move
-// with a single copy end to end.
-type chunkMeta struct {
-	Name string
-	Size int64
-	Last bool
-}
-
-// resumeStatus reports whether the initialized process took over. The child
-// always sends one before doing anything else that can block the source, so
-// a destination-side failure never wedges the migrating process.
-type resumeStatus struct {
-	OK  bool
-	Err string
-}
 
 // attempt is one migration in flight on the source, created at the
 // poll-point that consumed the migrate command. A stop-and-copy migration
@@ -60,10 +32,8 @@ type attempt struct {
 	rec   Record
 	inter *mpi.Comm // to the initialized process on the destination
 
-	// The state frozen for the handover: execution-state header plus the
-	// eager and lazy memory images (minus a precopied region).
-	hdr         header
-	eager, lazy map[string][]byte
+	// The state frozen for the handover (minus a precopied region).
+	img image
 
 	// Precopy prefix (livemigrate.go); all zero for stop-and-copy.
 	pagesName string
@@ -174,23 +144,20 @@ func (c *Context) connectDestination(att *attempt) error {
 	return nil
 }
 
-// collectState freezes the memory state for the handover — everything but a
-// region precopy already shipped — and builds the execution-state header.
+// collectState freezes the state for the handover — everything but a region
+// precopy already shipped — and records its sizes.
 func (c *Context) collectState(att *attempt) error {
-	eager, lazy, err := c.state.collect(att.pagesName)
+	img, err := c.collect(att.rec.Label, att.pagesName)
 	if err != nil {
 		return fmt.Errorf("hpcm: state collection: %w", err)
 	}
-	att.eager, att.lazy = eager, lazy
-	att.hdr = header{Label: att.rec.Label, PagesName: att.pagesName}
-	// Stream smallest blobs first (HPCM's restoration likewise prioritises
-	// eagerly needed data).
-	sortLazyNames(&att.hdr, lazy)
-	for _, name := range att.hdr.LazyNames {
-		att.rec.LazyBytes += int64(len(lazy[name]))
-	}
-	for _, data := range eager {
-		att.rec.EagerBytes += int64(len(data))
+	att.img = img
+	for _, s := range img.Segments {
+		if s.Lazy {
+			att.rec.LazyBytes += int64(s.Size)
+		} else {
+			att.rec.EagerBytes += int64(s.Size)
+		}
 	}
 	return nil
 }
@@ -221,18 +188,11 @@ func (c *Context) handover(att *attempt, abortPhase string) error {
 			return abort(fmt.Errorf("hpcm: communication state transfer: %w", err))
 		}
 	}
-	if err := inter.Send(att.hdr, 0, tagHeader); err != nil {
-		return abort(fmt.Errorf("hpcm: execution state transfer: %w", err))
+	if err := att.img.sendState(inter); err != nil {
+		return abort(err)
 	}
-	if err := inter.Send(att.eager, 0, tagEager); err != nil {
-		return abort(fmt.Errorf("hpcm: eager state transfer: %w", err))
-	}
-	var resumed resumeStatus
-	if _, err := inter.Recv(&resumed, 0, tagResumed); err != nil {
-		return abort(fmt.Errorf("hpcm: resume handshake: %w", err))
-	}
-	if !resumed.OK {
-		return abort(fmt.Errorf("hpcm: destination %q failed to initialize: %s", rec.To, resumed.Err))
+	if err := recvStatus(inter, tagResumed); err != nil {
+		return abort(fmt.Errorf("hpcm: destination %q failed to initialize: %w", rec.To, err))
 	}
 	rec.ResumeAt = mw.clock.Now()
 
@@ -288,29 +248,11 @@ func (c *Context) completeMigration(att *attempt, oldHP HostProc, recIdx int) er
 		return ErrMigrated
 	}
 
-	for _, name := range att.hdr.LazyNames {
-		data := att.lazy[name]
-		for off := 0; ; off += mw.chunk {
-			end := off + mw.chunk
-			last := end >= len(data)
-			if last {
-				end = len(data)
-			}
-			meta := chunkMeta{Name: name, Size: int64(end - off), Last: last}
-			if err := inter.Send(meta, 0, tagLazy); err != nil {
-				return postFail(fmt.Errorf("hpcm: lazy state transfer of %q: %w", name, err))
-			}
-			if err := inter.Send(data[off:end], 0, tagLazy); err != nil {
-				return postFail(fmt.Errorf("hpcm: lazy state transfer of %q: %w", name, err))
-			}
-			if last {
-				break
-			}
-		}
+	if err := sendLazy(inter, att.img.chunks(true, mw.chunk)); err != nil {
+		return postFail(fmt.Errorf("hpcm: lazy state transfer: %w", err))
 	}
-	var restored bool
-	if _, err := inter.Recv(&restored, 0, tagRestored); err != nil {
-		return postFail(fmt.Errorf("hpcm: restore handshake: %w", err))
+	if err := recvStatus(inter, tagRestored); err != nil {
+		return postFail(fmt.Errorf("hpcm: lazy restoration on %q: %w", att.rec.To, err))
 	}
 
 	// Source-side cleanup: leave the source host's process table.
@@ -344,24 +286,22 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 			return err // nil region: the source cancelled the attempt
 		}
 	}
-	var hdr header
-	if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {
-		return fmt.Errorf("hpcm: receive execution state: %w", err)
+	// Failures from here to the resume handshake are reported back, so the
+	// source can resume locally instead of hanging.
+	img, saved, err := receiveState(parent)
+	if err != nil {
+		_ = parent.Send(statusText(err), 0, tagResumed)
+		return err
 	}
-	saved := newSavedState()
-	if _, err := parent.Recv(&saved.eager, 0, tagEager); err != nil {
-		return fmt.Errorf("hpcm: receive eager state: %w", err)
-	}
-	if hdr.PagesName != "" {
-		saved.completeLazy(hdr.PagesName, region)
+	if img.PagesName != "" {
+		saved.completeLazy(img.PagesName, region)
 	}
 
 	// The initialized process joins the destination host's process table
-	// before taking over. Failures are reported back so the source can
-	// resume locally instead of hanging.
-	hp, err := p.mw.hosts.Attach(env.Host, p.name, hdr.Memory)
+	// before taking over, with the memory the source last reported.
+	hp, err := p.mw.hosts.Attach(env.Host, p.name, img.Memory)
 	if err != nil {
-		_ = parent.Send(resumeStatus{Err: err.Error()}, 0, tagResumed)
+		_ = parent.Send(statusText(err), 0, tagResumed)
 		return fmt.Errorf("hpcm: attach on destination %q: %w", env.Host, err)
 	}
 	p.mu.Lock()
@@ -370,48 +310,20 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 	p.saved = saved // the source fails this stream if post-commit transfer breaks
 	p.mu.Unlock()
 
-	if err := parent.Send(resumeStatus{OK: true}, 0, tagResumed); err != nil {
+	if err := parent.Send(statusText(nil), 0, tagResumed); err != nil {
 		return err
 	}
 
-	// Background restoration of lazy state, overlapping execution. Buffers
-	// are preallocated from the header's size inventory so reassembly is a
-	// single sequential copy per blob.
+	// Background restoration of lazy state, overlapping execution. Its
+	// outcome goes back to the source either way: a destination that cannot
+	// use the stream must not leave the source waiting for the handshake.
 	restoreErr := make(chan error, 1)
 	go func() {
-		sizes := make(map[string]int64, len(hdr.LazyNames))
-		for i, name := range hdr.LazyNames {
-			sizes[name] = hdr.LazySizes[i]
-		}
-		pending := make(map[string][]byte, len(hdr.LazyNames))
-		remaining := len(hdr.LazyNames)
-		for remaining > 0 {
-			var meta chunkMeta
-			if _, err := parent.Recv(&meta, 0, tagLazy); err != nil {
-				restoreErr <- err
-				return
-			}
-			var data []byte
-			if _, err := parent.Recv(&data, 0, tagLazy); err != nil {
-				restoreErr <- err
-				return
-			}
-			buf, ok := pending[meta.Name]
-			if !ok {
-				buf = make([]byte, 0, sizes[meta.Name])
-			}
-			buf = append(buf, data...)
-			pending[meta.Name] = buf
-			if meta.Last {
-				saved.completeLazy(meta.Name, buf)
-				delete(pending, meta.Name)
-				remaining--
-			}
-		}
-		restoreErr <- parent.Send(true, 0, tagRestored)
+		err := saved.restore(parent, img, true)
+		restoreErr <- errors.Join(err, parent.Send(statusText(err), 0, tagRestored))
 	}()
 
-	err = p.incarnation(env, hdr.Label, saved)
+	err = p.incarnation(env, img.Label, saved)
 	if rerr := <-restoreErr; rerr != nil && err == nil {
 		err = fmt.Errorf("hpcm: lazy restoration: %w", rerr)
 	}

@@ -97,7 +97,7 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 }
 
 func TestSavedStateFailUnblocksAwaiters(t *testing.T) {
-	s := newSavedState()
+	s := newSavedState(image{Segments: []segment{{Name: "never"}}}) // declared, never delivered
 	errc := make(chan error, 1)
 	go func() {
 		_, err := s.awaitLazy("never")
@@ -114,7 +114,7 @@ func TestSavedStateFailUnblocksAwaiters(t *testing.T) {
 		t.Fatal("awaitLazy still blocked after fail")
 	}
 	// Blobs completed before the failure stay readable.
-	s2 := newSavedState()
+	s2 := newSavedState(image{})
 	s2.completeLazy("ok", []byte("x"))
 	s2.fail(cause)
 	data, err := s2.awaitLazy("ok")

@@ -14,50 +14,52 @@ import (
 // collection and restoration.
 type registry struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	entries map[string]*entry
-	// saved holds incoming state on a resumed incarnation: eager data is
-	// present at creation, lazy data arrives from the background stream.
+	// saved holds incoming state on a resumed incarnation: eager segments
+	// are present at creation, lazy ones arrive from the background stream.
 	saved *savedState
 }
 
 type entry struct {
-	name     string
 	ptr      any
 	lazy     bool
 	restored bool
 }
 
-// savedState is the transferable memory image.
+// savedState is the receiving end of a state image (image.go): one slot per
+// segment, complete on arrival for eager state and checkpoints, completed by
+// the background stream for lazy state.
 type savedState struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	eager map[string][]byte
-	lazy  map[string][]byte // complete lazy blobs (assembled from chunks)
-	ready map[string]bool   // lazy name fully received
-	err   error             // the inbound stream died; missing blobs never arrive
+	slots map[string]slot
+	err   error // the inbound stream died; missing segments never arrive
 }
 
-func newSavedState() *savedState {
-	s := &savedState{
-		eager: make(map[string][]byte),
-		lazy:  make(map[string][]byte),
-		ready: make(map[string]bool),
-	}
+type slot struct {
+	data  []byte
+	ready bool
+}
+
+// newSavedState declares every segment of img's inventory, none arrived.
+func newSavedState(img image) *savedState {
+	s := &savedState{slots: make(map[string]slot, len(img.Segments))}
 	s.cond = sync.NewCond(&s.mu)
+	for _, seg := range img.Segments {
+		s.slots[seg.Name] = slot{}
+	}
 	return s
 }
 
-// completeLazy installs a fully received lazy blob.
+// completeLazy installs a fully received segment.
 func (s *savedState) completeLazy(name string, data []byte) {
 	s.mu.Lock()
-	s.lazy[name] = data
-	s.ready[name] = true
+	s.slots[name] = slot{data: data, ready: true}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// fail marks the inbound state stream dead: blobs not yet complete will
+// fail marks the inbound state stream dead: segments not yet complete will
 // never arrive, and awaiters unblock with err.
 func (s *savedState) fail(err error) {
 	s.mu.Lock()
@@ -68,24 +70,27 @@ func (s *savedState) fail(err error) {
 	s.mu.Unlock()
 }
 
-// awaitLazy blocks until the named lazy blob has fully arrived, or the
-// stream fails.
+// awaitLazy blocks until the named segment has fully arrived, or the stream
+// fails. A name the image never declared is an error at once.
 func (s *savedState) awaitLazy(name string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.ready[name] && s.err == nil {
+	for {
+		sl, declared := s.slots[name]
+		switch {
+		case !declared:
+			return nil, fmt.Errorf("the state image has no segment %q", name)
+		case sl.ready:
+			return sl.data, nil
+		case s.err != nil:
+			return nil, s.err
+		}
 		s.cond.Wait()
 	}
-	if s.ready[name] {
-		return s.lazy[name], nil
-	}
-	return nil, s.err
 }
 
 func newRegistry(saved *savedState) *registry {
-	r := &registry{entries: make(map[string]*entry), saved: saved}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	return &registry{entries: make(map[string]*entry), saved: saved}
 }
 
 // register adds (or re-binds, on resume) a state variable. On a resumed
@@ -100,17 +105,18 @@ func (r *registry) register(name string, ptr any, lazy bool) error {
 	if _, exists := r.entries[name]; exists {
 		return fmt.Errorf("hpcm: state %q already registered", name)
 	}
-	e := &entry{name: name, ptr: ptr, lazy: lazy}
+	e := &entry{ptr: ptr, lazy: lazy}
 	r.entries[name] = e
 	if r.saved == nil {
 		return nil
 	}
 	if !lazy {
-		data, ok := r.saved.eager[name]
-		if !ok {
-			return fmt.Errorf("hpcm: resumed without saved state for %q", name)
+		// Eager segments arrived before the incarnation started: no wait.
+		data, err := r.saved.awaitLazy(name)
+		if err == nil {
+			err = decodeState(data, ptr)
 		}
-		if err := decodeState(data, ptr); err != nil {
+		if err != nil {
 			return fmt.Errorf("hpcm: restore %q: %w", name, err)
 		}
 		e.restored = true
@@ -118,30 +124,22 @@ func (r *registry) register(name string, ptr any, lazy bool) error {
 	return nil
 }
 
-// await blocks until the named lazy entry is restored into its pointer.
+// await blocks until the named lazy entry is restored into its pointer. On
+// a fresh incarnation there is nothing to wait for.
 func (r *registry) await(name string) error {
 	r.mu.Lock()
 	e, ok := r.entries[name]
+	r.mu.Unlock()
 	if !ok {
-		r.mu.Unlock()
 		return fmt.Errorf("hpcm: await of unregistered state %q", name)
 	}
-	if e.restored || r.saved == nil {
-		// Fresh incarnation or already restored: nothing to wait for.
-		if r.saved == nil {
-			e.restored = true
-		}
-		r.mu.Unlock()
+	if r.saved == nil {
 		return nil
 	}
-	saved := r.saved
-	r.mu.Unlock()
-
-	data, err := saved.awaitLazy(name)
+	data, err := r.saved.awaitLazy(name) // outside r.mu: the stream may take a while
 	if err != nil {
 		return fmt.Errorf("hpcm: await %q: %w", name, err)
 	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e.restored {
@@ -152,32 +150,6 @@ func (r *registry) await(name string) error {
 	}
 	e.restored = true
 	return nil
-}
-
-// collect serialises the current memory state for transfer: the eager
-// image and the lazy blobs. skip names one entry to leave out — the live
-// path ships its paged region page-by-page and must not duplicate it in
-// the freeze payload; classic migration passes "".
-func (r *registry) collect(skip string) (eager map[string][]byte, lazy map[string][]byte, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	eager = make(map[string][]byte)
-	lazy = make(map[string][]byte)
-	for name, e := range r.entries {
-		if skip != "" && name == skip {
-			continue
-		}
-		data, err := encodeState(e.ptr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("hpcm: collect %q: %w", name, err)
-		}
-		if e.lazy {
-			lazy[name] = data
-		} else {
-			eager[name] = data
-		}
-	}
-	return eager, lazy, nil
 }
 
 // pagesRegion returns the process's paged region if exactly one is
@@ -230,20 +202,6 @@ func decodeState(data []byte, ptr any) error {
 		return pg.Load(data)
 	}
 	return gobDecode(data, ptr)
-}
-
-// names returns the registered names split by kind.
-func (r *registry) names() (eager, lazy []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, e := range r.entries {
-		if e.lazy {
-			lazy = append(lazy, name)
-		} else {
-			eager = append(eager, name)
-		}
-	}
-	return eager, lazy
 }
 
 func gobEncode(v any) ([]byte, error) {

@@ -348,7 +348,9 @@ func (q *Queue) views(want State) []JobView {
 
 // Transition moves a job between non-terminal states, updating the
 // wait-time and requeue bookkeeping. The dispatcher drives it; invalid
-// transitions (from a terminal state) are rejected.
+// transitions (from a terminal state, or to Reserving from anything but
+// Pending — admission is a compare-and-set, so a job planned by two
+// overlapping cycles is admitted once) are rejected.
 func (q *Queue) Transition(name string, to State, note string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -364,6 +366,10 @@ func (q *Queue) Transition(name string, to State, note string) error {
 	}
 	from := j.state
 	switch to {
+	case StateReserving:
+		if from != StatePending {
+			return fmt.Errorf("jobs: job %q is %s, not pending: already admitted", name, from)
+		}
 	case StateRunning:
 		if from != StateRunning && j.started.IsZero() {
 			j.started = q.clock.Now()
@@ -375,8 +381,8 @@ func (q *Queue) Transition(name string, to State, note string) error {
 			j.placement = nil
 		}
 	default:
-		// Reserving/Preempting need no entry bookkeeping, and terminal
-		// states were rejected above (Settle owns those).
+		// Preempting needs no entry bookkeeping, and terminal states were
+		// rejected above (Settle owns those).
 	}
 	j.state = to
 	q.emitLocked(j, from, to, note)

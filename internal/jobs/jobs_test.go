@@ -112,6 +112,33 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 	}
 }
 
+// TestAdmissionIsCompareAndSet: only a Pending job can move to Reserving, so
+// the second of two executors planned for the same job stops at its first
+// statement — without touching the state or the requeue count.
+func TestAdmissionIsCompareAndSet(t *testing.T) {
+	q, _ := newTestQueue(nil)
+	j, err := q.Submit(Spec{Name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Transition("a", StateReserving, "admitted"); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []State{StateReserving, StateRunning, StatePreempting} {
+		if from != StateReserving {
+			if err := q.Transition("a", from, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := q.Transition("a", StateReserving, "admitted"); err == nil {
+			t.Fatalf("second admission accepted from %s", from)
+		}
+		if j.State() != from || j.Requeues() != 0 {
+			t.Fatalf("refused admission changed the job: state %s (want %s), requeues %d", j.State(), from, j.Requeues())
+		}
+	}
+}
+
 func TestCancel(t *testing.T) {
 	q, _ := newTestQueue(nil)
 	j, _ := q.Submit(Spec{Name: "a"})
