@@ -37,8 +37,14 @@ func (c *Context) Resumed() bool { return c.label != "" }
 func (c *Context) ResumeLabel() string { return c.label }
 
 // Register declares an eager memory-state variable: collected at migration
-// and restored before the resumed incarnation starts. ptr must be a pointer
-// to a gob-serialisable value.
+// and restored before the resumed incarnation starts. ptr points at the
+// variable. A *[]float64, *[]int64 or *[]byte moves by reference, unencoded.
+// Collection only references the source's array, until the incarnation
+// returns ErrMigrated — after an abort before the commit point the array is
+// simply still the source's own. The restored slice is backed by the receive
+// buffer: it is the application's to mutate and costs no second copy.
+// Anything else must be gob-serialisable and is encoded and decoded. The
+// same holds for RegisterLazy.
 func (c *Context) Register(name string, ptr any) error {
 	return c.state.register(name, ptr, false)
 }

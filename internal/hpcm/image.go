@@ -8,17 +8,19 @@ package hpcm
 // background) and marshal / unmarshal (the same bytes in one buffer).
 //
 // An image is a header followed by raw segment bytes. The header is JSON,
-// {Label, Memory, PagesName, Segments: [{Name, Lazy, Size}]}: the poll-point
-// label (execution state), the resident memory the destination attaches
-// with, the paged region a live migration shipped ahead (never in the
-// inventory), and the inventory. Inventory order is the order of the bytes:
-// eager segments by name, then lazy segments smallest first with the name
-// as tie-break — the quickly restored variables are the ones a resumed
-// application Awaits first. Segment data is whatever encodeState produced
-// (raw []byte and paged regions by reference, gob for everything else); the
-// image never looks inside it. JSON rather than gob because gob's bytes
-// depend on which types the process encoded before, and a checkpoint's
-// bytes should depend on the checkpoint alone.
+// {Label, Memory, PagesName, Segments: [{Name, Lazy, Size, Enc}]}: the
+// poll-point label (execution state), the resident memory the destination
+// attaches with, the paged region a live migration shipped ahead (never in
+// the inventory), and the inventory. Inventory order is the order of the
+// bytes: eager segments by name, then lazy segments smallest first with the
+// name as tie-break — the quickly restored variables are the ones a resumed
+// application Awaits first. Segment data is whatever encodeState produced,
+// and Enc says which: "raw" ([]byte and paged regions), "f64le" / "i64le"
+// ([]float64 / []int64 as the producer's memory holds them — "…be" from a
+// big-endian producer) — all three by reference, nothing encoded — or "gob"
+// for everything else. The image never looks inside the data. JSON rather
+// than gob because gob's bytes depend on which types the process encoded
+// before, and a checkpoint's bytes should depend on the checkpoint alone.
 //
 // On the wire (tags in migrate.go), around the commit point:
 //
@@ -40,7 +42,11 @@ package hpcm
 // Restoring copies them once, so restored state never aliases the store's
 // copy. There is no version negotiation on either carrier: both ends of a
 // stream are the same binary, and a checkpoint never outlives the run that
-// wrote it — any other magic byte is rejected, not interpreted.
+// wrote it — any other magic byte is rejected, not interpreted. The same
+// rule holds per segment: parseHeader rejects an Enc outside the vocabulary
+// or a typed array that is not whole elements, and decodeState rejects a
+// segment whose Enc is not the one the registered variable's type collects
+// to on this host. Nothing is converted, reinterpreted or byte-swapped.
 
 import (
 	"encoding/binary"
@@ -61,6 +67,7 @@ type segment struct {
 	Name string
 	Lazy bool
 	Size int
+	Enc  string
 	Data []byte `json:"-"`
 }
 
@@ -89,7 +96,7 @@ func (r *registry) collect(skip string) (image, error) {
 		if err != nil {
 			return image{}, fmt.Errorf("hpcm: collect %q: %w", name, err)
 		}
-		img.Segments = append(img.Segments, segment{Name: name, Lazy: e.lazy, Size: len(data), Data: data})
+		img.Segments = append(img.Segments, segment{Name: name, Lazy: e.lazy, Size: len(data), Enc: encOf(e.ptr), Data: data})
 	}
 	sort.Slice(img.Segments, func(i, j int) bool {
 		a, b := &img.Segments[i], &img.Segments[j]
@@ -113,8 +120,9 @@ func (c *Context) collect(label, skip string) (image, error) {
 }
 
 // parseHeader decodes and checks a header. A header may be input from
-// outside the program (a checkpoint file): sizes must be non-negative and
-// names unique, so no later step has to trust them.
+// outside the program (a checkpoint file): sizes must be non-negative, names
+// unique, every Enc one of the vocabulary and a typed array whole elements,
+// so no later step has to trust them.
 func parseHeader(hdr []byte) (image, error) {
 	var img image
 	if err := json.Unmarshal(hdr, &img); err != nil {
@@ -126,6 +134,15 @@ func parseHeader(hdr []byte) (image, error) {
 			return image{}, fmt.Errorf("hpcm: state image header: bad or duplicate segment %q (%d bytes)", s.Name, s.Size)
 		}
 		seen[s.Name] = true
+		switch s.Enc {
+		case encGob, encRaw:
+		case "f64le", "f64be", "i64le", "i64be":
+			if s.Size%8 != 0 {
+				return image{}, fmt.Errorf("hpcm: state image header: %s segment %q is %d bytes, not whole elements", s.Enc, s.Name, s.Size)
+			}
+		default:
+			return image{}, fmt.Errorf("hpcm: state image header: segment %q has unknown encoding %q", s.Name, s.Enc)
+		}
 	}
 	return img, nil
 }

@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
@@ -20,13 +24,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/image.golden from the current format")
 
 const (
-	testChunk = 1 << 10
+	// Not a multiple of 8: chunk boundaries fall inside array elements.
+	testChunk = 1<<10 - 4
 	testMem   = 48 << 20
 )
 
 // stateValues is a deep copy of the one registered state set the carrier
-// tests move: an eager struct, a raw []byte, a lazy []float64, a zero-length
-// lazy blob, a lazy blob of 3.5 chunks and (second row) a paged region.
+// tests move: an eager struct, a raw []byte, a zero-length lazy blob, a lazy
+// blob of 3.5 chunks, typed arrays — lazy, eager, of 3.5 chunks, nil and
+// zero-length, of both element types — and (second row) a paged region.
 type stateValues struct {
 	Eager struct {
 		Step    int
@@ -34,12 +40,45 @@ type stateValues struct {
 		Weights [3]float64
 	}
 	Raw, Empty, Bulk, Pages []byte
-	Grid                    []float64
+	Floats                  [5][]float64 // grid (lazy), hot (eager), wide (lazy, 3.5 chunks), nil, zero-length
+	Ints                    [3][]int64   // tree (lazy), nil, zero-length
+}
+
+var (
+	floatNames = [5]string{"grid", "hot", "wide", "nilf", "zerof"}
+	intNames   = [3]string{"tree", "nili", "zeroi"}
+)
+
+// sameBits compares by bit pattern: NaN payloads and the sign of zero count.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func (v stateValues) equal(w stateValues) bool {
+	for i := range v.Floats {
+		if !sameBits(v.Floats[i], w.Floats[i]) {
+			return false
+		}
+	}
+	for i := range v.Ints {
+		if !slices.Equal(v.Ints[i], w.Ints[i]) {
+			return false
+		}
+	}
 	return v.Eager == w.Eager && bytes.Equal(v.Raw, w.Raw) && bytes.Equal(v.Empty, w.Empty) &&
-		bytes.Equal(v.Bulk, w.Bulk) && bytes.Equal(v.Pages, w.Pages) && slices.Equal(v.Grid, w.Grid)
+		bytes.Equal(v.Bulk, w.Bulk) && bytes.Equal(v.Pages, w.Pages)
+}
+
+func (v stateValues) clone() stateValues {
+	w := v
+	w.Raw, w.Empty, w.Bulk = bytes.Clone(v.Raw), bytes.Clone(v.Empty), bytes.Clone(v.Bulk)
+	for i := range v.Floats {
+		w.Floats[i] = slices.Clone(v.Floats[i])
+	}
+	for i := range v.Ints {
+		w.Ints[i] = slices.Clone(v.Ints[i])
+	}
+	return w
 }
 
 func pattern(n, salt int) []byte {
@@ -50,10 +89,26 @@ func pattern(n, salt int) []byte {
 	return b
 }
 
+// hardFloats is every float64 a codec could get wrong — a NaN with a
+// payload, both zeros, both infinities, the subnormal extremes — padded to n
+// elements with seeded random bit patterns.
+func hardFloats(n int, seed int64) []float64 {
+	f := []float64{
+		math.Float64frombits(0x7FF8_0000_DEAD_BEEF), math.Float64frombits(0xFFF0_0000_0000_0001),
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000F_FFFF_FFFF_FFFF),
+		math.MaxFloat64, 1.0 / 3,
+	}
+	for rng := rand.New(rand.NewSource(seed)); len(f) < n; {
+		f = append(f, math.Float64frombits(rng.Uint64()))
+	}
+	return f
+}
+
 // stateMain registers the state set. A fresh incarnation fills it, reports
 // it on out and polls until it is moved; a resumed one awaits everything,
-// reports what arrived, and then scribbles over its raw regions — which
-// must not reach the checkpoint it was restored from.
+// reports what arrived, and then scribbles over its by-reference regions —
+// which must not reach the checkpoint it was restored from.
 func stateMain(paged bool, out chan<- stateValues) Main {
 	return func(ctx *Context) error {
 		var v stateValues
@@ -64,30 +119,37 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 		err = errors.Join(
 			ctx.Register("eager", &v.Eager),
 			ctx.Register("raw", &v.Raw),
-			ctx.RegisterLazy("grid", &v.Grid),
 			ctx.RegisterLazy("empty", &v.Empty),
 			ctx.RegisterLazy("bulk", &v.Bulk),
 		)
+		lazy := []string{"empty", "bulk"}
+		for i, name := range floatNames {
+			if name == "hot" {
+				err = errors.Join(err, ctx.Register(name, &v.Floats[i]))
+				continue
+			}
+			err = errors.Join(err, ctx.RegisterLazy(name, &v.Floats[i]))
+			lazy = append(lazy, name)
+		}
+		for i, name := range intNames {
+			err = errors.Join(err, ctx.RegisterLazy(name, &v.Ints[i]))
+			lazy = append(lazy, name)
+		}
 		if paged && err == nil {
 			err = ctx.RegisterPages("pages", pages)
+			lazy = append(lazy, "pages")
 		}
 		if err != nil {
 			return err
 		}
 		report := func() {
-			w := v
-			w.Raw, w.Empty, w.Bulk = bytes.Clone(v.Raw), bytes.Clone(v.Empty), bytes.Clone(v.Bulk)
-			w.Grid = slices.Clone(v.Grid)
+			w := v.clone()
 			if paged {
-				w.Pages = bytes.Clone(pages.Bytes())
+				w.Pages = pages.Bytes()
 			}
 			out <- w
 		}
 		if ctx.Resumed() {
-			lazy := []string{"grid", "empty", "bulk"}
-			if paged {
-				lazy = append(lazy, "pages")
-			}
 			for _, name := range lazy {
 				if err := ctx.Await(name); err != nil {
 					return err
@@ -100,13 +162,22 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 			for i := range v.Bulk {
 				v.Bulk[i] = 0xFF
 			}
+			for _, f := range v.Floats {
+				for i := range f {
+					f[i] = -1
+				}
+			}
+			for _, n := range v.Ints {
+				for i := range n {
+					n[i] = -1
+				}
+			}
 			return nil
 		}
 		v.Eager.Step, v.Eager.Name, v.Eager.Weights = 42, "jacobi", [3]float64{0.25, -1, 1e-9}
 		v.Raw, v.Empty, v.Bulk = pattern(64, 1), []byte{}, pattern(testChunk*7/2, 2)
-		for i := 0; i < 10; i++ {
-			v.Grid = append(v.Grid, float64(i)/3)
-		}
+		v.Floats = [5][]float64{hardFloats(64, 1), hardFloats(16, 2), hardFloats((testChunk*7/2+7)/8, 3), nil, {}}
+		v.Ints = [3][]int64{{math.MinInt64, math.MaxInt64, -1, 0, 1, 1 << 53}, nil, {}}
 		for w := 0; w < 32*8; w++ {
 			pages.SetFloat64(w, float64(w)+0.5)
 		}
@@ -125,7 +196,9 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 // TestOneStateSetBothCarriers moves the same registered state through the
 // stream (a migration, stop-and-copy and live) and through the checkpoint
 // image (the safety checkpoint that migration wrote, restored twice), and
-// compares everything that arrives bit for bit with the source.
+// compares everything that arrives bit for bit with the source. The typed
+// arrays arrive aligned on the stream (viewed) and at arbitrary offsets in
+// the checkpoint (copied).
 func TestOneStateSetBothCarriers(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -163,10 +236,12 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 			if streamed := <-out; !streamed.equal(source) {
 				t.Fatalf("streamed state differs from the source:\n got %+v\nwant %+v", streamed, source)
 			}
+			// The lazy stream is the arrays' own size, nothing added by a codec.
 			// Live: the region went ahead in precopy rounds, skipped by collect
 			// and installed under PagesName — not a segment of the image.
-			if rec := p.Records()[0]; paged && (rec.PrecopyRounds < 1 || rec.LazyBytes >= int64(32*64+testChunk*7/2)) {
-				t.Fatalf("paged region not shipped ahead of the image: %+v", rec)
+			lazyBytes := len(source.Bulk) + 8*(len(source.Floats[0])+len(source.Floats[2])+len(source.Ints[0]))
+			if rec := p.Records()[0]; rec.LazyBytes != int64(lazyBytes) || (paged && rec.PrecopyRounds < 1) {
+				t.Fatalf("lazy stream of %d bytes, want %d (paged region shipped ahead: %v): %+v", rec.LazyBytes, lazyBytes, paged, rec)
 			}
 			// The checkpoint is the same image in one buffer; restoring twice
 			// also proves the first incarnation's scribbling stayed its own.
@@ -186,20 +261,20 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 	}
 }
 
-// goldenImage has row one's inventory — the same names, kinds and order —
-// with literal payloads where the application's would be gob: gob's bytes
+// goldenImage has the inventory the carrier test started with — the same
+// names, kinds and order — with literal payloads where the application's would be gob: gob's bytes
 // depend on which types the test binary encoded earlier, a golden file must
 // not.
 func goldenImage() image {
-	seg := func(name string, lazy bool, data []byte) segment {
-		return segment{Name: name, Lazy: lazy, Size: len(data), Data: data}
+	seg := func(name string, lazy bool, enc string, data []byte) segment {
+		return segment{Name: name, Lazy: lazy, Size: len(data), Enc: enc, Data: data}
 	}
 	return image{Label: "moved", Memory: testMem, Segments: []segment{
-		seg("eager", false, []byte("eager-struct")),
-		seg("raw", false, pattern(64, 1)),
-		seg("empty", true, nil),
-		seg("grid", true, pattern(80, 3)),
-		seg("bulk", true, pattern(testChunk*7/2, 2)),
+		seg("eager", false, encGob, []byte("eager-struct")),
+		seg("raw", false, encRaw, pattern(64, 1)),
+		seg("empty", true, encRaw, nil),
+		seg("grid", true, "f64le", pattern(80, 3)),
+		seg("bulk", true, encRaw, pattern(testChunk*7/2, 2)),
 	}}
 }
 
@@ -234,8 +309,8 @@ func TestImageGolden(t *testing.T) {
 	}
 	for i, s := range back.Segments {
 		o := img.Segments[i]
-		if data, err := saved.awaitLazy(s.Name); err != nil || s.Name != o.Name || s.Lazy != o.Lazy || !bytes.Equal(data, o.Data) {
-			t.Fatalf("segment %d = %q lazy=%v (%d bytes, %v), want %q lazy=%v (%d bytes)", i, s.Name, s.Lazy, len(data), err, o.Name, o.Lazy, len(o.Data))
+		if sl, err := saved.awaitLazy(s.Name); err != nil || s.Name != o.Name || s.Lazy != o.Lazy || s.Enc != o.Enc || sl.enc != o.Enc || !bytes.Equal(sl.data, o.Data) {
+			t.Fatalf("segment %d = %q lazy=%v %s (%d bytes, %v), want %q lazy=%v %s (%d bytes)", i, s.Name, s.Lazy, s.Enc, len(sl.data), err, o.Name, o.Lazy, o.Enc, len(o.Data))
 		}
 	}
 }
@@ -299,15 +374,38 @@ func malformations(t testing.TB) map[string][]byte {
 		"old gob checkpoint":      append([]byte{0x2c, 0xff, 0x81, 0x03, 0x01}, good...),
 		"header length past data": flip(1, 0xFF),
 		"header not json":         frame(`{"Label":`, nil),
-		"negative size":           frame(`{"Segments":[{"Name":"a","Size":-1}]}`, nil),
-		"size beyond the bytes":   frame(`{"Segments":[{"Name":"a","Size":4611686018427387904}]}`, []byte("abc")),
-		"sizes overflow their sum": frame(`{"Segments":[{"Name":"a","Size":9223372036854775807},{"Name":"b","Size":9223372036854775807},{"Name":"c","Size":5}]}`,
+		"negative size":           frame(`{"Segments":[{"Name":"a","Size":-1,"Enc":"raw"}]}`, nil),
+		"size beyond the bytes":   frame(`{"Segments":[{"Name":"a","Size":4611686018427387904,"Enc":"raw"}]}`, []byte("abc")),
+		"sizes overflow their sum": frame(`{"Segments":[{"Name":"a","Size":9223372036854775807,"Enc":"raw"},{"Name":"b","Size":9223372036854775807,"Enc":"raw"},{"Name":"c","Size":5,"Enc":"raw"}]}`,
 			[]byte("abc")),
-		"size not an int": frame(`{"Segments":[{"Name":"a","Size":1e30}]}`, nil),
-		"duplicate name":  frame(`{"Segments":[{"Name":"a","Size":1},{"Name":"a","Size":2}]}`, []byte("abc")),
-		"sizes fall short": frame(`{"Segments":[{"Name":"a","Size":1},{"Name":"b","Size":1}]}`,
+		"size not an int": frame(`{"Segments":[{"Name":"a","Size":1e30,"Enc":"raw"}]}`, nil),
+		"duplicate name":  frame(`{"Segments":[{"Name":"a","Size":1,"Enc":"raw"},{"Name":"a","Size":2,"Enc":"raw"}]}`, []byte("abc")),
+		"sizes fall short": frame(`{"Segments":[{"Name":"a","Size":1,"Enc":"raw"},{"Name":"b","Size":1,"Enc":"raw"}]}`,
 			[]byte("abc")),
+		"no encoding":           frame(`{"Segments":[{"Name":"a","Size":3}]}`, []byte("abc")),
+		"unknown encoding":      frame(`{"Segments":[{"Name":"a","Size":8,"Enc":"f32le"}]}`, pattern(8, 0)),
+		"array of 8k+3 bytes":   frame(`{"Segments":[{"Name":"a","Size":19,"Enc":"f64le"}]}`, pattern(19, 0)),
+		"int array of 8k+3":     frame(`{"Segments":[{"Name":"a","Size":11,"Enc":"i64be"}]}`, pattern(11, 0)),
+		"encoding not a string": frame(`{"Segments":[{"Name":"a","Size":8,"Enc":8}]}`, pattern(8, 0)),
 	}
+}
+
+// mislabelled is the golden image with its []float64 segment declared as
+// something a *[]float64 must not restore from on this host: well-formed
+// images all — unmarshalImage takes them, decodeState refuses.
+func mislabelled(t testing.TB) map[string][]byte {
+	other := map[string]string{"f64le": "f64be", "f64be": "f64le"}[encF64]
+	out := make(map[string][]byte)
+	for _, enc := range []string{encGob, encRaw, encI64, other} {
+		img := goldenImage()
+		img.Segments[3].Enc = enc
+		data, err := img.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[enc] = data
+	}
+	return out
 }
 
 func TestUnmarshalImageRejectsMalformed(t *testing.T) {
@@ -318,8 +416,106 @@ func TestUnmarshalImageRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestMislabelledSegmentIsAnError: a typed variable restores only from the
+// encoding its type collects to here; anything else is an error naming the
+// segment — not garbage, not a conversion.
+func TestMislabelledSegmentIsAnError(t *testing.T) {
+	for enc, data := range mislabelled(t) {
+		_, saved, err := unmarshalImage(data)
+		if err != nil {
+			t.Fatalf("%s: a well-formed image was refused: %v", enc, err)
+		}
+		var f []float64
+		err = newRegistry(saved).register("grid", &f, false)
+		if err == nil || !strings.Contains(err.Error(), `"grid"`) || !strings.Contains(err.Error(), enc) || f != nil {
+			t.Errorf("restoring *[]float64 from a %s segment = %v (%d elements), want an error naming segment and encoding", enc, err, len(f))
+		}
+	}
+}
+
+// TestUnalignedTypedSegmentRestoresByCopy: a checkpoint's typed segment at
+// an odd offset cannot be viewed as []float64; it restores bit for bit
+// through the copy, in memory of its own. (The toolchain would not catch a
+// misaligned view — checkptr lets pointer-free elements through — so the
+// test asserts which path it took.)
+func TestUnalignedTypedSegmentRestoresByCopy(t *testing.T) {
+	want, tree := hardFloats(100, 7), []int64{math.MinInt64, -1, math.MaxInt64}
+	odd := []byte{1, 2, 3}
+	r := newRegistry(nil)
+	if err := errors.Join(r.register("a-odd", &odd, false), r.register("grid", &want, false), r.register("tree", &tree, true)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.collect("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := img.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, saved, err := unmarshalImage(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := saved.awaitLazy("grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, aligned := wordsOf[float64](sl.data); aligned {
+		t.Fatal("the segment behind 3 odd bytes is 8-byte aligned: the test exercises nothing")
+	}
+	var got []float64
+	var gotTree []int64
+	back := newRegistry(saved)
+	if err := errors.Join(back.register("grid", &got, false), back.register("tree", &gotTree, true), back.await("tree")); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, want) || !slices.Equal(gotTree, tree) {
+		t.Fatalf("restored %v %v, want %v %v", got, gotTree, want, tree)
+	}
+	got[0] = 1
+	if again := wordsFrom[float64](sl.data); !sameBits(again, want) {
+		t.Fatal("the copy aliases the checkpoint's segment")
+	}
+}
+
+// TestTypedCollectionIsByReference pins what typed collection costs: the
+// segment is the array itself, and collecting 1 MiB of it allocates less
+// than 4 KiB — the inventory, no copy, no encoder.
+func TestTypedCollectionIsByReference(t *testing.T) {
+	f, n := make([]float64, 1<<17), []int64{1, 2, 3}
+	r := newRegistry(nil)
+	if err := errors.Join(r.register("grid", &f, true), r.register("tree", &n, false)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.collect("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, grid := img.Segments[0], img.Segments[1]
+	if grid.Enc != encF64 || grid.Size != 8*len(f) || unsafe.Pointer(&grid.Data[0]) != unsafe.Pointer(&f[0]) {
+		t.Fatalf("grid segment: %s, %d bytes at %p; the array is %d bytes at %p", grid.Enc, grid.Size, &grid.Data[0], 8*len(f), &f[0])
+	}
+	if tree.Enc != encI64 || tree.Size != 8*len(n) || unsafe.Pointer(&tree.Data[0]) != unsafe.Pointer(&n[0]) {
+		t.Fatalf("tree segment: %s, %d bytes at %p; the array is %d bytes at %p", tree.Enc, tree.Size, &tree.Data[0], 8*len(n), &n[0])
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := r.collect(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("collecting a 1 MiB []float64 allocates %d bytes", per)
+	}
+}
+
 // FuzzUnmarshalImage: arbitrary bytes never panic, and whatever is accepted
-// is exactly what marshal would have written, held in memory of its own.
+// is exactly what marshal would have written, held in memory of its own —
+// and restores into a *[]float64 only if it says it is one, bit for bit.
 func FuzzUnmarshalImage(f *testing.F) {
 	img := goldenImage()
 	good, err := img.marshal()
@@ -330,6 +526,9 @@ func FuzzUnmarshalImage(f *testing.F) {
 	for _, data := range malformations(f) {
 		f.Add(data)
 	}
+	for _, data := range mislabelled(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := bytes.Clone(data)
 		img, saved, err := unmarshalImage(data)
@@ -338,9 +537,23 @@ func FuzzUnmarshalImage(f *testing.F) {
 		}
 		var body []byte
 		for _, s := range img.Segments {
-			seg, err := saved.awaitLazy(s.Name)
-			if err != nil || s.Size != len(seg) {
-				t.Fatalf("segment %q: size %d, %d bytes of data, %v", s.Name, s.Size, len(seg), err)
+			sl, err := saved.awaitLazy(s.Name)
+			seg := sl.data
+			if err != nil || s.Size != len(seg) || s.Enc != sl.enc {
+				t.Fatalf("segment %q: size %d, %d bytes of data, %s held as %s, %v", s.Name, s.Size, len(seg), s.Enc, sl.enc, err)
+			}
+			var floats []float64
+			if err := decodeState(sl, &floats); (err == nil) != (s.Enc == encF64) {
+				t.Fatalf("segment %q (%s) into *[]float64: %v", s.Name, s.Enc, err)
+			} else if err == nil {
+				for i, v := range floats {
+					if math.Float64bits(v) != binary.NativeEndian.Uint64(seg[8*i:]) {
+						t.Fatalf("segment %q element %d = %x, the bytes say %x", s.Name, i, math.Float64bits(v), seg[8*i:8*i+8])
+					}
+				}
+				if len(floats) != s.Size/8 {
+					t.Fatalf("segment %q: %d elements from %d bytes", s.Name, len(floats), s.Size)
+				}
 			}
 			body = append(body, seg...)
 			for i := range seg {
@@ -433,8 +646,8 @@ func TestLazyChunksCostNoCodec(t *testing.T) {
 			if err := saved.restore(child, img, true); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := saved.awaitLazy("bulk"); err != nil || len(got) != len(data) {
-				t.Fatalf("restored %d bytes, %v", len(got), err)
+			if got, err := saved.awaitLazy("bulk"); err != nil || len(got.data) != len(data) {
+				t.Fatalf("restored %d bytes, %v", len(got.data), err)
 			}
 		})
 	}

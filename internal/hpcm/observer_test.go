@@ -117,8 +117,8 @@ func TestSavedStateFailUnblocksAwaiters(t *testing.T) {
 	s2 := newSavedState(image{})
 	s2.completeLazy("ok", []byte("x"))
 	s2.fail(cause)
-	data, err := s2.awaitLazy("ok")
-	if err != nil || string(data) != "x" {
-		t.Fatalf("awaitLazy(ok) = %q, %v", data, err)
+	sl, err := s2.awaitLazy("ok")
+	if err != nil || string(sl.data) != "x" {
+		t.Fatalf("awaitLazy(ok) = %q, %v", sl.data, err)
 	}
 }

@@ -2,6 +2,7 @@ package hpcm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -37,6 +38,7 @@ type savedState struct {
 }
 
 type slot struct {
+	enc   string // how the inventory says data is encoded
 	data  []byte
 	ready bool
 }
@@ -46,15 +48,21 @@ func newSavedState(img image) *savedState {
 	s := &savedState{slots: make(map[string]slot, len(img.Segments))}
 	s.cond = sync.NewCond(&s.mu)
 	for _, seg := range img.Segments {
-		s.slots[seg.Name] = slot{}
+		s.slots[seg.Name] = slot{enc: seg.Enc}
 	}
 	return s
 }
 
-// completeLazy installs a fully received segment.
+// completeLazy installs a fully received segment. A name the inventory does
+// not declare is the paged region a live migration shipped ahead: raw.
 func (s *savedState) completeLazy(name string, data []byte) {
 	s.mu.Lock()
-	s.slots[name] = slot{data: data, ready: true}
+	sl, declared := s.slots[name]
+	if !declared {
+		sl.enc = encRaw
+	}
+	sl.data, sl.ready = data, true
+	s.slots[name] = sl
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -72,18 +80,18 @@ func (s *savedState) fail(err error) {
 
 // awaitLazy blocks until the named segment has fully arrived, or the stream
 // fails. A name the image never declared is an error at once.
-func (s *savedState) awaitLazy(name string) ([]byte, error) {
+func (s *savedState) awaitLazy(name string) (slot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		sl, declared := s.slots[name]
 		switch {
 		case !declared:
-			return nil, fmt.Errorf("the state image has no segment %q", name)
+			return slot{}, fmt.Errorf("the state image has no segment %q", name)
 		case sl.ready:
-			return sl.data, nil
+			return sl, nil
 		case s.err != nil:
-			return nil, s.err
+			return slot{}, s.err
 		}
 		s.cond.Wait()
 	}
@@ -112,9 +120,9 @@ func (r *registry) register(name string, ptr any, lazy bool) error {
 	}
 	if !lazy {
 		// Eager segments arrived before the incarnation started: no wait.
-		data, err := r.saved.awaitLazy(name)
+		sl, err := r.saved.awaitLazy(name)
 		if err == nil {
-			err = decodeState(data, ptr)
+			err = decodeState(sl, ptr)
 		}
 		if err != nil {
 			return fmt.Errorf("hpcm: restore %q: %w", name, err)
@@ -136,7 +144,7 @@ func (r *registry) await(name string) error {
 	if r.saved == nil {
 		return nil
 	}
-	data, err := r.saved.awaitLazy(name) // outside r.mu: the stream may take a while
+	sl, err := r.saved.awaitLazy(name) // outside r.mu: the stream may take a while
 	if err != nil {
 		return fmt.Errorf("hpcm: await %q: %w", name, err)
 	}
@@ -145,7 +153,7 @@ func (r *registry) await(name string) error {
 	if e.restored {
 		return nil
 	}
-	if err := decodeState(data, e.ptr); err != nil {
+	if err := decodeState(sl, e.ptr); err != nil {
 		return fmt.Errorf("hpcm: restore %q: %w", name, err)
 	}
 	e.restored = true
@@ -175,33 +183,98 @@ func (r *registry) pagesRegion() (string, *livemig.Pages) {
 	return name, pages
 }
 
-// encodeState serialises one registered variable. Raw byte regions move
-// without re-encoding — the source is paused at its poll-point and never
-// touches the state again, so sharing the backing array is safe and keeps
-// collection of large memory images cheap (HPCM's data collection likewise
-// ships raw memory blocks).
-func encodeState(ptr any) ([]byte, error) {
-	if bp, ok := ptr.(*[]byte); ok {
-		return *bp, nil
+// A segment's Enc: how its bytes are to be read. Typed arrays carry the
+// producer's byte order in the name, so another host rejects them instead of
+// reading them wrong.
+const (
+	encGob = "gob"
+	encRaw = "raw"
+)
+
+var (
+	encF64 = "f64" + nativeOrder
+	encI64 = "i64" + nativeOrder
+
+	nativeOrder = func() string {
+		if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+			return "le"
+		}
+		return "be"
+	}()
+)
+
+// encOf is the encoding ptr's type collects to — and the only one it
+// restores from — on this host.
+func encOf(ptr any) string {
+	switch ptr.(type) {
+	case *[]byte, *livemig.Pages:
+		return encRaw
+	case *[]float64:
+		return encF64
+	case *[]int64:
+		return encI64
 	}
-	// A paged region serialises as its flat image, so checkpoints, classic
-	// migration and precopy fallback all work on Pages unchanged.
-	if pg, ok := ptr.(*livemig.Pages); ok {
-		return pg.Bytes(), nil
+	return encGob
+}
+
+// encodeState serialises one registered variable. Byte regions and numeric
+// arrays move without encoding: the segment's data is the slice's own
+// backing array. The source is paused at its poll-point and does not touch
+// the state until the transfer is over, and a checkpoint marshals (copies)
+// before the process continues, so sharing is safe and collection costs
+// nothing however large the array (HPCM's data collection likewise ships
+// raw memory blocks). Gob is for the irregular remainder.
+func encodeState(ptr any) ([]byte, error) {
+	switch p := ptr.(type) {
+	case *[]byte:
+		return *p, nil
+	case *[]float64:
+		return bytesOf(*p), nil
+	case *[]int64:
+		return bytesOf(*p), nil
+	case *livemig.Pages:
+		// A paged region serialises as its flat image, so checkpoints, classic
+		// migration and precopy fallback all work on Pages unchanged.
+		return p.Bytes(), nil
 	}
 	return gobEncode(ptr)
 }
 
-// decodeState mirrors encodeState on restoration.
-func decodeState(data []byte, ptr any) error {
-	if bp, ok := ptr.(*[]byte); ok {
-		*bp = data
-		return nil
+// decodeState mirrors encodeState on restoration: the application gets the
+// received buffer itself, as the registered type. A segment encoded any
+// other way than ptr's type collects here — another type, another byte
+// order — is an error: nothing is reinterpreted or byte-swapped.
+func decodeState(sl slot, ptr any) error {
+	if want := encOf(ptr); sl.enc != want {
+		return fmt.Errorf("the segment is %q, a %T restores from %q on this host", sl.enc, ptr, want)
 	}
-	if pg, ok := ptr.(*livemig.Pages); ok {
-		return pg.Load(data)
+	switch p := ptr.(type) {
+	case *[]byte:
+		*p = sl.data
+	case *[]float64:
+		*p = wordsFrom[float64](sl.data)
+	case *[]int64:
+		*p = wordsFrom[int64](sl.data)
+	case *livemig.Pages:
+		return p.Load(sl.data)
+	default:
+		return gobDecode(sl.data, ptr)
 	}
-	return gobDecode(data, ptr)
+	return nil
+}
+
+// wordsFrom hands a typed segment to the application: the buffer itself when
+// it is 8-byte aligned (every streamed segment is: restore allocates each
+// its own), a copy when it is not (a checkpoint's segments sit at arbitrary
+// offsets of one body buffer). Native order either way: the bytes move, the
+// elements are never decoded.
+func wordsFrom[T word](data []byte) []T {
+	s, ok := wordsOf[T](data)
+	if !ok {
+		s = make([]T, len(data)/8)
+		copy(bytesOf(s), data)
+	}
+	return s
 }
 
 func gobEncode(v any) ([]byte, error) {

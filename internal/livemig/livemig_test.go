@@ -1,7 +1,9 @@
 package livemig
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -95,6 +97,18 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 	if len(ids) != 3 || len(parts) != 3 {
 		t.Fatalf("full snapshot = %v (%d parts)", ids, len(parts))
 	}
+	// A round is one buffer cut into pages: each part is a copy of its page
+	// that cannot grow into its neighbour, the short last page included.
+	short := mustPages(t, 100, 32)
+	if err := short.Write(90, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	_, cut, _ := short.Snapshot(0)
+	for k, want := range [][]byte{make([]byte, 32), make([]byte, 32), append(make([]byte, 26), 1, 2, 3, 0, 0, 0), make([]byte, 4)} {
+		if !reflect.DeepEqual(cut[k], want) || cap(cut[k]) != len(want) {
+			t.Fatalf("part %d = %v (cap %d), want %v", k, cut[k], cap(cut[k]), want)
+		}
+	}
 	// Writes after the snapshot's watermark are the next round's delta.
 	p.SetFloat64(8, 9) // page 2
 	ids2, parts2, _ := p.Snapshot(gen)
@@ -136,6 +150,12 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 	}
 	if got := r.DirtySince(g); len(got) != 3 {
 		t.Fatalf("Load dirtied %v, want all pages", got)
+	}
+	// Load adopts the image it is handed — no second copy of a region that
+	// was just received — and Bytes still hands out memory of its own.
+	r.SetFloat64(1, 3)
+	if out := r.Bytes(); math.Float64frombits(binary.LittleEndian.Uint64(img[8:])) != 3 || &out[0] == &img[0] {
+		t.Fatal("Load copied the image, or Bytes did not")
 	}
 	if err := r.Load(img[:10]); err == nil {
 		t.Fatal("Load with wrong size succeeded")

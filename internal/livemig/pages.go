@@ -15,10 +15,10 @@
 package livemig
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -138,7 +138,7 @@ func (p *Pages) Write(off int, b []byte) error {
 		}
 		chunk := b[:n]
 		dst := p.data[off : off+n]
-		if !bytesEqual(dst, chunk) {
+		if !bytes.Equal(dst, chunk) {
 			copy(dst, chunk)
 			p.touch(page)
 		}
@@ -146,19 +146,6 @@ func (p *Pages) Write(off int, b []byte) error {
 		off += n
 	}
 	return nil
-}
-
-// bytesEqual avoids importing bytes for one comparison on the write path.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Float64 reads the float64 at word index i (byte offset 8*i).
@@ -223,16 +210,17 @@ func (p *Pages) Bytes() []byte {
 	return out
 }
 
-// Load replaces the region contents from a transferred image. Every page is
-// marked dirty at a fresh generation: a later migration away from this
-// incarnation must ship everything again.
+// Load replaces the region contents with a transferred image. The region
+// adopts data as its memory: the caller hands the slice over and must not
+// write to it again. Every page is marked dirty at a fresh generation: a
+// later migration away from this incarnation must ship everything again.
 func (p *Pages) Load(data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(data) != len(p.data) {
 		return fmt.Errorf("livemig: load %d bytes into region of %d", len(data), len(p.data))
 	}
-	copy(p.data, data)
+	p.data = data
 	p.gen++
 	for i := range p.gens {
 		p.gens[i] = p.gen
@@ -249,12 +237,11 @@ func (p *Pages) DirtySince(gen uint64) []int {
 
 func (p *Pages) dirtySinceLocked(gen uint64) []int {
 	var ids []int
-	for i, g := range p.gens {
+	for i, g := range p.gens { // ascending i: ids is sorted as built
 		if g > gen {
 			ids = append(ids, i)
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -267,11 +254,12 @@ func (p *Pages) Snapshot(since uint64) (ids []int, parts [][]byte, gen uint64) {
 	defer p.mu.Unlock()
 	ids = p.dirtySinceLocked(since)
 	parts = make([][]byte, len(ids))
+	buf := make([]byte, 0, len(ids)*p.pageSize) // one copy of the round, cut into pages
 	for k, id := range ids {
 		lo, hi := p.pageRange(id)
-		buf := make([]byte, hi-lo)
-		copy(buf, p.data[lo:hi])
-		parts[k] = buf
+		n := len(buf)
+		buf = append(buf, p.data[lo:hi]...)
+		parts[k] = buf[n:len(buf):len(buf)]
 	}
 	return ids, parts, p.gen
 }
