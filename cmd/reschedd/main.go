@@ -127,8 +127,10 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 			log.Printf("decision: %s", e)
 		})),
 	}
+	var store *persist.FileStore
 	if storeDir != "" {
-		store, err := persist.OpenFileStore(storeDir, persist.FileConfig{})
+		var err error
+		store, err = persist.OpenFileStore(storeDir, persist.FileConfig{})
 		if err != nil {
 			log.Fatalf("reschedd: store: %v", err)
 		}
@@ -147,6 +149,9 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 	srv, err := proto.NewServerOptions("registry", listen, loggingHandler(reg.Handler()),
 		proto.Options{Metrics: mreg})
 	if err != nil {
+		if store != nil {
+			store.Close() // log.Fatalf exits without running the deferred Close
+		}
 		log.Fatalf("reschedd: listen: %v", err)
 	}
 	defer srv.Close()
@@ -205,7 +210,7 @@ func runMonitor(regAddr, rulesPath string, interval time.Duration, procRoot stri
 		log.Fatal("reschedd: -registry is required for the monitor role")
 	}
 	host, _ := os.Hostname()
-	cli, err := proto.Dial(host, regAddr)
+	cli, err := proto.DialOptions(host, regAddr, proto.Options{Metrics: mreg})
 	if err != nil {
 		log.Fatalf("reschedd: dial registry: %v", err)
 	}

@@ -2,18 +2,14 @@
 // packages (internal/proto here) must not drop their errors.
 package discard
 
-import (
-	"io"
+import "autoresched/internal/proto"
 
-	"autoresched/internal/proto"
-)
-
-func blanked(w io.Writer, data []byte) {
-	_ = proto.WriteFrame(w, data) // want `\[discardederr\] error returned by proto\.WriteFrame is assigned to _`
+func blanked(c *proto.Conn, m *proto.Message) {
+	_ = c.Send(m) // want `\[discardederr\] error returned by \(proto\.Conn\)\.Send is assigned to _`
 }
 
-func bare(w io.Writer, data []byte) {
-	proto.WriteFrame(w, data) // want `\[discardederr\] error returned by proto\.WriteFrame is dropped by a bare call`
+func bare(data []byte) {
+	proto.Decode(data) // want `\[discardederr\] error returned by proto\.Decode is dropped by a bare call`
 }
 
 func multi(c *proto.Client, m *proto.Message) *proto.Message {
@@ -22,17 +18,17 @@ func multi(c *proto.Client, m *proto.Message) *proto.Message {
 }
 
 // handled propagates the error: compliant.
-func handled(w io.Writer, data []byte) error {
-	return proto.WriteFrame(w, data)
+func handled(c *proto.Conn, m *proto.Message) error {
+	return c.Send(m)
 }
 
 // checked consumes the error: compliant.
-func checked(r io.Reader) []byte {
-	data, err := proto.ReadFrame(r)
+func checked(data []byte) *proto.Message {
+	m, err := proto.Decode(data)
 	if err != nil {
 		return nil
 	}
-	return data
+	return m
 }
 
 // deferred teardown is exempt: defer c.Close() has no useful error path.

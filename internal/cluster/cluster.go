@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/simnet"
@@ -33,8 +32,6 @@ type Options struct {
 	Clock vclock.Clock
 	// Bandwidth is the NIC capacity in bytes/s; zero selects 100 Mbps.
 	Bandwidth float64
-	// Latency is the network one-way latency.
-	Latency time.Duration
 }
 
 // Cluster is a set of simulated hosts joined by a simulated network.
@@ -56,7 +53,6 @@ func New(opts Options) *Cluster {
 		clock: opts.Clock,
 		net: simnet.New(opts.Clock, simnet.Options{
 			DefaultBandwidth: opts.Bandwidth,
-			Latency:          opts.Latency,
 		}),
 		hosts:   make(map[string]*simnode.Host),
 		sources: make(map[string]*sysinfo.SimSource),

@@ -42,8 +42,6 @@ type Options struct {
 	// MonitorInterval is the default monitoring frequency; zero selects
 	// 10 s (the paper's sampling interval).
 	MonitorInterval time.Duration
-	// Frequencies optionally overrides the monitoring frequency per state.
-	Frequencies map[rules.State]time.Duration
 	// GatherCost charges each monitoring cycle's CPU cost to the host, in
 	// work units; zero disables (and makes the rescheduler free, which is
 	// not what the paper measured — Figure 5's overhead comes from here).
@@ -51,22 +49,10 @@ type Options struct {
 	// Warmup and Cooldown damp the scheduler (see registry.Config).
 	Warmup   int
 	Cooldown time.Duration
-	// Lease is the soft-state lifetime.
-	Lease time.Duration
-	// SpawnLatency models LAM/MPI's slow dynamic process creation; zero
-	// selects 300 ms (Section 5.2).
-	SpawnLatency time.Duration
 	// ChunkBytes is the lazy state streaming chunk size.
 	ChunkBytes int
 	// Parent chains this system's registry under an upper-level one.
 	Parent *registry.Registry
-	// Domain names this system's control domain under Parent: the registry
-	// then reports its Health upward on a lease and the parent delegates
-	// placements across its domains (Section 3.2's sharded hierarchy).
-	Domain string
-	// Scheduler overrides the placement scheduler; nil keeps the registry
-	// default (first fit, or the policy's pl_scheduler).
-	Scheduler registry.Scheduler
 	// BatchStatusEvery, when positive, interposes a registry.Batcher
 	// between the monitors and the registry: status refreshes coalesce
 	// into batched reports flushed at this interval (or when 64 hosts are
@@ -139,6 +125,9 @@ type Options struct {
 	// immediately.
 	SchedInterval time.Duration
 }
+
+// spawnLatency models LAM/MPI's slow dynamic process creation (Section 5.2).
+const spawnLatency = 300 * time.Millisecond
 
 // Counter names the runtime increments on Options.Metrics: migration
 // outcomes (from the hpcm event stream), failover recoveries, post-restart
@@ -269,9 +258,6 @@ func New(opts Options) (*System, error) {
 	if opts.MonitorInterval <= 0 {
 		opts.MonitorInterval = 10 * time.Second
 	}
-	if opts.SpawnLatency == 0 {
-		opts.SpawnLatency = 300 * time.Millisecond
-	}
 	if opts.SchedInterval <= 0 {
 		opts.SchedInterval = 5 * time.Second
 	}
@@ -282,7 +268,7 @@ func New(opts Options) (*System, error) {
 	universe := mpi.NewUniverse(mpi.Options{
 		Clock:        clock,
 		Transport:    mpi.SimTransport{Net: opts.Cluster.Net()},
-		SpawnLatency: opts.SpawnLatency,
+		SpawnLatency: spawnLatency,
 		HostCheck:    opts.Cluster.HostCheck,
 	})
 	s := &System{
@@ -331,14 +317,11 @@ func New(opts Options) (*System, error) {
 	s.mw = mw
 	s.reg = registry.NewRegistry(
 		registry.WithClock(clock),
-		registry.WithLease(opts.Lease),
 		registry.WithPolicy(opts.Policy),
 		registry.WithCommands(s),
-		registry.WithScheduler(opts.Scheduler),
 		registry.WithWarmup(opts.Warmup),
 		registry.WithCooldown(opts.Cooldown),
 		registry.WithParent(opts.Parent),
-		registry.WithDomain(opts.Domain),
 		registry.WithEvents(sink),
 		registry.WithMetrics(opts.Metrics),
 		registry.WithStore(opts.Store),
@@ -387,9 +370,6 @@ func (s *System) Cluster() *cluster.Cluster { return s.cluster }
 
 // Registry returns the registry/scheduler.
 func (s *System) Registry() *registry.Registry { return s.reg }
-
-// Middleware returns the HPCM middleware.
-func (s *System) Middleware() *hpcm.Middleware { return s.mw }
 
 // Universe returns the MPI universe.
 func (s *System) Universe() *mpi.Universe { return s.universe }
@@ -459,7 +439,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 		monitor.WithEngine(DefaultEngine()),
 		monitor.WithReporter(reporter),
 		monitor.WithClock(s.clock),
-		monitor.WithFrequencies(s.opts.Frequencies),
 		monitor.WithDefaultFrequency(s.opts.MonitorInterval),
 		monitor.WithCommandAddr("cmd://" + host),
 		monitor.WithSoftware([]string{"hpcm", "lam-mpi"}),

@@ -14,32 +14,20 @@ import (
 // driver) evaluated over a grid of page-dirtying rates and migration link
 // speeds. Everything is pure arithmetic — the sweep is byte-deterministic.
 type LivemigConfig struct {
-	// DirtyRates are the application page-dirtying rates swept, in pages/s.
-	DirtyRates []float64
-	// TotalPages and PageBytes size the migrated region; defaults model a
-	// 16 MiB region in 4 KiB pages.
-	TotalPages int
-	PageBytes  int
-	// Live overrides the engine configuration; the zero value selects the
-	// livemig defaults (the ones the runtime itself uses).
-	Live livemig.Config
 	// Metrics, when set, receives the modeled downtime distributions
 	// (livemig/model_downtime_seconds, livemig/model_stopcopy_seconds).
 	Metrics *metrics.Registry
 }
 
-func (cfg LivemigConfig) withDefaults() LivemigConfig {
-	if len(cfg.DirtyRates) == 0 {
-		cfg.DirtyRates = []float64{0, 50, 100, 200, 400, 800, 1600, 3200, 6400}
-	}
-	if cfg.TotalPages <= 0 {
-		cfg.TotalPages = 4096
-	}
-	if cfg.PageBytes <= 0 {
-		cfg.PageBytes = 4096
-	}
-	return cfg
-}
+// The sweep's grid: the application page-dirtying rates in pages/s, and a
+// 16 MiB migrated region in 4 KiB pages. The engine runs on the livemig
+// defaults (the ones the runtime itself uses).
+var livemigDirtyRates = []float64{0, 50, 100, 200, 400, 800, 1600, 3200, 6400}
+
+const (
+	livemigTotalPages = 4096
+	livemigPageBytes  = 4096
+)
 
 // LivemigRow is one modeled migration of the sweep.
 type LivemigRow struct {
@@ -54,15 +42,14 @@ type LivemigRow struct {
 // control round-trip), so the stop-and-copy baseline here is the same
 // quantity a measured stop-and-copy migration reports.
 func RunLivemig(cfg LivemigConfig) []LivemigRow {
-	cfg = cfg.withDefaults()
 	// The link speeds swept, in bytes/s: 10, 100 and 1000 Mbps Ethernet.
 	bandwidths := []float64{1.25e6, 12.5e6, 125e6}
-	rows := make([]LivemigRow, 0, len(bandwidths)*len(cfg.DirtyRates))
+	rows := make([]LivemigRow, 0, len(bandwidths)*len(livemigDirtyRates))
 	for _, bw := range bandwidths {
-		for _, rate := range cfg.DirtyRates {
-			out := livemig.Simulate(cfg.Live, livemig.Scenario{
-				TotalPages:       cfg.TotalPages,
-				PageBytes:        cfg.PageBytes,
+		for _, rate := range livemigDirtyRates {
+			out := livemig.Simulate(livemig.Config{}, livemig.Scenario{
+				TotalPages:       livemigTotalPages,
+				PageBytes:        livemigPageBytes,
 				Bandwidth:        bw,
 				SpawnLatency:     300 * time.Millisecond,
 				Handshake:        2 * time.Millisecond,

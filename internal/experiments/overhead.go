@@ -45,11 +45,12 @@ type OverheadConfig struct {
 	// Duration is the measured window; zero selects 20 virtual minutes
 	// (120 samples at 10 s).
 	Duration time.Duration
-	// GatherCost is the CPU cost of one monitoring cycle; zero selects
-	// 0.1 s of CPU (1% duty at a 10 s interval — the source of the
-	// paper's ~4% load overhead on a ~0.25 baseline).
-	GatherCost float64
 }
+
+// overheadGatherCost is the CPU cost of one monitoring cycle: 0.1 s of CPU
+// (1% duty at a 10 s interval — the source of the paper's ~4% load
+// overhead on a ~0.25 baseline).
+const overheadGatherCost = 0.1 * hostSpeed
 
 // RunOverhead reproduces Figures 5 and 6: one workstation carries the
 // registry/scheduler, a second carries a baseline load (~0.25) and baseline
@@ -59,9 +60,6 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	cfg.Params = cfg.Params.withDefaults()
 	if cfg.Duration <= 0 {
 		cfg.Duration = 20 * time.Minute
-	}
-	if cfg.GatherCost <= 0 {
-		cfg.GatherCost = 0.1 * hostSpeed
 	}
 
 	res := &OverheadResult{}
@@ -135,7 +133,7 @@ func runOverheadArm(cfg OverheadConfig, withRescheduler bool) (*metrics.Recorder
 		sys, err = core.New(core.Options{
 			Cluster:         cl,
 			MonitorInterval: cfg.Interval,
-			GatherCost:      cfg.GatherCost,
+			GatherCost:      overheadGatherCost,
 			RegistryHost:    names[0],
 			Metrics:         mreg,
 		})

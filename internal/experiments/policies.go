@@ -30,9 +30,10 @@ type PolicyRow struct {
 // PoliciesConfig tunes the Table 2 scenario.
 type PoliciesConfig struct {
 	Params
-	// Warmup damps the scheduler; zero selects 4.
-	Warmup int
 }
+
+// policiesWarmup damps the scheduler.
+const policiesWarmup = 4
 
 // RunPolicies reproduces Table 2. Five workstations: ws1 runs the
 // application and is then overloaded; ws2 exchanges ~7 MB/s with ws5
@@ -41,9 +42,6 @@ type PoliciesConfig struct {
 // application runs once under each policy.
 func RunPolicies(cfg PoliciesConfig) ([]PolicyRow, error) {
 	cfg.Params = cfg.Params.withDefaults()
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 4
-	}
 	policies := []*rules.MigrationPolicy{rules.Policy1(), rules.Policy2(), rules.Policy3()}
 	rows := make([]PolicyRow, 0, len(policies))
 	for _, pol := range policies {
@@ -68,7 +66,7 @@ func runPolicyArm(cfg PoliciesConfig, pol *rules.MigrationPolicy) (PolicyRow, er
 		Policy:          pol,
 		MonitorInterval: cfg.Interval,
 		GatherCost:      0.05 * hostSpeed,
-		Warmup:          cfg.Warmup,
+		Warmup:          policiesWarmup,
 		Cooldown:        10 * time.Minute,
 		RegistryHost:    names[0],
 		ChunkBytes:      32 << 20,

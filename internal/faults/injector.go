@@ -28,11 +28,6 @@ type Config struct {
 	// Metrics, when set, receives the monitor/status_* counters of the
 	// heartbeat faults the injector applied.
 	Metrics *metrics.Registry
-	// Events, when set, receives every applied fault and fired trap on the
-	// unified runtime sink (Source "faults") — pass the same sink as
-	// core.Options.Events to see faults interleaved with the decisions and
-	// migrations they provoke.
-	Events events.Sink
 }
 
 // Counter names the injector increments on Config.Metrics, one per
@@ -268,27 +263,14 @@ func (in *Injector) apply(ev Event) {
 	if err != nil {
 		line += " error=" + err.Error()
 	}
-	in.record(&in.applied, events.Event{
-		Kind: string(ev.Kind),
-		Host: ev.Host,
-		Dest: ev.Dest,
-		Proc: ev.Proc,
-		Note: line,
-		Err:  err,
-	})
+	in.record(&in.applied, line)
 }
 
-// record appends e.Note to one of the injector's two logs and publishes e
-// on the configured sink.
-func (in *Injector) record(log *[]string, e events.Event) {
+// record appends line to one of the injector's two logs.
+func (in *Injector) record(log *[]string, line string) {
 	in.mu.Lock()
-	*log = append(*log, e.Note)
+	*log = append(*log, line)
 	in.mu.Unlock()
-	if in.cfg.Events != nil {
-		e.Time = in.cfg.Clock.Now()
-		e.Source = events.SourceFaults
-		in.cfg.Events.Publish(e)
-	}
 }
 
 // crashHost is the one host crash: the system loses the host (network down,
@@ -458,7 +440,7 @@ func (in *Injector) spring(kind Kind, proc, phase string, round int, victim func
 	if err != nil {
 		line += " error=" + err.Error()
 	}
-	in.record(&in.triggered, events.Event{Kind: "trap", Host: host, Proc: proc, Note: line})
+	in.record(&in.triggered, line)
 }
 
 // killRank kills the running incarnation of one gang rank, named as

@@ -109,14 +109,6 @@ func (p *Process) Evict() {
 	p.evictReq.Store(true)
 }
 
-// LastCheckpoint returns when the last checkpoint completed (zero time if
-// none).
-func (p *Process) LastCheckpoint() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastCkpt
-}
-
 // maybeCheckpoint runs at poll-points: on request or when the automatic
 // interval has elapsed, collect and persist the state.
 func (c *Context) maybeCheckpoint(label string) error {

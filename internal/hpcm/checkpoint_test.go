@@ -64,9 +64,6 @@ func TestCheckpointAndRestoreResumeProgress(t *testing.T) {
 	for p.Checkpoints() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if p.LastCheckpoint().IsZero() {
-		t.Fatal("LastCheckpoint zero after checkpoint")
-	}
 
 	// Host crash. The main may be blocked on the gate or mid-stage, so keep
 	// feeding the gate until the kill takes effect at a poll-point.

@@ -44,20 +44,21 @@ func BenchmarkDirtySince(b *testing.B) {
 	}
 }
 
+// modelScenario is the migration the model benchmark and the allocation pin
+// evaluate: a 16 MiB region over 100 Mbps Ethernet, the experiment
+// cluster's nominal spawn latency and handshake.
+var modelScenario = Scenario{
+	TotalPages:   4096,
+	PageBytes:    4096,
+	Bandwidth:    12.5e6,
+	SpawnLatency: 300 * time.Millisecond,
+	Handshake:    2 * time.Millisecond,
+}
+
 // BenchmarkModeledDowntime reports the analytic model's freeze window as
 // the benchmark's ns/op, one sub-benchmark per (path, dirty-rate) point.
-// cmd/benchjson picks these up into BENCH_livemig.json, so the 3x drift
-// guard in `make ci` literally guards modeled migration downtime: a change
-// to the page model, the convergence rule or the freeze path that inflates
-// downtime more than 3x fails CI.
 func BenchmarkModeledDowntime(b *testing.B) {
-	base := Scenario{
-		TotalPages:   4096,
-		PageBytes:    4096,
-		Bandwidth:    12.5e6,
-		SpawnLatency: 300 * time.Millisecond,
-		Handshake:    2 * time.Millisecond,
-	}
+	base := modelScenario
 	points := []struct {
 		name string
 		rate float64

@@ -5,11 +5,6 @@ import "fmt"
 // Config tunes the iterative precopy driver. The zero value is usable:
 // every field has a documented default applied by withDefaults.
 type Config struct {
-	// PageBytes is the page granularity workloads should use for their
-	// regions; zero selects DefaultPageBytes. The driver itself takes the
-	// granularity from the region, so this is advisory plumbing for code
-	// that builds regions from a Config.
-	PageBytes int
 	// MaxRounds caps the precopy rounds (round 1, the full copy, included);
 	// zero selects 8. Reaching the cap forces a terminal decision.
 	MaxRounds int
@@ -29,9 +24,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PageBytes <= 0 {
-		c.PageBytes = DefaultPageBytes
-	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 8
 	}

@@ -33,32 +33,47 @@ func TestPagesGeometry(t *testing.T) {
 }
 
 func TestPagesWriteDirtiesOnlyChangedPages(t *testing.T) {
-	p := mustPages(t, 128, 32)
+	p := mustPages(t, 128, 32) // 4 words per page
 	g := p.Gen()
-	if err := p.Write(33, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	p.WriteFloat64s(5, []float64{1, 2})
 	if got := p.DirtySince(g); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("DirtySince = %v, want [1]", got)
 	}
-	// Rewriting identical bytes must not dirty anything.
+	// Rewriting identical words must not dirty anything.
 	g = p.Gen()
-	if err := p.Write(33, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	p.WriteFloat64s(5, []float64{1, 2})
 	if got := p.DirtySince(g); len(got) != 0 {
 		t.Fatalf("unchanged write dirtied %v", got)
 	}
 	// A write spanning a page boundary dirties both pages.
 	g = p.Gen()
-	if err := p.Write(30, []byte{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
+	p.WriteFloat64s(3, []float64{9, 9, 9})
 	if got := p.DirtySince(g); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("spanning write dirtied %v, want [0 1]", got)
 	}
-	if err := p.Write(120, make([]byte, 16)); err == nil {
-		t.Fatal("out-of-range write succeeded")
+}
+
+// TestZeroAllocHotPaths pins at runtime what the paged migration's inner
+// loops cost: a row-sized change-suppressed write (the write-through a paged
+// workload pays per sweep) and one evaluation of the analytic downtime
+// model allocate nothing.
+func TestZeroAllocHotPaths(t *testing.T) {
+	const words = 512
+	p := mustPages(t, words*8*64, words*8)
+	row := make([]float64, words)
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		i++
+		row[0] = float64(i) // keep at least one word changing
+		p.WriteFloat64s((i%64)*words, row)
+	}); avg != 0 {
+		t.Errorf("WriteFloat64s over one row allocates %.1f objects per op, want 0", avg)
+	}
+
+	sc := modelScenario
+	sc.DirtyPagesPerSec = 1000
+	if avg := testing.AllocsPerRun(200, func() { Simulate(Config{}, sc) }); avg != 0 {
+		t.Errorf("Simulate allocates %.1f objects per op, want 0", avg)
 	}
 }
 
@@ -100,7 +115,9 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 	// A round is one buffer cut into pages: each part is a copy of its page
 	// that cannot grow into its neighbour, the short last page included.
 	short := mustPages(t, 100, 32)
-	if err := short.Write(90, []byte{1, 2, 3}); err != nil {
+	tail := make([]byte, 100)
+	copy(tail[90:], []byte{1, 2, 3})
+	if err := short.Load(tail); err != nil {
 		t.Fatal(err)
 	}
 	_, cut, _ := short.Snapshot(0)
@@ -116,26 +133,16 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 		t.Fatalf("delta snapshot = %v, want [2]", ids2)
 	}
 
-	// Rebuild a destination region from the two snapshots.
-	q := mustPages(t, 96, 32)
+	// Rebuild a destination image from the two snapshots.
+	q := make([]byte, 96)
 	for k, id := range ids {
-		if err := q.ApplyPage(id, parts[k]); err != nil {
-			t.Fatal(err)
-		}
+		copy(q[id*32:], parts[k])
 	}
 	for k, id := range ids2 {
-		if err := q.ApplyPage(id, parts2[k]); err != nil {
-			t.Fatal(err)
-		}
+		copy(q[id*32:], parts2[k])
 	}
-	if !reflect.DeepEqual(q.Bytes(), p.Bytes()) {
+	if !reflect.DeepEqual(q, p.Bytes()) {
 		t.Fatal("reassembled region differs from source")
-	}
-	if err := q.ApplyPage(9, nil); err == nil {
-		t.Fatal("ApplyPage out of range succeeded")
-	}
-	if err := q.ApplyPage(0, []byte{1}); err == nil {
-		t.Fatal("ApplyPage with short image succeeded")
 	}
 
 	// Load replaces the whole region and re-dirties every page.

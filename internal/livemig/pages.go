@@ -15,7 +15,6 @@
 package livemig
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -119,33 +118,6 @@ func (p *Pages) pageRange(i int) (lo, hi int) {
 		hi = len(p.data)
 	}
 	return lo, hi
-}
-
-// Write stores b at byte offset off, dirtying only the pages whose
-// contents actually change.
-func (p *Pages) Write(off int, b []byte) error {
-	if off < 0 || off+len(b) > len(p.data) {
-		return fmt.Errorf("livemig: write [%d,%d) outside region of %d bytes", off, off+len(b), len(p.data))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(b) > 0 {
-		page := off / p.pageSize
-		_, hi := p.pageRange(page)
-		n := hi - off
-		if n > len(b) {
-			n = len(b)
-		}
-		chunk := b[:n]
-		dst := p.data[off : off+n]
-		if !bytes.Equal(dst, chunk) {
-			copy(dst, chunk)
-			p.touch(page)
-		}
-		b = b[n:]
-		off += n
-	}
-	return nil
 }
 
 // Float64 reads the float64 at word index i (byte offset 8*i).
@@ -262,20 +234,4 @@ func (p *Pages) Snapshot(since uint64) (ids []int, parts [][]byte, gen uint64) {
 		parts[k] = buf[n:len(buf):len(buf)]
 	}
 	return ids, parts, p.gen
-}
-
-// ApplyPage installs a received page image at page id (destination side).
-func (p *Pages) ApplyPage(id int, data []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if id < 0 || id >= len(p.gens) {
-		return fmt.Errorf("livemig: apply to page %d of %d", id, len(p.gens))
-	}
-	lo, hi := p.pageRange(id)
-	if len(data) != hi-lo {
-		return fmt.Errorf("livemig: page %d image is %d bytes, want %d", id, len(data), hi-lo)
-	}
-	copy(p.data[lo:hi], data)
-	p.touch(id)
-	return nil
 }

@@ -134,8 +134,6 @@ type Options struct {
 	App App
 	// Hosts binds ranks to host resources; nil runs unbound.
 	Hosts hpcm.HostBinder
-	// Name overrides App.Name for events and the process table.
-	Name string
 	// InitialHosts is the starting placement, one rank per host. Required,
 	// non-empty; InitialHosts[0] carries rank 0, which is pinned for the
 	// job's lifetime (a proposal dropping it is rejected).
@@ -181,9 +179,6 @@ func (rc *Rank) Step() int { return rc.step }
 
 // Comm returns the current world communicator.
 func (rc *Rank) Comm() *mpi.Comm { return rc.comm }
-
-// Host returns the host this incarnation runs on.
-func (rc *Rank) Host() string { return rc.env.Host }
 
 // Compute charges CPU work to the rank's host, failing fast if the rank
 // was killed by a crash.
@@ -266,9 +261,6 @@ func Start(opts Options) (*Job, error) {
 	if opts.Hosts == nil {
 		opts.Hosts = hpcm.NullBinder()
 	}
-	if opts.Name == "" {
-		opts.Name = opts.App.Name()
-	}
 	if opts.DrainPoll <= 0 {
 		opts.DrainPoll = time.Millisecond
 	}
@@ -285,7 +277,7 @@ func Start(opts Options) (*Job, error) {
 		u:         opts.Universe,
 		clock:     opts.Universe.Clock(),
 		app:       opts.App,
-		name:      opts.Name,
+		name:      opts.App.Name(),
 		binder:    opts.Hosts,
 		events:    opts.Events,
 		metrics:   opts.Metrics,

@@ -168,31 +168,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return math.Inf(1)
 }
 
-// DecadeQuantile returns the q-quantile coarsened to its decade upper bound
-// (a power of ten seconds) — an order-of-magnitude summary for displays
-// that only need the decade. Note that no quantization grid is cliff-free:
-// a sample population whose values sit near a decade bound still flips
-// between adjacent decades when the underlying timings jitter.
-func (h *Histogram) DecadeQuantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	v := h.Quantile(q)
-	if v == 0 || math.IsInf(v, 1) {
-		return v
-	}
-	return decadeCeil(v)
-}
-
-// decadeCeil rounds a bucket bound up to its decade bound.
-func decadeCeil(v float64) float64 {
-	d := histMin
-	for d < v*(1-1e-9) {
-		d *= 10
-	}
-	return d
-}
-
 // FormatSeconds renders a bucket or decade bound compactly, rounded to
 // three significant digits: "1ms", "1.58s", "631ms"; 0 renders "0" and
 // +Inf renders ">1e4s".

@@ -93,20 +93,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestDecadeQuantile(t *testing.T) {
-	h := NewHistogram("t")
-	h.Observe(3e-3) // lands somewhere inside the ms decade
-	if got := h.DecadeQuantile(0.5); got != 1e-2 {
-		t.Fatalf("DecadeQuantile = %v, want 1e-2", got)
-	}
-	// A decade bound must round to itself.
-	h2 := NewHistogram("t2")
-	h2.Observe(9e-4) // bucket bound is exactly 1e-3
-	if got := h2.DecadeQuantile(0.5); got != 1e-3 {
-		t.Fatalf("DecadeQuantile at bound = %v, want 1e-3", got)
-	}
-}
-
 func TestFormatSeconds(t *testing.T) {
 	cases := []struct {
 		v    float64

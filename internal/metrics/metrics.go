@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,28 +102,15 @@ func OverheadPct(with, without float64) float64 {
 }
 
 // Recorder collects named series against a clock. A nil *Recorder is a
-// no-op: recording is dropped, lookups return empty series, and Poll
-// returns a stop function without starting a poller, so components can
-// treat the recorder as optional.
+// no-op: recording is dropped and lookups return empty series, so
+// components can treat the recorder as optional.
 type Recorder struct {
 	clock vclock.Clock
 	start time.Time
 
 	mu     sync.Mutex
 	series map[string]*Series
-	order  []string
-	polls  []*poller
 }
-
-type poller struct {
-	stop    chan struct{}
-	stopped chan struct{}
-	once    sync.Once
-}
-
-// halt asks the poll goroutine to exit. Idempotent, so the individual stop
-// function and StopPolls can both fire without a double close.
-func (p *poller) halt() { p.once.Do(func() { close(p.stop) }) }
 
 // NewRecorder creates a recorder stamped against clock.
 func NewRecorder(clock vclock.Clock) *Recorder {
@@ -154,77 +140,8 @@ func (r *Recorder) Record(name string, v float64) {
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
-		r.order = append(r.order, name)
 	}
 	s.Points = append(s.Points, Point{T: r.clock.Now(), V: v})
-}
-
-// Poll samples fn every interval into the named series until StopPolls (or
-// the returned stop function) is called. Sampling errors end the poll.
-func (r *Recorder) Poll(name string, interval time.Duration, fn func() (float64, error)) (stop func()) {
-	if r == nil {
-		return func() {}
-	}
-	p := &poller{stop: make(chan struct{}), stopped: make(chan struct{})}
-	r.mu.Lock()
-	r.polls = append(r.polls, p)
-	r.mu.Unlock()
-	go func() {
-		// A poll that ends on its own (sampling error) must leave r.polls,
-		// or the stale entry would accumulate and StopPolls would wait on
-		// pollers long dead.
-		defer func() {
-			r.removePoll(p)
-			close(p.stopped)
-		}()
-		for {
-			timer := r.clock.NewTimer(interval)
-			select {
-			case <-timer.C:
-			case <-p.stop:
-				timer.Stop()
-				return
-			}
-			v, err := fn()
-			if err != nil {
-				return
-			}
-			r.Record(name, v)
-		}
-	}()
-	return func() {
-		p.halt()
-		<-p.stopped
-	}
-}
-
-// removePoll drops one poller from the registry.
-func (r *Recorder) removePoll(p *poller) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, q := range r.polls {
-		if q == p {
-			r.polls = append(r.polls[:i], r.polls[i+1:]...)
-			return
-		}
-	}
-}
-
-// StopPolls halts every poller started with Poll.
-func (r *Recorder) StopPolls() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	polls := r.polls
-	r.polls = nil
-	r.mu.Unlock()
-	for _, p := range polls {
-		p.halt()
-	}
-	for _, p := range polls {
-		<-p.stopped
-	}
 }
 
 // Series returns a copy of the named series (empty series if unknown).
@@ -240,16 +157,6 @@ func (r *Recorder) Series(name string) *Series {
 	}
 	out := &Series{Name: name, Points: append([]Point(nil), s.Points...)}
 	return out
-}
-
-// Names returns the recorded series names in first-use order.
-func (r *Recorder) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
 }
 
 // Table renders series side by side: one row per sample index, the first
@@ -351,30 +258,4 @@ func Sparkline(s *Series) string {
 		b.WriteRune(ticks[idx])
 	}
 	return b.String()
-}
-
-// Quantile returns the q-quantile (0..1) of the series values by linear
-// interpolation; 0 for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if s == nil {
-		return 0
-	}
-	if len(s.Points) == 0 {
-		return 0
-	}
-	vals := s.Values()
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
 }

@@ -34,11 +34,6 @@ func WithReporter(r Reporter) Option { return func(c *Config) { c.Reporter = r }
 // WithClock sets the clock driving the monitoring cycle.
 func WithClock(clock vclock.Clock) Option { return func(c *Config) { c.Clock = clock } }
 
-// WithFrequencies sets the per-state monitoring frequencies.
-func WithFrequencies(f map[rules.State]time.Duration) Option {
-	return func(c *Config) { c.Frequencies = f }
-}
-
 // WithDefaultFrequency sets the fallback cycle period.
 func WithDefaultFrequency(d time.Duration) Option {
 	return func(c *Config) { c.DefaultFrequency = d }

@@ -198,21 +198,6 @@ func (c *Comm) Gather(v any, root int) ([]any, error) {
 	return out, nil
 }
 
-// Allgather collects every rank's v everywhere.
-func (c *Comm) Allgather(v any) ([]any, error) {
-	out, err := c.Gather(v, 0)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != 0 {
-		out = make([]any, c.Size())
-	}
-	if err := c.Bcast(&out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Scatter distributes values[i] to rank i from root and returns the
 // caller's element. On non-root ranks values is ignored.
 func (c *Comm) Scatter(values []any, ptr any, root int) error {
@@ -242,75 +227,6 @@ func (c *Comm) Scatter(values []any, ptr any, root int) error {
 	}
 	_, err := c.recvInternal(ptr, root, tag)
 	return err
-}
-
-// Alltoall sends values[i] to rank i and returns what every rank sent to
-// the caller, ordered by source rank.
-func (c *Comm) Alltoall(values []any) ([]any, error) {
-	if err := c.requireIntra("Alltoall"); err != nil {
-		return nil, err
-	}
-	if len(values) != c.Size() {
-		return nil, fmt.Errorf("mpi: Alltoall needs %d values, got %d", c.Size(), len(values))
-	}
-	tag := c.nextCollTag()
-	out := make([]any, c.Size())
-	out[c.rank] = values[c.rank]
-	for i := 0; i < c.Size(); i++ {
-		if i == c.rank {
-			continue
-		}
-		if err := c.send(values[i], i, tag); err != nil {
-			return nil, err
-		}
-	}
-	template := reflect.TypeOf(values[c.rank])
-	for i := 0; i < c.Size()-1; i++ {
-		m, err := c.self.match(c.context(), AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		ptr := reflect.New(template)
-		if err := decodeMessage(m, ptr.Interface()); err != nil {
-			return nil, err
-		}
-		out[m.src] = ptr.Elem().Interface()
-	}
-	return out, nil
-}
-
-// Scan computes the inclusive prefix reduction: rank i's *resultPtr holds
-// op(v_0, ..., v_i) (MPI_Scan). Linear chain: each rank receives the prefix
-// from rank-1, folds its value, and forwards.
-func (c *Comm) Scan(v any, resultPtr any, op ReduceOp) error {
-	if err := c.requireIntra("Scan"); err != nil {
-		return err
-	}
-	if resultPtr == nil {
-		return fmt.Errorf("mpi: Scan needs a result pointer")
-	}
-	tag := c.nextCollTag()
-	acc := v
-	if c.rank > 0 {
-		m, err := c.self.match(c.context(), c.rank-1, tag)
-		if err != nil {
-			return err
-		}
-		ptr := reflect.New(reflect.TypeOf(v))
-		if err := decodeMessage(m, ptr.Interface()); err != nil {
-			return err
-		}
-		if acc, err = op(ptr.Elem().Interface(), v); err != nil {
-			return err
-		}
-	}
-	if c.rank+1 < c.Size() {
-		if err := c.send(acc, c.rank+1, tag); err != nil {
-			return err
-		}
-	}
-	reflect.ValueOf(resultPtr).Elem().Set(reflect.ValueOf(acc))
-	return nil
 }
 
 // recvInternal receives with an internal (possibly negative) tag.

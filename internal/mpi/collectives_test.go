@@ -150,82 +150,6 @@ func TestGatherScatter(t *testing.T) {
 	})
 }
 
-func TestAllgather(t *testing.T) {
-	runWorld(t, 3, func(env *Env) error {
-		w := env.World
-		vals, err := w.Allgather(w.Rank() + 100)
-		if err != nil {
-			return err
-		}
-		for i, v := range vals {
-			if v.(int) != i+100 {
-				return fmt.Errorf("rank %d: allgather[%d] = %v", w.Rank(), i, v)
-			}
-		}
-		return nil
-	})
-}
-
-func TestAlltoall(t *testing.T) {
-	runWorld(t, 3, func(env *Env) error {
-		w := env.World
-		vals := make([]any, 3)
-		for i := range vals {
-			vals[i] = w.Rank()*10 + i
-		}
-		got, err := w.Alltoall(vals)
-		if err != nil {
-			return err
-		}
-		for src, v := range got {
-			if want := src*10 + w.Rank(); v.(int) != want {
-				return fmt.Errorf("alltoall[%d] = %v, want %d", src, v, want)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScanPrefixSums(t *testing.T) {
-	runWorld(t, 5, func(env *Env) error {
-		w := env.World
-		var prefix int
-		if err := w.Scan(w.Rank()+1, &prefix, Sum); err != nil {
-			return err
-		}
-		r := w.Rank() + 1
-		want := r * (r + 1) / 2
-		if prefix != want {
-			return fmt.Errorf("rank %d prefix = %d, want %d", w.Rank(), prefix, want)
-		}
-		// A second collective on the same communicator stays in step.
-		var mx float64
-		if err := w.Scan(float64(w.Rank()), &mx, Max); err != nil {
-			return err
-		}
-		if mx != float64(w.Rank()) {
-			return fmt.Errorf("rank %d max prefix = %v", w.Rank(), mx)
-		}
-		return nil
-	})
-}
-
-func TestScanSingleRankAndErrors(t *testing.T) {
-	runWorld(t, 1, func(env *Env) error {
-		var out int
-		if err := env.World.Scan(42, &out, Sum); err != nil {
-			return err
-		}
-		if out != 42 {
-			return fmt.Errorf("out = %d", out)
-		}
-		if err := env.World.Scan(1, nil, Sum); err == nil {
-			return errors.New("nil result pointer accepted")
-		}
-		return nil
-	})
-}
-
 func TestScatterWrongCount(t *testing.T) {
 	runWorld(t, 2, func(env *Env) error {
 		w := env.World

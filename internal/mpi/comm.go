@@ -215,18 +215,6 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 	return true, Status{Source: m.src, Tag: m.tag, Bytes: m.size()}, nil
 }
 
-// WaitAll waits for every request and returns the first error encountered
-// (MPI_Waitall).
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Request is a handle for a non-blocking operation.
 type Request struct {
 	done   chan struct{}
@@ -240,33 +228,12 @@ func (r *Request) Wait() (Status, error) {
 	return r.status, r.err
 }
 
-// Test reports whether the operation has completed, without blocking.
-func (r *Request) Test() (bool, Status, error) {
-	select {
-	case <-r.done:
-		return true, r.status, r.err
-	default:
-		return false, Status{}, nil
-	}
-}
-
 // Isend starts a non-blocking send.
 func (c *Comm) Isend(v any, dest, tag int) *Request {
 	r := &Request{done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
 		r.err = c.Send(v, dest, tag)
-	}()
-	return r
-}
-
-// Irecv starts a non-blocking receive into ptr. ptr must stay untouched
-// until Wait/Test reports completion.
-func (c *Comm) Irecv(ptr any, src, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		r.status, r.err = c.Recv(ptr, src, tag)
 	}()
 	return r
 }
@@ -306,18 +273,6 @@ func (c *Comm) nextDerivedSeq() int {
 	defer c.collMu.Unlock()
 	c.collSeq++
 	return c.collSeq
-}
-
-// Dup returns a duplicate communicator with a disjoint message context
-// (collective).
-func (c *Comm) Dup() (*Comm, error) {
-	if c.remote != nil {
-		return nil, fmt.Errorf("mpi: Dup of intercommunicator not supported")
-	}
-	seq := c.nextDerivedSeq()
-	ctx := fmt.Sprintf("%s/dup-%d", c.group.ctx, seq)
-	ng := &group{ctx: ctx, hosts: c.group.hosts, eps: c.group.eps}
-	return &Comm{u: c.u, group: ng, rank: c.rank, self: c.self}, nil
 }
 
 // CreateGroup returns a sub-communicator containing exactly the given

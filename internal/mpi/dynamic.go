@@ -198,13 +198,6 @@ func (u *Universe) Publish(service, portName string) error {
 	return nil
 }
 
-// Unpublish removes a service binding (MPI_Unpublish_name).
-func (u *Universe) Unpublish(service string) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	delete(u.names, service)
-}
-
 // Lookup resolves a service name to a port name (MPI_Lookup_name).
 func (u *Universe) Lookup(service string) (string, error) {
 	u.mu.Lock()

@@ -1,7 +1,7 @@
 // Package mpi is a message-passing library modelled on the MPI-2 subset the
 // paper's runtime depends on (Section 3.3): communicators with ranks, tagged
 // point-to-point communication with wildcards, non-blocking operations,
-// collective operations, communicator management (Dup/Split), and — the part
+// collective operations, communicator management (Split/CreateGroup), and — the part
 // the paper singles out, available in 2004 only in LAM/MPI — dynamic process
 // management: Spawn, named ports (Open/Publish/Lookup), Connect/Accept, and
 // intercommunicator Merge. Those primitives are exactly what the migration

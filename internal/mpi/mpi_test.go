@@ -241,34 +241,7 @@ func TestIprobe(t *testing.T) {
 	})
 }
 
-func TestWaitAll(t *testing.T) {
-	runWorld(t, 2, func(env *Env) error {
-		w := env.World
-		if w.Rank() == 0 {
-			reqs := []*Request{
-				w.Isend(1, 1, 0),
-				w.Isend(2, 1, 1),
-				w.Isend(3, 5, 0), // bad rank: contributes the error
-			}
-			if err := WaitAll(reqs...); err == nil {
-				return errors.New("WaitAll swallowed the bad-rank error")
-			}
-			return nil
-		}
-		var a, b int
-		r1 := w.Irecv(&a, 0, 0)
-		r2 := w.Irecv(&b, 0, 1)
-		if err := WaitAll(r1, r2); err != nil {
-			return err
-		}
-		if a != 1 || b != 2 {
-			return fmt.Errorf("a=%d b=%d", a, b)
-		}
-		return nil
-	})
-}
-
-func TestIsendIrecvWaitTest(t *testing.T) {
+func TestIsendWait(t *testing.T) {
 	runWorld(t, 2, func(env *Env) error {
 		w := env.World
 		if w.Rank() == 0 {
@@ -279,16 +252,8 @@ func TestIsendIrecvWaitTest(t *testing.T) {
 			return nil
 		}
 		var v float64
-		r := w.Irecv(&v, 0, 4)
-		for {
-			done, _, err := r.Test()
-			if err != nil {
-				return err
-			}
-			if done {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if _, err := w.Recv(&v, 0, 4); err != nil {
+			return err
 		}
 		if v != 3.14 {
 			return fmt.Errorf("v = %v", v)

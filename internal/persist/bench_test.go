@@ -7,8 +7,7 @@ import (
 
 // BenchmarkAppend measures the per-record cost of the change-log append on
 // both backends — the write amplification every registry mutation pays once
-// Options.Store is set. Feeds BENCH_persist.json behind the benchguard
-// drift gate.
+// Options.Store is set.
 func BenchmarkAppend(b *testing.B) {
 	payload := []byte(`{"host":"ws0001","status":{"state":"busy","load1":1.5}}`)
 	b.Run("mem", func(b *testing.B) {

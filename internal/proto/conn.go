@@ -19,47 +19,12 @@ import (
 // huge allocation.
 const maxFrame = 16 << 20
 
-// WriteFrame writes one length-prefixed XML message.
-func WriteFrame(w io.Writer, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(data))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// ReadFrame reads one length-prefixed XML message.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // Conn is a message-oriented connection: framed XML messages over any
 // stream. It serialises writes; reads must come from a single goroutine.
 type Conn struct {
-	rw       io.ReadWriter
-	wr       sync.Mutex
-	whdr     [4]byte // write-side frame header, reused under wr
-	injector FaultInjector
-	clock    vclock.Clock
-	// Injected-fault counters, resolved by SetInjector (nil = uncounted).
-	delayed, dropped, duplicated *metrics.Counter
+	rw   io.ReadWriter
+	wr   sync.Mutex
+	whdr [4]byte // write-side frame header, reused under wr
 
 	// rhdr and readBuf are the read-side scratch: one header, one payload
 	// buffer grown geometrically, reused across frames by the single
@@ -71,63 +36,18 @@ type Conn struct {
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
-// SetInjector installs a fault injector consulted before every Send; its
-// verdicts are counted as proto/msgs_* on reg (nil disables).
-func (c *Conn) SetInjector(f FaultInjector, reg *metrics.Registry) {
-	c.injector = f
-	c.delayed = reg.Counter(CtrDelayed)
-	c.dropped = reg.Counter(CtrDropped)
-	c.duplicated = reg.Counter(CtrDuplicated)
-}
-
-// SetClock sets the clock pacing injected delays. Nil (the default)
-// selects the real clock.
-func (c *Conn) SetClock(clock vclock.Clock) { c.clock = clock }
-
-func (c *Conn) sleep(d time.Duration) {
-	if c.clock != nil {
-		c.clock.Sleep(d)
-		return
-	}
-	vclock.Real().Sleep(d)
-}
-
-// Send encodes and writes one message. An installed fault injector may
-// drop it (Send reports success; the peer never sees the message),
-// duplicate it, or delay it.
-func (c *Conn) Send(m *Message) error {
-	if c.injector != nil {
-		v := c.injector.Outbound(m)
-		if v.Delay > 0 {
-			c.delayed.Inc()
-			c.sleep(v.Delay)
-		}
-		if v.Drop {
-			c.dropped.Inc()
-			return nil
-		}
-		if v.Duplicate {
-			c.duplicated.Inc()
-			if err := c.sendRaw(m); err != nil {
-				return err
-			}
-		}
-	}
-	return c.sendRaw(m)
-}
-
-// encPool recycles the XML encode buffers of sendRaw: the server's
+// encPool recycles the XML encode buffers of Send: the server's
 // serve loop and the client's call path each encode one message per
 // round trip, and at fleet scale the encode buffers were most of the
 // send-side garbage.
 var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// sendRaw encodes into a pooled buffer and writes one frame. This is the
-// proto send loop's floor: the xml encoder's internals still allocate,
-// but the payload-sized buffer is reused.
+// Send encodes one message into a pooled buffer and writes it as one
+// frame. This is the proto send loop's floor: the xml encoder's internals
+// still allocate, but the payload-sized buffer is reused.
 //
 //hot:path
-func (c *Conn) sendRaw(m *Message) error {
+func (c *Conn) Send(m *Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -142,9 +62,9 @@ func (c *Conn) sendRaw(m *Message) error {
 	return c.writeFrame(buf.Bytes())
 }
 
-// writeFrame is WriteFrame with the header staged in the connection
-// (stack headers escape through the io.Writer and allocate per frame).
-// Callers must hold c.wr.
+// writeFrame writes one length-prefixed frame, the header staged in the
+// connection (stack headers escape through the io.Writer and allocate per
+// frame). Callers must hold c.wr.
 func (c *Conn) writeFrame(data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(data))
@@ -350,7 +270,7 @@ func Dial(name, addr string) (*Client, error) {
 
 // DialOptions connects a client with explicit robustness options: dial and
 // call timeouts, retry count, exponential backoff with seeded jitter, and
-// optional counters/fault injection.
+// optional counters.
 func DialOptions(name, addr string, opts Options) (*Client, error) {
 	c := &Client{name: name, addr: addr, opts: opts}
 	if opts.Jitter > 0 {
@@ -378,10 +298,6 @@ func (c *Client) reconnect() error {
 	}
 	c.raw = raw
 	c.conn = NewConn(raw)
-	c.conn.SetClock(c.opts.Clock)
-	if c.opts.Injector != nil {
-		c.conn.SetInjector(c.opts.Injector, c.opts.Metrics)
-	}
 	return nil
 }
 
@@ -409,7 +325,7 @@ func (c *Client) Call(m *Message) (*Message, error) {
 	retries := c.opts.retries()
 	for attempt := 1; attempt <= retries; attempt++ {
 		if d := c.opts.backoffFor(attempt, c.rng); d > 0 {
-			c.opts.clock().Sleep(d)
+			vclock.Real().Sleep(d)
 		}
 		c.opts.Metrics.Counter(CtrRetries).Inc()
 		if rerr := c.reconnect(); rerr != nil {

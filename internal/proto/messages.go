@@ -9,7 +9,6 @@ package proto
 import (
 	"encoding/xml"
 	"fmt"
-	"time"
 
 	"autoresched/internal/sysinfo"
 )
@@ -142,9 +141,6 @@ type Message struct {
 	Migrate   *MigrateOrder `xml:"migrate,omitempty"`
 	Error     string        `xml:"error,omitempty"`
 }
-
-// Stamp sets the send time.
-func (m *Message) Stamp(t time.Time) { m.SentAt = t.UnixNano() }
 
 // Validate checks that the payload matches the message type.
 func (m *Message) Validate() error {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"autoresched/internal/metrics"
-	"autoresched/internal/vclock"
 )
 
 // Options tunes the robustness behaviour of clients and servers. The zero
@@ -40,20 +39,6 @@ type Options struct {
 	// the proto/call_seconds histogram: the wall-clock duration of each
 	// Call, retries and backoff included.
 	Metrics *metrics.Registry
-	// Injector, when set, intercepts outbound messages (drop, duplicate,
-	// delay) — the proto-level fault hook the chaos engine drives.
-	Injector FaultInjector
-	// Clock paces retry backoff and injected delays. Nil selects the real
-	// clock; sim harnesses pass their scaled or manual clock so proto
-	// sleeps stay in virtual time.
-	Clock vclock.Clock
-}
-
-func (o Options) clock() vclock.Clock {
-	if o.Clock == nil {
-		return vclock.Real()
-	}
-	return o.Clock
 }
 
 func (o Options) retries() int {
@@ -91,33 +76,13 @@ func (o Options) backoffFor(attempt int, rng *rand.Rand) time.Duration {
 // approximate metric — retries, backoff and the wire round trip included).
 const MetricCallSeconds = "proto/call_seconds"
 
-// Counter names the proto layer increments on Options.Metrics: injected
-// faults on the send path, client retries and re-dials, and server-side
-// idempotent redeliveries.
+// Counter names the proto layer increments on Options.Metrics: client
+// retries and re-dials, and server-side idempotent redeliveries.
 const (
-	CtrDropped    = "proto/msgs_dropped"
-	CtrDuplicated = "proto/msgs_duplicated"
-	CtrDelayed    = "proto/msgs_delayed"
 	CtrRetries    = "proto/call_retries"
 	CtrReconnects = "proto/reconnects"
 	CtrDeduped    = "proto/msgs_deduped"
 )
-
-// Verdict is a fault injector's decision about one outbound message.
-type Verdict struct {
-	// Drop swallows the message; the peer never sees it.
-	Drop bool
-	// Duplicate sends the message twice.
-	Duplicate bool
-	// Delay sleeps before sending.
-	Delay time.Duration
-}
-
-// FaultInjector intercepts outbound messages on a connection. Implementations
-// must be safe for concurrent use.
-type FaultInjector interface {
-	Outbound(m *Message) Verdict
-}
 
 // dedupCache remembers the last responses per (client, seq) so redelivered
 // requests are answered idempotently.

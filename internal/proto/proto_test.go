@@ -40,7 +40,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: TypeAck, From: "registry", Error: "boom"},
 	}
 	for _, m := range msgs {
-		m.Stamp(time.Unix(1, 2))
+		m.SentAt = time.Unix(1, 2).UnixNano()
 		data, err := m.Encode()
 		if err != nil {
 			t.Fatalf("Encode(%s): %v", m.Type, err)
@@ -99,14 +99,15 @@ func TestDecodeGarbage(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	c := NewConn(&buf)
 	payloads := [][]byte{[]byte(""), []byte("a"), bytes.Repeat([]byte("xy"), 5000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := c.writeFrame(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := c.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,19 +119,20 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	c := NewConn(&buf)
+	if err := c.writeFrame(make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Header advertising an oversized frame is rejected on read.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := c.readFrame(); err == nil {
 		t.Fatal("oversized header accepted")
 	}
 	// Truncated frame.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := c.readFrame(); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -139,10 +141,11 @@ func TestFrameLimits(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload); err != nil {
+		c := NewConn(&buf)
+		if err := c.writeFrame(payload); err != nil {
 			return len(payload) > maxFrame
 		}
-		got, err := ReadFrame(&buf)
+		got, err := c.readFrame()
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -13,22 +13,6 @@ import (
 	"autoresched/internal/metrics"
 )
 
-// dropFirstN drops the first N outbound messages it sees.
-type dropFirstN struct {
-	mu   sync.Mutex
-	left int
-}
-
-func (d *dropFirstN) Outbound(m *Message) Verdict {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.left > 0 {
-		d.left--
-		return Verdict{Drop: true}
-	}
-	return Verdict{}
-}
-
 func TestConnRecvPeerClosesMidFrame(t *testing.T) {
 	client, server := net.Pipe()
 	go func() {
@@ -223,32 +207,66 @@ func TestServerDedupReplaysCachedResponse(t *testing.T) {
 	}
 }
 
-func TestInjectorDropForcesRetry(t *testing.T) {
-	mreg := metrics.NewRegistry()
-	srv, err := NewServer("registry", "127.0.0.1:0", func(m *Message) (*Message, error) { return nil, nil })
+func TestClientRetriesTimedOutCallOnFreshConnection(t *testing.T) {
+	// A raw listener that swallows the first connection's request and
+	// serves every later connection: the call times out waiting for a
+	// response, reconnects, and succeeds on the retry.
+	var calls atomic.Int64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cli, err := DialOptions("ws1", srv.Addr(), Options{
+	var wg sync.WaitGroup
+	defer func() {
+		ln.Close()
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func(swallow bool) {
+				defer wg.Done()
+				defer conn.Close()
+				c := NewConn(conn)
+				for {
+					req, err := c.Recv()
+					if err != nil {
+						return
+					}
+					if swallow {
+						continue
+					}
+					calls.Add(1)
+					if err := c.Send(Ack("registry", req, nil)); err != nil {
+						return
+					}
+				}
+			}(first)
+		}
+	}()
+	mreg := metrics.NewRegistry()
+	cli, err := DialOptions("ws1", ln.Addr().String(), Options{
 		CallTimeout: 100 * time.Millisecond,
 		Retries:     2,
 		Metrics:     mreg,
-		Injector:    &dropFirstN{left: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	// First send is swallowed by the injector; the call times out waiting
-	// for a response, reconnects, and succeeds on the retry.
 	if _, err := cli.Call(statusMsg("ws1")); err != nil {
-		t.Fatalf("Call with one dropped message: %v", err)
-	}
-	if mreg.Counter(CtrDropped).Value() != 1 {
-		t.Fatalf("dropped counter = %d, want 1", mreg.Counter(CtrDropped).Value())
+		t.Fatalf("Call with one swallowed request: %v", err)
 	}
 	if mreg.Counter(CtrRetries).Value() == 0 {
-		t.Fatal("no retry counted after a dropped message")
+		t.Fatal("no retry counted after a swallowed request")
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("request answered %d times; want 1", got)
 	}
 }

@@ -39,15 +39,8 @@ func WithPolicy(p *rules.MigrationPolicy) Option { return func(c *Config) { c.Po
 // WithCommands sets the migrate-order sink, making the registry active.
 func WithCommands(s CommandSink) Option { return func(c *Config) { c.Commands = s } }
 
-// WithScheduler sets the placement scheduler.
-func WithScheduler(s Scheduler) Option { return func(c *Config) { c.Scheduler = s } }
-
 // WithParent sets the upper-level registry for hierarchical delegation.
 func WithParent(p *Registry) Option { return func(c *Config) { c.Parent = p } }
-
-// WithDomain names this registry's control domain under its parent and
-// enables the upward health reports.
-func WithDomain(name string) Option { return func(c *Config) { c.Domain = name } }
 
 // WithWarmup sets the warm-up damping window.
 func WithWarmup(n int) Option { return func(c *Config) { c.Warmup = n } }

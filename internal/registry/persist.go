@@ -248,17 +248,6 @@ func (r *Registry) Seq() uint64 {
 	return r.lastApplied
 }
 
-// ChangesSince is the catch-up sync feed: every durable change record
-// after seq, in order. Domain shards and the warm standby poll it (via
-// Standby.Sync) to stay in lockstep with the primary. Without a store it
-// returns nothing.
-func (r *Registry) ChangesSince(seq uint64) ([]persist.Record, error) {
-	if r.store == nil {
-		return nil, nil
-	}
-	return r.store.ReadSince(seq)
-}
-
 // resetStateLocked drops every piece of protocol state, the shared first
 // half of both the storeless Restart and the crash-consistent bootstrap.
 func (r *Registry) resetStateLocked() {

@@ -13,8 +13,7 @@ import (
 // BenchmarkReplayBootstrap measures the crash-consistent restart — load
 // snapshot, replay the log suffix — at 512 and 4096 hosts, the cost a
 // durable registry pays instead of the re-registration storm. The store
-// holds a mid-log snapshot so the bootstrap exercises both paths. Feeds
-// BENCH_persist.json behind the benchguard drift gate.
+// holds a mid-log snapshot so the bootstrap exercises both paths.
 func BenchmarkReplayBootstrap(b *testing.B) {
 	for _, n := range []int{512, 4096} {
 		b.Run(fmt.Sprintf("hosts%d", n), func(b *testing.B) {

@@ -430,9 +430,6 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lag := sb.Lag(); lag == 0 {
-		t.Fatal("standby should be behind after the reserve")
-	}
 
 	promoted, err := sb.Promote()
 	if err != nil {
@@ -457,28 +454,6 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 	}
 	if err := g2.Commit(); err != nil {
 		t.Fatalf("promoted commit: %v", err)
-	}
-}
-
-func TestChangesSinceFeedsFollower(t *testing.T) {
-	store := persist.NewMemStore()
-	r, _, _ := storedRegistry(t, store)
-	if err := r.RegisterHost("ws1", proto.StaticInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	seq := r.Seq()
-	if seq == 0 {
-		t.Fatal("Seq = 0 after a durable mutation")
-	}
-	if err := r.ReportStatus("ws1", proto.Status{State: "busy"}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ChangesSince(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Kind != recKindHostStatus {
-		t.Fatalf("ChangesSince(%d) = %+v", seq, recs)
 	}
 }
 

@@ -54,18 +54,6 @@ func (s *Standby) Sync() (uint64, error) {
 	return r.lastApplied, err
 }
 
-// Lag reports how many records the standby is behind the store's tail.
-func (s *Standby) Lag() uint64 {
-	tail := s.store.Seq()
-	s.r.mu.Lock()
-	applied := s.r.lastApplied
-	s.r.mu.Unlock()
-	if tail <= applied {
-		return 0
-	}
-	return tail - applied
-}
-
 // Registry returns the shadow registry for inspection (Health, Hosts,
 // StateDigest). Mutating it before Promote is a caller error.
 func (s *Standby) Registry() *Registry { return s.r }

@@ -77,14 +77,6 @@ func (e *Engine) SetRoot(number int) {
 	e.root = number
 }
 
-// Rule returns the installed rule with the given number.
-func (e *Engine) Rule(number int) (*Rule, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.rules[number]
-	return r, ok
-}
-
 // Rules returns the installed rules sorted by number.
 func (e *Engine) Rules() []*Rule {
 	e.mu.RLock()

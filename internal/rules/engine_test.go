@@ -205,12 +205,12 @@ func TestEngineRuleReplacement(t *testing.T) {
 	if err := e.Add(r2); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := e.Rule(1)
-	if !ok || got.Name != "v2" {
-		t.Fatalf("rule 1 = %+v", got)
+	got := e.Rules()
+	if len(got) != 1 {
+		t.Fatalf("Rules() len = %d", len(got))
 	}
-	if len(e.Rules()) != 1 {
-		t.Fatalf("Rules() len = %d", len(e.Rules()))
+	if got[0].Name != "v2" {
+		t.Fatalf("rule 1 = %+v", got[0])
 	}
 }
 

@@ -95,16 +95,3 @@ func (g Grade) State() State {
 		return Overloaded
 	}
 }
-
-// GradeOf returns the canonical grade of a coarse state. Unavailable has no
-// grade; it is a liveness judgement, not a load judgement.
-func GradeOf(s State) Grade {
-	switch s {
-	case Busy:
-		return GradeBusy
-	case Overloaded:
-		return GradeOverloaded
-	default:
-		return GradeFree
-	}
-}

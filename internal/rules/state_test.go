@@ -77,17 +77,6 @@ func TestGradeStateBoundaries(t *testing.T) {
 	}
 }
 
-func TestGradeOfRoundTrip(t *testing.T) {
-	for _, s := range []State{Free, Busy, Overloaded} {
-		if got := GradeOf(s).State(); got != s {
-			t.Errorf("GradeOf(%v).State() = %v", s, got)
-		}
-	}
-	if GradeOf(Unavailable) != GradeFree {
-		t.Error("GradeOf(Unavailable) should be the neutral grade")
-	}
-}
-
 // Property: State() is monotone in the grade — a worse grade never maps to
 // a better state.
 func TestGradeStateMonotoneProperty(t *testing.T) {

@@ -12,9 +12,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"strings"
 	"time"
 )
@@ -200,26 +198,8 @@ func Unmarshal(data []byte) (*Schema, error) {
 	return &s, nil
 }
 
-// Read parses a schema from r.
-func Read(r io.Reader) (*Schema, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(data)
-}
-
-// Load reads a schema file from disk.
-func Load(path string) (*Schema, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(data)
-}
-
 // Equal reports whether two schemas describe the same estimates, ignoring
-// statistics. Used by tests and the registry's re-registration path.
+// statistics.
 func (s *Schema) Equal(o *Schema) bool {
 	if s.Name != o.Name || s.CommBytes != o.CommBytes || s.LocalDataBytes != o.LocalDataBytes {
 		return false

@@ -47,36 +47,14 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadAndRead(t *testing.T) {
-	s := testTreeSchema()
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "test_tree.xml")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "test_tree" {
-		t.Fatalf("loaded name = %q", got.Name)
-	}
-	got2, err := Read(strings.NewReader(string(data)))
-	if err != nil || got2.Name != "test_tree" {
-		t.Fatalf("Read = %+v, %v", got2, err)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "none.xml")); err == nil {
-		t.Fatal("Load of missing file succeeded")
-	}
-}
-
 // TestLoadHandWrittenDocument parses the checked-in Section 3.3 schema
 // document, the format users author by hand.
 func TestLoadHandWrittenDocument(t *testing.T) {
-	s, err := Load(filepath.Join("testdata", "test_tree.xml"))
+	data, err := os.ReadFile(filepath.Join("testdata", "test_tree.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}

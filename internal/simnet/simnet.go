@@ -317,25 +317,6 @@ func (n *Network) Counters(host string) (sent, recv int64, err error) {
 	return int64(h.sentBytes), int64(h.recvBytes), nil
 }
 
-// Rates returns the instantaneous aggregate send and receive rates of a
-// host in bytes per second.
-func (n *Network) Rates(host string) (sendBps, recvBps float64, err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.hosts[host]
-	if !ok {
-		return 0, 0, ErrUnknownHost
-	}
-	n.advanceLocked(n.clock.Now())
-	for f := range h.sendFlows {
-		sendBps += f.rate
-	}
-	for f := range h.recvFlows {
-		recvBps += f.rate
-	}
-	return sendBps, recvBps, nil
-}
-
 // HostFlows reports the number of in-flight transfers with an endpoint on
 // host. It backs the netstat-style "sockets in ESTABLISHED state" probe.
 func (n *Network) HostFlows(host string) (int, error) {

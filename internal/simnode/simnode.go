@@ -188,9 +188,6 @@ func (p *Proc) Name() string { return p.name }
 // file timestamp).
 func (p *Proc) Started() time.Time { return p.started }
 
-// Host returns the host the process runs on.
-func (p *Proc) Host() *Host { return p.host }
-
 // SetMemory updates the resident memory of the process.
 func (p *Proc) SetMemory(bytes int64) {
 	h := p.host

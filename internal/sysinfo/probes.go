@@ -2,7 +2,6 @@ package sysinfo
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -41,18 +40,6 @@ func (p *Probes) Eval(script string, snap Snapshot, param string) (float64, erro
 		return 0, fmt.Errorf("sysinfo: no probe registered for script %q", script)
 	}
 	return fn(snap, param)
-}
-
-// Names returns the registered script names, sorted.
-func (p *Probes) Names() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	names := make([]string, 0, len(p.m))
-	for n := range p.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // StandardProbes returns a registry with the probes used by the paper's

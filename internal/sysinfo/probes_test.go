@@ -89,12 +89,6 @@ func TestProbeRegisterAndNames(t *testing.T) {
 	if err != nil || got != 42 {
 		t.Fatalf("custom probe = %v, %v", got, err)
 	}
-	if names := p.Names(); len(names) != 1 || names[0] != "custom.sh" {
-		t.Fatalf("Names() = %v", names)
-	}
-	if n := len(StandardProbes().Names()); n < 9 {
-		t.Fatalf("standard probe count = %d", n)
-	}
 }
 
 func TestProbeOverride(t *testing.T) {

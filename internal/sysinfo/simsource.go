@@ -17,9 +17,8 @@ type SimSource struct {
 	host *simnode.Host
 	net  *simnet.Network
 
-	mu           sync.Mutex
-	static       Static
-	extraSockets int
+	mu     sync.Mutex
+	static Static
 }
 
 // NewSimSource wraps a simulated host (and optionally its network; nil
@@ -38,14 +37,6 @@ func NewSimSource(host *simnode.Host, net *simnet.Network) *SimSource {
 			MemTotal: memTotal,
 		},
 	}
-}
-
-// SetExtraSockets sets the baseline number of established sockets reported
-// on top of active flows.
-func (s *SimSource) SetExtraSockets(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.extraSockets = n
 }
 
 // Static implements Source.
@@ -106,17 +97,10 @@ func (s *SimSource) NetCounters() (sent, recv int64, err error) {
 
 // Sockets implements Source.
 func (s *SimSource) Sockets() (int, error) {
-	s.mu.Lock()
-	extra := s.extraSockets
-	s.mu.Unlock()
 	if s.net == nil {
-		return extra, nil
+		return 0, nil
 	}
-	flows, err := s.net.HostFlows(s.host.Name())
-	if err != nil {
-		return 0, err
-	}
-	return extra + flows, nil
+	return s.net.HostFlows(s.host.Name())
 }
 
 // Procs implements Source.

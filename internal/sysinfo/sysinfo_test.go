@@ -132,14 +132,30 @@ func TestSensorTracksProcsAndLoad(t *testing.T) {
 func TestSimSourceSockets(t *testing.T) {
 	host, nw, _ := simRig(t)
 	src := NewSimSource(host, nw)
-	src.SetExtraSockets(700)
-	n, err := src.Sockets()
-	if err != nil {
+	if n, err := src.Sockets(); err != nil || n != 0 {
+		t.Fatalf("idle sockets = %d, %v", n, err)
+	}
+	// An in-flight transfer is one established socket on each endpoint.
+	done := make(chan error, 1)
+	go func() { done <- nw.Transfer("ws1", "ws2", 1e6) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n, err := src.Sockets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sockets = %d, want 1", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := nw.SetDown("ws2", true); err != nil { // end the transfer
 		t.Fatal(err)
 	}
-	if n != 700 {
-		t.Fatalf("sockets = %d, want 700", n)
-	}
+	<-done
 }
 
 func TestSimSourceWithoutNetwork(t *testing.T) {

@@ -123,35 +123,3 @@ func (g *LoadGen) Stop() {
 	}
 	g.stopped.Wait()
 }
-
-// ProcTask runs a finite foreground task of the given total work on a host
-// and returns a channel closed when it finishes — the "additional task"
-// loaded onto the source workstation in Sections 5.2 and 5.3.
-func ProcTask(host *simnode.Host, name string, work float64) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		proc := host.Spawn(name, 8<<20)
-		defer proc.Exit()
-		_ = proc.Compute(work)
-	}()
-	return done
-}
-
-// ProcBurst spawns n short-lived processes to inflate the process table
-// (the "number of active processes" trigger of the Table 2 policies). They
-// persist until the returned stop function is called.
-func ProcBurst(host *simnode.Host, name string, n int) (stop func()) {
-	procs := make([]*simnode.Proc, 0, n)
-	for i := 0; i < n; i++ {
-		procs = append(procs, host.Spawn(name, 1<<18))
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			for _, p := range procs {
-				p.Exit()
-			}
-		})
-	}
-}

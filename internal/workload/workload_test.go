@@ -192,29 +192,6 @@ func TestLoadGenStartStopIdempotent(t *testing.T) {
 	gen.Stop() // no-op
 }
 
-func TestProcTaskAndBurst(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 1000)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
-	done := ProcTask(host, "extra", 2000) // 2 virtual seconds
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("task never finished")
-	}
-	if host.NumProcs() != 0 {
-		t.Fatalf("NumProcs = %d", host.NumProcs())
-	}
-	stop := ProcBurst(host, "filler", 160)
-	if host.NumProcs() != 160 {
-		t.Fatalf("NumProcs = %d", host.NumProcs())
-	}
-	stop()
-	stop() // idempotent
-	if host.NumProcs() != 0 {
-		t.Fatalf("NumProcs after stop = %d", host.NumProcs())
-	}
-}
-
 func TestCommLoadAchievesRoughRate(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 100)
 	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
