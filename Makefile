@@ -11,14 +11,16 @@
 
 GO ?= go
 
-# Packages with nontrivial goroutine interaction: the migration middleware,
+# Packages with nontrivial goroutine interaction: the migration middleware
+# and the message passing, virtual clock and paged workloads it rides on,
 # the autonomic runtime, the fault injector, the event sink and everything
 # they lean on.
 RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/commander ./internal/hpcm ./internal/core \
             ./internal/faults ./internal/metrics ./internal/simnet \
             ./internal/events ./internal/livemig ./internal/malleable \
-            ./internal/jobs ./internal/scenario ./internal/persist
+            ./internal/jobs ./internal/scenario ./internal/persist \
+            ./internal/mpi ./internal/vclock ./internal/workload
 
 .PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench e2e loc
 

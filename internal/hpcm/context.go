@@ -132,7 +132,7 @@ func (c *Context) PollPoint(label string) error {
 		return ErrPreempted
 	}
 	// A live attempt in flight resolves here: while precopy rounds are on
-	// the wire the application keeps computing; once the driver reached a
+	// the wire the application keeps computing; once the rounds reached a
 	// terminal decision this poll-point freezes or falls back.
 	if handled, err := c.pollLive(label); handled {
 		return err

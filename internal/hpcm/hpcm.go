@@ -416,7 +416,7 @@ func (p *Process) finish(err error) {
 	p.mu.Unlock()
 
 	// A live attempt still copying is pointless now: cancel it so its
-	// destination discards the partial region and the driver goroutine
+	// destination discards the partial region and the precopy goroutine
 	// (tracked by xfer) winds down.
 	p.cancelLive()
 	hp.Exit()

@@ -8,19 +8,18 @@ package hpcm
 // background) and marshal / unmarshal (the same bytes in one buffer).
 //
 // An image is a header followed by raw segment bytes. The header is JSON,
-// {Label, Memory, PagesName, Segments: [{Name, Lazy, Size, Enc}]}: the
-// poll-point label (execution state), the resident memory the destination
-// attaches with, the paged region a live migration shipped ahead (never in
-// the inventory), and the inventory. Inventory order is the order of the
-// bytes: eager segments by name, then lazy segments smallest first with the
-// name as tie-break — the quickly restored variables are the ones a resumed
-// application Awaits first. Segment data is whatever encodeState produced,
-// and Enc says which: "raw" ([]byte and paged regions), "f64le" / "i64le"
-// ([]float64 / []int64 as the producer's memory holds them — "…be" from a
-// big-endian producer) — all three by reference, nothing encoded — or "gob"
-// for everything else. The image never looks inside the data. JSON rather
-// than gob because gob's bytes depend on which types the process encoded
-// before, and a checkpoint's bytes should depend on the checkpoint alone.
+// {Label, Memory, Segments: [{Name, Lazy, Size, Enc}]}: the poll-point label
+// (execution state), the resident memory the destination attaches with, and
+// the inventory. Inventory order is the order of the bytes: eager segments by
+// name, then lazy segments smallest first with the name as tie-break — the
+// quickly restored variables are the ones a resumed application Awaits
+// first. Segment data is whatever encodeState produced, and Enc says which:
+// "raw" ([]byte and paged regions), "f64le" / "i64le" ([]float64 / []int64
+// as the producer's memory holds them — "…be" from a big-endian producer) —
+// all three by reference, nothing encoded — or "gob" for everything else.
+// The image never looks inside the data. JSON rather than gob because gob's
+// bytes depend on which types the process encoded before, and a checkpoint's
+// bytes should depend on the checkpoint alone.
 //
 // On the wire (tags in migrate.go), around the commit point:
 //
@@ -37,12 +36,28 @@ package hpcm
 // the header declared, a zero-length segment sends nothing, and a chunk
 // that overruns its segment fails the restoration.
 //
+// A live migration puts precopy rounds in front of that, each an image of its
+// own on the same two tags: a header with Round r ≥ 1 (omitted when zero)
+// whose one segment is a page delta — a "raw" segment with Pages{Bytes, IDs},
+// meaning only the pages IDs (ascending, Bytes each, the region's last one
+// possibly short) of this Size-byte region travel, one fragment a page, and
+// the receiver patches them into the region earlier rounds started. The
+// handover image (Round 0) ends the stream: after precopy its inventory
+// closes with one more delta, the pages dirtied since the last round, which
+// completes the region. A delta is eager whatever the application
+// registered, so the region is whole when the destination resumes. A header
+// that says Cancel instead ends the stream with nothing to resume: the
+// receiver drops what it has and exits. Stop-and-copy is the stream whose
+// first header has Round 0.
+//
 // In a checkpoint: one magic byte, the header's length as a big-endian
 // uint32, the header, then every segment's bytes in inventory order.
 // Restoring copies them once, so restored state never aliases the store's
-// copy. There is no version negotiation on either carrier: both ends of a
-// stream are the same binary, and a checkpoint never outlives the run that
-// wrote it — any other magic byte is rejected, not interpreted. The same
+// copy. A checkpoint holds one whole image: it never carries Round, Cancel
+// or a delta, and unmarshalImage rejects a header that does. There is no
+// version negotiation on either carrier: both ends of a stream are the same
+// binary, and a checkpoint never outlives the run that wrote it — any
+// other magic byte is rejected, not interpreted. The same
 // rule holds per segment: parseHeader rejects an Enc outside the vocabulary
 // or a typed array that is not whole elements, and decodeState rejects a
 // segment whose Enc is not the one the registered variable's type collects
@@ -62,32 +77,43 @@ import (
 const imageMagic = 0xC5
 
 // segment is one registered variable's serialised state. Data is absent
-// from the header and travels behind it.
+// from the header and travels behind it — for a page delta, as parts.
 type segment struct {
-	Name string
-	Lazy bool
-	Size int
-	Enc  string
-	Data []byte `json:"-"`
+	Name  string
+	Lazy  bool
+	Size  int
+	Enc   string
+	Pages *pageDelta `json:",omitempty"`
+	Data  []byte     `json:"-"`
+	parts [][]byte   // a delta's page images, parts[k] that of Pages.IDs[k]
 }
+
+// pageDelta marks a segment as the listed pages of its region, not the whole.
+type pageDelta struct {
+	Bytes int
+	IDs   []int
+}
+
+var firstPage = []int{0}
 
 // image is a process's transferable state. Decoded from a header alone, its
 // segments are the inventory: sizes without data.
 type image struct {
-	Label     string
-	Memory    int64
-	PagesName string
-	Segments  []segment
+	Label    string
+	Memory   int64
+	Round    int  `json:",omitempty"`
+	Cancel   bool `json:",omitempty"`
+	Segments []segment
 }
 
 // collect serialises the registered memory state in inventory order. skip
-// names one entry to leave out — the live path ships its paged region
-// page-by-page and must not duplicate it in the freeze payload; everything
-// else passes "".
+// names one entry to leave out — the live path ships its paged region as
+// page deltas and must not duplicate it whole in the handover image;
+// everything else passes "".
 func (r *registry) collect(skip string) (image, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	img := image{PagesName: skip, Segments: make([]segment, 0, len(r.entries))}
+	img := image{Segments: make([]segment, 0, len(r.entries))}
 	for name, e := range r.entries {
 		if skip != "" && name == skip {
 			continue
@@ -121,8 +147,9 @@ func (c *Context) collect(label, skip string) (image, error) {
 
 // parseHeader decodes and checks a header. A header may be input from
 // outside the program (a checkpoint file): sizes must be non-negative, names
-// unique, every Enc one of the vocabulary and a typed array whole elements,
-// so no later step has to trust them.
+// unique, every Enc one of the vocabulary, a typed array whole elements, and
+// a delta's pages positive in size, raw, ascending and inside the region, so
+// no later step has to trust them.
 func parseHeader(hdr []byte) (image, error) {
 	var img image
 	if err := json.Unmarshal(hdr, &img); err != nil {
@@ -143,6 +170,16 @@ func parseHeader(hdr []byte) (image, error) {
 		default:
 			return image{}, fmt.Errorf("hpcm: state image header: segment %q has unknown encoding %q", s.Name, s.Enc)
 		}
+		if d := s.Pages; d != nil {
+			if d.Bytes <= 0 || s.Enc != encRaw {
+				return image{}, fmt.Errorf("hpcm: state image header: delta of segment %q has %d-byte %s pages", s.Name, d.Bytes, s.Enc)
+			}
+			for k, id := range d.IDs {
+				if id < 0 || id > (s.Size-1)/d.Bytes || k > 0 && id <= d.IDs[k-1] {
+					return image{}, fmt.Errorf("hpcm: state image header: delta of segment %q (%d bytes): page %d out of order or range", s.Name, s.Size, id)
+				}
+			}
+		}
 	}
 	return img, nil
 }
@@ -153,6 +190,10 @@ func (img *image) chunks(lazy bool, size int) [][]byte {
 	var table [][]byte
 	for _, s := range img.Segments {
 		if s.Lazy != lazy {
+			continue
+		}
+		if s.Pages != nil {
+			table = append(table, s.parts...)
 			continue
 		}
 		for off := 0; off < s.Size; off += size {
@@ -195,30 +236,39 @@ func sendLazy(inter *mpi.Comm, chunks [][]byte) error {
 	return nil
 }
 
-// receiveState is the initialized process's side of sendState: the image's
-// inventory and a savedState with every eager segment complete.
+// receiveState is the initialized process's side of every sendState of one
+// migration: it takes images until the one that hands over (Round 0) and
+// returns that image's inventory with a savedState holding every eager
+// segment — a region the rounds assembled included — complete. A stream the
+// source cancelled returns no state and no error.
 func receiveState(parent *mpi.Comm) (image, *savedState, error) {
-	var hdr []byte
-	if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {
-		return image{}, nil, fmt.Errorf("hpcm: receive execution state: %w", err)
+	saved := newSavedState(image{})
+	for {
+		var hdr []byte
+		if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {
+			return image{}, nil, fmt.Errorf("hpcm: receive execution state: %w", err)
+		}
+		img, err := parseHeader(hdr)
+		if err != nil || img.Cancel {
+			return image{}, nil, err
+		}
+		saved.declare(img)
+		if err := saved.restore(parent, img, false); err != nil {
+			return image{}, nil, fmt.Errorf("hpcm: receive eager state: %w", err)
+		}
+		if img.Round == 0 {
+			return img, saved, nil
+		}
 	}
-	img, err := parseHeader(hdr)
-	if err != nil {
-		return image{}, nil, err
-	}
-	saved := newSavedState(img)
-	if err := saved.restore(parent, img, false); err != nil {
-		return image{}, nil, fmt.Errorf("hpcm: receive eager state: %w", err)
-	}
-	return img, saved, nil
 }
 
 // restore is the receiving side of both halves: it cuts the fragments
 // arriving on tagEager or tagLazy into the image's eager or lazy segments by
 // the sizes the inventory declares, completing each segment as its last
 // byte arrives. Buffers are sized from the inventory, so reassembly is one
-// sequential copy per segment; a fragment that overruns its segment is an
-// error.
+// sequential copy per segment; a delta lands page by page in the region
+// earlier rounds started. A fragment that overruns its segment, or its page,
+// is an error.
 func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 	tag := tagEager
 	if lazy {
@@ -229,16 +279,26 @@ func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 		if seg.Lazy != lazy {
 			continue
 		}
-		buf := make([]byte, 0, seg.Size)
-		for len(buf) < seg.Size {
-			if len(frags) == 0 {
-				if _, err := parent.Recv(&frags, 0, tag); err != nil {
-					return err
+		// A whole segment is cut like a delta of one page: all of it.
+		d := pageDelta{Bytes: seg.Size, IDs: firstPage}
+		if seg.Pages != nil {
+			d = *seg.Pages
+		}
+		buf := s.buffer(seg)
+		for _, id := range d.IDs {
+			lo := id * d.Bytes
+			hi := min(lo+d.Bytes, seg.Size)
+			for lo < hi {
+				if len(frags) == 0 {
+					if _, err := parent.Recv(&frags, 0, tag); err != nil {
+						return err
+					}
+				} else if len(frags[0]) > hi-lo {
+					return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frags[0]), seg.Name, seg.Size)
+				} else {
+					lo += copy(buf[lo:], frags[0])
+					frags = frags[1:]
 				}
-			} else if len(frags[0]) > seg.Size-len(buf) {
-				return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frags[0]), seg.Name, seg.Size)
-			} else {
-				buf, frags = append(buf, frags[0]...), frags[1:]
 			}
 		}
 		s.completeLazy(seg.Name, buf)
@@ -302,9 +362,15 @@ func unmarshalImage(data []byte) (image, *savedState, error) {
 	if err != nil {
 		return image{}, nil, err
 	}
+	if img.Round != 0 || img.Cancel {
+		return image{}, nil, errors.New("hpcm: a checkpoint holds one whole image, not a round of a stream")
+	}
 	body := data[5+n:]
 	left := len(body)
 	for _, s := range img.Segments {
+		if s.Pages != nil {
+			return image{}, nil, fmt.Errorf("hpcm: a checkpoint holds one whole image, segment %q is a delta", s.Name)
+		}
 		if s.Size > left {
 			return image{}, nil, errors.New("hpcm: state image truncated")
 		}

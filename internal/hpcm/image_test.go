@@ -237,8 +237,8 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 				t.Fatalf("streamed state differs from the source:\n got %+v\nwant %+v", streamed, source)
 			}
 			// The lazy stream is the arrays' own size, nothing added by a codec.
-			// Live: the region went ahead in precopy rounds, skipped by collect
-			// and installed under PagesName — not a segment of the image.
+			// Live: the region went ahead in precopy rounds and ends as a delta
+			// of the handover image, which the record's sizes do not count.
 			lazyBytes := len(source.Bulk) + 8*(len(source.Floats[0])+len(source.Floats[2])+len(source.Ints[0]))
 			if rec := p.Records()[0]; rec.LazyBytes != int64(lazyBytes) || (paged && rec.PrecopyRounds < 1) {
 				t.Fatalf("lazy stream of %d bytes, want %d (paged region shipped ahead: %v): %+v", rec.LazyBytes, lazyBytes, paged, rec)
@@ -338,8 +338,8 @@ func TestCollectOrdersTheInventory(t *testing.T) {
 		for _, s := range img.Segments {
 			order = append(order, s.Name)
 		}
-		if got := strings.Join(order, " "); got != "a z small tie big" || img.PagesName != "skipped" {
-			t.Fatalf("inventory = %q (pages %q)", got, img.PagesName)
+		if got := strings.Join(order, " "); got != "a z small tie big" {
+			t.Fatalf("inventory = %q", got)
 		}
 	}
 }
@@ -387,6 +387,10 @@ func malformations(t testing.TB) map[string][]byte {
 		"array of 8k+3 bytes":   frame(`{"Segments":[{"Name":"a","Size":19,"Enc":"f64le"}]}`, pattern(19, 0)),
 		"int array of 8k+3":     frame(`{"Segments":[{"Name":"a","Size":11,"Enc":"i64be"}]}`, pattern(11, 0)),
 		"encoding not a string": frame(`{"Segments":[{"Name":"a","Size":8,"Enc":8}]}`, pattern(8, 0)),
+		// Well-formed on a stream, never in a checkpoint.
+		"a precopy round": frame(`{"Round":1,"Segments":[{"Name":"a","Size":3,"Enc":"raw"}]}`, []byte("abc")),
+		"a cancel":        frame(`{"Cancel":true,"Segments":[]}`, nil),
+		"a page delta":    frame(`{"Segments":[{"Name":"a","Size":3,"Enc":"raw","Pages":{"Bytes":8,"IDs":[0]}}]}`, []byte("abc")),
 	}
 }
 
@@ -590,16 +594,16 @@ func TestTornCheckpointFileIsAnError(t *testing.T) {
 	}
 }
 
-// commPair returns both ends of a parent/child intercommunicator, usable
-// from the test goroutine: sends are eager-buffered, so one goroutine can
-// play both sides.
-func commPair(t *testing.T) (parent, child *mpi.Comm) {
+// commPair returns both ends of a parent/child intercommunicator — the
+// child's as its Env, whose Parent is the communicator — usable from the test
+// goroutine: sends are eager-buffered, so one goroutine can play both sides.
+func commPair(t *testing.T) (parent *mpi.Comm, child *mpi.Env) {
 	t.Helper()
-	parentEnd, childEnd := make(chan *mpi.Comm, 1), make(chan *mpi.Comm, 1)
+	parentEnd, childEnd := make(chan *mpi.Comm, 1), make(chan *mpi.Env, 1)
 	release := make(chan struct{})
 	wait := mpi.NewUniverse(mpi.Options{}).Start([]string{"a"}, func(env *mpi.Env) error {
 		inter, err := env.Spawn([]string{"b"}, func(c *mpi.Env) error {
-			childEnd <- c.Parent
+			childEnd <- c
 			<-release
 			return nil
 		})
@@ -614,6 +618,91 @@ func commPair(t *testing.T) (parent, child *mpi.Comm) {
 	return <-parentEnd, <-childEnd
 }
 
+// TestReceiveStateFollowsTheStream drives the one receive loop by hand: every
+// migration is a run of images on tagHeader/tagEager that ends with the one
+// whose Round is zero, or with a Cancel. What the loop cannot use it refuses
+// with an error naming the segment, and bootstrap puts that text on
+// tagResumed for the source.
+func TestReceiveStateFollowsTheStream(t *testing.T) {
+	// A 40-byte region of 16-byte pages: the last page is short.
+	page := func(id, salt int) []byte { return pattern(min(16, 40-16*id), salt) }
+	region := func(d pageDelta, pages ...[]byte) segment {
+		return segment{Name: "region", Size: 40, Enc: encRaw, Pages: &d, parts: pages}
+	}
+	round1 := image{Round: 1, Segments: []segment{region(pageDelta{16, []int{0, 1, 2}}, page(0, 1), page(1, 1), page(2, 1))}}
+	golden := goldenImage()
+	handover := goldenImage()
+	handover.Segments = append(handover.Segments, region(pageDelta{16, []int{2}}, page(2, 3)))
+	bad := func(seg segment) []image { return []image{round1, {Round: 2, Segments: []segment{seg}}} }
+
+	for _, row := range []struct {
+		name    string
+		stream  []image           // sent in order, each by sendState
+		kill    bool              // the receiver's mailbox closes behind the stream
+		want    map[string][]byte // the complete slots after the handover
+		refusal string            // or: the error names this
+	}{
+		{name: "zero rounds", stream: []image{golden},
+			want: map[string][]byte{"eager": golden.Segments[0].Data, "raw": golden.Segments[1].Data}},
+		{name: "two rounds and a residual",
+			stream: []image{round1, {Round: 2, Segments: []segment{region(pageDelta{16, []int{1}}, page(1, 2))}}, handover},
+			want: map[string][]byte{"eager": golden.Segments[0].Data, "raw": golden.Segments[1].Data,
+				"region": slices.Concat(page(0, 1), page(1, 2), page(2, 3))}},
+		{name: "empty residual", stream: []image{round1, {Label: "l", Segments: []segment{region(pageDelta{Bytes: 16})}}},
+			want: map[string][]byte{"region": slices.Concat(page(0, 1), page(1, 1), page(2, 1))}},
+		{name: "cancel after round 1", stream: []image{round1, {Cancel: true}}},
+		{name: "page past the region", stream: bad(region(pageDelta{16, []int{3}}, page(0, 2))), refusal: `"region"`},
+		{name: "ids not ascending", stream: bad(region(pageDelta{16, []int{1, 1}}, page(1, 2), page(1, 2))), refusal: `"region"`},
+		{name: "zero-byte pages", stream: bad(region(pageDelta{0, []int{0}}, page(0, 2))), refusal: `"region"`},
+		{name: "a delta that is not raw", stream: bad(segment{Name: "region", Size: 40, Enc: "f64le", Pages: &pageDelta{16, []int{0}}, parts: [][]byte{page(0, 2)}}), refusal: `"region"`},
+		{name: "fragment longer than its page", stream: bad(region(pageDelta{16, []int{2}}, pattern(9, 2))), refusal: `"region"`},
+		{name: "no final header", stream: []image{round1}, kill: true, refusal: "receive execution state"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			parent, child := commPair(t)
+			for i := range row.stream {
+				if err := row.stream[i].sendState(parent); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.kill {
+				child.Kill()
+			}
+			if row.want == nil {
+				// A refusal reaches the source; a cancelled destination just exits.
+				err := new(Process).bootstrap(child, child.Parent)
+				if row.refusal == "" {
+					if waiting, _, _ := parent.Iprobe(0, mpi.AnyTag); err != nil || waiting {
+						t.Fatalf("cancelled bootstrap = %v (answered the source: %v), want a silent exit", err, waiting)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), row.refusal) {
+					t.Fatalf("bootstrap = %v, want an error naming %s", err, row.refusal)
+				}
+				if told := recvStatus(parent, tagResumed); told == nil || told.Error() != err.Error() {
+					t.Fatalf("the source was told %v, the destination failed with %v", told, err)
+				}
+				return
+			}
+			img, saved, err := receiveState(child.Parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := row.stream[len(row.stream)-1]
+			if img.Label != last.Label || img.Memory != last.Memory || len(img.Segments) != len(last.Segments) {
+				t.Fatalf("handed over %+v, sent %+v", img, last)
+			}
+			for _, seg := range img.Segments {
+				sl, want := saved.slots[seg.Name], row.want[seg.Name]
+				if sl.ready != !seg.Lazy || sl.enc != seg.Enc || !bytes.Equal(sl.data, want) {
+					t.Fatalf("slot %q: ready=%v %s %x, want ready=%v %s %x", seg.Name, sl.ready, sl.enc, sl.data, !seg.Lazy, seg.Enc, want)
+				}
+			}
+		})
+	}
+}
+
 // TestChunkOverrunFailsTheRestoration: the receiver cuts the stream by the
 // sizes it was told, and a chunk larger than what its segment still lacks
 // is an error, not a spill into the next segment.
@@ -624,7 +713,7 @@ func TestChunkOverrunFailsTheRestoration(t *testing.T) {
 	if err := sendLazy(parent, sent.chunks(true, testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	err := newSavedState(told).restore(child, told, true)
+	err := newSavedState(told).restore(child.Parent, told, true)
 	if err == nil || !strings.Contains(err.Error(), "overruns") {
 		t.Fatalf("restore = %v, want an overrun error", err)
 	}
@@ -643,7 +732,7 @@ func TestLazyChunksCostNoCodec(t *testing.T) {
 			if err := sendLazy(parent, img.chunks(true, chunk)); err != nil {
 				t.Fatal(err)
 			}
-			if err := saved.restore(child, img, true); err != nil {
+			if err := saved.restore(child.Parent, img, true); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := saved.awaitLazy("bulk"); err != nil || len(got.data) != len(data) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"autoresched/internal/livemig"
-	"autoresched/internal/mpi"
 )
 
 // Live migration: iterative precopy as an optional prefix of the Section 3
@@ -18,34 +17,31 @@ import (
 //
 // The flow is split across poll-points: migrate launches the rounds and
 // returns immediately (the application computes through them); pollLive
-// resolves the attempt at the first poll-point after the driver reached a
+// resolves the attempt at the first poll-point after the rounds reached a
 // terminal decision — freeze and hand over for a converged attempt, a
 // cancel plus a fresh stop-and-copy migrate for fallback.
 
-// sendBatch ships one precopy batch: metadata plus one multi-part raw
-// message. The blocking sends charge the virtual transfer time, which paces
-// the rounds and makes them contend with application traffic on the
-// simulated network.
-func (att *attempt) sendBatch(meta livemig.BatchMeta, parts [][]byte) error {
-	if err := att.inter.Send(meta, 0, tagPrecopy); err != nil {
-		return err
+// delta is the attempt's region as a page-delta segment: the pages ids, in
+// the eager half whatever the application registered.
+func (att *attempt) delta(ids []int, parts [][]byte) segment {
+	return segment{
+		Name: att.pagesName, Size: att.pages.Len(), Enc: encRaw,
+		Pages: &pageDelta{Bytes: att.pages.PageSize(), IDs: ids}, parts: parts,
 	}
-	if len(meta.PageIDs) > 0 {
-		return att.inter.SendParts(parts, 0, tagPrecopy)
-	}
-	return nil
 }
 
 // release tells the destination to discard the partial region and exit.
 // Best-effort: every caller has already given up on this destination, and a
 // failed send means it is gone anyway.
 func (att *attempt) release() {
-	_ = att.sendBatch(livemig.BatchMeta{Cancel: true}, nil) //lint:allow discardederr best-effort release of an abandoned destination; the caller's own outcome carries the cause
+	_ = (&image{Cancel: true}).sendState(att.inter) //lint:allow discardederr best-effort release of an abandoned destination; the caller's own outcome carries the cause
 }
 
-// startPrecopy runs the attempt's driver in the background; a later
-// poll-point resolves it.
-func (c *Context) startPrecopy(att *attempt) {
+// startPrecopy runs the attempt's rounds in the background, each an image of
+// one delta; a later poll-point resolves the attempt. The blocking sends
+// charge the virtual transfer time, which paces the rounds and makes them
+// contend with application traffic on the simulated network.
+func (c *Context) startPrecopy(att *attempt, cfg livemig.Config) {
 	p := c.proc
 	att.done = make(chan struct{})
 	p.mu.Lock()
@@ -55,10 +51,17 @@ func (c *Context) startPrecopy(att *attempt) {
 	p.xfer.Add(1)
 	go func() {
 		defer p.xfer.Done()
-		att.res, att.err = att.driver.Run()
+		att.res, att.err = livemig.Precopy(cfg, att.pages, att.cancelled.Load, func(round int, ids []int, parts [][]byte) error {
+			img := image{Round: round, Segments: []segment{att.delta(ids, parts)}}
+			if err := img.sendState(att.inter); err != nil {
+				return err
+			}
+			p.mw.observe(att.event(PhasePrecopy, round, nil))
+			return nil
+		})
 		if att.cancelled.Load() {
 			// Stopped between rounds (process finished or was killed): the
-			// destination is still waiting for batches.
+			// destination is still waiting for rounds.
 			att.release()
 		}
 		close(att.done)
@@ -119,29 +122,14 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 	att.rec.PrecopyRounds = att.res.Rounds
 	mw.observe(att.event(PhaseFreeze, 0, nil))
 
-	// Residual dirty pages: applying the freeze batch completes the region.
-	// Every residual page was already shipped in an earlier round, so it
-	// counts as resent alongside the driver's rounds 2..N.
-	ids, parts, _ := att.pages.Snapshot(att.res.ShippedGen)
-	att.rec.PagesResent = att.res.PagesResent + len(ids)
-	meta := livemig.BatchMeta{
-		Round:     att.res.Rounds + 1,
-		PageIDs:   ids,
-		PageBytes: att.pages.PageSize(),
-		Total:     att.pages.Len(),
-		Final:     true,
-	}
-	if err := att.sendBatch(meta, parts); err != nil {
-		return true, mw.abort(att, PhaseFreeze, 0, fmt.Errorf("hpcm: residual page transfer: %w", err))
-	}
 	if err := c.collectState(att); err != nil {
 		return true, mw.abort(att, PhaseFreeze, 0, err)
 	}
 	return true, c.handover(att, PhaseFreeze)
 }
 
-// cancelLive stops an in-flight live attempt, if any: the driver quits at
-// its next round boundary and the destination discards the partial region.
+// cancelLive stops an in-flight live attempt, if any: the rounds quit at the
+// next round boundary and the destination discards the partial region.
 // Called when the process finishes (or is killed) with an attempt pending.
 func (p *Process) cancelLive() {
 	p.mu.Lock()
@@ -152,53 +140,12 @@ func (p *Process) cancelLive() {
 		return
 	}
 	att.cancelled.Store(true)
-	att.driver.Stop()
 	select {
 	case <-att.done:
-		// The driver already finished and nobody will poll the result: tell
+		// The rounds already finished and nobody will poll the result: tell
 		// the destination ourselves.
 		att.release()
 	default:
-		// The driver goroutine observes the stop and sends the cancel.
-	}
-}
-
-// receivePages is the destination side of the precopy prefix: it assembles
-// the paged region from batches (each a BatchMeta plus one multi-part raw
-// page message) until the freeze batch completes it. A cancel batch —
-// fallback, or the source giving up — discards everything and returns a nil
-// region.
-func receivePages(parent *mpi.Comm) ([]byte, error) {
-	var (
-		image     []byte
-		pageBytes int
-	)
-	for {
-		var meta livemig.BatchMeta
-		if _, err := parent.Recv(&meta, 0, tagPrecopy); err != nil {
-			return nil, fmt.Errorf("hpcm: receive precopy batch: %w", err)
-		}
-		if meta.Cancel {
-			return nil, nil
-		}
-		if image == nil {
-			image = make([]byte, meta.Total)
-			pageBytes = meta.PageBytes
-		}
-		if len(meta.PageIDs) > 0 {
-			var parts [][]byte
-			if _, err := parent.Recv(&parts, 0, tagPrecopy); err != nil {
-				return nil, fmt.Errorf("hpcm: receive precopy pages: %w", err)
-			}
-			for k, id := range meta.PageIDs {
-				if k >= len(parts) || id < 0 || id*pageBytes >= len(image) {
-					return nil, fmt.Errorf("hpcm: malformed precopy batch: page %d of %d-byte region", id, len(image))
-				}
-				copy(image[id*pageBytes:], parts[k])
-			}
-		}
-		if meta.Final {
-			return image, nil
-		}
+		// The precopy goroutine observes the flag and sends the cancel.
 	}
 }

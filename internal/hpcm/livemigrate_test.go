@@ -208,6 +208,26 @@ type latchTransport struct {
 	release chan struct{}
 }
 
+func newLatch() *latchTransport {
+	return &latchTransport{armed: true, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+// awaitDrained fails the test unless every MPI process the middleware ever
+// launched — a cancelled destination's initialized process included — exits.
+func awaitDrained(t *testing.T, mw *Middleware) {
+	t.Helper()
+	drained := make(chan struct{})
+	go func() {
+		mw.universe.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled destination never released")
+	}
+}
+
 func (t *latchTransport) Send(from, to string, bytes int64) error {
 	t.mu.Lock()
 	hold := t.armed
@@ -233,11 +253,7 @@ func TestLiveFallbackAfterConsumingPreInit(t *testing.T) { runLiveFallback(t, tr
 
 func runLiveFallback(t *testing.T, preinit bool) {
 	const stages, dirty = 5, 2
-	latch := &latchTransport{
-		armed:   true,
-		held:    make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	latch := newLatch()
 	log := &phaseLog{}
 	// One round only, and any residual triggers fallback.
 	cfg := &livemig.Config{MaxRounds: 1, FallbackFraction: 0.01}
@@ -301,16 +317,48 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	if len(p.PreInited()) != 0 {
 		t.Fatalf("pre-initialized process not consumed: %v", p.PreInited())
 	}
-	// Every initialized process — the cancelled one included — has exited.
-	drained := make(chan struct{})
-	go func() {
-		mw.universe.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled destination never released")
+	awaitDrained(t, mw)
+}
+
+// TestEndingMidPrecopyReleasesTheDestination: a process that runs out of
+// work, or is evicted, while round 1 is still on the wire leaves through
+// cancelLive with the rounds still copying — the precopy goroutine must see
+// the flag, tell the destination to drop the partial region, and let Wait
+// return.
+func TestEndingMidPrecopyReleasesTheDestination(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		evict bool
+		want  error
+	}{{"finished", false, nil}, {"evicted", true, ErrPreempted}} {
+		t.Run(tc.name, func(t *testing.T) {
+			latch := newLatch()
+			log := &phaseLog{}
+			mw, _ := newLiveMW(t, latch, &livemig.Config{}, log.observe)
+			gate := make(chan struct{})
+			var sum float64
+			var mu sync.Mutex
+			p, err := mw.Start("app", "ws1", pagedMain(2, 2, gate, &sum, &mu))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Signal(Command{DestHost: "ws2"})
+			gate <- struct{}{} // stage 1: poll consumes the command, precopy starts
+			<-latch.held       // round 1 snapshotted and pinned on the wire
+			if tc.evict {
+				p.Evict()
+			}
+			gate <- struct{}{} // stage 2: the last one, or the eviction's poll-point
+			<-p.Done()         // the process is over; its round is still on the wire
+			close(latch.release)
+			if err := p.Wait(); !errors.Is(err, tc.want) {
+				t.Fatalf("Wait = %v, want %v", err, tc.want)
+			}
+			awaitDrained(t, mw)
+			if _, ok := log.find(PhaseResume); ok || p.Migrations() != 0 || p.Host() != "ws1" {
+				t.Fatalf("a cancelled attempt migrated the process to %s: %v", p.Host(), log.phases())
+			}
+		})
 	}
 }
 

@@ -17,30 +17,28 @@ const (
 	tagLazy     = 3 // lazy segment chunks
 	tagResumed  = 4 // child -> parent: execution resumed (or why not)
 	tagRestored = 5 // child -> parent: all lazy state restored (or why not)
-	tagPrecopy  = 6 // live path: precopy batch metadata and page batches
 )
 
 // attempt is one migration in flight on the source, created at the
 // poll-point that consumed the migrate command. A stop-and-copy migration
-// hands over at that same poll-point. A live one (driver set) first ships
+// hands over at that same poll-point. A live one (pages set) first ships
 // its paged region in precopy rounds while the application computes, and
-// hands over at a later poll-point — the same handover, with the region
-// already on the destination.
+// hands over at a later poll-point — the same handover, whose image ends
+// with the pages dirtied since the last round.
 type attempt struct {
 	proc  string
 	sig   pendingCmd
 	rec   Record
 	inter *mpi.Comm // to the initialized process on the destination
 
-	// The state frozen for the handover (minus a precopied region).
+	// The state frozen for the handover.
 	img image
 
 	// Precopy prefix (livemigrate.go); all zero for stop-and-copy.
 	pagesName string
 	pages     *livemig.Pages
-	driver    *livemig.Driver
-	cancelled atomic.Bool
-	done      chan struct{} // closed when the driver goroutine finished
+	cancelled atomic.Bool   // asks the rounds to stop; whoever sees them stopped releases the destination
+	done      chan struct{} // closed when the precopy goroutine finished
 	res       livemig.Result
 	err       error
 }
@@ -88,18 +86,11 @@ func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) er
 	mw.observe(att.event(PhaseStart, 0, nil))
 
 	if live != nil {
-		if name, pages := c.state.pagesRegion(); pages != nil {
-			onRound := func(round, sent, dirty int) {
-				mw.observe(att.event(PhasePrecopy, round, nil))
-			}
-			// An unmigratable shape (empty region) leaves driver nil and the
-			// command to stop-and-copy.
-			if driver, err := livemig.NewDriver(*live, pages, att.sendBatch, onRound); err == nil {
-				att.pagesName, att.pages, att.driver = name, pages, driver
-			}
-		}
+		// No single non-empty paged region leaves pages nil and the command
+		// to stop-and-copy.
+		att.pagesName, att.pages = c.state.pagesRegion()
 	}
-	if att.driver == nil {
+	if att.pages == nil {
 		// Stop-and-copy freezes here: the state is collected before the
 		// destination exists, so a collection failure costs no spawn.
 		if err := c.collectState(att); err != nil {
@@ -112,10 +103,10 @@ func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) er
 	att.rec.InitDone = mw.clock.Now()
 	mw.observe(att.event(PhaseInit, 0, nil))
 
-	if att.driver == nil {
+	if att.pages == nil {
 		return c.handover(att, PhaseInit)
 	}
-	c.startPrecopy(att)
+	c.startPrecopy(att, *live)
 	return nil
 }
 
@@ -144,14 +135,16 @@ func (c *Context) connectDestination(att *attempt) error {
 	return nil
 }
 
-// collectState freezes the state for the handover — everything but a region
-// precopy already shipped — and records its sizes.
+// collectState freezes the state for the handover and records its sizes.
+// After precopy the region is not collected whole: the image ends with a
+// delta of the pages dirtied since the last round. Every one of them was
+// already shipped in an earlier round, so it counts as resent alongside
+// rounds 2..N — and not in the record's eager bytes.
 func (c *Context) collectState(att *attempt) error {
 	img, err := c.collect(att.rec.Label, att.pagesName)
 	if err != nil {
 		return fmt.Errorf("hpcm: state collection: %w", err)
 	}
-	att.img = img
 	for _, s := range img.Segments {
 		if s.Lazy {
 			att.rec.LazyBytes += int64(s.Size)
@@ -159,6 +152,12 @@ func (c *Context) collectState(att *attempt) error {
 			att.rec.EagerBytes += int64(s.Size)
 		}
 	}
+	if att.pages != nil {
+		ids, parts, _ := att.pages.Snapshot(att.res.ShippedGen)
+		att.rec.PagesResent = att.res.PagesResent + len(ids)
+		img.Segments = append(img.Segments, att.delta(ids, parts))
+	}
+	att.img = img
 	return nil
 }
 
@@ -209,7 +208,7 @@ func (c *Context) handover(att *attempt, abortPhase string) error {
 	default:
 	}
 	mw.metrics.Histogram(MetricDowntimeSeconds).Observe(rec.Downtime().Seconds())
-	if att.driver != nil {
+	if att.pages != nil {
 		mw.metrics.Histogram(MetricPrecopyRounds).Observe(float64(rec.PrecopyRounds))
 		mw.metrics.Histogram(MetricPagesResent).Observe(float64(rec.PagesResent))
 	}
@@ -271,21 +270,9 @@ func (c *Context) completeMigration(att *attempt, oldHP HostProc, recIdx int) er
 // memory state, takes over the computation, and keeps restoring lazy state
 // in the background. parent is the intercommunicator to the migrating
 // process (the spawn parent, or the connection a pre-initialized process
-// accepted). The first message says which prefix the source chose: precopy
-// batches (a live migration — the paged region is assembled first and
-// installed under the header's PagesName, so the application's Await finds
-// it complete) or the execution-state header straight away.
+// accepted). Whatever the source chose to send first — precopy rounds or the
+// handover image straight away — is receiveState's to follow.
 func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
-	first, err := parent.Probe(0, mpi.AnyTag)
-	if err != nil {
-		return fmt.Errorf("hpcm: receive execution state: %w", err)
-	}
-	var region []byte
-	if first.Tag == tagPrecopy {
-		if region, err = receivePages(parent); err != nil || region == nil {
-			return err // nil region: the source cancelled the attempt
-		}
-	}
 	// Failures from here to the resume handshake are reported back, so the
 	// source can resume locally instead of hanging.
 	img, saved, err := receiveState(parent)
@@ -293,8 +280,8 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 		_ = parent.Send(statusText(err), 0, tagResumed)
 		return err
 	}
-	if img.PagesName != "" {
-		saved.completeLazy(img.PagesName, region)
+	if saved == nil {
+		return nil // the source cancelled the attempt
 	}
 
 	// The initialized process joins the destination host's process table

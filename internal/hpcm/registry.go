@@ -47,20 +47,37 @@ type slot struct {
 func newSavedState(img image) *savedState {
 	s := &savedState{slots: make(map[string]slot, len(img.Segments))}
 	s.cond = sync.NewCond(&s.mu)
-	for _, seg := range img.Segments {
-		s.slots[seg.Name] = slot{enc: seg.Enc}
-	}
+	s.declare(img)
 	return s
 }
 
-// completeLazy installs a fully received segment. A name the inventory does
-// not declare is the paged region a live migration shipped ahead: raw.
+// declare adds img's inventory, each segment yet to arrive. What an earlier
+// image of the stream delivered under the same name stays in the slot: the
+// region a later round's delta goes on patching.
+func (s *savedState) declare(img image) {
+	s.mu.Lock()
+	for _, seg := range img.Segments {
+		s.slots[seg.Name] = slot{enc: seg.Enc, data: s.slots[seg.Name].data}
+	}
+	s.mu.Unlock()
+}
+
+// buffer is the memory seg's bytes land in: its own, or for a delta the
+// region earlier rounds started.
+func (s *savedState) buffer(seg segment) []byte {
+	s.mu.Lock()
+	region := s.slots[seg.Name].data
+	s.mu.Unlock()
+	if seg.Pages == nil || len(region) != seg.Size {
+		return make([]byte, seg.Size)
+	}
+	return region
+}
+
+// completeLazy installs a fully received segment.
 func (s *savedState) completeLazy(name string, data []byte) {
 	s.mu.Lock()
-	sl, declared := s.slots[name]
-	if !declared {
-		sl.enc = encRaw
-	}
+	sl := s.slots[name]
 	sl.data, sl.ready = data, true
 	s.slots[name] = sl
 	s.cond.Broadcast()
@@ -161,8 +178,8 @@ func (r *registry) await(name string) error {
 }
 
 // pagesRegion returns the process's paged region if exactly one is
-// registered. Live precopy only engages for that shape; zero or several
-// paged regions migrate classically.
+// registered and it is not empty. Live precopy only engages for that shape;
+// zero or several paged regions migrate classically.
 func (r *registry) pagesRegion() (string, *livemig.Pages) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -177,7 +194,7 @@ func (r *registry) pagesRegion() (string, *livemig.Pages) {
 			count++
 		}
 	}
-	if count != 1 {
+	if count != 1 || pages.Len() == 0 {
 		return "", nil
 	}
 	return name, pages

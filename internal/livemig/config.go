@@ -2,7 +2,7 @@ package livemig
 
 import "fmt"
 
-// Config tunes the iterative precopy driver. The zero value is usable:
+// Config tunes the iterative precopy loop. The zero value is usable:
 // every field has a documented default applied by withDefaults.
 type Config struct {
 	// MaxRounds caps the precopy rounds (round 1, the full copy, included);
@@ -39,7 +39,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Decision is the driver's verdict after a precopy round.
+// Decision is Precopy's verdict after a round.
 type Decision int
 
 const (
@@ -70,7 +70,7 @@ func (d Decision) String() string {
 // Decide applies the convergence rule after round (1-based) shipped its
 // pages: dirty is the page count dirtied while that round was on the wire,
 // prevDirty is the count the round shipped, total the region's page count.
-// The rule is pure arithmetic — the live driver and the analytic model
+// The rule is pure arithmetic — the live round loop and the analytic model
 // share it, so the model's crossover predictions match the engine.
 func (c Config) Decide(round, dirty, prevDirty, total int) Decision {
 	c = c.withDefaults()

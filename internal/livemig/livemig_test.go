@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -25,6 +26,11 @@ func TestPagesGeometry(t *testing.T) {
 	}
 	if _, err := NewPages(0, 32); err == nil {
 		t.Fatal("NewPages(0) succeeded")
+	}
+	// A word must not straddle two pages: SetFloat64(1, x) on 12-byte pages
+	// would write into pages 0 and 1 and dirty only page 0.
+	if _, err := NewPages(48, 12); err == nil || !strings.Contains(err.Error(), "12") {
+		t.Fatalf("NewPages(48, 12) = %v, want an error naming the page size", err)
 	}
 	// A fresh region is entirely dirty since generation zero.
 	if got := p.DirtySince(0); len(got) != 4 {
@@ -199,28 +205,30 @@ func TestDecide(t *testing.T) {
 	}
 }
 
-// recordingSend captures batches and optionally dirties pages between
-// rounds, emulating an application computing while the round is on the
-// wire.
+// recordingSend captures each round's page count and optionally dirties
+// pages between rounds, emulating an application computing while the round
+// is on the wire.
 type recordingSend struct {
-	metas   []BatchMeta
+	sent    []int
 	between func(round int)
 	fail    error
 }
 
-func (s *recordingSend) send(meta BatchMeta, parts [][]byte) error {
+func (s *recordingSend) send(round int, ids []int, parts [][]byte) error {
 	if s.fail != nil {
 		return s.fail
 	}
-	if len(meta.PageIDs) != len(parts) {
-		return errors.New("meta/parts length mismatch")
+	if len(ids) != len(parts) {
+		return errors.New("ids/parts length mismatch")
 	}
-	s.metas = append(s.metas, meta)
+	s.sent = append(s.sent, len(ids))
 	if s.between != nil {
-		s.between(meta.Round)
+		s.between(round)
 	}
 	return nil
 }
+
+func never() bool { return false }
 
 func TestDriverConvergesToFreeze(t *testing.T) {
 	p := mustPages(t, 16*64, 64) // 16 pages
@@ -231,13 +239,7 @@ func TestDriverConvergesToFreeze(t *testing.T) {
 			p.SetFloat64(i*8, float64(round)+float64(i)) // page i
 		}
 	}
-	var rounds []int
-	d, err := NewDriver(Config{MaxRounds: 8, FreezeFraction: 0.05}, p, s.send,
-		func(round, sent, dirty int) { rounds = append(rounds, sent) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Run()
+	res, err := Precopy(Config{MaxRounds: 8, FreezeFraction: 0.05}, p, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +247,8 @@ func TestDriverConvergesToFreeze(t *testing.T) {
 		t.Fatalf("decision = %v, want Freeze", res.Decision)
 	}
 	// Round 1 ships all 16 pages, round 2 the 6 dirtied, round 3 the 3.
-	if want := []int{16, 6, 3}; !reflect.DeepEqual(rounds, want) {
-		t.Fatalf("per-round sent = %v, want %v", rounds, want)
+	if want := []int{16, 6, 3}; !reflect.DeepEqual(s.sent, want) {
+		t.Fatalf("per-round sent = %v, want %v", s.sent, want)
 	}
 	if res.Rounds != 3 || res.PagesSent != 25 || res.PagesResent != 9 {
 		t.Fatalf("result = %+v", res)
@@ -266,11 +268,7 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 			p.SetFloat64(i*8, float64(round*100+i))
 		}
 	}
-	d, err := NewDriver(Config{MaxRounds: 3, FallbackFraction: 0.5}, p, s.send, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Run()
+	res, err := Precopy(Config{MaxRounds: 3, FallbackFraction: 0.5}, p, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,26 +279,12 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 
 func TestDriverStopAndSendError(t *testing.T) {
 	p := mustPages(t, 4*64, 64)
-	d, err := NewDriver(Config{}, p, (&recordingSend{fail: errors.New("link down")}).send, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Precopy(Config{}, p, never, (&recordingSend{fail: errors.New("link down")}).send); err == nil {
+		t.Fatal("Precopy with failing send succeeded")
 	}
-	if _, err := d.Run(); err == nil {
-		t.Fatal("Run with failing send succeeded")
-	}
-	d2, err := NewDriver(Config{}, p, (&recordingSend{}).send, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.Stop()
-	if _, err := d2.Run(); !errors.Is(err, ErrStopped) {
-		t.Fatalf("stopped Run err = %v, want ErrStopped", err)
-	}
-	if _, err := NewDriver(Config{}, nil, (&recordingSend{}).send, nil); err == nil {
-		t.Fatal("NewDriver without region succeeded")
-	}
-	if _, err := NewDriver(Config{}, p, nil, nil); err == nil {
-		t.Fatal("NewDriver without send succeeded")
+	stopped := func() bool { return true }
+	if _, err := Precopy(Config{}, p, stopped, (&recordingSend{}).send); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped Precopy err = %v, want ErrStopped", err)
 	}
 }
 

@@ -1,16 +1,16 @@
 // Package livemig is the live-migration engine layered between hpcm and
 // mpi: a paged memory model with per-page generation counters, a dirty-page
-// tracker, and an iterative precopy driver. Round 1 ships every page over
+// tracker, and an iterative precopy round loop. Round 1 ships every page over
 // the migration intercommunicator while the source keeps computing; rounds
 // 2..N ship only the pages dirtied since the previous round; when the dirty
 // set stops shrinking (configurable convergence ratio / max rounds) the
-// driver asks the middleware to freeze the process at its next poll-point
+// loop asks the middleware to freeze the process at its next poll-point
 // and ship the residual delta plus execution state — or to fall back to the
 // classic stop-and-copy migration when precopy cannot converge.
 //
-// The package deliberately knows nothing about hpcm: hpcm imports livemig
-// (for the page model and the round loop) and livemig imports mpi only
-// through the narrow SendFunc/batch wire types, so the engine is testable
+// The package deliberately knows nothing about hpcm or mpi: hpcm imports
+// livemig (for the page model and the round loop) and hands Precopy a
+// SendFunc that puts a round on its own wire, so the engine is testable
 // without a middleware around it.
 package livemig
 
@@ -27,7 +27,7 @@ const DefaultPageBytes = 4096
 
 // Pages is a contiguous byte region carved into fixed-size pages, each with
 // a generation counter bumped on every mutating write. Workloads write
-// through its API instead of into a raw []byte so the precopy driver can
+// through its API instead of into a raw []byte so the precopy rounds can
 // ship only what actually changed. Writes are change-suppressed: storing a
 // value equal to what the page already holds does not dirty it — an
 // iterative solver's dirty rate therefore shrinks as it converges, which is
@@ -46,13 +46,17 @@ type Pages struct {
 
 // NewPages allocates a zeroed region of size bytes with the given page
 // size (DefaultPageBytes when pageBytes <= 0). size must be positive; the
-// final page may be short when pageBytes does not divide size.
+// final page may be short when pageBytes does not divide size. A page holds
+// whole float64 words: a word straddling two pages would dirty only one.
 func NewPages(size, pageBytes int) (*Pages, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("livemig: region size %d", size)
 	}
 	if pageBytes <= 0 {
 		pageBytes = DefaultPageBytes
+	}
+	if pageBytes%8 != 0 {
+		return nil, fmt.Errorf("livemig: page size %d is not a multiple of 8", pageBytes)
 	}
 	n := (size + pageBytes - 1) / pageBytes
 	p := &Pages{
