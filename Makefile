@@ -7,7 +7,9 @@
 # microbenchmarks (a developer tool: nothing is written or committed);
 # `make e2e` runs the end-to-end benchmark (cmd/bench, every workload in
 # BENCHMARK.json);
-# `make loc` prints the north-star line count every simplicity PR reports.
+# `make loc` prints the north-star line count every simplicity PR reports,
+# `make loc-pkg` the same count per package and `make allows` the two
+# `//lint:allow` counts ROADMAP's behaviour fence quotes.
 
 GO ?= go
 
@@ -22,7 +24,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/jobs ./internal/scenario ./internal/persist \
             ./internal/mpi ./internal/vclock ./internal/workload
 
-.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench e2e loc
+.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench e2e loc loc-pkg allows
 
 all: check
 
@@ -66,6 +68,7 @@ ci: check
 	$(GO) run ./cmd/repro -exp multijob -seed 42
 	$(GO) run ./cmd/repro -exp fleet -seed 1 -runs 25
 	$(GO) run ./cmd/repro -exp fleet -seed 7 -runs 25
+	@$(MAKE) --no-print-directory loc-pkg allows
 
 # Every chaos run must print the same fault schedules, trap and check lines,
 # counters and span counts: the deterministic section (above `timings`) is
@@ -123,6 +126,23 @@ e2e:
 
 # The north-star number (ROADMAP "Quality of design"): non-test Go lines
 # outside the frozen benchmark and the analyzer fixtures.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*cmd/bench/*' \
+	! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/bench/*' \
-		! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+	@$(call LOC,.)
+
+# The same rule per package: one line per internal/* and cmd/* directory
+# (cmd/bench is frozen and not counted), for the before/after tables.
+loc-pkg:
+	@for d in internal/* cmd/*; do \
+		[ "$$d" = cmd/bench ] && continue; \
+		printf '%6d %s\n' "$$($(call LOC,$$d))" "$$d"; \
+	done
+
+# The escape-hatch count that may only go down: `//lint:allow` comments
+# outside the analyzer and its fixtures, then in the whole tree.
+allows:
+	@printf 'lint:allow %d outside fixtures and internal/analysis, %d in all\n' \
+		"$$(grep -r --include='*.go' 'lint:allow' . | grep -v -c -e /testdata/ -e '^./internal/analysis')" \
+		"$$(grep -r --include='*.go' 'lint:allow' . | wc -l)"

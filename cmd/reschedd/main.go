@@ -106,17 +106,33 @@ func serveMetrics(addr string, mreg *metrics.Registry) {
 	log.Printf("serving /metrics and /debug/pprof on %s", addr)
 }
 
+// loadPolicy reads the policy file — the last policy in it rules — and
+// resolves its pl_scheduler, so a misspelt name stops the daemon instead of
+// silently placing by first fit. No path means the state-based default.
+func loadPolicy(path string) (*rules.MigrationPolicy, error) {
+	if path == "" {
+		return nil, nil
+	}
+	parsed, err := rules.ParsePolicyFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(parsed) == 0 {
+		return nil, fmt.Errorf("policy file %s holds no policies", path)
+	}
+	policy := parsed[len(parsed)-1]
+	if _, err := registry.SchedulerByName(policy.Scheduler); err != nil {
+		return nil, fmt.Errorf("%s: pl_scheduler: %w", path, err)
+	}
+	return policy, nil
+}
+
 func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *metrics.Registry) {
-	var policy *rules.MigrationPolicy
-	if policyPath != "" {
-		parsed, err := rules.ParsePolicyFile(policyPath)
-		if err != nil {
-			log.Fatalf("reschedd: policy: %v", err)
-		}
-		if len(parsed) == 0 {
-			log.Fatalf("reschedd: policy file %s holds no policies", policyPath)
-		}
-		policy = parsed[len(parsed)-1] // the last policy in the file rules
+	policy, err := loadPolicy(policyPath)
+	if err != nil {
+		log.Fatalf("reschedd: policy: %v", err)
+	}
+	if policy != nil {
 		log.Printf("using migration policy %q", policy.Name)
 	}
 	regOpts := []registry.Option{
@@ -129,7 +145,6 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 	}
 	var store *persist.FileStore
 	if storeDir != "" {
-		var err error
 		store, err = persist.OpenFileStore(storeDir, persist.FileConfig{})
 		if err != nil {
 			log.Fatalf("reschedd: store: %v", err)

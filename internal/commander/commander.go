@@ -184,18 +184,6 @@ func (c *Commander) Deduped() int {
 	return c.deduped
 }
 
-// Handler serves migrate orders arriving over the XML protocol.
-func (c *Commander) Handler() proto.Handler {
-	return func(m *proto.Message) (*proto.Message, error) {
-		switch m.Type {
-		case proto.TypeMigrate:
-			return nil, c.Migrate(*m.Migrate)
-		default:
-			return nil, fmt.Errorf("commander: unexpected message type %q", m.Type)
-		}
-	}
-}
-
 // AddressFile returns the path of the temp file a migrate order for pid
 // writes (for tests and for migrating processes reading it back).
 func (c *Commander) AddressFile(pid int) string {

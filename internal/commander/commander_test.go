@@ -99,23 +99,6 @@ func TestNoDirSkipsAddressFile(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
-	c := newFromConfig("ws1", "", Config{})
-	p := &fakeProc{pid: 3}
-	c.Manage(p)
-	h := c.Handler()
-	order := proto.MigrateOrder{PID: 3, DestHost: "ws2", DestAddr: "x"}
-	if _, err := h(&proto.Message{Type: proto.TypeMigrate, From: "registry", Migrate: &order}); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.signals()) != 1 {
-		t.Fatal("signal not delivered via handler")
-	}
-	if _, err := h(&proto.Message{Type: proto.TypeStatus, From: "x"}); err == nil {
-		t.Fatal("unexpected type accepted")
-	}
-}
-
 func TestBadDirSurfacesError(t *testing.T) {
 	c := newFromConfig("ws1", "/nonexistent/dir/for/sure", Config{})
 	p := &fakeProc{pid: 8}

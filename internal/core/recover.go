@@ -25,7 +25,7 @@ func (s *System) Recover(name, host string, sch *schema.Schema, main hpcm.Main) 
 	exclude := ""
 	s.mu.Lock()
 	for _, app := range s.apps {
-		if app.Proc.Name() == name {
+		if app.Process().Name() == name {
 			exclude = app.Host()
 		}
 	}

@@ -157,14 +157,3 @@ func (p Plan) ordered() []Event {
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].After < evs[j].After })
 	return evs
 }
-
-// Render prints the plan's schedule. The output depends only on the plan, so
-// two runs of the same plan render identically.
-func (p Plan) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s (%d events)\n", p.Name, len(p.Events))
-	for _, e := range p.ordered() {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
-	return b.String()
-}

@@ -20,33 +20,6 @@ import (
 	"autoresched/internal/workload"
 )
 
-func TestPlanRenderSortsAndIsDeterministic(t *testing.T) {
-	p := Plan{
-		Name: "demo",
-		Events: []Event{
-			{After: 20 * time.Second, Kind: KindRestartRegistry},
-			{After: 10 * time.Second, Kind: KindPartition, Host: "ws1", Peer: "ws2"},
-			{After: 10 * time.Second, Kind: KindDropStatus, Host: "ws3", Count: 2},
-		},
-	}
-	first := p.Render()
-	if first != p.Render() {
-		t.Fatal("Render is not deterministic")
-	}
-	lines := strings.Split(strings.TrimSpace(first), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("rendered %d lines, want 4:\n%s", len(lines), first)
-	}
-	// Sorted by offset, slice order preserved for equal offsets.
-	if !strings.Contains(lines[1], "partition") || !strings.Contains(lines[2], "drop-status") ||
-		!strings.Contains(lines[3], "restart-registry") {
-		t.Fatalf("events out of order:\n%s", first)
-	}
-	if !strings.Contains(lines[2], "count=2") {
-		t.Fatalf("count not rendered:\n%s", first)
-	}
-}
-
 // countingReporter records delivered reports.
 type countingReporter struct {
 	mu       sync.Mutex

@@ -31,11 +31,6 @@ func (c *Context) Clock() vclock.Clock { return c.proc.mw.clock }
 // Resumed reports whether this incarnation continues a migrated execution.
 func (c *Context) Resumed() bool { return c.label != "" }
 
-// ResumeLabel returns the poll-point label execution should continue from
-// ("" on a fresh start). The application dispatches on it, exactly as
-// HPCM's precompiler-generated restart code does.
-func (c *Context) ResumeLabel() string { return c.label }
-
 // Register declares an eager memory-state variable: collected at migration
 // and restored before the resumed incarnation starts. ptr points at the
 // variable. A *[]float64, *[]int64 or *[]byte moves by reference, unencoded.

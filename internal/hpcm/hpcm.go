@@ -8,7 +8,7 @@
 // can occur" — and (3) can restart execution at the label of the nearest
 // poll-point. A Go application expresses the same structure directly: its
 // Main registers state on the Context, calls PollPoint between phases, and
-// dispatches on ResumeLabel when restarted on a destination host.
+// dispatches on Resumed when restarted on a destination host.
 //
 // The migration protocol follows Section 3 and the timeline of Section 5.2:
 //

@@ -380,7 +380,7 @@ func TestContextAccessors(t *testing.T) {
 		if ctx.Host() != "ws7" {
 			return fmt.Errorf("host = %q", ctx.Host())
 		}
-		if ctx.Resumed() || ctx.ResumeLabel() != "" {
+		if ctx.Resumed() {
 			return errors.New("fresh incarnation claims resume")
 		}
 		if ctx.Clock() == nil {

@@ -295,16 +295,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add offsets the gauge value.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

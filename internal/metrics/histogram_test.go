@@ -72,7 +72,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(2)
 	if g.Value() != 0 || g.Name() != "" {
 		t.Fatal("nil gauge must be inert")
 	}

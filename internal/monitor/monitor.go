@@ -299,16 +299,6 @@ func (m *Monitor) History() []Sample {
 	return append([]Sample(nil), m.history...)
 }
 
-// Last returns the most recent sample.
-func (m *Monitor) Last() (Sample, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.history) == 0 {
-		return Sample{}, false
-	}
-	return m.history[len(m.history)-1], true
-}
-
 // Cycles reports how many gather cycles have completed.
 func (m *Monitor) Cycles() int {
 	m.mu.Lock()

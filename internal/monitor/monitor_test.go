@@ -109,12 +109,8 @@ func TestCycleGathersEvaluatesStores(t *testing.T) {
 	if m.Cycles() != 1 {
 		t.Fatalf("cycles = %d", m.Cycles())
 	}
-	last, ok := m.Last()
-	if !ok || last.Snap.Host != "ws1" {
-		t.Fatalf("last = %+v, %v", last, ok)
-	}
-	if len(m.History()) != 1 {
-		t.Fatal("history empty")
+	if h := m.History(); len(h) != 1 || h[0].Snap.Host != "ws1" {
+		t.Fatalf("history = %+v", h)
 	}
 }
 

@@ -168,36 +168,6 @@ func (c *Comm) Allreduce(v any, resultPtr any, op ReduceOp) error {
 	return c.Bcast(resultPtr, 0)
 }
 
-// Gather collects every rank's v at root, ordered by rank. Non-root ranks
-// receive nil.
-func (c *Comm) Gather(v any, root int) ([]any, error) {
-	if err := c.requireIntra("Gather"); err != nil {
-		return nil, err
-	}
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
-	}
-	tag := c.nextCollTag()
-	if c.rank != root {
-		return nil, c.send(v, root, tag)
-	}
-	out := make([]any, c.Size())
-	out[root] = v
-	template := reflect.TypeOf(v)
-	for i := 0; i < c.Size()-1; i++ {
-		m, err := c.self.match(c.context(), AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		ptr := reflect.New(template)
-		if err := decodeMessage(m, ptr.Interface()); err != nil {
-			return nil, err
-		}
-		out[m.src] = ptr.Elem().Interface()
-	}
-	return out, nil
-}
-
 // Scatter distributes values[i] to rank i from root and returns the
 // caller's element. On non-root ranks values is ignored.
 func (c *Comm) Scatter(values []any, ptr any, root int) error {

@@ -13,16 +13,19 @@ import (
 	"sync"
 )
 
-// FileStore is the file-backed Store: records are framed into append-only
-// log segments ([4-byte length][4-byte CRC32][JSON payload], little-endian
-// headers), the snapshot is one framed document replaced by atomic rename,
-// and the epoch lives in its own atomically renamed file. Writes go through
-// the OS page cache (no per-record fsync): the durability target is the
-// paper's crash-restart of the control-plane process, not media loss, and
-// recovery tolerates the resulting torn tail — a final frame cut short by
-// the crash is dropped (and the file truncated back to the intact prefix),
-// while a CRC mismatch anywhere else fails loudly rather than loading
-// corrupt state.
+// FileStore is the file-backed Store: the in-memory log with a disk medium
+// behind it. Every read is served by the embedded log; every mutation is
+// written to disk first and applied to the log second, so the log never runs
+// ahead of the files and a failed write leaves it unmoved. Records are framed
+// into append-only log segments ([4-byte length][4-byte CRC32][JSON payload],
+// little-endian headers), the snapshot is one framed document replaced by
+// atomic rename, and the epoch lives in its own atomically renamed file.
+// Writes go through the OS page cache (no per-record fsync): the durability
+// target is the paper's crash-restart of the control-plane process, not
+// media loss, and recovery tolerates the resulting torn tail — a final frame
+// cut short by the crash is dropped (and the file truncated back to the
+// intact prefix), while a CRC mismatch anywhere else fails loudly rather
+// than loading corrupt state.
 //
 // Segments roll every SegmentRecords records and are named by the sequence
 // number of their first record, so snapshot compaction can unlink every
@@ -31,30 +34,24 @@ type FileStore struct {
 	dir    string
 	segMax int
 
-	mu     sync.Mutex
-	recs   []Record // records not covered by the snapshot, in seq order
-	snap   Snapshot
-	has    bool
-	seq    uint64
-	epoch  uint64
-	segs   []segInfo
-	active *os.File // tail segment, open for append; nil when none
-	frames []frameInfo
-	closed bool
+	// memLog serves ReadSince, Seq, LoadSnapshot and Epoch. mu serialises
+	// the mutations; the lock order is always mu, then the log's own mutex.
+	memLog
+	mu       sync.Mutex
+	segs     []segInfo
+	active   *os.File // tail segment, open for append; nil when none
+	tailRecs int      // records in the tail segment: the roll test
+	closed   bool
 }
+
+// memLog embeds MemStore under an unexported name: its read methods are
+// promoted to FileStore, but no caller outside the package can reach its
+// Append and so mutate the log without the disk write.
+type memLog = MemStore
 
 type segInfo struct {
-	path  string
-	first uint64
-	last  uint64
-}
-
-// frameInfo locates one record's frame inside the active segment, so a
-// simulated torn write (TruncateTail) can map removed bytes back to the
-// records they tear.
-type frameInfo struct {
-	seq uint64
-	end int64 // offset one past the frame's last byte
+	path string
+	last uint64
 }
 
 // FileConfig tunes a FileStore.
@@ -80,7 +77,9 @@ const maxFrame = 1 << 26
 // recovers its state: epoch, snapshot, and every log segment in order.
 // A torn tail record in the final segment is dropped and the file is
 // truncated back to the intact prefix; any other framing or checksum
-// damage is a loud error — the store never loads corrupt state.
+// damage is a loud error — the store never loads corrupt state. Recovery
+// runs before the store is shared, so it alone fills the log's fields
+// directly instead of going through its methods.
 func OpenFileStore(dir string, cfg FileConfig) (*FileStore, error) {
 	if cfg.SegmentRecords <= 0 {
 		cfg.SegmentRecords = 1024
@@ -150,28 +149,22 @@ func (s *FileStore) recoverSegments() error {
 	sort.Strings(names) // zero-padded first-seq names sort numerically
 	var prev uint64
 	for i, name := range names {
-		last := i == len(names)-1
-		seg, recs, err := s.recoverSegment(name, last, prev)
+		seg, recs, err := recoverSegment(name, i == len(names)-1, prev)
 		if err != nil {
 			return err
 		}
-		if len(recs) > 0 {
-			prev = recs[len(recs)-1].Seq
-		}
 		s.segs = append(s.segs, seg)
+		s.tailRecs, prev = len(recs), seg.last
 		for _, r := range recs {
-			if r.Seq > s.snap.Seq {
+			if r.Seq > s.seq { // not covered by the snapshot
 				s.recs = append(s.recs, r)
-			}
-			if r.Seq > s.seq {
 				s.seq = r.Seq
 			}
 		}
 	}
-	// Reopen the final segment for append and remember its frame layout.
+	// Reopen the final segment for append.
 	if len(s.segs) > 0 {
-		tail := &s.segs[len(s.segs)-1]
-		f, err := os.OpenFile(tail.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(s.segs[len(s.segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("persist: reopen tail segment: %w", err)
 		}
@@ -183,15 +176,15 @@ func (s *FileStore) recoverSegments() error {
 // recoverSegment parses one segment file. In the final segment a frame cut
 // short at EOF is a torn tail: it is dropped and the file truncated back to
 // the intact prefix. Everywhere else — and for any CRC mismatch — the
-// damage is a loud error.
-func (s *FileStore) recoverSegment(name string, last bool, prev uint64) (segInfo, []Record, error) {
+// damage is a loud error. It is the one torn-tail rule: a reopen and a live
+// TruncateTail both repair through it.
+func recoverSegment(name string, last bool, prev uint64) (segInfo, []Record, error) {
 	b, err := os.ReadFile(name)
 	if err != nil {
 		return segInfo{}, nil, fmt.Errorf("persist: read segment: %w", err)
 	}
 	var recs []Record
 	var off int64
-	s.frames = s.frames[:0]
 	for off < int64(len(b)) {
 		payload, next, err := readFrame(b, off)
 		if errors.Is(err, errShortFrame) {
@@ -217,15 +210,8 @@ func (s *FileStore) recoverSegment(name string, last bool, prev uint64) (segInfo
 		prev = r.Seq
 		recs = append(recs, r)
 		off = next
-		if last {
-			s.frames = append(s.frames, frameInfo{seq: r.Seq, end: off})
-		}
 	}
-	seg := segInfo{path: name}
-	if len(recs) > 0 {
-		seg.first, seg.last = recs[0].Seq, recs[len(recs)-1].Seq
-	}
-	return seg, recs, nil
+	return segInfo{path: name, last: prev}, recs, nil
 }
 
 var errShortFrame = errors.New("frame extends past end of file")
@@ -273,12 +259,12 @@ func (s *FileStore) Append(epoch uint64, kind string, data []byte) (uint64, erro
 	if s.closed {
 		return 0, errors.New("persist: store closed")
 	}
-	if epoch != s.epoch {
+	if epoch != s.Epoch() {
 		return 0, ErrFenced
 	}
-	next := s.seq + 1
+	next := s.Seq() + 1
 	// Roll to a fresh segment when the tail is full (or none is open).
-	if s.active == nil || len(s.frames) >= s.segMax {
+	if s.active == nil || s.tailRecs >= s.segMax {
 		if s.active != nil {
 			if err := s.active.Close(); err != nil {
 				return 0, fmt.Errorf("persist: close segment: %w", err)
@@ -289,46 +275,19 @@ func (s *FileStore) Append(epoch uint64, kind string, data []byte) (uint64, erro
 			return 0, fmt.Errorf("persist: create segment: %w", err)
 		}
 		s.active = f
-		s.frames = s.frames[:0]
-		s.segs = append(s.segs, segInfo{path: s.segPath(next), first: next})
+		s.tailRecs = 0
+		s.segs = append(s.segs, segInfo{path: s.segPath(next)})
 	}
-	r := Record{Seq: next, Kind: kind, Data: data}
-	payload, err := json.Marshal(r)
+	payload, err := json.Marshal(Record{Seq: next, Kind: kind, Data: data})
 	if err != nil {
 		return 0, fmt.Errorf("persist: encode record: %w", err)
 	}
 	if _, err := s.active.Write(frame(payload)); err != nil {
 		return 0, fmt.Errorf("persist: append: %w", err)
 	}
-	s.seq = next
-	var base int64
-	if len(s.frames) > 0 {
-		base = s.frames[len(s.frames)-1].end
-	}
-	s.frames = append(s.frames, frameInfo{seq: next, end: base + int64(frameHeader+len(payload))})
-	s.recs = append(s.recs, Record{Seq: next, Kind: kind, Data: append([]byte(nil), data...)})
+	s.tailRecs++
 	s.segs[len(s.segs)-1].last = next
-	return next, nil
-}
-
-// ReadSince implements Store.
-func (s *FileStore) ReadSince(since uint64) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Record
-	for _, r := range s.recs {
-		if r.Seq > since {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// Seq implements Store.
-func (s *FileStore) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
+	return s.memLog.Append(epoch, kind, data)
 }
 
 // WriteSnapshot implements Store: the snapshot document is framed into a
@@ -341,7 +300,7 @@ func (s *FileStore) WriteSnapshot(epoch uint64, snap Snapshot) error {
 	if s.closed {
 		return errors.New("persist: store closed")
 	}
-	if epoch != s.epoch {
+	if epoch != s.Epoch() {
 		return ErrFenced
 	}
 	payload, err := json.Marshal(snap)
@@ -351,18 +310,9 @@ func (s *FileStore) WriteSnapshot(epoch uint64, snap Snapshot) error {
 	if err := s.writeAtomic(snapshotName, frame(payload)); err != nil {
 		return err
 	}
-	s.snap = Snapshot{Seq: snap.Seq, Data: append([]byte(nil), snap.Data...)}
-	s.has = true
-	if snap.Seq > s.seq {
-		s.seq = snap.Seq
+	if err := s.memLog.WriteSnapshot(epoch, snap); err != nil {
+		return err
 	}
-	keep := s.recs[:0]
-	for _, r := range s.recs {
-		if r.Seq > snap.Seq {
-			keep = append(keep, r)
-		}
-	}
-	s.recs = keep
 	// Unlink fully covered segments; the tail segment always survives so
 	// appends continue in place.
 	var segs []segInfo
@@ -391,34 +341,15 @@ func (s *FileStore) writeAtomic(name string, data []byte) error {
 	return nil
 }
 
-// LoadSnapshot implements Store.
-func (s *FileStore) LoadSnapshot() (Snapshot, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.has {
-		return Snapshot{}, false, nil
-	}
-	return Snapshot{Seq: s.snap.Seq, Data: append([]byte(nil), s.snap.Data...)}, true, nil
-}
-
-// Epoch implements Store.
-func (s *FileStore) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 // Fence implements Store: the new epoch is durably recorded (atomic
 // rename) before it takes effect.
 func (s *FileStore) Fence() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.epoch + 1
-	if err := s.writeAtomic(epochName, []byte(fmt.Sprintf("%d\n", next))); err != nil {
+	if err := s.writeAtomic(epochName, []byte(fmt.Sprintf("%d\n", s.Epoch()+1))); err != nil {
 		return 0, err
 	}
-	s.epoch = next
-	return next, nil
+	return s.memLog.Fence()
 }
 
 // Close implements Store.
@@ -436,47 +367,33 @@ func (s *FileStore) Close() error {
 }
 
 // TruncateTail implements TailTruncator: n bytes are chopped off the tail
-// segment (the torn write), then the file is truncated further back to the
-// last intact frame boundary — the repair recovery would perform — so the
-// live store keeps a consistent prefix and the next append continues from
-// the rewound sequence. Records whose frames lost bytes are dropped from
-// the in-memory mirror, matching what a reopen would recover.
+// segment (the torn write), then the segment is recovered exactly as a
+// reopen would recover it — the partial frame dropped, the file truncated
+// back to the intact prefix — and the log rewound to match, so the next
+// append continues from the rewound sequence.
 func (s *FileStore) TruncateTail(n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n <= 0 || s.active == nil || len(s.frames) == 0 {
+	if n <= 0 || s.tailRecs == 0 {
 		return nil
 	}
-	size := s.frames[len(s.frames)-1].end
-	cut := size - int64(n)
+	tail := &s.segs[len(s.segs)-1]
+	fi, err := s.active.Stat()
+	if err != nil {
+		return fmt.Errorf("persist: truncate tail: %w", err)
+	}
+	cut := fi.Size() - int64(n)
 	if cut < 0 {
 		cut = 0
 	}
-	// Keep frames that end at or before the cut; everything later is torn.
-	keep := 0
-	for keep < len(s.frames) && s.frames[keep].end <= cut {
-		keep++
-	}
-	var newSize int64
-	if keep > 0 {
-		newSize = s.frames[keep-1].end
-	}
-	torn := s.frames[keep:]
-	s.frames = s.frames[:keep]
-	if len(torn) > 0 {
-		first := torn[0].seq
-		recs := s.recs[:0]
-		for _, r := range s.recs {
-			if r.Seq < first {
-				recs = append(recs, r)
-			}
-		}
-		s.recs = recs
-		s.seq = first - 1
-	}
-	if err := s.active.Truncate(newSize); err != nil {
+	if err := s.active.Truncate(cut); err != nil {
 		return fmt.Errorf("persist: truncate tail: %w", err)
 	}
-	s.segs[len(s.segs)-1].last = s.seq
+	seg, recs, err := recoverSegment(tail.path, true, tail.last-uint64(s.tailRecs))
+	if err != nil {
+		return err
+	}
+	s.rewind(s.tailRecs - len(recs))
+	*tail, s.tailRecs = seg, len(recs)
 	return nil
 }

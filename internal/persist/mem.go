@@ -105,22 +105,28 @@ func (s *MemStore) Close() error { return nil }
 
 // TruncateTail implements TailTruncator: a positive n drops the newest
 // record — the in-memory analogue of tearing the tail frame, which the
-// file backend's recovery would likewise discard — and rewinds the
-// sequence so the next append reuses the torn number, exactly as a
-// restarted file store would.
+// file backend's recovery would likewise discard.
 func (s *MemStore) TruncateTail(n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 || len(s.recs) == 0 {
-		return nil
-	}
-	s.recs = s.recs[:len(s.recs)-1]
-	if len(s.recs) > 0 {
-		s.seq = s.recs[len(s.recs)-1].Seq
-	} else if s.has {
-		s.seq = s.snap.Seq
-	} else {
-		s.seq = 0
+	if n > 0 {
+		s.rewind(1)
 	}
 	return nil
+}
+
+// rewind drops the newest n records — never one the snapshot has folded —
+// and rewinds the sequence so the next append reuses the first dropped
+// number, exactly as a restarted file store would. Both backends'
+// TruncateTail end here.
+func (s *MemStore) rewind(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n > len(s.recs) {
+		n = len(s.recs)
+	}
+	if n <= 0 {
+		return
+	}
+	keep := len(s.recs) - n
+	s.seq = s.recs[keep].Seq - 1
+	s.recs = s.recs[:keep]
 }

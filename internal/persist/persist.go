@@ -8,11 +8,14 @@
 // one Snapshot that folds a log prefix into one document so bootstrap never
 // replays from the beginning of time.
 //
-// Two backends share the contract: MemStore keeps everything in memory —
-// deterministic, allocation-cheap, the backend every simulation and chaos
-// scenario uses — and FileStore frames records into length+CRC log segments
-// on disk with atomic snapshot renames and truncation-tolerant recovery
-// (a torn tail record is dropped; anything else corrupt fails loudly).
+// One in-memory log implements the contract: MemStore keeps everything in
+// memory — deterministic, allocation-cheap, the backend every simulation and
+// chaos scenario uses. FileStore is that same log with a disk medium behind
+// it: it serves every read from the log and adds only what is about files —
+// length+CRC framed log segments, atomic snapshot and epoch renames, and
+// truncation-tolerant recovery (a torn tail record is dropped; anything else
+// corrupt fails loudly). Its injected torn write is tear-then-recover: chop
+// the bytes, then run the recovery a reopen runs.
 //
 // # Epoch fencing
 //
@@ -86,8 +89,8 @@ type Store interface {
 // TailTruncator is implemented by stores that can simulate a torn tail
 // write — the crash-mid-append the file backend's recovery tolerates.
 // TruncateTail chops n bytes off the end of the log; the file backend
-// truncates its active segment, and the next recovery drops the now
-// partial tail record.
+// truncates its active segment and repairs it with the recovery a reopen
+// runs, which drops the now partial tail record.
 type TailTruncator interface {
 	TruncateTail(n int) error
 }

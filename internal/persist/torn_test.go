@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,48 +110,84 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 
 // TestLiveTruncateTailMatchesReopen checks the injectable torn write: a
 // TruncateTail on a live store leaves exactly the state a crash at that
-// byte count plus a reopen would — the two recovery paths agree.
+// byte count plus a reopen would, and the torn store keeps appending into a
+// log that reopens cleanly. With SegmentRecords 4 the six records split 4+2,
+// so the tears also stop exactly on a frame boundary and empty the tail
+// segment (exactly, and by over-chopping) — the tail is the only segment a
+// tear may touch.
 func TestLiveTruncateTailMatchesReopen(t *testing.T) {
-	for _, tear := range []int{1, 5, 30, 200} {
-		dir := t.TempDir()
-		s, err := OpenFileStore(dir, FileConfig{SegmentRecords: 1024})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		for i := 1; i <= 6; i++ {
-			if _, err := s.Append(0, "kind", []byte(fmt.Sprintf("payload-%d", i))); err != nil {
-				t.Fatalf("append: %v", err)
+	const frameLen = frameHeader + len(`{"seq":1,"kind":"kind","data":"cGF5bG9hZC0x"}`)
+	for _, segRecs := range []int{1024, 4} {
+		for _, tear := range []int{1, 5, 30, frameLen, frameLen + 1, 2 * frameLen, 200, 10000} {
+			name := fmt.Sprintf("seg%d/tear%d", segRecs, tear)
+			dir := t.TempDir()
+			s, err := OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			if err != nil {
+				t.Fatalf("%s: open: %v", name, err)
+			}
+			for i := 1; i <= 6; i++ {
+				if _, err := s.Append(0, "kind", []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+					t.Fatalf("%s: append: %v", name, err)
+				}
+			}
+			tailRecs := (6-1)%segRecs + 1
+			if b, err := os.ReadFile(s.segs[len(s.segs)-1].path); err != nil || len(b) != tailRecs*frameLen {
+				t.Fatalf("%s: tail segment is %d bytes (%v), want %d frames of %d", name, len(b), err, tailRecs, frameLen)
+			}
+			if err := s.TruncateTail(tear); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// The tear drops every record that lost a byte, but never
+			// reaches past the tail segment.
+			want := 6 - (tear+frameLen-1)/frameLen
+			if want < 6-tailRecs {
+				want = 6 - tailRecs
+			}
+			liveRecs := mustRead(t, s)
+			if s.Seq() != uint64(want) || len(liveRecs) != want {
+				t.Fatalf("%s: live seq %d with %d records, want %d", name, s.Seq(), len(liveRecs), want)
+			}
+			// A second handle recovers what a crash here would leave.
+			r, err := OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", name, err)
+			}
+			if got := mustRead(t, r); r.Seq() != s.Seq() || !reflect.DeepEqual(got, liveRecs) {
+				t.Fatalf("%s: reopen seq %d records %+v != live seq %d records %+v", name, r.Seq(), got, s.Seq(), liveRecs)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
+			}
+			// The live store appends on from the rewound sequence, into a
+			// log a reopen accepts.
+			if seq, err := s.Append(0, "kind", []byte("after-tear")); err != nil || seq != uint64(want+1) {
+				t.Fatalf("%s: append after tear: seq=%d err=%v, want %d", name, seq, err, want+1)
+			}
+			liveRecs = mustRead(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
+			}
+			r, err = OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			if err != nil {
+				t.Fatalf("%s: reopen after tear+append: %v", name, err)
+			}
+			if got := mustRead(t, r); r.Seq() != uint64(want+1) || !reflect.DeepEqual(got, liveRecs) {
+				t.Fatalf("%s: reopen after tear+append: seq %d records %+v, want %+v", name, r.Seq(), got, liveRecs)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatalf("%s: close: %v", name, err)
 			}
 		}
-		if err := s.TruncateTail(tear); err != nil {
-			t.Fatalf("tear %d: %v", tear, err)
-		}
-		liveSeq := s.Seq()
-		liveRecs, err := s.ReadSince(0)
-		if err != nil {
-			t.Fatalf("tear %d: ReadSince: %v", tear, err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		r, err := OpenFileStore(dir, FileConfig{})
-		if err != nil {
-			t.Fatalf("tear %d: reopen: %v", tear, err)
-		}
-		if r.Seq() != liveSeq {
-			t.Fatalf("tear %d: reopen seq %d != live seq %d", tear, r.Seq(), liveSeq)
-		}
-		recs, err := r.ReadSince(0)
-		if err != nil {
-			t.Fatalf("tear %d: ReadSince: %v", tear, err)
-		}
-		if len(recs) != len(liveRecs) {
-			t.Fatalf("tear %d: reopen %d records != live %d", tear, len(recs), len(liveRecs))
-		}
-		if err := r.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
 	}
+}
+
+func mustRead(t *testing.T, s Store) []Record {
+	t.Helper()
+	recs, err := s.ReadSince(0)
+	if err != nil {
+		t.Fatalf("ReadSince: %v", err)
+	}
+	return recs
 }
 
 // TestDamagedSnapshotRejectedLoudly covers the snapshot file, which — unlike

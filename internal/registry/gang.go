@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"autoresched/internal/persist"
 )
 
 // Gang placement: all-or-nothing reservation of n hosts for a multi-process
@@ -17,17 +15,6 @@ import (
 // lease mid-reservation poisons the reservation: Commit fails and the
 // caller retries admission from scratch, so no orphaned reservation marks
 // survive a crashed host.
-
-// GangScheduler is the optional Scheduler extension consulted by
-// Registry.PlaceGang: given the eligible candidate stream, pick the n hosts
-// the gang should occupy. Implementations must return n distinct hosts drawn
-// from the stream, or ok=false to decline (the gang then stays queued).
-// The stream contract matches PickDestination's: it is only valid during
-// the call and runs under the registry lock.
-type GangScheduler interface {
-	Scheduler
-	PlaceGang(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool)
-}
 
 // GangReservation is a pending all-or-nothing hold on a set of hosts.
 // It is created by PlaceGang or ReserveHosts and resolved exactly once by
@@ -139,68 +126,26 @@ func (r *Registry) Reserved() []string {
 }
 
 // PlaceGang atomically selects and reserves n eligible hosts for proc:
-// alive, unreserved, not excluded, passing the destination policy and
-// proc's schema requirements. Selection goes through the configured
-// Scheduler's PlaceGang extension when it implements GangScheduler and
-// falls back to the first n candidates in registration order otherwise
-// (first fit, the paper's placement, generalised to gangs). The whole
-// select-and-mark runs under one lock acquisition, so two concurrent
-// admissions can never reserve overlapping host sets.
+// alive, unreserved, not excluded and passing proc's schema requirements,
+// ranked by the configured Scheduler. The whole select-and-mark runs under
+// one lock acquisition, so two concurrent admissions can never reserve
+// overlapping host sets. A fenced store refuses the reservation.
 func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) bool) (*GangReservation, bool) {
 	if n <= 0 {
 		return nil, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	eligible := r.eligibleLocked(proc, exclude)
-	if len(eligible) < n {
+	picked, ok := r.sched.Place(proc, n, r.gangCandidatesLocked(proc, exclude))
+	if !ok || len(picked) != n {
 		return nil, false
 	}
-	var picked []HostInfo
-	seq := CandidateSeq(func(yield func(HostInfo) bool) {
-		for _, h := range eligible {
-			if !yield(h) {
-				return
-			}
-		}
-	})
-	if gs, ok := r.sched.(GangScheduler); ok {
-		sel, ok := gs.PlaceGang(proc, n, seq)
-		if !ok {
-			return nil, false
-		}
-		picked = sel
-	} else {
-		picked = eligible[:n]
+	hosts := make([]string, n)
+	for i, h := range picked {
+		hosts[i] = h.Name
 	}
-	if !validGangPick(picked, n, eligible) {
-		return nil, false
-	}
-	g := &GangReservation{r: r}
-	for _, h := range picked {
-		g.hosts = append(g.hosts, h.Name)
-	}
-	if !r.reserveGangLocked(g) {
-		return nil, false
-	}
-	return g, true
-}
-
-// reserveGangLocked durably records the reservation and sets the host
-// marks. With a fenced store the reservation is refused and nothing is
-// marked.
-func (r *Registry) reserveGangLocked(g *GangReservation) bool {
-	if r.store != nil {
-		id := r.gangSeq + 1
-		if err := r.applyLocked(&recGangReserve{ID: id, Hosts: g.hosts}); err != nil {
-			return false
-		}
-		g.id = id
-	}
-	for _, h := range g.hosts {
-		r.reserved[h] = g
-	}
-	return true
+	g, err := r.reserveLocked(hosts)
+	return g, err == nil
 }
 
 // EligibleHosts snapshots the hosts a gang of proc's ranks may be placed
@@ -211,58 +156,17 @@ func (r *Registry) reserveGangLocked(g *GangReservation) bool {
 func (r *Registry) EligibleHosts(proc ProcInfo, exclude func(host string) bool) []HostInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eligibleLocked(proc, exclude)
+	return r.gangCandidatesLocked(proc, exclude).all()
 }
 
-// eligibleLocked snapshots the hosts a gang may be placed on, in
-// registration order. Unlike migration destination scans it considers every
-// alive host, not just the Free set: gang occupancy is the job layer's
-// bookkeeping (passed in through exclude), not the monitors' load
-// classification.
-func (r *Registry) eligibleLocked(proc ProcInfo, exclude func(string) bool) []HostInfo {
-	now := r.clock.Now()
-	var out []HostInfo
-	for _, e := range r.order {
-		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) {
-			continue
-		}
-		if exclude != nil && exclude(e.info.Name) {
-			continue
-		}
-		if proc.Schema != nil {
-			ok, _ := proc.Schema.Fits(
-				e.info.Static.MemTotal,
-				diskAvail(e.info.Status),
-				e.info.Static.CPUSpeed,
-				e.info.Static.Software,
-			)
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, e.info)
-	}
-	return out
-}
-
-// validGangPick guards against a misbehaving GangScheduler: exactly n
-// distinct hosts, all drawn from the eligible stream.
-func validGangPick(picked []HostInfo, n int, eligible []HostInfo) bool {
-	if len(picked) != n {
-		return false
-	}
-	ok := make(map[string]bool, len(eligible))
-	for _, h := range eligible {
-		ok[h.Name] = true
-	}
-	seen := make(map[string]bool, n)
-	for _, h := range picked {
-		if !ok[h.Name] || seen[h.Name] {
-			return false
-		}
-		seen[h.Name] = true
-	}
-	return true
+// gangCandidatesLocked streams the hosts a gang may be placed on. Unlike a
+// migration's destination scan it considers every alive host, not just the
+// Free set: gang occupancy is the job layer's bookkeeping (passed in through
+// exclude), not the monitors' load classification.
+func (r *Registry) gangCandidatesLocked(proc ProcInfo, exclude func(string) bool) CandidateSeq {
+	return r.candidatesLocked(r.order, proc, func(e *hostEntry) bool {
+		return exclude == nil || !exclude(e.info.Name)
+	})
 }
 
 // ReserveHosts atomically reserves the named hosts — including currently
@@ -275,6 +179,16 @@ func (r *Registry) ReserveHosts(hosts []string) (*GangReservation, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.reserveLocked(append([]string(nil), hosts...))
+}
+
+// reserveLocked is the one all-or-nothing reservation; it takes ownership of
+// hosts. Every host must be distinct, registered, lease-fresh and unreserved
+// — the same check for a caller's explicit list and for a scheduler's pick —
+// then the reservation is journalled (a fenced store refuses it, with an
+// error that wraps persist.ErrFenced, and nothing is marked) and only then
+// are the host marks set.
+func (r *Registry) reserveLocked(hosts []string) (*GangReservation, error) {
 	now := r.clock.Now()
 	seen := make(map[string]bool, len(hosts))
 	for _, h := range hosts {
@@ -290,9 +204,16 @@ func (r *Registry) ReserveHosts(hosts []string) (*GangReservation, error) {
 			return nil, fmt.Errorf("registry: host %q already reserved", h)
 		}
 	}
-	g := &GangReservation{r: r, hosts: append([]string(nil), hosts...)}
-	if !r.reserveGangLocked(g) {
-		return nil, fmt.Errorf("registry: reservation rejected: %w", persist.ErrFenced)
+	g := &GangReservation{r: r, hosts: hosts}
+	if r.store != nil {
+		id := r.gangSeq + 1
+		if err := r.applyLocked(&recGangReserve{ID: id, Hosts: hosts}); err != nil {
+			return nil, fmt.Errorf("registry: reservation rejected: %w", err)
+		}
+		g.id = id
+	}
+	for _, h := range hosts {
+		r.reserved[h] = g
 	}
 	return g, nil
 }

@@ -55,9 +55,10 @@ type Config struct {
 	// Commands receives migrate orders; nil leaves the registry passive
 	// (candidates are still served on request).
 	Commands CommandSink
-	// Scheduler picks the process to offload and the destination host.
-	// Nil selects FirstFitScheduler (the paper's placement). A non-nil
-	// Scheduler takes precedence over Policy.Scheduler.
+	// Scheduler ranks the eligible hosts of every placement, a migration's
+	// destination and a gang's hosts alike. Nil selects FirstFitScheduler
+	// (the paper's placement). A non-nil Scheduler takes precedence over
+	// Policy.Scheduler.
 	Scheduler Scheduler
 	// Parent is the upper-level registry consulted when no local host
 	// fits (the hierarchical arrangement of Section 3.2).
@@ -484,10 +485,9 @@ func (r *Registry) processesLocked(host string) []ProcInfo {
 	return out
 }
 
-// SelectProcess picks the process to migrate off a host by asking the
-// configured Scheduler; the default first-fit scheduler picks the process
-// with the latest estimated completion time, "to reduce the possibility of
-// migrating multiple processes" (Section 4).
+// SelectProcess picks the process to migrate off a host: the one with the
+// latest estimated completion time, "to reduce the possibility of migrating
+// multiple processes" (Section 4).
 func (r *Registry) SelectProcess(host string) (ProcInfo, bool) {
 	r.mu.Lock()
 	e, ok := r.hosts[host]
@@ -498,10 +498,7 @@ func (r *Registry) SelectProcess(host string) (ProcInfo, bool) {
 	speed := e.info.Static.CPUSpeed
 	procs := r.processesLocked(host)
 	r.mu.Unlock()
-	if len(procs) == 0 {
-		return ProcInfo{}, false
-	}
-	return r.sched.SelectProcess(speed, procs)
+	return selectLatestCompletion(speed, procs)
 }
 
 // Stats reports how many migrate orders were issued and how many decision

@@ -1,11 +1,14 @@
 package registry
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"autoresched/internal/events"
 	"autoresched/internal/metrics"
+	"autoresched/internal/persist"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
 )
@@ -52,5 +55,41 @@ func TestRestartDropsSoftState(t *testing.T) {
 	}
 	if err := r.ReportStatus("ws1", proto.Status{State: "free"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpensStoreWrittenBeforePR23 is the on-disk compatibility fence: the
+// directory under testdata/store-pr22 was written by the PR 22 tree (four
+// records to a segment, a snapshot every six, one fence, a gang left
+// pending, then five bytes torn off the tail segment), and that tree
+// recovered it to the sequence, epoch and digest below — the torn record
+// dropped, the pending gang presumed aborted with one appended record.
+func TestOpensStoreWrittenBeforePR23(t *testing.T) {
+	dir := t.TempDir()
+	names, err := filepath.Glob("testdata/store-pr22/*")
+	if err != nil || len(names) != 4 {
+		t.Fatalf("fixture files = %v, %v", names, err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 4})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer store.Close()
+	r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch), Store: store})
+	if store.Seq() != 16 || store.Epoch() != 1 || r.StateDigest() != "f5c0cba39732fc16" {
+		t.Fatalf("recovered seq=%d epoch=%d digest=%s, want 16, 1, f5c0cba39732fc16",
+			store.Seq(), store.Epoch(), r.StateDigest())
+	}
+	if len(r.Hosts()) != 4 || len(r.Reserved()) != 0 {
+		t.Fatalf("recovered %d hosts, reserved %v; want 4 and none", len(r.Hosts()), r.Reserved())
 	}
 }

@@ -22,35 +22,43 @@ func (r *Registry) shouldOffload(host string, e *hostEntry) (bool, error) {
 	return r.cfg.Policy.ShouldMigrate(r.probes, e.info.Status.Snapshot(host))
 }
 
-// destinationOK decides whether a candidate host qualifies: alive, willing
-// to accept (state Free under the default policy, the policy's destination
-// conditions otherwise), and owning the resources the schema requires.
-func (r *Registry) destinationOK(cand *hostEntry, proc ProcInfo) (bool, error) {
+// acceptsLocked decides whether a host is willing to receive a migration:
+// state Free under the default policy, the policy's destination conditions
+// otherwise.
+func (r *Registry) acceptsLocked(e *hostEntry) bool {
 	if r.cfg.Policy == nil {
-		if !cand.info.State.AcceptsMigration() {
-			return false, nil
-		}
-	} else {
-		ok, err := r.cfg.Policy.DestinationOK(r.probes, cand.info.Status.Snapshot(cand.info.Name))
-		if err != nil || !ok {
-			return ok, err
-		}
+		return e.info.State.AcceptsMigration()
 	}
-	if proc.Schema != nil {
-		ok, _ := proc.Schema.Fits(
-			cand.info.Static.MemTotal,
-			diskAvail(cand.info.Status),
-			cand.info.Static.CPUSpeed,
-			cand.info.Static.Software,
-		)
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	ok, err := r.cfg.Policy.DestinationOK(r.probes, e.info.Status.Snapshot(e.info.Name))
+	return ok && err == nil
 }
 
-func diskAvail(st proto.Status) int64 { return st.DiskAvail }
+// candidatesLocked is the one eligibility rule, as a stream over scan in
+// registration order: a host qualifies when its lease is fresh, no pending
+// gang reservation holds it (placing onto one would double-book it under the
+// gang about to launch there), the caller's keep accepts it, and it owns the
+// resources proc's schema requires (a nil schema fits everywhere). Migration
+// destinations and gang placement both draw from it. The stream runs under
+// the registry lock; see CandidateSeq.
+func (r *Registry) candidatesLocked(scan []*hostEntry, proc ProcInfo, keep func(*hostEntry) bool) CandidateSeq {
+	now := r.clock.Now()
+	return func(yield func(HostInfo) bool) {
+		for _, e := range scan {
+			if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) {
+				continue
+			}
+			if proc.Schema != nil {
+				if ok, _ := proc.Schema.Fits(e.info.Static.MemTotal, e.info.Status.DiskAvail,
+					e.info.Static.CPUSpeed, e.info.Static.Software); !ok {
+					continue
+				}
+			}
+			if !yield(e.info) {
+				return
+			}
+		}
+	}
+}
 
 // FirstFit finds a destination for proc, excluding the source host. Despite
 // the historical name it runs the configured Scheduler: the local domain is
@@ -77,44 +85,24 @@ func (r *Registry) placeFrom(fromDomain, exclude string, proc ProcInfo) (proto.C
 	return proto.Candidate{OK: false, Reason: "no host fits"}, false
 }
 
-// placeLocal asks the scheduler to place proc among this registry's own
+// placeLocal asks the scheduler to place proc on one of this registry's own
 // eligible hosts. Under the default policy only the Free state set is
 // scanned — the indexed sets keep this cheap when most of a large cluster
-// is busy. The candidate stream runs under the registry lock; see
-// CandidateSeq.
+// is busy.
 func (r *Registry) placeLocal(exclude string, proc ProcInfo) (proto.Candidate, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clock.Now()
 	scan := r.order
 	if r.cfg.Policy == nil {
 		scan = r.sets[rules.Free]
 	}
-	seq := CandidateSeq(func(yield func(HostInfo) bool) {
-		for _, e := range scan {
-			if e.info.Name == exclude || !r.aliveLocked(e, now) {
-				continue
-			}
-			// Hosts held by a pending gang reservation are spoken for:
-			// migrating onto one would double-book it under the gang
-			// about to launch there.
-			if r.reservedLocked(e.info.Name) {
-				continue
-			}
-			ok, err := r.destinationOK(e, proc)
-			if err != nil || !ok {
-				continue
-			}
-			if !yield(e.info) {
-				return
-			}
-		}
-	})
-	h, ok := r.sched.PickDestination(proc, seq)
-	if !ok {
+	picked, ok := r.sched.Place(proc, 1, r.candidatesLocked(scan, proc, func(e *hostEntry) bool {
+		return e.info.Name != exclude && r.acceptsLocked(e)
+	}))
+	if !ok || len(picked) != 1 {
 		return proto.Candidate{}, false
 	}
-	return proto.Candidate{OK: true, Host: h.Name, Addr: h.Static.Addr}, true
+	return proto.Candidate{OK: true, Host: picked[0].Name, Addr: picked[0].Static.Addr}, true
 }
 
 // Candidate serves the pull-style consult: the overloaded host asks for a

@@ -6,33 +6,40 @@ import (
 	"time"
 )
 
-// CandidateSeq streams eligible destination hosts to a Scheduler, in
-// registration order. The scheduler pulls candidates by calling the sequence
-// with a yield callback and stops the stream by returning false from it —
-// so first fit inspects exactly one host while least loaded drains the
-// stream. The sequence is only valid for the duration of the
-// PickDestination call and is produced under the registry lock: schedulers
-// must not call back into the Registry from inside it.
+// CandidateSeq streams eligible hosts to a Scheduler, in registration
+// order. The scheduler pulls candidates by calling the sequence with a yield
+// callback and stops the stream by returning false from it — so first fit
+// inspects exactly as many hosts as it places while least loaded drains the
+// stream. The sequence is only valid for the duration of the Place call and
+// is produced under the registry lock: schedulers must not call back into
+// the Registry from inside it.
 type CandidateSeq func(yield func(HostInfo) bool)
 
-// Scheduler is the pluggable placement policy: which process leaves an
-// overloaded host, and which eligible host receives it. Eligibility
-// (liveness, destination policy, schema fit) is decided by the registry
-// before a host reaches the scheduler; the scheduler only ranks.
+// all drains the stream into a slice, in stream order.
+func (seq CandidateSeq) all() []HostInfo {
+	var out []HostInfo
+	seq(func(h HostInfo) bool {
+		out = append(out, h)
+		return true
+	})
+	return out
+}
+
+// Scheduler is the pluggable placement policy: which eligible hosts receive
+// a process's ranks. Eligibility (liveness, reservations, destination
+// policy, schema fit) is decided by the registry before a host reaches the
+// scheduler; the scheduler only ranks.
 //
 // Implementations must be safe for concurrent use; the registry calls them
 // from every decision path.
 type Scheduler interface {
 	// Name identifies the scheduler in policies and traces.
 	Name() string
-	// SelectProcess picks the process to offload from procs (non-empty,
-	// PID order), given the source host's CPU speed. Returning false
-	// vetoes the offload.
-	SelectProcess(cpuSpeed float64, procs []ProcInfo) (ProcInfo, bool)
-	// PickDestination picks the destination for proc from the candidate
-	// stream. Returning false declines the placement (the registry then
-	// delegates to sibling domains and the parent, if configured).
-	PickDestination(proc ProcInfo, candidates CandidateSeq) (HostInfo, bool)
+	// Place picks n distinct hosts for proc from the candidate stream — a
+	// migration destination is n = 1, a gang its rank count. Returning
+	// false declines the placement (a migration is then delegated to
+	// sibling domains and the parent, if configured; a gang stays queued).
+	Place(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool)
 }
 
 // SchedulerByName resolves the built-in schedulers, for the pl_scheduler
@@ -48,9 +55,10 @@ func SchedulerByName(name string) (Scheduler, error) {
 	}
 }
 
-// selectLatestCompletion is the paper's process choice (Section 4): the
-// process with the latest estimated completion time, so that one migration
-// relieves the host for the longest.
+// selectLatestCompletion is the paper's process choice (Section 4) and the
+// registry's own rule, not a per-scheduler one: the process with the latest
+// estimated completion time, so that one migration relieves the host for the
+// longest.
 func selectLatestCompletion(cpuSpeed float64, procs []ProcInfo) (ProcInfo, bool) {
 	if len(procs) == 0 {
 		return ProcInfo{}, false
@@ -72,38 +80,15 @@ func estimatedDone(p ProcInfo, cpuSpeed float64) time.Time {
 	return p.Schema.EstimatedCompletion(p.Start, cpuSpeed)
 }
 
-// FirstFitScheduler is the paper's placement and the default: offload the
-// latest-completing process onto the first eligible host in registration
-// order.
+// FirstFitScheduler is the paper's placement and the default: the first n
+// eligible hosts in registration order.
 type FirstFitScheduler struct{}
 
 // Name implements Scheduler.
 func (FirstFitScheduler) Name() string { return "firstfit" }
 
-// SelectProcess implements Scheduler.
-func (FirstFitScheduler) SelectProcess(cpuSpeed float64, procs []ProcInfo) (ProcInfo, bool) {
-	return selectLatestCompletion(cpuSpeed, procs)
-}
-
-// PickDestination implements Scheduler: the first candidate wins.
-func (FirstFitScheduler) PickDestination(proc ProcInfo, candidates CandidateSeq) (HostInfo, bool) {
-	var picked HostInfo
-	found := false
-	candidates(func(h HostInfo) bool {
-		picked, found = h, true
-		return false
-	})
-	return picked, found
-}
-
-// PlaceGang implements GangScheduler: the first n candidates win, in
-// registration order — first fit generalised to gangs.
-func (FirstFitScheduler) PlaceGang(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool) {
-	return firstN(n, candidates)
-}
-
-// firstN collects the first n candidates from the stream.
-func firstN(n int, candidates CandidateSeq) ([]HostInfo, bool) {
+// Place implements Scheduler: the first n candidates win.
+func (FirstFitScheduler) Place(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool) {
 	picked := make([]HostInfo, 0, n)
 	candidates(func(h HostInfo) bool {
 		picked = append(picked, h)
@@ -112,7 +97,7 @@ func firstN(n int, candidates CandidateSeq) ([]HostInfo, bool) {
 	return picked, len(picked) == n
 }
 
-// LeastLoadedScheduler drains the candidate stream and picks the host with
+// LeastLoadedScheduler drains the candidate stream and picks the hosts with
 // the lowest one-minute load average, breaking ties toward the earlier
 // registration — a better spread than first fit when many hosts qualify,
 // at the cost of scanning them all.
@@ -121,33 +106,11 @@ type LeastLoadedScheduler struct{}
 // Name implements Scheduler.
 func (LeastLoadedScheduler) Name() string { return "leastloaded" }
 
-// SelectProcess implements Scheduler.
-func (LeastLoadedScheduler) SelectProcess(cpuSpeed float64, procs []ProcInfo) (ProcInfo, bool) {
-	return selectLatestCompletion(cpuSpeed, procs)
-}
-
-// PickDestination implements Scheduler.
-func (LeastLoadedScheduler) PickDestination(proc ProcInfo, candidates CandidateSeq) (HostInfo, bool) {
-	var picked HostInfo
-	found := false
-	candidates(func(h HostInfo) bool {
-		if !found || h.Status.Load1 < picked.Status.Load1 {
-			picked, found = h, true
-		}
-		return true
-	})
-	return picked, found
-}
-
-// PlaceGang implements GangScheduler: drain the stream and keep the n
-// least-loaded hosts, ties broken toward earlier registration (the stream
-// order), so a gang spreads onto the quietest corner of the fleet.
-func (LeastLoadedScheduler) PlaceGang(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool) {
-	var all []HostInfo
-	candidates(func(h HostInfo) bool {
-		all = append(all, h)
-		return true
-	})
+// Place implements Scheduler: drain the stream and keep the n least-loaded
+// hosts, ties broken toward earlier registration (the stream order), so a
+// gang spreads onto the quietest corner of the fleet.
+func (LeastLoadedScheduler) Place(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool) {
+	all := candidates.all()
 	if len(all) < n {
 		return nil, false
 	}

@@ -74,27 +74,6 @@ func (n *exprNode) eval(env func(int) (Grade, error)) (Grade, error) {
 	return 0, fmt.Errorf("rules: corrupt expression node")
 }
 
-// ruleRefs returns the rule numbers referenced by the expression, in
-// left-to-right order, without duplicates.
-func (n *exprNode) ruleRefs() []int {
-	var refs []int
-	seen := make(map[int]bool)
-	var walk func(*exprNode)
-	walk = func(n *exprNode) {
-		if n == nil {
-			return
-		}
-		if n.kind == nodeRule && !seen[n.rule] {
-			seen[n.rule] = true
-			refs = append(refs, n.rule)
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(n)
-	return refs
-}
-
 type exprParser struct {
 	src string
 	pos int

@@ -94,23 +94,6 @@ func TestExprParseErrors(t *testing.T) {
 	}
 }
 
-func TestExprRuleRefs(t *testing.T) {
-	node, err := parseExpr("( 40% * r4 + 30% * r1 + 30% * r3 ) & r2 & r4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := node.ruleRefs()
-	want := []int{4, 1, 3, 2}
-	if len(refs) != len(want) {
-		t.Fatalf("refs = %v, want %v", refs, want)
-	}
-	for i := range want {
-		if refs[i] != want[i] {
-			t.Fatalf("refs = %v, want %v", refs, want)
-		}
-	}
-}
-
 func TestExprString(t *testing.T) {
 	node, err := parseExpr("40%*r4 + r1 & r2")
 	if err != nil {

@@ -46,8 +46,6 @@ type Options struct {
 	// hosts added without an explicit capacity. The paper's 100 Mbps
 	// Ethernet is 12.5e6 B/s; zero selects that value.
 	DefaultBandwidth float64
-	// Latency is the one-way propagation delay charged once per transfer.
-	Latency time.Duration
 }
 
 // Ethernet100Mbps is the NIC capacity of the paper's testbed in bytes/s.
@@ -279,12 +277,8 @@ func (n *Network) Transfer(from, to string, size int64) error {
 		return ErrPartitioned
 	}
 	if from == to || size == 0 {
-		// Loopback and empty transfers are free of NIC time; charge latency
-		// only.
+		// Loopback and empty transfers are free of NIC time.
 		n.mu.Unlock()
-		if n.opts.Latency > 0 {
-			n.clock.Sleep(n.opts.Latency)
-		}
 		return nil
 	}
 	n.advanceLocked(n.clock.Now())
@@ -298,10 +292,6 @@ func (n *Network) Transfer(from, to string, size int64) error {
 	n.recomputeSideLocked(dst.recvFlows)
 	n.scheduleLocked()
 	n.mu.Unlock()
-
-	if n.opts.Latency > 0 {
-		n.clock.Sleep(n.opts.Latency)
-	}
 	return <-f.finished
 }
 
@@ -334,17 +324,6 @@ func (n *Network) ActiveFlows() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.flows)
-}
-
-// Hosts returns the registered host names.
-func (n *Network) Hosts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	names := make([]string, 0, len(n.hosts))
-	for name := range n.hosts {
-		names = append(names, name)
-	}
-	return names
 }
 
 // flowsOn snapshots the flows with an endpoint on h (callers mutate the

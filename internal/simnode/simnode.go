@@ -242,13 +242,6 @@ func (p *Proc) Exit() {
 	h.scheduleLocked()
 }
 
-// Exited reports whether the process has exited.
-func (p *Proc) Exited() bool {
-	p.host.mu.Lock()
-	defer p.host.mu.Unlock()
-	return p.exited
-}
-
 // CPUTime returns the cumulative CPU time consumed by the process.
 func (p *Proc) CPUTime() time.Duration {
 	h := p.host

@@ -240,9 +240,6 @@ func TestExitCancelsOutstandingCompute(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Compute did not return after Exit")
 	}
-	if !p.Exited() {
-		t.Fatal("Exited() = false")
-	}
 	if err := p.Compute(1); err != ErrProcessExited {
 		t.Fatalf("Compute after exit: err = %v, want ErrProcessExited", err)
 	}

@@ -112,19 +112,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 // NewTimer returns a single-shot timer driven by Advance.
 func (m *Manual) NewTimer(d time.Duration) *Timer {
 	w := m.addWaiter(d, 0)
-	return &Timer{
-		C:    w.ch,
-		stop: func() bool { return m.removeWaiter(w) },
-		reset: func(d time.Duration) bool {
-			active := m.removeWaiter(w)
-			m.mu.Lock()
-			w.deadline = m.now.Add(d)
-			heap.Push(&m.waiters, w)
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			return active
-		},
-	}
+	return &Timer{C: w.ch, stop: func() bool { return m.removeWaiter(w) }}
 }
 
 // NewTicker returns a repeating ticker driven by Advance.

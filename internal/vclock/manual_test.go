@@ -65,29 +65,6 @@ func TestManualTimerFireAndStop(t *testing.T) {
 	}
 }
 
-func TestManualTimerReset(t *testing.T) {
-	m := NewManual(Epoch)
-	tm := m.NewTimer(5 * time.Second)
-	if !tm.Reset(20 * time.Second) {
-		t.Fatal("Reset of active timer = false, want true")
-	}
-	m.Advance(10 * time.Second)
-	select {
-	case <-tm.C:
-		t.Fatal("timer fired at original deadline after Reset")
-	default:
-	}
-	m.Advance(10 * time.Second)
-	select {
-	case at := <-tm.C:
-		if want := Epoch.Add(20 * time.Second); !at.Equal(want) {
-			t.Fatalf("fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire at reset deadline")
-	}
-}
-
 func TestManualTickerDeliversEachPeriod(t *testing.T) {
 	m := NewManual(Epoch)
 	tk := m.NewTicker(3 * time.Second)

@@ -15,7 +15,7 @@ func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) 
 
 func (realClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop, reset: t.Reset}
+	return &Timer{C: t.C, stop: t.Stop}
 }
 
 func (realClock) NewTicker(d time.Duration) *Ticker {

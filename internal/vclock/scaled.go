@@ -57,11 +57,7 @@ func (c *scaledClock) NewTimer(d time.Duration) *Timer {
 		default:
 		}
 	})
-	return &Timer{
-		C:     ch,
-		stop:  t.Stop,
-		reset: func(d time.Duration) bool { return t.Reset(c.wall(d)) },
-	}
+	return &Timer{C: ch, stop: t.Stop}
 }
 
 func (c *scaledClock) NewTicker(d time.Duration) *Ticker {

@@ -41,17 +41,12 @@ type Clock interface {
 type Timer struct {
 	C <-chan time.Time
 
-	stop  func() bool
-	reset func(d time.Duration) bool
+	stop func() bool
 }
 
 // Stop prevents the timer from firing. It reports whether the stop
 // cancelled a pending fire.
 func (t *Timer) Stop() bool { return t.stop() }
-
-// Reset re-arms the timer to fire after d. It reports whether the timer had
-// been active.
-func (t *Timer) Reset(d time.Duration) bool { return t.reset(d) }
 
 // Ticker is a clock-backed repeating timer. C carries the virtual tick
 // times.
