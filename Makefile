@@ -2,8 +2,9 @@
 # runs; `make lint` runs the static gates (gofmt, go vet, reschedvet);
 # `make race` additionally race-tests the concurrency-heavy packages;
 # `make ci` is the full gate (lint + build + test + race, a repeated race
-# run of the simulation/experiment packages, and the 64-host scale,
-# malleability, multi-job and fleet smokes); `make bench` prints the
+# run of the simulation/experiment packages, ten seconds of each fuzz
+# target, and the 64-host scale, malleability, multi-job and fleet smokes);
+# `make fuzz` runs the fuzz targets alone; `make bench` prints the
 # microbenchmarks (a developer tool: nothing is written or committed);
 # `make e2e` runs the end-to-end benchmark (cmd/bench, every workload in
 # BENCHMARK.json);
@@ -24,7 +25,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/jobs ./internal/scenario ./internal/persist \
             ./internal/mpi ./internal/vclock ./internal/workload
 
-.PHONY: all build vet fmtcheck lint test race check ci chaos scale malleable multijob fleet bench e2e loc loc-pkg allows
+.PHONY: all build vet fmtcheck lint test race fuzz check ci chaos scale malleable multijob fleet bench e2e loc loc-pkg allows
 
 all: check
 
@@ -52,6 +53,16 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The fuzz targets, FUZZTIME each (their seed corpora already run under
+# plain `go test`): the wire codec against encoding/xml in both directions,
+# and the state image reader on arbitrary bytes.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzEncodeDifferential -fuzztime $(FUZZTIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImage -fuzztime $(FUZZTIME) ./internal/hpcm
+
 check: lint build test
 
 # The full gate: everything `check` and `race` run, a repeated race-enabled
@@ -63,6 +74,7 @@ ci: check
 	$(GO) test ./internal/analysis/...
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/simnet ./internal/experiments
+	$(MAKE) fuzz
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
 	$(GO) run ./cmd/repro -exp malleable -seed 42
 	$(GO) run ./cmd/repro -exp multijob -seed 42
@@ -100,14 +112,16 @@ multijob: build
 fleet: build
 	$(GO) run ./cmd/repro -exp fleet -seed 1 -runs 100 -rundir fleet_runs
 
-# The microbenchmarks, to stdout: status-ingest throughput (direct vs
-# batched), candidate selection at 512 hosts (state-indexed vs the seed's
-# re-sort baseline), the 64->512 growth sweep, the zero-alloc multi-part
+# The microbenchmarks, to stdout: the wire codec per message kind beside
+# the encoding/xml reference, status-ingest throughput (direct vs batched),
+# candidate selection at 512 hosts (state-indexed vs the seed's re-sort
+# baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged writes / dirty scans / modeled
 # downtime, resizes, admission by queue depth, and the persist append,
 # snapshot and replay paths. A developer tool: regressions are gated by
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
+	$(GO) test -run '^$$' -bench BenchmarkCodec -benchtime 10000x -benchmem ./internal/proto
 	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate' \
 		-benchtime 1000x -benchmem ./internal/registry
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi

@@ -3,7 +3,6 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,58 +21,54 @@ const maxFrame = 16 << 20
 // Conn is a message-oriented connection: framed XML messages over any
 // stream. It serialises writes; reads must come from a single goroutine.
 type Conn struct {
-	rw   io.ReadWriter
+	rw io.ReadWriter
+
+	// wbuf is the write-side scratch, reused under wr: a frame is encoded
+	// into it behind room for its header and leaves in one Write.
 	wr   sync.Mutex
-	whdr [4]byte // write-side frame header, reused under wr
+	wbuf bytes.Buffer
 
 	// rhdr and readBuf are the read-side scratch: one header, one payload
 	// buffer grown geometrically, reused across frames by the single
 	// reading goroutine. Decode copies what it keeps, so reuse is safe.
-	rhdr    [4]byte
+	rhdr    [frameHeaderLen]byte
 	readBuf []byte
 }
 
 // NewConn wraps a stream.
 func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
-// encPool recycles the XML encode buffers of Send: the server's
-// serve loop and the client's call path each encode one message per
-// round trip, and at fleet scale the encode buffers were most of the
-// send-side garbage.
-var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameHeaderLen is the size of a frame's big-endian length prefix.
+const frameHeaderLen = 4
 
-// Send encodes one message into a pooled buffer and writes it as one
-// frame. This is the proto send loop's floor: the xml encoder's internals
-// still allocate, but the payload-sized buffer is reused.
+// Send encodes one message into the connection's write buffer and writes
+// it as one frame. In the steady state it allocates nothing.
 //
 //hot:path
 func (c *Conn) Send(m *Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	buf, _ := encPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer encPool.Put(buf)
-	if err := xml.NewEncoder(buf).Encode(m); err != nil {
-		return fmt.Errorf("proto: encode %s: %w", m.Type, err)
-	}
 	c.wr.Lock()
 	defer c.wr.Unlock()
-	return c.writeFrame(buf.Bytes())
+	c.wbuf.Reset()
+	var hdr [frameHeaderLen]byte
+	c.wbuf.Write(hdr[:])
+	m.writeXML(&c.wbuf)
+	return c.writeFrame(c.wbuf.Bytes())
 }
 
-// writeFrame writes one length-prefixed frame, the header staged in the
-// connection (stack headers escape through the io.Writer and allocate per
-// frame). Callers must hold c.wr.
-func (c *Conn) writeFrame(data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("proto: frame of %d bytes exceeds limit", len(data))
+// writeFrame writes one length-prefixed frame. The payload arrives with
+// frameHeaderLen bytes staged in front of it, which writeFrame fills in, so
+// that header and payload are a single Write: one syscall, one TCP segment.
+// Callers must hold c.wr.
+func (c *Conn) writeFrame(frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n > maxFrame {
+		return fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(data)))
-	if _, err := c.rw.Write(c.whdr[:]); err != nil {
-		return err
-	}
-	_, err := c.rw.Write(data)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := c.rw.Write(frame)
 	return err
 }
 

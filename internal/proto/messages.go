@@ -7,6 +7,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 
@@ -131,7 +132,6 @@ type Message struct {
 	From    string   `xml:"from,attr,omitempty"`
 	To      string   `xml:"to,attr,omitempty"`
 	Seq     uint64   `xml:"seq,attr,omitempty"`
-	SentAt  int64    `xml:"sentAt,attr,omitempty"` // UnixNano
 
 	Static    *StaticInfo   `xml:"static,omitempty"`
 	Status    *Status       `xml:"status,omitempty"`
@@ -189,14 +189,21 @@ func (m *Message) Encode() ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return xml.Marshal(m)
+	var buf bytes.Buffer
+	m.writeXML(&buf)
+	return buf.Bytes(), nil
 }
 
-// Decode parses an XML message and validates it.
+// Decode parses an XML message and validates it. The canonical form this
+// package's encoder writes is read by the scanner in wire.go; any other
+// document goes through encoding/xml, which also words every parse error.
 func Decode(data []byte) (*Message, error) {
 	var m Message
-	if err := xml.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("proto: %w", err)
+	if !scanMessage(data, &m) {
+		m = Message{}
+		if err := xml.Unmarshal(data, &m); err != nil {
+			return nil, fmt.Errorf("proto: %w", err)
+		}
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
