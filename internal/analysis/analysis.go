@@ -163,7 +163,7 @@ func Checks() []Check {
 		},
 		{
 			Name: "optionsfield",
-			Doc:  "exported Options fields must be read by the declaring package",
+			Doc:  "Options/Config fields must be read by the declaring package; an Option's target struct must also have every field set by an option",
 			Run:  checkOptionsField,
 		},
 	}

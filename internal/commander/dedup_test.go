@@ -12,11 +12,7 @@ import (
 func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	c := newFromConfig("ws1", "", Config{
-		Clock:       clock,
-		DedupWindow: 30 * time.Second,
-		Metrics:     mreg,
-	})
+	c := NewCommander("ws1", WithClock(clock), WithDedupWindow(30*time.Second), WithMetrics(mreg))
 	p := &fakeProc{pid: 42}
 	c.Manage(p)
 	order := proto.MigrateOrder{PID: 42, DestHost: "ws4", DestAddr: "cmd://ws4"}
@@ -30,9 +26,6 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	}
 	if got := p.signals(); len(got) != 1 {
 		t.Fatalf("signals = %+v, want 1", got)
-	}
-	if c.Orders() != 1 || c.Deduped() != 1 {
-		t.Fatalf("orders=%d deduped=%d", c.Orders(), c.Deduped())
 	}
 	if mreg.Counter(CtrOrdersDeduped).Value() != 1 {
 		t.Fatalf("counter = %d", mreg.Counter(CtrOrdersDeduped).Value())
@@ -50,13 +43,13 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	if got := p.signals(); len(got) != 3 {
 		t.Fatalf("signals = %+v, want 3", got)
 	}
-	if c.Orders() != 3 || c.Deduped() != 1 {
-		t.Fatalf("orders=%d deduped=%d", c.Orders(), c.Deduped())
+	if mreg.Counter(CtrOrdersDeduped).Value() != 1 {
+		t.Fatalf("counter = %d after the window", mreg.Counter(CtrOrdersDeduped).Value())
 	}
 }
 
 func TestMigrateDedupDisabledByDefault(t *testing.T) {
-	c := newFromConfig("ws1", "", Config{})
+	c := NewCommander("ws1")
 	p := &fakeProc{pid: 7}
 	c.Manage(p)
 	order := proto.MigrateOrder{PID: 7, DestHost: "ws2", DestAddr: "cmd://ws2"}

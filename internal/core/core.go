@@ -39,14 +39,15 @@ type Options struct {
 	// Policy drives migration decisions; nil selects the state-based
 	// default (migrate off Overloaded hosts onto Free ones).
 	Policy *rules.MigrationPolicy
-	// MonitorInterval is the default monitoring frequency; zero selects
-	// 10 s (the paper's sampling interval).
+	// MonitorInterval is the monitoring frequency; zero selects 10 s (the
+	// paper's sampling interval).
 	MonitorInterval time.Duration
 	// GatherCost charges each monitoring cycle's CPU cost to the host, in
 	// work units; zero disables (and makes the rescheduler free, which is
 	// not what the paper measured — Figure 5's overhead comes from here).
 	GatherCost float64
-	// Warmup and Cooldown damp the scheduler (see registry.Config).
+	// Warmup and Cooldown damp the scheduler (see registry.WithWarmup and
+	// registry.WithCooldown).
 	Warmup   int
 	Cooldown time.Duration
 	// ChunkBytes is the lazy state streaming chunk size.
@@ -76,7 +77,7 @@ type Options struct {
 	// when no checkpoint exists. Zero disables automatic failover.
 	FailoverRetries int
 	// OrderDedupWindow suppresses migrate orders redelivered to a commander
-	// within the window (see commander.Config); zero disables.
+	// within the window (see commander.WithDedupWindow); zero disables.
 	OrderDedupWindow time.Duration
 	// Store, when set, makes the registry's protocol state durable: every
 	// mutation appends to this write-ahead store and a registry restart

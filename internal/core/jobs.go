@@ -484,36 +484,47 @@ func (s *System) hostsClear(admitted string, target map[string]bool) bool {
 // it to Running. Requeued jobs restore ranks from their checkpoints when
 // the store has one; fresh admissions (and ranks without an image)
 // cold-start. The rank apps are returned in rank order.
+//
+// No rank's follow loop starts before the job is Running: a rank whose main
+// returns at once settles the job through rankSettled, and a settle that
+// overtook the Running transition would leave the launch to fail on a job
+// that had already finished.
 func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 	spec := run.spec
 	restore := job.Requeues() > 0
 	apps := make([]*App, 0, len(run.claimed))
+	// All-or-nothing: put the partial gang down (Evict, not Kill — no
+	// failover burn on a launch we are unwinding ourselves). The ranks'
+	// follow loops still run, without a settle hook, so each one
+	// deregisters and settles its App; the job is the caller's to settle.
+	unwind := func(err error) ([]*App, error) {
+		for _, a := range apps {
+			a.Process().Evict()
+			go a.follow()
+		}
+		s.dropRun(run)
+		return nil, err
+	}
 	for i, host := range run.claimed {
 		name := jobs.RankName(spec.Name, i, spec.Gang)
 		app, err := s.startApp(name, host, spec.Schema, spec.Rank(i, spec.Gang), restore)
 		if err != nil {
-			// All-or-nothing: put the partial gang down (Evict, not Kill —
-			// no failover burn on a launch we are unwinding ourselves).
-			for _, a := range apps {
-				a.Process().Evict()
-			}
-			s.dropRun(run)
-			return nil, err
+			return unwind(err)
 		}
 		apps = append(apps, app)
 		run.slots[i] = &rankSlot{app: app}
-		// Wire the settle hook before the follow loop starts, so even an
-		// instantly-finishing rank reports through the job state machine.
-		idx := i
-		app.onSettled = func(err error) { s.rankSettled(run, idx, err) }
-		go app.follow()
 	}
 	run.mu.Lock()
 	run.launched = true
 	run.mu.Unlock()
 	s.queue.SetPlacement(spec.Name, run.claimed)
 	if err := s.queue.Transition(spec.Name, jobs.StateRunning, ""); err != nil {
-		return nil, err
+		return unwind(err)
+	}
+	for i, app := range apps {
+		idx := i
+		app.onSettled = func(err error) { s.rankSettled(run, idx, err) }
+		go app.follow()
 	}
 	return apps, nil
 }

@@ -369,8 +369,8 @@ func (r *chaosRig) restartLog() events.Sink {
 	return events.On(func(ev registry.RestartEvent) {
 		r.mu.Lock()
 		restarts++
-		r.notes = append(r.notes, fmt.Sprintf("check restart-%d recovered=%v hosts=%d procs=%d domains=%d",
-			restarts, ev.Recovered, ev.Hosts, ev.Procs, ev.Domains))
+		r.notes = append(r.notes, fmt.Sprintf("check restart-%d recovered=%v hosts=%d procs=%d",
+			restarts, ev.Recovered, ev.Hosts, ev.Procs))
 		r.mu.Unlock()
 	})
 }

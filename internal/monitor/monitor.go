@@ -1,7 +1,7 @@
 // Package monitor implements the per-host monitoring entity (Sections 3.1
 // and 4, Figure 2): a system-information gathering engine, the monitoring
-// information database, the rule evaluator, and the local state machine
-// with a per-state monitoring frequency. Each cycle the monitor gathers a
+// information database, the rule evaluator, and the local state machine.
+// Each cycle — one fixed monitoring frequency — the monitor gathers a
 // snapshot, decides the host state through its rule engine, stores the
 // sample, and pushes a soft-state refresh to its registry/scheduler.
 package monitor
@@ -35,43 +35,40 @@ type Charger interface {
 	Compute(work float64) error
 }
 
-// Config configures a monitor.
-type Config struct {
-	// Host is the monitored host's name. Required.
-	Host string
-	// Source provides raw system information. Required.
-	Source sysinfo.Source
-	// Engine evaluates the host state; nil uses a permanently-free engine.
-	Engine *rules.Engine
-	// Reporter receives registration and refreshes; nil disables reporting
+// config is what the Options write into: one field per setting, each
+// described (with its default) here.
+type config struct {
+	// host is the monitored host's name. Required.
+	host string
+	// source provides raw system information. Required.
+	source sysinfo.Source
+	// engine evaluates the host state; nil uses a permanently-free engine.
+	engine *rules.Engine
+	// reporter receives registration and refreshes; nil disables reporting
 	// (the monitor still maintains local state).
-	Reporter Reporter
-	// Clock drives the cycle; nil selects the real clock.
-	Clock vclock.Clock
-	// Frequencies maps each state to its monitoring frequency (Section 4:
-	// "We configure a time interval as Monitoring Frequency for each
-	// state"). Missing states use DefaultFrequency.
-	Frequencies map[rules.State]time.Duration
-	// DefaultFrequency is the fallback cycle period; zero selects 10 s,
-	// the sampling interval of the paper's experiments.
-	DefaultFrequency time.Duration
-	// HistorySize bounds the monitoring information database; zero
+	reporter Reporter
+	// clock drives the cycle; nil selects the real clock.
+	clock vclock.Clock
+	// frequency is the cycle period; zero selects 10 s, the sampling
+	// interval of the paper's experiments.
+	frequency time.Duration
+	// historySize bounds the monitoring information database; zero
 	// selects 256 samples.
-	HistorySize int
-	// Charger, if set, is charged GatherCost work units per cycle.
-	Charger Charger
-	// GatherCost is the CPU cost of one gathering cycle in host work
+	historySize int
+	// charger, if set, is charged gatherCost work units per cycle.
+	charger Charger
+	// gatherCost is the CPU cost of one gathering cycle in host work
 	// units (the scripts the paper fires are not free).
-	GatherCost float64
-	// CommandAddr is the local commander's endpoint, sent at registration
+	gatherCost float64
+	// commandAddr is the local commander's endpoint, sent at registration
 	// so the registry can order migrations.
-	CommandAddr string
-	// Software lists locally installed packages for requirement matching.
-	Software []string
-	// Metrics, when set, receives the monitor/cycle_seconds histogram
+	commandAddr string
+	// software lists locally installed packages for requirement matching.
+	software []string
+	// metrics, when set, receives the monitor/cycle_seconds histogram
 	// (virtual-clock duration of one gather-evaluate-report cycle) and the
 	// monitor/reregisters counter. Nil disables.
-	Metrics *metrics.Registry
+	metrics *metrics.Registry
 }
 
 // MetricCycleSeconds is the virtual-time duration of one monitor cycle —
@@ -92,7 +89,7 @@ type Sample struct {
 
 // Monitor is the monitoring entity of one host.
 type Monitor struct {
-	cfg    Config
+	cfg    config
 	sensor *sysinfo.Sensor
 	clock  vclock.Clock
 
@@ -103,36 +100,6 @@ type Monitor struct {
 	lastErr error
 	stop    chan struct{}
 	stopped chan struct{}
-}
-
-// newFromConfig creates a monitor from an assembled Config, applying
-// defaults. NewMonitor is the public constructor; the former exported
-// Config-style New is gone.
-func newFromConfig(cfg Config) (*Monitor, error) {
-	if cfg.Host == "" {
-		return nil, errors.New("monitor: Config.Host is required")
-	}
-	if cfg.Source == nil {
-		return nil, errors.New("monitor: Config.Source is required")
-	}
-	if cfg.Engine == nil {
-		cfg.Engine = rules.NewEngine(nil)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real()
-	}
-	if cfg.DefaultFrequency <= 0 {
-		cfg.DefaultFrequency = 10 * time.Second
-	}
-	if cfg.HistorySize <= 0 {
-		cfg.HistorySize = 256
-	}
-	return &Monitor{
-		cfg:    cfg,
-		sensor: sysinfo.NewSensor(cfg.Source),
-		clock:  cfg.Clock,
-		state:  rules.Free,
-	}, nil
 }
 
 // Start registers the host (one-time static information) and begins the
@@ -148,7 +115,7 @@ func (m *Monitor) Start() error {
 	stop := m.stop
 	m.mu.Unlock()
 
-	if m.cfg.Reporter != nil {
+	if m.cfg.reporter != nil {
 		if err := m.register(); err != nil {
 			return fmt.Errorf("monitor: registration: %w", err)
 		}
@@ -159,16 +126,16 @@ func (m *Monitor) Start() error {
 
 // register pushes the host's one-time static information to the reporter.
 func (m *Monitor) register() error {
-	st := m.cfg.Source.Static()
+	st := m.cfg.source.Static()
 	static := proto.StaticInfo{
-		Addr:     m.cfg.CommandAddr,
+		Addr:     m.cfg.commandAddr,
 		OS:       st.OS,
 		Arch:     st.Arch,
 		CPUSpeed: st.CPUSpeed,
 		MemTotal: st.MemTotal,
-		Software: m.cfg.Software,
+		Software: m.cfg.software,
 	}
-	return m.cfg.Reporter.RegisterHost(m.cfg.Host, static)
+	return m.cfg.reporter.RegisterHost(m.cfg.host, static)
 }
 
 // Stop halts the loop and unregisters the host.
@@ -183,8 +150,8 @@ func (m *Monitor) Stop() {
 	}
 	close(stop)
 	<-stopped
-	if m.cfg.Reporter != nil {
-		_ = m.cfg.Reporter.UnregisterHost(m.cfg.Host)
+	if m.cfg.reporter != nil {
+		_ = m.cfg.reporter.UnregisterHost(m.cfg.host)
 	}
 }
 
@@ -192,7 +159,7 @@ func (m *Monitor) loop(stop chan struct{}) {
 	defer close(m.stopped)
 	for {
 		m.Cycle()
-		timer := m.clock.NewTimer(m.frequency())
+		timer := m.clock.NewTimer(m.cfg.frequency)
 		select {
 		case <-timer.C:
 		case <-stop:
@@ -202,31 +169,20 @@ func (m *Monitor) loop(stop chan struct{}) {
 	}
 }
 
-// frequency returns the monitoring frequency of the current state.
-func (m *Monitor) frequency() time.Duration {
-	m.mu.Lock()
-	state := m.state
-	m.mu.Unlock()
-	if d, ok := m.cfg.Frequencies[state]; ok && d > 0 {
-		return d
-	}
-	return m.cfg.DefaultFrequency
-}
-
 // Cycle performs one gather-evaluate-report cycle and returns the sample.
 // The loop calls it periodically; tests and the pull-mode registry may call
 // it directly.
 func (m *Monitor) Cycle() (Sample, error) {
-	if m.cfg.Metrics != nil {
+	if m.cfg.metrics != nil {
 		start := m.clock.Now()
 		defer func() {
-			m.cfg.Metrics.Histogram(MetricCycleSeconds).Observe(m.clock.Now().Sub(start).Seconds())
+			m.cfg.metrics.Histogram(MetricCycleSeconds).Observe(m.clock.Now().Sub(start).Seconds())
 		}()
 	}
-	if m.cfg.Charger != nil && m.cfg.GatherCost > 0 {
+	if m.cfg.charger != nil && m.cfg.gatherCost > 0 {
 		// The gathering scripts consume CPU on the monitored host; this is
 		// the rescheduler overhead of Figure 5.
-		if err := m.cfg.Charger.Compute(m.cfg.GatherCost); err != nil {
+		if err := m.cfg.charger.Compute(m.cfg.gatherCost); err != nil {
 			return Sample{}, fmt.Errorf("monitor: charge: %w", err)
 		}
 	}
@@ -235,7 +191,7 @@ func (m *Monitor) Cycle() (Sample, error) {
 		m.recordErr(err)
 		return Sample{}, err
 	}
-	grade, err := m.cfg.Engine.Evaluate(snap)
+	grade, err := m.cfg.engine.Evaluate(snap)
 	if err != nil {
 		m.recordErr(err)
 		return Sample{}, err
@@ -246,22 +202,22 @@ func (m *Monitor) Cycle() (Sample, error) {
 	m.state = sample.State
 	m.cycles++
 	m.history = append(m.history, sample)
-	if len(m.history) > m.cfg.HistorySize {
-		m.history = m.history[len(m.history)-m.cfg.HistorySize:]
+	if len(m.history) > m.cfg.historySize {
+		m.history = m.history[len(m.history)-m.cfg.historySize:]
 	}
 	m.lastErr = nil
 	m.mu.Unlock()
 
-	if m.cfg.Reporter != nil {
+	if m.cfg.reporter != nil {
 		status := StatusFromSample(sample)
-		err := m.cfg.Reporter.ReportStatus(m.cfg.Host, status)
+		err := m.cfg.reporter.ReportStatus(m.cfg.host, status)
 		if err != nil && isUnregistered(err) {
 			// The registry restarted and lost its soft state (Section 3.1's
 			// soft-state registration makes this survivable): re-register
 			// the host and retry the refresh once.
 			if rerr := m.register(); rerr == nil {
-				m.cfg.Metrics.Counter(CtrReregisters).Inc()
-				err = m.cfg.Reporter.ReportStatus(m.cfg.Host, status)
+				m.cfg.metrics.Counter(CtrReregisters).Inc()
+				err = m.cfg.reporter.ReportStatus(m.cfg.host, status)
 			}
 		}
 		if err != nil {

@@ -60,14 +60,14 @@ func monRig(t *testing.T) (*simnode.Host, *fakeReporter, *Monitor, *vclock.Manua
 	clock := vclock.NewManual(vclock.Epoch)
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
 	rep := &fakeReporter{}
-	m, err := newFromConfig(Config{
-		Host:        "ws1",
-		Source:      sysinfo.NewSimSource(host, nil),
-		Engine:      loadEngine(t),
-		Reporter:    rep,
-		Clock:       clock,
-		CommandAddr: "cmd://ws1",
-	})
+	m, err := NewMonitor(
+		"ws1",
+		sysinfo.NewSimSource(host, nil),
+		WithEngine(loadEngine(t)),
+		WithReporter(rep),
+		WithClock(clock),
+		WithCommandAddr("cmd://ws1"),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func loadEngine(t *testing.T) *rules.Engine {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := newFromConfig(Config{}); err == nil {
-		t.Fatal("empty config accepted")
+	if _, err := NewMonitor("", nil); err == nil {
+		t.Fatal("monitor without host accepted")
 	}
-	if _, err := newFromConfig(Config{Host: "x"}); err == nil {
-		t.Fatal("config without source accepted")
+	if _, err := NewMonitor("x", nil); err == nil {
+		t.Fatal("monitor without source accepted")
 	}
 }
 
@@ -183,28 +183,30 @@ func TestStartLoopReportsPeriodically(t *testing.T) {
 	}
 }
 
-func TestPerStateFrequency(t *testing.T) {
+// TestCyclePeriodIsDefaultFrequency: the loop's one timer between cycles is
+// the period WithDefaultFrequency sets, whatever state the host is in.
+func TestCyclePeriodIsDefaultFrequency(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
-	m, err := newFromConfig(Config{
-		Host:   "ws1",
-		Source: sysinfo.NewSimSource(host, nil),
-		Engine: loadEngine(t),
-		Clock:  clock,
-		Frequencies: map[rules.State]time.Duration{
-			rules.Free: 30 * time.Second,
-			rules.Busy: 5 * time.Second,
-		},
-		DefaultFrequency: 10 * time.Second,
-	})
+	rep := &fakeReporter{}
+	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
+		WithEngine(loadEngine(t)), WithReporter(rep), WithClock(clock),
+		WithDefaultFrequency(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Cycle(); err != nil {
+	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.frequency(); got != 30*time.Second {
-		t.Fatalf("free frequency = %v", got)
+	defer m.Stop()
+	for cycle := 1; cycle <= 2; cycle++ {
+		clock.WaitUntilWaiters(1) // cycle done, next one armed
+		if rep.statusCount() != cycle {
+			t.Fatalf("reports = %d, want %d", rep.statusCount(), cycle)
+		}
+		if d, ok := clock.AdvanceToNext(); !ok || d != 30*time.Second {
+			t.Fatalf("period before cycle %d = %v, want 30s", cycle+1, d)
+		}
 	}
 }
 
@@ -212,13 +214,10 @@ func TestChargerChargedPerCycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
 	charger := host.Spawn("monitor", 0)
-	m, err := newFromConfig(Config{
-		Host:       "ws1",
-		Source:     sysinfo.NewSimSource(host, nil),
-		Clock:      clock,
-		Charger:    charger,
-		GatherCost: 50, // 50ms of CPU at speed 1000
-	})
+	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
+		WithClock(clock),
+		WithCharger(charger, 50), // 50ms of CPU at speed 1000
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +240,12 @@ func TestChargerChargedPerCycle(t *testing.T) {
 func TestHistoryBounded(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
-	m, err := newFromConfig(Config{
-		Host:        "ws1",
-		Source:      sysinfo.NewSimSource(host, nil),
-		Clock:       clock,
-		HistorySize: 4,
-	})
+	m, err := NewMonitor(
+		"ws1",
+		sysinfo.NewSimSource(host, nil),
+		WithClock(clock),
+		WithHistorySize(4),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +291,12 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := newFromConfig(Config{
-		Host:   "ws1",
-		Source: sysinfo.NewSimSource(host, nil),
-		Engine: engine,
-		Clock:  clock,
-	})
+	m, err := NewMonitor(
+		"ws1",
+		sysinfo.NewSimSource(host, nil),
+		WithEngine(engine),
+		WithClock(clock),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +333,12 @@ func TestMemoryRuleEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := newFromConfig(Config{
-		Host:   "ws1",
-		Source: sysinfo.NewSimSource(host, nil),
-		Engine: engine,
-		Clock:  clock,
-	})
+	m, err := NewMonitor(
+		"ws1",
+		sysinfo.NewSimSource(host, nil),
+		WithEngine(engine),
+		WithClock(clock),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

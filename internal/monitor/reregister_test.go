@@ -60,13 +60,13 @@ func TestCycleReregistersAfterRegistryRestart(t *testing.T) {
 	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
 	rep := &amnesiacReporter{}
 	mreg := metrics.NewRegistry()
-	m, err := newFromConfig(Config{
-		Host:     "ws1",
-		Source:   sysinfo.NewSimSource(host, nil),
-		Reporter: rep,
-		Clock:    clock,
-		Metrics:  mreg,
-	})
+	m, err := NewMonitor(
+		"ws1",
+		sysinfo.NewSimSource(host, nil),
+		WithReporter(rep),
+		WithClock(clock),
+		WithMetrics(mreg),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

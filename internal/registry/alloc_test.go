@@ -14,7 +14,7 @@ import (
 // preallocated to MaxPending, so the replace branch only copies a struct.
 func TestZeroAllocHotPaths(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 64})
 	if err := b.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)

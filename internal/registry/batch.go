@@ -27,13 +27,9 @@ func (r *Registry) ReportStatusBatch(reports []proto.HostStatus) error {
 		}
 		applied = append(applied, rep)
 	}
-	push, health := r.healthDueLocked()
 	r.mu.Unlock()
 
-	if push {
-		r.cfg.Parent.ReportDomainHealth(r.cfg.Domain, r, health)
-	}
-	if r.cfg.Commands != nil {
+	if r.cfg.commands != nil {
 		for _, rep := range applied {
 			r.decide(rep.Host)
 		}

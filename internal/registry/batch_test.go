@@ -11,7 +11,7 @@ import (
 
 func TestReportStatusBatchAppliesAndReportsUnknown(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestReportStatusBatchDecides(t *testing.T) {
 func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := b.RegisterHost(h, staticFor(h)); err != nil {
@@ -110,7 +110,7 @@ func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := b.RegisterHost(h, staticFor(h)); err != nil {

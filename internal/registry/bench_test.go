@@ -13,7 +13,7 @@ import (
 // rest busy — the shape a loaded cluster presents to first fit.
 func benchReg(b *testing.B, n int) *Registry {
 	b.Helper()
-	r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("ws%d", i+1)
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {

@@ -20,7 +20,7 @@ import (
 // on Free hosts.
 func TestOneEligibilityRule(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	fleet := []string{"expired", "reserved", "excluded", "misfit", "busy", "free1", "free2"}
 	for _, h := range fleet {
 		st := staticFor(h)

@@ -15,7 +15,7 @@ import (
 func gangReg(t *testing.T, n int) (*Registry, *vclock.Manual) {
 	t.Helper()
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	for i := 1; i <= n; i++ {
 		host := fmt.Sprintf("g%d", i)
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {

@@ -14,7 +14,7 @@ import (
 // and re-registrations (a re-registered host joins at the back).
 func TestHostsDeterministicOrder(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	for i := 1; i <= 5; i++ {
 		h := fmt.Sprintf("ws%d", i)
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -48,7 +48,7 @@ func TestHostsDeterministicOrder(t *testing.T) {
 // Processes() returns PID order regardless of registration order.
 func TestProcessesDeterministicOrder(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock})
+	r := NewRegistry(WithClock(clock))
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,12 @@ func TestTraceEventsReachUnifiedSink(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	ring := &events.Ring{}
 	sink := &fakeSink{}
-	r := newFromConfig(Config{
-		Clock: clock, Commands: sink, Warmup: 2, Events: ring,
-	})
+	r := NewRegistry(
+		WithClock(clock),
+		WithCommands(sink),
+		WithWarmup(2),
+		WithEvents(ring),
+	)
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)

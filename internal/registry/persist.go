@@ -14,9 +14,9 @@ import (
 	"autoresched/internal/schema"
 )
 
-// Durable control plane: when Config.Store is set, every protocol-state
+// Durable control plane: when WithStore is set, every protocol-state
 // mutation — host register/unregister, status refresh, process lifecycle,
-// domain attach, gang reservation and resolution — appends one typed change
+// gang reservation and resolution — appends one typed change
 // record to the write-ahead store before the in-memory state moves, and
 // Restart becomes crash-consistent bootstrap: load the latest snapshot,
 // replay the log suffix, resume with zero monitor re-registrations. The
@@ -39,7 +39,6 @@ const (
 	recKindHostUnregister = "host-unregister"
 	recKindProcRegister   = "proc-register"
 	recKindProcExit       = "proc-exit"
-	recKindDomainHealth   = "domain-health"
 	recKindGangReserve    = "gang-reserve"
 	recKindGangResolve    = "gang-resolve"
 )
@@ -70,12 +69,6 @@ type recProcExit struct {
 	PID  int    `json:"pid"`
 }
 
-type recDomainHealth struct {
-	Name   string    `json:"name"`
-	Health Health    `json:"health"`
-	At     time.Time `json:"at"`
-}
-
 type recGangReserve struct {
 	ID    uint64   `json:"id"`
 	Hosts []string `json:"hosts"`
@@ -88,15 +81,13 @@ type recGangResolve struct {
 
 // persistedState is the snapshot document: the registry's whole protocol
 // state, encoded deterministically (hosts in registration order, processes
-// sorted by host then pid, domains in attach order, pending gangs by id).
+// sorted by host then pid, pending gangs by id).
 type persistedState struct {
-	RegSeq  int               `json:"regSeq"`
-	DomSeq  int               `json:"domSeq"`
-	GangSeq uint64            `json:"gangSeq"`
-	Hosts   []persistedHost   `json:"hosts,omitempty"`
-	Procs   []persistedProc   `json:"procs,omitempty"`
-	Domains []persistedDomain `json:"domains,omitempty"`
-	Gangs   []persistedGang   `json:"gangs,omitempty"`
+	RegSeq  int             `json:"regSeq"`
+	GangSeq uint64          `json:"gangSeq"`
+	Hosts   []persistedHost `json:"hosts,omitempty"`
+	Procs   []persistedProc `json:"procs,omitempty"`
+	Gangs   []persistedGang `json:"gangs,omitempty"`
 }
 
 type persistedHost struct {
@@ -116,13 +107,6 @@ type persistedProc struct {
 	SchemaXML string    `json:"schemaXML,omitempty"`
 }
 
-type persistedDomain struct {
-	Name     string    `json:"name"`
-	Health   Health    `json:"health"`
-	LastSeen time.Time `json:"lastSeen"`
-	RegOrder int       `json:"regOrder"`
-}
-
 type persistedGang struct {
 	ID    uint64   `json:"id"`
 	Hosts []string `json:"hosts"`
@@ -140,7 +124,7 @@ func (r *Registry) appendLocked(kind string, v any) error {
 	// right now reflects exactly the records up to lastApplied, so that is
 	// the position the snapshot may safely cover (the record being
 	// appended has not been applied yet).
-	if r.cfg.SnapshotEvery > 0 && r.lastApplied-r.lastSnap >= uint64(r.cfg.SnapshotEvery) {
+	if r.cfg.snapshotEvery > 0 && r.lastApplied-r.lastSnap >= uint64(r.cfg.snapshotEvery) {
 		r.snapshotLocked(r.lastApplied)
 	}
 	data, err := json.Marshal(v)
@@ -176,7 +160,7 @@ func (r *Registry) snapshotLocked(seq uint64) {
 // protocol state encode byte-identical documents — which is what makes
 // StateDigest a meaningful recovery check.
 func (r *Registry) encodeStateLocked() ([]byte, error) {
-	st := persistedState{RegSeq: r.regSeq, DomSeq: r.domSeq, GangSeq: r.gangSeq}
+	st := persistedState{RegSeq: r.regSeq, GangSeq: r.gangSeq}
 	for _, e := range r.order {
 		st.Hosts = append(st.Hosts, persistedHost{
 			Name:     e.info.Name,
@@ -205,14 +189,6 @@ func (r *Registry) encodeStateLocked() ([]byte, error) {
 			Name:      p.Name,
 			Start:     p.Start,
 			SchemaXML: p.schemaXML,
-		})
-	}
-	for _, d := range r.domainOrder {
-		st.Domains = append(st.Domains, persistedDomain{
-			Name:     d.name,
-			Health:   d.health,
-			LastSeen: d.lastSeen,
-			RegOrder: d.regOrder,
 		})
 	}
 	ids := make([]uint64, 0, len(r.gangs))
@@ -258,12 +234,8 @@ func (r *Registry) resetStateLocked() {
 	r.hostProcs = make(map[string]map[int]*ProcInfo)
 	r.reserved = make(map[string]*GangReservation)
 	r.gangs = make(map[uint64][]string)
-	r.domains = make(map[string]*domainEntry)
-	r.domainOrder = nil
-	r.domSeq = 0
 	r.regSeq = 0
 	r.gangSeq = 0
-	r.healthPushed = false
 }
 
 // bootstrapLocked rebuilds the protocol state from the store: snapshot,
@@ -343,7 +315,6 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 	}
 	r.resetStateLocked()
 	r.regSeq = st.RegSeq
-	r.domSeq = st.DomSeq
 	r.gangSeq = st.GangSeq
 	for _, h := range st.Hosts {
 		e := &hostEntry{regOrder: h.RegOrder}
@@ -368,14 +339,6 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 		}
 		r.hostProcs[sp.Host][sp.PID] = p
 	}
-	for _, pd := range st.Domains {
-		// The child pointer is runtime state, not protocol state: it is
-		// restored nil and rebound by the child's next health report
-		// (placeDomains skips nil children until then).
-		d := &domainEntry{name: pd.Name, health: pd.Health, lastSeen: pd.LastSeen, regOrder: pd.RegOrder}
-		r.domains[pd.Name] = d
-		r.domainOrder = append(r.domainOrder, d)
-	}
 	for _, g := range st.Gangs {
 		r.gangs[g.ID] = append([]string(nil), g.Hosts...)
 	}
@@ -396,8 +359,6 @@ func newPayload(kind string) any {
 		return new(recProcRegister)
 	case recKindProcExit:
 		return new(recProcExit)
-	case recKindDomainHealth:
-		return new(recDomainHealth)
 	case recKindGangReserve:
 		return new(recGangReserve)
 	case recKindGangResolve:
@@ -411,7 +372,7 @@ func newPayload(kind string) any {
 // (appendLocked: nothing without a store, nothing while replaying), and only
 // then mutates. The public mutation methods call it with a payload they just
 // built and add their runtime-only effects (gauges, reservation marks, the
-// child pointer, the scheduling decision); bootstrap and the standby call it
+// scheduling decision); bootstrap and the standby call it
 // with a payload decoded from the log. A withdrawal of something already gone
 // is a no-op and is not journalled. The caller holds r.mu.
 func (r *Registry) applyLocked(payload any) error {
@@ -501,19 +462,6 @@ func (r *Registry) applyLocked(payload any) error {
 		}
 		delete(r.procs, procKey{p.Host, p.PID})
 		delete(r.hostProcs[p.Host], p.PID)
-	case *recDomainHealth:
-		if err := r.appendLocked(recKindDomainHealth, p); err != nil {
-			return err
-		}
-		d, ok := r.domains[p.Name]
-		if !ok {
-			r.domSeq++
-			d = &domainEntry{name: p.Name, regOrder: r.domSeq}
-			r.domains[p.Name] = d
-			r.domainOrder = append(r.domainOrder, d)
-		}
-		d.health = p.Health
-		d.lastSeen = p.At
 	case *recGangReserve:
 		if err := r.appendLocked(recKindGangReserve, p); err != nil {
 			return err

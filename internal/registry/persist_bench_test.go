@@ -19,7 +19,7 @@ func BenchmarkReplayBootstrap(b *testing.B) {
 		b.Run(fmt.Sprintf("hosts%d", n), func(b *testing.B) {
 			store := persist.NewMemStore()
 			clock := vclock.NewManual(vclock.Epoch)
-			r := newFromConfig(Config{Clock: clock, Store: store, SnapshotEvery: n})
+			r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(n))
 			for i := 0; i < n; i++ {
 				if err := r.RegisterHost(fmt.Sprintf("ws%05d", i), proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 					b.Fatal(err)

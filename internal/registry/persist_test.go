@@ -23,7 +23,7 @@ func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Manua
 	t.Helper()
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Store: store})
+	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithStore(store))
 	return r, clock, mreg
 }
 
@@ -74,7 +74,7 @@ func TestRestartRecoveryPublishesTypedEvent(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	var got []RestartEvent
 	sink := events.On(func(ev RestartEvent) { got = append(got, ev) })
-	r := newFromConfig(Config{Clock: clock, Store: store, Events: sink})
+	r := NewRegistry(WithClock(clock), WithStore(store), WithEvents(sink))
 	if err := r.RegisterHost("ws1", proto.StaticInfo{}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRestartRecoveryPublishesTypedEvent(t *testing.T) {
 
 	// Storeless restarts publish the payload too, with Recovered=false.
 	got = nil
-	r2 := newFromConfig(Config{Clock: clock, Events: sink})
+	r2 := NewRegistry(WithClock(clock), WithEvents(sink))
 	if err := r2.RegisterHost("ws1", proto.StaticInfo{}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,11 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 	store := persist.NewMemStore()
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	r := newFromConfig(Config{Clock: clock, Metrics: mreg, Store: store, SnapshotEvery: 10})
+	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithStore(store), WithSnapshotEvery(10))
 	sb, err := NewStandby(store, WithClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := newFromConfig(Config{Clock: clock})
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -190,8 +189,6 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 			must(r.ProcessExit("ws1", 11))
 			must(r.ProcessExit("ws1", 11)) // already gone: no record
 		}},
-		{"new domain", false, func() { r.ReportDomainHealth("east", child, Health{Hosts: 2, Free: 1}) }},
-		{"known domain", false, func() { r.ReportDomainHealth("east", child, Health{Hosts: 2, Busy: 2}) }},
 		{"reserve", true, func() { reserve("ws3", "ws4") }},
 		{"unregister host holding a process and a reservation", true, func() { must(r.UnregisterHost("ws3")) }},
 		{"commit of the poisoned reservation aborts", false, func() {
@@ -230,7 +227,7 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 			t.Fatalf("%s: standby digest = %s, live %s", step.name, got, live)
 		}
 		if !step.pending {
-			if got := newFromConfig(Config{Clock: clock, Store: store}).StateDigest(); got != live {
+			if got := NewRegistry(WithClock(clock), WithStore(store)).StateDigest(); got != live {
 				t.Fatalf("%s: bootstrap digest = %s, live %s", step.name, got, live)
 			}
 			continue
@@ -238,7 +235,7 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 		// A bootstrap presumes the pending reservation aborted and journals
 		// that, so it runs on a copy of the records — and must reach the
 		// state a standby promoted over the same records reaches.
-		boot := newFromConfig(Config{Clock: clock, Store: copyStore(t, store)})
+		boot := NewRegistry(WithClock(clock), WithStore(copyStore(t, store)))
 		follower, err := NewStandby(copyStore(t, store), WithClock(clock))
 		must(err)
 		promoted, err := follower.Promote()
@@ -309,12 +306,12 @@ func TestEveryRecordKindHasOneApply(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: no payload type", kind)
 		}
-		r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+		r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
 		if err := r.applyLocked(p); err != nil && strings.Contains(err.Error(), "no apply") {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
-	r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
 	if err := r.applyLocked(&struct{}{}); err == nil || !strings.Contains(err.Error(), "no apply") {
 		t.Fatalf("apply of an undeclared payload = %v", err)
 	}
@@ -333,7 +330,7 @@ func TestEveryRecordKindHasOneApply(t *testing.T) {
 func TestReplayBitIdentical4096Hosts(t *testing.T) {
 	store := persist.NewMemStore()
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock, Store: store, SnapshotEvery: 3000})
+	r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(3000))
 	const n = 4096
 	for i := 0; i < n; i++ {
 		if err := r.RegisterHost(fmt.Sprintf("ws%04d", i), proto.StaticInfo{CPUSpeed: float64(1 + i%7)}); err != nil {

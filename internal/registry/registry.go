@@ -9,10 +9,10 @@
 // # Concurrency contract
 //
 // A Registry is safe for concurrent use. Read methods (Hosts, Processes,
-// Health, StateOf, Stats, Domains) return deep-enough copies that the
-// caller may use without synchronisation. Ordering is deterministic:
-// Hosts returns hosts in registration order, Processes returns processes in
-// PID order, Domains returns domains in attach order. Concurrent writers
+// Health, StateOf, Stats) return deep-enough copies that the caller may use
+// without synchronisation. Ordering is deterministic: Hosts returns hosts in
+// registration order, Processes returns processes in PID order. Concurrent
+// writers
 // interleave at method granularity — a snapshot reflects some serialisation
 // of the completed calls, never a torn record.
 package registry
@@ -39,67 +39,59 @@ type CommandSink interface {
 	Migrate(host string, order proto.MigrateOrder) error
 }
 
-// Config configures a registry/scheduler.
-type Config struct {
-	// Name identifies this registry in protocol traffic.
-	Name string
-	// Clock drives lease expiry; nil selects the real clock.
-	Clock vclock.Clock
-	// Lease is how long a host stays alive without a refresh; zero selects
+// config is what the Options write into: one field per setting, each
+// described (with its default) here.
+type config struct {
+	// name identifies this registry in protocol traffic.
+	name string
+	// clock drives lease expiry; nil selects the real clock.
+	clock vclock.Clock
+	// lease is how long a host stays alive without a refresh; zero selects
 	// 35 seconds (a few missed 10-second refreshes).
-	Lease time.Duration
-	// Policy decides when to migrate and which destinations qualify. Nil
-	// selects the pure state-based policy: migrate off overloaded hosts,
-	// onto free hosts (Table 1 semantics).
-	Policy *rules.MigrationPolicy
-	// Commands receives migrate orders; nil leaves the registry passive
+	lease time.Duration
+	// policy decides when to migrate and which destinations qualify; its
+	// pl_scheduler names the Scheduler ranking every placement (first fit
+	// when empty or unknown). Nil selects the pure state-based policy:
+	// migrate off overloaded hosts, onto free hosts (Table 1 semantics),
+	// placed by first fit.
+	policy *rules.MigrationPolicy
+	// commands receives migrate orders; nil leaves the registry passive
 	// (candidates are still served on request).
-	Commands CommandSink
-	// Scheduler ranks the eligible hosts of every placement, a migration's
-	// destination and a gang's hosts alike. Nil selects FirstFitScheduler
-	// (the paper's placement). A non-nil Scheduler takes precedence over
-	// Policy.Scheduler.
-	Scheduler Scheduler
-	// Parent is the upper-level registry consulted when no local host
+	commands CommandSink
+	// parent is the upper-level registry consulted when no local host
 	// fits (the hierarchical arrangement of Section 3.2).
-	Parent *Registry
-	// Domain names this registry's control domain under Parent. When set,
-	// the registry reports its Health upward on a lease (piggybacked on
-	// status refreshes, at most once per healthReportEvery), and the parent
-	// delegates placements across its live domains before consulting its
-	// own parent.
-	Domain string
-	// Warmup is how many consecutive qualifying reports a host must send
+	parent *Registry
+	// warmup is how many consecutive qualifying reports a host must send
 	// before the scheduler acts — the configurable damping that gave the
 	// paper its 72-second reaction and avoided "fault migration caused by
 	// small system performance variations". Zero selects 3.
-	Warmup int
-	// Cooldown is the minimum gap between migrate orders concerning the
+	warmup int
+	// cooldown is the minimum gap between migrate orders concerning the
 	// same source host; zero selects 60 seconds.
-	Cooldown time.Duration
-	// Events, if set, receives every scheduling-decision event as it
+	cooldown time.Duration
+	// events, if set, receives every scheduling-decision event as it
 	// happens on the unified runtime sink (Source "registry", Kind one of
 	// the EventKind values; restarts and promotions carry a RestartEvent
 	// payload). Buffer with an events.Ring to keep a trace.
-	Events events.Sink
-	// Store, when set, makes the protocol state durable: every mutation
+	events events.Sink
+	// store, when set, makes the protocol state durable: every mutation
 	// appends a typed change record to this write-ahead store, and Restart
 	// becomes crash-consistent bootstrap (snapshot + log suffix replay,
 	// zero monitor re-registrations) instead of a soft-state drop. See
 	// internal/persist for the backends and the epoch-fencing contract.
-	Store persist.Store
-	// SnapshotEvery, with Store set, folds the state into a compacting
+	store persist.Store
+	// snapshotEvery, with store set, folds the state into a compacting
 	// store snapshot every N appended records; zero disables periodic
 	// snapshots (the log then grows until someone snapshots explicitly).
-	SnapshotEvery int
-	// Metrics, when set, receives the registry's gauges and latency
+	snapshotEvery int
+	// metrics, when set, receives the registry's gauges and latency
 	// histograms (registry/hosts, registry/decide_seconds) and its
 	// registry/* and persist/* counters, which are created at construction
 	// so a scrape serves them at zero. Nil disables.
-	Metrics *metrics.Registry
+	metrics *metrics.Registry
 }
 
-// Metric names the registry exports when Config.Metrics is set. The hosts
+// Metric names the registry exports when WithMetrics is set. The hosts
 // gauge tracks registrations; decide_seconds is the wall-clock cost of one
 // scheduling decision (an approximate metric — it never feeds the
 // deterministic experiment sections).
@@ -108,31 +100,29 @@ const (
 	MetricDecideSeconds = "registry/decide_seconds"
 )
 
-// Counter names the registry increments on Config.Metrics.
+// Counter names the registry increments on WithMetrics.
 const (
 	CtrRestarts          = "registry/restarts"
 	CtrRecoveries        = "registry/recoveries"
 	CtrStandbyPromotions = "registry/standby_promotions"
-	CtrHealthReports     = "registry/health_reports"
 	CtrPersistAppends    = "persist/appends"
 	CtrPersistSnapshots  = "persist/snapshots"
 )
 
 // counters are the registry's counters, resolved once at construction so
 // counting under r.mu (every durable mutation appends) is a nil check plus
-// an atomic add. All nil without Config.Metrics.
+// an atomic add. All nil without WithMetrics.
 type counters struct {
-	restarts, recoveries, promotions, healthReports, appends, snapshots *metrics.Counter
+	restarts, recoveries, promotions, appends, snapshots *metrics.Counter
 }
 
 func newCounters(m *metrics.Registry) counters {
 	return counters{
-		restarts:      m.Counter(CtrRestarts),
-		recoveries:    m.Counter(CtrRecoveries),
-		promotions:    m.Counter(CtrStandbyPromotions),
-		healthReports: m.Counter(CtrHealthReports),
-		appends:       m.Counter(CtrPersistAppends),
-		snapshots:     m.Counter(CtrPersistSnapshots),
+		restarts:   m.Counter(CtrRestarts),
+		recoveries: m.Counter(CtrRecoveries),
+		promotions: m.Counter(CtrStandbyPromotions),
+		appends:    m.Counter(CtrPersistAppends),
+		snapshots:  m.Counter(CtrPersistSnapshots),
 	}
 }
 
@@ -172,7 +162,7 @@ type procKey struct {
 
 // Registry is a registry/scheduler instance.
 type Registry struct {
-	cfg    Config
+	cfg    config
 	clock  vclock.Clock
 	probes *sysinfo.Probes
 	sched  Scheduler
@@ -197,16 +187,6 @@ type Registry struct {
 	decided  int // migrate orders issued
 	declined int // decision cycles that found no destination
 
-	// Parent-side sharding state: child domains by name and in attach
-	// order, refreshed by health reports on a lease.
-	domains     map[string]*domainEntry
-	domainOrder []*domainEntry
-	domSeq      int
-
-	// Child-side bookkeeping for the upward health push.
-	lastHealthPush time.Time
-	healthPushed   bool
-
 	// Durable control plane (nil store = classic soft state). gangs is the
 	// durable view of unresolved reservations by id — what presumed abort
 	// resolves at bootstrap; storeEpoch is the fencing token every append
@@ -219,67 +199,6 @@ type Registry struct {
 	lastSnap    uint64
 	gangSeq     uint64
 	gangs       map[uint64][]string
-}
-
-// newFromConfig creates a registry/scheduler from an assembled Config,
-// applying defaults.
-func newFromConfig(cfg Config) *Registry {
-	if cfg.Name == "" {
-		cfg.Name = "registry"
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real()
-	}
-	if cfg.Lease <= 0 {
-		cfg.Lease = 35 * time.Second
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 60 * time.Second
-	}
-	sched := cfg.Scheduler
-	if sched == nil && cfg.Policy != nil && cfg.Policy.Scheduler != "" {
-		if s, err := SchedulerByName(cfg.Policy.Scheduler); err == nil {
-			sched = s
-		}
-	}
-	if sched == nil {
-		sched = FirstFitScheduler{}
-	}
-	r := &Registry{
-		cfg:       cfg,
-		clock:     cfg.Clock,
-		probes:    sysinfo.StandardProbes(),
-		sched:     sched,
-		ctr:       newCounters(cfg.Metrics),
-		hosts:     make(map[string]*hostEntry),
-		sets:      newStateSets(),
-		procs:     make(map[procKey]*ProcInfo),
-		hostProcs: make(map[string]map[int]*ProcInfo),
-		reserved:  make(map[string]*GangReservation),
-		gangs:     make(map[uint64][]string),
-		domains:   make(map[string]*domainEntry),
-	}
-	if cfg.Store != nil {
-		// Warm start: rebuild the protocol state left by the previous
-		// incarnation before announcing anything to a parent. A corrupt
-		// store falls back to an empty registry — the classic soft-state
-		// recovery — rather than refusing to start.
-		r.store = cfg.Store
-		r.storeEpoch = cfg.Store.Epoch()
-		if err := r.bootstrapLocked(); err != nil {
-			r.resetStateLocked()
-			r.trace(EventRestart, "", 0, "", "bootstrap failed, starting empty: "+err.Error())
-		}
-	}
-	if cfg.Parent != nil && cfg.Domain != "" {
-		// Announce the domain immediately so the parent can delegate to
-		// it; subsequent health reports keep the lease fresh.
-		cfg.Parent.ReportDomainHealth(cfg.Domain, r, r.Health())
-	}
-	return r
 }
 
 func newStateSets() map[rules.State][]*hostEntry {
@@ -330,7 +249,7 @@ func (r *Registry) RegisterHost(host string, static proto.StaticInfo) error {
 	if err := r.applyLocked(&recHostRegister{Host: host, Static: static, At: r.clock.Now()}); err != nil {
 		return err
 	}
-	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
+	r.cfg.metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
 	return nil
 }
 
@@ -339,31 +258,25 @@ func (r *Registry) RegisterHost(host string, static proto.StaticInfo) error {
 // runs the scheduling decision.
 func (r *Registry) ReportStatus(host string, status proto.Status) error {
 	r.mu.Lock()
-	if err := r.applyLocked(&recHostStatus{Host: host, Status: status, At: r.clock.Now()}); err != nil {
-		r.mu.Unlock()
+	err := r.applyLocked(&recHostStatus{Host: host, Status: status, At: r.clock.Now()})
+	r.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	push, health := r.healthDueLocked()
-	r.mu.Unlock()
-
-	if push {
-		r.cfg.Parent.ReportDomainHealth(r.cfg.Domain, r, health)
-	}
-	if r.cfg.Commands != nil {
+	if r.cfg.commands != nil {
 		r.decide(host)
 	}
 	return nil
 }
 
-// Restart simulates a registry crash and restart. Without a Store, all
+// Restart simulates a registry crash and restart. Without a store, all
 // soft state — host registrations, process registrations, warmup and
-// cooldown bookkeeping, child-domain leases — is dropped, exactly as a
-// freshly started registry would have none of it. The protocol's
-// soft-state design makes this survivable: monitors re-register when their
-// next refresh is rejected, the runtime resyncs its processes, and child
-// registries re-announce their domain on the next health push.
+// cooldown bookkeeping — is dropped, exactly as a freshly started registry
+// would have none of it. The protocol's soft-state design makes this
+// survivable: monitors re-register when their next refresh is rejected and
+// the runtime resyncs its processes.
 //
-// With a Store, Restart is instead the crash-consistent bootstrap: the
+// With a store, Restart is instead the crash-consistent bootstrap: the
 // protocol state is rebuilt from the latest snapshot plus the log suffix —
 // no re-registration storm, zero monitor re-registrations — and pending
 // gang reservations are presumed aborted (their pre-crash handles stay
@@ -396,7 +309,6 @@ func (r *Registry) Restart() {
 		Seq:       r.lastApplied,
 		Hosts:     hosts,
 		Procs:     len(r.procs),
-		Domains:   len(r.domains),
 	}
 	r.mu.Unlock()
 	r.ctr.restarts.Inc()
@@ -405,7 +317,7 @@ func (r *Registry) Restart() {
 		r.ctr.recoveries.Inc()
 		note = fmt.Sprintf("recovered from store: %d hosts, %d procs at seq %d", ev.Hosts, ev.Procs, ev.Seq)
 	}
-	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
+	r.cfg.metrics.Gauge(MetricHosts).Set(float64(hosts))
 	r.traceWith(ev, EventRestart, "", 0, "", note)
 }
 
@@ -423,13 +335,13 @@ func (r *Registry) UnregisterHost(host string) error {
 		g.lost = append(g.lost, host)
 		delete(r.reserved, host)
 	}
-	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
+	r.cfg.metrics.Gauge(MetricHosts).Set(float64(len(r.hosts)))
 	return nil
 }
 
 // alive reports whether a host's lease is fresh.
 func (r *Registry) aliveLocked(e *hostEntry, now time.Time) bool {
-	return now.Sub(e.info.LastSeen) <= r.cfg.Lease
+	return now.Sub(e.info.LastSeen) <= r.cfg.lease
 }
 
 // Hosts returns a copy of every known host, in registration order; hosts
@@ -510,9 +422,8 @@ func (r *Registry) Stats() (ordered, declined int) {
 }
 
 // Health summarises a registry's control domain — the "health condition"
-// a lower-level registry/scheduler reports upward in the hierarchical
-// arrangement (Section 3.2): how many hosts it knows in each state and how
-// much capacity is free.
+// of Section 3.2: how many hosts it knows in each state and how many
+// processes it tracks.
 type Health struct {
 	Hosts       int
 	Free        int
@@ -520,22 +431,12 @@ type Health struct {
 	Overloaded  int
 	Unavailable int
 	Processes   int
-	// FreeCPUSpeed sums the CPU capacity of the free hosts, the domain's
-	// headroom for incoming migrations.
-	FreeCPUSpeed float64
 }
-
-// AcceptsMigrations reports whether the domain has any capacity to offer.
-func (h Health) AcceptsMigrations() bool { return h.Free > 0 }
 
 // Health computes the domain summary.
 func (r *Registry) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.healthLocked()
-}
-
-func (r *Registry) healthLocked() Health {
 	now := r.clock.Now()
 	h := Health{Processes: len(r.procs)}
 	for _, e := range r.order {
@@ -547,7 +448,6 @@ func (r *Registry) healthLocked() Health {
 		switch e.info.State {
 		case rules.Free:
 			h.Free++
-			h.FreeCPUSpeed += e.info.Static.CPUSpeed
 		case rules.Busy:
 			h.Busy++
 		case rules.Overloaded:

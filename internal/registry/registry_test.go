@@ -65,14 +65,14 @@ func testTreeXML(t *testing.T) string {
 
 func newReg(t *testing.T, clock vclock.Clock, sink CommandSink, policy *rules.MigrationPolicy) *Registry {
 	t.Helper()
-	return newFromConfig(Config{
-		Clock:    clock,
-		Policy:   policy,
-		Commands: sink,
-		Warmup:   2,
-		Cooldown: 60 * time.Second,
-		Lease:    35 * time.Second,
-	})
+	return NewRegistry(
+		WithClock(clock),
+		WithPolicy(policy),
+		WithCommands(sink),
+		WithWarmup(2),
+		WithCooldown(60*time.Second),
+		WithLease(35*time.Second),
+	)
 }
 
 func TestRegisterAndLeaseExpiry(t *testing.T) {
@@ -349,10 +349,13 @@ func TestDecisionDeclinedWithoutDestination(t *testing.T) {
 func TestPolicyDrivenDecision(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{}
-	r := newFromConfig(Config{
-		Clock: clock, Policy: rules.Policy3(), Commands: sink,
-		Warmup: 1, Cooldown: time.Minute,
-	})
+	r := NewRegistry(
+		WithClock(clock),
+		WithPolicy(rules.Policy3()),
+		WithCommands(sink),
+		WithWarmup(1),
+		WithCooldown(time.Minute),
+	)
 	for _, h := range []string{"ws1", "ws2", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -377,37 +380,6 @@ func TestPolicyDrivenDecision(t *testing.T) {
 	}
 	if got := sink.orders[0].Order; got.DestHost != "ws4" || got.Policy != "policy3" {
 		t.Fatalf("order = %+v", got)
-	}
-}
-
-func TestHierarchicalDelegation(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
-	parent := newFromConfig(Config{Clock: clock})
-	if err := parent.RegisterHost("remote1", staticFor("remote1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := parent.ReportStatus("remote1", status("free", 0.1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	child := newFromConfig(Config{Clock: clock, Parent: parent})
-	if err := child.RegisterHost("ws1", staticFor("ws1")); err != nil {
-		t.Fatal(err)
-	}
-	// No free host in the child's domain: delegate upward.
-	cand, ok := child.FirstFit("ws1", ProcInfo{})
-	if !ok || cand.Host != "remote1" {
-		t.Fatalf("candidate = %+v, want remote1 via parent", cand)
-	}
-	// A local free host is preferred over the parent's.
-	if err := child.RegisterHost("ws2", staticFor("ws2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := child.ReportStatus("ws2", status("free", 0.1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	cand, ok = child.FirstFit("ws1", ProcInfo{})
-	if !ok || cand.Host != "ws2" {
-		t.Fatalf("candidate = %+v, want local ws2", cand)
 	}
 }
 

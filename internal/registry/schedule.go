@@ -13,23 +13,23 @@ import (
 // under a threshold policy the policy's trigger and source preconditions
 // hold.
 func (r *Registry) shouldOffload(host string, e *hostEntry) (bool, error) {
-	if r.cfg.Policy == nil {
+	if r.cfg.policy == nil {
 		return e.info.State.WantsOffload(), nil
 	}
-	if !r.cfg.Policy.Migrate {
+	if !r.cfg.policy.Migrate {
 		return false, nil
 	}
-	return r.cfg.Policy.ShouldMigrate(r.probes, e.info.Status.Snapshot(host))
+	return r.cfg.policy.ShouldMigrate(r.probes, e.info.Status.Snapshot(host))
 }
 
 // acceptsLocked decides whether a host is willing to receive a migration:
 // state Free under the default policy, the policy's destination conditions
 // otherwise.
 func (r *Registry) acceptsLocked(e *hostEntry) bool {
-	if r.cfg.Policy == nil {
+	if r.cfg.policy == nil {
 		return e.info.State.AcceptsMigration()
 	}
-	ok, err := r.cfg.Policy.DestinationOK(r.probes, e.info.Status.Snapshot(e.info.Name))
+	ok, err := r.cfg.policy.DestinationOK(r.probes, e.info.Status.Snapshot(e.info.Name))
 	return ok && err == nil
 }
 
@@ -63,24 +63,14 @@ func (r *Registry) candidatesLocked(scan []*hostEntry, proc ProcInfo, keep func(
 // FirstFit finds a destination for proc, excluding the source host. Despite
 // the historical name it runs the configured Scheduler: the local domain is
 // searched first (migration destinations are preferred inside one's own
-// control domain, Section 3.2), then this registry's live child domains,
-// then the parent registry.
+// control domain, Section 3.2), then the parent registry, which delegates
+// upward in turn.
 func (r *Registry) FirstFit(exclude string, proc ProcInfo) (proto.Candidate, bool) {
-	return r.placeFrom("", exclude, proc)
-}
-
-// placeFrom is the delegation walk. fromDomain names the child domain the
-// request escalated out of, so the parent does not hand the placement
-// straight back to the domain that already failed it.
-func (r *Registry) placeFrom(fromDomain, exclude string, proc ProcInfo) (proto.Candidate, bool) {
 	if cand, ok := r.placeLocal(exclude, proc); ok {
 		return cand, true
 	}
-	if cand, ok := r.placeDomains(fromDomain, exclude, proc); ok {
-		return cand, true
-	}
-	if r.cfg.Parent != nil {
-		return r.cfg.Parent.placeFrom(r.cfg.Domain, exclude, proc)
+	if r.cfg.parent != nil {
+		return r.cfg.parent.FirstFit(exclude, proc)
 	}
 	return proto.Candidate{OK: false, Reason: "no host fits"}, false
 }
@@ -93,7 +83,7 @@ func (r *Registry) placeLocal(exclude string, proc ProcInfo) (proto.Candidate, b
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	scan := r.order
-	if r.cfg.Policy == nil {
+	if r.cfg.policy == nil {
 		scan = r.sets[rules.Free]
 	}
 	picked, ok := r.sched.Place(proc, 1, r.candidatesLocked(scan, proc, func(e *hostEntry) bool {
@@ -120,10 +110,10 @@ func (r *Registry) Candidate(host string) proto.Candidate {
 // warm-up damping, cooldown, process selection, destination choice, and
 // finally the migrate order to the source host's commander.
 func (r *Registry) decide(host string) {
-	if r.cfg.Metrics != nil {
+	if r.cfg.metrics != nil {
 		start := time.Now() //lint:allow determinism decide_seconds measures real scheduler cost, not sim time
 		defer func() {
-			r.cfg.Metrics.Histogram(MetricDecideSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism decide_seconds measures real scheduler cost
+			r.cfg.metrics.Histogram(MetricDecideSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism decide_seconds measures real scheduler cost
 		}()
 	}
 	r.mu.Lock()
@@ -139,14 +129,14 @@ func (r *Registry) decide(host string) {
 		return
 	}
 	e.warmup++
-	if e.warmup < r.cfg.Warmup {
+	if e.warmup < r.cfg.warmup {
 		warm := e.warmup
 		r.mu.Unlock()
-		r.trace(EventWarmup, host, 0, "", fmt.Sprintf("%d/%d reports", warm, r.cfg.Warmup))
+		r.trace(EventWarmup, host, 0, "", fmt.Sprintf("%d/%d reports", warm, r.cfg.warmup))
 		return
 	}
 	now := r.clock.Now()
-	if e.hasCmd && now.Sub(e.lastCmd) < r.cfg.Cooldown {
+	if e.hasCmd && now.Sub(e.lastCmd) < r.cfg.cooldown {
 		r.mu.Unlock()
 		r.trace(EventCooldown, host, 0, "", "")
 		return
@@ -171,10 +161,10 @@ func (r *Registry) decide(host string) {
 		DestHost: cand.Host,
 		DestAddr: cand.Addr,
 	}
-	if r.cfg.Policy != nil {
-		order.Policy = r.cfg.Policy.Name
+	if r.cfg.policy != nil {
+		order.Policy = r.cfg.policy.Name
 	}
-	if err := r.cfg.Commands.Migrate(host, order); err != nil {
+	if err := r.cfg.commands.Migrate(host, order); err != nil {
 		r.trace(EventOrderFailed, host, proc.PID, cand.Host, err.Error())
 		return
 	}
@@ -208,7 +198,7 @@ func (r *Registry) Handler() proto.Handler {
 			cand := r.Candidate(m.From)
 			return &proto.Message{
 				Type:      proto.TypeCandidateResponse,
-				From:      r.cfg.Name,
+				From:      r.cfg.name,
 				Candidate: &cand,
 			}, nil
 		default:

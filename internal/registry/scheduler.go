@@ -37,8 +37,8 @@ type Scheduler interface {
 	Name() string
 	// Place picks n distinct hosts for proc from the candidate stream — a
 	// migration destination is n = 1, a gang its rank count. Returning
-	// false declines the placement (a migration is then delegated to
-	// sibling domains and the parent, if configured; a gang stays queued).
+	// false declines the placement (a migration is then delegated to the
+	// parent registry, if configured; a gang stays queued).
 	Place(proc ProcInfo, n int, candidates CandidateSeq) ([]HostInfo, bool)
 }
 

@@ -7,8 +7,12 @@ import (
 	"autoresched/internal/vclock"
 )
 
+// leastLoaded is a policy whose only setting is its pl_scheduler: every
+// host is an acceptable destination, ranked by least load.
+var leastLoaded = &rules.MigrationPolicy{Scheduler: "leastloaded"}
+
 func TestDefaultSchedulerIsFirstFit(t *testing.T) {
-	r := newFromConfig(Config{Clock: vclock.NewManual(vclock.Epoch)})
+	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
 	if got := r.sched.Name(); got != "firstfit" {
 		t.Fatalf("default scheduler = %q, want firstfit", got)
 	}
@@ -36,10 +40,7 @@ func TestSchedulerByName(t *testing.T) {
 }
 
 func TestPolicyNamesScheduler(t *testing.T) {
-	r := newFromConfig(Config{
-		Clock:  vclock.NewManual(vclock.Epoch),
-		Policy: &rules.MigrationPolicy{Scheduler: "leastloaded"},
-	})
+	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)), WithPolicy(leastLoaded))
 	if got := r.sched.Name(); got != "leastloaded" {
 		t.Fatalf("scheduler via policy = %q, want leastloaded", got)
 	}
@@ -47,7 +48,7 @@ func TestPolicyNamesScheduler(t *testing.T) {
 
 func TestLeastLoadedPicksLightestHost(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock, Scheduler: LeastLoadedScheduler{}})
+	r := NewRegistry(WithClock(clock), WithPolicy(leastLoaded))
 	for host, load := range map[string]float64{"ws1": 0.8, "ws2": 0.2, "ws3": 0.5} {
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {
 			t.Fatal(err)
@@ -63,7 +64,7 @@ func TestLeastLoadedPicksLightestHost(t *testing.T) {
 
 	// First fit on the same cluster takes the earliest registration
 	// regardless of load.
-	ff := newFromConfig(Config{Clock: clock})
+	ff := NewRegistry(WithClock(clock))
 	for _, host := range []string{"ws1", "ws2"} {
 		if err := ff.RegisterHost(host, staticFor(host)); err != nil {
 			t.Fatal(err)
@@ -83,7 +84,7 @@ func TestLeastLoadedPicksLightestHost(t *testing.T) {
 
 func TestLeastLoadedTieBreaksByRegistration(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	r := newFromConfig(Config{Clock: clock, Scheduler: LeastLoadedScheduler{}})
+	r := NewRegistry(WithClock(clock), WithPolicy(leastLoaded))
 	for _, host := range []string{"ws1", "ws2"} {
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {
 			t.Fatal(err)

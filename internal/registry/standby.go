@@ -15,8 +15,8 @@ import (
 // the primary left unresolved are presumed aborted by the promoted
 // registry, and the pair can therefore never admit the same gang twice.
 //
-// The shadow registry is passive while standing by: no Parent, Commands or
-// Events side effect fires from replay (records go through applyLocked, the
+// The shadow registry is passive while standing by: no parent, commands or
+// events side effect fires from replay (records go through applyLocked, the
 // same state move the primary made, without the public methods' runtime
 // effects), and the store is attached — making it the writing primary — only
 // at Promote.
@@ -30,12 +30,9 @@ type Standby struct {
 // (the standby attaches the store itself, at promotion). The initial
 // snapshot+suffix catch-up runs before NewStandby returns.
 func NewStandby(store persist.Store, opts ...Option) (*Standby, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.Store = nil // follower: no appends until promotion
-	s := &Standby{store: store, r: newFromConfig(cfg)}
+	// The last option wins: a follower makes no appends until promotion.
+	follower := append(opts[:len(opts):len(opts)], WithStore(nil))
+	s := &Standby{store: store, r: NewRegistry(follower...)}
 	if _, err := s.Sync(); err != nil {
 		return nil, err
 	}
@@ -85,12 +82,11 @@ func (s *Standby) Promote() (*Registry, error) {
 		Seq:       r.lastApplied,
 		Hosts:     len(r.hosts),
 		Procs:     len(r.procs),
-		Domains:   len(r.domains),
 	}
 	hosts := ev.Hosts
 	r.mu.Unlock()
 	r.ctr.promotions.Inc()
-	r.cfg.Metrics.Gauge(MetricHosts).Set(float64(hosts))
+	r.cfg.metrics.Gauge(MetricHosts).Set(float64(hosts))
 	r.traceWith(ev, EventPromoted, "", 0, "",
 		fmt.Sprintf("standby promoted at epoch %d, seq %d: %d hosts, %d procs", epoch, ev.Seq, ev.Hosts, ev.Procs))
 	return r, nil

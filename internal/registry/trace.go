@@ -48,10 +48,9 @@ type RestartEvent struct {
 	// Seq is the change-log sequence the recovered state corresponds to
 	// (zero without a store).
 	Seq uint64
-	// Hosts, Procs and Domains count the restored protocol state.
-	Hosts   int
-	Procs   int
-	Domains int
+	// Hosts and Procs count the restored protocol state.
+	Hosts int
+	Procs int
 }
 
 // trace publishes one decision event on the unified sink (callers must
@@ -63,10 +62,10 @@ func (r *Registry) trace(kind EventKind, host string, pid int, dest, note string
 // traceWith publishes a decision event carrying a typed payload, which
 // events.On[T] subscribers pick up (callers must not hold r.mu).
 func (r *Registry) traceWith(payload any, kind EventKind, host string, pid int, dest, note string) {
-	if r.cfg.Events == nil {
+	if r.cfg.events == nil {
 		return
 	}
-	r.cfg.Events.Publish(events.Event{
+	r.cfg.events.Publish(events.Event{
 		Time:    r.clock.Now(),
 		Source:  events.SourceRegistry,
 		Kind:    string(kind),

@@ -18,14 +18,17 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	ring := &events.Ring{}
 	var observed []string
 	var mu sync.Mutex
-	r := newFromConfig(Config{
-		Clock: clock, Commands: sink, Warmup: 2, Cooldown: time.Minute,
-		Events: events.Multi(ring, events.SinkFunc(func(e events.Event) {
+	r := NewRegistry(
+		WithClock(clock),
+		WithCommands(sink),
+		WithWarmup(2),
+		WithCooldown(time.Minute),
+		WithEvents(events.Multi(ring, events.SinkFunc(func(e events.Event) {
 			mu.Lock()
 			observed = append(observed, e.Kind)
 			mu.Unlock()
-		})),
-	})
+		}))),
+	)
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -93,7 +96,7 @@ func TestDecisionTraceOrderFailed(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{err: errors.New("commander unreachable")}
 	ring := &events.Ring{}
-	r := newFromConfig(Config{Clock: clock, Commands: sink, Warmup: 1, Cooldown: time.Minute, Events: ring})
+	r := NewRegistry(WithClock(clock), WithCommands(sink), WithWarmup(1), WithCooldown(time.Minute), WithEvents(ring))
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)

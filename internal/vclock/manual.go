@@ -25,7 +25,6 @@ func NewManual(start time.Time) *Manual {
 
 type waiter struct {
 	deadline time.Time
-	period   time.Duration // 0 for a one-shot timer
 	ch       chan time.Time
 	seq      int // tie-break so equal deadlines fire in creation order
 	index    int // heap bookkeeping; -1 once removed
@@ -69,13 +68,12 @@ func (m *Manual) Now() time.Time {
 // Since returns the manual time elapsed since t.
 func (m *Manual) Since(t time.Time) time.Duration { return m.Now().Sub(t) }
 
-func (m *Manual) addWaiter(d time.Duration, period time.Duration) *waiter {
+func (m *Manual) addWaiter(d time.Duration) *waiter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
 	w := &waiter{
 		deadline: m.now.Add(d),
-		period:   period,
 		ch:       make(chan time.Time, 1),
 		seq:      m.seq,
 	}
@@ -100,28 +98,19 @@ func (m *Manual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-m.addWaiter(d, 0).ch
+	<-m.addWaiter(d).ch
 }
 
 // After returns a channel that delivers the manual time once the clock has
 // been advanced d past the current time.
 func (m *Manual) After(d time.Duration) <-chan time.Time {
-	return m.addWaiter(d, 0).ch
+	return m.addWaiter(d).ch
 }
 
 // NewTimer returns a single-shot timer driven by Advance.
 func (m *Manual) NewTimer(d time.Duration) *Timer {
-	w := m.addWaiter(d, 0)
+	w := m.addWaiter(d)
 	return &Timer{C: w.ch, stop: func() bool { return m.removeWaiter(w) }}
-}
-
-// NewTicker returns a repeating ticker driven by Advance.
-func (m *Manual) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	w := m.addWaiter(d, d)
-	return &Ticker{C: w.ch, stop: func() { m.removeWaiter(w) }}
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline is
@@ -137,12 +126,7 @@ func (m *Manual) Advance(d time.Duration) {
 		case w.ch <- m.now:
 		default:
 		}
-		if w.period > 0 {
-			w.deadline = w.deadline.Add(w.period)
-			heap.Fix(&m.waiters, 0)
-		} else {
-			heap.Pop(&m.waiters)
-		}
+		heap.Pop(&m.waiters)
 	}
 	m.now = target
 	m.cond.Broadcast()

@@ -65,52 +65,6 @@ func TestManualTimerFireAndStop(t *testing.T) {
 	}
 }
 
-func TestManualTickerDeliversEachPeriod(t *testing.T) {
-	m := NewManual(Epoch)
-	tk := m.NewTicker(3 * time.Second)
-	defer tk.Stop()
-	for i := 1; i <= 4; i++ {
-		m.Advance(3 * time.Second)
-		select {
-		case at := <-tk.C:
-			if want := Epoch.Add(time.Duration(i) * 3 * time.Second); !at.Equal(want) {
-				t.Fatalf("tick %d at %v, want %v", i, at, want)
-			}
-		default:
-			t.Fatalf("tick %d missing", i)
-		}
-	}
-	tk.Stop()
-	m.Advance(time.Minute)
-	select {
-	case <-tk.C:
-		t.Fatal("tick after Stop")
-	default:
-	}
-}
-
-func TestManualTickerCoalescesWhenSlow(t *testing.T) {
-	m := NewManual(Epoch)
-	tk := m.NewTicker(time.Second)
-	defer tk.Stop()
-	// Advance across many periods without draining: only one tick may be
-	// buffered, as with time.Ticker.
-	m.Advance(10 * time.Second)
-	n := 0
-	for {
-		select {
-		case <-tk.C:
-			n++
-			continue
-		default:
-		}
-		break
-	}
-	if n != 1 {
-		t.Fatalf("buffered ticks = %d, want 1", n)
-	}
-}
-
 func TestManualAdvanceFiresInDeadlineOrder(t *testing.T) {
 	m := NewManual(Epoch)
 	var order []int

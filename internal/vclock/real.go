@@ -17,8 +17,3 @@ func (realClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)
 	return &Timer{C: t.C, stop: t.Stop}
 }
-
-func (realClock) NewTicker(d time.Duration) *Ticker {
-	t := time.NewTicker(d)
-	return &Ticker{C: t.C, stop: t.Stop}
-}

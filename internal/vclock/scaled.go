@@ -59,33 +59,3 @@ func (c *scaledClock) NewTimer(d time.Duration) *Timer {
 	})
 	return &Timer{C: ch, stop: t.Stop}
 }
-
-func (c *scaledClock) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	ch := make(chan time.Time, 1)
-	wt := time.NewTicker(c.wall(d))
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-wt.C:
-				select {
-				case ch <- c.Now():
-				default:
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once bool
-	return &Ticker{C: ch, stop: func() {
-		if !once {
-			once = true
-			wt.Stop()
-			close(done)
-		}
-	}}
-}

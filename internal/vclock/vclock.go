@@ -30,8 +30,6 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) *Timer
-	// NewTicker returns a ticker that fires every d until stopped.
-	NewTicker(d time.Duration) *Ticker
 	// Since returns the virtual time elapsed since t.
 	Since(t time.Time) time.Duration
 }
@@ -47,17 +45,6 @@ type Timer struct {
 // Stop prevents the timer from firing. It reports whether the stop
 // cancelled a pending fire.
 func (t *Timer) Stop() bool { return t.stop() }
-
-// Ticker is a clock-backed repeating timer. C carries the virtual tick
-// times.
-type Ticker struct {
-	C <-chan time.Time
-
-	stop func()
-}
-
-// Stop turns off the ticker. No more ticks will be delivered.
-func (t *Ticker) Stop() { t.stop() }
 
 // Epoch is the conventional start instant of simulated experiments. Its
 // value is arbitrary; a fixed epoch keeps logs and recorded series
