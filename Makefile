@@ -19,11 +19,11 @@ GO ?= go
 # the autonomic runtime, the fault injector, the event sink and everything
 # they lean on.
 RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
-            ./internal/commander ./internal/hpcm ./internal/core \
-            ./internal/faults ./internal/metrics ./internal/simnet \
-            ./internal/events ./internal/livemig ./internal/malleable \
-            ./internal/jobs ./internal/scenario ./internal/persist \
-            ./internal/mpi ./internal/vclock ./internal/workload
+            ./internal/hpcm ./internal/core ./internal/faults \
+            ./internal/metrics ./internal/simnet ./internal/livemig \
+            ./internal/malleable ./internal/jobs ./internal/scenario \
+            ./internal/persist ./internal/mpi ./internal/vclock \
+            ./internal/workload
 
 .PHONY: all build vet fmtcheck lint test race fuzz check ci chaos scale malleable multijob fleet bench e2e loc loc-pkg allows
 
@@ -68,12 +68,13 @@ check: lint build test
 # The full gate: everything `check` and `race` run, a repeated race-enabled
 # run of the network simulation and experiment suites (flushing out
 # order-dependent flakiness in the fair-share solver and the determinism
-# fences), and a single 64-host scale sweep, the malleability and multi-job
+# fences) and of the dispatcher's plan-then-reserve regression, and a single 64-host scale sweep, the malleability and multi-job
 # reports and two small fleets as end-to-end smokes of the control plane.
 ci: check
 	$(GO) test ./internal/analysis/...
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/simnet ./internal/experiments
+	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core
 	$(MAKE) fuzz
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
 	$(GO) run ./cmd/repro -exp malleable -seed 42

@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/persist"
@@ -139,7 +138,7 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 		registry.WithName("registry"),
 		registry.WithPolicy(policy),
 		registry.WithMetrics(mreg),
-		registry.WithEvents(events.SinkFunc(func(e events.Event) {
+		registry.WithEvents(metrics.SinkFunc(func(e metrics.Event) {
 			log.Printf("decision: %s", e)
 		})),
 	}

@@ -2,9 +2,10 @@
 // internal/analysis) over the module: determinism (no wall clocks or
 // unseeded math/rand in sim paths), nil-receiver guards on metrics
 // methods, discarded control-plane errors, blocking calls under mutexes,
-// and dead Options fields — plus the interprocedural call-graph passes:
-// allocation-free //hot:path functions, a cycle-free global lock-order
-// graph, and exhaustive event/phase/payload switches.
+// dead Options fields, and imports against the layer table — plus the
+// interprocedural call-graph passes: allocation-free //hot:path functions,
+// a cycle-free global lock-order graph, and exhaustive event/phase/payload
+// switches.
 //
 // Usage:
 //

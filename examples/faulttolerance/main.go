@@ -14,7 +14,6 @@ import (
 	"log"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/simnode"
@@ -24,7 +23,7 @@ import (
 
 func main() {
 	clock := vclock.Scaled(vclock.Epoch, 300)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	hosts, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"log"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/core"
 	"autoresched/internal/registry"
 	"autoresched/internal/simnode"
@@ -27,7 +26,7 @@ func main() {
 	clock := vclock.Scaled(vclock.Epoch, 200)
 
 	// One shared interconnect carrying both domains (a campus network).
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	domainA, err := cl.AddHosts("a", 2, simnode.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"log"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/simnode"
@@ -26,7 +25,7 @@ func main() {
 	clock := vclock.Scaled(vclock.Epoch, 200)
 
 	// A cluster of two identical workstations on 100 Mbps Ethernet.
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	hosts, err := cl.AddHosts("ws", 2, simnode.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)

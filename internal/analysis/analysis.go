@@ -65,7 +65,7 @@ type Config struct {
 	// included.
 	EnumPackages []string `json:"enum_packages"`
 	// EventPayloadTypes are the concrete types carried in
-	// events.Event.Payload; a type switch over an empty interface that
+	// metrics.Event.Payload; a type switch over an empty interface that
 	// handles any of them must handle all of them or default.
 	EventPayloadTypes []string `json:"event_payload_types"`
 	// DisabledChecks turns checks off by name.
@@ -83,11 +83,10 @@ func DefaultConfig() Config {
 			"examples/...",      // examples demonstrate real-clock deployments
 		},
 		NilGuardPackages:      []string{"internal/metrics"},
-		ErrorPackages:         []string{"internal/proto", "internal/hpcm", "internal/events"},
+		ErrorPackages:         []string{"internal/proto", "internal/hpcm"},
 		MutexBlockingPackages: []string{"net", "internal/proto"},
 		EnumPackages: []string{
 			"internal/faults",
-			"internal/events",
 			"internal/jobs",
 			"internal/proto",
 			"internal/hpcm",
@@ -153,7 +152,7 @@ func Checks() []Check {
 		},
 		{
 			Name: "discardederr",
-			Doc:  "errors returned by proto/hpcm/events calls must not be discarded",
+			Doc:  "errors returned by proto/hpcm calls must not be discarded",
 			Run:  checkDiscardedErr,
 		},
 		{
@@ -165,6 +164,11 @@ func Checks() []Check {
 			Name: "optionsfield",
 			Doc:  "Options/Config fields must be read by the declaring package; an Option's target struct must also have every field set by an option",
 			Run:  checkOptionsField,
+		},
+		{
+			Name: "layering",
+			Doc:  "a package may import only packages in lower rows of the layer table, and every module package has a row",
+			Run:  checkLayering,
 		},
 	}
 }

@@ -85,6 +85,8 @@ var fixtures = []struct {
 	{"hotalloc", "example/hotalloc"},
 	{"lockorder", "example/lockorder"},
 	{"eventcase", "example/eventcase"},
+	{"layering", "autoresched/internal/simnet"},
+	{"unlisted", "autoresched/internal/unlisted"},
 }
 
 func TestFixtures(t *testing.T) {
@@ -229,7 +231,7 @@ func TestMatchPackage(t *testing.T) {
 		{"internal/vclock", "autoresched/internal/vclockx", false},
 		{"cmd/...", "autoresched/cmd/reschedvet", true},
 		{"cmd/...", "autoresched/cmd", true},
-		{"cmd/...", "autoresched/internal/commander", false},
+		{"cmd/...", "autoresched/internal/core", false},
 		{"net", "net", true},
 		{"net", "net/http", false},
 		{"internal/proto", "autoresched/internal/proto", true},
@@ -238,5 +240,27 @@ func TestMatchPackage(t *testing.T) {
 		if got := matchPackage(c.pattern, c.path); got != c.want {
 			t.Errorf("matchPackage(%q, %q) = %v, want %v", c.pattern, c.path, got, c.want)
 		}
+	}
+}
+
+// TestDesignRendersLayers: DESIGN.md's Layering block is the layer table,
+// top row first, one row per line, so the diagram cannot drift from what
+// the layering check enforces.
+func TestDesignRendersLayers(t *testing.T) {
+	var want strings.Builder
+	for i := len(layers) - 1; i >= 0; i-- {
+		want.WriteString(strings.Join(layers[i], "  ") + "\n")
+	}
+	data, err := os.ReadFile(filepath.Join(moduleRoot(t), "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "## Layering\n\n```\n")
+	block, _, closed := strings.Cut(rest, "```")
+	if !ok || !closed {
+		t.Fatal("DESIGN.md has no fenced block under ## Layering")
+	}
+	if block != want.String() {
+		t.Errorf("DESIGN.md's Layering block is not the layer table; it should read:\n%s", want.String())
 	}
 }

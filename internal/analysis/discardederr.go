@@ -6,7 +6,7 @@ import (
 )
 
 // checkDiscardedErr flags discarded errors from the control-plane
-// packages (proto, hpcm, events by default): assignments of a call's
+// packages (proto and hpcm by default): assignments of a call's
 // error result to _, and bare call statements that drop an error result
 // on the floor. Those packages carry the migration protocol — a silently
 // dropped Send error is exactly the failure mode the chaos suite exists

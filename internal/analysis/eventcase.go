@@ -27,7 +27,7 @@ import (
 //
 //  3. A type switch over an empty interface whose cases mention any of
 //     the configured event payload types (Config.EventPayloadTypes) must
-//     cover all of them or carry a default: an events.Event fan-out that
+//     cover all of them or carry a default: a metrics.Event fan-out that
 //     forgets a payload drops a whole event class.
 //
 // Coverage is by constant value, so a literal "crash-host" covers the

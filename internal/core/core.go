@@ -5,7 +5,8 @@
 // registry; when a host needs offloading the registry selects the process
 // with the latest completion time and a first-fit destination, and orders
 // the source commander to start the migration; the process moves at its
-// next poll-point and is re-registered under its new host.
+// next poll-point and is re-registered under its new host. The simulated
+// testbed it runs on, a Cluster of hosts and their network, is here too.
 package core
 
 import (
@@ -15,9 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"autoresched/internal/cluster"
-	"autoresched/internal/commander"
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/livemig"
@@ -35,7 +33,7 @@ import (
 // Options configures a System.
 type Options struct {
 	// Cluster supplies hosts, network and host binding. Required.
-	Cluster *cluster.Cluster
+	Cluster *Cluster
 	// Policy drives migration decisions; nil selects the state-based
 	// default (migrate off Overloaded hosts onto Free ones).
 	Policy *rules.MigrationPolicy
@@ -76,8 +74,10 @@ type Options struct {
 	// from the last checkpoint onto a fresh first-fit host, or cold-restart
 	// when no checkpoint exists. Zero disables automatic failover.
 	FailoverRetries int
-	// OrderDedupWindow suppresses migrate orders redelivered to a commander
-	// within the window (see commander.WithDedupWindow); zero disables.
+	// OrderDedupWindow suppresses a migrate order identical to one the
+	// commander executed within the window — the guard against an
+	// at-least-once control plane redelivering the same order. Zero
+	// disables. Keep it below Cooldown so legitimate repeat orders pass.
 	OrderDedupWindow time.Duration
 	// Store, when set, makes the registry's protocol state durable: every
 	// mutation appends to this write-ahead store and a registry restart
@@ -95,10 +95,10 @@ type Options struct {
 	// migration and checkpoint phases (Source "hpcm") and job transitions
 	// (Source "jobs") flow through this one sink, synchronously on the
 	// emitting goroutine and after the runtime's own bookkeeping. Subscribe
-	// to a layer's typed payload with events.On[T] (the fault injector's
+	// to a layer's typed payload with metrics.On[T] (the fault injector's
 	// Sink does, to crash hosts at exact migration phases); compose several
-	// consumers with events.Multi.
-	Events events.Sink
+	// consumers with metrics.Multi.
+	Events metrics.Sink
 	// Metrics, when set, receives every layer's instruments: the control-
 	// plane counters (proto/*, monitor/*, commander/*, registry/*,
 	// persist/*, core/*, jobs/*), the registry's hosts gauge and decide
@@ -131,9 +131,11 @@ type Options struct {
 const spawnLatency = 300 * time.Millisecond
 
 // Counter names the runtime increments on Options.Metrics: migration
-// outcomes (from the hpcm event stream), failover recoveries, post-restart
-// process resyncs and the job layer's dispatch outcomes.
+// outcomes (from the hpcm event stream), redelivered orders, failover
+// recoveries, post-restart process resyncs and the job layer's dispatch
+// outcomes.
 const (
+	CtrOrdersDeduped    = "commander/orders_deduped"
 	CtrMigrCommitted    = "core/migrations_committed"
 	CtrMigrAborted      = "core/migrations_aborted"
 	CtrCkptRestores     = "core/checkpoint_restores"
@@ -171,11 +173,11 @@ func DefaultEngine() *rules.Engine {
 	return e
 }
 
-// Node is one host's runtime presence: its monitor and commander.
+// Node is one host's runtime presence: its monitor. The host's commander
+// is System.Migrate.
 type Node struct {
-	Host      string
-	Monitor   *monitor.Monitor
-	Commander *commander.Commander
+	Host    string
+	Monitor *monitor.Monitor
 
 	charger hpcm.HostProc // the monitor's own process-table entry
 }
@@ -197,6 +199,8 @@ type App struct {
 	launched   time.Time
 	retries    int // failover attempts consumed
 	finalErr   error
+	lastOrder  proto.MigrateOrder // the commander's last executed order
+	orderedAt  time.Time
 
 	// onSettled, when set, runs in the follow goroutine with the terminal
 	// error just before settled closes — the job dispatcher folds the
@@ -227,12 +231,12 @@ func (app *App) Settled() <-chan struct{} { return app.settled }
 type System struct {
 	opts     Options
 	clock    vclock.Clock
-	cluster  *cluster.Cluster
+	cluster  *Cluster
 	universe *mpi.Universe
 	mw       *hpcm.Middleware
 	reg      *registry.Registry
 	batcher  *registry.Batcher // non-nil when BatchStatusEvery is set
-	events   events.Sink       // combined sink: Options.Events + span builder
+	events   metrics.Sink      // combined sink: Options.Events + span builder
 
 	// Multi-job control plane (see jobs.go).
 	queue  *jobs.Queue
@@ -290,13 +294,13 @@ func New(opts Options) (*System, error) {
 	// injector's trap fires at the exact phase, after the phase is counted
 	// — and last, when metrics are on, the span builder deriving per-phase
 	// migration latency histograms from the same stream.
-	var spans events.Sink
+	var spans metrics.Sink
 	if opts.Metrics != nil {
 		spans = metrics.NewSpans(opts.Metrics)
 	}
-	sink := events.Multi(
-		events.On(s.onMigrationEvent),
-		events.On(s.onRegistryRestart),
+	sink := metrics.Multi(
+		metrics.On(s.onMigrationEvent),
+		metrics.On(s.onRegistryRestart),
 		opts.Events,
 		spans,
 	)
@@ -367,7 +371,7 @@ func (s *System) onRegistryRestart(ev registry.RestartEvent) {
 func (s *System) Clock() vclock.Clock { return s.clock }
 
 // Cluster returns the underlying cluster.
-func (s *System) Cluster() *cluster.Cluster { return s.cluster }
+func (s *System) Cluster() *Cluster { return s.cluster }
 
 // Registry returns the registry/scheduler.
 func (s *System) Registry() *registry.Registry { return s.reg }
@@ -375,14 +379,65 @@ func (s *System) Registry() *registry.Registry { return s.reg }
 // Universe returns the MPI universe.
 func (s *System) Universe() *mpi.Universe { return s.universe }
 
-// Migrate implements registry.CommandSink by routing orders to the source
-// host's commander.
+// Migrate implements registry.CommandSink as the source host's commander
+// (Section 3): it delivers the user-defined signal, its payload the
+// destination, to the process the order names. The paper writes the
+// destination to a temporary file first; here the payload is its one
+// carrier. An order identical to one executed within OrderDedupWindow is
+// acknowledged without being re-executed (a redelivered duplicate, not a
+// new decision).
 func (s *System) Migrate(host string, order proto.MigrateOrder) error {
-	node, ok := s.Node(host)
-	if !ok {
-		return fmt.Errorf("core: no node on host %q", host)
+	if order.DestHost == "" {
+		return errors.New("commander: order without destination")
 	}
-	return node.Commander.Migrate(order)
+	app := s.appAt(host, order.PID)
+	if app == nil {
+		return fmt.Errorf("commander: no managed process with pid %d on %s", order.PID, host)
+	}
+	app.mu.Lock()
+	last, at, proc := app.lastOrder, app.orderedAt, app.Proc
+	app.mu.Unlock()
+	if w := s.opts.OrderDedupWindow; w > 0 && last.PID == order.PID &&
+		last.DestHost == order.DestHost && last.DestAddr == order.DestAddr &&
+		s.clock.Since(at) <= w {
+		s.opts.Metrics.Counter(CtrOrdersDeduped).Inc()
+		return nil
+	}
+	s.events.Publish(metrics.Event{
+		Time:   s.clock.Now(),
+		Source: metrics.SourceCommander,
+		Kind:   "order",
+		Host:   host,
+		Dest:   order.DestHost,
+		PID:    order.PID,
+	})
+	proc.Signal(hpcm.Command{DestHost: order.DestHost, DestAddr: order.DestAddr, Policy: order.Policy})
+	app.mu.Lock()
+	app.lastOrder, app.orderedAt = order, s.clock.Now()
+	app.mu.Unlock()
+	return nil
+}
+
+// appAt returns the app whose running process is pid on host, or nil. An
+// app whose current process has finished is no commander's target.
+func (s *System) appAt(host string, pid int) *App {
+	s.mu.Lock()
+	apps := append([]*App(nil), s.apps...)
+	s.mu.Unlock()
+	for _, app := range apps {
+		app.mu.Lock()
+		proc, hit := app.Proc, app.host == host && app.pid == pid
+		app.mu.Unlock()
+		if !hit {
+			continue
+		}
+		select {
+		case <-proc.Done():
+		default:
+			return app
+		}
+	}
+	return nil
 }
 
 // Node returns the runtime node on a host.
@@ -393,8 +448,8 @@ func (s *System) Node(host string) (*Node, bool) {
 	return n, ok
 }
 
-// AddNode deploys a monitor and a commander on a cluster host and starts
-// monitoring. The monitor registers the host with the registry/scheduler.
+// AddNode deploys a monitor on a cluster host and starts monitoring. The
+// monitor registers the host with the registry/scheduler.
 func (s *System) AddNode(host string) (*Node, error) {
 	if _, ok := s.cluster.Host(host); !ok {
 		return nil, fmt.Errorf("core: unknown cluster host %q", host)
@@ -407,13 +462,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 	s.mu.Unlock()
 
 	source, _ := s.cluster.Source(host)
-	cmd := commander.NewCommander(host,
-		commander.WithClock(s.clock),
-		commander.WithDedupWindow(s.opts.OrderDedupWindow),
-		commander.WithMetrics(s.opts.Metrics),
-		commander.WithEvents(s.events),
-	)
-
 	var charger hpcm.HostProc
 	if s.opts.GatherCost > 0 {
 		hp, err := s.cluster.Attach(host, "hpcm-monitor", 4<<20)
@@ -452,7 +500,7 @@ func (s *System) AddNode(host string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &Node{Host: host, Monitor: mon, Commander: cmd, charger: charger}
+	node := &Node{Host: host, Monitor: mon, charger: charger}
 	s.mu.Lock()
 	s.nodes[host] = node
 	s.mu.Unlock()
@@ -493,9 +541,9 @@ func (s *System) Stop() {
 }
 
 // Launch starts a migration-enabled application on a host, registers it
-// with the local commander and the registry/scheduler, and keeps the
-// registration current as the process migrates. On completion the actual
-// runtime is folded back into the schema (the self-adjustment feedback).
+// with the registry/scheduler, and keeps the registration current as the
+// process migrates. On completion the actual runtime is folded back into
+// the schema (the self-adjustment feedback).
 //
 // Launch is the single-job compatibility shim over Submit: it submits a
 // gang-of-one spec pinned to host and returns its rank-0 App.
@@ -532,10 +580,10 @@ func (s *System) registerProc(app *App) error {
 	return s.reg.RegisterProcess(host, info)
 }
 
-// follow tracks migrations, failures and completion, keeping commanders and
-// the registry consistent with where the process actually runs. Recoverable
-// failures (host crash, failed migration) are retried through failover when
-// Options.FailoverRetries allows.
+// follow tracks migrations, failures and completion, keeping the app's
+// record and the registry consistent with where the process actually runs.
+// Recoverable failures (host crash, failed migration) are retried through
+// failover when Options.FailoverRetries allows.
 func (app *App) follow() {
 	s := app.sys
 	for {
@@ -558,9 +606,6 @@ func (app *App) follow() {
 			app.mu.Lock()
 			host, pid := app.host, app.pid
 			app.mu.Unlock()
-			if node, ok := s.Node(host); ok {
-				node.Commander.Forget(pid)
-			}
 			_ = s.reg.ProcessExit(host, pid)
 
 			if hpcm.Recoverable(err) && app.Retries() < s.opts.FailoverRetries {
@@ -599,13 +644,7 @@ func (app *App) applyMove(rec hpcm.Record) {
 	app.pid = proc.PID()
 	app.mu.Unlock()
 
-	if node, ok := s.Node(oldHost); ok {
-		node.Commander.Forget(oldPID)
-	}
 	_ = s.reg.ProcessExit(oldHost, oldPID)
-	if node, ok := s.Node(rec.To); ok {
-		node.Commander.ManageAs(proc.PID(), proc)
-	}
 	_ = s.registerProc(app)
 }
 

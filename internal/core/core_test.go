@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/rules"
 	"autoresched/internal/simnode"
@@ -13,10 +12,10 @@ import (
 	"autoresched/internal/workload"
 )
 
-func newSystem(t *testing.T, scale float64, hosts int, opts Options) (*System, *cluster.Cluster) {
+func newSystem(t *testing.T, scale float64, hosts int, opts Options) (*System, *Cluster) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, scale)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := NewCluster(clock, 12.5e6)
 	names, err := cl.AddHosts("ws", hosts, simnode.Config{Speed: 1e6, MemTotal: 128 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +231,7 @@ func TestSchemaFeedbackAfterCompletion(t *testing.T) {
 
 func TestGatherCostShowsUpOnHost(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 2000)
-	cl := cluster.New(cluster.Options{Clock: clock})
+	cl := NewCluster(clock, 0)
 	if _, err := cl.AddHost("ws1", simnode.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}

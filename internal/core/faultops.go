@@ -75,8 +75,7 @@ func (s *System) failover(app *App, cause error) bool {
 	if !ok {
 		return false
 	}
-	node, ok := s.Node(cand.Host)
-	if !ok {
+	if _, ok := s.Node(cand.Host); !ok {
 		return false
 	}
 
@@ -93,7 +92,6 @@ func (s *System) failover(app *App, cause error) bool {
 	app.pid = p.PID()
 	app.host = cand.Host
 	app.mu.Unlock()
-	node.Commander.Manage(p)
 	_ = s.registerProc(app)
 	return true
 }

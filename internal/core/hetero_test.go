@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
@@ -18,7 +17,7 @@ import (
 // would have at home.
 func TestHeterogeneousClusterPrefersCapableHost(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 500)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := NewCluster(clock, 12.5e6)
 	// ws1: source (mid speed); ws2: slow spare; ws3: fast spare.
 	if _, err := cl.AddHost("ws1", simnode.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)

@@ -240,9 +240,10 @@ func (s *System) dispatchLoop() {
 }
 
 // runCycle snapshots the fleet and the queue, plans one admission cycle,
-// and spawns an executor per admission. The plan is deterministic in the
-// snapshot; executors run concurrently but on disjoint host sets (the
-// planner's consistency guarantee plus the registry's reservation marks).
+// moves each admitted job to Reserving and spawns its executor. The plan
+// is deterministic in the snapshot; executors run concurrently but on
+// disjoint host sets (the planner's consistency guarantee plus the
+// registry's reservation marks).
 func (s *System) runCycle() {
 	pending := s.queue.Pending()
 	if len(pending) == 0 {
@@ -306,18 +307,20 @@ func (s *System) runCycle() {
 		},
 	}
 	for _, adm := range jobs.PlanCycle(s.policy, pending, view) {
+		// Reserving before the executor starts, so that a cycle running
+		// ahead of it cannot plan the job again.
+		if s.queue.Transition(adm.Job, jobs.StateReserving, "admitted") != nil {
+			continue
+		}
 		go s.execAdmission(adm, occ)
 	}
 }
 
-// execAdmission carries one planned admission out: reserve, evict, commit,
-// launch. Any failure puts the job back to Pending; the next cycle replans
-// from the fleet as it then stands.
+// execAdmission carries one planned admission, already Reserving, out:
+// reserve, evict, commit, launch. Any failure puts the job back to Pending;
+// the next cycle replans from the fleet as it then stands.
 func (s *System) execAdmission(adm jobs.Admission, occ map[string]string) {
 	defer s.kickDispatcher()
-	if err := s.queue.Transition(adm.Job, jobs.StateReserving, "admitted"); err != nil {
-		return
-	}
 	requeue := func(note string) {
 		_ = s.queue.Transition(adm.Job, jobs.StatePending, note)
 	}
@@ -530,12 +533,10 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 }
 
 // startApp launches (or restores) one migration-enabled process and wraps
-// it in the App machinery — commander management, registry registration,
-// and the follow loop with its failover budget. Launch, the job dispatcher
-// and Recover share it.
+// it in the App machinery — registry registration and the follow loop with
+// its failover budget. Launch, the job dispatcher and Recover share it.
 func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main, restore bool) (*App, error) {
-	node, ok := s.Node(host)
-	if !ok {
+	if _, ok := s.Node(host); !ok {
 		return nil, fmt.Errorf("core: no node on host %q", host)
 	}
 	p, _, err := s.startProc(name, host, main, restore)
@@ -553,7 +554,6 @@ func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main,
 		launchHost: host,
 		launched:   s.clock.Now(),
 	}
-	node.Commander.Manage(p)
 	if err := s.registerProc(app); err != nil {
 		return nil, err
 	}

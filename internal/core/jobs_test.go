@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/metrics"
@@ -45,7 +44,7 @@ func TestSubmitGangRunsToCompletion(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	var mu sync.Mutex
 	var trans []jobs.Event
-	sink := events.On(func(ev jobs.Event) {
+	sink := metrics.On(func(ev jobs.Event) {
 		mu.Lock()
 		trans = append(trans, ev)
 		mu.Unlock()
@@ -224,17 +223,17 @@ func TestSubmitConcurrentRace(t *testing.T) {
 	}
 }
 
-// TestOverlappingCyclesAdmitOnce: a kicked cycle can plan from the queue
-// before the previous cycle's executor goroutine has marked its job
-// Reserving. Both executors then race for the same job; the transition is a
-// compare-and-set, so exactly one reserves and launches. One P keeps the
-// executors from running between the two cycles.
+// TestOverlappingCyclesAdmitOnce: a kicked cycle can run before the
+// previous cycle's executor goroutine has. The job it admitted is already
+// Reserving, so the second cycle does not plan it again, and exactly one
+// executor reserves and launches. One P keeps the executors from running
+// between the two cycles.
 func TestOverlappingCyclesAdmitOnce(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	var reserving atomic.Int32
 	s, _ := newSystem(t, 1000, 2, Options{
 		Metrics: mreg,
-		Events: events.On(func(ev jobs.Event) {
+		Events: metrics.On(func(ev jobs.Event) {
 			if ev.To == jobs.StateReserving {
 				reserving.Add(1)
 			}
@@ -283,5 +282,38 @@ func TestLaunchShimNameReuse(t *testing.T) {
 	}
 	if got := job.State(); got != jobs.StateCompleted {
 		t.Fatalf("state = %s, want completed", got)
+	}
+}
+
+// TestRunCycleReservesBeforeExecuting: every job a cycle admits has left
+// Pending by the time the cycle returns, so a cycle that runs before the
+// admission's executor cannot plan the job a second time. One P keeps the
+// executors from running before the check.
+func TestRunCycleReservesBeforeExecuting(t *testing.T) {
+	s, _ := newSystem(t, 1000, 4, Options{})
+	var admitted []*jobs.Job
+	for _, name := range []string{"a", "b"} {
+		job, err := s.Queue().Submit(jobs.Spec{Name: name, Gang: 2, Rank: rankJacobi(20)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted = append(admitted, job)
+	}
+	procs := runtime.GOMAXPROCS(1)
+	s.runCycle()
+	var states []jobs.State
+	for _, job := range admitted {
+		states = append(states, job.State())
+	}
+	runtime.GOMAXPROCS(procs)
+	for i, job := range admitted {
+		if states[i] == jobs.StatePending {
+			t.Errorf("job %s still pending after the cycle that admitted it", job.Name())
+		}
+	}
+	for _, job := range admitted {
+		if err := job.Wait(); err != nil {
+			t.Fatalf("job %s: %v", job.Name(), err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/monitor"
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
@@ -37,7 +36,7 @@ func (r *tcpReporter) UnregisterHost(host string) error {
 // soft-state, and requests a migration candidate — all over the wire.
 func TestMonitorToRegistryOverTCP(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 200)
-	cl := cluster.New(cluster.Options{Clock: clock})
+	cl := NewCluster(clock, 0)
 	if _, err := cl.AddHosts("ws", 2, simnode.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/commander"
 	"autoresched/internal/core"
-	"autoresched/internal/events"
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
@@ -80,7 +78,7 @@ var chaosCounterNames = []string{
 	faults.CtrStatusDuplicated,
 	faults.CtrStatusDelayed,
 	monitor.CtrReregisters,
-	commander.CtrOrdersDeduped,
+	core.CtrOrdersDeduped,
 	registry.CtrRestarts,
 	registry.CtrRecoveries,
 	registry.CtrStandbyPromotions,
@@ -364,9 +362,9 @@ func (r *chaosRig) note(format string, args ...any) {
 // restartLog notes every registry restart's typed payload. Recovered, Hosts
 // and Procs are count-driven (never wall-time-driven), so the lines are
 // byte-identical across runs with the same seed.
-func (r *chaosRig) restartLog() events.Sink {
+func (r *chaosRig) restartLog() metrics.Sink {
 	restarts := 0
-	return events.On(func(ev registry.RestartEvent) {
+	return metrics.On(func(ev registry.RestartEvent) {
 		r.mu.Lock()
 		restarts++
 		r.notes = append(r.notes, fmt.Sprintf("check restart-%d recovered=%v hosts=%d procs=%d",
@@ -386,7 +384,7 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	clock := cl.Clock()
 	r := &chaosRig{cfg: cfg, names: names, mreg: metrics.NewRegistry()}
 	r.in = faults.NewInjector(faults.Config{Clock: clock, Metrics: r.mreg})
-	var restarts events.Sink
+	var restarts metrics.Sink
 	if sc.sys.Store != nil {
 		restarts = r.restartLog()
 	}
@@ -400,7 +398,7 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		ChunkBytes:      8 << 20,
 		Checkpoints:     hpcm.NewMemStore(),
 		Metrics:         r.mreg,
-		Events:          events.Multi(r.in.Sink(), restarts),
+		Events:          metrics.Multi(r.in.Sink(), restarts),
 		WrapReporter:    r.in.WrapReporter,
 
 		CheckpointEvery:  sc.sys.CheckpointEvery,

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"autoresched/internal/commander"
 	"autoresched/internal/core"
 	"autoresched/internal/faults"
 	"autoresched/internal/malleable"
@@ -117,7 +116,7 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 		r.Counters[monitor.CtrReregisters] != 4 || r.Counters[core.CtrProcResyncs] != 1 {
 		t.Errorf("registry-restart counters: %v", r.Counters)
 	}
-	if r := byName["duplicate-order"]; r.Counters[commander.CtrOrdersDeduped] != 2 || r.Counters[core.CtrMigrCommitted] != 1 {
+	if r := byName["duplicate-order"]; r.Counters[core.CtrOrdersDeduped] != 2 || r.Counters[core.CtrMigrCommitted] != 1 {
 		t.Errorf("duplicate-order counters: %v", r.Counters)
 	}
 	if r := byName["heartbeat-faults"]; r.Counters[faults.CtrStatusDropped] != 2 ||

@@ -13,7 +13,7 @@ package experiments
 import (
 	"time"
 
-	"autoresched/internal/cluster"
+	"autoresched/internal/core"
 	"autoresched/internal/metrics"
 	"autoresched/internal/simnode"
 	"autoresched/internal/sysinfo"
@@ -49,9 +49,9 @@ const hostSpeed = 1e6
 
 // newCluster builds a fresh cluster with n Sun-Blade-like hosts named
 // ws1..wsN on 100 Mbps Ethernet.
-func newCluster(p Params, n int) (*cluster.Cluster, []string, error) {
+func newCluster(p Params, n int) (*core.Cluster, []string, error) {
 	clock := vclock.Scaled(vclock.Epoch, p.Scale)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	names, err := cl.AddHosts("ws", n, simnode.Config{Speed: hostSpeed, MemTotal: 128 << 20, MemBase: 24 << 20})
 	if err != nil {
 		return nil, nil, err
@@ -71,7 +71,7 @@ type sampler struct {
 	done   chan struct{}
 }
 
-func newSampler(rec *metrics.Recorder, cl *cluster.Cluster, host, prefix string, interval time.Duration) *sampler {
+func newSampler(rec *metrics.Recorder, cl *core.Cluster, host, prefix string, interval time.Duration) *sampler {
 	src, _ := cl.Source(host)
 	s := &sampler{
 		rec:    rec,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -146,7 +145,7 @@ func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticA
 		App:          app,
 		Hosts:        cl,
 		InitialHosts: names[:4],
-		Events:       events.On(observer),
+		Events:       metrics.On(observer),
 		Metrics:      mreg,
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"autoresched/internal/core"
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/proto"
@@ -121,7 +120,7 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	}
 	clock := cl.Clock()
 	mreg := metrics.NewRegistry()
-	ring := &events.Ring{Cap: 4096}
+	ring := &metrics.Ring{Cap: 4096}
 	heartbeats := &atomic.Int64{}
 	sys, err := core.New(core.Options{
 		Cluster:          cl,

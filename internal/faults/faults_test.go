@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/core"
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/malleable"
@@ -85,7 +83,7 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 func newBoundInjector(t *testing.T) (*Injector, *core.System, *metrics.Registry) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 1000)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +201,15 @@ func TestSinkTrapFiresOnceOnMatchingPhase(t *testing.T) {
 			in.apply(tc.arm)
 			sink := in.Sink()
 			// Events without a payload pass through the traps untouched.
-			sink.Publish(events.Event{Source: events.SourceRegistry, Kind: "ordered"})
+			sink.Publish(metrics.Event{Source: metrics.SourceRegistry, Kind: "ordered"})
 			for _, p := range tc.miss {
-				sink.Publish(events.Event{Payload: p})
+				sink.Publish(metrics.Event{Payload: p})
 			}
 			if got := in.Triggered(); len(got) != 0 {
 				t.Fatalf("trap fired early: %v", got)
 			}
-			sink.Publish(events.Event{Payload: tc.hit})
-			sink.Publish(events.Event{Payload: tc.again})
+			sink.Publish(metrics.Event{Payload: tc.hit})
+			sink.Publish(metrics.Event{Payload: tc.again})
 			got := in.Triggered()
 			if len(got) != 1 {
 				t.Fatalf("trap fired %d times, want 1: %v", len(got), got)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"autoresched/internal/core"
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/malleable"
@@ -369,12 +368,12 @@ func (in *Injector) migrate(ev Event) error {
 
 // Sink returns the injector's subscription for core.Options.Events and
 // malleable.Options.Events (compose it with other consumers through
-// events.Multi). It springs armed traps on the three protocol payloads —
+// metrics.Multi). It springs armed traps on the three protocol payloads —
 // migration phases, checkpoint begins, resize phases — synchronously from
 // the goroutine driving the protocol, so the crash lands at the exact step.
-func (in *Injector) Sink() events.Sink {
-	return events.Multi(
-		events.On(func(ev hpcm.MigrationEvent) {
+func (in *Injector) Sink() metrics.Sink {
+	return metrics.Multi(
+		metrics.On(func(ev hpcm.MigrationEvent) {
 			in.spring(KindCrashOnPhase, ev.Proc, ev.Phase, ev.Round, func(target string) string {
 				if target == "dest" {
 					return ev.To
@@ -382,12 +381,12 @@ func (in *Injector) Sink() events.Sink {
 				return ev.From
 			})
 		}),
-		events.On(func(ev hpcm.CheckpointEvent) {
+		metrics.On(func(ev hpcm.CheckpointEvent) {
 			if ev.Begin {
 				in.spring(KindKillOnCkpt, ev.Proc, "", 0, func(string) string { return ev.Host })
 			}
 		}),
-		events.On(func(ev malleable.Event) {
+		metrics.On(func(ev malleable.Event) {
 			in.spring(KindCrashOnResizePhase, ev.Job, ev.Phase, 0, func(target string) string {
 				hosts := ev.Removed
 				if target == "new" {

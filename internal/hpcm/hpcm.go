@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -97,9 +96,9 @@ type Options struct {
 	// checkpoint event on the unified runtime sink (Source "hpcm"), each
 	// carrying its typed struct (MigrationEvent, CheckpointEvent) as the
 	// Payload. Published synchronously from the migrating goroutine, so an
-	// events.On[MigrationEvent] subscriber — a fault injector — can crash
+	// metrics.On[MigrationEvent] subscriber — a fault injector — can crash
 	// a host at an exact protocol step. Sinks must not block indefinitely.
-	Events events.Sink
+	Events metrics.Sink
 	// Metrics, when set, receives the middleware's latency histograms:
 	// hpcm/migration_seconds and hpcm/downtime_seconds (virtual-clock, per
 	// committed migration), hpcm/checkpoint_seconds (wall-clock, per
@@ -154,7 +153,7 @@ type Middleware struct {
 	chunk     int
 	ckptStore CheckpointStore
 	ckptEvery time.Duration
-	events    events.Sink
+	events    metrics.Sink
 	metrics   *metrics.Registry
 	live      *livemig.Config
 	procs     sync.Map // live process directory: name -> *Process

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/livemig"
+	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
 )
@@ -100,7 +100,7 @@ func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs 
 		Transport:    transport,
 		SpawnLatency: 10 * time.Millisecond,
 	})
-	mw, err := New(Options{Universe: u, Hosts: &testBinder{}, Live: live, Events: events.On(obs)})
+	mw, err := New(Options{Universe: u, Hosts: &testBinder{}, Live: live, Events: metrics.On(obs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 	mw, err := New(Options{
 		Universe: u,
 		Hosts:    &testBinder{},
-		Events: events.On(func(ev MigrationEvent) {
+		Events: metrics.On(func(ev MigrationEvent) {
 			if ev.Phase == PhaseResume {
 				// The destination has taken over; the lazy stream is next.
 				cut.cut.Store(true)

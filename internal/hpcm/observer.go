@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 )
 
 // Migration phases, as carried by MigrationEvent. The chaos engine
@@ -107,9 +107,9 @@ func (m *Middleware) observe(ev MigrationEvent) {
 	if m.events == nil {
 		return
 	}
-	m.events.Publish(events.Event{
+	m.events.Publish(metrics.Event{
 		Time:    m.clock.Now(),
-		Source:  events.SourceHPCM,
+		Source:  metrics.SourceHPCM,
 		Kind:    ev.Phase,
 		Host:    ev.From,
 		Dest:    ev.To,
@@ -129,9 +129,9 @@ func (m *Middleware) observeCheckpoint(ev CheckpointEvent) {
 	if ev.Begin {
 		kind = "checkpoint"
 	}
-	m.events.Publish(events.Event{
+	m.events.Publish(metrics.Event{
 		Time:    m.clock.Now(),
-		Source:  events.SourceHPCM,
+		Source:  metrics.SourceHPCM,
 		Kind:    kind,
 		Host:    ev.Host,
 		Proc:    ev.Proc,

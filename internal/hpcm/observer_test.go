@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 )
 
 func TestObserverSeesPhaseSequence(t *testing.T) {
@@ -14,7 +14,7 @@ func TestObserverSeesPhaseSequence(t *testing.T) {
 	mw, _ := newMW(t, binder, 10*time.Millisecond)
 	var mu sync.Mutex
 	var phases []string
-	mw.events = events.On(func(ev MigrationEvent) {
+	mw.events = metrics.On(func(ev MigrationEvent) {
 		mu.Lock()
 		phases = append(phases, ev.Phase)
 		mu.Unlock()
@@ -51,7 +51,7 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 	mw, _ := newMW(t, binder, 10*time.Millisecond)
 	var mu sync.Mutex
 	var aborted []MigrationEvent
-	mw.events = events.On(func(ev MigrationEvent) {
+	mw.events = metrics.On(func(ev MigrationEvent) {
 		if ev.Phase == PhaseAborted {
 			mu.Lock()
 			aborted = append(aborted, ev)

@@ -16,8 +16,8 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
+	"autoresched/internal/metrics"
 	"autoresched/internal/schema"
 	"autoresched/internal/vclock"
 )
@@ -38,10 +38,8 @@ type Spec struct {
 	// survive. Non-elastic gangs are rigid — lose one host, lose the gang.
 	Elastic bool
 	// MinWorld is the smallest world an elastic job tolerates; zero
-	// selects 1. MaxWorld is reserved for future grow-back and defaults to
-	// Gang.
+	// selects 1.
 	MinWorld int
-	MaxWorld int
 	// Hosts pins the placement (len must equal Gang): the job bypasses the
 	// queue and is admitted synchronously on exactly these hosts — the
 	// compatibility path core.System.Launch rides on. Empty lets the
@@ -62,9 +60,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.MinWorld <= 0 {
 		s.MinWorld = 1
-	}
-	if s.MaxWorld < s.Gang {
-		s.MaxWorld = s.Gang
 	}
 	return s
 }
@@ -204,7 +199,7 @@ var ErrCancelled = errors.New("jobs: job cancelled")
 // offline); the queue only keeps the book.
 type Queue struct {
 	clock vclock.Clock
-	sink  events.Sink
+	sink  metrics.Sink
 
 	mu    sync.Mutex
 	seq   int64
@@ -215,7 +210,7 @@ type Queue struct {
 // NewQueue creates an empty queue on a clock. sink, when non-nil, receives
 // every lifecycle transition (Source "jobs"), synchronously under the queue
 // lock — sink implementations must not call back into the queue.
-func NewQueue(clock vclock.Clock, sink events.Sink) *Queue {
+func NewQueue(clock vclock.Clock, sink metrics.Sink) *Queue {
 	if clock == nil {
 		clock = vclock.Real()
 	}
@@ -428,9 +423,9 @@ func (q *Queue) emitLocked(j *Job, from, to State, note string) {
 		return
 	}
 	ev := Event{Job: j.spec.Name, From: from, To: to, Note: note}
-	q.sink.Publish(events.Event{
+	q.sink.Publish(metrics.Event{
 		Time:    q.clock.Now(),
-		Source:  events.SourceJobs,
+		Source:  metrics.SourceJobs,
 		Kind:    string(to),
 		Proc:    j.spec.Name,
 		Note:    note,

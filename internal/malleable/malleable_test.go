@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
@@ -172,7 +171,7 @@ func TestExpandCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 2),
-		Events: events.On(log.observe), Metrics: reg,
+		Events: metrics.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -229,7 +228,7 @@ func TestShrinkCommit(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 4),
-		Events: events.On(log.observe), Metrics: reg,
+		Events: metrics.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -315,7 +314,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 3),
-		Events: events.On(log.observe), Metrics: reg,
+		Events: metrics.On(log.observe), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -377,7 +376,7 @@ func TestCrashNewRankMidExpandAborts(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: metrics.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -417,7 +416,7 @@ func TestCrashVictimMidShrinkCommits(t *testing.T) {
 		}
 	}}
 	j, err := Start(Options{
-		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: events.On(obs),
+		Universe: u, App: gated, InitialHosts: hosts("h", 3), Events: metrics.On(obs),
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)

@@ -1,7 +1,9 @@
 // Package metrics records the time series the evaluation plots: load
 // averages, CPU utilisation and network rates sampled at fixed intervals
 // (10 seconds in the paper), plus the summary statistics quoted in Section
-// 5 (means, overhead percentages).
+// 5 (means, overhead percentages). It also holds the runtime's two
+// telemetry inputs: the instruments of a Registry, and the event stream a
+// Sink receives (events.go).
 package metrics
 
 import (

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"autoresched/internal/events"
 )
 
 // Span histogram names. Each span is one phase of a migration, derived
@@ -46,7 +44,7 @@ type spanState struct {
 	resume  time.Time
 }
 
-// Spans is an events.Sink that folds commander/hpcm events into per-phase
+// Spans is a Sink that folds commander/hpcm events into per-phase
 // migration latency histograms. Orders are matched to migrations by the
 // (source host, destination host) route — the commander runs on the source
 // host and hpcm's start event carries the same pair — and in-flight state
@@ -83,19 +81,19 @@ func routeKey(src, dst string) string { return src + "\x00" + dst }
 
 // Publish consumes one runtime event. Safe for concurrent use; never
 // blocks. A nil *Spans is a no-op sink.
-func (s *Spans) Publish(e events.Event) {
+func (s *Spans) Publish(e Event) {
 	if s == nil {
 		return
 	}
 	switch e.Source {
-	case events.SourceCommander:
+	case SourceCommander:
 		if e.Kind != kindOrder {
 			return
 		}
 		s.mu.Lock()
 		s.orders[routeKey(e.Host, e.Dest)] = e.Time
 		s.mu.Unlock()
-	case events.SourceHPCM:
+	case SourceHPCM:
 		s.hpcmEvent(e)
 	default:
 		// Registry, faults, jobs and malleable events carry no migration
@@ -103,7 +101,7 @@ func (s *Spans) Publish(e events.Event) {
 	}
 }
 
-func (s *Spans) hpcmEvent(e events.Event) {
+func (s *Spans) hpcmEvent(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch e.Kind {

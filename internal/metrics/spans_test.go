@@ -3,12 +3,10 @@ package metrics
 import (
 	"testing"
 	"time"
-
-	"autoresched/internal/events"
 )
 
-func spanEvent(t time.Time, source, kind, host, dest, proc string) events.Event {
-	return events.Event{Time: t, Source: source, Kind: kind, Host: host, Dest: dest, Proc: proc}
+func spanEvent(t time.Time, source, kind, host, dest, proc string) Event {
+	return Event{Time: t, Source: source, Kind: kind, Host: host, Dest: dest, Proc: proc}
 }
 
 func TestSpansFullMigration(t *testing.T) {
@@ -17,11 +15,11 @@ func TestSpansFullMigration(t *testing.T) {
 	t0 := time.Date(2004, 4, 1, 0, 0, 0, 0, time.UTC)
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 
-	s.Publish(spanEvent(at(0), events.SourceCommander, "order", "ws1", "ws2", ""))
-	s.Publish(spanEvent(at(2*time.Second), events.SourceHPCM, "start", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(3*time.Second), events.SourceHPCM, "init", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(5*time.Second), events.SourceHPCM, "resume", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(9*time.Second), events.SourceHPCM, "restore", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(0), SourceCommander, "order", "ws1", "ws2", ""))
+	s.Publish(spanEvent(at(2*time.Second), SourceHPCM, "start", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(3*time.Second), SourceHPCM, "init", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(5*time.Second), SourceHPCM, "resume", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(9*time.Second), SourceHPCM, "restore", "ws1", "ws2", "app"))
 
 	check := func(name string, wantSeconds float64) {
 		t.Helper()
@@ -47,10 +45,10 @@ func TestSpansWithoutOrderAnchorsOnStart(t *testing.T) {
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 
 	// No commander order: a spontaneous migration. total = start→restore.
-	s.Publish(spanEvent(at(0), events.SourceHPCM, "start", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(time.Second), events.SourceHPCM, "init", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(2*time.Second), events.SourceHPCM, "resume", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(3*time.Second), events.SourceHPCM, "restore", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(0), SourceHPCM, "start", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(time.Second), SourceHPCM, "init", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(2*time.Second), SourceHPCM, "resume", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(3*time.Second), SourceHPCM, "restore", "ws1", "ws2", "app"))
 
 	if got := reg.Histogram(SpanPollWait).Count(); got != 0 {
 		t.Fatalf("poll_wait count = %d, want 0", got)
@@ -66,11 +64,11 @@ func TestSpansAbortCleansUp(t *testing.T) {
 	t0 := time.Date(2004, 4, 1, 0, 0, 0, 0, time.UTC)
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 
-	s.Publish(spanEvent(at(0), events.SourceCommander, "order", "ws1", "ws2", ""))
-	s.Publish(spanEvent(at(time.Second), events.SourceHPCM, "start", "ws1", "ws2", "app"))
-	s.Publish(spanEvent(at(2*time.Second), events.SourceHPCM, "aborted", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(0), SourceCommander, "order", "ws1", "ws2", ""))
+	s.Publish(spanEvent(at(time.Second), SourceHPCM, "start", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(2*time.Second), SourceHPCM, "aborted", "ws1", "ws2", "app"))
 	// A later restore for the same proc must be ignored — the span is gone.
-	s.Publish(spanEvent(at(3*time.Second), events.SourceHPCM, "restore", "ws1", "ws2", "app"))
+	s.Publish(spanEvent(at(3*time.Second), SourceHPCM, "restore", "ws1", "ws2", "app"))
 
 	if got := reg.Histogram(SpanTotal).Count(); got != 0 {
 		t.Fatalf("total count after abort = %d, want 0", got)
@@ -82,7 +80,7 @@ func TestSpansAbortCleansUp(t *testing.T) {
 
 func TestSpansNilSafe(t *testing.T) {
 	var s *Spans
-	s.Publish(events.Event{Source: events.SourceHPCM, Kind: "start"})
+	s.Publish(Event{Source: SourceHPCM, Kind: "start"})
 }
 
 func TestSpanStats(t *testing.T) {

@@ -9,6 +9,7 @@ package proto
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 
 	"autoresched/internal/sysinfo"
@@ -194,16 +195,17 @@ func (m *Message) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses an XML message and validates it. The canonical form this
-// package's encoder writes is read by the scanner in wire.go; any other
-// document goes through encoding/xml, which also words every parse error.
+// errNonCanonical is Decode's answer to a document the scanner declines.
+var errNonCanonical = errors.New("proto: non-canonical message (not in the form Encode writes)")
+
+// Decode parses an XML message and validates it. Every producer of the
+// protocol is this package's encoder, so Decode reads only the canonical
+// form it writes (the scanner in wire.go) and any other document is an
+// error.
 func Decode(data []byte) (*Message, error) {
 	var m Message
 	if !scanMessage(data, &m) {
-		m = Message{}
-		if err := xml.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("proto: %w", err)
-		}
+		return nil, errNonCanonical
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

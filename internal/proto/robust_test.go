@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -268,5 +269,54 @@ func TestClientRetriesTimedOutCallOnFreshConnection(t *testing.T) {
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("request answered %d times; want 1", got)
+	}
+}
+
+// TestServerClosesConnectionOnNonCanonicalFrame: a frame the scanner
+// declines — here one encoding/xml would read — closes the connection it
+// arrived on, and the server keeps serving its other connections.
+func TestServerClosesConnectionOnNonCanonicalFrame(t *testing.T) {
+	var calls atomic.Int64
+	srv, err := NewServer("registry", "127.0.0.1:0", func(m *Message) (*Message, error) {
+		calls.Add(1)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	good, bad := NewConn(dial()), dial()
+	roundTrip := func() {
+		t.Helper()
+		if err := good.Send(statusMsg("ws1")); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := good.Recv(); err != nil || resp.Type != TypeAck {
+			t.Fatalf("response on the good connection = %+v, %v", resp, err)
+		}
+	}
+	roundTrip()
+
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(nonCanonical[0])))
+	if _, err := bad.Write(append(frame, nonCanonical[0]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := bad.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after a non-canonical frame the server sent %d bytes, %v; want the connection closed", n, err)
+	}
+	roundTrip()
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("handler ran %d times, want 2 (the good connection's requests only)", got)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // order, no whitespace, comments, CDATA or prolog, numbers as strconv
 // prints them, and in text only the eight entities of the table below.
 // Anything else the scanner declines — it never reports an error — and
-// Decode hands the frame to xml.Unmarshal, so a foreign or future producer
-// keeps XML's extensibility and every decode error keeps encoding/xml's text.
+// Decode refuses the frame as non-canonical: every producer of the protocol
+// is this encoder. encoding/xml survives only in the tests, as the oracle
+// both directions are fuzzed against.
 
 // entities is the escape vocabulary of xml.EscapeText, the only entity
 // forms the encoder writes and the scanner reads.

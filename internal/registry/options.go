@@ -3,7 +3,6 @@ package registry
 import (
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/rules"
@@ -98,7 +97,7 @@ func WithCooldown(d time.Duration) Option { return func(c *config) { c.cooldown 
 
 // WithEvents sets the unified runtime event sink receiving the decision
 // trace.
-func WithEvents(s events.Sink) Option { return func(c *config) { c.events = s } }
+func WithEvents(s metrics.Sink) Option { return func(c *config) { c.events = s } }
 
 // WithMetrics sets the metrics registry receiving the registry's counters,
 // gauges and latency histograms.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
 )
@@ -70,7 +70,7 @@ func TestProcessesDeterministicOrder(t *testing.T) {
 // decision, under Source "registry".
 func TestTraceEventsReachUnifiedSink(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	ring := &events.Ring{}
+	ring := &metrics.Ring{}
 	sink := &fakeSink{}
 	r := NewRegistry(
 		WithClock(clock),
@@ -96,14 +96,14 @@ func TestTraceEventsReachUnifiedSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ring.CountBy(events.SourceRegistry, "warmup"); got != 1 {
+	if got := ring.CountBy(metrics.SourceRegistry, "warmup"); got != 1 {
 		t.Fatalf("warmup events = %d, want 1", got)
 	}
-	if got := ring.CountBy(events.SourceRegistry, "ordered"); got != 1 {
+	if got := ring.CountBy(metrics.SourceRegistry, "ordered"); got != 1 {
 		t.Fatalf("ordered events = %d, want 1", got)
 	}
 	// Nothing else was decided: one warm-up, one order.
-	if got := ring.CountBy(events.SourceRegistry, ""); got != 2 {
+	if got := ring.CountBy(metrics.SourceRegistry, ""); got != 2 {
 		t.Fatalf("registry events = %d, want 2: %+v", got, ring.Events())
 	}
 }

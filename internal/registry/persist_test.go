@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
@@ -73,7 +72,7 @@ func TestRestartRecoveryPublishesTypedEvent(t *testing.T) {
 	store := persist.NewMemStore()
 	clock := vclock.NewManual(vclock.Epoch)
 	var got []RestartEvent
-	sink := events.On(func(ev RestartEvent) { got = append(got, ev) })
+	sink := metrics.On(func(ev RestartEvent) { got = append(got, ev) })
 	r := NewRegistry(WithClock(clock), WithStore(store), WithEvents(sink))
 	if err := r.RegisterHost("ws1", proto.StaticInfo{}); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
@@ -72,8 +71,8 @@ type config struct {
 	// events, if set, receives every scheduling-decision event as it
 	// happens on the unified runtime sink (Source "registry", Kind one of
 	// the EventKind values; restarts and promotions carry a RestartEvent
-	// payload). Buffer with an events.Ring to keep a trace.
-	events events.Sink
+	// payload). Buffer with a metrics.Ring to keep a trace.
+	events metrics.Sink
 	// store, when set, makes the protocol state durable: every mutation
 	// appends a typed change record to this write-ahead store, and Restart
 	// becomes crash-consistent bootstrap (snapshot + log suffix replay,

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"autoresched/internal/events"
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
@@ -16,7 +15,7 @@ import (
 func TestRestartDropsSoftState(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
-	ring := &events.Ring{}
+	ring := &metrics.Ring{}
 	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithEvents(ring))
 	if err := r.RegisterHost("ws1", proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func TestRestartDropsSoftState(t *testing.T) {
 		t.Fatalf("restart counter = %d", got)
 	}
 	// The decision trace records the restart.
-	if ring.CountBy(events.SourceRegistry, string(EventRestart)) != 1 {
+	if ring.CountBy(metrics.SourceRegistry, string(EventRestart)) != 1 {
 		t.Fatalf("no restart event in trace: %+v", ring.Events())
 	}
 	// Re-registration resumes normal service.

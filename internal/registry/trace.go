@@ -3,7 +3,7 @@ package registry
 import (
 	"time"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 )
 
 // EventKind classifies a scheduling-decision event; its values are the Kind
@@ -36,7 +36,7 @@ const (
 )
 
 // RestartEvent is the typed payload published on the unified sink for a
-// registry restart, so events.On[RestartEvent] subscribers — the runtime's
+// registry restart, so metrics.On[RestartEvent] subscribers — the runtime's
 // process resync, the standby promoter, test harnesses — can distinguish a
 // crash-consistent recovery (Recovered, with the restored state's shape)
 // from a soft-state drop without parsing trace notes.
@@ -60,14 +60,14 @@ func (r *Registry) trace(kind EventKind, host string, pid int, dest, note string
 }
 
 // traceWith publishes a decision event carrying a typed payload, which
-// events.On[T] subscribers pick up (callers must not hold r.mu).
+// metrics.On[T] subscribers pick up (callers must not hold r.mu).
 func (r *Registry) traceWith(payload any, kind EventKind, host string, pid int, dest, note string) {
 	if r.cfg.events == nil {
 		return
 	}
-	r.cfg.events.Publish(events.Event{
+	r.cfg.events.Publish(metrics.Event{
 		Time:    r.clock.Now(),
-		Source:  events.SourceRegistry,
+		Source:  metrics.SourceRegistry,
 		Kind:    string(kind),
 		Host:    host,
 		Dest:    dest,

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/events"
+	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/vclock"
 )
@@ -15,7 +15,7 @@ import (
 func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{}
-	ring := &events.Ring{}
+	ring := &metrics.Ring{}
 	var observed []string
 	var mu sync.Mutex
 	r := NewRegistry(
@@ -23,7 +23,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 		WithCommands(sink),
 		WithWarmup(2),
 		WithCooldown(time.Minute),
-		WithEvents(events.Multi(ring, events.SinkFunc(func(e events.Event) {
+		WithEvents(metrics.Multi(ring, metrics.SinkFunc(func(e metrics.Event) {
 			mu.Lock()
 			observed = append(observed, e.Kind)
 			mu.Unlock()
@@ -64,7 +64,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 	trace := ring.Events()
 	kinds := make([]EventKind, len(trace))
 	for i, e := range trace {
-		if e.Source != events.SourceRegistry {
+		if e.Source != metrics.SourceRegistry {
 			t.Fatalf("trace event %d has source %q", i, e.Source)
 		}
 		kinds[i] = EventKind(e.Kind)
@@ -95,7 +95,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 func TestDecisionTraceOrderFailed(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	sink := &fakeSink{err: errors.New("commander unreachable")}
-	ring := &events.Ring{}
+	ring := &metrics.Ring{}
 	r := NewRegistry(WithClock(clock), WithCommands(sink), WithWarmup(1), WithCooldown(time.Minute), WithEvents(ring))
 	for _, h := range []string{"ws1", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {

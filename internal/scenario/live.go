@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"autoresched/internal/cluster"
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
@@ -57,7 +56,7 @@ func RunLive(s Scenario, scale float64, timeout time.Duration) (LiveOutcome, err
 		return out, fmt.Errorf("live: %w", err)
 	}
 	clock := vclock.Scaled(vclock.Epoch, scale)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: s.Bandwidth()})
+	cl := core.NewCluster(clock, s.Bandwidth())
 	var names []string
 	for i := 0; i < s.Hosts; i++ {
 		name := HostName(i)

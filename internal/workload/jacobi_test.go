@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
-	"autoresched/internal/events"
+	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
+	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
 	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
@@ -200,7 +200,7 @@ func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	// less, leaving milliseconds of wall-time slack where the driver needs
 	// microseconds. A finished process cancels a pending attempt by design.
 	clock := vclock.Scaled(vclock.Epoch, 500)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	phases := map[string]bool{}
 	mw, err := hpcm.New(hpcm.Options{
 		Universe: u, Hosts: cl, Live: &livemig.Config{},
-		Events: events.On(func(ev hpcm.MigrationEvent) {
+		Events: metrics.On(func(ev hpcm.MigrationEvent) {
 			obsMu.Lock()
 			phases[ev.Phase] = true
 			obsMu.Unlock()

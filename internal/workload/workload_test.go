@@ -5,17 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/cluster"
+	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/mpi"
 	"autoresched/internal/simnode"
 	"autoresched/internal/vclock"
 )
 
-func testRig(t *testing.T) (*cluster.Cluster, *hpcm.Middleware) {
+func testRig(t *testing.T) (*core.Cluster, *hpcm.Middleware) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 1000)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestLoadGenStartStopIdempotent(t *testing.T) {
 
 func TestCommLoadAchievesRoughRate(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 100)
-	cl := cluster.New(cluster.Options{Clock: clock, Bandwidth: 12.5e6})
+	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 2, simnode.Config{}); err != nil {
 		t.Fatal(err)
 	}
