@@ -71,7 +71,6 @@ check: lint build test
 # fences) and of the dispatcher's plan-then-reserve regression, and a single 64-host scale sweep, the malleability and multi-job
 # reports and two small fleets as end-to-end smokes of the control plane.
 ci: check
-	$(GO) test ./internal/analysis/...
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/simnet ./internal/experiments
 	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core

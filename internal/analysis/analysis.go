@@ -48,28 +48,28 @@ type Config struct {
 	// AllowClockPackages may use the time package and unseeded math/rand
 	// directly: the clock abstraction itself, the real-host probes, and
 	// the binaries/examples that run against wall clocks.
-	AllowClockPackages []string `json:"allow_clock_packages"`
+	AllowClockPackages []string
 	// NilGuardPackages are packages whose exported pointer-receiver
 	// methods must begin with a nil-receiver guard.
-	NilGuardPackages []string `json:"nil_guard_packages"`
+	NilGuardPackages []string
 	// ErrorPackages are packages whose returned errors must not be
 	// discarded with `_` or a bare call.
-	ErrorPackages []string `json:"error_packages"`
+	ErrorPackages []string
 	// MutexBlockingPackages are packages whose calls are considered
 	// blocking for the mutex-held check (plus channel sends, which are
 	// always considered).
-	MutexBlockingPackages []string `json:"mutex_blocking_packages"`
+	MutexBlockingPackages []string
 	// EnumPackages declare the named constant types (faults.Kind, job
 	// states, protocol message types) whose switches the eventcase check
 	// holds to exhaustive-or-default. Packages under analysis are always
 	// included.
-	EnumPackages []string `json:"enum_packages"`
+	EnumPackages []string
 	// EventPayloadTypes are the concrete types carried in
 	// metrics.Event.Payload; a type switch over an empty interface that
 	// handles any of them must handle all of them or default.
-	EventPayloadTypes []string `json:"event_payload_types"`
+	EventPayloadTypes []string
 	// DisabledChecks turns checks off by name.
-	DisabledChecks []string `json:"disabled_checks"`
+	DisabledChecks []string
 }
 
 // DefaultConfig is the repository's own policy.
@@ -130,11 +130,14 @@ func matchAny(patterns []string, pkgPath string) bool {
 	return false
 }
 
-// Check is one named rule.
+// Check is one named rule. Run checks one package at a time; the
+// interprocedural checks set RunModule instead, which runs once over the
+// whole loaded module (call graph included).
 type Check struct {
-	Name string
-	Doc  string
-	Run  func(cfg Config, pkg *Package) []Finding
+	Name      string
+	Doc       string
+	Run       func(cfg Config, pkg *Package) []Finding
+	RunModule func(cfg Config, mod *Module) []Finding
 }
 
 // Checks returns every check, in stable order.
@@ -161,44 +164,29 @@ func Checks() []Check {
 			Run:  checkMutexHeld,
 		},
 		{
-			Name: "optionsfield",
-			Doc:  "Options/Config fields must be read by the declaring package; an Option's target struct must also have every field set by an option",
-			Run:  checkOptionsField,
+			Name:      "deadexport",
+			Doc:       "an exported identifier under internal/ must have a reader outside its own package's tests; an Option's target struct must have every field set by an option",
+			RunModule: checkDeadExport,
 		},
 		{
 			Name: "layering",
 			Doc:  "a package may import only packages in lower rows of the layer table, and every module package has a row",
 			Run:  checkLayering,
 		},
-	}
-}
-
-// ModuleCheck is one named rule that needs the interprocedural view: it
-// runs once over the whole loaded module (call graph included) instead of
-// once per package.
-type ModuleCheck struct {
-	Name string
-	Doc  string
-	Run  func(cfg Config, mod *Module) []Finding
-}
-
-// ModuleChecks returns every call-graph check, in stable order.
-func ModuleChecks() []ModuleCheck {
-	return []ModuleCheck{
 		{
-			Name: "hotalloc",
-			Doc:  "//hot:path functions (and their module-internal callees) must not allocate",
-			Run:  checkHotAlloc,
+			Name:      "hotalloc",
+			Doc:       "//hot:path functions (and their module-internal callees) must not allocate",
+			RunModule: checkHotAlloc,
 		},
 		{
-			Name: "lockorder",
-			Doc:  "the global lock-acquisition graph must be cycle-free (no potential deadlocks)",
-			Run:  checkLockOrder,
+			Name:      "lockorder",
+			Doc:       "the global lock-acquisition graph must be cycle-free (no potential deadlocks)",
+			RunModule: checkLockOrder,
 		},
 		{
-			Name: "eventcase",
-			Doc:  "switches over event kinds, phases and payload types must be exhaustive or default",
-			Run:  checkEventCase,
+			Name:      "eventcase",
+			Doc:       "switches over event kinds, phases and payload types must be exhaustive or default",
+			RunModule: checkEventCase,
 		},
 	}
 }
@@ -300,21 +288,18 @@ func RunChecks(cfg Config, pkgs []*Package) []Finding {
 	for _, name := range cfg.DisabledChecks {
 		disabled[name] = true
 	}
+	mod := BuildModule(pkgs)
 	var findings []Finding
 	for _, c := range Checks() {
-		if disabled[c.Name] {
-			continue
+		switch {
+		case disabled[c.Name]:
+		case c.RunModule != nil:
+			findings = append(findings, c.RunModule(cfg, mod)...)
+		default:
+			for _, pkg := range pkgs {
+				findings = append(findings, c.Run(cfg, pkg)...)
+			}
 		}
-		for _, pkg := range pkgs {
-			findings = append(findings, c.Run(cfg, pkg)...)
-		}
-	}
-	mod := BuildModule(pkgs)
-	for _, c := range ModuleChecks() {
-		if disabled[c.Name] {
-			continue
-		}
-		findings = append(findings, c.Run(cfg, mod)...)
 	}
 	return findings
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -81,7 +82,6 @@ var fixtures = []struct {
 	{"nilrecv", "autoresched/internal/metrics"},
 	{"discard", "example/discard"},
 	{"mutex", "example/mutexdemo"},
-	{"options", "example/optdemo"},
 	{"hotalloc", "example/hotalloc"},
 	{"lockorder", "example/lockorder"},
 	{"eventcase", "example/eventcase"},
@@ -89,19 +89,46 @@ var fixtures = []struct {
 	{"unlisted", "autoresched/internal/unlisted"},
 }
 
+// fixtureConfig is the default policy without deadexport, which counts
+// readers across the whole loaded set: on one fixture alone it would report
+// every exported name. TestDeadExport runs it on its own fixture.
+func fixtureConfig() Config {
+	cfg := DefaultConfig()
+	cfg.DisabledChecks = []string{"deadexport"}
+	return cfg
+}
+
 func TestFixtures(t *testing.T) {
 	l, _ := sharedLoader(t)
 	for _, fx := range fixtures {
 		t.Run(fx.dir, func(t *testing.T) {
-			pkg, err := l.LoadDir(filepath.Join("testdata", "src", fx.dir), fx.importPath)
+			pkg, err := l.loadDir(filepath.Join("testdata", "src", fx.dir), fx.importPath)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			findings := RunChecks(DefaultConfig(), []*Package{pkg})
+			findings := RunChecks(fixtureConfig(), []*Package{pkg})
 			kept, _ := Filter(findings, []*Package{pkg})
 			matchWants(t, pkg, kept)
 		})
 	}
+}
+
+// TestDeadExport runs every check on the deadexport fixture together with
+// user/, the other package whose test is one of the fixture's readers.
+func TestDeadExport(t *testing.T) {
+	l, _ := sharedLoader(t)
+	dir := filepath.Join("testdata", "src", "deadexport")
+	pkg, err := l.loadDir(dir, "autoresched/internal/scenario")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	user, err := l.loadDir(filepath.Join(dir, "user"), "example/user")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	pkgs := []*Package{pkg, user}
+	kept, _ := Filter(RunChecks(DefaultConfig(), pkgs), pkgs)
+	matchWants(t, pkg, kept)
 }
 
 // want is one expectation parsed from a `// want `+"`regex`"+` comment,
@@ -179,7 +206,7 @@ func parseWant(t *testing.T, comment string) (string, bool) {
 // anything, and a wrong-check suppression hides nothing.
 func TestSuppressionSemantics(t *testing.T) {
 	l, _ := sharedLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "suppress"), "example/suppressdemo")
+	pkg, err := l.loadDir(filepath.Join("testdata", "src", "suppress"), "example/suppressdemo")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -208,12 +235,12 @@ func TestSuppressionSemantics(t *testing.T) {
 // determinism silences the registry fixture entirely.
 func TestDisabledChecks(t *testing.T) {
 	l, _ := sharedLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "registry"), "autoresched/internal/registry")
+	pkg, err := l.loadDir(filepath.Join("testdata", "src", "registry"), "autoresched/internal/registry")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	cfg := DefaultConfig()
-	cfg.DisabledChecks = []string{"determinism"}
+	cfg := fixtureConfig()
+	cfg.DisabledChecks = append(cfg.DisabledChecks, "determinism")
 	findings := RunChecks(cfg, []*Package{pkg})
 	kept, _ := Filter(findings, []*Package{pkg})
 	for _, f := range kept {
@@ -262,5 +289,35 @@ func TestDesignRendersLayers(t *testing.T) {
 	}
 	if block != want.String() {
 		t.Errorf("DESIGN.md's Layering block is not the layer table; it should read:\n%s", want.String())
+	}
+}
+
+// TestDesignNamesEveryCheck: DESIGN.md's Static invariants section has a
+// bullet for every check, and its count sentence matches Checks().
+func TestDesignNamesEveryCheck(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(moduleRoot(t), "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(data), "## Static invariants")
+	section, _, _ = strings.Cut(section, "\n## ")
+	section = strings.Join(strings.Fields(section), " ")
+	perPackage := 0
+	for _, c := range Checks() {
+		if !strings.Contains(section, "* **"+c.Name+"** —") {
+			t.Errorf("DESIGN.md's Static invariants section has no bullet for %s", c.Name)
+		}
+		if c.Run != nil {
+			perPackage++
+		}
+	}
+	words := []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve"}
+	count := fmt.Sprintf("runs its %s project-specific checks", words[len(Checks())])
+	split := fmt.Sprintf("%s are per-package AST walks; %s run once over the whole loaded module",
+		strings.ToUpper(words[perPackage][:1])+words[perPackage][1:], words[len(Checks())-perPackage])
+	for _, want := range []string{count, split} {
+		if !strings.Contains(section, want) {
+			t.Errorf("DESIGN.md's Static invariants section does not say %q", want)
+		}
 	}
 }

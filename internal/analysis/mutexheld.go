@@ -2,234 +2,66 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // checkMutexHeld is a heuristic detector for blocking work inside a
-// critical section: between an `x.Lock()` (or RLock) on a sync.Mutex /
-// sync.RWMutex and its unlock — deferred unlocks hold to the end of the
-// function — it flags
+// critical section: while a sync.Mutex / sync.RWMutex is held (walkHeld's
+// tracking; deferred unlocks hold to the end of the function) it flags
 //
 //   - channel send statements,
 //   - calls into the net package, and
 //   - calls to methods of internal/proto types (Conn/Client round trips),
 //
 // all of which can block indefinitely and, under a registry or monitor
-// mutex, stall the whole control plane. The analysis is intra-function
-// and tracks mutexes by receiver expression text, so it is a lint, not a
-// proof; function literals are analysed independently (they run later,
-// outside the section).
+// mutex, stall the whole control plane. The analysis is intra-function,
+// so it is a lint, not a proof.
 func checkMutexHeld(cfg Config, pkg *Package) []Finding {
 	var findings []Finding
+	report := func(n ast.Node, msg string) {
+		findings = append(findings, Finding{
+			Pos:   pkg.Fset.Position(n.Pos()),
+			Check: "mutexheld",
+			Msg:   msg,
+		})
+	}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &mutexWalker{cfg: cfg, pkg: pkg}
-			w.walkBody(fd.Body)
-			findings = append(findings, w.findings...)
+			walkHeld(pkg, fd.Name.Name, fd.Body, func(s heldSite) {
+				if s.Lock != "" || len(s.Held) == 0 {
+					return
+				}
+				switch n := s.Node.(type) {
+				case *ast.SendStmt:
+					report(n, "channel send while a mutex is held")
+				case *ast.CallExpr:
+					if fn := calleeOf(pkg, n); fn != nil && blocking(cfg, pkg, fn) {
+						report(n, "call to "+qualifiedName(fn)+" while a mutex is held")
+					}
+				}
+			})
 		}
 	}
 	return findings
-}
-
-type mutexWalker struct {
-	cfg      Config
-	pkg      *Package
-	findings []Finding
-	queue    []*ast.BlockStmt // function literal bodies, analysed fresh
-}
-
-// walkBody analyses one function body, then any function literals found
-// inside it, each with an empty held set.
-func (w *mutexWalker) walkBody(body *ast.BlockStmt) {
-	w.walkStmts(body.List, map[string]bool{})
-	for len(w.queue) > 0 {
-		next := w.queue[0]
-		w.queue = w.queue[1:]
-		w.walkStmts(next.List, map[string]bool{})
-	}
-}
-
-// walkStmts processes statements in order, tracking which mutexes are
-// held. Branch bodies share the caller's held set: the tracking is a
-// linear heuristic, not a dataflow analysis.
-func (w *mutexWalker) walkStmts(stmts []ast.Stmt, held map[string]bool) {
-	for _, stmt := range stmts {
-		w.walkStmt(stmt, held)
-	}
-}
-
-func (w *mutexWalker) walkStmt(stmt ast.Stmt, held map[string]bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if key, locks, ok := w.mutexOp(s.X); ok {
-			if locks {
-				held[key] = true
-			} else {
-				delete(held, key)
-			}
-			return
-		}
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the section open to the end of the
-		// function, which is exactly the held state already tracked; a
-		// deferred anything-else runs after the section and is not
-		// scanned.
-		return
-	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.queue = append(w.queue, lit.Body)
-		}
-		return
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-		return
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		w.walkStmts(s.Body.List, held)
-		if s.Else != nil {
-			w.walkStmt(s.Else, held)
-		}
-		return
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.walkStmts(s.Body.List, held)
-		return
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		w.walkStmts(s.Body.List, held)
-		return
-	}
-	w.scanNode(stmt, held)
-}
-
-// scanExpr scans one expression for violations and function literals.
-func (w *mutexWalker) scanExpr(e ast.Expr, held map[string]bool) {
-	if e != nil {
-		w.scanNode(e, held)
-	}
-}
-
-// scanNode inspects a subtree for blocking constructs (when a mutex is
-// held) and queues function literals for independent analysis.
-func (w *mutexWalker) scanNode(n ast.Node, held map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.queue = append(w.queue, x.Body)
-			return false
-		case *ast.SelectStmt:
-			// A select with a default clause never blocks, so its send
-			// headers are exempt; clause bodies are scanned normally.
-			if hasDefault(x) {
-				for _, clause := range x.Body.List {
-					cc := clause.(*ast.CommClause)
-					for _, stmt := range cc.Body {
-						w.scanNode(stmt, held)
-					}
-				}
-				return false
-			}
-			return true
-		case *ast.SendStmt:
-			if len(held) > 0 {
-				w.report(x.Pos(), "channel send while a mutex is held")
-			}
-			return true
-		case *ast.CallExpr:
-			if key, locks, ok := w.mutexOp(x); ok {
-				if locks {
-					held[key] = true
-				} else {
-					delete(held, key)
-				}
-				return false
-			}
-			if len(held) > 0 {
-				if fn := calleeOf(w.pkg, x); fn != nil && w.blocking(fn) {
-					w.report(x.Pos(), "call to "+qualifiedName(fn)+" while a mutex is held")
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (w *mutexWalker) report(pos token.Pos, msg string) {
-	w.findings = append(w.findings, Finding{
-		Pos:   w.pkg.Fset.Position(pos),
-		Check: "mutexheld",
-		Msg:   msg,
-	})
-}
-
-// hasDefault reports whether a select statement has a default clause.
-func hasDefault(sel *ast.SelectStmt) bool {
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // blocking reports whether fn belongs to a package whose calls are
 // treated as blocking. For methods, proto types (Conn, Client) are the
 // interesting surface: a round trip under a registry mutex serialises
 // the control plane on the network.
-func (w *mutexWalker) blocking(fn *types.Func) bool {
+func blocking(cfg Config, pkg *Package, fn *types.Func) bool {
 	if fn.Pkg() == nil {
 		return false
 	}
 	path := fn.Pkg().Path()
-	if path == w.pkg.Path {
+	if path == pkg.Path {
 		// A blocking package's own helpers under its own mutexes are its
 		// business (proto's client serialises the wire by design).
 		return false
 	}
-	return matchAny(w.cfg.MutexBlockingPackages, path)
-}
-
-// mutexOp recognises x.Lock/RLock/Unlock/RUnlock calls on sync mutexes,
-// returning the receiver's expression text as the tracking key.
-func (w *mutexWalker) mutexOp(e ast.Expr) (key string, locks, ok bool) {
-	call, isCall := ast.Unparen(e).(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		locks = true
-	case "Unlock", "RUnlock":
-	default:
-		return "", false, false
-	}
-	t := w.pkg.Info.Types[sel.X].Type
-	if t == nil {
-		return "", false, false
-	}
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", false, false
-	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
-		return "", false, false
-	}
-	return types.ExprString(sel.X), locks, true
+	return matchAny(cfg.MutexBlockingPackages, path)
 }

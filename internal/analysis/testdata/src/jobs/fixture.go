@@ -2,24 +2,13 @@
 // multi-job control plane. The queue's lifecycle timestamps and the
 // policies' admission order must come from the injected sim clock and the
 // submission sequence — a wall-clock read or a global-rand tiebreak
-// slipped into the package must be reported, and a queue knob nobody
-// consults is dead configuration.
+// slipped into the package must be reported.
 package jobs
 
 import (
 	"math/rand"
 	"time"
 )
-
-// Options configures the demo queue.
-type Options struct {
-	// MaxPending is read by full: live configuration.
-	MaxPending int
-	// GracePeriod is accepted but never consulted.
-	GracePeriod time.Duration // want `\[optionsfield\] exported field Options\.GracePeriod is never read by jobs \(dead configuration\)`
-}
-
-func full(o Options, pending int) bool { return pending >= o.MaxPending }
 
 // SubmittedAt stamps a submission off the wall clock instead of the
 // queue's injected clock — the exact regression the determinism check
@@ -46,5 +35,3 @@ func SeededShuffle(seed int64, names []string) {
 func WaitedFor(started, submitted time.Time) time.Duration {
 	return started.Sub(submitted)
 }
-
-var _ = full

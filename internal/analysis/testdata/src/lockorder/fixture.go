@@ -20,7 +20,7 @@ type B struct {
 
 func (a *A) Step() {
 	a.mu.Lock()
-	a.b.mu.Lock() // want `\[lockorder\] potential deadlock: lock-order cycle lockorder\.A\.mu -> lockorder\.B\.mu -> lockorder\.A\.mu`
+	a.b.mu.Lock() // want `\[lockorder\] potential deadlock: lock-order cycle lockorder\.A\.mu -> lockorder\.B\.mu -> lockorder\.A\.mu \(lockorder\.A\.mu -> lockorder\.B\.mu at fixture\.go:23, lockorder\.B\.mu -> lockorder\.A\.mu at fixture\.go:30\)$`
 	a.b.mu.Unlock()
 	a.mu.Unlock()
 }

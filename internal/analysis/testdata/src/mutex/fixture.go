@@ -63,3 +63,29 @@ func (h *hub) litRunsLater() {
 		h.ch <- 3
 	}()
 }
+
+// loopHeadersHeld round-trips in a for condition and a for post statement
+// while the lock is held: both run inside the section.
+func loopHeadersHeld(c *proto.Client, m *proto.Message, mu *sync.Mutex) {
+	mu.Lock()
+	defer mu.Unlock()
+	for failed(c.Call(m)) { // want `\[mutexheld\] call to \(proto\.Client\)\.Call while a mutex is held`
+	}
+	for i := 0; i < 3; i += tries(c.Call(m)) { // want `\[mutexheld\] call to \(proto\.Client\)\.Call while a mutex is held`
+	}
+}
+
+func failed(_ *proto.Message, err error) bool { return err != nil }
+
+func tries(_ *proto.Message, _ error) int { return 1 }
+
+// twoInstances locks two hubs in turn. Both mutexes have the key hub.mu,
+// and the hold count keeps a's held after b's unlock. Locking two
+// instances of one type with no ordering rule is also a lockorder cycle.
+func twoInstances(a, b *hub) {
+	a.mu.Lock()
+	b.mu.Lock() // want `\[lockorder\] potential deadlock: lock-order cycle mutexdemo\.hub\.mu -> mutexdemo\.hub\.mu`
+	b.mu.Unlock()
+	a.ch <- 1 // want `\[mutexheld\] channel send while a mutex is held`
+	a.mu.Unlock()
+}

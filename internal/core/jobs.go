@@ -80,9 +80,6 @@ func (run *jobRun) liveHosts() []string {
 	return hosts
 }
 
-// Queue returns the job queue (submission order, lifecycle snapshots).
-func (s *System) Queue() *jobs.Queue { return s.queue }
-
 // Submit is the multi-job front door. A spec with pinned Hosts is admitted
 // synchronously on exactly those hosts — the compatibility path Launch
 // rides on; an unpinned spec joins the queue and the dispatcher admits it

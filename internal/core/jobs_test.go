@@ -240,7 +240,7 @@ func TestOverlappingCyclesAdmitOnce(t *testing.T) {
 		}),
 	})
 	// Straight into the queue: no dispatcher runs cycles of its own.
-	job, err := s.Queue().Submit(jobs.Spec{Name: "gang", Gang: 2, Rank: rankJacobi(20)})
+	job, err := s.queue.Submit(jobs.Spec{Name: "gang", Gang: 2, Rank: rankJacobi(20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestLaunchShimNameReuse(t *testing.T) {
 			t.Fatalf("wait %d: %v", i, err)
 		}
 	}
-	job, ok := s.Queue().Get("again")
+	job, ok := s.queue.Get("again")
 	if !ok {
 		t.Fatal("launched job not in queue")
 	}
@@ -293,7 +293,7 @@ func TestRunCycleReservesBeforeExecuting(t *testing.T) {
 	s, _ := newSystem(t, 1000, 4, Options{})
 	var admitted []*jobs.Job
 	for _, name := range []string{"a", "b"} {
-		job, err := s.Queue().Submit(jobs.Spec{Name: name, Gang: 2, Rank: rankJacobi(20)})
+		job, err := s.queue.Submit(jobs.Spec{Name: name, Gang: 2, Rank: rankJacobi(20)})
 		if err != nil {
 			t.Fatal(err)
 		}

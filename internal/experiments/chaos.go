@@ -274,14 +274,14 @@ func chaosScenarios(live *livemig.Config) []chaosScenario {
 	return append(scenarios, crashloop, standby)
 }
 
-// ChaosScenarioNames lists the chaos scenario set in run order — the one
+// chaosScenarioNames lists the chaos scenario set in run order — the one
 // authoritative list behind every "N/N scenarios survive" claim. live
 // selects the sweep that appends the precopy-specific scenario
-// (crash-dest-mid-precopy), so len(ChaosScenarioNames(false)) and
-// len(ChaosScenarioNames(true)) are the two survival denominators;
+// (crash-dest-mid-precopy), so len(chaosScenarioNames(false)) and
+// len(chaosScenarioNames(true)) are the two survival denominators;
 // EXPERIMENTS.md's stated counts are pinned to them by
 // TestChaosCountsMatchDocs.
-func ChaosScenarioNames(live bool) []string {
+func chaosScenarioNames(live bool) []string {
 	var cfg *livemig.Config
 	if live {
 		cfg = &livemig.Config{}

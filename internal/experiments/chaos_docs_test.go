@@ -10,14 +10,14 @@ import (
 )
 
 // TestChaosCountsMatchDocs pins every scenario-count claim in
-// EXPERIMENTS.md to the one authoritative list (ChaosScenarioNames). The
+// EXPERIMENTS.md to the one authoritative list (chaosScenarioNames). The
 // two counts — the base chaos sweep and the live sweep that adds
 // crash-dest-mid-precopy — used to be hand-maintained in two sections and
 // drifted; now a count edit in either place fails here unless the scenario
 // list actually changed.
 func TestChaosCountsMatchDocs(t *testing.T) {
-	base := ChaosScenarioNames(false)
-	live := ChaosScenarioNames(true)
+	base := chaosScenarioNames(false)
+	live := chaosScenarioNames(true)
 	if len(live) != len(base)+1 {
 		t.Fatalf("live sweep has %d scenarios, want base %d plus crash-dest-mid-precopy", len(live), len(base))
 	}

@@ -20,9 +20,7 @@ type FalseMigrationConfig struct {
 
 // FalseMigrationResult reports whether the transient fooled the scheduler.
 type FalseMigrationResult struct {
-	Warmup     int
 	Migrations int
-	Ordered    int // migrate orders issued by the registry
 	FalseMove  bool
 }
 
@@ -79,11 +77,8 @@ func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) 
 
 	// Watch whether the scheduler (wrongly) fires after the burst is gone.
 	clock.Sleep(4 * time.Minute)
-	ordered, _ := sys.Registry().Stats()
 	res := &FalseMigrationResult{
-		Warmup:     cfg.Warmup,
 		Migrations: app.Proc.Migrations(),
-		Ordered:    ordered,
 		FalseMove:  app.Proc.Migrations() > 0,
 	}
 	// Let the application run out so the system tears down cleanly.

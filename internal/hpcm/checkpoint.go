@@ -89,10 +89,10 @@ func (s FileStore) Load(app string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// RequestCheckpoint asks the process to write a checkpoint at its next
+// requestCheckpoint asks the process to write a checkpoint at its next
 // poll-point (it keeps running afterwards). Requires a store configured on
 // the middleware.
-func (p *Process) RequestCheckpoint() error {
+func (p *Process) requestCheckpoint() error {
 	if p.mw.ckptStore == nil {
 		return errors.New("hpcm: no checkpoint store configured")
 	}

@@ -57,7 +57,7 @@ func TestCheckpointAndRestoreResumeProgress(t *testing.T) {
 	}
 	gate <- struct{}{} // stage 0
 	gate <- struct{}{} // stage 1
-	if err := p.RequestCheckpoint(); err != nil {
+	if err := p.requestCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	gate <- struct{}{} // stage 2; its poll-point writes the checkpoint
@@ -180,8 +180,8 @@ func TestCheckpointWithoutStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RequestCheckpoint(); err == nil {
-		t.Fatal("RequestCheckpoint without store accepted")
+	if err := p.requestCheckpoint(); err == nil {
+		t.Fatal("requestCheckpoint without store accepted")
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ type Options struct {
 	// from it after a host loss.
 	Checkpoints CheckpointStore
 	// CheckpointEvery automatically checkpoints at the first poll-point
-	// after each interval (zero: only on RequestCheckpoint).
+	// after each interval (zero: only when one is requested).
 	CheckpointEvery time.Duration
 	// Events, when set, receives every migration phase event and every
 	// checkpoint event on the unified runtime sink (Source "hpcm"), each

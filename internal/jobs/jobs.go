@@ -179,9 +179,9 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// WaitTime is the total time the job spent Pending before it first ran
+// waitTime is the total time the job spent Pending before it first ran
 // (still accumulating while it waits).
-func (j *Job) WaitTime() time.Duration {
+func (j *Job) waitTime() time.Duration {
 	j.q.mu.Lock()
 	defer j.q.mu.Unlock()
 	if j.waited == 0 && j.started.IsZero() && !j.state.terminal() {

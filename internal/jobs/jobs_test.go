@@ -72,7 +72,7 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 	if err := q.Transition("a", StateRunning, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.WaitTime(); got != 40*time.Second {
+	if got := j.waitTime(); got != 40*time.Second {
 		t.Fatalf("wait time = %s, want 40s", got)
 	}
 	if got := j.Placement(); len(got) != 2 || got[0] != "h1" {
@@ -92,7 +92,7 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 	if got := j.Placement(); len(got) != 0 {
 		t.Fatalf("placement after requeue = %v", got)
 	}
-	if got := j.WaitTime(); got != 40*time.Second {
+	if got := j.waitTime(); got != 40*time.Second {
 		t.Fatalf("wait time after requeue = %s, want 40s", got)
 	}
 	q.Settle("a", StateCompleted, nil, "done")

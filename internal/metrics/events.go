@@ -25,7 +25,6 @@ import (
 const (
 	SourceRegistry  = "registry"
 	SourceHPCM      = "hpcm"
-	SourceFaults    = "faults"
 	SourceCommander = "commander"
 	SourceMalleable = "malleable"
 	SourceJobs      = "jobs"

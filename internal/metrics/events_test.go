@@ -31,7 +31,7 @@ func TestRingCountBy(t *testing.T) {
 	r := &Ring{}
 	r.Publish(Event{Source: SourceRegistry, Kind: "ordered"})
 	r.Publish(Event{Source: SourceRegistry, Kind: "declined"})
-	r.Publish(Event{Source: SourceFaults, Kind: "crash-host"})
+	r.Publish(Event{Source: SourceJobs, Kind: "admitted"})
 	if got := r.CountBy(SourceRegistry, ""); got != 2 {
 		t.Fatalf("CountBy(registry) = %d", got)
 	}

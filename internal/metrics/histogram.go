@@ -100,8 +100,8 @@ func (h *Histogram) Count() uint64 {
 	return h.total
 }
 
-// Sum returns the sum of all observed samples in seconds.
-func (h *Histogram) Sum() float64 {
+// sumSeconds returns the sum of all observed samples in seconds.
+func (h *Histogram) sumSeconds() float64 {
 	if h == nil {
 		return 0
 	}

@@ -24,8 +24,8 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("Count = %d, want 100", h.Count())
 	}
-	if math.Abs(h.Sum()-0.2) > 1e-9 {
-		t.Fatalf("Sum = %v, want 0.2", h.Sum())
+	if math.Abs(h.sumSeconds()-0.2) > 1e-9 {
+		t.Fatalf("Sum = %v, want 0.2", h.sumSeconds())
 	}
 }
 
@@ -67,7 +67,7 @@ func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
 	h.Merge(NewHistogram("x"))
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.Name() != "" {
+	if h.Count() != 0 || h.sumSeconds() != 0 || h.Quantile(0.5) != 0 || h.Name() != "" {
 		t.Fatal("nil histogram must be inert")
 	}
 	var g *Gauge

@@ -27,7 +27,7 @@ func TestSpansFullMigration(t *testing.T) {
 		if h.Count() != 1 {
 			t.Fatalf("%s count = %d, want 1", name, h.Count())
 		}
-		if got := h.Sum(); got != wantSeconds {
+		if got := h.sumSeconds(); got != wantSeconds {
 			t.Fatalf("%s sum = %v, want %v", name, got, wantSeconds)
 		}
 	}
@@ -53,7 +53,7 @@ func TestSpansWithoutOrderAnchorsOnStart(t *testing.T) {
 	if got := reg.Histogram(SpanPollWait).Count(); got != 0 {
 		t.Fatalf("poll_wait count = %d, want 0", got)
 	}
-	if got := reg.Histogram(SpanTotal).Sum(); got != 3 {
+	if got := reg.Histogram(SpanTotal).sumSeconds(); got != 3 {
 		t.Fatalf("total sum = %v, want 3", got)
 	}
 }

@@ -248,15 +248,15 @@ func (m *Monitor) State() rules.State {
 	return m.state
 }
 
-// History returns the monitoring information database (oldest first).
-func (m *Monitor) History() []Sample {
+// historyCopy returns the monitoring information database (oldest first).
+func (m *Monitor) historyCopy() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Sample(nil), m.history...)
 }
 
-// Cycles reports how many gather cycles have completed.
-func (m *Monitor) Cycles() int {
+// cycleCount reports how many gather cycles have completed.
+func (m *Monitor) cycleCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cycles

@@ -106,10 +106,10 @@ func TestCycleGathersEvaluatesStores(t *testing.T) {
 	if sample.State != rules.Free {
 		t.Fatalf("state = %v", sample.State)
 	}
-	if m.Cycles() != 1 {
-		t.Fatalf("cycles = %d", m.Cycles())
+	if m.cycleCount() != 1 {
+		t.Fatalf("cycles = %d", m.cycleCount())
 	}
-	if h := m.History(); len(h) != 1 || h[0].Snap.Host != "ws1" {
+	if h := m.historyCopy(); len(h) != 1 || h[0].Snap.Host != "ws1" {
 		t.Fatalf("history = %+v", h)
 	}
 }
@@ -255,7 +255,7 @@ func TestHistoryBounded(t *testing.T) {
 		}
 		clock.Advance(10 * time.Second)
 	}
-	if got := len(m.History()); got != 4 {
+	if got := len(m.historyCopy()); got != 4 {
 		t.Fatalf("history size = %d, want 4", got)
 	}
 }

@@ -36,17 +36,9 @@ func numericOp(name string, fi func(a, b int64) int64, ff func(a, b float64) flo
 	}
 }
 
-// Built-in reduction operations over int, int64 and float64.
-var (
-	Sum = numericOp("sum", func(a, b int64) int64 { return a + b },
-		func(a, b float64) float64 { return a + b })
-	Prod = numericOp("prod", func(a, b int64) int64 { return a * b },
-		func(a, b float64) float64 { return a * b })
-	Max = numericOp("max", func(a, b int64) int64 { return max(a, b) },
-		func(a, b float64) float64 { return max(a, b) })
-	Min = numericOp("min", func(a, b int64) int64 { return min(a, b) },
-		func(a, b float64) float64 { return min(a, b) })
-)
+// Sum is the built-in reduction over int, int64 and float64.
+var Sum = numericOp("sum", func(a, b int64) int64 { return a + b },
+	func(a, b float64) float64 { return a + b })
 
 // requireIntra rejects collective calls on intercommunicators.
 func (c *Comm) requireIntra(op string) error {
@@ -54,35 +46,6 @@ func (c *Comm) requireIntra(op string) error {
 		return fmt.Errorf("mpi: %s on an intercommunicator (Merge it first)", op)
 	}
 	return nil
-}
-
-// Barrier blocks until every rank in the communicator has entered it.
-func (c *Comm) Barrier() error {
-	if err := c.requireIntra("Barrier"); err != nil {
-		return err
-	}
-	tag := c.nextCollTag()
-	token := true
-	if c.rank == 0 {
-		for i := 1; i < c.Size(); i++ {
-			var t bool
-			if _, err := c.recvInternal(&t, AnySource, tag); err != nil {
-				return err
-			}
-		}
-		for i := 1; i < c.Size(); i++ {
-			if err := c.send(token, i, tag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.send(token, 0, tag); err != nil {
-		return err
-	}
-	var t bool
-	_, err := c.recvInternal(&t, 0, tag)
-	return err
 }
 
 // Bcast broadcasts *ptr from root to every rank along a binomial tree.

@@ -4,30 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestBarrierSynchronises(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		var before, after atomic.Int32
-		runWorld(t, n, func(env *Env) error {
-			before.Add(1)
-			if err := env.World.Barrier(); err != nil {
-				return err
-			}
-			if got := before.Load(); got != int32(n) {
-				return fmt.Errorf("crossed barrier with only %d/%d arrived", got, n)
-			}
-			after.Add(1)
-			return nil
-		})
-		if after.Load() != int32(n) {
-			t.Fatalf("n=%d: after = %d", n, after.Load())
-		}
-	}
-}
 
 func TestBcastAllSizesAndRoots(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7} {
@@ -77,42 +56,12 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
-func TestAllreduceMaxMinProd(t *testing.T) {
-	runWorld(t, 4, func(env *Env) error {
-		w := env.World
-		var hi, lo float64
-		if err := w.Allreduce(float64(w.Rank()), &hi, Max); err != nil {
-			return err
-		}
-		if err := w.Allreduce(float64(w.Rank()), &lo, Min); err != nil {
-			return err
-		}
-		if hi != 3 || lo != 0 {
-			return fmt.Errorf("max=%v min=%v", hi, lo)
-		}
-		var prod int64
-		if err := w.Allreduce(int64(w.Rank()+1), &prod, Prod); err != nil {
-			return err
-		}
-		if prod != 24 {
-			return fmt.Errorf("prod = %d", prod)
-		}
-		return nil
-	})
-}
-
 func TestReduceMixedTypesError(t *testing.T) {
 	if _, err := Sum(1, "x"); err == nil {
 		t.Fatal("Sum(int, string) succeeded")
 	}
 	if _, err := Sum("a", "b"); err == nil {
 		t.Fatal("Sum(string, string) succeeded")
-	}
-	if v, err := Max(int64(3), int64(9)); err != nil || v.(int64) != 9 {
-		t.Fatalf("Max int64 = %v, %v", v, err)
-	}
-	if v, err := Min(2, 7); err != nil || v.(int) != 2 {
-		t.Fatalf("Min int = %v, %v", v, err)
 	}
 }
 

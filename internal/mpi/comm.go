@@ -55,16 +55,16 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the local group size.
 func (c *Comm) Size() int { return len(c.group.eps) }
 
-// RemoteSize returns the remote group size of an intercommunicator, or 0.
-func (c *Comm) RemoteSize() int {
+// remoteSize returns the remote group size of an intercommunicator, or 0.
+func (c *Comm) remoteSize() int {
 	if c.remote == nil {
 		return 0
 	}
 	return len(c.remote.eps)
 }
 
-// IsInter reports whether this is an intercommunicator.
-func (c *Comm) IsInter() bool { return c.remote != nil }
+// isInter reports whether this is an intercommunicator.
+func (c *Comm) isInter() bool { return c.remote != nil }
 
 // Host returns the host name a rank runs on. For an intercommunicator the
 // rank indexes the remote group, matching where sends go.

@@ -198,8 +198,8 @@ func (u *Universe) Publish(service, portName string) error {
 	return nil
 }
 
-// Lookup resolves a service name to a port name (MPI_Lookup_name).
-func (u *Universe) Lookup(service string) (string, error) {
+// lookup resolves a service name to a port name (MPI_Lookup_name).
+func (u *Universe) lookup(service string) (string, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	name, ok := u.names[service]

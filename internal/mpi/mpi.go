@@ -3,7 +3,7 @@
 // point-to-point communication with wildcards, non-blocking operations,
 // collective operations, communicator management (Split/CreateGroup), and — the part
 // the paper singles out, available in 2004 only in LAM/MPI — dynamic process
-// management: Spawn, named ports (Open/Publish/Lookup), Connect/Accept, and
+// management: Spawn, named ports (Open/Publish), Connect/Accept, and
 // intercommunicator Merge. Those primitives are exactly what the migration
 // protocol uses to create a process on the destination machine and join the
 // communicators "so that the migrating process and initialized process can

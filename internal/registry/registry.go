@@ -9,7 +9,7 @@
 // # Concurrency contract
 //
 // A Registry is safe for concurrent use. Read methods (Hosts, Processes,
-// Health, StateOf, Stats) return deep-enough copies that the caller may use
+// Health, Stats) return deep-enough copies that the caller may use
 // without synchronisation. Ordering is deterministic: Hosts returns hosts in
 // registration order, Processes returns processes in PID order. Concurrent
 // writers
@@ -303,7 +303,6 @@ func (r *Registry) Restart() {
 	}
 	hosts := len(r.hosts)
 	ev := RestartEvent{
-		At:        r.clock.Now(),
 		Recovered: recovered,
 		Seq:       r.lastApplied,
 		Hosts:     hosts,

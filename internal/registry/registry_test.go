@@ -84,7 +84,7 @@ func TestRegisterAndLeaseExpiry(t *testing.T) {
 	if err := r.RegisterHost("", staticFor("x")); err == nil {
 		t.Fatal("empty host accepted")
 	}
-	if got := r.StateOf("ws1"); got != rules.Free {
+	if got := r.stateOf("ws1"); got != rules.Free {
 		t.Fatalf("state = %v", got)
 	}
 	// Refresh keeps it alive.
@@ -93,19 +93,19 @@ func TestRegisterAndLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(30 * time.Second)
-	if got := r.StateOf("ws1"); got != rules.Busy {
+	if got := r.stateOf("ws1"); got != rules.Busy {
 		t.Fatalf("state = %v", got)
 	}
 	// Missing refreshes expire the lease.
 	clock.Advance(10 * time.Second)
-	if got := r.StateOf("ws1"); got != rules.Unavailable {
+	if got := r.stateOf("ws1"); got != rules.Unavailable {
 		t.Fatalf("state after lease expiry = %v", got)
 	}
 	hosts := r.Hosts()
 	if len(hosts) != 1 || hosts[0].State != rules.Unavailable {
 		t.Fatalf("hosts = %+v", hosts)
 	}
-	if got := r.StateOf("ghost"); got != rules.Unavailable {
+	if got := r.stateOf("ghost"); got != rules.Unavailable {
 		t.Fatalf("unknown host state = %v", got)
 	}
 }
@@ -422,7 +422,7 @@ func TestHandlerServesProtocol(t *testing.T) {
 	if _, err := h(&proto.Message{Type: proto.TypeStatus, From: "ws1", Status: &st}); err != nil {
 		t.Fatal(err)
 	}
-	if r.StateOf("ws1") != rules.Busy {
+	if r.stateOf("ws1") != rules.Busy {
 		t.Fatal("status not applied")
 	}
 	pi := proto.ProcessInfo{PID: 3, Name: "x", Start: clock.Now().UnixNano()}

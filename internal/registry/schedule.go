@@ -207,9 +207,9 @@ func (r *Registry) Handler() proto.Handler {
 	}
 }
 
-// StateOf returns the registry's view of a host's state (Unavailable when
+// stateOf returns the registry's view of a host's state (Unavailable when
 // the lease has expired or the host is unknown).
-func (r *Registry) StateOf(host string) rules.State {
+func (r *Registry) stateOf(host string) rules.State {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.hosts[host]

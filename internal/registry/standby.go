@@ -77,7 +77,6 @@ func (s *Standby) Promote() (*Registry, error) {
 		return nil, fmt.Errorf("registry: promote: presumed abort: %w", err)
 	}
 	ev := RestartEvent{
-		At:        r.clock.Now(),
 		Recovered: true,
 		Seq:       r.lastApplied,
 		Hosts:     len(r.hosts),

@@ -1,10 +1,6 @@
 package registry
 
-import (
-	"time"
-
-	"autoresched/internal/metrics"
-)
+import "autoresched/internal/metrics"
 
 // EventKind classifies a scheduling-decision event; its values are the Kind
 // strings of the registry's events on the unified sink (Source "registry").
@@ -41,7 +37,6 @@ const (
 // crash-consistent recovery (Recovered, with the restored state's shape)
 // from a soft-state drop without parsing trace notes.
 type RestartEvent struct {
-	At time.Time
 	// Recovered reports a store-backed bootstrap; false is the classic
 	// soft-state drop where everything must re-register.
 	Recovered bool

@@ -58,9 +58,9 @@ func startFlows(t *testing.T, n *Network, specs []flowSpec) (*sync.WaitGroup, []
 		}(i, sp)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for n.ActiveFlows() < len(specs) {
+	for n.activeFlows() < len(specs) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d flows registered", n.ActiveFlows(), len(specs))
+			t.Fatalf("only %d/%d flows registered", n.activeFlows(), len(specs))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -133,7 +133,7 @@ func drain(t *testing.T, n *Network, clock *vclock.Manual, wg *sync.WaitGroup) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flows did not drain: %d still active", n.ActiveFlows())
+			t.Fatalf("flows did not drain: %d still active", n.activeFlows())
 		}
 		clock.Advance(2 * time.Second)
 		time.Sleep(time.Millisecond)

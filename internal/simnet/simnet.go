@@ -319,8 +319,8 @@ func (n *Network) HostFlows(host string) (int, error) {
 	return len(h.sendFlows) + len(h.recvFlows), nil
 }
 
-// ActiveFlows reports the number of in-flight transfers.
-func (n *Network) ActiveFlows() int {
+// activeFlows reports the number of in-flight transfers.
+func (n *Network) activeFlows() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.flows)

@@ -155,10 +155,10 @@ func TestHostGoingDownFailsInFlightTransfer(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() { errc <- n.Transfer("a", "b", 1e9) }()
 	// Wait for the flow to be active, then kill the receiver.
-	for i := 0; n.ActiveFlows() == 0 && i < 1000; i++ {
+	for i := 0; n.activeFlows() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if n.ActiveFlows() == 0 {
+	if n.activeFlows() == 0 {
 		t.Fatal("flow never became active")
 	}
 	if err := n.SetDown("b", true); err != nil {
@@ -361,7 +361,7 @@ func TestPartitionCutsInFlightFlow(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() { errCh <- n.Transfer("a", "b", 100e6) }()
 	// Wait until the flow exists, then partition.
-	for i := 0; i < 200 && n.ActiveFlows() == 0; i++ {
+	for i := 0; i < 200 && n.activeFlows() == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if err := n.SetPartitioned("a", "b", true); err != nil {

@@ -115,7 +115,6 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) Speed() float64 { return h.cfg.Speed }
 
 // CPUs returns the processor count.
-func (h *Host) CPUs() int { return h.cfg.CPUs }
 
 // shareFor returns the per-process execution rate with n runnable
 // processes: each process runs on at most one CPU, and the host delivers
@@ -152,12 +151,11 @@ type computeReq struct {
 // ProcInfo is a snapshot of one process-table entry, the unit ps/prstat
 // style probes report.
 type ProcInfo struct {
-	PID      int
-	Name     string
-	Started  time.Time
-	Memory   int64
-	CPUTime  time.Duration
-	Runnable bool
+	PID     int
+	Name    string
+	Started time.Time
+	Memory  int64
+	CPUTime time.Duration
 }
 
 // Spawn adds a process with the given name and resident memory to the
@@ -337,12 +335,11 @@ func (h *Host) Procs() []ProcInfo {
 	out := make([]ProcInfo, 0, len(h.procs))
 	for _, p := range h.procs {
 		out = append(out, ProcInfo{
-			PID:      p.pid,
-			Name:     p.name,
-			Started:  p.started,
-			Memory:   p.memory,
-			CPUTime:  p.cpuTime,
-			Runnable: p.computing != nil,
+			PID:     p.pid,
+			Name:    p.name,
+			Started: p.started,
+			Memory:  p.memory,
+			CPUTime: p.cpuTime,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })

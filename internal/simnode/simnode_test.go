@@ -79,8 +79,8 @@ func TestMultiCPUParallelism(t *testing.T) {
 	// forces sharing.
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	h := NewHost(clock, "smp", Config{Speed: speed, CPUs: 2})
-	if h.CPUs() != 2 {
-		t.Fatalf("CPUs = %d", h.CPUs())
+	if h.cfg.CPUs != 2 {
+		t.Fatalf("CPUs = %d", h.cfg.CPUs)
 	}
 	start := clock.Now()
 	var wg sync.WaitGroup

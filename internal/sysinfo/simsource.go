@@ -78,7 +78,7 @@ func (s *SimSource) Disks() ([]DiskUsage, error) {
 	mounts := s.host.Mounts()
 	out := make([]DiskUsage, 0, len(mounts))
 	for _, m := range mounts {
-		d := DiskUsage{Path: m.Path, Total: m.Total, Used: m.Used, Avail: m.Total - m.Used}
+		d := DiskUsage{Path: m.Path, Used: m.Used}
 		if m.Total > 0 {
 			d.UsedPct = 100 * float64(m.Used) / float64(m.Total)
 		}

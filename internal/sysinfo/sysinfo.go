@@ -29,9 +29,7 @@ type Static struct {
 // DiskUsage is the disk state of one mount point.
 type DiskUsage struct {
 	Path    string
-	Total   int64
 	Used    int64
-	Avail   int64
 	UsedPct float64
 }
 
@@ -41,8 +39,6 @@ type DiskUsage struct {
 type Snapshot struct {
 	Host string
 	Time time.Time
-	// Interval is the window over which rate quantities were measured.
-	Interval time.Duration
 
 	// Processor utilisation and load.
 	Load1, Load5, Load15 float64
@@ -52,10 +48,10 @@ type Snapshot struct {
 	NumProcs             int
 
 	// Memory state.
-	MemTotal, MemAvail   int64
-	MemAvailPct          float64
-	SwapTotal, SwapAvail int64
-	SwapAvailPct         float64
+	MemTotal, MemAvail int64
+	MemAvailPct        float64
+	SwapAvail          int64
+	SwapAvailPct       float64
 
 	// Disk usage.
 	Disks []DiskUsage
@@ -99,7 +95,7 @@ type Source interface {
 
 // Sensor derives windowed Snapshots from consecutive Source readings.
 // The first Gather establishes the baseline; rate fields of the first
-// snapshot are zero and Interval reports zero.
+// snapshot are zero.
 type Sensor struct {
 	src Source
 
@@ -142,7 +138,7 @@ func (s *Sensor) Gather() (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("sysinfo: swap: %w", err)
 	}
-	snap.SwapTotal, snap.SwapAvail = swapTotal, swapTotal-swapUsed
+	snap.SwapAvail = swapTotal - swapUsed
 	if swapTotal > 0 {
 		snap.SwapAvailPct = 100 * float64(snap.SwapAvail) / float64(swapTotal)
 	}
@@ -166,7 +162,6 @@ func (s *Sensor) Gather() (Snapshot, error) {
 
 	if s.primed {
 		window := snap.Time.Sub(s.prevTime)
-		snap.Interval = window
 		if window > 0 {
 			dBusy := busy - s.prevBusy
 			dIdle := idle - s.prevIdle

@@ -34,9 +34,6 @@ func TestSensorFirstGatherIsBaseline(t *testing.T) {
 	if snap.Host != "ws1" {
 		t.Fatalf("host = %q", snap.Host)
 	}
-	if snap.Interval != 0 {
-		t.Fatalf("first interval = %v, want 0", snap.Interval)
-	}
 	if snap.CPUIdlePct != 100 {
 		t.Fatalf("first idle = %v, want 100", snap.CPUIdlePct)
 	}
@@ -73,9 +70,6 @@ func TestSensorWindowedCPUIdle(t *testing.T) {
 	}
 	if math.Abs(snap.CPUUtilPct-50) > 1 {
 		t.Fatalf("util = %v, want ~50", snap.CPUUtilPct)
-	}
-	if snap.Interval < 59*time.Second {
-		t.Fatalf("interval = %v", snap.Interval)
 	}
 }
 
@@ -179,7 +173,7 @@ func TestSimSourceDisks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(disks) != 1 || disks[0].UsedPct != 25 || disks[0].Avail != 750 {
+	if len(disks) != 1 || disks[0].UsedPct != 25 {
 		t.Fatalf("disks = %+v", disks)
 	}
 }
