@@ -20,7 +20,7 @@ GO ?= go
 # they lean on.
 RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/hpcm ./internal/core ./internal/faults \
-            ./internal/metrics ./internal/simnet ./internal/livemig \
+            ./internal/metrics ./internal/sim ./internal/livemig \
             ./internal/malleable ./internal/jobs ./internal/scenario \
             ./internal/persist ./internal/mpi ./internal/vclock \
             ./internal/workload
@@ -66,13 +66,13 @@ fuzz:
 check: lint build test
 
 # The full gate: everything `check` and `race` run, a repeated race-enabled
-# run of the network simulation and experiment suites (flushing out
+# run of the testbed simulation and experiment suites (flushing out
 # order-dependent flakiness in the fair-share solver and the determinism
 # fences) and of the dispatcher's plan-then-reserve regression, and a single 64-host scale sweep, the malleability and multi-job
 # reports and two small fleets as end-to-end smokes of the control plane.
 ci: check
 	$(MAKE) race
-	$(GO) test -race -count=2 ./internal/simnet ./internal/experiments
+	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core
 	$(MAKE) fuzz
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42

@@ -17,7 +17,7 @@ import (
 
 	"autoresched/internal/core"
 	"autoresched/internal/registry"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -27,11 +27,11 @@ func main() {
 
 	// One shared interconnect carrying both domains (a campus network).
 	cl := core.NewCluster(clock, 12.5e6)
-	domainA, err := cl.AddHosts("a", 2, simnode.Config{Speed: 1e6})
+	domainA, err := cl.AddHosts("a", 2, sim.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)
 	}
-	domainB, err := cl.AddHosts("b", 2, simnode.Config{Speed: 1e6})
+	domainB, err := cl.AddHosts("b", 2, sim.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)
 	}

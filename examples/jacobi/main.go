@@ -16,7 +16,7 @@ import (
 
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -24,7 +24,7 @@ import (
 func main() {
 	clock := vclock.Scaled(vclock.Epoch, 300)
 	cl := core.NewCluster(clock, 12.5e6)
-	hosts, err := cl.AddHosts("ws", 2, simnode.Config{Speed: 1e6})
+	hosts, err := cl.AddHosts("ws", 2, sim.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)
 	}

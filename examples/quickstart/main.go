@@ -15,7 +15,7 @@ import (
 
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -26,7 +26,7 @@ func main() {
 
 	// A cluster of two identical workstations on 100 Mbps Ethernet.
 	cl := core.NewCluster(clock, 12.5e6)
-	hosts, err := cl.AddHosts("ws", 2, simnode.Config{Speed: 1e6})
+	hosts, err := cl.AddHosts("ws", 2, sim.Config{Speed: 1e6})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,7 +86,7 @@ var fixtures = []struct {
 	{"hotalloc", "example/hotalloc"},
 	{"lockorder", "example/lockorder"},
 	{"eventcase", "example/eventcase"},
-	{"layering", "autoresched/internal/simnet"},
+	{"layering", "autoresched/internal/sim"},
 	{"unlisted", "autoresched/internal/unlisted"},
 }
 
@@ -266,6 +267,61 @@ func TestMatchPackage(t *testing.T) {
 	for _, c := range cases {
 		if got := matchPackage(c.pattern, c.path); got != c.want {
 			t.Errorf("matchPackage(%q, %q) = %v, want %v", c.pattern, c.path, got, c.want)
+		}
+	}
+}
+
+// TestNoGhostEntries: every package the layer table and DefaultConfig's
+// lists name is one the module builds or imports, and every identifier
+// EventPayloadTypes and the deadexport keep table name exists, so an entry
+// a fold or a deletion left behind fails here instead of matching nothing.
+func TestNoGhostEntries(t *testing.T) {
+	l, pkgs := sharedLoader(t)
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+	}
+	for path := range l.exports {
+		paths = append(paths, path)
+	}
+	cfg := DefaultConfig()
+	var patterns []string
+	for _, list := range append([][]string{cfg.AllowClockPackages, cfg.NilGuardPackages,
+		cfg.ErrorPackages, cfg.MutexBlockingPackages, cfg.EnumPackages}, layers...) {
+		patterns = append(patterns, list...)
+	}
+	for _, pattern := range patterns {
+		found := false
+		for _, path := range paths {
+			found = found || matchPackage(pattern, path)
+		}
+		if !found {
+			t.Errorf("%s names no package of the module or its imports", pattern)
+		}
+	}
+	names := append([]string(nil), cfg.EventPayloadTypes...)
+	for name := range deadKeep {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		rel, qual, _ := strings.Cut(name, ".")
+		var pkg *Package
+		for _, p := range pkgs {
+			if p.Path == module+"/"+rel {
+				pkg = p
+			}
+		}
+		if pkg == nil {
+			t.Errorf("%s: no module package %s", name, rel)
+			continue
+		}
+		typeName, member, _ := strings.Cut(qual, ".")
+		obj := pkg.Types.Scope().Lookup(typeName)
+		if obj != nil && member != "" {
+			obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, pkg.Types, member)
+		}
+		if obj == nil {
+			t.Errorf("%s: %s declares no %s", name, rel, qual)
 		}
 	}
 }

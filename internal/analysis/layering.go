@@ -18,8 +18,8 @@ const module = "autoresched"
 // import.
 var layers = [][]string{
 	{"internal/vclock", "internal/analysis"},
-	{"internal/simnode", "internal/simnet", "internal/metrics"},
-	{"internal/sysinfo", "internal/mpi", "internal/livemig", "internal/schema", "internal/persist"},
+	{"internal/sim", "internal/metrics"},
+	{"internal/sysinfo", "internal/mpi", "internal/livemig", "internal/persist"},
 	{"internal/rules", "internal/proto", "internal/hpcm"},
 	{"internal/monitor", "internal/registry", "internal/jobs", "internal/malleable"},
 	{"internal/core", "internal/workload"},

@@ -6,8 +6,7 @@ import (
 	"sync"
 
 	"autoresched/internal/hpcm"
-	"autoresched/internal/simnet"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
@@ -21,7 +20,7 @@ import (
 // SunBlade100 approximates the paper's workstation: one 500 MHz
 // UltraSPARC-IIe with 128 MB of memory. Speed is in abstract work units per
 // second; 500e6 makes one unit one cycle.
-var SunBlade100 = simnode.Config{
+var SunBlade100 = sim.Config{
 	Speed:    500e6,
 	MemTotal: 128 << 20,
 	MemBase:  24 << 20,
@@ -30,10 +29,10 @@ var SunBlade100 = simnode.Config{
 // Cluster is a set of simulated hosts joined by a simulated network.
 type Cluster struct {
 	clock vclock.Clock
-	net   *simnet.Network
+	net   *sim.Network
 
 	mu      sync.Mutex
-	hosts   map[string]*simnode.Host
+	hosts   map[string]*sim.Host
 	sources map[string]*sysinfo.SimSource
 }
 
@@ -42,8 +41,8 @@ type Cluster struct {
 func NewCluster(clock vclock.Clock, bandwidth float64) *Cluster {
 	return &Cluster{
 		clock:   clock,
-		net:     simnet.New(clock, simnet.Options{DefaultBandwidth: bandwidth}),
-		hosts:   make(map[string]*simnode.Host),
+		net:     sim.NewNetwork(clock, sim.Options{DefaultBandwidth: bandwidth}),
+		hosts:   make(map[string]*sim.Host),
 		sources: make(map[string]*sysinfo.SimSource),
 	}
 }
@@ -52,11 +51,11 @@ func NewCluster(clock vclock.Clock, bandwidth float64) *Cluster {
 func (c *Cluster) Clock() vclock.Clock { return c.clock }
 
 // Net returns the simulated network.
-func (c *Cluster) Net() *simnet.Network { return c.net }
+func (c *Cluster) Net() *sim.Network { return c.net }
 
 // AddHost creates a host. A zero Config gets Sun Blade 100 characteristics.
-func (c *Cluster) AddHost(name string, cfg simnode.Config) (*simnode.Host, error) {
-	if cfg == (simnode.Config{}) {
+func (c *Cluster) AddHost(name string, cfg sim.Config) (*sim.Host, error) {
+	if cfg == (sim.Config{}) {
 		cfg = SunBlade100
 	}
 	c.mu.Lock()
@@ -67,7 +66,7 @@ func (c *Cluster) AddHost(name string, cfg simnode.Config) (*simnode.Host, error
 	if err := c.net.AddHost(name); err != nil {
 		return nil, err
 	}
-	h := simnode.NewHost(c.clock, name, cfg)
+	h := sim.NewHost(c.clock, name, cfg)
 	c.hosts[name] = h
 	c.sources[name] = sysinfo.NewSimSource(h, c.net)
 	return h, nil
@@ -75,7 +74,7 @@ func (c *Cluster) AddHost(name string, cfg simnode.Config) (*simnode.Host, error
 
 // AddHosts creates n hosts named prefix1..prefixN with identical
 // characteristics and returns their names.
-func (c *Cluster) AddHosts(prefix string, n int, cfg simnode.Config) ([]string, error) {
+func (c *Cluster) AddHosts(prefix string, n int, cfg sim.Config) ([]string, error) {
 	names := make([]string, 0, n)
 	for i := 1; i <= n; i++ {
 		name := fmt.Sprintf("%s%d", prefix, i)
@@ -88,7 +87,7 @@ func (c *Cluster) AddHosts(prefix string, n int, cfg simnode.Config) ([]string, 
 }
 
 // Host returns a host by name.
-func (c *Cluster) Host(name string) (*simnode.Host, bool) {
+func (c *Cluster) Host(name string) (*sim.Host, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.hosts[name]
@@ -125,7 +124,7 @@ func (c *Cluster) HostCheck(host string) error {
 		return fmt.Errorf("cluster: unknown host %q", host)
 	}
 	if c.net.HostDown(host) {
-		return simnet.ErrHostDown
+		return sim.ErrHostDown
 	}
 	return nil
 }

@@ -7,21 +7,21 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/mpi"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
 
 func TestAddHostAndLookup(t *testing.T) {
 	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
-	h, err := c.AddHost("ws1", simnode.Config{})
+	h, err := c.AddHost("ws1", sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Speed() != SunBlade100.Speed {
 		t.Fatalf("default speed = %v", h.Speed())
 	}
-	if _, err := c.AddHost("ws1", simnode.Config{}); err == nil {
+	if _, err := c.AddHost("ws1", sim.Config{}); err == nil {
 		t.Fatal("duplicate host accepted")
 	}
 	got, ok := c.Host("ws1")
@@ -35,7 +35,7 @@ func TestAddHostAndLookup(t *testing.T) {
 
 func TestAddHostsBatch(t *testing.T) {
 	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
-	names, err := c.AddHosts("ws", 5, simnode.Config{})
+	names, err := c.AddHosts("ws", 5, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAddHostsBatch(t *testing.T) {
 
 func TestSourceSharedAndGathering(t *testing.T) {
 	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
-	if _, err := c.AddHost("ws1", simnode.Config{}); err != nil {
+	if _, err := c.AddHost("ws1", sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	src, ok := c.Source("ws1")
@@ -74,7 +74,7 @@ func TestSourceSharedAndGathering(t *testing.T) {
 
 func TestAttachBindsProcesses(t *testing.T) {
 	c := NewCluster(vclock.Scaled(vclock.Epoch, 200), 0)
-	h, err := c.AddHost("ws1", simnode.Config{Speed: 1000})
+	h, err := c.AddHost("ws1", sim.Config{Speed: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAttachBindsProcesses(t *testing.T) {
 func TestMovedProcessAttachesWithItsMemory(t *testing.T) {
 	const mem = 48 << 20
 	c := NewCluster(vclock.Scaled(vclock.Epoch, 500), 0)
-	if _, err := c.AddHosts("ws", 3, simnode.Config{MemTotal: 256 << 20}); err != nil {
+	if _, err := c.AddHosts("ws", 3, sim.Config{MemTotal: 256 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	used := func(host string) int64 {
@@ -172,7 +172,7 @@ func TestMovedProcessAttachesWithItsMemory(t *testing.T) {
 
 func TestNetworkWired(t *testing.T) {
 	c := NewCluster(vclock.Scaled(vclock.Epoch, 200), 1e6)
-	if _, err := c.AddHosts("ws", 2, simnode.Config{}); err != nil {
+	if _, err := c.AddHosts("ws", 2, sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Net().Transfer("ws1", "ws2", 1000); err != nil {

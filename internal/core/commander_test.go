@@ -8,7 +8,7 @@ import (
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -19,7 +19,7 @@ import (
 func launchHeld(t *testing.T, clock vclock.Clock, opts Options, body hpcm.Main) (*System, *App, chan struct{}) {
 	t.Helper()
 	cl := NewCluster(clock, 12.5e6)
-	names, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6})
+	names, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}

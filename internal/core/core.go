@@ -26,7 +26,6 @@ import (
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
 	"autoresched/internal/rules"
-	"autoresched/internal/schema"
 	"autoresched/internal/vclock"
 )
 
@@ -187,7 +186,7 @@ type App struct {
 	// Proc is the current hpcm process. Failover replaces it; read it
 	// through Process() while the app may still be running.
 	Proc   *hpcm.Process
-	Schema *schema.Schema
+	Schema *rules.Schema
 
 	sys        *System
 	main       hpcm.Main
@@ -411,7 +410,7 @@ func (s *System) Migrate(host string, order proto.MigrateOrder) error {
 		Dest:   order.DestHost,
 		PID:    order.PID,
 	})
-	proc.Signal(hpcm.Command{DestHost: order.DestHost, DestAddr: order.DestAddr, Policy: order.Policy})
+	proc.Signal(hpcm.Command{DestHost: order.DestHost})
 	app.mu.Lock()
 	app.lastOrder, app.orderedAt = order, s.clock.Now()
 	app.mu.Unlock()
@@ -547,7 +546,7 @@ func (s *System) Stop() {
 //
 // Launch is the single-job compatibility shim over Submit: it submits a
 // gang-of-one spec pinned to host and returns its rank-0 App.
-func (s *System) Launch(name, host string, sch *schema.Schema, main hpcm.Main) (*App, error) {
+func (s *System) Launch(name, host string, sch *rules.Schema, main hpcm.Main) (*App, error) {
 	_, apps, err := s.submit(jobs.Spec{
 		Name:   name,
 		Hosts:  []string{host},

@@ -7,7 +7,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/rules"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -16,7 +16,7 @@ func newSystem(t *testing.T, scale float64, hosts int, opts Options) (*System, *
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, scale)
 	cl := NewCluster(clock, 12.5e6)
-	names, err := cl.AddHosts("ws", hosts, simnode.Config{Speed: 1e6, MemTotal: 128 << 20})
+	names, err := cl.AddHosts("ws", hosts, sim.Config{Speed: 1e6, MemTotal: 128 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSchemaFeedbackAfterCompletion(t *testing.T) {
 func TestGatherCostShowsUpOnHost(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 2000)
 	cl := NewCluster(clock, 0)
-	if _, err := cl.AddHost("ws1", simnode.Config{Speed: 1e6}); err != nil {
+	if _, err := cl.AddHost("ws1", sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Options{Cluster: cl, GatherCost: 5000, MonitorInterval: 10 * time.Second})

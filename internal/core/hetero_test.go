@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -19,13 +19,13 @@ func TestHeterogeneousClusterPrefersCapableHost(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 500)
 	cl := NewCluster(clock, 12.5e6)
 	// ws1: source (mid speed); ws2: slow spare; ws3: fast spare.
-	if _, err := cl.AddHost("ws1", simnode.Config{Speed: 1e6}); err != nil {
+	if _, err := cl.AddHost("ws1", sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.AddHost("ws2", simnode.Config{Speed: 2e5}); err != nil {
+	if _, err := cl.AddHost("ws2", sim.Config{Speed: 2e5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.AddHost("ws3", simnode.Config{Speed: 2e6}); err != nil {
+	if _, err := cl.AddHost("ws3", sim.Config{Speed: 2e6}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Options{

@@ -11,7 +11,7 @@ import (
 	"autoresched/internal/jobs"
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 )
 
 // This file is the live job dispatcher: the control-plane half of the
@@ -532,7 +532,7 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 // startApp launches (or restores) one migration-enabled process and wraps
 // it in the App machinery — registry registration and the follow loop with
 // its failover budget. Launch, the job dispatcher and Recover share it.
-func (s *System) startApp(name, host string, sch *schema.Schema, main hpcm.Main, restore bool) (*App, error) {
+func (s *System) startApp(name, host string, sch *rules.Schema, main hpcm.Main, restore bool) (*App, error) {
 	if _, ok := s.Node(host); !ok {
 		return nil, fmt.Errorf("core: no node on host %q", host)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/registry"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 )
 
 // Recover restores an application from its latest checkpoint onto a host —
@@ -18,7 +18,7 @@ import (
 // search picks the destination (excluding the host the app last ran on).
 // main must be the same program that wrote the checkpoint, and sch its
 // schema (may be nil).
-func (s *System) Recover(name, host string, sch *schema.Schema, main hpcm.Main) (*App, error) {
+func (s *System) Recover(name, host string, sch *rules.Schema, main hpcm.Main) (*App, error) {
 	if s.opts.Checkpoints == nil {
 		return nil, errors.New("core: no checkpoint store configured")
 	}

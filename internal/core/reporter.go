@@ -3,7 +3,7 @@ package core
 import (
 	"autoresched/internal/monitor"
 	"autoresched/internal/proto"
-	"autoresched/internal/simnet"
+	"autoresched/internal/sim"
 )
 
 // chargedReporter forwards monitor traffic toward the in-process registry
@@ -12,7 +12,7 @@ import (
 // the NIC counters exactly as the paper's XML-over-TCP messages did.
 type chargedReporter struct {
 	inner monitor.Reporter
-	net   *simnet.Network
+	net   *sim.Network
 	to    string
 }
 

@@ -8,7 +8,7 @@ import (
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
 	"autoresched/internal/rules"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -37,7 +37,7 @@ func (r *tcpReporter) UnregisterHost(host string) error {
 func TestMonitorToRegistryOverTCP(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	cl := NewCluster(clock, 0)
-	if _, err := cl.AddHosts("ws", 2, simnode.Config{Speed: 1e6}); err != nil {
+	if _, err := cl.AddHosts("ws", 2, sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,7 +15,7 @@ import (
 
 	"autoresched/internal/core"
 	"autoresched/internal/metrics"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
@@ -52,7 +52,7 @@ const hostSpeed = 1e6
 func newCluster(p Params, n int) (*core.Cluster, []string, error) {
 	clock := vclock.Scaled(vclock.Epoch, p.Scale)
 	cl := core.NewCluster(clock, 12.5e6)
-	names, err := cl.AddHosts("ws", n, simnode.Config{Speed: hostSpeed, MemTotal: 128 << 20, MemBase: 24 << 20})
+	names, err := cl.AddHosts("ws", n, sim.Config{Speed: hostSpeed, MemTotal: 128 << 20, MemBase: 24 << 20})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,7 +7,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/mpi"
-	"autoresched/internal/simnet"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -17,7 +17,7 @@ import (
 func migrateStateInto(t *testing.T, withBusyFlow bool) time.Duration {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 25)
-	net := simnet.New(clock, simnet.Options{DefaultBandwidth: 12.5e6})
+	net := sim.NewNetwork(clock, sim.Options{DefaultBandwidth: 12.5e6})
 	for _, h := range []string{"src", "dst", "peer"} {
 		if err := net.AddHost(h); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/registry"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -84,7 +84,7 @@ func newBoundInjector(t *testing.T) (*Injector, *core.System, *metrics.Registry)
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 1000)
 	cl := core.NewCluster(clock, 12.5e6)
-	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
+	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	mreg := metrics.NewRegistry()

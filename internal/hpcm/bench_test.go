@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"autoresched/internal/mpi"
-	"autoresched/internal/simnet"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -20,7 +20,7 @@ func BenchmarkMigration(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				clock := vclock.Scaled(vclock.Epoch, 500)
-				net := simnet.New(clock, simnet.Options{DefaultBandwidth: 12.5e6})
+				net := sim.NewNetwork(clock, sim.Options{DefaultBandwidth: 12.5e6})
 				if err := net.AddHost("a"); err != nil {
 					b.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func BenchmarkPreInitAblation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			clock := vclock.Scaled(vclock.Epoch, 500)
-			net := simnet.New(clock, simnet.Options{DefaultBandwidth: 12.5e6})
+			net := sim.NewNetwork(clock, sim.Options{DefaultBandwidth: 12.5e6})
 			if err := net.AddHost("a"); err != nil {
 				b.Fatal(err)
 			}

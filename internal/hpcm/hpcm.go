@@ -52,12 +52,9 @@ var ErrMigrated = errors.New("hpcm: process migrated")
 type Main func(ctx *Context) error
 
 // Command is the migrate order the commander delivers: the destination
-// host plus the address the paper's implementation passes through a
-// temporary file.
+// host.
 type Command struct {
 	DestHost string
-	DestAddr string
-	Policy   string
 }
 
 // HostProc is a process's presence on a host: CPU charging, memory

@@ -18,7 +18,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 	"autoresched/internal/vclock"
 )
 
@@ -47,7 +47,7 @@ type Spec struct {
 	Hosts []string
 	// Schema carries the job's resource requirements; the scheduler only
 	// places ranks on hosts the schema fits. May be nil.
-	Schema *schema.Schema
+	Schema *rules.Schema
 	// Rank builds the application body of one rank. Required for live
 	// execution (the planner and the simulation never call it).
 	Rank func(rank, gang int) hpcm.Main

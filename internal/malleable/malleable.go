@@ -379,7 +379,7 @@ func sameHostSet(a, b []string) bool {
 // checks. Crashing the pinned root host fails the whole job (the engine has
 // no root failover; that is the checkpointing layer's domain). The caller
 // is responsible for also failing the host at the transport layer (e.g.
-// simnet SetDown) so in-flight payloads fail.
+// sim.Network.SetDown) so in-flight payloads fail.
 func (j *Job) CrashHost(host string) {
 	j.mu.Lock()
 	j.dead[host] = true

@@ -9,7 +9,7 @@ import (
 
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
@@ -55,10 +55,10 @@ func (f *fakeReporter) statusCount() int {
 	return len(f.statuses)
 }
 
-func monRig(t *testing.T) (*simnode.Host, *fakeReporter, *Monitor, *vclock.Manual) {
+func monRig(t *testing.T) (*sim.Host, *fakeReporter, *Monitor, *vclock.Manual) {
 	t.Helper()
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &fakeReporter{}
 	m, err := NewMonitor(
 		"ws1",
@@ -117,11 +117,11 @@ func TestCycleGathersEvaluatesStores(t *testing.T) {
 func TestStateFollowsLoad(t *testing.T) {
 	host, _, m, clock := monRig(t)
 	// Drive load above 2 with three always-runnable procs.
-	var procs []*simnode.Proc
+	var procs []*sim.Proc
 	for i := 0; i < 3; i++ {
 		p := host.Spawn("burn", 0)
 		procs = append(procs, p)
-		go func(p *simnode.Proc) { _ = p.Compute(1e12) }(p)
+		go func(p *sim.Proc) { _ = p.Compute(1e12) }(p)
 	}
 	defer func() {
 		for _, p := range procs {
@@ -187,7 +187,7 @@ func TestStartLoopReportsPeriodically(t *testing.T) {
 // the period WithDefaultFrequency sets, whatever state the host is in.
 func TestCyclePeriodIsDefaultFrequency(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &fakeReporter{}
 	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
 		WithEngine(loadEngine(t)), WithReporter(rep), WithClock(clock),
@@ -212,7 +212,7 @@ func TestCyclePeriodIsDefaultFrequency(t *testing.T) {
 
 func TestChargerChargedPerCycle(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	charger := host.Spawn("monitor", 0)
 	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
 		WithClock(clock),
@@ -239,7 +239,7 @@ func TestChargerChargedPerCycle(t *testing.T) {
 
 func TestHistoryBounded(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	m, err := NewMonitor(
 		"ws1",
 		sysinfo.NewSimSource(host, nil),
@@ -281,8 +281,8 @@ func TestReporterErrorSurfaced(t *testing.T) {
 // a df-style rule over the host's mount table drives the state machine.
 func TestDiskRuleEndToEnd(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
-	host.SetMounts([]simnode.Mount{{Path: "/export", Total: 1000, Used: 400}})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
+	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 400}})
 	engine := rules.NewEngine(nil)
 	if err := engine.Add(&rules.Rule{
 		Number: 1, Name: "diskExport", Type: rules.Simple,
@@ -306,14 +306,14 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 	if m.State() != rules.Free {
 		t.Fatalf("state at 40%% disk = %v", m.State())
 	}
-	host.SetMounts([]simnode.Mount{{Path: "/export", Total: 1000, Used: 900}})
+	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 900}})
 	if _, err := m.Cycle(); err != nil {
 		t.Fatal(err)
 	}
 	if m.State() != rules.Busy {
 		t.Fatalf("state at 90%% disk = %v", m.State())
 	}
-	host.SetMounts([]simnode.Mount{{Path: "/export", Total: 1000, Used: 990}})
+	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 990}})
 	if _, err := m.Cycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 // TestMemoryRuleEndToEnd covers the memory-state monitoring category.
 func TestMemoryRuleEndToEnd(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000, MemTotal: 100 << 20, MemBase: 10 << 20})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000, MemTotal: 100 << 20, MemBase: 10 << 20})
 	engine := rules.NewEngine(nil)
 	if err := engine.Add(&rules.Rule{
 		Number: 1, Name: "memAvail", Type: rules.Simple,

@@ -7,7 +7,7 @@ import (
 
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
@@ -57,7 +57,7 @@ func (a *amnesiacReporter) counts() (int, int) {
 
 func TestCycleReregistersAfterRegistryRestart(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &amnesiacReporter{}
 	mreg := metrics.NewRegistry()
 	m, err := NewMonitor(

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -266,15 +265,6 @@ func (c *Comm) nextCollTag() int {
 	return -(c.collSeq + collTagBase)
 }
 
-// nextDerivedSeq reserves a sequence number for derived-communicator
-// creation; again all ranks agree by calling order.
-func (c *Comm) nextDerivedSeq() int {
-	c.collMu.Lock()
-	defer c.collMu.Unlock()
-	c.collSeq++
-	return c.collSeq
-}
-
 // CreateGroup returns a sub-communicator containing exactly the given
 // ranks of c, ordered as listed (position in ranks = new rank) — the MPI-3
 // MPI_Comm_create_group: collective only over the listed ranks, so absent
@@ -309,81 +299,5 @@ func (c *Comm) CreateGroup(ranks []int, tag int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: caller rank %d not in CreateGroup ranks", c.rank)
 	}
 	ng.ctx = fmt.Sprintf("%s/group-%d-%s", c.group.ctx, tag, strings.Join(sig, "."))
-	return &Comm{u: c.u, group: ng, rank: newRank, self: c.self}, nil
-}
-
-// Split partitions the communicator by color; ranks within each new
-// communicator are ordered by (key, old rank). Collective: every rank must
-// call it. A negative color yields a nil communicator for that rank
-// (MPI_UNDEFINED).
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	if c.remote != nil {
-		return nil, fmt.Errorf("mpi: Split of intercommunicator not supported")
-	}
-	seq := c.nextDerivedSeq()
-	tag := -(seq + collTagBase)
-
-	type entry struct {
-		Rank  int
-		Color int
-		Key   int
-	}
-	mine := entry{Rank: c.rank, Color: color, Key: key}
-
-	// Allgather the (color, key) table over point-to-point: everyone sends
-	// to rank 0, rank 0 broadcasts the table.
-	var table []entry
-	if c.rank == 0 {
-		table = make([]entry, c.Size())
-		table[0] = mine
-		for i := 1; i < c.Size(); i++ {
-			var e entry
-			m, err := c.self.match(c.context(), AnySource, tag)
-			if err != nil {
-				return nil, err
-			}
-			if err := decode(m.data, &e); err != nil {
-				return nil, err
-			}
-			table[e.Rank] = e
-		}
-		for i := 1; i < c.Size(); i++ {
-			if err := c.send(table, i, tag); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := c.send(mine, 0, tag); err != nil {
-			return nil, err
-		}
-		if _, err := c.Recv(&table, 0, tag); err != nil {
-			return nil, err
-		}
-	}
-
-	if color < 0 {
-		return nil, nil
-	}
-	var members []entry
-	for _, e := range table {
-		if e.Color == color {
-			members = append(members, e)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].Key != members[j].Key {
-			return members[i].Key < members[j].Key
-		}
-		return members[i].Rank < members[j].Rank
-	})
-	ng := &group{ctx: fmt.Sprintf("%s/split-%d-c%d", c.group.ctx, seq, color)}
-	newRank := -1
-	for i, e := range members {
-		ng.eps = append(ng.eps, c.group.eps[e.Rank])
-		ng.hosts = append(ng.hosts, c.group.hosts[e.Rank])
-		if e.Rank == c.rank {
-			newRank = i
-		}
-	}
 	return &Comm{u: c.u, group: ng, rank: newRank, self: c.self}, nil
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // This file implements the MPI-2 dynamic process management the paper's
-// migration protocol is built on: MPI_Comm_spawn, MPI_Open_port /
-// MPI_Publish_name / MPI_Lookup_name, MPI_Comm_accept / MPI_Comm_connect,
-// and MPI_Intercomm_merge. In 2004 only LAM/MPI implemented these; the
-// paper notes MPICH-2 and Sun MPI could not be used for exactly this
-// reason.
+// migration protocol is built on: MPI_Comm_spawn, MPI_Open_port,
+// MPI_Comm_accept / MPI_Comm_connect, and MPI_Intercomm_merge. In 2004 only
+// LAM/MPI implemented these; the paper notes MPICH-2 and Sun MPI could not
+// be used for exactly this reason.
 
 // Spawn launches len(hosts) new processes running main and returns the
 // intercommunicator whose remote group is the children. The children see
@@ -185,28 +184,6 @@ func (u *Universe) ClosePort(name string) {
 		close(p.done)
 		delete(u.ports, name)
 	}
-}
-
-// Publish binds a service name to a port name (MPI_Publish_name).
-func (u *Universe) Publish(service, portName string) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if _, ok := u.ports[portName]; !ok {
-		return fmt.Errorf("mpi: publish of unknown port %q", portName)
-	}
-	u.names[service] = portName
-	return nil
-}
-
-// lookup resolves a service name to a port name (MPI_Lookup_name).
-func (u *Universe) lookup(service string) (string, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	name, ok := u.names[service]
-	if !ok {
-		return "", fmt.Errorf("mpi: no service %q", service)
-	}
-	return name, nil
 }
 
 func (u *Universe) port(name string) (*port, error) {

@@ -134,21 +134,18 @@ func TestSpawnNoHosts(t *testing.T) {
 	}
 }
 
-func TestPortsPublishLookupConnectAccept(t *testing.T) {
+func TestPortsConnectAccept(t *testing.T) {
 	u := NewUniverse(Options{})
-	portReady := make(chan struct{})
+	ports := make(chan string, 1)
 	wait := u.Start([]string{"server", "client"}, func(env *Env) error {
 		w := env.World
-		self, err := w.Split(w.Rank(), 0) // singleton comms
+		self, err := w.CreateGroup([]int{w.Rank()}, 0) // singleton comms
 		if err != nil {
 			return err
 		}
 		if w.Rank() == 0 {
 			port := env.U.OpenPort()
-			if err := env.U.Publish("migrate-svc", port); err != nil {
-				return err
-			}
-			close(portReady)
+			ports <- port
 			inter, err := env.Accept(port, self)
 			if err != nil {
 				return err
@@ -162,12 +159,7 @@ func TestPortsPublishLookupConnectAccept(t *testing.T) {
 			}
 			return inter.Send(v+1, 0, 1)
 		}
-		<-portReady
-		port, err := env.U.lookup("migrate-svc")
-		if err != nil {
-			return err
-		}
-		inter, err := env.Connect(port, self)
+		inter, err := env.Connect(<-ports, self)
 		if err != nil {
 			return err
 		}
@@ -190,16 +182,13 @@ func TestPortsPublishLookupConnectAccept(t *testing.T) {
 	}
 }
 
-func TestLookupUnknownServiceAndPort(t *testing.T) {
+func TestUnknownAndClosedPort(t *testing.T) {
 	u := NewUniverse(Options{})
-	if _, err := u.lookup("ghost"); err == nil {
-		t.Fatal("Lookup of unknown service succeeded")
-	}
-	if err := u.Publish("svc", "no-such-port"); err == nil {
-		t.Fatal("Publish of unknown port succeeded")
+	if _, err := u.port("no-such-port"); err == nil {
+		t.Fatal("lookup of unknown port succeeded")
 	}
 	port := u.OpenPort()
-	if err := u.Publish("svc", port); err != nil {
+	if _, err := u.port(port); err != nil {
 		t.Fatal(err)
 	}
 	u.ClosePort(port)
@@ -333,9 +322,6 @@ func TestCollectiveOnIntercommRejected(t *testing.T) {
 		if err := inter.Bcast(&x, 0); err == nil {
 			return errors.New("Bcast on intercomm succeeded")
 		}
-		if _, err := inter.Split(0, 0); err == nil {
-			return errors.New("Split on intercomm succeeded")
-		}
 		return inter.Send(0, 0, 9)
 	})
 	for _, err := range errs {
@@ -344,70 +330,6 @@ func TestCollectiveOnIntercommRejected(t *testing.T) {
 		}
 	}
 	u.Wait()
-}
-
-func TestSplitGroupsAndOrder(t *testing.T) {
-	runWorld(t, 6, func(env *Env) error {
-		w := env.World
-		color := w.Rank() % 2
-		key := -w.Rank() // reverse order inside each half
-		sub, err := w.Split(color, key)
-		if err != nil {
-			return err
-		}
-		if sub.Size() != 3 {
-			return fmt.Errorf("sub size = %d", sub.Size())
-		}
-		// Reverse key order: world rank 4 (color 0) should be rank 0 of its
-		// sub-communicator.
-		var leader int
-		if sub.Rank() == 0 {
-			leader = w.Rank()
-		}
-		if err := sub.Bcast(&leader, 0); err != nil {
-			return err
-		}
-		wantLeader := 4 + color // 4 for evens, 5 for odds
-		if leader != wantLeader {
-			return fmt.Errorf("leader = %d, want %d", leader, wantLeader)
-		}
-		var sum int
-		if err := sub.Allreduce(w.Rank(), &sum, Sum); err != nil {
-			return err
-		}
-		want := 0 + 2 + 4
-		if color == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum != want {
-			return fmt.Errorf("sub sum = %d, want %d", sum, want)
-		}
-		return nil
-	})
-}
-
-func TestSplitUndefinedColor(t *testing.T) {
-	runWorld(t, 3, func(env *Env) error {
-		w := env.World
-		color := 0
-		if w.Rank() == 2 {
-			color = -1 // MPI_UNDEFINED
-		}
-		sub, err := w.Split(color, 0)
-		if err != nil {
-			return err
-		}
-		if w.Rank() == 2 {
-			if sub != nil {
-				return errors.New("undefined color got a communicator")
-			}
-			return nil
-		}
-		if sub.Size() != 2 {
-			return fmt.Errorf("sub size = %d", sub.Size())
-		}
-		return nil
-	})
 }
 
 func TestSpawnHostFailedTyped(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package mpi is a message-passing library modelled on the MPI-2 subset the
 // paper's runtime depends on (Section 3.3): communicators with ranks, tagged
 // point-to-point communication with wildcards, non-blocking operations,
-// collective operations, communicator management (Split/CreateGroup), and — the part
-// the paper singles out, available in 2004 only in LAM/MPI — dynamic process
-// management: Spawn, named ports (Open/Publish), Connect/Accept, and
+// collective operations, communicator management (CreateGroup), and — the
+// part the paper singles out, available in 2004 only in LAM/MPI — dynamic
+// process management: Spawn, named ports (OpenPort), Connect/Accept, and
 // intercommunicator Merge. Those primitives are exactly what the migration
 // protocol uses to create a process on the destination machine and join the
 // communicators "so that the migrating process and initialized process can
@@ -69,7 +69,6 @@ type Universe struct {
 	mu     sync.Mutex
 	nextID int64
 	ports  map[string]*port
-	names  map[string]string // published service name -> port name
 	groups map[int64]*sharedGroup
 	wg     sync.WaitGroup
 }
@@ -95,7 +94,6 @@ func NewUniverse(opts Options) *Universe {
 		spawnLatency: opts.SpawnLatency,
 		hostCheck:    opts.HostCheck,
 		ports:        make(map[string]*port),
-		names:        make(map[string]string),
 		groups:       make(map[int64]*sharedGroup),
 	}
 }

@@ -3,7 +3,7 @@ package mpi
 import (
 	"time"
 
-	"autoresched/internal/simnet"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -25,7 +25,7 @@ func (Instant) Send(_, _ string, _ int64) error { return nil }
 // with whatever else the cluster is doing — this is what makes migration
 // into a communication-busy host measurably slower (Table 2).
 type SimTransport struct {
-	Net *simnet.Network
+	Net *sim.Network
 }
 
 // Send implements Transport by performing a blocking simulated transfer.

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"autoresched/internal/persist"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 	"autoresched/internal/vclock"
 )
 
@@ -46,9 +46,9 @@ func TestOneEligibilityRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer held.Abort()
-	proc := ProcInfo{Name: "job", Schema: &schema.Schema{
+	proc := ProcInfo{Name: "job", Schema: &rules.Schema{
 		Name:         "big",
-		Requirements: schema.Requirements{MinMemory: 64 << 20},
+		Requirements: rules.Requirements{MinMemory: 64 << 20},
 	}}
 	exclude := func(h string) bool { return h == "excluded" }
 

@@ -11,7 +11,6 @@ import (
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
-	"autoresched/internal/schema"
 )
 
 // Durable control plane: when WithStore is set, every protocol-state
@@ -324,9 +323,9 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 		r.sets[h.State] = insertOrdered(r.sets[h.State], e)
 	}
 	for _, sp := range st.Procs {
-		var sch *schema.Schema
+		var sch *rules.Schema
 		if sp.SchemaXML != "" {
-			parsed, err := schema.Unmarshal([]byte(sp.SchemaXML))
+			parsed, err := rules.ParseSchema([]byte(sp.SchemaXML))
 			if err != nil {
 				return fmt.Errorf("registry: snapshot process schema: %w", err)
 			}
@@ -426,9 +425,9 @@ func (r *Registry) applyLocked(payload any) error {
 		}
 		delete(r.hostProcs, p.Host)
 	case *recProcRegister:
-		var sch *schema.Schema
+		var sch *rules.Schema
 		if p.Info.SchemaXML != "" {
-			parsed, err := schema.Unmarshal([]byte(p.Info.SchemaXML))
+			parsed, err := rules.ParseSchema([]byte(p.Info.SchemaXML))
 			if err != nil {
 				return fmt.Errorf("registry: process schema: %w", err)
 			}

@@ -28,7 +28,6 @@ import (
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
-	"autoresched/internal/schema"
 	"autoresched/internal/sysinfo"
 	"autoresched/internal/vclock"
 )
@@ -140,7 +139,7 @@ type ProcInfo struct {
 	PID    int
 	Name   string
 	Start  time.Time
-	Schema *schema.Schema
+	Schema *rules.Schema
 	// schemaXML retains the wire document Schema was parsed from, so the
 	// durable change log and snapshots can round-trip it.
 	schemaXML string

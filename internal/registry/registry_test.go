@@ -7,7 +7,6 @@ import (
 
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
-	"autoresched/internal/schema"
 	"autoresched/internal/vclock"
 )
 
@@ -52,9 +51,9 @@ func status(state string, load float64, procs int) proto.Status {
 
 func testTreeXML(t *testing.T) string {
 	t.Helper()
-	s := &schema.Schema{
+	s := &rules.Schema{
 		Name:     "test_tree",
-		Estimate: schema.Estimate{Seconds: 300, CPUSpeed: 1000},
+		Estimate: rules.Estimate{Seconds: 300, CPUSpeed: 1000},
 	}
 	data, err := s.Marshal()
 	if err != nil {
@@ -138,7 +137,7 @@ func TestProcessRegistrationAndSelection(t *testing.T) {
 	// Two processes; the one with the LATEST estimated completion is
 	// selected (Section 4). Both started together; longer estimate wins.
 	longXML := testTreeXML(t)
-	short := &schema.Schema{Name: "short", Estimate: schema.Estimate{Seconds: 10, CPUSpeed: 1000}}
+	short := &rules.Schema{Name: "short", Estimate: rules.Estimate{Seconds: 10, CPUSpeed: 1000}}
 	shortData, _ := short.Marshal()
 	start := clock.Now().UnixNano()
 	if err := r.RegisterProcess("ws1", proto.ProcessInfo{PID: 11, Name: "short", Start: start, SchemaXML: string(shortData)}); err != nil {
@@ -219,9 +218,9 @@ func TestFirstFitSchemaRequirements(t *testing.T) {
 	if err := r.ReportStatus("ws2", status("free", 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	demanding := &schema.Schema{
+	demanding := &rules.Schema{
 		Name:         "big",
-		Requirements: schema.Requirements{MinMemory: 64 << 20},
+		Requirements: rules.Requirements{MinMemory: 64 << 20},
 	}
 	if _, ok := r.FirstFit("ws1", ProcInfo{Schema: demanding}); ok {
 		t.Fatal("host without enough memory offered")
@@ -238,9 +237,9 @@ func TestFirstFitSchemaRequirements(t *testing.T) {
 		t.Fatalf("candidate = %+v", cand)
 	}
 	// Software requirement.
-	needsSW := &schema.Schema{
+	needsSW := &rules.Schema{
 		Name:         "sw",
-		Requirements: schema.Requirements{Software: []string{"exotic"}},
+		Requirements: rules.Requirements{Software: []string{"exotic"}},
 	}
 	if _, ok := r.FirstFit("ws1", ProcInfo{Schema: needsSW}); ok {
 		t.Fatal("host without software offered")

@@ -3,6 +3,7 @@ package rules_test
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"autoresched/internal/rules"
 	"autoresched/internal/sysinfo"
@@ -57,4 +58,24 @@ func ExampleMigrationPolicy() {
 	// Output:
 	// ws2 acceptable: false
 	// ws4 acceptable: true
+}
+
+// ExampleSchema shows the estimate arithmetic the registry/scheduler uses
+// for process selection, and the statistics feedback that refines it.
+func ExampleSchema() {
+	s := &rules.Schema{
+		Name:            "test_tree",
+		Characteristics: []rules.Characteristic{rules.ComputeIntensive},
+		Estimate:        rules.Estimate{Seconds: 600, CPUSpeed: 1e6},
+	}
+	fmt.Println("on the reference host:", s.EstimateOn(1e6))
+	fmt.Println("on a host twice as fast:", s.EstimateOn(2e6))
+
+	// The first actual run took longer than estimated; the schema adapts.
+	s.RecordRun(800*time.Second, 1e6)
+	fmt.Println("after one observed run:", s.EstimateOn(1e6))
+	// Output:
+	// on the reference host: 10m0s
+	// on a host twice as fast: 5m0s
+	// after one observed run: 13m20s
 }

@@ -2,8 +2,9 @@
 // (Section 4): system states, simple rules fired against system-information
 // probes, complex rules combining other rules through a small expression
 // language (weighted sums and the '&'/'|' combinators of Figure 4), rule
-// files in the rl_* format of Figures 3 and 4, and the migration policies of
-// Section 5.3.
+// files in the rl_* format of Figures 3 and 4, the migration policies of
+// Section 5.3, and the application schema of Section 3.3 (Schema,
+// ParseSchema).
 package rules
 
 import "fmt"

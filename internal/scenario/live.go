@@ -8,7 +8,7 @@ import (
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/persist"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -60,7 +60,7 @@ func RunLive(s Scenario, scale float64, timeout time.Duration) (LiveOutcome, err
 	var names []string
 	for i := 0; i < s.Hosts; i++ {
 		name := HostName(i)
-		if _, err := cl.AddHost(name, simnode.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
+		if _, err := cl.AddHost(name, sim.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
 			return out, fmt.Errorf("live: building fleet: %w", err)
 		}
 		names = append(names, name)

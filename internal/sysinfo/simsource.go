@@ -1,29 +1,22 @@
 package sysinfo
 
 import (
-	"sync"
 	"time"
 
-	"autoresched/internal/simnet"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 )
 
 // SimSource reads raw system information from a simulated host and the
-// simulated network. ExtraSockets models the host's baseline socket
-// population on top of the active flows (the paper's ntStatIpv4 rule
-// thresholds at 700/900 sockets, far above what application flows alone
-// produce).
+// simulated network.
 type SimSource struct {
-	host *simnode.Host
-	net  *simnet.Network
-
-	mu     sync.Mutex
+	host   *sim.Host
+	net    *sim.Network
 	static Static
 }
 
 // NewSimSource wraps a simulated host (and optionally its network; nil
 // disables the communication fields).
-func NewSimSource(host *simnode.Host, net *simnet.Network) *SimSource {
+func NewSimSource(host *sim.Host, net *sim.Network) *SimSource {
 	memTotal, _ := host.Memory()
 	return &SimSource{
 		host: host,
@@ -40,11 +33,7 @@ func NewSimSource(host *simnode.Host, net *simnet.Network) *SimSource {
 }
 
 // Static implements Source.
-func (s *SimSource) Static() Static {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.static
-}
+func (s *SimSource) Static() Static { return s.static }
 
 // Now implements Source using the host's clock.
 func (s *SimSource) Now() time.Time { return s.host.Clock().Now() }

@@ -5,16 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"autoresched/internal/simnet"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
-func simRig(t *testing.T) (*simnode.Host, *simnet.Network, *vclock.Manual) {
+func simRig(t *testing.T) (*sim.Host, *sim.Network, *vclock.Manual) {
 	t.Helper()
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000, MemTotal: 128 << 20, MemBase: 28 << 20})
-	nw := simnet.New(clock, simnet.Options{DefaultBandwidth: 1e6})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000, MemTotal: 128 << 20, MemBase: 28 << 20})
+	nw := sim.NewNetwork(clock, sim.Options{DefaultBandwidth: 1e6})
 	if err := nw.AddHost("ws1"); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestSimSourceSockets(t *testing.T) {
 
 func TestSimSourceWithoutNetwork(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "lone", simnode.Config{})
+	host := sim.NewHost(clock, "lone", sim.Config{})
 	sensor := NewSensor(NewSimSource(host, nil))
 	snap, err := sensor.Gather()
 	if err != nil {
@@ -167,7 +166,7 @@ func TestSimSourceWithoutNetwork(t *testing.T) {
 
 func TestSimSourceDisks(t *testing.T) {
 	host, nw, _ := simRig(t)
-	host.SetMounts([]simnode.Mount{{Path: "/export", Total: 1000, Used: 250}})
+	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 250}})
 	src := NewSimSource(host, nw)
 	disks, err := src.Disks()
 	if err != nil {

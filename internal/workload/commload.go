@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/simnet"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -23,7 +23,7 @@ type CommOptions struct {
 // CommLoad keeps two hosts communicating — the paper's workstation 2 and 5,
 // exchanging data at 6.71-7.78 MB/s while policies pick destinations.
 type CommLoad struct {
-	net   *simnet.Network
+	net   *sim.Network
 	clock vclock.Clock
 	from  string
 	to    string
@@ -35,7 +35,7 @@ type CommLoad struct {
 }
 
 // NewCommLoad creates a generator between two hosts.
-func NewCommLoad(clock vclock.Clock, net *simnet.Network, from, to string, opts CommOptions) *CommLoad {
+func NewCommLoad(clock vclock.Clock, net *sim.Network, from, to string, opts CommOptions) *CommLoad {
 	if opts.Chunk <= 0 {
 		opts.Chunk = 1 << 20
 	}

@@ -6,7 +6,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 )
 
 // JacobiConfig parameterises a migration-enabled 2-D Jacobi relaxation — the
@@ -51,14 +51,14 @@ func (cfg JacobiConfig) TotalWork() float64 {
 }
 
 // Schema builds the application schema for the run.
-func (cfg JacobiConfig) Schema(refSpeed float64) *schema.Schema {
+func (cfg JacobiConfig) Schema(refSpeed float64) *rules.Schema {
 	gridBytes := int64(cfg.N+2) * int64(cfg.N+2) * 8
-	return &schema.Schema{
+	return &rules.Schema{
 		Name:            "jacobi",
-		Characteristics: []schema.Characteristic{schema.ComputeIntensive, schema.DataIntensive},
+		Characteristics: []rules.Characteristic{rules.ComputeIntensive, rules.DataIntensive},
 		CommBytes:       gridBytes + 4096,
 		LocalDataBytes:  gridBytes,
-		Estimate: schema.Estimate{
+		Estimate: rules.Estimate{
 			Seconds:  cfg.TotalWork() / refSpeed,
 			CPUSpeed: refSpeed,
 		},

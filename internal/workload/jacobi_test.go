@@ -12,7 +12,7 @@ import (
 	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -201,7 +201,7 @@ func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	// microseconds. A finished process cancels a pending attempt by design.
 	clock := vclock.Scaled(vclock.Epoch, 500)
 	cl := core.NewCluster(clock, 12.5e6)
-	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6}); err != nil {
+	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	u := mpi.NewUniverse(mpi.Options{

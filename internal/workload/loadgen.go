@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 )
 
 // LoadOptions configures a background CPU load generator.
@@ -30,18 +30,18 @@ type LoadOptions struct {
 // LoadGen drives a host with synthetic background load — the paper's
 // "additional application, which causes a dramatic load increase".
 type LoadGen struct {
-	host *simnode.Host
+	host *sim.Host
 	opts LoadOptions
 
 	mu      sync.Mutex
 	stop    chan struct{}
-	procs   []*simnode.Proc
+	procs   []*sim.Proc
 	stopped sync.WaitGroup
 }
 
 // NewLoadGen creates a generator for host. Defaults: 1 worker, duty 0.25
 // (the paper's idle-workstation baseline load of ~0.25), period 4 s.
-func NewLoadGen(host *simnode.Host, opts LoadOptions) *LoadGen {
+func NewLoadGen(host *sim.Host, opts LoadOptions) *LoadGen {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -75,7 +75,7 @@ func (g *LoadGen) Start() {
 		stop := g.stop
 		proc := g.host.Spawn(g.opts.Name, 2<<20)
 		g.procs = append(g.procs, proc)
-		go func(proc *simnode.Proc) {
+		go func(proc *sim.Proc) {
 			defer g.stopped.Done()
 			defer proc.Exit()
 			busyWork := g.opts.Duty * g.opts.Period.Seconds() * g.host.Speed()

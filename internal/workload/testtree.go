@@ -12,7 +12,7 @@ import (
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
-	"autoresched/internal/schema"
+	"autoresched/internal/rules"
 )
 
 // TreeConfig parameterises test_tree: "creates binary trees with specified
@@ -62,12 +62,12 @@ func (cfg TreeConfig) TotalWork() float64 {
 
 // Schema builds the application schema test_tree registers with, estimating
 // execution time on a reference workstation of the given speed.
-func (cfg TreeConfig) Schema(refSpeed float64) *schema.Schema {
-	s := &schema.Schema{
+func (cfg TreeConfig) Schema(refSpeed float64) *rules.Schema {
+	s := &rules.Schema{
 		Name:            "test_tree",
-		Characteristics: []schema.Characteristic{schema.ComputeIntensive},
+		Characteristics: []rules.Characteristic{rules.ComputeIntensive},
 		CommBytes:       int64(cfg.Nodes())*cfg.BytesPerNode + cfg.BallastBytes + 4096,
-		Estimate: schema.Estimate{
+		Estimate: rules.Estimate{
 			Seconds:  cfg.TotalWork() / refSpeed,
 			CPUSpeed: refSpeed,
 		},

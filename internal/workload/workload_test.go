@@ -8,7 +8,7 @@ import (
 	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/mpi"
-	"autoresched/internal/simnode"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 )
 
@@ -16,7 +16,7 @@ func testRig(t *testing.T) (*core.Cluster, *hpcm.Middleware) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 1000)
 	cl := core.NewCluster(clock, 12.5e6)
-	if _, err := cl.AddHosts("ws", 3, simnode.Config{Speed: 1e6}); err != nil {
+	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
 	u := mpi.NewUniverse(mpi.Options{
@@ -134,7 +134,7 @@ func TestTestTreeRejectsBadConfig(t *testing.T) {
 
 func TestLoadGenRaisesLoadAverage(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{Workers: 2, Duty: 1.0, Period: 2 * time.Second, Jitter: 0.001})
 	gen.Start()
 	defer gen.Stop()
@@ -170,7 +170,7 @@ func TestLoadGenDutyApproximation(t *testing.T) {
 	// milliseconds) shows up as virtual idle time proportional to the
 	// scale, so keep it a small fraction of the cycle.
 	clock := vclock.Scaled(vclock.Epoch, 100)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{Workers: 1, Duty: 0.25, Period: 8 * time.Second, Seed: 7})
 	gen.Start()
 	clock.Sleep(3 * time.Minute)
@@ -184,7 +184,7 @@ func TestLoadGenDutyApproximation(t *testing.T) {
 
 func TestLoadGenStartStopIdempotent(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 1000)
-	host := simnode.NewHost(clock, "ws1", simnode.Config{Speed: 1000})
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{})
 	gen.Start()
 	gen.Start() // no-op
@@ -195,7 +195,7 @@ func TestLoadGenStartStopIdempotent(t *testing.T) {
 func TestCommLoadAchievesRoughRate(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 100)
 	cl := core.NewCluster(clock, 12.5e6)
-	if _, err := cl.AddHosts("ws", 2, simnode.Config{}); err != nil {
+	if _, err := cl.AddHosts("ws", 2, sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	load := NewCommLoad(clock, cl.Net(), "ws1", "ws2",
