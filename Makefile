@@ -55,13 +55,16 @@ race:
 
 # The fuzz targets, FUZZTIME each (their seed corpora already run under
 # plain `go test`): the wire codec against encoding/xml in both directions,
-# and the state image reader on arbitrary bytes.
+# and the state image reader, the journal's frame reader and its payload
+# decoder on arbitrary bytes.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDifferential -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDifferential -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImage -fuzztime $(FUZZTIME) ./internal/hpcm
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/registry
 
 check: lint build test
 

@@ -17,9 +17,11 @@ import (
 // behind it. Every read is served by the embedded log; every mutation is
 // written to disk first and applied to the log second, so the log never runs
 // ahead of the files and a failed write leaves it unmoved. Records are framed
-// into append-only log segments ([4-byte length][4-byte CRC32][JSON payload],
+// into append-only log segments ([4-byte length][4-byte CRC32][body],
 // little-endian headers), the snapshot is one framed document replaced by
 // atomic rename, and the epoch lives in its own atomically renamed file.
+// Bodies are binary (encodeRecord, encodeSnapshot); a JSON body, as stores
+// written before them hold, is read but never written.
 // Writes go through the OS page cache (no per-record fsync): the durability
 // target is the paper's crash-restart of the control-plane process, not
 // media loss, and recovery tolerates the resulting torn tail — a final frame
@@ -29,7 +31,8 @@ import (
 //
 // Segments roll every SegmentRecords records and are named by the sequence
 // number of their first record, so snapshot compaction can unlink every
-// segment whose records the snapshot covers without rewriting anything.
+// segment whose records the snapshot covers without rewriting anything: at
+// the snapshot, and for the tail segment, when a roll closes it.
 type FileStore struct {
 	dir    string
 	segMax int
@@ -41,6 +44,8 @@ type FileStore struct {
 	segs     []segInfo
 	active   *os.File // tail segment, open for append; nil when none
 	tailRecs int      // records in the tail segment: the roll test
+	snapSeq  uint64   // the snapshot's seq: segments ending there are compactable
+	buf      []byte   // the frame being written, reused
 	closed   bool
 }
 
@@ -67,6 +72,7 @@ const (
 	segPrefix    = "log-"
 	segSuffix    = ".seg"
 	frameHeader  = 8 // 4-byte length + 4-byte CRC32
+	bodyVersion  = 1 // first byte of every body written; never '{'
 )
 
 // maxFrame bounds a frame's payload length; a header claiming more is
@@ -133,11 +139,11 @@ func (s *FileStore) recoverSnapshot() error {
 	if n != int64(len(b)) {
 		return fmt.Errorf("persist: corrupt snapshot: %d-byte frame in a %d-byte file", n, len(b))
 	}
-	if err := json.Unmarshal(payload, &s.snap); err != nil {
+	if s.snap, err = decodeSnapshot(payload); err != nil {
 		return fmt.Errorf("persist: corrupt snapshot: %w", err)
 	}
 	s.has = true
-	s.seq = s.snap.Seq
+	s.seq, s.snapSeq = s.snap.Seq, s.snap.Seq
 	return nil
 }
 
@@ -185,6 +191,7 @@ func recoverSegment(name string, last bool, prev uint64) (segInfo, []Record, err
 	}
 	var recs []Record
 	var off int64
+	var kind string // the last record's, shared by a run of its kind
 	for off < int64(len(b)) {
 		payload, next, err := readFrame(b, off)
 		if errors.Is(err, errShortFrame) {
@@ -200,10 +207,11 @@ func recoverSegment(name string, last bool, prev uint64) (segInfo, []Record, err
 		if err != nil {
 			return segInfo{}, nil, fmt.Errorf("persist: %s: offset %d: %w", filepath.Base(name), off, err)
 		}
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
+		r, err := decodeRecord(payload, kind)
+		if err != nil {
 			return segInfo{}, nil, fmt.Errorf("persist: %s: offset %d: corrupt record: %w", filepath.Base(name), off, err)
 		}
+		kind = r.Kind
 		if prev != 0 && r.Seq != prev+1 {
 			return segInfo{}, nil, fmt.Errorf("persist: %s: sequence gap: %d follows %d", filepath.Base(name), r.Seq, prev)
 		}
@@ -240,12 +248,81 @@ func readFrame(b []byte, off int64) ([]byte, int64, error) {
 	return payload, end, nil
 }
 
-func frame(payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeader:], payload)
-	return out
+// encodeRecord writes r's frame into dst's storage and returns it. The body
+// is a version byte, the uvarint seq, the uvarint-prefixed kind, the data.
+func encodeRecord(dst []byte, r Record) []byte {
+	dst = binary.AppendUvarint(openFrame(dst), r.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Kind)))
+	return sealFrame(append(append(dst, r.Kind...), r.Data...))
+}
+
+// encodeSnapshot writes snap's frame into dst's storage and returns it. The
+// body is a version byte, the seq in 8 bytes, the data.
+func encodeSnapshot(dst []byte, snap Snapshot) []byte {
+	dst = binary.LittleEndian.AppendUint64(openFrame(dst), snap.Seq)
+	return sealFrame(append(dst, snap.Data...))
+}
+
+// openFrame starts a frame in dst's storage: room for the header, then the
+// body's version byte.
+func openFrame(dst []byte) []byte {
+	return append(append(dst[:0], make([]byte, frameHeader)...), bodyVersion)
+}
+
+// sealFrame fills in the header of a frame whose body follows it.
+func sealFrame(f []byte) []byte {
+	binary.LittleEndian.PutUint32(f, uint32(len(f)-frameHeader))
+	binary.LittleEndian.PutUint32(f[4:], crc32.ChecksumIEEE(f[frameHeader:]))
+	return f
+}
+
+var errBody = errors.New("malformed body")
+
+// decodeRecord reads a record body. Its Data aliases body. prevKind is
+// returned in place of an equal kind, so a run of one kind shares a string.
+func decodeRecord(body []byte, prevKind string) (Record, error) {
+	if len(body) > 0 && body[0] == '{' {
+		var old Record // a store written before the binary body
+		err := json.Unmarshal(body, &old)
+		return old, err
+	}
+	if len(body) == 0 || body[0] != bodyVersion {
+		return Record{}, errBody
+	}
+	seq, n := uvarint(body[1:])
+	klen, m := uvarint(body[1+n:])
+	rest := body[1+n+m:]
+	if n == 0 || m == 0 || klen > uint64(len(rest)) {
+		return Record{}, errBody
+	}
+	r := Record{Seq: seq, Kind: prevKind, Data: rest[klen:]}
+	if kind := rest[:klen]; string(kind) != prevKind {
+		r.Kind = string(kind)
+	}
+	return r, nil
+}
+
+// decodeSnapshot reads a snapshot body. Its Data aliases body.
+func decodeSnapshot(body []byte) (Snapshot, error) {
+	if len(body) > 0 && body[0] == '{' {
+		var old Snapshot // a store written before the binary body
+		err := json.Unmarshal(body, &old)
+		return old, err
+	}
+	if len(body) < 9 || body[0] != bodyVersion {
+		return Snapshot{}, errBody
+	}
+	return Snapshot{Seq: binary.LittleEndian.Uint64(body[1:]), Data: body[9:]}, nil
+}
+
+// uvarint is binary.Uvarint refusing the non-minimal forms too (n == 0), so
+// a body decodes only from the bytes its encoder writes.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 func (s *FileStore) segPath(first uint64) string {
@@ -263,7 +340,8 @@ func (s *FileStore) Append(epoch uint64, kind string, data []byte) (uint64, erro
 		return 0, ErrFenced
 	}
 	next := s.Seq() + 1
-	// Roll to a fresh segment when the tail is full (or none is open).
+	// Roll to a fresh segment when the tail is full (or none is open). The
+	// closed tail is compacted then if the snapshot already covers it.
 	if s.active == nil || s.tailRecs >= s.segMax {
 		if s.active != nil {
 			if err := s.active.Close(); err != nil {
@@ -277,12 +355,12 @@ func (s *FileStore) Append(epoch uint64, kind string, data []byte) (uint64, erro
 		s.active = f
 		s.tailRecs = 0
 		s.segs = append(s.segs, segInfo{path: s.segPath(next)})
+		if err := s.compact(); err != nil {
+			return 0, err
+		}
 	}
-	payload, err := json.Marshal(Record{Seq: next, Kind: kind, Data: data})
-	if err != nil {
-		return 0, fmt.Errorf("persist: encode record: %w", err)
-	}
-	if _, err := s.active.Write(frame(payload)); err != nil {
+	s.buf = encodeRecord(s.buf, Record{Seq: next, Kind: kind, Data: data})
+	if _, err := s.active.Write(s.buf); err != nil {
 		return 0, fmt.Errorf("persist: append: %w", err)
 	}
 	s.tailRecs++
@@ -303,30 +381,27 @@ func (s *FileStore) WriteSnapshot(epoch uint64, snap Snapshot) error {
 	if epoch != s.Epoch() {
 		return ErrFenced
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("persist: encode snapshot: %w", err)
-	}
-	if err := s.writeAtomic(snapshotName, frame(payload)); err != nil {
+	s.buf = encodeSnapshot(s.buf, snap)
+	if err := s.writeAtomic(snapshotName, s.buf); err != nil {
 		return err
 	}
 	if err := s.memLog.WriteSnapshot(epoch, snap); err != nil {
 		return err
 	}
-	// Unlink fully covered segments; the tail segment always survives so
-	// appends continue in place.
-	var segs []segInfo
-	for i, seg := range s.segs {
-		tail := i == len(s.segs)-1
-		if !tail && seg.last <= snap.Seq {
-			if err := os.Remove(seg.path); err != nil {
-				return fmt.Errorf("persist: compact segment: %w", err)
-			}
-			continue
+	s.snapSeq = snap.Seq
+	return s.compact()
+}
+
+// compact unlinks every segment the snapshot fully covers but the tail,
+// which survives so appends continue in place. Segments are in sequence
+// order, so the covered ones are a prefix.
+func (s *FileStore) compact() error {
+	for len(s.segs) > 1 && s.segs[0].last <= s.snapSeq {
+		if err := os.Remove(s.segs[0].path); err != nil {
+			return fmt.Errorf("persist: compact segment: %w", err)
 		}
-		segs = append(segs, seg)
+		s.segs = s.segs[1:]
 	}
-	s.segs = segs
 	return nil
 }
 

@@ -13,33 +13,32 @@ import (
 // truncated at any byte offset either recovers cleanly to a record prefix
 // (the torn tail record dropped) or fails loudly — recovery never loads a
 // record that was not fully appended. Truncation is the crash model: an
-// append cut short leaves a prefix of the bytes it would have written.
+// append cut short leaves a prefix of the bytes it would have written. The
+// reference log is one segment, so every truncation offset lands in the
+// same file, in three encodings: binary bodies as stores write them, JSON
+// bodies as older stores wrote them, and the two alternating, as in an
+// older store appended to since. A torn tail of either kind is dropped the
+// same way.
 func TestTornTailEveryByteOffset(t *testing.T) {
-	// Build a reference log in one segment so every truncation offset
-	// lands in the same file.
-	master := t.TempDir()
-	s, err := OpenFileStore(master, FileConfig{SegmentRecords: 1024})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
 	const n = 6
+	logs := map[string][]byte{}
 	for i := 1; i <= n; i++ {
-		if _, err := s.Append(0, "kind", []byte(fmt.Sprintf("payload-%d", i))); err != nil {
-			t.Fatalf("append: %v", err)
+		r := Record{Seq: uint64(i), Kind: "kind", Data: []byte(fmt.Sprintf("payload-%d", i))}
+		bin, js := encodeRecord(nil, r), jsonFrame(t, r)
+		logs["binary"] = append(logs["binary"], bin...)
+		logs["json"] = append(logs["json"], js...)
+		if i%2 == 0 {
+			js = bin
 		}
+		logs["mixed"] = append(logs["mixed"], js...)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+	for name, full := range logs {
+		t.Run(name, func(t *testing.T) { tearEveryByteOffset(t, full, n) })
 	}
-	segs, err := filepath.Glob(filepath.Join(master, segPrefix+"*"+segSuffix))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("glob = %v, %v", segs, err)
-	}
-	full, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	segName := filepath.Base(segs[0])
+}
+
+func tearEveryByteOffset(t *testing.T, full []byte, n int) {
+	segName := segPrefix + "0000000001" + segSuffix
 
 	// Frame boundaries of the reference log, for the prefix check.
 	boundaries := map[int64]uint64{0: 0}
@@ -53,6 +52,9 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		seq++
 		boundaries[next] = seq
 		off = next
+	}
+	if seq != uint64(n) {
+		t.Fatalf("reference log holds %d frames, want %d", seq, n)
 	}
 
 	for cut := 0; cut <= len(full); cut++ {
@@ -116,7 +118,9 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 // segment (exactly, and by over-chopping) — the tail is the only segment a
 // tear may touch.
 func TestLiveTruncateTailMatchesReopen(t *testing.T) {
-	const frameLen = frameHeader + len(`{"seq":1,"kind":"kind","data":"cGF5bG9hZC0x"}`)
+	// Every record below frames to the same length: one-byte seqs, same
+	// kind, same-length data.
+	frameLen := len(encodeRecord(nil, Record{Seq: 1, Kind: "kind", Data: []byte("payload-1")}))
 	for _, segRecs := range []int{1024, 4} {
 		for _, tear := range []int{1, 5, 30, frameLen, frameLen + 1, 2 * frameLen, 200, 10000} {
 			name := fmt.Sprintf("seg%d/tear%d", segRecs, tear)

@@ -29,9 +29,10 @@ import (
 // The live *GangReservation handles from before the crash stay poisoned, so
 // their Commit fails rather than double-admitting.
 
-// Change-record kinds. The payloads are the rec* structs below, JSON
-// encoded; timestamps ride inside the payloads (taken from the registry's
-// clock, never the wall), so replay restores leases bit-identically.
+// Change-record kinds. The payloads are the rec* structs below, in
+// journal.go's codec (their JSON tags read older stores); timestamps ride
+// inside the payloads (taken from the registry's clock, never the wall), so
+// replay restores leases bit-identically.
 const (
 	recKindHostRegister   = "host-register"
 	recKindHostStatus     = "host-status"
@@ -80,7 +81,7 @@ type recGangResolve struct {
 
 // persistedState is the snapshot document: the registry's whole protocol
 // state, encoded deterministically (hosts in registration order, processes
-// sorted by host then pid, pending gangs by id).
+// sorted by host then pid, pending gangs by id). StateDigest hashes its JSON.
 type persistedState struct {
 	RegSeq  int             `json:"regSeq"`
 	GangSeq uint64          `json:"gangSeq"`
@@ -115,7 +116,7 @@ type persistedGang struct {
 // No store and replay are both no-ops. An ErrFenced return means this
 // registry was deposed by a standby promotion: the caller must not apply
 // the mutation.
-func (r *Registry) appendLocked(kind string, v any) error {
+func (r *Registry) appendLocked(kind string, p payload) error {
 	if r.store == nil || r.replaying {
 		return nil
 	}
@@ -126,11 +127,7 @@ func (r *Registry) appendLocked(kind string, v any) error {
 	if r.cfg.snapshotEvery > 0 && r.lastApplied-r.lastSnap >= uint64(r.cfg.snapshotEvery) {
 		r.snapshotLocked(r.lastApplied)
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("registry: encode %s record: %w", kind, err)
-	}
-	seq, err := r.store.Append(r.storeEpoch, kind, data)
+	seq, err := r.store.Append(r.storeEpoch, kind, r.journal.encode(p))
 	if err != nil {
 		return fmt.Errorf("registry: append %s record: %w", kind, err)
 	}
@@ -143,23 +140,21 @@ func (r *Registry) appendLocked(kind string, v any) error {
 // compacting the log behind it. Best-effort: a failed snapshot write leaves
 // the log authoritative.
 func (r *Registry) snapshotLocked(seq uint64) {
-	data, err := r.encodeStateLocked()
-	if err != nil {
-		return
-	}
-	if err := r.store.WriteSnapshot(r.storeEpoch, persist.Snapshot{Seq: seq, Data: data}); err != nil {
+	st := r.stateLocked()
+	if err := r.store.WriteSnapshot(r.storeEpoch, persist.Snapshot{Seq: seq, Data: r.journal.encode(&st)}); err != nil {
 		return
 	}
 	r.lastSnap = seq
 	r.ctr.snapshots.Inc()
 }
 
-// encodeStateLocked renders the protocol state as the canonical snapshot
-// document. The encoding is deterministic — two registries holding the same
-// protocol state encode byte-identical documents — which is what makes
-// StateDigest a meaningful recovery check.
-func (r *Registry) encodeStateLocked() ([]byte, error) {
-	st := persistedState{RegSeq: r.regSeq, GangSeq: r.gangSeq}
+// stateLocked renders the protocol state as the canonical snapshot document.
+// The view is deterministic — two registries holding the same protocol state
+// build identical documents — which is what makes StateDigest a meaningful
+// recovery check.
+func (r *Registry) stateLocked() persistedState {
+	st := persistedState{RegSeq: r.regSeq, GangSeq: r.gangSeq,
+		Hosts: make([]persistedHost, 0, len(r.order)), Procs: make([]persistedProc, 0, len(r.procs))}
 	for _, e := range r.order {
 		st.Hosts = append(st.Hosts, persistedHost{
 			Name:     e.info.Name,
@@ -198,7 +193,7 @@ func (r *Registry) encodeStateLocked() ([]byte, error) {
 	for _, id := range ids {
 		st.Gangs = append(st.Gangs, persistedGang{ID: id, Hosts: r.gangs[id]})
 	}
-	return json.Marshal(st)
+	return st
 }
 
 // StateDigest returns a hex digest of the canonical protocol-state
@@ -207,7 +202,7 @@ func (r *Registry) encodeStateLocked() ([]byte, error) {
 func (r *Registry) StateDigest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	data, err := r.encodeStateLocked()
+	data, err := json.Marshal(r.stateLocked())
 	if err != nil {
 		return "encode-error"
 	}
@@ -259,6 +254,8 @@ func (r *Registry) catchUpLocked(store persist.Store) error {
 	if err != nil {
 		return fmt.Errorf("registry: load snapshot: %w", err)
 	}
+	r.replaying = true
+	defer func() { r.replaying = false }()
 	if ok && snap.Seq > r.lastApplied {
 		if err := r.restoreStateLocked(snap.Data); err != nil {
 			return err
@@ -270,14 +267,13 @@ func (r *Registry) catchUpLocked(store persist.Store) error {
 	if err != nil {
 		return fmt.Errorf("registry: read log suffix: %w", err)
 	}
-	r.replaying = true
-	defer func() { r.replaying = false }()
+	var c codec
 	for _, rec := range recs {
 		p := newPayload(rec.Kind)
 		if p == nil {
 			return fmt.Errorf("registry: replay: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
 		}
-		if err := json.Unmarshal(rec.Data, p); err != nil {
+		if err := c.decode(rec.Data, p); err != nil {
 			return replayErr(rec, err)
 		}
 		if err := r.applyLocked(p); err != nil {
@@ -307,9 +303,11 @@ func (r *Registry) presumeAbortLocked() error {
 }
 
 // restoreStateLocked replaces the protocol state with a snapshot document.
+// The caller is replaying: processes go through their one apply, unjournalled.
 func (r *Registry) restoreStateLocked(data []byte) error {
 	var st persistedState
-	if err := json.Unmarshal(data, &st); err != nil {
+	var c codec
+	if err := c.decode(data, &st); err != nil {
 		return fmt.Errorf("registry: decode snapshot: %w", err)
 	}
 	r.resetStateLocked()
@@ -323,20 +321,10 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 		r.sets[h.State] = insertOrdered(r.sets[h.State], e)
 	}
 	for _, sp := range st.Procs {
-		var sch *rules.Schema
-		if sp.SchemaXML != "" {
-			parsed, err := rules.ParseSchema([]byte(sp.SchemaXML))
-			if err != nil {
-				return fmt.Errorf("registry: snapshot process schema: %w", err)
-			}
-			sch = parsed
+		info := proto.ProcessInfo{PID: sp.PID, Name: sp.Name, Start: sp.Start.UnixNano(), SchemaXML: sp.SchemaXML}
+		if err := r.applyLocked(&recProcRegister{Host: sp.Host, Info: info}); err != nil {
+			return fmt.Errorf("registry: snapshot process: %w", err)
 		}
-		p := &ProcInfo{Host: sp.Host, PID: sp.PID, Name: sp.Name, Start: sp.Start, Schema: sch, schemaXML: sp.SchemaXML}
-		r.procs[procKey{sp.Host, sp.PID}] = p
-		if r.hostProcs[sp.Host] == nil {
-			r.hostProcs[sp.Host] = make(map[int]*ProcInfo)
-		}
-		r.hostProcs[sp.Host][sp.PID] = p
 	}
 	for _, g := range st.Gangs {
 		r.gangs[g.ID] = append([]string(nil), g.Hosts...)
@@ -346,7 +334,7 @@ func (r *Registry) restoreStateLocked(data []byte) error {
 
 // newPayload returns an empty payload of the type a change-record kind
 // carries, or nil for a kind this registry does not know.
-func newPayload(kind string) any {
+func newPayload(kind string) payload {
 	switch kind {
 	case recKindHostRegister:
 		return new(recHostRegister)
@@ -374,8 +362,8 @@ func newPayload(kind string) any {
 // scheduling decision); bootstrap and the standby call it
 // with a payload decoded from the log. A withdrawal of something already gone
 // is a no-op and is not journalled. The caller holds r.mu.
-func (r *Registry) applyLocked(payload any) error {
-	switch p := payload.(type) {
+func (r *Registry) applyLocked(v any) error {
+	switch p := v.(type) {
 	case *recHostRegister:
 		if err := r.appendLocked(recKindHostRegister, p); err != nil {
 			return err
@@ -393,7 +381,7 @@ func (r *Registry) applyLocked(payload any) error {
 		}
 		e.info.Name = p.Host
 		e.info.Static = p.Static
-		e.info.LastSeen = p.At
+		e.info.LastSeen = p.At.UTC()
 	case *recHostStatus:
 		e, ok := r.hosts[p.Host]
 		if !ok {
@@ -408,7 +396,7 @@ func (r *Registry) applyLocked(payload any) error {
 		}
 		e.info.Status = p.Status
 		r.setStateLocked(e, state)
-		e.info.LastSeen = p.At
+		e.info.LastSeen = p.At.UTC()
 	case *recHostUnregister:
 		e, ok := r.hosts[p.Host]
 		if !ok {
@@ -443,7 +431,7 @@ func (r *Registry) applyLocked(payload any) error {
 			Host:      p.Host,
 			PID:       p.Info.PID,
 			Name:      p.Info.Name,
-			Start:     time.Unix(0, p.Info.Start),
+			Start:     time.Unix(0, p.Info.Start).UTC(),
 			Schema:    sch,
 			schemaXML: p.Info.SchemaXML,
 		}
@@ -479,7 +467,7 @@ func (r *Registry) applyLocked(payload any) error {
 		}
 		delete(r.gangs, p.ID)
 	default:
-		return fmt.Errorf("registry: no apply for change record %T", payload)
+		return fmt.Errorf("registry: no apply for change record %T", v)
 	}
 	return nil
 }

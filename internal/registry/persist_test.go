@@ -266,7 +266,7 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 
 // recordKinds lists every recKind* constant persist.go declares, read from
 // the source so a kind added later cannot be left out of the checks here.
-func recordKinds(t *testing.T) []string {
+func recordKinds(t testing.TB) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "persist.go", nil, 0)
 	if err != nil {
@@ -349,27 +349,24 @@ func TestReplayBitIdentical4096Hosts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.mu.Lock()
-	pre, err := r.encodeStateLocked()
-	r.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre, preDigest := encodedState(r), r.StateDigest()
 	if snap, ok, _ := store.LoadSnapshot(); !ok || snap.Seq == 0 {
 		t.Fatal("expected a compacting snapshot mid-log")
 	}
 
 	r.Restart()
 
-	r.mu.Lock()
-	post, err := r.encodeStateLocked()
-	r.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pre, post) {
+	if post := encodedState(r); !bytes.Equal(pre, post) || r.StateDigest() != preDigest {
 		t.Fatalf("replayed state not bit-identical: pre %d bytes, post %d bytes", len(pre), len(post))
 	}
+}
+
+// encodedState is r's snapshot document as the journal codec writes it.
+func encodedState(r *Registry) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.stateLocked()
+	return new(codec).encode(&st)
 }
 
 func TestRestartPresumesPendingGangAborted(t *testing.T) {

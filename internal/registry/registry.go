@@ -189,7 +189,8 @@ type Registry struct {
 	// durable view of unresolved reservations by id — what presumed abort
 	// resolves at bootstrap; storeEpoch is the fencing token every append
 	// carries; lastApplied/lastSnap drive the catch-up feed and snapshot
-	// cadence; replaying suppresses appends during bootstrap.
+	// cadence; replaying suppresses appends during bootstrap; journal encodes
+	// records and snapshots, reusing one buffer (stores copy what they keep).
 	store       persist.Store
 	storeEpoch  uint64
 	replaying   bool
@@ -197,6 +198,7 @@ type Registry struct {
 	lastSnap    uint64
 	gangSeq     uint64
 	gangs       map[uint64][]string
+	journal     codec
 }
 
 func newStateSets() map[rules.State][]*hostEntry {

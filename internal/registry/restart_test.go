@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,20 +64,7 @@ func TestRestartDropsSoftState(t *testing.T) {
 // PR 25's: the snapshot document lost its "domSeq":0 key (PR 22's tree
 // read f5c0cba39732fc16 for the same state).
 func TestOpensStoreWrittenBeforePR23(t *testing.T) {
-	dir := t.TempDir()
-	names, err := filepath.Glob("testdata/store-pr22/*")
-	if err != nil || len(names) != 4 {
-		t.Fatalf("fixture files = %v, %v", names, err)
-	}
-	for _, name := range names {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, "testdata/store-pr22")
 	store, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 4})
 	if err != nil {
 		t.Fatalf("open: %v", err)
