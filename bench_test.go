@@ -98,8 +98,7 @@ func BenchmarkFigure4ComplexRule(b *testing.B) {
 func BenchmarkFig5OverheadLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Params:   experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
-			Duration: 10 * time.Minute,
+			Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -116,8 +115,7 @@ func BenchmarkFig5OverheadLoad(b *testing.B) {
 func BenchmarkFig6OverheadComm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Params:   experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
-			Duration: 10 * time.Minute,
+			Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -169,34 +167,6 @@ func BenchmarkFig8EfficiencyComm(b *testing.B) {
 		b.ReportMetric(overlap, "restore-overlap-s")
 		peak := res.Recorder.Series("ws2/recvKBs").Max()
 		b.ReportMetric(peak, "peak-recv-KB/s")
-	}
-}
-
-// BenchmarkWarmupAblation measures the Section 5.2 damping trade-off: how
-// often a transient load burst causes a pointless migration at warm-up 1
-// versus warm-up 7 (the paper's ~72-second reaction window).
-func BenchmarkWarmupAblation(b *testing.B) {
-	for _, warmup := range []int{1, 7} {
-		name := "warmup1"
-		if warmup == 7 {
-			name = "warmup7"
-		}
-		b.Run(name, func(b *testing.B) {
-			falseMoves := 0
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFalseMigration(experiments.FalseMigrationConfig{
-					Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
-					Warmup: warmup,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.FalseMove {
-					falseMoves++
-				}
-			}
-			b.ReportMetric(float64(falseMoves)/float64(b.N), "false-migrations/op")
-		})
 	}
 }
 

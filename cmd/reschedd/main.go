@@ -156,12 +156,11 @@ func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *m
 			storeDir, snapshotEvery, store.Epoch())
 	}
 	// Pre-create the decision-latency histogram so /metrics serves it
-	// (empty) before the first placement; the registry's and the server's
-	// counters are created by their constructors.
+	// (empty) before the first placement; the registry's counters are
+	// created by its constructor.
 	mreg.Histogram(registry.MetricDecideSeconds)
 	reg := registry.NewRegistry(regOpts...)
-	srv, err := proto.NewServerOptions("registry", listen, loggingHandler(reg.Handler()),
-		proto.Options{Metrics: mreg})
+	srv, err := proto.NewServer("registry", listen, loggingHandler(reg.Handler()))
 	if err != nil {
 		if store != nil {
 			store.Close() // log.Fatalf exits without running the deferred Close

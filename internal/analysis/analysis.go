@@ -165,7 +165,7 @@ func Checks() []Check {
 		},
 		{
 			Name:      "deadexport",
-			Doc:       "an exported identifier under internal/ must have a reader outside its own package's tests; an Option's target struct must have every field set by an option",
+			Doc:       "an exported identifier under internal/ must have a reader outside its own package's tests, and an exported field a setter in non-test code; an Option's target struct must have every field set by an option",
 			RunModule: checkDeadExport,
 		},
 		{

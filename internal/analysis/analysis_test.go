@@ -109,27 +109,31 @@ func TestFixtures(t *testing.T) {
 			}
 			findings := RunChecks(fixtureConfig(), []*Package{pkg})
 			kept, _ := Filter(findings, []*Package{pkg})
-			matchWants(t, pkg, kept)
+			matchWants(t, kept, pkg)
 		})
 	}
 }
 
 // TestDeadExport runs every check on the deadexport fixture together with
-// user/, the other package whose test is one of the fixture's readers.
+// user/, the other package whose test is one of the fixture's readers, and
+// hpcm/, which holds a type on the keep table.
 func TestDeadExport(t *testing.T) {
 	l, _ := sharedLoader(t)
 	dir := filepath.Join("testdata", "src", "deadexport")
-	pkg, err := l.loadDir(dir, "autoresched/internal/scenario")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
+	var pkgs []*Package
+	for _, fx := range []struct{ dir, importPath string }{
+		{dir, "autoresched/internal/scenario"},
+		{filepath.Join(dir, "user"), "example/user"},
+		{filepath.Join(dir, "hpcm"), "autoresched/internal/hpcm"},
+	} {
+		pkg, err := l.loadDir(fx.dir, fx.importPath)
+		if err != nil {
+			t.Fatalf("loading fixture: %v", err)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	user, err := l.loadDir(filepath.Join(dir, "user"), "example/user")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	pkgs := []*Package{pkg, user}
 	kept, _ := Filter(RunChecks(DefaultConfig(), pkgs), pkgs)
-	matchWants(t, pkg, kept)
+	matchWants(t, kept, pkgs...)
 }
 
 // want is one expectation parsed from a `// want `+"`regex`"+` comment,
@@ -141,25 +145,27 @@ type want struct {
 	hit  bool
 }
 
-// matchWants checks findings against the fixture's want comments in both
+// matchWants checks findings against the fixtures' want comments in both
 // directions: every want must be matched by a finding on its line, and
 // every finding must be expected by a want on its line.
-func matchWants(t *testing.T, pkg *Package, findings []Finding) {
+func matchWants(t *testing.T, findings []Finding, pkgs ...*Package) {
 	t.Helper()
 	var wants []*want
-	for _, file := range pkg.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				pat, ok := parseWant(t, c.Text)
-				if !ok {
-					continue
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					pat, ok := parseWant(t, c.Text)
+					if !ok {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					wants = append(wants, &want{
+						file: pos.Filename,
+						line: pos.Line,
+						re:   regexp.MustCompile(pat),
+					})
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				wants = append(wants, &want{
-					file: pos.Filename,
-					line: pos.Line,
-					re:   regexp.MustCompile(pat),
-				})
 			}
 		}
 	}

@@ -20,6 +20,7 @@ var deadKeep = map[string]string{
 	"internal/hpcm.Context.ReceiveFrom": "the paper's channels between migrating processes (§3), driven only by tests today",
 	"internal/hpcm.FileStore":           "the on-disk checkpoint store ROADMAP's streaming-checkpoint item starts from",
 	"internal/scenario.RunLive":         "ROADMAP's invariants item runs the live runtime under the checker through it",
+	"internal/sysinfo.DiskUsage":        "the paper's disk category (§3.1), which diskUsedPct.sh reads; no source fills it today (ProcSource has no portable disk table, simulated hosts have no mounts)",
 	"internal/vclock.Manual.Waiters":    "ROADMAP's vclock.Auto builds its quiescence accounting on the waiter count",
 }
 
@@ -48,12 +49,21 @@ var reflectMethods = map[string]bool{
 // the module uses (or that fmt, errors and the encoders look up), fields
 // with a json or xml tag, which reflection reads, and the deadKeep table.
 //
+// The write rule: an exported field that is read must also be set by
+// non-test code somewhere in the module, in a composite literal (keyed or
+// positional), an assignment, an increment or an &x.F; a default fill does
+// not count, and neither do tests. A field only a test sets is a constant
+// in disguise. Exempt are tagged fields, the fields of a struct whose
+// pointer some call passes as an empty-interface argument (a decoder or
+// hpcm's state registry fills them by reflection), and the fields of a
+// kept type.
+//
 // The config-struct case: the struct T of an `Option func(*T)` type declared
 // beside it is held to more. Every field, exported or not, must be read,
-// and must also be set by the package's non-test code, inside a function
-// literal of shape func(*T) (a With* option) or keyed in a composite
-// literal of T (a constructor's positional arguments); a field only a test
-// or a default fill writes is a setting no caller can reach.
+// and must also be set inside a function literal of shape func(*T) (a With*
+// option) or in a composite literal of T (a constructor's arguments); a
+// field only a test, a default fill or some other function writes is a
+// setting no caller can reach.
 func checkDeadExport(_ Config, mod *Module) []Finding {
 	r := newReaders(mod)
 	var findings []Finding
@@ -62,7 +72,7 @@ func checkDeadExport(_ Config, mod *Module) []Finding {
 		if !ok || !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
-		targets, set := optionTargets(pkg)
+		targets := optionTargets(pkg)
 		report := func(id *ast.Ident, kind, name, msg string) {
 			if _, kept := deadKeep[rel+"."+name]; !kept {
 				findings = append(findings, Finding{
@@ -72,20 +82,22 @@ func checkDeadExport(_ Config, mod *Module) []Finding {
 				})
 			}
 		}
-		dead := func(id *ast.Ident, kind, name string, member bool) {
-			if !r.read(pkg, id, member) {
-				report(id, kind, name, fmt.Sprintf(": no reader outside %s's own tests (own-test mentions: %d)",
-					pkg.Types.Name(), mentions(pkg, id.Name)))
-			}
+		mentioned := func(id *ast.Ident) string {
+			return fmt.Sprintf(" (own-test mentions: %d)", mentions(pkg, id.Name))
+		}
+		unread := func(id *ast.Ident) string {
+			return ": no reader outside " + pkg.Types.Name() + "'s own tests" + mentioned(id)
 		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
 					fn := pkg.Info.Defs[fd.Name].(*types.Func)
 					if recv := fn.Type().(*types.Signature).Recv(); recv == nil {
-						dead(fd.Name, "func", fd.Name.Name, false)
-					} else if !r.satisfies(fn, recv.Type()) {
-						dead(fd.Name, "method", deref(recv.Type()).(*types.Named).Obj().Name()+"."+fd.Name.Name, true)
+						if !r.read(pkg, fd.Name, false) {
+							report(fd.Name, "func", fd.Name.Name, unread(fd.Name))
+						}
+					} else if !r.satisfies(fn, recv.Type()) && !r.read(pkg, fd.Name, true) {
+						report(fd.Name, "method", deref(recv.Type()).(*types.Named).Obj().Name()+"."+fd.Name.Name, unread(fd.Name))
 					}
 				}
 				gd, ok := decl.(*ast.GenDecl)
@@ -95,28 +107,35 @@ func checkDeadExport(_ Config, mod *Module) []Finding {
 				for _, spec := range gd.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						for _, id := range vs.Names {
-							if id.IsExported() {
-								dead(id, gd.Tok.String(), id.Name, false)
+							if id.IsExported() && !r.read(pkg, id, false) {
+								report(id, gd.Tok.String(), id.Name, unread(id))
 							}
 						}
 						continue
 					}
 					ts := spec.(*ast.TypeSpec)
-					if ts.Name.IsExported() {
-						dead(ts.Name, "type", ts.Name.Name, false)
+					if ts.Name.IsExported() && !r.read(pkg, ts.Name, false) {
+						report(ts.Name, "type", ts.Name.Name, unread(ts.Name))
 					}
 					st, ok := ts.Type.(*ast.StructType)
 					if !ok {
 						continue
 					}
-					target := targets[pkg.Info.Defs[ts.Name]]
+					typ := pkg.Info.Defs[ts.Name]
+					_, kept := deadKeep[rel+"."+ts.Name.Name]
+					filled := kept || r.filled[r.posOf(typ)]
 					for _, f := range st.Fields.List {
 						for _, id := range f.Names {
 							name := ts.Name.Name + "." + id.Name
-							if (id.IsExported() || target) && !reflected(f.Tag) {
-								dead(id, "field", name, true)
+							field := pkg.Info.Defs[id]
+							switch {
+							case reflected(f.Tag) || !id.IsExported() && !targets[typ]:
+							case !r.read(pkg, id, true):
+								report(id, "field", name, unread(id))
+							case id.IsExported() && !filled && !r.set[r.posOf(field)]:
+								report(id, "field", name, ": no non-test code sets it"+mentioned(id))
 							}
-							if target && !set[pkg.Info.Defs[id]] {
+							if targets[typ] && !r.optionSet[field] {
 								report(id, "field", name, " is never set by an option of its package (dead configuration)")
 							}
 						}
@@ -150,14 +169,22 @@ type readers struct {
 	parsed map[ref]map[string]bool
 	// ifaces are the interfaces with methods the module uses, by method.
 	ifaces map[string][]*types.Interface
+	// set holds the fields non-test code sets and optionSet those an
+	// option literal or a composite literal sets; filled holds the structs
+	// a call hands by pointer to an empty-interface parameter.
+	set, filled map[declPos]bool
+	optionSet   map[types.Object]bool
 }
 
 func newReaders(mod *Module) *readers {
 	r := &readers{
-		fset:   fsetOf(mod),
-		typed:  make(map[declPos]bool),
-		parsed: make(map[ref]map[string]bool),
-		ifaces: make(map[string][]*types.Interface),
+		fset:      fsetOf(mod),
+		typed:     make(map[declPos]bool),
+		parsed:    make(map[ref]map[string]bool),
+		ifaces:    make(map[string][]*types.Interface),
+		set:       make(map[declPos]bool),
+		filled:    make(map[declPos]bool),
+		optionSet: make(map[types.Object]bool),
 	}
 	seen := make(map[*types.Interface]bool)
 	addIface := func(t types.Type) {
@@ -169,7 +196,7 @@ func newReaders(mod *Module) *readers {
 	}
 	used := make(map[types.Object]bool)
 	for _, pkg := range mod.Pkgs {
-		writes := writesOf(pkg)
+		writes := r.walk(pkg)
 		for id, obj := range pkg.Info.Uses {
 			// Locals are never candidates. Every other object named, with a
 			// called function's parameters and results, brings in the
@@ -204,18 +231,29 @@ func newReaders(mod *Module) *readers {
 	return r
 }
 
-// writesOf finds the identifiers in a package's non-test code that name an
-// object without reading it: assignment targets, composite literal keys,
-// receiver types, and a default fill's condition.
-func writesOf(pkg *Package) map[*ast.Ident]bool {
+// walk indexes what a package's non-test code does besides reading. It
+// records the fields it sets and the structs it hands by pointer to an
+// empty-interface parameter, and returns the identifiers that name an object
+// without reading it: assignment targets, composite literal keys, receiver
+// types, and a default fill's condition.
+func (r *readers) walk(pkg *Package) map[*ast.Ident]bool {
 	writes := make(map[*ast.Ident]bool)
-	mark := func(n ast.Node, only types.Object) {
+	mark := func(n ast.Node, only types.Object) (marked bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && (only == nil || pkg.Info.Uses[id] == only) {
 				writes[id] = true
+				marked = true
 			}
 			return true
 		})
+		return marked
+	}
+	fills := make(map[ast.Stmt]bool)
+	var optionEnd token.Pos // the end of the last option literal entered
+	set := func(e ast.Expr, option bool) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			r.setField(pkg.Info.Uses[sel.Sel], option)
+		}
 	}
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -224,27 +262,83 @@ func writesOf(pkg *Package) map[*ast.Ident]bool {
 				if x.Recv != nil {
 					mark(x.Recv, nil)
 				}
+			case *ast.FuncLit:
+				if optionTarget(pkg, pkg.Info.TypeOf(x)) != nil {
+					optionEnd = x.End()
+				}
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
 					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && x.Tok == token.ASSIGN {
 						writes[sel.Sel] = true
 					}
+					if !fills[x] {
+						set(lhs, x.Pos() < optionEnd)
+					}
 				}
-			case *ast.KeyValueExpr:
-				if id, ok := x.Key.(*ast.Ident); ok {
-					if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
+			case *ast.IncDecStmt:
+				set(x.X, false)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					set(x.X, false)
+				}
+			case *ast.CompositeLit:
+				st, ok := deref(pkg.Info.TypeOf(x)).Underlying().(*types.Struct)
+				for i := 0; ok && i < len(x.Elts); i++ {
+					field := types.Object(st.Field(i))
+					if kv, keyed := x.Elts[i].(*ast.KeyValueExpr); keyed {
+						id := kv.Key.(*ast.Ident)
 						writes[id] = true
+						field = pkg.Info.Uses[id]
+					}
+					r.setField(field, true)
+				}
+			case *ast.CallExpr:
+				sig, ok := pkg.Info.TypeOf(x.Fun).(*types.Signature)
+				for i := 0; ok && i < len(x.Args); i++ {
+					if named := reflectTarget(sig, i, pkg.Info.TypeOf(x.Args[i])); named != nil {
+						r.filled[r.posOf(named)] = true
 					}
 				}
 			case *ast.IfStmt:
-				if field := defaultFill(pkg, x); field != nil {
-					mark(x.Cond, field)
+				if field := defaultFill(pkg, x); field != nil && mark(x.Cond, field) {
+					fills[x.Body.List[0]] = true
 				}
 			}
 			return true
 		})
 	}
 	return writes
+}
+
+// setField records a set of obj when it is a struct field.
+func (r *readers) setField(obj types.Object, option bool) {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		r.set[r.posOf(v)] = true
+		if option {
+			r.optionSet[v] = true
+		}
+	}
+}
+
+// reflectTarget returns the type whose pointer a call passes, as its i-th
+// argument of type arg, to an empty-interface parameter, where a decoder or
+// hpcm's state registry may fill it; nil otherwise.
+func reflectTarget(sig *types.Signature, i int, arg types.Type) types.Object {
+	n := sig.Params().Len()
+	ptr, ok := arg.(*types.Pointer)
+	if !ok || n == 0 {
+		return nil
+	}
+	param := sig.Params().At(min(i, n-1)).Type()
+	if s, ok := param.(*types.Slice); ok && sig.Variadic() && i >= n-1 {
+		param = s.Elem()
+	}
+	iface, ok := param.Underlying().(*types.Interface)
+	named, isNamed := ptr.Elem().(*types.Named)
+	if !ok || !iface.Empty() || !isNamed {
+		return nil
+	}
+	return named.Obj()
 }
 
 // defaultFill returns the field an `if ... { x.F = v }` statement assigns,
@@ -349,10 +443,9 @@ func reflected(tag *ast.BasicLit) bool {
 }
 
 // optionTargets finds the structs T of the package's `Option func(*T)`
-// types, and the fields its non-test code sets: written inside a function
-// literal of shape func(*T), or keyed in a composite literal of T.
-func optionTargets(pkg *Package) (targets, set map[types.Object]bool) {
-	targets, set = make(map[types.Object]bool), make(map[types.Object]bool)
+// types.
+func optionTargets(pkg *Package) map[types.Object]bool {
+	targets := make(map[types.Object]bool)
 	for _, name := range pkg.Types.Scope().Names() {
 		if tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
 			if t := optionTarget(pkg, tn.Type().Underlying()); t != nil {
@@ -360,36 +453,7 @@ func optionTargets(pkg *Package) (targets, set map[types.Object]bool) {
 			}
 		}
 	}
-	if len(targets) == 0 {
-		return targets, set
-	}
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				if targets[optionTarget(pkg, pkg.Info.Types[n].Type)] {
-					ast.Inspect(n.Body, func(m ast.Node) bool {
-						if assign, ok := m.(*ast.AssignStmt); ok && assign.Tok == token.ASSIGN {
-							for _, lhs := range assign.Lhs {
-								if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-									set[pkg.Info.Uses[sel.Sel]] = true
-								}
-							}
-						}
-						return true
-					})
-				}
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
-						set[v] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return targets, set
+	return targets
 }
 
 // optionTarget returns the struct type T when t is a function type of

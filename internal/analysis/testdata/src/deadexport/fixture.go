@@ -1,6 +1,7 @@
 // Fixture for the deadexport check, loaded as autoresched/internal/scenario
-// beside user/, a second package that is only a test file: one case per
-// reference rule, each with a want or deliberately without one.
+// beside user/, a second package that is only a test file, and hpcm/, the
+// keep table's type case: one case per reference and write rule, each with
+// a want or deliberately without one.
 package scenario
 
 import "encoding/json"
@@ -29,7 +30,7 @@ func sing(c chirper) string { return c.Chirp() }
 
 // Flight configures a demo run.
 type Flight struct {
-	// Plies is read by fly: live.
+	// Plies is set in a literal and read by fly: live.
 	Plies int
 	// Laps is only default-filled: nothing consults it.
 	Laps int // want `\[deadexport\] field scenario\.Flight\.Laps: no reader outside scenario's own tests \(own-test mentions: 0\)`
@@ -49,7 +50,7 @@ func fly(f Flight) ([]byte, int) {
 }
 
 var _ = sing(Bird{})
-var _, _ = fly(Flight{})
+var _, _ = fly(Flight{Plies: 2})
 
 // settings is the config-struct case, an option target: every field,
 // unexported ones included, must be read, and set by an option or by a
@@ -93,3 +94,39 @@ func preen(s *settings) { s.beak = 8 } // not a function literal: not an option
 
 var _ = hatch(1, WithRoost(2), WithMolt())
 var _ = preen
+
+// Clutch is the write rule's case: an exported field that is read must
+// also be set by non-test code.
+type Clutch struct {
+	// Eggs is read, and nothing sets it.
+	Eggs int // want `\[deadexport\] field scenario\.Clutch\.Eggs: no non-test code sets it \(own-test mentions: 0\)`
+	// Warmth is read, and only this package's own test sets it.
+	Warmth int // want `\[deadexport\] field scenario\.Clutch\.Warmth: no non-test code sets it \(own-test mentions: 1\)`
+	// Days is read, and only a default fill writes it.
+	Days int // want `\[deadexport\] field scenario\.Clutch\.Days: no non-test code sets it`
+	// Weight is set through &c.Weight: live.
+	Weight int
+	// Shell is keyed in brood's literal: live.
+	Shell Shell
+}
+
+// Shell's fields are set positionally: live.
+type Shell struct{ Hue, Width int }
+
+// Band is filled by a decoder through a pointer passed as any: exempt.
+type Band struct{ Ring string }
+
+func weigh(n *int) { *n = 3 }
+
+func brood(data []byte) int {
+	c := Clutch{Shell: Shell{1, 2}}
+	if c.Days == 0 {
+		c.Days = 21
+	}
+	weigh(&c.Weight)
+	var b Band
+	_ = json.Unmarshal(data, &b)
+	return c.Eggs + c.Warmth + c.Days + c.Weight + c.Shell.Hue + c.Shell.Width + len(b.Ring)
+}
+
+var _ = brood(nil)

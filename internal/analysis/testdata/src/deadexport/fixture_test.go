@@ -2,6 +2,9 @@ package scenario
 
 import "testing"
 
-// TestOwnTestOnly is the package's own test, which reads nothing for
-// deadexport.
-func TestOwnTestOnly(t *testing.T) { OwnTestOnly() }
+// TestOwnTestOnly is the package's own test, which reads and sets nothing
+// for deadexport.
+func TestOwnTestOnly(t *testing.T) {
+	OwnTestOnly()
+	_ = Clutch{Warmth: 1}
+}

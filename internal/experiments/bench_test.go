@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScale64 times one whole 64-host sweep — cluster build, 64
 // monitors heartbeating through the batcher, four checksummed tree apps,
@@ -15,5 +18,26 @@ func BenchmarkScale64(b *testing.B) {
 		if rows[0].Completed != rows[0].Apps || !rows[0].Correct {
 			b.Fatalf("sweep degraded: %+v", rows[0])
 		}
+	}
+}
+
+// BenchmarkWarmupAblation measures the Section 5.2 damping trade-off: how
+// often a transient load burst causes a pointless migration at warm-up 1
+// versus warm-up 7 (the paper's ~72-second reaction window).
+func BenchmarkWarmupAblation(b *testing.B) {
+	for _, warmup := range []int{1, 7} {
+		b.Run(fmt.Sprintf("warmup%d", warmup), func(b *testing.B) {
+			falseMoves := 0
+			for i := 0; i < b.N; i++ {
+				migrations, err := runFalseMigration(Params{Scale: 200, Seed: int64(i + 1)}, warmup)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if migrations > 0 {
+					falseMoves++
+				}
+			}
+			b.ReportMetric(float64(falseMoves)/float64(b.N), "false-migrations/op")
+		})
 	}
 }

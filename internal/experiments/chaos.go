@@ -28,18 +28,18 @@ import (
 // not on rate fidelity.
 type ChaosConfig struct {
 	Params
-	// Scenarios selects a subset by name; empty runs all.
-	Scenarios []string
+	// scenarios selects a subset by name; empty runs all.
+	scenarios []string
 	// Metrics, when set, accumulates every scenario's metrics registry
 	// (histograms merged bucket-wise) for a run-wide snapshot — the
 	// cmd/repro -metrics flag feeds from here.
 	Metrics *metrics.Registry
-	// Live, when set, enables iterative-precopy live migration: the tree
+	// live, when set, enables iterative-precopy live migration: the tree
 	// workload carries a paged ballast region, every migrate order takes the
 	// live path, and a ninth scenario crashes the destination mid-precopy.
 	// Nil keeps the classic stop-and-copy runs (and their byte-identical
 	// reports).
-	Live *livemig.Config
+	live *livemig.Config
 }
 
 // ChaosRow is one scenario's outcome. Schedule, the counters, Survived,
@@ -308,10 +308,10 @@ func (cfg ChaosConfig) withChaosDefaults() ChaosConfig {
 func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	cfg = cfg.withChaosDefaults()
 	selected := func(name string) bool {
-		if len(cfg.Scenarios) == 0 {
+		if len(cfg.scenarios) == 0 {
 			return true
 		}
-		for _, s := range cfg.Scenarios {
+		for _, s := range cfg.scenarios {
 			if s == name {
 				return true
 			}
@@ -320,7 +320,7 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	}
 	var rows []ChaosRow
 	baseline := 0.0
-	for _, sc := range chaosScenarios(cfg.Live) {
+	for _, sc := range chaosScenarios(cfg.live) {
 		if !selected(sc.name) {
 			continue
 		}
@@ -390,7 +390,7 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	}
 	r.sys, err = core.New(core.Options{
 		Cluster:         cl,
-		MonitorInterval: cfg.Interval,
+		MonitorInterval: sampleInterval,
 		GatherCost:      0.05 * hostSpeed,
 		Warmup:          2,
 		Cooldown:        10 * time.Minute,

@@ -23,7 +23,7 @@ import (
 func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
 		Params:    Params{Scale: 1000, Seed: 7},
-		Scenarios: []string{"crash-dest-mid-migration"},
+		scenarios: []string{"crash-dest-mid-migration"},
 	}
 	run := func() ([]ChaosRow, string) {
 		rows, err := RunChaos(cfg)
@@ -188,7 +188,7 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 func TestChaosJobsScenariosDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
 		Params:    Params{Scale: 1000, Seed: 5},
-		Scenarios: []string{"jobs-kill-victim-mid-ckpt", "jobs-crash-host-mid-reserve"},
+		scenarios: []string{"jobs-kill-victim-mid-ckpt", "jobs-crash-host-mid-reserve"},
 	}
 	run := func() ([]ChaosRow, string) {
 		rows, err := RunChaos(cfg)
@@ -233,7 +233,7 @@ func TestChaosJobsScenariosDeterministic(t *testing.T) {
 func TestChaosPersistScenariosDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
 		Params:    Params{Scale: 1000, Seed: 5},
-		Scenarios: []string{"registry-crashloop-under-load", "registry-standby-promote"},
+		scenarios: []string{"registry-crashloop-under-load", "registry-standby-promote"},
 	}
 	run := func() ([]ChaosRow, string) {
 		rows, err := RunChaos(cfg)

@@ -23,7 +23,7 @@ func TestChaosDeterministicAcrossSeeds(t *testing.T) {
 			t.Parallel()
 			cfg := ChaosConfig{
 				Params:    Params{Scale: 1000, Seed: seed},
-				Scenarios: scenarios,
+				scenarios: scenarios,
 			}
 			run := func() string {
 				rows, err := RunChaos(cfg)

@@ -81,7 +81,7 @@ func RunEfficiency(cfg EfficiencyConfig) (*EfficiencyResult, error) {
 
 	sys, err := core.New(core.Options{
 		Cluster:         cl,
-		MonitorInterval: cfg.Interval,
+		MonitorInterval: sampleInterval,
 		GatherCost:      0.05 * hostSpeed,
 		Warmup:          cfg.Warmup,
 		Cooldown:        5 * time.Minute,
@@ -98,8 +98,8 @@ func RunEfficiency(cfg EfficiencyConfig) (*EfficiencyResult, error) {
 	}
 	defer sys.Stop()
 
-	s1 := newSampler(rec, cl, "ws1", "ws1", cfg.Interval)
-	s2 := newSampler(rec, cl, "ws2", "ws2", cfg.Interval)
+	s1 := newSampler(rec, cl, "ws1", "ws1", sampleInterval)
+	s2 := newSampler(rec, cl, "ws2", "ws2", sampleInterval)
 	defer s1.Stop()
 	defer s2.Stop()
 

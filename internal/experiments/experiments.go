@@ -26,8 +26,6 @@ type Params struct {
 	// takes ten wall seconds. Zero selects 100. Very large scales distort
 	// rates: goroutine wake-up latency is multiplied into virtual time.
 	Scale float64
-	// Interval is the sampling interval; zero selects the paper's 10 s.
-	Interval time.Duration
 	// Seed feeds the load generators.
 	Seed int64
 }
@@ -36,11 +34,11 @@ func (p Params) withDefaults() Params {
 	if p.Scale <= 0 {
 		p.Scale = 100
 	}
-	if p.Interval <= 0 {
-		p.Interval = 10 * time.Second
-	}
 	return p
 }
+
+// sampleInterval is the paper's monitoring and sampling interval.
+const sampleInterval = 10 * time.Second
 
 // hostSpeed is the CPU capacity used by all experiment hosts, in work units
 // per second. The unit is arbitrary; workload sizes below are calibrated

@@ -14,7 +14,7 @@ import (
 func TestOverheadShape(t *testing.T) {
 	res, err := RunOverhead(OverheadConfig{
 		Params:   Params{Scale: 200, Seed: 1},
-		Duration: 8 * time.Minute,
+		duration: 8 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,25 +110,20 @@ func TestEfficiencyShape(t *testing.T) {
 // scheduler into a pointless migration, and must NOT fool a well-damped
 // one — the Section 5.2 rationale for the reaction delay.
 func TestFalseMigrationDamping(t *testing.T) {
-	hasty, err := RunFalseMigration(FalseMigrationConfig{
-		Params: Params{Scale: 200, Seed: 5},
-		Warmup: 1,
-	})
+	params := Params{Scale: 200, Seed: 5}
+	hasty, err := runFalseMigration(params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasty.FalseMove {
-		t.Fatalf("warmup 1 did not produce the false migration: %+v", hasty)
+	if hasty == 0 {
+		t.Fatal("warmup 1 did not produce the false migration")
 	}
-	damped, err := RunFalseMigration(FalseMigrationConfig{
-		Params: Params{Scale: 200, Seed: 5},
-		Warmup: 7,
-	})
+	damped, err := runFalseMigration(params, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if damped.FalseMove {
-		t.Fatalf("warmup 7 migrated on a transient: %+v", damped)
+	if damped != 0 {
+		t.Fatalf("warmup 7 migrated on a transient: %d migrations", damped)
 	}
 }
 

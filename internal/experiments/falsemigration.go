@@ -7,59 +7,43 @@ import (
 	"autoresched/internal/workload"
 )
 
-// FalseMigrationConfig tunes the warm-up ablation: Section 5.2 explains the
+// runFalseMigration is the warm-up ablation: Section 5.2 explains the
 // rescheduler waits out short load transients ("If the additional load is a
 // short task, this period of time can avoid the fault migration caused by
 // small system performance variations") and that the damping is "a
-// configurable parameter of the rescheduler".
-type FalseMigrationConfig struct {
-	Params
-	// Warmup is the scheduler damping under test.
-	Warmup int
-}
-
-// FalseMigrationResult reports whether the transient fooled the scheduler.
-type FalseMigrationResult struct {
-	Migrations int
-	FalseMove  bool
-}
-
-// RunFalseMigration subjects a host running a long application to a short
-// load burst and reports whether the configured warm-up kept the scheduler
-// from migrating for nothing.
-func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) {
-	cfg.Params = cfg.Params.withDefaults()
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 1
-	}
-	cl, names, err := newCluster(cfg.Params, 2)
+// configurable parameter of the rescheduler". It subjects a host running a
+// long application to a short load burst under the given warm-up and
+// returns how many times the scheduler migrated it for nothing.
+func runFalseMigration(p Params, warmup int) (int, error) {
+	p = p.withDefaults()
+	cl, names, err := newCluster(p, 2)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	clock := cl.Clock()
 	sys, err := core.New(core.Options{
 		Cluster:         cl,
-		MonitorInterval: cfg.Interval,
-		Warmup:          cfg.Warmup,
+		MonitorInterval: sampleInterval,
+		Warmup:          warmup,
 		Cooldown:        10 * time.Minute,
 		RegistryHost:    names[0],
 		ChunkBytes:      8 << 20,
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := sys.AddNodes(names...); err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer sys.Stop()
 
 	tree := workload.TreeConfig{
-		Levels: 12, Rounds: 150, Seed: cfg.Seed + 21,
+		Levels: 12, Rounds: 150, Seed: p.Seed + 21,
 		WorkPerNode: 120, BytesPerNode: 8,
 	}
 	app, err := sys.Launch("test_tree", "ws1", tree.Schema(hostSpeed), workload.TestTree(tree))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Let the app settle, then hit the host with a burst of heavy load
@@ -69,7 +53,7 @@ func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) 
 	clock.Sleep(time.Minute)
 	ws1, _ := cl.Host("ws1")
 	burst := workload.NewLoadGen(ws1, workload.LoadOptions{
-		Workers: 4, Duty: 1.0, Period: 2 * time.Second, Seed: cfg.Seed,
+		Workers: 4, Duty: 1.0, Period: 2 * time.Second, Seed: p.Seed,
 	})
 	burst.Start()
 	clock.Sleep(45 * time.Second)
@@ -77,12 +61,9 @@ func RunFalseMigration(cfg FalseMigrationConfig) (*FalseMigrationResult, error) 
 
 	// Watch whether the scheduler (wrongly) fires after the burst is gone.
 	clock.Sleep(4 * time.Minute)
-	res := &FalseMigrationResult{
-		Migrations: app.Proc.Migrations(),
-		FalseMove:  app.Proc.Migrations() > 0,
-	}
+	migrations := app.Proc.Migrations()
 	// Let the application run out so the system tears down cleanly.
 	app.Proc.Kill()
 	_ = app.Wait()
-	return res, nil
+	return migrations, nil
 }

@@ -47,7 +47,7 @@ func RunLivemig(cfg LivemigConfig) []LivemigRow {
 	rows := make([]LivemigRow, 0, len(bandwidths)*len(livemigDirtyRates))
 	for _, bw := range bandwidths {
 		for _, rate := range livemigDirtyRates {
-			out := livemig.Simulate(livemig.Config{}, livemig.Scenario{
+			out := livemig.Simulate(livemig.Scenario{
 				TotalPages:       livemigTotalPages,
 				PageBytes:        livemigPageBytes,
 				Bandwidth:        bw,

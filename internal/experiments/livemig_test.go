@@ -79,7 +79,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 	}
 	rows, err := RunChaos(ChaosConfig{
 		Params: Params{Scale: 1000, Seed: 3},
-		Live:   &livemig.Config{},
+		live:   &livemig.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)

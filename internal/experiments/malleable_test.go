@@ -16,7 +16,7 @@ import (
 func TestChaosResizeScenariosAreDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
 		Params:    Params{Scale: 1000, Seed: 7},
-		Scenarios: []string{"resize-crash-new-rank", "resize-crash-victim"},
+		scenarios: []string{"resize-crash-new-rank", "resize-crash-victim"},
 	}
 	run := func() ([]ChaosRow, string) {
 		rows, err := RunChaos(cfg)

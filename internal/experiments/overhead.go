@@ -42,9 +42,9 @@ type OverheadResult struct {
 // OverheadConfig tunes the Figure 5/6 scenario.
 type OverheadConfig struct {
 	Params
-	// Duration is the measured window; zero selects 20 virtual minutes
+	// duration is the measured window; zero selects 20 virtual minutes
 	// (120 samples at 10 s).
-	Duration time.Duration
+	duration time.Duration
 }
 
 // overheadGatherCost is the CPU cost of one monitoring cycle: 0.1 s of CPU
@@ -55,11 +55,11 @@ const overheadGatherCost = 0.1 * hostSpeed
 // RunOverhead reproduces Figures 5 and 6: one workstation carries the
 // registry/scheduler, a second carries a baseline load (~0.25) and baseline
 // communication (~6 KB/s each way); the second workstation is observed for
-// Duration with and without the rescheduler deployed.
+// 20 virtual minutes with and without the rescheduler deployed.
 func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	cfg.Params = cfg.Params.withDefaults()
-	if cfg.Duration <= 0 {
-		cfg.Duration = 20 * time.Minute
+	if cfg.duration <= 0 {
+		cfg.duration = 20 * time.Minute
 	}
 
 	res := &OverheadResult{}
@@ -132,7 +132,7 @@ func runOverheadArm(cfg OverheadConfig, withRescheduler bool) (*metrics.Recorder
 		mreg = metrics.NewRegistry()
 		sys, err = core.New(core.Options{
 			Cluster:         cl,
-			MonitorInterval: cfg.Interval,
+			MonitorInterval: sampleInterval,
 			GatherCost:      overheadGatherCost,
 			RegistryHost:    names[0],
 			Metrics:         mreg,
@@ -148,8 +148,8 @@ func runOverheadArm(cfg OverheadConfig, withRescheduler bool) (*metrics.Recorder
 
 	// Let load averages settle before measuring.
 	clock.Sleep(3 * time.Minute)
-	s := newSampler(rec, cl, "ws2", "ws2", cfg.Interval)
-	clock.Sleep(cfg.Duration)
+	s := newSampler(rec, cl, "ws2", "ws2", sampleInterval)
+	clock.Sleep(cfg.duration)
 	s.Stop()
 	return rec, mreg, nil
 }

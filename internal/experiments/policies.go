@@ -64,7 +64,7 @@ func runPolicyArm(cfg PoliciesConfig, pol *rules.MigrationPolicy) (PolicyRow, er
 	sys, err := core.New(core.Options{
 		Cluster:         cl,
 		Policy:          pol,
-		MonitorInterval: cfg.Interval,
+		MonitorInterval: sampleInterval,
 		GatherCost:      0.05 * hostSpeed,
 		Warmup:          policiesWarmup,
 		Cooldown:        10 * time.Minute,

@@ -124,11 +124,11 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	heartbeats := &atomic.Int64{}
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
-		MonitorInterval:  cfg.Interval,
+		MonitorInterval:  sampleInterval,
 		Warmup:           2,
 		Cooldown:         10 * time.Minute,
 		ChunkBytes:       8 << 20,
-		BatchStatusEvery: cfg.Interval / 2,
+		BatchStatusEvery: sampleInterval / 2,
 		Metrics:          mreg,
 		Events:           ring,
 		WrapReporter: func(host string, r monitor.Reporter) monitor.Reporter {

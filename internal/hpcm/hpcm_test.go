@@ -53,12 +53,34 @@ func (p *testProc) Exit() {
 	p.b.events = append(p.b.events, "exit:"+p.host)
 }
 
+// modelTransport charges a fixed latency plus bytes/bandwidth (bandwidth in
+// bytes per second) to the clock, without contention.
+type modelTransport struct {
+	clock     vclock.Clock
+	latency   time.Duration
+	bandwidth float64
+}
+
+func (t modelTransport) Send(fromHost, toHost string, bytes int64) error {
+	if fromHost == toHost {
+		return nil
+	}
+	d := t.latency
+	if t.bandwidth > 0 {
+		d += time.Duration(float64(bytes) / t.bandwidth * float64(time.Second))
+	}
+	if d > 0 {
+		t.clock.Sleep(d)
+	}
+	return nil
+}
+
 func newMW(t *testing.T, binder HostBinder, spawnLatency time.Duration) (*Middleware, vclock.Clock) {
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	u := mpi.NewUniverse(mpi.Options{
 		Clock:        clock,
-		Transport:    mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 100e6},
+		Transport:    modelTransport{clock, time.Millisecond, 100e6},
 		SpawnLatency: spawnLatency,
 	})
 	mw, err := New(Options{Universe: u, Hosts: binder})
@@ -427,7 +449,7 @@ func TestLazyRestorationOverlapsExecution(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	u := mpi.NewUniverse(mpi.Options{
 		Clock:     clock,
-		Transport: mpi.ModelTransport{Clock: clock, Bandwidth: 1e6}, // 1 MB/s virtual
+		Transport: modelTransport{clock: clock, bandwidth: 1e6}, // 1 MB/s virtual
 	})
 	mw, err := New(Options{Universe: u, ChunkBytes: 64 << 10})
 	if err != nil {

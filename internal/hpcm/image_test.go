@@ -213,7 +213,7 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 			mw, err := New(Options{
 				Universe: mpi.NewUniverse(mpi.Options{
 					Clock:     clock,
-					Transport: mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 100e6},
+					Transport: modelTransport{clock, time.Millisecond, 100e6},
 				}),
 				ChunkBytes:  testChunk,
 				Checkpoints: store,

@@ -41,7 +41,7 @@ func (att *attempt) release() {
 // one delta; a later poll-point resolves the attempt. The blocking sends
 // charge the virtual transfer time, which paces the rounds and makes them
 // contend with application traffic on the simulated network.
-func (c *Context) startPrecopy(att *attempt, cfg livemig.Config) {
+func (c *Context) startPrecopy(att *attempt) {
 	p := c.proc
 	att.done = make(chan struct{})
 	p.mu.Lock()
@@ -51,7 +51,7 @@ func (c *Context) startPrecopy(att *attempt, cfg livemig.Config) {
 	p.xfer.Add(1)
 	go func() {
 		defer p.xfer.Done()
-		att.res, att.err = livemig.Precopy(cfg, att.pages, att.cancelled.Load, func(round int, ids []int, parts [][]byte) error {
+		att.res, att.err = livemig.Precopy(att.pages, att.cancelled.Load, func(round int, ids []int, parts [][]byte) error {
 			img := image{Round: round, Segments: []segment{att.delta(ids, parts)}}
 			if err := img.sendState(att.inter); err != nil {
 				return err

@@ -90,10 +90,10 @@ func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs 
 	t.Helper()
 	clock := vclock.Scaled(vclock.Epoch, 200)
 	if st, ok := transport.(*latchTransport); ok && st.inner == nil {
-		st.inner = mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 1e6}
+		st.inner = modelTransport{clock, time.Millisecond, 1e6}
 	}
 	if transport == nil {
-		transport = mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 1e6}
+		transport = modelTransport{clock, time.Millisecond, 1e6}
 	}
 	u := mpi.NewUniverse(mpi.Options{
 		Clock:        clock,
@@ -198,7 +198,8 @@ func TestLiveMigrationFreezesAndPreservesRegion(t *testing.T) {
 // latchTransport holds the first cross-host send until released — pinning
 // precopy round 1 on the wire while the application keeps dirtying pages —
 // and closes held when the hold begins, so a test knows the round's
-// snapshot watermark is already taken.
+// snapshot watermark is already taken. rearm holds the next send the same
+// way.
 type latchTransport struct {
 	inner mpi.Transport
 
@@ -228,6 +229,21 @@ func awaitDrained(t *testing.T, mw *Middleware) {
 	}
 }
 
+// rearm holds the next send behind fresh held and release channels.
+func (t *latchTransport) rearm() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.armed = true
+	t.held, t.release = make(chan struct{}), make(chan struct{})
+}
+
+// channels returns the current hold's held and release channels.
+func (t *latchTransport) channels() (held, release chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.held, t.release
+}
+
 func (t *latchTransport) Send(from, to string, bytes int64) error {
 	t.mu.Lock()
 	hold := t.armed
@@ -252,12 +268,38 @@ func TestLiveFallbackRunsClassicMigration(t *testing.T) { runLiveFallback(t, fal
 func TestLiveFallbackAfterConsumingPreInit(t *testing.T) { runLiveFallback(t, true) }
 
 func runLiveFallback(t *testing.T, preinit bool) {
-	const stages, dirty = 5, 2
+	// Each stage dirties 12 of the 16 pages, more than the half of the
+	// region a freeze window may carry, so a round that ships them while
+	// the next stage dirties them again has stalled.
+	const stages, dirty = 6, 12
 	latch := newLatch()
 	log := &phaseLog{}
-	// One round only, and any residual triggers fallback.
-	cfg := &livemig.Config{MaxRounds: 1, FallbackFraction: 0.01}
-	mw, _ := newLiveMW(t, latch, cfg, log.observe)
+	// Once round 1 is on the wire, hold round 2 as well; the log sees the
+	// round after the latch is rearmed.
+	observe := func(ev MigrationEvent) {
+		if ev.Phase == PhasePrecopy && ev.Round == 1 {
+			latch.rearm()
+		}
+		log.observe(ev)
+	}
+	awaitRound := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			rounds := 0
+			for _, phase := range log.phases() {
+				if phase == PhasePrecopy {
+					rounds++
+				}
+			}
+			if rounds >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("precopy round %d never reported", n)
+			}
+		}
+	}
+	mw, _ := newLiveMW(t, latch, &livemig.Config{}, observe)
 	gate := make(chan struct{})
 	var sum float64
 	var mu sync.Mutex
@@ -276,21 +318,20 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	gate <- struct{}{} // stage 2: dirties pages behind round 1's watermark
 	gate <- struct{}{} // stage 3: more dirtying; round 1 still on the wire
 	close(latch.release)
-	// Round 1 lands with a dirty residual; wait for the driver's verdict
-	// before feeding the stage whose poll-point resolves it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := log.find(PhasePrecopy); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("precopy round 1 never reported")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Round 1 lands with a 12-page residual and the driver continues; round
+	// 2 takes its snapshot and is held.
+	awaitRound(1)
+	held, release := latch.channels()
+	<-held
+	gate <- struct{}{} // stage 4: dirties the same 12 pages behind round 2
+	close(release)
+	// Round 2 lands with the same residual: stalled, and too large to
+	// freeze. Wait for the driver's verdict before feeding the stage whose
+	// poll-point resolves it.
+	awaitRound(2)
 	time.Sleep(10 * time.Millisecond) // let the driver publish its decision
-	gate <- struct{}{}                // stage 4 (or later): fallback resolves here
-	gate <- struct{}{}                // stage 5
+	gate <- struct{}{}                // stage 5: fallback resolves here
+	gate <- struct{}{}                // stage 6
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +482,7 @@ func (t *cuttableTransport) Send(from, to string, bytes int64) error {
 // failure and the process settles with a Committed MigrationFailure.
 func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 	clock := vclock.Scaled(vclock.Epoch, 200)
-	cut := &cuttableTransport{inner: mpi.ModelTransport{Clock: clock, Latency: time.Millisecond, Bandwidth: 1e6}}
+	cut := &cuttableTransport{inner: modelTransport{clock, time.Millisecond, 1e6}}
 	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: cut, SpawnLatency: 10 * time.Millisecond})
 	log := &phaseLog{}
 	mw, err := New(Options{

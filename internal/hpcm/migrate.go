@@ -106,7 +106,7 @@ func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) er
 	if att.pages == nil {
 		return c.handover(att, PhaseInit)
 	}
-	c.startPrecopy(att, *live)
+	c.startPrecopy(att)
 	return nil
 }
 

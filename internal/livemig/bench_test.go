@@ -74,7 +74,7 @@ func BenchmarkModeledDowntime(b *testing.B) {
 			sc.DirtyPagesPerSec = pt.rate
 			var out Outcome
 			for i := 0; i < b.N; i++ {
-				out = Simulate(Config{}, sc)
+				out = Simulate(sc)
 			}
 			d := out.Downtime
 			if pt.rate == 0 {

@@ -2,42 +2,29 @@ package livemig
 
 import "fmt"
 
-// Config tunes the iterative precopy loop. The zero value is usable:
-// every field has a documented default applied by withDefaults.
-type Config struct {
-	// MaxRounds caps the precopy rounds (round 1, the full copy, included);
-	// zero selects 8. Reaching the cap forces a terminal decision.
-	MaxRounds int
-	// ConvergenceRatio is the shrink factor a round must beat to keep
-	// iterating: the precopy continues only while
-	// dirty < ConvergenceRatio × previous-round-dirty. Zero selects 0.7.
-	ConvergenceRatio float64
-	// FreezeFraction is the residual dirty fraction considered small enough
-	// to freeze immediately: dirty ≤ FreezeFraction × total-pages stops the
-	// iteration and ships the residual in the freeze window. Zero selects
-	// 0.05.
-	FreezeFraction float64
-	// FallbackFraction bounds the freeze window when the iteration gives up
-	// without converging: a residual above FallbackFraction × total-pages
-	// abandons precopy for the classic stop-and-copy path. Zero selects 0.5.
-	FallbackFraction float64
-}
+// Config selects live migration: a nil *Config keeps stop-and-copy, a
+// non-nil one takes the iterative precopy path. The precopy loop's
+// thresholds are constants.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 8
-	}
-	if c.ConvergenceRatio <= 0 {
-		c.ConvergenceRatio = 0.7
-	}
-	if c.FreezeFraction <= 0 {
-		c.FreezeFraction = 0.05
-	}
-	if c.FallbackFraction <= 0 {
-		c.FallbackFraction = 0.5
-	}
-	return c
-}
+// The convergence rule's thresholds.
+const (
+	// maxRounds caps the precopy rounds (round 1, the full copy, included);
+	// reaching the cap forces a terminal decision.
+	maxRounds = 8
+	// convergenceRatio is the shrink factor a round must beat to keep
+	// iterating: the precopy continues only while
+	// dirty < convergenceRatio × previous-round-dirty.
+	convergenceRatio = 0.7
+	// freezeFraction is the residual dirty fraction small enough to freeze
+	// immediately: dirty ≤ freezeFraction × total-pages stops the iteration
+	// and ships the residual in the freeze window.
+	freezeFraction = 0.05
+	// fallbackFraction bounds the freeze window when the iteration gives up
+	// without converging: a residual above fallbackFraction × total-pages
+	// abandons precopy for the classic stop-and-copy path.
+	fallbackFraction = 0.5
+)
 
 // Decision is Precopy's verdict after a round.
 type Decision int
@@ -72,17 +59,16 @@ func (d Decision) String() string {
 // prevDirty is the count the round shipped, total the region's page count.
 // The rule is pure arithmetic — the live round loop and the analytic model
 // share it, so the model's crossover predictions match the engine.
-func (c Config) Decide(round, dirty, prevDirty, total int) Decision {
-	c = c.withDefaults()
+func Decide(round, dirty, prevDirty, total int) Decision {
 	if total <= 0 {
 		return Freeze
 	}
-	if float64(dirty) <= c.FreezeFraction*float64(total) {
+	if float64(dirty) <= freezeFraction*float64(total) {
 		return Freeze
 	}
-	stalled := round > 1 && float64(dirty) >= c.ConvergenceRatio*float64(prevDirty)
-	if round >= c.MaxRounds || stalled {
-		if float64(dirty) > c.FallbackFraction*float64(total) {
+	stalled := round > 1 && float64(dirty) >= convergenceRatio*float64(prevDirty)
+	if round >= maxRounds || stalled {
+		if float64(dirty) > fallbackFraction*float64(total) {
 			return Fallback
 		}
 		return Freeze

@@ -39,7 +39,7 @@ type Result struct {
 // asked before every round. It returns ErrStopped when stop says so, or the
 // send error when a round fails on the wire; either way the attempt is over
 // and the caller decides between abort and fallback.
-func Precopy(cfg Config, pages *Pages, stop func() bool, send SendFunc) (Result, error) {
+func Precopy(pages *Pages, stop func() bool, send SendFunc) (Result, error) {
 	var res Result
 	total := pages.NumPages()
 	for round := 1; ; round++ {
@@ -57,7 +57,7 @@ func Precopy(cfg Config, pages *Pages, stop func() bool, send SendFunc) (Result,
 			res.PagesResent += len(ids)
 		}
 		dirty := len(pages.DirtySince(gen))
-		if dec := cfg.Decide(round, dirty, len(ids), total); dec != Continue {
+		if dec := Decide(round, dirty, len(ids), total); dec != Continue {
 			res.Decision = dec
 			return res, nil
 		}

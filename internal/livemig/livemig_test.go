@@ -78,7 +78,7 @@ func TestZeroAllocHotPaths(t *testing.T) {
 
 	sc := modelScenario
 	sc.DirtyPagesPerSec = 1000
-	if avg := testing.AllocsPerRun(200, func() { Simulate(Config{}, sc) }); avg != 0 {
+	if avg := testing.AllocsPerRun(200, func() { Simulate(sc) }); avg != 0 {
 		t.Errorf("Simulate allocates %.1f objects per op, want 0", avg)
 	}
 }
@@ -176,7 +176,6 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 }
 
 func TestDecide(t *testing.T) {
-	cfg := Config{MaxRounds: 4, ConvergenceRatio: 0.7, FreezeFraction: 0.05, FallbackFraction: 0.5}
 	cases := []struct {
 		round, dirty, prev int
 		want               Decision
@@ -186,16 +185,17 @@ func TestDecide(t *testing.T) {
 		{2, 30, 60, Continue},  // shrinking (30 < 0.7*60)
 		{2, 45, 60, Freeze},    // stalled but residual < 50%: freeze anyway
 		{2, 58, 60, Fallback},  // stalled with residual > 50%: fall back
-		{4, 20, 25, Freeze},    // max rounds, modest residual
-		{4, 80, 90, Fallback},  // max rounds, huge residual
+		{7, 20, 40, Continue},  // shrinking, one round below the cap
+		{8, 20, 40, Freeze},    // max rounds, modest residual
+		{8, 60, 90, Fallback},  // max rounds, huge residual
 		{3, 10, 40, Continue},  // still shrinking fast
 	}
 	for _, c := range cases {
-		if got := cfg.Decide(c.round, c.dirty, c.prev, 100); got != c.want {
+		if got := Decide(c.round, c.dirty, c.prev, 100); got != c.want {
 			t.Errorf("Decide(round=%d dirty=%d prev=%d) = %v, want %v", c.round, c.dirty, c.prev, got, c.want)
 		}
 	}
-	if got := (Config{}).Decide(1, 0, 0, 0); got != Freeze {
+	if got := Decide(1, 0, 0, 0); got != Freeze {
 		t.Errorf("empty region Decide = %v, want Freeze", got)
 	}
 	for d, s := range map[Decision]string{Continue: "continue", Freeze: "freeze", Fallback: "fallback", Decision(9): "Decision(9)"} {
@@ -239,7 +239,7 @@ func TestDriverConvergesToFreeze(t *testing.T) {
 			p.SetFloat64(i*8, float64(round)+float64(i)) // page i
 		}
 	}
-	res, err := Precopy(Config{MaxRounds: 8, FreezeFraction: 0.05}, p, never, s.send)
+	res, err := Precopy(p, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 			p.SetFloat64(i*8, float64(round*100+i))
 		}
 	}
-	res, err := Precopy(Config{MaxRounds: 3, FallbackFraction: 0.5}, p, never, s.send)
+	res, err := Precopy(p, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +279,16 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 
 func TestDriverStopAndSendError(t *testing.T) {
 	p := mustPages(t, 4*64, 64)
-	if _, err := Precopy(Config{}, p, never, (&recordingSend{fail: errors.New("link down")}).send); err == nil {
+	if _, err := Precopy(p, never, (&recordingSend{fail: errors.New("link down")}).send); err == nil {
 		t.Fatal("Precopy with failing send succeeded")
 	}
 	stopped := func() bool { return true }
-	if _, err := Precopy(Config{}, p, stopped, (&recordingSend{}).send); !errors.Is(err, ErrStopped) {
+	if _, err := Precopy(p, stopped, (&recordingSend{}).send); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped Precopy err = %v, want ErrStopped", err)
 	}
 }
 
 func TestSimulateCrossover(t *testing.T) {
-	cfg := Config{}
 	base := Scenario{
 		TotalPages:       4096,
 		PageBytes:        4096,
@@ -298,7 +297,7 @@ func TestSimulateCrossover(t *testing.T) {
 		Handshake:        2 * time.Millisecond,
 		DirtyPagesPerSec: 100,
 	}
-	slow := Simulate(cfg, base)
+	slow := Simulate(base)
 	if slow.Mode != "precopy" {
 		t.Fatalf("low dirty rate mode = %q, want precopy", slow.Mode)
 	}
@@ -307,7 +306,7 @@ func TestSimulateCrossover(t *testing.T) {
 	}
 	hot := base
 	hot.DirtyPagesPerSec = 50_000
-	fb := Simulate(cfg, hot)
+	fb := Simulate(hot)
 	if fb.Mode != "fallback" {
 		t.Fatalf("hot dirty rate mode = %q, want fallback", fb.Mode)
 	}
@@ -316,7 +315,7 @@ func TestSimulateCrossover(t *testing.T) {
 	}
 	// Identical inputs must produce identical outcomes (the determinism the
 	// experiment sweep relies on).
-	if again := Simulate(cfg, hot); again != fb {
+	if again := Simulate(hot); again != fb {
 		t.Fatalf("Simulate not deterministic: %+v vs %+v", again, fb)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Scenario parameterises one modeled migration for the analytic precopy
 // model: a region of TotalPages pages moving over a link of Bandwidth
 // bytes/s while the application dirties pages at DirtyPagesPerSec. The
-// model shares Config.Decide with the live driver, so its crossover — the
+// model shares Decide with the live driver, so its crossover — the
 // dirty rate where precopy stops paying and fallback engages — is the
 // engine's crossover, computed without running anything.
 type Scenario struct {
@@ -66,8 +66,7 @@ func distinctDirty(total int, rate, t float64) int {
 // Simulate runs the analytic model for one scenario. Pure arithmetic over
 // the inputs: two calls with equal arguments return identical outcomes,
 // which is what makes the livemig experiment sweep byte-deterministic.
-func Simulate(cfg Config, sc Scenario) Outcome {
-	cfg = cfg.withDefaults()
+func Simulate(sc Scenario) Outcome {
 	secs := func(d time.Duration) float64 { return d.Seconds() }
 	dur := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	pageSec := float64(sc.PageBytes) / sc.Bandwidth // wire time of one page
@@ -87,7 +86,7 @@ func Simulate(cfg Config, sc Scenario) Outcome {
 		}
 		out.PrecopySeconds += sendSec
 		next := distinctDirty(sc.TotalPages, sc.DirtyPagesPerSec, sendSec)
-		dec := cfg.Decide(round, next, dirty, sc.TotalPages)
+		dec := Decide(round, next, dirty, sc.TotalPages)
 		dirty = next
 		switch dec {
 		case Continue:

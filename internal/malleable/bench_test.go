@@ -2,7 +2,6 @@ package malleable
 
 import (
 	"testing"
-	"time"
 
 	"autoresched/internal/metrics"
 	"autoresched/internal/mpi"
@@ -17,7 +16,6 @@ func benchJob(b *testing.B, n int) (*Job, chan Event) {
 		Universe:     mpi.NewUniverse(mpi.Options{}),
 		App:          &countApp{size: 64, steps: 1 << 30},
 		InitialHosts: hosts("h", n),
-		DrainPoll:    100 * time.Microsecond,
 		Events: metrics.On(func(ev Event) {
 			if ev.Phase == PhaseResume {
 				resumed <- ev

@@ -147,9 +147,6 @@ type Options struct {
 	// Metrics records the malleable/* histograms and counters; nil
 	// disables.
 	Metrics *metrics.Registry
-	// DrainPoll paces the liveness-aware receive loop of the drain phase;
-	// zero selects 1 ms of virtual time.
-	DrainPoll time.Duration
 }
 
 // Rank is one incarnation's view during App.Step: its identity in the
@@ -222,7 +219,6 @@ type Job struct {
 	binder  hpcm.HostBinder
 	events  metrics.Sink
 	metrics *metrics.Registry
-	poll    time.Duration
 
 	mu              sync.Mutex
 	pending         *proposal
@@ -260,9 +256,6 @@ func Start(opts Options) (*Job, error) {
 	if opts.Hosts == nil {
 		opts.Hosts = hpcm.NullBinder()
 	}
-	if opts.DrainPoll <= 0 {
-		opts.DrainPoll = time.Millisecond
-	}
 	if opts.Metrics != nil {
 		// Pre-create the histograms so a metrics snapshot shows them
 		// (empty) before the first resize.
@@ -280,7 +273,6 @@ func Start(opts Options) (*Job, error) {
 		binder:    opts.Hosts,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
-		poll:      opts.DrainPoll,
 		placement: append([]string(nil), opts.InitialHosts...),
 		dead:      make(map[string]bool),
 		live:      make(map[string][]*rankRec),
@@ -637,11 +629,14 @@ func (j *Job) finalDrain(rc *Rank, shard []byte) error {
 	return nil
 }
 
+// drainPoll paces recvLively's mailbox polls, in virtual time.
+const drainPoll = time.Millisecond
+
 // recvLively receives from src on comm without risking a wedge: it polls
-// the mailbox so a sender that died before sending is detected (via the
-// job's dead-host set) instead of blocking forever. A message that already
-// arrived is honoured even if the sender has since died — that is exactly
-// the drain-first guarantee.
+// the mailbox every drainPoll so a sender that died before sending is
+// detected (via the job's dead-host set) instead of blocking forever. A
+// message that already arrived is honoured even if the sender has since
+// died — that is exactly the drain-first guarantee.
 func (j *Job) recvLively(rc *Rank, comm *mpi.Comm, src, tag int, ptr any) error {
 	host, err := comm.Host(src)
 	if err != nil {
@@ -662,6 +657,6 @@ func (j *Job) recvLively(rc *Rank, comm *mpi.Comm, src, tag int, ptr any) error 
 		if j.hostDead(host) {
 			return fmt.Errorf("%w: rank %d on %s", errRankLost, src, host)
 		}
-		j.clock.Sleep(j.poll)
+		j.clock.Sleep(drainPoll)
 	}
 }

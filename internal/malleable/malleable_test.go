@@ -599,7 +599,6 @@ func TestDrainPollDefault(t *testing.T) {
 	}}
 	j, err := Start(Options{
 		Universe: u, App: gated, InitialHosts: hosts("h", 2),
-		DrainPoll: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)

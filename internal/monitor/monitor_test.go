@@ -277,12 +277,23 @@ func TestReporterErrorSurfaced(t *testing.T) {
 	}
 }
 
+// diskSource is a simulated host with one mount, /export, whose usage the
+// test sets: simulated hosts have no mounts of their own.
+type diskSource struct {
+	*sysinfo.SimSource
+	usedPct float64
+}
+
+func (d *diskSource) Disks() ([]sysinfo.DiskUsage, error) {
+	return []sysinfo.DiskUsage{{Path: "/export", UsedPct: d.usedPct}}, nil
+}
+
 // TestDiskRuleEndToEnd covers the paper's disk-usage monitoring category:
 // a df-style rule over the host's mount table drives the state machine.
 func TestDiskRuleEndToEnd(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
-	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 400}})
+	src := &diskSource{SimSource: sysinfo.NewSimSource(host, nil), usedPct: 40}
 	engine := rules.NewEngine(nil)
 	if err := engine.Add(&rules.Rule{
 		Number: 1, Name: "diskExport", Type: rules.Simple,
@@ -291,12 +302,7 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(
-		"ws1",
-		sysinfo.NewSimSource(host, nil),
-		WithEngine(engine),
-		WithClock(clock),
-	)
+	m, err := NewMonitor("ws1", src, WithEngine(engine), WithClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +312,14 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 	if m.State() != rules.Free {
 		t.Fatalf("state at 40%% disk = %v", m.State())
 	}
-	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 900}})
+	src.usedPct = 90
 	if _, err := m.Cycle(); err != nil {
 		t.Fatal(err)
 	}
 	if m.State() != rules.Busy {
 		t.Fatalf("state at 90%% disk = %v", m.State())
 	}
-	host.SetMounts([]sim.Mount{{Path: "/export", Total: 1000, Used: 990}})
+	src.usedPct = 99
 	if _, err := m.Cycle(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package mpi
 
-import (
-	"time"
-
-	"autoresched/internal/sim"
-	"autoresched/internal/vclock"
-)
+import "autoresched/internal/sim"
 
 // Transport charges the time a payload takes to move between hosts. The
 // message itself travels in process memory; the transport decides how long
@@ -31,27 +26,4 @@ type SimTransport struct {
 // Send implements Transport by performing a blocking simulated transfer.
 func (t SimTransport) Send(fromHost, toHost string, bytes int64) error {
 	return t.Net.Transfer(fromHost, toHost, bytes)
-}
-
-// ModelTransport charges a fixed latency plus bytes/bandwidth to the clock,
-// without contention. Bandwidth is in bytes per second.
-type ModelTransport struct {
-	Clock     vclock.Clock
-	Latency   time.Duration
-	Bandwidth float64
-}
-
-// Send implements Transport.
-func (t ModelTransport) Send(fromHost, toHost string, bytes int64) error {
-	if fromHost == toHost {
-		return nil
-	}
-	d := t.Latency
-	if t.Bandwidth > 0 {
-		d += time.Duration(float64(bytes) / t.Bandwidth * float64(time.Second))
-	}
-	if d > 0 && t.Clock != nil {
-		t.Clock.Sleep(d)
-	}
-	return nil
 }

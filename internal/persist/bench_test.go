@@ -21,7 +21,7 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	})
 	b.Run("file", func(b *testing.B) {
-		s, err := OpenFileStore(b.TempDir(), FileConfig{SegmentRecords: 4096})
+		s, err := OpenFileStore(b.TempDir(), FileConfig{segmentRecords: 4096})
 		if err != nil {
 			b.Fatalf("open: %v", err)
 		}

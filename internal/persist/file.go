@@ -29,7 +29,7 @@ import (
 // intact prefix), while a CRC mismatch anywhere else fails loudly rather
 // than loading corrupt state.
 //
-// Segments roll every SegmentRecords records and are named by the sequence
+// Segments roll every segmentRecords records and are named by the sequence
 // number of their first record, so snapshot compaction can unlink every
 // segment whose records the snapshot covers without rewriting anything: at
 // the snapshot, and for the tail segment, when a roll closes it.
@@ -61,9 +61,9 @@ type segInfo struct {
 
 // FileConfig tunes a FileStore.
 type FileConfig struct {
-	// SegmentRecords rolls the log to a fresh segment after this many
+	// segmentRecords rolls the log to a fresh segment after this many
 	// records; zero selects 1024.
-	SegmentRecords int
+	segmentRecords int
 }
 
 const (
@@ -87,13 +87,13 @@ const maxFrame = 1 << 26
 // runs before the store is shared, so it alone fills the log's fields
 // directly instead of going through its methods.
 func OpenFileStore(dir string, cfg FileConfig) (*FileStore, error) {
-	if cfg.SegmentRecords <= 0 {
-		cfg.SegmentRecords = 1024
+	if cfg.segmentRecords <= 0 {
+		cfg.segmentRecords = 1024
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: open store: %w", err)
 	}
-	s := &FileStore{dir: dir, segMax: cfg.SegmentRecords}
+	s := &FileStore{dir: dir, segMax: cfg.segmentRecords}
 	if err := s.recoverEpoch(); err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func FuzzReadFrame(f *testing.F) {
 // it must then discard; a segment the snapshot covers only in part stays.
 func TestRollUnlinksCoveredTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStore(dir, FileConfig{SegmentRecords: 4})
+	s, err := OpenFileStore(dir, FileConfig{segmentRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRollUnlinksCoveredTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenFileStore(dir, FileConfig{SegmentRecords: 4})
+	r, err := OpenFileStore(dir, FileConfig{segmentRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func openers(t *testing.T) map[string]func() Store {
 	return map[string]func() Store{
 		"mem": func() Store { return NewMemStore() },
 		"file": func() Store {
-			s, err := OpenFileStore(t.TempDir(), FileConfig{SegmentRecords: 4})
+			s, err := OpenFileStore(t.TempDir(), FileConfig{segmentRecords: 4})
 			if err != nil {
 				t.Fatalf("open file store: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestFenceRejectsStaleEpoch(t *testing.T) {
 
 func TestFileStoreReopenRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStore(dir, FileConfig{SegmentRecords: 3})
+	s, err := OpenFileStore(dir, FileConfig{segmentRecords: 3})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestFileStoreReopenRecovers(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	r, err := OpenFileStore(dir, FileConfig{SegmentRecords: 3})
+	r, err := OpenFileStore(dir, FileConfig{segmentRecords: 3})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestFileStoreReopenRecovers(t *testing.T) {
 
 func TestFileStoreCompactionUnlinksSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStore(dir, FileConfig{SegmentRecords: 2})
+	s, err := OpenFileStore(dir, FileConfig{segmentRecords: 2})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestFileStoreCompactionUnlinksSegments(t *testing.T) {
 
 func TestFileStoreCorruptMidFileFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenFileStore(dir, FileConfig{SegmentRecords: 1024})
+	s, err := OpenFileStore(dir, FileConfig{segmentRecords: 1024})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestBackendsAgreeStepByStep(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		mem := NewMemStore()
-		file, err := OpenFileStore(dir, FileConfig{SegmentRecords: 4})
+		file, err := OpenFileStore(dir, FileConfig{segmentRecords: 4})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -297,7 +297,7 @@ func TestBackendsAgreeStepByStep(t *testing.T) {
 				if err := file.Close(); err != nil {
 					t.Fatalf("seed %d step %d: close: %v", seed, step, err)
 				}
-				if file, err = OpenFileStore(dir, FileConfig{SegmentRecords: 4}); err != nil {
+				if file, err = OpenFileStore(dir, FileConfig{segmentRecords: 4}); err != nil {
 					t.Fatalf("seed %d step %d: reopen: %v", seed, step, err)
 				}
 			}

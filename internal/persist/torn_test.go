@@ -113,7 +113,7 @@ func tearEveryByteOffset(t *testing.T, full []byte, n int) {
 // TestLiveTruncateTailMatchesReopen checks the injectable torn write: a
 // TruncateTail on a live store leaves exactly the state a crash at that
 // byte count plus a reopen would, and the torn store keeps appending into a
-// log that reopens cleanly. With SegmentRecords 4 the six records split 4+2,
+// log that reopens cleanly. With segmentRecords 4 the six records split 4+2,
 // so the tears also stop exactly on a frame boundary and empty the tail
 // segment (exactly, and by over-chopping) — the tail is the only segment a
 // tear may touch.
@@ -125,7 +125,7 @@ func TestLiveTruncateTailMatchesReopen(t *testing.T) {
 		for _, tear := range []int{1, 5, 30, frameLen, frameLen + 1, 2 * frameLen, 200, 10000} {
 			name := fmt.Sprintf("seg%d/tear%d", segRecs, tear)
 			dir := t.TempDir()
-			s, err := OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			s, err := OpenFileStore(dir, FileConfig{segmentRecords: segRecs})
 			if err != nil {
 				t.Fatalf("%s: open: %v", name, err)
 			}
@@ -152,7 +152,7 @@ func TestLiveTruncateTailMatchesReopen(t *testing.T) {
 				t.Fatalf("%s: live seq %d with %d records, want %d", name, s.Seq(), len(liveRecs), want)
 			}
 			// A second handle recovers what a crash here would leave.
-			r, err := OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			r, err := OpenFileStore(dir, FileConfig{segmentRecords: segRecs})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", name, err)
 			}
@@ -171,7 +171,7 @@ func TestLiveTruncateTailMatchesReopen(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("%s: close: %v", name, err)
 			}
-			r, err = OpenFileStore(dir, FileConfig{SegmentRecords: segRecs})
+			r, err = OpenFileStore(dir, FileConfig{segmentRecords: segRecs})
 			if err != nil {
 				t.Fatalf("%s: reopen after tear+append: %v", name, err)
 			}

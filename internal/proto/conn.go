@@ -5,13 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
-
-	"autoresched/internal/metrics"
-	"autoresched/internal/vclock"
 )
 
 // maxFrame bounds a single message to keep a malformed peer from forcing a
@@ -126,8 +122,6 @@ type Server struct {
 	name    string
 	ln      net.Listener
 	handler Handler
-	dedup   *dedupCache
-	deduped *metrics.Counter
 
 	mu     sync.Mutex
 	closed bool
@@ -135,18 +129,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts a server listening on addr ("host:0" picks a free port)
-// with default options.
+// NewServer starts a server listening on addr ("host:0" picks a free port).
 func NewServer(name, addr string, handler Handler) (*Server, error) {
-	return NewServerOptions(name, addr, handler, Options{})
-}
-
-// NewServerOptions starts a server with explicit robustness options:
-// DedupWindow enables idempotent redelivery (a retried request is answered
-// from the response cache instead of re-invoking the handler), Metrics
-// makes deduplications observable (proto/msgs_deduped, served at zero from
-// the start).
-func NewServerOptions(name, addr string, handler Handler, opts Options) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -155,8 +139,6 @@ func NewServerOptions(name, addr string, handler Handler, opts Options) (*Server
 		name:    name,
 		ln:      ln,
 		handler: handler,
-		dedup:   newDedupCache(opts.dedupWindow()),
-		deduped: opts.Metrics.Counter(CtrDeduped),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -201,16 +183,6 @@ func (s *Server) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// Idempotent redelivery: a (From, Seq) the server already answered
-		// — a client retry whose response was lost — replays the cached
-		// response instead of re-invoking the handler.
-		if cached, ok := s.dedup.lookup(req.From, req.Seq); ok {
-			s.deduped.Inc()
-			if err := c.Send(cached); err != nil {
-				return
-			}
-			continue
-		}
 		resp, herr := s.handler(req)
 		if resp == nil {
 			resp = Ack(s.name, req, herr)
@@ -218,7 +190,6 @@ func (s *Server) serve(conn net.Conn) {
 			resp.Seq = req.Seq
 			resp.To = req.From
 		}
-		s.dedup.store(req.From, req.Seq, resp)
 		if err := c.Send(resp); err != nil {
 			return
 		}
@@ -254,23 +225,18 @@ type Client struct {
 	raw    net.Conn
 	seq    uint64
 	closed bool
-	rng    *rand.Rand
 }
 
-// Dial connects a client named name (used as the From field) to addr with
-// default options: 5-second dial timeout, one re-dial retry.
+// Dial connects a client named name (used as the From field) to addr, with
+// a 5-second dial timeout; a call that fails on the wire re-dials once.
 func Dial(name, addr string) (*Client, error) {
 	return DialOptions(name, addr, Options{})
 }
 
-// DialOptions connects a client with explicit robustness options: dial and
-// call timeouts, retry count, exponential backoff with seeded jitter, and
-// optional counters.
+// DialOptions is Dial with the client's calls, retries and re-dials
+// counted on opts.Metrics.
 func DialOptions(name, addr string, opts Options) (*Client, error) {
 	c := &Client{name: name, addr: addr, opts: opts}
-	if opts.Jitter > 0 {
-		c.rng = rand.New(rand.NewSource(opts.Seed))
-	}
 	if err := c.reconnect(); err != nil {
 		return nil, err
 	}
@@ -296,9 +262,8 @@ func (c *Client) reconnect() error {
 	return nil
 }
 
-// Call sends a request and waits for its response. Transport failures are
-// retried (re-dialling between attempts) per Options.Retries with
-// exponential backoff; remote handler errors are returned immediately,
+// Call sends a request and waits for its response. A transport failure
+// re-dials once and resends; a remote handler error is returned at once,
 // since the request was already processed.
 func (c *Client) Call(m *Message) (*Message, error) {
 	if c.opts.Metrics != nil {
@@ -317,34 +282,17 @@ func (c *Client) Call(m *Message) (*Message, error) {
 		// Success, or a remote handler error: never retried.
 		return resp, err
 	}
-	retries := c.opts.retries()
-	for attempt := 1; attempt <= retries; attempt++ {
-		if d := c.opts.backoffFor(attempt, c.rng); d > 0 {
-			vclock.Real().Sleep(d)
-		}
-		c.opts.Metrics.Counter(CtrRetries).Inc()
-		if rerr := c.reconnect(); rerr != nil {
-			err = fmt.Errorf("proto: call failed (%v) and reconnect failed: %w", err, rerr)
-			continue
-		}
-		c.opts.Metrics.Counter(CtrReconnects).Inc()
-		resp, err = c.callOnce(m)
-		if err == nil || resp != nil {
-			return resp, err
-		}
+	c.opts.Metrics.Counter(CtrRetries).Inc()
+	if rerr := c.reconnect(); rerr != nil {
+		return nil, fmt.Errorf("proto: call failed (%v) and reconnect failed: %w", err, rerr)
 	}
-	return nil, err
+	c.opts.Metrics.Counter(CtrReconnects).Inc()
+	return c.callOnce(m)
 }
 
 func (c *Client) callOnce(m *Message) (*Message, error) {
 	if c.conn == nil {
 		return nil, fmt.Errorf("proto: client closed")
-	}
-	if d := c.opts.CallTimeout; d > 0 {
-		// The kernel's socket deadline is necessarily a wall instant.
-		c.raw.SetDeadline(time.Now().Add(d)) //lint:allow determinism net deadlines are wall instants
-
-		defer c.raw.SetDeadline(time.Time{})
 	}
 	if err := c.conn.Send(m); err != nil {
 		return nil, err

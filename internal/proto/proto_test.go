@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"autoresched/internal/metrics"
 )
 
 func statusMsg(from string) *Message {
@@ -267,7 +269,8 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	cli, err := Dial("ws1", addr)
+	mreg := metrics.NewRegistry()
+	cli, err := DialOptions("ws1", addr, Options{Metrics: mreg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +286,9 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	defer srv2.Close()
 	if _, err := cli.Call(statusMsg("ws1")); err != nil {
 		t.Fatalf("call after restart: %v", err)
+	}
+	if mreg.Counter(CtrRetries).Value() != 1 || mreg.Counter(CtrReconnects).Value() != 1 {
+		t.Fatalf("retries %d, reconnects %d; want 1 each", mreg.Counter(CtrRetries).Value(), mreg.Counter(CtrReconnects).Value())
 	}
 }
 

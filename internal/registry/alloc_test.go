@@ -11,11 +11,11 @@ import (
 // runtime: refreshing an already-buffered host's status — the ingest
 // steady state between flushes, which at fleet scale is nearly every
 // report — must not allocate. The slot index and the pending slice are
-// preallocated to MaxPending, so the replace branch only copies a struct.
+// preallocated to maxPending, so the replace branch only copies a struct.
 func TestZeroAllocHotPaths(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
-	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 64})
+	b := NewBatcher(r, BatcherConfig{Clock: clock})
 	if err := b.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,6 @@ type BatcherConfig struct {
 	// selects 5 seconds (half the monitors' refresh cadence, well inside
 	// the 35-second lease).
 	FlushEvery time.Duration
-	// MaxPending flushes when this many hosts have buffered reports;
-	// zero selects 64.
-	MaxPending int
 	// Metrics, when set, receives the registry/batch_* counters and the
 	// batcher's share of monitor/reregisters.
 	Metrics *metrics.Registry
@@ -66,7 +63,7 @@ const (
 // It implements the monitor's Reporter shape, so it slots between the
 // monitors and the registry: registrations and unregistrations pass through
 // (and flush first, preserving order), while status reports buffer — latest
-// report per host wins — until MaxPending hosts are pending or FlushEvery
+// report per host wins — until maxPending hosts are pending or FlushEvery
 // has elapsed. After a registry restart drops the soft state, a flush
 // re-registers its hosts from the retained static info and retries, the
 // same recovery dance a single monitor performs.
@@ -83,6 +80,10 @@ type Batcher struct {
 	flushes, batched, reregisters *metrics.Counter // resolved once; nil = uncounted
 }
 
+// maxPending is the batch size: a batcher flushes when this many hosts have
+// buffered reports.
+const maxPending = 64
+
 // NewBatcher creates a Batcher in front of reg.
 func NewBatcher(reg *Registry, cfg BatcherConfig) *Batcher {
 	if cfg.Clock == nil {
@@ -91,14 +92,11 @@ func NewBatcher(reg *Registry, cfg BatcherConfig) *Batcher {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 5 * time.Second
 	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
-	}
 	return &Batcher{
 		reg:       reg,
 		cfg:       cfg,
-		pending:   make([]proto.HostStatus, 0, cfg.MaxPending),
-		index:     make(map[string]int, cfg.MaxPending),
+		pending:   make([]proto.HostStatus, 0, maxPending),
+		index:     make(map[string]int, maxPending),
 		statics:   make(map[string]proto.StaticInfo),
 		lastFlush: cfg.Clock.Now(),
 
@@ -123,7 +121,7 @@ func (b *Batcher) RegisterHost(host string, static proto.StaticInfo) error {
 // ReportStatus buffers a host's report, replacing any earlier buffered
 // report from the same host, and flushes when the batch is due. The
 // steady state — refreshing an already-buffered host, or filling a batch
-// whose capacity was preallocated to MaxPending — allocates nothing; the
+// whose capacity was preallocated to maxPending — allocates nothing; the
 // flush boundary amortises its own costs over the whole batch.
 //
 //hot:path
@@ -133,15 +131,15 @@ func (b *Batcher) ReportStatus(host string, status proto.Status) error {
 		b.pending[i].Status = status
 	} else {
 		b.index[host] = len(b.pending)
-		b.pending = append(b.pending, proto.HostStatus{Host: host, Status: status}) //lint:allow hotalloc capacity preallocated to MaxPending; grows only past the flush threshold
+		b.pending = append(b.pending, proto.HostStatus{Host: host, Status: status}) //lint:allow hotalloc capacity preallocated to maxPending; grows only past the flush threshold
 	}
-	due := len(b.pending) >= b.cfg.MaxPending ||
+	due := len(b.pending) >= maxPending ||
 		b.cfg.Clock.Now().Sub(b.lastFlush) >= b.cfg.FlushEvery
 	b.mu.Unlock()
 	if !due {
 		return nil
 	}
-	return b.Flush() //lint:allow hotalloc the flush is the amortised batch boundary, one per MaxPending reports
+	return b.Flush() //lint:allow hotalloc the flush is the amortised batch boundary, one per maxPending reports
 }
 
 // UnregisterHost flushes buffered reports, drops the retained static info,
@@ -166,9 +164,9 @@ func (b *Batcher) Flush() error {
 	// The batch slice is handed to the registry (and kept by recover on
 	// failure), so the buffer cannot be reused in place: start a fresh one
 	// at full capacity — one allocation per flush, amortised over up to
-	// MaxPending buffered reports.
-	b.pending = make([]proto.HostStatus, 0, b.cfg.MaxPending)
-	b.index = make(map[string]int, b.cfg.MaxPending)
+	// maxPending buffered reports.
+	b.pending = make([]proto.HostStatus, 0, maxPending)
+	b.index = make(map[string]int, maxPending)
 	b.lastFlush = b.cfg.Clock.Now()
 	b.mu.Unlock()
 	if len(batch) == 0 {

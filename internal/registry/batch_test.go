@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"testing"
 
 	"autoresched/internal/metrics"
@@ -73,9 +74,11 @@ func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock))
-	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
-	for _, h := range []string{"ws1", "ws2"} {
-		if err := b.RegisterHost(h, staticFor(h)); err != nil {
+	b := NewBatcher(r, BatcherConfig{Clock: clock, Metrics: mreg})
+	names := make([]string, maxPending)
+	for i := range names {
+		names[i] = fmt.Sprintf("ws%d", i+1)
+		if err := b.RegisterHost(names[i], staticFor(names[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,23 +90,28 @@ func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 	if err := b.ReportStatus("ws1", status("free", 0.1, 3)); err != nil {
 		t.Fatal(err)
 	}
+	for _, h := range names[1 : maxPending-1] {
+		if err := b.ReportStatus(h, status("free", 0.2, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := r.Hosts()[0].Status.Load1; got != 0 {
 		t.Fatalf("report reached the registry before the flush (load %v)", got)
 	}
-	// The second distinct host reaches MaxPending and flushes both.
-	if err := b.ReportStatus("ws2", status("free", 0.2, 4)); err != nil {
+	// The last distinct host reaches maxPending and flushes them all.
+	if err := b.ReportStatus(names[maxPending-1], status("free", 0.2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	hosts := r.Hosts()
-	if hosts[0].Status.Load1 != 0.1 || hosts[1].Status.Load1 != 0.2 {
+	if hosts[0].Status.Load1 != 0.1 || hosts[maxPending-1].Status.Load1 != 0.2 {
 		t.Fatalf("loads after flush = %v/%v, want 0.1 (latest wins) and 0.2",
-			hosts[0].Status.Load1, hosts[1].Status.Load1)
+			hosts[0].Status.Load1, hosts[maxPending-1].Status.Load1)
 	}
 	if got := mreg.Counter(CtrBatchFlushes).Value(); got != 1 {
 		t.Fatalf("flushes = %d, want 1", got)
 	}
-	if got := mreg.Counter(CtrBatchedReports).Value(); got != 2 {
-		t.Fatalf("batched reports = %d, want 2 (latest-wins coalescing)", got)
+	if got := mreg.Counter(CtrBatchedReports).Value(); got != maxPending {
+		t.Fatalf("batched reports = %d, want %d (latest-wins coalescing)", got, maxPending)
 	}
 }
 
@@ -111,7 +119,7 @@ func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock))
-	b := NewBatcher(r, BatcherConfig{Clock: clock, MaxPending: 2, Metrics: mreg})
+	b := NewBatcher(r, BatcherConfig{Clock: clock, Metrics: mreg})
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := b.RegisterHost(h, staticFor(h)); err != nil {
 			t.Fatal(err)
@@ -125,6 +133,9 @@ func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := b.ReportStatus("ws2", status("busy", 1.2, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	hosts := r.Hosts()

@@ -253,7 +253,7 @@ func TestUpgradeInPlace(t *testing.T) {
 	dir := copyFixture(t, "testdata/store-pr22")
 	open := func() *persist.FileStore {
 		t.Helper()
-		s, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 4})
+		s, err := persist.OpenFileStore(dir, persist.FileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestDigestIndependentOfLocalZone(t *testing.T) {
 	t.Cleanup(func() { time.Local = saved })
 
 	clock := vclock.NewManual(time.Date(2004, 4, 1, 9, 30, 0, 0, time.Local))
-	store, err := persist.OpenFileStore(t.TempDir(), persist.FileConfig{SegmentRecords: 4})
+	store, err := persist.OpenFileStore(t.TempDir(), persist.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

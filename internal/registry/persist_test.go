@@ -452,7 +452,7 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 
 func TestFileBackedRegistryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 8})
+	store, err := persist.OpenFileStore(dir, persist.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestFileBackedRegistryRoundTrip(t *testing.T) {
 
 	// Reopen the directory — the crashed-and-restarted control plane —
 	// and boot a fresh registry from it.
-	store2, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 8})
+	store2, err := persist.OpenFileStore(dir, persist.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

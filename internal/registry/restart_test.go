@@ -65,7 +65,7 @@ func TestRestartDropsSoftState(t *testing.T) {
 // read f5c0cba39732fc16 for the same state).
 func TestOpensStoreWrittenBeforePR23(t *testing.T) {
 	dir := copyFixture(t, "testdata/store-pr22")
-	store, err := persist.OpenFileStore(dir, persist.FileConfig{SegmentRecords: 4})
+	store, err := persist.OpenFileStore(dir, persist.FileConfig{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

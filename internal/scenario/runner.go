@@ -240,12 +240,12 @@ func (Runner) Run(s Scenario) Result {
 		}
 		if s.Migration == MigrateLive {
 			sc.DirtyPagesPerSec = float64(s.DirtyPagesPerSec)
-			out := livemig.Simulate(livemig.Config{}, sc)
+			out := livemig.Simulate(sc)
 			mode, rounds, downtime = out.Mode, out.Rounds, out.Downtime
 			total = time.Duration(out.PrecopySeconds*float64(time.Second)) + downtime
 			return
 		}
-		out := livemig.Simulate(livemig.Config{}, sc)
+		out := livemig.Simulate(sc)
 		mode, downtime = MigrateStopCopy, out.StopCopy
 		total = downtime
 		return

@@ -38,17 +38,11 @@ type Config struct {
 	// is arbitrary; only ratios between hosts and workloads matter. Zero
 	// selects 1e6 (one "megaflop-second" per second).
 	Speed float64
-	// CPUs is the processor count; zero selects 1 (the paper's Sun Blade
-	// 100 is a uniprocessor). A single process never exceeds one CPU's
-	// speed; n runnable processes share min(n, CPUs) CPUs.
-	CPUs int
 	// MemTotal is the physical memory in bytes. Zero selects 128 MB, the
-	// paper's Sun Blade 100.
+	// paper's Sun Blade 100. Swap is twice as large.
 	MemTotal int64
 	// MemBase is memory used by the operating system itself.
 	MemBase int64
-	// SwapTotal is the virtual memory in bytes. Zero selects 2x MemTotal.
-	SwapTotal int64
 }
 
 // Host is a simulated workstation.
@@ -61,20 +55,10 @@ type Host struct {
 	procs    map[int]*Proc
 	nextPID  int
 	lastAdv  time.Time
-	loadAt   time.Time
 	load     [3]float64 // 1, 5, 15 minute damped run-queue averages
 	busyTime time.Duration
 	idleTime time.Duration
-	mounts   []Mount
 	wake     wakeup
-}
-
-// Mount is a disk mount point with capacity accounting, the unit the paper's
-// disk-usage monitoring rules inspect.
-type Mount struct {
-	Path  string
-	Total int64
-	Used  int64
 }
 
 var loadTau = [3]float64{60, 300, 900} // seconds
@@ -84,42 +68,28 @@ func NewHost(clock vclock.Clock, name string, cfg Config) *Host {
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1e6
 	}
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = 1
-	}
 	if cfg.MemTotal <= 0 {
 		cfg.MemTotal = 128 << 20
 	}
-	if cfg.SwapTotal <= 0 {
-		cfg.SwapTotal = 2 * cfg.MemTotal
-	}
-	now := clock.Now()
 	return &Host{
 		clock:   clock,
 		name:    name,
 		cfg:     cfg,
 		procs:   make(map[int]*Proc),
 		nextPID: 100, // leave room for "system" pids
-		lastAdv: now,
-		loadAt:  now,
+		lastAdv: clock.Now(),
 	}
 }
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
 
-// Speed returns one CPU's capacity in work units per second.
+// Speed returns the CPU's capacity in work units per second.
 func (h *Host) Speed() float64 { return h.cfg.Speed }
 
 // shareFor returns the per-process execution rate with n runnable
-// processes: each process runs on at most one CPU, and the host delivers
-// at most CPUs processors' worth of work in total.
-func (h *Host) shareFor(n int) float64 {
-	if n <= h.cfg.CPUs {
-		return h.cfg.Speed
-	}
-	return h.cfg.Speed * float64(h.cfg.CPUs) / float64(n)
-}
+// processes sharing the one CPU.
+func (h *Host) shareFor(n int) float64 { return h.cfg.Speed / float64(n) }
 
 // Clock returns the clock driving this host.
 func (h *Host) Clock() vclock.Clock { return h.clock }
@@ -290,8 +260,8 @@ func (h *Host) Memory() (total, used int64) {
 	return h.cfg.MemTotal, used
 }
 
-// Swap returns total and used virtual memory in bytes. Memory demand beyond
-// physical memory spills to swap.
+// Swap returns total and used virtual memory in bytes: twice the physical
+// memory, into which memory demand beyond physical memory spills.
 func (h *Host) Swap() (total, used int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -299,27 +269,8 @@ func (h *Host) Swap() (total, used int64) {
 	for _, p := range h.procs {
 		demand += p.memory
 	}
-	if over := demand - h.cfg.MemTotal; over > 0 {
-		used = over
-		if used > h.cfg.SwapTotal {
-			used = h.cfg.SwapTotal
-		}
-	}
-	return h.cfg.SwapTotal, used
-}
-
-// SetMounts replaces the disk mount table.
-func (h *Host) SetMounts(mounts []Mount) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.mounts = append([]Mount(nil), mounts...)
-}
-
-// Mounts returns a copy of the disk mount table.
-func (h *Host) Mounts() []Mount {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Mount(nil), h.mounts...)
+	total = 2 * h.cfg.MemTotal
+	return total, min(max(demand-h.cfg.MemTotal, 0), total)
 }
 
 // Procs returns a snapshot of the process table sorted by pid.
@@ -398,9 +349,7 @@ func (h *Host) advanceLocked(now time.Time) {
 			p.computing.remaining -= adv
 			p.cpuTime += durationOf(step * share / h.cfg.Speed)
 		}
-		util := float64(min(n, h.cfg.CPUs)) / float64(h.cfg.CPUs)
-		h.busyTime += durationOf(step * util)
-		h.idleTime += durationOf(step * (1 - util))
+		h.busyTime += durationOf(step)
 		h.updateLoadLocked(float64(n), step)
 		h.lastAdv = h.lastAdv.Add(durationOf(step))
 		if len(finished) == 0 {

@@ -74,83 +74,6 @@ func TestShortJobDepartsAndLongJobSpeedsUp(t *testing.T) {
 	}
 }
 
-func TestMultiCPUParallelism(t *testing.T) {
-	// Two CPUs: two processes run at full speed simultaneously; a third
-	// forces sharing.
-	clock := vclock.Scaled(vclock.Epoch, 200)
-	h := NewHost(clock, "smp", Config{Speed: speed, CPUs: 2})
-	if h.cfg.CPUs != 2 {
-		t.Fatalf("CPUs = %d", h.cfg.CPUs)
-	}
-	start := clock.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := h.Spawn("w", 0)
-			defer p.Exit()
-			_ = p.Compute(5 * speed)
-		}()
-	}
-	wg.Wait()
-	// Both 5s jobs in ~5s: true parallelism.
-	if got := clock.Since(start); got < 4*time.Second || got > 8*time.Second {
-		t.Fatalf("2 jobs on 2 CPUs took %v, want ~5s", got)
-	}
-
-	start = clock.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := h.Spawn("w", 0)
-			defer p.Exit()
-			_ = p.Compute(5 * speed)
-		}()
-	}
-	wg.Wait()
-	// Four 5s jobs on 2 CPUs: ~10s.
-	if got := clock.Since(start); got < 8*time.Second || got > 14*time.Second {
-		t.Fatalf("4 jobs on 2 CPUs took %v, want ~10s", got)
-	}
-}
-
-func TestMultiCPUSingleProcessCapped(t *testing.T) {
-	// One process cannot use more than one CPU.
-	clock := vclock.Scaled(vclock.Epoch, 200)
-	h := NewHost(clock, "smp", Config{Speed: speed, CPUs: 4})
-	p := h.Spawn("solo", 0)
-	defer p.Exit()
-	start := clock.Now()
-	if err := p.Compute(5 * speed); err != nil {
-		t.Fatal(err)
-	}
-	if got := clock.Since(start); got < 4*time.Second {
-		t.Fatalf("solo job finished in %v: exceeded one CPU's speed", got)
-	}
-}
-
-func TestMultiCPUUtilisationFractional(t *testing.T) {
-	// One busy process on a 2-CPU host: utilisation is 50%.
-	clock := vclock.NewManual(vclock.Epoch)
-	h := NewHost(clock, "smp", Config{Speed: speed, CPUs: 2})
-	p := h.Spawn("w", 0)
-	done := make(chan struct{})
-	go func() { _ = p.Compute(100 * speed); close(done) }() // 100s on one CPU
-	clock.WaitUntilWaiters(1)
-	clock.Advance(100*time.Second + time.Millisecond)
-	<-done
-	busy, idle := h.CPUTimes()
-	if d := busy - 50*time.Second; d < -time.Second || d > time.Second {
-		t.Fatalf("busy = %v, want ~50s (one of two CPUs)", busy)
-	}
-	if d := idle - 50*time.Second; d < -time.Second || d > time.Second {
-		t.Fatalf("idle = %v, want ~50s", idle)
-	}
-	p.Exit()
-}
-
 func TestLoadAverageRisesWithRunQueue(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	h := NewHost(clock, "ws1", Config{Speed: speed})
@@ -295,7 +218,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestSwapSpillover(t *testing.T) {
-	h, _ := newHost(Config{MemTotal: 100, SwapTotal: 200})
+	h, _ := newHost(Config{MemTotal: 100})
 	h.Spawn("big", 150)
 	_, memUsed := h.Memory()
 	if memUsed != 100 {
@@ -326,19 +249,6 @@ func TestProcsSnapshot(t *testing.T) {
 	}
 }
 
-func TestMounts(t *testing.T) {
-	h, _ := newHost(Config{})
-	h.SetMounts([]Mount{{Path: "/", Total: 100, Used: 61}})
-	m := h.Mounts()
-	if len(m) != 1 || m[0].Path != "/" || m[0].Used != 61 {
-		t.Fatalf("mounts = %+v", m)
-	}
-	m[0].Used = 99 // mutating the copy must not affect the host
-	if h.Mounts()[0].Used != 61 {
-		t.Fatal("Mounts returned aliased slice")
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	h := NewHost(clock, "x", Config{})
@@ -359,22 +269,17 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 // Property: CPU time is conserved — the total CPU time delivered to
-// processes equals CPUs x busy time, for arbitrary workloads on 1- and
-// 2-CPU hosts.
+// processes equals the host's busy time, for arbitrary workloads.
 func TestCPUTimeConservationProperty(t *testing.T) {
-	f := func(works []uint16, cpuSeed bool) bool {
+	f := func(works []uint16) bool {
 		if len(works) == 0 {
 			return true
 		}
 		if len(works) > 6 {
 			works = works[:6]
 		}
-		cpus := 1
-		if cpuSeed {
-			cpus = 2
-		}
 		clock := vclock.NewManual(vclock.Epoch)
-		h := NewHost(clock, "ws", Config{Speed: 1000, CPUs: cpus})
+		h := NewHost(clock, "ws", Config{Speed: 1000})
 		var procs []*Proc
 		var wg sync.WaitGroup
 		for _, w := range works {
@@ -398,8 +303,7 @@ func TestCPUTimeConservationProperty(t *testing.T) {
 			total += p.CPUTime()
 		}
 		busy, _ := h.CPUTimes()
-		want := time.Duration(cpus) * busy
-		diff := total - want
+		diff := total - busy
 		if diff < 0 {
 			diff = -diff
 		}

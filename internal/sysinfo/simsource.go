@@ -62,19 +62,8 @@ func (s *SimSource) Swap() (total, used int64, err error) {
 	return total, used, nil
 }
 
-// Disks implements Source.
-func (s *SimSource) Disks() ([]DiskUsage, error) {
-	mounts := s.host.Mounts()
-	out := make([]DiskUsage, 0, len(mounts))
-	for _, m := range mounts {
-		d := DiskUsage{Path: m.Path, Used: m.Used}
-		if m.Total > 0 {
-			d.UsedPct = 100 * float64(m.Used) / float64(m.Total)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
+// Disks implements Source. A simulated host has no mounts.
+func (s *SimSource) Disks() ([]DiskUsage, error) { return nil, nil }
 
 // NetCounters implements Source.
 func (s *SimSource) NetCounters() (sent, recv int64, err error) {

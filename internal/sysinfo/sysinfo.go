@@ -29,7 +29,6 @@ type Static struct {
 // DiskUsage is the disk state of one mount point.
 type DiskUsage struct {
 	Path    string
-	Used    int64
 	UsedPct float64
 }
 

@@ -23,16 +23,10 @@ type ElasticJacobi struct {
 	Iters int
 	// WorkPerCell is the CPU cost per cell per sweep, in host work units.
 	WorkPerCell float64
-	// Hot is the top-edge boundary temperature; zero selects 100.
-	Hot float64
 }
 
-func (a *ElasticJacobi) hot() float64 {
-	if a.Hot == 0 {
-		return 100
-	}
-	return a.Hot
-}
+// elasticHot is the top-edge boundary temperature, JacobiConfig's default.
+const elasticHot = 100.0
 
 // Name implements malleable.App.
 func (a *ElasticJacobi) Name() string { return "elastic-jacobi" }
@@ -68,12 +62,13 @@ func gobDecode(b []byte, ptr any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(ptr)
 }
 
-// Fresh implements malleable.App: zero interior, Hot along the top row.
+// Fresh implements malleable.App: zero interior, elasticHot along the top
+// row.
 func (a *ElasticJacobi) Fresh() ([]byte, error) {
 	if a.N <= 0 || a.Iters <= 0 {
 		return nil, fmt.Errorf("workload: bad elastic jacobi config %+v", *a)
 	}
-	return gobEncode(jacobiGlobal{N: a.N, Hot: a.hot(), Grid: newJacobiGrid(a.N, a.hot())})
+	return gobEncode(jacobiGlobal{N: a.N, Hot: elasticHot, Grid: newJacobiGrid(a.N, elasticHot)})
 }
 
 // Split implements malleable.App: row-block decomposition. Fails for

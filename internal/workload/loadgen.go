@@ -18,14 +18,15 @@ type LoadOptions struct {
 	Duty float64
 	// Period is one busy/idle cycle; zero selects 4 seconds.
 	Period time.Duration
-	// Jitter randomises each cycle's phase by up to the given fraction of
-	// Period, desynchronising workers; zero selects 0.3.
-	Jitter float64
-	// Seed feeds the jitter.
+	// Seed feeds the jitter that desynchronises the workers.
 	Seed int64
 	// Name labels the generator's processes in the process table.
 	Name string
 }
+
+// loadJitter randomises each cycle's phase by up to this fraction of
+// Period, desynchronising the workers.
+const loadJitter = 0.3
 
 // LoadGen drives a host with synthetic background load — the paper's
 // "additional application, which causes a dramatic load increase".
@@ -50,9 +51,6 @@ func NewLoadGen(host *sim.Host, opts LoadOptions) *LoadGen {
 	}
 	if opts.Period <= 0 {
 		opts.Period = 4 * time.Second
-	}
-	if opts.Jitter == 0 {
-		opts.Jitter = 0.3
 	}
 	if opts.Name == "" {
 		opts.Name = "bgload"
@@ -90,7 +88,7 @@ func (g *LoadGen) Start() {
 					return
 				}
 				idle := time.Duration((1 - g.opts.Duty) * float64(g.opts.Period))
-				jitter := time.Duration((rng.Float64() - 0.5) * g.opts.Jitter * float64(g.opts.Period))
+				jitter := time.Duration((rng.Float64() - 0.5) * loadJitter * float64(g.opts.Period))
 				if d := idle + jitter; d > 0 {
 					timer := clock.NewTimer(d)
 					select {

@@ -135,7 +135,7 @@ func TestTestTreeRejectsBadConfig(t *testing.T) {
 func TestLoadGenRaisesLoadAverage(t *testing.T) {
 	clock := vclock.NewManual(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
-	gen := NewLoadGen(host, LoadOptions{Workers: 2, Duty: 1.0, Period: 2 * time.Second, Jitter: 0.001})
+	gen := NewLoadGen(host, LoadOptions{Workers: 2, Duty: 1.0, Period: 2 * time.Second})
 	gen.Start()
 	defer gen.Stop()
 	// Fully busy workers: run queue should reach 2 and load approach 2.
