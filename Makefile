@@ -71,14 +71,16 @@ check: lint build test
 # The full gate: everything `check` and `race` run, a repeated race-enabled
 # run of the testbed simulation and experiment suites (flushing out
 # order-dependent flakiness in the fair-share solver and the determinism
-# fences), of the dispatcher's plan-then-reserve regression and of the
-# proto client and server over real TCP (the client's one re-dial), and a
+# fences), of the dispatcher's plan-then-reserve regression, of the two
+# jobs-crash chaos scenarios (the commit-failure edge) and of the proto
+# client and server over real TCP (the client's one re-dial), and a
 # single 64-host scale sweep, the malleability and multi-job reports and
 # two small fleets as end-to-end smokes of the control plane.
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core
+	$(GO) test -count=20 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(MAKE) fuzz
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42

@@ -98,7 +98,6 @@ func DefaultConfig() Config {
 			"internal/hpcm.MigrationEvent",
 			"internal/hpcm.CheckpointEvent",
 			"internal/malleable.Event",
-			"internal/jobs.Event",
 			"internal/registry.RestartEvent",
 		},
 	}
@@ -165,7 +164,7 @@ func Checks() []Check {
 		},
 		{
 			Name:      "deadexport",
-			Doc:       "an exported identifier under internal/ must have a reader outside its own package's tests, and an exported field a setter in non-test code; an Option's target struct must have every field set by an option",
+			Doc:       "an identifier under internal/ (any exported one; an unexported func, method or field) must have a reader outside its own package's tests, and an exported field a setter in non-test code; an Option's target struct must have every field set by an option",
 			RunModule: checkDeadExport,
 		},
 		{
@@ -197,9 +196,8 @@ const CheckSuppression = "suppression"
 
 // suppression is one parsed //lint:allow comment.
 type suppression struct {
-	check  string
-	reason string
-	line   int // line the comment ends on
+	check string
+	line  int // line the comment ends on
 }
 
 // suppressionsOf extracts the //lint:allow comments of a file. Malformed
@@ -223,11 +221,7 @@ func suppressionsOf(fset *token.FileSet, file *ast.File) ([]suppression, []Findi
 				})
 				continue
 			}
-			sups = append(sups, suppression{
-				check:  fields[0],
-				reason: strings.Join(fields[1:], " "),
-				line:   pos.Line,
-			})
+			sups = append(sups, suppression{check: fields[0], line: pos.Line})
 		}
 	}
 	return sups, bad

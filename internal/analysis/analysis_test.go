@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/parser"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -52,6 +53,57 @@ func sharedLoader(t *testing.T) (*Loader, []*Package) {
 		t.Fatalf("loading module: %v", loadErr)
 	}
 	return loader, modPkgs
+}
+
+// loadDir loads the .go files in dir as the package importPath, the way
+// NewLoader loads a listed one: the non-test files with the in-package
+// tests as its test variant, and the files of a package p_test as its
+// external test, against that variant. The synthetic import path lets a
+// fixture impersonate any package the config treats specially. An import
+// of a deps package's path resolves to it, else to the module's export
+// data.
+func (l *Loader) loadDir(dir, importPath string, deps ...*Package) (*Package, error) {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("analysis: no .go files in %s", dir)
+	}
+	var files, tests, xtests []string
+	for _, path := range paths {
+		f, err := parser.ParseFile(l.fset, path, nil, parser.PackageClauseOnly)
+		switch {
+		case err != nil:
+			return nil, err
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			xtests = append(xtests, path)
+		case strings.HasSuffix(path, "_test.go"):
+			tests = append(tests, path)
+		default:
+			files = append(files, path)
+		}
+	}
+	imp := overlay{l.imp, make(map[string]*types.Package)}
+	for _, dep := range deps {
+		imp.pkgs[dep.Path] = dep.Types
+	}
+	pkg, err := l.load(importPath, files, tests, imp)
+	if err == nil && len(xtests) > 0 {
+		imp.pkgs[importPath] = pkg.Types
+		pkg.XTest, err = l.load(importPath+"_test", xtests, nil, imp)
+	}
+	return pkg, err
+}
+
+// overlay resolves the paths of pkgs to them, and the rest through base.
+type overlay struct {
+	base types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (o overlay) Import(path string) (*types.Package, error) {
+	if p, ok := o.pkgs[path]; ok {
+		return p, nil
+	}
+	return o.base.Import(path)
 }
 
 // TestModuleClean is the gate the CI target depends on: the repository's
@@ -115,22 +167,25 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestDeadExport runs every check on the deadexport fixture together with
-// user/, the other package whose test is one of the fixture's readers, and
-// hpcm/, which holds a type on the keep table.
+// user/, the other package whose code and test are among the fixture's
+// readers, and hpcm/, which holds a type on the keep table. user/ imports a
+// second copy of the fixture, the way a module package imports another
+// through export data while the loader checks that one from source.
 func TestDeadExport(t *testing.T) {
 	l, _ := sharedLoader(t)
 	dir := filepath.Join("testdata", "src", "deadexport")
-	var pkgs []*Package
-	for _, fx := range []struct{ dir, importPath string }{
-		{dir, "autoresched/internal/scenario"},
-		{filepath.Join(dir, "user"), "example/user"},
-		{filepath.Join(dir, "hpcm"), "autoresched/internal/hpcm"},
-	} {
-		pkg, err := l.loadDir(fx.dir, fx.importPath)
+	load := func(dir, importPath string, deps ...*Package) *Package {
+		pkg, err := l.loadDir(dir, importPath, deps...)
 		if err != nil {
 			t.Fatalf("loading fixture: %v", err)
 		}
-		pkgs = append(pkgs, pkg)
+		return pkg
+	}
+	twin := load(dir, "autoresched/internal/scenario")
+	pkgs := []*Package{
+		load(dir, "autoresched/internal/scenario"),
+		load(filepath.Join(dir, "user"), "example/user", twin),
+		load(filepath.Join(dir, "hpcm"), "autoresched/internal/hpcm"),
 	}
 	kept, _ := Filter(RunChecks(DefaultConfig(), pkgs), pkgs)
 	matchWants(t, kept, pkgs...)

@@ -10,9 +10,10 @@ import (
 	"strings"
 )
 
-// deadKeep is the table of exported identifiers deadexport keeps although
-// nothing outside their own package's tests reads them, keyed by
-// module-relative package path and name, with the reason each stays.
+// deadKeep is the table of identifiers deadexport keeps although nothing
+// outside their own package's tests reads them, keyed by module-relative
+// package path and name, with the reason each stays. A kept type keeps its
+// fields.
 var deadKeep = map[string]string{
 	"internal/hpcm.Process.PreInit":     "the paper's pre-initialisation of the destination (§5.2), driven only by tests today",
 	"internal/hpcm.Process.PreInited":   "the paper's pre-initialisation of the destination (§5.2), driven only by tests today",
@@ -21,7 +22,7 @@ var deadKeep = map[string]string{
 	"internal/hpcm.FileStore":           "the on-disk checkpoint store ROADMAP's streaming-checkpoint item starts from",
 	"internal/scenario.RunLive":         "ROADMAP's invariants item runs the live runtime under the checker through it",
 	"internal/sysinfo.DiskUsage":        "the paper's disk category (§3.1), which diskUsedPct.sh reads; no source fills it today (ProcSource has no portable disk table, simulated hosts have no mounts)",
-	"internal/vclock.Manual.Waiters":    "ROADMAP's vclock.Auto builds its quiescence accounting on the waiter count",
+	"internal/sysinfo.ProcStat":         "the row of Source.Procs, the paper's process table (§3.1), which every Source and cmd/bench's synthetic one fill; the sensor only counts the rows",
 }
 
 // reflectMethods are the methods fmt, errors and the encoding packages
@@ -32,22 +33,24 @@ var reflectMethods = map[string]bool{
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 }
 
-// checkDeadExport flags exported identifiers in non-test code under
-// internal/ that nothing outside their own package's tests reads: funcs,
-// methods, types, vars, consts and struct fields. A reader is any non-test
-// code in the module (cmd/, examples/ and the package itself included),
-// another package's test, or a testdata program, analyzer fixtures
-// included. Non-test code is type-checked, so its references resolve
-// exactly; tests and testdata programs are only parsed, so a qualified
-// alias.Name selector names a package's identifier, and a bare .Name
-// selector reads every method and field of that name (an
-// over-approximation that can only hide findings).
+// checkDeadExport flags identifiers in non-test code under internal/ that
+// nothing outside their own package's tests reads. For exported ones that
+// is funcs, methods, types, vars, consts and struct fields; for unexported
+// ones funcs, methods and struct fields. A reader is any non-test code in
+// the module (cmd/, examples/ and the package itself included), another
+// package's test, or a testdata program. Tests and testdata programs are
+// type-checked like the rest, so every reference resolves to the one
+// object it names; a package's own tests are its in-package and external
+// tests alike.
 //
 // Writes are not reads: an assignment's left-hand side, a composite
 // literal's keys, a method's receiver type, and a default fill's condition
 // (`if x.F == 0 { x.F = d }`). Exempt are methods that satisfy an interface
 // the module uses (or that fmt, errors and the encoders look up), fields
 // with a json or xml tag, which reflection reads, and the deadKeep table.
+// An unexported field is also exempt when its type is from sync or
+// sync/atomic, or when its struct's values are compared (as a map key or
+// with == or !=), which reads every field.
 //
 // The write rule: an exported field that is read must also be set by
 // non-test code somewhere in the module, in a composite literal (keyed or
@@ -82,22 +85,22 @@ func checkDeadExport(_ Config, mod *Module) []Finding {
 				})
 			}
 		}
-		mentioned := func(id *ast.Ident) string {
-			return fmt.Sprintf(" (own-test mentions: %d)", mentions(pkg, id.Name))
+		ownReads := func(obj types.Object) string {
+			return fmt.Sprintf(" (own-test reads: %d)", r.refs[r.posOf(obj)][reader{pkg.Path, true}])
 		}
-		unread := func(id *ast.Ident) string {
-			return ": no reader outside " + pkg.Types.Name() + "'s own tests" + mentioned(id)
+		unread := func(obj types.Object) string {
+			return ": no reader outside " + pkg.Types.Name() + "'s own tests" + ownReads(obj)
 		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
 					fn := pkg.Info.Defs[fd.Name].(*types.Func)
 					if recv := fn.Type().(*types.Signature).Recv(); recv == nil {
-						if !r.read(pkg, fd.Name, false) {
-							report(fd.Name, "func", fd.Name.Name, unread(fd.Name))
+						if !r.read(pkg, fn) {
+							report(fd.Name, "func", fd.Name.Name, unread(fn))
 						}
-					} else if !r.satisfies(fn, recv.Type()) && !r.read(pkg, fd.Name, true) {
-						report(fd.Name, "method", deref(recv.Type()).(*types.Named).Obj().Name()+"."+fd.Name.Name, unread(fd.Name))
+					} else if !r.satisfies(fn, recv.Type()) && !r.read(pkg, fn) {
+						report(fd.Name, "method", deref(recv.Type()).(*types.Named).Obj().Name()+"."+fd.Name.Name, unread(fn))
 					}
 				}
 				gd, ok := decl.(*ast.GenDecl)
@@ -107,33 +110,35 @@ func checkDeadExport(_ Config, mod *Module) []Finding {
 				for _, spec := range gd.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
 						for _, id := range vs.Names {
-							if id.IsExported() && !r.read(pkg, id, false) {
-								report(id, gd.Tok.String(), id.Name, unread(id))
+							if obj := pkg.Info.Defs[id]; id.IsExported() && !r.read(pkg, obj) {
+								report(id, gd.Tok.String(), id.Name, unread(obj))
 							}
 						}
 						continue
 					}
 					ts := spec.(*ast.TypeSpec)
-					if ts.Name.IsExported() && !r.read(pkg, ts.Name, false) {
-						report(ts.Name, "type", ts.Name.Name, unread(ts.Name))
+					typ := pkg.Info.Defs[ts.Name]
+					if ts.Name.IsExported() && !r.read(pkg, typ) {
+						report(ts.Name, "type", ts.Name.Name, unread(typ))
 					}
 					st, ok := ts.Type.(*ast.StructType)
 					if !ok {
 						continue
 					}
-					typ := pkg.Info.Defs[ts.Name]
 					_, kept := deadKeep[rel+"."+ts.Name.Name]
-					filled := kept || r.filled[r.posOf(typ)]
+					filled := r.filled[r.posOf(typ)]
+					compared := r.compared[r.posOf(typ)]
 					for _, f := range st.Fields.List {
 						for _, id := range f.Names {
 							name := ts.Name.Name + "." + id.Name
 							field := pkg.Info.Defs[id]
 							switch {
-							case reflected(f.Tag) || !id.IsExported() && !targets[typ]:
-							case !r.read(pkg, id, true):
-								report(id, "field", name, unread(id))
+							case kept || id.Name == "_" || reflected(f.Tag):
+							case !id.IsExported() && (compared || fromSync(field.Type())):
+							case !r.read(pkg, field):
+								report(id, "field", name, unread(field))
 							case id.IsExported() && !filled && !r.set[r.posOf(field)]:
-								report(id, "field", name, ": no non-test code sets it"+mentioned(id))
+								report(id, "field", name, ": no non-test code sets it"+ownReads(field))
 							}
 							if targets[typ] && !r.optionSet[field] {
 								report(id, "field", name, " is never set by an option of its package (dead configuration)")
@@ -156,87 +161,100 @@ type declPos struct {
 	name string
 }
 
-// ref is a reference in a parsed file: a qualified selector's package path
-// and name, or "" and the name of a bare .Name selector.
-type ref struct{ path, name string }
+// reader is where reads come from: a package's non-test code or its tests
+// (a testdata program is non-test code of its own path).
+type reader struct {
+	path string
+	test bool
+}
 
-// readers indexes every read deadexport counts.
+// readers is deadexport's one index of resolved references, test and
+// non-test code alike, and of what non-test code does besides reading.
 type readers struct {
-	fset  *token.FileSet
-	typed map[declPos]bool // objects non-test code reads
-	// parsed holds, per reference in tests and testdata programs, the
-	// packages whose tests make it ("" for a testdata program).
-	parsed map[ref]map[string]bool
-	// ifaces are the interfaces with methods the module uses, by method.
+	fset *token.FileSet
+	// refs holds, per object declared under internal/, how often each
+	// reader reads it.
+	refs map[declPos]map[reader]int
+	// ifaces are the interfaces with methods non-test code uses, by method,
+	// each in every loaded copy of its declaration.
 	ifaces map[string][]*types.Interface
 	// set holds the fields non-test code sets and optionSet those an
 	// option literal or a composite literal sets; filled holds the structs
-	// a call hands by pointer to an empty-interface parameter.
-	set, filled map[declPos]bool
-	optionSet   map[types.Object]bool
+	// a call hands by pointer to an empty-interface parameter, and compared
+	// those whose values are compared.
+	set, filled, compared map[declPos]bool
+	optionSet             map[types.Object]bool
 }
 
 func newReaders(mod *Module) *readers {
 	r := &readers{
 		fset:      fsetOf(mod),
-		typed:     make(map[declPos]bool),
-		parsed:    make(map[ref]map[string]bool),
+		refs:      make(map[declPos]map[reader]int),
 		ifaces:    make(map[string][]*types.Interface),
 		set:       make(map[declPos]bool),
 		filled:    make(map[declPos]bool),
+		compared:  make(map[declPos]bool),
 		optionSet: make(map[types.Object]bool),
 	}
-	seen := make(map[*types.Interface]bool)
-	addIface := func(t types.Type) {
-		it, ok := t.Underlying().(*types.Interface)
-		for i := 0; ok && !seen[it] && i < it.NumMethods(); i++ {
-			r.ifaces[it.Method(i).Name()] = append(r.ifaces[it.Method(i).Name()], it)
-		}
-		seen[it] = true
-	}
-	used := make(map[types.Object]bool)
+	// Every loaded copy of a module package: the one checked from source,
+	// and the one its importers see through export data.
+	copies := make(map[string][]*types.Package)
+	seen := make(map[*types.Package]bool)
 	for _, pkg := range mod.Pkgs {
-		writes := r.walk(pkg)
-		for id, obj := range pkg.Info.Uses {
-			// Locals are never candidates. Every other object named, with a
-			// called function's parameters and results, brings in the
-			// interfaces the module uses.
-			if p := obj.Parent(); p != nil && obj.Pkg() != nil && p != obj.Pkg().Scope() {
-				continue
+		for _, p := range append(pkg.Types.Imports(), pkg.Types) {
+			if !seen[p] && strings.HasPrefix(p.Path(), module+"/") {
+				seen[p] = true
+				copies[p.Path()] = append(copies[p.Path()], p)
 			}
-			if !writes[id] {
-				used[obj] = true
-			}
-			addIface(obj.Type())
-			if sig, ok := obj.Type().(*types.Signature); ok {
-				for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
-					for i := 0; i < tuple.Len(); i++ {
-						addIface(tuple.At(i).Type())
-					}
+		}
+	}
+	used := make(map[types.Type]bool)
+	for _, pkg := range mod.Pkgs {
+		r.walk(pkg, pkg.Files, reader{pkg.Path, false}, used)
+		r.walk(pkg, pkg.Tests, reader{pkg.Path, true}, nil)
+		if pkg.XTest != nil {
+			r.walk(pkg.XTest, pkg.XTest.Files, reader{pkg.Path, true}, nil)
+		}
+		for _, prog := range pkg.Programs {
+			r.walk(prog, prog.Files, reader{prog.Path, false}, nil)
+		}
+	}
+	seenIface := make(map[*types.Interface]bool)
+	for t := range used {
+		if _, ok := t.Underlying().(*types.Interface); !ok {
+			continue
+		}
+		// A method whose signature names its own package's types satisfies
+		// only the copy of the interface that names the same ones.
+		twins := []types.Type{t}
+		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+			for _, p := range copies[named.Obj().Pkg().Path()] {
+				if twin := p.Scope().Lookup(named.Obj().Name()); twin != nil {
+					twins = append(twins, twin.Type())
 				}
 			}
 		}
-		for _, file := range pkg.Tests {
-			r.parsedReads(pkg.Path, file)
-		}
-		for _, file := range pkg.Fixtures {
-			r.parsedReads("", file)
-		}
-	}
-	for obj := range used {
-		if obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), module+"/internal/") {
-			r.typed[r.posOf(obj)] = true
+		for _, t := range twins {
+			it := t.Underlying().(*types.Interface)
+			for i := 0; !seenIface[it] && i < it.NumMethods(); i++ {
+				r.ifaces[it.Method(i).Name()] = append(r.ifaces[it.Method(i).Name()], it)
+			}
+			seenIface[it] = true
 		}
 	}
 	return r
 }
 
-// walk indexes what a package's non-test code does besides reading. It
-// records the fields it sets and the structs it hands by pointer to an
-// empty-interface parameter, and returns the identifiers that name an object
-// without reading it: assignment targets, composite literal keys, receiver
-// types, and a default fill's condition.
-func (r *readers) walk(pkg *Package) map[*ast.Ident]bool {
+// walk indexes the reads files of pkg make as by. For non-test code of
+// the module (used non-nil) it also collects the types of what it uses, with
+// a called function's parameters and results, into used, and records the
+// fields it sets, the structs it hands by pointer to an empty-interface
+// parameter and the structs whose values it compares. An identifier that
+// names an object without reading it is a write: an assignment target, a
+// composite literal key, a receiver type, and a default fill's condition.
+func (r *readers) walk(pkg *Package, files []*ast.File, by reader, used map[types.Type]bool) {
+	code := used != nil
+	reads := make(map[types.Object]int)
 	writes := make(map[*ast.Ident]bool)
 	mark := func(n ast.Node, only types.Object) (marked bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -251,19 +269,38 @@ func (r *readers) walk(pkg *Package) map[*ast.Ident]bool {
 	fills := make(map[ast.Stmt]bool)
 	var optionEnd token.Pos // the end of the last option literal entered
 	set := func(e ast.Expr, option bool) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && code {
 			r.setField(pkg.Info.Uses[sel.Sel], option)
 		}
 	}
-	for _, file := range pkg.Files {
+	for _, file := range files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
+			case *ast.Ident:
+				// Locals are never candidates.
+				obj := pkg.Info.Uses[x]
+				if obj == nil || obj.Pkg() == nil || obj.Parent() != nil && obj.Parent() != obj.Pkg().Scope() {
+					break
+				}
+				if code {
+					used[obj.Type()] = true
+					if sig, ok := obj.Type().(*types.Signature); ok {
+						for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+							for i := 0; i < tuple.Len(); i++ {
+								used[tuple.At(i).Type()] = true
+							}
+						}
+					}
+				}
+				if !writes[x] {
+					reads[obj]++
+				}
 			case *ast.FuncDecl:
 				if x.Recv != nil {
 					mark(x.Recv, nil)
 				}
 			case *ast.FuncLit:
-				if optionTarget(pkg, pkg.Info.TypeOf(x)) != nil {
+				if code && optionTarget(pkg, pkg.Info.TypeOf(x)) != nil {
 					optionEnd = x.End()
 				}
 			case *ast.AssignStmt:
@@ -290,11 +327,13 @@ func (r *readers) walk(pkg *Package) map[*ast.Ident]bool {
 						writes[id] = true
 						field = pkg.Info.Uses[id]
 					}
-					r.setField(field, true)
+					if code {
+						r.setField(field, true)
+					}
 				}
 			case *ast.CallExpr:
 				sig, ok := pkg.Info.TypeOf(x.Fun).(*types.Signature)
-				for i := 0; ok && i < len(x.Args); i++ {
+				for i := 0; code && ok && i < len(x.Args); i++ {
 					if named := reflectTarget(sig, i, pkg.Info.TypeOf(x.Args[i])); named != nil {
 						r.filled[r.posOf(named)] = true
 					}
@@ -303,11 +342,64 @@ func (r *readers) walk(pkg *Package) map[*ast.Ident]bool {
 				if field := defaultFill(pkg, x); field != nil && mark(x.Cond, field) {
 					fills[x.Body.List[0]] = true
 				}
+			case *ast.BinaryExpr:
+				if code && (x.Op == token.EQL || x.Op == token.NEQ) {
+					r.compare(pkg.Info.TypeOf(x.X))
+					r.compare(pkg.Info.TypeOf(x.Y))
+				}
+			case *ast.MapType:
+				if code {
+					r.compare(pkg.Info.TypeOf(x.Key))
+				}
 			}
 			return true
 		})
 	}
-	return writes
+	for obj, n := range reads {
+		if strings.HasPrefix(obj.Pkg().Path(), module+"/internal/") {
+			pos := r.posOf(obj)
+			if r.refs[pos] == nil {
+				r.refs[pos] = make(map[reader]int)
+			}
+			r.refs[pos][by] += n
+		}
+	}
+}
+
+// compare records t when it is a struct a comparison of whose values reads
+// every field.
+func (r *readers) compare(t types.Type) {
+	if named, ok := t.(*types.Named); ok {
+		if _, ok := named.Underlying().(*types.Struct); ok {
+			r.compared[r.posOf(named.Obj())] = true
+		}
+	}
+}
+
+func (r *readers) posOf(obj types.Object) declPos {
+	p := r.fset.Position(obj.Pos())
+	return declPos{p.Filename, p.Line, obj.Name()}
+}
+
+// read reports whether anything but pkg's own tests reads obj.
+func (r *readers) read(pkg *Package, obj types.Object) bool {
+	for by := range r.refs[r.posOf(obj)] {
+		if by != (reader{pkg.Path, true}) {
+			return true
+		}
+	}
+	return false
+}
+
+// fromSync reports whether t, or what it points to, is a type of sync or
+// sync/atomic.
+func fromSync(t types.Type) bool {
+	named, ok := deref(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
 }
 
 // setField records a set of obj when it is a struct field.
@@ -355,69 +447,6 @@ func defaultFill(pkg *Package, s *ast.IfStmt) types.Object {
 		return pkg.Info.Uses[sel.Sel]
 	}
 	return nil
-}
-
-// parsedReads records one parsed file's selectors; reader is the package
-// whose tests the file belongs to, "" for a testdata program.
-func (r *readers) parsedReads(reader string, file *ast.File) {
-	imports := make(map[string]string)
-	for _, spec := range file.Imports {
-		path, _ := strconv.Unquote(spec.Path.Value)
-		name := path[strings.LastIndex(path, "/")+1:]
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		imports[name] = path
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		key := ref{"", sel.Sel.Name}
-		if id, ok := sel.X.(*ast.Ident); ok {
-			key.path = imports[id.Name]
-		}
-		if r.parsed[key] == nil {
-			r.parsed[key] = make(map[string]bool)
-		}
-		r.parsed[key][reader] = true
-		return true
-	})
-}
-
-func (r *readers) posOf(obj types.Object) declPos {
-	p := r.fset.Position(obj.Pos())
-	return declPos{p.Filename, p.Line, obj.Name()}
-}
-
-// read reports whether anything but pkg's own tests reads the identifier
-// id declares; member is true for methods and fields.
-func (r *readers) read(pkg *Package, id *ast.Ident, member bool) bool {
-	key := ref{pkg.Path, id.Name}
-	if member {
-		key.path = ""
-	}
-	for reader := range r.parsed[key] {
-		if reader != pkg.Path {
-			return true
-		}
-	}
-	return r.typed[r.posOf(pkg.Info.Defs[id])]
-}
-
-// mentions counts the identifiers named name in pkg's own tests.
-func mentions(pkg *Package, name string) int {
-	n := 0
-	for _, file := range pkg.Tests {
-		ast.Inspect(file, func(node ast.Node) bool {
-			if id, ok := node.(*ast.Ident); ok && id.Name == name {
-				n++
-			}
-			return true
-		})
-	}
-	return n
 }
 
 // satisfies reports whether a method is part of an interface the module

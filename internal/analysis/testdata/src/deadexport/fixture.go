@@ -1,16 +1,20 @@
 // Fixture for the deadexport check, loaded as autoresched/internal/scenario
-// beside user/, a second package that is only a test file, and hpcm/, the
-// keep table's type case: one case per reference and write rule, each with
-// a want or deliberately without one.
+// beside user/, a second package that reads it from its code and its test
+// through a copy of its own, and hpcm/, the keep table's type case: one case
+// per reference and write rule, each with a want or deliberately without
+// one.
 package scenario
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"sync"
+)
 
 // Unread is an exported func nothing calls.
-func Unread() {} // want `\[deadexport\] func scenario\.Unread: no reader outside scenario's own tests \(own-test mentions: 0\)`
+func Unread() {} // want `\[deadexport\] func scenario\.Unread: no reader outside scenario's own tests \(own-test reads: 0\)`
 
 // OwnTestOnly is called by this package's own test alone.
-func OwnTestOnly() {} // want `\[deadexport\] func scenario\.OwnTestOnly: no reader outside scenario's own tests \(own-test mentions: 1\)`
+func OwnTestOnly() {} // want `\[deadexport\] func scenario\.OwnTestOnly: no reader outside scenario's own tests \(own-test reads: 1\)`
 
 // OtherTestReads is called by user's test: another package's test reads it.
 func OtherTestReads() {}
@@ -33,7 +37,7 @@ type Flight struct {
 	// Plies is set in a literal and read by fly: live.
 	Plies int
 	// Laps is only default-filled: nothing consults it.
-	Laps int // want `\[deadexport\] field scenario\.Flight\.Laps: no reader outside scenario's own tests \(own-test mentions: 0\)`
+	Laps int // want `\[deadexport\] field scenario\.Flight\.Laps: no reader outside scenario's own tests \(own-test reads: 0\)`
 	// Squawk is assigned but never read: a write is not a read.
 	Squawk bool // want `\[deadexport\] field scenario\.Flight\.Squawk: no reader outside scenario's own tests`
 	// Motto is read by encoding/json through its tag.
@@ -99,9 +103,9 @@ var _ = preen
 // also be set by non-test code.
 type Clutch struct {
 	// Eggs is read, and nothing sets it.
-	Eggs int // want `\[deadexport\] field scenario\.Clutch\.Eggs: no non-test code sets it \(own-test mentions: 0\)`
+	Eggs int // want `\[deadexport\] field scenario\.Clutch\.Eggs: no non-test code sets it \(own-test reads: 0\)`
 	// Warmth is read, and only this package's own test sets it.
-	Warmth int // want `\[deadexport\] field scenario\.Clutch\.Warmth: no non-test code sets it \(own-test mentions: 1\)`
+	Warmth int // want `\[deadexport\] field scenario\.Clutch\.Warmth: no non-test code sets it \(own-test reads: 0\)`
 	// Days is read, and only a default fill writes it.
 	Days int // want `\[deadexport\] field scenario\.Clutch\.Days: no non-test code sets it`
 	// Weight is set through &c.Weight: live.
@@ -130,3 +134,67 @@ func brood(data []byte) int {
 }
 
 var _ = brood(nil)
+
+// Perch's Height is read by user's test.
+type Perch struct{ Height int }
+
+// Roost's Height has the same name, and user's test does not read it: a
+// selector resolves to one field, not to every field of its name.
+type Roost struct {
+	Height int // want `\[deadexport\] field scenario\.Roost\.Height: no reader outside scenario's own tests \(own-test reads: 0\)`
+}
+
+var _, _ = Perch{Height: 1}, Roost{Height: 2}
+
+// Lay is called by this package's external test alone, which is one of its
+// own tests.
+func Lay() {} // want `\[deadexport\] func scenario\.Lay: no reader outside scenario's own tests \(own-test reads: 1\)`
+
+// incubate is reached only through export_test.go's Incubate, which the
+// external test calls.
+func incubate() int { return 21 } // want `\[deadexport\] func scenario\.incubate: no reader outside scenario's own tests \(own-test reads: 1\)`
+
+// flutter is a method only this package's own test calls.
+func (Bird) flutter() {} // want `\[deadexport\] method scenario\.Bird\.flutter: no reader outside scenario's own tests \(own-test reads: 1\)`
+
+// nest's twigs is written and never read.
+type nest struct {
+	twigs int // want `\[deadexport\] field scenario\.nest\.twigs: no reader outside scenario's own tests \(own-test reads: 0\)`
+}
+
+func build() (n nest) {
+	n.twigs = 3
+	return n
+}
+
+// coop's mu is never used, and exempt as a sync type.
+type coop struct {
+	mu   sync.Mutex
+	hens int
+}
+
+// band is a map key and ring is compared with ==: comparing a value reads
+// every field, so neither has a finding.
+type band struct{ leg, color int }
+
+type ring struct{ size int }
+
+func same(a, b ring) bool { return a == b }
+
+var _, _, _ = build(), coop{}.hens, same(ring{1}, ring{2})
+var _ = map[band]bool{{1, 2}: true}
+
+// Epoch is the type Store's method names.
+type Epoch int
+
+// Store is called only by user, which sees this package through a copy of
+// its own, as a module package sees another through export data.
+type Store interface{ Fence(Epoch) error }
+
+// Vault's Fence satisfies Store only in the copy whose Epoch it names, this
+// package's own: it has no finding.
+type Vault struct{}
+
+func (*Vault) Fence(Epoch) error { return nil }
+
+var _ = new(Vault)

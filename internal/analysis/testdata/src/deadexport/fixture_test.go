@@ -7,4 +7,5 @@ import "testing"
 func TestOwnTestOnly(t *testing.T) {
 	OwnTestOnly()
 	_ = Clutch{Warmth: 1}
+	Bird{}.flutter()
 }

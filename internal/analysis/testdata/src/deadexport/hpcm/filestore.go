@@ -9,3 +9,5 @@ type FileStore struct {
 }
 
 func (s *FileStore) path() string { return s.Dir }
+
+var _ = new(FileStore).path()

@@ -6,7 +6,6 @@ package eventcase
 import (
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
-	"autoresched/internal/jobs"
 	"autoresched/internal/malleable"
 	"autoresched/internal/registry"
 )
@@ -106,7 +105,7 @@ func isPrepare(phase string) bool {
 // payloadProc fans out over an event payload and forgets three of the
 // four configured payload types.
 func payloadProc(p any) string {
-	switch e := p.(type) { // want `\[eventcase\] type switch over an event payload misses internal/hpcm\.CheckpointEvent, internal/malleable\.Event, internal/jobs\.Event, internal/registry\.RestartEvent; add the cases or an explicit default`
+	switch e := p.(type) { // want `\[eventcase\] type switch over an event payload misses internal/hpcm\.CheckpointEvent, internal/malleable\.Event, internal/registry\.RestartEvent; add the cases or an explicit default`
 	case hpcm.MigrationEvent:
 		return e.Proc
 	}
@@ -122,8 +121,6 @@ func payloadJob(p any) string {
 	case *hpcm.CheckpointEvent:
 		return e.Proc
 	case malleable.Event:
-		return e.Job
-	case jobs.Event:
 		return e.Job
 	case registry.RestartEvent:
 		if e.Recovered {

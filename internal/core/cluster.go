@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"autoresched/internal/hpcm"
@@ -92,18 +91,6 @@ func (c *Cluster) Host(name string) (*sim.Host, bool) {
 	defer c.mu.Unlock()
 	h, ok := c.hosts[name]
 	return h, ok
-}
-
-// Hosts returns all host names, sorted.
-func (c *Cluster) Hosts() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.hosts))
-	for name := range c.hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Source returns the host's system-information source. The source is

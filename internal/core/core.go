@@ -175,7 +175,6 @@ func DefaultEngine() *rules.Engine {
 // Node is one host's runtime presence: its monitor. The host's commander
 // is System.Migrate.
 type Node struct {
-	Host    string
 	Monitor *monitor.Monitor
 
 	charger hpcm.HostProc // the monitor's own process-table entry
@@ -499,7 +498,7 @@ func (s *System) AddNode(host string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &Node{Host: host, Monitor: mon, charger: charger}
+	node := &Node{Monitor: mon, charger: charger}
 	s.mu.Lock()
 	s.nodes[host] = node
 	s.mu.Unlock()

@@ -111,6 +111,7 @@ func (s *System) submit(spec jobs.Spec) (*jobs.Job, []*App, error) {
 		apps, err := s.launchRun(job, run)
 		if err != nil {
 			s.queue.Settle(spec.Name, jobs.StateFailed, err, "launch failed")
+			s.dropRun(run)
 			_ = s.queue.Forget(spec.Name)
 			return nil, nil, err
 		}
@@ -241,9 +242,12 @@ func (s *System) dispatchLoop() {
 // is deterministic in the snapshot; executors run concurrently but on
 // disjoint host sets (the planner's consistency guarantee plus the
 // registry's reservation marks).
+//
+// The fleet is read before the pending jobs: an admission that fails puts
+// its job back to Pending before it gives its hosts back, so a cycle that
+// sees the hosts free sees the job pending too.
 func (s *System) runCycle() {
-	pending := s.queue.Pending()
-	if len(pending) == 0 {
+	if len(s.queue.Pending()) == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -270,6 +274,7 @@ func (s *System) runCycle() {
 	for _, h := range fleet {
 		hostViews = append(hostViews, jobs.HostView{Name: h.Name, Job: occ[h.Name]})
 	}
+	pending := s.queue.Pending()
 	running := s.queue.Running()
 
 	// Per-job host eligibility, from each job's schema.
@@ -304,71 +309,85 @@ func (s *System) runCycle() {
 		},
 	}
 	for _, adm := range jobs.PlanCycle(s.policy, pending, view) {
-		// Reserving before the executor starts, so that a cycle running
-		// ahead of it cannot plan the job again.
+		// Reserving, and its hosts reserved, before the executor starts, so
+		// that a cycle running ahead of it can plan neither the job again
+		// nor another job onto those hosts.
 		if s.queue.Transition(adm.Job, jobs.StateReserving, "admitted") != nil {
 			continue
 		}
-		go s.execAdmission(adm, occ)
+		if g := s.reserve(adm, occ); g != nil {
+			go s.execAdmission(adm, g)
+		}
 	}
 }
 
-// execAdmission carries one planned admission, already Reserving, out:
-// reserve, evict, commit, launch. Any failure puts the job back to Pending;
-// the next cycle replans from the fleet as it then stands.
-func (s *System) execAdmission(adm jobs.Admission, occ map[string]string) {
+// reserve takes the gang reservation of an admission that has just turned
+// Reserving. Without contested hosts the registry's gang scheduler picks
+// the placement (PlaceGang consults the configured Scheduler; the planner's
+// host choice was only a feasibility proof); with them, the planned hosts
+// are reserved. On failure the job is Pending again and reserve returns
+// nil.
+func (s *System) reserve(adm jobs.Admission, occ map[string]string) *registry.GangReservation {
+	job, ok := s.queue.Get(adm.Job)
+	if !ok {
+		return nil
+	}
+	spec := job.Spec()
+	var g *registry.GangReservation
+	var err error
+	if len(adm.Evictions) == 0 {
+		if g, ok = s.reg.PlaceGang(registry.ProcInfo{Name: spec.Name, Schema: spec.Schema}, spec.Gang,
+			func(h string) bool { return occ[h] != "" }); !ok {
+			err = errors.New("gang placement declined")
+		}
+	} else if g, err = s.reg.ReserveHosts(adm.Hosts); err != nil {
+		err = fmt.Errorf("reservation failed: %w", err)
+	}
+	if err != nil {
+		_ = s.queue.Transition(adm.Job, jobs.StatePending, err.Error())
+		s.kickDispatcher()
+		return nil
+	}
+	return g
+}
+
+// execAdmission carries one reserved admission out: evict, commit, launch.
+// Any failure puts the job back to Pending before it gives its hosts back,
+// so no cycle sees the hosts free while the job is neither Pending nor
+// holding them; the next cycle replans from the fleet as it then stands.
+func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) {
 	defer s.kickDispatcher()
 	requeue := func(note string) {
 		_ = s.queue.Transition(adm.Job, jobs.StatePending, note)
 	}
 	job, ok := s.queue.Get(adm.Job)
 	if !ok {
+		g.Abort()
 		return
 	}
 	spec := job.Spec()
-
-	var g *registry.GangReservation
-	hosts := adm.Hosts
-	if len(adm.Evictions) == 0 {
-		// No contested hosts: let the registry's gang scheduler pick the
-		// placement (PlaceGang consults the configured Scheduler; the
-		// planner's host choice was only a feasibility proof).
-		res, ok := s.reg.PlaceGang(
-			registry.ProcInfo{Name: spec.Name, Schema: spec.Schema},
-			spec.Gang,
-			func(h string) bool { return occ[h] != "" },
-		)
-		if !ok {
-			requeue("gang placement declined")
-			return
-		}
-		g = res
-		hosts = g.Hosts()
-	} else {
-		res, err := s.reg.ReserveHosts(hosts)
-		if err != nil {
-			requeue("reservation failed: " + err.Error())
-			return
-		}
-		g = res
+	if len(adm.Evictions) > 0 {
 		for _, ev := range adm.Evictions {
 			s.evictVictim(ev)
 		}
 		if !s.awaitVacated(adm) {
-			g.Abort()
 			requeue("eviction timed out")
+			g.Abort()
 			return
 		}
 	}
-	run := s.claimRun(spec, hosts)
+	// A failed Commit has released the reservation marks already; the
+	// occupancy claim holds the hosts until the job is Pending again.
+	run := s.claimRun(spec, g.Hosts())
 	if err := g.Commit(); err != nil {
-		s.dropRun(run)
 		s.opts.Metrics.Counter(CtrJobsReservations).Inc()
 		requeue("reservation lost: " + err.Error())
+		s.dropRun(run)
 		return
 	}
 	if _, err := s.launchRun(job, run); err != nil {
 		requeue("launch failed: " + err.Error())
+		s.dropRun(run)
 		return
 	}
 	s.opts.Metrics.Counter(CtrJobsAdmitted).Inc()
@@ -496,13 +515,13 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 	// All-or-nothing: put the partial gang down (Evict, not Kill — no
 	// failover burn on a launch we are unwinding ourselves). The ranks'
 	// follow loops still run, without a settle hook, so each one
-	// deregisters and settles its App; the job is the caller's to settle.
+	// deregisters and settles its App; the job is the caller's to settle,
+	// and the run's claim the caller's to drop once it has.
 	unwind := func(err error) ([]*App, error) {
 		for _, a := range apps {
 			a.Process().Evict()
 			go a.follow()
 		}
-		s.dropRun(run)
 		return nil, err
 	}
 	for i, host := range run.claimed {

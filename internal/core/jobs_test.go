@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,10 +44,13 @@ func waitState(t *testing.T, job *jobs.Job, want jobs.State) {
 func TestSubmitGangRunsToCompletion(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	var mu sync.Mutex
-	var trans []jobs.Event
-	sink := metrics.On(func(ev jobs.Event) {
+	var states []jobs.State
+	sink := metrics.SinkFunc(func(ev metrics.Event) {
+		if ev.Source != metrics.SourceJobs {
+			return
+		}
 		mu.Lock()
-		trans = append(trans, ev)
+		states = append(states, jobs.State(ev.Kind))
 		mu.Unlock()
 	})
 	s, _ := newSystem(t, 1000, 4, Options{
@@ -70,10 +74,6 @@ func TestSubmitGangRunsToCompletion(t *testing.T) {
 	// The lifecycle ran pending -> reserving -> running -> completed.
 	mu.Lock()
 	defer mu.Unlock()
-	var states []jobs.State
-	for _, ev := range trans {
-		states = append(states, ev.To)
-	}
 	want := []jobs.State{jobs.StatePending, jobs.StateReserving, jobs.StateRunning, jobs.StateCompleted}
 	if len(states) != len(want) {
 		t.Fatalf("transitions = %v, want %v", states, want)
@@ -226,15 +226,19 @@ func TestSubmitConcurrentRace(t *testing.T) {
 // TestOverlappingCyclesAdmitOnce: a kicked cycle can run before the
 // previous cycle's executor goroutine has. The job it admitted is already
 // Reserving, so the second cycle does not plan it again, and exactly one
-// executor reserves and launches. One P keeps the executors from running
-// between the two cycles.
+// executor reserves and launches. Nor does the second cycle plan a job
+// submitted in between onto the hosts the first admission took: had the
+// executor been the one to reserve them, one of the two gangs would be
+// declined and, with the higher priority, preempt the other, an extra
+// admission and requeue. One P keeps the executors from running between
+// the two cycles.
 func TestOverlappingCyclesAdmitOnce(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	var reserving atomic.Int32
 	s, _ := newSystem(t, 1000, 2, Options{
 		Metrics: mreg,
-		Events: metrics.On(func(ev jobs.Event) {
-			if ev.To == jobs.StateReserving {
+		Events: metrics.SinkFunc(func(ev metrics.Event) {
+			if ev.Source == metrics.SourceJobs && ev.Proc == "gang" && ev.Kind == string(jobs.StateReserving) {
 				reserving.Add(1)
 			}
 		}),
@@ -246,8 +250,23 @@ func TestOverlappingCyclesAdmitOnce(t *testing.T) {
 	}
 	procs := runtime.GOMAXPROCS(1)
 	s.runCycle()
-	s.runCycle()
+	second, err := s.queue.Submit(jobs.Spec{Name: "second", Gang: 2, Rank: rankJacobi(20)})
+	var state jobs.State
+	if err == nil {
+		s.runCycle()
+		state = second.State()
+		if state == jobs.StatePending {
+			// Out of the queue before the first job's completion frees the hosts.
+			err = s.CancelJob("second")
+		}
+	}
 	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state != jobs.StatePending {
+		t.Fatalf("second is %s: a cycle planned it onto the hosts the first admission took", state)
+	}
 	if err := job.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +334,54 @@ func TestRunCycleReservesBeforeExecuting(t *testing.T) {
 		if err := job.Wait(); err != nil {
 			t.Fatalf("job %s: %v", job.Name(), err)
 		}
+	}
+}
+
+// TestCommitFailureRequeuesBeforeRelease: an admission whose gang Commit
+// fails is Pending again before its occupancy claim lets its hosts go. In
+// the other order a cycle between the release and the requeue sees the
+// hosts free and the job still Reserving, admits another job onto them,
+// and the requeued job then preempts that one a second time. The cycle is
+// forced by inspecting, at the requeue itself, what a cycle would see. A
+// host unregistered while the admission evicts its victim poisons the
+// reservation, so Commit fails on every run.
+func TestCommitFailureRequeuesBeforeRelease(t *testing.T) {
+	var s *System
+	var held atomic.Bool
+	var requeue atomic.Value // the note express went back to Pending with
+	sink := metrics.SinkFunc(func(ev metrics.Event) {
+		switch {
+		case ev.Source != metrics.SourceJobs:
+		case ev.Proc == "batch" && ev.Kind == string(jobs.StatePreempting):
+			if err := s.Registry().UnregisterHost("ws2"); err != nil {
+				t.Error(err)
+			}
+		case ev.Proc == "express" && ev.Kind == string(jobs.StatePending) && ev.Note != "submitted":
+			requeue.Store(ev.Note)
+			held.Store(s.jobRun("express") != nil)
+		}
+	})
+	s, _ = newSystem(t, 1000, 3, Options{Events: sink})
+	if _, err := s.Submit(jobs.Spec{Name: "batch", Gang: 1, Hosts: []string{"ws1"}, Rank: rankJacobi(100000)}); err != nil {
+		t.Fatal(err)
+	}
+	express, err := s.queue.Submit(jobs.Spec{Name: "express", Gang: 2, Priority: 1, Rank: rankJacobi(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.queue.Transition("express", jobs.StateReserving, "admitted"); err != nil {
+		t.Fatal(err)
+	}
+	adm := jobs.Admission{
+		Job:       "express",
+		Hosts:     []string{"ws1", "ws2"},
+		Evictions: []jobs.Eviction{{Job: "batch", Mode: jobs.EvictRequeue, Hosts: []string{"ws1"}}},
+	}
+	s.execAdmission(adm, s.reserve(adm, map[string]string{"ws1": "batch"}))
+	if note, _ := requeue.Load().(string); !strings.HasPrefix(note, "reservation lost") || express.State() != jobs.StatePending {
+		t.Fatalf("express is %s (%q), want requeued to pending by a lost reservation", express.State(), note)
+	}
+	if !held.Load() {
+		t.Fatal("express went back to Pending after its hosts were released: a cycle in between could admit another job onto them")
 	}
 }

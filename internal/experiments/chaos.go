@@ -274,26 +274,6 @@ func chaosScenarios(live *livemig.Config) []chaosScenario {
 	return append(scenarios, crashloop, standby)
 }
 
-// chaosScenarioNames lists the chaos scenario set in run order — the one
-// authoritative list behind every "N/N scenarios survive" claim. live
-// selects the sweep that appends the precopy-specific scenario
-// (crash-dest-mid-precopy), so len(chaosScenarioNames(false)) and
-// len(chaosScenarioNames(true)) are the two survival denominators;
-// EXPERIMENTS.md's stated counts are pinned to them by
-// TestChaosCountsMatchDocs.
-func chaosScenarioNames(live bool) []string {
-	var cfg *livemig.Config
-	if live {
-		cfg = &livemig.Config{}
-	}
-	scs := chaosScenarios(cfg)
-	names := make([]string, 0, len(scs))
-	for _, sc := range scs {
-		names = append(names, sc.name)
-	}
-	return names
-}
-
 func (cfg ChaosConfig) withChaosDefaults() ChaosConfig {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1000
@@ -429,7 +409,7 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		return ChaosRow{}, err
 	}
 	start := clock.Now()
-	r.in.Run(faults.Plan{Name: sc.name, Events: sc.events})
+	r.in.Run(faults.Plan{Events: sc.events})
 	if sc.drive != nil {
 		if err := sc.drive(r); err != nil {
 			return ChaosRow{}, err

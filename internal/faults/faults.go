@@ -144,9 +144,8 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Plan is a named, ordered fault schedule.
+// Plan is an ordered fault schedule.
 type Plan struct {
-	Name   string
 	Events []Event
 }
 

@@ -233,7 +233,7 @@ func TestSinkTrapFiresOnceOnMatchingPhase(t *testing.T) {
 func TestRunAppliesInAfterOrderAndReportsUnboundTargets(t *testing.T) {
 	in, sys, _ := newBoundInjector(t)
 	in.BindSpec(idleSpec("solo"))
-	in.Run(Plan{Name: "unordered", Events: []Event{
+	in.Run(Plan{Events: []Event{
 		{After: 3 * time.Second, Kind: KindCrashHost, Host: "ws3"},
 		{After: 4 * time.Second, Kind: KindResize, Hosts: []string{"ws1", "ws2"}},
 		{After: time.Second, Kind: KindSubmitJob, Proc: "solo"},
@@ -289,7 +289,7 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	defer elastic.Stop()
 	in.BindElastic(elastic)
 
-	in.Run(Plan{Name: "sched", Events: []Event{
+	in.Run(Plan{Events: []Event{
 		{After: time.Second, Kind: KindLinkFactor, Host: "ws1", Peer: "ws2", Factor: 0.5},
 		{After: 2 * time.Second, Kind: KindPartition, Host: "ws1", Peer: "ws3"},
 		{After: 3 * time.Second, Kind: KindRestartRegistry},

@@ -138,14 +138,6 @@ func (c *Context) ReceiveFrom(peer string, tag int, ptr any) (string, error) {
 	return msg.from, nil
 }
 
-// Pending reports how many undelivered messages wait in the process's
-// mailbox — the communication state a migration carries along.
-func (p *Process) Pending() int {
-	p.mbox.mu.Lock()
-	defer p.mbox.mu.Unlock()
-	return len(p.mbox.queue)
-}
-
 // pendingBytes sums the queued message payloads: the communication state a
 // migration must also move.
 func (p *Process) pendingBytes() int64 {

@@ -3,8 +3,13 @@ package hpcm
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+
+	"autoresched/internal/mpi"
+	"autoresched/internal/vclock"
 )
 
 // TestPingPongAcrossMigration: two processes converse; one migrates in the
@@ -92,10 +97,31 @@ func TestPingPongAcrossMigration(t *testing.T) {
 	}
 }
 
+// sendLog records every cross-host send it passes on to inner.
+type sendLog struct {
+	inner mpi.Transport
+
+	mu    sync.Mutex
+	sends []string // "from->to bytes"
+}
+
+func (l *sendLog) Send(from, to string, bytes int64) error {
+	l.mu.Lock()
+	l.sends = append(l.sends, fmt.Sprintf("%s->%s %d", from, to, bytes))
+	l.mu.Unlock()
+	return l.inner.Send(from, to, bytes)
+}
+
 // TestMessagesQueuedDuringMigrationSurvive: messages sent while the
-// receiver is between incarnations are delivered afterwards.
+// receiver is between incarnations are delivered afterwards, and their
+// bytes are charged on the wire from the old host to the new one.
 func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
-	mw, _ := newMW(t, nil, 0)
+	clock := vclock.Scaled(vclock.Epoch, 200)
+	wire := &sendLog{inner: modelTransport{clock, time.Millisecond, 100e6}}
+	mw, err := New(Options{Universe: mpi.NewUniverse(mpi.Options{Clock: clock, Transport: wire})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate := make(chan struct{})
 
 	recvd := make(chan []int, 1)
@@ -135,6 +161,10 @@ func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
 	if receiver.Pending() != 5 {
 		t.Fatalf("pending = %d, want 5 queued before migration", receiver.Pending())
 	}
+	commState := receiver.pendingBytes()
+	if commState <= 0 {
+		t.Fatalf("pendingBytes = %d for 5 queued messages", commState)
+	}
 	// Now migrate the receiver with the messages still queued.
 	receiver.Signal(Command{DestHost: "ws3"})
 	close(gate)
@@ -150,9 +180,10 @@ func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
 			t.Fatalf("messages reordered or lost: %v", got)
 		}
 	}
-	// The migration record accounts for the moved communication state.
-	if rec := receiver.Records()[0]; rec.CommBytes <= 0 {
-		t.Fatalf("CommBytes = %d, want > 0 for %d queued messages", rec.CommBytes, 5)
+	wire.mu.Lock()
+	defer wire.mu.Unlock()
+	if !slices.Contains(wire.sends, fmt.Sprintf("ws1->ws3 %d", commState)) {
+		t.Fatalf("no %d-byte send from ws1 to ws3 for the queued messages; sends: %v", commState, wire.sends)
 	}
 }
 

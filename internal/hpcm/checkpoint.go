@@ -89,17 +89,6 @@ func (s FileStore) Load(app string) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// requestCheckpoint asks the process to write a checkpoint at its next
-// poll-point (it keeps running afterwards). Requires a store configured on
-// the middleware.
-func (p *Process) requestCheckpoint() error {
-	if p.mw.ckptStore == nil {
-		return errors.New("hpcm: no checkpoint store configured")
-	}
-	p.ckptReq.Store(true)
-	return nil
-}
-
 // Evict asks the process to stop at its next poll-point for preemption:
 // it writes a final checkpoint there (when a store is configured) and
 // returns ErrPreempted out of Main. The caller — the job control plane —

@@ -2,11 +2,9 @@ package hpcm
 
 import (
 	"fmt"
-	"time"
 
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
-	"autoresched/internal/vclock"
 )
 
 // Context is the view an application body has of the middleware: state
@@ -19,14 +17,8 @@ type Context struct {
 	state *registry
 }
 
-// Name returns the application name.
-func (c *Context) Name() string { return c.proc.name }
-
 // Host returns the host this incarnation runs on.
 func (c *Context) Host() string { return c.env.Host }
-
-// Clock returns the middleware clock.
-func (c *Context) Clock() vclock.Clock { return c.proc.mw.clock }
 
 // Resumed reports whether this incarnation continues a migrated execution.
 func (c *Context) Resumed() bool { return c.label != "" }
@@ -99,9 +91,6 @@ func (c *Context) SetMemory(bytes int64) {
 	c.proc.memory.Store(bytes)
 	hp.SetMemory(bytes)
 }
-
-// Sleep blocks the application in virtual time.
-func (c *Context) Sleep(d time.Duration) { c.proc.mw.clock.Sleep(d) }
 
 // PollPoint is a migration point. If no migrate command is pending it
 // returns quickly (writing a checkpoint first when one is due); otherwise

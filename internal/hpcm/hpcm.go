@@ -245,12 +245,9 @@ type Record struct {
 	// (rounds 2..N plus the freeze residual). Zero for classic migrations.
 	PrecopyRounds int
 	PagesResent   int
-	// EagerBytes and LazyBytes are the transferred memory-state sizes;
-	// CommBytes is the communication state (queued undelivered messages)
-	// that moved with the process.
+	// EagerBytes and LazyBytes are the transferred memory-state sizes.
 	EagerBytes int64
 	LazyBytes  int64
-	CommBytes  int64
 }
 
 // MigrationTime is the full migration duration: command arrival to complete

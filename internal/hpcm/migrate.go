@@ -182,7 +182,6 @@ func (c *Context) handover(att *attempt, abortPhase string) error {
 	// the process; the mailbox lives with the process identity, so only
 	// the wire time is charged.
 	if pending := p.pendingBytes(); pending > 0 {
-		rec.CommBytes = pending
 		if err := mw.universe.Transport().Send(rec.From, rec.To, pending); err != nil {
 			return abort(fmt.Errorf("hpcm: communication state transfer: %w", err))
 		}

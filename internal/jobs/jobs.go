@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/metrics"
@@ -101,15 +100,6 @@ func (s State) terminal() bool {
 	return s == StateCompleted || s == StateFailed || s == StateCancelled
 }
 
-// Event is one job lifecycle transition, published on the unified event
-// sink (Source "jobs", Kind = the new state) as the typed payload.
-type Event struct {
-	Job      string
-	From, To State
-	// Note carries transition detail (eviction mode, error text).
-	Note string
-}
-
 // Job is one submitted job's state machine. All mutation goes through the
 // owning Queue's lock; reads take the same lock.
 type Job struct {
@@ -119,10 +109,6 @@ type Job struct {
 
 	state     State
 	requeues  int
-	submitted time.Time
-	started   time.Time // first transition to Running
-	finished  time.Time
-	waited    time.Duration // Pending time accumulated before first start
 	placement []string
 	err       error
 	done      chan struct{}
@@ -133,9 +119,6 @@ func (j *Job) Spec() Spec { return j.spec }
 
 // Name returns the job name.
 func (j *Job) Name() string { return j.spec.Name }
-
-// Seq returns the submission sequence number (FIFO order).
-func (j *Job) Seq() int64 { return j.seq }
 
 // State returns the current lifecycle state.
 func (j *Job) State() State {
@@ -150,14 +133,6 @@ func (j *Job) Requeues() int {
 	j.q.mu.Lock()
 	defer j.q.mu.Unlock()
 	return j.requeues
-}
-
-// Placement returns the hosts the job currently occupies (empty unless
-// Reserving/Running/Preempting).
-func (j *Job) Placement() []string {
-	j.q.mu.Lock()
-	defer j.q.mu.Unlock()
-	return append([]string(nil), j.placement...)
 }
 
 // Wait blocks until the job reaches a terminal state and returns its error
@@ -177,17 +152,6 @@ func (j *Job) Err() error {
 	j.q.mu.Lock()
 	defer j.q.mu.Unlock()
 	return j.err
-}
-
-// waitTime is the total time the job spent Pending before it first ran
-// (still accumulating while it waits).
-func (j *Job) waitTime() time.Duration {
-	j.q.mu.Lock()
-	defer j.q.mu.Unlock()
-	if j.waited == 0 && j.started.IsZero() && !j.state.terminal() {
-		return j.q.clock.Since(j.submitted)
-	}
-	return j.waited
 }
 
 // ErrCancelled is the terminal error of a cancelled job.
@@ -238,16 +202,15 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 	}
 	q.seq++
 	j := &Job{
-		q:         q,
-		spec:      spec,
-		seq:       q.seq,
-		state:     StatePending,
-		submitted: q.clock.Now(),
-		done:      make(chan struct{}),
+		q:     q,
+		spec:  spec,
+		seq:   q.seq,
+		state: StatePending,
+		done:  make(chan struct{}),
 	}
 	q.jobs[spec.Name] = j
 	q.order = append(q.order, j)
-	q.emitLocked(j, "", StatePending, "submitted")
+	q.emitLocked(j, StatePending, "submitted")
 	return j, nil
 }
 
@@ -365,22 +328,17 @@ func (q *Queue) Transition(name string, to State, note string) error {
 		if from != StatePending {
 			return fmt.Errorf("jobs: job %q is %s, not pending: already admitted", name, from)
 		}
-	case StateRunning:
-		if from != StateRunning && j.started.IsZero() {
-			j.started = q.clock.Now()
-			j.waited = j.started.Sub(j.submitted)
-		}
 	case StatePending:
 		if from == StateRunning || from == StatePreempting || from == StateReserving {
 			j.requeues++
 			j.placement = nil
 		}
 	default:
-		// Preempting needs no entry bookkeeping, and terminal states were
-		// rejected above (Settle owns those).
+		// Running and Preempting need no entry bookkeeping, and terminal
+		// states were rejected above (Settle owns those).
 	}
 	j.state = to
-	q.emitLocked(j, from, to, note)
+	q.emitLocked(j, to, note)
 	return nil
 }
 
@@ -405,31 +363,26 @@ func (q *Queue) Settle(name string, to State, err error, note string) {
 }
 
 func (q *Queue) settleLocked(j *Job, to State, err error, note string) {
-	from := j.state
 	j.state = to
 	j.err = err
-	j.finished = q.clock.Now()
-	if j.waited == 0 && j.started.IsZero() {
-		j.waited = j.finished.Sub(j.submitted)
-	}
 	j.placement = nil
 	close(j.done)
-	q.emitLocked(j, from, to, note)
+	q.emitLocked(j, to, note)
 }
 
-// emitLocked publishes one lifecycle transition on the sink.
-func (q *Queue) emitLocked(j *Job, from, to State, note string) {
+// emitLocked publishes one lifecycle transition on the sink: Kind is the
+// new state, Proc the job, Note the transition detail. It carries no
+// payload; the envelope says it all.
+func (q *Queue) emitLocked(j *Job, to State, note string) {
 	if q.sink == nil {
 		return
 	}
-	ev := Event{Job: j.spec.Name, From: from, To: to, Note: note}
 	q.sink.Publish(metrics.Event{
-		Time:    q.clock.Now(),
-		Source:  metrics.SourceJobs,
-		Kind:    string(to),
-		Proc:    j.spec.Name,
-		Note:    note,
-		Err:     j.err,
-		Payload: ev,
+		Time:   q.clock.Now(),
+		Source: metrics.SourceJobs,
+		Kind:   string(to),
+		Proc:   j.spec.Name,
+		Note:   note,
+		Err:    j.err,
 	})
 }

@@ -3,19 +3,17 @@ package jobs
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"autoresched/internal/metrics"
 	"autoresched/internal/vclock"
 )
 
-func newTestQueue(sink metrics.Sink) (*Queue, *vclock.Manual) {
-	clock := vclock.NewManual(vclock.Epoch)
-	return NewQueue(clock, sink), clock
+func newTestQueue(sink metrics.Sink) *Queue {
+	return NewQueue(vclock.NewManual(vclock.Epoch), sink)
 }
 
 func TestSubmitValidation(t *testing.T) {
-	q, _ := newTestQueue(nil)
+	q := newTestQueue(nil)
 	if _, err := q.Submit(Spec{}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -34,7 +32,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestSpecDefaults(t *testing.T) {
-	q, _ := newTestQueue(nil)
+	q := newTestQueue(nil)
 	j, err := q.Submit(Spec{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +52,8 @@ func TestRankName(t *testing.T) {
 	}
 }
 
-func TestLifecycleAndWaitTime(t *testing.T) {
-	q, clock := newTestQueue(nil)
+func TestLifecycle(t *testing.T) {
+	q := newTestQueue(nil)
 	j, err := q.Submit(Spec{Name: "a", Gang: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -63,23 +61,18 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 	if j.State() != StatePending {
 		t.Fatalf("state = %s, want pending", j.State())
 	}
-	clock.Advance(30 * time.Second)
 	if err := q.Transition("a", StateReserving, ""); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(10 * time.Second)
 	q.SetPlacement("a", []string{"h1", "h2"})
 	if err := q.Transition("a", StateRunning, ""); err != nil {
 		t.Fatal(err)
-	}
-	if got := j.waitTime(); got != 40*time.Second {
-		t.Fatalf("wait time = %s, want 40s", got)
 	}
 	if got := j.Placement(); len(got) != 2 || got[0] != "h1" {
 		t.Fatalf("placement = %v", got)
 	}
 	// Preemption requeue: back to pending counts a requeue and clears the
-	// placement; the wait time keeps the pre-first-start value.
+	// placement.
 	if err := q.Transition("a", StatePreempting, "evicted"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +84,6 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 	}
 	if got := j.Placement(); len(got) != 0 {
 		t.Fatalf("placement after requeue = %v", got)
-	}
-	if got := j.waitTime(); got != 40*time.Second {
-		t.Fatalf("wait time after requeue = %s, want 40s", got)
 	}
 	q.Settle("a", StateCompleted, nil, "done")
 	if err := j.Wait(); err != nil {
@@ -116,7 +106,7 @@ func TestLifecycleAndWaitTime(t *testing.T) {
 // the second of two executors planned for the same job stops at its first
 // statement — without touching the state or the requeue count.
 func TestAdmissionIsCompareAndSet(t *testing.T) {
-	q, _ := newTestQueue(nil)
+	q := newTestQueue(nil)
 	j, err := q.Submit(Spec{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +130,7 @@ func TestAdmissionIsCompareAndSet(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	q, _ := newTestQueue(nil)
+	q := newTestQueue(nil)
 	j, _ := q.Submit(Spec{Name: "a"})
 	if _, err := q.Cancel("nope"); err == nil {
 		t.Fatal("unknown job cancel accepted")
@@ -167,9 +157,9 @@ func TestCancel(t *testing.T) {
 }
 
 func TestQueueSnapshotsAndEvents(t *testing.T) {
-	var seen []Event
-	sink := metrics.On(func(ev Event) { seen = append(seen, ev) })
-	q, _ := newTestQueue(sink)
+	var seen []metrics.Event
+	sink := metrics.SinkFunc(func(ev metrics.Event) { seen = append(seen, ev) })
+	q := newTestQueue(sink)
 	_, _ = q.Submit(Spec{Name: "a", Priority: 2})
 	_, _ = q.Submit(Spec{Name: "b"})
 	_ = q.Transition("b", StateReserving, "")
@@ -188,7 +178,7 @@ func TestQueueSnapshotsAndEvents(t *testing.T) {
 		t.Fatalf("list = %d jobs", got)
 	}
 
-	// The sink saw every transition as a typed payload, in order.
+	// The sink saw every transition, the new state as its Kind, in order.
 	want := []struct {
 		job string
 		to  State
@@ -202,7 +192,7 @@ func TestQueueSnapshotsAndEvents(t *testing.T) {
 		t.Fatalf("events = %d, want %d (%v)", len(seen), len(want), seen)
 	}
 	for i, w := range want {
-		if seen[i].Job != w.job || seen[i].To != w.to {
+		if seen[i].Proc != w.job || seen[i].Kind != string(w.to) {
 			t.Fatalf("event %d = %+v, want %+v", i, seen[i], w)
 		}
 	}

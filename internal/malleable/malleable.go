@@ -83,8 +83,6 @@ type Event struct {
 	// Epoch numbers resize attempts from 1 (0 for PhasePropose, which
 	// precedes epoch assignment).
 	Epoch int
-	// Step is the poll-point step the resize landed on.
-	Step int
 	// OldWorld and NewWorld are the world sizes either side of the resize.
 	OldWorld, NewWorld int
 	// Added and Removed are the hosts joining and leaving the placement.
@@ -154,7 +152,6 @@ type Options struct {
 // exchange, and CPU charging on its host. The engine rewrites the identity
 // at every committed resize; the pointer stays valid across resizes.
 type Rank struct {
-	job       *Job
 	env       *mpi.Env
 	rec       *rankRec
 	comm      *mpi.Comm
@@ -549,7 +546,7 @@ func (j *Job) rankMain(env *mpi.Env) error {
 	}
 	defer j.detach(rec)
 	rc := &Rank{
-		job: j, env: env, rec: rec,
+		env: env, rec: rec,
 		comm: env.World, rank: env.World.Rank(), world: env.World.Size(),
 		placement: j.Placement(),
 	}

@@ -139,7 +139,7 @@ func (j *Job) pollStep(rc *Rank, shard []byte) ([]byte, error) {
 	pl := makePlan(ann.Epoch, rc.placement, ann.Target)
 	if rc.rank == 0 {
 		j.emit(Event{
-			Job: j.name, Phase: PhaseQuiesce, Epoch: pl.epoch, Step: rc.step,
+			Job: j.name, Phase: PhaseQuiesce, Epoch: pl.epoch,
 			OldWorld: len(pl.cur), NewWorld: len(pl.target),
 			Added: pl.added, Removed: victimHosts(&pl),
 		})
@@ -201,7 +201,7 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 	}
 	// State is safe. Victims are expendable from here on.
 	j.emit(Event{
-		Job: j.name, Phase: PhaseReshape, Epoch: pl.epoch, Step: rc.step,
+		Job: j.name, Phase: PhaseReshape, Epoch: pl.epoch,
 		OldWorld: oldW, NewWorld: len(pl.target),
 		Added: pl.added, Removed: victimHosts(pl),
 	})
@@ -220,7 +220,7 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 			return nil, fmt.Errorf("malleable: spawn epoch %d: %w", pl.epoch, err)
 		}
 		j.emit(Event{
-			Job: j.name, Phase: PhaseSpawn, Epoch: pl.epoch, Step: rc.step,
+			Job: j.name, Phase: PhaseSpawn, Epoch: pl.epoch,
 			OldWorld: oldW, NewWorld: len(pl.target), Added: pl.added,
 		})
 	}
@@ -270,7 +270,7 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 	}
 	rc.adopt(newComm, pl)
 	j.emit(Event{
-		Job: j.name, Phase: PhaseResume, Epoch: pl.epoch, Step: rc.step,
+		Job: j.name, Phase: PhaseResume, Epoch: pl.epoch,
 		OldWorld: oldW, NewWorld: len(pl.target),
 		Added: pl.added, Removed: victimHosts(pl),
 	})
@@ -305,7 +305,7 @@ func (j *Job) rootAbort(rc *Rank, pl *plan, comm *mpi.Comm, oldW int, reason str
 	j.mu.Unlock()
 	j.metrics.Counter(CtrResizeAborted).Inc()
 	j.emit(Event{
-		Job: j.name, Phase: PhaseAbort, Epoch: pl.epoch, Step: rc.step,
+		Job: j.name, Phase: PhaseAbort, Epoch: pl.epoch,
 		OldWorld: oldW, NewWorld: len(pl.target),
 		Added: pl.added, Removed: victimHosts(pl), Err: reason,
 	})
@@ -431,7 +431,7 @@ func (j *Job) childMain(pl *plan, step int) mpi.Main {
 			return nil
 		}
 		defer j.detach(rec)
-		rc := &Rank{job: j, env: env, rec: rec}
+		rc := &Rank{env: env, rec: rec}
 		st, vd, err := j.awaitOutcome(rc, bigComm, true)
 		if err != nil || !vd.Commit {
 			// Abort (or the root died): a child with no state just exits.

@@ -33,9 +33,9 @@ const (
 // Event is one normalised runtime event. Source and Kind identify it;
 // the remaining fields are set when the source vocabulary carries them.
 // Payload, when non-nil, carries the source's typed event struct
-// (hpcm.MigrationEvent, hpcm.CheckpointEvent, malleable.Event, jobs.Event,
+// (hpcm.MigrationEvent, hpcm.CheckpointEvent, malleable.Event,
 // registry.RestartEvent) for consumers needing more than the normalised
-// fields; see On.
+// fields; see On. Job lifecycle events carry none.
 type Event struct {
 	Time    time.Time
 	Source  string // one of the Source* constants
@@ -111,8 +111,8 @@ func (m multi) Publish(e Event) {
 // On registers a typed observer as a Sink: fn runs for every event whose
 // Payload is a T, and all other events pass through silently. It is the
 // one registration pattern for typed consumers — metrics.On(func(ev
-// hpcm.MigrationEvent) {...}), metrics.On(func(ev jobs.Event) {...}) — in
-// place of a callback type per subsystem. fn runs synchronously on the
+// hpcm.MigrationEvent) {...}), metrics.On(func(ev malleable.Event) {...}) —
+// in place of a callback type per subsystem. fn runs synchronously on the
 // emitting goroutine and must follow the Sink contract (concurrency-safe,
 // non-blocking).
 func On[T any](fn func(T)) Sink {

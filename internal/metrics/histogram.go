@@ -53,8 +53,6 @@ func bucketOf(v float64) int {
 // Registry (or NewHistogram). All methods are nil-receiver safe so
 // components can observe unconditionally when metrics are optional.
 type Histogram struct {
-	name string
-
 	mu     sync.Mutex
 	counts [numBounds + 1]uint64 // +1: overflow
 	total  uint64
@@ -63,15 +61,7 @@ type Histogram struct {
 
 // NewHistogram creates a detached histogram (tests; production code uses
 // Registry.Histogram so the metric is exported).
-func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one sample, in seconds. Negative samples clamp to zero
 // (they land in the first bucket); a nil receiver is a no-op.
@@ -98,16 +88,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
-}
-
-// sumSeconds returns the sum of all observed samples in seconds.
-func (h *Histogram) sumSeconds() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Merge folds another histogram's counts into this one. Buckets are shared
@@ -267,23 +247,13 @@ func (h *Histogram) cumulativeBuckets() ([]float64, []uint64, uint64, float64) {
 // Gauge is a single instantaneous value, safe for concurrent use. All
 // methods are nil-receiver safe.
 type Gauge struct {
-	name string
-
 	mu sync.Mutex
 	v  float64
 }
 
 // NewGauge creates a detached gauge (tests; production code uses
 // Registry.Gauge so the metric is exported).
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
+func NewGauge() *Gauge { return &Gauge{} }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := NewHistogram("t")
+	h := NewHistogram()
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
@@ -30,7 +30,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 }
 
 func TestHistogramQuantileSplit(t *testing.T) {
-	h := NewHistogram("t")
+	h := NewHistogram()
 	for i := 0; i < 90; i++ {
 		h.Observe(1e-3)
 	}
@@ -46,7 +46,7 @@ func TestHistogramQuantileSplit(t *testing.T) {
 }
 
 func TestHistogramEdgeSamples(t *testing.T) {
-	h := NewHistogram("t")
+	h := NewHistogram()
 	h.Observe(-5)          // clamps to 0 → first bucket
 	h.Observe(0)           // first bucket
 	h.Observe(math.NaN())  // clamps to 0
@@ -66,19 +66,19 @@ func TestHistogramEdgeSamples(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
-	h.Merge(NewHistogram("x"))
-	if h.Count() != 0 || h.sumSeconds() != 0 || h.Quantile(0.5) != 0 || h.Name() != "" {
+	h.Merge(NewHistogram())
+	if h.Count() != 0 || h.sumSeconds() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram must be inert")
 	}
 	var g *Gauge
 	g.Set(1)
-	if g.Value() != 0 || g.Name() != "" {
+	if g.Value() != 0 {
 		t.Fatal("nil gauge must be inert")
 	}
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram("a"), NewHistogram("b")
+	a, b := NewHistogram(), NewHistogram()
 	for i := 0; i < 50; i++ {
 		a.Observe(1e-3)
 		b.Observe(10)

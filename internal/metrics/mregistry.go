@@ -57,7 +57,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(name)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h
@@ -72,7 +72,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = NewGauge(name)
+		g = NewGauge()
 		r.gauges[name] = g
 	}
 	return g

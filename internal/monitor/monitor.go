@@ -94,10 +94,8 @@ type Monitor struct {
 	clock  vclock.Clock
 
 	mu      sync.Mutex
-	state   rules.State
 	history []Sample
 	cycles  int
-	lastErr error
 	stop    chan struct{}
 	stopped chan struct{}
 }
@@ -188,24 +186,20 @@ func (m *Monitor) Cycle() (Sample, error) {
 	}
 	snap, err := m.sensor.Gather()
 	if err != nil {
-		m.recordErr(err)
 		return Sample{}, err
 	}
 	grade, err := m.cfg.engine.Evaluate(snap)
 	if err != nil {
-		m.recordErr(err)
 		return Sample{}, err
 	}
 	sample := Sample{Snap: snap, Grade: grade, State: grade.State()}
 
 	m.mu.Lock()
-	m.state = sample.State
 	m.cycles++
 	m.history = append(m.history, sample)
 	if len(m.history) > m.cfg.historySize {
 		m.history = m.history[len(m.history)-m.cfg.historySize:]
 	}
-	m.lastErr = nil
 	m.mu.Unlock()
 
 	if m.cfg.reporter != nil {
@@ -221,7 +215,6 @@ func (m *Monitor) Cycle() (Sample, error) {
 			}
 		}
 		if err != nil {
-			m.recordErr(err)
 			return sample, err
 		}
 	}
@@ -233,40 +226,6 @@ func (m *Monitor) Cycle() (Sample, error) {
 // error wrapping.
 func isUnregistered(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "unregistered host")
-}
-
-func (m *Monitor) recordErr(err error) {
-	m.mu.Lock()
-	m.lastErr = err
-	m.mu.Unlock()
-}
-
-// State returns the current locally decided state.
-func (m *Monitor) State() rules.State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
-
-// historyCopy returns the monitoring information database (oldest first).
-func (m *Monitor) historyCopy() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Sample(nil), m.history...)
-}
-
-// cycleCount reports how many gather cycles have completed.
-func (m *Monitor) cycleCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cycles
-}
-
-// Err returns the most recent cycle error, if the last cycle failed.
-func (m *Monitor) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastErr
 }
 
 // StatusFromSample converts a sample into the protocol's status payload.

@@ -45,7 +45,6 @@ func NewMonitor(host string, source sysinfo.Source, opts ...Option) (*Monitor, e
 		cfg:    cfg,
 		sensor: sysinfo.NewSensor(cfg.source),
 		clock:  cfg.clock,
-		state:  rules.Free,
 	}, nil
 }
 

@@ -171,5 +171,5 @@ func (c *Comm) recvInternal(ptr any, src, tag int) (Status, error) {
 	if err := decodeMessage(m, ptr); err != nil {
 		return Status{}, err
 	}
-	return Status{Source: m.src, Tag: m.tag, Bytes: m.size()}, nil
+	return Status{Tag: m.tag}, nil
 }

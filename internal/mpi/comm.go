@@ -35,9 +35,7 @@ type Comm struct {
 
 // Status describes a received or probed message.
 type Status struct {
-	Source int
-	Tag    int
-	Bytes  int
+	Tag int
 }
 
 // context returns the matching context for this communicator's messages.
@@ -53,17 +51,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the local group size.
 func (c *Comm) Size() int { return len(c.group.eps) }
-
-// remoteSize returns the remote group size of an intercommunicator, or 0.
-func (c *Comm) remoteSize() int {
-	if c.remote == nil {
-		return 0
-	}
-	return len(c.remote.eps)
-}
-
-// isInter reports whether this is an intercommunicator.
-func (c *Comm) isInter() bool { return c.remote != nil }
 
 // Host returns the host name a rank runs on. For an intercommunicator the
 // rank indexes the remote group, matching where sends go.
@@ -164,7 +151,7 @@ func (c *Comm) Recv(ptr any, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st := Status{Source: m.src, Tag: m.tag, Bytes: m.size()}
+	st := Status{Tag: m.tag}
 	if err := decodeMessage(m, ptr); err != nil {
 		return Status{}, err
 	}
@@ -201,7 +188,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return Status{Source: m.src, Tag: m.tag, Bytes: m.size()}, nil
+	return Status{Tag: m.tag}, nil
 }
 
 // Iprobe reports, without blocking, whether a matching message is
@@ -211,7 +198,7 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 	if err != nil || !ok {
 		return false, Status{}, err
 	}
-	return true, Status{Source: m.src, Tag: m.tag, Bytes: m.size()}, nil
+	return true, Status{Tag: m.tag}, nil
 }
 
 // Request is a handle for a non-blocking operation.

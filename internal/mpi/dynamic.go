@@ -144,14 +144,12 @@ func (env *Env) SpawnMerge(comm *Comm, hosts []string, main Main) (*Comm, error)
 
 // port is a rendezvous point for Connect/Accept.
 type port struct {
-	name    string
 	accepts chan *connectReq
 	done    chan struct{} // closed by ClosePort to release blocked callers
 }
 
 type connectReq struct {
 	remote *group
-	rank   int
 	reply  chan *acceptReply
 }
 
@@ -168,7 +166,6 @@ func (u *Universe) OpenPort() string {
 	u.nextID++
 	name := fmt.Sprintf("port-%d", u.nextID)
 	u.ports[name] = &port{
-		name:    name,
 		accepts: make(chan *connectReq),
 		done:    make(chan struct{}),
 	}
@@ -225,7 +222,7 @@ func (env *Env) Connect(portName string, comm *Comm) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &connectReq{remote: comm.group, rank: comm.rank, reply: make(chan *acceptReply)}
+	req := &connectReq{remote: comm.group, reply: make(chan *acceptReply)}
 	select {
 	case p.accepts <- req:
 	case <-p.done:

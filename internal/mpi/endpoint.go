@@ -42,19 +42,6 @@ func putMessage(m *message) {
 	msgPool.Put(m)
 }
 
-// size is the payload size a Status reports: the summed fragments of a
-// multi-part message, the data length otherwise.
-func (m *message) size() int {
-	if m.parts != nil {
-		n := 0
-		for _, p := range m.parts {
-			n += len(p)
-		}
-		return n
-	}
-	return len(m.data)
-}
-
 // endpoint is a process's mailbox. Sends enqueue eagerly (buffered,
 // non-blocking once transport time has been charged); receives match by
 // context, source and tag, with wildcard support, in arrival order.

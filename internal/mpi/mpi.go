@@ -159,15 +159,6 @@ type Main func(env *Env) error
 // down mid-protocol; killing an already-finished process is a no-op.
 func (env *Env) Kill() { env.ep.close() }
 
-// Run launches one process per host name, forming a world communicator of
-// size len(hosts), and waits for all of them. The returned slice holds each
-// rank's error (nil for success), indexed by rank.
-func (u *Universe) Run(hosts []string, main Main) []error {
-	envs, errs := u.launch(hosts, nil, main)
-	_ = envs
-	return errs.wait()
-}
-
 // Start launches like Run but returns immediately; the returned Wait
 // function blocks and yields per-rank errors.
 func (u *Universe) Start(hosts []string, main Main) (wait func() []error) {

@@ -206,15 +206,3 @@ func (r *Registry) Handler() proto.Handler {
 		}
 	}
 }
-
-// stateOf returns the registry's view of a host's state (Unavailable when
-// the lease has expired or the host is unknown).
-func (r *Registry) stateOf(host string) rules.State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.hosts[host]
-	if !ok || !r.aliveLocked(e, r.clock.Now()) {
-		return rules.Unavailable
-	}
-	return e.info.State
-}

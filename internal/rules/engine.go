@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -38,21 +37,6 @@ func (e *Engine) Add(r *Rule) error {
 	defer e.mu.Unlock()
 	e.rules[r.Number] = r
 	return nil
-}
-
-// Load parses rules from r and installs them all. It returns the number of
-// rules installed.
-func (e *Engine) Load(r io.Reader) (int, error) {
-	parsed, err := ParseRules(r)
-	if err != nil {
-		return 0, err
-	}
-	for _, rule := range parsed {
-		if err := e.Add(rule); err != nil {
-			return 0, err
-		}
-	}
-	return len(parsed), nil
 }
 
 // LoadFile parses a rule file from disk and installs its rules.

@@ -22,9 +22,15 @@ rl_operator: <
 rl_busy: 50
 rl_overLd: 45
 `
-	engine := rules.NewEngine(nil)
-	if _, err := engine.Load(strings.NewReader(ruleFile)); err != nil {
+	parsed, err := rules.ParseRules(strings.NewReader(ruleFile))
+	if err != nil {
 		panic(err)
+	}
+	engine := rules.NewEngine(nil)
+	for _, rule := range parsed {
+		if err := engine.Add(rule); err != nil {
+			panic(err)
+		}
 	}
 	for _, idle := range []float64{80, 47, 30} {
 		state, err := engine.State(sysinfo.Snapshot{CPUIdlePct: idle})

@@ -14,7 +14,6 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 )
@@ -198,25 +197,4 @@ func ParseSchema(data []byte) (*Schema, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Equal reports whether two schemas describe the same estimates, ignoring
-// statistics.
-func (s *Schema) Equal(o *Schema) bool {
-	if s.Name != o.Name || s.CommBytes != o.CommBytes || s.LocalDataBytes != o.LocalDataBytes {
-		return false
-	}
-	if math.Abs(s.Estimate.Seconds-o.Estimate.Seconds) > 1e-9 ||
-		math.Abs(s.Estimate.CPUSpeed-o.Estimate.CPUSpeed) > 1e-9 {
-		return false
-	}
-	if len(s.Characteristics) != len(o.Characteristics) {
-		return false
-	}
-	for i := range s.Characteristics {
-		if s.Characteristics[i] != o.Characteristics[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -52,8 +52,8 @@ func Summarize(seed int64, results []Result) Summary {
 		Migrations:  map[string]int{},
 		ByPolicy:    map[string]int{},
 	}
-	down := metrics.NewHistogram("fleet/downtime_seconds")
-	migr := metrics.NewHistogram("fleet/migration_seconds")
+	down := metrics.NewHistogram()
+	migr := metrics.NewHistogram()
 	for _, r := range results {
 		o := r.Outcome
 		if o.Drained {

@@ -116,11 +116,9 @@ type computeReq struct {
 // ProcInfo is a snapshot of one process-table entry, the unit ps/prstat
 // style probes report.
 type ProcInfo struct {
-	PID     int
-	Name    string
-	Started time.Time
-	Memory  int64
-	CPUTime time.Duration
+	PID    int
+	Name   string
+	Memory int64
 }
 
 // Spawn adds a process with the given name and resident memory to the
@@ -143,9 +141,6 @@ func (h *Host) Spawn(name string, memory int64) *Proc {
 
 // PID returns the process id.
 func (p *Proc) PID() int { return p.pid }
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
 
 // Started returns the process start time (the paper reads it from the pid
 // file timestamp).
@@ -280,13 +275,7 @@ func (h *Host) Procs() []ProcInfo {
 	h.advanceLocked(h.clock.Now())
 	out := make([]ProcInfo, 0, len(h.procs))
 	for _, p := range h.procs {
-		out = append(out, ProcInfo{
-			PID:     p.pid,
-			Name:    p.name,
-			Started: p.started,
-			Memory:  p.memory,
-			CPUTime: p.cpuTime,
-		})
+		out = append(out, ProcInfo{PID: p.pid, Name: p.name, Memory: p.memory})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out

@@ -244,9 +244,6 @@ func TestProcsSnapshot(t *testing.T) {
 	if infos[0].Name != "alpha" || infos[1].Memory != 20 {
 		t.Fatalf("snapshot fields wrong: %+v", infos)
 	}
-	if infos[0].Started.Before(vclock.Epoch) {
-		t.Fatalf("start time %v before epoch", infos[0].Started)
-	}
 }
 
 func TestDefaultsApplied(t *testing.T) {

@@ -99,7 +99,6 @@ type flow struct {
 	done     float64
 	rate     float64 // current bytes/s, recomputed on membership change
 	finished chan error
-	failed   bool
 }
 
 // New creates an empty network driven by clock.
@@ -157,7 +156,6 @@ func (n *Network) SetDown(name string, down bool) error {
 	h.down = down
 	if down {
 		for _, f := range flowsOn(h) {
-			f.failed = true
 			n.finishLocked(f, ErrHostDown)
 			n.recomputeSideLocked(f.from.sendFlows)
 			n.recomputeSideLocked(f.to.recvFlows)
@@ -228,7 +226,6 @@ func (n *Network) SetPartitioned(a, b string, partitioned bool) error {
 	if partitioned {
 		n.parts[link(a, b)] = true
 		for _, f := range flowsBetween(ha, hb) {
-			f.failed = true
 			n.finishLocked(f, ErrPartitioned)
 			n.recomputeSideLocked(f.from.sendFlows)
 			n.recomputeSideLocked(f.to.recvFlows)
@@ -314,13 +311,6 @@ func (n *Network) HostFlows(host string) (int, error) {
 		return 0, ErrUnknownHost
 	}
 	return len(h.sendFlows) + len(h.recvFlows), nil
-}
-
-// activeFlows reports the number of in-flight transfers.
-func (n *Network) activeFlows() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.flows)
 }
 
 // flowsOn snapshots the flows with an endpoint on h (callers mutate the

@@ -242,9 +242,6 @@ func (s *ProcSource) Procs() ([]ProcStat, error) {
 		if comm, err := os.ReadFile(filepath.Join(s.root, e.Name(), "comm")); err == nil {
 			ps.Name = strings.TrimSpace(string(comm))
 		}
-		if info, err := e.Info(); err == nil {
-			ps.Started = info.ModTime()
-		}
 		out = append(out, ps)
 	}
 	return out, nil

@@ -86,13 +86,7 @@ func (s *SimSource) Procs() ([]ProcStat, error) {
 	infos := s.host.Procs()
 	out := make([]ProcStat, 0, len(infos))
 	for _, p := range infos {
-		out = append(out, ProcStat{
-			PID:     p.PID,
-			Name:    p.Name,
-			Started: p.Started,
-			Memory:  p.Memory,
-			CPUTime: p.CPUTime,
-		})
+		out = append(out, ProcStat{PID: p.PID, Name: p.Name, Memory: p.Memory})
 	}
 	return out, nil
 }

@@ -66,11 +66,9 @@ type Snapshot struct {
 
 // ProcStat is one process-table row.
 type ProcStat struct {
-	PID     int
-	Name    string
-	Started time.Time
-	Memory  int64
-	CPUTime time.Duration
+	PID    int
+	Name   string
+	Memory int64
 }
 
 // Source provides raw counters and tables for one host.
