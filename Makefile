@@ -3,7 +3,8 @@
 # `make race` additionally race-tests the concurrency-heavy packages;
 # `make ci` is the full gate (lint + build + test + race, a repeated race
 # run of the simulation/experiment packages, ten seconds of each fuzz
-# target, and the 64-host scale, malleability, multi-job and fleet smokes);
+# target, the byte-determinism check of every simulated report, and the
+# 64-host scale, malleability, multi-job and fleet smokes);
 # `make fuzz` runs the fuzz targets alone; `make bench` prints the
 # microbenchmarks (a developer tool: nothing is written or committed);
 # `make e2e` runs the end-to-end benchmark (cmd/bench, every workload in
@@ -25,7 +26,7 @@ RACE_PKGS = ./internal/proto ./internal/monitor ./internal/registry \
             ./internal/persist ./internal/mpi ./internal/vclock \
             ./internal/workload
 
-.PHONY: all build vet fmtcheck lint test race fuzz check ci chaos scale malleable multijob fleet bench e2e loc loc-pkg allows
+.PHONY: all build vet fmtcheck lint test race fuzz check ci chaos determinism scale malleable multijob fleet bench e2e loc loc-pkg allows
 
 all: check
 
@@ -73,16 +74,18 @@ check: lint build test
 # order-dependent flakiness in the fair-share solver and the determinism
 # fences), of the dispatcher's plan-then-reserve regression, of the two
 # jobs-crash chaos scenarios (the commit-failure edge) and of the proto
-# client and server over real TCP (the client's one re-dial), and a
-# single 64-host scale sweep, the malleability and multi-job reports and
-# two small fleets as end-to-end smokes of the control plane.
+# client and server over real TCP (the client's one re-dial), the
+# determinism check of every simulated report, and a single 64-host scale
+# sweep, the malleability and multi-job reports and two small fleets as
+# end-to-end smokes of the control plane.
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core
-	$(GO) test -count=20 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
+	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(MAKE) fuzz
+	$(MAKE) determinism
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
 	$(GO) run ./cmd/repro -exp malleable -seed 42
 	$(GO) run ./cmd/repro -exp multijob -seed 42
@@ -91,19 +94,27 @@ ci: check
 	@$(MAKE) --no-print-directory loc-pkg allows
 
 # Every chaos run must print the same fault schedules, trap and check lines,
-# counters and span counts: the deterministic section (above `timings`) is
+# counters, span counts, timings and phase quantiles: the whole report is
 # diffed against the committed golden, and any difference fails.
 chaos: build
-	$(GO) run ./cmd/repro -exp chaos -seed 42 | awk '/^timings/{exit}{print}' \
-		| diff internal/experiments/testdata/chaos.txt -
+	$(GO) run ./cmd/repro -exp chaos -seed 42 | diff internal/experiments/testdata/chaos.txt -
 
-# The 64/256/512-host sweeps under churn (deterministic outcome section per
-# seed; the control-plane measurements below it are approximate).
+# Every simulated report is a pure function of its seed on the Auto clock:
+# each is printed twice for seed 42 and the two must be byte-identical.
+REPRO = $(GO) run ./cmd/repro -seed 42
+determinism: build
+	@for exp in fig5 fig6 fig7 fig8 table2 chaos "scale -hosts 64" malleable; do \
+		a="$$($(REPRO) -exp $$exp)" && b="$$($(REPRO) -exp $$exp)" || exit 1; \
+		[ "$$a" = "$$b" ] || { echo "-exp $$exp differs between two runs"; exit 1; }; \
+		echo "-exp $$exp: byte-identical"; \
+	done
+
+# The 64/256/512-host sweeps under churn (byte-identical per seed).
 scale: build
 	$(GO) run ./cmd/repro -exp scale -seed 42
 
-# Elastic vs migrate-only vs fixed under seeded host churn (deterministic
-# resize trajectories per seed; completion times below are approximate).
+# Elastic vs migrate-only vs fixed under seeded host churn (byte-identical
+# per seed, completion times included).
 malleable: build
 	$(GO) run ./cmd/repro -exp malleable -seed 42
 

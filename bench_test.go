@@ -1,7 +1,7 @@
 // Package autoresched's top-level benchmarks regenerate every table and
 // figure of the paper's evaluation (Section 5). Each benchmark runs the full
-// experiment once per iteration (they take seconds: whole wall-compressed
-// cluster runs) and reports the paper's headline quantities as custom
+// experiment once per iteration (whole simulated cluster runs on the Auto
+// clock) and reports the paper's headline quantities as custom
 // metrics, so
 //
 //	go test -bench=. -benchmem
@@ -19,10 +19,6 @@ import (
 	"autoresched/internal/rules"
 	"autoresched/internal/sysinfo"
 )
-
-// benchScale compresses virtual time in benchmark runs. Larger is faster
-// but noisier (goroutine wake-ups inflate with the scale).
-const benchScale = 200
 
 // BenchmarkTable1StateSemantics regenerates Table 1: the semantics of the
 // free/busy/overloaded states (loaded, migrate-in, migrate-out).
@@ -98,7 +94,7 @@ func BenchmarkFigure4ComplexRule(b *testing.B) {
 func BenchmarkFig5OverheadLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
+			Params: experiments.Params{Seed: int64(i + 1)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -115,7 +111,7 @@ func BenchmarkFig5OverheadLoad(b *testing.B) {
 func BenchmarkFig6OverheadComm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunOverhead(experiments.OverheadConfig{
-			Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
+			Params: experiments.Params{Seed: int64(i + 1)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -132,7 +128,7 @@ func BenchmarkFig6OverheadComm(b *testing.B) {
 func BenchmarkFig7EfficiencyCPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunEfficiency(experiments.EfficiencyConfig{
-			Params:    experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
+			Params:    experiments.Params{Seed: int64(i + 1)},
 			AppStart:  120 * time.Second,
 			LoadStart: 200 * time.Second,
 			Warmup:    5,
@@ -153,7 +149,7 @@ func BenchmarkFig7EfficiencyCPU(b *testing.B) {
 func BenchmarkFig8EfficiencyComm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunEfficiency(experiments.EfficiencyConfig{
-			Params:    experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
+			Params:    experiments.Params{Seed: int64(i + 1)},
 			AppStart:  120 * time.Second,
 			LoadStart: 200 * time.Second,
 			Warmup:    5,
@@ -176,7 +172,7 @@ func BenchmarkFig8EfficiencyComm(b *testing.B) {
 func BenchmarkTable2Policies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.RunPolicies(experiments.PoliciesConfig{
-			Params: experiments.Params{Scale: benchScale, Seed: int64(i + 1)},
+			Params: experiments.Params{Seed: int64(i + 1)},
 		})
 		if err != nil {
 			b.Fatal(err)

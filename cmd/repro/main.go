@@ -19,19 +19,12 @@
 //	repro -exp fleet -seed 1 -runs 100   # generated scenario fleet (not in "all")
 //	repro -exp fleet -rundir fleet_runs  # also write per-run report dirs
 //	repro -exp scale -hosts 64,128   # custom sweep sizes
-//	repro -scale 100          # virtual-time compression factor
 //	repro -exp chaos -metrics run.json   # also dump the metrics registry
 //
-// The chaos, scale and malleable experiments are deterministic per -seed in
-// their headline sections: the chaos fault schedule, robustness counters and
-// migration phase counts, the scale sweeps' completion/correctness lines
-// and the malleable resize trajectories are byte-identical across runs
-// (deterministic downtime/migration quantiles come from -exp livemig and
-// -exp fleet). The measured phase durations and
-// completion times below those sections carry scheduling jitter (wall
-// wake-up latency multiplied by the time-scale factor) and are labeled
-// approximate. All three are excluded from "all" to keep that target's
-// runtime bounded.
+// Every simulated experiment runs on a discrete-event clock (vclock.Auto),
+// so each report is byte-identical across runs of one -seed, measured
+// timings and phase quantiles included. Chaos, scale and malleable are
+// excluded from "all" to keep that target's runtime bounded.
 package main
 
 import (
@@ -50,7 +43,6 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig5|fig6|fig7|fig8|table1|table2|chaos|scale|livemig|malleable|multijob|fleet|all")
-	scale := flag.Float64("scale", 100, "virtual-time compression (virtual seconds per wall second)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	runs := flag.Int("runs", 50, "fleet experiment: scenarios to generate")
 	runDir := flag.String("rundir", "", "fleet experiment: directory to write per-run reports and summary.json")
@@ -59,14 +51,8 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write the sampled series as CSV files")
 	metricsPath := flag.String("metrics", "", "write the run's metrics registry (counters, gauges, histograms) as JSON to this file")
 	flag.Parse()
-	scaleSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "scale" {
-			scaleSet = true
-		}
-	})
 
-	params := experiments.Params{Scale: *scale, Seed: *seed}
+	params := experiments.Params{Seed: *seed}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
 	// The run-wide metrics accumulator: experiments merge their per-run
@@ -122,23 +108,15 @@ func main() {
 	}
 	if *exp == "chaos" {
 		ran = true
-		chaosParams := params
-		if !scaleSet {
-			chaosParams.Scale = 0 // let chaos pick its own (higher) default
-		}
-		rows, err := experiments.RunChaos(experiments.ChaosConfig{Params: chaosParams, Metrics: mreg})
+		rows, err := experiments.RunChaos(experiments.ChaosConfig{Params: params, Metrics: mreg})
 		fatal(err)
 		fmt.Print(experiments.RenderChaos(rows))
 		fmt.Println()
 	}
 	if *exp == "scale" {
 		ran = true
-		scaleParams := params
-		if !scaleSet {
-			scaleParams.Scale = 0 // let the scale experiment pick its own default
-		}
 		rows, err := experiments.RunScale(experiments.ScaleConfig{
-			Params:  scaleParams,
+			Params:  params,
 			Hosts:   parseHosts(*hosts),
 			Metrics: mreg,
 		})
@@ -148,11 +126,7 @@ func main() {
 	}
 	if *exp == "malleable" {
 		ran = true
-		mallParams := params
-		if !scaleSet {
-			mallParams.Scale = 0 // let the experiment pick its own (higher) default
-		}
-		rows, err := experiments.RunMalleable(experiments.MalleableConfig{Params: mallParams, Metrics: mreg})
+		rows, err := experiments.RunMalleable(experiments.MalleableConfig{Params: params, Metrics: mreg})
 		fatal(err)
 		fmt.Print(experiments.RenderMalleable(rows))
 		fmt.Println()

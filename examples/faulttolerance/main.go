@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	clock := vclock.Scaled(vclock.Epoch, 300)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	hosts, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6})
 	if err != nil {
@@ -53,7 +53,7 @@ func main() {
 
 	// Give it time to work and checkpoint, then crash the workstation.
 	for app.Proc.Checkpoints() < 3 {
-		time.Sleep(5 * time.Millisecond)
+		clock.Sleep(time.Second)
 	}
 	fmt.Printf("crash! killing ws1 after %d checkpoints\n", app.Proc.Checkpoints())
 	app.Proc.Kill()

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 
 	// One shared interconnect carrying both domains (a campus network).
 	cl := core.NewCluster(clock, 12.5e6)
@@ -53,7 +53,7 @@ func main() {
 	}
 	defer sysB.Stop()
 	// Mirror B's host registrations into the upper-level registry.
-	go func() {
+	vclock.Go(clock, func() {
 		for {
 			for _, h := range sysB.Registry().Hosts() {
 				_ = upper.RegisterHost(h.Name, h.Static)
@@ -61,7 +61,7 @@ func main() {
 			}
 			clock.Sleep(10 * time.Second)
 		}
-	}()
+	})
 
 	// Domain A: both of its hosts will be busy, so its registry must
 	// delegate upward. Its registry chains to the upper one via Parent.

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	clock := vclock.Scaled(vclock.Epoch, 300)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	hosts, err := cl.AddHosts("ws", 2, sim.Config{Speed: 1e6})
 	if err != nil {

@@ -3,11 +3,10 @@
 // policies — no migration, load-only, and load+communication — printing the
 // table the paper reports.
 //
-//	go run ./examples/policies [-scale 150]
+//	go run ./examples/policies
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -15,12 +14,9 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 150, "virtual seconds per wall second")
-	flag.Parse()
-
 	fmt.Println("running the Section 5.3 policy comparison (three full runs) ...")
 	rows, err := experiments.RunPolicies(experiments.PoliciesConfig{
-		Params: experiments.Params{Scale: *scale, Seed: 1},
+		Params: experiments.Params{Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

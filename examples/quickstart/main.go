@@ -21,8 +21,8 @@ import (
 )
 
 func main() {
-	// One wall second is 200 virtual seconds.
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	// Discrete-event virtual time: the clock jumps from event to event.
+	clock := vclock.NewAuto(vclock.Epoch)
 
 	// A cluster of two identical workstations on 100 Mbps Ethernet.
 	cl := core.NewCluster(clock, 12.5e6)

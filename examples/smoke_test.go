@@ -19,8 +19,8 @@ func TestExamplesRunClean(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("go tool not on PATH: %v", err)
 	}
-	// Each example finishes in 1-25 s of wall time (virtual time is
-	// compressed); the deadline only has to catch hangs.
+	// Each example's simulated run takes well under a second of wall time
+	// (virtual time is discrete-event); the deadline only has to catch hangs.
 	const deadline = 90 * time.Second
 	for _, name := range []string{
 		"quickstart", "testtree", "policies", "hierarchy", "faulttolerance", "jacobi",

@@ -3,11 +3,10 @@
 // and print the full migration timeline plus the CPU timelines of both
 // workstations (Figures 7 and 8 in miniature).
 //
-//	go run ./examples/testtree [-scale 200]
+//	go run ./examples/testtree
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"time"
@@ -17,12 +16,9 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 200, "virtual seconds per wall second")
-	flag.Parse()
-
 	fmt.Println("running the Section 5.2 efficiency experiment ...")
 	res, err := experiments.RunEfficiency(experiments.EfficiencyConfig{
-		Params:    experiments.Params{Scale: *scale, Seed: 1},
+		Params:    experiments.Params{Seed: 1},
 		AppStart:  120 * time.Second,
 		LoadStart: 200 * time.Second,
 		Warmup:    5,

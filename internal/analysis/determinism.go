@@ -7,7 +7,7 @@ import (
 
 // wallClockFuncs are the time-package entry points that read or schedule
 // against the wall clock. Sim-path code must route them through
-// vclock.Clock so scaled and manual clocks stay authoritative.
+// vclock.Clock so the Auto and Manual clocks stay authoritative.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Sleep":     true,

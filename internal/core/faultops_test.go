@@ -47,7 +47,7 @@ func TestFailoverAfterHostCrash(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("never checkpointed")
 		}
-		time.Sleep(2 * time.Millisecond)
+		s.Clock().Sleep(time.Second)
 	}
 	if err := s.CrashHost("ws1"); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRegistryRestartResyncsSoftState(t *testing.T) {
 			t.Fatalf("process never re-registered; hosts=%d procs=%d",
 				len(s.Registry().Hosts()), len(s.Registry().Processes("ws1")))
 		}
-		time.Sleep(5 * time.Millisecond)
+		s.Clock().Sleep(time.Second)
 	}
 	if mreg.Counter(registry.CtrRestarts).Value() != 1 {
 		t.Fatalf("restart counter = %d", mreg.Counter(registry.CtrRestarts).Value())

@@ -7,6 +7,7 @@ import (
 	"autoresched/internal/hpcm"
 	"autoresched/internal/registry"
 	"autoresched/internal/rules"
+	"autoresched/internal/vclock"
 )
 
 // Recover restores an application from its latest checkpoint onto a host —
@@ -48,6 +49,6 @@ func (s *System) Recover(name, host string, sch *rules.Schema, main hpcm.Main) (
 	if err != nil {
 		return nil, err
 	}
-	go app.follow()
+	vclock.Go(s.clock, app.follow)
 	return app, nil
 }

@@ -44,7 +44,7 @@ func TestCrashRecoveryFromCheckpoint(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("checkpoints = %d, never reached 2", app.Proc.Checkpoints())
 		}
-		time.Sleep(2 * time.Millisecond)
+		s.Clock().Sleep(time.Second)
 	}
 	mu.Lock()
 	maxPreCrash = len(sums)
@@ -58,7 +58,7 @@ func TestCrashRecoveryFromCheckpoint(t *testing.T) {
 			if n > 0 {
 				break
 			}
-			time.Sleep(2 * time.Millisecond)
+			s.Clock().Sleep(time.Second)
 		}
 	}
 

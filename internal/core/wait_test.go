@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"autoresched/internal/hpcm"
+	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
 
@@ -25,15 +25,15 @@ func TestAppSettledExactlyOnce(t *testing.T) {
 	}
 	const waiters = 8
 	errs := make([]error, waiters)
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(s.Clock(), func() {
 			defer wg.Done()
 			errs[i] = app.Wait()
-		}(i)
+		})
 	}
-	wg.Wait()
+	wg.Wait(s.Clock())
 	for i, got := range errs {
 		if !errors.Is(got, boom) {
 			t.Fatalf("waiter %d: Wait = %v, want boom", i, got)
@@ -75,7 +75,7 @@ func TestAppWaitErrorAfterExhaustedRetries(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("failover never happened: retries=%d host=%s", app.Retries(), app.Host())
 		}
-		time.Sleep(2 * time.Millisecond)
+		s.Clock().Sleep(time.Second)
 	}
 	// Second crash: the budget is spent, so the error is terminal.
 	if err := s.CrashHost(app.Host()); err != nil {

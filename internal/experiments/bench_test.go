@@ -29,7 +29,7 @@ func BenchmarkWarmupAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("warmup%d", warmup), func(b *testing.B) {
 			falseMoves := 0
 			for i := 0; i < b.N; i++ {
-				migrations, err := runFalseMigration(Params{Scale: 200, Seed: int64(i + 1)}, warmup)
+				migrations, err := runFalseMigration(Params{Seed: int64(i + 1)}, warmup)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,13 +16,13 @@ import (
 
 // TestChaosCrashDestScenarioIsDeterministic runs the required
 // mid-migration-crash scenario twice with the same seed and requires the
-// deterministic report section — fault schedule, outcome, counters — to be
+// whole report — fault schedule, outcome, counters, timings — to be
 // byte-identical. It also pins the end-to-end recovery path: the migration
 // aborts, the pre-migration checkpoint is restored on a fresh first-fit
 // host, and the computation completes with correct checksums.
 func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
-		Params:    Params{Scale: 1000, Seed: 7},
+		Params:    Params{Seed: 7},
 		scenarios: []string{"crash-dest-mid-migration"},
 	}
 	run := func() ([]ChaosRow, string) {
@@ -30,12 +30,12 @@ func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, RenderChaosDeterministic(rows)
+		return rows, RenderChaos(rows)
 	}
 	rows1, out1 := run()
 	_, out2 := run()
 	if out1 != out2 {
-		t.Fatalf("deterministic sections differ:\n--- first\n%s\n--- second\n%s", out1, out2)
+		t.Fatalf("reports differ:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 
 	if len(rows1) != 1 {
@@ -62,32 +62,31 @@ func TestChaosCrashDestScenarioIsDeterministic(t *testing.T) {
 	}
 }
 
-// checkChaosGolden compares a full sweep's deterministic section with the
-// committed golden, which is that section as `repro -exp chaos` prints it
-// (`make chaos` diffs the CLI against the same file): every fault, trap and
-// check line, counter and span count of every scenario. The section does
-// not depend on the seed. Both goldens were captured from the binary of the
-// commit before the five chaos runners became one rig.
+// checkChaosGolden compares a full sweep's report with the committed
+// golden, which is the report as `repro -exp chaos` prints it (`make chaos`
+// diffs the CLI against the same file): every fault, trap and check line,
+// counter and span count of every scenario, the timings and the phase
+// quantiles. The report does not depend on the seed.
 func checkChaosGolden(t *testing.T, rows []ChaosRow, golden string) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := RenderChaosDeterministic(rows) + "\n"; got != string(want) {
-		t.Errorf("deterministic section differs from testdata/%s:\n--- got\n%s--- want\n%s", golden, got, want)
+	if got := RenderChaos(rows) + "\n"; got != string(want) {
+		t.Errorf("report differs from testdata/%s:\n--- got\n%s--- want\n%s", golden, got, want)
 	}
 }
 
 // TestChaosAllScenariosSurvive sweeps the full scenario set: every fault
 // plan must terminate (no hang) and complete the checksummed computation,
-// and the deterministic section must equal the golden.
+// and the report must equal the golden.
 func TestChaosAllScenariosSurvive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep in -short mode")
 	}
 	run := metrics.NewRegistry()
-	rows, err := RunChaos(ChaosConfig{Params: Params{Scale: 1000, Seed: 3}, Metrics: run})
+	rows, err := RunChaos(ChaosConfig{Params: Params{Seed: 3}, Metrics: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +180,13 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 }
 
 // TestChaosJobsScenariosDeterministic runs both multi-job preemption-crash
-// scenarios twice with the same seed and requires the deterministic report
-// section to be byte-identical. It also pins the end-to-end behavior: the
+// scenarios twice with the same seed and requires the report to be
+// byte-identical. It also pins the end-to-end behavior: the
 // trap fired, the victim requeued and reran to a correct result, and no
 // reservation marks were orphaned by the crash.
 func TestChaosJobsScenariosDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
-		Params:    Params{Scale: 1000, Seed: 5},
+		Params:    Params{Seed: 5},
 		scenarios: []string{"jobs-kill-victim-mid-ckpt", "jobs-crash-host-mid-reserve"},
 	}
 	run := func() ([]ChaosRow, string) {
@@ -195,12 +194,12 @@ func TestChaosJobsScenariosDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, RenderChaosDeterministic(rows)
+		return rows, RenderChaos(rows)
 	}
 	rows1, out1 := run()
 	_, out2 := run()
 	if out1 != out2 {
-		t.Fatalf("deterministic sections differ:\n--- first\n%s\n--- second\n%s", out1, out2)
+		t.Fatalf("reports differ:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 	if len(rows1) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows1))
@@ -224,15 +223,15 @@ func TestChaosJobsScenariosDeterministic(t *testing.T) {
 }
 
 // TestChaosPersistScenariosDeterministic runs both durable-control-plane
-// scenarios twice with the same seed and requires the deterministic report
-// section to be byte-identical. It also pins the end-to-end behavior: every
+// scenarios twice with the same seed and requires the report to be
+// byte-identical. It also pins the end-to-end behavior: every
 // crash-loop restart recovered from the store (no re-registration storm),
 // the quiesced change log replays to the primary's exact final state, the
 // deposed primary's gang commit was fenced, and the promoted standby
 // re-admitted the gang exactly once.
 func TestChaosPersistScenariosDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
-		Params:    Params{Scale: 1000, Seed: 5},
+		Params:    Params{Seed: 5},
 		scenarios: []string{"registry-crashloop-under-load", "registry-standby-promote"},
 	}
 	run := func() ([]ChaosRow, string) {
@@ -240,12 +239,12 @@ func TestChaosPersistScenariosDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, RenderChaosDeterministic(rows)
+		return rows, RenderChaos(rows)
 	}
 	rows1, out1 := run()
 	_, out2 := run()
 	if out1 != out2 {
-		t.Fatalf("deterministic sections differ:\n--- first\n%s\n--- second\n%s", out1, out2)
+		t.Fatalf("reports differ:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 	if len(rows1) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows1))

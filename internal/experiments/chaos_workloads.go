@@ -9,6 +9,7 @@ import (
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
 	"autoresched/internal/malleable"
+	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
 
@@ -121,13 +122,14 @@ func (g *gangLoad) launch(r *chaosRig) error {
 // submitted job is done.
 func (g *gangLoad) settled(r *chaosRig) <-chan struct{} {
 	ch := make(chan struct{})
-	go func() {
+	clock := r.sys.Clock()
+	vclock.Go(clock, func() {
 		defer close(ch)
-		<-r.in.Done()
+		vclock.Await(clock, r.in.Done())
 		for _, j := range r.in.Jobs() {
-			<-j.Done()
+			vclock.Await(clock, j.Done())
 		}
-	}()
+	})
 	return ch
 }
 

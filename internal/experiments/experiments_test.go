@@ -7,40 +7,38 @@ import (
 )
 
 // The experiment tests assert the SHAPE of the paper's results — who wins,
-// what order phases happen in, roughly what factors separate the policies —
-// on shortened runs. The full-length runs live behind cmd/repro and the
-// benchmarks.
+// what order phases happen in, what factors separate the policies — on
+// shortened runs. Each run is a pure function of its seed on the Auto
+// clock, so the bounds are the model's values, not noise margins. The
+// full-length runs live behind cmd/repro and the benchmarks.
 
 func TestOverheadShape(t *testing.T) {
 	res, err := RunOverhead(OverheadConfig{
-		Params:   Params{Scale: 200, Seed: 1},
+		Params:   Params{Seed: 1},
 		duration: 8 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Baseline load is the paper's lightly loaded workstation (~0.25).
-	if res.Load1Without < 0.1 || res.Load1Without > 0.5 {
-		t.Fatalf("baseline load1 = %v, want ~0.25", res.Load1Without)
+	if res.Load1Without < 0.24 || res.Load1Without > 0.26 {
+		t.Fatalf("baseline load1 = %v, want 0.25", res.Load1Without)
 	}
-	// The rescheduler costs something, but stays small (paper: < 4%%...
-	// allow up to 25%% on these short noisy runs).
-	if res.Load1With < res.Load1Without*0.9 {
-		t.Fatalf("load with rescheduler (%v) below baseline (%v)", res.Load1With, res.Load1Without)
+	// The rescheduler costs something, and little: 5.1 % of the load and
+	// 4.0 % of the CPU here (paper: < 4 %, and 0.4 % on the 5-minute load).
+	if res.Load1OverheadPct <= 0 || res.Load1OverheadPct > 6 {
+		t.Fatalf("load overhead = %v%%, want (0, 6]", res.Load1OverheadPct)
 	}
-	if res.Load1OverheadPct > 25 {
-		t.Fatalf("load overhead = %v%%, want small", res.Load1OverheadPct)
-	}
-	if res.CPUOverheadPct > 25 || res.CPUOverheadPct < -10 {
-		t.Fatalf("cpu overhead = %v%%", res.CPUOverheadPct)
+	if res.CPUOverheadPct <= 0 || res.CPUOverheadPct > 5 {
+		t.Fatalf("cpu overhead = %v%%, want (0, 5]", res.CPUOverheadPct)
 	}
 	// Communication overhead is ~zero (paper: "almost no overhead").
-	if res.SentOverheadPct > 15 || res.RecvOverheadPct > 15 {
-		t.Fatalf("comm overhead = %v%% / %v%%", res.SentOverheadPct, res.RecvOverheadPct)
+	if res.SentOverheadPct > 2 || res.RecvOverheadPct > 2 {
+		t.Fatalf("comm overhead = %v%% / %v%%, want <= 2%%", res.SentOverheadPct, res.RecvOverheadPct)
 	}
-	// Baseline communication is in the right ballpark (~6 KB/s).
-	if res.SentWithout < 2 || res.SentWithout > 12 {
-		t.Fatalf("baseline send = %v KB/s, want ~5.8", res.SentWithout)
+	// Baseline communication is the paper's ~6 KB/s.
+	if res.SentWithout < 5.7 || res.SentWithout > 5.9 {
+		t.Fatalf("baseline send = %v KB/s, want 5.8", res.SentWithout)
 	}
 	out := res.Render()
 	for _, frag := range []string{"Figure 5", "Figure 6", "overhead"} {
@@ -51,10 +49,8 @@ func TestOverheadShape(t *testing.T) {
 }
 
 func TestEfficiencyShape(t *testing.T) {
-	// Scale 100: virtual-time distortion from wall-clock contention stays
-	// small even when the whole test suite runs in parallel.
 	res, err := RunEfficiency(EfficiencyConfig{
-		Params:    Params{Scale: 100, Seed: 2},
+		Params:    Params{Seed: 2},
 		AppStart:  60 * time.Second,
 		LoadStart: 120 * time.Second,
 		Warmup:    3,
@@ -69,27 +65,23 @@ func TestEfficiencyShape(t *testing.T) {
 		t.Fatalf("phase ordering broken: %+v", res)
 	}
 	// The reaction is damped (the paper's 72 s with warmup 7; here warmup 3
-	// at 10 s monitoring means at least ~20 s).
-	if res.ReactionTime < 15*time.Second {
-		t.Fatalf("reaction = %v, want damped (>15s)", res.ReactionTime)
+	// at 10 s monitoring: 52 s).
+	if res.ReactionTime < 40*time.Second || res.ReactionTime > 60*time.Second {
+		t.Fatalf("reaction = %v, want damped, 40-60 s", res.ReactionTime)
 	}
-	// The spawn phase reflects the LAM-like latency (~0.3 s).
-	if res.InitTime < 200*time.Millisecond || res.InitTime > 3*time.Second {
-		t.Fatalf("init = %v, want ~0.3s", res.InitTime)
+	// The spawn phase is the LAM-like latency exactly (paper: 0.3 s).
+	if res.InitTime != 300*time.Millisecond {
+		t.Fatalf("init = %v, want 0.3s", res.InitTime)
 	}
-	// Migration completes in seconds, not minutes (paper: 7.5 s). The
-	// bound is generous because wall-clock contention from concurrently
-	// running test binaries inflates virtual time at this scale.
-	if res.MigrationTime < time.Second || res.MigrationTime > 75*time.Second {
-		t.Fatalf("migration = %v, want seconds not minutes", res.MigrationTime)
+	// Migration completes in seconds (paper: 7.5 s; here 4.6 s).
+	if res.MigrationTime < 4*time.Second || res.MigrationTime > 5*time.Second {
+		t.Fatalf("migration = %v, want 4-5 s", res.MigrationTime)
 	}
 	// Restoration overlaps execution: resume strictly before restore done.
 	if !res.Record.ResumeAt.Before(res.Record.RestoreDone) {
 		t.Fatalf("no restore/execute overlap: %+v", res.Record)
 	}
 	// Figure 7's shape: ws2 goes from idle to busy across the migration.
-	// Absolute utilisation is depressed by wall-clock contention when the
-	// whole suite runs in parallel, so compare before against after.
 	migrated := res.Record.RestoreDone
 	started := res.Recorder.Start().Add(res.AppStart)
 	cpu2Before := res.Recorder.Series("ws2/cpu").Window(started, migrated)
@@ -97,7 +89,7 @@ func TestEfficiencyShape(t *testing.T) {
 	if len(cpu2After.Points) == 0 {
 		t.Fatal("no post-migration samples on ws2")
 	}
-	if after, before := cpu2After.Mean(), cpu2Before.Mean(); after < 30 || after < before+20 {
+	if after, before := cpu2After.Mean(), cpu2Before.Mean(); after < 99 || before > 1 {
 		t.Fatalf("ws2 cpu: before=%v%% after=%v%%, want a clear jump (app runs there)", before, after)
 	}
 	out := res.Render()
@@ -110,7 +102,7 @@ func TestEfficiencyShape(t *testing.T) {
 // scheduler into a pointless migration, and must NOT fool a well-damped
 // one — the Section 5.2 rationale for the reaction delay.
 func TestFalseMigrationDamping(t *testing.T) {
-	params := Params{Scale: 200, Seed: 5}
+	params := Params{Seed: 5}
 	hasty, err := runFalseMigration(params, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +121,7 @@ func TestFalseMigrationDamping(t *testing.T) {
 
 func TestPoliciesShape(t *testing.T) {
 	rows, err := RunPolicies(PoliciesConfig{
-		Params: Params{Scale: 100, Seed: 3},
+		Params: Params{Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,20 +152,17 @@ func TestPoliciesShape(t *testing.T) {
 		t.Fatalf("no-migration run only %.1fx slower, want >1.5x", p1.TotalSec/p3.TotalSec)
 	}
 	// The application runs substantially slower on the communicating ws2
-	// than on the free ws4 (paper: 199 s vs 115 s on the destination) —
-	// the protocol-processing CPU cost, a large and noise-proof margin.
-	if p2.DestSec < p3.DestSec*1.15 {
-		t.Fatalf("dest times: p2=%v p3=%v, want p2 clearly slower on the communicating host",
+	// than on the free ws4 (paper: 199 s vs 115 s on the destination; here
+	// 440 s vs 283 s) — the protocol-processing CPU cost.
+	if p2.DestSec < p3.DestSec*1.5 {
+		t.Fatalf("dest times: p2=%v p3=%v, want p2 1.5x slower on the communicating host",
 			p2.DestSec, p3.DestSec)
 	}
-	// Both migrations moved real state. The migration-time ordering of the
-	// paper (8.31 s into the communicating host vs 6.71 s into the free
-	// one) rests on fair-share NIC contention; wall-clock jitter at this
-	// compression can exceed that gap, so the ordering itself is pinned by
-	// the low-noise TestTransferSlowerIntoCommBusyHost and by the
-	// canonical cmd/repro run recorded in EXPERIMENTS.md.
-	if p2.TransferSec <= 0 || p3.TransferSec <= 0 {
-		t.Fatalf("transfer times: p2=%v p3=%v", p2.TransferSec, p3.TransferSec)
+	// Table 2's migration-time ordering (8.31 s into the communicating host
+	// vs 6.71 s into the free one): the state shares ws2's receive path with
+	// the ws5 flow, so under fair share its transfer takes twice as long.
+	if r := p2.TransferSec / p3.TransferSec; p3.TransferSec <= 0 || r < 1.98 || r > 2.02 {
+		t.Fatalf("transfer times: p2=%v p3=%v, want p2 = 2 x p3", p2.TransferSec, p3.TransferSec)
 	}
 	out := RenderPolicies(rows)
 	if !strings.Contains(out, "policy3") || !strings.Contains(out, "ws4") {

@@ -78,7 +78,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 		t.Skip("chaos sweep in -short mode")
 	}
 	rows, err := RunChaos(ChaosConfig{
-		Params: Params{Scale: 1000, Seed: 3},
+		Params: Params{Seed: 3},
 		live:   &livemig.Config{},
 	})
 	if err != nil {

@@ -8,14 +8,14 @@ import (
 )
 
 // TestChaosResizeScenariosAreDeterministic runs the two malleability crash
-// scenarios twice with the same seed and requires the deterministic report
-// section to be byte-identical. It also pins the two crash-window outcomes:
+// scenarios twice with the same seed and requires the report to be
+// byte-identical. It also pins the two crash-window outcomes:
 // losing a freshly spawned rank mid-expand aborts the resize cleanly (the
 // job completes at the old size), and losing a victim host mid-shrink after
 // the drain does not stop the shrink from committing.
 func TestChaosResizeScenariosAreDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
-		Params:    Params{Scale: 1000, Seed: 7},
+		Params:    Params{Seed: 7},
 		scenarios: []string{"resize-crash-new-rank", "resize-crash-victim"},
 	}
 	run := func() ([]ChaosRow, string) {
@@ -23,12 +23,12 @@ func TestChaosResizeScenariosAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, RenderChaosDeterministic(rows)
+		return rows, RenderChaos(rows)
 	}
 	rows1, out1 := run()
 	_, out2 := run()
 	if out1 != out2 {
-		t.Fatalf("deterministic sections differ:\n--- first\n%s\n--- second\n%s", out1, out2)
+		t.Fatalf("reports differ:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 	if len(rows1) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows1))
@@ -58,26 +58,26 @@ func TestChaosResizeScenariosAreDeterministic(t *testing.T) {
 }
 
 // TestMalleableExperimentDeterministicAndOrdered runs the three-arm
-// malleability experiment twice with the same seed: the deterministic
-// section (resize trajectories, counters, outcomes) must be byte-identical,
+// malleability experiment twice with the same seed: the report (resize
+// trajectories, counters, outcomes, completion times) must be byte-identical,
 // and the headline ordering malleable <= migrate <= fixed must hold with
 // the arms' expected final shapes.
 func TestMalleableExperimentDeterministicAndOrdered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-arm churn runs in -short mode")
 	}
-	cfg := MalleableConfig{Params: Params{Scale: 2000, Seed: 5}}
+	cfg := MalleableConfig{Params: Params{Seed: 5}}
 	run := func() ([]MalleableRow, string) {
 		rows, err := RunMalleable(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, RenderMalleableDeterministic(rows)
+		return rows, RenderMalleable(rows)
 	}
 	rows1, out1 := run()
 	_, out2 := run()
 	if out1 != out2 {
-		t.Fatalf("deterministic sections differ:\n--- first\n%s\n--- second\n%s", out1, out2)
+		t.Fatalf("reports differ:\n--- first\n%s\n--- second\n%s", out1, out2)
 	}
 	byArm := map[string]MalleableRow{}
 	for _, r := range rows1 {

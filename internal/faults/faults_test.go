@@ -82,7 +82,7 @@ func TestStatusTapDropsDuplicatesAndConsumes(t *testing.T) {
 // carry no monitors unless the caller adds nodes.
 func newBoundInjector(t *testing.T) (*Injector, *core.System, *metrics.Registry) {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 1000)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
 		t.Fatal(err)
@@ -239,11 +239,7 @@ func TestRunAppliesInAfterOrderAndReportsUnboundTargets(t *testing.T) {
 		{After: time.Second, Kind: KindSubmitJob, Proc: "solo"},
 		{After: 2 * time.Second, Kind: KindSubmitJob, Proc: "ghost"},
 	}})
-	select {
-	case <-in.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("injector never finished")
-	}
+	vclock.Await(sys.Clock(), in.Done())
 	want := []string{
 		"+1s     submit-job       proc=solo",
 		`+2s     submit-job       proc=ghost error=faults: no job spec bound as "ghost"`,
@@ -296,11 +292,7 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 		{After: 4 * time.Second, Kind: KindSubmitJob, Proc: "solo"},
 		{After: 5 * time.Second, Kind: KindResize, Hosts: []string{"ws1", "ws2"}},
 	}})
-	select {
-	case <-in.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("injector never finished")
-	}
+	vclock.Await(sys.Clock(), in.Done())
 	applied := in.Applied()
 	if len(applied) != 5 {
 		t.Fatalf("applied %d events, want 5: %v", len(applied), applied)
@@ -320,10 +312,8 @@ func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	if len(submitted) != 1 {
 		t.Fatalf("submitted job handles = %d, want 1", len(submitted))
 	}
-	select {
-	case <-submitted[0].Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("submitted job never finished")
+	if err := submitted[0].Wait(); err != nil {
+		t.Fatalf("submitted job: %v", err)
 	}
 	if err := submitted[0].Err(); err != nil {
 		t.Fatalf("submitted job: %v", err)

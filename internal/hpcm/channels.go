@@ -3,6 +3,8 @@ package hpcm
 import (
 	"fmt"
 	"sync"
+
+	"autoresched/internal/vclock"
 )
 
 // Communication state transfer: the paper's processes keep communicating
@@ -30,14 +32,14 @@ type appMsg struct {
 // mailbox is the process-owned message queue.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   *vclock.Cond
 	queue  []appMsg
 	closed bool
 }
 
-func newMailbox() *mailbox {
+func newMailbox(clock vclock.Clock) *mailbox {
 	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
+	m.cond = vclock.NewCond(clock, &m.mu)
 	return m
 }
 

@@ -116,17 +116,17 @@ func (l *sendLog) Send(from, to string, bytes int64) error {
 // receiver is between incarnations are delivered afterwards, and their
 // bytes are charged on the wire from the old host to the new one.
 func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	wire := &sendLog{inner: modelTransport{clock, time.Millisecond, 100e6}}
 	mw, err := New(Options{Universe: mpi.NewUniverse(mpi.Options{Clock: clock, Transport: wire})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 
 	recvd := make(chan []int, 1)
 	receiver, err := mw.Start("rx", "ws1", func(ctx *Context) error {
-		<-gate // block before the poll so messages pile up pre-migration
+		gate.pass() // block before the poll so messages pile up pre-migration
 		if err := ctx.PollPoint("mid"); err != nil {
 			return err
 		}
@@ -167,7 +167,7 @@ func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
 	}
 	// Now migrate the receiver with the messages still queued.
 	receiver.Signal(Command{DestHost: "ws3"})
-	close(gate)
+	gate.close()
 	if err := receiver.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSendToUnknownAndFinished(t *testing.T) {
 		if err := ctx.SendTo("a", -1, 1); err == nil {
 			return errors.New("negative tag accepted")
 		}
-		<-done
+		vclock.Await(ctx.Clock(), done)
 		// "b" has finished by now; its mailbox is closed.
 		if err := ctx.SendTo("b", 1, 1); err == nil {
 			return errors.New("send to finished process succeeded")
@@ -222,15 +222,15 @@ func TestSendToUnknownAndFinished(t *testing.T) {
 
 func TestDuplicateProcessNameRejected(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
-	gate := make(chan struct{})
-	p, err := mw.Start("dup", "ws1", func(ctx *Context) error { <-gate; return nil })
+	gate := newTurnstile(mw.clock)
+	p, err := mw.Start("dup", "ws1", func(ctx *Context) error { gate.pass(); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mw.Start("dup", "ws2", func(ctx *Context) error { return nil }); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	close(gate)
+	gate.close()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestDuplicateProcessNameRejected(t *testing.T) {
 func TestReceiveUnblocksOnFinish(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
 	p, err := mw.Start("waiter", "ws1", func(ctx *Context) error {
-		go func() {
+		vclock.Go(ctx.Clock(), func() {
 			// Finish the process out from under the blocked receive.
 			ctx.Clock().Sleep(10 * time.Millisecond)
 			ctx.proc.finish(nil)
-		}()
+		})
 		var v int
 		_, err := ctx.ReceiveFrom(AnyPeer, AnyTag, &v)
 		if err == nil {
@@ -262,9 +262,5 @@ func TestReceiveUnblocksOnFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-p.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked receive never released")
-	}
+	vclock.Await(mw.clock, p.Done())
 }

@@ -13,7 +13,7 @@ import (
 
 func newCkptMW(t *testing.T, store CheckpointStore, every time.Duration) *Middleware {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 500)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	mw, err := New(Options{Universe: u, Checkpoints: store, CheckpointEvery: every})
 	if err != nil {
@@ -23,7 +23,7 @@ func newCkptMW(t *testing.T, store CheckpointStore, every time.Duration) *Middle
 }
 
 // ckptMain counts stages; gate controls pacing; emits each stage once.
-func ckptMain(stages int, gate chan struct{}, out func(int)) Main {
+func ckptMain(stages int, gate *turnstile, out func(int)) Main {
 	return func(ctx *Context) error {
 		var next int
 		if err := ctx.Register("next", &next); err != nil {
@@ -31,7 +31,7 @@ func ckptMain(stages int, gate chan struct{}, out func(int)) Main {
 		}
 		for next < stages {
 			if gate != nil {
-				<-gate
+				gate.pass()
 			}
 			out(next)
 			next++
@@ -46,7 +46,7 @@ func ckptMain(stages int, gate chan struct{}, out func(int)) Main {
 func TestCheckpointAndRestoreResumeProgress(t *testing.T) {
 	store := NewMemStore()
 	mw := newCkptMW(t, store, 0)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var mu sync.Mutex
 	var emitted []int
 	out := func(n int) { mu.Lock(); emitted = append(emitted, n); mu.Unlock() }
@@ -55,62 +55,32 @@ func TestCheckpointAndRestoreResumeProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // stage 0
-	gate <- struct{}{} // stage 1
+	gate.open() // stage 0
+	gate.open() // stage 1
 	if err := p.requestCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // stage 2; its poll-point writes the checkpoint
+	gate.open() // stage 2; its poll-point writes the checkpoint
 	for p.Checkpoints() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Host crash. The main may be blocked on the gate or mid-stage, so keep
-	// feeding the gate until the kill takes effect at a poll-point.
+	// Host crash. The main may be blocked on the gate or mid-stage, so let
+	// every stage through until the kill takes effect at a poll-point.
 	p.Kill()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- p.Wait() }()
-	deadline := time.Now().Add(10 * time.Second)
-killLoop:
-	for {
-		select {
-		case err := <-waitErr:
-			if !errors.Is(err, ErrKilled) {
-				t.Fatalf("Wait = %v, want ErrKilled", err)
-			}
-			break killLoop
-		case gate <- struct{}{}:
-		case <-time.After(time.Millisecond):
-			if time.Now().After(deadline) {
-				t.Fatal("kill never took effect")
-			}
-		}
+	gate.close()
+	if err := p.Wait(); !errors.Is(err, ErrKilled) {
+		t.Fatalf("Wait = %v, want ErrKilled", err)
 	}
 
 	// Restore on another host: progress resumes at the checkpointed stage
-	// (2 or 3 depending on which poll-point wrote it), never at zero. Feed
-	// the gate until the restored run completes.
+	// (2 or 3 depending on which poll-point wrote it), never at zero.
 	p2, err := mw.Restore(store, "app", "ws2", ckptMain(6, gate, out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2 := make(chan error, 1)
-	go func() { done2 <- p2.Wait() }()
-	deadline = time.Now().Add(10 * time.Second)
-restoreLoop:
-	for {
-		select {
-		case err := <-done2:
-			if err != nil {
-				t.Fatal(err)
-			}
-			break restoreLoop
-		case gate <- struct{}{}:
-		case <-time.After(time.Millisecond):
-			if time.Now().After(deadline) {
-				t.Fatal("restored run never completed")
-			}
-		}
+	if err := p2.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	if p2.Host() != "ws2" {
 		t.Fatalf("restored host = %s", p2.Host())
@@ -138,7 +108,7 @@ restoreLoop:
 
 func TestAutoCheckpointInterval(t *testing.T) {
 	store := NewMemStore()
-	clock := vclock.Scaled(vclock.Epoch, 500)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	mw, err := New(Options{Universe: u, Checkpoints: store, CheckpointEvery: 5 * time.Second})
 	if err != nil {
@@ -215,9 +185,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 
 func TestKilledDuringCompute(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
-	started := make(chan *Process, 1)
 	p, err := mw.Start("x", "ws1", func(ctx *Context) error {
-		started <- ctx.proc
 		// The null binder computes instantly; loop so Kill lands.
 		for {
 			if err := ctx.Compute(1); err != nil {
@@ -231,7 +199,6 @@ func TestKilledDuringCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
 	p.Kill()
 	if err := p.Wait(); !errors.Is(err, ErrKilled) {
 		t.Fatalf("Wait = %v, want ErrKilled", err)

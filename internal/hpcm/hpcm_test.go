@@ -75,9 +75,52 @@ func (t modelTransport) Send(fromHost, toHost string, bytes int64) error {
 	return nil
 }
 
+// turnstile hands a computation one stage at a time: open blocks until a
+// pass took it, the rendezvous of an unbuffered channel, and close lets
+// every pass through; both sides wait where an Auto clock sees them.
+type turnstile struct {
+	mu            sync.Mutex
+	cond          *vclock.Cond
+	opened, taken int
+	closed        bool
+}
+
+func newTurnstile(clock vclock.Clock) *turnstile {
+	g := &turnstile{}
+	g.cond = vclock.NewCond(clock, &g.mu)
+	return g
+}
+
+func (g *turnstile) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.opened++
+	g.cond.Broadcast()
+	for g.taken < g.opened && !g.closed {
+		g.cond.Wait()
+	}
+}
+
+func (g *turnstile) pass() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.taken == g.opened && !g.closed {
+		g.cond.Wait()
+	}
+	g.taken++
+	g.cond.Broadcast()
+}
+
+func (g *turnstile) close() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.closed = true
+	g.cond.Broadcast()
+}
+
 func newMW(t *testing.T, binder HostBinder, spawnLatency time.Duration) (*Middleware, vclock.Clock) {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{
 		Clock:        clock,
 		Transport:    modelTransport{clock, time.Millisecond, 100e6},
@@ -93,7 +136,7 @@ func newMW(t *testing.T, binder HostBinder, spawnLatency time.Duration) (*Middle
 // stagedMain builds a 5-stage migratable computation that appends stage
 // numbers into a lazily transferred slice. gate, when non-nil, is consumed
 // once per stage so tests can control where poll-points fire.
-func stagedMain(stages int, gate chan struct{}, sink *[]int, sinkMu *sync.Mutex) Main {
+func stagedMain(stages int, gate *turnstile, sink *[]int, sinkMu *sync.Mutex) Main {
 	return func(ctx *Context) error {
 		var next int
 		var acc []int
@@ -110,7 +153,7 @@ func stagedMain(stages int, gate chan struct{}, sink *[]int, sinkMu *sync.Mutex)
 		}
 		for next < stages {
 			if gate != nil {
-				<-gate
+				gate.pass()
 			}
 			acc = append(acc, next)
 			// Advance the persistent counter BEFORE the poll-point so a
@@ -153,7 +196,7 @@ func TestRunsToCompletionWithoutMigration(t *testing.T) {
 func TestMigrationPreservesStateAndCompletes(t *testing.T) {
 	binder := &testBinder{}
 	mw, _ := newMW(t, binder, 10*time.Millisecond)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(5, gate, &got, &mu))
@@ -161,12 +204,12 @@ func TestMigrationPreservesStateAndCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let two stages run on ws1.
-	gate <- struct{}{}
-	gate <- struct{}{}
+	gate.open()
+	gate.open()
 	// Order migration before stage 3's poll-point.
 	p.Signal(Command{DestHost: "ws2"})
 	for i := 0; i < 3; i++ {
-		gate <- struct{}{}
+		gate.open()
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -224,7 +267,7 @@ func TestMigrationPreservesStateAndCompletes(t *testing.T) {
 func TestChainedMigrations(t *testing.T) {
 	const stages = 8
 	mw, _ := newMW(t, nil, 0)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(stages, gate, &got, &mu))
@@ -236,32 +279,15 @@ func TestChainedMigrations(t *testing.T) {
 		if sent >= stages {
 			t.Fatal("workload exhausted before both migrations happened")
 		}
-		gate <- struct{}{}
+		gate.open()
 		sent++
 	}
 	// feed runs stages until the process has completed n migrations; a
 	// signal becomes visible at the first poll-point that follows it, so at
 	// most a couple of stages are consumed per migration.
 	feed := func(n int) {
-		deadline := time.Now().Add(10 * time.Second)
 		for p.Migrations() < n {
 			send()
-			for p.Migrations() < n && time.Now().Before(deadline) {
-				if sent < stages {
-					select {
-					case gate <- struct{}{}:
-						sent++
-						continue
-					case <-time.After(10 * time.Millisecond):
-					}
-				} else {
-					time.Sleep(time.Millisecond)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("migration %d never happened", n)
-			}
 		}
 	}
 	send()
@@ -270,7 +296,7 @@ func TestChainedMigrations(t *testing.T) {
 	p.Signal(Command{DestHost: "ws3"})
 	feed(2)
 	for sent < stages {
-		gate <- struct{}{}
+		gate.open()
 		sent++
 	}
 	if err := p.Wait(); err != nil {
@@ -298,7 +324,7 @@ func TestChainedMigrations(t *testing.T) {
 func TestMigrationFailureContinuesLocally(t *testing.T) {
 	binder := &testBinder{}
 	mw, _ := newMW(t, binder, 0)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var mu sync.Mutex
 	var pollErr error
@@ -309,7 +335,7 @@ func TestMigrationFailureContinuesLocally(t *testing.T) {
 			return err
 		}
 		for ; next < 3; next++ {
-			<-gate
+			gate.pass()
 			if err := ctx.PollPoint("p"); err != nil {
 				if errors.Is(err, ErrMigrated) {
 					return err
@@ -329,9 +355,9 @@ func TestMigrationFailureContinuesLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Signal(Command{DestHost: "bad-host"})
-	gate <- struct{}{}
-	gate <- struct{}{}
-	gate <- struct{}{}
+	gate.open()
+	gate.open()
+	gate.open()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +450,7 @@ func TestContextAccessors(t *testing.T) {
 
 func TestSignalReplacesPending(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(2, gate, &got, &mu))
@@ -433,8 +459,8 @@ func TestSignalReplacesPending(t *testing.T) {
 	}
 	p.Signal(Command{DestHost: "wsOld"})
 	p.Signal(Command{DestHost: "ws2"}) // replaces the stale order
-	gate <- struct{}{}
-	gate <- struct{}{}
+	gate.open()
+	gate.open()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +472,7 @@ func TestSignalReplacesPending(t *testing.T) {
 func TestLazyRestorationOverlapsExecution(t *testing.T) {
 	// A large lazy blob with a tight model bandwidth: the resumed
 	// incarnation must start before restoration finishes.
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{
 		Clock:     clock,
 		Transport: modelTransport{clock: clock, bandwidth: 1e6}, // 1 MB/s virtual

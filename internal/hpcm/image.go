@@ -72,6 +72,7 @@ import (
 	"sort"
 
 	"autoresched/internal/mpi"
+	"autoresched/internal/vclock"
 )
 
 const imageMagic = 0xC5
@@ -241,8 +242,8 @@ func sendLazy(inter *mpi.Comm, chunks [][]byte) error {
 // returns that image's inventory with a savedState holding every eager
 // segment — a region the rounds assembled included — complete. A stream the
 // source cancelled returns no state and no error.
-func receiveState(parent *mpi.Comm) (image, *savedState, error) {
-	saved := newSavedState(image{})
+func receiveState(clock vclock.Clock, parent *mpi.Comm) (image, *savedState, error) {
+	saved := newSavedState(clock, image{})
 	for {
 		var hdr []byte
 		if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {
@@ -380,7 +381,7 @@ func unmarshalImage(data []byte) (image, *savedState, error) {
 		return image{}, nil, fmt.Errorf("hpcm: state image has %d trailing bytes", left)
 	}
 	body = append([]byte(nil), body...)
-	saved := newSavedState(img)
+	saved := newSavedState(nil, img) // complete: nothing awaits
 	for _, s := range img.Segments {
 		saved.completeLazy(s.Name, body[:s.Size:s.Size])
 		body = body[s.Size:]

@@ -208,7 +208,7 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 		{"paged-live", &livemig.Config{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			clock := vclock.Scaled(vclock.Epoch, 200)
+			clock := vclock.NewAuto(vclock.Epoch)
 			store := NewMemStore()
 			mw, err := New(Options{
 				Universe: mpi.NewUniverse(mpi.Options{
@@ -228,11 +228,11 @@ func TestOneStateSetBothCarriers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			source := <-out
 			p.Signal(Command{DestHost: "ws2"})
 			if err := p.Wait(); err != nil {
 				t.Fatal(err)
 			}
+			source := <-out
 			if streamed := <-out; !streamed.equal(source) {
 				t.Fatalf("streamed state differs from the source:\n got %+v\nwant %+v", streamed, source)
 			}
@@ -685,7 +685,7 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 				}
 				return
 			}
-			img, saved, err := receiveState(child.Parent)
+			img, saved, err := receiveState(child.U.Clock(), child.Parent)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -713,7 +713,7 @@ func TestChunkOverrunFailsTheRestoration(t *testing.T) {
 	if err := sendLazy(parent, sent.chunks(true, testChunk)); err != nil {
 		t.Fatal(err)
 	}
-	err := newSavedState(told).restore(child.Parent, told, true)
+	err := newSavedState(nil, told).restore(child.Parent, told, true)
 	if err == nil || !strings.Contains(err.Error(), "overruns") {
 		t.Fatalf("restore = %v, want an overrun error", err)
 	}
@@ -728,7 +728,7 @@ func TestLazyChunksCostNoCodec(t *testing.T) {
 	img := image{Segments: []segment{{Name: "bulk", Lazy: true, Size: len(data), Data: data}}}
 	cost := func(chunk int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			saved := newSavedState(img)
+			saved := newSavedState(nil, img)
 			if err := sendLazy(parent, img.chunks(true, chunk)); err != nil {
 				t.Fatal(err)
 			}

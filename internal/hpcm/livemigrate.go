@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"autoresched/internal/livemig"
+	"autoresched/internal/vclock"
 )
 
 // Live migration: iterative precopy as an optional prefix of the Section 3
@@ -49,7 +50,7 @@ func (c *Context) startPrecopy(att *attempt) {
 	p.mu.Unlock()
 
 	p.xfer.Add(1)
-	go func() {
+	vclock.Go(p.mw.clock, func() {
 		defer p.xfer.Done()
 		att.res, att.err = livemig.Precopy(att.pages, att.cancelled.Load, func(round int, ids []int, parts [][]byte) error {
 			img := image{Round: round, Segments: []segment{att.delta(ids, parts)}}
@@ -65,7 +66,7 @@ func (c *Context) startPrecopy(att *attempt) {
 			att.release()
 		}
 		close(att.done)
-	}()
+	})
 }
 
 // pollLive resolves an in-flight live attempt. handled=false means no

@@ -24,7 +24,7 @@ const (
 // rewrites the first word of dirtyPages pages with stage-distinct values.
 // gate, when non-nil, is consumed once per stage; otherwise each stage
 // advances the virtual clock so precopy rounds have time to ship.
-func pagedMain(stages, dirtyPages int, gate chan struct{}, sum *float64, mu *sync.Mutex) Main {
+func pagedMain(stages, dirtyPages int, gate *turnstile, sum *float64, mu *sync.Mutex) Main {
 	return func(ctx *Context) error {
 		var next int
 		pages, err := livemig.NewPages(livePages*livePageWords*8, livePageWords*8)
@@ -51,7 +51,7 @@ func pagedMain(stages, dirtyPages int, gate chan struct{}, sum *float64, mu *syn
 		}
 		for next < stages {
 			if gate != nil {
-				<-gate
+				gate.pass()
 			} else {
 				ctx.Sleep(10 * time.Millisecond)
 			}
@@ -88,9 +88,10 @@ func expectedPagedSum(stages, dirtyPages int) float64 {
 
 func newLiveMW(t *testing.T, transport mpi.Transport, live *livemig.Config, obs func(MigrationEvent)) (*Middleware, vclock.Clock) {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	if st, ok := transport.(*latchTransport); ok && st.inner == nil {
 		st.inner = modelTransport{clock, time.Millisecond, 1e6}
+		st.clock = clock
 	}
 	if transport == nil {
 		transport = modelTransport{clock, time.Millisecond, 1e6}
@@ -202,6 +203,7 @@ func TestLiveMigrationFreezesAndPreservesRegion(t *testing.T) {
 // way.
 type latchTransport struct {
 	inner mpi.Transport
+	clock vclock.Clock
 
 	mu      sync.Mutex
 	armed   bool
@@ -217,16 +219,7 @@ func newLatch() *latchTransport {
 // launched — a cancelled destination's initialized process included — exits.
 func awaitDrained(t *testing.T, mw *Middleware) {
 	t.Helper()
-	drained := make(chan struct{})
-	go func() {
-		mw.universe.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled destination never released")
-	}
+	mw.universe.Wait()
 }
 
 // rearm holds the next send behind fresh held and release channels.
@@ -254,7 +247,7 @@ func (t *latchTransport) Send(from, to string, bytes int64) error {
 	release := t.release
 	t.mu.Unlock()
 	if hold {
-		<-release
+		vclock.Await(t.clock, release)
 	}
 	return t.inner.Send(from, to, bytes)
 }
@@ -274,6 +267,7 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	const stages, dirty = 6, 12
 	latch := newLatch()
 	log := &phaseLog{}
+	var mw *Middleware
 	// Once round 1 is on the wire, hold round 2 as well; the log sees the
 	// round after the latch is rearmed.
 	observe := func(ev MigrationEvent) {
@@ -284,7 +278,7 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	}
 	awaitRound := func(n int) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); ; mw.clock.Sleep(time.Millisecond) {
 			rounds := 0
 			for _, phase := range log.phases() {
 				if phase == PhasePrecopy {
@@ -299,8 +293,8 @@ func runLiveFallback(t *testing.T, preinit bool) {
 			}
 		}
 	}
-	mw, _ := newLiveMW(t, latch, &livemig.Config{}, observe)
-	gate := make(chan struct{})
+	mw, _ = newLiveMW(t, latch, &livemig.Config{}, observe)
+	gate := newTurnstile(mw.clock)
 	var sum float64
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", pagedMain(stages, dirty, gate, &sum, &mu))
@@ -313,25 +307,25 @@ func runLiveFallback(t *testing.T, preinit bool) {
 		}
 	}
 	p.Signal(Command{DestHost: "ws2"})
-	gate <- struct{}{} // stage 1: poll consumes the command, precopy starts
-	<-latch.held       // round 1 snapshotted and pinned on the wire
-	gate <- struct{}{} // stage 2: dirties pages behind round 1's watermark
-	gate <- struct{}{} // stage 3: more dirtying; round 1 still on the wire
+	gate.open()                        // stage 1: poll consumes the command, precopy starts
+	vclock.Await(mw.clock, latch.held) // round 1 snapshotted and pinned on the wire
+	gate.open()                        // stage 2: dirties pages behind round 1's watermark
+	gate.open()                        // stage 3: more dirtying; round 1 still on the wire
 	close(latch.release)
 	// Round 1 lands with a 12-page residual and the driver continues; round
 	// 2 takes its snapshot and is held.
 	awaitRound(1)
 	held, release := latch.channels()
-	<-held
-	gate <- struct{}{} // stage 4: dirties the same 12 pages behind round 2
+	vclock.Await(mw.clock, held)
+	gate.open() // stage 4: dirties the same 12 pages behind round 2
 	close(release)
 	// Round 2 lands with the same residual: stalled, and too large to
 	// freeze. Wait for the driver's verdict before feeding the stage whose
 	// poll-point resolves it.
 	awaitRound(2)
-	time.Sleep(10 * time.Millisecond) // let the driver publish its decision
-	gate <- struct{}{}                // stage 5: fallback resolves here
-	gate <- struct{}{}                // stage 6
+	mw.clock.Sleep(10 * time.Millisecond) // let the driver publish its decision
+	gate.open()                           // stage 5: fallback resolves here
+	gate.open()                           // stage 6
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +370,7 @@ func TestEndingMidPrecopyReleasesTheDestination(t *testing.T) {
 			latch := newLatch()
 			log := &phaseLog{}
 			mw, _ := newLiveMW(t, latch, &livemig.Config{}, log.observe)
-			gate := make(chan struct{})
+			gate := newTurnstile(mw.clock)
 			var sum float64
 			var mu sync.Mutex
 			p, err := mw.Start("app", "ws1", pagedMain(2, 2, gate, &sum, &mu))
@@ -384,13 +378,13 @@ func TestEndingMidPrecopyReleasesTheDestination(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Signal(Command{DestHost: "ws2"})
-			gate <- struct{}{} // stage 1: poll consumes the command, precopy starts
-			<-latch.held       // round 1 snapshotted and pinned on the wire
+			gate.open()                        // stage 1: poll consumes the command, precopy starts
+			vclock.Await(mw.clock, latch.held) // round 1 snapshotted and pinned on the wire
 			if tc.evict {
 				p.Evict()
 			}
-			gate <- struct{}{} // stage 2: the last one, or the eviction's poll-point
-			<-p.Done()         // the process is over; its round is still on the wire
+			gate.open()                      // stage 2: the last one, or the eviction's poll-point
+			vclock.Await(mw.clock, p.Done()) // the process is over; its round is still on the wire
 			close(latch.release)
 			if err := p.Wait(); !errors.Is(err, tc.want) {
 				t.Fatalf("Wait = %v, want %v", err, tc.want)
@@ -406,7 +400,7 @@ func TestEndingMidPrecopyReleasesTheDestination(t *testing.T) {
 func TestLiveWithoutPagedRegionMigratesClassically(t *testing.T) {
 	log := &phaseLog{}
 	mw, _ := newLiveMW(t, nil, &livemig.Config{}, log.observe)
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(3, gate, &got, &mu))
@@ -415,7 +409,7 @@ func TestLiveWithoutPagedRegionMigratesClassically(t *testing.T) {
 	}
 	p.Signal(Command{DestHost: "ws2"})
 	for i := 0; i < 3; i++ {
-		gate <- struct{}{}
+		gate.open()
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -434,7 +428,7 @@ func TestPagedRegionMigratesClassicallyWithoutLiveOption(t *testing.T) {
 	const stages, dirty = 6, 2
 	log := &phaseLog{}
 	mw, _ := newLiveMW(t, nil, nil, log.observe) // no Options.Live
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var sum float64
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", pagedMain(stages, dirty, gate, &sum, &mu))
@@ -443,7 +437,7 @@ func TestPagedRegionMigratesClassicallyWithoutLiveOption(t *testing.T) {
 	}
 	p.Signal(Command{DestHost: "ws2"})
 	for i := 0; i < stages; i++ {
-		gate <- struct{}{}
+		gate.open()
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -481,7 +475,7 @@ func (t *cuttableTransport) Send(from, to string, bytes int64) error {
 // destination must not wedge — its Await unblocks with the post-commit
 // failure and the process settles with a Committed MigrationFailure.
 func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cut := &cuttableTransport{inner: modelTransport{clock, time.Millisecond, 1e6}}
 	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: cut, SpawnLatency: 10 * time.Millisecond})
 	log := &phaseLog{}

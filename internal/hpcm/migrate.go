@@ -7,6 +7,7 @@ import (
 
 	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
+	"autoresched/internal/vclock"
 )
 
 // Wire tags of the state-transfer protocol on the parent/child
@@ -274,7 +275,8 @@ func (c *Context) completeMigration(att *attempt, oldHP HostProc, recIdx int) er
 func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 	// Failures from here to the resume handshake are reported back, so the
 	// source can resume locally instead of hanging.
-	img, saved, err := receiveState(parent)
+	clock := env.U.Clock()
+	img, saved, err := receiveState(clock, parent)
 	if err != nil {
 		_ = parent.Send(statusText(err), 0, tagResumed)
 		return err
@@ -303,14 +305,17 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 	// Background restoration of lazy state, overlapping execution. Its
 	// outcome goes back to the source either way: a destination that cannot
 	// use the stream must not leave the source waiting for the handshake.
-	restoreErr := make(chan error, 1)
-	go func() {
+	var rerr error
+	restored := make(chan struct{})
+	vclock.Go(clock, func() {
+		defer close(restored)
 		err := saved.restore(parent, img, true)
-		restoreErr <- errors.Join(err, parent.Send(statusText(err), 0, tagRestored))
-	}()
+		rerr = errors.Join(err, parent.Send(statusText(err), 0, tagRestored))
+	})
 
 	err = p.incarnation(env, img.Label, saved)
-	if rerr := <-restoreErr; rerr != nil && err == nil {
+	vclock.Await(clock, restored)
+	if rerr != nil && err == nil {
 		err = fmt.Errorf("hpcm: lazy restoration: %w", rerr)
 	}
 	return err

@@ -19,7 +19,7 @@ func TestObserverSeesPhaseSequence(t *testing.T) {
 		phases = append(phases, ev.Phase)
 		mu.Unlock()
 	})
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var sinkMu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(3, gate, &got, &sinkMu))
@@ -28,7 +28,7 @@ func TestObserverSeesPhaseSequence(t *testing.T) {
 	}
 	p.Signal(Command{DestHost: "ws2"})
 	for i := 0; i < 3; i++ {
-		gate <- struct{}{}
+		gate.open()
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	gate := make(chan struct{})
+	gate := newTurnstile(mw.clock)
 	var got []int
 	var sinkMu sync.Mutex
 	p, err := mw.Start("app", "ws1", stagedMain(3, gate, &got, &sinkMu))
@@ -68,7 +68,7 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 	// "bad*" hosts fail Attach on the destination, so the initialized
 	// process reports failure before the commit point.
 	p.Signal(Command{DestHost: "badhost"})
-	gate <- struct{}{}
+	gate.open()
 	err = p.Wait()
 	var mf *MigrationFailure
 	if !errors.As(err, &mf) {
@@ -97,7 +97,7 @@ func TestAbortedMigrationReturnsRecoverableFailure(t *testing.T) {
 }
 
 func TestSavedStateFailUnblocksAwaiters(t *testing.T) {
-	s := newSavedState(image{Segments: []segment{{Name: "never"}}}) // declared, never delivered
+	s := newSavedState(nil, image{Segments: []segment{{Name: "never"}}}) // declared, never delivered
 	errc := make(chan error, 1)
 	go func() {
 		_, err := s.awaitLazy("never")
@@ -114,7 +114,7 @@ func TestSavedStateFailUnblocksAwaiters(t *testing.T) {
 		t.Fatal("awaitLazy still blocked after fail")
 	}
 	// Blobs completed before the failure stay readable.
-	s2 := newSavedState(image{})
+	s2 := newSavedState(nil, image{})
 	s2.completeLazy("ok", []byte("x"))
 	s2.fail(cause)
 	sl, err := s2.awaitLazy("ok")

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"autoresched/internal/vclock"
 )
 
-// preinitMain: one poll-point, lazy payload, completes after migration.
+// preinitMain: one poll-point a second in, lazy payload, completes after
+// migration. The second is the test's to pre-initialize and signal.
 func preinitMain(payload int) Main {
 	return func(ctx *Context) error {
 		bulk := make([]byte, payload)
@@ -14,6 +17,7 @@ func preinitMain(payload int) Main {
 			return err
 		}
 		if !ctx.Resumed() {
+			ctx.Sleep(time.Second)
 			if err := ctx.PollPoint("go"); err != nil {
 				return err
 			}
@@ -78,7 +82,7 @@ func TestPreInitUnusedReleasedOnCompletion(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
 	gate := make(chan struct{})
 	p, err := mw.Start("app", "ws1", func(ctx *Context) error {
-		<-gate // hold the process open until the preinits exist
+		vclock.Await(ctx.Clock(), gate) // hold the process open until the preinits exist
 		return ctx.PollPoint("only")
 	})
 	if err != nil {
@@ -99,16 +103,7 @@ func TestPreInitUnusedReleasedOnCompletion(t *testing.T) {
 	}
 	// The waiting children's Accept calls must be released; the universe
 	// drains (no goroutine stays blocked on a port forever).
-	done := make(chan struct{})
-	go func() {
-		mw.universe.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pre-initialized children never released")
-	}
+	mw.universe.Wait()
 	if err := p.PreInit("ws4"); err == nil {
 		t.Fatal("PreInit after completion accepted")
 	}

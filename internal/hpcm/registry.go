@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"autoresched/internal/livemig"
+	"autoresched/internal/vclock"
 )
 
 // registry is the memory-state table HPCM's precompiler would have
@@ -32,7 +33,7 @@ type entry struct {
 // the background stream for lazy state.
 type savedState struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  *vclock.Cond
 	slots map[string]slot
 	err   error // the inbound stream died; missing segments never arrive
 }
@@ -43,10 +44,11 @@ type slot struct {
 	ready bool
 }
 
-// newSavedState declares every segment of img's inventory, none arrived.
-func newSavedState(img image) *savedState {
+// newSavedState declares every segment of img's inventory, none arrived;
+// its awaiters run on clock.
+func newSavedState(clock vclock.Clock, img image) *savedState {
 	s := &savedState{slots: make(map[string]slot, len(img.Segments))}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond = vclock.NewCond(clock, &s.mu)
 	s.declare(img)
 	return s
 }

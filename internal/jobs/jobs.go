@@ -138,7 +138,7 @@ func (j *Job) Requeues() int {
 // Wait blocks until the job reaches a terminal state and returns its error
 // (nil for Completed).
 func (j *Job) Wait() error {
-	<-j.done
+	vclock.Await(j.q.clock, j.done)
 	j.q.mu.Lock()
 	defer j.q.mu.Unlock()
 	return j.err

@@ -230,7 +230,7 @@ type Job struct {
 	result          []byte
 	err             error
 
-	wg   sync.WaitGroup
+	wg   vclock.WaitGroup
 	done chan struct{}
 }
 
@@ -390,8 +390,8 @@ func (j *Job) Stop() { j.fail(ErrStopped) }
 // state (from App.Merge over the last world's shards) or the terminal
 // error.
 func (j *Job) Wait() ([]byte, error) {
-	<-j.done
-	j.wg.Wait()
+	vclock.Await(j.clock, j.done)
+	j.wg.Wait(j.clock)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.err

@@ -157,7 +157,7 @@ func hosts(prefix string, n int) []string {
 }
 
 func TestExpandCommit(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 64, steps: 12}
 	log := &eventLog{}
@@ -212,7 +212,7 @@ func TestExpandCommit(t *testing.T) {
 }
 
 func TestShrinkCommit(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 60, steps: 10}
 	log := &eventLog{}
@@ -252,7 +252,7 @@ func TestShrinkCommit(t *testing.T) {
 }
 
 func TestRepeatedResizes(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 48, steps: 15}
 
@@ -291,7 +291,7 @@ func TestRepeatedResizes(t *testing.T) {
 }
 
 func TestSpawnFailureAborts(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	dead := map[string]bool{"h9": true}
 	var mu sync.Mutex
 	u := mpi.NewUniverse(mpi.Options{Clock: clock, HostCheck: func(h string) error {
@@ -344,7 +344,7 @@ func TestSpawnFailureAborts(t *testing.T) {
 }
 
 func TestCrashNewRankMidExpandAborts(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	var mu sync.Mutex
 	dead := map[string]bool{}
 	u := mpi.NewUniverse(mpi.Options{Clock: clock, HostCheck: func(h string) error {
@@ -396,7 +396,7 @@ func TestCrashNewRankMidExpandAborts(t *testing.T) {
 }
 
 func TestCrashVictimMidShrinkCommits(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 48, steps: 10}
 	log := &eventLog{}
@@ -436,7 +436,7 @@ func TestCrashVictimMidShrinkCommits(t *testing.T) {
 }
 
 func TestCrashRankBeforeDrainFailsJob(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	// A long-running app whose non-root ranks would keep computing; the
 	// crash lands outside any resize, so the next collective dies.
@@ -456,7 +456,7 @@ func TestCrashRankBeforeDrainFailsJob(t *testing.T) {
 }
 
 func TestRootHostCrashFailsFast(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 48, steps: 1000}
 	var jr jref
@@ -474,7 +474,7 @@ func TestRootHostCrashFailsFast(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 48, steps: 1000}
 	var jr jref
@@ -490,7 +490,7 @@ func TestStop(t *testing.T) {
 }
 
 func TestProposeValidation(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 8, steps: 2}
 	j, err := Start(Options{Universe: u, App: app, InitialHosts: hosts("h", 2)})
@@ -531,7 +531,7 @@ func TestStartValidation(t *testing.T) {
 // TestSameSizeMigration: a resize that swaps hosts without changing the
 // world size is the degenerate case subsuming plain migration.
 func TestSameSizeMigration(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 48, steps: 10}
 	var jr jref
@@ -561,7 +561,7 @@ func TestSameSizeMigration(t *testing.T) {
 // TestProposeNoChangeDropped: proposing the current placement (any order)
 // is dropped at the poll-point without a resize.
 func TestProposeNoChangeDropped(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &countApp{size: 24, steps: 8}
 	var jr jref
@@ -588,7 +588,7 @@ func TestProposeNoChangeDropped(t *testing.T) {
 // TestDrainPollDefault exercises the virtual-time drain pacing: a slow
 // non-root rank must not wedge the root's drain loop.
 func TestDrainPollDefault(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 500)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	app := &slowApp{countApp: countApp{size: 24, steps: 6}, clock: clock, delay: 5 * time.Millisecond}
 	var jr jref

@@ -145,13 +145,10 @@ func (s *Spans) hpcmEvent(e Event) {
 }
 
 // SpanStat is one span histogram's summary: the sample count plus bucket-
-// bound quantiles, pre-formatted for experiment output. The count is
-// phase-driven (as deterministic as the event schedule); the quantile
-// strings are exact functions of the observed durations' buckets, so they
-// are byte-identical across runs only when the durations themselves are —
-// true for exact event timestamps (spans_test.go), not for live runs under a
-// wall-paced scaled clock, whose durations carry goroutine wake-up jitter
-// multiplied by the scale factor.
+// bound quantiles, pre-formatted for experiment output. The quantile
+// strings are exact functions of the observed durations' buckets, so on the
+// Auto clock, whose event timestamps are the same every run, they are
+// byte-identical across runs of one seed.
 type SpanStat struct {
 	Name  string
 	Count uint64

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"autoresched/internal/vclock"
 )
 
 // group is a set of processes that can address one another by rank.
@@ -203,6 +205,7 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 
 // Request is a handle for a non-blocking operation.
 type Request struct {
+	clock  vclock.Clock
 	done   chan struct{}
 	status Status
 	err    error
@@ -210,17 +213,17 @@ type Request struct {
 
 // Wait blocks until the operation completes and returns its status.
 func (r *Request) Wait() (Status, error) {
-	<-r.done
+	vclock.Await(r.clock, r.done)
 	return r.status, r.err
 }
 
 // Isend starts a non-blocking send.
 func (c *Comm) Isend(v any, dest, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
+	r := &Request{clock: c.u.clock, done: make(chan struct{})}
+	vclock.Go(c.u.clock, func() {
 		defer close(r.done)
 		r.err = c.Send(v, dest, tag)
-	}()
+	})
 	return r
 }
 

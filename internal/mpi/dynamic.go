@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+
+	"autoresched/internal/vclock"
 )
 
 // This file implements the MPI-2 dynamic process management the paper's
@@ -142,20 +145,20 @@ func (env *Env) SpawnMerge(comm *Comm, hosts []string, main Main) (*Comm, error)
 	return inter.Merge(false)
 }
 
-// port is a rendezvous point for Connect/Accept.
+// port is a rendezvous point for Connect/Accept: connects queue until an
+// Accept answers them.
 type port struct {
-	accepts chan *connectReq
-	done    chan struct{} // closed by ClosePort to release blocked callers
+	mu     sync.Mutex
+	cond   *vclock.Cond
+	queue  []*connectReq
+	closed bool // by ClosePort, releasing blocked callers
 }
 
 type connectReq struct {
-	remote *group
-	reply  chan *acceptReply
-}
-
-type acceptReply struct {
-	local *group
-	ctx   string
+	remote   *group
+	answered bool // guarded by port.mu
+	local    *group
+	ctx      string
 }
 
 // OpenPort creates a named port another group can connect to
@@ -165,10 +168,9 @@ func (u *Universe) OpenPort() string {
 	defer u.mu.Unlock()
 	u.nextID++
 	name := fmt.Sprintf("port-%d", u.nextID)
-	u.ports[name] = &port{
-		accepts: make(chan *connectReq),
-		done:    make(chan struct{}),
-	}
+	p := &port{}
+	p.cond = vclock.NewCond(u.clock, &p.mu)
+	u.ports[name] = p
 	return name
 }
 
@@ -176,10 +178,14 @@ func (u *Universe) OpenPort() string {
 // with an error.
 func (u *Universe) ClosePort(name string) {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	if p, ok := u.ports[name]; ok {
-		close(p.done)
-		delete(u.ports, name)
+	p, ok := u.ports[name]
+	delete(u.ports, name)
+	u.mu.Unlock()
+	if ok {
+		p.mu.Lock()
+		p.closed = true
+		p.cond.Broadcast()
+		p.mu.Unlock()
 	}
 }
 
@@ -201,14 +207,19 @@ func (env *Env) Accept(portName string, comm *Comm) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	var req *connectReq
-	select {
-	case req = <-p.accepts:
-	case <-p.done:
-		return nil, fmt.Errorf("mpi: port %q closed while accepting", portName)
-	}
 	ctx := env.U.nextCtx("intercomm")
-	req.reply <- &acceptReply{local: comm.group, ctx: ctx}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 {
+		if p.closed {
+			return nil, fmt.Errorf("mpi: port %q closed while accepting", portName)
+		}
+		p.cond.Wait()
+	}
+	req := p.queue[0]
+	p.queue = p.queue[1:]
+	req.answered, req.local, req.ctx = true, comm.group, ctx
+	p.cond.Broadcast()
 	return &Comm{
 		u: env.U, group: comm.group, remote: req.remote, ctx: ctx,
 		rank: comm.rank, self: env.ep,
@@ -222,15 +233,19 @@ func (env *Env) Connect(portName string, comm *Comm) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &connectReq{remote: comm.group, reply: make(chan *acceptReply)}
-	select {
-	case p.accepts <- req:
-	case <-p.done:
-		return nil, fmt.Errorf("mpi: port %q closed while connecting", portName)
+	req := &connectReq{remote: comm.group}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.queue = append(p.queue, req)
+	p.cond.Broadcast()
+	for !req.answered {
+		if p.closed {
+			return nil, fmt.Errorf("mpi: port %q closed while connecting", portName)
+		}
+		p.cond.Wait()
 	}
-	reply := <-req.reply
 	return &Comm{
-		u: env.U, group: comm.group, remote: reply.local, ctx: reply.ctx,
+		u: env.U, group: comm.group, remote: req.local, ctx: req.ctx,
 		rank: comm.rank, self: env.ep,
 	}, nil
 }

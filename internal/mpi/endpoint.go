@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
+
+	"autoresched/internal/vclock"
 )
 
 // message is one delivered payload, matched by (communicator context,
@@ -49,14 +51,14 @@ type endpoint struct {
 	host string
 
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   *vclock.Cond
 	queue  []*message
 	closed bool
 }
 
-func newEndpoint(host string) *endpoint {
+func newEndpoint(clock vclock.Clock, host string) *endpoint {
 	ep := &endpoint{host: host}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep.cond = vclock.NewCond(clock, &ep.mu)
 	return ep
 }
 

@@ -70,7 +70,7 @@ type Universe struct {
 	nextID int64
 	ports  map[string]*port
 	groups map[int64]*sharedGroup
-	wg     sync.WaitGroup
+	wg     vclock.WaitGroup
 }
 
 // sharedGroup parks a spawned group handle so the non-spawning ranks of a
@@ -168,16 +168,17 @@ func (u *Universe) Start(hosts []string, main Main) (wait func() []error) {
 
 // Wait blocks until every process ever launched in the universe has
 // finished.
-func (u *Universe) Wait() { u.wg.Wait() }
+func (u *Universe) Wait() { u.wg.Wait(u.clock) }
 
 type errSet struct {
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	errs []error
+	clock vclock.Clock
+	wg    vclock.WaitGroup
+	mu    sync.Mutex
+	errs  []error
 }
 
 func (e *errSet) wait() []error {
-	e.wg.Wait()
+	e.wg.Wait(e.clock)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.errs
@@ -189,7 +190,7 @@ func (u *Universe) launch(hosts []string, parent *group, main Main) ([]*Env, *er
 	world := &group{ctx: u.nextCtx("world"), hosts: append([]string(nil), hosts...)}
 	world.eps = make([]*endpoint, len(hosts))
 	for i := range hosts {
-		world.eps[i] = newEndpoint(hosts[i])
+		world.eps[i] = newEndpoint(u.clock, hosts[i])
 	}
 
 	var interCtx string
@@ -198,7 +199,7 @@ func (u *Universe) launch(hosts []string, parent *group, main Main) ([]*Env, *er
 	}
 
 	envs := make([]*Env, len(hosts))
-	errs := &errSet{errs: make([]error, len(hosts))}
+	errs := &errSet{clock: u.clock, errs: make([]error, len(hosts))}
 	for i := range hosts {
 		env := &Env{
 			U:     u,
@@ -215,15 +216,15 @@ func (u *Universe) launch(hosts []string, parent *group, main Main) ([]*Env, *er
 		envs[i] = env
 		errs.wg.Add(1)
 		u.wg.Add(1)
-		go func(rank int, env *Env) {
+		vclock.Go(u.clock, func() {
 			defer u.wg.Done()
 			defer errs.wg.Done()
 			defer env.ep.close()
 			err := main(env)
 			errs.mu.Lock()
-			errs.errs[rank] = err
+			errs.errs[i] = err
 			errs.mu.Unlock()
-		}(i, env)
+		})
 	}
 
 	if parent != nil {

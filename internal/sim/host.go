@@ -177,7 +177,7 @@ func (p *Proc) Compute(work float64) error {
 	p.computing = req
 	h.scheduleLocked()
 	h.mu.Unlock()
-	<-req.done
+	vclock.Await(h.clock, req.done)
 	return nil
 }
 

@@ -39,9 +39,9 @@ func BenchmarkProcsSnapshot(b *testing.B) {
 }
 
 // BenchmarkComputeRoundTrip measures a full Compute request (enqueue, timer,
-// completion) at 10000x compression.
+// completion) on the Auto clock.
 func BenchmarkComputeRoundTrip(b *testing.B) {
-	clock := vclock.Scaled(vclock.Epoch, 10000)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "bench", Config{Speed: 1e6})
 	p := h.Spawn("worker", 0)
 	defer p.Exit()

@@ -13,7 +13,7 @@ import (
 const speed = 1000.0 // work units per second in these tests
 
 func newHost(cfg Config) (*Host, vclock.Clock) {
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	if cfg.Speed == 0 {
 		cfg.Speed = speed
 	}
@@ -38,17 +38,17 @@ func TestTwoProcessesShareCPU(t *testing.T) {
 	a := h.Spawn("a", 0)
 	b := h.Spawn("b", 0)
 	start := clock.Now()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	for _, p := range []*Proc{a, b} {
 		wg.Add(1)
-		go func(p *Proc) {
+		vclock.Go(clock, func() {
 			defer wg.Done()
 			if err := p.Compute(5 * speed); err != nil {
 				t.Error(err)
 			}
-		}(p)
+		})
 	}
-	wg.Wait()
+	wg.Wait(clock)
 	got := clock.Since(start)
 	// Each needs 5s alone; sharing the CPU both finish at ~10s.
 	if got < 9*time.Second || got > 14*time.Second {
@@ -61,11 +61,11 @@ func TestShortJobDepartsAndLongJobSpeedsUp(t *testing.T) {
 	long := h.Spawn("long", 0)
 	short := h.Spawn("short", 0)
 	start := clock.Now()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); _ = long.Compute(9 * speed) }()
-	go func() { defer wg.Done(); _ = short.Compute(1 * speed) }()
-	wg.Wait()
+	vclock.Go(clock, func() { defer wg.Done(); _ = long.Compute(9 * speed) })
+	vclock.Go(clock, func() { defer wg.Done(); _ = short.Compute(1 * speed) })
+	wg.Wait(clock)
 	got := clock.Since(start)
 	// Shared until short's 1s of work is done (at t=2s), then long runs
 	// alone: 2 + 8 = 10s total.

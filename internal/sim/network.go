@@ -97,8 +97,9 @@ type flow struct {
 	from, to *nic
 	total    float64
 	done     float64
-	rate     float64 // current bytes/s, recomputed on membership change
-	finished chan error
+	rate     float64       // current bytes/s, recomputed on membership change
+	finished chan struct{} // closed once the flow is over, err its outcome
+	err      error
 }
 
 // New creates an empty network driven by clock.
@@ -276,7 +277,7 @@ func (n *Network) Transfer(from, to string, size int64) error {
 		return nil
 	}
 	n.advanceLocked(n.clock.Now())
-	f := &flow{from: src, to: dst, total: float64(size), finished: make(chan error, 1)}
+	f := &flow{from: src, to: dst, total: float64(size), finished: make(chan struct{})}
 	n.flows[f] = struct{}{}
 	src.sendFlows[f] = struct{}{}
 	dst.recvFlows[f] = struct{}{}
@@ -286,7 +287,8 @@ func (n *Network) Transfer(from, to string, size int64) error {
 	n.recomputeSideLocked(dst.recvFlows)
 	n.scheduleLocked()
 	n.mu.Unlock()
-	return <-f.finished
+	vclock.Await(n.clock, f.finished)
+	return f.err
 }
 
 // Counters returns the cumulative bytes sent and received by a host.
@@ -352,7 +354,8 @@ func (n *Network) finishLocked(f *flow, err error) {
 	delete(n.flows, f)
 	delete(f.from.sendFlows, f)
 	delete(f.to.recvFlows, f)
-	f.finished <- err
+	f.err = err
+	close(f.finished)
 }
 
 // recomputeFlowLocked refreshes one flow's rate from its two NIC directions.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,9 +11,7 @@ import (
 
 func newNet(t *testing.T, bw float64, hosts ...string) (*Network, vclock.Clock) {
 	t.Helper()
-	// Modest scale: virtual-time error is wall jitter times the scale, and
-	// race-instrumented runs jitter by milliseconds.
-	clock := vclock.Scaled(vclock.Epoch, 200)
+	clock := vclock.NewAuto(vclock.Epoch)
 	n := NewNetwork(clock, Options{DefaultBandwidth: bw})
 	for _, h := range hosts {
 		if err := n.AddHost(h); err != nil {
@@ -58,17 +55,17 @@ func TestCountersMatchTransferredBytes(t *testing.T) {
 func TestConcurrentFlowsShareSenderNIC(t *testing.T) {
 	n, clock := newNet(t, 1e6, "a", "b", "c")
 	start := clock.Now()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	for _, dst := range []string{"b", "c"} {
 		wg.Add(1)
-		go func(dst string) {
+		vclock.Go(clock, func() {
 			defer wg.Done()
 			if err := n.Transfer("a", dst, 5e6); err != nil {
 				t.Errorf("Transfer to %s: %v", dst, err)
 			}
-		}(dst)
+		})
 	}
-	wg.Wait()
+	wg.Wait(clock)
 	got := clock.Since(start)
 	// Two 5 MB flows sharing a 1 MB/s sender: each runs at 0.5 MB/s, both
 	// finish together at ~10 s.
@@ -80,17 +77,17 @@ func TestConcurrentFlowsShareSenderNIC(t *testing.T) {
 func TestIndependentPairsDoNotInterfere(t *testing.T) {
 	n, clock := newNet(t, 1e6, "a", "b", "c", "d")
 	start := clock.Now()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	for _, pair := range [][2]string{{"a", "b"}, {"c", "d"}} {
 		wg.Add(1)
-		go func(from, to string) {
+		vclock.Go(clock, func() {
 			defer wg.Done()
-			if err := n.Transfer(from, to, 5e6); err != nil {
-				t.Errorf("Transfer %s->%s: %v", from, to, err)
+			if err := n.Transfer(pair[0], pair[1], 5e6); err != nil {
+				t.Errorf("Transfer %s->%s: %v", pair[0], pair[1], err)
 			}
-		}(pair[0], pair[1])
+		})
 	}
-	wg.Wait()
+	wg.Wait(clock)
 	got := clock.Since(start)
 	// Disjoint NIC pairs each run at full capacity: ~5 s.
 	if got < 4*time.Second || got > 8*time.Second {
@@ -101,21 +98,21 @@ func TestIndependentPairsDoNotInterfere(t *testing.T) {
 func TestShortFlowFreesCapacityForLongFlow(t *testing.T) {
 	n, clock := newNet(t, 1e6, "a", "b", "c")
 	start := clock.Now()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	wg.Add(2)
-	go func() { // long flow: 9 MB
+	vclock.Go(clock, func() { // long flow: 9 MB
 		defer wg.Done()
 		if err := n.Transfer("a", "b", 9e6); err != nil {
 			t.Errorf("long: %v", err)
 		}
-	}()
-	go func() { // short flow: 1 MB, same sender
+	})
+	vclock.Go(clock, func() { // short flow: 1 MB, same sender
 		defer wg.Done()
 		if err := n.Transfer("a", "c", 1e6); err != nil {
 			t.Errorf("short: %v", err)
 		}
-	}()
-	wg.Wait()
+	})
+	wg.Wait(clock)
 	got := clock.Since(start)
 	// Shared until the short flow's 1 MB is done (2 s at 0.5 MB/s); the
 	// long flow then has 8 MB left at full rate => total ~10 s.
@@ -151,26 +148,18 @@ func TestTransferToDownHostFails(t *testing.T) {
 }
 
 func TestHostGoingDownFailsInFlightTransfer(t *testing.T) {
-	n, _ := newNet(t, 1e3, "a", "b") // slow: 1 KB/s
-	errc := make(chan error, 1)
-	go func() { errc <- n.Transfer("a", "b", 1e9) }()
-	// Wait for the flow to be active, then kill the receiver.
-	for i := 0; n.activeFlows() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
+	n, clock := newNet(t, 1e3, "a", "b") // slow: 1 KB/s
+	err, done := transferAsync(clock, n, "a", "b", 1e9)
+	clock.Sleep(time.Second) // the flow is in flight, then the receiver dies
 	if n.activeFlows() == 0 {
 		t.Fatal("flow never became active")
 	}
 	if err := n.SetDown("b", true); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrHostDown) {
-			t.Fatalf("err = %v, want ErrHostDown", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight transfer did not fail")
+	vclock.Await(clock, done)
+	if !errors.Is(*err, ErrHostDown) {
+		t.Fatalf("err = %v, want ErrHostDown", *err)
 	}
 }
 
@@ -219,7 +208,7 @@ func TestCountersConservationProperty(t *testing.T) {
 		if len(sizes) > 8 {
 			sizes = sizes[:8]
 		}
-		clock := vclock.Scaled(vclock.Epoch, 100000)
+		clock := vclock.NewAuto(vclock.Epoch)
 		n := NewNetwork(clock, Options{DefaultBandwidth: 1e6})
 		if err := n.AddHost("src"); err != nil {
 			return false
@@ -228,17 +217,17 @@ func TestCountersConservationProperty(t *testing.T) {
 			return false
 		}
 		var want int64
-		var wg sync.WaitGroup
+		var wg vclock.WaitGroup
 		for _, s := range sizes {
 			size := int64(s)
 			want += size
 			wg.Add(1)
-			go func() {
+			vclock.Go(clock, func() {
 				defer wg.Done()
 				_ = n.Transfer("src", "dst", size)
-			}()
+			})
 		}
-		wg.Wait()
+		wg.Wait(clock)
 		sent, _, err := n.Counters("src")
 		if err != nil {
 			return false
@@ -252,26 +241,15 @@ func TestCountersConservationProperty(t *testing.T) {
 }
 
 func TestHostFlowsCountsEndpoints(t *testing.T) {
-	n, _ := newNet(t, 1e3, "a", "b", "c") // slow so flows stay active
+	n, clock := newNet(t, 1e3, "a", "b", "c") // slow so flows stay active
 	if got, err := n.HostFlows("a"); err != nil || got != 0 {
 		t.Fatalf("idle flows = %d, %v", got, err)
 	}
-	done := make(chan error, 2)
-	go func() { done <- n.Transfer("a", "b", 1e6) }()
-	go func() { done <- n.Transfer("c", "a", 1e6) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got, err := n.HostFlows("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("HostFlows = %d, want 2", got)
-		}
-		time.Sleep(time.Millisecond)
+	_, ab := transferAsync(clock, n, "a", "b", 1e6)
+	_, ca := transferAsync(clock, n, "c", "a", 1e6)
+	clock.Sleep(time.Second)
+	if got, err := n.HostFlows("a"); err != nil || got != 2 {
+		t.Fatalf("HostFlows = %d, %v; want 2", got, err)
 	}
 	if got, _ := n.HostFlows("b"); got != 1 {
 		t.Fatalf("b flows = %d", got)
@@ -283,8 +261,8 @@ func TestHostFlowsCountsEndpoints(t *testing.T) {
 	if err := n.SetDown("a", true); err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	<-done
+	vclock.Await(clock, ab)
+	vclock.Await(clock, ca)
 }
 
 func TestSetDownUnknownHost(t *testing.T) {
@@ -357,22 +335,26 @@ func TestPartitionFailsNewAndInFlightTransfers(t *testing.T) {
 }
 
 func TestPartitionCutsInFlightFlow(t *testing.T) {
-	n, _ := newNet(t, 1e6, "a", "b")
-	errCh := make(chan error, 1)
-	go func() { errCh <- n.Transfer("a", "b", 100e6) }()
-	// Wait until the flow exists, then partition.
-	for i := 0; i < 200 && n.activeFlows() == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
+	n, clock := newNet(t, 1e6, "a", "b")
+	err, done := transferAsync(clock, n, "a", "b", 100e6)
+	clock.Sleep(time.Second) // the flow is in flight, then the link is cut
 	if err := n.SetPartitioned("a", "b", true); err != nil {
 		t.Fatalf("SetPartitioned: %v", err)
 	}
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrPartitioned) {
-			t.Fatalf("in-flight transfer: %v, want ErrPartitioned", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight transfer not failed by partition")
+	vclock.Await(clock, done)
+	if !errors.Is(*err, ErrPartitioned) {
+		t.Fatalf("in-flight transfer: %v, want ErrPartitioned", *err)
 	}
+}
+
+// transferAsync starts a transfer on its own goroutine; done is closed when
+// it returned, with its error in *err.
+func transferAsync(clock vclock.Clock, n *Network, from, to string, size int64) (*error, <-chan struct{}) {
+	err := new(error)
+	done := make(chan struct{})
+	vclock.Go(clock, func() {
+		defer close(done)
+		*err = n.Transfer(from, to, size)
+	})
+	return err, done
 }

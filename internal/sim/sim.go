@@ -41,11 +41,15 @@ func (w *wakeup) armLocked(clock vclock.Clock, mu *sync.Mutex, seconds float64, 
 	w.timer = timer
 	w.cancel = cancel
 	gen := w.gen
-	go func() {
+	vclock.Go(clock, func() {
 		var at time.Time
+		p := vclock.Park(clock, timer, cancel)
 		select {
 		case at = <-timer.C:
 		case <-cancel:
+		}
+		p.Unpark()
+		if at.IsZero() {
 			return
 		}
 		mu.Lock()
@@ -59,7 +63,7 @@ func (w *wakeup) armLocked(clock vclock.Clock, mu *sync.Mutex, seconds float64, 
 			at = now
 		}
 		fire(at)
-	}()
+	})
 }
 
 func durationOf(seconds float64) time.Duration {

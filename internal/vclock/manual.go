@@ -26,8 +26,9 @@ func NewManual(start time.Time) *Manual {
 type waiter struct {
 	deadline time.Time
 	ch       chan time.Time
-	seq      int // tie-break so equal deadlines fire in creation order
-	index    int // heap bookkeeping; -1 once removed
+	seq      int  // tie-break so equal deadlines fire in creation order
+	index    int  // heap bookkeeping; -1 once removed
+	fired    bool // an Auto clock fired it
 }
 
 type waiterHeap []*waiter
@@ -110,7 +111,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 // NewTimer returns a single-shot timer driven by Advance.
 func (m *Manual) NewTimer(d time.Duration) *Timer {
 	w := m.addWaiter(d)
-	return &Timer{C: w.ch, stop: func() bool { return m.removeWaiter(w) }}
+	return &Timer{C: w.ch, stop: func() bool { return m.removeWaiter(w) }, w: w}
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline is

@@ -31,7 +31,7 @@ type CommLoad struct {
 
 	mu      sync.Mutex
 	stop    chan struct{}
-	stopped sync.WaitGroup
+	stopped vclock.WaitGroup
 }
 
 // NewCommLoad creates a generator between two hosts.
@@ -54,10 +54,11 @@ func (c *CommLoad) Start() {
 	}
 	c.stop = make(chan struct{})
 	c.stopped.Add(1)
-	go c.drive(c.stop, c.from, c.to)
+	stop := c.stop
+	vclock.Go(c.clock, func() { c.drive(stop, c.from, c.to) })
 	if c.opts.Bidirectional {
 		c.stopped.Add(1)
-		go c.drive(c.stop, c.to, c.from)
+		vclock.Go(c.clock, func() { c.drive(stop, c.to, c.from) })
 	}
 }
 
@@ -93,5 +94,5 @@ func (c *CommLoad) Stop() {
 		return
 	}
 	close(stop)
-	c.stopped.Wait()
+	c.stopped.Wait(c.clock)
 }

@@ -62,7 +62,7 @@ func elasticHosts(n int) []string {
 // state bytes.
 func runElastic(t *testing.T, app *ElasticJacobi, from, to, at int) []byte {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 500)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := mpi.NewUniverse(mpi.Options{Clock: clock})
 	var jr jobRef
 	var body malleable.App = app

@@ -196,10 +196,9 @@ func TestJacobiPagedDirtyRowsMatchStencil(t *testing.T) {
 func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	// The live attempt resolves at a poll-point after the driver goroutine
 	// reaches its decision, so the application must have work left when that
-	// happens: run ten times longer than smallJacobi and compress the clock
-	// less, leaving milliseconds of wall-time slack where the driver needs
-	// microseconds. A finished process cancels a pending attempt by design.
-	clock := vclock.Scaled(vclock.Epoch, 500)
+	// happens: run ten times longer than smallJacobi. A finished process
+	// cancels a pending attempt by design.
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)

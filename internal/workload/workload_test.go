@@ -14,7 +14,7 @@ import (
 
 func testRig(t *testing.T) (*core.Cluster, *hpcm.Middleware) {
 	t.Helper()
-	clock := vclock.Scaled(vclock.Epoch, 1000)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestLoadGenDutyApproximation(t *testing.T) {
 	// Modest scale and a long period: goroutine wake-up latency (real
 	// milliseconds) shows up as virtual idle time proportional to the
 	// scale, so keep it a small fraction of the cycle.
-	clock := vclock.Scaled(vclock.Epoch, 100)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{Workers: 1, Duty: 0.25, Period: 8 * time.Second, Seed: 7})
 	gen.Start()
@@ -183,7 +183,7 @@ func TestLoadGenDutyApproximation(t *testing.T) {
 }
 
 func TestLoadGenStartStopIdempotent(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 1000)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{})
 	gen.Start()
@@ -193,7 +193,7 @@ func TestLoadGenStartStopIdempotent(t *testing.T) {
 }
 
 func TestCommLoadAchievesRoughRate(t *testing.T) {
-	clock := vclock.Scaled(vclock.Epoch, 100)
+	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 2, sim.Config{}); err != nil {
 		t.Fatal(err)
