@@ -49,6 +49,16 @@ func NewCluster(clock vclock.Clock, bandwidth float64) *Cluster {
 // Clock returns the cluster clock.
 func (c *Cluster) Clock() vclock.Clock { return c.clock }
 
+// Close ends the simulation on an Auto cluster clock (vclock.Auto.Close):
+// the goroutine driving it calls Close last, once the system on the
+// cluster is stopped, and the clock lets what still runs on it run out. On
+// other clocks it does nothing.
+func (c *Cluster) Close() {
+	if a, ok := c.clock.(*vclock.Auto); ok {
+		a.Close()
+	}
+}
+
 // Net returns the simulated network.
 func (c *Cluster) Net() *sim.Network { return c.net }
 
