@@ -129,7 +129,7 @@ func (c *Context) checkpointNow(label string) error {
 		return errors.New("hpcm: no checkpoint store configured")
 	}
 	if mw.metrics != nil {
-		start := time.Now() //lint:allow determinism checkpoint_seconds is a wall-clock metric by contract (approximate section)
+		start := time.Now() //lint:allow determinism checkpoint_seconds is a wall-clock metric by contract (in no report)
 		defer func() {
 			mw.metrics.Histogram(MetricCheckpointSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism checkpoint_seconds is a wall-clock metric by contract
 		}()

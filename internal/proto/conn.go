@@ -267,7 +267,7 @@ func (c *Client) reconnect() error {
 // since the request was already processed.
 func (c *Client) Call(m *Message) (*Message, error) {
 	if c.opts.Metrics != nil {
-		start := time.Now() //lint:allow determinism call_seconds is a wall-clock metric by contract (approximate section)
+		start := time.Now() //lint:allow determinism call_seconds is a wall-clock metric by contract (in no report)
 		defer func() {
 			c.opts.Metrics.Histogram(MetricCallSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism call_seconds is a wall-clock metric by contract
 		}()
