@@ -100,13 +100,21 @@ chaos: build
 	$(GO) run ./cmd/repro -exp chaos -seed 42 | diff internal/experiments/testdata/chaos.txt -
 
 # Every simulated report is a pure function of its seed on the Auto clock:
-# each is printed twice for seed 42 and the two must be byte-identical.
+# each is printed twice for seed 42 and the two must be byte-identical, and
+# so must the -metrics dumps of chaos and the 64-host scale sweep.
 REPRO = $(GO) run ./cmd/repro -seed 42
 determinism: build
 	@for exp in fig5 fig6 fig7 fig8 table2 chaos "scale -hosts 64" malleable; do \
 		a="$$($(REPRO) -exp $$exp)" && b="$$($(REPRO) -exp $$exp)" || exit 1; \
 		[ "$$a" = "$$b" ] || { echo "-exp $$exp differs between two runs"; exit 1; }; \
 		echo "-exp $$exp: byte-identical"; \
+	done
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	for exp in chaos "scale -hosts 64"; do \
+		$(REPRO) -exp $$exp -metrics $$d/a.json >/dev/null && \
+		$(REPRO) -exp $$exp -metrics $$d/b.json >/dev/null || exit 1; \
+		cmp -s $$d/a.json $$d/b.json || { echo "-exp $$exp -metrics differs between two runs"; exit 1; }; \
+		echo "-exp $$exp -metrics: byte-identical"; \
 	done
 
 # The 64/256/512-host sweeps under churn (byte-identical per seed).

@@ -171,9 +171,7 @@ func BenchmarkFig8EfficiencyComm(b *testing.B) {
 // (policy2 must pick the communicating ws2, policy3 the free ws4).
 func BenchmarkTable2Policies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunPolicies(experiments.PoliciesConfig{
-			Params: experiments.Params{Seed: int64(i + 1)},
-		})
+		rows, err := experiments.RunPolicies(experiments.Params{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

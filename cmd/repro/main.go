@@ -52,12 +52,12 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the run's metrics registry (counters, gauges, histograms) as JSON to this file")
 	flag.Parse()
 
-	params := experiments.Params{Seed: *seed}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
 	// The run-wide metrics accumulator: experiments merge their per-run
 	// registries here, and -metrics snapshots it at exit.
 	mreg := metrics.NewRegistry()
+	params := experiments.Params{Seed: *seed, Metrics: mreg}
+	want := func(name string) bool { return *exp == "all" || *exp == name }
+	ran := false
 
 	if want("table1") {
 		ran = true
@@ -101,39 +101,35 @@ func main() {
 	}
 	if want("table2") {
 		ran = true
-		rows, err := experiments.RunPolicies(experiments.PoliciesConfig{Params: params})
+		rows, err := experiments.RunPolicies(params)
 		fatal(err)
 		fmt.Print(experiments.RenderPolicies(rows))
 		fmt.Println()
 	}
 	if *exp == "chaos" {
 		ran = true
-		rows, err := experiments.RunChaos(experiments.ChaosConfig{Params: params, Metrics: mreg})
+		rows, err := experiments.RunChaos(experiments.ChaosConfig{Params: params})
 		fatal(err)
 		fmt.Print(experiments.RenderChaos(rows))
 		fmt.Println()
 	}
 	if *exp == "scale" {
 		ran = true
-		rows, err := experiments.RunScale(experiments.ScaleConfig{
-			Params:  params,
-			Hosts:   parseHosts(*hosts),
-			Metrics: mreg,
-		})
+		rows, err := experiments.RunScale(experiments.ScaleConfig{Params: params, Hosts: parseHosts(*hosts)})
 		fatal(err)
 		fmt.Print(experiments.RenderScale(rows))
 		fmt.Println()
 	}
 	if *exp == "malleable" {
 		ran = true
-		rows, err := experiments.RunMalleable(experiments.MalleableConfig{Params: params, Metrics: mreg})
+		rows, err := experiments.RunMalleable(params)
 		fatal(err)
 		fmt.Print(experiments.RenderMalleable(rows))
 		fmt.Println()
 	}
 	if *exp == "multijob" {
 		ran = true
-		rows := experiments.RunMultijob(experiments.MultijobConfig{Params: params})
+		rows := experiments.RunMultijob(params)
 		fmt.Print(experiments.RenderMultijob(rows))
 		fmt.Println()
 	}
@@ -152,7 +148,7 @@ func main() {
 	}
 	if want("livemig") {
 		ran = true
-		rows := experiments.RunLivemig(experiments.LivemigConfig{Metrics: mreg})
+		rows := experiments.RunLivemig(params)
 		fmt.Print(experiments.RenderLivemig(rows))
 		fmt.Println()
 	}

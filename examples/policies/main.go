@@ -15,9 +15,7 @@ import (
 
 func main() {
 	fmt.Println("running the Section 5.3 policy comparison (three full runs) ...")
-	rows, err := experiments.RunPolicies(experiments.PoliciesConfig{
-		Params: experiments.Params{Seed: 1},
-	})
+	rows, err := experiments.RunPolicies(experiments.Params{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

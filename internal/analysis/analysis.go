@@ -46,8 +46,8 @@ func (f Finding) String() string {
 // matches the package and everything below it.
 type Config struct {
 	// AllowClockPackages may use the time package and unseeded math/rand
-	// directly: the clock abstraction itself, the real-host probes, and
-	// the binaries/examples that run against wall clocks.
+	// directly: the clock abstraction itself, the real-host probes, test
+	// support, and the two binaries that run against wall clocks.
 	AllowClockPackages []string
 	// NilGuardPackages are packages whose exported pointer-receiver
 	// methods must begin with a nil-receiver guard.
@@ -79,8 +79,8 @@ func DefaultConfig() Config {
 			"internal/vclock",   // the clock abstraction wraps the time package
 			"internal/sysinfo",  // real-host probes read real clocks
 			"internal/testutil", // test support paces grace windows on wall time
-			"cmd/...",           // binaries run against real hosts
-			"examples/...",      // examples demonstrate real-clock deployments
+			"cmd/reschedd",      // the daemon runs against real hosts
+			"cmd/bench",         // the benchmark times real work
 		},
 		NilGuardPackages:      []string{"internal/metrics"},
 		ErrorPackages:         []string{"internal/proto", "internal/hpcm"},

@@ -131,7 +131,8 @@ var fixtures = []struct {
 	{"jobs", "autoresched/internal/jobs"},
 	{"scenario", "autoresched/internal/scenario"},
 	{"persist", "autoresched/internal/persist"},
-	{"allowed", "autoresched/cmd/demo"},
+	{"allowed", "autoresched/cmd/reschedd"},
+	{"repro", "autoresched/cmd/repro"},
 	{"nilrecv", "autoresched/internal/metrics"},
 	{"discard", "example/discard"},
 	{"mutex", "example/mutexdemo"},

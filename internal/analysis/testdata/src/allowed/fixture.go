@@ -1,5 +1,6 @@
-// Fixture loaded as autoresched/cmd/demo: binaries are allowlisted for
-// wall-clock use, so nothing here may be reported.
+// Fixture loaded as autoresched/cmd/reschedd: the daemon runs against real
+// hosts and is allowlisted for wall-clock use, so nothing here may be
+// reported.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Fixture loaded as autoresched/internal/scenario: the acceptance case for
 // the scenario-diversity engine. The whole package's value is that a fleet
 // report is a pure function of its seed — generator draws come from a
-// seeded *rand.Rand and the runner's timestamps from a vclock.Manual — so
+// seeded *rand.Rand and the runner's timestamps from its tick count — so
 // a wall-clock read or a global-rand draw slipped into the package breaks
 // the golden regression and must be reported.
 package scenario
@@ -19,7 +19,7 @@ func DrawGang() int {
 }
 
 // StampRun records a run timestamp off the wall clock instead of the
-// runner's manual clock: rundir contents would differ byte-for-byte on
+// runner's tick: rundir contents would differ byte-for-byte on
 // every re-run.
 func StampRun() time.Time {
 	return time.Now() // want `\[determinism\] time\.Now reads the wall clock`

@@ -13,7 +13,7 @@ import (
 )
 
 func TestAddHostAndLookup(t *testing.T) {
-	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
+	c := NewCluster(vclock.NewAuto(vclock.Epoch), 0)
 	h, err := c.AddHost("ws1", sim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestAddHostAndLookup(t *testing.T) {
 }
 
 func TestAddHostsBatch(t *testing.T) {
-	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
+	c := NewCluster(vclock.NewAuto(vclock.Epoch), 0)
 	names, err := c.AddHosts("ws", 5, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestAddHostsBatch(t *testing.T) {
 }
 
 func TestSourceSharedAndGathering(t *testing.T) {
-	c := NewCluster(vclock.NewManual(vclock.Epoch), 0)
+	c := NewCluster(vclock.NewAuto(vclock.Epoch), 0)
 	if _, err := c.AddHost("ws1", sim.Config{}); err != nil {
 		t.Fatal(err)
 	}

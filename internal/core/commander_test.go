@@ -72,7 +72,7 @@ func TestMigrateSignalsManagedProcess(t *testing.T) {
 }
 
 func TestMigrateUnknownPID(t *testing.T) {
-	s, app, release := launchHeld(t, vclock.NewManual(vclock.Epoch), Options{}, func(*hpcm.Context) error { return nil })
+	s, app, release := launchHeld(t, vclock.NewAuto(vclock.Epoch), Options{}, func(*hpcm.Context) error { return nil })
 	defer func() {
 		close(release)
 		_ = app.Wait()
@@ -131,7 +131,7 @@ func TestMigrateFollowsTheCurrentProcess(t *testing.T) {
 }
 
 func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	ring := &metrics.Ring{}
 	s, app, release := launchHeld(t, clock, Options{OrderDedupWindow: 30 * time.Second, Metrics: mreg, Events: ring},
@@ -162,7 +162,7 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	}
 	// Past the window the same order executes again (a legitimate repeat
 	// after the registry's cooldown).
-	clock.Advance(time.Minute)
+	clock.Sleep(time.Minute)
 	if err := s.Migrate("ws1", order); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 
 func TestMigrateDedupDisabledByDefault(t *testing.T) {
 	ring := &metrics.Ring{}
-	s, app, release := launchHeld(t, vclock.NewManual(vclock.Epoch), Options{Events: ring},
+	s, app, release := launchHeld(t, vclock.NewAuto(vclock.Epoch), Options{Events: ring},
 		func(*hpcm.Context) error { return nil })
 	defer func() {
 		close(release)

@@ -29,10 +29,6 @@ type ChaosConfig struct {
 	Params
 	// scenarios selects a subset by name; empty runs all.
 	scenarios []string
-	// Metrics, when set, accumulates every scenario's metrics registry
-	// (histograms merged bucket-wise) for a run-wide snapshot — the
-	// cmd/repro -metrics flag feeds from here.
-	Metrics *metrics.Registry
 	// live, when set, enables iterative-precopy live migration: the tree
 	// workload carries a paged ballast region, every migrate order takes the
 	// live path, and a ninth scenario crashes the destination mid-precopy.

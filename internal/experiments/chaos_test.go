@@ -86,7 +86,7 @@ func TestChaosAllScenariosSurvive(t *testing.T) {
 		t.Skip("chaos sweep in -short mode")
 	}
 	run := metrics.NewRegistry()
-	rows, err := RunChaos(ChaosConfig{Params: Params{Seed: 3}, Metrics: run})
+	rows, err := RunChaos(ChaosConfig{Params: Params{Seed: 3, Metrics: run}})
 	if err != nil {
 		t.Fatal(err)
 	}

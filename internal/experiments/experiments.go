@@ -24,6 +24,11 @@ import (
 type Params struct {
 	// Seed feeds the load generators.
 	Seed int64
+	// Metrics, when set, accumulates the run's metrics registries
+	// (histograms merged bucket-wise) for a run-wide snapshot — the
+	// cmd/repro -metrics flag feeds from here. The chaos, scale, malleable
+	// and livemig experiments fill it.
+	Metrics *metrics.Registry
 }
 
 // sampleInterval is the paper's monitoring and sampling interval.

@@ -120,9 +120,7 @@ func TestFalseMigrationDamping(t *testing.T) {
 }
 
 func TestPoliciesShape(t *testing.T) {
-	rows, err := RunPolicies(PoliciesConfig{
-		Params: Params{Seed: 3},
-	})
+	rows, err := RunPolicies(Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

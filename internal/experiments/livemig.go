@@ -6,18 +6,7 @@ import (
 	"time"
 
 	"autoresched/internal/livemig"
-	"autoresched/internal/metrics"
 )
-
-// LivemigConfig parameterises the live-migration downtime sweep: the
-// analytic precopy model (which shares its convergence rule with the live
-// driver) evaluated over a grid of page-dirtying rates and migration link
-// speeds. Everything is pure arithmetic — the sweep is byte-deterministic.
-type LivemigConfig struct {
-	// Metrics, when set, receives the modeled downtime distributions
-	// (livemig/model_downtime_seconds, livemig/model_stopcopy_seconds).
-	Metrics *metrics.Registry
-}
 
 // The sweep's grid: the application page-dirtying rates in pages/s, and a
 // 16 MiB migrated region in 4 KiB pages. The engine runs on the livemig
@@ -36,12 +25,17 @@ type LivemigRow struct {
 	Outcome   livemig.Outcome
 }
 
-// RunLivemig evaluates the precopy model over the configured grid. The
-// scenario's spawn latency and handshake overhead match the experiment
+// RunLivemig is the live-migration downtime sweep: the analytic precopy
+// model (which shares its convergence rule with the live driver) evaluated
+// over a grid of page-dirtying rates and migration link speeds. Everything
+// is pure arithmetic — the sweep is byte-deterministic, and the seed plays
+// no part. cfg.Metrics, when set, receives the modeled downtime
+// distributions (livemig/model_downtime_seconds,
+// livemig/model_stopcopy_seconds). The scenario's spawn latency and handshake overhead match the experiment
 // cluster's nominal parameters (300 ms dynamic process creation, 2 ms
 // control round-trip), so the stop-and-copy baseline here is the same
 // quantity a measured stop-and-copy migration reports.
-func RunLivemig(cfg LivemigConfig) []LivemigRow {
+func RunLivemig(cfg Params) []LivemigRow {
 	// The link speeds swept, in bytes/s: 10, 100 and 1000 Mbps Ethernet.
 	bandwidths := []float64{1.25e6, 12.5e6, 125e6}
 	rows := make([]LivemigRow, 0, len(bandwidths)*len(livemigDirtyRates))

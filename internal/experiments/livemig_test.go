@@ -14,8 +14,8 @@ import (
 // strictly below stop-and-copy whenever precopy converges, and a visible
 // crossover (fallback engaging) on the slower links.
 func TestLivemigSweepDeterministicWithVisibleCrossover(t *testing.T) {
-	rows1 := RunLivemig(LivemigConfig{})
-	rows2 := RunLivemig(LivemigConfig{})
+	rows1 := RunLivemig(Params{})
+	rows2 := RunLivemig(Params{})
 	out1, out2 := RenderLivemig(rows1), RenderLivemig(rows2)
 	if out1 != out2 {
 		t.Fatalf("sweep not deterministic:\n--- first\n%s\n--- second\n%s", out1, out2)
@@ -61,7 +61,7 @@ func TestLivemigSweepDeterministicWithVisibleCrossover(t *testing.T) {
 
 func TestLivemigSweepFeedsMetrics(t *testing.T) {
 	mreg := metrics.NewRegistry()
-	rows := RunLivemig(LivemigConfig{Metrics: mreg})
+	rows := RunLivemig(Params{Metrics: mreg})
 	h := mreg.Histogram("livemig/model_downtime_seconds")
 	if got, want := h.Count(), uint64(len(rows)); got != want {
 		t.Fatalf("downtime observations = %d, want %d", got, want)

@@ -17,21 +17,6 @@ import (
 	"autoresched/internal/workload"
 )
 
-// MalleableConfig tunes the malleability experiment: the same elastic Jacobi
-// job runs three times on an eight-host cluster under one seeded host-churn
-// script — once at a fixed size, once with a migrate-only advisor (the world
-// size is capped at the initial four, so resizes can only swap hosts), and
-// once fully malleable (the job may grow onto freed hosts and shrink off
-// reloaded ones). The completion-time ordering malleable <= migrate <= fixed
-// is the headline: elasticity subsumes migration and beats it whenever spare
-// capacity outnumbers the ranks worth moving.
-type MalleableConfig struct {
-	Params
-	// Metrics, when set, accumulates every arm's registry (the cmd/repro
-	// -metrics flag feeds from here).
-	Metrics *metrics.Registry
-}
-
 // MalleableRow is one arm's outcome. Every field depends only on the seed:
 // the controller judges hosts by the churn script's own state, never by
 // measured load, so its proposals are a pure function of the seed, and the
@@ -73,8 +58,16 @@ const (
 	churnT4 = 365 * time.Second
 )
 
-// RunMalleable runs the three arms.
-func RunMalleable(cfg MalleableConfig) ([]MalleableRow, error) {
+// RunMalleable runs the malleability experiment: the same elastic Jacobi
+// job runs three times on an eight-host cluster under one seeded host-churn
+// script — once at a fixed size, once with a migrate-only advisor (the world
+// size is capped at the initial four, so resizes can only swap hosts), and
+// once fully malleable (the job may grow onto freed hosts and shrink off
+// reloaded ones). The completion-time ordering malleable <= migrate <= fixed
+// is the headline: elasticity subsumes migration and beats it whenever spare
+// capacity outnumbers the ranks worth moving. cfg.Metrics, when set,
+// accumulates every arm's registry.
+func RunMalleable(cfg Params) ([]MalleableRow, error) {
 	arms := []struct {
 		name    string
 		advisor *registry.ElasticAdvisor
@@ -96,7 +89,7 @@ func RunMalleable(cfg MalleableConfig) ([]MalleableRow, error) {
 	return rows, nil
 }
 
-func runMalleableArm(cfg MalleableConfig, arm string, advisor *registry.ElasticAdvisor) (MalleableRow, error) {
+func runMalleableArm(cfg Params, arm string, advisor *registry.ElasticAdvisor) (MalleableRow, error) {
 	cl, names, err := newCluster(8)
 	if err != nil {
 		return MalleableRow{}, err

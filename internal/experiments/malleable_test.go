@@ -66,7 +66,7 @@ func TestMalleableExperimentDeterministicAndOrdered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-arm churn runs in -short mode")
 	}
-	cfg := MalleableConfig{Params: Params{Seed: 5}}
+	cfg := Params{Seed: 5}
 	run := func() ([]MalleableRow, string) {
 		rows, err := RunMalleable(cfg)
 		if err != nil {

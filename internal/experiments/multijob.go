@@ -29,11 +29,6 @@ const (
 	multijobHorizonSec = 200
 )
 
-// MultijobConfig tunes the shoot-out.
-type MultijobConfig struct {
-	Params
-}
-
 // WaitQuantiles are per-priority queue-wait statistics, in ticks.
 type WaitQuantiles struct {
 	Jobs int
@@ -153,7 +148,7 @@ func multijobScenarios(seed int64) []scenario.Scenario {
 
 // RunMultijob runs the shoot-out: each stock policy over the same seeded
 // job set and churn script.
-func RunMultijob(cfg MultijobConfig) []MultijobRow {
+func RunMultijob(cfg Params) []MultijobRow {
 	space := multijobSpace()
 	var rows []MultijobRow
 	for _, s := range multijobScenarios(cfg.Seed) {

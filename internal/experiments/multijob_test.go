@@ -11,7 +11,7 @@ import (
 // TestMultijobDeterministic: the shoot-out is a pure function of the seed —
 // two runs produce identical rows and byte-identical reports.
 func TestMultijobDeterministic(t *testing.T) {
-	cfg := MultijobConfig{Params: Params{Seed: 1}}
+	cfg := Params{Seed: 1}
 	a := RunMultijob(cfg)
 	b := RunMultijob(cfg)
 	if !reflect.DeepEqual(a, b) {
@@ -29,7 +29,7 @@ func TestMultijobDeterministic(t *testing.T) {
 // buys). Every arm drains the full queue.
 func TestMultijobPolicyOrdering(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		cfg := MultijobConfig{Params: Params{Seed: seed}}
+		cfg := Params{Seed: seed}
 		rows := RunMultijob(cfg)
 		byPolicy := make(map[string]MultijobRow, len(rows))
 		for _, r := range rows {
@@ -76,7 +76,7 @@ func TestMultijobGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := RenderMultijob(RunMultijob(MultijobConfig{Params: Params{Seed: 42}})) + "\n"
+	got := RenderMultijob(RunMultijob(Params{Seed: 42})) + "\n"
 	if got != string(want) {
 		t.Fatalf("seed-42 report drifted from %s; if the change is intended, regenerate with\n"+
 			"  go run ./cmd/repro -exp multijob -seed 42 > internal/experiments/%s\n--- got\n%s--- want\n%s",

@@ -27,11 +27,6 @@ type PolicyRow struct {
 	TransferSec float64
 }
 
-// PoliciesConfig tunes the Table 2 scenario.
-type PoliciesConfig struct {
-	Params
-}
-
 // policiesWarmup damps the scheduler.
 const policiesWarmup = 4
 
@@ -40,7 +35,7 @@ const policiesWarmup = 4
 // (paying protocol-processing CPU, so it is a poor compute host even at
 // load < 1); ws3 carries a CPU load of ~2.5; ws4 is free. The same
 // application runs once under each policy.
-func RunPolicies(cfg PoliciesConfig) ([]PolicyRow, error) {
+func RunPolicies(cfg Params) ([]PolicyRow, error) {
 	policies := []*rules.MigrationPolicy{rules.Policy1(), rules.Policy2(), rules.Policy3()}
 	rows := make([]PolicyRow, 0, len(policies))
 	for _, pol := range policies {
@@ -53,7 +48,7 @@ func RunPolicies(cfg PoliciesConfig) ([]PolicyRow, error) {
 	return rows, nil
 }
 
-func runPolicyArm(cfg PoliciesConfig, pol *rules.MigrationPolicy) (PolicyRow, error) {
+func runPolicyArm(cfg Params, pol *rules.MigrationPolicy) (PolicyRow, error) {
 	cl, names, err := newCluster(5)
 	if err != nil {
 		return PolicyRow{}, err

@@ -27,10 +27,6 @@ type ScaleConfig struct {
 	Params
 	// Hosts lists the sweep sizes; empty selects 64, 256, 512.
 	Hosts []int
-	// Metrics, when set, accumulates every sweep's metrics registry
-	// (histograms merged bucket-wise) for a run-wide snapshot — the
-	// cmd/repro -metrics flag feeds from here.
-	Metrics *metrics.Registry
 }
 
 // Each sweep's fixed shape: scaleApps tree applications, the first

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // The paper positions its design as extensible "for checkpointing-based or
@@ -129,9 +128,9 @@ func (c *Context) checkpointNow(label string) error {
 		return errors.New("hpcm: no checkpoint store configured")
 	}
 	if mw.metrics != nil {
-		start := time.Now() //lint:allow determinism checkpoint_seconds is a wall-clock metric by contract (in no report)
+		start := mw.clock.Now()
 		defer func() {
-			mw.metrics.Histogram(MetricCheckpointSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism checkpoint_seconds is a wall-clock metric by contract
+			mw.metrics.Histogram(MetricCheckpointSeconds).Observe(mw.clock.Since(start).Seconds())
 		}()
 	}
 	mw.observeCheckpoint(CheckpointEvent{Proc: p.name, Host: c.env.Host, Label: label, Begin: true})

@@ -97,9 +97,9 @@ type Options struct {
 	// a host at an exact protocol step. Sinks must not block indefinitely.
 	Events metrics.Sink
 	// Metrics, when set, receives the middleware's latency histograms:
-	// hpcm/migration_seconds and hpcm/downtime_seconds (virtual-clock, per
-	// committed migration), hpcm/checkpoint_seconds (wall-clock, per
-	// checkpoint write), and — on the live path — hpcm/precopy_rounds and
+	// hpcm/migration_seconds and hpcm/downtime_seconds (per committed
+	// migration), hpcm/checkpoint_seconds (per checkpoint write), all on
+	// the universe's clock, and — on the live path — hpcm/precopy_rounds and
 	// hpcm/pages_resent (per committed live migration). Nil disables.
 	Metrics *metrics.Registry
 	// Live, when set, enables the iterative-precopy live migration path for
@@ -123,18 +123,16 @@ const (
 
 // NullBinder returns the no-op HostBinder used when processes run unbound
 // from any host model — benchmarks and pure protocol tests that need a
-// binder without building a cluster.
-func NullBinder() HostBinder { return nullBinder{} }
+// binder without building a cluster. Its processes start at clock's now.
+func NullBinder(clock vclock.Clock) HostBinder { return nullBinder{clock} }
 
 // nullBinder satisfies HostBinder without any host model.
-type nullBinder struct{}
+type nullBinder struct{ clock vclock.Clock }
 
 type nullProc struct{ started time.Time }
 
-func (nullBinder) Attach(string, string, int64) (HostProc, error) {
-	// The wall start is intentional: Started() feeds completion estimates,
-	// and pinning it to a fixed epoch reorders migration selection.
-	return &nullProc{started: time.Now()}, nil //lint:allow determinism nullProc start feeds completion estimates; pinning it reorders scheduling
+func (b nullBinder) Attach(string, string, int64) (HostProc, error) {
+	return &nullProc{started: b.clock.Now()}, nil
 }
 func (p *nullProc) PID() int              { return 0 }
 func (p *nullProc) Started() time.Time    { return p.started }
@@ -162,7 +160,7 @@ func New(opts Options) (*Middleware, error) {
 		return nil, errors.New("hpcm: Options.Universe is required")
 	}
 	if opts.Hosts == nil {
-		opts.Hosts = nullBinder{}
+		opts.Hosts = nullBinder{opts.Universe.Clock()}
 	}
 	if opts.ChunkBytes <= 0 {
 		opts.ChunkBytes = 1 << 20

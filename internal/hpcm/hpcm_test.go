@@ -34,7 +34,7 @@ func (b *testBinder) Attach(host, name string, mem int64) (HostProc, error) {
 	}
 	b.nextPID++
 	b.events = append(b.events, "attach:"+host)
-	return &testProc{b: b, pid: b.nextPID, host: host, started: time.Now()}, nil
+	return &testProc{b: b, pid: b.nextPID, host: host, started: vclock.Epoch}, nil
 }
 
 func (b *testBinder) log() []string {

@@ -639,6 +639,7 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 		name    string
 		stream  []image           // sent in order, each by sendState
 		kill    bool              // the receiver's mailbox closes behind the stream
+		abandon bool              // the source kills the receiver behind the stream
 		want    map[string][]byte // the complete slots after the handover
 		refusal string            // or: the error names this
 	}{
@@ -657,6 +658,7 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 		{name: "a delta that is not raw", stream: bad(segment{Name: "region", Size: 40, Enc: "f64le", Pages: &pageDelta{16, []int{0}}, parts: [][]byte{page(0, 2)}}), refusal: `"region"`},
 		{name: "fragment longer than its page", stream: bad(region(pageDelta{16, []int{2}}, pattern(9, 2))), refusal: `"region"`},
 		{name: "no final header", stream: []image{round1}, kill: true, refusal: "receive execution state"},
+		{name: "abandoned after round 1", stream: []image{round1}, abandon: true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			parent, child := commPair(t)
@@ -668,8 +670,12 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 			if row.kill {
 				child.Kill()
 			}
+			if row.abandon {
+				parent.KillRemote()
+			}
 			if row.want == nil {
-				// A refusal reaches the source; a cancelled destination just exits.
+				// A refusal reaches the source; a cancelled or abandoned destination
+				// just exits.
 				err := new(Process).bootstrap(child, child.Parent)
 				if row.refusal == "" {
 					if waiting, _, _ := parent.Iprobe(0, mpi.AnyTag); err != nil || waiting {

@@ -31,11 +31,13 @@ func (att *attempt) delta(ids []int, parts [][]byte) segment {
 	}
 }
 
-// release tells the destination to discard the partial region and exit.
-// Best-effort: every caller has already given up on this destination, and a
-// failed send means it is gone anyway.
+// release tells the destination to discard the partial region and exit,
+// and kills it, so that it exits even where the cancel cannot reach it.
+// The cancel is best-effort: every caller has already given up on this
+// destination.
 func (att *attempt) release() {
 	_ = (&image{Cancel: true}).sendState(att.inter) //lint:allow discardederr best-effort release of an abandoned destination; the caller's own outcome carries the cause
+	att.inter.KillRemote()
 }
 
 // startPrecopy runs the attempt's rounds in the background, each an image of

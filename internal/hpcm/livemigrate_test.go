@@ -278,7 +278,7 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	}
 	awaitRound := func(n int) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; mw.clock.Sleep(time.Millisecond) {
+		for deadline := mw.clock.Now().Add(10 * time.Second); ; mw.clock.Sleep(time.Millisecond) {
 			rounds := 0
 			for _, phase := range log.phases() {
 				if phase == PhasePrecopy {
@@ -288,7 +288,7 @@ func runLiveFallback(t *testing.T, preinit bool) {
 			if rounds >= n {
 				return
 			}
-			if time.Now().After(deadline) {
+			if mw.clock.Now().After(deadline) {
 				t.Fatalf("precopy round %d never reported", n)
 			}
 		}

@@ -54,7 +54,12 @@ func (att *attempt) event(phase string, round int, err error) MigrationEvent {
 // abort reports a failure before the commit point: the source still owns the
 // process, and the incarnation gives up with a *MigrationFailure so the
 // runtime can fall back to the last checkpoint and retry on a fresh host.
+// The destination, if one was initialized, is killed: the state it waits
+// for will never come.
 func (m *Middleware) abort(att *attempt, phase string, round int, err error) error {
+	if att.inter != nil {
+		att.inter.KillRemote()
+	}
 	mf := &MigrationFailure{
 		From: att.rec.From, To: att.rec.To, Label: att.rec.Label, Phase: phase, Err: err,
 	}
@@ -277,6 +282,9 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 	// source can resume locally instead of hanging.
 	clock := env.U.Clock()
 	img, saved, err := receiveState(clock, parent)
+	if errors.Is(err, mpi.ErrKilledByPeer) {
+		return nil // the source gave up on the attempt and killed this process
+	}
 	if err != nil {
 		_ = parent.Send(statusText(err), 0, tagResumed)
 		return err

@@ -9,7 +9,7 @@ import (
 )
 
 func newTestQueue(sink metrics.Sink) *Queue {
-	return NewQueue(vclock.NewManual(vclock.Epoch), sink)
+	return NewQueue(vclock.NewAuto(vclock.Epoch), sink)
 }
 
 func TestSubmitValidation(t *testing.T) {

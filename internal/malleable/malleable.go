@@ -251,7 +251,7 @@ func Start(opts Options) (*Job, error) {
 		return nil, err
 	}
 	if opts.Hosts == nil {
-		opts.Hosts = hpcm.NullBinder()
+		opts.Hosts = hpcm.NullBinder(opts.Universe.Clock())
 	}
 	if opts.Metrics != nil {
 		// Pre-create the histograms so a metrics snapshot shows them

@@ -11,10 +11,10 @@ import (
 )
 
 func TestRecordAndSeries(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRecorder(clock)
 	r.Record("load", 0.25)
-	clock.Advance(10 * time.Second)
+	clock.Sleep(10 * time.Second)
 	r.Record("load", 0.30)
 	s := r.Series("load")
 	if len(s.Points) != 2 || s.Points[0].V != 0.25 || s.Points[1].V != 0.30 {

@@ -55,9 +55,10 @@ func (f *fakeReporter) statusCount() int {
 	return len(f.statuses)
 }
 
-func monRig(t *testing.T) (*sim.Host, *fakeReporter, *Monitor, *vclock.Manual) {
+func monRig(t *testing.T) (*sim.Host, *fakeReporter, *Monitor, *vclock.Auto) {
 	t.Helper()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	t.Cleanup(clock.Close)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &fakeReporter{}
 	m, err := NewMonitor(
@@ -121,17 +122,14 @@ func TestStateFollowsLoad(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := host.Spawn("burn", 0)
 		procs = append(procs, p)
-		go func(p *sim.Proc) { _ = p.Compute(1e12) }(p)
+		vclock.Go(clock, func() { _ = p.Compute(1e12) })
 	}
 	defer func() {
 		for _, p := range procs {
 			p.Exit()
 		}
 	}()
-	for host.RunQueue() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(10 * time.Minute)
+	clock.Sleep(10 * time.Minute)
 	if _, err := m.Cycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +147,13 @@ func TestStartLoopReportsPeriodically(t *testing.T) {
 		t.Fatal("double start accepted")
 	}
 	defer m.Stop()
-	// First cycle runs immediately.
-	deadline := time.Now().Add(5 * time.Second)
-	for rep.statusCount() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("no initial report")
+	// First cycle runs immediately, then one every 10s.
+	clock.Sleep(5 * time.Second)
+	for i := 1; i <= 4; i++ {
+		if got := rep.statusCount(); got != i {
+			t.Fatalf("reports at %v = %d, want %d", clock.Since(vclock.Epoch), got, i)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	// Each 10s advance produces one more report.
-	for i := 2; i <= 4; i++ {
-		clock.WaitUntilWaiters(1)
-		clock.Advance(10 * time.Second)
-		for rep.statusCount() < i {
-			if time.Now().After(deadline) {
-				t.Fatalf("report %d missing (have %d)", i, rep.statusCount())
-			}
-			time.Sleep(time.Millisecond)
-		}
+		clock.Sleep(10 * time.Second)
 	}
 	m.Stop()
 	m.Stop() // idempotent
@@ -186,7 +173,8 @@ func TestStartLoopReportsPeriodically(t *testing.T) {
 // TestCyclePeriodIsDefaultFrequency: the loop's one timer between cycles is
 // the period WithDefaultFrequency sets, whatever state the host is in.
 func TestCyclePeriodIsDefaultFrequency(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &fakeReporter{}
 	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
@@ -199,19 +187,25 @@ func TestCyclePeriodIsDefaultFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
+	// Cycles run at 0, 30s and 60s: one nanosecond before each the count
+	// is still the previous one. The loop's timer, armed first, fires
+	// ahead of the test's own at the same instant.
+	clock.Sleep(30*time.Second - time.Nanosecond)
 	for cycle := 1; cycle <= 2; cycle++ {
-		clock.WaitUntilWaiters(1) // cycle done, next one armed
 		if rep.statusCount() != cycle {
-			t.Fatalf("reports = %d, want %d", rep.statusCount(), cycle)
+			t.Fatalf("reports at %v = %d, want %d", clock.Since(vclock.Epoch), rep.statusCount(), cycle)
 		}
-		if d, ok := clock.AdvanceToNext(); !ok || d != 30*time.Second {
-			t.Fatalf("period before cycle %d = %v, want 30s", cycle+1, d)
+		clock.Sleep(time.Nanosecond)
+		if rep.statusCount() != cycle+1 {
+			t.Fatalf("reports at %v = %d, want %d", clock.Since(vclock.Epoch), rep.statusCount(), cycle+1)
 		}
+		clock.Sleep(30*time.Second - time.Nanosecond)
 	}
 }
 
 func TestChargerChargedPerCycle(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	charger := host.Spawn("monitor", 0)
 	m, err := NewMonitor("ws1", sysinfo.NewSimSource(host, nil),
@@ -221,15 +215,14 @@ func TestChargerChargedPerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Cycle()
-		done <- err
-	}()
-	// The cycle blocks on the charge; advancing releases it.
-	clock.WaitUntilWaiters(1)
-	clock.Advance(time.Second)
-	if err := <-done; err != nil {
+	done := make(chan struct{})
+	vclock.Go(clock, func() {
+		defer close(done)
+		_, err = m.Cycle()
+	})
+	// The cycle blocks on the charge until the clock has run it.
+	vclock.Await(clock, done)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if ct := charger.CPUTime(); ct < 40*time.Millisecond {
@@ -238,7 +231,7 @@ func TestChargerChargedPerCycle(t *testing.T) {
 }
 
 func TestHistoryBounded(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	m, err := NewMonitor(
 		"ws1",
@@ -253,7 +246,7 @@ func TestHistoryBounded(t *testing.T) {
 		if _, err := m.Cycle(); err != nil {
 			t.Fatal(err)
 		}
-		clock.Advance(10 * time.Second)
+		clock.Sleep(10 * time.Second)
 	}
 	if got := len(m.historyCopy()); got != 4 {
 		t.Fatalf("history size = %d, want 4", got)
@@ -285,7 +278,7 @@ func (d *diskSource) Disks() ([]sysinfo.DiskUsage, error) {
 // TestDiskRuleEndToEnd covers the paper's disk-usage monitoring category:
 // a df-style rule over the host's mount table drives the state machine.
 func TestDiskRuleEndToEnd(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	src := &diskSource{SimSource: sysinfo.NewSimSource(host, nil), usedPct: 40}
 	engine := rules.NewEngine(nil)
@@ -324,7 +317,7 @@ func TestDiskRuleEndToEnd(t *testing.T) {
 
 // TestMemoryRuleEndToEnd covers the memory-state monitoring category.
 func TestMemoryRuleEndToEnd(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000, MemTotal: 100 << 20, MemBase: 10 << 20})
 	engine := rules.NewEngine(nil)
 	if err := engine.Add(&rules.Rule{

@@ -56,7 +56,7 @@ func (a *amnesiacReporter) counts() (int, int) {
 }
 
 func TestCycleReregistersAfterRegistryRestart(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	rep := &amnesiacReporter{}
 	mreg := metrics.NewRegistry()

@@ -73,6 +73,18 @@ func (c *Comm) destGroup() *group {
 	return c.group
 }
 
+// KillRemote kills the processes across an intercommunicator: their
+// blocked and future receives return ErrKilledByPeer. No message moves, so
+// the transport charges nothing. On an intracommunicator it does nothing.
+func (c *Comm) KillRemote() {
+	if c.remote == nil {
+		return
+	}
+	for _, ep := range c.remote.eps {
+		ep.close(ErrKilledByPeer)
+	}
+}
+
 // Send sends v to dest with a non-negative tag, blocking until the payload
 // has been accepted (eager buffering: transport time is charged, then the
 // message is queued at the receiver).

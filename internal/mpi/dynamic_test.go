@@ -98,24 +98,21 @@ func TestSpawnMultipleChildrenFormWorld(t *testing.T) {
 }
 
 func TestSpawnChargesLatency(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	u := NewUniverse(Options{Clock: clock, SpawnLatency: 300 * time.Millisecond})
-	done := make(chan time.Time, 1)
+	var at time.Time
 	wait := u.Start([]string{"a"}, func(env *Env) error {
 		_, err := env.Spawn([]string{"b"}, func(*Env) error { return nil })
-		done <- clock.Now()
+		at = clock.Now()
 		return err
 	})
-	clock.WaitUntilWaiters(1) // spawn sleeping on latency
-	clock.Advance(300 * time.Millisecond)
-	at := <-done
-	if at.Before(vclock.Epoch.Add(300 * time.Millisecond)) {
-		t.Fatalf("spawn returned at %v, before latency elapsed", at)
-	}
 	for _, err := range wait() {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if want := vclock.Epoch.Add(300 * time.Millisecond); !at.Equal(want) {
+		t.Fatalf("spawn returned at %v, want %v", at, want)
 	}
 	u.Wait()
 }

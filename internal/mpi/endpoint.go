@@ -53,7 +53,7 @@ type endpoint struct {
 	mu     sync.Mutex
 	cond   *vclock.Cond
 	queue  []*message
-	closed bool
+	closed error // once closed, what receives return
 }
 
 func newEndpoint(clock vclock.Clock, host string) *endpoint {
@@ -65,7 +65,7 @@ func newEndpoint(clock vclock.Clock, host string) *endpoint {
 func (ep *endpoint) deliver(m *message) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
+	if ep.closed != nil {
 		return ErrProcExited
 	}
 	// In the send/recv steady state match removes in place, so the queue
@@ -87,8 +87,8 @@ func (ep *endpoint) match(ctx string, src, tag int) (*message, error) {
 				return m, nil
 			}
 		}
-		if ep.closed {
-			return nil, ErrProcExited
+		if ep.closed != nil {
+			return nil, ep.closed
 		}
 		ep.cond.Wait()
 	}
@@ -103,8 +103,8 @@ func (ep *endpoint) peekNow(ctx string, src, tag int) (*message, bool, error) {
 			return m, true, nil
 		}
 	}
-	if ep.closed {
-		return nil, false, ErrProcExited
+	if ep.closed != nil {
+		return nil, false, ep.closed
 	}
 	return nil, false, nil
 }
@@ -120,8 +120,8 @@ func (ep *endpoint) peek(ctx string, src, tag int) (*message, error) {
 				return m, nil
 			}
 		}
-		if ep.closed {
-			return nil, ErrProcExited
+		if ep.closed != nil {
+			return nil, ep.closed
 		}
 		ep.cond.Wait()
 	}
@@ -140,10 +140,14 @@ func (m *message) matches(ctx string, src, tag int) bool {
 	return true
 }
 
-func (ep *endpoint) close() {
+// close closes the mailbox, receives returning why from then on; a closed
+// mailbox keeps its first reason.
+func (ep *endpoint) close(why error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.closed = true
+	if ep.closed == nil {
+		ep.closed = why
+	}
 	ep.cond.Broadcast()
 }
 

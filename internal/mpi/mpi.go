@@ -29,6 +29,9 @@ import (
 var (
 	// ErrProcExited reports communication with a rank that has finished.
 	ErrProcExited = errors.New("mpi: peer process has exited")
+	// ErrKilledByPeer reports a receive in a process that a peer killed
+	// through Comm.KillRemote. It is an ErrProcExited.
+	ErrKilledByPeer = fmt.Errorf("%w: killed by its peer", ErrProcExited)
 	// ErrBadRank reports a rank outside the communicator.
 	ErrBadRank = errors.New("mpi: rank out of range")
 	// ErrBadTag reports a negative user tag (negative tags are reserved for
@@ -157,7 +160,7 @@ type Main func(env *Env) error
 // and future receives return ErrProcExited, and peers delivering to it fail
 // the same way. Fault injection uses it to model a host crash taking a rank
 // down mid-protocol; killing an already-finished process is a no-op.
-func (env *Env) Kill() { env.ep.close() }
+func (env *Env) Kill() { env.ep.close(ErrProcExited) }
 
 // Start launches like Run but returns immediately; the returned Wait
 // function blocks and yields per-rank errors.
@@ -219,7 +222,7 @@ func (u *Universe) launch(hosts []string, parent *group, main Main) ([]*Env, *er
 		vclock.Go(u.clock, func() {
 			defer u.wg.Done()
 			defer errs.wg.Done()
-			defer env.ep.close()
+			defer env.ep.close(ErrProcExited)
 			err := main(env)
 			errs.mu.Lock()
 			errs.errs[i] = err

@@ -13,7 +13,7 @@ import (
 // report — must not allocate. The slot index and the pending slice are
 // preallocated to maxPending, so the replace branch only copies a struct.
 func TestZeroAllocHotPaths(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock})
 	if err := b.RegisterHost("ws1", staticFor("ws1")); err != nil {

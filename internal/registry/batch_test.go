@@ -11,7 +11,7 @@ import (
 )
 
 func TestReportStatusBatchAppliesAndReportsUnknown(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	for _, h := range []string{"ws1", "ws2"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -34,7 +34,7 @@ func TestReportStatusBatchAppliesAndReportsUnknown(t *testing.T) {
 }
 
 func TestReportStatusBatchDecides(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{}
 	r := newReg(t, clock, sink, nil) // warmup 2
 	for _, h := range []string{"ws1", "ws4"} {
@@ -71,7 +71,7 @@ func TestReportStatusBatchDecides(t *testing.T) {
 }
 
 func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock, Metrics: mreg})
@@ -116,7 +116,7 @@ func TestBatcherLatestWinsAndFlushAtMaxPending(t *testing.T) {
 }
 
 func TestBatcherRecoversAfterRegistryRestart(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock))
 	b := NewBatcher(r, BatcherConfig{Clock: clock, Metrics: mreg})

@@ -19,7 +19,7 @@ import (
 // layer's bookkeeping, so a gang may take it, while a migration only lands
 // on Free hosts.
 func TestOneEligibilityRule(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	fleet := []string{"expired", "reserved", "excluded", "misfit", "busy", "free1", "free2"}
 	for _, h := range fleet {
@@ -31,7 +31,7 @@ func TestOneEligibilityRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clock.Advance(40 * time.Second) // past the 35 s lease
+	clock.Sleep(40 * time.Second) // past the 35 s lease
 	for _, h := range fleet[1:] {
 		state := "free"
 		if h == "busy" {

@@ -12,9 +12,9 @@ import (
 
 // gangReg builds a registry with n registered, free, lease-fresh hosts
 // named g1..gn.
-func gangReg(t *testing.T, n int) (*Registry, *vclock.Manual) {
+func gangReg(t *testing.T, n int) (*Registry, *vclock.Auto) {
 	t.Helper()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	for i := 1; i <= n; i++ {
 		host := fmt.Sprintf("g%d", i)
@@ -97,7 +97,7 @@ func TestGangCommitFailsOnLeaseExpiry(t *testing.T) {
 	if !ok {
 		t.Fatal("PlaceGang declined")
 	}
-	clock.Advance(36 * time.Second) // past the 35 s default lease
+	clock.Sleep(36 * time.Second) // past the 35 s default lease
 	if err := g.Commit(); !errors.Is(err, ErrReservationLost) {
 		t.Fatalf("Commit with expired leases = %v, want ErrReservationLost", err)
 	}

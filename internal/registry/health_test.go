@@ -9,7 +9,7 @@ import (
 )
 
 func TestHealthSummarisesDomain(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithLease(35*time.Second))
 
 	for i, state := range []string{"free", "free", "busy", "overloaded"} {
@@ -29,14 +29,14 @@ func TestHealthSummarisesDomain(t *testing.T) {
 	}
 
 	// Let h5's lease expire; the others stay fresh via the reports above.
-	clock.Advance(20 * time.Second)
+	clock.Sleep(20 * time.Second)
 	for i, state := range []string{"free", "free", "busy", "overloaded"} {
 		host := []string{"h1", "h2", "h3", "h4"}[i]
 		if err := r.ReportStatus(host, status(state, 0.5, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clock.Advance(20 * time.Second)
+	clock.Sleep(20 * time.Second)
 
 	h := r.Health()
 	if h.Hosts != 5 || h.Free != 2 || h.Busy != 1 || h.Overloaded != 1 || h.Unavailable != 1 {
@@ -48,7 +48,7 @@ func TestHealthSummarisesDomain(t *testing.T) {
 }
 
 func TestHealthEmptyDomain(t *testing.T) {
-	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)))
 	h := r.Health()
 	if h != (Health{}) {
 		t.Fatalf("health = %+v", h)

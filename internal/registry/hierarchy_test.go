@@ -32,7 +32,7 @@ func twoDomains(t *testing.T, clock vclock.Clock, aState string, aHosts ...strin
 }
 
 func TestCrossDomainFirstFit(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	_, childA := twoDomains(t, clock, "busy", "a1", "a2")
 
 	// No destination in A (both hosts busy): the placement is delegated
@@ -44,7 +44,7 @@ func TestCrossDomainFirstFit(t *testing.T) {
 }
 
 func TestDelegationWhenAllLocalHostsOverloaded(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	_, childA := twoDomains(t, clock, "overloaded", "a1", "a2", "a3")
 
 	// Every host in A is overloaded — none may receive a migration — so the
@@ -56,12 +56,12 @@ func TestDelegationWhenAllLocalHostsOverloaded(t *testing.T) {
 }
 
 func TestParentDomainLeaseExpiry(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	upper, childA := twoDomains(t, clock, "busy", "a1")
 
 	// Past the lease with no refresh from b1: the upper registry no longer
 	// offers it, and with no host of its own to spare the walk fails.
-	clock.Advance(40 * time.Second)
+	clock.Sleep(40 * time.Second)
 	if cand, ok := childA.FirstFit("a1", ProcInfo{}); ok {
 		t.Fatalf("candidate = %+v, want none after b1's lease expired", cand)
 	}
@@ -77,7 +77,7 @@ func TestParentDomainLeaseExpiry(t *testing.T) {
 }
 
 func TestHierarchicalDelegation(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	join := func(r *Registry, host, state string) {
 		t.Helper()
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {

@@ -259,7 +259,7 @@ func TestUpgradeInPlace(t *testing.T) {
 		}
 		return s
 	}
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	store := open()
 	r := NewRegistry(WithClock(clock), WithStore(store))
 	reopen := func(step string) {
@@ -280,7 +280,7 @@ func TestUpgradeInPlace(t *testing.T) {
 	reopen("binary frame after JSON frames")
 
 	hosts := r.Hosts()
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -333,7 +333,7 @@ func TestDigestIndependentOfLocalZone(t *testing.T) {
 	time.Local = time.FixedZone("UTC+5:30", 5*3600+1800)
 	t.Cleanup(func() { time.Local = saved })
 
-	clock := vclock.NewManual(time.Date(2004, 4, 1, 9, 30, 0, 0, time.Local))
+	clock := vclock.NewAuto(time.Date(2004, 4, 1, 9, 30, 0, 0, time.Local))
 	store, err := persist.OpenFileStore(t.TempDir(), persist.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestDigestIndependentOfLocalZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 		if err := r.ReportStatus(fmt.Sprintf("ws%d", i), proto.Status{State: "busy"}); err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // registration order, surviving interleaved unregistrations, state changes
 // and re-registrations (a re-registered host joins at the back).
 func TestHostsDeterministicOrder(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	for i := 1; i <= 5; i++ {
 		h := fmt.Sprintf("ws%d", i)
@@ -47,7 +47,7 @@ func TestHostsDeterministicOrder(t *testing.T) {
 // TestProcessesDeterministicOrder pins the other half of the contract:
 // Processes() returns PID order regardless of registration order.
 func TestProcessesDeterministicOrder(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestProcessesDeterministicOrder(t *testing.T) {
 // publishes its decision trace on the unified stream, one event per
 // decision, under Source "registry".
 func TestTraceEventsReachUnifiedSink(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	ring := &metrics.Ring{}
 	sink := &fakeSink{}
 	r := NewRegistry(

@@ -18,14 +18,14 @@ func BenchmarkReplayBootstrap(b *testing.B) {
 	for _, n := range []int{512, 4096} {
 		b.Run(fmt.Sprintf("hosts%d", n), func(b *testing.B) {
 			store := persist.NewMemStore()
-			clock := vclock.NewManual(vclock.Epoch)
+			clock := vclock.NewAuto(vclock.Epoch)
 			r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(n))
 			for i := 0; i < n; i++ {
 				if err := r.RegisterHost(fmt.Sprintf("ws%05d", i), proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			clock.Advance(5 * time.Second)
+			clock.Sleep(5 * time.Second)
 			for i := 0; i < n; i++ {
 				if err := r.ReportStatus(fmt.Sprintf("ws%05d", i), proto.Status{State: "busy", Load1: 1.5}); err != nil {
 					b.Fatal(err)

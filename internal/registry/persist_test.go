@@ -18,9 +18,9 @@ import (
 	"autoresched/internal/vclock"
 )
 
-func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Manual, *metrics.Registry) {
+func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Auto, *metrics.Registry) {
 	t.Helper()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithStore(store))
 	return r, clock, mreg
@@ -37,7 +37,7 @@ func TestRestartRecoversFromStore(t *testing.T) {
 	if err := r.RegisterProcess("ws1", proto.ProcessInfo{PID: 42, Name: "app", Start: 7}); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(5 * time.Second)
+	clock.Sleep(5 * time.Second)
 	if err := r.ReportStatus("ws2", proto.Status{State: "busy", Load1: 1.25}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRestartRecoversFromStore(t *testing.T) {
 
 func TestRestartRecoveryPublishesTypedEvent(t *testing.T) {
 	store := persist.NewMemStore()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	var got []RestartEvent
 	sink := metrics.On(func(ev RestartEvent) { got = append(got, ev) })
 	r := NewRegistry(WithClock(clock), WithStore(store), WithEvents(sink))
@@ -147,7 +147,7 @@ func copyStore(t *testing.T, src persist.Store) *persist.MemStore {
 // across the snapshot compactions SnapshotEvery forces along the way.
 func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 	store := persist.NewMemStore()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithStore(store), WithSnapshotEvery(10))
 	sb, err := NewStandby(store, WithClock(clock))
@@ -201,7 +201,7 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 		{"abort", false, func() { g.Abort() }},
 		{"status rounds across the snapshot cadence", false, func() {
 			for round := 0; round < 3; round++ {
-				clock.Advance(time.Second)
+				clock.Sleep(time.Second)
 				for _, h := range r.Hosts() {
 					must(r.ReportStatus(h.Name, proto.Status{State: "busy"}))
 				}
@@ -305,12 +305,12 @@ func TestEveryRecordKindHasOneApply(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: no payload type", kind)
 		}
-		r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
+		r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)))
 		if err := r.applyLocked(p); err != nil && strings.Contains(err.Error(), "no apply") {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
-	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)))
 	if err := r.applyLocked(&struct{}{}); err == nil || !strings.Contains(err.Error(), "no apply") {
 		t.Fatalf("apply of an undeclared payload = %v", err)
 	}
@@ -328,7 +328,7 @@ func TestEveryRecordKindHasOneApply(t *testing.T) {
 // encoding is bit-identical to the pre-crash one.
 func TestReplayBitIdentical4096Hosts(t *testing.T) {
 	store := persist.NewMemStore()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(3000))
 	const n = 4096
 	for i := 0; i < n; i++ {
@@ -336,7 +336,7 @@ func TestReplayBitIdentical4096Hosts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clock.Advance(10 * time.Second)
+	clock.Sleep(10 * time.Second)
 	states := []string{"free", "busy", "overloaded"}
 	for i := 0; i < n; i++ {
 		st := proto.Status{State: states[i%3], Load1: float64(i%11) / 4}
@@ -408,7 +408,7 @@ func TestStandbyPromotionFencesOldPrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	sb, err := NewStandby(store, WithClock(clock), WithMetrics(mreg))
 	if err != nil {

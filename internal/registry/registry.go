@@ -90,9 +90,8 @@ type config struct {
 }
 
 // Metric names the registry exports when WithMetrics is set. The hosts
-// gauge tracks registrations; decide_seconds is the wall-clock cost of one
-// scheduling decision (an approximate metric — it never feeds the
-// deterministic experiment sections).
+// gauge tracks registrations; decide_seconds is the time one scheduling
+// decision takes on the registry's clock.
 const (
 	MetricHosts         = "registry/hosts"
 	MetricDecideSeconds = "registry/decide_seconds"

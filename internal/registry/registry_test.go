@@ -75,7 +75,7 @@ func newReg(t *testing.T, clock vclock.Clock, sink CommandSink, policy *rules.Mi
 }
 
 func TestRegisterAndLeaseExpiry(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
@@ -87,16 +87,16 @@ func TestRegisterAndLeaseExpiry(t *testing.T) {
 		t.Fatalf("state = %v", got)
 	}
 	// Refresh keeps it alive.
-	clock.Advance(30 * time.Second)
+	clock.Sleep(30 * time.Second)
 	if err := r.ReportStatus("ws1", status("busy", 1.5, 10)); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(30 * time.Second)
+	clock.Sleep(30 * time.Second)
 	if got := r.stateOf("ws1"); got != rules.Busy {
 		t.Fatalf("state = %v", got)
 	}
 	// Missing refreshes expire the lease.
-	clock.Advance(10 * time.Second)
+	clock.Sleep(10 * time.Second)
 	if got := r.stateOf("ws1"); got != rules.Unavailable {
 		t.Fatalf("state after lease expiry = %v", got)
 	}
@@ -110,7 +110,7 @@ func TestRegisterAndLeaseExpiry(t *testing.T) {
 }
 
 func TestStatusFromUnregisteredHost(t *testing.T) {
-	r := newReg(t, vclock.NewManual(vclock.Epoch), nil, nil)
+	r := newReg(t, vclock.NewAuto(vclock.Epoch), nil, nil)
 	if err := r.ReportStatus("ghost", status("free", 0, 1)); err == nil {
 		t.Fatal("status from unregistered host accepted")
 	}
@@ -120,7 +120,7 @@ func TestStatusFromUnregisteredHost(t *testing.T) {
 }
 
 func TestProcessRegistrationAndSelection(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestProcessRegistrationAndSelection(t *testing.T) {
 }
 
 func TestFirstFitRegistrationOrderAndStates(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	for _, h := range []string{"ws2", "ws3", "ws4"} {
 		if err := r.RegisterHost(h, staticFor(h)); err != nil {
@@ -201,14 +201,14 @@ func TestFirstFitRegistrationOrderAndStates(t *testing.T) {
 		t.Fatalf("candidate = %+v, want ws4 with ws2 excluded", cand)
 	}
 	// Expired hosts are skipped.
-	clock.Advance(time.Hour)
+	clock.Sleep(time.Hour)
 	if _, ok := r.FirstFit("ws1", ProcInfo{}); ok {
 		t.Fatal("stale host offered as candidate")
 	}
 }
 
 func TestFirstFitSchemaRequirements(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	small := staticFor("ws2")
 	small.MemTotal = 16 << 20
@@ -247,7 +247,7 @@ func TestFirstFitSchemaRequirements(t *testing.T) {
 }
 
 func TestDecisionFlowWarmupAndCooldown(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{}
 	r := newReg(t, clock, sink, nil) // state-based policy, warmup 2
 	for _, h := range []string{"ws1", "ws4"} {
@@ -303,7 +303,7 @@ func TestDecisionFlowWarmupAndCooldown(t *testing.T) {
 		t.Fatalf("orders during cooldown = %d", sink.count())
 	}
 	// After the cooldown (and fresh leases), ordering resumes.
-	clock.Advance(61 * time.Second)
+	clock.Sleep(61 * time.Second)
 	if err := r.ReportStatus("ws4", status("free", 0.1, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDecisionFlowWarmupAndCooldown(t *testing.T) {
 }
 
 func TestDecisionDeclinedWithoutDestination(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{}
 	r := newReg(t, clock, sink, nil)
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
@@ -346,7 +346,7 @@ func TestDecisionDeclinedWithoutDestination(t *testing.T) {
 }
 
 func TestPolicyDrivenDecision(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{}
 	r := NewRegistry(
 		WithClock(clock),
@@ -383,7 +383,7 @@ func TestPolicyDrivenDecision(t *testing.T) {
 }
 
 func TestCandidatePull(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	if err := r.RegisterHost("ws1", staticFor("ws1")); err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func TestCandidatePull(t *testing.T) {
 }
 
 func TestHandlerServesProtocol(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := newReg(t, clock, nil, nil)
 	h := r.Handler()
 

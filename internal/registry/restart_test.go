@@ -11,7 +11,7 @@ import (
 )
 
 func TestRestartDropsSoftState(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	ring := &metrics.Ring{}
 	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithEvents(ring))
@@ -70,7 +70,7 @@ func TestOpensStoreWrittenBeforePR23(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer store.Close()
-	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)), WithStore(store))
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)), WithStore(store))
 	if store.Seq() != 16 || store.Epoch() != 1 || r.StateDigest() != "4716354739dadc8a" {
 		t.Fatalf("recovered seq=%d epoch=%d digest=%s, want 16, 1, 4716354739dadc8a",
 			store.Seq(), store.Epoch(), r.StateDigest())

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"time"
 
 	"autoresched/internal/proto"
 	"autoresched/internal/rules"
@@ -111,9 +110,9 @@ func (r *Registry) Candidate(host string) proto.Candidate {
 // finally the migrate order to the source host's commander.
 func (r *Registry) decide(host string) {
 	if r.cfg.metrics != nil {
-		start := time.Now() //lint:allow determinism decide_seconds measures real scheduler cost, not sim time
+		start := r.clock.Now()
 		defer func() {
-			r.cfg.metrics.Histogram(MetricDecideSeconds).Observe(time.Since(start).Seconds()) //lint:allow determinism decide_seconds measures real scheduler cost
+			r.cfg.metrics.Histogram(MetricDecideSeconds).Observe(r.clock.Since(start).Seconds())
 		}()
 	}
 	r.mu.Lock()

@@ -12,7 +12,7 @@ import (
 var leastLoaded = &rules.MigrationPolicy{Scheduler: "leastloaded"}
 
 func TestDefaultSchedulerIsFirstFit(t *testing.T) {
-	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)))
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)))
 	if got := r.sched.Name(); got != "firstfit" {
 		t.Fatalf("default scheduler = %q, want firstfit", got)
 	}
@@ -40,14 +40,14 @@ func TestSchedulerByName(t *testing.T) {
 }
 
 func TestPolicyNamesScheduler(t *testing.T) {
-	r := NewRegistry(WithClock(vclock.NewManual(vclock.Epoch)), WithPolicy(leastLoaded))
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)), WithPolicy(leastLoaded))
 	if got := r.sched.Name(); got != "leastloaded" {
 		t.Fatalf("scheduler via policy = %q, want leastloaded", got)
 	}
 }
 
 func TestLeastLoadedPicksLightestHost(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithPolicy(leastLoaded))
 	for host, load := range map[string]float64{"ws1": 0.8, "ws2": 0.2, "ws3": 0.5} {
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {
@@ -83,7 +83,7 @@ func TestLeastLoadedPicksLightestHost(t *testing.T) {
 }
 
 func TestLeastLoadedTieBreaksByRegistration(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithPolicy(leastLoaded))
 	for _, host := range []string{"ws1", "ws2"} {
 		if err := r.RegisterHost(host, staticFor(host)); err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 func TestDecisionTraceRecordsLifecycle(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{}
 	ring := &metrics.Ring{}
 	var observed []string
@@ -93,7 +93,7 @@ func TestDecisionTraceRecordsLifecycle(t *testing.T) {
 }
 
 func TestDecisionTraceOrderFailed(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	sink := &fakeSink{err: errors.New("commander unreachable")}
 	ring := &metrics.Ring{}
 	r := NewRegistry(WithClock(clock), WithCommands(sink), WithWarmup(1), WithCooldown(time.Minute), WithEvents(ring))

@@ -9,11 +9,10 @@ import (
 	"autoresched/internal/jobs"
 	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
-	"autoresched/internal/vclock"
 )
 
 // The fleet runner: executes one generated scenario as a discrete-tick
-// simulation on the sim clock, one virtual second per tick. Admissions come
+// simulation whose tick is the time, one virtual second each. Admissions come
 // from jobs.PlanCycle — the exact planner the live dispatcher executes —
 // fault events from the scenario's schedule, and every migration or resize
 // is costed through the livemig analytic model (which shares its
@@ -141,8 +140,6 @@ func (j *runJob) workMs() int64 { return int64(j.spec.Gang) * int64(j.spec.WorkS
 // Run executes one scenario to completion (or the tick cap) and returns its
 // deterministic result.
 func (Runner) Run(s Scenario) Result {
-	clock := vclock.NewManual(vclock.Epoch)
-	start := clock.Now()
 	mreg := metrics.NewRegistry()
 	downtimeHist := mreg.Histogram("fleet/downtime_seconds")
 	migrHist := mreg.Histogram("fleet/migration_seconds")
@@ -167,9 +164,9 @@ func (Runner) Run(s Scenario) Result {
 			Migrations:  map[string]int{},
 		},
 	}
-	now := func() int { return int(clock.Since(start) / time.Second) }
+	now := 0 // the current tick, in virtual seconds
 	digest := func(format string, args ...any) {
-		res.Schedule = append(res.Schedule, fmt.Sprintf("t=%04ds ", now())+fmt.Sprintf(format, args...))
+		res.Schedule = append(res.Schedule, fmt.Sprintf("t=%04ds ", now)+fmt.Sprintf(format, args...))
 	}
 
 	// Fleet state.
@@ -368,9 +365,7 @@ func (Runner) Run(s Scenario) Result {
 	remaining := len(jobSet)
 
 	for tick := 0; tick <= tickCap && remaining > 0; tick++ {
-		if tick > 0 {
-			clock.Advance(time.Second)
-		}
+		now = tick
 		// 1. Revive hosts whose outage ended, restore degraded links.
 		revived := []string{}
 		for h, until := range downUntil {

@@ -4,8 +4,8 @@
 // flat, paged or elastic memory) × fault plans × job policies
 // (fifo/priority-preemptive/backfill) × migration modes (live or
 // stop-and-copy) × link speeds — plus a Runner that executes each generated
-// scenario through the planner, migration-model and fault machinery on the
-// sim clock, and a run-dir report writer with golden-file regression over a
+// scenario through the planner, migration-model and fault machinery in
+// virtual time, and a run-dir report writer with golden-file regression over a
 // pinned seed set. Where the chaos suite hand-authors twelve situations,
 // `cmd/repro -exp fleet` generates hundreds per CI run, and any behavior
 // drift in the scheduler, planner, migration model or fault handling shows

@@ -10,14 +10,14 @@ import (
 // BenchmarkLoadAvgQuery measures the lazy-integration cost of a load
 // average query with many processes on the host.
 func BenchmarkLoadAvgQuery(b *testing.B) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "bench", Config{Speed: 1e6})
 	for i := 0; i < 64; i++ {
 		h.Spawn("filler", 1<<20)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clock.Advance(time.Millisecond)
+		clock.Sleep(time.Millisecond)
 		h.LoadAvg()
 	}
 }
@@ -25,7 +25,7 @@ func BenchmarkLoadAvgQuery(b *testing.B) {
 // BenchmarkProcsSnapshot measures the process-table snapshot the prstat
 // probe takes each monitoring cycle.
 func BenchmarkProcsSnapshot(b *testing.B) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "bench", Config{Speed: 1e6})
 	for i := 0; i < 150; i++ {
 		h.Spawn("filler", 1<<20)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,13 +74,13 @@ func TestShortJobDepartsAndLongJobSpeedsUp(t *testing.T) {
 }
 
 func TestLoadAverageRisesWithRunQueue(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
-	go func() { _ = p.Compute(1000 * speed) }() // effectively forever
-	clock.WaitUntilWaiters(1)                   // compute completion timer armed
+	vclock.Go(clock, func() { _ = p.Compute(1000 * speed) }) // effectively forever
 
-	clock.Advance(60 * time.Second)
+	clock.Sleep(60 * time.Second)
 	l1, l5, _ := h.LoadAvg()
 	want1 := 1 - math.Exp(-1) // one runnable proc for one time constant
 	if math.Abs(l1-want1) > 1e-6 {
@@ -93,13 +92,13 @@ func TestLoadAverageRisesWithRunQueue(t *testing.T) {
 	}
 
 	// After many time constants the 1-minute load converges to 1.
-	clock.Advance(10 * time.Minute)
+	clock.Sleep(10 * time.Minute)
 	l1, _, _ = h.LoadAvg()
 	if math.Abs(l1-1) > 1e-3 {
 		t.Fatalf("load1 after 11m = %v, want ~1", l1)
 	}
 	p.Exit()
-	clock.Advance(60 * time.Second)
+	clock.Sleep(60 * time.Second)
 	l1, _, _ = h.LoadAvg()
 	if want := math.Exp(-1); math.Abs(l1-want) > 1e-3 {
 		t.Fatalf("load1 1m after exit = %v, want %v", l1, want)
@@ -107,15 +106,13 @@ func TestLoadAverageRisesWithRunQueue(t *testing.T) {
 }
 
 func TestCPUTimesAccountBusyAndIdle(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
 	done := make(chan struct{})
-	go func() { _ = p.Compute(100 * speed); close(done) }() // 100s of work
-	clock.WaitUntilWaiters(1)
-	clock.Advance(100*time.Second + time.Millisecond)
-	<-done
-	clock.Advance(50 * time.Second)
+	vclock.Go(clock, func() { _ = p.Compute(100 * speed); close(done) }) // 100s of work
+	vclock.Await(clock, done)
+	clock.Sleep(50 * time.Second)
 	busy, idle := h.CPUTimes()
 	if d := busy - 100*time.Second; d < -time.Second || d > time.Second {
 		t.Fatalf("busy = %v, want ~100s", busy)
@@ -126,21 +123,14 @@ func TestCPUTimesAccountBusyAndIdle(t *testing.T) {
 }
 
 func TestPerProcessCPUTimeSplitsEvenly(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	a := h.Spawn("a", 0)
 	b := h.Spawn("b", 0)
-	go func() { _ = a.Compute(1000 * speed) }()
-	go func() { _ = b.Compute(1000 * speed) }()
-	clock.WaitUntilWaiters(1)
-	// Both must be enqueued before advancing; poll the run queue.
-	for i := 0; h.RunQueue() < 2 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if h.RunQueue() != 2 {
-		t.Fatal("both processes never runnable")
-	}
-	clock.Advance(100 * time.Second)
+	vclock.Go(clock, func() { _ = a.Compute(1000 * speed) })
+	vclock.Go(clock, func() { _ = b.Compute(1000 * speed) })
+	clock.Sleep(100 * time.Second)
 	ta, tb := a.CPUTime(), b.CPUTime()
 	if d := ta - 50*time.Second; d < -time.Second || d > time.Second {
 		t.Fatalf("a CPU time = %v, want ~50s", ta)
@@ -151,17 +141,16 @@ func TestPerProcessCPUTimeSplitsEvenly(t *testing.T) {
 }
 
 func TestExitCancelsOutstandingCompute(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
-	done := make(chan error, 1)
-	go func() { done <- p.Compute(1e9) }()
-	clock.WaitUntilWaiters(1)
+	done := make(chan struct{})
+	vclock.Go(clock, func() { _ = p.Compute(1e9); close(done) })
+	clock.Sleep(time.Second)
 	p.Exit()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Compute did not return after Exit")
+	vclock.Await(clock, done)
+	if got := clock.Since(vclock.Epoch); got != time.Second {
+		t.Fatalf("Compute returned at %v, want at the 1s Exit", got)
 	}
 	if err := p.Compute(1); err != ErrProcessExited {
 		t.Fatalf("Compute after exit: err = %v, want ErrProcessExited", err)
@@ -172,11 +161,12 @@ func TestExitCancelsOutstandingCompute(t *testing.T) {
 }
 
 func TestDoubleComputeRejected(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
-	go func() { _ = p.Compute(1e9) }()
-	clock.WaitUntilWaiters(1)
+	vclock.Go(clock, func() { _ = p.Compute(1e9) })
+	clock.Sleep(time.Second)
 	if err := p.Compute(1); err == nil {
 		t.Fatal("second concurrent Compute accepted")
 	}
@@ -247,7 +237,7 @@ func TestProcsSnapshot(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "x", Config{})
 	if h.Speed() != 1e6 {
 		t.Fatalf("default speed = %v", h.Speed())
@@ -275,26 +265,21 @@ func TestCPUTimeConservationProperty(t *testing.T) {
 		if len(works) > 6 {
 			works = works[:6]
 		}
-		clock := vclock.NewManual(vclock.Epoch)
+		clock := vclock.NewAuto(vclock.Epoch)
+		defer clock.Close()
 		h := NewHost(clock, "ws", Config{Speed: 1000})
 		var procs []*Proc
-		var wg sync.WaitGroup
+		var wg vclock.WaitGroup
 		for _, w := range works {
 			p := h.Spawn("w", 0)
 			procs = append(procs, p)
 			wg.Add(1)
-			go func(p *Proc, work float64) {
+			vclock.Go(clock, func() {
 				defer wg.Done()
-				_ = p.Compute(work + 1)
-			}(p, float64(w))
+				_ = p.Compute(float64(w) + 1)
+			})
 		}
-		for h.RunQueue() < len(works) {
-			time.Sleep(50 * time.Microsecond)
-		}
-		for h.RunQueue() > 0 {
-			clock.Advance(time.Second)
-		}
-		wg.Wait()
+		wg.Wait(clock)
 		var total time.Duration
 		for _, p := range procs {
 			total += p.CPUTime()
@@ -317,7 +302,8 @@ func TestLoadAverageBoundedProperty(t *testing.T) {
 		if len(burst) > 6 {
 			burst = burst[:6]
 		}
-		clock := vclock.NewManual(vclock.Epoch)
+		clock := vclock.NewAuto(vclock.Epoch)
+		defer clock.Close()
 		h := NewHost(clock, "ws", Config{Speed: 1000})
 		maxQ := 0.0
 		for _, b := range burst {
@@ -325,27 +311,17 @@ func TestLoadAverageBoundedProperty(t *testing.T) {
 			if float64(n) > maxQ {
 				maxQ = float64(n)
 			}
-			var wg sync.WaitGroup
+			var wg vclock.WaitGroup
 			for i := 0; i < n; i++ {
 				wg.Add(1)
-				go func() {
+				vclock.Go(clock, func() {
 					defer wg.Done()
 					p := h.Spawn("w", 0)
 					defer p.Exit()
 					_ = p.Compute(float64(b%100+1) * 10)
-				}()
+				})
 			}
-			// Wait for all n Compute requests to be registered, then advance
-			// until every one has completed. Completion happens synchronously
-			// inside the RunQueue query's lazy integration, so this loop is
-			// deterministic.
-			for h.RunQueue() < n {
-				time.Sleep(50 * time.Microsecond)
-			}
-			for h.RunQueue() > 0 {
-				clock.Advance(time.Second)
-			}
-			wg.Wait()
+			wg.Wait(clock)
 			l1, l5, l15 := h.LoadAvg()
 			for _, l := range []float64{l1, l5, l15} {
 				if l < -1e-9 || l > maxQ+1e-9 {

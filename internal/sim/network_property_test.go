@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +18,9 @@ type flowSpec struct {
 
 // randomTopology builds a network on a manual clock with nHosts random NIC
 // capacities and a few random link degradations, all drawn from rng.
-func randomTopology(t *testing.T, rng *rand.Rand, nHosts int) (*Network, *vclock.Manual, []string) {
+func randomTopology(t *testing.T, rng *rand.Rand, nHosts int) (*Network, *vclock.Auto, []string) {
 	t.Helper()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	n := NewNetwork(clock, Options{DefaultBandwidth: 1e6})
 	hosts := make([]string, nHosts)
 	for i := range hosts {
@@ -43,28 +42,31 @@ func randomTopology(t *testing.T, rng *rand.Rand, nHosts int) (*Network, *vclock
 	return n, clock, hosts
 }
 
-// startFlows launches every transfer in its own goroutine and spin-waits
-// (wall clock) until all of them are registered as active flows. The manual
-// clock is not advanced, so the flows stay in flight.
-func startFlows(t *testing.T, n *Network, specs []flowSpec) (*sync.WaitGroup, []error) {
+// startFlows launches every transfer on its own goroutine and lets one
+// nanosecond pass, so that all of them are registered as active flows and
+// still in flight. The returned channel is closed once every transfer has
+// returned.
+func startFlows(t *testing.T, n *Network, clock *vclock.Auto, specs []flowSpec) (<-chan struct{}, []error) {
 	t.Helper()
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	errs := make([]error, len(specs))
 	for i, sp := range specs {
 		wg.Add(1)
-		go func(i int, sp flowSpec) {
+		vclock.Go(clock, func() {
 			defer wg.Done()
 			errs[i] = n.Transfer(sp.from, sp.to, sp.size)
-		}(i, sp)
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.activeFlows() < len(specs) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d flows registered", n.activeFlows(), len(specs))
-		}
-		time.Sleep(time.Millisecond)
+	done := make(chan struct{})
+	vclock.Go(clock, func() {
+		wg.Wait(clock)
+		close(done)
+	})
+	clock.Sleep(time.Nanosecond)
+	if got := n.activeFlows(); got != len(specs) {
+		t.Fatalf("only %d/%d flows registered", got, len(specs))
 	}
-	return &wg, errs
+	return done, errs
 }
 
 // checkRateInvariants verifies, against the global flow set, that
@@ -118,25 +120,12 @@ func checkRateInvariants(t *testing.T, n *Network) {
 	}
 }
 
-// drain advances the manual clock until every transfer goroutine returns,
-// re-checking the rate invariants along the way (each completion hands its
-// freed capacity to the surviving flows).
-func drain(t *testing.T, n *Network, clock *vclock.Manual, wg *sync.WaitGroup) {
+// drain runs the clock in 2-second steps until every transfer has
+// returned, re-checking the rate invariants along the way (each completion
+// hands its freed capacity to the surviving flows).
+func drain(t *testing.T, n *Network, clock *vclock.Auto, done <-chan struct{}) {
 	t.Helper()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	deadline := time.Now().Add(20 * time.Second)
-	for i := 0; ; i++ {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flows did not drain: %d still active", n.activeFlows())
-		}
-		clock.Advance(2 * time.Second)
-		time.Sleep(time.Millisecond)
+	for i := 0; !vclock.Wait(clock, 2*time.Second, done); i++ {
 		if i%8 == 0 {
 			checkRateInvariants(t, n)
 		}
@@ -163,9 +152,9 @@ func TestFairShareMatchesBruteForceProperty(t *testing.T) {
 				}
 				specs[i] = flowSpec{from: from, to: to, size: int64(1e4 * (1 + rng.Intn(400)))}
 			}
-			wg, errs := startFlows(t, n, specs)
+			done, errs := startFlows(t, n, clock, specs)
 			checkRateInvariants(t, n)
-			drain(t, n, clock, wg)
+			drain(t, n, clock, done)
 			for i, err := range errs {
 				if err != nil {
 					t.Errorf("transfer %d (%s->%s): %v", i, specs[i].from, specs[i].to, err)
@@ -200,8 +189,8 @@ func TestRandomFlowsConserveBytes(t *testing.T) {
 				sentWant[from] += float64(size)
 				recvWant[to] += float64(size)
 			}
-			wg, errs := startFlows(t, n, specs)
-			drain(t, n, clock, wg)
+			done, errs := startFlows(t, n, clock, specs)
+			drain(t, n, clock, done)
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("transfer %d: %v", i, err)
@@ -227,7 +216,7 @@ func TestRandomFlowsConserveBytes(t *testing.T) {
 // restores both; third-party links never notice.
 func TestPartitionSymmetryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	n := NewNetwork(clock, Options{})
 	hosts := []string{"a", "b", "c", "d", "e"}
 	for _, h := range hosts {

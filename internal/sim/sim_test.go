@@ -26,7 +26,7 @@ func waitGoroutines(t *testing.T, n int) {
 // last arm fires, once, at its due instant plus the nanosecond, and every
 // replaced goroutine has exited.
 func TestWakeupLastArmWins(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	var mu sync.Mutex
 	var w wakeup
 	fired := make(chan time.Time, 4)
@@ -38,28 +38,21 @@ func TestWakeupLastArmWins(t *testing.T) {
 		w.armLocked(clock, &mu, seconds, fire)
 	}
 	mu.Unlock()
-	if n := clock.Waiters(); n != 1 {
-		t.Fatalf("%d timers pending after four arms, want 1", n)
-	}
-	waitGoroutines(t, base+1)
 
-	clock.AdvanceToNext()
+	clock.Sleep(time.Hour)
 	want := vclock.Epoch.Add(2*time.Second + time.Nanosecond)
+	if len(fired) != 1 {
+		t.Fatalf("fired %d times, want once", len(fired))
+	}
 	if at := <-fired; !at.Equal(want) {
 		t.Fatalf("fired at %v, want %v", at, want)
 	}
 	waitGoroutines(t, base)
-	clock.Advance(time.Hour)
-	select {
-	case at := <-fired:
-		t.Fatalf("fired a second time, at %v", at)
-	default:
-	}
 }
 
 // TestWakeupInfDisarms: +Inf arms nothing and cancels what was armed.
 func TestWakeupInfDisarms(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	var mu sync.Mutex
 	var w wakeup
 	fired := make(chan time.Time, 2)
@@ -70,11 +63,11 @@ func TestWakeupInfDisarms(t *testing.T) {
 	w.armLocked(clock, &mu, 1, fire)
 	w.armLocked(clock, &mu, math.Inf(1), fire)
 	mu.Unlock()
-	if n := clock.Waiters(); n != 0 {
-		t.Fatalf("%d timers pending after +Inf, want 0", n)
+	if w.timer != nil {
+		t.Fatal("a timer is armed after +Inf")
 	}
+	clock.Sleep(time.Hour)
 	waitGoroutines(t, base)
-	clock.Advance(time.Hour)
 	select {
 	case at := <-fired:
 		t.Fatalf("+Inf fired at %v", at)

@@ -9,9 +9,10 @@ import (
 	"autoresched/internal/vclock"
 )
 
-func simRig(t *testing.T) (*sim.Host, *sim.Network, *vclock.Manual) {
+func simRig(t *testing.T) (*sim.Host, *sim.Network, *vclock.Auto) {
 	t.Helper()
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	t.Cleanup(clock.Close)
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000, MemTotal: 128 << 20, MemBase: 28 << 20})
 	nw := sim.NewNetwork(clock, sim.Options{DefaultBandwidth: 1e6})
 	if err := nw.AddHost("ws1"); err != nil {
@@ -54,11 +55,9 @@ func TestSensorWindowedCPUIdle(t *testing.T) {
 	// Busy for 30s of a 60s window: idle should be ~50%.
 	p := host.Spawn("burn", 0)
 	done := make(chan struct{})
-	go func() { _ = p.Compute(30 * 1000); close(done) }()
-	clock.WaitUntilWaiters(1)
-	clock.Advance(30*time.Second + time.Millisecond)
-	<-done
-	clock.Advance(30 * time.Second)
+	vclock.Go(clock, func() { _ = p.Compute(30 * 1000); close(done) })
+	vclock.Await(clock, done)
+	clock.Sleep(30 * time.Second)
 
 	snap, err := sensor.Gather()
 	if err != nil {
@@ -80,12 +79,13 @@ func TestSensorWindowedNetRates(t *testing.T) {
 	}
 
 	// Send 10 MB at 1 MB/s: 10s of transfer inside a 20s window = 0.5 MB/s.
-	errc := make(chan error, 1)
-	go func() { errc <- nw.Transfer("ws1", "ws2", 10e6) }()
-	clock.WaitUntilWaiters(1)
-	clock.Advance(20 * time.Second)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	var terr error
+	done := make(chan struct{})
+	vclock.Go(clock, func() { terr = nw.Transfer("ws1", "ws2", 10e6); close(done) })
+	clock.Sleep(20 * time.Second)
+	vclock.Await(clock, done)
+	if terr != nil {
+		t.Fatal(terr)
 	}
 	snap, err := sensor.Gather()
 	if err != nil {
@@ -103,9 +103,8 @@ func TestSensorTracksProcsAndLoad(t *testing.T) {
 	host, nw, clock := simRig(t)
 	sensor := NewSensor(NewSimSource(host, nw))
 	p := host.Spawn("app", 4<<20)
-	go func() { _ = p.Compute(1e9) }()
-	clock.WaitUntilWaiters(1)
-	clock.Advance(2 * time.Minute)
+	vclock.Go(clock, func() { _ = p.Compute(1e9) })
+	clock.Sleep(2 * time.Minute)
 	snap, err := sensor.Gather()
 	if err != nil {
 		t.Fatal(err)
@@ -123,36 +122,27 @@ func TestSensorTracksProcsAndLoad(t *testing.T) {
 }
 
 func TestSimSourceSockets(t *testing.T) {
-	host, nw, _ := simRig(t)
+	host, nw, clock := simRig(t)
 	src := NewSimSource(host, nw)
 	if n, err := src.Sockets(); err != nil || n != 0 {
 		t.Fatalf("idle sockets = %d, %v", n, err)
 	}
-	// An in-flight transfer is one established socket on each endpoint.
-	done := make(chan error, 1)
-	go func() { done <- nw.Transfer("ws1", "ws2", 1e6) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n, err := src.Sockets()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sockets = %d, want 1", n)
-		}
-		time.Sleep(time.Millisecond)
+	// An in-flight transfer (1 s of it) is one established socket on each
+	// endpoint.
+	done := make(chan struct{})
+	vclock.Go(clock, func() { _ = nw.Transfer("ws1", "ws2", 1e6); close(done) })
+	clock.Sleep(time.Millisecond)
+	if n, err := src.Sockets(); err != nil || n != 1 {
+		t.Fatalf("sockets = %d, %v; want 1", n, err)
 	}
 	if err := nw.SetDown("ws2", true); err != nil { // end the transfer
 		t.Fatal(err)
 	}
-	<-done
+	vclock.Await(clock, done)
 }
 
 func TestSimSourceWithoutNetwork(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
 	host := sim.NewHost(clock, "lone", sim.Config{})
 	sensor := NewSensor(NewSimSource(host, nil))
 	snap, err := sensor.Gather()

@@ -31,13 +31,53 @@ import (
 // When every goroutine is blocked and no timer is pending nothing can ever
 // wake them: Auto panics naming the sites they are blocked at.
 type Auto struct {
-	m       *Manual    // the time and the timer heap; m.mu guards the rest
-	turn    *sync.Cond // on m.mu: broadcast when a woken goroutine may resume
+	mu      sync.Mutex
+	now     time.Time
+	waiters waiterHeap // pending timers
+	wseq    int        // timers so far, the order equal deadlines fire in
+	turn    *sync.Cond // on mu: broadcast when a woken goroutine may resume
 	running int        // goroutines on the clock that are not blocked
 	parks   []wait     // blocked goroutines; a zero wait marks a free slot
 	free    []int
 	seq     uint64 // parks so far, the order woken goroutines resume in
 	closed  bool   // the driving goroutine has left; see Close
+}
+
+// waiter is one pending timer.
+type waiter struct {
+	deadline time.Time
+	ch       chan time.Time
+	seq      int  // tie-break so equal deadlines fire in creation order
+	index    int  // heap bookkeeping; -1 once removed
+	fired    bool // the clock fired it
+}
+
+type waiterHeap []*waiter
+
+func (h waiterHeap) Len() int { return len(h) }
+func (h waiterHeap) Less(i, j int) bool {
+	if !h[i].deadline.Equal(h[j].deadline) {
+		return h[i].deadline.Before(h[j].deadline)
+	}
+	return h[i].seq < h[j].seq
+}
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *waiterHeap) Push(x any) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
+func (h *waiterHeap) Pop() any {
+	old := *h
+	n := len(old)
+	w := old[n-1]
+	old[n-1] = nil
+	w.index = -1
+	*h = old[:n-1]
+	return w
 }
 
 // wait is one blocked goroutine: what ends its wait and where it waits.
@@ -55,31 +95,54 @@ type wait struct {
 // NewAuto returns an Auto clock whose current time is start. The calling
 // goroutine runs on it.
 func NewAuto(start time.Time) *Auto {
-	a := &Auto{m: NewManual(start), running: 1}
-	a.turn = sync.NewCond(&a.m.mu)
+	a := &Auto{now: start, running: 1}
+	a.turn = sync.NewCond(&a.mu)
 	return a
 }
 
 // Now returns the current virtual time.
-func (a *Auto) Now() time.Time { return a.m.Now() }
+func (a *Auto) Now() time.Time {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.now
+}
 
 // Since returns the virtual time elapsed since t.
-func (a *Auto) Since(t time.Time) time.Duration { return a.m.Since(t) }
-
-// After returns a channel that delivers the virtual time once d has
-// elapsed. To block on it, Park on a NewTimer instead.
-func (a *Auto) After(d time.Duration) <-chan time.Time { return a.m.After(d) }
+func (a *Auto) Since(t time.Time) time.Duration { return a.Now().Sub(t) }
 
 // NewTimer returns a timer that fires once d of virtual time has elapsed.
-func (a *Auto) NewTimer(d time.Duration) *Timer { return a.m.NewTimer(d) }
+// To block on it, Park on it.
+func (a *Auto) NewTimer(d time.Duration) *Timer {
+	a.mu.Lock()
+	w := a.addWaiterLocked(d)
+	a.mu.Unlock()
+	return &Timer{C: w.ch, stop: func() bool { return a.removeWaiter(w) }, w: w}
+}
+
+func (a *Auto) addWaiterLocked(d time.Duration) *waiter {
+	a.wseq++
+	w := &waiter{deadline: a.now.Add(d), ch: make(chan time.Time, 1), seq: a.wseq}
+	heap.Push(&a.waiters, w)
+	return w
+}
+
+func (a *Auto) removeWaiter(w *waiter) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if w.index < 0 {
+		return false
+	}
+	heap.Remove(&a.waiters, w.index)
+	return true
+}
 
 // Sleep blocks the calling goroutine for d of virtual time.
 func (a *Auto) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	w := a.m.addWaiter(d)
-	a.m.mu.Lock()
+	a.mu.Lock()
+	w := a.addWaiterLocked(d)
 	slot := a.parkLocked(wait{w: w})
 	<-w.ch
 	a.unpark(slot)
@@ -92,14 +155,14 @@ func (a *Auto) Sleep(d time.Duration) {
 // the simulation's periodic components first: the clock runs their timers
 // for as long as they rearm them.
 func (a *Auto) Close() {
-	a.m.mu.Lock()
+	a.mu.Lock()
 	a.closed = true
 	a.running--
 	a.settleAndUnlock()
 }
 
 // parkLocked records a blocked goroutine, advances the clock if that left
-// nobody running, and releases m.mu. It is called from the blocking call
+// nobody running, and releases a.mu. It is called from the blocking call
 // (Sleep, Park, Cond.Wait), whose caller is the first frame recorded.
 func (a *Auto) parkLocked(p wait) int {
 	p.used = true
@@ -122,22 +185,21 @@ func (a *Auto) parkLocked(p wait) int {
 // goroutine runs at a time, so goroutines woken together resume one after
 // another, in the order they blocked.
 func (a *Auto) unpark(slot int) {
-	a.m.mu.Lock()
+	a.mu.Lock()
 	for !a.parks[slot].granted {
 		a.turn.Wait()
 	}
 	a.parks[slot] = wait{}
 	a.free = append(a.free, slot)
-	a.m.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // settleAndUnlock, once nobody runs, lets the earliest-blocked goroutine
 // whose wait is over resume, firing timers, earliest first, until there is
-// one; then it releases m.mu.
+// one; then it releases a.mu.
 func (a *Auto) settleAndUnlock() {
-	m := a.m
 	if a.running < 0 {
-		m.mu.Unlock()
+		a.mu.Unlock()
 		panic("vclock: a goroutine the Auto clock did not start blocked on it (start it with vclock.Go)")
 	}
 	for a.running == 0 {
@@ -147,22 +209,22 @@ func (a *Auto) settleAndUnlock() {
 			a.turn.Broadcast()
 			break
 		}
-		if len(m.waiters) == 0 {
+		if len(a.waiters) == 0 {
 			if a.closed {
 				break
 			}
 			msg := a.deadlockLocked()
-			m.mu.Unlock()
+			a.mu.Unlock()
 			panic(msg)
 		}
-		w := heap.Pop(&m.waiters).(*waiter)
-		if w.deadline.After(m.now) {
-			m.now = w.deadline
+		w := heap.Pop(&a.waiters).(*waiter)
+		if w.deadline.After(a.now) {
+			a.now = w.deadline
 		}
 		w.fired = true
-		w.ch <- m.now // buffered, and a popped waiter fires once
+		w.ch <- a.now // buffered, and a popped waiter fires once
 	}
-	m.mu.Unlock()
+	a.mu.Unlock()
 }
 
 // nextLocked returns the slot of the earliest-blocked goroutine whose wait
@@ -210,7 +272,7 @@ func (a *Auto) deadlockLocked() string {
 	}
 	sort.Strings(sites)
 	return fmt.Sprintf("vclock: every goroutine on the Auto clock is blocked and no timer is pending at %s; blocked at:\n\t%s",
-		a.m.now.Format(time.RFC3339Nano), strings.Join(sites, "\n\t"))
+		a.now.Format(time.RFC3339Nano), strings.Join(sites, "\n\t"))
 }
 
 // Go starts f on a new goroutine that runs on c. On an Auto clock the start
@@ -223,17 +285,17 @@ func Go(c Clock, f func()) {
 		go f()
 		return
 	}
-	start := a.m.addWaiter(0)
-	a.m.mu.Lock()
+	a.mu.Lock()
+	start := a.addWaiterLocked(0)
 	a.running++
-	a.m.mu.Unlock()
+	a.mu.Unlock()
 	go func() {
 		defer func() {
-			a.m.mu.Lock()
+			a.mu.Lock()
 			a.running--
 			a.settleAndUnlock()
 		}()
-		a.m.mu.Lock()
+		a.mu.Lock()
 		slot := a.parkLocked(wait{w: start})
 		<-start.ch
 		a.unpark(slot)
@@ -263,7 +325,7 @@ func Park(c Clock, t *Timer, done ...<-chan struct{}) Parked {
 	if copy(p.done[:], done) < len(done) {
 		panic("vclock: Park on more than two channels")
 	}
-	a.m.mu.Lock()
+	a.mu.Lock()
 	return Parked{a: a, slot: a.parkLocked(p)}
 }
 
@@ -326,7 +388,7 @@ func (c *Cond) Wait() {
 		c.c.Wait()
 		return
 	}
-	c.a.m.mu.Lock()
+	c.a.mu.Lock()
 	slot := c.a.parkLocked(wait{gen: &c.gen, seen: c.gen.Load()})
 	c.c.Wait()
 	c.c.L.Unlock() // the goroutine that runs meanwhile may need the lock

@@ -1,9 +1,11 @@
 package vclock
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -16,6 +18,134 @@ func TestAutoSleepAdvancesWithoutWallTime(t *testing.T) {
 	}
 	if w := time.Since(wall); w > time.Second {
 		t.Fatalf("Sleep(1000s) took %v of wall time", w)
+	}
+}
+
+// A non-positive Sleep returns at once without moving the clock, even with
+// no timer pending to move it to.
+func TestAutoSleepNonPositiveReturnsImmediately(t *testing.T) {
+	a := NewAuto(Epoch)
+	a.Sleep(0)
+	a.Sleep(-time.Second)
+	if got := a.Since(Epoch); got != 0 {
+		t.Fatalf("Since(Epoch) = %v after non-positive sleeps, want 0", got)
+	}
+}
+
+// A sleeper wakes at its deadline, not before: the clock reaches it only
+// once the test's own sleeps have passed it.
+func TestAutoSleepWakesAtDeadline(t *testing.T) {
+	a := NewAuto(Epoch)
+	var mu sync.Mutex
+	var woke time.Duration
+	Go(a, func() {
+		a.Sleep(10 * time.Second)
+		mu.Lock()
+		woke = a.Since(Epoch)
+		mu.Unlock()
+	})
+	a.Sleep(9 * time.Second)
+	mu.Lock()
+	if woke != 0 {
+		t.Fatalf("sleeper woke at %v, before its 10s deadline", woke)
+	}
+	mu.Unlock()
+	a.Sleep(time.Second) // the sleeper's earlier timer at 10s fires first
+	mu.Lock()
+	defer mu.Unlock()
+	if woke != 10*time.Second {
+		t.Fatalf("sleeper woke at %v, want 10s", woke)
+	}
+}
+
+// A timer stopped before its deadline reports the cancel once and never
+// fires, however far the clock moves past it.
+func TestAutoTimerStopBeforeFire(t *testing.T) {
+	a := NewAuto(Epoch)
+	tm := a.NewTimer(5 * time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop() of a pending timer = false, want true")
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop() = true, want false")
+	}
+	a.Sleep(10 * time.Second)
+	select {
+	case <-tm.C:
+		t.Fatal("stopped timer fired")
+	default:
+	}
+	fired := a.NewTimer(time.Second)
+	a.Sleep(time.Second)
+	if fired.Stop() {
+		t.Fatal("Stop() of a fired timer = true, want false")
+	}
+}
+
+// Property: sleeping through any partition of a total duration fires
+// exactly the timers whose deadline the total reaches, each at its
+// deadline.
+func TestAutoSleepPartitionProperty(t *testing.T) {
+	f := func(steps []uint8, deadlines []uint8) bool {
+		if len(steps) > 16 {
+			steps = steps[:16]
+		}
+		if len(deadlines) > 16 {
+			deadlines = deadlines[:16]
+		}
+		a := NewAuto(Epoch)
+		var timers []*Timer
+		for _, d := range deadlines {
+			timers = append(timers, a.NewTimer(time.Duration(d)*time.Second))
+		}
+		var total time.Duration
+		for _, s := range steps {
+			total += time.Duration(s) * time.Second
+			a.Sleep(time.Duration(s) * time.Second)
+		}
+		for i, tm := range timers {
+			deadline := time.Duration(deadlines[i]) * time.Second
+			select {
+			case at := <-tm.C:
+				if deadline > total || !at.Equal(Epoch.Add(deadline)) {
+					return false
+				}
+			default:
+				// A timer due at the total fires before the last sleep
+				// ends; a run that never sleeps fires nothing.
+				if deadline < total || deadline == total && total > 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Sleepers started in one order wake in deadline order, each at its own
+// deadline, with no step by step driving.
+func TestAutoSleepersWakeInDeadlineOrder(t *testing.T) {
+	a := NewAuto(Epoch)
+	var mu sync.Mutex
+	var order []string
+	var wg WaitGroup
+	for i, d := range []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second} {
+		wg.Add(1)
+		Go(a, func() {
+			defer wg.Done()
+			a.Sleep(d)
+			mu.Lock()
+			order = append(order, fmt.Sprintf("%d@%v", i, a.Since(Epoch)))
+			mu.Unlock()
+		})
+	}
+	wg.Wait(a)
+	want := "1@10s 2@20s 0@30s"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("wake order = %s, want %s", got, want)
 	}
 }
 
@@ -221,9 +351,9 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real clock did not advance")
 	}
 	select {
-	case <-c.After(time.Millisecond):
+	case <-c.NewTimer(time.Millisecond).C:
 	case <-time.After(time.Second):
-		t.Fatal("real After did not fire")
+		t.Fatal("real timer did not fire")
 	}
 	tm := c.NewTimer(time.Hour)
 	if !tm.Stop() {

@@ -8,10 +8,9 @@ func Real() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
+func (realClock) Now() time.Time                  { return time.Now() }
+func (realClock) Sleep(d time.Duration)           { time.Sleep(d) }
+func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 func (realClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)

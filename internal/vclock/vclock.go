@@ -8,16 +8,18 @@
 //
 //   - Real: thin wrapper over the time package, for running the system
 //     against real hosts (cmd/reschedd).
-//   - Manual: a manually stepped clock for unit tests; time only moves when
-//     the test calls Advance, making timer interleavings fully deterministic.
 //   - Auto: discrete-event virtual time for every simulated run (the
-//     experiments, the examples, the live scenario runner): the clock jumps
-//     to the next timer whenever every goroutine running on it is blocked,
-//     so a 1000-second experiment takes as long as its events take to
-//     compute, and the same inputs give the same timeline to the
-//     nanosecond. Goroutines join it through Go, their waits off the clock
-//     go through Wait, Park, Cond or WaitGroup so that it sees them, and
-//     Close ends the simulation.
+//     experiments, the examples, scenario.RunLive) and every test that
+//     steps time: the clock jumps to the next timer whenever every goroutine
+//     running on it is blocked, so a 1000-second experiment takes as long
+//     as its events take to compute, and the same inputs give the same
+//     timeline to the nanosecond. Goroutines join it through Go, their waits
+//     off the clock go through Wait, Park, Cond or WaitGroup so that it sees
+//     them, and Close ends the simulation. A test steps time by sleeping on
+//     it.
+//   - Manual: a frozen clock whose time never moves, which the end-to-end
+//     benchmark (cmd/bench) hands its registries so that their LastSeen
+//     stamps do not depend on how fast it runs.
 package vclock
 
 import "time"
@@ -30,9 +32,6 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks the calling goroutine for d of virtual time.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the virtual time once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) *Timer
 	// Since returns the virtual time elapsed since t.

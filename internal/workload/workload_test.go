@@ -133,27 +133,20 @@ func TestTestTreeRejectsBadConfig(t *testing.T) {
 }
 
 func TestLoadGenRaisesLoadAverage(t *testing.T) {
-	clock := vclock.NewManual(vclock.Epoch)
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
 	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
 	gen := NewLoadGen(host, LoadOptions{Workers: 2, Duty: 1.0, Period: 2 * time.Second})
 	gen.Start()
 	defer gen.Stop()
-	// Fully busy workers: run queue should reach 2 and load approach 2.
-	deadline := time.Now().Add(5 * time.Second)
-	for host.RunQueue() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never became runnable")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Advance 10 virtual minutes in steps, yielding real time after each so
-	// the workers can re-enter the run queue between compute bursts.
-	for i := 0; i < 600; i++ {
-		clock.Advance(time.Second)
-		time.Sleep(200 * time.Microsecond)
+	// Fully busy workers: after 10 virtual minutes the run queue is 2 and
+	// the load approaches 2.
+	clock.Sleep(10 * time.Minute)
+	if q := host.RunQueue(); q != 2 {
+		t.Fatalf("run queue = %d, want 2", q)
 	}
 	l1, _, _ := host.LoadAvg()
-	if l1 < 1.4 {
+	if l1 < 1.8 {
 		t.Fatalf("load1 = %v, want ~2 with 2 duty-1.0 workers", l1)
 	}
 	if host.NumProcs() != 2 {
