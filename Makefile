@@ -11,7 +11,7 @@
 # BENCHMARK.json);
 # `make loc` prints the north-star line count every simplicity PR reports,
 # `make loc-pkg` the same count per package and `make allows` the two
-# `//lint:allow` counts ROADMAP's behaviour fence quotes.
+# `//lint:allow` counts ROADMAP's behaviour fence quotes, failing above them.
 
 GO ?= go
 
@@ -182,8 +182,12 @@ loc-pkg:
 	done
 
 # The escape-hatch count that may only go down: `//lint:allow` comments
-# outside the analyzer and its fixtures, then in the whole tree.
+# outside the analyzer and its fixtures, then in the whole tree. Either
+# count above its fence (ROADMAP: 9 and 25) fails; lower the fence with
+# the count.
 allows:
-	@printf 'lint:allow %d outside fixtures and internal/analysis, %d in all\n' \
-		"$$(grep -r --include='*.go' 'lint:allow' . | grep -v -c -e /testdata/ -e '^./internal/analysis')" \
-		"$$(grep -r --include='*.go' 'lint:allow' . | wc -l)"
+	@outside="$$(grep -r --include='*.go' 'lint:allow' . | grep -v -c -e /testdata/ -e '^./internal/analysis')"; \
+	all="$$(grep -r --include='*.go' 'lint:allow' . | wc -l)"; \
+	printf 'lint:allow %d outside fixtures and internal/analysis, %d in all\n' "$$outside" "$$all"; \
+	if [ "$$outside" -gt 9 ] || [ "$$all" -gt 25 ]; then \
+		echo "lint:allow above the fence (9 outside, 25 in all)"; exit 1; fi

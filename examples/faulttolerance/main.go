@@ -32,7 +32,6 @@ func main() {
 	store := hpcm.NewMemStore()
 	sys, err := core.New(core.Options{
 		Cluster:         cl,
-		MonitorInterval: 10 * time.Second,
 		Checkpoints:     store,
 		CheckpointEvery: 30 * time.Second,
 	})

@@ -44,7 +44,7 @@ func main() {
 	// its free hosts visible to other domains. For the demo we simply run
 	// domain B's system with the upper registry as its own (single level),
 	// and chain domain A under it.
-	sysB, err := core.New(core.Options{Cluster: cl, MonitorInterval: 10 * time.Second})
+	sysB, err := core.New(core.Options{Cluster: cl})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,10 +66,9 @@ func main() {
 	// Domain A: both of its hosts will be busy, so its registry must
 	// delegate upward. Its registry chains to the upper one via Parent.
 	sysA, err := core.New(core.Options{
-		Cluster:         cl,
-		MonitorInterval: 10 * time.Second,
-		Warmup:          3,
-		Parent:          upper,
+		Cluster: cl,
+		Warmup:  3,
+		Parent:  upper,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,6 @@ func main() {
 	}
 	sys, err := core.New(core.Options{
 		Cluster:         cl,
-		MonitorInterval: 10 * time.Second,
 		Warmup:          3,
 		Checkpoints:     hpcm.NewMemStore(),
 		CheckpointEvery: time.Minute,

@@ -34,9 +34,8 @@ func main() {
 	// The autonomic runtime: a monitor and commander per host, the
 	// registry/scheduler deciding with the default state-based policy.
 	sys, err := core.New(core.Options{
-		Cluster:         cl,
-		MonitorInterval: 10 * time.Second,
-		Warmup:          3,
+		Cluster: cl,
+		Warmup:  3,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -36,9 +36,6 @@ type Options struct {
 	// Policy drives migration decisions; nil selects the state-based
 	// default (migrate off Overloaded hosts onto Free ones).
 	Policy *rules.MigrationPolicy
-	// MonitorInterval is the monitoring frequency; zero selects 10 s (the
-	// paper's sampling interval).
-	MonitorInterval time.Duration
 	// GatherCost charges each monitoring cycle's CPU cost to the host, in
 	// work units; zero disables (and makes the rescheduler free, which is
 	// not what the paper measured — Figure 5's overhead comes from here).
@@ -101,21 +98,14 @@ type Options struct {
 	// Metrics, when set, receives every layer's instruments: the control-
 	// plane counters (proto/*, monitor/*, commander/*, registry/*,
 	// persist/*, core/*, jobs/*), the registry's hosts gauge and decide
-	// timings, monitor cycle durations, hpcm migration/downtime/checkpoint
-	// histograms, and the per-migration phase spans (span/*) derived from
-	// the event stream by a metrics.Spans sink the runtime installs after
-	// Events.
+	// timings, monitor cycle durations, and hpcm's histograms — downtime,
+	// checkpoint, and the per-migration phase spans (span/*) hpcm observes
+	// from each migration's Record.
 	Metrics *metrics.Registry
 	// WrapReporter, when set, wraps each node's status reporter. The fault
 	// injector uses this to drop, duplicate or delay heartbeats on the
 	// monitor->registry path.
 	WrapReporter func(host string, r monitor.Reporter) monitor.Reporter
-	// Live enables iterative-precopy live migration for applications that
-	// register a livemig.Pages region: pages stream while the application
-	// keeps computing, and only the final dirty residual is transferred
-	// inside the freeze window. A zero-value Config selects the livemig
-	// defaults; nil keeps every migration stop-and-copy.
-	Live *livemig.Config
 	// JobPolicy drives the multi-job dispatcher's admission order and
 	// preemption (see internal/jobs); nil selects FIFO (no preemption, no
 	// backfill).
@@ -128,6 +118,9 @@ type Options struct {
 
 // spawnLatency models LAM/MPI's slow dynamic process creation (Section 5.2).
 const spawnLatency = 300 * time.Millisecond
+
+// monitorInterval is the paper's monitoring frequency.
+const monitorInterval = 10 * time.Second
 
 // Counter names the runtime increments on Options.Metrics: migration
 // outcomes (from the hpcm event stream), redelivered orders, failover
@@ -234,7 +227,7 @@ type System struct {
 	mw       *hpcm.Middleware
 	reg      *registry.Registry
 	batcher  *registry.Batcher // non-nil when BatchStatusEvery is set
-	events   metrics.Sink      // combined sink: Options.Events + span builder
+	events   metrics.Sink      // combined sink: the runtime's subscriptions + Options.Events
 
 	// Multi-job control plane (see jobs.go).
 	queue  *jobs.Queue
@@ -258,9 +251,6 @@ type System struct {
 func New(opts Options) (*System, error) {
 	if opts.Cluster == nil {
 		return nil, errors.New("core: Options.Cluster is required")
-	}
-	if opts.MonitorInterval <= 0 {
-		opts.MonitorInterval = 10 * time.Second
 	}
 	if opts.SchedInterval <= 0 {
 		opts.SchedInterval = 5 * time.Second
@@ -290,18 +280,11 @@ func New(opts Options) (*System, error) {
 	// The event sink every layer publishes to. Order is part of the
 	// contract: the runtime's own subscriptions first (commit/abort
 	// counting, restart resync), then the caller's sink — so a fault
-	// injector's trap fires at the exact phase, after the phase is counted
-	// — and last, when metrics are on, the span builder deriving per-phase
-	// migration latency histograms from the same stream.
-	var spans metrics.Sink
-	if opts.Metrics != nil {
-		spans = metrics.NewSpans(opts.Metrics)
-	}
+	// injector's trap fires at the exact phase, after the phase is counted.
 	sink := metrics.Multi(
 		metrics.On(s.onMigrationEvent),
 		metrics.On(s.onRegistryRestart),
 		opts.Events,
-		spans,
 	)
 	s.events = sink
 	s.queue = jobs.NewQueue(clock, sink)
@@ -313,7 +296,9 @@ func New(opts Options) (*System, error) {
 		CheckpointEvery: opts.CheckpointEvery,
 		Events:          sink,
 		Metrics:         opts.Metrics,
-		Live:            opts.Live,
+		// A process with one paged region precopies; any other stops
+		// and copies.
+		Live: &livemig.Config{},
 	})
 	if err != nil {
 		return nil, err
@@ -354,7 +339,7 @@ func (s *System) onMigrationEvent(ev hpcm.MigrationEvent) {
 		s.opts.Metrics.Counter(CtrMigrAborted).Inc()
 	default:
 		// Intermediate phases (start/init/precopy/freeze/restore) and
-		// failures are span material, not commit/abort outcomes.
+		// post-commit failures are neither commits nor aborts.
 	}
 }
 
@@ -491,7 +476,7 @@ func (s *System) AddNode(host string) (*Node, error) {
 		monitor.WithEngine(DefaultEngine()),
 		monitor.WithReporter(reporter),
 		monitor.WithClock(s.clock),
-		monitor.WithDefaultFrequency(s.opts.MonitorInterval),
+		monitor.WithDefaultFrequency(monitorInterval),
 		monitor.WithCommandAddr("cmd://" + host),
 		monitor.WithSoftware([]string{"hpcm", "lam-mpi"}),
 		monitor.WithMetrics(s.opts.Metrics),

@@ -85,9 +85,8 @@ func TestLaunchRequiresNode(t *testing.T) {
 // with correct results.
 func TestAutonomicLoopEndToEnd(t *testing.T) {
 	s, cl := newSystem(t, 1000, 3, Options{
-		MonitorInterval: 10 * time.Second,
-		Warmup:          3,
-		Cooldown:        2 * time.Minute,
+		Warmup:   3,
+		Cooldown: 2 * time.Minute,
 	})
 
 	cfg := workload.TreeConfig{
@@ -173,10 +172,9 @@ func TestPolicyDrivenSystemAvoidsCommunicatingHost(t *testing.T) {
 	// stay well above policy 3's 3 MB/s threshold, and goroutine wake-up
 	// latency eats virtual bandwidth proportionally to the scale.
 	s, cl := newSystem(t, 250, 4, Options{
-		Policy:          rules.Policy3(),
-		MonitorInterval: 10 * time.Second,
-		Warmup:          2,
-		Cooldown:        2 * time.Minute,
+		Policy:   rules.Policy3(),
+		Warmup:   2,
+		Cooldown: 2 * time.Minute,
 	})
 	// ws2 exchanges traffic with ws4 (ws2 registered before ws3, so a
 	// communication-blind first-fit would pick it).
@@ -237,7 +235,7 @@ func TestGatherCostShowsUpOnHost(t *testing.T) {
 	if _, err := cl.AddHost("ws1", sim.Config{Speed: 1e6}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Cluster: cl, GatherCost: 5000, MonitorInterval: 10 * time.Second})
+	s, err := New(Options{Cluster: cl, GatherCost: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

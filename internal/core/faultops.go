@@ -115,7 +115,7 @@ func (s *System) resyncProcs() {
 	}
 	for i := 0; i < attempts && len(pending) > 0; i++ {
 		if i > 0 {
-			s.clock.Sleep(s.opts.MonitorInterval)
+			s.clock.Sleep(monitorInterval)
 		}
 		still := pending[:0]
 		for _, app := range pending {

@@ -85,8 +85,7 @@ func TestFailoverAfterHostCrash(t *testing.T) {
 func TestRegistryRestartResyncsSoftState(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	s, _ := newSystem(t, 1000, 2, Options{
-		MonitorInterval: 10 * time.Second,
-		Metrics:         mreg,
+		Metrics: mreg,
 	})
 	cfg := workload.TreeConfig{
 		Levels: 10, Rounds: 200, Seed: 3,

@@ -30,10 +30,9 @@ func TestHeterogeneousClusterPrefersCapableHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Options{
-		Cluster:         cl,
-		MonitorInterval: 10 * time.Second,
-		Warmup:          2,
-		Cooldown:        2 * time.Minute,
+		Cluster:  cl,
+		Warmup:   2,
+		Cooldown: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,8 @@ func TestSixtyFourNodeCluster(t *testing.T) {
 		t.Skip("64-node run in -short mode")
 	}
 	s, cl := newSystem(t, 400, 64, Options{
-		MonitorInterval: 20 * time.Second, // modest control-plane rate at this node count
-		Warmup:          2,
-		Cooldown:        3 * time.Minute,
+		Warmup:   2,
+		Cooldown: 3 * time.Minute,
 	})
 
 	// Four applications on the first four hosts.

@@ -11,7 +11,6 @@ import (
 	"autoresched/internal/faults"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/jobs"
-	"autoresched/internal/livemig"
 	"autoresched/internal/malleable"
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
@@ -29,12 +28,11 @@ type ChaosConfig struct {
 	Params
 	// scenarios selects a subset by name; empty runs all.
 	scenarios []string
-	// live, when set, enables iterative-precopy live migration: the tree
-	// workload carries a paged ballast region, every migrate order takes the
-	// live path, and a ninth scenario crashes the destination mid-precopy.
-	// Nil keeps the classic stop-and-copy runs (and their byte-identical
-	// reports).
-	live *livemig.Config
+	// paged gives the tree workload a paged ballast region, so every
+	// migrate order takes the iterative-precopy live path, and adds a ninth
+	// scenario that crashes the destination mid-precopy. False keeps the
+	// classic stop-and-copy runs (and their byte-identical reports).
+	paged bool
 }
 
 // ChaosRow is one scenario's outcome. Every field depends only on the seed:
@@ -105,7 +103,7 @@ type chaosScenario struct {
 	// workload brings its own control plane (the malleability engine).
 	bare bool
 	// sys holds the core.Options this scenario chose — checkpoint, failover
-	// and dedup settings, Live, the job policy, a durable Store and its
+	// and dedup settings, the job policy, a durable Store and its
 	// snapshot cadence; the rig supplies every other field. With a Store,
 	// each registry restart's typed payload goes to the check log.
 	sys  core.Options
@@ -143,10 +141,10 @@ type chaosWorkload interface {
 // chaosScenarios is the fixed scenario set, one table entry each; adding a
 // scenario is adding an entry (EXPERIMENTS.md, "Chaos"). Offsets are virtual
 // seconds after launch; every workload runs several hundred virtual seconds,
-// so every fault lands mid-computation. A non-nil live turns the tree
-// workload's migrations into iterative precopy and adds the
-// precopy-specific scenario, which only makes sense on that path.
-func chaosScenarios(live *livemig.Config) []chaosScenario {
+// so every fault lands mid-computation. paged gives the tree workload a
+// paged region, which turns its migrations into iterative precopy, and adds
+// the precopy-specific scenario, which only makes sense on that path.
+func chaosScenarios(paged bool) []chaosScenario {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	recovering := core.Options{
 		CheckpointEvery:  30 * time.Second,
@@ -156,10 +154,8 @@ func chaosScenarios(live *livemig.Config) []chaosScenario {
 	// The checksummed tree computation on four monitored hosts, launched on
 	// ws1 and recovered from its last checkpoint on failure.
 	tree := func(name string, evs ...faults.Event) chaosScenario {
-		sys := recovering
-		sys.Live = live
-		return chaosScenario{name: name, events: evs, hosts: 4, sys: sys,
-			load: &treeLoad{paged: live != nil}, spans: "span/", inflates: true}
+		return chaosScenario{name: name, events: evs, hosts: 4, sys: recovering,
+			load: &treeLoad{paged: paged}, spans: "span/", inflates: true}
 	}
 	// An elastic Jacobi job on four of five hosts, driven by the
 	// malleability engine: the resize crash windows.
@@ -212,7 +208,7 @@ func chaosScenarios(live *livemig.Config) []chaosScenario {
 		tree("duplicate-order",
 			faults.Event{After: at(50), Kind: faults.KindMigrate, Proc: chaosApp, Dest: "ws2", Count: 3}),
 	}
-	if live != nil {
+	if paged {
 		// The destination dies after the first precopy round: the freeze (or
 		// next round) hits a dead host, the attempt aborts pre-commit, and
 		// the runtime falls back to checkpoint recovery.
@@ -280,7 +276,7 @@ func RunChaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	}
 	var rows []ChaosRow
 	baseline := 0.0
-	for _, sc := range chaosScenarios(cfg.live) {
+	for _, sc := range chaosScenarios(cfg.paged) {
 		if !selected(sc.name) {
 			continue
 		}
@@ -350,22 +346,20 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		restarts = r.restartLog()
 	}
 	r.sys, err = core.New(core.Options{
-		Cluster:         cl,
-		MonitorInterval: sampleInterval,
-		GatherCost:      0.05 * hostSpeed,
-		Warmup:          2,
-		Cooldown:        10 * time.Minute,
-		RegistryHost:    names[len(names)-1],
-		ChunkBytes:      8 << 20,
-		Checkpoints:     hpcm.NewMemStore(),
-		Metrics:         r.mreg,
-		Events:          metrics.Multi(r.in.Sink(), restarts),
-		WrapReporter:    r.in.WrapReporter,
+		Cluster:      cl,
+		GatherCost:   0.05 * hostSpeed,
+		Warmup:       2,
+		Cooldown:     10 * time.Minute,
+		RegistryHost: names[len(names)-1],
+		ChunkBytes:   8 << 20,
+		Checkpoints:  hpcm.NewMemStore(),
+		Metrics:      r.mreg,
+		Events:       metrics.Multi(r.in.Sink(), restarts),
+		WrapReporter: r.in.WrapReporter,
 
 		CheckpointEvery:  sc.sys.CheckpointEvery,
 		FailoverRetries:  sc.sys.FailoverRetries,
 		OrderDedupWindow: sc.sys.OrderDedupWindow,
-		Live:             sc.sys.Live,
 		JobPolicy:        sc.sys.JobPolicy,
 		SchedInterval:    sc.sys.SchedInterval,
 		Store:            sc.sys.Store,

@@ -48,3 +48,24 @@ func TestAbortedMigrationsLeaveNoGoroutines(t *testing.T) {
 		t.Fatalf("%d runs of the aborting scenarios left %d goroutines behind", runs, grown)
 	}
 }
+
+// TestPostCommitFailuresLeaveNoGoroutines: when a migration's source dies
+// after the commit point, the destination owns the process but its lazy
+// state never arrives. Its restore goroutine must end with the stream, not
+// wait in a receive for chunks that never come — on the stop-and-copy and
+// the precopy path alike.
+func TestPostCommitFailuresLeaveNoGoroutines(t *testing.T) {
+	const runs = 3
+	before := settledGoroutines()
+	for i := 0; i < runs; i++ {
+		for _, paged := range []bool{false, true} {
+			cfg := ChaosConfig{Params: Params{Seed: 42}, scenarios: []string{"crash-source-post-commit"}, paged: paged}
+			if _, err := RunChaos(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if grown := settledGoroutines() - before; grown >= runs {
+		t.Fatalf("%d classic and %d paged runs of crash-source-post-commit left %d goroutines behind", runs, runs, grown)
+	}
+}

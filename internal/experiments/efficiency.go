@@ -80,13 +80,12 @@ func RunEfficiency(cfg EfficiencyConfig) (*EfficiencyResult, error) {
 	rec := metrics.NewRecorder(clock)
 
 	sys, err := core.New(core.Options{
-		Cluster:         cl,
-		MonitorInterval: sampleInterval,
-		GatherCost:      0.05 * hostSpeed,
-		Warmup:          cfg.Warmup,
-		Cooldown:        5 * time.Minute,
-		RegistryHost:    names[0],
-		ChunkBytes:      8 << 20,
+		Cluster:      cl,
+		GatherCost:   0.05 * hostSpeed,
+		Warmup:       cfg.Warmup,
+		Cooldown:     5 * time.Minute,
+		RegistryHost: names[0],
+		ChunkBytes:   8 << 20,
 	})
 	if err != nil {
 		return nil, err

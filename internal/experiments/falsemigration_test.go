@@ -22,12 +22,11 @@ func runFalseMigration(p Params, warmup int) (int, error) {
 	defer cl.Close()
 	clock := cl.Clock()
 	sys, err := core.New(core.Options{
-		Cluster:         cl,
-		MonitorInterval: sampleInterval,
-		Warmup:          warmup,
-		Cooldown:        10 * time.Minute,
-		RegistryHost:    names[0],
-		ChunkBytes:      8 << 20,
+		Cluster:      cl,
+		Warmup:       warmup,
+		Cooldown:     10 * time.Minute,
+		RegistryHost: names[0],
+		ChunkBytes:   8 << 20,
 	})
 	if err != nil {
 		return 0, err

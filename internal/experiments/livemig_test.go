@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"autoresched/internal/core"
-	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
 )
 
@@ -79,7 +78,7 @@ func TestChaosAllScenariosSurviveWithLiveMigration(t *testing.T) {
 	}
 	rows, err := RunChaos(ChaosConfig{
 		Params: Params{Seed: 3},
-		live:   &livemig.Config{},
+		paged:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

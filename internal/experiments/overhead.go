@@ -131,11 +131,10 @@ func runOverheadArm(cfg OverheadConfig, withRescheduler bool) (*metrics.Recorder
 	if withRescheduler {
 		mreg = metrics.NewRegistry()
 		sys, err = core.New(core.Options{
-			Cluster:         cl,
-			MonitorInterval: sampleInterval,
-			GatherCost:      overheadGatherCost,
-			RegistryHost:    names[0],
-			Metrics:         mreg,
+			Cluster:      cl,
+			GatherCost:   overheadGatherCost,
+			RegistryHost: names[0],
+			Metrics:      mreg,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -57,14 +57,13 @@ func runPolicyArm(cfg Params, pol *rules.MigrationPolicy) (PolicyRow, error) {
 	clock := cl.Clock()
 
 	sys, err := core.New(core.Options{
-		Cluster:         cl,
-		Policy:          pol,
-		MonitorInterval: sampleInterval,
-		GatherCost:      0.05 * hostSpeed,
-		Warmup:          policiesWarmup,
-		Cooldown:        10 * time.Minute,
-		RegistryHost:    names[0],
-		ChunkBytes:      32 << 20,
+		Cluster:      cl,
+		Policy:       pol,
+		GatherCost:   0.05 * hostSpeed,
+		Warmup:       policiesWarmup,
+		Cooldown:     10 * time.Minute,
+		RegistryHost: names[0],
+		ChunkBytes:   32 << 20,
 	})
 	if err != nil {
 		return PolicyRow{}, err

@@ -113,7 +113,6 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	heartbeats := &atomic.Int64{}
 	sys, err := core.New(core.Options{
 		Cluster:          cl,
-		MonitorInterval:  sampleInterval,
 		Warmup:           2,
 		Cooldown:         10 * time.Minute,
 		ChunkBytes:       8 << 20,

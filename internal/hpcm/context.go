@@ -132,7 +132,7 @@ func (c *Context) PollPoint(label string) error {
 		}
 		c.proc.xfer.Add(1)
 		defer c.proc.xfer.Done()
-		return c.migrate(label, sig, c.proc.mw.live)
+		return c.migrate(label, sig, false)
 	default:
 		return c.maybeCheckpoint(label)
 	}

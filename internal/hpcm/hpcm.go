@@ -27,7 +27,7 @@
 //
 // Every phase is timed into a Record, which the evaluation harness uses to
 // reproduce the Figure 7/8 timelines and the migration-time column of
-// Table 2.
+// Table 2, and from which the middleware observes its phase spans.
 package hpcm
 
 import (
@@ -96,11 +96,12 @@ type Options struct {
 	// metrics.On[MigrationEvent] subscriber — a fault injector — can crash
 	// a host at an exact protocol step. Sinks must not block indefinitely.
 	Events metrics.Sink
-	// Metrics, when set, receives the middleware's latency histograms:
-	// hpcm/migration_seconds and hpcm/downtime_seconds (per committed
-	// migration), hpcm/checkpoint_seconds (per checkpoint write), all on
-	// the universe's clock, and — on the live path — hpcm/precopy_rounds and
-	// hpcm/pages_resent (per committed live migration). Nil disables.
+	// Metrics, when set, receives the middleware's histograms, all on the
+	// universe's clock: the five phase spans (span/*, below) of every
+	// migration, hpcm/downtime_seconds (per committed migration),
+	// hpcm/checkpoint_seconds (per checkpoint write), and — on the live
+	// path — hpcm/precopy_rounds and hpcm/pages_resent (per committed live
+	// migration). Nil disables.
 	Metrics *metrics.Registry
 	// Live, when set, enables the iterative-precopy live migration path for
 	// processes that registered exactly one paged memory region
@@ -108,17 +109,36 @@ type Options struct {
 	// source keeps computing, and the process freezes only for the residual
 	// delta — falling back to the classic stop-and-copy migration when the
 	// dirty set does not converge. Processes without a paged region migrate
-	// classically regardless.
+	// classically regardless. The runtime (core) always sets it; only the
+	// end-to-end benchmark chooses.
 	Live *livemig.Config
 }
 
 // Metric names the middleware exports when Options.Metrics is set.
 const (
-	MetricMigrationSeconds  = "hpcm/migration_seconds"
 	MetricDowntimeSeconds   = "hpcm/downtime_seconds"
 	MetricCheckpointSeconds = "hpcm/checkpoint_seconds"
 	MetricPrecopyRounds     = "hpcm/precopy_rounds"
 	MetricPagesResent       = "hpcm/pages_resent"
+)
+
+// Phase spans: one histogram per phase of a migration, each observed from
+// the attempt's Record at the step that closes it.
+//
+//	poll_wait  command delivered → poll-point consumed it (once per command)
+//	init       poll-point → destination process initialised
+//	transfer   init → eager state shipped, destination resumed (commit)
+//	restore    resume → lazy state restored
+//	total      command → restore (Record.MigrationTime)
+//
+// An attempt that aborts keeps the spans it closed; a post-commit failure
+// records no restore and no total.
+const (
+	SpanPollWait = "span/poll_wait"
+	SpanInit     = "span/init"
+	SpanTransfer = "span/transfer"
+	SpanRestore  = "span/restore"
+	SpanTotal    = "span/total"
 )
 
 // NullBinder returns the no-op HostBinder used when processes run unbound
@@ -150,7 +170,7 @@ type Middleware struct {
 	ckptEvery time.Duration
 	events    metrics.Sink
 	metrics   *metrics.Registry
-	live      *livemig.Config
+	live      bool
 	procs     sync.Map // live process directory: name -> *Process
 }
 
@@ -169,8 +189,8 @@ func New(opts Options) (*Middleware, error) {
 		// Pre-create the histograms so /metrics exposes them (empty) even
 		// before the first migration.
 		for _, name := range []string{
-			MetricMigrationSeconds, MetricDowntimeSeconds, MetricCheckpointSeconds,
-			MetricPrecopyRounds, MetricPagesResent,
+			MetricDowntimeSeconds, MetricCheckpointSeconds, MetricPrecopyRounds, MetricPagesResent,
+			SpanPollWait, SpanInit, SpanTransfer, SpanRestore, SpanTotal,
 		} {
 			opts.Metrics.Histogram(name)
 		}
@@ -184,7 +204,7 @@ func New(opts Options) (*Middleware, error) {
 		ckptEvery: opts.CheckpointEvery,
 		events:    opts.Events,
 		metrics:   opts.Metrics,
-		live:      opts.Live,
+		live:      opts.Live != nil,
 	}, nil
 }
 

@@ -244,6 +244,7 @@ func sendLazy(inter *mpi.Comm, chunks [][]byte) error {
 // source cancelled returns no state and no error.
 func receiveState(clock vclock.Clock, parent *mpi.Comm) (image, *savedState, error) {
 	saved := newSavedState(clock, image{})
+	saved.from = parent
 	for {
 		var hdr []byte
 		if _, err := parent.Recv(&hdr, 0, tagHeader); err != nil {

@@ -115,7 +115,7 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 		att.release()
 		mw.observe(att.event(PhaseAborted, att.res.Rounds, fmt.Errorf(
 			"hpcm: precopy did not converge after %d rounds: falling back to stop-and-copy", att.res.Rounds)))
-		return true, c.migrate(label, att.sig, nil)
+		return true, c.migrate(label, att.sig, true)
 	}
 
 	// Converged: the process freezes at this poll-point. The window from

@@ -543,7 +543,7 @@ func TestSourceLossMidLazyStreamAbortsDestinationCleanly(t *testing.T) {
 func TestLiveMigrationConnectsToPreInit(t *testing.T) {
 	const stages, dirty = 400, 2
 	mw, _ := newMW(t, &testBinder{}, 2*time.Second)
-	mw.live = &livemig.Config{}
+	mw.live = true
 	var sum float64
 	var mu sync.Mutex
 	p, err := mw.Start("app", "ws1", pagedMain(stages, dirty, nil, &sum, &mu))

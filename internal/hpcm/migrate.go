@@ -68,14 +68,16 @@ func (m *Middleware) abort(att *attempt, phase string, round int, err error) err
 }
 
 // migrate starts moving this incarnation to sig.cmd's destination. It runs
-// at a poll-point on the source. With live set and exactly one paged region
-// registered it launches the precopy rounds and returns nil — the
-// application keeps computing and a later poll-point (pollLive) hands over.
-// Otherwise it hands over here and returns ErrMigrated on success. A failure
-// before the commit point returns a *MigrationFailure (Committed=false); a
-// failure after it also returns ErrMigrated — the destination owns the
-// process and its failed restoration decides the process's fate.
-func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) error {
+// at a poll-point on the source. On the middleware's live path with exactly
+// one paged region registered it launches the precopy rounds and returns
+// nil — the application keeps computing and a later poll-point (pollLive)
+// hands over. Otherwise, and always for the stop-and-copy that follows a
+// precopy fallback, it hands over here and returns ErrMigrated on success.
+// A failure before the commit point returns a *MigrationFailure
+// (Committed=false); a failure after it also returns ErrMigrated — the
+// destination owns the process and its failed restoration decides the
+// process's fate.
+func (c *Context) migrate(label string, sig pendingCmd, fallback bool) error {
 	p := c.proc
 	mw := p.mw
 	att := &attempt{
@@ -89,9 +91,15 @@ func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) er
 			PollPointAt: mw.clock.Now(),
 		},
 	}
+	rec := &att.rec
+	if !fallback {
+		// The command is consumed once: a fallback's second attempt
+		// waited for no poll-point.
+		mw.span(SpanPollWait, rec.PollPointAt.Sub(rec.CommandAt))
+	}
 	mw.observe(att.event(PhaseStart, 0, nil))
 
-	if live != nil {
+	if mw.live && !fallback {
 		// No single non-empty paged region leaves pages nil and the command
 		// to stop-and-copy.
 		att.pagesName, att.pages = c.state.pagesRegion()
@@ -106,7 +114,8 @@ func (c *Context) migrate(label string, sig pendingCmd, live *livemig.Config) er
 	if err := c.connectDestination(att); err != nil {
 		return mw.abort(att, PhaseStart, 0, err)
 	}
-	att.rec.InitDone = mw.clock.Now()
+	rec.InitDone = mw.clock.Now()
+	mw.span(SpanInit, rec.InitDone.Sub(rec.PollPointAt))
 	mw.observe(att.event(PhaseInit, 0, nil))
 
 	if att.pages == nil {
@@ -212,6 +221,7 @@ func (c *Context) handover(att *attempt, abortPhase string) error {
 	case p.events <- *rec:
 	default:
 	}
+	mw.span(SpanTransfer, rec.ResumeAt.Sub(rec.InitDone))
 	mw.metrics.Histogram(MetricDowntimeSeconds).Observe(rec.Downtime().Seconds())
 	if att.pages != nil {
 		mw.metrics.Histogram(MetricPrecopyRounds).Observe(float64(rec.PrecopyRounds))
@@ -266,7 +276,8 @@ func (c *Context) completeMigration(att *attempt, oldHP HostProc, recIdx int) er
 	p.records[recIdx].RestoreDone = clock.Now()
 	done := p.records[recIdx]
 	p.mu.Unlock()
-	mw.metrics.Histogram(MetricMigrationSeconds).Observe(done.MigrationTime().Seconds())
+	mw.span(SpanRestore, done.RestoreDone.Sub(done.ResumeAt))
+	mw.span(SpanTotal, done.MigrationTime())
 	mw.observe(att.event(PhaseRestore, 0, nil))
 	return ErrMigrated
 }

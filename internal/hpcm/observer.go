@@ -3,6 +3,7 @@ package hpcm
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"autoresched/internal/metrics"
 )
@@ -118,6 +119,11 @@ func (m *Middleware) observe(ev MigrationEvent) {
 		Err:     ev.Err,
 		Payload: ev,
 	})
+}
+
+// span observes one phase span of a migration.
+func (m *Middleware) span(name string, d time.Duration) {
+	m.metrics.Histogram(name).Observe(d.Seconds())
 }
 
 // observeCheckpoint emits a checkpoint event on the unified sink.

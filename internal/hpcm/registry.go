@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"autoresched/internal/livemig"
+	"autoresched/internal/mpi"
 	"autoresched/internal/vclock"
 )
 
@@ -35,7 +36,8 @@ type savedState struct {
 	mu    sync.Mutex
 	cond  *vclock.Cond
 	slots map[string]slot
-	err   error // the inbound stream died; missing segments never arrive
+	err   error     // the inbound stream died; missing segments never arrive
+	from  *mpi.Comm // the stream's communicator; nil for a checkpoint
 }
 
 type slot struct {
@@ -87,7 +89,8 @@ func (s *savedState) completeLazy(name string, data []byte) {
 }
 
 // fail marks the inbound state stream dead: segments not yet complete will
-// never arrive, and awaiters unblock with err.
+// never arrive, and awaiters unblock with err — the restore receiving them
+// too, through its communicator.
 func (s *savedState) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -95,6 +98,9 @@ func (s *savedState) fail(err error) {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	if s.from != nil {
+		s.from.Disconnect(err)
+	}
 }
 
 // awaitLazy blocks until the named segment has fully arrived, or the stream

@@ -85,6 +85,12 @@ func (c *Comm) KillRemote() {
 	}
 }
 
+// Disconnect ends the caller's side of the communicator, as
+// MPI_Comm_disconnect does: its receives that wait, and any later ones that
+// find no queued message, return why. The process's mailbox stays open, so
+// its other communicators are untouched. No message moves.
+func (c *Comm) Disconnect(why error) { c.self.disconnect(c.context(), why) }
+
 // Send sends v to dest with a non-negative tag, blocking until the payload
 // has been accepted (eager buffering: transport time is charged, then the
 // message is queued at the receiver).

@@ -506,3 +506,42 @@ func TestKillUnblocksReceiver(t *testing.T) {
 	}
 	u.Wait()
 }
+
+// TestDisconnectFailsOnlyThatCommunicator: a receive on a disconnected
+// intercommunicator returns the reason, and so does a later one; the
+// process's world communicator, on the same mailbox, still delivers.
+func TestDisconnectFailsOnlyThatCommunicator(t *testing.T) {
+	u := NewUniverse(Options{})
+	why := errors.New("stream failed")
+	parent := make(chan *Comm, 1)
+	errs := u.Run([]string{"src"}, func(env *Env) error {
+		inter, err := env.Spawn([]string{"dst"}, func(child *Env) error {
+			parent <- child.Parent
+			for i := 0; i < 2; i++ {
+				if _, err := child.Parent.Recv(new([]byte), 0, 1); !errors.Is(err, why) {
+					return fmt.Errorf("recv %d after disconnect = %v, want %v", i, err, why)
+				}
+			}
+			if err := child.World.Send("self", 0, 2); err != nil {
+				return err
+			}
+			var s string
+			if _, err := child.World.Recv(&s, 0, 2); err != nil || s != "self" {
+				return fmt.Errorf("world recv = %q, %v", s, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		(<-parent).Disconnect(why)
+		// The child's mailbox is open: the spawner can still reach it.
+		return inter.Send("late", 0, 9)
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	u.Wait()
+}

@@ -53,7 +53,8 @@ type endpoint struct {
 	mu     sync.Mutex
 	cond   *vclock.Cond
 	queue  []*message
-	closed error // once closed, what receives return
+	closed error            // once closed, what receives return
+	cut    map[string]error // disconnected communicator contexts, and why
 }
 
 func newEndpoint(clock vclock.Clock, host string) *endpoint {
@@ -87,8 +88,8 @@ func (ep *endpoint) match(ctx string, src, tag int) (*message, error) {
 				return m, nil
 			}
 		}
-		if ep.closed != nil {
-			return nil, ep.closed
+		if err := ep.failed(ctx); err != nil {
+			return nil, err
 		}
 		ep.cond.Wait()
 	}
@@ -103,10 +104,7 @@ func (ep *endpoint) peekNow(ctx string, src, tag int) (*message, bool, error) {
 			return m, true, nil
 		}
 	}
-	if ep.closed != nil {
-		return nil, false, ep.closed
-	}
-	return nil, false, nil
+	return nil, false, ep.failed(ctx)
 }
 
 // peek returns the first matching message without removing it, blocking
@@ -120,8 +118,8 @@ func (ep *endpoint) peek(ctx string, src, tag int) (*message, error) {
 				return m, nil
 			}
 		}
-		if ep.closed != nil {
-			return nil, ep.closed
+		if err := ep.failed(ctx); err != nil {
+			return nil, err
 		}
 		ep.cond.Wait()
 	}
@@ -138,6 +136,30 @@ func (m *message) matches(ctx string, src, tag int) bool {
 		return false
 	}
 	return true
+}
+
+// failed is why a receive on ctx that found no message cannot wait for
+// one: the mailbox closed, or that communicator was disconnected here. The
+// caller holds ep.mu.
+func (ep *endpoint) failed(ctx string) error {
+	if ep.closed != nil {
+		return ep.closed
+	}
+	return ep.cut[ctx]
+}
+
+// disconnect fails receives on the communicator context ctx with why, from
+// now on; the first reason stays.
+func (ep *endpoint) disconnect(ctx string, why error) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.cut == nil {
+		ep.cut = make(map[string]error)
+	}
+	if _, ok := ep.cut[ctx]; !ok {
+		ep.cut[ctx] = why
+	}
+	ep.cond.Broadcast()
 }
 
 // close closes the mailbox, receives returning why from then on; a closed
