@@ -75,9 +75,10 @@ check: lint build test
 # fences), of the dispatcher's plan-then-reserve regression, of the two
 # jobs-crash chaos scenarios (the commit-failure edge) and of the proto
 # client and server over real TCP (the client's one re-dial), the
-# determinism check of every simulated report, and a single 64-host scale
-# sweep, the malleability and multi-job reports and two small fleets as
-# end-to-end smokes of the control plane.
+# determinism check of every seed-42 report (fig5-8, table2, chaos, the
+# 64-host scale sweep, malleable, livemig and multijob), and a single
+# 64-host scale sweep, the malleability and multi-job reports and two small
+# fleets as end-to-end smokes of the control plane.
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
@@ -104,7 +105,7 @@ chaos: build
 # so must the -metrics dumps of chaos and the 64-host scale sweep.
 REPRO = $(GO) run ./cmd/repro -seed 42
 determinism: build
-	@for exp in fig5 fig6 fig7 fig8 table2 chaos "scale -hosts 64" malleable; do \
+	@for exp in fig5 fig6 fig7 fig8 table2 chaos "scale -hosts 64" malleable livemig multijob; do \
 		a="$$($(REPRO) -exp $$exp)" && b="$$($(REPRO) -exp $$exp)" || exit 1; \
 		[ "$$a" = "$$b" ] || { echo "-exp $$exp differs between two runs"; exit 1; }; \
 		echo "-exp $$exp: byte-identical"; \

@@ -1,8 +1,9 @@
 // Command reschedd runs the rescheduling runtime's entities over real
 // TCP/IP with the XML protocol, the way the paper deployed them across its
-// cluster: a registry/scheduler on one machine, and a monitor plus
-// commander on every other machine, reading real system information from
-// /proc.
+// cluster: a registry/scheduler on one machine, and a monitor on every other
+// machine, reading real system information from /proc. It runs no
+// commander, so the registry orders no migrations: it logs the protocol
+// traffic and its own events, and every 30 s each host's state.
 //
 // Registry (central host):
 //
@@ -18,10 +19,10 @@
 //	reschedd -role monitor -registry central:7070 -rules my.rules -interval 10s
 //
 // The monitor gathers from the local /proc, evaluates its rule file and
-// pushes soft-state refreshes; the registry prints decisions. Process
-// migration itself needs migration-enabled applications (see the examples);
-// this daemon demonstrates the monitoring/registration/decision plane on
-// real hosts.
+// pushes soft-state refreshes; the registry tracks their leases and states
+// and answers a candidate request with a first-fit destination. Process migration itself needs
+// migration-enabled applications (see the examples); this daemon
+// demonstrates the monitoring/registration plane on real hosts.
 //
 // Either role serves observability endpoints when -metrics is set:
 //
@@ -105,9 +106,8 @@ func serveMetrics(addr string, mreg *metrics.Registry) {
 	log.Printf("serving /metrics and /debug/pprof on %s", addr)
 }
 
-// loadPolicy reads the policy file — the last policy in it rules — and
-// resolves its pl_scheduler, so a misspelt name stops the daemon instead of
-// silently placing by first fit. No path means the state-based default.
+// loadPolicy reads the policy file; the last policy in it rules. No path
+// means the state-based default.
 func loadPolicy(path string) (*rules.MigrationPolicy, error) {
 	if path == "" {
 		return nil, nil
@@ -119,11 +119,7 @@ func loadPolicy(path string) (*rules.MigrationPolicy, error) {
 	if len(parsed) == 0 {
 		return nil, fmt.Errorf("policy file %s holds no policies", path)
 	}
-	policy := parsed[len(parsed)-1]
-	if _, err := registry.SchedulerByName(policy.Scheduler); err != nil {
-		return nil, fmt.Errorf("%s: pl_scheduler: %w", path, err)
-	}
-	return policy, nil
+	return parsed[len(parsed)-1], nil
 }
 
 func runRegistry(listen, policyPath, storeDir string, snapshotEvery int, mreg *metrics.Registry) {

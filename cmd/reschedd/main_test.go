@@ -22,15 +22,9 @@ func TestLoadPolicy(t *testing.T) {
 		t.Fatalf("no file = %+v, %v; want the nil state-based default", p, err)
 	}
 
-	p, err := loadPolicy(write(first + "pl_name: p2\npl_migrate: true\npl_trigger: numProcs.sh > 150\npl_scheduler: least-loaded\n"))
-	if err != nil || p == nil || p.Name != "p2" || p.Scheduler != "least-loaded" {
+	p, err := loadPolicy(write(first + "pl_name: p2\npl_migrate: true\npl_trigger: numProcs.sh > 150\n"))
+	if err != nil || p == nil || p.Name != "p2" {
 		t.Fatalf("good file = %+v, %v; want the last policy, p2", p, err)
-	}
-
-	// The parent daemon started on this file and placed by first fit.
-	_, err = loadPolicy(write(first + "pl_scheduler: leastlaoded\n"))
-	if err == nil || !strings.Contains(err.Error(), `pl_scheduler: registry: unknown scheduler "leastlaoded"`) {
-		t.Fatalf("unknown scheduler err = %v; want one naming the key and the value", err)
 	}
 
 	if _, err := loadPolicy(write("# nothing here\n")); err == nil || !strings.Contains(err.Error(), "no policies") {

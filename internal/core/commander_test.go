@@ -134,7 +134,7 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	mreg := metrics.NewRegistry()
 	ring := &metrics.Ring{}
-	s, app, release := launchHeld(t, clock, Options{OrderDedupWindow: 30 * time.Second, Metrics: mreg, Events: ring},
+	s, app, release := launchHeld(t, clock, Options{Metrics: mreg, Events: ring},
 		func(*hpcm.Context) error { return nil })
 	defer func() {
 		close(release)
@@ -171,24 +171,5 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	}
 	if mreg.Counter(CtrOrdersDeduped).Value() != 1 {
 		t.Fatalf("counter = %d after the window", mreg.Counter(CtrOrdersDeduped).Value())
-	}
-}
-
-func TestMigrateDedupDisabledByDefault(t *testing.T) {
-	ring := &metrics.Ring{}
-	s, app, release := launchHeld(t, vclock.NewAuto(vclock.Epoch), Options{Events: ring},
-		func(*hpcm.Context) error { return nil })
-	defer func() {
-		close(release)
-		_ = app.Wait()
-	}()
-	order := proto.MigrateOrder{PID: app.Process().PID(), DestHost: "ws2", DestAddr: "cmd://ws2"}
-	for i := 0; i < 2; i++ {
-		if err := s.Migrate("ws1", order); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ring.CountBy(metrics.SourceCommander, "order"); got != 2 {
-		t.Fatalf("orders executed = %d, want 2", got)
 	}
 }

@@ -70,22 +70,13 @@ type Options struct {
 	// from the last checkpoint onto a fresh first-fit host, or cold-restart
 	// when no checkpoint exists. Zero disables automatic failover.
 	FailoverRetries int
-	// OrderDedupWindow suppresses a migrate order identical to one the
-	// commander executed within the window — the guard against an
-	// at-least-once control plane redelivering the same order. Zero
-	// disables. Keep it below Cooldown so legitimate repeat orders pass.
-	OrderDedupWindow time.Duration
 	// Store, when set, makes the registry's protocol state durable: every
 	// mutation appends to this write-ahead store and a registry restart
 	// becomes crash-consistent bootstrap — hosts and processes are
 	// recovered from snapshot+log instead of re-registering (see
-	// internal/persist). Simulations pass a persist.MemStore; reschedd
-	// wires a file-backed store behind its -store flag.
+	// internal/persist), compacted into a snapshot every snapshotEvery
+	// records. Simulations pass a persist.MemStore.
 	Store persist.Store
-	// SnapshotEvery folds the registry state into a compacting store
-	// snapshot every N appended records (requires Store); zero disables
-	// periodic compaction.
-	SnapshotEvery int
 	// Events, when set, receives the unified runtime event stream: registry
 	// decisions (Source "registry"), commander orders (Source "commander"),
 	// migration and checkpoint phases (Source "hpcm") and job transitions
@@ -121,6 +112,17 @@ const spawnLatency = 300 * time.Millisecond
 
 // monitorInterval is the paper's monitoring frequency.
 const monitorInterval = 10 * time.Second
+
+// orderDedupWindow is how long the commander remembers the last order it
+// executed: an identical order inside it is a redelivered duplicate from an
+// at-least-once control plane, acknowledged without being re-executed. It
+// must stay below the registry's 60 s default cooldown (and any
+// Options.Cooldown), so that a legitimate repeat order passes.
+const orderDedupWindow = 30 * time.Second
+
+// snapshotEvery is how many records the registry appends to Options.Store
+// between compacting snapshots.
+const snapshotEvery = 64
 
 // Counter names the runtime increments on Options.Metrics: migration
 // outcomes (from the hpcm event stream), redelivered orders, failover
@@ -314,7 +316,7 @@ func New(opts Options) (*System, error) {
 		registry.WithEvents(sink),
 		registry.WithMetrics(opts.Metrics),
 		registry.WithStore(opts.Store),
-		registry.WithSnapshotEvery(opts.SnapshotEvery),
+		registry.WithSnapshotEvery(snapshotEvery),
 	)
 	if opts.BatchStatusEvery > 0 {
 		s.batcher = registry.NewBatcher(s.reg, registry.BatcherConfig{
@@ -371,7 +373,7 @@ func (s *System) Universe() *mpi.Universe { return s.universe }
 // (Section 3): it delivers the user-defined signal, its payload the
 // destination, to the process the order names. The paper writes the
 // destination to a temporary file first; here the payload is its one
-// carrier. An order identical to one executed within OrderDedupWindow is
+// carrier. An order identical to one executed within orderDedupWindow is
 // acknowledged without being re-executed (a redelivered duplicate, not a
 // new decision).
 func (s *System) Migrate(host string, order proto.MigrateOrder) error {
@@ -385,9 +387,8 @@ func (s *System) Migrate(host string, order proto.MigrateOrder) error {
 	app.mu.Lock()
 	last, at, proc := app.lastOrder, app.orderedAt, app.Proc
 	app.mu.Unlock()
-	if w := s.opts.OrderDedupWindow; w > 0 && last.PID == order.PID &&
-		last.DestHost == order.DestHost && last.DestAddr == order.DestAddr &&
-		s.clock.Since(at) <= w {
+	if last.PID == order.PID && last.DestHost == order.DestHost &&
+		last.DestAddr == order.DestAddr && s.clock.Since(at) <= orderDedupWindow {
 		s.opts.Metrics.Counter(CtrOrdersDeduped).Inc()
 		return nil
 	}

@@ -332,11 +332,13 @@ func (s *System) runCycle() {
 }
 
 // reserve takes the gang reservation of an admission that has just turned
-// Reserving. Without contested hosts the registry's gang scheduler picks
-// the placement (PlaceGang consults the configured Scheduler; the planner's
-// host choice was only a feasibility proof); with them, the planned hosts
-// are reserved. On failure the job is Pending again and reserve returns
-// nil.
+// Reserving. An admission that evicts reserves the hosts it planned. One
+// without evictions is placed afresh by PlaceGang, which skips every
+// occupied host: the planner hands a requeued victim's whole placement back
+// to later admissions in the same cycle, though the victim may still be
+// draining on it, and PlaceGang keeps the job off such a host (re-picking,
+// or declining until a later cycle). On failure the job is Pending again
+// and reserve returns nil.
 func (s *System) reserve(adm jobs.Admission, occ map[string]string) *registry.GangReservation {
 	job, ok := s.queue.Get(adm.Job)
 	if !ok {

@@ -147,9 +147,8 @@ type chaosWorkload interface {
 func chaosScenarios(paged bool) []chaosScenario {
 	at := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	recovering := core.Options{
-		CheckpointEvery:  30 * time.Second,
-		FailoverRetries:  2,
-		OrderDedupWindow: 30 * time.Second,
+		CheckpointEvery: 30 * time.Second,
+		FailoverRetries: 2,
 	}
 	// The checksummed tree computation on four monitored hosts, launched on
 	// ws1 and recovered from its last checkpoint on failure.
@@ -178,7 +177,7 @@ func chaosScenarios(paged bool) []chaosScenario {
 	// crash-consistent bootstrap instead of a soft-state drop.
 	durable := func(name string, evs ...faults.Event) chaosScenario {
 		sys := recovering
-		sys.Store, sys.SnapshotEvery = persist.NewMemStore(), 64
+		sys.Store = persist.NewMemStore()
 		return chaosScenario{name: name, events: evs, hosts: 4, sys: sys,
 			load: &treeLoad{}, spans: "span/", inflates: true}
 	}
@@ -357,13 +356,11 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 		Events:       metrics.Multi(r.in.Sink(), restarts),
 		WrapReporter: r.in.WrapReporter,
 
-		CheckpointEvery:  sc.sys.CheckpointEvery,
-		FailoverRetries:  sc.sys.FailoverRetries,
-		OrderDedupWindow: sc.sys.OrderDedupWindow,
-		JobPolicy:        sc.sys.JobPolicy,
-		SchedInterval:    sc.sys.SchedInterval,
-		Store:            sc.sys.Store,
-		SnapshotEvery:    sc.sys.SnapshotEvery,
+		CheckpointEvery: sc.sys.CheckpointEvery,
+		FailoverRetries: sc.sys.FailoverRetries,
+		JobPolicy:       sc.sys.JobPolicy,
+		SchedInterval:   sc.sys.SchedInterval,
+		Store:           sc.sys.Store,
 	})
 	if err != nil {
 		return ChaosRow{}, err

@@ -125,27 +125,3 @@ func TestFencedStoreRefusesEveryReservation(t *testing.T) {
 		t.Fatalf("fenced reservations left marks: %v", got)
 	}
 }
-
-// TestLeastLoadedPlaceOne: a migration is Place with n = 1, and the stable
-// sort picks what the scheduler's old single-destination scan picked — the
-// lowest Load1, the earlier candidate on a tie.
-func TestLeastLoadedPlaceOne(t *testing.T) {
-	stream := func(loads ...float64) CandidateSeq {
-		return func(yield func(HostInfo) bool) {
-			for i, l := range loads {
-				if !yield(HostInfo{Name: string(rune('a' + i)), Status: status("free", l, 1)}) {
-					return
-				}
-			}
-		}
-	}
-	for want, loads := range map[string][]float64{"b": {0.8, 0.2, 0.5}, "a": {0.3, 0.3}, "c": {0.9, 0.9, 0.1, 0.1}} {
-		got, ok := LeastLoadedScheduler{}.Place(ProcInfo{}, 1, stream(loads...))
-		if !ok || len(got) != 1 || got[0].Name != want {
-			t.Errorf("Place(1) over %v = %+v ok=%v, want %s", loads, got, ok, want)
-		}
-	}
-	if got, ok := (LeastLoadedScheduler{}).Place(ProcInfo{}, 1, stream()); ok {
-		t.Errorf("Place(1) over an empty stream = %+v, want a decline", got)
-	}
-}

@@ -125,10 +125,10 @@ func (r *Registry) Reserved() []string {
 	return out
 }
 
-// PlaceGang atomically selects and reserves n eligible hosts for proc:
-// alive, unreserved, not excluded and passing proc's schema requirements,
-// ranked by the configured Scheduler. The whole select-and-mark runs under
-// one lock acquisition, so two concurrent admissions can never reserve
+// PlaceGang atomically selects and reserves n eligible hosts for proc: the
+// first n in registration order that are alive, unreserved, not excluded and
+// pass proc's schema requirements. The whole select-and-mark runs under one
+// lock acquisition, so two concurrent admissions can never reserve
 // overlapping host sets. A fenced store refuses the reservation.
 func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) bool) (*GangReservation, bool) {
 	if n <= 0 {
@@ -136,8 +136,8 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	picked, ok := r.sched.Place(proc, n, r.gangCandidatesLocked(proc, exclude))
-	if !ok || len(picked) != n {
+	picked := r.gangCandidatesLocked(make([]HostInfo, 0, n), proc, n, exclude)
+	if len(picked) != n {
 		return nil, false
 	}
 	hosts := make([]string, n)
@@ -156,15 +156,15 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 func (r *Registry) EligibleHosts(proc ProcInfo, exclude func(host string) bool) []HostInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gangCandidatesLocked(proc, exclude).all()
+	return r.gangCandidatesLocked(nil, proc, 0, exclude)
 }
 
-// gangCandidatesLocked streams the hosts a gang may be placed on. Unlike a
-// migration's destination scan it considers every alive host, not just the
-// Free set: gang occupancy is the job layer's bookkeeping (passed in through
-// exclude), not the monitors' load classification.
-func (r *Registry) gangCandidatesLocked(proc ProcInfo, exclude func(string) bool) CandidateSeq {
-	return r.candidatesLocked(r.order, proc, func(e *hostEntry) bool {
+// gangCandidatesLocked appends the first n hosts a gang may be placed on.
+// Unlike a migration's destination scan it considers every alive host, not
+// just the Free set: gang occupancy is the job layer's bookkeeping (passed
+// in through exclude), not the monitors' load classification.
+func (r *Registry) gangCandidatesLocked(dst []HostInfo, proc ProcInfo, n int, exclude func(string) bool) []HostInfo {
+	return r.candidatesLocked(dst, r.order, proc, n, func(e *hostEntry) bool {
 		return exclude == nil || !exclude(e.info.Name)
 	})
 }
@@ -184,7 +184,7 @@ func (r *Registry) ReserveHosts(hosts []string) (*GangReservation, error) {
 
 // reserveLocked is the one all-or-nothing reservation; it takes ownership of
 // hosts. Every host must be distinct, registered, lease-fresh and unreserved
-// — the same check for a caller's explicit list and for a scheduler's pick —
+// — the same check for a caller's explicit list and for PlaceGang's pick —
 // then the reservation is journalled (a fenced store refuses it, with an
 // error that wraps persist.ErrFenced, and nothing is marked) and only then
 // are the host marks set.

@@ -153,25 +153,6 @@ func TestReserveHostsPinsOccupiedHosts(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedPlaceGang(t *testing.T) {
-	r, _ := gangReg(t, 4)
-	for i, load := range []float64{3, 1, 2, 0.5} {
-		host := fmt.Sprintf("g%d", i+1)
-		if err := r.ReportStatus(host, status("free", load, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.sched = LeastLoadedScheduler{}
-	g, ok := r.PlaceGang(ProcInfo{}, 2, nil)
-	if !ok {
-		t.Fatal("PlaceGang declined")
-	}
-	if got := g.Hosts(); got[0] != "g4" || got[1] != "g2" {
-		t.Fatalf("least-loaded gang = %v, want [g4 g2]", got)
-	}
-	g.Abort()
-}
-
 // TestGangConcurrentAdmissions is the race-clean acceptance test: many
 // goroutines fight over a small fleet; reservations must never overlap and
 // every commit must be all-or-nothing.

@@ -37,17 +37,10 @@ func NewRegistry(opts ...Option) *Registry {
 	if cfg.cooldown <= 0 {
 		cfg.cooldown = 60 * time.Second
 	}
-	var sched Scheduler = FirstFitScheduler{}
-	if cfg.policy != nil {
-		if s, err := SchedulerByName(cfg.policy.Scheduler); err == nil {
-			sched = s
-		}
-	}
 	r := &Registry{
 		cfg:       cfg,
 		clock:     cfg.clock,
 		probes:    sysinfo.StandardProbes(),
-		sched:     sched,
 		ctr:       newCounters(cfg.metrics),
 		hosts:     make(map[string]*hostEntry),
 		sets:      newStateSets(),
@@ -79,8 +72,8 @@ func WithClock(clock vclock.Clock) Option { return func(c *config) { c.clock = c
 // WithLease sets the host lease duration.
 func WithLease(d time.Duration) Option { return func(c *config) { c.lease = d } }
 
-// WithPolicy sets the migration policy, and through its pl_scheduler the
-// placement scheduler.
+// WithPolicy sets the migration policy: when to migrate and which
+// destinations qualify. Placement is first fit under any policy.
 func WithPolicy(p *rules.MigrationPolicy) Option { return func(c *config) { c.policy = p } }
 
 // WithCommands sets the migrate-order sink, making the registry active.

@@ -47,11 +47,10 @@ type config struct {
 	// lease is how long a host stays alive without a refresh; zero selects
 	// 35 seconds (a few missed 10-second refreshes).
 	lease time.Duration
-	// policy decides when to migrate and which destinations qualify; its
-	// pl_scheduler names the Scheduler ranking every placement (first fit
-	// when empty or unknown). Nil selects the pure state-based policy:
-	// migrate off overloaded hosts, onto free hosts (Table 1 semantics),
-	// placed by first fit.
+	// policy decides when to migrate and which destinations qualify. Nil
+	// selects the pure state-based policy: migrate off overloaded hosts,
+	// onto free hosts (Table 1 semantics). Either way the destination is
+	// the first that qualifies (candidatesLocked).
 	policy *rules.MigrationPolicy
 	// commands receives migrate orders; nil leaves the registry passive
 	// (candidates are still served on request).
@@ -162,7 +161,6 @@ type Registry struct {
 	cfg    config
 	clock  vclock.Clock
 	probes *sysinfo.Probes
-	sched  Scheduler
 	ctr    counters
 
 	mu    sync.Mutex
@@ -409,6 +407,30 @@ func (r *Registry) SelectProcess(host string) (ProcInfo, bool) {
 	procs := r.processesLocked(host)
 	r.mu.Unlock()
 	return selectLatestCompletion(speed, procs)
+}
+
+// selectLatestCompletion is the paper's process choice (Section 4): the
+// process with the latest estimated completion time, so that one migration
+// relieves the host for the longest.
+func selectLatestCompletion(cpuSpeed float64, procs []ProcInfo) (ProcInfo, bool) {
+	if len(procs) == 0 {
+		return ProcInfo{}, false
+	}
+	best := procs[0]
+	bestDone := estimatedDone(procs[0], cpuSpeed)
+	for _, p := range procs[1:] {
+		if done := estimatedDone(p, cpuSpeed); done.After(bestDone) {
+			best, bestDone = p, done
+		}
+	}
+	return best, true
+}
+
+func estimatedDone(p ProcInfo, cpuSpeed float64) time.Time {
+	if p.Schema == nil {
+		return p.Start
+	}
+	return p.Schema.EstimatedCompletion(p.Start, cpuSpeed)
 }
 
 // Stats reports how many migrate orders were issued and how many decision

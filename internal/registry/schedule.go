@@ -32,38 +32,38 @@ func (r *Registry) acceptsLocked(e *hostEntry) bool {
 	return ok && err == nil
 }
 
-// candidatesLocked is the one eligibility rule, as a stream over scan in
-// registration order: a host qualifies when its lease is fresh, no pending
-// gang reservation holds it (placing onto one would double-book it under the
-// gang about to launch there), the caller's keep accepts it, and it owns the
-// resources proc's schema requires (a nil schema fits everywhere). Migration
-// destinations and gang placement both draw from it. The stream runs under
-// the registry lock; see CandidateSeq.
-func (r *Registry) candidatesLocked(scan []*hostEntry, proc ProcInfo, keep func(*hostEntry) bool) CandidateSeq {
+// candidatesLocked is the one placement rule, the paper's first fit (Section
+// 3.2): it appends to dst the hosts of scan that qualify, in registration
+// order, until dst holds n (n <= 0 takes them all), and returns it. A host
+// qualifies when its lease is fresh, no pending gang reservation holds it
+// (placing onto one would double-book it under the gang about to launch
+// there), the caller's keep accepts it, and it owns the resources proc's
+// schema requires (a nil schema fits everywhere). Migration destinations and
+// gang placement both draw from it. The caller holds the registry lock.
+func (r *Registry) candidatesLocked(dst []HostInfo, scan []*hostEntry, proc ProcInfo, n int, keep func(*hostEntry) bool) []HostInfo {
 	now := r.clock.Now()
-	return func(yield func(HostInfo) bool) {
-		for _, e := range scan {
-			if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) {
+	for _, e := range scan {
+		if n > 0 && len(dst) == n {
+			break
+		}
+		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) {
+			continue
+		}
+		if proc.Schema != nil {
+			if ok, _ := proc.Schema.Fits(e.info.Static.MemTotal, e.info.Status.DiskAvail,
+				e.info.Static.CPUSpeed, e.info.Static.Software); !ok {
 				continue
 			}
-			if proc.Schema != nil {
-				if ok, _ := proc.Schema.Fits(e.info.Static.MemTotal, e.info.Status.DiskAvail,
-					e.info.Static.CPUSpeed, e.info.Static.Software); !ok {
-					continue
-				}
-			}
-			if !yield(e.info) {
-				return
-			}
 		}
+		dst = append(dst, e.info)
 	}
+	return dst
 }
 
-// FirstFit finds a destination for proc, excluding the source host. Despite
-// the historical name it runs the configured Scheduler: the local domain is
-// searched first (migration destinations are preferred inside one's own
-// control domain, Section 3.2), then the parent registry, which delegates
-// upward in turn.
+// FirstFit finds a destination for proc, excluding the source host: the
+// local domain is searched first (migration destinations are preferred
+// inside one's own control domain, Section 3.2), then the parent registry,
+// which delegates upward in turn.
 func (r *Registry) FirstFit(exclude string, proc ProcInfo) (proto.Candidate, bool) {
 	if cand, ok := r.placeLocal(exclude, proc); ok {
 		return cand, true
@@ -74,9 +74,9 @@ func (r *Registry) FirstFit(exclude string, proc ProcInfo) (proto.Candidate, boo
 	return proto.Candidate{OK: false, Reason: "no host fits"}, false
 }
 
-// placeLocal asks the scheduler to place proc on one of this registry's own
-// eligible hosts. Under the default policy only the Free state set is
-// scanned — the indexed sets keep this cheap when most of a large cluster
+// placeLocal places proc on the first of this registry's own eligible hosts
+// that accepts a migration. Under the default policy only the Free state set
+// is scanned — the indexed sets keep this cheap when most of a large cluster
 // is busy.
 func (r *Registry) placeLocal(exclude string, proc ProcInfo) (proto.Candidate, bool) {
 	r.mu.Lock()
@@ -85,10 +85,11 @@ func (r *Registry) placeLocal(exclude string, proc ProcInfo) (proto.Candidate, b
 	if r.cfg.policy == nil {
 		scan = r.sets[rules.Free]
 	}
-	picked, ok := r.sched.Place(proc, 1, r.candidatesLocked(scan, proc, func(e *hostEntry) bool {
+	var buf [1]HostInfo
+	picked := r.candidatesLocked(buf[:0], scan, proc, 1, func(e *hostEntry) bool {
 		return e.info.Name != exclude && r.acceptsLocked(e)
-	}))
-	if !ok || len(picked) != 1 {
+	})
+	if len(picked) == 0 {
 		return proto.Candidate{}, false
 	}
 	return proto.Candidate{OK: true, Host: picked[0].Name, Addr: picked[0].Static.Addr}, true

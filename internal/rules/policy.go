@@ -53,10 +53,6 @@ type MigrationPolicy struct {
 	Trigger       []Condition
 	SourcePrecond []Condition
 	Destination   []Condition
-	// Scheduler names the placement scheduler ("firstfit", "leastloaded")
-	// the registry should use under this policy; empty keeps the registry's
-	// default (first fit).
-	Scheduler string
 }
 
 // ShouldMigrate reports whether the policy fires on the source snapshot:

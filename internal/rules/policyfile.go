@@ -26,11 +26,10 @@ import (
 //	pl_dest: loadAvg.sh(1) < 1
 //	pl_dest: numProcs.sh < 100
 //	pl_dest: netFlow.sh(max) <= 3
-//	pl_scheduler: leastloaded
 //
 // Triggers are any-of; source preconditions and destination conditions are
-// all-of (see MigrationPolicy). pl_scheduler optionally names the placement
-// scheduler; the default is first fit.
+// all-of (see MigrationPolicy). The registry places onto the first host that
+// meets them. Any other pl_ key is ignored.
 
 // ParseCondition parses one "script(param) OP threshold" condition.
 func ParseCondition(s string) (Condition, error) {
@@ -122,8 +121,6 @@ func ParsePolicies(r io.Reader) ([]*MigrationPolicy, error) {
 			err = appendCond(&cur.SourcePrecond, value)
 		case "pl_dest":
 			err = appendCond(&cur.Destination, value)
-		case "pl_scheduler":
-			cur.Scheduler = value
 		default:
 			if !strings.HasPrefix(key, "pl_") {
 				err = fmt.Errorf("unknown key %q", key)

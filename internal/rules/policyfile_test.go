@@ -81,15 +81,16 @@ func TestTable2PolicyFileMatchesBuiltins(t *testing.T) {
 
 func TestParsePoliciesErrors(t *testing.T) {
 	for _, src := range []string{
-		"pl_trigger: x > 1\n",                 // before any name
-		"pl_name: p\npl_migrate: maybe\n",     // bad bool
-		"pl_name: p\npl_trigger: nonsense\n",  // bad condition
-		"pl_name: p\nbogus: 1\n",              // unknown key
-		"pl_name: p\npl_dest x > 1\n",         // missing colon
-		"pl_name: p\npl_future: tolerated\n#", // unknown pl_ key tolerated
+		"pl_trigger: x > 1\n",                     // before any name
+		"pl_name: p\npl_migrate: maybe\n",         // bad bool
+		"pl_name: p\npl_trigger: nonsense\n",      // bad condition
+		"pl_name: p\nbogus: 1\n",                  // unknown key
+		"pl_name: p\npl_dest x > 1\n",             // missing colon
+		"pl_name: p\npl_future: tolerated\n#",     // unknown pl_ key tolerated
+		"pl_name: p\npl_scheduler: leastloaded\n", // a retired pl_ key too
 	} {
 		_, err := ParsePolicies(strings.NewReader(src))
-		tolerated := strings.Contains(src, "pl_future")
+		tolerated := strings.Contains(src, "pl_future") || strings.Contains(src, "pl_scheduler")
 		if (err == nil) != tolerated {
 			t.Errorf("ParsePolicies(%q): err = %v", src, err)
 		}

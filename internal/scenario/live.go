@@ -77,7 +77,6 @@ func RunLive(s Scenario, timeout time.Duration) (LiveOutcome, error) {
 		// file-backed store (same Store contract, same registry WAL path)
 		// so durable scenarios exercise the journaling code live.
 		opts.Store = persist.NewMemStore()
-		opts.SnapshotEvery = 64
 	}
 	sys, err := core.New(opts)
 	if err != nil {
