@@ -48,11 +48,6 @@ type Options struct {
 	ChunkBytes int
 	// Parent chains this system's registry under an upper-level one.
 	Parent *registry.Registry
-	// BatchStatusEvery, when positive, interposes a registry.Batcher
-	// between the monitors and the registry: status refreshes coalesce
-	// into batched reports flushed at this interval (or when 64 hosts are
-	// pending). Zero keeps per-host reports.
-	BatchStatusEvery time.Duration
 	// RegistryHost, when set, names the host the registry/scheduler runs
 	// on; status refreshes from other hosts are then charged to the
 	// network as statusBytes-sized transfers, making the rescheduler's
@@ -228,8 +223,7 @@ type System struct {
 	universe *mpi.Universe
 	mw       *hpcm.Middleware
 	reg      *registry.Registry
-	batcher  *registry.Batcher // non-nil when BatchStatusEvery is set
-	events   metrics.Sink      // combined sink: the runtime's subscriptions + Options.Events
+	events   metrics.Sink // combined sink: the runtime's subscriptions + Options.Events
 
 	// Multi-job control plane (see jobs.go).
 	queue  *jobs.Queue
@@ -318,13 +312,6 @@ func New(opts Options) (*System, error) {
 		registry.WithStore(opts.Store),
 		registry.WithSnapshotEvery(snapshotEvery),
 	)
-	if opts.BatchStatusEvery > 0 {
-		s.batcher = registry.NewBatcher(s.reg, registry.BatcherConfig{
-			Clock:      clock,
-			FlushEvery: opts.BatchStatusEvery,
-			Metrics:    opts.Metrics,
-		})
-	}
 	return s, nil
 }
 
@@ -460,9 +447,6 @@ func (s *System) AddNode(host string) (*Node, error) {
 		charger = hp
 	}
 	var reporter monitor.Reporter = s.reg
-	if s.batcher != nil {
-		reporter = s.batcher
-	}
 	if s.opts.RegistryHost != "" && host != s.opts.RegistryHost {
 		reporter = &chargedReporter{
 			inner: reporter,

@@ -6,10 +6,10 @@ import (
 	"autoresched/internal/sim"
 )
 
-// chargedReporter forwards monitor traffic toward the in-process registry
-// (directly, or through the status batcher) while charging each message to
-// the simulated network, so the rescheduler's control traffic appears in
-// the NIC counters exactly as the paper's XML-over-TCP messages did.
+// chargedReporter forwards monitor traffic to the in-process registry
+// while charging each message to the simulated network, so the
+// rescheduler's control traffic appears in the NIC counters exactly as the
+// paper's XML-over-TCP messages did.
 type chargedReporter struct {
 	inner monitor.Reporter
 	net   *sim.Network

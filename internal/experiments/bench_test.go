@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkScale64 times one whole 64-host sweep — cluster build, 64
-// monitors heartbeating through the batcher, four checksummed tree apps,
+// monitors heartbeating into the registry, four checksummed tree apps,
 // churn, injected overloads, and the resulting migrations. One iteration is
 // one sweep; ns/op is end-to-end wall time for the paper-sized cluster.
 func BenchmarkScale64(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"autoresched/internal/metrics"
 	"autoresched/internal/monitor"
 	"autoresched/internal/proto"
-	"autoresched/internal/registry"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -20,8 +19,7 @@ import (
 // larger sweeps, each running the checksummed tree computation under churn —
 // background load on a slice of the cluster and injected overloads on the
 // app hosts — while the control plane's work is counted: heartbeat
-// throughput through the status batcher, and migrations ordered and
-// completed. (Placement's cost in code is measured by BenchmarkCandidate512
+// throughput into the registry, and migrations ordered and completed. (Placement's cost in code is measured by BenchmarkCandidate512
 // and the end-to-end benchmark's registry.place_us.)
 type ScaleConfig struct {
 	Params
@@ -50,7 +48,6 @@ type ScaleRow struct {
 	VirtualSec          float64
 	Heartbeats          int64   // status reports leaving the monitors
 	HeartbeatsPerSec    float64 // per virtual second
-	BatchFlushes        int64   // batched deliveries into the registry
 	MigrationsOrdered   int
 	MigrationsCommitted int64
 	EventsSeen          int // unified-sink events captured
@@ -66,8 +63,8 @@ func (cfg ScaleConfig) withScaleDefaults() ScaleConfig {
 }
 
 // countingReporter wraps each host's reporter to count the status reports
-// the monitors emit — the heartbeat throughput the registry (behind the
-// batcher) must absorb. One counter is shared by every host's wrapper.
+// the monitors emit — the heartbeat throughput the registry must absorb.
+// One counter is shared by every host's wrapper.
 type countingReporter struct {
 	n     *atomic.Int64
 	inner monitor.Reporter
@@ -112,13 +109,12 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	ring := &metrics.Ring{Cap: 4096}
 	heartbeats := &atomic.Int64{}
 	sys, err := core.New(core.Options{
-		Cluster:          cl,
-		Warmup:           2,
-		Cooldown:         10 * time.Minute,
-		ChunkBytes:       8 << 20,
-		BatchStatusEvery: sampleInterval / 2,
-		Metrics:          mreg,
-		Events:           ring,
+		Cluster:    cl,
+		Warmup:     2,
+		Cooldown:   10 * time.Minute,
+		ChunkBytes: 8 << 20,
+		Metrics:    mreg,
+		Events:     ring,
 		WrapReporter: func(host string, r monitor.Reporter) monitor.Reporter {
 			return &countingReporter{n: heartbeats, inner: r}
 		},
@@ -219,7 +215,6 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 		Overloads:           scaleOverloads,
 		VirtualSec:          elapsed.Seconds(),
 		Heartbeats:          heartbeats.Load(),
-		BatchFlushes:        mreg.Counter(registry.CtrBatchFlushes).Value(),
 		MigrationsCommitted: mreg.Counter(core.CtrMigrCommitted).Value(),
 		EventsSeen:          ring.Count(),
 	}
@@ -256,10 +251,10 @@ func RenderScale(rows []ScaleRow) string {
 			r.Hosts, r.Apps, r.Completed, r.Correct, r.Overloads)
 	}
 	b.WriteString("\ncontrol plane\n")
-	b.WriteString("hosts  virtual(s)  heartbeats  hb/s  batches  ordered  committed  events\n")
+	b.WriteString("hosts  virtual(s)  heartbeats  hb/s  ordered  committed  events\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %10.1f %11d %5.1f %8d %8d %10d %7d\n",
-			r.Hosts, r.VirtualSec, r.Heartbeats, r.HeartbeatsPerSec, r.BatchFlushes,
+		fmt.Fprintf(&b, "%-6d %10.1f %11d %5.1f %8d %10d %7d\n",
+			r.Hosts, r.VirtualSec, r.Heartbeats, r.HeartbeatsPerSec,
 			r.MigrationsOrdered, r.MigrationsCommitted, r.EventsSeen)
 	}
 	b.WriteString("\nmigration phases, measured\n")

@@ -25,11 +25,6 @@ const (
 	// TypeStatus is the periodic soft-state refresh carrying the host's
 	// state and dynamic information summary.
 	TypeStatus MsgType = "status"
-	// TypeStatusBatch carries several hosts' soft-state refreshes in one
-	// message — the aggregation a domain gateway (or the runtime's
-	// registry.Batcher) uses so 512 monitors do not mean 512 round trips
-	// per refresh interval.
-	TypeStatusBatch MsgType = "statusBatch"
 	// TypeUnregister withdraws a host.
 	TypeUnregister MsgType = "unregister"
 	// TypeProcessRegister announces a migration-enabled process with its
@@ -83,12 +78,6 @@ func (s Status) Snapshot(host string) sysinfo.Snapshot {
 	}
 }
 
-// HostStatus pairs one host with its status inside a statusBatch message.
-type HostStatus struct {
-	Host   string `xml:"host,attr"`
-	Status Status `xml:"status"`
-}
-
 // StaticInfo is the one-time registration payload.
 type StaticInfo struct {
 	Addr     string  `xml:"addr"` // commander endpoint for migrate orders
@@ -136,7 +125,6 @@ type Message struct {
 
 	Static    *StaticInfo   `xml:"static,omitempty"`
 	Status    *Status       `xml:"status,omitempty"`
-	Batch     []HostStatus  `xml:"batch>report,omitempty"`
 	Process   *ProcessInfo  `xml:"process,omitempty"`
 	Candidate *Candidate    `xml:"candidate,omitempty"`
 	Migrate   *MigrateOrder `xml:"migrate,omitempty"`
@@ -153,10 +141,6 @@ func (m *Message) Validate() error {
 	case TypeStatus:
 		if m.Status == nil {
 			return fmt.Errorf("proto: status without payload")
-		}
-	case TypeStatusBatch:
-		if len(m.Batch) == 0 {
-			return fmt.Errorf("proto: statusBatch without reports")
 		}
 	case TypeProcessRegister:
 		if m.Process == nil {

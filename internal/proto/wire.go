@@ -54,13 +54,13 @@ func validRune(r rune, width int) bool {
 	return !(r == utf8.RuneError && width == 1) && r != 0xFFFE && r != 0xFFFF
 }
 
-// The ten message types and the three rule states, for interning: a decoded
+// The nine message types and the three rule states, for interning: a decoded
 // message's Type and State share these constants instead of being copied
 // out of every frame.
 var (
 	msgTypes = [...]MsgType{
-		TypeRegister, TypeStatus, TypeStatusBatch, TypeUnregister, TypeProcessRegister,
-		TypeProcessExit, TypeCandidateRequest, TypeCandidateResponse, TypeMigrate, TypeAck,
+		TypeRegister, TypeStatus, TypeUnregister, TypeProcessRegister, TypeProcessExit,
+		TypeCandidateRequest, TypeCandidateResponse, TypeMigrate, TypeAck,
 	}
 	ruleStates = [...]string{"free", "busy", "overloaded"}
 )
@@ -68,8 +68,8 @@ var (
 // ---- encode ----
 
 // writeXML renders the message into buf, byte for byte what xml.Marshal
-// produced: every set field in declaration order, and the two wrappers
-// (<batch>, <software>) the reflective encoder opened even when empty.
+// produced: every set field in declaration order, and the <software>
+// wrapper the reflective encoder opened even when empty.
 func (m *Message) writeXML(buf *bytes.Buffer) {
 	buf.WriteString(`<hpcmMsg type="`)
 	writeEscaped(buf, string(m.Type))
@@ -103,18 +103,22 @@ func (m *Message) writeXML(buf *bytes.Buffer) {
 		}
 		buf.WriteString("</software></static>")
 	}
-	if m.Status != nil {
-		m.Status.writeXML(buf)
+	if st := m.Status; st != nil {
+		buf.WriteString("<status>")
+		writeString(buf, "state", st.State)
+		writeFloat(buf, "grade", st.Grade)
+		writeFloat(buf, "load1", st.Load1)
+		writeFloat(buf, "load5", st.Load5)
+		writeFloat(buf, "cpuUtilPct", st.CPUUtilPct)
+		writeInt(buf, "numProcs", int64(st.NumProcs))
+		writeInt(buf, "sockets", int64(st.Sockets))
+		writeFloat(buf, "netInMBps", st.NetInMBps)
+		writeFloat(buf, "netOutMBps", st.NetOutMBps)
+		writeFloat(buf, "memAvailPct", st.MemAvailPct)
+		writeInt(buf, "memAvail", st.MemAvail)
+		writeInt(buf, "diskAvail", st.DiskAvail)
+		buf.WriteString("</status>")
 	}
-	buf.WriteString("<batch>")
-	for i := range m.Batch {
-		buf.WriteString(`<report host="`)
-		writeEscaped(buf, m.Batch[i].Host)
-		buf.WriteString(`">`)
-		m.Batch[i].Status.writeXML(buf)
-		buf.WriteString("</report>")
-	}
-	buf.WriteString("</batch>")
 	if p := m.Process; p != nil {
 		buf.WriteString("<process>")
 		writeInt(buf, "pid", int64(p.PID))
@@ -142,23 +146,6 @@ func (m *Message) writeXML(buf *bytes.Buffer) {
 	}
 	writeOptString(buf, "error", m.Error)
 	buf.WriteString("</hpcmMsg>")
-}
-
-func (s *Status) writeXML(buf *bytes.Buffer) {
-	buf.WriteString("<status>")
-	writeString(buf, "state", s.State)
-	writeFloat(buf, "grade", s.Grade)
-	writeFloat(buf, "load1", s.Load1)
-	writeFloat(buf, "load5", s.Load5)
-	writeFloat(buf, "cpuUtilPct", s.CPUUtilPct)
-	writeInt(buf, "numProcs", int64(s.NumProcs))
-	writeInt(buf, "sockets", int64(s.Sockets))
-	writeFloat(buf, "netInMBps", s.NetInMBps)
-	writeFloat(buf, "netOutMBps", s.NetOutMBps)
-	writeFloat(buf, "memAvailPct", s.MemAvailPct)
-	writeInt(buf, "memAvail", s.MemAvail)
-	writeInt(buf, "diskAvail", s.DiskAvail)
-	buf.WriteString("</status>")
 }
 
 func writeOpen(buf *bytes.Buffer, name string) {
@@ -260,7 +247,10 @@ func scanMessage(data []byte, m *Message) bool {
 		st.CPUSpeed = s.float("cpuSpeed")
 		st.MemTotal = s.int("memTotal", 64)
 		s.lit("<software>")
-		st.Software = reserve(&s, st.Software, "<package>")
+		// Room for every <package> left in the input, in one allocation. A
+		// '<' is never raw in canonical text, so for a canonical message the
+		// count is exact; for any other it bounds what the loop can consume.
+		st.Software = slices.Grow(st.Software, bytes.Count(s.rest, []byte("<package>")))
 		for n := 0; s.hasTag("<", "package"); n++ {
 			st.Software = st.Software[:n+1]
 			st.Software[n] = s.str("package")
@@ -268,21 +258,25 @@ func scanMessage(data []byte, m *Message) bool {
 		s.lit("</software></static>")
 		m.Static = &st
 	}
-	if s.hasTag("<", "status") {
+	if s.tryLit("<status>") {
 		var st Status
-		s.status(&st)
+		s.tag("<", "state")
+		st.State = s.interned(ruleStates[:])
+		s.tag("</", "state")
+		st.Grade = s.float("grade")
+		st.Load1 = s.float("load1")
+		st.Load5 = s.float("load5")
+		st.CPUUtilPct = s.float("cpuUtilPct")
+		st.NumProcs = int(s.int("numProcs", strconv.IntSize))
+		st.Sockets = int(s.int("sockets", strconv.IntSize))
+		st.NetInMBps = s.float("netInMBps")
+		st.NetOutMBps = s.float("netOutMBps")
+		st.MemAvailPct = s.float("memAvailPct")
+		st.MemAvail = s.int("memAvail", 64)
+		st.DiskAvail = s.int("diskAvail", 64)
+		s.lit("</status>")
 		m.Status = &st
 	}
-	s.lit("<batch>")
-	m.Batch = reserve(&s, m.Batch, `<report host="`)
-	for n := 0; s.tryLit(`<report host="`); n++ {
-		m.Batch = m.Batch[:n+1]
-		m.Batch[n].Host = s.attrString()
-		s.lit(">")
-		s.status(&m.Batch[n].Status)
-		s.lit("</report>")
-	}
-	s.lit("</batch>")
 	if s.tryLit("<process>") {
 		var p ProcessInfo
 		p.PID = int(s.int("pid", strconv.IntSize))
@@ -318,33 +312,6 @@ func scanMessage(data []byte, m *Message) bool {
 	m.Error = s.optStr("error")
 	s.lit("</hpcmMsg>")
 	return !s.bad && len(s.rest) == 0
-}
-
-func (s *scanner) status(st *Status) {
-	s.lit("<status>")
-	s.tag("<", "state")
-	st.State = s.interned(ruleStates[:])
-	s.tag("</", "state")
-	st.Grade = s.float("grade")
-	st.Load1 = s.float("load1")
-	st.Load5 = s.float("load5")
-	st.CPUUtilPct = s.float("cpuUtilPct")
-	st.NumProcs = int(s.int("numProcs", strconv.IntSize))
-	st.Sockets = int(s.int("sockets", strconv.IntSize))
-	st.NetInMBps = s.float("netInMBps")
-	st.NetOutMBps = s.float("netOutMBps")
-	st.MemAvailPct = s.float("memAvailPct")
-	st.MemAvail = s.int("memAvail", 64)
-	st.DiskAvail = s.int("diskAvail", 64)
-	s.lit("</status>")
-}
-
-// reserve returns dst with room, in one allocation, for as many elements
-// as open occurs in the unread input. A '<' is never raw in canonical text,
-// so for a canonical message the count is exact; for any other it is an
-// upper bound on what the caller's loop can consume.
-func reserve[T any](s *scanner, dst []T, open string) []T {
-	return slices.Grow(dst, bytes.Count(s.rest, []byte(open)))
 }
 
 // tryLit consumes tok if the input continues with it.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"autoresched/internal/proto"
 	"autoresched/internal/rules"
 	"autoresched/internal/vclock"
 )
@@ -31,40 +30,20 @@ func benchReg(b *testing.B, n int) *Registry {
 }
 
 // BenchmarkRegistryReportStatus measures the status-ingest hot path at 512
-// hosts: "direct" is one report per call, "batch64" delivers 64 reports
-// under a single lock acquisition the way the status batcher does.
+// hosts, one report per call.
 func BenchmarkRegistryReportStatus(b *testing.B) {
-	b.Run("direct", func(b *testing.B) {
-		r := benchReg(b, 512)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			host := fmt.Sprintf("ws%d", i%512+1)
-			st := status("busy", 1.5, 40)
-			if i%2 == 0 {
-				st = status("free", 0.2, 20) // force a state-set move
-			}
-			if err := r.ReportStatus(host, st); err != nil {
-				b.Fatal(err)
-			}
+	r := benchReg(b, 512)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		host := fmt.Sprintf("ws%d", i%512+1)
+		st := status("busy", 1.5, 40)
+		if i%2 == 0 {
+			st = status("free", 0.2, 20) // force a state-set move
 		}
-	})
-	b.Run("batch64", func(b *testing.B) {
-		r := benchReg(b, 512)
-		batch := make([]proto.HostStatus, 64)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				st := status("busy", 1.5, 40)
-				if (i+j)%2 == 0 {
-					st = status("free", 0.2, 20)
-				}
-				batch[j] = proto.HostStatus{Host: fmt.Sprintf("ws%d", (i*64+j)%512+1), Status: st}
-			}
-			if err := r.ReportStatusBatch(batch); err != nil {
-				b.Fatal(err)
-			}
+		if err := r.ReportStatus(host, st); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // resortReg replicates the seed registry's candidate path: hosts live in a

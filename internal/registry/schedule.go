@@ -177,8 +177,8 @@ func (r *Registry) decide(host string) {
 	r.trace(EventOrdered, host, proc.PID, cand.Host, "")
 }
 
-// Handler serves the XML protocol: monitors register and refresh (singly or
-// batched), hosts ask for candidates, processes come and go.
+// Handler serves the XML protocol: monitors register and refresh, hosts
+// ask for candidates, processes come and go.
 func (r *Registry) Handler() proto.Handler {
 	return func(m *proto.Message) (*proto.Message, error) {
 		switch m.Type {
@@ -186,8 +186,6 @@ func (r *Registry) Handler() proto.Handler {
 			return nil, r.RegisterHost(m.From, *m.Static)
 		case proto.TypeStatus:
 			return nil, r.ReportStatus(m.From, *m.Status)
-		case proto.TypeStatusBatch:
-			return nil, r.ReportStatusBatch(m.Batch)
 		case proto.TypeUnregister:
 			return nil, r.UnregisterHost(m.From)
 		case proto.TypeProcessRegister:
