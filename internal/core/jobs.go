@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -257,14 +259,11 @@ func (s *System) dispatchLoop() {
 // its job back to Pending before it gives its hosts back, so a cycle that
 // sees the hosts free sees the job pending too.
 func (s *System) runCycle() {
-	if len(s.queue.Pending()) == 0 {
+	if !s.queue.HasPending() {
 		return
 	}
 	s.mu.Lock()
-	runs := make(map[string]*jobRun, len(s.jobRuns))
-	for n, r := range s.jobRuns {
-		runs[n] = r
-	}
+	runs := maps.Clone(s.jobRuns)
 	s.mu.Unlock()
 
 	// Refresh placements (ranks migrate and fail over underneath the job
@@ -287,24 +286,19 @@ func (s *System) runCycle() {
 	pending := s.queue.Pending()
 	running := s.queue.Running()
 
-	// Per-job host eligibility, from each job's schema.
+	// Per-job host eligibility: which of this cycle's fleet fit the job's
+	// schema.
 	elig := make(map[string]map[string]bool)
-	addElig := func(v jobs.JobView) {
-		job, ok := s.queue.Get(v.Name)
-		if !ok || job.Spec().Schema == nil {
-			return
+	for _, views := range [][]jobs.JobView{pending, running} {
+		for _, v := range views {
+			if job, ok := s.queue.Get(v.Name); ok && job.Spec().Schema != nil {
+				set := make(map[string]bool, len(fleet))
+				for i := range fleet {
+					set[fleet[i].Name] = fleet[i].Fits(job.Spec().Schema)
+				}
+				elig[v.Name] = set
+			}
 		}
-		set := make(map[string]bool)
-		for _, h := range s.reg.EligibleHosts(registry.ProcInfo{Name: v.Name, Schema: job.Spec().Schema}, nil) {
-			set[h.Name] = true
-		}
-		elig[v.Name] = set
-	}
-	for _, v := range pending {
-		addElig(v)
-	}
-	for _, v := range running {
-		addElig(v)
 	}
 
 	view := jobs.ClusterView{
@@ -424,13 +418,9 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 		}
 		run.mu.Unlock()
 	case jobs.EvictShrink:
-		contested := make(map[string]bool, len(ev.Hosts))
-		for _, h := range ev.Hosts {
-			contested[h] = true
-		}
 		run.mu.Lock()
 		for _, sl := range run.slots {
-			if !sl.done && !sl.shrunk && contested[sl.app.Host()] {
+			if !sl.done && !sl.shrunk && slices.Contains(ev.Hosts, sl.app.Host()) {
 				sl.shrunk = true
 				sl.app.Process().Evict()
 			}
@@ -467,13 +457,9 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 // awaitVacated polls in virtual time until no other job's live rank sits on
 // any of the admission's target hosts.
 func (s *System) awaitVacated(adm jobs.Admission) bool {
-	target := make(map[string]bool, len(adm.Hosts))
-	for _, h := range adm.Hosts {
-		target[h] = true
-	}
 	deadline := s.clock.Now().Add(evictionTimeout)
 	for {
-		if s.hostsClear(adm.Job, target) {
+		if s.hostsClear(adm.Job, adm.Hosts) {
 			return true
 		}
 		if s.clock.Now().After(deadline) {
@@ -497,19 +483,16 @@ func closed(ch <-chan struct{}) bool {
 
 // hostsClear reports whether no live rank of another job occupies any
 // target host.
-func (s *System) hostsClear(admitted string, target map[string]bool) bool {
+func (s *System) hostsClear(admitted string, target []string) bool {
 	s.mu.Lock()
-	runs := make([]*jobRun, 0, len(s.jobRuns))
-	for _, r := range s.jobRuns {
-		runs = append(runs, r)
-	}
+	runs := maps.Clone(s.jobRuns)
 	s.mu.Unlock()
 	for _, run := range runs {
 		if run.name == admitted {
 			continue
 		}
 		for _, h := range run.liveHosts(false) {
-			if target[h] {
+			if slices.Contains(target, h) {
 				return false
 			}
 		}

@@ -13,6 +13,7 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"autoresched/internal/hpcm"
@@ -249,12 +250,7 @@ func (q *Queue) Forget(name string) error {
 		return fmt.Errorf("jobs: job %q is %s, not terminal", name, j.state)
 	}
 	delete(q.jobs, name)
-	for i, o := range q.order {
-		if o == j {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			break
-		}
-	}
+	q.order = slices.DeleteFunc(q.order, func(o *Job) bool { return o == j })
 	return nil
 }
 
@@ -283,14 +279,32 @@ func (q *Queue) Running() []JobView {
 	return q.views(StateRunning)
 }
 
+// HasPending reports whether any job is queued, without snapshotting.
+func (q *Queue) HasPending() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return slices.ContainsFunc(q.order, func(j *Job) bool { return j.state == StatePending })
+}
+
+// views snapshots the jobs in one state, in submission order, in two
+// allocations: every view's Hosts is a full slice expression over one
+// backing array, so an append by one caller cannot write into the next.
 func (q *Queue) views(want State) []JobView {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var out []JobView
+	n, hosts := 0, 0
+	for _, j := range q.order {
+		if j.state == want {
+			n, hosts = n+1, hosts+len(j.placement)
+		}
+	}
+	out := make([]JobView, 0, n)
+	backing := make([]string, 0, hosts)
 	for _, j := range q.order {
 		if j.state != want {
 			continue
 		}
+		backing = append(backing, j.placement...)
 		out = append(out, JobView{
 			Name:     j.spec.Name,
 			Priority: j.spec.Priority,
@@ -298,7 +312,7 @@ func (q *Queue) views(want State) []JobView {
 			Elastic:  j.spec.Elastic,
 			MinWorld: j.spec.MinWorld,
 			Seq:      j.seq,
-			Hosts:    append([]string(nil), j.placement...),
+			Hosts:    backing[len(backing)-len(j.placement) : len(backing) : len(backing)],
 		})
 	}
 	return out
@@ -342,11 +356,13 @@ func (q *Queue) Transition(name string, to State, note string) error {
 	return nil
 }
 
-// SetPlacement records the hosts a Reserving/Running job occupies.
+// SetPlacement records the hosts a Reserving/Running job occupies. The
+// queue keeps its own copy, and keeps the one it has when the placement is
+// unchanged.
 func (q *Queue) SetPlacement(name string, hosts []string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j, ok := q.jobs[name]; ok {
+	if j, ok := q.jobs[name]; ok && !slices.Equal(j.placement, hosts) {
 		j.placement = append([]string(nil), hosts...)
 	}
 }

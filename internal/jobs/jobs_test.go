@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"autoresched/internal/metrics"
@@ -207,5 +209,84 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := PolicyByName("nope"); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// runningQueue holds n running jobs, job i on hosts hi.0 and hi.1, and one
+// pending job.
+func runningQueue(t testing.TB, n int) *Queue {
+	t.Helper()
+	q := newTestQueue(nil)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("r%d", i)
+		if _, err := q.Submit(Spec{Name: name, Gang: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Transition(name, StateReserving, ""); err != nil {
+			t.Fatal(err)
+		}
+		q.SetPlacement(name, []string{fmt.Sprintf("h%d.0", i), fmt.Sprintf("h%d.1", i)})
+		if err := q.Transition(name, StateRunning, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Submit(Spec{Name: "waiting"}); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestRunningViewsShareNoWritableHosts: every view's Hosts is cut from one
+// backing array, so an append to one must not reach the next view, and no
+// write through a view reaches the queue's stored placement.
+func TestRunningViewsShareNoWritableHosts(t *testing.T) {
+	q := runningQueue(t, 2)
+	run := q.Running()
+	run[0].Hosts = append(run[0].Hosts, "intruder")
+	run[0].Hosts[0] = "overwritten"
+	if want := []string{"h1.0", "h1.1"}; !reflect.DeepEqual(run[1].Hosts, want) {
+		t.Fatalf("appending to view 0 changed view 1: %v, want %v", run[1].Hosts, want)
+	}
+	for i := 0; i < 2; i++ {
+		j, _ := q.Get(fmt.Sprintf("r%d", i))
+		if want := []string{fmt.Sprintf("h%d.0", i), fmt.Sprintf("h%d.1", i)}; !reflect.DeepEqual(j.Placement(), want) {
+			t.Fatalf("r%d placement = %v after writing through a view, want %v", i, j.Placement(), want)
+		}
+	}
+	if got := q.Running(); !reflect.DeepEqual(got[0].Hosts, []string{"h0.0", "h0.1"}) {
+		t.Fatalf("a fresh snapshot reads %v", got[0].Hosts)
+	}
+}
+
+// TestSetPlacementCopies: the queue keeps its own copy of a placement, both
+// when it changes and when an equal placement is set again.
+func TestSetPlacementCopies(t *testing.T) {
+	q := runningQueue(t, 1)
+	j, _ := q.Get("r0")
+	hosts := []string{"a", "b"}
+	q.SetPlacement("r0", hosts)
+	hosts[0] = "mutated"
+	if got := j.Placement(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("placement = %v after the caller's slice changed", got)
+	}
+	same := []string{"a", "b"}
+	q.SetPlacement("r0", same)
+	same[1] = "mutated"
+	if got := j.Placement(); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("placement = %v after an equal placement's slice changed", got)
+	}
+}
+
+// TestHasPending follows the queue's pending set without a snapshot.
+func TestHasPending(t *testing.T) {
+	q := runningQueue(t, 1)
+	if !q.HasPending() {
+		t.Fatal("HasPending = false with a job queued")
+	}
+	if _, err := q.Cancel("waiting"); err != nil {
+		t.Fatal(err)
+	}
+	if q.HasPending() {
+		t.Fatal("HasPending = true with only a running job")
 	}
 }

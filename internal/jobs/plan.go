@@ -7,6 +7,11 @@ package jobs
 // simulation is the same decision the live control plane makes — and the
 // whole schedule is deterministic given the submission sequence.
 
+import (
+	"cmp"
+	"slices"
+)
+
 // JobView is the planner's snapshot of one job.
 type JobView struct {
 	Name     string
@@ -29,7 +34,8 @@ type HostView struct {
 
 // ClusterView is the planner's input snapshot. Hosts must be in a
 // deterministic order (the live dispatcher uses registration order, the
-// simulation its fixed fleet order) — the planner's choices follow it.
+// simulation its fixed fleet order) — the planner's choices follow it. The
+// planner reads the view in place and never writes it.
 type ClusterView struct {
 	Hosts []HostView
 	// Running snapshots the running jobs (placements must agree with
@@ -87,234 +93,233 @@ type Admission struct {
 // jobs. A job that does not fit blocks the cycle unless the policy
 // backfills. The returned admissions are consistent as a set: no host is
 // assigned twice, and every eviction's hosts feed exactly one admission.
+// PlanCycle reads pending and view in place and writes neither.
 func PlanCycle(p Policy, pending []JobView, view ClusterView) []Admission {
-	st := newPlanState(view)
+	order := make([]int32, len(pending))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		switch {
+		case p.Before(&pending[a], &pending[b]):
+			return -1
+		case p.Before(&pending[b], &pending[a]):
+			return 1
+		}
+		return 0
+	})
+	st := planState{view: view, eligible: view.Eligible}
+	if st.eligible == nil {
+		st.eligible = func(string, string) bool { return true }
+	}
+	for i := range view.Hosts {
+		if view.Hosts[i].Job == "" {
+			st.free++
+		}
+	}
+	st.occ = make(map[string]string, st.free)
 	var plan []Admission
-	for _, job := range p.Order(pending) {
-		adm, ok := st.admit(job, p.Preemptive())
+	for _, i := range order {
+		adm, ok := st.admit(&pending[i], p.Preemptive())
 		if ok {
 			plan = append(plan, adm)
-			continue
-		}
-		if !p.Backfill() {
+		} else if !p.Backfill() {
 			break
 		}
 	}
 	return plan
 }
 
-// planState is the cycle's working occupancy.
+// planState is the cycle's working state: an overlay on the view it was
+// handed, whose Hosts and Running it reads in place and never writes.
 type planState struct {
-	hostOrder []string
-	occ       map[string]string // host -> occupying job ("" free)
-	running   map[string]*victimState
-	runOrder  []string
-	eligible  func(job, host string) bool
+	view     ClusterView
+	eligible func(job, host string) bool
+	// occ holds the occupant of each host this cycle changed ("" freed);
+	// every other host's occupant is its view.Hosts entry.
+	occ map[string]string
+	// cursor indexes view.Hosts: no free host lies before it. free is at
+	// least the number of free hosts, so a scan that has passed that many
+	// stops.
+	cursor, free int
+	// placed parallels view.Running: each running job's placement this
+	// cycle, nil once requeued. It aliases view.Running[i].Hosts until a
+	// shrink or a migration replaces it; neither writes into it. byPriority
+	// indexes view.Running in eviction order. Both are built at the cycle's
+	// first preemption.
+	placed     [][]string
+	byPriority []int32
 }
 
-// victimState is one running job's mutable placement during the cycle.
-type victimState struct {
-	view  JobView
-	hosts []string // current placement (mutates under shrink/migrate)
-	gone  bool     // requeued this cycle
+// occupant names the job on view.Hosts[i] ("" free).
+func (st *planState) occupant(i int) string {
+	if job, ok := st.occ[st.view.Hosts[i].Name]; ok {
+		return job
+	}
+	return st.view.Hosts[i].Job
 }
 
-func newPlanState(view ClusterView) *planState {
-	st := &planState{
-		occ:      make(map[string]string, len(view.Hosts)),
-		running:  make(map[string]*victimState, len(view.Running)),
-		eligible: view.Eligible,
-	}
-	if st.eligible == nil {
-		st.eligible = func(string, string) bool { return true }
-	}
-	for _, h := range view.Hosts {
-		st.hostOrder = append(st.hostOrder, h.Name)
-		st.occ[h.Name] = h.Job
-	}
-	for _, r := range view.Running {
-		st.running[r.Name] = &victimState{view: r, hosts: append([]string(nil), r.Hosts...)}
-		st.runOrder = append(st.runOrder, r.Name)
-	}
-	return st
-}
-
-// freeFor lists the free hosts eligible for a job, in fleet order.
-func (st *planState) freeFor(job string) []string {
-	var out []string
-	for _, h := range st.hostOrder {
-		if st.occ[h] == "" && st.eligible(job, h) {
-			out = append(out, h)
+// scanFree appends to dst the free hosts keep accepts, in fleet order from
+// the cursor, until dst holds n or every free host has been passed, and
+// moves the cursor up to the first free host it passes.
+func (st *planState) scanFree(dst []string, n int, keep func(host string) bool) []string {
+	first, seen := -1, 0
+	i := st.cursor
+	for ; i < len(st.view.Hosts) && len(dst) < n && seen < st.free; i++ {
+		if st.occupant(i) != "" {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		seen++
+		if h := st.view.Hosts[i].Name; keep(h) {
+			if dst == nil {
+				dst = make([]string, 0, n)
+			}
+			dst = append(dst, h)
 		}
 	}
-	return out
+	if first < 0 {
+		first = i
+	}
+	st.cursor = first
+	return dst
 }
 
-// admit plans one job's admission against the working occupancy, mutating
-// it only on success.
-func (st *planState) admit(job JobView, preemptive bool) (Admission, bool) {
-	free := st.freeFor(job.Name)
-	if len(free) >= job.Gang {
-		hosts := free[:job.Gang]
-		for _, h := range hosts {
-			st.occ[h] = job.Name
+// admit plans one job's admission against the working state, changing
+// the occupancy only on success.
+func (st *planState) admit(job *JobView, preemptive bool) (Admission, bool) {
+	free := st.scanFree(nil, job.Gang, func(h string) bool { return st.eligible(job.Name, h) })
+	if len(free) < job.Gang {
+		if !preemptive {
+			return Admission{}, false
 		}
-		return Admission{Job: job.Name, Hosts: append([]string(nil), hosts...)}, true
+		return st.preempt(job, free)
 	}
-	if !preemptive {
-		return Admission{}, false
+	for _, h := range free {
+		st.occ[h] = job.Name
 	}
-	return st.preempt(job, free)
+	st.free -= len(free)
+	return Admission{Job: job.Name, Hosts: free}, true
 }
 
 // preempt covers a gang's shortfall from strictly lower-priority running
-// jobs. All selection is tentative — the working occupancy mutates only
-// once the full gang is covered.
-func (st *planState) preempt(job JobView, free []string) (Admission, bool) {
+// jobs. All selection is tentative — the occupancy and the placements
+// change only once the full gang is covered.
+func (st *planState) preempt(job *JobView, free []string) (Admission, bool) {
 	needed := job.Gang - len(free)
-	// Free hosts consumed so far this admission (the direct ones plus any
-	// migration destinations), so two victims don't reuse a destination.
-	consumed := make(map[string]bool, job.Gang)
-	for _, h := range free {
-		consumed[h] = true
-	}
-
-	type plannedEvict struct {
-		v       *victimState
-		mode    EvictMode
-		vacated []string
-		moves   map[string]string
-	}
-	var evicts []plannedEvict
-
-	for _, name := range st.victimOrder(job.Priority) {
-		if needed == 0 {
+	var evicts []Eviction
+	var who []int32 // evicts[k] is of view.Running[who[k]]
+	// Migration destinations taken so far this admission, so two victims
+	// don't reuse one.
+	var dests []string
+	for _, vi := range st.victimOrder() {
+		r, placed := &st.view.Running[vi], st.placed[vi]
+		if needed == 0 || r.Priority >= job.Priority {
 			break
 		}
-		v := st.running[name]
 		// Victim hosts the admitting job could take, scanned from the tail
 		// of the placement: shrink retires the highest ranks first, the
 		// natural order for an elastic world.
-		var contestable []string
-		for i := len(v.hosts) - 1; i >= 0; i-- {
-			if st.eligible(job.Name, v.hosts[i]) {
-				contestable = append(contestable, v.hosts[i])
+		var vacated []string
+		for i := len(placed) - 1; i >= 0 && len(vacated) < needed; i-- {
+			if st.eligible(job.Name, placed[i]) {
+				vacated = append(vacated, placed[i])
 			}
 		}
-		if len(contestable) == 0 {
+		if len(vacated) == 0 {
 			continue
 		}
-		take := min(needed, len(contestable))
-		vacated := contestable[:take]
-
-		switch {
-		case v.view.Elastic && len(v.hosts)-take >= v.view.MinWorld:
-			evicts = append(evicts, plannedEvict{v: v, mode: EvictShrink, vacated: vacated})
-		default:
+		ev := Eviction{Job: r.Name, Mode: EvictShrink, Hosts: vacated}
+		if !r.Elastic || len(placed)-len(vacated) < r.MinWorld {
 			// Try to move the contested ranks onto leftover free hosts
 			// that fit the victim. Any free host fitting the admitting job
-			// is already consumed, so destinations exist only when the
+			// is already in free, so destinations exist only when the
 			// fleet is heterogeneous — the victim fits hosts the admitted
 			// job cannot use.
-			var dests []string
-			for _, h := range st.hostOrder {
-				if len(dests) == take {
-					break
-				}
-				if st.occ[h] == "" && !consumed[h] && st.eligible(v.view.Name, h) {
-					dests = append(dests, h)
-				}
-			}
-			if len(dests) == take {
-				moves := make(map[string]string, take)
+			mark := len(dests)
+			dests = st.scanFree(dests, mark+len(vacated), func(h string) bool {
+				return !slices.Contains(free, h) && !slices.Contains(dests, h) && st.eligible(r.Name, h)
+			})
+			if len(dests)-mark == len(vacated) {
+				ev.Mode, ev.Moves = EvictMigrate, make(map[string]string, len(vacated))
 				for i, h := range vacated {
-					moves[h] = dests[i]
-					consumed[dests[i]] = true
+					ev.Moves[h] = dests[mark+i]
 				}
-				evicts = append(evicts, plannedEvict{v: v, mode: EvictMigrate, vacated: vacated, moves: moves})
 			} else {
 				// Requeue empties the whole placement: every eligible host
 				// can feed the gang, and the rest go back to the pool.
-				vacated = contestable[:min(needed, len(contestable))]
-				take = len(vacated)
-				evicts = append(evicts, plannedEvict{v: v, mode: EvictRequeue, vacated: vacated})
+				dests, ev.Mode = dests[:mark], EvictRequeue
 			}
 		}
-		needed -= take
+		evicts, who = append(evicts, ev), append(who, vi)
+		needed -= len(vacated)
 	}
 	if needed > 0 {
 		return Admission{}, false
 	}
 
-	// Covered: apply the plan to the working occupancy.
-	adm := Admission{Job: job.Name, Hosts: append([]string(nil), free...)}
-	for _, pe := range evicts {
-		ev := Eviction{Job: pe.v.view.Name, Mode: pe.mode, Hosts: append([]string(nil), pe.vacated...), Moves: pe.moves}
-		adm.Evictions = append(adm.Evictions, ev)
-		adm.Hosts = append(adm.Hosts, pe.vacated...)
-		switch pe.mode {
+	// Covered: apply the plan to the working state.
+	hosts := free
+	st.free -= len(free)
+	for k, ev := range evicts {
+		hosts = append(hosts, ev.Hosts...)
+		placed := st.placed[who[k]]
+		switch ev.Mode {
 		case EvictShrink:
-			pe.v.hosts = without(pe.v.hosts, pe.vacated)
+			placed = slices.DeleteFunc(slices.Clone(placed), func(h string) bool { return slices.Contains(ev.Hosts, h) })
 		case EvictMigrate:
-			moved := append([]string(nil), pe.v.hosts...)
-			for i, h := range moved {
-				if dest, ok := pe.moves[h]; ok {
-					moved[i] = dest
-					st.occ[dest] = pe.v.view.Name
+			placed = slices.Clone(placed)
+			for i, h := range placed {
+				if dest, ok := ev.Moves[h]; ok {
+					placed[i] = dest
+					st.occ[dest] = ev.Job
 				}
 			}
-			pe.v.hosts = moved
+			st.free -= len(ev.Moves)
 		case EvictRequeue:
-			for _, h := range pe.v.hosts {
+			for _, h := range placed {
 				st.occ[h] = ""
 			}
-			pe.v.hosts = nil
-			pe.v.gone = true
+			// The hosts the gang does not take go back to the pool.
+			if left := len(placed) - len(ev.Hosts); left > 0 {
+				st.free += left
+				st.cursor = 0
+			}
+			placed = nil
 		}
+		st.placed[who[k]] = placed
 	}
-	for _, h := range adm.Hosts {
+	for _, h := range hosts {
 		st.occ[h] = job.Name
 	}
-	return adm, true
+	return Admission{Job: job.Name, Hosts: hosts, Evictions: evicts}, true
 }
 
-// victimOrder lists the running jobs a gang of the given priority may
-// evict: strictly lower priority, lowest priority first, newest submission
-// first within a priority (least sunk cost), skipping jobs already
-// requeued this cycle.
-func (st *planState) victimOrder(priority int) []string {
-	var out []string
-	for _, name := range st.runOrder {
-		v := st.running[name]
-		if v.gone || len(v.hosts) == 0 || v.view.Priority >= priority {
-			continue
+// victimOrder lists every running job in the order a gang evicts them:
+// lowest priority first, newest submission first within a priority (least
+// sunk cost). It is sorted once, at the cycle's first preemption; the
+// caller stops at its own priority and skips the jobs with no hosts left.
+func (st *planState) victimOrder() []int32 {
+	if st.placed != nil {
+		return st.byPriority
+	}
+	run := st.view.Running
+	st.placed = make([][]string, len(run))
+	st.byPriority = make([]int32, len(run))
+	for i := range run {
+		st.placed[i] = run[i].Hosts
+		st.byPriority[i] = int32(i)
+	}
+	slices.SortFunc(st.byPriority, func(a, b int32) int {
+		if c := cmp.Compare(run[a].Priority, run[b].Priority); c != 0 {
+			return c
 		}
-		out = append(out, name)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := st.running[out[j-1]], st.running[out[j]]
-			if a.view.Priority < b.view.Priority ||
-				(a.view.Priority == b.view.Priority && a.view.Seq > b.view.Seq) {
-				break
-			}
-			out[j-1], out[j] = out[j], out[j-1]
+		if c := cmp.Compare(run[b].Seq, run[a].Seq); c != 0 {
+			return c
 		}
-	}
-	return out
-}
-
-// without returns hosts minus the removed set, preserving order.
-func without(hosts, removed []string) []string {
-	drop := make(map[string]bool, len(removed))
-	for _, h := range removed {
-		drop[h] = true
-	}
-	var out []string
-	for _, h := range hosts {
-		if !drop[h] {
-			out = append(out, h)
-		}
-	}
-	return out
+		return cmp.Compare(b, a)
+	})
+	return st.byPriority
 }

@@ -272,3 +272,39 @@ func TestPlanDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// cloneViews deep-copies job views, Hosts included.
+func cloneViews(views []JobView) []JobView {
+	out := append([]JobView(nil), views...)
+	for i := range out {
+		out[i].Hosts = append([]string(nil), out[i].Hosts...)
+	}
+	return out
+}
+
+// TestPlanCycleLeavesItsInputAlone: the planner works on an overlay, so the
+// pending snapshot, the fleet and every running placement read the same
+// after a cycle — under every policy, on the homogeneous and the
+// heterogeneous fleet, whose cycles shrink, migrate and requeue victims.
+func TestPlanCycleLeavesItsInputAlone(t *testing.T) {
+	for _, hetero := range []bool{false, true} {
+		for _, p := range Policies() {
+			pending, view := benchView(64, hetero)
+			wantPending := cloneViews(pending)
+			wantHosts := append([]HostView(nil), view.Hosts...)
+			wantRunning := cloneViews(view.Running)
+			if plan := PlanCycle(p, pending, view); len(plan) == 0 {
+				t.Fatalf("%s hetero=%t planned nothing", p.Name(), hetero)
+			}
+			if !reflect.DeepEqual(pending, wantPending) {
+				t.Errorf("%s hetero=%t changed the pending snapshot", p.Name(), hetero)
+			}
+			if !reflect.DeepEqual(view.Hosts, wantHosts) {
+				t.Errorf("%s hetero=%t changed view.Hosts", p.Name(), hetero)
+			}
+			if !reflect.DeepEqual(view.Running, wantRunning) {
+				t.Errorf("%s hetero=%t changed a running placement", p.Name(), hetero)
+			}
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package jobs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Policy shapes one admission cycle: the order pending jobs are considered
 // in, whether a blocked job may preempt running work, and whether the cycle
@@ -22,8 +19,10 @@ import (
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Order returns the admission order over the pending snapshot.
-	Order(pending []JobView) []JobView
+	// Before reports whether pending job a is considered before b. The
+	// planner stable-sorts the pending snapshot with it, so jobs neither
+	// precedes keep their snapshot order.
+	Before(a, b *JobView) bool
 	// Preemptive reports whether blocked jobs may evict lower-priority
 	// running jobs.
 	Preemptive() bool
@@ -37,12 +36,8 @@ type FIFO struct{}
 // Name implements Policy.
 func (FIFO) Name() string { return "fifo" }
 
-// Order implements Policy: ascending submission sequence.
-func (FIFO) Order(pending []JobView) []JobView {
-	out := append([]JobView(nil), pending...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// Before implements Policy: ascending submission sequence.
+func (FIFO) Before(a, b *JobView) bool { return a.Seq < b.Seq }
 
 // Preemptive implements Policy.
 func (FIFO) Preemptive() bool { return false }
@@ -57,17 +52,13 @@ type PriorityPreemptive struct{}
 // Name implements Policy.
 func (PriorityPreemptive) Name() string { return "priority-preemptive" }
 
-// Order implements Policy: descending priority, submission order within a
+// Before implements Policy: descending priority, submission order within a
 // priority.
-func (PriorityPreemptive) Order(pending []JobView) []JobView {
-	out := append([]JobView(nil), pending...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
+func (PriorityPreemptive) Before(a, b *JobView) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	return a.Seq < b.Seq
 }
 
 // Preemptive implements Policy.
@@ -83,10 +74,8 @@ type Backfill struct{}
 // Name implements Policy.
 func (Backfill) Name() string { return "backfill" }
 
-// Order implements Policy: ascending submission sequence.
-func (Backfill) Order(pending []JobView) []JobView {
-	return FIFO{}.Order(pending)
-}
+// Before implements Policy: ascending submission sequence.
+func (Backfill) Before(a, b *JobView) bool { return FIFO{}.Before(a, b) }
 
 // Preemptive implements Policy.
 func (Backfill) Preemptive() bool { return false }

@@ -28,5 +28,17 @@ func TestZeroAllocInstruments(t *testing.T) {
 	if got := resolved.Value(); got != 201 { // AllocsPerRun warms up once
 		t.Errorf("counter = %d after 201 increments", got)
 	}
+}
 
+// TestEligibleHostsAllocatesOnce: the dispatcher's fleet snapshot is sized
+// before it is filled, so it costs one allocation however large the fleet.
+func TestEligibleHostsAllocatesOnce(t *testing.T) {
+	r, _ := gangReg(t, 256)
+	var fleet []HostInfo
+	if avg := testing.AllocsPerRun(50, func() { fleet = r.EligibleHosts(ProcInfo{}, nil) }); avg != 1 {
+		t.Errorf("EligibleHosts at 256 hosts allocates %.1f objects per snapshot, want 1", avg)
+	}
+	if len(fleet) != 256 {
+		t.Fatalf("EligibleHosts listed %d of 256 hosts", len(fleet))
+	}
 }

@@ -13,11 +13,12 @@ import (
 
 // TestOneEligibilityRule pins the rule every placement draws from: over a
 // fleet holding one host of each disqualified kind, a migration (FirstFit),
-// a gang placement (PlaceGang) and the planner's view (EligibleHosts) reject
-// the lease-expired, the reserved, the excluded and the schema-misfit host
-// identically, and differ only on the Busy host — gang occupancy is the job
-// layer's bookkeeping, so a gang may take it, while a migration only lands
-// on Free hosts.
+// a gang placement (PlaceGang), the planner's view (EligibleHosts) and the
+// dispatcher's per-job filter (the schema-free fleet through HostInfo.Fits)
+// reject the lease-expired, the reserved, the excluded and the
+// schema-misfit host identically, and differ only on the Busy host — gang
+// occupancy is the job layer's bookkeeping, so a gang may take it, while a
+// migration only lands on Free hosts.
 func TestOneEligibilityRule(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
@@ -81,6 +82,15 @@ func TestOneEligibilityRule(t *testing.T) {
 	}
 	if !reflect.DeepEqual(eligible, gangWant) {
 		t.Fatalf("EligibleHosts = %v, want %v", eligible, gangWant)
+	}
+	var fits []string
+	for _, h := range r.EligibleHosts(ProcInfo{}, exclude) {
+		if h.Fits(proc.Schema) {
+			fits = append(fits, h.Name)
+		}
+	}
+	if !reflect.DeepEqual(fits, gangWant) {
+		t.Fatalf("fleet filtered by Fits = %v, want %v", fits, gangWant)
 	}
 	if g, ok := r.PlaceGang(proc, 4, exclude); ok {
 		t.Fatalf("PlaceGang(4) reserved %v out of 3 eligible hosts", g.Hosts())

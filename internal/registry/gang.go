@@ -156,7 +156,7 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 func (r *Registry) EligibleHosts(proc ProcInfo, exclude func(host string) bool) []HostInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gangCandidatesLocked(nil, proc, 0, exclude)
+	return r.gangCandidatesLocked(make([]HostInfo, 0, len(r.order)), proc, 0, exclude)
 }
 
 // gangCandidatesLocked appends the first n hosts a gang may be placed on.

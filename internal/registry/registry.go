@@ -131,6 +131,16 @@ type HostInfo struct {
 	LastSeen time.Time
 }
 
+// Fits reports whether the host owns the resources a schema requires, as
+// last reported; a nil schema fits every host.
+func (h *HostInfo) Fits(s *rules.Schema) bool {
+	if s == nil {
+		return true
+	}
+	ok, _ := s.Fits(h.Static.MemTotal, h.Status.DiskAvail, h.Static.CPUSpeed, h.Static.Software)
+	return ok
+}
+
 // ProcInfo is the registry's view of one migration-enabled process.
 type ProcInfo struct {
 	Host   string

@@ -46,14 +46,8 @@ func (r *Registry) candidatesLocked(dst []HostInfo, scan []*hostEntry, proc Proc
 		if n > 0 && len(dst) == n {
 			break
 		}
-		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) {
+		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) || !e.info.Fits(proc.Schema) {
 			continue
-		}
-		if proc.Schema != nil {
-			if ok, _ := proc.Schema.Fits(e.info.Static.MemTotal, e.info.Status.DiskAvail,
-				e.info.Static.CPUSpeed, e.info.Static.Software); !ok {
-				continue
-			}
 		}
 		dst = append(dst, e.info)
 	}
