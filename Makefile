@@ -72,7 +72,9 @@ check: lint build test
 # The full gate: everything `check` and `race` run, a repeated race-enabled
 # run of the testbed simulation and experiment suites (flushing out
 # order-dependent flakiness in the fair-share solver and the determinism
-# fences), of the dispatcher's plan-then-reserve regression, of the two
+# fences), of the dispatcher's plan-then-reserve and requeue regressions
+# (reserve in the planning cycle, two preemptors of one victim, a requeued
+# victim's held hosts, requeue before release), of the two
 # jobs-crash chaos scenarios (the commit-failure edge) and of the proto
 # client and server over real TCP (the client's one re-dial), the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
@@ -82,7 +84,7 @@ check: lint build test
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
-	$(GO) test -race -count=200 -run TestRunCycleReservesBeforeExecuting ./internal/core
+	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$' ./internal/core
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(MAKE) fuzz

@@ -250,35 +250,45 @@ func (s *System) dispatchLoop() {
 }
 
 // runCycle snapshots the fleet and the queue, plans one admission cycle,
-// moves each admitted job to Reserving and spawns its executor. The plan
-// is deterministic in the snapshot; executors run concurrently but on
-// disjoint host sets (the planner's consistency guarantee plus the
-// registry's reservation marks).
+// moves each admitted job to Reserving and reserves its hosts, and spawns
+// its executor. The plan is deterministic in the snapshot; executors run
+// concurrently but on disjoint host sets (the planner's consistency
+// guarantee plus the registry's reservation marks).
 //
-// The fleet is read before the pending jobs: an admission that fails puts
-// its job back to Pending before it gives its hosts back, so a cycle that
-// sees the hosts free sees the job pending too.
+// The fleet is read first. An admission claims its hosts as a run before
+// its Commit lets the reservation marks go, so a cycle that sees the hosts
+// unreserved sees the claim too; and a failed admission is Pending again
+// before it gives its hosts back, so a cycle that sees them free sees the
+// job pending.
 func (s *System) runCycle() {
 	if !s.queue.HasPending() {
 		return
+	}
+	// The schedulable fleet: alive and unreserved (in-flight admissions
+	// hold their targets as reservations, which drop out here).
+	fleet := s.reg.EligibleHosts(registry.ProcInfo{}, nil)
+	occ := make(map[string]string, len(fleet))
+	for _, h := range fleet {
+		occ[h.Name] = ""
 	}
 	s.mu.Lock()
 	runs := maps.Clone(s.jobRuns)
 	s.mu.Unlock()
 
 	// Refresh placements (ranks migrate and fail over underneath the job
-	// layer) and build the occupancy map.
-	occ := make(map[string]string)
+	// layer) with the live hosts this fleet holds, so the running views
+	// agree with the host views: a reserved or expired host is not the
+	// job's to give.
 	for name, run := range runs {
-		hosts := run.liveHosts(true)
+		hosts := slices.DeleteFunc(run.liveHosts(true), func(h string) bool {
+			_, ok := occ[h]
+			return !ok
+		})
 		s.queue.SetPlacement(name, hosts)
 		for _, h := range hosts {
 			occ[h] = name
 		}
 	}
-	// The schedulable fleet: alive and unreserved (in-flight admissions
-	// hold their targets as reservations, which drop out here).
-	fleet := s.reg.EligibleHosts(registry.ProcInfo{}, nil)
 	hostViews := make([]jobs.HostView, 0, len(fleet))
 	for _, h := range fleet {
 		hostViews = append(hostViews, jobs.HostView{Name: h.Name, Job: occ[h.Name]})
@@ -319,38 +329,20 @@ func (s *System) runCycle() {
 		if s.queue.Transition(adm.Job, jobs.StateReserving, "admitted") != nil {
 			continue
 		}
-		if g := s.reserve(adm, occ); g != nil {
+		if g := s.reserve(adm); g != nil {
 			vclock.Go(s.clock, func() { s.execAdmission(adm, g) })
 		}
 	}
 }
 
 // reserve takes the gang reservation of an admission that has just turned
-// Reserving. An admission that evicts reserves the hosts it planned. One
-// without evictions is placed afresh by PlaceGang, which skips every
-// occupied host: the planner hands a requeued victim's whole placement back
-// to later admissions in the same cycle, though the victim may still be
-// draining on it, and PlaceGang keeps the job off such a host (re-picking,
-// or declining until a later cycle). On failure the job is Pending again
-// and reserve returns nil.
-func (s *System) reserve(adm jobs.Admission, occ map[string]string) *registry.GangReservation {
-	job, ok := s.queue.Get(adm.Job)
-	if !ok {
-		return nil
-	}
-	spec := job.Spec()
-	var g *registry.GangReservation
-	var err error
-	if len(adm.Evictions) == 0 {
-		if g, ok = s.reg.PlaceGang(registry.ProcInfo{Name: spec.Name, Schema: spec.Schema}, spec.Gang,
-			func(h string) bool { return occ[h] != "" }); !ok {
-			err = errors.New("gang placement declined")
-		}
-	} else if g, err = s.reg.ReserveHosts(adm.Hosts); err != nil {
-		err = fmt.Errorf("reservation failed: %w", err)
-	}
+// Reserving: exactly the hosts the planner planned, each free in the
+// cycle's view or vacated by the admission's own evictions. On failure the
+// job is Pending again and reserve returns nil.
+func (s *System) reserve(adm jobs.Admission) *registry.GangReservation {
+	g, err := s.reg.ReserveHosts(adm.Hosts)
 	if err != nil {
-		_ = s.queue.Transition(adm.Job, jobs.StatePending, err.Error())
+		_ = s.queue.Transition(adm.Job, jobs.StatePending, "reservation failed: "+err.Error())
 		s.kickDispatcher()
 		return nil
 	}

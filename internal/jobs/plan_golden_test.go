@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,57 @@ func TestPlanGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("the plans changed; if that is deliberate, rerun with -update and review the diff.\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// TestPlanIsReservableAsWritten checks, over the golden's fixtures, that
+// the dispatcher can reserve every plan as the planner wrote it: each
+// admission host is free in the view or vacated by one of that admission's
+// own evictions from the job the view places there, no host appears twice
+// among a plan's admissions, and every migration destination is free in
+// the view and taken by one move only.
+func TestPlanIsReservableAsWritten(t *testing.T) {
+	for _, hetero := range []bool{false, true} {
+		for _, depth := range []int{64, 256} {
+			for _, p := range Policies() {
+				pending, view := benchView(depth, hetero)
+				occupant := make(map[string]string, len(view.Hosts))
+				for _, h := range view.Hosts {
+					occupant[h.Name] = h.Job
+				}
+				where := fmt.Sprintf("%s depth%d hetero=%t", p.Name(), depth, hetero)
+				admitted, moved := map[string]string{}, map[string]string{}
+				take := func(used map[string]string, h, by string) {
+					if prev, dup := used[h]; dup {
+						t.Errorf("%s: %s planned twice (%s, %s)", where, h, prev, by)
+					}
+					used[h] = by
+				}
+				for _, adm := range PlanCycle(p, pending, view) {
+					for _, h := range adm.Hosts {
+						take(admitted, h, "admit "+adm.Job)
+						if occupant[h] == "" {
+							continue
+						}
+						vacated := false
+						for _, ev := range adm.Evictions {
+							vacated = vacated || ev.Job == occupant[h] && slices.Contains(ev.Hosts, h)
+						}
+						if !vacated {
+							t.Errorf("%s: admit %s hosts=%s: %s is %s's and none of the admission's evictions vacates it",
+								where, adm.Job, strings.Join(adm.Hosts, ","), h, occupant[h])
+						}
+					}
+					for _, ev := range adm.Evictions {
+						for _, dest := range ev.Moves {
+							take(moved, dest, "move "+ev.Job)
+							if occupant[dest] != "" {
+								t.Errorf("%s: %s moves onto %s, which is %s's", where, ev.Job, dest, occupant[dest])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

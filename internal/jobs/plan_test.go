@@ -203,10 +203,11 @@ func TestPlanMigratesVictimOnHeterogeneousFleet(t *testing.T) {
 	}
 }
 
-func TestPlanRequeueFreesWholePlacement(t *testing.T) {
+func TestPlanRequeueFreesLeftoverNextCycle(t *testing.T) {
 	// hi (gang 1) evicts one host of rigid vic (gang 2, no migration
-	// room): the whole vic placement empties, and the second freed host
-	// serves the next pending job in the same cycle.
+	// room). The other host stays with vic for the rest of the cycle, so
+	// hi2 waits; once vic is Pending the next cycle admits hi2 there
+	// without evicting anything.
 	hosts := fleet(2)
 	occupy(hosts, "vic", "h1", "h2")
 	view := ClusterView{
@@ -218,17 +219,27 @@ func TestPlanRequeueFreesWholePlacement(t *testing.T) {
 		{Name: "hi2", Priority: 2, Gang: 1, Seq: 3},
 	}
 	plan := PlanCycle(PriorityPreemptive{}, pending, view)
-	if len(plan) != 2 {
-		t.Fatalf("plan = %+v, want both high-priority jobs admitted", plan)
+	if len(plan) != 1 || plan[0].Job != "hi" {
+		t.Fatalf("cycle 1 plan = %+v, want hi alone", plan)
 	}
-	if plan[0].Job != "hi" || plan[1].Job != "hi2" {
-		t.Fatalf("order = %s, %s", plan[0].Job, plan[1].Job)
+	want := []Eviction{{Job: "vic", Mode: EvictRequeue, Hosts: []string{"h2"}}}
+	if !reflect.DeepEqual(plan[0].Hosts, []string{"h2"}) || !reflect.DeepEqual(plan[0].Evictions, want) {
+		t.Fatalf("cycle 1 admits hi on %v evicting %+v, want h2 requeuing vic", plan[0].Hosts, plan[0].Evictions)
 	}
-	if len(plan[1].Evictions) != 0 {
-		t.Fatalf("hi2 should ride the freed host, got evictions %+v", plan[1].Evictions)
+
+	hosts = fleet(2)
+	occupy(hosts, "hi", "h2")
+	view = ClusterView{
+		Hosts:   hosts,
+		Running: []JobView{{Name: "hi", Priority: 2, Gang: 1, Seq: 2, Hosts: []string{"h2"}}},
 	}
-	if plan[0].Hosts[0] == plan[1].Hosts[0] {
-		t.Fatalf("double-booked host %s", plan[0].Hosts[0])
+	pending = []JobView{
+		{Name: "vic", Priority: 0, Gang: 2, Seq: 1},
+		{Name: "hi2", Priority: 2, Gang: 1, Seq: 3},
+	}
+	plan = PlanCycle(PriorityPreemptive{}, pending, view)
+	if len(plan) != 1 || plan[0].Job != "hi2" || !reflect.DeepEqual(plan[0].Hosts, []string{"h1"}) || len(plan[0].Evictions) != 0 {
+		t.Fatalf("cycle 2 plan = %+v, want hi2 on h1 without evictions", plan)
 	}
 }
 
