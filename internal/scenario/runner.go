@@ -267,6 +267,27 @@ func (Runner) Run(s Scenario) Result {
 			j.spec.Name, from, to, mode, rounds, downtime.Round(100*time.Microsecond), why)
 	}
 
+	// freeHosts lists, in fleet order, up to n hosts that are up, run no
+	// job and fit job.
+	freeHosts := func(job string, n int) []string {
+		occupied := map[string]bool{}
+		for _, r := range jobSet {
+			for _, h := range r.hosts {
+				occupied[h] = true
+			}
+		}
+		var free []string
+		for _, h := range hostNames {
+			if len(free) == n {
+				break
+			}
+			if _, down := downUntil[h]; !down && !occupied[h] && eligible(job, h) {
+				free = append(free, h)
+			}
+		}
+		return free
+	}
+
 	// migrate models a forced migration: one rank of a running job moves to
 	// the first free eligible host and pays the mode's freeze window.
 	migrate := func(j *runJob, tick int, why string) {
@@ -274,29 +295,14 @@ func (Runner) Run(s Scenario) Result {
 			digest("migrate job=%s skipped (%s)", j.spec.Name, "not running")
 			return
 		}
-		from := j.hosts[len(j.hosts)-1]
-		to := ""
-		occupied := map[string]bool{}
-		for _, r := range jobSet {
-			for _, h := range r.hosts {
-				occupied[h] = true
-			}
-		}
-		for _, h := range hostNames {
-			if _, down := downUntil[h]; down {
-				continue
-			}
-			if !occupied[h] && eligible(j.spec.Name, h) {
-				to = h
-				break
-			}
-		}
-		if to == "" {
+		to := freeHosts(j.spec.Name, 1)
+		if len(to) == 0 {
 			digest("migrate job=%s skipped (no free destination)", j.spec.Name)
 			return
 		}
-		j.hosts[len(j.hosts)-1] = to
-		chargeMigration(j, tick, from, to, why)
+		from := j.hosts[len(j.hosts)-1]
+		j.hosts[len(j.hosts)-1] = to[0]
+		chargeMigration(j, tick, from, to[0], why)
 	}
 
 	// resize models an elastic world change: shrink retires the highest
@@ -312,33 +318,16 @@ func (Runner) Run(s Scenario) Result {
 			digest("resize job=%s skipped (already at world %d)", j.spec.Name, world)
 			return
 		}
-		grew := false
-		if world < old {
-			j.hosts = j.hosts[:world]
-		} else {
-			occupied := map[string]bool{}
-			for _, r := range jobSet {
-				for _, h := range r.hosts {
-					occupied[h] = true
-				}
-			}
-			for _, h := range hostNames {
-				if len(j.hosts) == world {
-					break
-				}
-				if _, down := downUntil[h]; down {
-					continue
-				}
-				if !occupied[h] && eligible(j.spec.Name, h) {
-					j.hosts = append(j.hosts, h)
-					occupied[h] = true
-					grew = true
-				}
-			}
-			if len(j.hosts) == old {
+		grew := world > old
+		if grew {
+			free := freeHosts(j.spec.Name, world-old)
+			if len(free) == 0 {
 				digest("resize job=%s skipped (no free hosts for world %d)", j.spec.Name, world)
 				return
 			}
+			j.hosts = append(j.hosts, free...)
+		} else {
+			j.hosts = j.hosts[:world]
 		}
 		moved := old - len(j.hosts)
 		if moved < 0 {
