@@ -75,8 +75,9 @@ check: lint build test
 # fences), of the dispatcher's plan-then-reserve and requeue regressions
 # (reserve in the planning cycle, two preemptors of one victim, a requeued
 # victim's held hosts, requeue before release), of the two
-# jobs-crash chaos scenarios (the commit-failure edge) and of the proto
-# client and server over real TCP (the client's one re-dial), the
+# jobs-crash chaos scenarios (the commit-failure edge), of the proto
+# client and server over real TCP (the client's one re-dial) and of a
+# standby reading the store while the primary writes it, the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
 # 64-host scale sweep, malleable, livemig and multijob), and a single
 # 64-host scale sweep, the malleability and multi-job reports and two small
@@ -87,6 +88,7 @@ ci: check
 	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$' ./internal/core
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
+	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry
 	$(MAKE) fuzz
 	$(MAKE) determinism
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
@@ -148,11 +150,11 @@ fleet: build
 # baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged writes / dirty scans / modeled
 # downtime, resizes, admission by queue depth, and the persist append,
-# snapshot and replay paths. A developer tool: regressions are gated by
+# snapshot fold, snapshot write and replay paths. A developer tool: regressions are gated by
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
 	$(GO) test -run '^$$' -bench BenchmarkCodec -benchtime 10000x -benchmem ./internal/proto
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate|BenchmarkSnapshotFold' \
 		-benchtime 1000x -benchmem ./internal/registry
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi
 	$(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments

@@ -8,14 +8,27 @@ import "sync"
 // catch-up reads — and additionally implements TailTruncator by dropping
 // the newest record, modelling the torn tail write the file backend's
 // recovery would discard.
+//
+// The store copies what it keeps, and reuses what it can. Append copies
+// each body into a packed chunk that is only ever appended to — never
+// rewound, not even by a torn tail — so a Record.Data that ReadSince
+// handed out (read-only: it aliases the chunk) is never overwritten, and a
+// chunk is collected once compaction has dropped its last record. The
+// snapshot is copied into the one buffer the store holds; LoadSnapshot
+// copies it out.
 type MemStore struct {
 	mu    sync.Mutex
 	recs  []Record
+	chunk []byte // the chunk Append packs bodies into
 	snap  Snapshot
 	has   bool
 	seq   uint64
 	epoch uint64
 }
+
+// chunkSize is the capacity of one packed body chunk. A larger body gets a
+// chunk of its own.
+const chunkSize = 64 << 10
 
 // NewMemStore creates an empty in-memory store at epoch 0.
 func NewMemStore() *MemStore { return &MemStore{} }
@@ -28,8 +41,23 @@ func (s *MemStore) Append(epoch uint64, kind string, data []byte) (uint64, error
 		return 0, ErrFenced
 	}
 	s.seq++
-	s.recs = append(s.recs, Record{Seq: s.seq, Kind: kind, Data: append([]byte(nil), data...)})
+	s.recs = append(s.recs, Record{Seq: s.seq, Kind: kind, Data: s.pack(data)})
 	return s.seq, nil
+}
+
+// pack copies data to the end of the current chunk, starting a fresh one
+// when it does not fit, and returns the copy capped at its own length, so
+// an append to it cannot reach the next body.
+func (s *MemStore) pack(data []byte) []byte {
+	if len(data) > chunkSize {
+		return append(make([]byte, 0, len(data)), data...)
+	}
+	if s.chunk == nil || len(data) > cap(s.chunk)-len(s.chunk) {
+		s.chunk = make([]byte, 0, chunkSize)
+	}
+	at := len(s.chunk)
+	s.chunk = append(s.chunk, data...)
+	return s.chunk[at:len(s.chunk):len(s.chunk)]
 }
 
 // ReadSince implements Store.
@@ -59,15 +87,17 @@ func (s *MemStore) WriteSnapshot(epoch uint64, snap Snapshot) error {
 	if epoch != s.epoch {
 		return ErrFenced
 	}
-	s.snap = Snapshot{Seq: snap.Seq, Data: append([]byte(nil), snap.Data...)}
+	s.snap = Snapshot{Seq: snap.Seq, Data: append(s.snap.Data[:0], snap.Data...)}
 	s.has = true
-	// Compact: drop the covered prefix.
+	// Compact: drop the covered prefix, clearing the vacated slots so the
+	// chunks only they reference can be collected.
 	keep := s.recs[:0]
 	for _, r := range s.recs {
 		if r.Seq > snap.Seq {
 			keep = append(keep, r)
 		}
 	}
+	clear(s.recs[len(keep):])
 	s.recs = keep
 	if snap.Seq > s.seq {
 		s.seq = snap.Seq
@@ -116,7 +146,8 @@ func (s *MemStore) TruncateTail(n int) error {
 // rewind drops the newest n records — never one the snapshot has folded —
 // and rewinds the sequence so the next append reuses the first dropped
 // number, exactly as a restarted file store would. Both backends'
-// TruncateTail end here.
+// TruncateTail end here. The dropped bodies stay where they are in their
+// chunk: a reader may still hold them.
 func (s *MemStore) rewind(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

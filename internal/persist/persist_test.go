@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -237,13 +238,46 @@ func TestMemTruncateTailDropsNewestRecord(t *testing.T) {
 	}
 }
 
+// TestMemStoreAllocations pins the store's copies: Append packs bodies into
+// shared chunks, well under one allocation per record amortised, and a warm
+// WriteSnapshot copies into the buffer the store already holds.
+func TestMemStoreAllocations(t *testing.T) {
+	s := NewMemStore()
+	body := make([]byte, 88) // a heartbeat record's body
+	const batch = 1000
+	perRecord := testing.AllocsPerRun(10, func() {
+		for i := 0; i < batch; i++ {
+			if _, err := s.Append(0, "k", body); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+	}) / batch
+	if perRecord >= 0.05 {
+		t.Errorf("Append allocates %.3f objects per record, want < 0.05", perRecord)
+	}
+	doc := make([]byte, 64<<10)
+	write := func() {
+		if err := s.WriteSnapshot(0, Snapshot{Seq: s.Seq(), Data: doc}); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+	}
+	write()
+	if avg := testing.AllocsPerRun(100, write); avg != 0 {
+		t.Errorf("a warm WriteSnapshot allocates %.1f objects, want 0", avg)
+	}
+}
+
 // TestBackendsAgreeStepByStep drives both backends through one seeded
 // sequence of appends, snapshots, fences, stale-epoch writes and torn tails
 // (a tear always follows the append it tears, the crash model) and compares
 // everything the contract exposes after every step — then once more after
 // the file store has been closed and reopened, so recovery is held to the
 // same answer. With four records to a segment the sequence crosses rolls,
-// compactions and tears of a tail segment's only record.
+// compactions and tears of a tail segment's only record. The caller reuses
+// one buffer for every body and snapshot, overwriting it after each write as
+// the registry's journal buffer is overwritten, and every ReadSince and
+// LoadSnapshot result is held to the end of the run and must still read as
+// it did when it was taken: what a store hands out is never written again.
 func TestBackendsAgreeStepByStep(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -253,14 +287,32 @@ func TestBackendsAgreeStepByStep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
+		type taken struct {
+			at       string
+			got, was any
+		}
+		var held []taken
+		hold := func(at string, results ...any) {
+			for _, v := range results {
+				held = append(held, taken{at, v, deepCopy(v)})
+			}
+		}
 		agree := func(step int, op string) {
 			t.Helper()
 			ms, mok, _ := mem.LoadSnapshot()
 			fs, fok, _ := file.LoadSnapshot()
+			mr, fr := mustRead(t, mem), mustRead(t, file)
 			if mem.Seq() != file.Seq() || mem.Epoch() != file.Epoch() || mok != fok ||
-				!reflect.DeepEqual(ms, fs) || !reflect.DeepEqual(mustRead(t, mem), mustRead(t, file)) {
+				!reflect.DeepEqual(ms, fs) || !reflect.DeepEqual(mr, fr) {
 				t.Fatalf("seed %d step %d (%s): mem seq=%d epoch=%d snap=%+v recs=%+v\nfile seq=%d epoch=%d snap=%+v recs=%+v",
-					seed, step, op, mem.Seq(), mem.Epoch(), ms, mustRead(t, mem), file.Seq(), file.Epoch(), fs, mustRead(t, file))
+					seed, step, op, mem.Seq(), mem.Epoch(), ms, mr, file.Seq(), file.Epoch(), fs, fr)
+			}
+			hold(fmt.Sprintf("seed %d step %d (%s)", seed, step, op), ms, fs, mr, fr)
+		}
+		var buf []byte // the caller's one write buffer
+		overwrite := func() {
+			for i := range buf {
+				buf[i] = '#'
 			}
 		}
 		var snapSeq uint64
@@ -275,16 +327,20 @@ func TestBackendsAgreeStepByStep(t *testing.T) {
 			}
 			switch op {
 			case "append", "append+tear":
-				data := []byte(fmt.Sprintf("s%d-%d", seed, step))
-				both(func(s Store) error { _, err := s.Append(s.Epoch(), "k", data); return err })
+				buf = fmt.Appendf(buf[:0], "s%d-%d", seed, step)
+				both(func(s Store) error { _, err := s.Append(s.Epoch(), "k", buf); return err })
+				overwrite()
 				if op == "append+tear" {
-					n := 1 + rng.Intn(frameHeader+len(data))
+					hold(fmt.Sprintf("seed %d step %d, before the tear", seed, step), mustRead(t, mem), mustRead(t, file))
+					n := 1 + rng.Intn(frameHeader+len(buf))
 					both(func(s Store) error { return s.(TailTruncator).TruncateTail(n) })
 				}
 			case "snapshot":
 				snapSeq += uint64(rng.Intn(int(mem.Seq()-snapSeq) + 1))
-				snap := Snapshot{Seq: snapSeq, Data: []byte(fmt.Sprintf("state@%d", snapSeq))}
+				buf = fmt.Appendf(buf[:0], "state@%d", snapSeq)
+				snap := Snapshot{Seq: snapSeq, Data: buf}
 				both(func(s Store) error { return s.WriteSnapshot(s.Epoch(), snap) })
+				overwrite()
 			case "fence":
 				both(func(s Store) error { _, err := s.Fence(); return err })
 			case "stale":
@@ -306,5 +362,25 @@ func TestBackendsAgreeStepByStep(t *testing.T) {
 		if err := file.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
+		for _, h := range held {
+			if !reflect.DeepEqual(h.got, h.was) {
+				t.Fatalf("a result taken at %s was overwritten: now %+v, was %+v", h.at, h.got, h.was)
+			}
+		}
 	}
+}
+
+// deepCopy copies a ReadSince or LoadSnapshot result down to its bytes.
+func deepCopy(v any) any {
+	switch v := v.(type) {
+	case Snapshot:
+		return Snapshot{Seq: v.Seq, Data: bytes.Clone(v.Data)}
+	case []Record:
+		var out []Record
+		for _, r := range v {
+			out = append(out, Record{Seq: r.Seq, Kind: r.Kind, Data: bytes.Clone(r.Data)})
+		}
+		return out
+	}
+	panic(fmt.Sprintf("deepCopy: %T", v))
 }

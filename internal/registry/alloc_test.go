@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"testing"
 
 	"autoresched/internal/metrics"
+	"autoresched/internal/persist"
+	"autoresched/internal/proto"
+	"autoresched/internal/vclock"
 )
 
 // TestZeroAllocInstruments pins the telemetry floor the hot paths rely on:
@@ -40,5 +44,37 @@ func TestEligibleHostsAllocatesOnce(t *testing.T) {
 	}
 	if len(fleet) != 256 {
 		t.Fatalf("EligibleHosts listed %d of 256 hosts", len(fleet))
+	}
+}
+
+// TestDurableHeartbeatAllocatesAsSoft: journalling a heartbeat allocates
+// nothing per call that the storeless registry does not, amortised over
+// 1024 heartbeats at 512 hosts with a snapshot every 256 records, so the
+// folds are counted too. The fold refills one document, the store copies
+// the snapshot into the buffer it holds and packs record bodies into
+// shared chunks.
+func TestDurableHeartbeatAllocatesAsSoft(t *testing.T) {
+	const hosts, calls = 512, 1024
+	perCall := func(opts ...Option) float64 {
+		r := NewRegistry(append(opts, WithClock(vclock.NewAuto(vclock.Epoch)))...)
+		names := make([]string, hosts)
+		for i := range names {
+			names[i] = fmt.Sprintf("ws%04d", i)
+			if err := r.RegisterHost(names[i], proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		return testing.AllocsPerRun(calls, func() {
+			if err := r.ReportStatus(names[i%hosts], proto.Status{State: "busy", Load1: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	soft := perCall()
+	durable := perCall(WithStore(persist.NewMemStore()), WithSnapshotEvery(256))
+	if durable > soft {
+		t.Errorf("a durable ReportStatus allocates %.0f objects per call, a storeless one %.0f", durable, soft)
 	}
 }

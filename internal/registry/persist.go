@@ -1,11 +1,14 @@
 package registry
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"autoresched/internal/persist"
@@ -140,21 +143,22 @@ func (r *Registry) appendLocked(kind string, p payload) error {
 // compacting the log behind it. Best-effort: a failed snapshot write leaves
 // the log authoritative.
 func (r *Registry) snapshotLocked(seq uint64) {
-	st := r.stateLocked()
-	if err := r.store.WriteSnapshot(r.storeEpoch, persist.Snapshot{Seq: seq, Data: r.journal.encode(&st)}); err != nil {
+	if err := r.store.WriteSnapshot(r.storeEpoch, persist.Snapshot{Seq: seq, Data: r.journal.encode(r.foldLocked())}); err != nil {
 		return
 	}
 	r.lastSnap = seq
 	r.ctr.snapshots.Inc()
 }
 
-// stateLocked renders the protocol state as the canonical snapshot document.
+// foldLocked renders the protocol state as the canonical snapshot document,
+// refilling r.fold in place: the document is valid until the next fold.
 // The view is deterministic — two registries holding the same protocol state
 // build identical documents — which is what makes StateDigest a meaningful
 // recovery check.
-func (r *Registry) stateLocked() persistedState {
-	st := persistedState{RegSeq: r.regSeq, GangSeq: r.gangSeq,
-		Hosts: make([]persistedHost, 0, len(r.order)), Procs: make([]persistedProc, 0, len(r.procs))}
+func (r *Registry) foldLocked() *persistedState {
+	st := &r.fold
+	st.RegSeq, st.GangSeq = r.regSeq, r.gangSeq
+	st.Hosts = slices.Grow(st.Hosts[:0], len(r.order))
 	for _, e := range r.order {
 		st.Hosts = append(st.Hosts, persistedHost{
 			Name:     e.info.Name,
@@ -165,18 +169,8 @@ func (r *Registry) stateLocked() persistedState {
 			RegOrder: e.regOrder,
 		})
 	}
-	keys := make([]procKey, 0, len(r.procs))
-	for k := range r.procs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].host != keys[j].host {
-			return keys[i].host < keys[j].host
-		}
-		return keys[i].pid < keys[j].pid
-	})
-	for _, k := range keys {
-		p := r.procs[k]
+	st.Procs = st.Procs[:0]
+	for _, p := range r.procs {
 		st.Procs = append(st.Procs, persistedProc{
 			Host:      p.Host,
 			PID:       p.PID,
@@ -185,14 +179,14 @@ func (r *Registry) stateLocked() persistedState {
 			SchemaXML: p.schemaXML,
 		})
 	}
-	ids := make([]uint64, 0, len(r.gangs))
-	for id := range r.gangs {
-		ids = append(ids, id)
+	slices.SortFunc(st.Procs, func(a, b persistedProc) int {
+		return cmp.Or(strings.Compare(a.Host, b.Host), cmp.Compare(a.PID, b.PID))
+	})
+	st.Gangs = st.Gangs[:0]
+	for id, hosts := range r.gangs {
+		st.Gangs = append(st.Gangs, persistedGang{ID: id, Hosts: hosts})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st.Gangs = append(st.Gangs, persistedGang{ID: id, Hosts: r.gangs[id]})
-	}
+	slices.SortFunc(st.Gangs, func(a, b persistedGang) int { return cmp.Compare(a.ID, b.ID) })
 	return st
 }
 
@@ -202,7 +196,7 @@ func (r *Registry) stateLocked() persistedState {
 func (r *Registry) StateDigest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	data, err := json.Marshal(r.stateLocked())
+	data, err := json.Marshal(r.foldLocked())
 	if err != nil {
 		return "encode-error"
 	}
@@ -248,24 +242,34 @@ func (r *Registry) bootstrapLocked() error {
 // catchUpLocked brings the state up to store's tail: the latest snapshot
 // when it is ahead of this registry's position (always, for a bootstrap; for
 // a standby, when the primary compacted records it has not applied — skipping
-// the gap silently would lose them), then every record after it.
+// the gap silently would lose them), then every record after it. A primary
+// writing concurrently can compact between the two reads; the suffix then
+// starts past this position, and the newer snapshot that compaction wrote
+// covers the gap, so the catch-up starts over from it.
 func (r *Registry) catchUpLocked(store persist.Store) error {
-	snap, ok, err := store.LoadSnapshot()
-	if err != nil {
-		return fmt.Errorf("registry: load snapshot: %w", err)
-	}
 	r.replaying = true
 	defer func() { r.replaying = false }()
-	if ok && snap.Seq > r.lastApplied {
-		if err := r.restoreStateLocked(snap.Data); err != nil {
-			return err
+	var recs []persist.Record
+	for gap := false; ; gap = true {
+		snap, ok, err := store.LoadSnapshot()
+		if err != nil {
+			return fmt.Errorf("registry: load snapshot: %w", err)
 		}
-		r.lastApplied = snap.Seq
-		r.lastSnap = snap.Seq
-	}
-	recs, err := store.ReadSince(r.lastApplied)
-	if err != nil {
-		return fmt.Errorf("registry: read log suffix: %w", err)
+		if ok && snap.Seq > r.lastApplied {
+			if err := r.restoreStateLocked(snap.Data); err != nil {
+				return err
+			}
+			r.lastApplied = snap.Seq
+			r.lastSnap = snap.Seq
+		} else if gap {
+			return fmt.Errorf("registry: log resumes past seq %d with no snapshot covering the gap", r.lastApplied)
+		}
+		if recs, err = store.ReadSince(r.lastApplied); err != nil {
+			return fmt.Errorf("registry: read log suffix: %w", err)
+		}
+		if len(recs) == 0 || recs[0].Seq == r.lastApplied+1 {
+			break
+		}
 	}
 	var c codec
 	for _, rec := range recs {

@@ -365,8 +365,7 @@ func TestReplayBitIdentical4096Hosts(t *testing.T) {
 func encodedState(r *Registry) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.stateLocked()
-	return new(codec).encode(&st)
+	return new(codec).encode(r.foldLocked())
 }
 
 func TestRestartPresumesPendingGangAborted(t *testing.T) {
@@ -478,4 +477,106 @@ func TestFileBackedRegistryRoundTrip(t *testing.T) {
 	if got := r2.StateDigest(); got != digest {
 		t.Fatalf("file-backed warm start digest = %s, want %s", got, digest)
 	}
+}
+
+// TestStandbySyncsWhilePrimaryWrites has a standby read the primary's record
+// bodies out of the store's packed chunks while the primary keeps appending
+// into those chunks and snapshotting every 8 records: run under -race, any
+// byte both touch shows. Once the primary stops, the standby's last Sync
+// reaches exactly its state.
+func TestStandbySyncsWhilePrimaryWrites(t *testing.T) {
+	store := persist.NewMemStore()
+	clock := vclock.NewAuto(vclock.Epoch)
+	r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(8))
+	const hosts = 16
+	for i := 0; i < hosts; i++ {
+		if err := r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sb, err := NewStandby(store, WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		states := []string{"free", "busy", "overloaded"}
+		for i := 0; i < 2000; i++ {
+			if err := r.ReportStatus(fmt.Sprintf("ws%d", i%hosts), proto.Status{State: states[i%3], Load1: float64(i)}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		if _, err := sb.Sync(); err != nil {
+			t.Fatalf("standby sync: %v", err)
+		}
+	}
+	if got, want := sb.Registry().Seq(), r.Seq(); got != want {
+		t.Fatalf("standby at seq %d, primary at %d", got, want)
+	}
+	if got, want := sb.Registry().StateDigest(), r.StateDigest(); got != want {
+		t.Fatalf("standby digest %s, primary %s", got, want)
+	}
+}
+
+// TestStandbyCatchUpSpansACompaction lands the primary's compaction between
+// the standby's snapshot read and its log read, deterministically: the
+// suffix the standby reads then starts past its position, and it must start
+// over from the newer snapshot rather than skip the compacted records.
+func TestStandbyCatchUpSpansACompaction(t *testing.T) {
+	store := persist.NewMemStore()
+	clock := vclock.NewAuto(vclock.Epoch)
+	r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(8))
+	for i := 0; i < 4; i++ {
+		if err := r.RegisterHost(fmt.Sprintf("ws%d", i), proto.StaticInfo{CPUSpeed: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := &compactingStore{Store: store}
+	sb, err := NewStandby(cs, WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.between = func() {
+		if err := r.RegisterHost("ws4", proto.StaticInfo{CPUSpeed: 1e6}); err != nil { // lands in the gap
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := r.ReportStatus(fmt.Sprintf("ws%d", i%4), proto.Status{State: "busy", Load1: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := sb.Sync(); err != nil {
+		t.Fatalf("standby sync: %v", err)
+	}
+	if got, want := sb.Registry().StateDigest(), r.StateDigest(); got != want {
+		t.Fatalf("standby digest %s, primary %s", got, want)
+	}
+}
+
+// compactingStore runs between once, right after a LoadSnapshot returns.
+type compactingStore struct {
+	persist.Store
+	between func()
+}
+
+func (s *compactingStore) LoadSnapshot() (persist.Snapshot, bool, error) {
+	snap, ok, err := s.Store.LoadSnapshot()
+	if f := s.between; f != nil {
+		s.between = nil
+		f()
+	}
+	return snap, ok, err
 }

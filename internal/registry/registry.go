@@ -196,8 +196,10 @@ type Registry struct {
 	// durable view of unresolved reservations by id — what presumed abort
 	// resolves at bootstrap; storeEpoch is the fencing token every append
 	// carries; lastApplied/lastSnap drive the catch-up feed and snapshot
-	// cadence; replaying suppresses appends during bootstrap; journal encodes
-	// records and snapshots, reusing one buffer (stores copy what they keep).
+	// cadence; replaying suppresses appends during bootstrap. journal encodes
+	// records and snapshots, reusing one buffer (stores copy what they keep);
+	// fold is the snapshot document, refilled in place by every snapshot and
+	// StateDigest.
 	store       persist.Store
 	storeEpoch  uint64
 	replaying   bool
@@ -206,6 +208,7 @@ type Registry struct {
 	gangSeq     uint64
 	gangs       map[uint64][]string
 	journal     codec
+	fold        persistedState
 }
 
 func newStateSets() map[rules.State][]*hostEntry {
