@@ -74,7 +74,8 @@ check: lint build test
 # order-dependent flakiness in the fair-share solver and the determinism
 # fences), of the dispatcher's plan-then-reserve and requeue regressions
 # (reserve in the planning cycle, two preemptors of one victim, a requeued
-# victim's held hosts, requeue before release), of the two
+# victim's held hosts, requeue before release, a migrate eviction's
+# destination held until the gang lands), of the two
 # jobs-crash chaos scenarios (the commit-failure edge), of the proto
 # client and server over real TCP (the client's one re-dial) and of a
 # standby reading the store while the primary writes it, the
@@ -85,7 +86,7 @@ check: lint build test
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
-	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$' ./internal/core
+	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$' ./internal/core
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry

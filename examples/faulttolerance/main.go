@@ -1,7 +1,7 @@
 // Faulttolerance: the rescheduling-for-fault-tolerance scenario of
 // Section 6 ("reschedule when the machine will shut down"). The
 // application checkpoints its state periodically; its workstation crashes
-// without warning (no chance to migrate); the runtime recovers it from the
+// without warning (no chance to migrate); failover restores it from the
 // last checkpoint on a host chosen by the registry's first-fit — losing at
 // most one checkpoint interval of work instead of the whole run.
 //
@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -34,6 +33,7 @@ func main() {
 		Cluster:         cl,
 		Checkpoints:     store,
 		CheckpointEvery: 30 * time.Second,
+		FailoverRetries: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -54,19 +54,16 @@ func main() {
 	for app.Proc.Checkpoints() < 3 {
 		clock.Sleep(time.Second)
 	}
-	fmt.Printf("crash! killing ws1 after %d checkpoints\n", app.Proc.Checkpoints())
-	app.Proc.Kill()
-	if err := app.Wait(); !errors.Is(err, hpcm.ErrKilled) {
-		log.Fatalf("unexpected exit: %v", err)
-	}
-
-	app2, err := sys.Recover("test_tree", "", tree.Schema(1e6), workload.TestTree(tree))
-	if err != nil {
+	fmt.Printf("crash! losing ws1 after %d checkpoints\n", app.Proc.Checkpoints())
+	if err := sys.CrashHost("ws1"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovered from checkpoint onto %s (chosen by first-fit)\n", app2.Host())
-	if err := app2.Wait(); err != nil {
+	if err := app.Wait(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("run completed on %s; results identical to an uninterrupted run\n", app2.Host())
+	if app.Retries() != 1 || app.Host() == "ws1" {
+		log.Fatalf("no failover: %d retries, on %s", app.Retries(), app.Host())
+	}
+	fmt.Printf("recovered from checkpoint onto %s (chosen by first-fit)\n", app.Host())
+	fmt.Printf("run completed on %s; results identical to an uninterrupted run\n", app.Host())
 }

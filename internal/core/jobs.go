@@ -337,10 +337,20 @@ func (s *System) runCycle() {
 
 // reserve takes the gang reservation of an admission that has just turned
 // Reserving: exactly the hosts the planner planned, each free in the
-// cycle's view or vacated by the admission's own evictions. On failure the
+// cycle's view or vacated by the admission's own evictions, and its
+// migration destinations, which no later cycle then sees until Commit or
+// Abort (nor does the planner vacate one within its cycle). On failure the
 // job is Pending again and reserve returns nil.
 func (s *System) reserve(adm jobs.Admission) *registry.GangReservation {
-	g, err := s.reg.ReserveHosts(adm.Hosts)
+	hosts := slices.Clip(adm.Hosts)
+	for _, ev := range adm.Evictions {
+		for _, h := range ev.Hosts {
+			if dest, ok := ev.Moves[h]; ok {
+				hosts = append(hosts, dest)
+			}
+		}
+	}
+	g, err := s.reg.ReserveHosts(hosts)
 	if err != nil {
 		_ = s.queue.Transition(adm.Job, jobs.StatePending, "reservation failed: "+err.Error())
 		s.kickDispatcher()
@@ -375,8 +385,9 @@ func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) 
 		}
 	}
 	// A failed Commit has released the reservation marks already; the
-	// occupancy claim holds the hosts until the job is Pending again.
-	run := s.claimRun(spec, g.Hosts())
+	// occupancy claim holds the hosts until the job is Pending again, and
+	// Commit hands the migration destinations to the migrated ranks.
+	run := s.claimRun(spec, adm.Hosts)
 	if err := g.Commit(); err != nil {
 		s.opts.Metrics.Counter(CtrJobsReservations).Inc()
 		requeue("reservation lost: " + err.Error())
@@ -543,7 +554,8 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 
 // startApp launches (or restores) one migration-enabled process and wraps
 // it in the App machinery — registry registration and the follow loop with
-// its failover budget. Launch, the job dispatcher and Recover share it.
+// its failover budget. Launch, admissions and requeues share it (failover
+// shares startProc). A failed start leaves nothing running.
 func (s *System) startApp(name, host string, sch *rules.Schema, main hpcm.Main, restore bool) (*App, error) {
 	if _, ok := s.Node(host); !ok {
 		return nil, fmt.Errorf("core: no node on host %q", host)
@@ -564,6 +576,8 @@ func (s *System) startApp(name, host string, sch *rules.Schema, main hpcm.Main, 
 		launched:   s.clock.Now(),
 	}
 	if err := s.registerProc(app); err != nil {
+		p.Kill()
+		vclock.Await(s.clock, p.Done())
 		return nil, err
 	}
 	s.mu.Lock()

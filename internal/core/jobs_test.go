@@ -13,6 +13,8 @@ import (
 	"autoresched/internal/jobs"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
+	"autoresched/internal/rules"
+	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
 	"autoresched/internal/workload"
 )
@@ -302,6 +304,39 @@ func TestLaunchShimNameReuse(t *testing.T) {
 	}
 	if got := job.State(); got != jobs.StateCompleted {
 		t.Fatalf("state = %s, want completed", got)
+	}
+}
+
+// TestFailedLaunchLeavesNothingRunning: a launch the registry refuses (its
+// host crashed and was unregistered) kills the process it started, so the
+// name is free for a launch elsewhere.
+func TestFailedLaunchLeavesNothingRunning(t *testing.T) {
+	s, _ := newSystem(t, 1000, 2, Options{})
+	if err := s.CrashHost("ws1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Launch("x", "ws1", nil, rankJacobi(10)(0, 1)); err == nil {
+		t.Fatal("launch on a crashed host accepted")
+	}
+	app, err := s.Launch("x", "ws2", nil, rankJacobi(10)(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitRejectsInvalidSchema: a schema that fails Validate is refused
+// at Submit, queued or pinned, rather than failing every launch the
+// dispatcher would retry.
+func TestSubmitRejectsInvalidSchema(t *testing.T) {
+	s, _ := newSystem(t, 1000, 1, Options{})
+	if _, err := s.Submit(jobs.Spec{Name: "bad", Schema: &rules.Schema{}, Rank: rankJacobi(10)}); err == nil {
+		t.Fatal("Submit accepted a schema with no name")
+	}
+	if _, err := s.Launch("bad", "ws1", &rules.Schema{}, rankJacobi(10)(0, 1)); err == nil {
+		t.Fatal("Launch accepted a schema with no name")
 	}
 }
 
@@ -617,5 +652,98 @@ func TestMigrationMovesTheRelaunchedRank(t *testing.T) {
 	}
 	if err := victim.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pollEvery builds a rank factory whose ranks reach a poll-point every
+// period, n times. The loop counter is migration state, so a moved rank
+// carries on where it stopped.
+func pollEvery(s *System, period time.Duration, n int) func(rank, gang int) hpcm.Main {
+	return func(int, int) hpcm.Main {
+		return func(ctx *hpcm.Context) error {
+			var i int
+			if err := ctx.Register("i", &i); err != nil {
+				return err
+			}
+			for ; i < n; i++ {
+				s.Clock().Sleep(period)
+				if err := ctx.PollPoint("step"); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+}
+
+// TestMigrateEvictionHoldsItsDestination: big fits only the fast ws1, so it
+// evicts vic from there by migration to ws2. vic moves at its next
+// poll-point, seconds later; small, submitted in between, must not be
+// admitted onto ws2, which the gang reservation holds until big lands.
+// Once big commits, small preempts vic by requeue instead. Every virtual
+// second, no host runs ranks of two unsettled jobs, and all three jobs
+// complete.
+func TestMigrateEvictionHoldsItsDestination(t *testing.T) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	cl := NewCluster(clock, 12.5e6)
+	t.Cleanup(cl.Close)
+	if _, err := cl.AddHost("ws1", sim.Config{Speed: 2e6, MemTotal: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.AddHost("ws2", sim.Config{Speed: 1e6, MemTotal: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	mreg := metrics.NewRegistry()
+	s, err := New(Options{Cluster: cl, Metrics: mreg, JobPolicy: jobs.PriorityPreemptive{}, SchedInterval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddNodes("ws1", "ws2"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+
+	vic, err := s.Submit(jobs.Spec{Name: "vic", Priority: 0, Rank: pollEvery(s, 5*time.Second, 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, vic, jobs.StateRunning)
+	s.Clock().Sleep(20 * time.Second)
+	fast := &rules.Schema{Name: "big", Requirements: rules.Requirements{MinCPUSpeed: 2e6}}
+	big, err := s.Submit(jobs.Spec{Name: "big", Priority: 2, Schema: fast, Rank: rankJacobi(2000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Clock().Sleep(1500 * time.Millisecond)
+	small, err := s.Submit(jobs.Spec{Name: "small", Priority: 1, Rank: rankJacobi(2000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	all := []*jobs.Job{vic, big, small}
+	for i := 0; i < 600; i++ {
+		runs := map[string]string{}
+		for _, j := range all {
+			app, err := s.RankApp(j.Name(), 0)
+			if err != nil || closed(app.Settled()) {
+				continue
+			}
+			if other, ok := runs[app.Host()]; ok {
+				t.Fatalf("t+%ds: %s runs %s and %s", i, app.Host(), other, j.Name())
+			}
+			runs[app.Host()] = j.Name()
+		}
+		s.Clock().Sleep(time.Second)
+	}
+	for _, j := range all {
+		if j.State() != jobs.StateCompleted {
+			t.Errorf("%s is %s, want completed", j.Name(), j.State())
+		}
+	}
+	if got := mreg.Counter(CtrJobsMigrated).Value(); got != 1 {
+		t.Errorf("migrate evictions = %d, want 1", got)
+	}
+	if vic.Requeues() != 1 {
+		t.Errorf("vic requeues = %d, want 1 (by small, once big landed)", vic.Requeues())
 	}
 }

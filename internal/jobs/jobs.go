@@ -46,7 +46,8 @@ type Spec struct {
 	// scheduler place the gang.
 	Hosts []string
 	// Schema carries the job's resource requirements; the scheduler only
-	// places ranks on hosts the schema fits. May be nil.
+	// places ranks on hosts the schema fits. May be nil; one that fails
+	// Validate is refused at Submit.
 	Schema *rules.Schema
 	// Rank builds the application body of one rank. Required for live
 	// execution (the planner and the simulation never call it).
@@ -195,6 +196,11 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 	}
 	if spec.MinWorld > spec.Gang {
 		return nil, fmt.Errorf("jobs: job %q MinWorld %d exceeds gang %d", spec.Name, spec.MinWorld, spec.Gang)
+	}
+	if spec.Schema != nil {
+		if err := spec.Schema.Validate(); err != nil {
+			return nil, fmt.Errorf("jobs: job %q: %w", spec.Name, err)
+		}
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -75,7 +75,8 @@ type Eviction struct {
 	// the next cycle, not to a later admission in this one.
 	Hosts []string
 	// Moves maps each contested host to its migration destination
-	// (EvictMigrate only).
+	// (EvictMigrate only). The admission's reservation holds each
+	// destination until the gang lands, and no later admission vacates it.
 	Moves map[string]string
 }
 
@@ -83,7 +84,8 @@ type Eviction struct {
 type Admission struct {
 	Job string
 	// Hosts is the target placement, len == Gang: free hosts first, then
-	// hosts vacated by the evictions.
+	// hosts vacated by the evictions. The admission reserves them and the
+	// evictions' Moves destinations.
 	Hosts []string
 	// Evictions empty the contested hosts before the gang launches.
 	Evictions []Eviction
@@ -95,8 +97,9 @@ type Admission struct {
 // jobs. A job that does not fit blocks the cycle unless the policy
 // backfills. The returned admissions are consistent as a set and can be
 // reserved as written: every admission host is free in the view or vacated
-// by one of that admission's own evictions, no host is assigned twice, and
-// every eviction's hosts feed exactly one admission.
+// by one of that admission's own evictions, no host is assigned twice as
+// an admission host or a migration destination, and every eviction's hosts
+// feed exactly one admission.
 // PlanCycle reads pending and view in place and writes neither.
 func PlanCycle(p Policy, pending []JobView, view ClusterView) []Admission {
 	order := make([]int32, len(pending))
@@ -140,8 +143,9 @@ type planState struct {
 	view     ClusterView
 	eligible func(job, host string) bool
 	// taken holds the hosts free in the view that this cycle has given
-	// out. A cycle never frees a host, so a host is free when the view
-	// says so and taken does not.
+	// out, to an admission or as a migration destination. A cycle never
+	// frees a host and never vacates one it gave out, so a host is free
+	// when the view says so and taken does not.
 	taken map[string]bool
 	// cursor indexes view.Hosts: no free host lies before it, and it only
 	// moves forward. free is the number of free hosts, so a scan that has
@@ -229,10 +233,11 @@ func (st *planState) preempt(job *JobView, free []string) (Admission, bool) {
 		}
 		// Victim hosts the admitting job could take, scanned from the tail
 		// of the placement: shrink retires the highest ranks first, the
-		// natural order for an elastic world.
+		// natural order for an elastic world. A taken host there is a
+		// destination this cycle gave out, which it never vacates.
 		var vacated []string
 		for i := len(placed) - 1; i >= 0 && len(vacated) < needed; i-- {
-			if st.eligible(job.Name, placed[i]) {
+			if !st.taken[placed[i]] && st.eligible(job.Name, placed[i]) {
 				vacated = append(vacated, placed[i])
 			}
 		}
