@@ -178,6 +178,7 @@ type App struct {
 	Schema *rules.Schema
 
 	sys        *System
+	job        string // the job the app is a rank of
 	main       hpcm.Main
 	settled    chan struct{} // closed after completion bookkeeping
 	mu         sync.Mutex
@@ -233,6 +234,7 @@ type System struct {
 	nodes   map[string]*Node
 	apps    []*App
 	jobRuns map[string]*jobRun
+	ledger  jobs.Ledger // which jobs hold each host
 
 	dispatchOnce     sync.Once
 	dispatchStopOnce sync.Once
@@ -624,6 +626,9 @@ func (app *App) applyMove(to string) {
 	app.host = to
 	app.pid = proc.PID()
 	app.mu.Unlock()
+	s.mu.Lock()
+	s.ledger.Move(app.job, oldHost, to)
+	s.mu.Unlock()
 
 	_ = s.reg.ProcessExit(oldHost, oldPID)
 	_ = s.registerProc(app)

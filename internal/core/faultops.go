@@ -65,7 +65,8 @@ func (s *System) failover(app *App, cause error) bool {
 	// Exclude the host the failure points at: the crashed host for a kill
 	// or post-commit failure, the unreachable destination for an abort
 	// (the source host is healthy and stays a legitimate candidate).
-	exclude := app.Host()
+	from := app.Host()
+	exclude := from
 	var mf *hpcm.MigrationFailure
 	if errors.As(cause, &mf) && !mf.Committed {
 		exclude = mf.To
@@ -92,6 +93,9 @@ func (s *System) failover(app *App, cause error) bool {
 	app.pid = p.PID()
 	app.host = cand.Host
 	app.mu.Unlock()
+	s.mu.Lock()
+	s.ledger.Move(app.job, from, cand.Host)
+	s.mu.Unlock()
 	_ = s.registerProc(app)
 	return true
 }

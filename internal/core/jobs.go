@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -47,12 +45,10 @@ type jobRun struct {
 	name string
 	spec jobs.Spec
 
-	mu       sync.Mutex
-	claimed  []string // admission placement, authoritative until launched
-	launched bool
-	slots    map[int]*rankSlot
-	intent   string // "", intentRequeue, intentCancel
-	failErr  error
+	mu      sync.Mutex
+	slots   map[int]*rankSlot
+	intent  string // "", intentRequeue, intentCancel
+	failErr error
 }
 
 // rankSlot is one rank's entry.
@@ -60,30 +56,6 @@ type rankSlot struct {
 	app    *App
 	done   bool
 	shrunk bool // marked for shrink retirement; drops from the world on settle
-}
-
-// liveHosts returns the hosts the job's running ranks occupy, in rank
-// order. With held set, a job being requeued whole holds the hosts of its
-// finished ranks too, until it is Pending again: a host it frees must not
-// go to a job queued behind it while it cannot yet compete for it.
-func (run *jobRun) liveHosts(held bool) []string {
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	if !run.launched {
-		return append([]string(nil), run.claimed...)
-	}
-	idx := make([]int, 0, len(run.slots))
-	for i, sl := range run.slots {
-		if !sl.done || held && run.intent == intentRequeue {
-			idx = append(idx, i)
-		}
-	}
-	sort.Ints(idx)
-	hosts := make([]string, 0, len(idx))
-	for _, i := range idx {
-		hosts = append(hosts, run.slots[i].app.Host())
-	}
-	return hosts
 }
 
 // Submit is the multi-job front door. A spec with pinned Hosts is admitted
@@ -114,7 +86,7 @@ func (s *System) submit(spec jobs.Spec) (*jobs.Job, []*App, error) {
 	spec = job.Spec()
 	if len(spec.Hosts) > 0 {
 		run := s.claimRun(spec, spec.Hosts)
-		apps, err := s.launchRun(job, run)
+		apps, err := s.launchRun(job, run, spec.Hosts)
 		if err != nil {
 			s.queue.Settle(spec.Name, jobs.StateFailed, err, "launch failed")
 			s.dropRun(run)
@@ -182,19 +154,15 @@ func (s *System) jobRun(name string) *jobRun {
 	return s.jobRuns[name]
 }
 
-// claimRun registers a jobRun covering hosts so concurrent admission cycles
-// see them occupied — inserted before the gang reservation commits, so at
-// every instant the hosts are protected either by the reservation marks or
-// by this occupancy claim.
+// claimRun registers a jobRun and pins hosts to it in the ledger, replacing
+// what a stale run of the name held, before the gang reservation commits:
+// at every instant the hosts are protected by the marks or the ledger.
 func (s *System) claimRun(spec jobs.Spec, hosts []string) *jobRun {
-	run := &jobRun{
-		name:    spec.Name,
-		spec:    spec,
-		claimed: append([]string(nil), hosts...),
-		slots:   make(map[int]*rankSlot, len(hosts)),
-	}
+	run := &jobRun{name: spec.Name, spec: spec, slots: make(map[int]*rankSlot, len(hosts))}
 	s.mu.Lock()
 	s.jobRuns[spec.Name] = run
+	s.ledger.Release(spec.Name)
+	s.ledger.Pin(spec.Name, hosts...)
 	s.mu.Unlock()
 	return run
 }
@@ -205,6 +173,7 @@ func (s *System) dropRun(run *jobRun) {
 	// the same name by the time a stale rank's settle drops the old one.
 	if s.jobRuns[run.name] == run {
 		delete(s.jobRuns, run.name)
+		s.ledger.Release(run.name)
 	}
 	s.mu.Unlock()
 }
@@ -255,11 +224,11 @@ func (s *System) dispatchLoop() {
 // concurrently but on disjoint host sets (the planner's consistency
 // guarantee plus the registry's reservation marks).
 //
-// The fleet is read first. An admission claims its hosts as a run before
-// its Commit lets the reservation marks go, so a cycle that sees the hosts
-// unreserved sees the claim too; and a failed admission is Pending again
-// before it gives its hosts back, so a cycle that sees them free sees the
-// job pending.
+// The fleet is read first, then the ledger, then the pending queue. An
+// admission pins its hosts in the ledger before its Commit lets the
+// reservation marks go, so a cycle that sees the hosts unreserved sees
+// them held too; and a failed admission is Pending again before it gives
+// its hosts back, so a cycle that sees them free sees the job pending.
 func (s *System) runCycle() {
 	if !s.queue.HasPending() {
 		return
@@ -267,38 +236,22 @@ func (s *System) runCycle() {
 	// The schedulable fleet: alive and unreserved (in-flight admissions
 	// hold their targets as reservations, which drop out here).
 	fleet := s.reg.EligibleHosts(registry.ProcInfo{}, nil)
-	occ := make(map[string]string, len(fleet))
-	for _, h := range fleet {
-		occ[h.Name] = ""
+	names := make([]string, len(fleet))
+	for i := range fleet {
+		names[i] = fleet[i].Name
 	}
-	s.mu.Lock()
-	runs := maps.Clone(s.jobRuns)
-	s.mu.Unlock()
-
-	// Refresh placements (ranks migrate and fail over underneath the job
-	// layer) with the live hosts this fleet holds, so the running views
-	// agree with the host views: a reserved or expired host is not the
-	// job's to give.
-	for name, run := range runs {
-		hosts := slices.DeleteFunc(run.liveHosts(true), func(h string) bool {
-			_, ok := occ[h]
-			return !ok
-		})
-		s.queue.SetPlacement(name, hosts)
-		for _, h := range hosts {
-			occ[h] = name
-		}
-	}
-	hostViews := make([]jobs.HostView, 0, len(fleet))
-	for _, h := range fleet {
-		hostViews = append(hostViews, jobs.HostView{Name: h.Name, Job: occ[h.Name]})
-	}
-	pending := s.queue.Pending()
-	running := s.queue.Running()
-
 	// Per-job host eligibility: which of this cycle's fleet fit the job's
-	// schema.
+	// schema, filled in below for the pending and running jobs.
 	elig := make(map[string]map[string]bool)
+	eligible := func(job, host string) bool {
+		set, ok := elig[job]
+		return !ok || set[host]
+	}
+	running := s.queue.Running()
+	s.mu.Lock()
+	view := s.ledger.View(names, running, eligible)
+	s.mu.Unlock()
+	pending := s.queue.Pending()
 	for _, views := range [][]jobs.JobView{pending, running} {
 		for _, v := range views {
 			if job, ok := s.queue.Get(v.Name); ok && job.Spec().Schema != nil {
@@ -309,18 +262,6 @@ func (s *System) runCycle() {
 				elig[v.Name] = set
 			}
 		}
-	}
-
-	view := jobs.ClusterView{
-		Hosts:   hostViews,
-		Running: running,
-		Eligible: func(job, host string) bool {
-			set, ok := elig[job]
-			if !ok {
-				return true
-			}
-			return set[host]
-		},
 	}
 	for _, adm := range jobs.PlanCycle(s.policy, pending, view) {
 		// Reserving, and its hosts reserved, before the executor starts, so
@@ -335,22 +276,10 @@ func (s *System) runCycle() {
 	}
 }
 
-// reserve takes the gang reservation of an admission that has just turned
-// Reserving: exactly the hosts the planner planned, each free in the
-// cycle's view or vacated by the admission's own evictions, and its
-// migration destinations, which no later cycle then sees until Commit or
-// Abort (nor does the planner vacate one within its cycle). On failure the
-// job is Pending again and reserve returns nil.
+// reserve reserves Admission.Reserves for an admission that has just turned
+// Reserving. On failure the job is Pending again and reserve returns nil.
 func (s *System) reserve(adm jobs.Admission) *registry.GangReservation {
-	hosts := slices.Clip(adm.Hosts)
-	for _, ev := range adm.Evictions {
-		for _, h := range ev.Hosts {
-			if dest, ok := ev.Moves[h]; ok {
-				hosts = append(hosts, dest)
-			}
-		}
-	}
-	g, err := s.reg.ReserveHosts(hosts)
+	g, err := s.reg.ReserveHosts(adm.Reserves())
 	if err != nil {
 		_ = s.queue.Transition(adm.Job, jobs.StatePending, "reservation failed: "+err.Error())
 		s.kickDispatcher()
@@ -385,8 +314,8 @@ func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) 
 		}
 	}
 	// A failed Commit has released the reservation marks already; the
-	// occupancy claim holds the hosts until the job is Pending again, and
-	// Commit hands the migration destinations to the migrated ranks.
+	// ledger holds the hosts until the job is Pending again, and Commit
+	// hands the migration destinations to the migrated ranks.
 	run := s.claimRun(spec, adm.Hosts)
 	if err := g.Commit(); err != nil {
 		s.opts.Metrics.Counter(CtrJobsReservations).Inc()
@@ -394,7 +323,7 @@ func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) 
 		s.dropRun(run)
 		return
 	}
-	if _, err := s.launchRun(job, run); err != nil {
+	if _, err := s.launchRun(job, run, adm.Hosts); err != nil {
 		requeue("launch failed: " + err.Error())
 		s.dropRun(run)
 		return
@@ -457,12 +386,15 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 	}
 }
 
-// awaitVacated polls in virtual time until no other job's live rank sits on
-// any of the admission's target hosts.
+// awaitVacated polls in virtual time until no other job holds any of the
+// admission's target hosts.
 func (s *System) awaitVacated(adm jobs.Admission) bool {
 	deadline := s.clock.Now().Add(evictionTimeout)
 	for {
-		if s.hostsClear(adm.Job, adm.Hosts) {
+		s.mu.Lock()
+		vacated := s.ledger.Vacated(adm)
+		s.mu.Unlock()
+		if vacated {
 			return true
 		}
 		if s.clock.Now().After(deadline) {
@@ -484,43 +416,24 @@ func closed(ch <-chan struct{}) bool {
 	}
 }
 
-// hostsClear reports whether no live rank of another job occupies any
-// target host.
-func (s *System) hostsClear(admitted string, target []string) bool {
-	s.mu.Lock()
-	runs := maps.Clone(s.jobRuns)
-	s.mu.Unlock()
-	for _, run := range runs {
-		if run.name == admitted {
-			continue
-		}
-		for _, h := range run.liveHosts(false) {
-			if slices.Contains(target, h) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// launchRun starts every rank of a claimed job on its placement and moves
-// it to Running. Requeued jobs restore ranks from their checkpoints when
-// the store has one; fresh admissions (and ranks without an image)
+// launchRun starts every rank of a claimed job on hosts, in rank order, and
+// moves it to Running. Requeued jobs restore ranks from their checkpoints
+// when the store has one; fresh admissions (and ranks without an image)
 // cold-start. The rank apps are returned in rank order.
 //
 // No rank's follow loop starts before the job is Running: a rank whose main
 // returns at once settles the job through rankSettled, and a settle that
 // overtook the Running transition would leave the launch to fail on a job
 // that had already finished.
-func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
+func (s *System) launchRun(job *jobs.Job, run *jobRun, hosts []string) ([]*App, error) {
 	spec := run.spec
 	restore := job.Requeues() > 0
-	apps := make([]*App, 0, len(run.claimed))
+	apps := make([]*App, 0, len(hosts))
 	// All-or-nothing: put the partial gang down (Evict, not Kill — no
 	// failover burn on a launch we are unwinding ourselves). The ranks'
 	// follow loops still run, without a settle hook, so each one
 	// deregisters and settles its App; the job is the caller's to settle,
-	// and the run's claim the caller's to drop once it has.
+	// and the run the caller's to drop once it has.
 	unwind := func(err error) ([]*App, error) {
 		for _, a := range apps {
 			a.Process().Evict()
@@ -528,19 +441,15 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 		}
 		return nil, err
 	}
-	for i, host := range run.claimed {
+	for i, host := range hosts {
 		name := jobs.RankName(spec.Name, i, spec.Gang)
-		app, err := s.startApp(name, host, spec.Schema, spec.Rank(i, spec.Gang), restore)
+		app, err := s.startApp(spec.Name, name, host, spec.Schema, spec.Rank(i, spec.Gang), restore)
 		if err != nil {
 			return unwind(err)
 		}
 		apps = append(apps, app)
 		run.slots[i] = &rankSlot{app: app}
 	}
-	run.mu.Lock()
-	run.launched = true
-	run.mu.Unlock()
-	s.queue.SetPlacement(spec.Name, run.claimed)
 	if err := s.queue.Transition(spec.Name, jobs.StateRunning, ""); err != nil {
 		return unwind(err)
 	}
@@ -552,11 +461,11 @@ func (s *System) launchRun(job *jobs.Job, run *jobRun) ([]*App, error) {
 	return apps, nil
 }
 
-// startApp launches (or restores) one migration-enabled process and wraps
-// it in the App machinery — registry registration and the follow loop with
-// its failover budget. Launch, admissions and requeues share it (failover
-// shares startProc). A failed start leaves nothing running.
-func (s *System) startApp(name, host string, sch *rules.Schema, main hpcm.Main, restore bool) (*App, error) {
+// startApp launches (or restores) one migration-enabled process of job and
+// wraps it in the App machinery — registry registration and the follow
+// loop with its failover budget. Launch, admissions and requeues share it
+// (failover shares startProc). A failed start leaves nothing running.
+func (s *System) startApp(job, name, host string, sch *rules.Schema, main hpcm.Main, restore bool) (*App, error) {
 	if _, ok := s.Node(host); !ok {
 		return nil, fmt.Errorf("core: no node on host %q", host)
 	}
@@ -568,6 +477,7 @@ func (s *System) startApp(name, host string, sch *rules.Schema, main hpcm.Main, 
 		Proc:       p,
 		Schema:     sch,
 		sys:        s,
+		job:        job,
 		main:       main,
 		settled:    make(chan struct{}),
 		pid:        p.PID(),
@@ -606,6 +516,7 @@ func (s *System) startProc(name, host string, main hpcm.Main, restore bool) (*hp
 // in the rank's follow goroutine, before the App's settled channel closes,
 // so job-level bookkeeping is complete by the time App.Wait returns.
 func (s *System) rankSettled(run *jobRun, idx int, err error) {
+	reserved := s.reg.Reserved()
 	run.mu.Lock()
 	sl := run.slots[idx]
 	sl.done = true
@@ -630,12 +541,16 @@ func (s *System) rankSettled(run *jobRun, idx int, err error) {
 	intent, failErr, shrunk := run.intent, run.failErr, sl.shrunk
 	run.mu.Unlock()
 
-	if !allDone {
-		if preempted && shrunk && intent == "" {
-			// Shrink retirement: the survivors keep running at the
-			// smaller world.
-			s.queue.SetPlacement(run.name, run.liveHosts(false))
+	// The rank gives its host back, but a job requeued whole keeps the hosts
+	// no admission reserved until it is Pending and can compete for them.
+	if host := sl.app.Host(); intent != intentRequeue || slices.Contains(reserved, host) {
+		s.mu.Lock()
+		if s.jobRuns[run.name] == run {
+			s.ledger.Exit(run.name, host)
 		}
+		s.mu.Unlock()
+	}
+	if !allDone {
 		return
 	}
 

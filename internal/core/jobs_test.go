@@ -681,8 +681,8 @@ func pollEvery(s *System, period time.Duration, n int) func(rank, gang int) hpcm
 // poll-point, seconds later; small, submitted in between, must not be
 // admitted onto ws2, which the gang reservation holds until big lands.
 // Once big commits, small preempts vic by requeue instead. Every virtual
-// second, no host runs ranks of two unsettled jobs, and all three jobs
-// complete.
+// second, no host runs ranks of two unsettled jobs, each unsettled rank
+// runs where the ledger places its job, and all three jobs complete.
 func TestMigrateEvictionHoldsItsDestination(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	cl := NewCluster(clock, 12.5e6)
@@ -732,6 +732,12 @@ func TestMigrateEvictionHoldsItsDestination(t *testing.T) {
 				t.Fatalf("t+%ds: %s runs %s and %s", i, app.Host(), other, j.Name())
 			}
 			runs[app.Host()] = j.Name()
+			s.mu.Lock()
+			placed := slices.Clone(s.ledger.Placement(j.Name()))
+			s.mu.Unlock()
+			if !slices.Contains(placed, app.Host()) {
+				t.Fatalf("t+%ds: %s runs on %s, the ledger places it on %v", i, j.Name(), app.Host(), placed)
+			}
 		}
 		s.Clock().Sleep(time.Second)
 	}

@@ -38,9 +38,8 @@ type HostView struct {
 // planner reads the view in place and never writes it.
 type ClusterView struct {
 	Hosts []HostView
-	// Running snapshots the running jobs. A placement must agree with
-	// Hosts[].Job and list only hosts in Hosts: core drops a host that an
-	// in-flight admission has reserved or whose lease has expired.
+	// Running snapshots the running jobs, each placement cut to Hosts and
+	// agreeing with Hosts[].Job (Ledger.View builds both).
 	Running []JobView
 	// Eligible reports whether a host can run a job's ranks (the schema
 	// fit). Nil means every host fits every job.
@@ -84,11 +83,24 @@ type Eviction struct {
 type Admission struct {
 	Job string
 	// Hosts is the target placement, len == Gang: free hosts first, then
-	// hosts vacated by the evictions. The admission reserves them and the
-	// evictions' Moves destinations.
+	// hosts vacated by the evictions.
 	Hosts []string
 	// Evictions empty the contested hosts before the gang launches.
 	Evictions []Eviction
+}
+
+// Reserves lists what the admission's reservation holds until the gang
+// lands: its hosts, then its migration destinations in eviction host order.
+func (a Admission) Reserves() []string {
+	hosts := slices.Clip(a.Hosts)
+	for _, ev := range a.Evictions {
+		for _, h := range ev.Hosts {
+			if dest, ok := ev.Moves[h]; ok {
+				hosts = append(hosts, dest)
+			}
+		}
+	}
+	return hosts
 }
 
 // PlanCycle runs one admission cycle: considers pending jobs in policy

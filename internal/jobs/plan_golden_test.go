@@ -67,8 +67,8 @@ func TestPlanGolden(t *testing.T) {
 // the dispatcher can reserve every plan as the planner wrote it: each
 // admission host is free in the view or vacated by one of that admission's
 // own evictions from the job the view places there, every migration
-// destination is free in the view, and no host appears twice among a
-// plan's admission hosts and move destinations: the reservation holds both.
+// destination is free in the view, and no host appears twice among the
+// plan's reservations (Admission.Reserves).
 func TestPlanIsReservableAsWritten(t *testing.T) {
 	for _, hetero := range []bool{false, true} {
 		for _, depth := range []int{64, 256} {
@@ -87,8 +87,10 @@ func TestPlanIsReservableAsWritten(t *testing.T) {
 					used[h] = by
 				}
 				for _, adm := range PlanCycle(p, pending, view) {
+					for _, h := range adm.Reserves() {
+						take(h, "reserve "+adm.Job)
+					}
 					for _, h := range adm.Hosts {
-						take(h, "admit "+adm.Job)
 						if occupant[h] == "" {
 							continue
 						}
@@ -103,12 +105,7 @@ func TestPlanIsReservableAsWritten(t *testing.T) {
 					}
 					for _, ev := range adm.Evictions {
 						for _, h := range ev.Hosts {
-							dest, ok := ev.Moves[h]
-							if !ok {
-								continue
-							}
-							take(dest, "move "+ev.Job)
-							if occupant[dest] != "" {
+							if dest, ok := ev.Moves[h]; ok && occupant[dest] != "" {
 								t.Errorf("%s: %s moves onto %s, which is %s's", where, ev.Job, dest, occupant[dest])
 							}
 						}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -106,7 +107,7 @@ type Result struct {
 // Runner executes scenarios. The zero value is ready.
 type Runner struct{}
 
-// runJob is one job's simulation state.
+// runJob is one job's simulation state; its placement is the ledger's.
 type runJob struct {
 	spec JobSpec
 	seq  int64
@@ -114,7 +115,6 @@ type runJob struct {
 	// progressMs is completed work in rank-milliseconds; the job finishes
 	// at gang*workSec*1000.
 	progressMs int64
-	hosts      []string
 	running    bool
 	done       bool
 	finish     int
@@ -131,7 +131,6 @@ func (j *runJob) view() jobs.JobView {
 		Elastic:  j.spec.Elastic,
 		MinWorld: j.spec.MinWorld,
 		Seq:      j.seq,
-		Hosts:    append([]string(nil), j.hosts...),
 	}
 }
 
@@ -179,6 +178,13 @@ func (Runner) Run(s Scenario) Result {
 		}
 	}
 	downUntil := map[string]int{}
+	var ledger jobs.Ledger
+	// occupy admits hosts to job; a refusal is a bug, fail loudly on it.
+	occupy := func(job string, hosts ...string) {
+		if err := ledger.Occupy(job, hosts...); err != nil {
+			panic(fmt.Sprintf("scenario %s: t=%ds %v", s.Name, now, err))
+		}
+	}
 	linkFactor := 1.0
 	linkRestore := -1 // tick the current degrade window ends (-1: none)
 	// schedBlackout is the tick the registry's crash-loop recovery ends:
@@ -270,18 +276,12 @@ func (Runner) Run(s Scenario) Result {
 	// freeHosts lists, in fleet order, up to n hosts that are up, run no
 	// job and fit job.
 	freeHosts := func(job string, n int) []string {
-		occupied := map[string]bool{}
-		for _, r := range jobSet {
-			for _, h := range r.hosts {
-				occupied[h] = true
-			}
-		}
 		var free []string
 		for _, h := range hostNames {
 			if len(free) == n {
 				break
 			}
-			if _, down := downUntil[h]; !down && !occupied[h] && eligible(job, h) {
+			if _, down := downUntil[h]; !down && ledger.Owner(h) == "" && eligible(job, h) {
 				free = append(free, h)
 			}
 		}
@@ -291,7 +291,8 @@ func (Runner) Run(s Scenario) Result {
 	// migrate models a forced migration: one rank of a running job moves to
 	// the first free eligible host and pays the mode's freeze window.
 	migrate := func(j *runJob, tick int, why string) {
-		if !j.running || len(j.hosts) == 0 {
+		hosts := ledger.Placement(j.spec.Name)
+		if !j.running || len(hosts) == 0 {
 			digest("migrate job=%s skipped (%s)", j.spec.Name, "not running")
 			return
 		}
@@ -300,8 +301,8 @@ func (Runner) Run(s Scenario) Result {
 			digest("migrate job=%s skipped (no free destination)", j.spec.Name)
 			return
 		}
-		from := j.hosts[len(j.hosts)-1]
-		j.hosts[len(j.hosts)-1] = to[0]
+		from := hosts[len(hosts)-1]
+		ledger.Move(j.spec.Name, from, to[0])
 		chargeMigration(j, tick, from, to[0], why)
 	}
 
@@ -313,39 +314,38 @@ func (Runner) Run(s Scenario) Result {
 			digest("resize job=%s skipped (not running)", j.spec.Name)
 			return
 		}
-		old := len(j.hosts)
+		old := len(ledger.Placement(j.spec.Name))
 		if world == old {
 			digest("resize job=%s skipped (already at world %d)", j.spec.Name, world)
 			return
 		}
-		grew := world > old
-		if grew {
+		nw := world
+		if world > old {
 			free := freeHosts(j.spec.Name, world-old)
 			if len(free) == 0 {
 				digest("resize job=%s skipped (no free hosts for world %d)", j.spec.Name, world)
 				return
 			}
-			j.hosts = append(j.hosts, free...)
+			occupy(j.spec.Name, free...)
+			nw = old + len(free)
 		} else {
-			j.hosts = j.hosts[:world]
+			for _, h := range slices.Clone(ledger.Placement(j.spec.Name)[world:]) {
+				ledger.Exit(j.spec.Name, h)
+			}
 		}
-		moved := old - len(j.hosts)
-		if moved < 0 {
-			moved = -moved
-		}
-		bytesMoved := float64(int64(s.StateMB)<<20) * float64(moved) / float64(max(old, len(j.hosts)))
+		bytesMoved := float64(int64(s.StateMB)<<20) * float64(max(old-nw, nw-old)) / float64(max(old, nw))
 		reshape := handshake + time.Duration(bytesMoved/bandwidth()*float64(time.Second))
-		if grew {
+		if nw > old {
 			reshape += spawnLatency
 		}
 		pause(j, tick, reshape)
 		resizeHist.Observe(reshape.Seconds())
 		res.Outcome.Resizes++
 		res.Resizes = append(res.Resizes, ResizeSpan{
-			AtSec: tick, Job: j.spec.Name, OldWorld: old, NewWorld: len(j.hosts),
+			AtSec: tick, Job: j.spec.Name, OldWorld: old, NewWorld: nw,
 			Reshape: metrics.FormatSeconds(reshape.Seconds()),
 		})
-		digest("resize job=%s %d->%d reshape=%s", j.spec.Name, old, len(j.hosts), reshape.Round(100*time.Microsecond))
+		digest("resize job=%s %d->%d reshape=%s", j.spec.Name, old, nw, reshape.Round(100*time.Microsecond))
 	}
 
 	// The drain cap: horizon plus generous room for the queue to empty. A
@@ -384,27 +384,19 @@ func (Runner) Run(s Scenario) Result {
 				downUntil[f.Host] = tick + f.DownSec
 				digest("crash-host host=%s down=%ds", f.Host, f.DownSec)
 				for _, j := range jobSet {
-					if !j.running {
+					hosts := ledger.Placement(j.spec.Name)
+					if !j.running || !slices.Contains(hosts, f.Host) {
 						continue
 					}
-					lost := 0
-					for _, h := range j.hosts {
-						if h == f.Host {
-							lost++
-						}
-					}
-					if lost == 0 {
-						continue
-					}
-					if j.spec.Elastic && len(j.hosts)-lost >= j.spec.MinWorld {
-						j.hosts = without(j.hosts, f.Host)
+					if j.spec.Elastic && len(hosts)-1 >= j.spec.MinWorld {
+						ledger.Exit(j.spec.Name, f.Host)
 						res.Outcome.ChurnShrinks++
-						digest("churn-shrink job=%s world=%d", j.spec.Name, len(j.hosts))
+						digest("churn-shrink job=%s world=%d", j.spec.Name, len(hosts)-1)
 					} else {
 						// The victim checkpointed at the previous tick:
 						// requeue with progress intact. A freeze window
 						// charged against the lost placement dies with it.
-						j.hosts = nil
+						ledger.Release(j.spec.Name)
 						j.running = false
 						j.pausedUntil = 0
 						res.Outcome.ChurnRequeues++
@@ -432,34 +424,27 @@ func (Runner) Run(s Scenario) Result {
 			}
 		}
 		// 3. Plan one admission cycle over the live fleet (skipped while the
-		// registry is mid-recovery from a crash-loop fault).
+		// registry is mid-recovery from a crash-loop fault, and when no job
+		// waits).
+		var pending, running []jobs.JobView
 		if tick%s.SchedEverySec == 0 && tick >= schedBlackout {
-			occ := map[string]string{}
-			var running []jobs.JobView
 			for _, j := range jobSet {
-				if !j.running {
-					continue
-				}
-				running = append(running, j.view())
-				for _, h := range j.hosts {
-					occ[h] = j.spec.Name
-				}
-			}
-			var pending []jobs.JobView
-			for _, j := range jobSet {
-				if !j.done && !j.running && j.spec.ArrivalSec <= tick {
+				switch {
+				case j.running:
+					running = append(running, j.view())
+				case !j.done && j.spec.ArrivalSec <= tick:
 					pending = append(pending, j.view())
 				}
 			}
-			var hosts []jobs.HostView
+		}
+		if len(pending) > 0 {
+			var up []string
 			for _, h := range hostNames {
-				if _, down := downUntil[h]; down {
-					continue
+				if _, down := downUntil[h]; !down {
+					up = append(up, h)
 				}
-				hosts = append(hosts, jobs.HostView{Name: h, Job: occ[h]})
 			}
-			view := jobs.ClusterView{Hosts: hosts, Running: running, Eligible: eligible}
-			for _, adm := range jobs.PlanCycle(policy, pending, view) {
+			for _, adm := range jobs.PlanCycle(policy, pending, ledger.View(up, running, eligible)) {
 				for _, ev := range adm.Evictions {
 					v := byName[ev.Job]
 					res.Outcome.Preemptions[string(ev.Mode)]++
@@ -467,22 +452,19 @@ func (Runner) Run(s Scenario) Result {
 					case jobs.EvictRequeue:
 						// Any freeze window charged against the lost
 						// placement dies with it.
-						v.hosts = nil
+						ledger.Release(ev.Job)
 						v.running = false
 						v.pausedUntil = 0
 						digest("evict job=%s mode=requeue for=%s", ev.Job, adm.Job)
 					case jobs.EvictShrink:
 						for _, h := range ev.Hosts {
-							v.hosts = without(v.hosts, h)
+							ledger.Exit(ev.Job, h)
 						}
-						digest("evict job=%s mode=shrink world=%d for=%s", ev.Job, len(v.hosts), adm.Job)
+						digest("evict job=%s mode=shrink world=%d for=%s", ev.Job, len(ledger.Placement(ev.Job)), adm.Job)
 					case jobs.EvictMigrate:
-						// Each contested rank live-migrates to its planned
-						// destination and pays a real freeze window. The
-						// planner already picked destinations clear of the
-						// admission's hosts, so no new placement is chosen
-						// here — choosing one could collide with the hosts
-						// the admission below is about to occupy.
+						// Each contested rank live-migrates to the planner's
+						// destination, clear of the admission's hosts, and
+						// pays a real freeze window.
 						moves := make([]string, 0, len(ev.Moves))
 						for h := range ev.Moves {
 							moves = append(moves, h)
@@ -490,17 +472,13 @@ func (Runner) Run(s Scenario) Result {
 						sort.Strings(moves)
 						digest("evict job=%s mode=migrate moved=%d for=%s", ev.Job, len(moves), adm.Job)
 						for _, h := range moves {
-							for i := range v.hosts {
-								if v.hosts[i] == h {
-									v.hosts[i] = ev.Moves[h]
-								}
-							}
+							ledger.Move(ev.Job, h, ev.Moves[h])
 							chargeMigration(v, tick, h, ev.Moves[h], "preempted")
 						}
 					}
 				}
 				j := byName[adm.Job]
-				j.hosts = append([]string(nil), adm.Hosts...)
+				occupy(adm.Job, adm.Hosts...)
 				j.running = true
 				if _, readmit := res.FirstAdmitSec[adm.Job]; !readmit {
 					res.FirstAdmitSec[adm.Job] = tick
@@ -508,34 +486,17 @@ func (Runner) Run(s Scenario) Result {
 				res.Outcome.Admissions++
 				digest("admit job=%s gang=%d hosts=%v", adm.Job, j.spec.Gang, adm.Hosts)
 			}
-			// The planner contract: after a cycle no host carries two
-			// running jobs. A violation is a programming error in the
-			// planner or this runner's eviction bookkeeping — fail loudly
-			// rather than pin a corrupt schedule into the goldens.
-			claimed := map[string]string{}
-			for _, j := range jobSet {
-				if !j.running {
-					continue
-				}
-				for _, h := range j.hosts {
-					if other, dup := claimed[h]; dup {
-						panic(fmt.Sprintf("scenario %s: t=%ds host %s assigned to both %s and %s",
-							s.Name, tick, h, other, j.spec.Name))
-					}
-					claimed[h] = j.spec.Name
-				}
-			}
 		}
 		// 4. Advance every running, unpaused job by its live world.
 		for _, j := range jobSet {
 			if !j.running || tick < j.pausedUntil {
 				continue
 			}
-			j.progressMs += int64(len(j.hosts)) * 1000
+			j.progressMs += int64(len(ledger.Placement(j.spec.Name))) * 1000
 			if j.progressMs >= j.workMs() {
 				j.running = false
 				j.done = true
-				j.hosts = nil
+				ledger.Release(j.spec.Name)
 				j.finish = tick + 1
 				remaining--
 				digest("complete job=%s", j.spec.Name)
@@ -568,14 +529,4 @@ func histQuantiles(h *metrics.Histogram) Quantiles {
 		P95:   metrics.FormatSeconds(h.Quantile(0.95)),
 		P99:   metrics.FormatSeconds(h.Quantile(0.99)),
 	}
-}
-
-// without returns hosts minus the first occurrence of h, preserving order.
-func without(hosts []string, h string) []string {
-	for i, x := range hosts {
-		if x == h {
-			return append(hosts[:i:i], hosts[i+1:]...)
-		}
-	}
-	return hosts
 }

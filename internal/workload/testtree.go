@@ -8,7 +8,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
@@ -169,7 +169,7 @@ func TestTree(cfg TreeConfig) hpcm.Main {
 				if err := ctx.Compute(work * float64(cfg.Levels)); err != nil {
 					return err
 				}
-				sort.Slice(tree, func(i, j int) bool { return tree[i] < tree[j] })
+				slices.Sort(tree)
 			case phaseSum:
 				if err := ctx.Compute(work); err != nil {
 					return err
