@@ -76,7 +76,8 @@ check: lint build test
 # (reserve in the planning cycle, two preemptors of one victim, a requeued
 # victim's held hosts, requeue before release, a migrate eviction's
 # destination held until the gang lands, the ledger following the
-# registry's first fit onto a shared host), of the two
+# registry's first fit onto a shared host, a timed-out eviction giving
+# the victim back the hosts it lent), of the two
 # jobs-crash chaos scenarios (the commit-failure edge), of the proto
 # client and server over real TCP (the client's one re-dial) and of a
 # standby reading the store while the primary writes it, the
@@ -87,7 +88,7 @@ check: lint build test
 ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
-	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$' ./internal/core
+	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$|TestTimedOutEvictionGivesTheVictimItsHostsBack$$' ./internal/core
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry

@@ -619,19 +619,25 @@ func (app *App) follow() {
 // applyMove re-homes the app's bookkeeping after a committed migration to
 // host to.
 func (app *App) applyMove(to string) {
-	s := app.sys
-	proc := app.Process()
-	app.mu.Lock()
-	oldHost, oldPID := app.host, app.pid
-	app.host = to
-	app.pid = proc.PID()
-	app.mu.Unlock()
-	s.mu.Lock()
-	s.ledger.Move(app.job, oldHost, to)
-	s.mu.Unlock()
+	oldHost, oldPID := app.rehome(nil, to)
+	_ = app.sys.reg.ProcessExit(oldHost, oldPID)
+	_ = app.sys.registerProc(app)
+}
 
-	_ = s.reg.ProcessExit(oldHost, oldPID)
-	_ = s.registerProc(app)
+// rehome records in the app and the job ledger that it runs on host to as p
+// (nil: its current process), and returns the host and pid it ran as before.
+func (app *App) rehome(p *hpcm.Process, to string) (string, int) {
+	app.mu.Lock()
+	from, pid := app.host, app.pid
+	if p != nil {
+		app.Proc = p
+	}
+	app.host, app.pid = to, app.Proc.PID()
+	app.mu.Unlock()
+	app.sys.mu.Lock()
+	app.sys.ledger.Move(app.job, from, to)
+	app.sys.mu.Unlock()
+	return from, pid
 }
 
 // Host returns where the app currently runs (tracked via events).

@@ -65,8 +65,7 @@ func (s *System) failover(app *App, cause error) bool {
 	// Exclude the host the failure points at: the crashed host for a kill
 	// or post-commit failure, the unreachable destination for an abort
 	// (the source host is healthy and stays a legitimate candidate).
-	from := app.Host()
-	exclude := from
+	exclude := app.Host()
 	var mf *hpcm.MigrationFailure
 	if errors.As(cause, &mf) && !mf.Committed {
 		exclude = mf.To
@@ -88,14 +87,7 @@ func (s *System) failover(app *App, cause error) bool {
 		s.opts.Metrics.Counter(CtrColdRestarts).Inc()
 	}
 
-	app.mu.Lock()
-	app.Proc = p
-	app.pid = p.PID()
-	app.host = cand.Host
-	app.mu.Unlock()
-	s.mu.Lock()
-	s.ledger.Move(app.job, from, cand.Host)
-	s.mu.Unlock()
+	app.rehome(p, cand.Host)
 	_ = s.registerProc(app)
 	return true
 }

@@ -58,6 +58,15 @@ type rankSlot struct {
 	shrunk bool // marked for shrink retirement; drops from the world on settle
 }
 
+// evictLocked puts every running rank of the run down; run.mu is held.
+func (run *jobRun) evictLocked() {
+	for _, sl := range run.slots {
+		if !sl.done {
+			sl.app.Process().Evict()
+		}
+	}
+}
+
 // Submit is the multi-job front door. A spec with pinned Hosts is admitted
 // synchronously on exactly those hosts — the compatibility path Launch
 // rides on; an unpinned spec joins the queue and the dispatcher admits it
@@ -85,7 +94,7 @@ func (s *System) submit(spec jobs.Spec) (*jobs.Job, []*App, error) {
 	}
 	spec = job.Spec()
 	if len(spec.Hosts) > 0 {
-		run := s.claimRun(spec, spec.Hosts)
+		run := s.claimRun(spec, spec.Hosts, false)
 		apps, err := s.launchRun(job, run, spec.Hosts)
 		if err != nil {
 			s.queue.Settle(spec.Name, jobs.StateFailed, err, "launch failed")
@@ -119,11 +128,7 @@ func (s *System) CancelJob(name string) error {
 		}
 		run.mu.Lock()
 		run.intent = intentCancel
-		for _, sl := range run.slots {
-			if !sl.done {
-				sl.app.Process().Evict()
-			}
-		}
+		run.evictLocked()
 		run.mu.Unlock()
 	default:
 		// A pending or already-terminal job has no runtime to tear down;
@@ -154,16 +159,23 @@ func (s *System) jobRun(name string) *jobRun {
 	return s.jobRuns[name]
 }
 
-// claimRun registers a jobRun and pins hosts to it in the ledger, replacing
-// what a stale run of the name held, before the gang reservation commits:
-// at every instant the hosts are protected by the marks or the ledger.
-func (s *System) claimRun(spec jobs.Spec, hosts []string) *jobRun {
-	run := &jobRun{name: spec.Name, spec: spec, slots: make(map[int]*rankSlot, len(hosts))}
+// claimRun registers a jobRun with hosts as its placement in the ledger,
+// replacing what a stale run of the name held, before the gang reservation
+// commits: at every instant the hosts are protected by the marks or the
+// ledger. An admission claims through Occupy (occupy set), and claimRun
+// returns nil while another job holds one of hosts; a pinned submit's
+// hosts are recorded as given.
+func (s *System) claimRun(spec jobs.Spec, hosts []string, occupy bool) *jobRun {
 	s.mu.Lock()
-	s.jobRuns[spec.Name] = run
+	defer s.mu.Unlock()
 	s.ledger.Release(spec.Name)
-	s.ledger.Pin(spec.Name, hosts...)
-	s.mu.Unlock()
+	if !occupy {
+		s.ledger.Pin(spec.Name, hosts...)
+	} else if s.ledger.Occupy(spec.Name, hosts...) != nil {
+		return nil
+	}
+	run := &jobRun{name: spec.Name, spec: spec, slots: make(map[int]*rankSlot, len(hosts))}
+	s.jobRuns[spec.Name] = run
 	return run
 }
 
@@ -224,11 +236,13 @@ func (s *System) dispatchLoop() {
 // concurrently but on disjoint host sets (the planner's consistency
 // guarantee plus the registry's reservation marks).
 //
-// The fleet is read first, then the ledger, then the pending queue. An
-// admission pins its hosts in the ledger before its Commit lets the
-// reservation marks go, so a cycle that sees the hosts unreserved sees
-// them held too; and a failed admission is Pending again before it gives
-// its hosts back, so a cycle that sees them free sees the job pending.
+// The fleet is read first, then the running jobs, the ledger and the
+// pending queue. An admission claims its hosts in the ledger before its
+// Commit lets the reservation marks go, so a cycle that sees the hosts
+// unreserved sees them held too; and a failed admission is Pending again
+// before it gives its hosts back, so a cycle that sees them free sees the
+// job pending. A job that finishes between the running and the ledger
+// reads shows no hosts, and the planner evicts no job without hosts.
 func (s *System) runCycle() {
 	if !s.queue.HasPending() {
 		return
@@ -303,20 +317,18 @@ func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) 
 		return
 	}
 	spec := job.Spec()
-	if len(adm.Evictions) > 0 {
-		for _, ev := range adm.Evictions {
-			s.evictVictim(ev)
-		}
-		if !s.awaitVacated(adm) {
-			requeue("eviction timed out")
-			g.Abort()
-			return
-		}
+	for _, ev := range adm.Evictions {
+		s.evictVictim(ev)
 	}
 	// A failed Commit has released the reservation marks already; the
 	// ledger holds the hosts until the job is Pending again, and Commit
 	// hands the migration destinations to the migrated ranks.
-	run := s.claimRun(spec, adm.Hosts)
+	run := s.awaitClaim(spec, adm.Hosts)
+	if run == nil {
+		requeue("eviction timed out")
+		s.abortEvictions(adm, g)
+		return
+	}
 	if err := g.Commit(); err != nil {
 		s.opts.Metrics.Counter(CtrJobsReservations).Inc()
 		requeue("reservation lost: " + err.Error())
@@ -331,7 +343,30 @@ func (s *System) execAdmission(adm jobs.Admission, g *registry.GangReservation) 
 	s.opts.Metrics.Counter(CtrJobsAdmitted).Inc()
 }
 
-// evictVictim fires one eviction. Completion is observed by awaitVacated
+// abortEvictions gives an admission's reservation back. A victim being
+// requeued whole lent it the hosts its settled ranks left; they are the
+// victim's again until it is Pending, as unreserved hosts are. rankSettled
+// decides under s.mu too, so a rank settling now lends before the abort or
+// keeps its host after it.
+func (s *System) abortEvictions(adm jobs.Admission, g *registry.GangReservation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g.Abort()
+	for _, ev := range adm.Evictions {
+		if run := s.jobRuns[ev.Job]; run != nil && ev.Mode == jobs.EvictRequeue {
+			run.mu.Lock()
+			for _, sl := range run.slots {
+				h := sl.app.Host()
+				if run.intent == intentRequeue && sl.done && slices.Contains(adm.Reserves(), h) && !slices.Contains(s.ledger.Placement(ev.Job), h) {
+					s.ledger.Pin(ev.Job, h)
+				}
+			}
+			run.mu.Unlock()
+		}
+	}
+}
+
+// evictVictim fires one eviction. Completion is observed by awaitClaim
 // (hosts emptying) and the victim's own rank watchers (state transitions).
 func (s *System) evictVictim(ev jobs.Eviction) {
 	run := s.jobRun(ev.Job)
@@ -343,11 +378,7 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 		_ = s.queue.Transition(ev.Job, jobs.StatePreempting, "preempted: requeue")
 		run.mu.Lock()
 		run.intent = intentRequeue
-		for _, sl := range run.slots {
-			if !sl.done {
-				sl.app.Process().Evict()
-			}
-		}
+		run.evictLocked()
 		run.mu.Unlock()
 	case jobs.EvictShrink:
 		run.mu.Lock()
@@ -386,22 +417,17 @@ func (s *System) evictVictim(ev jobs.Eviction) {
 	}
 }
 
-// awaitVacated polls in virtual time until no other job holds any of the
-// admission's target hosts.
-func (s *System) awaitVacated(adm jobs.Admission) bool {
+// awaitClaim claims an admission's hosts for its job once no other job
+// holds any, polling in virtual time; nil when the evictions time out or
+// the dispatcher stops.
+func (s *System) awaitClaim(spec jobs.Spec, hosts []string) *jobRun {
 	deadline := s.clock.Now().Add(evictionTimeout)
 	for {
-		s.mu.Lock()
-		vacated := s.ledger.Vacated(adm)
-		s.mu.Unlock()
-		if vacated {
-			return true
+		if run := s.claimRun(spec, hosts, true); run != nil {
+			return run
 		}
-		if s.clock.Now().After(deadline) {
-			return false
-		}
-		if vclock.Wait(s.clock, evictionPoll, s.dispatchStop) {
-			return false
+		if s.clock.Now().After(deadline) || vclock.Wait(s.clock, evictionPoll, s.dispatchStop) {
+			return nil
 		}
 	}
 }
@@ -516,7 +542,6 @@ func (s *System) startProc(name, host string, main hpcm.Main, restore bool) (*hp
 // in the rank's follow goroutine, before the App's settled channel closes,
 // so job-level bookkeeping is complete by the time App.Wait returns.
 func (s *System) rankSettled(run *jobRun, idx int, err error) {
-	reserved := s.reg.Reserved()
 	run.mu.Lock()
 	sl := run.slots[idx]
 	sl.done = true
@@ -525,11 +550,7 @@ func (s *System) rankSettled(run *jobRun, idx int, err error) {
 		// Terminal rank failure (failover budget spent): a gang missing a
 		// rank is no gang — put the others down too.
 		run.failErr = err
-		for _, other := range run.slots {
-			if !other.done {
-				other.app.Process().Evict()
-			}
-		}
+		run.evictLocked()
 	}
 	allDone := true
 	for _, other := range run.slots {
@@ -542,14 +563,13 @@ func (s *System) rankSettled(run *jobRun, idx int, err error) {
 	run.mu.Unlock()
 
 	// The rank gives its host back, but a job requeued whole keeps the hosts
-	// no admission reserved until it is Pending and can compete for them.
-	if host := sl.app.Host(); intent != intentRequeue || slices.Contains(reserved, host) {
-		s.mu.Lock()
-		if s.jobRuns[run.name] == run {
-			s.ledger.Exit(run.name, host)
-		}
-		s.mu.Unlock()
+	// no admission reserved until it is Pending and can compete for them
+	// (abortEvictions returns the hosts it lent an aborted admission).
+	s.mu.Lock()
+	if host := sl.app.Host(); s.jobRuns[run.name] == run && (intent != intentRequeue || slices.Contains(s.reg.Reserved(), host)) {
+		s.ledger.Exit(run.name, host)
 	}
+	s.mu.Unlock()
 	if !allDone {
 		return
 	}

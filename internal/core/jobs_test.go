@@ -482,6 +482,58 @@ func TestRequeuedVictimKeepsItsHostsUntilPending(t *testing.T) {
 	}
 }
 
+// TestTimedOutEvictionGivesTheVictimItsHostsBack: hi requeues a victim
+// gang of two off both hosts. Rank 0 stops at once and lends its host to
+// hi's reservation; rank 1 runs 40 virtual minutes to its poll-point, so
+// hi's admission times out at 30. The abort gives rank 0's host back to the
+// victim, still Preempting, so a job submitted then, even above hi, waits
+// for the victim to be Pending instead of taking that host.
+func TestTimedOutEvictionGivesTheVictimItsHostsBack(t *testing.T) {
+	s, _ := newSystem(t, 0, 2, Options{JobPolicy: jobs.PriorityPreemptive{}, SchedInterval: time.Second})
+	victim, err := s.Submit(jobs.Spec{Name: "victim", Gang: 2, Priority: 1, Rank: func(rank, _ int) hpcm.Main {
+		return func(ctx *hpcm.Context) error {
+			for i := 0; i < 20; i++ {
+				s.Clock().Sleep(time.Duration(1+2399*rank) * time.Second)
+				if err := ctx.PollPoint("step"); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, victim, jobs.StateRunning)
+	hi, err := s.Submit(jobs.Spec{Name: "hi", Gang: 2, Priority: 2, Rank: rankJacobi(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Clock().Sleep(10 * time.Second)
+	rank0, err := s.RankApp("victim", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !closed(rank0.Settled()) || victim.State() != jobs.StatePreempting || !slices.Contains(s.reg.Reserved(), rank0.Host()) {
+		t.Fatalf("set-up: rank 0 settled %v, victim %s, reserved %v; want rank 0's host %s lent to hi", closed(rank0.Settled()), victim.State(), s.reg.Reserved(), rank0.Host())
+	}
+	s.Clock().Sleep(evictionTimeout)
+	if victim.State() != jobs.StatePreempting || hi.State() != jobs.StatePending {
+		t.Fatalf("after the timeout: victim %s, hi %s; want preempting, pending", victim.State(), hi.State())
+	}
+	late, err := s.Submit(jobs.Spec{Name: "late", Gang: 1, Priority: 3, Rank: rankJacobi(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Clock().Sleep(5 * time.Second)
+	s.mu.Lock()
+	placed := slices.Clone(s.ledger.Placement("victim"))
+	s.mu.Unlock()
+	if !slices.Contains(placed, rank0.Host()) || late.State() != jobs.StatePending {
+		t.Fatalf("after the abort: the victim holds %v and late is %s; want %s held and late pending", placed, late.State(), rank0.Host())
+	}
+}
+
 // twoPreemptors runs two high-priority singletons, hi and hi2 (submitted
 // hi2After behind hi), against one low-priority gang of two on a fleet of
 // two hosts, and checks that the dispatcher reserves only what the planner

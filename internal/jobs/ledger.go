@@ -95,9 +95,6 @@ func (l *Ledger) Placement(job string) []string {
 	return nil
 }
 
-// Vacated reports whether no other job holds a host adm takes.
-func (l *Ledger) Vacated(adm Admission) bool { return l.clash(adm.Job, adm.Hosts) == nil }
-
 // View snapshots fleet, the schedulable hosts in planning order, for the
 // planner: each host names its first-admitted holder, and each running
 // view's Hosts becomes the job's placement cut to the fleet.

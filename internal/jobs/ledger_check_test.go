@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,7 +13,7 @@ import (
 	"autoresched/internal/registry"
 )
 
-// The small-scope checker: every event sequence up to -ledger.depth over
+// The small-scope checker: every event sequence up to ledgerDepth over
 // four hosts and three jobs, under each policy, with the real PlanCycle at
 // every Plan and a real registry holding the reservations. It drives the
 // ledger the way both runners do — a plan reserves Admission.Reserves, a
@@ -32,7 +31,8 @@ import (
 // States are deduplicated, and the search is breadth first, so a
 // violation is reported with its shortest event sequence.
 
-var ledgerDepth = flag.Int("ledger.depth", 9, "event depth of the ledger checker")
+// ledgerDepth is the checker's event depth.
+const ledgerDepth = 9
 
 // ckHosts is the fleet, in registration order; ckHosts[0] is the fast host.
 var ckHosts = [...]string{"h1", "h2", "h3", "h4"}
@@ -199,7 +199,7 @@ func (ck *checker) successors(s *ckState) ([]*ckState, error) {
 		next("land "+m.job+" "+m.from+"->"+m.to, func(c *ckState) error { return ck.land(c, m) })
 	}
 	for _, a := range s.flights {
-		if s.ledger.Vacated(a) {
+		if s.ledger.clash(a.Job, a.Hosts) == nil {
 			next("commit "+a.Job, func(c *ckState) error { return ck.commit(c, a.Job) })
 		}
 		// A move whose destination loses its reservation mid-flight is
@@ -352,8 +352,8 @@ func (ck *checker) land(s *ckState, m ckMove) error {
 	return nil
 }
 
-// commit resolves an admission whose hosts are vacated: the registry's
-// Commit, then Occupy, which must not refuse. A lost host fails the commit
+// commit resolves an admission whose hosts no other job holds: the
+// registry's Commit, then Occupy, which must not refuse. A lost host fails the commit
 // and the job is Pending again.
 func (ck *checker) commit(s *ckState, job string) error {
 	reg, gangs, err := ck.registry(s)
@@ -497,16 +497,16 @@ func TestLedgerSmallScope(t *testing.T) {
 	for _, name := range names {
 		for _, p := range Policies() {
 			ck := &checker{policy: p, jobs: ckFixtures[name], modes: modes}
-			violation, visited := ck.explore(*ledgerDepth)
+			violation, visited := ck.explore(ledgerDepth)
 			if violation != "" {
 				t.Errorf("%s %s: %s", name, p.Name(), violation)
 			}
-			t.Logf("%s %s: %d states to depth %d", name, p.Name(), visited, *ledgerDepth)
+			t.Logf("%s %s: %d states to depth %d", name, p.Name(), visited, ledgerDepth)
 		}
 	}
 	for _, m := range []EvictMode{EvictRequeue, EvictShrink, EvictMigrate} {
 		if modes[m] == 0 {
-			t.Errorf("no %s eviction planned to depth %d; the checker does not cover it", m, *ledgerDepth)
+			t.Errorf("no %s eviction planned to depth %d; the checker does not cover it", m, ledgerDepth)
 		}
 	}
 }

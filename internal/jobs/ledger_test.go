@@ -35,6 +35,21 @@ func TestLedgerTransitions(t *testing.T) {
 			owner: map[string]string{"h3": "a"},
 		},
 		{
+			name: "Occupy takes a host once its holder exits",
+			apply: func(t *testing.T, l *Ledger) {
+				l.Pin("b", "h3")
+				if err := l.Occupy("a", "h3"); err == nil {
+					t.Error("Occupy gave a h3, which b holds")
+				}
+				l.Exit("b", "h3")
+				if err := l.Occupy("a", "h3"); err != nil {
+					t.Error(err)
+				}
+			},
+			want:  map[string][]string{"a": {"h1", "h2", "h3"}, "b": {}},
+			owner: map[string]string{"h3": "a"},
+		},
+		{
 			name:  "Pin shares a held host",
 			apply: func(_ *testing.T, l *Ledger) { l.Pin("b", "h2") },
 			want:  map[string][]string{"a": {"h1", "h2"}, "b": {"h2"}},
@@ -88,21 +103,6 @@ func TestLedgerTransitions(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLedgerVacated: an admission's hosts are vacated when no other job
-// holds one, whatever the admitted job itself holds.
-func TestLedgerVacated(t *testing.T) {
-	var l Ledger
-	l.Pin("adm", "h1")
-	l.Pin("vic", "h2")
-	if l.Vacated(Admission{Job: "adm", Hosts: []string{"h1", "h2"}}) {
-		t.Error("vacated while vic holds h2")
-	}
-	l.Exit("vic", "h2")
-	if !l.Vacated(Admission{Job: "adm", Hosts: []string{"h1", "h2"}}) {
-		t.Error("not vacated: the admission's own h1 counted against it")
 	}
 }
 

@@ -22,6 +22,7 @@ package malleable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,7 +314,7 @@ func (j *Job) Propose(target []string) error {
 		return nil
 	}
 	root := j.placement[0]
-	if !containsHost(tgt, root) {
+	if !slices.Contains(tgt, root) {
 		j.mu.Unlock()
 		return fmt.Errorf("malleable: target drops the pinned root host %q", root)
 	}
@@ -335,20 +336,11 @@ func (j *Job) takePending(cur []string) (*proposal, int) {
 		return nil, 0
 	}
 	j.pending = nil
-	if !containsHost(p.target, cur[0]) || sameHostSet(p.target, cur) {
+	if !slices.Contains(p.target, cur[0]) || sameHostSet(p.target, cur) {
 		return nil, 0
 	}
 	j.epochs++
 	return p, j.epochs
-}
-
-func containsHost(hosts []string, h string) bool {
-	for _, x := range hosts {
-		if x == h {
-			return true
-		}
-	}
-	return false
 }
 
 func sameHostSet(a, b []string) bool {
@@ -356,7 +348,7 @@ func sameHostSet(a, b []string) bool {
 		return false
 	}
 	for _, h := range a {
-		if !containsHost(b, h) {
+		if !slices.Contains(b, h) {
 			return false
 		}
 	}

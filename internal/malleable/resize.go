@@ -21,6 +21,7 @@ package malleable
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"autoresched/internal/mpi"
 )
@@ -80,7 +81,7 @@ func makePlan(epoch int, cur, target []string) plan {
 		cur:    append([]string(nil), cur...),
 	}
 	for r, host := range cur {
-		if containsHost(target, host) {
+		if slices.Contains(target, host) {
 			p.survivor = append(p.survivor, r)
 			p.newPlace = append(p.newPlace, host)
 		} else {
@@ -88,7 +89,7 @@ func makePlan(epoch int, cur, target []string) plan {
 		}
 	}
 	for _, host := range target {
-		if !containsHost(cur, host) {
+		if !slices.Contains(cur, host) {
 			p.added = append(p.added, host)
 			p.newPlace = append(p.newPlace, host)
 		}

@@ -472,6 +472,9 @@ func (Runner) Run(s Scenario) Result {
 						sort.Strings(moves)
 						digest("evict job=%s mode=migrate moved=%d for=%s", ev.Job, len(moves), adm.Job)
 						for _, h := range moves {
+							if o := ledger.Owner(ev.Moves[h]); o != "" {
+								panic(fmt.Sprintf("scenario %s: t=%ds %s's rank moves onto %s, which is %s's", s.Name, now, ev.Job, ev.Moves[h], o))
+							}
 							ledger.Move(ev.Job, h, ev.Moves[h])
 							chargeMigration(v, tick, h, ev.Moves[h], "preempted")
 						}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"autoresched/internal/jobs"
 )
@@ -71,16 +72,6 @@ func DefaultSpace() Space {
 	}
 }
 
-// contains reports list membership.
-func contains[T comparable](list []T, v T) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Check validates a scenario against the space: axis membership plus the
 // coherence constraints that reject incoherent combos. The generator
 // constructs scenarios that pass by design; Check is the proof obligation
@@ -89,16 +80,16 @@ func (sp Space) Check(s Scenario) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %s: %s", s.Name, fmt.Sprintf(format, args...))
 	}
-	if !contains(sp.Workloads, s.Workload) {
+	if !slices.Contains(sp.Workloads, s.Workload) {
 		return fail("workload %q outside space", s.Workload)
 	}
-	if !contains(sp.MemModes, s.MemMode) {
+	if !slices.Contains(sp.MemModes, s.MemMode) {
 		return fail("mem mode %q outside space", s.MemMode)
 	}
-	if !contains(sp.Migrations, s.Migration) {
+	if !slices.Contains(sp.Migrations, s.Migration) {
 		return fail("migration %q outside space", s.Migration)
 	}
-	if !contains(sp.Policies, s.Policy) {
+	if !slices.Contains(sp.Policies, s.Policy) {
 		return fail("policy %q outside space", s.Policy)
 	}
 	if _, err := jobs.PolicyByName(s.Policy); err != nil {
@@ -109,10 +100,10 @@ func (sp Space) Check(s Scenario) error {
 	if persistence == "" {
 		persistence = PersistNone
 	}
-	if !contains(sp.Persistence, persistence) {
+	if !slices.Contains(sp.Persistence, persistence) {
 		return fail("persistence %q outside space", s.Persistence)
 	}
-	if !contains(sp.LinkMbps, s.LinkMbps) {
+	if !slices.Contains(sp.LinkMbps, s.LinkMbps) {
 		return fail("link speed %d Mbps outside space", s.LinkMbps)
 	}
 	if !sp.Hosts.contains(s.Hosts) {
@@ -143,7 +134,7 @@ func (sp Space) Check(s Scenario) error {
 	if s.Migration != MigrateLive && s.DirtyPagesPerSec != 0 {
 		return fail("dirty rate %d on a stop-and-copy scenario", s.DirtyPagesPerSec)
 	}
-	if s.Migration == MigrateLive && !contains(sp.DirtyRates, s.DirtyPagesPerSec) {
+	if s.Migration == MigrateLive && !slices.Contains(sp.DirtyRates, s.DirtyPagesPerSec) {
 		return fail("dirty rate %d outside space", s.DirtyPagesPerSec)
 	}
 
