@@ -77,8 +77,11 @@ check: lint build test
 # victim's held hosts, requeue before release, a migrate eviction's
 # destination held until the gang lands, the ledger following the
 # registry's first fit onto a shared host, a timed-out eviction giving
-# the victim back the hosts it lent), of the two
-# jobs-crash chaos scenarios (the commit-failure edge), of the proto
+# the victim back the hosts it lent), of the live migrations whose
+# application writes its paged region while precopy rounds are on the
+# wire (a page the destination adopted and the source still wrote would be
+# a data race), of the two jobs-crash chaos scenarios (the commit-failure
+# edge), of the proto
 # client and server over real TCP (the client's one re-dial) and of a
 # standby reading the store while the primary writes it, the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
@@ -89,6 +92,7 @@ ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$|TestTimedOutEvictionGivesTheVictimItsHostsBack$$' ./internal/core
+	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$' ./internal/hpcm
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry
@@ -152,8 +156,10 @@ fleet: build
 # candidate selection at 512 hosts (state-indexed vs the seed's re-sort
 # baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged writes / dirty scans / modeled
-# downtime, resizes, admission by queue depth, and the persist append,
-# snapshot fold, snapshot write and replay paths. A developer tool: regressions are gated by
+# downtime, a stop-and-copy and a live migration by state size (B/op
+# prices hpcm's data path), resizes, admission by queue depth, and the
+# persist append, snapshot fold, snapshot write and replay paths. A
+# developer tool: regressions are gated by
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
 	$(GO) test -run '^$$' -bench BenchmarkCodec -benchtime 10000x -benchmem ./internal/proto
@@ -162,6 +168,7 @@ bench: build
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi
 	$(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments
 	$(GO) test -run '^$$' -bench . -benchtime 1000x -benchmem ./internal/livemig
+	$(GO) test -run '^$$' -bench 'BenchmarkMigration|BenchmarkLiveMigration' -benchtime 10x -benchmem ./internal/hpcm
 	$(GO) test -run '^$$' -bench BenchmarkResize -benchtime 100x -benchmem ./internal/malleable
 	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 1000x -benchmem ./internal/jobs
 	$(GO) test -run '^$$' -bench 'BenchmarkAppend|BenchmarkSnapshotRoundtrip' \

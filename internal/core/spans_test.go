@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"autoresched/internal/hpcm"
-	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
 	"autoresched/internal/proto"
 	"autoresched/internal/sim"
@@ -159,14 +158,11 @@ func TestFallbackTotalIsTheMigrationTime(t *testing.T) {
 	// round ships it: the dirty set never shrinks.
 	app, release := r.launch("app", func(ctx *hpcm.Context) error {
 		var next int
-		pages, err := livemig.NewPages(256*pageBytes, pageBytes)
-		if err != nil {
-			return err
-		}
 		if err := ctx.Register("next", &next); err != nil {
 			return err
 		}
-		if err := ctx.RegisterPages("grid", pages); err != nil {
+		pages, err := ctx.RegisterPages("grid", 256*pageBytes, pageBytes)
+		if err != nil {
 			return err
 		}
 		if ctx.Resumed() {

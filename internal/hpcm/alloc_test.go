@@ -3,6 +3,7 @@
 package hpcm
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -56,5 +57,107 @@ func TestNilMetricsMigrationAllocatesNoMore(t *testing.T) {
 	testing.AllocsPerRun(100, migrate)
 	if avg := testing.AllocsPerRun(50, migrate); avg > migrationAllocCeiling {
 		t.Fatalf("a migration on nil Metrics allocates %.0f objects, want at most %d", avg, migrationAllocCeiling)
+	}
+}
+
+// allocated returns the bytes the program has allocated so far.
+func allocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// liveRegion is the paged region the copy-count pins migrate: 4 MiB.
+const liveRegion = 4 << 20
+
+// TestLiveMigrationCopiesTheRegionOnce: a converged live migration of an
+// R-byte paged region pays for one copy of it, round 1's, plus the pages it
+// resends. The destination adopts that copy as its region, the resumed
+// incarnation allocates none of its own and the freeze delta ships windows
+// of the source's region, so the whole migration stays under 1.25 R plus a
+// fixed slack; a receive buffer or a zeroed region back would each add R.
+func TestLiveMigrationCopiesTheRegionOnce(t *testing.T) {
+	const slack = 512 << 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mw, clock := newLiveBenchMW(t)
+	defer clock.Close()
+	gate := newTurnstile(clock)
+	p, err := mw.Start("app", "a", liveMain(liveRegion, gate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.open() // the source holds its region
+	before := allocated()
+	p.Signal(Command{DestHost: "b"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := allocated() - before
+	if rec := p.Records()[0]; rec.FreezeAt.IsZero() || rec.PrecopyRounds < 1 {
+		t.Fatalf("the migration did not precopy and freeze: %+v", rec)
+	}
+	if limit := uint64(liveRegion*5/4 + slack); got > limit {
+		t.Fatalf("a live migration of a %d-byte region allocated %d bytes, want at most %d", liveRegion, got, limit)
+	}
+}
+
+// TestResumedRegisterPagesAllocatesNoRegion: a resumed incarnation's region
+// waits for the memory that arrived; only a fresh one allocates its own.
+func TestResumedRegisterPagesAllocatesNoRegion(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	inventory := image{Segments: []segment{{Name: "region", Lazy: true, Size: liveRegion, Enc: encRaw}}}
+	for _, tc := range []struct {
+		ctx    *Context
+		region bool
+	}{
+		{&Context{state: newRegistry(nil)}, true},
+		{&Context{label: "moved", state: newRegistry(newSavedState(nil, inventory))}, false},
+	} {
+		before := allocated()
+		if _, err := tc.ctx.RegisterPages("region", liveRegion, livePageBytes); err != nil {
+			t.Fatal(err)
+		}
+		if got := allocated() - before; (got >= liveRegion) != tc.region {
+			t.Fatalf("RegisterPages (resumed %v) allocated %d bytes for a %d-byte region", tc.ctx.Resumed(), got, liveRegion)
+		}
+	}
+}
+
+// TestStopAndCopyDoesNotShareTheSourceArray: stop-and-copy collects an
+// eager []float64 by reference, so the destination must copy it — adopting
+// it as the precopy rounds' snapshots are would hand the resumed
+// incarnation memory the source still owns.
+func TestStopAndCopyDoesNotShareTheSourceArray(t *testing.T) {
+	mw, _ := newMW(t, &testBinder{}, 0)
+	arrays := make(chan *float64, 2)
+	p, err := mw.Start("app", "ws1", func(ctx *Context) error {
+		var grid []float64
+		if err := ctx.Register("grid", &grid); err != nil {
+			return err
+		}
+		if !ctx.Resumed() {
+			grid = make([]float64, 512)
+		}
+		arrays <- &grid[0]
+		for !ctx.Resumed() {
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Signal(Command{DestHost: "ws2"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Migrations() != 1 {
+		t.Fatal("the process did not migrate")
+	}
+	if source, dest := <-arrays, <-arrays; source == dest {
+		t.Fatal("the destination's slice shares the source's backing array")
 	}
 }

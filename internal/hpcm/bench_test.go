@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
 	"autoresched/internal/sim"
 	"autoresched/internal/vclock"
@@ -63,6 +64,82 @@ func BenchmarkMigration(b *testing.B) {
 				b.StartTimer()
 			}
 			b.SetBytes(size)
+		})
+	}
+}
+
+// livePageBytes is the page size of liveMain's region.
+const livePageBytes = 4096
+
+// liveMain is a process with one paged region of size bytes that dirties a
+// page per poll-point until it has moved, so a live migration converges
+// after round 1. gate, when non-nil, is passed once the region is
+// registered and filled: what the process holds before any migration.
+func liveMain(size int, gate *turnstile) Main {
+	return func(ctx *Context) error {
+		pages, err := ctx.RegisterPages("region", size, livePageBytes)
+		if err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			return ctx.Await("region")
+		}
+		pages.SetFloat64(size/8-1, 1)
+		if gate != nil {
+			gate.pass()
+		}
+		for i := 0; ; i++ {
+			pages.SetFloat64(i%(size/8), float64(i+2))
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// newLiveBenchMW is a live-path middleware on the Auto clock with a free
+// transport: what a migration costs beyond its wire time.
+func newLiveBenchMW(tb testing.TB) (*Middleware, *vclock.Auto) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: mpi.Instant{}})
+	mw, err := New(Options{Universe: u, Live: &livemig.Config{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mw, clock
+}
+
+// BenchmarkLiveMigration is BenchmarkMigration on the live path: one
+// complete migration of a process whose state is one paged region of the
+// given size, precopy round 1 and a freeze, on a free transport. B/op is
+// the data path's price: the source's region, round 1's copy (which the
+// destination adopts) and what the rounds after it resend.
+func BenchmarkLiveMigration(b *testing.B) {
+	for _, mb := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("%dMB", mb), func(b *testing.B) {
+			b.ReportAllocs()
+			size := mb << 20
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mw, clock := newLiveBenchMW(b)
+				b.StartTimer()
+				p, err := mw.Start("bench", "a", liveMain(size, nil))
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.Signal(Command{DestHost: "b"})
+				if err := p.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if p.Records()[0].FreezeAt.IsZero() {
+					b.Fatal("the migration did not precopy and freeze")
+				}
+				clock.Close()
+				b.StartTimer()
+			}
+			b.SetBytes(int64(size))
 		})
 	}
 }

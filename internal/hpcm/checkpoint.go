@@ -30,6 +30,8 @@ var ErrPreempted = errors.New("hpcm: process preempted")
 
 // CheckpointStore persists checkpoint images by application name.
 type CheckpointStore interface {
+	// Save stores data as app's most recent image. The store may keep data
+	// itself, so the caller must not modify it afterwards.
 	Save(app string, data []byte) error
 	// Load returns the most recent image, or ok=false if none exists.
 	Load(app string) (data []byte, ok bool, err error)
@@ -44,11 +46,11 @@ type MemStore struct {
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{m: make(map[string][]byte)} }
 
-// Save implements CheckpointStore.
+// Save implements CheckpointStore: it keeps data, no copy.
 func (s *MemStore) Save(app string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[app] = append([]byte(nil), data...)
+	s.m[app] = data
 	return nil
 }
 

@@ -44,18 +44,29 @@ func (c *Context) RegisterLazy(name string, ptr any) error {
 	return c.state.register(name, ptr, true)
 }
 
-// RegisterPages declares a paged bulk memory region (lazy, like
-// RegisterLazy: call Await before touching it on a resumed incarnation).
-// When the middleware runs with Options.Live and this is the process's only
-// paged region, migrations take the iterative-precopy live path: pages
-// stream while the application keeps computing, and the process freezes
-// only for the residual dirty set. On the classic path — and in
-// checkpoints — the region moves as its flat image.
-func (c *Context) RegisterPages(name string, pages *livemig.Pages) error {
-	if pages == nil {
-		return fmt.Errorf("hpcm: RegisterPages %q with nil region", name)
+// RegisterPages declares a paged bulk memory region of size bytes in pages
+// of pageBytes (livemig.NewPages) and returns it. It is lazy, like
+// RegisterLazy: on a resumed incarnation the region has no memory of its
+// own until Await installs the one that arrived, so touching it before
+// Await is the caller's error. When the middleware runs with Options.Live
+// and this is the process's only paged region, migrations take the
+// iterative-precopy live path: pages stream while the application keeps
+// computing, and the process freezes only for the residual dirty set. On
+// the classic path — and in checkpoints — the region moves as its flat
+// image.
+func (c *Context) RegisterPages(name string, size, pageBytes int) (*livemig.Pages, error) {
+	region := livemig.NewPages
+	if c.Resumed() {
+		region = livemig.Unloaded
 	}
-	return c.state.register(name, pages, true)
+	pages, err := region(size, pageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("hpcm: RegisterPages %q: %w", name, err)
+	}
+	if err := c.state.register(name, pages, true); err != nil {
+		return nil, err
+	}
+	return pages, nil
 }
 
 // Await blocks until the named lazy state is restored. On fresh

@@ -401,6 +401,9 @@ func TestRegisterValidation(t *testing.T) {
 		if err := ctx.Register("nil", nil); err == nil {
 			return errors.New("nil pointer accepted")
 		}
+		if _, err := ctx.RegisterPages("pages", 0, 64); err == nil {
+			return errors.New("empty paged region accepted")
+		}
 		if err := ctx.Await("ghost"); err == nil {
 			return errors.New("await of unregistered state accepted")
 		}

@@ -38,17 +38,27 @@ package hpcm
 //
 // A live migration puts precopy rounds in front of that, each an image of its
 // own on the same two tags: a header with Round r ≥ 1 (omitted when zero)
-// whose one segment is a page delta — a "raw" segment with Pages{Bytes, IDs},
-// meaning only the pages IDs (ascending, Bytes each, the region's last one
-// possibly short) of this Size-byte region travel, one fragment a page, and
-// the receiver patches them into the region earlier rounds started. The
-// handover image (Round 0) ends the stream: after precopy its inventory
-// closes with one more delta, the pages dirtied since the last round, which
-// completes the region. A delta is eager whatever the application
-// registered, so the region is whole when the destination resumes. A header
-// that says Cancel instead ends the stream with nothing to resume: the
-// receiver drops what it has and exits. Stop-and-copy is the stream whose
-// first header has Round 0.
+// and one eager segment, the paged region. Round 1 carries every page, so
+// it is the whole region as an ordinary "raw" segment, one fragment: the
+// source's copy of it (livemig's Snapshot), which nothing on the source
+// touches again. A later round is a page delta — a "raw" segment with
+// Pages{Bytes, IDs}, meaning only the pages IDs (ascending, Bytes each, the
+// region's last one possibly short) of this Size-byte region travel, one
+// fragment a page — and the receiver patches them into the region earlier
+// rounds started. The handover image (Round 0) ends the stream: after
+// precopy its inventory closes with one more delta, the pages dirtied since
+// the last round, which completes the region; those fragments are windows
+// of the source's region, by reference like every collected segment. A
+// delta is eager whatever the application registered, so the region is
+// whole when the destination resumes. A header that says Cancel instead
+// ends the stream with nothing to resume: the receiver drops what it has and
+// exits. Stop-and-copy is the stream whose first header has Round 0.
+//
+// What the receiver keeps: a precopy round's whole segment arrives as a
+// buffer the source gave up, and becomes the segment's memory as it is.
+// Every other fragment references memory the source still owns — its live
+// arrays and region, or a round's copy cut into pages — and is copied once,
+// into a buffer the inventory sized or into the region a delta patches.
 //
 // In a checkpoint: one magic byte, the header's length as a big-endian
 // uint32, the header, then every segment's bytes in inventory order.
@@ -267,10 +277,12 @@ func receiveState(clock vclock.Clock, parent *mpi.Comm) (image, *savedState, err
 // restore is the receiving side of both halves: it cuts the fragments
 // arriving on tagEager or tagLazy into the image's eager or lazy segments by
 // the sizes the inventory declares, completing each segment as its last
-// byte arrives. Buffers are sized from the inventory, so reassembly is one
-// sequential copy per segment; a delta lands page by page in the region
-// earlier rounds started. A fragment that overruns its segment, or its page,
-// is an error.
+// byte arrives. A precopy round's whole segment is that round's snapshot,
+// which the source gave up: arriving as one fragment, it is adopted as the
+// segment's buffer. Anything else is copied once, into a buffer sized from
+// the inventory or, for a delta, page by page into the region earlier
+// rounds started. A fragment that overruns its segment, or its page, is an
+// error.
 func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 	tag := tagEager
 	if lazy {
@@ -286,7 +298,8 @@ func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 		if seg.Pages != nil {
 			d = *seg.Pages
 		}
-		buf := s.buffer(seg)
+		adopt := img.Round > 0 && seg.Pages == nil
+		var buf []byte // allocated at the first copy, unless adopted
 		for _, id := range d.IDs {
 			lo := id * d.Bytes
 			hi := min(lo+d.Bytes, seg.Size)
@@ -295,13 +308,25 @@ func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 					if _, err := parent.Recv(&frags, 0, tag); err != nil {
 						return err
 					}
-				} else if len(frags[0]) > hi-lo {
-					return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frags[0]), seg.Name, seg.Size)
-				} else {
-					lo += copy(buf[lo:], frags[0])
-					frags = frags[1:]
+					continue
+				}
+				frag := frags[0]
+				frags = frags[1:]
+				switch {
+				case len(frag) > hi-lo:
+					return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frag), seg.Name, seg.Size)
+				case adopt && len(frag) == seg.Size:
+					buf, lo = frag, hi
+				default:
+					if buf == nil {
+						buf = s.buffer(seg)
+					}
+					lo += copy(buf[lo:], frag)
 				}
 			}
+		}
+		if buf == nil {
+			buf = s.buffer(seg) // no byte arrived: empty, or a delta of no pages
 		}
 		s.completeLazy(seg.Name, buf)
 	}

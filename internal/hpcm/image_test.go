@@ -112,11 +112,8 @@ func hardFloats(n int, seed int64) []float64 {
 func stateMain(paged bool, out chan<- stateValues) Main {
 	return func(ctx *Context) error {
 		var v stateValues
-		pages, err := livemig.NewPages(32*64, 64)
-		if err != nil {
-			return err
-		}
-		err = errors.Join(
+		var pages *livemig.Pages
+		err := errors.Join(
 			ctx.Register("eager", &v.Eager),
 			ctx.Register("raw", &v.Raw),
 			ctx.RegisterLazy("empty", &v.Empty),
@@ -136,7 +133,7 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 			lazy = append(lazy, name)
 		}
 		if paged && err == nil {
-			err = ctx.RegisterPages("pages", pages)
+			pages, err = ctx.RegisterPages("pages", 32*64, 64)
 			lazy = append(lazy, "pages")
 		}
 		if err != nil {
@@ -145,7 +142,7 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 		report := func() {
 			w := v.clone()
 			if paged {
-				w.Pages = pages.Bytes()
+				w.Pages = bytes.Clone(pages.View())
 			}
 			out <- w
 		}
@@ -178,7 +175,7 @@ func stateMain(paged bool, out chan<- stateValues) Main {
 		v.Raw, v.Empty, v.Bulk = pattern(64, 1), []byte{}, pattern(testChunk*7/2, 2)
 		v.Floats = [5][]float64{hardFloats(64, 1), hardFloats(16, 2), hardFloats((testChunk*7/2+7)/8, 3), nil, {}}
 		v.Ints = [3][]int64{{math.MinInt64, math.MaxInt64, -1, 0, 1, 1 << 53}, nil, {}}
-		for w := 0; w < 32*8; w++ {
+		for w := 0; paged && w < 32*8; w++ {
 			pages.SetFloat64(w, float64(w)+0.5)
 		}
 		ctx.SetMemory(testMem)
@@ -649,6 +646,12 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 			stream: []image{round1, {Round: 2, Segments: []segment{region(pageDelta{16, []int{1}}, page(1, 2))}}, handover},
 			want: map[string][]byte{"eager": golden.Segments[0].Data, "raw": golden.Segments[1].Data,
 				"region": slices.Concat(page(0, 1), page(1, 2), page(2, 3))}},
+		{name: "round 1 whole, then patched",
+			stream: []image{
+				{Round: 1, Segments: []segment{{Name: "region", Size: 40, Enc: encRaw, Data: slices.Concat(page(0, 1), page(1, 1), page(2, 1))}}},
+				{Round: 2, Segments: []segment{region(pageDelta{16, []int{1}}, page(1, 2))}}, handover},
+			want: map[string][]byte{"eager": golden.Segments[0].Data, "raw": golden.Segments[1].Data,
+				"region": slices.Concat(page(0, 1), page(1, 2), page(2, 3))}},
 		{name: "empty residual", stream: []image{round1, {Label: "l", Segments: []segment{region(pageDelta{Bytes: 16})}}},
 			want: map[string][]byte{"region": slices.Concat(page(0, 1), page(1, 1), page(2, 1))}},
 		{name: "cancel after round 1", stream: []image{round1, {Cancel: true}}},
@@ -703,6 +706,14 @@ func TestReceiveStateFollowsTheStream(t *testing.T) {
 				sl, want := saved.slots[seg.Name], row.want[seg.Name]
 				if sl.ready != !seg.Lazy || sl.enc != seg.Enc || !bytes.Equal(sl.data, want) {
 					t.Fatalf("slot %q: ready=%v %s %x, want ready=%v %s %x", seg.Name, sl.ready, sl.enc, sl.data, !seg.Lazy, seg.Enc, want)
+				}
+			}
+			// The receiver keeps a precopy round's whole segment as it was
+			// sent, and copies whatever the source still owns.
+			if first := row.stream[0]; first.Segments[0].Data != nil {
+				sent := first.Segments[0]
+				if kept := &saved.slots[sent.Name].data[0] == &sent.Data[0]; kept != (first.Round > 0) {
+					t.Fatalf("round %d's segment %q kept as sent: %v", first.Round, sent.Name, kept)
 				}
 			}
 		})

@@ -22,13 +22,36 @@ import (
 // terminal decision — freeze and hand over for a converged attempt, a
 // cancel plus a fresh stop-and-copy migrate for fallback.
 
-// delta is the attempt's region as a page-delta segment: the pages ids, in
-// the eager half whatever the application registered.
-func (att *attempt) delta(ids []int, parts [][]byte) segment {
+// delta is the attempt's region as a page-delta segment, in the eager half
+// whatever the application registered: the pages ids, each a window of src
+// — the region's own memory, or with packed a round's copy that holds them
+// back to back. Nothing is copied.
+func (att *attempt) delta(ids []int, src []byte, packed bool) segment {
+	ps := att.pages.PageSize()
+	parts := make([][]byte, len(ids))
+	for k, id := range ids {
+		if packed {
+			id = k
+		}
+		lo, hi := id*ps, min((id+1)*ps, len(src))
+		parts[k] = src[lo:hi:hi]
+	}
 	return segment{
 		Name: att.pagesName, Size: att.pages.Len(), Enc: encRaw,
-		Pages: &pageDelta{Bytes: att.pages.PageSize(), IDs: ids}, parts: parts,
+		Pages: &pageDelta{Bytes: ps, IDs: ids}, parts: parts,
 	}
+}
+
+// round is precopy round r as an image of what Pages.Snapshot copied. A
+// round that carries every page — round 1 always does — is the whole
+// region, and its copy travels as one buffer the destination adopts; any
+// other is a delta of the round's pages.
+func (att *attempt) round(r int, ids []int, data []byte) image {
+	seg := segment{Name: att.pagesName, Size: len(data), Enc: encRaw, Data: data}
+	if len(ids) < att.pages.NumPages() {
+		seg = att.delta(ids, data, true)
+	}
+	return image{Round: r, Segments: []segment{seg}}
 }
 
 // release tells the destination to discard the partial region and exit,
@@ -54,8 +77,8 @@ func (c *Context) startPrecopy(att *attempt) {
 	p.xfer.Add(1)
 	vclock.Go(p.mw.clock, func() {
 		defer p.xfer.Done()
-		att.res, att.err = livemig.Precopy(att.pages, att.cancelled.Load, func(round int, ids []int, parts [][]byte) error {
-			img := image{Round: round, Segments: []segment{att.delta(ids, parts)}}
+		att.res, att.err = livemig.Precopy(att.pages, att.cancelled.Load, func(round int, ids []int, data []byte) error {
+			img := att.round(round, ids, data)
 			if err := img.sendState(att.inter); err != nil {
 				return err
 			}

@@ -27,14 +27,11 @@ const (
 func pagedMain(stages, dirtyPages int, gate *turnstile, sum *float64, mu *sync.Mutex) Main {
 	return func(ctx *Context) error {
 		var next int
-		pages, err := livemig.NewPages(livePages*livePageWords*8, livePageWords*8)
-		if err != nil {
-			return err
-		}
 		if err := ctx.Register("next", &next); err != nil {
 			return err
 		}
-		if err := ctx.RegisterPages("grid", pages); err != nil {
+		pages, err := ctx.RegisterPages("grid", livePages*livePageWords*8, livePageWords*8)
+		if err != nil {
 			return err
 		}
 		if ctx.Resumed() {

@@ -152,9 +152,11 @@ func (c *Context) connectDestination(att *attempt) error {
 
 // collectState freezes the state for the handover and records its sizes.
 // After precopy the region is not collected whole: the image ends with a
-// delta of the pages dirtied since the last round. Every one of them was
-// already shipped in an earlier round, so it counts as resent alongside
-// rounds 2..N — and not in the record's eager bytes.
+// delta of the pages dirtied since the last round, windows of the region
+// itself like every other segment collection references, since the
+// application is paused here. Every one of them was already shipped in an
+// earlier round, so it counts as resent alongside rounds 2..N — and not in
+// the record's eager bytes.
 func (c *Context) collectState(att *attempt) error {
 	img, err := c.collect(att.rec.Label, att.pagesName)
 	if err != nil {
@@ -168,9 +170,9 @@ func (c *Context) collectState(att *attempt) error {
 		}
 	}
 	if att.pages != nil {
-		ids, parts, _ := att.pages.Snapshot(att.res.ShippedGen)
+		ids := att.pages.DirtySince(att.res.ShippedGen)
 		att.rec.PagesResent = att.res.PagesResent + len(ids)
-		img.Segments = append(img.Segments, att.delta(ids, parts))
+		img.Segments = append(img.Segments, att.delta(ids, att.pages.View(), false))
 	}
 	att.img = img
 	return nil

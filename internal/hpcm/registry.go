@@ -66,8 +66,8 @@ func (s *savedState) declare(img image) {
 	s.mu.Unlock()
 }
 
-// buffer is the memory seg's bytes land in: its own, or for a delta the
-// region earlier rounds started.
+// buffer is the memory seg's bytes are copied into: its own, or for a
+// delta the region earlier rounds started.
 func (s *savedState) buffer(seg segment) []byte {
 	s.mu.Lock()
 	region := s.slots[seg.Name].data
@@ -258,9 +258,10 @@ func encodeState(ptr any) ([]byte, error) {
 	case *[]int64:
 		return bytesOf(*p), nil
 	case *livemig.Pages:
-		// A paged region serialises as its flat image, so checkpoints, classic
-		// migration and precopy fallback all work on Pages unchanged.
-		return p.Bytes(), nil
+		// A paged region serialises as its flat image, by reference like the
+		// arrays, so checkpoints, classic migration and precopy fallback all
+		// work on Pages unchanged.
+		return p.View(), nil
 	}
 	return gobEncode(ptr)
 }
@@ -289,9 +290,9 @@ func decodeState(sl slot, ptr any) error {
 }
 
 // wordsFrom hands a typed segment to the application: the buffer itself when
-// it is 8-byte aligned (every streamed segment is: restore allocates each
-// its own), a copy when it is not (a checkpoint's segments sit at arbitrary
-// offsets of one body buffer). Native order either way: the bytes move, the
+// it is 8-byte aligned (a streamed segment is: restore allocates each its
+// own, or keeps a whole allocation the source gave up), a copy when it is
+// not (a checkpoint's segments sit at arbitrary offsets of one body buffer). Native order either way: the bytes move, the
 // elements are never decoded.
 func wordsFrom[T word](data []byte) []T {
 	s, ok := wordsOf[T](data)

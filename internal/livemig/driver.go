@@ -6,13 +6,15 @@ import (
 )
 
 // SendFunc ships one round to the destination: the sorted ids of the pages
-// in it and, as parts[k], the image of page ids[k]. hpcm binds this to the
-// migration intercommunicator; the call blocks for the round's virtual
+// in it and their images back to back, as Pages.Snapshot copied them — the
+// round's own buffer, which the source never touches again. Round 1 carries
+// every page, so its data is a whole copy of the region. hpcm binds this to
+// the migration intercommunicator; the call blocks for the round's virtual
 // transfer time, which is what paces precopy rounds on the virtual clock
 // and makes rounds contend with application traffic on the simulated
 // network. hpcm raises its per-round migration event once the round is on
 // the wire, which is where fault injection can crash a host mid-precopy.
-type SendFunc func(round int, ids []int, parts [][]byte) error
+type SendFunc func(round int, ids []int, data []byte) error
 
 // ErrStopped reports a precopy iteration cancelled between rounds (the
 // process finished or was killed while the rounds were still copying).
@@ -46,8 +48,8 @@ func Precopy(pages *Pages, stop func() bool, send SendFunc) (Result, error) {
 		if stop() {
 			return res, ErrStopped
 		}
-		ids, parts, gen := pages.Snapshot(res.ShippedGen)
-		if err := send(round, ids, parts); err != nil {
+		ids, data, gen := pages.Snapshot(res.ShippedGen)
+		if err := send(round, ids, data); err != nil {
 			return res, fmt.Errorf("livemig: precopy round %d: %w", round, err)
 		}
 		res.ShippedGen = gen

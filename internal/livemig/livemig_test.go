@@ -114,63 +114,61 @@ func TestPagesFloat64ChangeSuppression(t *testing.T) {
 func TestPagesSnapshotLoadApply(t *testing.T) {
 	p := mustPages(t, 96, 32)
 	p.SetFloat64(0, 7)
-	ids, parts, gen := p.Snapshot(0)
-	if len(ids) != 3 || len(parts) != 3 {
-		t.Fatalf("full snapshot = %v (%d parts)", ids, len(parts))
+	ids, data, gen := p.Snapshot(0)
+	if len(ids) != 3 || !reflect.DeepEqual(data, p.View()) || &data[0] == &p.View()[0] {
+		t.Fatalf("full snapshot = %v (%d bytes), want all 3 pages as a copy of the region", ids, len(data))
 	}
-	// A round is one buffer cut into pages: each part is a copy of its page
-	// that cannot grow into its neighbour, the short last page included.
+	// A round is one fresh buffer, its pages back to back: only the region's
+	// last page is short.
 	short := mustPages(t, 100, 32)
 	tail := make([]byte, 100)
 	copy(tail[90:], []byte{1, 2, 3})
+	want := append([]byte(nil), tail...)
 	if err := short.Load(tail); err != nil {
 		t.Fatal(err)
 	}
-	_, cut, _ := short.Snapshot(0)
-	for k, want := range [][]byte{make([]byte, 32), make([]byte, 32), append(make([]byte, 26), 1, 2, 3, 0, 0, 0), make([]byte, 4)} {
-		if !reflect.DeepEqual(cut[k], want) || cap(cut[k]) != len(want) {
-			t.Fatalf("part %d = %v (cap %d), want %v", k, cut[k], cap(cut[k]), want)
-		}
+	_, whole, mark := short.Snapshot(0)
+	short.SetFloat64(5, 1) // page 1, after the copy was taken
+	if cut, _, _ := short.Snapshot(mark); !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(cut, []int{1}) {
+		t.Fatalf("snapshots = %v then pages %v, want the loaded image then page 1", whole, cut)
 	}
 	// Writes after the snapshot's watermark are the next round's delta.
 	p.SetFloat64(8, 9) // page 2
-	ids2, parts2, _ := p.Snapshot(gen)
-	if !reflect.DeepEqual(ids2, []int{2}) {
-		t.Fatalf("delta snapshot = %v, want [2]", ids2)
+	ids2, data2, _ := p.Snapshot(gen)
+	if !reflect.DeepEqual(ids2, []int{2}) || len(data2) != 32 {
+		t.Fatalf("delta snapshot = %v (%d bytes), want [2] (32 bytes)", ids2, len(data2))
 	}
 
 	// Rebuild a destination image from the two snapshots.
-	q := make([]byte, 96)
-	for k, id := range ids {
-		copy(q[id*32:], parts[k])
-	}
+	q := append([]byte(nil), data...)
 	for k, id := range ids2 {
-		copy(q[id*32:], parts2[k])
+		copy(q[id*32:], data2[k*32:])
 	}
-	if !reflect.DeepEqual(q, p.Bytes()) {
+	if !reflect.DeepEqual(q, p.View()) {
 		t.Fatal("reassembled region differs from source")
 	}
 
-	// Load replaces the whole region and re-dirties every page.
-	img := p.Bytes()
-	r := mustPages(t, 96, 32)
+	// An Unloaded region has no memory until Load installs the image it is
+	// handed — adopted, not copied — and every page is dirty after.
+	r, err := Unloaded(96, 32)
+	if err != nil || r.Len() != 0 || r.NumPages() != 3 {
+		t.Fatalf("Unloaded(96, 32) = Len %d, %d pages, %v", r.Len(), r.NumPages(), err)
+	}
 	g := r.Gen()
-	if err := r.Load(img); err != nil {
+	if err := r.Load(q); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Bytes(), img) {
-		t.Fatal("Load image mismatch")
+	if r.Len() != 96 || &r.View()[0] != &q[0] {
+		t.Fatal("Load copied the image")
 	}
 	if got := r.DirtySince(g); len(got) != 3 {
 		t.Fatalf("Load dirtied %v, want all pages", got)
 	}
-	// Load adopts the image it is handed — no second copy of a region that
-	// was just received — and Bytes still hands out memory of its own.
 	r.SetFloat64(1, 3)
-	if out := r.Bytes(); math.Float64frombits(binary.LittleEndian.Uint64(img[8:])) != 3 || &out[0] == &img[0] {
-		t.Fatal("Load copied the image, or Bytes did not")
+	if math.Float64frombits(binary.LittleEndian.Uint64(q[8:])) != 3 {
+		t.Fatal("a write after Load missed the adopted image")
 	}
-	if err := r.Load(img[:10]); err == nil {
+	if err := r.Load(q[:10]); err == nil {
 		t.Fatal("Load with wrong size succeeded")
 	}
 }
@@ -214,12 +212,12 @@ type recordingSend struct {
 	fail    error
 }
 
-func (s *recordingSend) send(round int, ids []int, parts [][]byte) error {
+func (s *recordingSend) send(round int, ids []int, data []byte) error {
 	if s.fail != nil {
 		return s.fail
 	}
-	if len(ids) != len(parts) {
-		return errors.New("ids/parts length mismatch")
+	if (len(ids) == 0) != (len(data) == 0) {
+		return errors.New("ids/data mismatch")
 	}
 	s.sent = append(s.sent, len(ids))
 	if s.between != nil {

@@ -33,12 +33,14 @@ const DefaultPageBytes = 4096
 // iterative solver's dirty rate therefore shrinks as it converges, which is
 // exactly the signal the precopy convergence rule feeds on.
 //
-// All methods are safe for concurrent use; the snapshot methods (Snapshot,
-// Bytes) copy under the region lock so a transfer round observes a
-// consistent generation watermark.
+// All methods are safe for concurrent use. Snapshot copies under the region
+// lock, so a transfer round observes a consistent generation watermark and
+// owns its copy; View copies nothing and is for a reader that has stopped
+// every writer.
 type Pages struct {
 	mu       sync.Mutex
-	data     []byte
+	data     []byte // nil in an Unloaded region until Load
+	size     int
 	pageSize int
 	gens     []uint64 // per-page generation of the last mutating write
 	gen      uint64   // monotonic region generation counter
@@ -49,6 +51,17 @@ type Pages struct {
 // final page may be short when pageBytes does not divide size. A page holds
 // whole float64 words: a word straddling two pages would dirty only one.
 func NewPages(size, pageBytes int) (*Pages, error) {
+	p, err := Unloaded(size, pageBytes)
+	if err == nil {
+		p.data = make([]byte, size)
+	}
+	return p, err
+}
+
+// Unloaded is NewPages without the memory: the region a transferred image
+// is about to arrive for. Until Load installs that image, Len is zero and
+// any read or write is the caller's error.
+func Unloaded(size, pageBytes int) (*Pages, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("livemig: region size %d", size)
 	}
@@ -60,7 +73,7 @@ func NewPages(size, pageBytes int) (*Pages, error) {
 	}
 	n := (size + pageBytes - 1) / pageBytes
 	p := &Pages{
-		data:     make([]byte, size),
+		size:     size,
 		pageSize: pageBytes,
 		gens:     make([]uint64, n),
 		gen:      1,
@@ -73,11 +86,13 @@ func NewPages(size, pageBytes int) (*Pages, error) {
 	return p, nil
 }
 
-// Len returns the region size in bytes.
+// Len returns the region size in bytes, zero for an Unloaded region.
 func (p *Pages) Len() int {
 	if p == nil {
 		return 0
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return len(p.data)
 }
 
@@ -176,25 +191,25 @@ func (p *Pages) WriteFloat64s(i int, vals []float64) {
 	}
 }
 
-// Bytes returns a copy of the whole region — the stop-and-copy / checkpoint
-// image. hpcm's state collection calls this through its *Pages type switch.
-func (p *Pages) Bytes() []byte {
+// View returns the region's own memory, not a copy: what a reader that has
+// stopped every writer — hpcm's state collection at a poll-point — ships by
+// reference. It stays valid until the next Load.
+func (p *Pages) View() []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]byte, len(p.data))
-	copy(out, p.data)
-	return out
+	return p.data
 }
 
-// Load replaces the region contents with a transferred image. The region
-// adopts data as its memory: the caller hands the slice over and must not
-// write to it again. Every page is marked dirty at a fresh generation: a
-// later migration away from this incarnation must ship everything again.
+// Load installs a transferred image as the region's memory, into an
+// Unloaded region or in place of the current contents. The region adopts
+// data: the caller hands the slice over and must not write to it again.
+// Every page is marked dirty at a fresh generation: a later migration away
+// from this incarnation must ship everything again.
 func (p *Pages) Load(data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(data) != len(p.data) {
-		return fmt.Errorf("livemig: load %d bytes into region of %d", len(data), len(p.data))
+	if len(data) != p.size {
+		return fmt.Errorf("livemig: load %d bytes into region of %d", len(data), p.size)
 	}
 	p.data = data
 	p.gen++
@@ -222,20 +237,19 @@ func (p *Pages) dirtySinceLocked(gen uint64) []int {
 }
 
 // Snapshot atomically collects one precopy round's payload: the pages
-// dirtied after since, copies of their current contents, and the region
-// generation watermark the copies are consistent with. Pages written after
-// the returned gen show up in the next DirtySince(gen).
-func (p *Pages) Snapshot(since uint64) (ids []int, parts [][]byte, gen uint64) {
+// dirtied after since, one fresh copy of their contents back to back (page
+// ids[k] at k×PageSize, only the region's last page short), and the region
+// generation watermark the copy is consistent with. Nothing else holds the
+// copy: the caller owns it. Pages written after the returned gen show up in
+// the next DirtySince(gen).
+func (p *Pages) Snapshot(since uint64) (ids []int, data []byte, gen uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ids = p.dirtySinceLocked(since)
-	parts = make([][]byte, len(ids))
-	buf := make([]byte, 0, len(ids)*p.pageSize) // one copy of the round, cut into pages
-	for k, id := range ids {
+	data = make([]byte, 0, len(ids)*p.pageSize)
+	for _, id := range ids {
 		lo, hi := p.pageRange(id)
-		n := len(buf)
-		buf = append(buf, p.data[lo:hi]...)
-		parts[k] = buf[n:len(buf):len(buf)]
+		data = append(data, p.data[lo:hi]...)
 	}
-	return ids, parts, p.gen
+	return ids, data, p.gen
 }

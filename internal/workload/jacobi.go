@@ -142,11 +142,8 @@ func jacobiPaged(ctx *hpcm.Context, cfg JacobiConfig) error {
 		return err
 	}
 	side := cfg.N + 2
-	pg, err := livemig.NewPages(side*side*8, side*8)
+	pg, err := ctx.RegisterPages("grid", side*side*8, side*8)
 	if err != nil {
-		return err
-	}
-	if err := ctx.RegisterPages("grid", pg); err != nil {
 		return err
 	}
 	if ctx.Resumed() {

@@ -113,11 +113,8 @@ func TestTree(cfg TreeConfig) hpcm.Main {
 		}
 		switch {
 		case cfg.BallastBytes > 0 && cfg.PagedBallast:
-			pg, err := livemig.NewPages(int(cfg.BallastBytes), 0)
+			pg, err := ctx.RegisterPages("ballast", int(cfg.BallastBytes), 0)
 			if err != nil {
-				return err
-			}
-			if err := ctx.RegisterPages("ballast", pg); err != nil {
 				return err
 			}
 			// Unlike the flat ballast, the paged region is written every
