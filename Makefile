@@ -79,11 +79,12 @@ check: lint build test
 # registry's first fit onto a shared host, a timed-out eviction giving
 # the victim back the hosts it lent), of the live migrations whose
 # application writes its paged region while precopy rounds are on the
-# wire (a page the destination adopted and the source still wrote would be
-# a data race), of the two jobs-crash chaos scenarios (the commit-failure
-# edge), of the proto
-# client and server over real TCP (the client's one re-dial) and of a
-# standby reading the store while the primary writes it, the
+# wire and of a stop-and-copy whose destination writes the lazy arrays it
+# adopted (a page or an array the destination adopted and the source still
+# wrote would be a data race), of the two jobs-crash chaos scenarios (the
+# commit-failure edge), of the proto client and server over real TCP (the
+# client's one re-dial) and of a standby reading the store while the
+# primary writes it, the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
 # 64-host scale sweep, malleable, livemig and multijob), and a single
 # 64-host scale sweep, the malleability and multi-job reports and two small
@@ -92,7 +93,7 @@ ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$|TestTimedOutEvictionGivesTheVictimItsHostsBack$$' ./internal/core
-	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$' ./internal/hpcm
+	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$|TestStopAndCopyHandsOverLazyState$$' ./internal/hpcm
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry

@@ -8,12 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"autoresched/internal/livemig"
 	"autoresched/internal/mpi"
+	"autoresched/internal/vclock"
 )
 
 // migrationAllocCeiling is what one stop-and-copy migration of the process
-// below allocated, steady state, before hpcm observed its own phase spans.
-const migrationAllocCeiling = 96
+// below allocates, steady state: the span sites add nothing on nil Metrics,
+// and the destination adopts the lazy grid instead of allocating a copy.
+const migrationAllocCeiling = 95
 
 // TestNilMetricsMigrationAllocatesNoMore: on a middleware without Metrics —
 // how the end-to-end benchmark builds it — the span sites cost nothing, so
@@ -159,5 +162,106 @@ func TestStopAndCopyDoesNotShareTheSourceArray(t *testing.T) {
 	}
 	if source, dest := <-arrays, <-arrays; source == dest {
 		t.Fatal("the destination's slice shares the source's backing array")
+	}
+}
+
+// TestStopAndCopyCopiesNoLazyState: a stop-and-copy migration hands its lazy
+// state over after the commit, so the destination adopts the source's
+// R-byte array, streamed in quarter-R chunks, instead of copying it, and
+// the whole migration stays under R/4 plus a fixed slack; a receive buffer
+// back would add R.
+func TestStopAndCopyCopiesNoLazyState(t *testing.T) {
+	const slack = 512 << 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
+	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: mpi.Instant{}})
+	mw, err := New(Options{Universe: u, ChunkBytes: liveRegion / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := newTurnstile(clock)
+	p, err := mw.Start("app", "a", func(ctx *Context) error {
+		var grid []float64
+		if err := ctx.RegisterLazy("grid", &grid); err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			return ctx.Await("grid")
+		}
+		grid = make([]float64, liveRegion/8)
+		gate.pass()
+		for {
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.open() // the source holds its array
+	before := allocated()
+	p.Signal(Command{DestHost: "b"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := allocated() - before
+	if p.Migrations() != 1 {
+		t.Fatal("the process did not migrate")
+	}
+	if limit := uint64(liveRegion/4 + slack); got > limit {
+		t.Fatalf("a stop-and-copy migration of a %d-byte lazy array allocated %d bytes, want at most %d", liveRegion, got, limit)
+	}
+}
+
+// TestPrecopyFallbackInstallsTheSourcesRegion: when precopy does not
+// converge, the stop-and-copy that follows collects the paged region by
+// reference and the destination installs that memory as its region, so
+// from the abandoned attempt to the end the migration allocates under R/4
+// plus a fixed slack; a copy of the region would add R.
+func TestPrecopyFallbackInstallsTheSourcesRegion(t *testing.T) {
+	const slack = 512 << 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before uint64
+	mw, clock := newLiveMW(t, nil, &livemig.Config{}, func(ev MigrationEvent) {
+		if ev.Phase == PhaseAborted && before == 0 {
+			before = allocated()
+		}
+	})
+	defer clock.(*vclock.Auto).Close()
+	// Every poll-point dirties every page, faster than a round ships them.
+	p, err := mw.Start("app", "ws1", func(ctx *Context) error {
+		pages, err := ctx.RegisterPages("region", liveRegion, livePageBytes)
+		if err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			return ctx.Await("region")
+		}
+		for i := 0; ; i++ {
+			for w := 0; w < liveRegion/8; w += livePageBytes / 8 {
+				pages.SetFloat64(w, float64(i))
+			}
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(10 * time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Signal(Command{DestHost: "ws2"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := allocated() - before
+	if rec := p.Records()[0]; before == 0 || rec.PrecopyRounds != 0 || !rec.FreezeAt.IsZero() {
+		t.Fatalf("the migration did not fall back to stop-and-copy: %+v", rec)
+	}
+	if limit := uint64(liveRegion/4 + slack); got > limit {
+		t.Fatalf("a precopy fallback of a %d-byte region allocated %d bytes, want at most %d", liveRegion, got, limit)
 	}
 }

@@ -28,8 +28,9 @@ func (c *Context) Resumed() bool { return c.label != "" }
 // variable. A *[]float64, *[]int64 or *[]byte moves by reference, unencoded.
 // Collection only references the source's array, until the incarnation
 // returns ErrMigrated — after an abort before the commit point the array is
-// simply still the source's own. The restored slice is backed by the receive
-// buffer: it is the application's to mutate and costs no second copy.
+// simply still the source's own. The restored slice is the application's
+// to mutate and costs no second copy: eager state is copied once before the
+// commit, and lazy state, streamed after it, is the array the source gave up.
 // Anything else must be gob-serialisable and is encoded and decoded. The
 // same holds for RegisterLazy.
 func (c *Context) Register(name string, ptr any) error {

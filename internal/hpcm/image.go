@@ -54,11 +54,14 @@ package hpcm
 // ends the stream with nothing to resume: the receiver drops what it has and
 // exits. Stop-and-copy is the stream whose first header has Round 0.
 //
-// What the receiver keeps: a precopy round's whole segment arrives as a
-// buffer the source gave up, and becomes the segment's memory as it is.
-// Every other fragment references memory the source still owns — its live
-// arrays and region, or a round's copy cut into pages — and is copied once,
-// into a buffer the inventory sized or into the region a delta patches.
+// What the receiver keeps: a whole segment the source has given up — a
+// precopy round's copy, which nothing on the source touches again, or a
+// lazy segment of the handover image, which streams after the commit — is
+// handed over: while its fragments are consecutive windows of one array
+// holding the whole segment, that array becomes the segment's memory. Every
+// other fragment, a broken run's included, is copied once, into a buffer the
+// inventory sized or into the region a delta patches: eager state arrives
+// before the commit, while the source may still resume.
 //
 // In a checkpoint: one magic byte, the header's length as a big-endian
 // uint32, the header, then every segment's bytes in inventory order.
@@ -277,12 +280,13 @@ func receiveState(clock vclock.Clock, parent *mpi.Comm) (image, *savedState, err
 // restore is the receiving side of both halves: it cuts the fragments
 // arriving on tagEager or tagLazy into the image's eager or lazy segments by
 // the sizes the inventory declares, completing each segment as its last
-// byte arrives. A precopy round's whole segment is that round's snapshot,
-// which the source gave up: arriving as one fragment, it is adopted as the
-// segment's buffer. Anything else is copied once, into a buffer sized from
-// the inventory or, for a delta, page by page into the region earlier
-// rounds started. A fragment that overruns its segment, or its page, is an
-// error.
+// byte arrives. A whole segment the source gave up — a precopy round's
+// snapshot, or lazy state, which streams after the commit — is adopted
+// while its fragments are consecutive windows of one array that holds it
+// all. Anything else, a broken run included, is copied once, into a buffer
+// sized from the inventory or, for a delta, page by page into the region
+// earlier rounds started. A fragment that overruns its segment, or its
+// page, is an error.
 func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 	tag := tagEager
 	if lazy {
@@ -298,7 +302,7 @@ func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 		if seg.Pages != nil {
 			d = *seg.Pages
 		}
-		adopt := img.Round > 0 && seg.Pages == nil
+		adopt := seg.Pages == nil && (img.Round > 0 || lazy)
 		var buf []byte // allocated at the first copy, unless adopted
 		for _, id := range d.IDs {
 			lo := id * d.Bytes
@@ -315,11 +319,16 @@ func (s *savedState) restore(parent *mpi.Comm, img image, lazy bool) error {
 				switch {
 				case len(frag) > hi-lo:
 					return fmt.Errorf("hpcm: a %d-byte chunk overruns segment %q (%d bytes)", len(frag), seg.Name, seg.Size)
-				case adopt && len(frag) == seg.Size:
-					buf, lo = frag, hi
-				default:
+				case adopt && len(frag) > 0 && (buf == nil && cap(frag) >= seg.Size || buf != nil && &frag[0] == &buf[lo]):
 					if buf == nil {
-						buf = s.buffer(seg)
+						buf = frag[:seg.Size:seg.Size]
+					}
+					lo += len(frag)
+				default:
+					if buf == nil || adopt { // the first copy, or the run broke
+						fresh := s.buffer(seg)
+						copy(fresh[:lo], buf) // what the run brought, if any
+						buf, adopt = fresh, false
 					}
 					lo += copy(buf[lo:], frag)
 				}

@@ -514,6 +514,123 @@ func TestTypedCollectionIsByReference(t *testing.T) {
 	}
 }
 
+// TestStopAndCopyHandsOverLazyState: lazy state streams after the commit,
+// when the source has given its arrays up, so a resumed incarnation's lazy
+// arrays are the source's own, bit for bit, however many chunks carried
+// them; an eager array arrives before the commit and is a copy. The resumed
+// incarnation then writes what it adopted: under -race, a source that still
+// touched its arrays after the commit would be reported.
+func TestStopAndCopyHandsOverLazyState(t *testing.T) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	defer clock.Close()
+	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: modelTransport{clock, time.Millisecond, 100e6}})
+	mw, err := New(Options{Universe: u, Hosts: &testBinder{}, ChunkBytes: testChunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGrid, wantHot := hardFloats(1000, 1), hardFloats(100, 2)
+	wantTree := make([]int64, 300)
+	for i := range wantTree {
+		wantTree[i] = int64(i*2654435761) ^ math.MinInt64
+	}
+	type arrays struct {
+		grid, hot *float64
+		tree      *int64
+	}
+	seen := make(chan arrays, 2)
+	p, err := mw.Start("app", "ws1", func(ctx *Context) error {
+		var grid, hot []float64
+		var tree []int64
+		if err := errors.Join(ctx.RegisterLazy("grid", &grid), ctx.Register("hot", &hot), ctx.RegisterLazy("tree", &tree)); err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			if err := errors.Join(ctx.Await("grid"), ctx.Await("tree")); err != nil {
+				return err
+			}
+			if !sameBits(grid, wantGrid) || !sameBits(hot, wantHot) || !slices.Equal(tree, wantTree) {
+				return errors.New("the resumed incarnation's state differs from the source's")
+			}
+			seen <- arrays{&grid[0], &hot[0], &tree[0]}
+			grid[0], hot[0], tree[0] = 1, 1, 1
+			return nil
+		}
+		grid, hot, tree = slices.Clone(wantGrid), slices.Clone(wantHot), slices.Clone(wantTree)
+		seen <- arrays{&grid[0], &hot[0], &tree[0]}
+		for {
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Signal(Command{DestHost: "ws2"})
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Migrations() != 1 {
+		t.Fatal("the process did not migrate")
+	}
+	source, dest := <-seen, <-seen
+	if dest.grid != source.grid || dest.tree != source.tree {
+		t.Fatal("the destination copied lazy state the source had handed over")
+	}
+	if dest.hot == source.hot {
+		t.Fatal("the destination's eager slice shares the source's backing array")
+	}
+}
+
+// TestLazyRestoreCopiesABrokenRun: a lazy segment is adopted only while its
+// fragments are consecutive windows of one array that holds the whole
+// segment. Any other run — two arrays, a first window too short to grow
+// into the segment, a window out of place, an empty fragment — is copied
+// once, into memory of its own: the right bytes, aliasing neither input.
+func TestLazyRestoreCopiesABrokenRun(t *testing.T) {
+	const size = 256
+	for _, row := range []struct {
+		name  string
+		frags func(a, b []byte) [][]byte
+		adopt bool
+	}{
+		{"one array", func(a, _ []byte) [][]byte { return [][]byte{a[:100], a[100:200], a[200:size]} }, true},
+		{"two arrays", func(a, b []byte) [][]byte { return [][]byte{a[:100], b[100:size]} }, false},
+		{"short capacity", func(a, _ []byte) [][]byte { return [][]byte{a[:100:100], a[100:size]} }, false},
+		{"window out of place", func(a, _ []byte) [][]byte { return [][]byte{a[:100], a[101 : size+1]} }, false},
+		{"empty fragment", func(a, _ []byte) [][]byte { return [][]byte{a[:100], a[100:100], a[100:size]} }, false},
+		{"empty first fragment", func(a, _ []byte) [][]byte { return [][]byte{a[:0], a[:size]} }, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			parent, child := commPair(t)
+			a, b := pattern(2*size, 1), pattern(2*size, 2)
+			frags := row.frags(a, b)
+			want := slices.Concat(frags...)
+			img := image{Segments: []segment{{Name: "bulk", Lazy: true, Size: size, Enc: encRaw}}}
+			if err := sendLazy(parent, frags); err != nil {
+				t.Fatal(err)
+			}
+			saved := newSavedState(nil, img)
+			if err := saved.restore(child.Parent, img, true); err != nil {
+				t.Fatal(err)
+			}
+			got := saved.slots["bulk"].data
+			if !bytes.Equal(got, want) || cap(got) != size {
+				t.Fatalf("restored %d bytes (capacity %d), %x; want %x", len(got), cap(got), got, want)
+			}
+			for _, in := range [][]byte{a, b} {
+				for i := range in {
+					in[i] = 0xEE
+				}
+			}
+			if aliased := !bytes.Equal(got, want); aliased != row.adopt {
+				t.Fatalf("the restored segment aliases its input: %v, want %v", aliased, row.adopt)
+			}
+		})
+	}
+}
+
 // FuzzUnmarshalImage: arbitrary bytes never panic, and whatever is accepted
 // is exactly what marshal would have written, held in memory of its own —
 // and restores into a *[]float64 only if it says it is one, bit for bit.

@@ -291,9 +291,10 @@ func decodeState(sl slot, ptr any) error {
 
 // wordsFrom hands a typed segment to the application: the buffer itself when
 // it is 8-byte aligned (a streamed segment is: restore allocates each its
-// own, or keeps a whole allocation the source gave up), a copy when it is
-// not (a checkpoint's segments sit at arbitrary offsets of one body buffer). Native order either way: the bytes move, the
-// elements are never decoded.
+// own, or adopts the array the source handed over with its lazy state), a
+// copy when it is not (a checkpoint's segments sit at arbitrary offsets of
+// one body buffer). Native order either way: the bytes move, the elements
+// are never decoded.
 func wordsFrom[T word](data []byte) []T {
 	s, ok := wordsOf[T](data)
 	if !ok {
