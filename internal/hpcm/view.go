@@ -2,11 +2,13 @@ package hpcm
 
 import "unsafe"
 
-// The two unsafe views behind the typed segments (registry.go): the only
-// place in the tree that imports unsafe. A numeric array moves as the bytes
-// it already is — HPCM ships raw memory blocks behind a description of
-// their type — so collection views it and restoration views it back; nothing
-// is encoded. No third element type without a caller that registers one.
+// The two unsafe views behind the typed segments (registry.go). The tree's
+// one other unsafe is livemig's bytesOf, the same view for a paged region's
+// row reads and writes; the two merge when livemig folds into hpcm. A
+// numeric array moves as the bytes it already is — HPCM ships raw memory
+// blocks behind a description of their type — so collection views it and
+// restoration views it back; nothing is encoded. No third element type
+// without a caller that registers one.
 
 // word is an 8-byte element whose arrays move by reference.
 type word interface{ float64 | int64 }

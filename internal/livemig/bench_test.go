@@ -25,6 +25,21 @@ func BenchmarkPagesWriteRow(b *testing.B) {
 	}
 }
 
+// BenchmarkPagesReadRow measures one row-sized read, which a paged workload
+// pays about three times per row and sweep.
+func BenchmarkPagesReadRow(b *testing.B) {
+	const words = 512
+	p, err := NewPages(words*8*64, words*8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := make([]float64, words)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ReadFloat64s((i%64)*words, row)
+	}
+}
+
 // BenchmarkDirtySince measures a round's dirty-set scan over a 4096-page
 // region with a 5% residual.
 func BenchmarkDirtySince(b *testing.B) {

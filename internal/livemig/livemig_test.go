@@ -60,9 +60,10 @@ func TestPagesWriteDirtiesOnlyChangedPages(t *testing.T) {
 }
 
 // TestZeroAllocHotPaths pins at runtime what the paged migration's inner
-// loops cost: a row-sized change-suppressed write (the write-through a paged
-// workload pays per sweep) and one evaluation of the analytic downtime
-// model allocate nothing.
+// loops cost: a row-sized change-suppressed write and a row-sized read (the
+// write barrier a paged workload pays per sweep) and one evaluation of the
+// analytic downtime model allocate nothing, and a dirty scan allocates only
+// the slice it returns.
 func TestZeroAllocHotPaths(t *testing.T) {
 	const words = 512
 	p := mustPages(t, words*8*64, words*8)
@@ -74,6 +75,19 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		p.WriteFloat64s((i%64)*words, row)
 	}); avg != 0 {
 		t.Errorf("WriteFloat64s over one row allocates %.1f objects per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		i++
+		p.ReadFloat64s((i%64)*words, row)
+	}); avg != 0 {
+		t.Errorf("ReadFloat64s over one row allocates %.1f objects per op, want 0", avg)
+	}
+	g := p.Gen()
+	for k := 0; k < 64; k += 3 {
+		p.SetFloat64(k*words, -float64(k+1)) // rows hold no negative word yet
+	}
+	if avg := testing.AllocsPerRun(200, func() { p.DirtySince(g) }); avg != 1 {
+		t.Errorf("DirtySince allocates %.1f objects per op, want 1", avg)
 	}
 
 	sc := modelScenario
@@ -165,7 +179,7 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 		t.Fatalf("Load dirtied %v, want all pages", got)
 	}
 	r.SetFloat64(1, 3)
-	if math.Float64frombits(binary.LittleEndian.Uint64(q[8:])) != 3 {
+	if math.Float64frombits(binary.NativeEndian.Uint64(q[8:])) != 3 {
 		t.Fatal("a write after Load missed the adopted image")
 	}
 	if err := r.Load(q[:10]); err == nil {

@@ -15,10 +15,12 @@
 package livemig
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // DefaultPageBytes is the page granularity when a Pages region is created
@@ -31,7 +33,8 @@ const DefaultPageBytes = 4096
 // ship only what actually changed. Writes are change-suppressed: storing a
 // value equal to what the page already holds does not dirty it — an
 // iterative solver's dirty rate therefore shrinks as it converges, which is
-// exactly the signal the precopy convergence rule feeds on.
+// exactly the signal the precopy convergence rule feeds on. Its words are
+// in host byte order, like hpcm's typed segments: a row moves by copy.
 //
 // All methods are safe for concurrent use. Snapshot copies under the region
 // lock, so a transfer round observes a consistent generation watermark and
@@ -143,7 +146,7 @@ func (p *Pages) pageRange(i int) (lo, hi int) {
 func (p *Pages) Float64(i int) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return math.Float64frombits(binary.LittleEndian.Uint64(p.data[8*i:]))
+	return math.Float64frombits(binary.NativeEndian.Uint64(p.data[8*i:]))
 }
 
 // SetFloat64 stores v at word index i, dirtying the page only when the bit
@@ -153,42 +156,43 @@ func (p *Pages) SetFloat64(i int, v float64) {
 	defer p.mu.Unlock()
 	off := 8 * i
 	bits := math.Float64bits(v)
-	if binary.LittleEndian.Uint64(p.data[off:]) == bits {
+	if binary.NativeEndian.Uint64(p.data[off:]) == bits {
 		return
 	}
-	binary.LittleEndian.PutUint64(p.data[off:], bits)
+	binary.NativeEndian.PutUint64(p.data[off:], bits)
 	p.touch(off / p.pageSize)
 }
 
 // ReadFloat64s fills dst with the float64 words starting at word index i.
+//
+//hot:path
 func (p *Pages) ReadFloat64s(i int, dst []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	off := 8 * i
-	for k := range dst {
-		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(p.data[off+8*k:]))
-	}
+	copy(bytesOf(dst), p.data[8*i:8*(i+len(dst))])
 }
 
 // WriteFloat64s stores vals starting at word index i in one locked pass,
-// dirtying only pages where at least one bit pattern changed.
+// copying and dirtying only the page spans where a bit pattern changed.
+//
+//hot:path
 func (p *Pages) WriteFloat64s(i int, vals []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	off := 8 * i
-	dirtyPage := -1
-	for k, v := range vals {
-		o := off + 8*k
-		bits := math.Float64bits(v)
-		if binary.LittleEndian.Uint64(p.data[o:]) == bits {
-			continue
+	src := bytesOf(vals)
+	for off := 8 * i; len(src) > 0; {
+		n := min(p.pageSize-off%p.pageSize, len(src))
+		if dst := p.data[off : off+n]; !bytes.Equal(dst, src[:n]) {
+			copy(dst, src)
+			p.touch(off / p.pageSize)
 		}
-		binary.LittleEndian.PutUint64(p.data[o:], bits)
-		if page := o / p.pageSize; page != dirtyPage {
-			p.touch(page)
-			dirtyPage = page
-		}
+		src, off = src[n:], off+n
 	}
+}
+
+// bytesOf views s as its bytes, the package's only unsafe (no alignment rule).
+func bytesOf(s []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
 }
 
 // View returns the region's own memory, not a copy: what a reader that has
@@ -202,7 +206,8 @@ func (p *Pages) View() []byte {
 
 // Load installs a transferred image as the region's memory, into an
 // Unloaded region or in place of the current contents. The region adopts
-// data: the caller hands the slice over and must not write to it again.
+// data, its capacity clipped so that no row access runs past the region:
+// the caller hands the slice over and must not write to it again.
 // Every page is marked dirty at a fresh generation: a later migration away
 // from this incarnation must ship everything again.
 func (p *Pages) Load(data []byte) error {
@@ -211,7 +216,7 @@ func (p *Pages) Load(data []byte) error {
 	if len(data) != p.size {
 		return fmt.Errorf("livemig: load %d bytes into region of %d", len(data), p.size)
 	}
-	p.data = data
+	p.data = data[:len(data):len(data)]
 	p.gen++
 	for i := range p.gens {
 		p.gens[i] = p.gen
@@ -227,7 +232,16 @@ func (p *Pages) DirtySince(gen uint64) []int {
 }
 
 func (p *Pages) dirtySinceLocked(gen uint64) []int {
-	var ids []int
+	n := 0
+	for _, g := range p.gens {
+		if g > gen {
+			n++
+		}
+	}
+	if n == 0 { // nil, not empty: a page delta's header encodes the ids
+		return nil
+	}
+	ids := make([]int, 0, n)
 	for i, g := range p.gens { // ascending i: ids is sorted as built
 		if g > gen {
 			ids = append(ids, i)

@@ -514,6 +514,7 @@ func TestDisconnectFailsOnlyThatCommunicator(t *testing.T) {
 	u := NewUniverse(Options{})
 	why := errors.New("stream failed")
 	parent := make(chan *Comm, 1)
+	sent := make(chan struct{}) // the child stays alive until the late send
 	errs := u.Run([]string{"src"}, func(env *Env) error {
 		inter, err := env.Spawn([]string{"dst"}, func(child *Env) error {
 			parent <- child.Parent
@@ -529,6 +530,7 @@ func TestDisconnectFailsOnlyThatCommunicator(t *testing.T) {
 			if _, err := child.World.Recv(&s, 0, 2); err != nil || s != "self" {
 				return fmt.Errorf("world recv = %q, %v", s, err)
 			}
+			<-sent
 			return nil
 		})
 		if err != nil {
@@ -536,6 +538,7 @@ func TestDisconnectFailsOnlyThatCommunicator(t *testing.T) {
 		}
 		(<-parent).Disconnect(why)
 		// The child's mailbox is open: the spawner can still reach it.
+		defer close(sent)
 		return inter.Send("late", 0, 9)
 	})
 	for _, err := range errs {

@@ -89,7 +89,6 @@ func Jacobi(cfg JacobiConfig) hpcm.Main {
 		if err := ctx.RegisterLazy("grid", &grid); err != nil {
 			return err
 		}
-		side := cfg.N + 2
 		if ctx.Resumed() {
 			if err := ctx.Await("grid"); err != nil {
 				return err
@@ -106,18 +105,7 @@ func Jacobi(cfg JacobiConfig) hpcm.Main {
 				return err
 			}
 			for k := 0; k < cfg.PollEvery && st.Iter < cfg.Iters; k++ {
-				copy(next, grid)
-				st.Residual = 0
-				for i := 1; i <= cfg.N; i++ {
-					for j := 1; j <= cfg.N; j++ {
-						idx := i*side + j
-						v := 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
-						if d := math.Abs(v - grid[idx]); d > st.Residual {
-							st.Residual = d
-						}
-						next[idx] = v
-					}
-				}
+				st.Residual = jacobiSweep(grid, next, cfg.N)
 				grid, next = next, grid
 				st.Iter++
 			}
@@ -210,6 +198,25 @@ func jacobiPagedSweep(pg *livemig.Pages, n int, prev, cur, nxt, out []float64) f
 	return residual
 }
 
+// jacobiSweep runs one relaxation sweep of the flat grid into next (the
+// boundary copied, the interior relaxed) and returns the residual.
+func jacobiSweep(grid, next []float64, n int) float64 {
+	side := n + 2
+	copy(next, grid)
+	var residual float64
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= n; j++ {
+			idx := i*side + j
+			v := 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
+			if d := math.Abs(v - grid[idx]); d > residual {
+				residual = d
+			}
+			next[idx] = v
+		}
+	}
+	return residual
+}
+
 // newJacobiGrid builds the initial grid: zero interior, Hot along the top
 // boundary row.
 func newJacobiGrid(n int, hot float64) []float64 {
@@ -225,23 +232,11 @@ func newJacobiGrid(n int, hot float64) []float64 {
 // verifying migrated/recovered runs bit for bit.
 func JacobiReference(cfg JacobiConfig) (finalResidual float64, checksum float64) {
 	cfg = cfg.withDefaults()
-	side := cfg.N + 2
 	grid := newJacobiGrid(cfg.N, cfg.Hot)
 	next := make([]float64, len(grid))
 	var residual float64
 	for it := 0; it < cfg.Iters; it++ {
-		copy(next, grid)
-		residual = 0
-		for i := 1; i <= cfg.N; i++ {
-			for j := 1; j <= cfg.N; j++ {
-				idx := i*side + j
-				v := 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
-				if d := math.Abs(v - grid[idx]); d > residual {
-					residual = d
-				}
-				next[idx] = v
-			}
-		}
+		residual = jacobiSweep(grid, next, cfg.N)
 		grid, next = next, grid
 	}
 	var sum float64

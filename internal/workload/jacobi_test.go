@@ -165,13 +165,7 @@ func TestJacobiPagedDirtyRowsMatchStencil(t *testing.T) {
 		jacobiPagedSweep(pg, cfg.N, prev, cur, nxt, out)
 
 		// The flat reference sweep, diffed row by row.
-		copy(next, grid)
-		for i := 1; i <= cfg.N; i++ {
-			for j := 1; j <= cfg.N; j++ {
-				idx := i*side + j
-				next[idx] = 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
-			}
-		}
+		jacobiSweep(grid, next, cfg.N)
 		var want []int
 		for i := 0; i < side; i++ {
 			for j := 0; j < side; j++ {
@@ -267,4 +261,36 @@ func TestJacobiReferenceDeterministic(t *testing.T) {
 	if c1 <= 0 {
 		t.Fatalf("checksum = %v (heat never propagated)", c1)
 	}
+}
+
+// BenchmarkJacobiSweep prices one relaxation sweep of the N=1024 grid that
+// the migration benchmarks move: flat is the bare stencil, paged the same
+// stencil through the livemig write barrier, one page per row.
+func BenchmarkJacobiSweep(b *testing.B) {
+	const n = 1024
+	side := n + 2
+	b.Run("flat", func(b *testing.B) {
+		grid := newJacobiGrid(n, 100)
+		next := make([]float64, len(grid))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			jacobiSweep(grid, next, n)
+			grid, next = next, grid
+		}
+	})
+	b.Run("paged", func(b *testing.B) {
+		pg, err := livemig.NewPages(side*side*8, side*8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pg.WriteFloat64s(0, newJacobiGrid(n, 100)[:side])
+		prev := make([]float64, side)
+		cur := make([]float64, side)
+		nxt := make([]float64, side)
+		out := make([]float64, side)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			jacobiPagedSweep(pg, n, prev, cur, nxt, out)
+		}
+	})
 }
