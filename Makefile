@@ -81,7 +81,9 @@ check: lint build test
 # application writes its paged region while precopy rounds are on the
 # wire and of a stop-and-copy whose destination writes the lazy arrays it
 # adopted (a page or an array the destination adopted and the source still
-# wrote would be a data race), of a paged region's row writes beside
+# wrote would be a data race), of the Jacobi migrated both ways (its sweep
+# writes the adopted flat grid or paged region in place), of a paged
+# region's row writes beside
 # concurrent snapshots (a snapshot must see each row whole: the write
 # barrier holds the region lock for the whole row), of the two jobs-crash
 # chaos scenarios (the commit-failure edge), of the proto client and server over real TCP (the
@@ -97,6 +99,7 @@ ci: check
 	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$|TestTimedOutEvictionGivesTheVictimItsHostsBack$$' ./internal/core
 	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$|TestStopAndCopyHandsOverLazyState$$' ./internal/hpcm
 	$(GO) test -race -count=50 -run 'TestSnapshotSeesWholeRowWrites$$' ./internal/livemig
+	$(GO) test -race -count=20 -run 'TestJacobiSurvivesMigration$$|TestJacobiPagedSurvivesLiveMigration$$' ./internal/workload
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry
@@ -160,7 +163,8 @@ fleet: build
 # candidate selection at 512 hosts (state-indexed vs the seed's re-sort
 # baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged row reads and writes / dirty
-# scans / modeled downtime, one N=1024 Jacobi sweep flat and paged, a
+# scans / modeled downtime, one N=1024 Jacobi sweep flat and paged and its
+# row kernel alone, a
 # stop-and-copy and a live migration by state size (B/op
 # prices hpcm's data path), resizes, admission by queue depth, and the
 # persist append, snapshot fold, snapshot write and replay paths. A
@@ -173,7 +177,7 @@ bench: build
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi
 	$(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments
 	$(GO) test -run '^$$' -bench . -benchtime 1000x -benchmem ./internal/livemig
-	$(GO) test -run '^$$' -bench BenchmarkJacobiSweep -benchtime 20x -benchmem ./internal/workload
+	$(GO) test -run '^$$' -bench 'BenchmarkJacobiSweep|BenchmarkRelaxRow' -benchtime 20x -benchmem ./internal/workload
 	$(GO) test -run '^$$' -bench 'BenchmarkMigration|BenchmarkLiveMigration' -benchtime 10x -benchmem ./internal/hpcm
 	$(GO) test -run '^$$' -bench BenchmarkResize -benchtime 100x -benchmem ./internal/malleable
 	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 1000x -benchmem ./internal/jobs

@@ -13,9 +13,9 @@ import (
 // can be cut for ANY world size 1..N — the first client of the
 // malleability engine. Rank r of W owns interior rows
 // [1 + r*N/W, 1 + (r+1)*N/W); neighbouring ranks exchange one halo row per
-// sweep. Addition order matches JacobiReference (left+right+up+down), so a
-// run that resizes mid-flight is bit-identical to a fixed-size run and to
-// the serial reference.
+// sweep. Rows are relaxed by Jacobi's row kernel, relaxRow, so a run that
+// resizes mid-flight is bit-identical to a fixed-size run and to the serial
+// reference.
 type ElasticJacobi struct {
 	// N is the interior grid dimension.
 	N int
@@ -177,20 +177,13 @@ func (a *ElasticJacobi) Step(rc *malleable.Rank, shard []byte) ([]byte, error) {
 	// else: row N+1 stays the zero boundary row (down is already zero).
 
 	next := make([]float64, len(sh.Rows))
-	for i := 0; i < nrows; i++ {
-		cur := sh.Rows[i*side : (i+1)*side]
-		rowUp, rowDown := up, down
-		if i > 0 {
-			rowUp = sh.Rows[(i-1)*side : i*side]
-		}
+	for i, rowUp := 0, up; i < nrows; i++ {
+		cur, rowDown := sh.Rows[i*side:(i+1)*side], down
 		if i < nrows-1 {
 			rowDown = sh.Rows[(i+1)*side : (i+2)*side]
 		}
-		out := next[i*side : (i+1)*side]
-		out[0], out[side-1] = cur[0], cur[side-1]
-		for j := 1; j <= sh.N; j++ {
-			out[j] = 0.25 * (cur[j-1] + cur[j+1] + rowUp[j] + rowDown[j])
-		}
+		relaxRow(rowUp, cur, rowDown, next[i*side:(i+1)*side], 0)
+		rowUp = cur
 	}
 	sh.Rows = next
 	return gobEncode(sh)

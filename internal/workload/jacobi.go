@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"autoresched/internal/hpcm"
-	"autoresched/internal/livemig"
 	"autoresched/internal/rules"
 )
 
@@ -26,10 +25,10 @@ type JacobiConfig struct {
 	WorkPerCell float64
 	// Hot is the boundary temperature applied along the top edge.
 	Hot float64
-	// Paged stores the grid in a livemig.Pages region (one page per grid
-	// row) written through the change-suppressing paged API, making the run
-	// eligible for iterative-precopy live migration. The sweep is bit-exact
-	// with the flat-grid path and JacobiReference.
+	// Paged chooses only where the grid lives: a livemig.Pages region, one
+	// page per row behind its change-suppressing row barrier (eligible for
+	// iterative-precopy live migration), instead of a plain []float64. The
+	// sweep is the same either way, bit-exact with JacobiReference.
 	Paged bool
 	// OnResidual, if set, receives the residual at every poll boundary.
 	OnResidual func(iter int, residual float64)
@@ -71,6 +70,18 @@ type jacobiState struct {
 	Residual float64
 }
 
+// rows is the grid as the sweep sees it, whole rows at a word index:
+// *livemig.Pages or flatRows, a grid in one plain slice.
+type rows interface {
+	ReadFloat64s(i int, dst []float64)
+	WriteFloat64s(i int, vals []float64)
+}
+
+type flatRows []float64
+
+func (g flatRows) ReadFloat64s(i int, dst []float64)   { copy(dst, g[i:i+len(dst)]) }
+func (g flatRows) WriteFloat64s(i int, vals []float64) { copy(g[i:i+len(vals)], vals) }
+
 // Jacobi returns the migration-enabled application body.
 func Jacobi(cfg JacobiConfig) hpcm.Main {
 	cfg = cfg.withDefaults()
@@ -78,35 +89,28 @@ func Jacobi(cfg JacobiConfig) hpcm.Main {
 		if cfg.N <= 0 || cfg.Iters <= 0 {
 			return fmt.Errorf("workload: bad jacobi config %+v", cfg)
 		}
-		if cfg.Paged {
-			return jacobiPaged(ctx, cfg)
-		}
 		var st jacobiState
-		var grid []float64
 		if err := ctx.Register("state", &st); err != nil {
 			return err
 		}
-		if err := ctx.RegisterLazy("grid", &grid); err != nil {
+		g, err := registerGrid(ctx, cfg)
+		if err != nil {
 			return err
 		}
-		if ctx.Resumed() {
-			if err := ctx.Await("grid"); err != nil {
-				return err
-			}
-		} else {
-			grid = newJacobiGrid(cfg.N, cfg.Hot)
-		}
-		ctx.SetMemory(int64(len(grid))*8 + 1<<20)
+		side := cfg.N + 2
+		ctx.SetMemory(int64(side*side*8) + 1<<20)
 
 		sweepWork := float64(cfg.N) * float64(cfg.N) * cfg.WorkPerCell
-		next := make([]float64, len(grid))
+		prev := make([]float64, side)
+		cur := make([]float64, side)
+		nxt := make([]float64, side)
+		out := make([]float64, side)
 		for st.Iter < cfg.Iters {
 			if err := ctx.Compute(sweepWork * float64(min(cfg.PollEvery, cfg.Iters-st.Iter))); err != nil {
 				return err
 			}
 			for k := 0; k < cfg.PollEvery && st.Iter < cfg.Iters; k++ {
-				st.Residual = jacobiSweep(grid, next, cfg.N)
-				grid, next = next, grid
+				st.Residual = jacobiSweep(g, cfg.N, prev, cur, nxt, out)
 				st.Iter++
 			}
 			if cfg.OnResidual != nil {
@@ -120,99 +124,77 @@ func Jacobi(cfg JacobiConfig) hpcm.Main {
 	}
 }
 
-// jacobiPaged is the Paged=true body: the grid lives in a livemig.Pages
-// region sized one row per page, so the per-sweep dirty set is exactly the
-// rows the stencil changed — the signal the precopy driver's convergence
-// rule feeds on.
-func jacobiPaged(ctx *hpcm.Context, cfg JacobiConfig) error {
-	var st jacobiState
-	if err := ctx.Register("state", &st); err != nil {
-		return err
-	}
+// registerGrid registers the lazy grid and returns it restored or fresh. A
+// paged grid has one page per row, so a sweep dirties exactly the rows it
+// changed. The accessor is built once per incarnation: a flatRows boxed per
+// sweep allocates.
+func registerGrid(ctx *hpcm.Context, cfg JacobiConfig) (rows, error) {
 	side := cfg.N + 2
+	if !cfg.Paged {
+		grid := new([]float64)
+		if err := ctx.RegisterLazy("grid", grid); err != nil {
+			return nil, err
+		}
+		if ctx.Resumed() {
+			if err := ctx.Await("grid"); err != nil {
+				return nil, err
+			}
+		} else {
+			*grid = newJacobiGrid(cfg.N, cfg.Hot)
+		}
+		return flatRows(*grid), nil
+	}
 	pg, err := ctx.RegisterPages("grid", side*side*8, side*8)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ctx.Resumed() {
-		if err := ctx.Await("grid"); err != nil {
-			return err
-		}
-	} else {
-		hot := make([]float64, side)
-		for j := range hot {
-			hot[j] = cfg.Hot
-		}
-		pg.WriteFloat64s(0, hot)
+		return pg, ctx.Await("grid")
 	}
-	ctx.SetMemory(int64(pg.Len()) + 1<<20)
-
-	sweepWork := float64(cfg.N) * float64(cfg.N) * cfg.WorkPerCell
-	prev := make([]float64, side)
-	cur := make([]float64, side)
-	nxt := make([]float64, side)
-	out := make([]float64, side)
-	for st.Iter < cfg.Iters {
-		if err := ctx.Compute(sweepWork * float64(min(cfg.PollEvery, cfg.Iters-st.Iter))); err != nil {
-			return err
-		}
-		for k := 0; k < cfg.PollEvery && st.Iter < cfg.Iters; k++ {
-			st.Residual = jacobiPagedSweep(pg, cfg.N, prev, cur, nxt, out)
-			st.Iter++
-		}
-		if cfg.OnResidual != nil {
-			cfg.OnResidual(st.Iter, st.Residual)
-		}
-		if err := ctx.PollPoint(fmt.Sprintf("iter-%d", st.Iter)); err != nil {
-			return err
-		}
+	hot := make([]float64, side)
+	for j := range hot {
+		hot[j] = cfg.Hot
 	}
-	return nil
+	pg.WriteFloat64s(0, hot)
+	return pg, nil
 }
 
-// jacobiPagedSweep runs one in-place relaxation sweep over the paged grid
-// using three rotating row buffers, so each new row is computed from the
-// previous sweep's values even though rows are overwritten as it goes. The
-// caller supplies the four side-length scratch rows. Addition order matches
-// JacobiReference (left+right+up+down), keeping the two paths bit-identical.
-func jacobiPagedSweep(pg *livemig.Pages, n int, prev, cur, nxt, out []float64) float64 {
+// jacobiSweep relaxes g in place and returns the residual. The four scratch
+// rows rotate to hold the old rows i-1, i and i+1 while row i is overwritten,
+// so every new value comes from the old grid, as in referenceSweep.
+//
+//hot:path
+func jacobiSweep(g rows, n int, prev, cur, nxt, out []float64) float64 {
 	side := n + 2
-	pg.ReadFloat64s(0, prev)
-	pg.ReadFloat64s(side, cur)
+	g.ReadFloat64s(0, prev)
+	g.ReadFloat64s(side, cur)
 	var residual float64
 	for i := 1; i <= n; i++ {
-		pg.ReadFloat64s((i+1)*side, nxt)
-		out[0] = cur[0]
-		out[side-1] = cur[side-1]
-		for j := 1; j <= n; j++ {
-			v := 0.25 * (cur[j-1] + cur[j+1] + prev[j] + nxt[j])
-			if d := math.Abs(v - cur[j]); d > residual {
-				residual = d
-			}
-			out[j] = v
-		}
-		pg.WriteFloat64s(i*side, out)
-		// The old prev buffer becomes scratch for the next row read.
+		g.ReadFloat64s((i+1)*side, nxt)
+		residual = relaxRow(prev, cur, nxt, out, residual)
+		g.WriteFloat64s(i*side, out)
 		prev, cur, nxt = cur, nxt, prev
 	}
 	return residual
 }
 
-// jacobiSweep runs one relaxation sweep of the flat grid into next (the
-// boundary copied, the interior relaxed) and returns the residual.
-func jacobiSweep(grid, next []float64, n int) float64 {
-	side := n + 2
-	copy(next, grid)
-	var residual float64
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			idx := i*side + j
-			v := 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
-			if d := math.Abs(v - grid[idx]); d > residual {
-				residual = d
-			}
-			next[idx] = v
+// relaxRow relaxes row cur between prev and nxt into out (boundary cells
+// copied) and returns the larger of residual and the row's largest change.
+// It adds left+right+up+down, as referenceSweep does, so the two agree bit
+// for bit; every operand is resliced to n cells so the loop has no bounds checks.
+//
+//hot:path
+func relaxRow(prev, cur, nxt, out []float64, residual float64) float64 {
+	n := len(cur) - 2
+	out[0], out[n+1] = cur[0], cur[n+1]
+	left, mid, right := cur[:n], cur[1:n+1], cur[2:n+2]
+	up, down, dst := prev[1:n+1], nxt[1:n+1], out[1:n+1]
+	for j := range mid {
+		v := 0.25 * (left[j] + right[j] + up[j] + down[j])
+		if d := math.Abs(v - mid[j]); d > residual {
+			residual = d
 		}
+		dst[j] = v
 	}
 	return residual
 }
@@ -236,7 +218,7 @@ func JacobiReference(cfg JacobiConfig) (finalResidual float64, checksum float64)
 	next := make([]float64, len(grid))
 	var residual float64
 	for it := 0; it < cfg.Iters; it++ {
-		residual = jacobiSweep(grid, next, cfg.N)
+		residual = referenceSweep(grid, next, cfg.N)
 		grid, next = next, grid
 	}
 	var sum float64
@@ -244,4 +226,24 @@ func JacobiReference(cfg JacobiConfig) (finalResidual float64, checksum float64)
 		sum += v
 	}
 	return residual, sum
+}
+
+// referenceSweep relaxes grid into next (the boundary copied) and returns the
+// residual: JacobiReference's own two-grid stencil, kept apart from relaxRow
+// as an independent oracle.
+func referenceSweep(grid, next []float64, n int) float64 {
+	side := n + 2
+	copy(next, grid)
+	var residual float64
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= n; j++ {
+			idx := i*side + j
+			v := 0.25 * (grid[idx-1] + grid[idx+1] + grid[idx-side] + grid[idx+side])
+			if d := math.Abs(v - grid[idx]); d > residual {
+				residual = d
+			}
+			next[idx] = v
+		}
+	}
+	return residual
 }

@@ -1,56 +1,105 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"autoresched/internal/core"
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
 	"autoresched/internal/metrics"
-	"autoresched/internal/mpi"
-	"autoresched/internal/sim"
-	"autoresched/internal/vclock"
 )
 
 func smallJacobi() JacobiConfig {
 	return JacobiConfig{N: 24, Iters: 40, PollEvery: 4, WorkPerCell: 1}
 }
 
+// TestJacobiConvergesAndMatchesReference runs the body on either grid at two
+// poll spacings and holds its final residual and grid to JacobiReference bit
+// for bit. The grid is read back through the runtime: every poll-point
+// checkpoints, and a process restored from the last image sums the grid it
+// awaits.
 func TestJacobiConvergesAndMatchesReference(t *testing.T) {
-	_, mw := testRig(t)
-	cfg := smallJacobi()
-	var mu sync.Mutex
-	residuals := map[int]float64{}
-	cfg.OnResidual = func(iter int, res float64) {
-		mu.Lock()
-		residuals[iter] = res
-		mu.Unlock()
+	for _, kind := range []string{"flat", "paged"} {
+		for _, every := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/PollEvery=%d", kind, every), func(t *testing.T) {
+				store := hpcm.NewMemStore()
+				_, mw := rigWith(t, hpcm.Options{Checkpoints: store, CheckpointEvery: time.Nanosecond})
+				cfg := smallJacobi()
+				cfg.Paged, cfg.PollEvery = kind == "paged", every
+				var mu sync.Mutex
+				residuals := map[int]float64{}
+				cfg.OnResidual = func(iter int, res float64) {
+					mu.Lock()
+					residuals[iter] = res
+					mu.Unlock()
+				}
+				p, err := mw.Start("jacobi", "ws1", Jacobi(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				wantRes, wantSum := JacobiReference(cfg)
+				if got := checkpointedChecksum(t, mw, store, cfg); math.Float64bits(got) != math.Float64bits(wantSum) {
+					t.Fatalf("final checksum = %v, want exactly %v", got, wantSum)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				got, ok := residuals[cfg.Iters]
+				if !ok {
+					t.Fatalf("no final residual: %v", residuals)
+				}
+				if math.Float64bits(got) != math.Float64bits(wantRes) {
+					t.Fatalf("final residual = %v, want exactly %v", got, wantRes)
+				}
+				// Relaxation must actually converge (residual decreasing).
+				if first, last := residuals[cfg.PollEvery], residuals[cfg.Iters]; last >= first {
+					t.Fatalf("residual not decreasing: first=%v last=%v", first, last)
+				}
+			})
+		}
 	}
-	p, err := mw.Start("jacobi", "ws1", Jacobi(cfg))
+}
+
+// checkpointedChecksum restores the jacobi process's last checkpoint and sums
+// its grid in grid order, as JacobiReference does.
+func checkpointedChecksum(t *testing.T, mw *hpcm.Middleware, store hpcm.CheckpointStore, cfg JacobiConfig) float64 {
+	t.Helper()
+	var sum float64
+	p, err := mw.Restore(store, "jacobi", "ws2", func(ctx *hpcm.Context) error {
+		var st jacobiState
+		if err := ctx.Register("state", &st); err != nil {
+			return err
+		}
+		if st.Iter != cfg.Iters {
+			return fmt.Errorf("last checkpoint at iteration %d, want %d", st.Iter, cfg.Iters)
+		}
+		g, err := registerGrid(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		side := cfg.N + 2
+		row := make([]float64, side)
+		for i := 0; i < side; i++ {
+			g.ReadFloat64s(i*side, row)
+			for _, v := range row {
+				sum += v
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	wantRes, _ := JacobiReference(cfg)
-	mu.Lock()
-	defer mu.Unlock()
-	got, ok := residuals[cfg.Iters]
-	if !ok {
-		t.Fatalf("no final residual: %v", residuals)
-	}
-	if math.Abs(got-wantRes) > 1e-12 {
-		t.Fatalf("final residual = %v, want %v", got, wantRes)
-	}
-	// Relaxation must actually converge (residual decreasing).
-	if first, last := residuals[cfg.PollEvery], residuals[cfg.Iters]; last >= first {
-		t.Fatalf("residual not decreasing: first=%v last=%v", first, last)
-	}
+	return sum
 }
 
 func TestJacobiSurvivesMigration(t *testing.T) {
@@ -79,8 +128,8 @@ func TestJacobiSurvivesMigration(t *testing.T) {
 	wantRes, _ := JacobiReference(cfg)
 	mu.Lock()
 	defer mu.Unlock()
-	if math.Abs(finalRes-wantRes) > 1e-12 {
-		t.Fatalf("migrated residual = %v, want %v (grid corrupted in flight?)", finalRes, wantRes)
+	if math.Float64bits(finalRes) != math.Float64bits(wantRes) {
+		t.Fatalf("migrated residual = %v, want exactly %v (grid corrupted in flight?)", finalRes, wantRes)
 	}
 }
 
@@ -109,34 +158,6 @@ func TestJacobiSchema(t *testing.T) {
 	}
 }
 
-func TestJacobiPagedMatchesReferenceBitExact(t *testing.T) {
-	_, mw := testRig(t)
-	cfg := smallJacobi()
-	cfg.Paged = true
-	var mu sync.Mutex
-	var finalRes float64
-	cfg.OnResidual = func(iter int, res float64) {
-		if iter == cfg.Iters {
-			mu.Lock()
-			finalRes = res
-			mu.Unlock()
-		}
-	}
-	p, err := mw.Start("jacobi", "ws1", Jacobi(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	wantRes, _ := JacobiReference(cfg)
-	mu.Lock()
-	defer mu.Unlock()
-	if finalRes != wantRes {
-		t.Fatalf("paged residual = %v, want exactly %v", finalRes, wantRes)
-	}
-}
-
 // TestJacobiPagedDirtyRowsMatchStencil pins the dirty-tracking contract the
 // precopy driver relies on: with one page per grid row, each sweep's dirty
 // set is exactly the rows whose bit patterns the stencil changed — no
@@ -156,16 +177,13 @@ func TestJacobiPagedDirtyRowsMatchStencil(t *testing.T) {
 
 	grid := newJacobiGrid(cfg.N, 100)
 	next := make([]float64, len(grid))
-	prev := make([]float64, side)
-	cur := make([]float64, side)
-	nxt := make([]float64, side)
-	out := make([]float64, side)
+	prev, cur, nxt, out := scratchRows(side)
 	for it := 1; it <= cfg.Iters; it++ {
 		mark := pg.Gen()
-		jacobiPagedSweep(pg, cfg.N, prev, cur, nxt, out)
+		jacobiSweep(pg, cfg.N, prev, cur, nxt, out)
 
-		// The flat reference sweep, diffed row by row.
-		jacobiSweep(grid, next, cfg.N)
+		// The reference sweep, diffed row by row.
+		referenceSweep(grid, next, cfg.N)
 		var want []int
 		for i := 0; i < side; i++ {
 			for j := 0; j < side; j++ {
@@ -192,29 +210,16 @@ func TestJacobiPagedSurvivesLiveMigration(t *testing.T) {
 	// reaches its decision, so the application must have work left when that
 	// happens: run ten times longer than smallJacobi. A finished process
 	// cancels a pending attempt by design.
-	clock := vclock.NewAuto(vclock.Epoch)
-	cl := core.NewCluster(clock, 12.5e6)
-	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	u := mpi.NewUniverse(mpi.Options{
-		Clock:        clock,
-		Transport:    mpi.SimTransport{Net: cl.Net()},
-		SpawnLatency: 300 * time.Millisecond,
-	})
 	var obsMu sync.Mutex
 	phases := map[string]bool{}
-	mw, err := hpcm.New(hpcm.Options{
-		Universe: u, Hosts: cl, Live: &livemig.Config{},
+	_, mw := rigWith(t, hpcm.Options{
+		Live: &livemig.Config{},
 		Events: metrics.On(func(ev hpcm.MigrationEvent) {
 			obsMu.Lock()
 			phases[ev.Phase] = true
 			obsMu.Unlock()
 		}),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := smallJacobi()
 	cfg.Iters = 400
 	var mu sync.Mutex
@@ -263,34 +268,102 @@ func TestJacobiReferenceDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkJacobiSweep prices one relaxation sweep of the N=1024 grid that
-// the migration benchmarks move: flat is the bare stencil, paged the same
-// stencil through the livemig write barrier, one page per row.
+// testGrid is a fresh N-grid, Hot 100 along the top row, behind one of the
+// sweep's two accessors.
+type testGrid struct {
+	name string
+	g    rows
+}
+
+func testGrids(tb testing.TB, n int) []testGrid {
+	tb.Helper()
+	side := n + 2
+	grid := newJacobiGrid(n, 100)
+	pg, err := livemig.NewPages(side*side*8, side*8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pg.WriteFloat64s(0, grid[:side])
+	return []testGrid{{"flat", flatRows(grid)}, {"paged", pg}}
+}
+
+// scratchRows returns the four side-length rows jacobiSweep rotates.
+func scratchRows(side int) (prev, cur, nxt, out []float64) {
+	return make([]float64, side), make([]float64, side), make([]float64, side), make([]float64, side)
+}
+
+// TestJacobiSweepMatchesReference holds the in-place sweep, over either
+// grid, to the independent two-grid referenceSweep: every cell's bits and
+// the residual after each of 300 sweeps. N=1 gives the row kernel one
+// interior cell.
+func TestJacobiSweepMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 130} {
+		for _, tg := range testGrids(t, n) {
+			t.Run(fmt.Sprintf("%s/N=%d", tg.name, n), func(t *testing.T) {
+				side := n + 2
+				grid := newJacobiGrid(n, 100)
+				next := make([]float64, len(grid))
+				prev, cur, nxt, out := scratchRows(side)
+				got := make([]float64, len(grid))
+				for it := 1; it <= 300; it++ {
+					res := jacobiSweep(tg.g, n, prev, cur, nxt, out)
+					want := referenceSweep(grid, next, n)
+					grid, next = next, grid
+					if math.Float64bits(res) != math.Float64bits(want) {
+						t.Fatalf("sweep %d: residual %v, reference %v", it, res, want)
+					}
+					tg.g.ReadFloat64s(0, got)
+					for k := range got {
+						if math.Float64bits(got[k]) != math.Float64bits(grid[k]) {
+							t.Fatalf("sweep %d: cell (%d,%d) = %v, reference %v", it, k/side, k%side, got[k], grid[k])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestJacobiSweepAllocatesNothing pins the sweep's zero-allocation contract
+// over either grid: the accessor is built once, outside the sweep.
+func TestJacobiSweepAllocatesNothing(t *testing.T) {
+	const n = 64
+	for _, tg := range testGrids(t, n) {
+		prev, cur, nxt, out := scratchRows(n + 2)
+		if a := testing.AllocsPerRun(20, func() { jacobiSweep(tg.g, n, prev, cur, nxt, out) }); a != 0 {
+			t.Errorf("%s: %v allocations per sweep, want 0", tg.name, a)
+		}
+	}
+}
+
+// BenchmarkJacobiSweep prices one in-place relaxation sweep of the N=1024
+// grid that the migration benchmarks move: flat is a plain slice, paged the
+// livemig write barrier, one page per row. Both run the same sweep.
 func BenchmarkJacobiSweep(b *testing.B) {
 	const n = 1024
-	side := n + 2
-	b.Run("flat", func(b *testing.B) {
-		grid := newJacobiGrid(n, 100)
-		next := make([]float64, len(grid))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			jacobiSweep(grid, next, n)
-			grid, next = next, grid
-		}
-	})
-	b.Run("paged", func(b *testing.B) {
-		pg, err := livemig.NewPages(side*side*8, side*8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pg.WriteFloat64s(0, newJacobiGrid(n, 100)[:side])
-		prev := make([]float64, side)
-		cur := make([]float64, side)
-		nxt := make([]float64, side)
-		out := make([]float64, side)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			jacobiPagedSweep(pg, n, prev, cur, nxt, out)
-		}
-	})
+	for _, tg := range testGrids(b, n) {
+		b.Run(tg.name, func(b *testing.B) {
+			prev, cur, nxt, out := scratchRows(n + 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkResidual = jacobiSweep(tg.g, n, prev, cur, nxt, out)
+			}
+		})
+	}
 }
+
+// BenchmarkRelaxRow prices the row kernel alone on one N=1024 row.
+func BenchmarkRelaxRow(b *testing.B) {
+	const side = 1024 + 2
+	prev, cur, nxt, out := scratchRows(side)
+	for j := range side {
+		prev[j], cur[j], nxt[j] = float64(j), float64(2*j), float64(3*j)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkResidual = relaxRow(prev, cur, nxt, out, 0)
+	}
+}
+
+// sinkResidual keeps the benchmarked calls' results live.
+var sinkResidual float64

@@ -14,6 +14,13 @@ import (
 
 func testRig(t *testing.T) (*core.Cluster, *hpcm.Middleware) {
 	t.Helper()
+	return rigWith(t, hpcm.Options{})
+}
+
+// rigWith is testRig with opts for the middleware; the rig fills in its
+// universe and hosts.
+func rigWith(t *testing.T, opts hpcm.Options) (*core.Cluster, *hpcm.Middleware) {
+	t.Helper()
 	clock := vclock.NewAuto(vclock.Epoch)
 	cl := core.NewCluster(clock, 12.5e6)
 	if _, err := cl.AddHosts("ws", 3, sim.Config{Speed: 1e6}); err != nil {
@@ -24,7 +31,8 @@ func testRig(t *testing.T) (*core.Cluster, *hpcm.Middleware) {
 		Transport:    mpi.SimTransport{Net: cl.Net()},
 		SpawnLatency: 300 * time.Millisecond,
 	})
-	mw, err := hpcm.New(hpcm.Options{Universe: u, Hosts: cl})
+	opts.Universe, opts.Hosts = u, cl
+	mw, err := hpcm.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
