@@ -88,7 +88,8 @@ check: lint build test
 # barrier holds the region lock for the whole row), of the two jobs-crash
 # chaos scenarios (the commit-failure edge), of the proto client and server over real TCP (the
 # client's one re-dial) and of a standby reading the store while the
-# primary writes it, the
+# primary writes it or compacts it, checked down to the state sets its
+# catch-up rebuilds, the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
 # 64-host scale sweep, malleable, livemig and multijob), and a single
 # 64-host scale sweep, the malleability and multi-job reports and two small
@@ -102,7 +103,7 @@ ci: check
 	$(GO) test -race -count=20 -run 'TestJacobiSurvivesMigration$$|TestJacobiPagedSurvivesLiveMigration$$' ./internal/workload
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
-	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$' ./internal/registry
+	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$|TestStandbyCatchUpSpansACompaction$$|TestRestoreOrdersHostsByRegistration$$' ./internal/registry
 	$(MAKE) fuzz
 	$(MAKE) determinism
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42

@@ -1,6 +1,10 @@
 package persist
 
-import "sync"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // MemStore is the in-memory Store backend: deterministic, no I/O, the
 // backend every simulation and chaos scenario plugs into core.Options.
@@ -60,17 +64,16 @@ func (s *MemStore) pack(data []byte) []byte {
 	return s.chunk[at:len(s.chunk):len(s.chunk)]
 }
 
-// ReadSince implements Store.
+// ReadSince implements Store. The log is in Seq order, so the first record
+// past since is found by binary search, and the result allocated once.
 func (s *MemStore) ReadSince(since uint64) ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Record
-	for _, r := range s.recs {
-		if r.Seq > since {
-			out = append(out, r)
-		}
+	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Seq > since })
+	if i == len(s.recs) {
+		return nil, nil
 	}
-	return out, nil
+	return slices.Clone(s.recs[i:]), nil
 }
 
 // Seq implements Store.

@@ -55,6 +55,75 @@ func TestAppendReadSince(t *testing.T) {
 	}
 }
 
+// TestReadSinceBounds reads every kind of position — zero, before the first
+// record kept, mid-log, the tail and past it — from a fresh log, after a
+// compaction and after a torn tail, and holds each read to one allocation
+// (none when nothing follows since).
+func TestReadSinceBounds(t *testing.T) {
+	type read struct {
+		since       uint64
+		first, last uint64 // the Seqs returned; first 0 for none
+	}
+	phases := []struct {
+		name  string
+		do    func(Store) error
+		reads []read
+	}{
+		{"fresh", func(Store) error { return nil }, []read{
+			{0, 1, 10}, {5, 6, 10}, {9, 10, 10}, {10, 0, 0}, {99, 0, 0},
+		}},
+		{"compacted", func(s Store) error { return s.WriteSnapshot(0, Snapshot{Seq: 4, Data: []byte("state@4")}) }, []read{
+			{0, 5, 10}, {3, 5, 10}, {4, 5, 10}, {7, 8, 10}, {10, 0, 0}, {99, 0, 0},
+		}},
+		{"torn", func(s Store) error { return s.(TailTruncator).TruncateTail(1) }, []read{
+			{0, 5, 9}, {2, 5, 9}, {6, 7, 9}, {9, 0, 0}, {10, 0, 0},
+		}},
+		{"appended after the tear", func(s Store) error { _, err := s.Append(0, "k", []byte("again")); return err }, []read{
+			{0, 5, 10}, {8, 9, 10}, {9, 10, 10}, {10, 0, 0},
+		}},
+	}
+	for name, open := range openers(t) {
+		t.Run(name, func(t *testing.T) {
+			s := open()
+			defer s.Close()
+			for i := 1; i <= 10; i++ {
+				if _, err := s.Append(0, "k", []byte{byte(i)}); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+			}
+			for _, ph := range phases {
+				if err := ph.do(s); err != nil {
+					t.Fatalf("%s: %v", ph.name, err)
+				}
+				for _, rd := range ph.reads {
+					recs, err := s.ReadSince(rd.since)
+					if err != nil {
+						t.Fatalf("%s: ReadSince(%d): %v", ph.name, rd.since, err)
+					}
+					var want []uint64
+					for seq := rd.first; rd.first > 0 && seq <= rd.last; seq++ {
+						want = append(want, seq)
+					}
+					var got []uint64
+					for _, r := range recs {
+						got = append(got, r.Seq)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: ReadSince(%d) = seqs %v, want %v", ph.name, rd.since, got, want)
+					}
+					allocs := 0.0
+					if len(want) > 0 {
+						allocs = 1
+					}
+					if n := testing.AllocsPerRun(10, func() { _, _ = s.ReadSince(rd.since) }); n != allocs {
+						t.Errorf("%s: ReadSince(%d) allocates %.0f objects, want %.0f", ph.name, rd.since, n, allocs)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSnapshotCompaction(t *testing.T) {
 	for name, open := range openers(t) {
 		t.Run(name, func(t *testing.T) {

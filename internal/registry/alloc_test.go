@@ -78,3 +78,23 @@ func TestDurableHeartbeatAllocatesAsSoft(t *testing.T) {
 		t.Errorf("a durable ReportStatus allocates %.0f objects per call, a storeless one %.0f", durable, soft)
 	}
 }
+
+// TestBootstrapAllocations pins a restart's allocations, independent of the
+// fleet's size: the snapshot's hosts and processes decode into one slab
+// each, the indexes are sized once, and the suffix replays through reused
+// payloads out of one string.
+func TestBootstrapAllocations(t *testing.T) {
+	for _, n := range []int{512, 4096} {
+		r := durableFleet(t, n)
+		r.mu.Lock()
+		avg := testing.AllocsPerRun(5, func() {
+			if err := r.bootstrapLocked(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		r.mu.Unlock()
+		if avg > 128 {
+			t.Errorf("a bootstrap of %d hosts allocates %.0f objects, want at most 128", n, avg)
+		}
+	}
+}

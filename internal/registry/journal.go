@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"time"
 
 	"autoresched/internal/proto"
@@ -54,10 +55,18 @@ var errPayload = errors.New("malformed journal payload")
 
 // decode fills p from data, which must hold exactly one payload.
 func (c *codec) decode(data []byte, p payload) error {
+	return c.decodeString(data, string(data), p)
+}
+
+// decodeString is decode given data as a string, s, which the strings it
+// returns are substrings of. It zeroes p first, so p may be reused: a JSON
+// decode leaves a field the document lacks as it was.
+func (c *codec) decodeString(data []byte, s string, p payload) error {
+	reflect.ValueOf(p).Elem().SetZero()
 	if len(data) > 0 && data[0] == '{' {
 		return json.Unmarshal(data, p) // a store written before the binary journal
 	}
-	*c = codec{b: data, s: string(data), off: 1}
+	*c = codec{b: data, s: s, off: 1}
 	if len(data) == 0 || data[0] != journalVersion {
 		return errPayload
 	}
@@ -252,20 +261,38 @@ func (p *recGangResolve) walk(c *codec) {
 }
 
 func (st *persistedState) walk(c *codec) {
+	st.walkAround(c, func(c *codec) { list(c, &st.Hosts, minHost, walkHost) })
+}
+
+func (d *restoreDoc) walk(c *codec) {
+	d.walkAround(c, func(c *codec) { list(c, &d.entries, minHost, walkEntry) })
+}
+
+// walkAround walks a snapshot document, its host list by hosts.
+func (st *persistedState) walkAround(c *codec, hosts func(*codec)) {
 	c.int(&st.RegSeq)
 	c.uvarint(&st.GangSeq)
-	list(c, &st.Hosts, minHost, walkHost)
+	hosts(c)
 	list(c, &st.Procs, minProc, walkProc)
 	list(c, &st.Gangs, minGang, walkGang)
 }
 
 func walkHost(c *codec, h *persistedHost) {
-	c.str(&h.Name)
-	walkStatic(c, &h.Static)
-	walkStatus(c, &h.Status)
-	c.state(&h.State)
-	c.time(&h.LastSeen)
-	c.int(&h.RegOrder)
+	walkHostFields(c, &h.Name, &h.Static, &h.Status, &h.State, &h.LastSeen, &h.RegOrder)
+}
+
+func walkEntry(c *codec, e *hostEntry) {
+	walkHostFields(c, &e.info.Name, &e.info.Static, &e.info.Status, &e.info.State, &e.info.LastSeen, &e.regOrder)
+}
+
+// walkHostFields is the one field order of a snapshot's host.
+func walkHostFields(c *codec, name *string, static *proto.StaticInfo, status *proto.Status, state *rules.State, lastSeen *time.Time, regOrder *int) {
+	c.str(name)
+	walkStatic(c, static)
+	walkStatus(c, status)
+	c.state(state)
+	c.time(lastSeen)
+	c.int(regOrder)
 }
 
 func walkProc(c *codec, p *persistedProc) {

@@ -218,9 +218,12 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(doc[:len(doc)/2])
 	f.Add([]byte(`{"host":"ws1","pid":7}`))
 	f.Add([]byte{journalVersion, 0x80, 0})
-	payloads := []func() payload{func() payload { return new(persistedState) }}
+	// The snapshot decodes as a restore reads it, and the records into the
+	// payloads a replay reuses.
+	payloads := []func() payload{func() payload { return new(restoreDoc) }}
+	reused := replayPayloads()
 	for _, kind := range recordKinds(f) {
-		payloads = append(payloads, func() payload { return newPayload(kind) })
+		payloads = append(payloads, func() payload { return reused[kind] })
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		legacy := len(data) > 0 && data[0] == '{'

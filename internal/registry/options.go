@@ -38,16 +38,14 @@ func NewRegistry(opts ...Option) *Registry {
 		cfg.cooldown = 60 * time.Second
 	}
 	r := &Registry{
-		cfg:       cfg,
-		clock:     cfg.clock,
-		probes:    sysinfo.StandardProbes(),
-		ctr:       newCounters(cfg.metrics),
-		hosts:     make(map[string]*hostEntry),
-		sets:      newStateSets(),
-		procs:     make(map[procKey]*ProcInfo),
-		hostProcs: make(map[string]map[int]*ProcInfo),
-		reserved:  make(map[string]*GangReservation),
-		gangs:     make(map[uint64][]string),
+		cfg:      cfg,
+		clock:    cfg.clock,
+		probes:   sysinfo.StandardProbes(),
+		ctr:      newCounters(cfg.metrics),
+		hosts:    make(map[string]*hostEntry),
+		sets:     newStateSets(),
+		reserved: make(map[string]*GangReservation),
+		gangs:    make(map[uint64][]string),
 	}
 	if cfg.store != nil {
 		// Warm start: rebuild the protocol state left by the previous
@@ -56,7 +54,7 @@ func NewRegistry(opts ...Option) *Registry {
 		r.store = cfg.store
 		r.storeEpoch = cfg.store.Epoch()
 		if err := r.bootstrapLocked(); err != nil {
-			r.resetStateLocked()
+			r.resetStateLocked(0)
 			r.trace(EventRestart, "", 0, "", "bootstrap failed, starting empty: "+err.Error())
 		}
 	}

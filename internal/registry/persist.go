@@ -93,6 +93,13 @@ type persistedState struct {
 	Gangs   []persistedGang `json:"gangs,omitempty"`
 }
 
+// restoreDoc is the snapshot document as a restore reads it, its hosts
+// decoded straight into entries (a JSON document fills Hosts instead).
+type restoreDoc struct {
+	persistedState
+	entries []hostEntry
+}
+
 type persistedHost struct {
 	Name     string           `json:"name"`
 	Static   proto.StaticInfo `json:"static"`
@@ -169,15 +176,17 @@ func (r *Registry) foldLocked() *persistedState {
 			RegOrder: e.regOrder,
 		})
 	}
-	st.Procs = st.Procs[:0]
-	for _, p := range r.procs {
-		st.Procs = append(st.Procs, persistedProc{
-			Host:      p.Host,
-			PID:       p.PID,
-			Name:      p.Name,
-			Start:     p.Start,
-			SchemaXML: p.schemaXML,
-		})
+	st.Procs = slices.Grow(st.Procs[:0], r.nprocs)
+	for _, e := range r.order {
+		for _, p := range e.procs {
+			st.Procs = append(st.Procs, persistedProc{
+				Host:      p.Host,
+				PID:       p.PID,
+				Name:      p.Name,
+				Start:     p.Start,
+				SchemaXML: p.schemaXML,
+			})
+		}
 	}
 	slices.SortFunc(st.Procs, func(a, b persistedProc) int {
 		return cmp.Or(strings.Compare(a.Host, b.Host), cmp.Compare(a.PID, b.PID))
@@ -213,13 +222,13 @@ func (r *Registry) Seq() uint64 {
 }
 
 // resetStateLocked drops every piece of protocol state, the shared first
-// half of both the storeless Restart and the crash-consistent bootstrap.
-func (r *Registry) resetStateLocked() {
-	r.hosts = make(map[string]*hostEntry)
-	r.order = nil
+// half of both the storeless Restart and the crash-consistent bootstrap,
+// sizing the host indexes for n hosts.
+func (r *Registry) resetStateLocked(n int) {
+	r.hosts = make(map[string]*hostEntry, n)
+	r.order = make([]*hostEntry, 0, n)
 	r.sets = newStateSets()
-	r.procs = make(map[procKey]*ProcInfo)
-	r.hostProcs = make(map[string]map[int]*ProcInfo)
+	r.nprocs = 0
 	r.reserved = make(map[string]*GangReservation)
 	r.gangs = make(map[uint64][]string)
 	r.regSeq = 0
@@ -231,7 +240,7 @@ func (r *Registry) resetStateLocked() {
 // by the previous incarnation. The caller holds r.mu (or owns the registry
 // exclusively during construction).
 func (r *Registry) bootstrapLocked() error {
-	r.resetStateLocked()
+	r.resetStateLocked(0)
 	r.lastApplied = 0
 	if err := r.catchUpLocked(r.store); err != nil {
 		return err
@@ -245,10 +254,14 @@ func (r *Registry) bootstrapLocked() error {
 // the gap silently would lose them), then every record after it. A primary
 // writing concurrently can compact between the two reads; the suffix then
 // starts past this position, and the newer snapshot that compaction wrote
-// covers the gap, so the catch-up starts over from it.
+// covers the gap, so the catch-up starts over from it. The state sets are
+// rebuilt once at the end, error or not.
 func (r *Registry) catchUpLocked(store persist.Store) error {
 	r.replaying = true
-	defer func() { r.replaying = false }()
+	defer func() {
+		r.replaying = false
+		r.rebuildSetsLocked()
+	}()
 	var recs []persist.Record
 	for gap := false; ; gap = true {
 		snap, ok, err := store.LoadSnapshot()
@@ -271,13 +284,27 @@ func (r *Registry) catchUpLocked(store persist.Store) error {
 			break
 		}
 	}
-	var c codec
+	// Every record's strings are substrings of one string of the suffix.
+	n := 0
 	for _, rec := range recs {
-		p := newPayload(rec.Kind)
+		n += len(rec.Data)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, rec := range recs {
+		b.Write(rec.Data)
+	}
+	suffix := b.String()
+	var c codec
+	payloads := replayPayloads()
+	for _, rec := range recs {
+		s := suffix[:len(rec.Data)]
+		suffix = suffix[len(rec.Data):]
+		p := payloads[rec.Kind]
 		if p == nil {
 			return fmt.Errorf("registry: replay: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
 		}
-		if err := c.decode(rec.Data, p); err != nil {
+		if err := c.decodeString(rec.Data, s, p); err != nil {
 			return replayErr(rec, err)
 		}
 		if err := r.applyLocked(p); err != nil {
@@ -286,6 +313,20 @@ func (r *Registry) catchUpLocked(store persist.Store) error {
 		r.lastApplied = rec.Seq
 	}
 	return nil
+}
+
+// replayPayloads returns one payload of every change-record kind, by kind:
+// a replay decodes each record into the one its kind maps to.
+func replayPayloads() map[string]payload {
+	return map[string]payload{
+		recKindHostRegister:   new(recHostRegister),
+		recKindHostStatus:     new(recHostStatus),
+		recKindHostUnregister: new(recHostUnregister),
+		recKindProcRegister:   new(recProcRegister),
+		recKindProcExit:       new(recProcExit),
+		recKindGangReserve:    new(recGangReserve),
+		recKindGangResolve:    new(recGangResolve),
+	}
 }
 
 // presumeAbortLocked durably aborts every reservation the log leaves
@@ -306,54 +347,56 @@ func (r *Registry) presumeAbortLocked() error {
 	return nil
 }
 
-// restoreStateLocked replaces the protocol state with a snapshot document.
-// The caller is replaying: processes go through their one apply, unjournalled.
+// restoreStateLocked replaces the protocol state with a snapshot document:
+// its hosts are one slab of entries, indexed in registration order whatever
+// order the document lists them in, and every host's processes a run carved
+// out of one slab. The caller is replaying and rebuilds the state sets.
 func (r *Registry) restoreStateLocked(data []byte) error {
-	var st persistedState
+	var doc restoreDoc
 	var c codec
-	if err := c.decode(data, &st); err != nil {
+	if err := c.decode(data, &doc); err != nil {
 		return fmt.Errorf("registry: decode snapshot: %w", err)
 	}
-	r.resetStateLocked()
-	r.regSeq = st.RegSeq
-	r.gangSeq = st.GangSeq
-	for _, h := range st.Hosts {
-		e := &hostEntry{regOrder: h.RegOrder}
-		e.info = HostInfo{Name: h.Name, Static: h.Static, Status: h.Status, State: h.State, LastSeen: h.LastSeen}
-		r.hosts[h.Name] = e
-		r.order = insertOrdered(r.order, e)
-		r.sets[h.State] = insertOrdered(r.sets[h.State], e)
+	doc.entries = slices.Grow(doc.entries, len(doc.Hosts))
+	for _, h := range doc.Hosts {
+		doc.entries = append(doc.entries, hostEntry{regOrder: h.RegOrder,
+			info: HostInfo{Name: h.Name, Static: h.Static, Status: h.Status, State: h.State, LastSeen: h.LastSeen}})
 	}
-	for _, sp := range st.Procs {
+	r.resetStateLocked(len(doc.entries))
+	r.regSeq = doc.RegSeq
+	r.gangSeq = doc.GangSeq
+	for i := range doc.entries {
+		e := &doc.entries[i]
+		r.hosts[e.info.Name] = e
+		r.order = append(r.order, e)
+	}
+	slices.SortFunc(r.order, func(a, b *hostEntry) int { return cmp.Compare(a.regOrder, b.regOrder) })
+	procs := make([]ProcInfo, 0, len(doc.Procs))
+	var run *hostEntry // the host whose run ends procs
+	for _, sp := range doc.Procs {
 		info := proto.ProcessInfo{PID: sp.PID, Name: sp.Name, Start: sp.Start.UnixNano(), SchemaXML: sp.SchemaXML}
-		if err := r.applyLocked(&recProcRegister{Host: sp.Host, Info: info}); err != nil {
+		p, err := newProcInfo(sp.Host, info)
+		if err != nil {
 			return fmt.Errorf("registry: snapshot process: %w", err)
 		}
+		e, ok := r.hosts[sp.Host]
+		switch {
+		case !ok:
+			return fmt.Errorf("registry: snapshot process from unregistered host %q", sp.Host)
+		case len(e.procs) == 0, e == run && p.PID > e.procs[len(e.procs)-1].PID:
+			// The document's (host, PID) order: extend the host's run.
+			start := len(procs) - len(e.procs)
+			procs = append(procs, p)
+			e.procs = procs[start:len(procs):len(procs)]
+			r.nprocs++
+			run = e
+		default:
+			run = nil
+			r.addProcLocked(e, p)
+		}
 	}
-	for _, g := range st.Gangs {
+	for _, g := range doc.Gangs {
 		r.gangs[g.ID] = append([]string(nil), g.Hosts...)
-	}
-	return nil
-}
-
-// newPayload returns an empty payload of the type a change-record kind
-// carries, or nil for a kind this registry does not know.
-func newPayload(kind string) payload {
-	switch kind {
-	case recKindHostRegister:
-		return new(recHostRegister)
-	case recKindHostStatus:
-		return new(recHostStatus)
-	case recKindHostUnregister:
-		return new(recHostUnregister)
-	case recKindProcRegister:
-		return new(recProcRegister)
-	case recKindProcExit:
-		return new(recProcExit)
-	case recKindGangReserve:
-		return new(recGangReserve)
-	case recKindGangResolve:
-		return new(recGangResolve)
 	}
 	return nil
 }
@@ -379,7 +422,9 @@ func (r *Registry) applyLocked(v any) error {
 			e.info.State = rules.Free
 			r.hosts[p.Host] = e
 			r.order = append(r.order, e)
-			r.sets[rules.Free] = insertOrdered(r.sets[rules.Free], e)
+			if !r.replaying {
+				r.sets[rules.Free] = insertOrdered(r.sets[rules.Free], e)
+			}
 		} else {
 			r.setStateLocked(e, rules.Free)
 		}
@@ -411,48 +456,37 @@ func (r *Registry) applyLocked(v any) error {
 		}
 		delete(r.hosts, p.Host)
 		r.order = removeOrdered(r.order, e)
-		r.sets[e.info.State] = removeOrdered(r.sets[e.info.State], e)
-		for pid := range r.hostProcs[p.Host] {
-			delete(r.procs, procKey{p.Host, pid})
+		if !r.replaying {
+			r.sets[e.info.State] = removeOrdered(r.sets[e.info.State], e)
 		}
-		delete(r.hostProcs, p.Host)
+		r.nprocs -= len(e.procs)
 	case *recProcRegister:
-		var sch *rules.Schema
-		if p.Info.SchemaXML != "" {
-			parsed, err := rules.ParseSchema([]byte(p.Info.SchemaXML))
-			if err != nil {
-				return fmt.Errorf("registry: process schema: %w", err)
-			}
-			sch = parsed
+		pi, err := newProcInfo(p.Host, p.Info)
+		if err != nil {
+			return err
 		}
-		if _, ok := r.hosts[p.Host]; !ok {
+		e, ok := r.hosts[p.Host]
+		if !ok {
 			return fmt.Errorf("registry: process from unregistered host %q", p.Host)
 		}
 		if err := r.appendLocked(recKindProcRegister, p); err != nil {
 			return err
 		}
-		pi := &ProcInfo{
-			Host:      p.Host,
-			PID:       p.Info.PID,
-			Name:      p.Info.Name,
-			Start:     time.Unix(0, p.Info.Start).UTC(),
-			Schema:    sch,
-			schemaXML: p.Info.SchemaXML,
-		}
-		r.procs[procKey{p.Host, p.Info.PID}] = pi
-		if r.hostProcs[p.Host] == nil {
-			r.hostProcs[p.Host] = make(map[int]*ProcInfo)
-		}
-		r.hostProcs[p.Host][p.Info.PID] = pi
+		r.addProcLocked(e, pi)
 	case *recProcExit:
-		if _, ok := r.procs[procKey{p.Host, p.PID}]; !ok {
+		e, ok := r.hosts[p.Host]
+		if !ok {
+			return nil
+		}
+		i, found := slices.BinarySearchFunc(e.procs, p.PID, byPID)
+		if !found {
 			return nil
 		}
 		if err := r.appendLocked(recKindProcExit, p); err != nil {
 			return err
 		}
-		delete(r.procs, procKey{p.Host, p.PID})
-		delete(r.hostProcs[p.Host], p.PID)
+		e.procs = slices.Delete(e.procs, i, i+1)
+		r.nprocs--
 	case *recGangReserve:
 		if err := r.appendLocked(recKindGangReserve, p); err != nil {
 			return err

@@ -13,7 +13,7 @@ import (
 // durableFleet builds a MemStore-backed registry of n registered hosts, each
 // with one status report, snapshotting every n records — so the store holds
 // a mid-log snapshot and a suffix behind it.
-func durableFleet(b *testing.B, n int) *Registry {
+func durableFleet(b testing.TB, n int) *Registry {
 	b.Helper()
 	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithStore(persist.NewMemStore()), WithSnapshotEvery(n))

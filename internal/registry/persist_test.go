@@ -2,11 +2,14 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"autoresched/internal/metrics"
 	"autoresched/internal/persist"
 	"autoresched/internal/proto"
+	"autoresched/internal/rules"
 	"autoresched/internal/vclock"
 )
 
@@ -24,6 +28,49 @@ func storedRegistry(t *testing.T, store persist.Store) (*Registry, *vclock.Auto,
 	mreg := metrics.NewRegistry()
 	r := NewRegistry(WithClock(clock), WithMetrics(mreg), WithStore(store))
 	return r, clock, mreg
+}
+
+// checkIndexes holds r's indexes, which StateDigest cannot see, to what
+// they must be after a catch-up: each state set is r's registration order
+// filtered by that state, and every host lists the processes primary lists
+// for it.
+func checkIndexes(t *testing.T, r, primary *Registry) {
+	t.Helper()
+	sets := func() string {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if len(r.sets) != 4 {
+			return fmt.Sprintf("%d state sets, want 4", len(r.sets))
+		}
+		for _, state := range []rules.State{rules.Free, rules.Busy, rules.Overloaded, rules.Unavailable} {
+			var got, want []string
+			for _, e := range r.order {
+				if e.info.State == state {
+					want = append(want, e.info.Name)
+				}
+			}
+			for _, e := range r.sets[state] {
+				got = append(got, e.info.Name)
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Sprintf("%v set = %v, registration order filtered by state %v", state, got, want)
+			}
+		}
+		return ""
+	}
+	if msg := sets(); msg != "" {
+		t.Fatal(msg)
+	}
+	for _, reg := range []*Registry{r, primary} {
+		for _, h := range reg.Hosts() {
+			if got, want := r.Processes(h.Name), primary.Processes(h.Name); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Processes(%s) = %+v, primary %+v", h.Name, got, want)
+			}
+		}
+	}
+	if got, want := r.Health().Processes, primary.Health().Processes; got != want {
+		t.Fatalf("Health counts %d processes, primary %d", got, want)
+	}
 }
 
 func TestRestartRecoversFromStore(t *testing.T) {
@@ -225,10 +272,13 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 		if got := sb.Registry().StateDigest(); got != live {
 			t.Fatalf("%s: standby digest = %s, live %s", step.name, got, live)
 		}
+		checkIndexes(t, sb.Registry(), r)
 		if !step.pending {
-			if got := NewRegistry(WithClock(clock), WithStore(store)).StateDigest(); got != live {
+			boot := NewRegistry(WithClock(clock), WithStore(store))
+			if got := boot.StateDigest(); got != live {
 				t.Fatalf("%s: bootstrap digest = %s, live %s", step.name, got, live)
 			}
+			checkIndexes(t, boot, r)
 			continue
 		}
 		// A bootstrap presumes the pending reservation aborted and journals
@@ -245,6 +295,8 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 		if b, p := boot.StateDigest(), promoted.StateDigest(); b != p || b == live {
 			t.Fatalf("%s: bootstrap digest %s, promoted %s, live (still pending) %s", step.name, b, p, live)
 		}
+		checkIndexes(t, boot, r)
+		checkIndexes(t, promoted, r)
 	}
 	for _, kind := range recordKinds(t) {
 		if !kinds[kind] {
@@ -258,10 +310,12 @@ func TestSnapshotCompactionKeepsBootstrapEquivalent(t *testing.T) {
 		t.Fatalf("log not compacted behind the snapshot: %d records, err %v", len(recs), err)
 	}
 	digest := r.StateDigest()
+	boot := NewRegistry(WithClock(clock), WithStore(store))
 	r.Restart()
 	if got := r.StateDigest(); got != digest {
 		t.Fatalf("post-compaction recovery digest = %s, want %s", got, digest)
 	}
+	checkIndexes(t, r, boot)
 }
 
 // recordKinds lists every recKind* constant persist.go declares, read from
@@ -300,8 +354,9 @@ func recordKinds(t testing.TB) []string {
 // declared kind decodes to a payload applyLocked knows, and a kind (or
 // payload) nobody declared is refused rather than skipped.
 func TestEveryRecordKindHasOneApply(t *testing.T) {
+	payloads := replayPayloads()
 	for _, kind := range recordKinds(t) {
-		p := newPayload(kind)
+		p := payloads[kind]
 		if p == nil {
 			t.Fatalf("%s: no payload type", kind)
 		}
@@ -331,34 +386,46 @@ func TestReplayBitIdentical4096Hosts(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock), WithStore(store), WithSnapshotEvery(3000))
 	const n = 4096
-	for i := 0; i < n; i++ {
-		if err := r.RegisterHost(fmt.Sprintf("ws%04d", i), proto.StaticInfo{CPUSpeed: float64(1 + i%7)}); err != nil {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	host := func(i int) string { return fmt.Sprintf("ws%04d", i) }
+	for i := 0; i < n; i++ {
+		must(r.RegisterHost(host(i), proto.StaticInfo{CPUSpeed: float64(1 + i%7)}))
+	}
+	// The snapshot folds the processes: two on each of the first 64 hosts,
+	// registered against PID order, one with a schema.
+	must(r.RegisterProcess(host(0), proto.ProcessInfo{PID: 99, Name: "tree", SchemaXML: testTreeXML(t)}))
+	for i := 0; i < 64; i++ {
+		must(r.RegisterProcess(host(i), proto.ProcessInfo{PID: 100 + i, Name: "rank"}))
+		must(r.RegisterProcess(host(i), proto.ProcessInfo{PID: 50 + i, Name: "rank"}))
 	}
 	clock.Sleep(10 * time.Second)
 	states := []string{"free", "busy", "overloaded"}
 	for i := 0; i < n; i++ {
 		st := proto.Status{State: states[i%3], Load1: float64(i%11) / 4}
-		if err := r.ReportStatus(fmt.Sprintf("ws%04d", i), st); err != nil {
-			t.Fatal(err)
-		}
+		must(r.ReportStatus(host(i), st))
 	}
-	for i := 0; i < 64; i++ {
-		if err := r.RegisterProcess(fmt.Sprintf("ws%04d", i), proto.ProcessInfo{PID: 100 + i, Name: "rank"}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The suffix shrinks one restored run and grows another past its end.
+	must(r.ProcessExit(host(1), 51))
+	must(r.RegisterProcess(host(2), proto.ProcessInfo{PID: 1, Name: "late"}))
+	must(r.RegisterProcess(host(2), proto.ProcessInfo{PID: 200, Name: "late"}))
 	pre, preDigest := encodedState(r), r.StateDigest()
 	if snap, ok, _ := store.LoadSnapshot(); !ok || snap.Seq == 0 {
 		t.Fatal("expected a compacting snapshot mid-log")
 	}
+	boot := NewRegistry(WithClock(clock), WithStore(store))
+	checkIndexes(t, boot, r)
 
 	r.Restart()
 
 	if post := encodedState(r); !bytes.Equal(pre, post) || r.StateDigest() != preDigest {
 		t.Fatalf("replayed state not bit-identical: pre %d bytes, post %d bytes", len(pre), len(post))
 	}
+	checkIndexes(t, r, boot)
 }
 
 // encodedState is r's snapshot document as the journal codec writes it.
@@ -366,6 +433,103 @@ func encodedState(r *Registry) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return new(codec).encode(r.foldLocked())
+}
+
+// TestReplayZeroesReusedPayloads replays two JSON proc-register records,
+// as stores written before the binary journal hold them, the first with a
+// schema document and the second without: a JSON decode leaves a field the
+// record lacks as it was, so the second comes back schema-less only if the
+// payload the replay reuses is zeroed between records.
+func TestReplayZeroesReusedPayloads(t *testing.T) {
+	store := persist.NewMemStore()
+	host, err := json.Marshal(&recHostRegister{Host: "ws1", At: vclock.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSchema, err := json.Marshal(&recProcRegister{Host: "ws1", Info: proto.ProcessInfo{PID: 1, Name: "tree", SchemaXML: testTreeXML(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		kind string
+		data []byte
+	}{
+		{recKindHostRegister, host},
+		{recKindProcRegister, withSchema},
+		{recKindProcRegister, []byte(`{"host":"ws1","info":{"PID":2,"Name":"plain"}}`)},
+	} {
+		if _, err := store.Append(0, rec.kind, rec.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)), WithStore(store))
+	procs := r.Processes("ws1")
+	if len(procs) != 2 || procs[0].Schema == nil || procs[1].Name != "plain" || procs[1].Schema != nil || procs[1].schemaXML != "" {
+		t.Fatalf("replayed processes = %+v, want tree with a schema and plain without", procs)
+	}
+}
+
+// TestRestoreOrdersHostsByRegistration restores a hand-made snapshot whose
+// hosts and processes are listed out of registration and PID order: the
+// restore indexes the hosts in registration order, as the registry that
+// wrote the state held them, and each host's processes in PID order. A
+// suffix behind the snapshot moves host states, so the state sets a catch-up
+// rebuilds are checked against a registry that made the same moves live.
+func TestRestoreOrdersHostsByRegistration(t *testing.T) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	live := NewRegistry(WithClock(clock), WithStore(persist.NewMemStore()))
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := []string{"free", "busy", "overloaded"}
+	for i := 0; i < 6; i++ {
+		h := fmt.Sprintf("ws%d", i)
+		must(live.RegisterHost(h, staticFor(h)))
+		must(live.ReportStatus(h, proto.Status{State: states[i%3]}))
+		must(live.RegisterProcess(h, proto.ProcessInfo{PID: 20 - i, Name: "a"}))
+		must(live.RegisterProcess(h, proto.ProcessInfo{PID: 10 + i, Name: "b"}))
+	}
+	live.mu.Lock()
+	doc := *live.foldLocked()
+	seq := live.lastApplied
+	live.mu.Unlock()
+	slices.Reverse(doc.Hosts)
+	slices.Reverse(doc.Procs)
+	store := persist.NewMemStore()
+	must(store.WriteSnapshot(0, persist.Snapshot{Seq: seq, Data: new(codec).encode(&doc)}))
+
+	// The same suffix, journalled by live and copied behind the snapshot.
+	must(live.ReportStatus("ws0", proto.Status{State: "overloaded"}))
+	must(live.ReportStatus("ws4", proto.Status{State: "free"}))
+	must(live.UnregisterHost("ws2"))
+	must(live.RegisterHost("ws2", staticFor("ws2")))
+	must(live.RegisterProcess("ws2", proto.ProcessInfo{PID: 5, Name: "c"}))
+	must(live.ProcessExit("ws3", 17))
+	recs, err := live.store.ReadSince(seq)
+	must(err)
+	for _, rec := range recs {
+		_, err := store.Append(0, rec.Kind, rec.Data)
+		must(err)
+	}
+
+	boot := NewRegistry(WithClock(clock), WithStore(store))
+	if got, want := boot.StateDigest(), live.StateDigest(); got != want {
+		t.Fatalf("restored digest %s, live %s", got, want)
+	}
+	var names []string
+	for _, h := range boot.Hosts() {
+		names = append(names, h.Name)
+	}
+	if want := []string{"ws0", "ws1", "ws3", "ws4", "ws5", "ws2"}; !slices.Equal(names, want) {
+		t.Fatalf("restored hosts in order %v, want registration order %v", names, want)
+	}
+	checkIndexes(t, boot, live)
+	sb, err := NewStandby(store, WithClock(clock))
+	must(err)
+	checkIndexes(t, sb.Registry(), live)
 }
 
 func TestRestartPresumesPendingGangAborted(t *testing.T) {
@@ -548,6 +712,7 @@ func TestStandbyCatchUpSpansACompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkIndexes(t, sb.Registry(), r)
 	cs.between = func() {
 		if err := r.RegisterHost("ws4", proto.StaticInfo{CPUSpeed: 1e6}); err != nil { // lands in the gap
 			t.Fatal(err)
@@ -564,6 +729,12 @@ func TestStandbyCatchUpSpansACompaction(t *testing.T) {
 	if got, want := sb.Registry().StateDigest(), r.StateDigest(); got != want {
 		t.Fatalf("standby digest %s, primary %s", got, want)
 	}
+	checkIndexes(t, sb.Registry(), r)
+	promoted, err := sb.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexes(t, promoted, r)
 }
 
 // compactingStore runs between once, right after a LoadSnapshot returns.

@@ -18,8 +18,10 @@
 package registry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -159,11 +161,9 @@ type hostEntry struct {
 	lastCmd  time.Time
 	hasCmd   bool
 	regOrder int
-}
-
-type procKey struct {
-	host string
-	pid  int
+	// procs are the host's processes, sorted by PID: after a restore a run
+	// of one slab, capped so that growing it cannot overwrite the next run.
+	procs []ProcInfo
 }
 
 // Registry is a registry/scheduler instance.
@@ -181,10 +181,11 @@ type Registry struct {
 	order []*hostEntry
 	// sets indexes the entries by their last reported state, each slice
 	// in registration order, so placement scans only the states it wants
-	// (the default policy touches just the Free set).
-	sets      map[rules.State][]*hostEntry
-	procs     map[procKey]*ProcInfo
-	hostProcs map[string]map[int]*ProcInfo
+	// (the default policy touches just the Free set). A replay leaves them
+	// to catchUpLocked, which rebuilds them once.
+	sets map[rules.State][]*hostEntry
+	// nprocs counts the processes on every host's procs.
+	nprocs int
 	// reserved marks hosts held by pending gang reservations; candidate
 	// scans skip them until the reservation commits or aborts.
 	reserved map[string]*GangReservation
@@ -243,9 +244,25 @@ func (r *Registry) setStateLocked(e *hostEntry, state rules.State) {
 	if e.info.State == state {
 		return
 	}
-	r.sets[e.info.State] = removeOrdered(r.sets[e.info.State], e)
+	if !r.replaying {
+		r.sets[e.info.State] = removeOrdered(r.sets[e.info.State], e)
+		r.sets[state] = insertOrdered(r.sets[state], e)
+	}
 	e.info.State = state
-	r.sets[state] = insertOrdered(r.sets[state], e)
+}
+
+// rebuildSetsLocked refills the state sets from order, each grown once.
+func (r *Registry) rebuildSetsLocked() {
+	n := make(map[rules.State]int, len(r.sets))
+	for _, e := range r.order {
+		n[e.info.State]++
+	}
+	for state, set := range r.sets {
+		r.sets[state] = slices.Grow(set[:0], n[state])
+	}
+	for _, e := range r.order {
+		r.sets[e.info.State] = append(r.sets[e.info.State], e)
+	}
 }
 
 // RegisterHost records a host's static information (one-time registration).
@@ -305,19 +322,19 @@ func (r *Registry) Restart() {
 		if err := r.bootstrapLocked(); err != nil {
 			// A store that cannot be replayed yields the classic
 			// soft-state restart rather than a wedged registry.
-			r.resetStateLocked()
+			r.resetStateLocked(0)
 		} else {
 			recovered = true
 		}
 	} else {
-		r.resetStateLocked()
+		r.resetStateLocked(0)
 	}
 	hosts := len(r.hosts)
 	ev := RestartEvent{
 		Recovered: recovered,
 		Seq:       r.lastApplied,
 		Hosts:     hosts,
-		Procs:     len(r.procs),
+		Procs:     r.nprocs,
 	}
 	r.mu.Unlock()
 	r.ctr.restarts.Inc()
@@ -390,21 +407,41 @@ func (r *Registry) ProcessExit(host string, pid int) error {
 func (r *Registry) Processes(host string) []ProcInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.processesLocked(host)
-}
-
-func (r *Registry) processesLocked(host string) []ProcInfo {
-	byPID := r.hostProcs[host]
-	if len(byPID) == 0 {
+	e, ok := r.hosts[host]
+	if !ok || len(e.procs) == 0 {
 		return nil
 	}
-	out := make([]ProcInfo, 0, len(byPID))
-	for _, p := range byPID {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
+	return slices.Clone(e.procs)
 }
+
+// newProcInfo is the registry's record of a process registered on host,
+// its schema document parsed.
+func newProcInfo(host string, info proto.ProcessInfo) (ProcInfo, error) {
+	p := ProcInfo{Host: host, PID: info.PID, Name: info.Name, Start: time.Unix(0, info.Start).UTC(),
+		schemaXML: info.SchemaXML}
+	if info.SchemaXML != "" {
+		sch, err := rules.ParseSchema([]byte(info.SchemaXML))
+		if err != nil {
+			return ProcInfo{}, fmt.Errorf("registry: process schema: %w", err)
+		}
+		p.Schema = sch
+	}
+	return p, nil
+}
+
+// addProcLocked inserts p into e's PID-sorted processes, replacing one with
+// its PID.
+func (r *Registry) addProcLocked(e *hostEntry, p ProcInfo) {
+	i, found := slices.BinarySearchFunc(e.procs, p.PID, byPID)
+	if found {
+		e.procs[i] = p
+		return
+	}
+	e.procs = slices.Insert(e.procs, i, p)
+	r.nprocs++
+}
+
+func byPID(p ProcInfo, pid int) int { return cmp.Compare(p.PID, pid) }
 
 // SelectProcess picks the process to migrate off a host: the one with the
 // latest estimated completion time, "to reduce the possibility of migrating
@@ -417,7 +454,7 @@ func (r *Registry) SelectProcess(host string) (ProcInfo, bool) {
 		return ProcInfo{}, false
 	}
 	speed := e.info.Static.CPUSpeed
-	procs := r.processesLocked(host)
+	procs := slices.Clone(e.procs)
 	r.mu.Unlock()
 	return selectLatestCompletion(speed, procs)
 }
@@ -471,7 +508,7 @@ func (r *Registry) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock.Now()
-	h := Health{Processes: len(r.procs)}
+	h := Health{Processes: r.nprocs}
 	for _, e := range r.order {
 		h.Hosts++
 		if !r.aliveLocked(e, now) {

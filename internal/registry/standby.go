@@ -80,7 +80,7 @@ func (s *Standby) Promote() (*Registry, error) {
 		Recovered: true,
 		Seq:       r.lastApplied,
 		Hosts:     len(r.hosts),
-		Procs:     len(r.procs),
+		Procs:     r.nprocs,
 	}
 	hosts := ev.Hosts
 	r.mu.Unlock()
