@@ -81,11 +81,15 @@ check: lint build test
 # application writes its paged region while precopy rounds are on the
 # wire and of a stop-and-copy whose destination writes the lazy arrays it
 # adopted (a page or an array the destination adopted and the source still
-# wrote would be a data race), of the Jacobi migrated both ways (its sweep
-# writes the adopted flat grid or paged region in place), of a paged
-# region's row writes beside
-# concurrent snapshots (a snapshot must see each row whole: the write
-# barrier holds the region lock for the whole row), of the two jobs-crash
+# wrote would be a data race), of a process migrated live twice, whose
+# second round 1 copies into the region the first one retired, and of a
+# live, a fallen-back and a live migration in a row (no stop-and-copy may
+# hand a round the region its destination adopted), of the Jacobi migrated
+# both ways (its sweep writes the adopted flat grid or paged region in
+# place), of a paged region's row writes beside concurrent snapshots (a
+# snapshot must see each row whole: the write barrier holds the region lock
+# for the whole row, and a whole-region snapshot that copies a run of pages
+# per hold copies every page written meanwhile again), of the two jobs-crash
 # chaos scenarios (the commit-failure edge), of the proto client and server over real TCP (the
 # client's one re-dial) and of a standby reading the store while the
 # primary writes it or compacts it, checked down to the state sets its
@@ -98,8 +102,8 @@ ci: check
 	$(MAKE) race
 	$(GO) test -race -count=2 ./internal/sim ./internal/experiments
 	$(GO) test -race -count=200 -run 'TestRunCycleReservesBeforeExecuting$$|TestTwoPreemptorsOfOne|TestRequeuedVictimKeepsItsHostsUntilPending$$|TestCommitFailureRequeuesBeforeRelease$$|TestMigrateEvictionHoldsItsDestination$$|TestLedgerFollowsFirstFit$$|TestTimedOutEvictionGivesTheVictimItsHostsBack$$' ./internal/core
-	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$|TestStopAndCopyHandsOverLazyState$$' ./internal/hpcm
-	$(GO) test -race -count=50 -run 'TestSnapshotSeesWholeRowWrites$$' ./internal/livemig
+	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$|TestStopAndCopyHandsOverLazyState$$|TestSecondLiveMigrationCopiesIntoTheRetiredRegion$$|TestLiveFallbackThenLiveKeepsTheRegion$$' ./internal/hpcm
+	$(GO) test -race -count=50 -run 'TestSnapshotSeesWholeRowWrites$$|TestWholeSnapshotSeesWholeRowWritesAcrossRuns$$' ./internal/livemig
 	$(GO) test -race -count=20 -run 'TestJacobiSurvivesMigration$$|TestJacobiPagedSurvivesLiveMigration$$' ./internal/workload
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto

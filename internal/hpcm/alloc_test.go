@@ -3,8 +3,10 @@
 package hpcm
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,9 +72,6 @@ func allocated() uint64 {
 	return ms.TotalAlloc
 }
 
-// liveRegion is the paged region the copy-count pins migrate: 4 MiB.
-const liveRegion = 4 << 20
-
 // TestLiveMigrationCopiesTheRegionOnce: a converged live migration of an
 // R-byte paged region pays for one copy of it, round 1's, plus the pages it
 // resends. The destination adopts that copy as its region, the resumed
@@ -101,6 +100,65 @@ func TestLiveMigrationCopiesTheRegionOnce(t *testing.T) {
 	}
 	if limit := uint64(liveRegion*5/4 + slack); got > limit {
 		t.Fatalf("a live migration of a %d-byte region allocated %d bytes, want at most %d", liveRegion, got, limit)
+	}
+}
+
+// TestSecondLiveMigrationAllocatesNoRegion: a process's second live
+// migration copies round 1 into the region its first one retired, so it
+// allocates under R/4 plus a fixed slack, where the first pays R (above).
+func TestSecondLiveMigrationAllocatesNoRegion(t *testing.T) {
+	const slack = 512 << 10
+	if got := liveRoundTrip(t, allocated); got > liveRegion/4+slack {
+		t.Fatalf("the second live migration of a %d-byte region allocated %d bytes, want at most %d", liveRegion, got, liveRegion/4+slack)
+	}
+}
+
+// TestLiveMigrationsRetainOneRegion: the middleware keeps one retired
+// region however many processes migrated live, not one per process. Four
+// processes of an R-byte region, each migrated once and running on, hold at
+// most R more live heap than before they moved.
+func TestLiveMigrationsRetainOneRegion(t *testing.T) {
+	const procs, slack = 4, 1 << 20
+	var churn, stop atomic.Bool
+	arrays := make(chan *byte, procs)
+	mw, clock := newLiveBenchMW(t)
+	defer clock.Close()
+	drain := func() { // the channel would keep every incarnation's region alive
+		clock.Sleep(10 * time.Millisecond) // each incarnation reports before its first sleep
+		for range procs {
+			<-arrays
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ps := make([]*Process, procs)
+	for i := range ps {
+		p, err := mw.Start(fmt.Sprintf("app%d", i), "a", shadowedMain(liveRegion, &churn, &stop, arrays))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	drain()
+	before := liveHeap()
+	for _, p := range ps {
+		if rec := migrateTo(t, clock, p, "b"); rec.FreezeAt.IsZero() {
+			t.Fatalf("%s did not migrate live: %+v", p.Name(), rec)
+		}
+	}
+	drain()
+	if grew := int64(liveHeap()) - int64(before); grew > liveRegion+slack {
+		t.Fatalf("%d processes of a %d-byte region migrated live once each grew the live heap by %d bytes, want at most %d", procs, liveRegion, grew, liveRegion+slack)
+	}
+	stop.Store(true)
+	for _, p := range ps {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -172,7 +230,6 @@ func TestStopAndCopyDoesNotShareTheSourceArray(t *testing.T) {
 // back would add R.
 func TestStopAndCopyCopiesNoLazyState(t *testing.T) {
 	const slack = 512 << 10
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	clock := vclock.NewAuto(vclock.Epoch)
 	defer clock.Close()
 	u := mpi.NewUniverse(mpi.Options{Clock: clock, Transport: mpi.Instant{}})
@@ -223,7 +280,6 @@ func TestStopAndCopyCopiesNoLazyState(t *testing.T) {
 // plus a fixed slack; a copy of the region would add R.
 func TestPrecopyFallbackInstallsTheSourcesRegion(t *testing.T) {
 	const slack = 512 << 10
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before uint64
 	mw, clock := newLiveMW(t, nil, &livemig.Config{}, func(ev MigrationEvent) {
 		if ev.Phase == PhaseAborted && before == 0 {

@@ -171,7 +171,8 @@ type Middleware struct {
 	events    metrics.Sink
 	metrics   *metrics.Registry
 	live      bool
-	procs     sync.Map // live process directory: name -> *Process
+	procs     sync.Map               // live process directory: name -> *Process
+	spare     atomic.Pointer[[]byte] // the region the last converged live migration retired, for the next round 1
 }
 
 // New creates a Middleware.

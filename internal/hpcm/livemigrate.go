@@ -73,11 +73,15 @@ func (c *Context) startPrecopy(att *attempt) {
 	p.mu.Lock()
 	p.live = att
 	p.mu.Unlock()
+	var spare []byte // Snapshot copies into it only if it has the region's length
+	if region := p.mw.spare.Swap(nil); region != nil {
+		spare = *region
+	}
 
 	p.xfer.Add(1)
 	vclock.Go(p.mw.clock, func() {
 		defer p.xfer.Done()
-		att.res, att.err = livemig.Precopy(att.pages, att.cancelled.Load, func(round int, ids []int, data []byte) error {
+		att.res, att.err = livemig.Precopy(att.pages, spare, att.cancelled.Load, func(round int, ids []int, data []byte) error {
 			img := att.round(round, ids, data)
 			if err := img.sendState(att.inter); err != nil {
 				return err

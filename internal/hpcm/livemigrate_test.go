@@ -3,6 +3,7 @@ package hpcm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,9 @@ const (
 	livePages     = 16
 	livePageWords = 8 // 64-byte pages
 )
+
+// liveRegion is the paged region the copy-count pins migrate: 4 MiB.
+const liveRegion = 4 << 20
 
 // pagedMain is a staged computation over a single paged region: every stage
 // rewrites the first word of dirtyPages pages with stage-distinct values.
@@ -617,5 +621,157 @@ func TestResumeRefusalAbortsInThePathsOwnPhase(t *testing.T) {
 				t.Fatalf("migrations = %d", p.Migrations())
 			}
 		})
+	}
+}
+
+// shadowedMain is a process with one paged region of size bytes and a plain
+// lazy []float64 mirror of it, which migrates by the classic path: every
+// poll-point writes the same word into both — the next one, or with churn
+// set one in every page — until stop is set, when the process fails unless
+// the region equals its mirror bit for bit. Every incarnation reports its
+// region's memory on arrays.
+func shadowedMain(size int, churn, stop *atomic.Bool, arrays chan<- *byte) Main {
+	return func(ctx *Context) error {
+		var step int
+		var mirror []float64
+		if err := ctx.Register("step", &step); err != nil {
+			return err
+		}
+		if err := ctx.RegisterLazy("mirror", &mirror); err != nil {
+			return err
+		}
+		pages, err := ctx.RegisterPages("region", size, livePageBytes)
+		if err != nil {
+			return err
+		}
+		if ctx.Resumed() {
+			if err := errors.Join(ctx.Await("mirror"), ctx.Await("region")); err != nil {
+				return err
+			}
+		} else {
+			mirror = make([]float64, size/8)
+			for w := range mirror {
+				mirror[w] = -float64(w + 1)
+			}
+			pages.WriteFloat64s(0, mirror)
+		}
+		arrays <- &pages.View()[0]
+		const pageWords = livePageBytes / 8
+		for !stop.Load() {
+			set := func(w int) {
+				mirror[w] = float64(step)
+				pages.SetFloat64(w, float64(step))
+			}
+			if churn.Load() {
+				for w := step % pageWords; w < len(mirror); w += pageWords {
+					set(w)
+				}
+			} else {
+				set(step % len(mirror))
+			}
+			step++
+			if err := ctx.PollPoint("go"); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+		}
+		got := make([]float64, len(mirror))
+		pages.ReadFloat64s(0, got)
+		for w := range got {
+			if math.Float64bits(got[w]) != math.Float64bits(mirror[w]) {
+				return fmt.Errorf("word %d of the region is %v, its mirror %v", w, got[w], mirror[w])
+			}
+		}
+		return nil
+	}
+}
+
+// migrateTo orders p to dest and waits on clock until that migration has
+// committed and restored; it returns the migration's record.
+func migrateTo(t *testing.T, clock vclock.Clock, p *Process, dest string) Record {
+	t.Helper()
+	n := p.Migrations() + 1
+	p.Signal(Command{DestHost: dest})
+	for deadline := clock.Now().Add(time.Minute); ; clock.Sleep(time.Millisecond) {
+		if recs := p.Records(); len(recs) >= n && !recs[n-1].RestoreDone.IsZero() {
+			return recs[n-1]
+		}
+		if clock.Now().After(deadline) {
+			t.Fatalf("migration %d to %q never restored", n, dest)
+		}
+	}
+}
+
+// liveRoundTrip migrates a shadowedMain process with a liveRegion-byte
+// region live a→b→a. The first commit retires a's region to the middleware,
+// and the second round 1 copies into it, so the process ends on the array it
+// started with, bit for bit what its writes left. It returns what allocated
+// (or a stub) counted across the second migration.
+func liveRoundTrip(t *testing.T, allocated func() uint64) uint64 {
+	var churn, stop atomic.Bool
+	arrays := make(chan *byte, 3) // one per incarnation
+	mw, clock := newLiveBenchMW(t)
+	defer clock.Close()
+	p, err := mw.Start("app", "a", shadowedMain(liveRegion, &churn, &stop, arrays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := migrateTo(t, clock, p, "b")
+	before := allocated()
+	second := migrateTo(t, clock, p, "a")
+	got := allocated() - before
+	stop.Store(true)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if first.FreezeAt.IsZero() || second.FreezeAt.IsZero() {
+		t.Fatalf("a migration did not precopy and freeze: %+v, %+v", first, second)
+	}
+	if a, b, a2 := <-arrays, <-arrays, <-arrays; a2 != a || b == a {
+		t.Fatalf("a→b→a ran on arrays %p, %p, %p: the second round 1 did not copy into the retired region", a, b, a2)
+	}
+	return got
+}
+
+func TestSecondLiveMigrationCopiesIntoTheRetiredRegion(t *testing.T) {
+	liveRoundTrip(t, func() uint64 { return 0 })
+}
+
+// TestLiveFallbackThenLiveKeepsTheRegion: a live migration, one that falls
+// back to stop-and-copy, and a live one again. The fallback's destination
+// adopts the source's region, so its commit hands no memory to the next
+// round 1, which would copy into the region the process runs on; the final
+// region is bit for bit what the writes left.
+func TestLiveFallbackThenLiveKeepsTheRegion(t *testing.T) {
+	var churn, stop atomic.Bool
+	arrays := make(chan *byte, 4) // one per incarnation: the fallback's abandoned destination runs none
+	log := &phaseLog{}
+	mw, clock := newLiveMW(t, nil, &livemig.Config{}, log.observe)
+	defer clock.(*vclock.Auto).Close()
+	p, err := mw.Start("app", "a", shadowedMain(64*livePageBytes, &churn, &stop, arrays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := migrateTo(t, clock, p, "b"); rec.FreezeAt.IsZero() {
+		t.Fatalf("the first migration did not freeze: %+v", rec)
+	}
+	churn.Store(true) // every page dirty at every poll-point: round 2 stalls
+	rec := migrateTo(t, clock, p, "c")
+	churn.Store(false)
+	if !rec.FreezeAt.IsZero() {
+		t.Fatalf("the second migration did not fall back: %+v", rec)
+	}
+	if ab, ok := log.find(PhaseAborted); !ok || !strings.Contains(ab.Err.Error(), "did not converge") {
+		t.Fatalf("aborted event = %+v (ok=%v)", ab, ok)
+	}
+	if mw.spare.Load() != nil {
+		t.Fatal("the fallback's commit handed a region to the next round 1")
+	}
+	if rec := migrateTo(t, clock, p, "a"); rec.FreezeAt.IsZero() {
+		t.Fatalf("the third migration did not freeze: %+v", rec)
+	}
+	stop.Store(true)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -219,6 +219,12 @@ func (c *Context) handover(att *attempt, abortPhase string) error {
 	recIdx := len(p.records) - 1
 	p.migrs++
 	p.mu.Unlock()
+	if att.pages != nil {
+		// Converged: the destination adopted round 1's copy and patched the
+		// freeze delta in before it resumed. A stop-and-copy has no pages.
+		region := att.pages.Release()
+		mw.spare.Store(&region)
+	}
 	select {
 	case p.events <- *rec:
 	default:

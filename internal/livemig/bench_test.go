@@ -59,6 +59,30 @@ func BenchmarkDirtySince(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotWhole measures precopy round 1's copy of the N=1024
+// Jacobi grid (1 026 pages of 8 208 B, one per row): into a fresh buffer,
+// and into a buffer of the region's length, the region a process's last
+// live migration retired.
+func BenchmarkSnapshotWhole(b *testing.B) {
+	const side = 1024 + 2
+	p, err := NewPages(side*side*8, side*8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		buf  []byte
+	}{{"fresh", nil}, {"buffer", make([]byte, p.Len())}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(p.Len()))
+			for i := 0; i < b.N; i++ {
+				p.Snapshot(0, bc.buf)
+			}
+		})
+	}
+}
+
 // modelScenario is the migration the model benchmark and the allocation pin
 // evaluate: a 16 MiB region over 100 Mbps Ethernet, the experiment
 // cluster's nominal spawn latency and handshake.

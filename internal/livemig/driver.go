@@ -8,12 +8,13 @@ import (
 // SendFunc ships one round to the destination: the sorted ids of the pages
 // in it and their images back to back, as Pages.Snapshot copied them — the
 // round's own buffer, which the source never touches again. Round 1 carries
-// every page, so its data is a whole copy of the region. hpcm binds this to
-// the migration intercommunicator; the call blocks for the round's virtual
-// transfer time, which is what paces precopy rounds on the virtual clock
-// and makes rounds contend with application traffic on the simulated
-// network. hpcm raises its per-round migration event once the round is on
-// the wire, which is where fault injection can crash a host mid-precopy.
+// every page, so its data is a whole copy of the region, in Precopy's buf
+// when that has the region's length. hpcm binds this to the migration
+// intercommunicator; the call blocks for the round's virtual transfer time,
+// which is what paces precopy rounds on the virtual clock and makes rounds
+// contend with application traffic on the simulated network. hpcm raises
+// its per-round migration event once the round is on the wire, which is
+// where fault injection can crash a host mid-precopy.
 type SendFunc func(round int, ids []int, data []byte) error
 
 // ErrStopped reports a precopy iteration cancelled between rounds (the
@@ -40,15 +41,16 @@ type Result struct {
 // wants concurrency, while the application keeps computing, and stop is
 // asked before every round. It returns ErrStopped when stop says so, or the
 // send error when a round fails on the wire; either way the attempt is over
-// and the caller decides between abort and fallback.
-func Precopy(pages *Pages, stop func() bool, send SendFunc) (Result, error) {
+// and the caller decides between abort and fallback. Round 1 copies the
+// region into buf, which the caller hands over, if it fits (Pages.Snapshot).
+func Precopy(pages *Pages, buf []byte, stop func() bool, send SendFunc) (Result, error) {
 	var res Result
 	total := pages.NumPages()
 	for round := 1; ; round++ {
 		if stop() {
 			return res, ErrStopped
 		}
-		ids, data, gen := pages.Snapshot(res.ShippedGen)
+		ids, data, gen := pages.Snapshot(res.ShippedGen, buf)
 		if err := send(round, ids, data); err != nil {
 			return res, fmt.Errorf("livemig: precopy round %d: %w", round, err)
 		}
@@ -58,7 +60,7 @@ func Precopy(pages *Pages, stop func() bool, send SendFunc) (Result, error) {
 		if round > 1 {
 			res.PagesResent += len(ids)
 		}
-		dirty := len(pages.DirtySince(gen))
+		dirty := pages.dirtyCount(gen)
 		if dec := Decide(round, dirty, len(ids), total); dec != Continue {
 			res.Decision = dec
 			return res, nil

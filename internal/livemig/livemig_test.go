@@ -62,8 +62,9 @@ func TestPagesWriteDirtiesOnlyChangedPages(t *testing.T) {
 // TestZeroAllocHotPaths pins at runtime what the paged migration's inner
 // loops cost: a row-sized change-suppressed write and a row-sized read (the
 // write barrier a paged workload pays per sweep) and one evaluation of the
-// analytic downtime model allocate nothing, and a dirty scan allocates only
-// the slice it returns.
+// analytic downtime model allocate nothing, a dirty count nothing, and a
+// dirty scan, like a whole-region snapshot into a buffer, only the id list
+// it returns.
 func TestZeroAllocHotPaths(t *testing.T) {
 	const words = 512
 	p := mustPages(t, words*8*64, words*8)
@@ -88,6 +89,13 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { p.DirtySince(g) }); avg != 1 {
 		t.Errorf("DirtySince allocates %.1f objects per op, want 1", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { p.dirtyCount(g) }); avg != 0 {
+		t.Errorf("dirtyCount allocates %.1f objects per op, want 0", avg)
+	}
+	buf := make([]byte, p.Len())
+	if avg := testing.AllocsPerRun(200, func() { p.Snapshot(0, buf) }); avg != 1 {
+		t.Errorf("Snapshot(0) into a buffer allocates %.1f objects per op, want 1 (its id list)", avg)
 	}
 
 	sc := modelScenario
@@ -128,7 +136,7 @@ func TestPagesFloat64ChangeSuppression(t *testing.T) {
 func TestPagesSnapshotLoadApply(t *testing.T) {
 	p := mustPages(t, 96, 32)
 	p.SetFloat64(0, 7)
-	ids, data, gen := p.Snapshot(0)
+	ids, data, gen := p.Snapshot(0, nil)
 	if len(ids) != 3 || !reflect.DeepEqual(data, p.View()) || &data[0] == &p.View()[0] {
 		t.Fatalf("full snapshot = %v (%d bytes), want all 3 pages as a copy of the region", ids, len(data))
 	}
@@ -141,14 +149,14 @@ func TestPagesSnapshotLoadApply(t *testing.T) {
 	if err := short.Load(tail); err != nil {
 		t.Fatal(err)
 	}
-	_, whole, mark := short.Snapshot(0)
+	_, whole, mark := short.Snapshot(0, nil)
 	short.SetFloat64(5, 1) // page 1, after the copy was taken
-	if cut, _, _ := short.Snapshot(mark); !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(cut, []int{1}) {
+	if cut, _, _ := short.Snapshot(mark, nil); !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(cut, []int{1}) {
 		t.Fatalf("snapshots = %v then pages %v, want the loaded image then page 1", whole, cut)
 	}
 	// Writes after the snapshot's watermark are the next round's delta.
 	p.SetFloat64(8, 9) // page 2
-	ids2, data2, _ := p.Snapshot(gen)
+	ids2, data2, _ := p.Snapshot(gen, nil)
 	if !reflect.DeepEqual(ids2, []int{2}) || len(data2) != 32 {
 		t.Fatalf("delta snapshot = %v (%d bytes), want [2] (32 bytes)", ids2, len(data2))
 	}
@@ -251,7 +259,7 @@ func TestDriverConvergesToFreeze(t *testing.T) {
 			p.SetFloat64(i*8, float64(round)+float64(i)) // page i
 		}
 	}
-	res, err := Precopy(p, never, s.send)
+	res, err := Precopy(p, nil, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +288,7 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 			p.SetFloat64(i*8, float64(round*100+i))
 		}
 	}
-	res, err := Precopy(p, never, s.send)
+	res, err := Precopy(p, nil, never, s.send)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +299,11 @@ func TestDriverFallsBackWhenDirtyStalls(t *testing.T) {
 
 func TestDriverStopAndSendError(t *testing.T) {
 	p := mustPages(t, 4*64, 64)
-	if _, err := Precopy(p, never, (&recordingSend{fail: errors.New("link down")}).send); err == nil {
+	if _, err := Precopy(p, nil, never, (&recordingSend{fail: errors.New("link down")}).send); err == nil {
 		t.Fatal("Precopy with failing send succeeded")
 	}
 	stopped := func() bool { return true }
-	if _, err := Precopy(p, stopped, (&recordingSend{}).send); !errors.Is(err, ErrStopped) {
+	if _, err := Precopy(p, nil, stopped, (&recordingSend{}).send); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped Precopy err = %v, want ErrStopped", err)
 	}
 }

@@ -37,9 +37,9 @@ const DefaultPageBytes = 4096
 // in host byte order, like hpcm's typed segments: a row moves by copy.
 //
 // All methods are safe for concurrent use. Snapshot copies under the region
-// lock, so a transfer round observes a consistent generation watermark and
-// owns its copy; View copies nothing and is for a reader that has stopped
-// every writer.
+// lock (the whole region a run of pages per hold), so a transfer round
+// observes a consistent generation watermark and owns its copy; View copies
+// nothing and is for a reader that has stopped every writer.
 type Pages struct {
 	mu       sync.Mutex
 	data     []byte // nil in an Unloaded region until Load
@@ -224,6 +224,14 @@ func (p *Pages) Load(data []byte) error {
 	return nil
 }
 
+// Release hands the region's memory to the caller and leaves it Unloaded.
+func (p *Pages) Release() (data []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	data, p.data = p.data, nil
+	return data
+}
+
 // DirtySince returns the pages written after generation gen, sorted.
 func (p *Pages) DirtySince(gen uint64) []int {
 	p.mu.Lock()
@@ -231,13 +239,25 @@ func (p *Pages) DirtySince(gen uint64) []int {
 	return p.dirtySinceLocked(gen)
 }
 
-func (p *Pages) dirtySinceLocked(gen uint64) []int {
+// dirtyCount is len(DirtySince(gen)) without building the list.
+func (p *Pages) dirtyCount(gen uint64) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.countSinceLocked(gen)
+}
+
+func (p *Pages) countSinceLocked(gen uint64) int {
 	n := 0
 	for _, g := range p.gens {
 		if g > gen {
 			n++
 		}
 	}
+	return n
+}
+
+func (p *Pages) dirtySinceLocked(gen uint64) []int {
+	n := p.countSinceLocked(gen)
 	if n == 0 { // nil, not empty: a page delta's header encodes the ids
 		return nil
 	}
@@ -250,20 +270,47 @@ func (p *Pages) dirtySinceLocked(gen uint64) []int {
 	return ids
 }
 
+// snapshotRun is what a whole-region Snapshot copies per lock hold.
+const snapshotRun = 256 << 10
+
 // Snapshot atomically collects one precopy round's payload: the pages
-// dirtied after since, one fresh copy of their contents back to back (page
-// ids[k] at k×PageSize, only the region's last page short), and the region
-// generation watermark the copy is consistent with. Nothing else holds the
-// copy: the caller owns it. Pages written after the returned gen show up in
-// the next DirtySince(gen).
-func (p *Pages) Snapshot(since uint64) (ids []int, data []byte, gen uint64) {
+// dirtied after since, a copy of their contents back to back (page ids[k]
+// at k×PageSize, only the region's last page short), and the region
+// generation watermark the copy is consistent with. The caller owns the
+// copy; pages written after gen show up in the next DirtySince(gen). A delta
+// (since > 0) is copied under one hold of the lock. The whole region is
+// copied into buf if it has the region's length, a run of pages per hold,
+// then under a last hold every page written since the first run again.
+func (p *Pages) Snapshot(since uint64, buf []byte) (ids []int, data []byte, gen uint64) {
+	if since > 0 {
+		p.mu.Lock()
+		ids = p.dirtySinceLocked(since)
+		data = make([]byte, 0, len(ids)*p.pageSize)
+		for _, id := range ids {
+			lo, hi := p.pageRange(id)
+			data = append(data, p.data[lo:hi]...)
+		}
+		gen = p.gen
+		p.mu.Unlock()
+		return ids, data, gen
+	}
+	mark := p.Gen()
+	if data = buf; len(data) != p.size {
+		data = make([]byte, p.size)
+	}
+	run := max(1, snapshotRun/p.pageSize) * p.pageSize
+	for lo := 0; lo < p.size; lo += run {
+		p.mu.Lock()
+		copy(data[lo:], p.data[lo:min(lo+run, p.size)])
+		p.mu.Unlock()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ids = p.dirtySinceLocked(since)
-	data = make([]byte, 0, len(ids)*p.pageSize)
-	for _, id := range ids {
-		lo, hi := p.pageRange(id)
-		data = append(data, p.data[lo:hi]...)
+	for i, g := range p.gens {
+		if g > mark {
+			lo, hi := p.pageRange(i)
+			copy(data[lo:hi], p.data[lo:hi])
+		}
 	}
-	return ids, data, p.gen
+	return p.dirtySinceLocked(0), data, p.gen
 }

@@ -211,7 +211,7 @@ func TestSnapshotSeesWholeRowWrites(t *testing.T) {
 		}
 	}()
 	check := func() {
-		ids, data, _ := p.Snapshot(0)
+		ids, data, _ := p.Snapshot(0, nil)
 		if len(ids) != p.NumPages() {
 			t.Fatalf("Snapshot(0) has %d pages, want %d", len(ids), p.NumPages())
 		}
@@ -230,4 +230,122 @@ func TestSnapshotSeesWholeRowWrites(t *testing.T) {
 	}
 	wg.Wait()
 	check()
+}
+
+// TestWholeSnapshotSeesWholeRowWritesAcrossRuns is TestSnapshotSeesWholeRowWrites
+// on a region of more than four copy runs, whose rows span pages and
+// straddle the runs' boundaries: a whole-region Snapshot releases the lock
+// between runs, and must still see each row at one version. After the
+// writer stops, every page not dirtied since a snapshot's watermark must
+// hold that snapshot's bytes. Run under -race in `make ci`.
+func TestWholeSnapshotSeesWholeRowWritesAcrossRuns(t *testing.T) {
+	const (
+		pageBytes = 3072
+		rowWords  = 7 * pageBytes / 16 // three and a half pages
+		rows      = 100
+		versions  = 100
+		keep      = 4 // snapshots checked against the region at the end
+	)
+	run := snapshotRun / pageBytes * pageBytes
+	size := rows * rowWords * 8
+	if size < 4*run {
+		t.Fatalf("the region spans %d bytes, less than four %d-byte runs", size, run)
+	}
+	for b := run; b < size; b += run {
+		if b%(rowWords*8) == 0 {
+			t.Fatalf("run boundary %d falls between rows", b)
+		}
+	}
+	p := mustPages(t, size, pageBytes)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		row := make([]float64, rowWords)
+		for v := 1; v <= versions; v++ {
+			for k := range row {
+				row[k] = float64(v)
+			}
+			for r := 0; r < rows; r++ {
+				p.WriteFloat64s(r*rowWords, row)
+			}
+		}
+	}()
+	type snap struct {
+		data []byte
+		gen  uint64
+	}
+	var snaps []snap
+	check := func() {
+		ids, data, gen := p.Snapshot(0, nil)
+		if len(ids) != p.NumPages() || len(data) != size {
+			t.Fatalf("Snapshot(0) has %d pages in %d bytes, want %d in %d", len(ids), len(data), p.NumPages(), size)
+		}
+		for r := 0; r < rows; r++ {
+			first := binary.NativeEndian.Uint64(data[r*rowWords*8:])
+			for k := 1; k < rowWords; k++ {
+				if w := binary.NativeEndian.Uint64(data[(r*rowWords+k)*8:]); w != first {
+					t.Fatalf("row %d holds two versions: word 0 is %v, word %d is %v",
+						r, math.Float64frombits(first), k, math.Float64frombits(w))
+				}
+			}
+		}
+		snaps = append(snaps, snap{data, gen})
+		if len(snaps) > keep {
+			snaps = snaps[1:]
+		}
+	}
+	for p.Float64(rows*rowWords-1) != versions {
+		check()
+	}
+	wg.Wait()
+	check()
+	region := p.View()
+	for _, s := range snaps {
+		dirty := map[int]bool{}
+		for _, id := range p.DirtySince(s.gen) {
+			dirty[id] = true
+		}
+		for i := 0; i < p.NumPages(); i++ {
+			lo, hi := i*pageBytes, min((i+1)*pageBytes, size)
+			if !dirty[i] && !bytes.Equal(s.data[lo:hi], region[lo:hi]) {
+				t.Fatalf("page %d, clean since the snapshot's watermark %d, differs from the region", i, s.gen)
+			}
+		}
+	}
+}
+
+// TestSnapshotCopiesIntoBuffer: a whole-region Snapshot copies into a
+// buffer of the region's length and returns it as the data; a buffer of any
+// other length, and any buffer handed to a delta, is left untouched.
+func TestSnapshotCopiesIntoBuffer(t *testing.T) {
+	const size, pageBytes = 10 * 64, 64
+	p := mustPages(t, size, pageBytes)
+	for w := 0; w < size/8; w++ {
+		p.SetFloat64(w, float64(w+1))
+	}
+	buf := make([]byte, size)
+	ids, data, gen := p.Snapshot(0, buf)
+	if len(ids) != p.NumPages() || &data[0] != &buf[0] || !bytes.Equal(data, p.View()) {
+		t.Fatalf("Snapshot(0) with a %d-byte buffer: %d pages, shares the buffer %v, equals the region %v",
+			size, len(ids), &data[0] == &buf[0], bytes.Equal(data, p.View()))
+	}
+	p.SetFloat64(0, -1)
+	for _, n := range []int{size - 8, size + 8, 8} {
+		other := make([]byte, n)
+		for _, since := range []uint64{0, gen} {
+			_, data, _ := p.Snapshot(since, other)
+			if &data[0] == &other[0] || !bytes.Equal(other, make([]byte, n)) {
+				t.Fatalf("Snapshot(%d) used a %d-byte buffer for a %d-byte region", since, n, size)
+			}
+		}
+	}
+	if _, data, _ := p.Snapshot(gen, buf); &data[0] == &buf[0] {
+		t.Fatal("a delta snapshot copied into the buffer")
+	}
+
+	region := p.View()
+	if got := p.Release(); &got[0] != &region[0] || p.Len() != 0 {
+		t.Fatalf("Release returned another array or left %d bytes in the region", p.Len())
+	}
 }
