@@ -164,7 +164,8 @@ fleet: build
 	$(GO) run ./cmd/repro -exp fleet -seed 1 -runs 100 -rundir fleet_runs
 
 # The microbenchmarks, to stdout: the wire codec per message kind beside
-# the encoding/xml reference, status-ingest throughput,
+# the encoding/xml reference, one heartbeat's round trip through a Server
+# over loopback, status-ingest throughput,
 # candidate selection at 512 hosts (state-indexed vs the seed's re-sort
 # baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged row reads and writes / dirty
@@ -176,7 +177,7 @@ fleet: build
 # developer tool: regressions are gated by
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
-	$(GO) test -run '^$$' -bench BenchmarkCodec -benchtime 10000x -benchmem ./internal/proto
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkHeartbeatRoundTrip' -benchtime 10000x -benchmem ./internal/proto
 	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate|BenchmarkSnapshotFold' \
 		-benchtime 1000x -benchmem ./internal/registry
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi

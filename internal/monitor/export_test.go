@@ -12,14 +12,15 @@ func (m *Monitor) State() rules.State {
 	if len(m.history) == 0 {
 		return rules.Free
 	}
-	return m.history[len(m.history)-1].State
+	return m.history[(m.cycles-1)%len(m.history)].State
 }
 
 // historyCopy returns the monitoring information database (oldest first).
 func (m *Monitor) historyCopy() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Sample(nil), m.history...)
+	oldest := m.cycles % max(len(m.history), 1)
+	return append(append([]Sample(nil), m.history[oldest:]...), m.history[:oldest]...)
 }
 
 // cycleCount reports how many gather cycles have completed.

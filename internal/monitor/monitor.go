@@ -93,7 +93,9 @@ type Monitor struct {
 	sensor *sysinfo.Sensor
 	clock  vclock.Clock
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// history is a ring of the last historySize samples: it grows to the
+	// bound, then the sample of cycle n overwrites slot (n-1) % historySize.
 	history []Sample
 	cycles  int
 	stop    chan struct{}
@@ -191,11 +193,12 @@ func (m *Monitor) Cycle() (Sample, error) {
 	sample := Sample{Snap: snap, Grade: grade, State: grade.State()}
 
 	m.mu.Lock()
-	m.cycles++
-	m.history = append(m.history, sample)
-	if len(m.history) > m.cfg.historySize {
-		m.history = m.history[len(m.history)-m.cfg.historySize:]
+	if len(m.history) < m.cfg.historySize {
+		m.history = append(m.history, sample)
+	} else {
+		m.history[m.cycles%m.cfg.historySize] = sample
 	}
+	m.cycles++
 	m.mu.Unlock()
 
 	if m.cfg.reporter != nil {

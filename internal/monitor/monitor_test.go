@@ -373,3 +373,51 @@ func TestStatusFromSampleRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
+
+// nopReporter accepts every registration and refresh.
+type nopReporter struct{}
+
+func (nopReporter) RegisterHost(string, proto.StaticInfo) error { return nil }
+func (nopReporter) ReportStatus(string, proto.Status) error     { return nil }
+func (nopReporter) UnregisterHost(string) error                 { return nil }
+
+// idleSource is a simulated host with an empty process table: the
+// simulator builds a fresh listing on every call, which a source reading
+// into a buffer of its own would not.
+type idleSource struct{ *sysinfo.SimSource }
+
+func (idleSource) Procs() ([]sysinfo.ProcStat, error) { return nil, nil }
+
+// TestCycleAllocatesNothingOnceTheRingIsFull: once the history ring holds
+// historySize samples, a cycle overwrites the oldest in place, so gathering,
+// evaluating, storing and reporting allocate nothing.
+func TestCycleAllocatesNothingOnceTheRingIsFull(t *testing.T) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	t.Cleanup(clock.Close)
+	host := sim.NewHost(clock, "ws1", sim.Config{Speed: 1000})
+	m, err := NewMonitor("ws1", idleSource{sysinfo.NewSimSource(host, nil)},
+		WithEngine(loadEngine(t)), WithReporter(nopReporter{}), WithClock(clock), WithHistorySize(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if _, err := m.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	// Sixteen cycles a run: a history that reallocates every few cycles
+	// shows, which an average over single cycles would round to 0.
+	if avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 16; i++ {
+			cycle()
+		}
+	}); avg != 0 {
+		t.Errorf("16 cycles allocate %.0f objects once the ring is full, want 0", avg)
+	}
+	if got := len(m.historyCopy()); got != 4 {
+		t.Errorf("history holds %d samples, want 4", got)
+	}
+}

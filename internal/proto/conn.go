@@ -29,10 +29,16 @@ type Conn struct {
 	// reading goroutine. Decode copies what it keeps, so reuse is safe.
 	rhdr    [frameHeaderLen]byte
 	readBuf []byte
+	// names interns the From and To values read here (scanner.name).
+	names map[string]string
 }
 
+// maxNames bounds a connection's intern table; past it, a new name is
+// copied per message.
+const maxNames = 1024
+
 // NewConn wraps a stream.
-func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw, names: make(map[string]string)} }
 
 // frameHeaderLen is the size of a frame's big-endian length prefix.
 const frameHeaderLen = 4
@@ -68,8 +74,9 @@ func (c *Conn) writeFrame(frame []byte) error {
 	return err
 }
 
-// Recv reads and decodes one message. The frame lands in a per-connection
-// buffer reused across messages; Decode copies what it keeps.
+// Recv reads and decodes one message, which is the caller's: one
+// allocation holds it and its status. The frame lands in a per-connection
+// buffer reused across messages, and the message's strings never alias it.
 //
 //hot:path
 func (c *Conn) Recv() (*Message, error) {
@@ -77,7 +84,11 @@ func (c *Conn) Recv() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Decode(data)
+	var in inbound
+	if err := in.decode(data, c.names); err != nil {
+		return nil, err
+	}
+	return &in.m, nil
 }
 
 // readFrame reads one frame into the connection's reusable buffer.
@@ -112,7 +123,9 @@ func (c *Conn) Close() error {
 }
 
 // Handler processes one request message and returns the response (nil for
-// no response beyond the ack the server generates).
+// no response beyond the ack the server generates). A connection's
+// requests share one storage, so m and what it points to are valid only
+// for the call: copy what you keep (a string never changes).
 type Handler func(m *Message) (*Message, error)
 
 // Server accepts framed-XML connections and dispatches each incoming
@@ -178,14 +191,18 @@ func (s *Server) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	c := NewConn(conn)
+	var in inbound
+	var ack Message
+	req := &in.m
 	for {
-		req, err := c.Recv()
-		if err != nil {
+		data, err := c.readFrame()
+		if err != nil || in.decode(data, c.names) != nil {
 			return
 		}
 		resp, herr := s.handler(req)
 		if resp == nil {
-			resp = Ack(s.name, req, herr)
+			ack = ackOf(s.name, req, herr)
+			resp = &ack
 		} else {
 			resp.Seq = req.Seq
 			resp.To = req.From

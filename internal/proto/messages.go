@@ -11,6 +11,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"strings"
 
 	"autoresched/internal/sysinfo"
 )
@@ -131,7 +132,9 @@ type Message struct {
 	Error     string        `xml:"error,omitempty"`
 }
 
-// Validate checks that the payload matches the message type.
+// Validate checks that the payload matches the message type. Its errors
+// format a copy of the type, so that a status a Send caller built on its
+// stack stays there.
 func (m *Message) Validate() error {
 	switch m.Type {
 	case TypeRegister:
@@ -161,10 +164,10 @@ func (m *Message) Validate() error {
 	case TypeUnregister, TypeCandidateRequest, TypeAck:
 		// Envelope-only (ack may carry Error).
 	default:
-		return fmt.Errorf("proto: unknown message type %q", m.Type)
+		return fmt.Errorf("proto: unknown message type %q", strings.Clone(string(m.Type)))
 	}
 	if m.From == "" {
-		return fmt.Errorf("proto: %s message without sender", m.Type)
+		return fmt.Errorf("proto: %s message without sender", strings.Clone(string(m.Type)))
 	}
 	return nil
 }
@@ -185,21 +188,41 @@ var errNonCanonical = errors.New("proto: non-canonical message (not in the form 
 // Decode parses an XML message and validates it. Every producer of the
 // protocol is this package's encoder, so Decode reads only the canonical
 // form it writes (the scanner in wire.go) and any other document is an
-// error.
+// error. The message is the caller's: one allocation holds it and its
+// status.
 func Decode(data []byte) (*Message, error) {
-	var m Message
-	if !scanMessage(data, &m) {
-		return nil, errNonCanonical
-	}
-	if err := m.Validate(); err != nil {
+	var in inbound
+	if err := in.decode(data, nil); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return &in.m, nil
+}
+
+// inbound is one decoded message and room for the status a heartbeat
+// carries, so that one allocation holds both.
+type inbound struct {
+	m  Message
+	st Status
+}
+
+// decode scans data into in, interning From and To in names (nil copies
+// them), and validates the result.
+func (in *inbound) decode(data []byte, names map[string]string) error {
+	if !scanMessage(data, &in.m, &in.st, names) {
+		return errNonCanonical
+	}
+	return in.m.Validate()
 }
 
 // Ack builds an acknowledgement for a message; err may be nil.
 func Ack(from string, req *Message, err error) *Message {
-	m := &Message{Type: TypeAck, From: from, To: req.From, Seq: req.Seq}
+	m := ackOf(from, req, err)
+	return &m
+}
+
+// ackOf is Ack by value, for a server acking from its own storage.
+func ackOf(from string, req *Message, err error) Message {
+	m := Message{Type: TypeAck, From: from, To: req.From, Seq: req.Seq}
 	if err != nil {
 		m.Error = err.Error()
 	}

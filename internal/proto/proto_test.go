@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -318,5 +320,79 @@ func TestAckHelper(t *testing.T) {
 	ack = Ack("registry", req, errors.New("nope"))
 	if ack.Error != "nope" {
 		t.Fatalf("ack error = %q", ack.Error)
+	}
+}
+
+// TestConnInternTableIsBounded: a connection that reads more distinct
+// senders than its intern table holds still decodes every message exactly,
+// and the table stops growing at its bound; an escaped name is copied,
+// never interned.
+func TestConnInternTableIsBounded(t *testing.T) {
+	var stream bytes.Buffer
+	c := NewConn(&stream)
+	for i := 0; i < maxNames+100; i++ {
+		want := &Message{Type: TypeAck, From: fmt.Sprintf("ws%d", i), To: fmt.Sprintf("a&b%d", i%3), Seq: uint64(i + 1)}
+		if err := c.Send(want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.XMLName = got.XMLName
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("message %d decoded as %+v, want %+v", i, got, want)
+		}
+	}
+	if len(c.names) != maxNames {
+		t.Errorf("intern table holds %d names after %d senders, want its bound %d", len(c.names), maxNames+100, maxNames)
+	}
+	for name := range c.names {
+		if strings.Contains(name, "&") {
+			t.Errorf("escaped name %q was interned", name)
+		}
+	}
+}
+
+// TestServerHandlerKeepsItsStrings: the server decodes every request of a
+// connection into the same storage, yet a string a handler saved from an
+// earlier request is unchanged by the later ones — longer, escaped or
+// repeated names, and a state outside the interned three.
+func TestServerHandlerKeepsItsStrings(t *testing.T) {
+	var mu sync.Mutex
+	var saved []string
+	srv, err := NewServer("registry", "127.0.0.1:0", func(m *Message) (*Message, error) {
+		mu.Lock()
+		saved = append(saved, m.From, m.Status.State)
+		mu.Unlock()
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c := NewConn(raw)
+	var want []string
+	for i, from := range []string{"ws1", strings.Repeat("Z", 150), "a&b<c>", "ws1", "ws2"} {
+		m := statusMsg(from)
+		m.Seq = uint64(i + 1)
+		m.Status.State = fmt.Sprintf("draining%d", i)
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, from, m.Status.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(saved, want) {
+		t.Fatalf("handler's saved strings are now %q, want %q", saved, want)
 	}
 }

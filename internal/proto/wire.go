@@ -212,25 +212,29 @@ func writeEscaped(buf *bytes.Buffer, s string) {
 
 // scanner reads the canonical grammar from the front of rest. A mismatch
 // sets bad and is sticky, so a message is read as one straight run of
-// expectations and judged once at the end.
+// expectations and judged once at the end. names, when set, interns the
+// From and To values (Conn.names).
 type scanner struct {
-	rest []byte
-	bad  bool
+	rest  []byte
+	bad   bool
+	names map[string]string
 }
 
-// scanMessage fills m from data if data is exactly one canonical message;
-// otherwise it reports false ("not mine") and m is to be discarded.
-func scanMessage(data []byte, m *Message) bool {
-	s := scanner{rest: data}
-	m.XMLName = xml.Name{Local: "hpcmMsg"}
+// scanMessage overwrites m from data if data is exactly one canonical
+// message, reading a status payload into status; otherwise it reports false
+// ("not mine") and m is to be discarded. names interns From and To; nil
+// copies them.
+func scanMessage(data []byte, m *Message, status *Status, names map[string]string) bool {
+	s := scanner{rest: data, names: names}
+	*m = Message{XMLName: xml.Name{Local: "hpcmMsg"}}
 	s.lit(`<hpcmMsg type="`)
 	m.Type = s.msgType()
 	s.lit(`"`)
 	if s.tryLit(` from="`) {
-		m.From = s.attrString()
+		m.From = s.name()
 	}
 	if s.tryLit(` to="`) {
-		m.To = s.attrString()
+		m.To = s.name()
 	}
 	if s.tryLit(` seq="`) {
 		seq, err := strconv.ParseUint(string(s.until('"')), 10, 64)
@@ -259,7 +263,7 @@ func scanMessage(data []byte, m *Message) bool {
 		m.Static = &st
 	}
 	if s.tryLit("<status>") {
-		var st Status
+		st := status
 		s.tag("<", "state")
 		st.State = s.interned(ruleStates[:])
 		s.tag("</", "state")
@@ -275,7 +279,7 @@ func scanMessage(data []byte, m *Message) bool {
 		st.MemAvail = s.int("memAvail", 64)
 		st.DiskAvail = s.int("diskAvail", 64)
 		s.lit("</status>")
-		m.Status = &st
+		m.Status = st
 	}
 	if s.tryLit("<process>") {
 		var p ProcessInfo
@@ -422,10 +426,23 @@ func unescape(raw []byte, escaped bool) string {
 	return sb.String()
 }
 
-// attrString consumes an attribute value and its closing quote.
-func (s *scanner) attrString() string {
-	v := unescape(s.text('"'))
+// name consumes a From or To value and its closing quote. An escaped value
+// is unescaped into a copy; any other is looked up in names by its raw
+// bytes, which does not allocate, and a new one is copied and, below
+// maxNames entries, kept.
+func (s *scanner) name() string {
+	raw, escaped := s.text('"')
 	s.lit(`"`)
+	if escaped {
+		return unescape(raw, escaped)
+	}
+	if v, ok := s.names[string(raw)]; ok {
+		return v
+	}
+	v := string(raw)
+	if s.names != nil && len(s.names) < maxNames {
+		s.names[v] = v
+	}
 	return v
 }
 

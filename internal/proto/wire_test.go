@@ -93,7 +93,8 @@ func checkDecode(t *testing.T, data []byte) (accepted bool) {
 	t.Helper()
 	input := bytes.Clone(data)
 	var scanned Message
-	accepted = scanMessage(data, &scanned)
+	var st Status
+	accepted = scanMessage(data, &scanned, &st, make(map[string]string))
 	if accepted {
 		var want Message
 		if err := xml.Unmarshal(data, &want); err != nil {

@@ -200,7 +200,8 @@ type Registry struct {
 	// cadence; replaying suppresses appends during bootstrap. journal encodes
 	// records and snapshots, reusing one buffer (stores copy what they keep);
 	// fold is the snapshot document, refilled in place by every snapshot and
-	// StateDigest.
+	// StateDigest; status is the heartbeat record, refilled by every
+	// ReportStatus.
 	store       persist.Store
 	storeEpoch  uint64
 	replaying   bool
@@ -210,6 +211,7 @@ type Registry struct {
 	gangs       map[uint64][]string
 	journal     codec
 	fold        persistedState
+	status      recHostStatus
 }
 
 func newStateSets() map[rules.State][]*hostEntry {
@@ -285,7 +287,8 @@ func (r *Registry) RegisterHost(host string, static proto.StaticInfo) error {
 // runs the scheduling decision.
 func (r *Registry) ReportStatus(host string, status proto.Status) error {
 	r.mu.Lock()
-	err := r.applyLocked(&recHostStatus{Host: host, Status: status, At: r.clock.Now()})
+	r.status = recHostStatus{Host: host, Status: status, At: r.clock.Now()}
+	err := r.applyLocked(&r.status)
 	r.mu.Unlock()
 	if err != nil {
 		return err

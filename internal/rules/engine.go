@@ -2,7 +2,7 @@ package rules
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"autoresched/internal/sysinfo"
@@ -15,7 +15,11 @@ type Engine struct {
 
 	mu    sync.RWMutex
 	rules map[int]*Rule
-	root  int // rule number deciding the host state; 0 = worst of all rules
+	// numbers are the installed rule numbers, ascending. Add replaces the
+	// slice rather than growing it in place, so a reader holding it under
+	// the read lock may walk it after releasing the lock.
+	numbers []int
+	root    int // rule number deciding the host state; 0 = worst of all rules
 }
 
 // NewEngine returns an engine evaluating probes from the given registry
@@ -35,6 +39,10 @@ func (e *Engine) Add(r *Rule) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if _, ok := e.rules[r.Number]; !ok {
+		i, _ := slices.BinarySearch(e.numbers, r.Number)
+		e.numbers = slices.Insert(slices.Clip(e.numbers), i, r.Number)
+	}
 	e.rules[r.Number] = r
 	return nil
 }
@@ -65,11 +73,10 @@ func (e *Engine) SetRoot(number int) {
 func (e *Engine) Rules() []*Rule {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*Rule, 0, len(e.rules))
-	for _, r := range e.rules {
-		out = append(out, r)
+	out := make([]*Rule, len(e.numbers))
+	for i, n := range e.numbers {
+		out[i] = e.rules[n]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
 	return out
 }
 
@@ -112,20 +119,12 @@ func (e *Engine) evalLocked(number int, snap sysinfo.Snapshot, visiting map[int]
 // root is set, otherwise the worst grade across all installed rules.
 func (e *Engine) Evaluate(snap sysinfo.Snapshot) (Grade, error) {
 	e.mu.RLock()
-	root := e.root
-	numbers := make([]int, 0, len(e.rules))
-	for n := range e.rules {
-		numbers = append(numbers, n)
-	}
+	root, numbers := e.root, e.numbers
 	e.mu.RUnlock()
 
 	if root != 0 {
 		return e.EvalRule(root, snap)
 	}
-	if len(numbers) == 0 {
-		return GradeFree, nil
-	}
-	sort.Ints(numbers)
 	worst := GradeFree
 	for _, n := range numbers {
 		g, err := e.EvalRule(n, snap)

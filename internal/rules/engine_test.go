@@ -289,3 +289,26 @@ func TestParseIgnoresUnknownRlKeys(t *testing.T) {
 		t.Fatalf("parse = %v, %v", parsed, err)
 	}
 }
+
+// TestEvaluateAllocatesNothing: a monitor cycle's evaluation of the Figure 3
+// rule set — the worst grade of every rule, in ascending number order —
+// allocates nothing, and replacing a rule keeps one entry per number.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	e := loadEngine(t, "figure3.rules")
+	snap := sysinfo.Snapshot{CPUIdlePct: 47, Sockets: 950}
+	evaluate := func() {
+		if g, err := e.Evaluate(snap); err != nil || g.State() != Overloaded {
+			t.Fatalf("Evaluate = %v, %v; want overloaded", g, err)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, evaluate); avg != 0 {
+		t.Errorf("Evaluate of the Figure 3 rules allocates %.1f objects per cycle, want 0", avg)
+	}
+	before := e.Rules()
+	if err := e.Add(before[0]); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Rules(); len(after) != len(before) || after[0].Number != 1 || after[1].Number != 2 {
+		t.Errorf("rules after replacing rule 1: %v", after)
+	}
+}
