@@ -86,9 +86,12 @@ check: lint build test
 # live, a fallen-back and a live migration in a row (no stop-and-copy may
 # hand a round the region its destination adopted), of the Jacobi migrated
 # both ways (its sweep writes the adopted flat grid or paged region in
-# place), of a paged region's row writes beside concurrent snapshots (a
-# snapshot must see each row whole: the write barrier holds the region lock
-# for the whole row, and a whole-region snapshot that copies a run of pages
+# place), of the elastic Jacobi (each rank mutates its row block in place
+# between halo exchanges and drains, and keeps stepping it after an aborted
+# resize while the root still holds the shard it drained), of a paged
+# region's row writes beside concurrent snapshots (a snapshot must see
+# each row whole: the write barrier holds the region lock for the whole
+# row, and a whole-region snapshot that copies a run of pages
 # per hold copies every page written meanwhile again), of the two jobs-crash
 # chaos scenarios (the commit-failure edge), of the proto client and server over real TCP (the
 # client's one re-dial) and of a standby reading the store while the
@@ -105,6 +108,7 @@ ci: check
 	$(GO) test -race -count=50 -run 'TestLiveMigrationFreezesAndPreservesRegion$$|TestLiveFallbackRunsClassicMigration$$|TestEndingMidPrecopyReleasesTheDestination$$|TestStopAndCopyHandsOverLazyState$$|TestSecondLiveMigrationCopiesIntoTheRetiredRegion$$|TestLiveFallbackThenLiveKeepsTheRegion$$' ./internal/hpcm
 	$(GO) test -race -count=50 -run 'TestSnapshotSeesWholeRowWrites$$|TestWholeSnapshotSeesWholeRowWritesAcrossRuns$$' ./internal/livemig
 	$(GO) test -race -count=20 -run 'TestJacobiSurvivesMigration$$|TestJacobiPagedSurvivesLiveMigration$$' ./internal/workload
+	$(GO) test -race -count=20 -run 'TestElasticJacobi' ./internal/workload
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$|TestStandbyCatchUpSpansACompaction$$|TestRestoreOrdersHostsByRegistration$$' ./internal/registry
@@ -170,7 +174,7 @@ fleet: build
 # baseline), the 64->512 growth sweep, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged row reads and writes / dirty
 # scans / modeled downtime, one N=1024 Jacobi sweep flat and paged and its
-# row kernel alone, a
+# row kernel alone, one step of a one-rank N=130 elastic Jacobi block, a
 # stop-and-copy and a live migration by state size (B/op
 # prices hpcm's data path), resizes, admission by queue depth, and the
 # persist append, snapshot fold, snapshot write and replay paths. A
@@ -183,7 +187,7 @@ bench: build
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi
 	$(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments
 	$(GO) test -run '^$$' -bench . -benchtime 1000x -benchmem ./internal/livemig
-	$(GO) test -run '^$$' -bench 'BenchmarkJacobiSweep|BenchmarkRelaxRow' -benchtime 20x -benchmem ./internal/workload
+	$(GO) test -run '^$$' -bench 'BenchmarkJacobiSweep|BenchmarkRelaxRow|BenchmarkElasticStep' -benchtime 20x -benchmem ./internal/workload
 	$(GO) test -run '^$$' -bench 'BenchmarkMigration|BenchmarkLiveMigration' -benchtime 10x -benchmem ./internal/hpcm
 	$(GO) test -run '^$$' -bench BenchmarkResize -benchtime 100x -benchmem ./internal/malleable
 	$(GO) test -run '^$$' -bench BenchmarkAdmission -benchtime 1000x -benchmem ./internal/jobs

@@ -7,6 +7,12 @@
 // the job quiesces at the next poll-point, and the runtime reshapes the
 // world in place.
 //
+// A rank holds its state between steps as the App's typed Block, in the
+// application's own layout; it becomes a byte shard only where it moves —
+// the initial scatter, a resize's drain and redistribution, and the final
+// merge — much as the source paper encodes a process's state at a
+// poll-point only when the process migrates.
+//
 // The protocol is drain-first: every rank's shard is gathered to the root
 // before anything irreversible happens, so a victim host dying after the
 // drain cannot lose state, and a freshly spawned rank dying before the
@@ -35,11 +41,12 @@ import (
 
 // App is a re-decomposable application: its global state can be cut into
 // one shard per rank for any world size, and reassembled from the shards.
-// Shards are opaque byte blobs; the engine never interprets them. A resize
-// at step s is invisible to the computation: Split(Merge(shards), M)
-// continued for the remaining steps must produce the same global state as
-// running the whole computation at M ranks (the bit-exactness contract the
-// elastic jacobi workload is tested against).
+// Shards are bytes the engine never interprets, at the scatter, a drain
+// and the merge; between steps a rank holds the typed Block Open made of
+// its shard. A resize at step s is invisible to the computation:
+// Split(Merge(shards), M) continued for the remaining steps must produce
+// the same global state as running the whole computation at M ranks (the
+// bit-exactness contract the elastic jacobi workload is tested against).
 type App interface {
 	// Name labels the job in events and the process table.
 	Name() string
@@ -51,10 +58,22 @@ type App interface {
 	Split(global []byte, world int) ([][]byte, error)
 	// Merge reassembles the global state from all ranks' shards.
 	Merge(shards [][]byte) ([]byte, error)
-	// Step advances one rank's shard by one step. rc carries the rank's
+	// Open decodes a shard into the block the rank steps.
+	Open(shard []byte) (Block, error)
+}
+
+// Block is one rank's state between steps, in the application's layout.
+type Block interface {
+	// Step advances the block by one step in place. rc carries the rank's
 	// identity, the world communicator for neighbour exchange, and CPU
 	// charging on the current host.
-	Step(rc *Rank, shard []byte) ([]byte, error)
+	Step(rc *Rank) error
+	// Encode returns the block as a shard, in a buffer of its own: the
+	// engine moves it zero-copy while the rank may keep stepping.
+	Encode() ([]byte, error)
+	// Size is the block's resident size in bytes, reported to the host
+	// once per opened block.
+	Size() int64
 }
 
 // Phases of one resize attempt, in protocol order.
@@ -148,12 +167,11 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// Rank is one incarnation's view during App.Step: its identity in the
+// Rank is one incarnation's view during Block.Step: its identity in the
 // current world, the step number, the world communicator for neighbour
 // exchange, and CPU charging on its host. The engine rewrites the identity
 // at every committed resize; the pointer stays valid across resizes.
 type Rank struct {
-	env       *mpi.Env
 	rec       *rankRec
 	comm      *mpi.Comm
 	rank      int
@@ -210,7 +228,6 @@ type proposal struct {
 
 // Job is one running malleable application.
 type Job struct {
-	u       *mpi.Universe
 	clock   vclock.Clock
 	app     App
 	name    string
@@ -218,18 +235,17 @@ type Job struct {
 	events  metrics.Sink
 	metrics *metrics.Registry
 
-	mu              sync.Mutex
-	pending         *proposal
-	epochs          int // resize attempts announced so far
-	committed       int
-	aborted         int
-	lastCommitEpoch int
-	placement       []string
-	dead            map[string]bool
-	live            map[string][]*rankRec
-	finished        bool
-	result          []byte
-	err             error
+	mu        sync.Mutex
+	pending   *proposal
+	epochs    int // resize attempts announced so far
+	committed int
+	aborted   int
+	placement []string
+	dead      map[string]bool
+	live      map[string][]*rankRec
+	finished  bool
+	result    []byte
+	err       error
 
 	wg   vclock.WaitGroup
 	done chan struct{}
@@ -264,7 +280,6 @@ func Start(opts Options) (*Job, error) {
 		}
 	}
 	j := &Job{
-		u:         opts.Universe,
 		clock:     opts.Universe.Clock(),
 		app:       opts.App,
 		name:      opts.App.Name(),
@@ -276,7 +291,7 @@ func Start(opts Options) (*Job, error) {
 		live:      make(map[string][]*rankRec),
 		done:      make(chan struct{}),
 	}
-	j.u.Start(opts.InitialHosts, j.rankMain)
+	opts.Universe.Start(opts.InitialHosts, j.rankMain)
 	return j, nil
 }
 
@@ -371,12 +386,12 @@ func (j *Job) CrashHost(host string) {
 		r.kill()
 	}
 	if isRoot {
-		j.fail(fmt.Errorf("malleable: root host %s crashed", host))
+		j.settle(nil, fmt.Errorf("malleable: root host %s crashed", host))
 	}
 }
 
 // Stop cancels the job; Wait returns ErrStopped.
-func (j *Job) Stop() { j.fail(ErrStopped) }
+func (j *Job) Stop() { j.settle(nil, ErrStopped) }
 
 // Wait blocks until the job settles and returns the final merged global
 // state (from App.Merge over the last world's shards) or the terminal
@@ -444,38 +459,26 @@ func (j *Job) observe(name string, d time.Duration) {
 	}
 }
 
-// fail settles the job with a terminal error (first one wins) and kills
-// every live incarnation so nothing stays blocked on a peer that will
-// never answer.
-func (j *Job) fail(err error) {
+// settle ends the job with its result or a terminal error (the first call
+// wins). A failure kills every live incarnation so nothing stays blocked on
+// a peer that will never answer.
+func (j *Job) settle(result []byte, err error) {
 	j.mu.Lock()
 	if j.finished {
 		j.mu.Unlock()
 		return
 	}
-	j.finished = true
-	j.err = err
+	j.finished, j.result, j.err = true, result, err
 	var recs []*rankRec
-	for _, l := range j.live {
-		recs = append(recs, l...)
+	if err != nil {
+		for _, l := range j.live {
+			recs = append(recs, l...)
+		}
 	}
 	j.mu.Unlock()
 	for _, r := range recs {
 		r.kill()
 	}
-	close(j.done)
-}
-
-// finishResult settles the job successfully.
-func (j *Job) finishResult(result []byte) {
-	j.mu.Lock()
-	if j.finished {
-		j.mu.Unlock()
-		return
-	}
-	j.finished = true
-	j.result = result
-	j.mu.Unlock()
 	close(j.done)
 }
 
@@ -518,13 +521,9 @@ func (j *Job) detach(rec *rankRec) {
 // crashed incarnations are expected collateral (the resize protocol or the
 // surviving ranks decide the job's fate), anything else fails the job.
 func (j *Job) rankExit(rec *rankRec, err error) {
-	if err == nil || errors.Is(err, errRetired) {
-		return
+	if err != nil && !errors.Is(err, errRetired) && !rec.killed.Load() {
+		j.settle(nil, err)
 	}
-	if rec.killed.Load() {
-		return
-	}
-	j.fail(err)
 }
 
 // rankMain is the entry point of the initial ranks.
@@ -538,84 +537,106 @@ func (j *Job) rankMain(env *mpi.Env) error {
 	}
 	defer j.detach(rec)
 	rc := &Rank{
-		env: env, rec: rec,
-		comm: env.World, rank: env.World.Rank(), world: env.World.Size(),
+		rec: rec, comm: env.World, rank: env.World.Rank(), world: env.World.Size(),
 		placement: j.Placement(),
 	}
-	var shard []byte
-	if rc.rank == 0 {
-		global, err := j.app.Fresh()
-		if err == nil {
-			var shards [][]byte
-			if shards, err = j.app.Split(global, rc.world); err == nil {
-				values := make([]any, len(shards))
-				for i, sh := range shards {
-					values[i] = sh
-				}
-				err = rc.comm.Scatter(values, &shard, 0)
-			}
-		}
-		if err != nil {
-			j.rankExit(rec, err)
-			return nil
-		}
-	} else {
-		if err := rc.comm.Scatter(nil, &shard, 0); err != nil {
-			j.rankExit(rec, err)
-			return nil
-		}
+	blk, err := j.scatter(rc)
+	if err == nil {
+		err = j.runRank(rc, blk, false)
 	}
-	j.rankExit(rec, j.runRank(rc, shard, false))
+	j.rankExit(rec, err)
 	return nil
 }
 
+// scatter hands every initial rank its shard of the fresh state.
+func (j *Job) scatter(rc *Rank) (Block, error) {
+	var values []any
+	if rc.rank == 0 {
+		global, err := j.app.Fresh()
+		if err != nil {
+			return nil, err
+		}
+		shards, err := j.app.Split(global, rc.world)
+		if err != nil {
+			return nil, err
+		}
+		for _, sh := range shards {
+			values = append(values, sh)
+		}
+	}
+	var shard []byte
+	if err := rc.comm.Scatter(values, &shard, 0); err != nil {
+		return nil, err
+	}
+	return j.open(rc, shard)
+}
+
+// open decodes a shard the rank received into its block and reports the
+// block's size to the host.
+func (j *Job) open(rc *Rank, shard []byte) (Block, error) {
+	blk, err := j.app.Open(shard)
+	if err != nil {
+		return nil, err
+	}
+	rc.rec.hp.SetMemory(blk.Size() + 1<<20)
+	return blk, nil
+}
+
 // runRank is the step loop every incarnation executes: poll for a resize
-// at each step boundary, compute the step, and at the end drain the final
+// at each step boundary, step the block, and at the end drain the final
 // shards to the root for the result merge.
-func (j *Job) runRank(rc *Rank, shard []byte, skipFirstPoll bool) error {
+func (j *Job) runRank(rc *Rank, blk Block, skipFirstPoll bool) error {
 	steps := j.app.Steps()
 	skip := skipFirstPoll
 	for rc.step < steps {
 		if !skip {
-			newShard, err := j.pollStep(rc, shard)
-			if err != nil {
+			var err error
+			if blk, err = j.pollStep(rc, blk); err != nil {
 				return err
 			}
-			shard = newShard
 		}
 		skip = false
-		rc.rec.hp.SetMemory(int64(len(shard)) + 1<<20)
-		var err error
-		shard, err = j.app.Step(rc, shard)
-		if err != nil {
+		if err := blk.Step(rc); err != nil {
 			return err
 		}
 		rc.step++
 	}
-	return j.finalDrain(rc, shard)
+	return j.finalDrain(rc, blk)
 }
 
 // finalDrain gathers the last world's shards at the root and settles the
 // job with the merged global state.
-func (j *Job) finalDrain(rc *Rank, shard []byte) error {
+func (j *Job) finalDrain(rc *Rank, blk Block) error {
+	shard, err := blk.Encode()
+	if err != nil {
+		return err
+	}
 	if rc.rank != 0 {
 		return rc.comm.Send(shard, 0, tagDrain)
 	}
-	shards := make([][]byte, rc.world)
-	shards[0] = shard
-	for r := 1; r < rc.world; r++ {
-		var sh []byte
-		if err := j.recvLively(rc, rc.comm, r, tagDrain, &sh); err != nil {
-			return fmt.Errorf("malleable: final drain from rank %d: %w", r, err)
-		}
-		shards[r] = sh
+	shards, err := j.drain(rc, shard)
+	if err != nil {
+		return fmt.Errorf("malleable: final drain from %w", err)
 	}
 	global, err := j.app.Merge(shards)
 	if err != nil {
 		return err
 	}
-	j.finishResult(global)
+	j.settle(global, nil)
 	return nil
+}
+
+// drain gathers every rank's shard at the root, the root's own first.
+func (j *Job) drain(rc *Rank, own []byte) ([][]byte, error) {
+	shards := [][]byte{own}
+	for r := 1; r < rc.world; r++ {
+		var sh []byte
+		if err := j.recvLively(rc, rc.comm, r, tagDrain, &sh); err != nil {
+			return nil, fmt.Errorf("rank %d: %w", r, err)
+		}
+		shards = append(shards, sh)
+	}
+	return shards, nil
 }
 
 // drainPoll paces recvLively's mailbox polls, in virtual time.

@@ -15,9 +15,9 @@ import (
 
 // countApp is the minimal re-decomposable App: the global state is size
 // bytes, a shard is a contiguous slice of it, and a step increments every
-// byte. After S steps every byte is S regardless of how often the world
-// resized — plus each step runs an Allreduce so every incarnation proves
-// its current communicator works.
+// byte of the rank's block. After S steps every byte is S regardless of how
+// often the world resized — plus each step runs an Allreduce so every
+// incarnation proves its current communicator works.
 type countApp struct {
 	size  int
 	steps int
@@ -51,20 +51,33 @@ func (a *countApp) Merge(shards [][]byte) ([]byte, error) {
 	return global, nil
 }
 
-func (a *countApp) Step(rc *Rank, shard []byte) ([]byte, error) {
-	var total int
-	if err := rc.Comm().Allreduce(len(shard), &total, mpi.Sum); err != nil {
-		return nil, err
-	}
-	if total != a.size {
-		return nil, fmt.Errorf("countApp: world covers %d bytes, want %d", total, a.size)
-	}
-	out := make([]byte, len(shard))
-	for i, b := range shard {
-		out[i] = b + 1
-	}
-	return out, nil
+func (a *countApp) Open(shard []byte) (Block, error) {
+	return &countBlock{size: a.size, data: append([]byte(nil), shard...)}, nil
 }
+
+// countBlock is one rank's bytes of a countApp, stepped in place.
+type countBlock struct {
+	size int
+	data []byte
+}
+
+func (b *countBlock) Step(rc *Rank) error {
+	var total int
+	if err := rc.Comm().Allreduce(len(b.data), &total, mpi.Sum); err != nil {
+		return err
+	}
+	if total != b.size {
+		return fmt.Errorf("countApp: world covers %d bytes, want %d", total, b.size)
+	}
+	for i := range b.data {
+		b.data[i]++
+	}
+	return nil
+}
+
+func (b *countBlock) Encode() ([]byte, error) { return append([]byte(nil), b.data...), nil }
+
+func (b *countBlock) Size() int64 { return int64(len(b.data)) }
 
 // eventLog collects observer events safely across goroutines.
 type eventLog struct {
@@ -129,11 +142,25 @@ type stepGate struct {
 	hook func()
 }
 
-func (g *stepGate) Step(rc *Rank, shard []byte) ([]byte, error) {
-	if rc.Rank() == 0 && rc.Step() == g.at {
-		g.once.Do(g.hook)
+func (g *stepGate) Open(shard []byte) (Block, error) {
+	blk, err := g.App.Open(shard)
+	if err != nil {
+		return nil, err
 	}
-	return g.App.Step(rc, shard)
+	return &gatedBlock{Block: blk, gate: g}, nil
+}
+
+// gatedBlock is a block of a stepGate's App.
+type gatedBlock struct {
+	Block
+	gate *stepGate
+}
+
+func (b *gatedBlock) Step(rc *Rank) error {
+	if rc.Rank() == 0 && rc.Step() == b.gate.at {
+		b.gate.once.Do(b.gate.hook)
+	}
+	return b.Block.Step(rc)
 }
 
 func checkResult(t *testing.T, result []byte, size, steps int) {
@@ -618,9 +645,122 @@ type slowApp struct {
 	delay time.Duration
 }
 
-func (a *slowApp) Step(rc *Rank, shard []byte) ([]byte, error) {
-	if rc.Rank() != 0 {
-		a.clock.Sleep(a.delay)
+func (a *slowApp) Open(shard []byte) (Block, error) {
+	blk, err := a.countApp.Open(shard)
+	if err != nil {
+		return nil, err
 	}
-	return a.countApp.Step(rc, shard)
+	return &slowBlock{Block: blk, app: a}, nil
+}
+
+// slowBlock is a block of a slowApp.
+type slowBlock struct {
+	Block
+	app *slowApp
+}
+
+func (b *slowBlock) Step(rc *Rank) error {
+	if rc.Rank() != 0 {
+		b.app.clock.Sleep(b.app.delay)
+	}
+	return b.Block.Step(rc)
+}
+
+// tallyApp counts a countApp's opens, and its encodes by the step boundary
+// they happen at.
+type tallyApp struct {
+	countApp
+	mu      sync.Mutex
+	opens   int
+	encodes map[int]int // step boundary -> encodes there
+}
+
+func (a *tallyApp) Open(shard []byte) (Block, error) {
+	blk, err := a.countApp.Open(shard)
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	a.opens++
+	a.mu.Unlock()
+	return &tallyBlock{Block: blk, app: a, boundary: -1}, nil
+}
+
+// tallyBlock is a block of a tallyApp; boundary is the step boundary after
+// its last step (-1 before its first).
+type tallyBlock struct {
+	Block
+	app      *tallyApp
+	boundary int
+}
+
+func (b *tallyBlock) Step(rc *Rank) error {
+	b.boundary = rc.Step() + 1
+	return b.Block.Step(rc)
+}
+
+func (b *tallyBlock) Encode() ([]byte, error) {
+	b.app.mu.Lock()
+	b.app.encodes[b.boundary]++
+	b.app.mu.Unlock()
+	return b.Block.Encode()
+}
+
+// TestEngineEncodesOnlyAtDrains runs TestSpawnFailureAborts's aborted 3->4
+// resize at step 2, then a committed one at step 5. A rank decodes a block
+// from each shard it receives and keeps it between steps: an encode happens
+// only where its shard leaves the rank, at a drain.
+func TestEngineEncodesOnlyAtDrains(t *testing.T) {
+	clock := vclock.NewAuto(vclock.Epoch)
+	var mu sync.Mutex
+	dead := map[string]bool{"h9": true}
+	u := mpi.NewUniverse(mpi.Options{Clock: clock, HostCheck: func(h string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if dead[h] {
+			return errors.New("host is down")
+		}
+		return nil
+	}})
+	app := &tallyApp{countApp: countApp{size: 48, steps: 10}, encodes: map[int]int{}}
+
+	var jr jref
+	abort := &stepGate{App: app, at: 2, hook: func() {
+		if err := jr.get().Propose([]string{"h1", "h2", "h3", "h9"}); err != nil {
+			t.Errorf("Propose: %v", err)
+		}
+	}}
+	commit := &stepGate{App: abort, at: 5, hook: func() {
+		if err := jr.get().Propose(hosts("h", 4)); err != nil {
+			t.Errorf("Propose: %v", err)
+		}
+	}}
+	j, err := Start(Options{Universe: u, App: commit, InitialHosts: hosts("h", 3)})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	jr.set(j)
+	result, err := j.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	checkResult(t, result, app.size, app.steps)
+	if committed, aborted := j.Resizes(); committed != 1 || aborted != 1 {
+		t.Fatalf("resizes = %d/%d, want 1 committed / 1 aborted", committed, aborted)
+	}
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	// Shards received: the three scattered at the start, then at the
+	// commit the root's own new shard, two survivors' state pushes and the
+	// child's first state. The aborted ranks resume the blocks they had.
+	if app.opens != 3+4 {
+		t.Errorf("opens = %d, want 7 (one per shard received)", app.opens)
+	}
+	// Drains: the aborted resize's and the committed one's (three ranks
+	// each, at the poll-point after the step that proposed them), and the
+	// final drain of the four-rank world.
+	want := map[int]int{3: 3, 6: 3, 10: 4}
+	if fmt.Sprint(app.encodes) != fmt.Sprint(want) {
+		t.Errorf("encodes by step boundary = %v, want %v (drains only)", app.encodes, want)
+	}
 }

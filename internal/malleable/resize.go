@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"autoresched/internal/mpi"
 )
@@ -66,26 +67,27 @@ type verdict struct {
 // rank r is its index among the survivors, and children follow.
 type plan struct {
 	epoch    int
-	target   []string
 	cur      []string
 	survivor []int    // old ranks that continue, ascending
-	victim   []int    // old ranks that retire, ascending
+	removed  []string // hosts of the old ranks that retire, rank order
 	added    []string // hosts joining, target order
 	newPlace []string // placement after the resize, new-rank order
+
+	// proposed and quiesced time the attempt on the root.
+	proposed, quiesced time.Time
 }
 
 func makePlan(epoch int, cur, target []string) plan {
 	p := plan{
-		epoch:  epoch,
-		target: append([]string(nil), target...),
-		cur:    append([]string(nil), cur...),
+		epoch: epoch,
+		cur:   append([]string(nil), cur...),
 	}
 	for r, host := range cur {
 		if slices.Contains(target, host) {
 			p.survivor = append(p.survivor, r)
 			p.newPlace = append(p.newPlace, host)
 		} else {
-			p.victim = append(p.victim, r)
+			p.removed = append(p.removed, host)
 		}
 	}
 	for _, host := range target {
@@ -95,16 +97,6 @@ func makePlan(epoch int, cur, target []string) plan {
 		}
 	}
 	return p
-}
-
-// newRankOf returns the post-resize rank of old rank r, or -1 for victims.
-func (p *plan) newRankOf(r int) int {
-	for i, s := range p.survivor {
-		if s == r {
-			return i
-		}
-	}
-	return -1
 }
 
 // memberBigRanks lists the members of the new world by their ranks in the
@@ -120,121 +112,87 @@ func (p *plan) memberBigRanks() []int {
 
 // pollStep is the poll-point every rank passes between steps: rank 0
 // decides whether a resize is pending and broadcasts the verdict; on a
-// resize all ranks run the reshape. Returns the shard to continue with
+// resize all ranks run the reshape. Returns the block to continue with
 // (rewriting rc on a committed resize) or errRetired for victims.
-func (j *Job) pollStep(rc *Rank, shard []byte) ([]byte, error) {
+func (j *Job) pollStep(rc *Rank, blk Block) (Block, error) {
 	var ann announce
+	var proposed, quiesced time.Time
 	if rc.rank == 0 {
 		if p, epoch := j.takePending(rc.placement); p != nil {
 			ann = announce{Resize: true, Epoch: epoch, Target: p.target}
-			j.observe(MetricQuiesceSeconds, j.clock.Now().Sub(p.at))
-			defer j.timeResize(p, epoch)()
+			proposed, quiesced = p.at, j.clock.Now()
+			j.observe(MetricQuiesceSeconds, quiesced.Sub(proposed))
 		}
 	}
 	if err := rc.comm.Bcast(&ann, 0); err != nil {
 		return nil, err
 	}
 	if !ann.Resize {
-		return shard, nil
+		return blk, nil
 	}
 	pl := makePlan(ann.Epoch, rc.placement, ann.Target)
+	pl.proposed, pl.quiesced = proposed, quiesced
 	if rc.rank == 0 {
-		j.emit(Event{
-			Job: j.name, Phase: PhaseQuiesce, Epoch: pl.epoch,
-			OldWorld: len(pl.cur), NewWorld: len(pl.target),
-			Added: pl.added, Removed: victimHosts(&pl),
-		})
+		j.emitPhase(&pl, PhaseQuiesce, "")
 	}
-	return j.reshape(rc, &pl, shard)
-}
-
-// timeResize returns the deferred end-of-resize recorder for rank 0: it
-// observes the full-resize and reshape histograms only if the attempt
-// committed (j.epochs bookkeeping identifies commits via counters).
-func (j *Job) timeResize(p *proposal, epoch int) func() {
-	quiesced := j.clock.Now()
-	return func() {
-		j.mu.Lock()
-		committed := j.lastCommitEpoch == epoch
-		j.mu.Unlock()
-		if committed {
-			j.observe(MetricReshapeSeconds, j.clock.Now().Sub(quiesced))
-			j.observe(MetricResizeSeconds, j.clock.Now().Sub(p.at))
-		}
-	}
-}
-
-func victimHosts(pl *plan) []string {
-	var hosts []string
-	for _, r := range pl.victim {
-		hosts = append(hosts, pl.cur[r])
-	}
-	return hosts
+	return j.reshape(rc, &pl, blk)
 }
 
 // reshape executes one resize attempt on every old rank. The root drives;
-// non-root ranks first drain, then follow the root's messages.
-func (j *Job) reshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
+// non-root ranks first drain, then follow the root's messages. Every old
+// rank encodes its block for the drain and keeps it: an abort resumes it
+// untouched, a commit opens the rank's new shard.
+func (j *Job) reshape(rc *Rank, pl *plan, blk Block) (Block, error) {
+	shard, err := blk.Encode()
+	if err != nil {
+		return nil, err
+	}
 	if rc.rank == 0 {
-		return j.rootReshape(rc, pl, shard)
+		return j.rootReshape(rc, pl, blk, shard)
 	}
 	// Drain: ship the shard to the root, then await the outcome.
 	if err := rc.comm.Send(shard, 0, tagDrain); err != nil {
 		return nil, err
 	}
-	return j.memberCommit(rc, pl, rc.comm, shard, rc.rank)
+	return j.memberCommit(rc, pl, blk)
 }
 
 // rootReshape is rank 0's side: drain, spawn, redistribute, decide.
-func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
-	oldW := len(pl.cur)
+func (j *Job) rootReshape(rc *Rank, pl *plan, blk Block, shard []byte) (Block, error) {
 	// Drain every rank's shard. A rank that dies before its shard arrives
 	// is unrecoverable state loss: the job fails (never wedges — recvLively
 	// watches the job's dead-host set).
-	shards := make([][]byte, oldW)
-	shards[0] = shard
-	for r := 1; r < oldW; r++ {
-		var sh []byte
-		if err := j.recvLively(rc, rc.comm, r, tagDrain, &sh); err != nil {
-			return nil, fmt.Errorf("malleable: drain epoch %d from rank %d: %w", pl.epoch, r, err)
-		}
-		shards[r] = sh
+	shards, err := j.drain(rc, shard)
+	if err != nil {
+		return nil, fmt.Errorf("malleable: drain epoch %d from %w", pl.epoch, err)
 	}
 	// State is safe. Victims are expendable from here on.
-	j.emit(Event{
-		Job: j.name, Phase: PhaseReshape, Epoch: pl.epoch,
-		OldWorld: oldW, NewWorld: len(pl.target),
-		Added: pl.added, Removed: victimHosts(pl),
-	})
+	j.emitPhase(pl, PhaseReshape, "")
 
 	bigComm := rc.comm
 	if len(pl.added) > 0 {
-		var err error
-		bigComm, err = rc.env.SpawnMerge(rc.comm, pl.added, j.childMain(pl, rc.step))
+		bigComm, err = rc.rec.env.SpawnMerge(rc.comm, pl.added, j.childMain(pl))
 		if err != nil {
 			var hf *mpi.HostFailedError
 			if errors.As(err, &hf) {
 				// A target host failed mid-spawn: clean abort, the old
 				// world resumes untouched.
-				return shard, j.rootAbort(rc, pl, rc.comm, oldW, hf.Error())
+				return blk, j.rootAbort(pl, rc.comm, hf.Error())
 			}
 			return nil, fmt.Errorf("malleable: spawn epoch %d: %w", pl.epoch, err)
 		}
 		j.emit(Event{
 			Job: j.name, Phase: PhaseSpawn, Epoch: pl.epoch,
-			OldWorld: oldW, NewWorld: len(pl.target), Added: pl.added,
+			OldWorld: len(pl.cur), NewWorld: len(pl.newPlace), Added: pl.added,
 		})
 	}
 
 	// Repartition for the new world.
-	newShards, err := j.repartition(shards, len(pl.target))
+	newShards, err := j.repartition(shards, len(pl.newPlace))
 	if err != nil {
 		// Application-level failure: abort to the old world; the job keeps
-		// running at the old size (the shards are untouched).
-		if aerr := j.rootAbort(rc, pl, bigComm, oldW, err.Error()); aerr != nil {
-			return nil, aerr
-		}
-		return shard, nil
+		// running at the old size (the blocks are untouched).
+		return blk, j.rootAbort(pl, bigComm, err.Error())
 	}
 
 	// A fresh host that died in the spawn window may not have failed the
@@ -242,7 +200,7 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 	// abort is deterministic, not a race against delivery.
 	for _, h := range pl.added {
 		if j.hostDead(h) {
-			return shard, j.rootAbort(rc, pl, bigComm, oldW, fmt.Sprintf("spawned host %s died before commit", h))
+			return blk, j.rootAbort(pl, bigComm, fmt.Sprintf("spawned host %s died before commit", h))
 		}
 	}
 	// Push each member its new shard. A send failure here (fresh rank's
@@ -254,7 +212,7 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 			continue
 		}
 		if err := bigComm.Send(state{Step: rc.step, Shard: newShards[i]}, big, tagState); err != nil {
-			return shard, j.rootAbort(rc, pl, bigComm, oldW, fmt.Sprintf("state push to merged rank %d: %v", big, err))
+			return blk, j.rootAbort(pl, bigComm, fmt.Sprintf("state push to merged rank %d: %v", big, err))
 		}
 	}
 	// Commit. Verdict failures to individual members are ignored: a member
@@ -265,17 +223,15 @@ func (j *Job) rootReshape(rc *Rank, pl *plan, shard []byte) ([]byte, error) {
 		_ = bigComm.Send(verdict{Commit: true}, big, tagVerdict)
 	}
 	j.commitJobState(pl)
-	newComm, err := bigComm.CreateGroup(pl.memberBigRanks(), pl.epoch)
+	newComm, err := bigComm.CreateGroup(ranks, pl.epoch)
 	if err != nil {
 		return nil, fmt.Errorf("malleable: commit epoch %d: %w", pl.epoch, err)
 	}
 	rc.adopt(newComm, pl)
-	j.emit(Event{
-		Job: j.name, Phase: PhaseResume, Epoch: pl.epoch,
-		OldWorld: oldW, NewWorld: len(pl.target),
-		Added: pl.added, Removed: victimHosts(pl),
-	})
-	return newShards[0], nil
+	j.emitPhase(pl, PhaseResume, "")
+	j.observe(MetricReshapeSeconds, j.clock.Now().Sub(pl.quiesced))
+	j.observe(MetricResizeSeconds, j.clock.Now().Sub(pl.proposed))
+	return j.open(rc, newShards[0])
 }
 
 // repartition merges the old shards and re-splits for the new world size.
@@ -297,7 +253,7 @@ func (j *Job) repartition(shards [][]byte, newWorld int) ([][]byte, error) {
 // rootAbort distributes an abort verdict over comm (the widest
 // communicator every still-relevant member listens on) and records the
 // abort. Send failures are ignored — dead members don't need the verdict.
-func (j *Job) rootAbort(rc *Rank, pl *plan, comm *mpi.Comm, oldW int, reason string) error {
+func (j *Job) rootAbort(pl *plan, comm *mpi.Comm, reason string) error {
 	for big := 1; big < comm.Size(); big++ {
 		_ = comm.Send(verdict{Commit: false}, big, tagVerdict)
 	}
@@ -305,12 +261,17 @@ func (j *Job) rootAbort(rc *Rank, pl *plan, comm *mpi.Comm, oldW int, reason str
 	j.aborted++
 	j.mu.Unlock()
 	j.metrics.Counter(CtrResizeAborted).Inc()
-	j.emit(Event{
-		Job: j.name, Phase: PhaseAbort, Epoch: pl.epoch,
-		OldWorld: oldW, NewWorld: len(pl.target),
-		Added: pl.added, Removed: victimHosts(pl), Err: reason,
-	})
+	j.emitPhase(pl, PhaseAbort, reason)
 	return nil
+}
+
+// emitPhase announces a phase of pl's attempt; reason is an abort's.
+func (j *Job) emitPhase(pl *plan, phase, reason string) {
+	j.emit(Event{
+		Job: j.name, Phase: phase, Epoch: pl.epoch,
+		OldWorld: len(pl.cur), NewWorld: len(pl.newPlace),
+		Added: pl.added, Removed: pl.removed, Err: reason,
+	})
 }
 
 // commitJobState flips the job's placement/counters to the new world.
@@ -318,44 +279,43 @@ func (j *Job) commitJobState(pl *plan) {
 	j.mu.Lock()
 	j.placement = append([]string(nil), pl.newPlace...)
 	j.committed++
-	j.lastCommitEpoch = pl.epoch
 	j.mu.Unlock()
 	j.metrics.Counter(CtrResizeCommitted).Inc()
 	j.metrics.Counter(CtrRanksSpawned).Add(int64(len(pl.added)))
-	j.metrics.Counter(CtrRanksRetired).Add(int64(len(pl.victim)))
+	j.metrics.Counter(CtrRanksRetired).Add(int64(len(pl.removed)))
 }
 
 // memberCommit is the non-root side after the drain: survivors and victims
 // wait on the communicator the root talks to them on. For an expansion
 // they must first join the SpawnMerge collective; the announce's plan
 // tells them whether one is coming.
-func (j *Job) memberCommit(rc *Rank, pl *plan, oldComm *mpi.Comm, oldShard []byte, oldRank int) ([]byte, error) {
-	bigComm := oldComm
+func (j *Job) memberCommit(rc *Rank, pl *plan, blk Block) (Block, error) {
+	bigComm := rc.comm
 	if len(pl.added) > 0 {
 		var err error
-		bigComm, err = rc.env.SpawnMerge(oldComm, pl.added, nil)
+		bigComm, err = rc.rec.env.SpawnMerge(rc.comm, pl.added, nil)
 		if err != nil {
 			var hf *mpi.HostFailedError
 			if errors.As(err, &hf) {
 				// Spawn aborted cluster-wide: resume the old world. The
 				// typed error doubles as the abort verdict, so the root
 				// sends none after a spawn failure.
-				return oldShard, nil
+				return blk, nil
 			}
 			return nil, fmt.Errorf("malleable: spawn epoch %d: %w", pl.epoch, err)
 		}
 	}
 	// Victims receive only the verdict (the root pushes state to new-world
 	// members only); survivors must see their state before a commit.
-	newRank := pl.newRankOf(oldRank)
-	st, vd, err := j.awaitOutcome(rc, bigComm, newRank >= 0)
+	survives := slices.Contains(pl.survivor, rc.rank)
+	st, vd, err := awaitOutcome(bigComm, survives)
 	if err != nil {
 		return nil, err
 	}
 	if !vd.Commit {
-		return oldShard, nil
+		return blk, nil
 	}
-	if newRank < 0 {
+	if !survives {
 		return nil, errRetired
 	}
 	newComm, err := bigComm.CreateGroup(pl.memberBigRanks(), pl.epoch)
@@ -363,39 +323,26 @@ func (j *Job) memberCommit(rc *Rank, pl *plan, oldComm *mpi.Comm, oldShard []byt
 		return nil, fmt.Errorf("malleable: commit epoch %d: %w", pl.epoch, err)
 	}
 	rc.adopt(newComm, pl)
-	return st.Shard, nil
+	return j.open(rc, st.Shard)
 }
 
 // awaitOutcome receives the root's state (wantState: members of the new
-// world only) and verdict messages over the merged communicator, in either
-// arrival order. Per-pair FIFO guarantees a commit verdict never overtakes
-// its state message.
-func (j *Job) awaitOutcome(rc *Rank, comm *mpi.Comm, wantState bool) (state, verdict, error) {
-	var (
-		st     state
-		haveSt bool
-		vd     verdict
-		haveVd bool
-	)
-	for !haveVd {
-		stat, err := comm.Probe(0, mpi.AnyTag)
-		if err != nil {
+// world only) and verdict messages over the merged communicator. The root
+// sends a member's state before the verdict, and per-pair FIFO keeps them
+// in that order.
+func awaitOutcome(comm *mpi.Comm, wantState bool) (st state, vd verdict, err error) {
+	next, err := comm.Probe(0, mpi.AnyTag)
+	if err != nil {
+		return st, vd, err
+	}
+	haveSt := next.Tag == tagState
+	if haveSt {
+		if _, err := comm.Recv(&st, 0, tagState); err != nil {
 			return st, vd, err
 		}
-		switch stat.Tag {
-		case tagState:
-			if _, err := comm.Recv(&st, 0, tagState); err != nil {
-				return st, vd, err
-			}
-			haveSt = true
-		case tagVerdict:
-			if _, err := comm.Recv(&vd, 0, tagVerdict); err != nil {
-				return st, vd, err
-			}
-			haveVd = true
-		default:
-			return st, vd, fmt.Errorf("malleable: unexpected tag %d from root during resize", stat.Tag)
-		}
+	}
+	if _, err := comm.Recv(&vd, 0, tagVerdict); err != nil {
+		return st, vd, err
 	}
 	if vd.Commit && wantState && !haveSt {
 		return st, vd, errors.New("malleable: commit verdict without state")
@@ -417,7 +364,7 @@ func (rc *Rank) adopt(newComm *mpi.Comm, pl *plan) {
 // the parents' collSeq on the new communicator starts aligned only after
 // everyone passes the same number of collectives, and the child joins
 // between two polls).
-func (j *Job) childMain(pl *plan, step int) mpi.Main {
+func (j *Job) childMain(pl *plan) mpi.Main {
 	return func(env *mpi.Env) error {
 		bigComm, err := env.Parent.Merge(true)
 		if err != nil {
@@ -432,8 +379,7 @@ func (j *Job) childMain(pl *plan, step int) mpi.Main {
 			return nil
 		}
 		defer j.detach(rec)
-		rc := &Rank{env: env, rec: rec}
-		st, vd, err := j.awaitOutcome(rc, bigComm, true)
+		st, vd, err := awaitOutcome(bigComm, true)
 		if err != nil || !vd.Commit {
 			// Abort (or the root died): a child with no state just exits.
 			return nil
@@ -442,9 +388,13 @@ func (j *Job) childMain(pl *plan, step int) mpi.Main {
 		if err != nil {
 			return err
 		}
+		rc := &Rank{rec: rec, step: st.Step}
 		rc.adopt(newComm, pl)
-		rc.step = st.Step
-		j.rankExit(rec, j.runRank(rc, st.Shard, true))
+		blk, err := j.open(rc, st.Shard)
+		if err == nil {
+			err = j.runRank(rc, blk, true)
+		}
+		j.rankExit(rec, err)
 		return nil
 	}
 }

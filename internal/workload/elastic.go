@@ -6,15 +6,17 @@ import (
 	"fmt"
 
 	"autoresched/internal/malleable"
+	"autoresched/internal/mpi"
 )
 
 // ElasticJacobi is the Jacobi relaxation as a malleable.App: the same
 // sweep as Jacobi/JacobiReference, but over a row-block decomposition that
 // can be cut for ANY world size 1..N — the first client of the
 // malleability engine. Rank r of W owns interior rows
-// [1 + r*N/W, 1 + (r+1)*N/W); neighbouring ranks exchange one halo row per
-// sweep. Rows are relaxed by Jacobi's row kernel, relaxRow, so a run that
-// resizes mid-flight is bit-identical to a fixed-size run and to the serial
+// [1 + r*N/W, 1 + (r+1)*N/W) as a block between two ghost rows;
+// neighbouring ranks exchange one halo row per sweep. The block is relaxed
+// in place by Jacobi's own sweep, jacobiSweep, so a run that resizes
+// mid-flight is bit-identical to a fixed-size run and to the serial
 // reference.
 type ElasticJacobi struct {
 	// N is the interior grid dimension.
@@ -83,55 +85,46 @@ func (a *ElasticJacobi) Split(global []byte, world int) ([][]byte, error) {
 	}
 	side := g.N + 2
 	shards := make([][]byte, world)
-	for r := 0; r < world; r++ {
-		lo := 1 + r*g.N/world
-		hi := 1 + (r+1)*g.N/world
-		sh := jacobiShard{
-			N: g.N, Hot: g.Hot, Lo: lo, Hi: hi,
-			Rows: append([]float64(nil), g.Grid[lo*side:hi*side]...),
-		}
-		b, err := gobEncode(sh)
-		if err != nil {
+	for r := range shards {
+		lo, hi := 1+r*g.N/world, 1+(r+1)*g.N/world
+		var err error
+		if shards[r], err = gobEncode(jacobiShard{N: g.N, Hot: g.Hot, Lo: lo, Hi: hi, Rows: g.Grid[lo*side : hi*side]}); err != nil {
 			return nil, err
 		}
-		shards[r] = b
 	}
 	return shards, nil
+}
+
+// decodeShard decodes a shard and checks that its rows fill [Lo, Hi).
+func decodeShard(b []byte) (sh jacobiShard, err error) {
+	if err = gobDecode(b, &sh); err == nil && (sh.Hi <= sh.Lo || len(sh.Rows) != (sh.Hi-sh.Lo)*(sh.N+2)) {
+		err = fmt.Errorf("%d values for rows [%d,%d)", len(sh.Rows), sh.Lo, sh.Hi)
+	}
+	return sh, err
 }
 
 // Merge implements malleable.App: reassemble the full grid. The boundary
 // rows are reconstructed from the config (top row Hot, bottom row zero),
 // exactly as newJacobiGrid laid them out.
 func (a *ElasticJacobi) Merge(shards [][]byte) ([]byte, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("workload: elastic jacobi merge of no shards")
-	}
 	var g jacobiGlobal
 	wantLo := 1
 	for i, b := range shards {
-		var sh jacobiShard
-		if err := gobDecode(b, &sh); err != nil {
+		sh, err := decodeShard(b)
+		if err != nil {
 			return nil, fmt.Errorf("workload: elastic jacobi shard %d: %w", i, err)
 		}
 		if i == 0 {
-			side := sh.N + 2
-			g = jacobiGlobal{N: sh.N, Hot: sh.Hot, Grid: make([]float64, side*side)}
-			for j := 0; j < side; j++ {
-				g.Grid[j] = sh.Hot
-			}
+			g = jacobiGlobal{N: sh.N, Hot: sh.Hot, Grid: newJacobiGrid(sh.N, sh.Hot)}
 		}
-		if sh.N != g.N || sh.Lo != wantLo || sh.Hi < sh.Lo {
+		if sh.N != g.N || sh.Lo != wantLo {
 			return nil, fmt.Errorf("workload: elastic jacobi shard %d covers rows [%d,%d), want start %d", i, sh.Lo, sh.Hi, wantLo)
 		}
-		side := g.N + 2
-		if len(sh.Rows) != (sh.Hi-sh.Lo)*side {
-			return nil, fmt.Errorf("workload: elastic jacobi shard %d has %d values for %d rows", i, len(sh.Rows), sh.Hi-sh.Lo)
-		}
-		copy(g.Grid[sh.Lo*side:], sh.Rows)
+		copy(g.Grid[sh.Lo*(g.N+2):], sh.Rows)
 		wantLo = sh.Hi
 	}
-	if wantLo != g.N+1 {
-		return nil, fmt.Errorf("workload: elastic jacobi shards cover rows [1,%d), want [1,%d)", wantLo, g.N+1)
+	if len(shards) == 0 || wantLo != g.N+1 {
+		return nil, fmt.Errorf("workload: elastic jacobi merge of %d shards covers rows [1,%d), want [1,%d)", len(shards), wantLo, g.N+1)
 	}
 	return gobEncode(g)
 }
@@ -142,52 +135,85 @@ const (
 	tagHaloDown = 12 // a rank's last row, flowing to rank+1
 )
 
-// Step implements malleable.App: one relaxation sweep over the owned rows,
-// after a halo exchange with both neighbours in the current world.
-func (a *ElasticJacobi) Step(rc *malleable.Rank, shard []byte) ([]byte, error) {
-	var sh jacobiShard
-	if err := gobDecode(shard, &sh); err != nil {
+// elasticBlock is one rank's shard between steps: its rows live in rows,
+// between a ghost row above and one below, and Rows views the interior.
+type elasticBlock struct {
+	jacobiShard
+	work    float64   // CPU work per step
+	rows    []float64 // ghost row, Rows, ghost row
+	g       rows      // rows, boxed once
+	scratch []float64 // the sweep's four rotating rows
+}
+
+// Open implements malleable.App.
+func (a *ElasticJacobi) Open(shard []byte) (malleable.Block, error) {
+	sh, err := decodeShard(shard)
+	if err != nil {
 		return nil, fmt.Errorf("workload: elastic jacobi shard: %w", err)
 	}
 	side := sh.N + 2
-	nrows := sh.Hi - sh.Lo
-	if err := rc.Compute(float64(nrows) * float64(sh.N) * a.WorkPerCell); err != nil {
-		return nil, err
+	b := &elasticBlock{jacobiShard: sh, work: float64(sh.Hi-sh.Lo) * float64(sh.N) * a.WorkPerCell}
+	b.rows = make([]float64, len(sh.Rows)+2*side)
+	copy(b.rows[side:], sh.Rows)
+	b.Rows, b.g, b.scratch = b.rows[side:len(b.rows)-side], flatRows(b.rows), make([]float64, 4*side)
+	return b, nil
+}
+
+// Step implements malleable.Block: one relaxation sweep over the owned rows,
+// after a halo exchange with both neighbours in the current world.
+func (b *elasticBlock) Step(rc *malleable.Rank) error {
+	if err := rc.Compute(b.work); err != nil {
+		return err
 	}
+	side := b.N + 2
 	comm, r, w := rc.Comm(), rc.Rank(), rc.World()
-	up := make([]float64, side)
-	down := make([]float64, side)
 	if r > 0 {
-		first := sh.Rows[:side]
-		if _, err := comm.SendRecv(first, r-1, tagHaloUp, &up, r-1, tagHaloDown); err != nil {
-			return nil, fmt.Errorf("workload: halo with rank %d: %w", r-1, err)
-		}
-	} else {
-		// Row 0 is the hot boundary, every column.
-		for j := range up {
-			up[j] = sh.Hot
+		if err := halo(comm, b.Rows[:side], b.rows[:side], r-1, tagHaloUp, tagHaloDown); err != nil {
+			return err
 		}
 	}
 	if r < w-1 {
-		last := sh.Rows[(nrows-1)*side:]
-		if _, err := comm.SendRecv(last, r+1, tagHaloDown, &down, r+1, tagHaloUp); err != nil {
-			return nil, fmt.Errorf("workload: halo with rank %d: %w", r+1, err)
+		if err := halo(comm, b.Rows[len(b.Rows)-side:], b.rows[len(b.rows)-side:], r+1, tagHaloDown, tagHaloUp); err != nil {
+			return err
 		}
 	}
-	// else: row N+1 stays the zero boundary row (down is already zero).
-
-	next := make([]float64, len(sh.Rows))
-	for i, rowUp := 0, up; i < nrows; i++ {
-		cur, rowDown := sh.Rows[i*side:(i+1)*side], down
-		if i < nrows-1 {
-			rowDown = sh.Rows[(i+1)*side : (i+2)*side]
-		}
-		relaxRow(rowUp, cur, rowDown, next[i*side:(i+1)*side], 0)
-		rowUp = cur
-	}
-	sh.Rows = next
-	return gobEncode(sh)
+	b.relax(r == 0, r == w-1)
+	return nil
 }
+
+// halo sends row to peer and receives the peer's row into ghost.
+func halo(comm *mpi.Comm, row, ghost []float64, peer, sendTag, recvTag int) error {
+	got := ghost[:len(ghost):len(ghost)]
+	if _, err := comm.SendRecv(row, peer, sendTag, &got, peer, recvTag); err != nil {
+		return fmt.Errorf("workload: halo with rank %d: %w", peer, err)
+	}
+	copy(ghost, got) // a no-op when the decode filled ghost in place
+	return nil
+}
+
+// relax fills the ghost rows at the grid's edges, the hot top row and the
+// zero bottom row, and relaxes the block in place.
+//
+//hot:path
+func (b *elasticBlock) relax(top, bottom bool) {
+	side, s := b.N+2, b.scratch
+	if top {
+		for j := range side {
+			b.rows[j] = b.Hot
+		}
+	}
+	if bottom {
+		clear(b.rows[len(b.rows)-side:])
+	}
+	jacobiSweep(b.g, b.Hi-b.Lo, s[:side], s[side:2*side], s[2*side:3*side], s[3*side:])
+}
+
+// Encode implements malleable.Block: the interior rows, gob-encoded into a
+// buffer of their own.
+func (b *elasticBlock) Encode() ([]byte, error) { return gobEncode(b.jacobiShard) }
+
+// Size implements malleable.Block: the rows' bytes, ghost rows included.
+func (b *elasticBlock) Size() int64 { return 8 * int64(len(b.rows)) }
 
 // ElasticJacobiChecksum sums a merged global state in grid order — the
 // same checksum JacobiReference returns, for bit-exact comparison.
@@ -202,5 +228,3 @@ func ElasticJacobiChecksum(global []byte) (float64, error) {
 	}
 	return sum, nil
 }
-
-var _ malleable.App = (*ElasticJacobi)(nil)

@@ -13,20 +13,35 @@ import (
 	"autoresched/internal/vclock"
 )
 
-// resizeGate wraps an ElasticJacobi to fire one Propose from rank 0 at the
-// start of a chosen step.
+// resizeGate wraps an ElasticJacobi to run a hook on rank 0 at the start of
+// a chosen step, once: to fire a Propose, or to hand a test the rank and
+// its block.
 type resizeGate struct {
 	*ElasticJacobi
 	at   int
 	once sync.Once
-	hook func()
+	hook func(rc *malleable.Rank, blk malleable.Block)
 }
 
-func (g *resizeGate) Step(rc *malleable.Rank, shard []byte) ([]byte, error) {
-	if rc.Rank() == 0 && rc.Step() == g.at && g.hook != nil {
-		g.once.Do(g.hook)
+func (g *resizeGate) Open(shard []byte) (malleable.Block, error) {
+	blk, err := g.ElasticJacobi.Open(shard)
+	if err != nil {
+		return nil, err
 	}
-	return g.ElasticJacobi.Step(rc, shard)
+	return &gatedBlock{Block: blk, gate: g}, nil
+}
+
+// gatedBlock is a block of a resizeGate's ElasticJacobi.
+type gatedBlock struct {
+	malleable.Block
+	gate *resizeGate
+}
+
+func (b *gatedBlock) Step(rc *malleable.Rank) error {
+	if rc.Rank() == 0 && rc.Step() == b.gate.at {
+		b.gate.once.Do(func() { b.gate.hook(rc, b.Block) })
+	}
+	return b.Block.Step(rc)
 }
 
 // jobRef hands the started *Job to the gate hook, which runs on a rank
@@ -68,7 +83,7 @@ func runElastic(t *testing.T, app *ElasticJacobi, from, to, at int) []byte {
 	var jr jobRef
 	var body malleable.App = app
 	if to != 0 {
-		body = &resizeGate{ElasticJacobi: app, at: at, hook: func() {
+		body = &resizeGate{ElasticJacobi: app, at: at, hook: func(*malleable.Rank, malleable.Block) {
 			if err := jr.get().Propose(elasticHosts(to)); err != nil {
 				t.Errorf("Propose %d->%d: %v", from, to, err)
 			}
@@ -155,6 +170,34 @@ func TestElasticJacobiRepartitionBitExact(t *testing.T) {
 	}
 }
 
+// TestElasticBlockEncodesItsShard: a block opened from a shard encodes back
+// to the same bytes, into a buffer of its own.
+func TestElasticBlockEncodesItsShard(t *testing.T) {
+	app := &ElasticJacobi{N: 13, Iters: 1}
+	global, err := app.Fresh()
+	if err != nil {
+		t.Fatalf("Fresh: %v", err)
+	}
+	shards, err := app.Split(global, 3)
+	if err != nil {
+		t.Fatalf("Split: %v", err)
+	}
+	for r, shard := range shards {
+		blk, err := app.Open(shard)
+		if err != nil {
+			t.Fatalf("Open shard %d: %v", r, err)
+		}
+		first, err := blk.Encode()
+		if err != nil || !bytes.Equal(first, shard) {
+			t.Fatalf("shard %d: Encode = %d bytes, err %v; want the %d bytes opened", r, len(first), err, len(shard))
+		}
+		clear(first) // the engine hands a drained shard on; the block must not see it
+		if again, err := blk.Encode(); err != nil || !bytes.Equal(again, shard) {
+			t.Errorf("shard %d: a second Encode differs after the first one's buffer was cleared", r)
+		}
+	}
+}
+
 // TestElasticJacobiSplitRejectsOversizedWorld: more ranks than interior
 // rows must fail, not produce empty shards.
 func TestElasticJacobiSplitRejectsOversizedWorld(t *testing.T) {
@@ -169,4 +212,49 @@ func TestElasticJacobiSplitRejectsOversizedWorld(t *testing.T) {
 	if _, err := app.Split(global, 0); err == nil {
 		t.Fatal("Split across zero ranks succeeded")
 	}
+}
+
+// onFirstStep runs a one-rank job of app whose first step first hands the
+// rank and its block to fn.
+func onFirstStep(tb testing.TB, app *ElasticJacobi, fn func(rc *malleable.Rank, blk malleable.Block)) {
+	tb.Helper()
+	j, err := malleable.Start(malleable.Options{
+		Universe:     mpi.NewUniverse(mpi.Options{Clock: vclock.NewAuto(vclock.Epoch)}),
+		App:          &resizeGate{ElasticJacobi: app, hook: fn},
+		InitialHosts: elasticHosts(1),
+	})
+	if err != nil {
+		tb.Fatalf("Start: %v", err)
+	}
+	if _, err := j.Wait(); err != nil {
+		tb.Fatalf("Wait: %v", err)
+	}
+}
+
+// TestElasticStepAllocatesNothing pins a one-rank step of an N=130 block at
+// zero allocations: the block keeps its rows between steps and relaxes
+// them in place. (A multi-rank step's halo is gob on the wire.)
+func TestElasticStepAllocatesNothing(t *testing.T) {
+	onFirstStep(t, &ElasticJacobi{N: 130, Iters: 1}, func(rc *malleable.Rank, blk malleable.Block) {
+		var err error
+		if a := testing.AllocsPerRun(20, func() { err = blk.Step(rc) }); a != 0 || err != nil {
+			t.Errorf("one-rank elastic step: %v allocations, err %v; want 0, nil", a, err)
+		}
+	})
+}
+
+// BenchmarkElasticStep is one step of a one-rank N=130 elastic Jacobi
+// block.
+func BenchmarkElasticStep(b *testing.B) {
+	onFirstStep(b, &ElasticJacobi{N: 130, Iters: 1}, func(rc *malleable.Rank, blk malleable.Block) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := blk.Step(rc); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		b.StopTimer()
+	})
 }

@@ -159,13 +159,15 @@ func registerGrid(ctx *hpcm.Context, cfg JacobiConfig) (rows, error) {
 	return pg, nil
 }
 
-// jacobiSweep relaxes g in place and returns the residual. The four scratch
-// rows rotate to hold the old rows i-1, i and i+1 while row i is overwritten,
-// so every new value comes from the old grid, as in referenceSweep.
+// jacobiSweep relaxes rows 1..n of g in place and returns the residual: a
+// Jacobi grid, or an elastic block between its ghost rows. Rows are as wide
+// as the scratch rows, which rotate to hold the old rows i-1, i and i+1
+// while row i is overwritten, so every new value comes from the old grid,
+// as in referenceSweep.
 //
 //hot:path
 func jacobiSweep(g rows, n int, prev, cur, nxt, out []float64) float64 {
-	side := n + 2
+	side := len(prev)
 	g.ReadFloat64s(0, prev)
 	g.ReadFloat64s(side, cur)
 	var residual float64
