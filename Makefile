@@ -94,9 +94,11 @@ check: lint build test
 # row, and a whole-region snapshot that copies a run of pages
 # per hold copies every page written meanwhile again), of the two jobs-crash
 # chaos scenarios (the commit-failure edge), of the proto client and server over real TCP (the
-# client's one re-dial) and of a standby reading the store while the
+# client's one re-dial), of a standby reading the store while the
 # primary writes it or compacts it, checked down to the state sets its
-# catch-up rebuilds, the
+# catch-up rebuilds, and of concurrent gang admissions and the one
+# eligibility rule (the registry journals every gang reservation and
+# resolution through one record of each kind, refilled under its lock), the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
 # 64-host scale sweep, malleable, livemig and multijob), and a single
 # 64-host scale sweep, the malleability and multi-job reports and two small
@@ -112,6 +114,7 @@ ci: check
 	$(GO) test -count=200 -run 'TestChaosJobsScenariosDeterministic$$' ./internal/experiments
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$|TestStandbyCatchUpSpansACompaction$$|TestRestoreOrdersHostsByRegistration$$' ./internal/registry
+	$(GO) test -race -count=20 -run 'TestGangConcurrentAdmissions|TestOneEligibilityRule' ./internal/registry
 	$(MAKE) fuzz
 	$(MAKE) determinism
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
@@ -171,7 +174,8 @@ fleet: build
 # the encoding/xml reference, one heartbeat's round trip through a Server
 # over loopback, status-ingest throughput,
 # candidate selection at 512 hosts (state-indexed vs the seed's re-sort
-# baseline), the 64->512 growth sweep, the zero-alloc multi-part
+# baseline), the 64->512 growth sweep, the dispatcher's fleet snapshot and
+# one journalled gang admission at 256 hosts, the zero-alloc multi-part
 # send path, one whole 64-host sweep, paged row reads and writes / dirty
 # scans / modeled downtime, one N=1024 Jacobi sweep flat and paged and its
 # row kernel alone, one step of a one-rank N=130 elastic Jacobi block, a
@@ -182,7 +186,7 @@ fleet: build
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkHeartbeatRoundTrip' -benchtime 10000x -benchmem ./internal/proto
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate|BenchmarkSnapshotFold' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRegistryReportStatus|BenchmarkCandidate|BenchmarkSnapshotFold|BenchmarkEligibleHosts|BenchmarkGangAdmission' \
 		-benchtime 1000x -benchmem ./internal/registry
 	$(GO) test -run '^$$' -bench BenchmarkSendParts -benchtime 1000x -benchmem ./internal/mpi
 	$(GO) test -run '^$$' -bench BenchmarkScale64 -benchtime 1x -benchmem ./internal/experiments

@@ -2,6 +2,8 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"autoresched/internal/metrics"
@@ -35,15 +37,77 @@ func TestZeroAllocInstruments(t *testing.T) {
 }
 
 // TestEligibleHostsAllocatesOnce: the dispatcher's fleet snapshot is sized
-// before it is filled, so it costs one allocation however large the fleet.
+// before it is filled, so it costs one allocation however large the fleet,
+// and it holds a 64-byte HostFit per host, so at 256 hosts that allocation
+// is 16 KiB of records, which the heap's 8-byte header on an object with
+// pointers rounds up to its 18 KiB size class. A copy of every host's whole
+// record would take 60 KiB.
 func TestEligibleHostsAllocatesOnce(t *testing.T) {
-	r, _ := gangReg(t, 256)
-	var fleet []HostInfo
-	if avg := testing.AllocsPerRun(50, func() { fleet = r.EligibleHosts(ProcInfo{}, nil) }); avg != 1 {
-		t.Errorf("EligibleHosts at 256 hosts allocates %.1f objects per snapshot, want 1", avg)
+	const hosts, runs = 256, 50
+	if size := reflect.TypeFor[HostFit]().Size(); size > 64 {
+		t.Errorf("a HostFit takes %d bytes, want at most 64", size)
 	}
-	if len(fleet) != 256 {
-		t.Fatalf("EligibleHosts listed %d of 256 hosts", len(fleet))
+	r, _ := gangReg(t, hosts)
+	var fleet []HostFit
+	snapshot := func() { fleet = r.EligibleHosts(ProcInfo{}, nil) }
+	if avg := testing.AllocsPerRun(runs, snapshot); avg != 1 {
+		t.Errorf("EligibleHosts at %d hosts allocates %.1f objects per snapshot, want 1", hosts, avg)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 18<<10 {
+		t.Errorf("EligibleHosts at %d hosts allocates %d bytes per snapshot, want at most %d", hosts, b, 18<<10)
+	}
+	if len(fleet) != hosts {
+		t.Fatalf("EligibleHosts listed %d of %d hosts", len(fleet), hosts)
+	}
+}
+
+// TestGangAdmissionAllocs pins what a gang admission allocates on a durable
+// registry: a PlaceGang or a ReserveHosts and its Commit allocate the
+// reservation and its hosts, and nothing else per call — the duplicate
+// check scans the gang, the journal records are the registry's own, the
+// durable view shares the reservation's hosts, and the store packs record
+// bodies into shared chunks.
+func TestGangAdmissionAllocs(t *testing.T) {
+	const gang = 4
+	r, _, _ := storedRegistry(t, persist.NewMemStore())
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("g%d", i+1)
+		if err := r.RegisterHost(names[i], staticFor(names[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	place := func() {
+		g, ok := r.PlaceGang(ProcInfo{Name: "job"}, gang, nil)
+		if !ok {
+			t.Fatal("PlaceGang declined on a free fleet")
+		}
+		if err := g.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reserve := func() {
+		g, err := r.ReserveHosts(names[:gang])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		admit func()
+	}{{"PlaceGang", place}, {"ReserveHosts", reserve}} {
+		if avg := testing.AllocsPerRun(1000, c.admit); avg > 2 {
+			t.Errorf("%s and Commit of a %d-host gang allocate %.0f objects, want at most 2 (the reservation and its hosts)", c.name, gang, avg)
+		}
 	}
 }
 

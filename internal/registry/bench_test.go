@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"autoresched/internal/persist"
 	"autoresched/internal/rules"
 	"autoresched/internal/vclock"
 )
@@ -130,5 +131,41 @@ func BenchmarkCandidate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEligibleHosts measures the dispatcher's fleet snapshot at 256
+// hosts, the size of the admission benchmark's fleet; B/op is the snapshot.
+func BenchmarkEligibleHosts(b *testing.B) {
+	r := benchReg(b, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fleet := r.EligibleHosts(ProcInfo{}, nil); len(fleet) != 256 {
+			b.Fatalf("snapshot lists %d of 256 hosts", len(fleet))
+		}
+	}
+}
+
+// BenchmarkGangAdmission measures one 4-host gang admission on a durable
+// registry at 256 hosts: PlaceGang, then Commit, each journalled.
+func BenchmarkGangAdmission(b *testing.B) {
+	r := NewRegistry(WithClock(vclock.NewAuto(vclock.Epoch)), WithStore(persist.NewMemStore()))
+	for i := 0; i < 256; i++ {
+		host := fmt.Sprintf("ws%d", i+1)
+		if err := r.RegisterHost(host, staticFor(host)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, ok := r.PlaceGang(ProcInfo{Name: "job"}, 4, nil)
+		if !ok {
+			b.Fatal("PlaceGang declined on a free fleet")
+		}
+		if err := g.Commit(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -14,11 +14,13 @@ import (
 // TestOneEligibilityRule pins the rule every placement draws from: over a
 // fleet holding one host of each disqualified kind, a migration (FirstFit),
 // a gang placement (PlaceGang), the planner's view (EligibleHosts) and the
-// dispatcher's per-job filter (the schema-free fleet through HostInfo.Fits)
+// dispatcher's per-job filter (the schema-free fleet through HostFit.Fits)
 // reject the lease-expired, the reserved, the excluded and the
 // schema-misfit host identically, and differ only on the Busy host — gang
 // occupancy is the job layer's bookkeeping, so a gang may take it, while a
-// migration only lands on Free hosts.
+// migration only lands on Free hosts. The snapshot's record and the host's
+// whole record judge every host alike, a disk requirement included: the
+// disk is the one field a record takes from the host's last status.
 func TestOneEligibilityRule(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	r := NewRegistry(WithClock(clock))
@@ -38,7 +40,12 @@ func TestOneEligibilityRule(t *testing.T) {
 		if h == "busy" {
 			state = "busy"
 		}
-		if err := r.ReportStatus(h, status(state, 0.1, 1)); err != nil {
+		st := status(state, 0.1, 1)
+		st.DiskAvail = 1 << 30
+		if h == "free2" {
+			st.DiskAvail = 16 << 20
+		}
+		if err := r.ReportStatus(h, st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,6 +99,27 @@ func TestOneEligibilityRule(t *testing.T) {
 	if !reflect.DeepEqual(fits, gangWant) {
 		t.Fatalf("fleet filtered by Fits = %v, want %v", fits, gangWant)
 	}
+	disk := &rules.Schema{Name: "disk", Requirements: rules.Requirements{MinDisk: 64 << 20}}
+	var diskFits []string
+	for _, h := range r.EligibleHosts(ProcInfo{Name: "job", Schema: disk}, exclude) {
+		diskFits = append(diskFits, h.Name)
+	}
+	if want := []string{"misfit", "busy", "free1"}; !reflect.DeepEqual(diskFits, want) {
+		t.Fatalf("EligibleHosts under a disk requirement = %v, want %v", diskFits, want)
+	}
+	whole := make(map[string]HostInfo)
+	for _, h := range r.Hosts() {
+		whole[h.Name] = h
+	}
+	for _, h := range r.EligibleHosts(ProcInfo{}, nil) {
+		info := whole[h.Name]
+		for _, s := range []*rules.Schema{nil, proc.Schema, disk} {
+			if got, want := h.Fits(s), info.fits(s); got != want {
+				t.Errorf("host %s under schema %v: snapshot record fits = %v, whole record %v", h.Name, s, got, want)
+			}
+		}
+	}
+
 	if g, ok := r.PlaceGang(proc, 4, exclude); ok {
 		t.Fatalf("PlaceGang(4) reserved %v out of 3 eligible hosts", g.Hosts())
 	}

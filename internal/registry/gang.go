@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -67,7 +68,7 @@ func (g *GangReservation) Commit() error {
 	if len(lost) > 0 {
 		// Resolve the reservation as aborted in the durable log (unless a
 		// bootstrap's presumed abort already did).
-		_ = r.applyLocked(&recGangResolve{ID: g.id})
+		_ = r.resolveLocked(g.id, false)
 		sort.Strings(lost)
 		return fmt.Errorf("%w: %v", ErrReservationLost, lost)
 	}
@@ -75,7 +76,7 @@ func (g *GangReservation) Commit() error {
 	// deposed primary's append fails with persist.ErrFenced here, which is
 	// what keeps a promoted standby (that presumed this reservation
 	// aborted) from ever seeing the same gang admitted twice.
-	if err := r.applyLocked(&recGangResolve{ID: g.id, Commit: true}); err != nil {
+	if err := r.resolveLocked(g.id, true); err != nil {
 		return fmt.Errorf("registry: gang commit rejected: %w", err)
 	}
 	return nil
@@ -93,7 +94,7 @@ func (g *GangReservation) Abort() {
 	g.r.releaseLocked(g)
 	// A fenced abort still aborts: the promoted standby's presumed abort
 	// already resolved the reservation durably.
-	_ = g.r.applyLocked(&recGangResolve{ID: g.id})
+	_ = g.r.resolveLocked(g.id, false)
 }
 
 // releaseLocked drops every reservation mark still pointing at g.
@@ -136,13 +137,12 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	picked := r.gangCandidatesLocked(make([]HostInfo, 0, n), proc, n, exclude)
-	if len(picked) != n {
+	// The names go straight into the slice the reservation keeps.
+	hosts := gangCandidatesLocked(r, make([]string, 0, n), proc, n, exclude, func(e *hostEntry) string {
+		return e.info.Name
+	})
+	if len(hosts) != n {
 		return nil, false
-	}
-	hosts := make([]string, n)
-	for i, h := range picked {
-		hosts[i] = h.Name
 	}
 	g, err := r.reserveLocked(hosts)
 	return g, err == nil
@@ -152,21 +152,27 @@ func (r *Registry) PlaceGang(proc ProcInfo, n int, exclude func(host string) boo
 // on: alive, not held by a pending reservation, not excluded, and passing
 // proc's schema requirements (a nil schema passes everywhere). The job
 // dispatcher builds its planner view from it — with a zero ProcInfo it
-// lists the whole schedulable fleet in registration order.
-func (r *Registry) EligibleHosts(proc ProcInfo, exclude func(host string) bool) []HostInfo {
+// lists the whole schedulable fleet in registration order, each host as
+// its name and the fields a schema is checked against (HostFit), in one
+// allocation.
+func (r *Registry) EligibleHosts(proc ProcInfo, exclude func(host string) bool) []HostFit {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gangCandidatesLocked(make([]HostInfo, 0, len(r.order)), proc, 0, exclude)
+	return gangCandidatesLocked(r, make([]HostFit, 0, len(r.order)), proc, 0, exclude, func(e *hostEntry) HostFit {
+		h := &e.info
+		return HostFit{Name: h.Name, MemTotal: h.Static.MemTotal, DiskAvail: h.Status.DiskAvail,
+			CPUSpeed: h.Static.CPUSpeed, Software: h.Static.Software}
+	})
 }
 
 // gangCandidatesLocked appends the first n hosts a gang may be placed on.
 // Unlike a migration's destination scan it considers every alive host, not
 // just the Free set: gang occupancy is the job layer's bookkeeping (passed
 // in through exclude), not the monitors' load classification.
-func (r *Registry) gangCandidatesLocked(dst []HostInfo, proc ProcInfo, n int, exclude func(string) bool) []HostInfo {
-	return r.candidatesLocked(dst, r.order, proc, n, func(e *hostEntry) bool {
+func gangCandidatesLocked[T any](r *Registry, dst []T, proc ProcInfo, n int, exclude func(string) bool, take func(*hostEntry) T) []T {
+	return candidatesLocked(r, dst, r.order, proc, n, func(e *hostEntry) bool {
 		return exclude == nil || !exclude(e.info.Name)
-	})
+	}, take)
 }
 
 // ReserveHosts atomically reserves the named hosts — including currently
@@ -187,15 +193,14 @@ func (r *Registry) ReserveHosts(hosts []string) (*GangReservation, error) {
 // — the same check for a caller's explicit list and for PlaceGang's pick —
 // then the reservation is journalled (a fenced store refuses it, with an
 // error that wraps persist.ErrFenced, and nothing is marked) and only then
-// are the host marks set.
+// are the host marks set. A gang is a handful of hosts, so a host is checked
+// for a duplicate against the ones before it.
 func (r *Registry) reserveLocked(hosts []string) (*GangReservation, error) {
 	now := r.clock.Now()
-	seen := make(map[string]bool, len(hosts))
-	for _, h := range hosts {
-		if seen[h] {
+	for i, h := range hosts {
+		if slices.Contains(hosts[:i], h) {
 			return nil, fmt.Errorf("registry: duplicate host %q in gang", h)
 		}
-		seen[h] = true
 		e, ok := r.hosts[h]
 		if !ok || !r.aliveLocked(e, now) {
 			return nil, fmt.Errorf("registry: host %q not available for reservation", h)
@@ -207,7 +212,8 @@ func (r *Registry) reserveLocked(hosts []string) (*GangReservation, error) {
 	g := &GangReservation{r: r, hosts: hosts}
 	if r.store != nil {
 		id := r.gangSeq + 1
-		if err := r.applyLocked(&recGangReserve{ID: id, Hosts: hosts}); err != nil {
+		r.reserve = recGangReserve{ID: id, Hosts: hosts}
+		if err := r.applyLocked(&r.reserve); err != nil {
 			return nil, fmt.Errorf("registry: reservation rejected: %w", err)
 		}
 		g.id = id
@@ -216,4 +222,11 @@ func (r *Registry) reserveLocked(hosts []string) (*GangReservation, error) {
 		r.reserved[h] = g
 	}
 	return g, nil
+}
+
+// resolveLocked resolves reservation id in the durable log, committed or
+// aborted, through the registry's one resolve record.
+func (r *Registry) resolveLocked(id uint64, commit bool) error {
+	r.resolve = recGangResolve{ID: id, Commit: commit}
+	return r.applyLocked(&r.resolve)
 }

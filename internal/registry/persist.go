@@ -340,7 +340,7 @@ func (r *Registry) presumeAbortLocked() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		if err := r.applyLocked(&recGangResolve{ID: id}); err != nil {
+		if err := r.resolveLocked(id, false); err != nil {
 			return err
 		}
 	}
@@ -492,7 +492,9 @@ func (r *Registry) applyLocked(v any) error {
 			return err
 		}
 		r.gangSeq = p.ID
-		r.gangs[p.ID] = append([]string(nil), p.Hosts...)
+		// The list is the reservation's own, never written after it is
+		// made, or one a replay decoded fresh: the durable view shares it.
+		r.gangs[p.ID] = p.Hosts
 	case *recGangResolve:
 		// A reservation the durable state no longer tracks — already resolved
 		// by presumed abort, or never journalled (no store) — has nothing to

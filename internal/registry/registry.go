@@ -133,13 +133,36 @@ type HostInfo struct {
 	LastSeen time.Time
 }
 
-// Fits reports whether the host owns the resources a schema requires, as
-// last reported; a nil schema fits every host.
-func (h *HostInfo) Fits(s *rules.Schema) bool {
+// fits reports whether the host owns the resources a schema requires, as
+// last reported.
+func (h *HostInfo) fits(s *rules.Schema) bool {
+	return fits(s, h.Static.MemTotal, h.Status.DiskAvail, h.Static.CPUSpeed, h.Static.Software)
+}
+
+// HostFit is what placement reads of a host: its name and the resources an
+// application schema can require, as last reported — 64 bytes where a
+// HostInfo takes 240. EligibleHosts lists the fleet as HostFits.
+type HostFit struct {
+	Name      string
+	MemTotal  int64
+	DiskAvail int64
+	CPUSpeed  float64
+	Software  []string
+}
+
+// Fits reports whether the host owns the resources a schema requires; a nil
+// schema fits every host.
+func (h *HostFit) Fits(s *rules.Schema) bool {
+	return fits(s, h.MemTotal, h.DiskAvail, h.CPUSpeed, h.Software)
+}
+
+// fits is the one schema rule a host record is judged by; a nil schema fits
+// every host.
+func fits(s *rules.Schema, memTotal, diskAvail int64, cpuSpeed float64, software []string) bool {
 	if s == nil {
 		return true
 	}
-	ok, _ := s.Fits(h.Static.MemTotal, h.Status.DiskAvail, h.Static.CPUSpeed, h.Static.Software)
+	ok, _ := s.Fits(memTotal, diskAvail, cpuSpeed, software)
 	return ok
 }
 
@@ -201,7 +224,9 @@ type Registry struct {
 	// records and snapshots, reusing one buffer (stores copy what they keep);
 	// fold is the snapshot document, refilled in place by every snapshot and
 	// StateDigest; status is the heartbeat record, refilled by every
-	// ReportStatus.
+	// ReportStatus, and reserve and resolve are the gang records, refilled by
+	// every reservation and resolution (each is encoded before applyLocked
+	// returns, so one of each serves every call under r.mu).
 	store       persist.Store
 	storeEpoch  uint64
 	replaying   bool
@@ -212,6 +237,8 @@ type Registry struct {
 	journal     codec
 	fold        persistedState
 	status      recHostStatus
+	reserve     recGangReserve
+	resolve     recGangResolve
 }
 
 func newStateSets() map[rules.State][]*hostEntry {

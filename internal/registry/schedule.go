@@ -33,23 +33,25 @@ func (r *Registry) acceptsLocked(e *hostEntry) bool {
 }
 
 // candidatesLocked is the one placement rule, the paper's first fit (Section
-// 3.2): it appends to dst the hosts of scan that qualify, in registration
-// order, until dst holds n (n <= 0 takes them all), and returns it. A host
-// qualifies when its lease is fresh, no pending gang reservation holds it
-// (placing onto one would double-book it under the gang about to launch
-// there), the caller's keep accepts it, and it owns the resources proc's
-// schema requires (a nil schema fits everywhere). Migration destinations and
-// gang placement both draw from it. The caller holds the registry lock.
-func (r *Registry) candidatesLocked(dst []HostInfo, scan []*hostEntry, proc ProcInfo, n int, keep func(*hostEntry) bool) []HostInfo {
+// 3.2): it appends to dst, as take renders them, the hosts of scan that
+// qualify, in registration order, until dst holds n (n <= 0 takes them all),
+// and returns it. A host qualifies when its lease is fresh, no pending gang
+// reservation holds it (placing onto one would double-book it under the gang
+// about to launch there), the caller's keep accepts it, and it owns the
+// resources proc's schema requires (a nil schema fits everywhere). Migration
+// destinations, gang placement and the dispatcher's fleet snapshot all draw
+// from it, each taking only what it keeps of a host. The caller holds the
+// registry lock.
+func candidatesLocked[T any](r *Registry, dst []T, scan []*hostEntry, proc ProcInfo, n int, keep func(*hostEntry) bool, take func(*hostEntry) T) []T {
 	now := r.clock.Now()
 	for _, e := range scan {
 		if n > 0 && len(dst) == n {
 			break
 		}
-		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) || !e.info.Fits(proc.Schema) {
+		if !r.aliveLocked(e, now) || r.reservedLocked(e.info.Name) || !keep(e) || !e.info.fits(proc.Schema) {
 			continue
 		}
-		dst = append(dst, e.info)
+		dst = append(dst, take(e))
 	}
 	return dst
 }
@@ -79,14 +81,16 @@ func (r *Registry) placeLocal(exclude string, proc ProcInfo) (proto.Candidate, b
 	if r.cfg.policy == nil {
 		scan = r.sets[rules.Free]
 	}
-	var buf [1]HostInfo
-	picked := r.candidatesLocked(buf[:0], scan, proc, 1, func(e *hostEntry) bool {
+	var buf [1]proto.Candidate
+	picked := candidatesLocked(r, buf[:0], scan, proc, 1, func(e *hostEntry) bool {
 		return e.info.Name != exclude && r.acceptsLocked(e)
+	}, func(e *hostEntry) proto.Candidate {
+		return proto.Candidate{OK: true, Host: e.info.Name, Addr: e.info.Static.Addr}
 	})
 	if len(picked) == 0 {
 		return proto.Candidate{}, false
 	}
-	return proto.Candidate{OK: true, Host: picked[0].Name, Addr: picked[0].Static.Addr}, true
+	return picked[0], true
 }
 
 // Candidate serves the pull-style consult: the overloaded host asks for a
