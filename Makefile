@@ -98,7 +98,10 @@ check: lint build test
 # primary writes it or compacts it, checked down to the state sets its
 # catch-up rebuilds, and of concurrent gang admissions and the one
 # eligibility rule (the registry journals every gang reservation and
-# resolution through one record of each kind, refilled under its lock), the
+# resolution through one record of each kind, refilled under its lock), of
+# the Auto clock and its Events (Fire marks a parked goroutine's slot and
+# may settle the clock from a goroutine that is not the settling one, off
+# the clock included), the
 # determinism check of every seed-42 report (fig5-8, table2, chaos, the
 # 64-host scale sweep, malleable, livemig and multijob), and a single
 # 64-host scale sweep, the malleability and multi-job reports and two small
@@ -115,6 +118,7 @@ ci: check
 	$(GO) test -race -count=20 -run 'TestClient|TestServer' ./internal/proto
 	$(GO) test -race -count=50 -run 'TestStandbySyncsWhilePrimaryWrites$$|TestStandbyCatchUpSpansACompaction$$|TestRestoreOrdersHostsByRegistration$$' ./internal/registry
 	$(GO) test -race -count=20 -run 'TestGangConcurrentAdmissions|TestOneEligibilityRule' ./internal/registry
+	$(GO) test -race -count=20 -run 'TestAuto|TestEvent' ./internal/vclock
 	$(MAKE) fuzz
 	$(MAKE) determinism
 	$(GO) run ./cmd/repro -exp scale -hosts 64 -seed 42
@@ -181,7 +185,9 @@ fleet: build
 # row kernel alone, one step of a one-rank N=130 elastic Jacobi block, a
 # stop-and-copy and a live migration by state size (B/op
 # prices hpcm's data path), resizes, admission by queue depth, and the
-# persist append, snapshot fold, snapshot write and replay paths. A
+# persist append, snapshot fold, snapshot write and replay paths, and one
+# resume decision of the Auto clock with 64, 512 and 2 048 goroutines
+# parked on timers plus a shared Event. A
 # developer tool: regressions are gated by
 # `make e2e`'s allocation bounds and the AllocsPerRun tests, not by these.
 bench: build
@@ -198,6 +204,7 @@ bench: build
 	$(GO) test -run '^$$' -bench 'BenchmarkAppend|BenchmarkSnapshotRoundtrip' \
 		-benchtime 1000x -benchmem ./internal/persist
 	$(GO) test -run '^$$' -bench BenchmarkReplayBootstrap -benchtime 10x -benchmem ./internal/registry
+	$(GO) test -run '^$$' -bench BenchmarkAutoResume -benchtime 100000x -benchmem ./internal/vclock
 
 # The end-to-end benchmark the PR driver runs (BENCHMARK.json): six
 # closed-loop workloads, eight end-to-end metrics each, ~10 s per workload.

@@ -15,8 +15,8 @@ import (
 // launchHeld builds a three-host system on clock and launches one app on
 // ws1 whose first incarnation waits for release before running body, so
 // orders sent before the release find it on ws1 under its first pid. The
-// test closes release and waits for the app.
-func launchHeld(t *testing.T, clock vclock.Clock, opts Options, body hpcm.Main) (*System, *App, chan struct{}) {
+// test fires release and waits for the app.
+func launchHeld(t *testing.T, clock vclock.Clock, opts Options, body hpcm.Main) (*System, *App, *vclock.Event) {
 	t.Helper()
 	cl := NewCluster(clock, 12.5e6)
 	t.Cleanup(cl.Close)
@@ -33,7 +33,7 @@ func launchHeld(t *testing.T, clock vclock.Clock, opts Options, body hpcm.Main) 
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Stop)
-	release := make(chan struct{})
+	release := new(vclock.Event)
 	app, err := s.Launch("app", "ws1", nil, func(ctx *hpcm.Context) error {
 		if !ctx.Resumed() {
 			vclock.Await(clock, release)
@@ -59,7 +59,7 @@ func TestMigrateSignalsManagedProcess(t *testing.T) {
 	if err := s.Migrate("ws1", order); err != nil {
 		t.Fatal(err)
 	}
-	close(release)
+	release.Fire()
 	if err := app.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMigrateSignalsManagedProcess(t *testing.T) {
 func TestMigrateUnknownPID(t *testing.T) {
 	s, app, release := launchHeld(t, vclock.NewAuto(vclock.Epoch), Options{}, func(*hpcm.Context) error { return nil })
 	defer func() {
-		close(release)
+		release.Fire()
 		_ = app.Wait()
 	}()
 	err := s.Migrate("ws1", proto.MigrateOrder{PID: 99, DestHost: "ws3"})
@@ -93,7 +93,7 @@ func TestMigrateUnknownPID(t *testing.T) {
 // under now, on the host it runs on now — not the pid it left behind, and
 // not a process that has finished.
 func TestMigrateFollowsTheCurrentProcess(t *testing.T) {
-	done := make(chan struct{})
+	done := new(vclock.Event)
 	clock := vclock.NewAuto(vclock.Epoch)
 	s, app, release := launchHeld(t, clock, Options{}, func(ctx *hpcm.Context) error {
 		if ctx.Resumed() {
@@ -106,7 +106,7 @@ func TestMigrateFollowsTheCurrentProcess(t *testing.T) {
 	if err := s.Migrate("ws1", proto.MigrateOrder{PID: oldPID, DestHost: "ws2"}); err != nil {
 		t.Fatal(err)
 	}
-	close(release)
+	release.Fire()
 	deadline := time.Now().Add(20 * time.Second)
 	for app.Host() != "ws2" {
 		if time.Now().After(deadline) {
@@ -121,7 +121,7 @@ func TestMigrateFollowsTheCurrentProcess(t *testing.T) {
 	if err := s.Migrate("ws2", proto.MigrateOrder{PID: newPID, DestHost: "ws3"}); err != nil {
 		t.Fatalf("the migrated incarnation is no target: %v", err)
 	}
-	close(done)
+	done.Fire()
 	if err := app.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMigrateDedupsRedeliveredOrders(t *testing.T) {
 	s, app, release := launchHeld(t, clock, Options{Metrics: mreg, Events: ring},
 		func(*hpcm.Context) error { return nil })
 	defer func() {
-		close(release)
+		release.Fire()
 		_ = app.Wait()
 	}()
 	orders := func() int { return ring.CountBy(metrics.SourceCommander, "order") }

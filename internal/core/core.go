@@ -180,7 +180,7 @@ type App struct {
 	sys        *System
 	job        string // the job the app is a rank of
 	main       hpcm.Main
-	settled    chan struct{} // closed after completion bookkeeping
+	settled    vclock.Event // fires after completion bookkeeping
 	mu         sync.Mutex
 	pid        int
 	host       string
@@ -192,7 +192,7 @@ type App struct {
 	orderedAt  time.Time
 
 	// onSettled, when set, runs in the follow goroutine with the terminal
-	// error just before settled closes — the job dispatcher folds the
+	// error just before settled fires — the job dispatcher folds the
 	// rank's outcome into the job state machine through it, so by the time
 	// Wait returns the job-level bookkeeping is already done.
 	onSettled func(error)
@@ -212,9 +212,9 @@ func (app *App) Retries() int {
 	return app.retries
 }
 
-// Settled is closed once the app has finished AND the runtime has completed
+// Settled fires once the app has finished AND the runtime has completed
 // its bookkeeping: deregistration and the schema statistics feedback.
-func (app *App) Settled() <-chan struct{} { return app.settled }
+func (app *App) Settled() *vclock.Event { return &app.settled }
 
 // System is the assembled runtime.
 type System struct {
@@ -236,13 +236,12 @@ type System struct {
 	jobRuns map[string]*jobRun
 	ledger  jobs.Ledger // which jobs hold each host
 
-	dispatchOnce     sync.Once
-	dispatchStopOnce sync.Once
-	dispatcherOn     atomic.Bool
-	kickMu           sync.Mutex
-	kicked           chan struct{} // closed by a kick, replaced when the dispatcher takes it
-	dispatchStop     chan struct{}
-	dispatchDone     chan struct{}
+	dispatchOnce sync.Once
+	dispatcherOn atomic.Bool
+	kickMu       sync.Mutex
+	kicked       *vclock.Event // fired by a kick, replaced when the dispatcher takes it
+	dispatchStop vclock.Event
+	dispatchDone vclock.Event
 }
 
 // New assembles a System over a cluster.
@@ -264,15 +263,13 @@ func New(opts Options) (*System, error) {
 		HostCheck:    opts.Cluster.HostCheck,
 	})
 	s := &System{
-		opts:         opts,
-		clock:        clock,
-		cluster:      opts.Cluster,
-		nodes:        make(map[string]*Node),
-		policy:       opts.JobPolicy,
-		jobRuns:      make(map[string]*jobRun),
-		kicked:       make(chan struct{}),
-		dispatchStop: make(chan struct{}),
-		dispatchDone: make(chan struct{}),
+		opts:    opts,
+		clock:   clock,
+		cluster: opts.Cluster,
+		nodes:   make(map[string]*Node),
+		policy:  opts.JobPolicy,
+		jobRuns: make(map[string]*jobRun),
+		kicked:  new(vclock.Event),
 	}
 	s.universe = universe
 	// The event sink every layer publishes to. Order is part of the
@@ -497,9 +494,9 @@ func (s *System) AddNodes(hosts ...string) error {
 
 // Stop halts the job dispatcher and all monitors (and their host charging).
 func (s *System) Stop() {
-	s.dispatchStopOnce.Do(func() { close(s.dispatchStop) })
+	s.dispatchStop.Fire()
 	if s.dispatcherOn.Load() {
-		vclock.Await(s.clock, s.dispatchDone)
+		vclock.Await(s.clock, &s.dispatchDone)
 	}
 	s.mu.Lock()
 	nodes := make([]*Node, 0, len(s.nodes))
@@ -611,7 +608,7 @@ func (app *App) follow() {
 		if app.onSettled != nil {
 			app.onSettled(err)
 		}
-		close(app.settled)
+		app.settled.Fire()
 		return
 	}
 }
@@ -653,7 +650,7 @@ func (app *App) LaunchHost() string { return app.launchHost }
 // Wait blocks until the application finishes — including any failover
 // recoveries — and returns its terminal error.
 func (app *App) Wait() error {
-	vclock.Await(app.sys.clock, app.settled)
+	vclock.Await(app.sys.clock, &app.settled)
 	app.mu.Lock()
 	defer app.mu.Unlock()
 	return app.finalErr

@@ -215,9 +215,7 @@ func TestSchemaFeedbackAfterCompletion(t *testing.T) {
 	if err := app.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-app.Settled():
-	case <-time.After(5 * time.Second):
+	if !app.Settled().Fired() {
 		t.Fatal("app never settled")
 	}
 	if sch.Stats.Runs == 0 {

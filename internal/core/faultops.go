@@ -103,9 +103,7 @@ func (s *System) resyncProcs() {
 	s.mu.Unlock()
 	pending := make([]*App, 0, len(apps))
 	for _, app := range apps {
-		select {
-		case <-app.Settled():
-		default:
+		if !app.Settled().Fired() {
 			pending = append(pending, app)
 		}
 	}

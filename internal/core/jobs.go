@@ -202,28 +202,23 @@ func (s *System) ensureDispatcher() {
 func (s *System) kickDispatcher() {
 	s.kickMu.Lock()
 	defer s.kickMu.Unlock()
-	select {
-	case <-s.kicked:
-	default:
-		close(s.kicked)
-	}
+	s.kicked.Fire()
 }
 
 // dispatchLoop runs admission cycles: on every kick (submission, capacity
 // freed) and every SchedInterval of virtual time as a sweep.
 func (s *System) dispatchLoop() {
-	defer close(s.dispatchDone)
+	defer s.dispatchDone.Fire()
 	for {
 		s.kickMu.Lock()
 		kicked := s.kicked
 		s.kickMu.Unlock()
-		vclock.Wait(s.clock, s.opts.SchedInterval, s.dispatchStop, kicked)
-		if closed(s.dispatchStop) {
+		if vclock.Wait(s.clock, s.opts.SchedInterval, &s.dispatchStop, kicked) == &s.dispatchStop {
 			return
 		}
-		if closed(kicked) {
+		if kicked.Fired() {
 			s.kickMu.Lock()
-			s.kicked = make(chan struct{})
+			s.kicked = new(vclock.Event)
 			s.kickMu.Unlock()
 		}
 		s.runCycle()
@@ -426,19 +421,9 @@ func (s *System) awaitClaim(spec jobs.Spec, hosts []string) *jobRun {
 		if run := s.claimRun(spec, hosts, true); run != nil {
 			return run
 		}
-		if s.clock.Now().After(deadline) || vclock.Wait(s.clock, evictionPoll, s.dispatchStop) {
+		if s.clock.Now().After(deadline) || vclock.Wait(s.clock, evictionPoll, &s.dispatchStop) != nil {
 			return nil
 		}
-	}
-}
-
-// closed reports whether ch, which is only ever closed, is.
-func closed(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -505,7 +490,6 @@ func (s *System) startApp(job, name, host string, sch *rules.Schema, main hpcm.M
 		sys:        s,
 		job:        job,
 		main:       main,
-		settled:    make(chan struct{}),
 		pid:        p.PID(),
 		host:       host,
 		launchHost: host,
@@ -513,7 +497,9 @@ func (s *System) startApp(job, name, host string, sch *rules.Schema, main hpcm.M
 	}
 	if err := s.registerProc(app); err != nil {
 		p.Kill()
-		vclock.Await(s.clock, p.Done())
+		if werr := p.Wait(); !errors.Is(werr, hpcm.ErrKilled) {
+			err = errors.Join(err, werr)
+		}
 		return nil, err
 	}
 	s.mu.Lock()

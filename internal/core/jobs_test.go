@@ -514,8 +514,8 @@ func TestTimedOutEvictionGivesTheVictimItsHostsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !closed(rank0.Settled()) || victim.State() != jobs.StatePreempting || !slices.Contains(s.reg.Reserved(), rank0.Host()) {
-		t.Fatalf("set-up: rank 0 settled %v, victim %s, reserved %v; want rank 0's host %s lent to hi", closed(rank0.Settled()), victim.State(), s.reg.Reserved(), rank0.Host())
+	if !rank0.Settled().Fired() || victim.State() != jobs.StatePreempting || !slices.Contains(s.reg.Reserved(), rank0.Host()) {
+		t.Fatalf("set-up: rank 0 settled %v, victim %s, reserved %v; want rank 0's host %s lent to hi", rank0.Settled().Fired(), victim.State(), s.reg.Reserved(), rank0.Host())
 	}
 	s.Clock().Sleep(evictionTimeout)
 	if victim.State() != jobs.StatePreempting || hi.State() != jobs.StatePending {
@@ -557,7 +557,7 @@ func twoPreemptors(t *testing.T, elastic bool, hi2After time.Duration) []string 
 		order = append(order, ev.Proc+":"+ev.Kind+"("+ev.Note+")")
 		if ev.Kind == string(jobs.StatePending) && ev.Note != "submitted" && ev.Note != "requeued" {
 			if failed++; failed == 3 {
-				s.dispatchStopOnce.Do(func() { close(s.dispatchStop) })
+				s.dispatchStop.Fire()
 			}
 		}
 	})
@@ -588,7 +588,7 @@ func twoPreemptors(t *testing.T, elastic bool, hi2After time.Duration) []string 
 		}
 		return true
 	}
-	for deadline := s.Clock().Now().Add(time.Hour); !completed() && !closed(s.dispatchStop) && s.Clock().Now().Before(deadline); {
+	for deadline := s.Clock().Now().Add(time.Hour); !completed() && !s.dispatchStop.Fired() && s.Clock().Now().Before(deadline); {
 		s.Clock().Sleep(time.Second)
 	}
 	mu.Lock()
@@ -777,7 +777,7 @@ func TestMigrateEvictionHoldsItsDestination(t *testing.T) {
 		runs := map[string]string{}
 		for _, j := range all {
 			app, err := s.RankApp(j.Name(), 0)
-			if err != nil || closed(app.Settled()) {
+			if err != nil || app.Settled().Fired() {
 				continue
 			}
 			if other, ok := runs[app.Host()]; ok {

@@ -42,10 +42,10 @@ func newSpanRig(t *testing.T, events metrics.Sink) *spanRig {
 	return &spanRig{t: t, clock: clock, sys: s, reg: reg}
 }
 
-// launch starts name on ws1, held until the returned channel closes.
-func (r *spanRig) launch(name string, body hpcm.Main) (*App, chan struct{}) {
+// launch starts name on ws1, held until the returned Event fires.
+func (r *spanRig) launch(name string, body hpcm.Main) (*App, *vclock.Event) {
 	r.t.Helper()
-	release := make(chan struct{})
+	release := new(vclock.Event)
 	app, err := r.sys.Launch(name, "ws1", nil, func(ctx *hpcm.Context) error {
 		if !ctx.Resumed() {
 			vclock.Await(r.clock, release)
@@ -89,9 +89,9 @@ func TestSameRouteOrdersTimeTheirOwnProcess(t *testing.T) {
 	r.clock.Sleep(5 * time.Second)
 	r.order(b, "ws2") // t0+5s
 	r.clock.Sleep(2 * time.Second)
-	close(releaseB) // b polls at t0+7s: 2s after its order
+	releaseB.Fire() // b polls at t0+7s: 2s after its order
 	r.clock.Sleep(3 * time.Second)
-	close(releaseA) // a polls at t0+10s: 10s after its order
+	releaseA.Fire() // a polls at t0+10s: 10s after its order
 	if err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,12 @@ func TestUnconsumedOrderLendsNoTime(t *testing.T) {
 	r.order(b, "ws2") // t0
 	r.clock.Sleep(5 * time.Second)
 	r.order(a, "ws2") // t0+5s, never consumed
-	close(releaseA)
+	releaseA.Fire()
 	if err := a.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	r.clock.Sleep(3 * time.Second)
-	close(releaseB) // b polls at t0+8s
+	releaseB.Fire() // b polls at t0+8s
 	if err := b.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestFallbackTotalIsTheMigrationTime(t *testing.T) {
 	})
 	r.order(app, "ws2")
 	r.clock.Sleep(time.Second)
-	close(release)
+	release.Fire()
 	if err := app.Wait(); err != nil {
 		t.Fatal(err)
 	}

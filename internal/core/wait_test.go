@@ -39,10 +39,8 @@ func TestAppSettledExactlyOnce(t *testing.T) {
 			t.Fatalf("waiter %d: Wait = %v, want boom", i, got)
 		}
 	}
-	select {
-	case <-app.Settled():
-	default:
-		t.Fatal("Settled not closed after Wait returned")
+	if !app.Settled().Fired() {
+		t.Fatal("Settled not fired after Wait returned")
 	}
 	// Settled completion bookkeeping includes deregistration.
 	if got := len(s.Registry().Processes("ws1")); got != 0 {

@@ -128,10 +128,10 @@ type chaosWorkload interface {
 	// launch starts the workload (or binds what the plan will submit) and
 	// binds it to the rig's injector under the names the plan uses.
 	launch(r *chaosRig) error
-	// settled is closed once the workload has finished, either way.
-	settled(r *chaosRig) <-chan struct{}
+	// settled fires once the workload has finished, either way.
+	settled(r *chaosRig) *vclock.Event
 	// putDown forces a workload that outlived the watchdog to settle; the
-	// rig repeats it until settled closes.
+	// rig repeats it until settled fires.
 	putDown(r *chaosRig)
 	// verify fills the row's outcome fields: Correct, FinalErr and whatever
 	// of Retries, FinalHost and Checkpoints the workload has.
@@ -394,11 +394,11 @@ func runChaosScenario(cfg ChaosConfig, sc chaosScenario) (ChaosRow, error) {
 	// cancel until it lands), so the run can be torn down cleanly.
 	completed := true
 	settled := sc.load.settled(r)
-	if !vclock.Wait(clock, 30*time.Minute, settled) {
+	if vclock.Wait(clock, 30*time.Minute, settled) == nil {
 		completed = false
 		for down := false; !down; {
 			sc.load.putDown(r)
-			down = vclock.Wait(clock, 100*time.Millisecond, settled)
+			down = vclock.Wait(clock, 100*time.Millisecond, settled) != nil
 		}
 	}
 	r.in.Stop()

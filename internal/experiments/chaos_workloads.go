@@ -53,7 +53,7 @@ func (t *treeLoad) launch(r *chaosRig) error {
 	return nil
 }
 
-func (t *treeLoad) settled(*chaosRig) <-chan struct{} { return t.app.Settled() }
+func (t *treeLoad) settled(*chaosRig) *vclock.Event { return t.app.Settled() }
 
 // putDown kills the current incarnation; repeated, it exhausts the app's
 // failover budget.
@@ -118,28 +118,26 @@ func (g *gangLoad) launch(r *chaosRig) error {
 	return nil
 }
 
-// settled closes once the plan has submitted everything it will and every
+// settled fires once the plan has submitted everything it will and every
 // submitted job is done.
-func (g *gangLoad) settled(r *chaosRig) <-chan struct{} {
-	ch := make(chan struct{})
+func (g *gangLoad) settled(r *chaosRig) *vclock.Event {
+	ev := new(vclock.Event)
 	clock := r.sys.Clock()
 	vclock.Go(clock, func() {
-		defer close(ch)
+		defer ev.Fire()
 		vclock.Await(clock, r.in.Done())
 		for _, j := range r.in.Jobs() {
 			vclock.Await(clock, j.Done())
 		}
 	})
-	return ch
+	return ev
 }
 
 // putDown cancels the survivors: a job stuck in the queue or a wedged
 // eviction.
 func (g *gangLoad) putDown(r *chaosRig) {
 	for _, j := range r.in.Jobs() {
-		select {
-		case <-j.Done():
-		default:
+		if !j.Done().Fired() {
 			_ = r.sys.CancelJob(j.Name()) // refused mid-admission; the rig retries
 		}
 	}
@@ -209,7 +207,7 @@ func (e *elasticLoad) launch(r *chaosRig) error {
 	return nil
 }
 
-func (e *elasticLoad) settled(*chaosRig) <-chan struct{} { return e.job.Done() }
+func (e *elasticLoad) settled(*chaosRig) *vclock.Event { return e.job.Done() }
 
 func (e *elasticLoad) putDown(*chaosRig) { e.job.Stop() }
 

@@ -61,8 +61,8 @@ type sampler struct {
 	prefix string
 	sensor *sysinfo.Sensor
 	clock  vclock.Clock
-	stop   chan struct{}
-	done   chan struct{}
+	stop   vclock.Event
+	done   vclock.Event
 }
 
 func newSampler(rec *metrics.Recorder, cl *core.Cluster, host, prefix string, interval time.Duration) *sampler {
@@ -72,17 +72,15 @@ func newSampler(rec *metrics.Recorder, cl *core.Cluster, host, prefix string, in
 		prefix: prefix,
 		sensor: sysinfo.NewSensor(src),
 		clock:  cl.Clock(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	clock := s.clock
 	vclock.Go(clock, func() {
-		defer close(s.done)
+		defer s.done.Fire()
 		// Prime the window.
 		if _, err := s.sensor.Gather(); err != nil {
 			return
 		}
-		for !vclock.Wait(clock, interval, s.stop) {
+		for vclock.Wait(clock, interval, &s.stop) == nil {
 			snap, err := s.sensor.Gather()
 			if err != nil {
 				return
@@ -98,6 +96,6 @@ func newSampler(rec *metrics.Recorder, cl *core.Cluster, host, prefix string, in
 }
 
 func (s *sampler) Stop() {
-	close(s.stop)
-	vclock.Await(s.clock, s.done)
+	s.stop.Fire()
+	vclock.Await(s.clock, &s.done)
 }

@@ -218,7 +218,7 @@ func runMalleableArm(cfg Params, arm string, advisor *registry.ElasticAdvisor) (
 
 	// Virtual-deadline watchdog: the fixed arm is the slowest by design and
 	// finishes well inside an hour.
-	completed := vclock.Wait(clock, time.Hour, job.Done())
+	completed := vclock.Wait(clock, time.Hour, job.Done()) != nil
 	if !completed {
 		job.Stop()
 	}

@@ -195,13 +195,13 @@ func runScaleSweep(cfg ScaleConfig, nHosts int) (ScaleRow, error) {
 	completed := 0
 	deadline := start.Add(40 * time.Minute)
 	for _, run := range runs {
-		if vclock.Wait(clock, deadline.Sub(clock.Now()), run.app.Settled()) {
+		if vclock.Wait(clock, deadline.Sub(clock.Now()), run.app.Settled()) != nil {
 			completed++
 			continue
 		}
 		for settled := false; !settled; {
 			run.app.Process().Kill()
-			settled = vclock.Wait(clock, 100*time.Millisecond, run.app.Settled())
+			settled = vclock.Wait(clock, 100*time.Millisecond, run.app.Settled()) != nil
 		}
 	}
 	elapsed := clock.Since(start)

@@ -74,8 +74,8 @@ type Injector struct {
 	triggered []string
 	running   bool
 
-	stop chan struct{}
-	done chan struct{}
+	stop vclock.Event
+	done vclock.Event
 }
 
 // tapState is the pending per-host heartbeat interference, consumed one
@@ -105,8 +105,6 @@ func NewInjector(cfg Config) *Injector {
 		apps:  make(map[string]*core.App),
 		specs: make(map[string]jobs.Spec),
 		taps:  make(map[string]*tapState),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 }
 
@@ -163,11 +161,11 @@ func (in *Injector) Run(plan Plan) {
 	evs := plan.ordered()
 	clock := in.cfg.Clock
 	vclock.Go(clock, func() {
-		defer close(in.done)
+		defer in.done.Fire()
 		var elapsed time.Duration
 		for _, ev := range evs {
 			if d := ev.After - elapsed; d > 0 {
-				if vclock.Wait(clock, d, in.stop) {
+				if vclock.Wait(clock, d, &in.stop) != nil {
 					return
 				}
 				elapsed = ev.After
@@ -177,19 +175,11 @@ func (in *Injector) Run(plan Plan) {
 	})
 }
 
-// Done is closed once every scheduled event has been applied.
-func (in *Injector) Done() <-chan struct{} { return in.done }
+// Done fires once every scheduled event has been applied.
+func (in *Injector) Done() *vclock.Event { return &in.done }
 
 // Stop abandons any not-yet-applied events.
-func (in *Injector) Stop() {
-	in.mu.Lock()
-	select {
-	case <-in.stop:
-	default:
-		close(in.stop)
-	}
-	in.mu.Unlock()
-}
+func (in *Injector) Stop() { in.stop.Fire() }
 
 // Applied returns the log of scheduled events already applied, in order.
 func (in *Injector) Applied() []string {

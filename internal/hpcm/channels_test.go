@@ -189,7 +189,7 @@ func TestMessagesQueuedDuringMigrationSurvive(t *testing.T) {
 
 func TestSendToUnknownAndFinished(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
-	done := make(chan struct{})
+	done := new(vclock.Event)
 	p, err := mw.Start("a", "ws1", func(ctx *Context) error {
 		if err := ctx.SendTo("ghost", 1, 1); err == nil {
 			return errors.New("send to unknown process succeeded")
@@ -214,7 +214,7 @@ func TestSendToUnknownAndFinished(t *testing.T) {
 	if err := b.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	close(done)
+	done.Fire()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,5 +262,5 @@ func TestReceiveUnblocksOnFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vclock.Await(mw.clock, p.Done())
+	vclock.Await(mw.clock, &p.done)
 }

@@ -237,7 +237,7 @@ type Process struct {
 	ckpts    int
 	finished bool
 	result   error
-	done     chan struct{}
+	done     vclock.Event
 }
 
 // Record times one migration's phases (Section 5.2 / Table 2).
@@ -300,7 +300,6 @@ func (m *Middleware) launch(name, host string, main Main, img image, saved *save
 		events: make(chan Record, 16),
 		mbox:   newMailbox(m.clock),
 		host:   host,
-		done:   make(chan struct{}),
 	}
 	p.memory.Store(img.Memory)
 	if err := m.register(p); err != nil {
@@ -376,8 +375,8 @@ func (p *Process) Records() []Record {
 }
 
 // Done returns a channel closed when the process (in whatever incarnation)
-// has finished.
-func (p *Process) Done() <-chan struct{} { return p.done }
+// has finished, for a select; a goroutine on an Auto clock waits with Wait.
+func (p *Process) Done() <-chan struct{} { return p.done.Done() }
 
 // Events delivers a Record for every committed migration (buffered; dropped
 // if nobody listens). Only cmd/bench reads it; the runtime re-homes a moved
@@ -387,7 +386,7 @@ func (p *Process) Events() <-chan Record { return p.events }
 // Wait blocks until the process finishes — including the source-side
 // completion of any in-flight state transfer — and returns its error.
 func (p *Process) Wait() error {
-	vclock.Await(p.mw.clock, p.done)
+	vclock.Await(p.mw.clock, &p.done)
 	p.xfer.Wait(p.mw.clock)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -437,7 +436,7 @@ func (p *Process) finish(err error) {
 	for _, port := range ports {
 		p.mw.universe.ClosePort(port)
 	}
-	close(p.done)
+	p.done.Fire()
 }
 
 // incarnation runs the application body once on one host; label and saved

@@ -69,7 +69,6 @@ func (att *attempt) release() {
 // contend with application traffic on the simulated network.
 func (c *Context) startPrecopy(att *attempt) {
 	p := c.proc
-	att.done = make(chan struct{})
 	p.mu.Lock()
 	p.live = att
 	p.mu.Unlock()
@@ -94,7 +93,7 @@ func (c *Context) startPrecopy(att *attempt) {
 			// destination is still waiting for rounds.
 			att.release()
 		}
-		close(att.done)
+		att.done.Fire()
 	})
 }
 
@@ -110,9 +109,7 @@ func (c *Context) pollLive(label string) (handled bool, err error) {
 	if att == nil {
 		return false, nil
 	}
-	select {
-	case <-att.done:
-	default:
+	if !att.done.Fired() {
 		// Precopy rounds still shipping: compute through them. Checkpoint
 		// cadence is preserved — a checkpoint written here is the fallback
 		// point if the attempt aborts.
@@ -170,12 +167,10 @@ func (p *Process) cancelLive() {
 		return
 	}
 	att.cancelled.Store(true)
-	select {
-	case <-att.done:
+	if att.done.Fired() {
 		// The rounds already finished and nobody will poll the result: tell
-		// the destination ourselves.
+		// the destination ourselves. Otherwise the precopy goroutine observes
+		// the flag and sends the cancel.
 		att.release()
-	default:
-		// The precopy goroutine observes the flag and sends the cancel.
 	}
 }

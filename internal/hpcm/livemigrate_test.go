@@ -199,7 +199,7 @@ func TestLiveMigrationFreezesAndPreservesRegion(t *testing.T) {
 
 // latchTransport holds the first cross-host send until released — pinning
 // precopy round 1 on the wire while the application keeps dirtying pages —
-// and closes held when the hold begins, so a test knows the round's
+// and fires held when the hold begins, so a test knows the round's
 // snapshot watermark is already taken. rearm holds the next send the same
 // way.
 type latchTransport struct {
@@ -208,12 +208,12 @@ type latchTransport struct {
 
 	mu      sync.Mutex
 	armed   bool
-	held    chan struct{}
-	release chan struct{}
+	held    *vclock.Event
+	release *vclock.Event
 }
 
 func newLatch() *latchTransport {
-	return &latchTransport{armed: true, held: make(chan struct{}), release: make(chan struct{})}
+	return &latchTransport{armed: true, held: new(vclock.Event), release: new(vclock.Event)}
 }
 
 // awaitDrained fails the test unless every MPI process the middleware ever
@@ -223,16 +223,16 @@ func awaitDrained(t *testing.T, mw *Middleware) {
 	mw.universe.Wait()
 }
 
-// rearm holds the next send behind fresh held and release channels.
+// rearm holds the next send behind fresh held and release Events.
 func (t *latchTransport) rearm() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.armed = true
-	t.held, t.release = make(chan struct{}), make(chan struct{})
+	t.held, t.release = new(vclock.Event), new(vclock.Event)
 }
 
-// channels returns the current hold's held and release channels.
-func (t *latchTransport) channels() (held, release chan struct{}) {
+// events returns the current hold's held and release Events.
+func (t *latchTransport) events() (held, release *vclock.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.held, t.release
@@ -243,7 +243,7 @@ func (t *latchTransport) Send(from, to string, bytes int64) error {
 	hold := t.armed
 	if hold {
 		t.armed = false
-		close(t.held)
+		t.held.Fire()
 	}
 	release := t.release
 	t.mu.Unlock()
@@ -312,14 +312,14 @@ func runLiveFallback(t *testing.T, preinit bool) {
 	vclock.Await(mw.clock, latch.held) // round 1 snapshotted and pinned on the wire
 	gate.open()                        // stage 2: dirties pages behind round 1's watermark
 	gate.open()                        // stage 3: more dirtying; round 1 still on the wire
-	close(latch.release)
+	latch.release.Fire()
 	// Round 1 lands with a 12-page residual and the driver continues; round
 	// 2 takes its snapshot and is held.
 	awaitRound(1)
-	held, release := latch.channels()
+	held, release := latch.events()
 	vclock.Await(mw.clock, held)
 	gate.open() // stage 4: dirties the same 12 pages behind round 2
-	close(release)
+	release.Fire()
 	// Round 2 lands with the same residual: stalled, and too large to
 	// freeze. Wait for the driver's verdict before feeding the stage whose
 	// poll-point resolves it.
@@ -384,9 +384,9 @@ func TestEndingMidPrecopyReleasesTheDestination(t *testing.T) {
 			if tc.evict {
 				p.Evict()
 			}
-			gate.open()                      // stage 2: the last one, or the eviction's poll-point
-			vclock.Await(mw.clock, p.Done()) // the process is over; its round is still on the wire
-			close(latch.release)
+			gate.open()                     // stage 2: the last one, or the eviction's poll-point
+			vclock.Await(mw.clock, &p.done) // the process is over; its round is still on the wire
+			latch.release.Fire()
 			if err := p.Wait(); !errors.Is(err, tc.want) {
 				t.Fatalf("Wait = %v, want %v", err, tc.want)
 			}

@@ -38,8 +38,8 @@ type attempt struct {
 	// Precopy prefix (livemigrate.go); all zero for stop-and-copy.
 	pagesName string
 	pages     *livemig.Pages
-	cancelled atomic.Bool   // asks the rounds to stop; whoever sees them stopped releases the destination
-	done      chan struct{} // closed when the precopy goroutine finished
+	cancelled atomic.Bool  // asks the rounds to stop; whoever sees them stopped releases the destination
+	done      vclock.Event // fires when the precopy goroutine finished
 	res       livemig.Result
 	err       error
 }
@@ -333,15 +333,15 @@ func (p *Process) bootstrap(env *mpi.Env, parent *mpi.Comm) error {
 	// outcome goes back to the source either way: a destination that cannot
 	// use the stream must not leave the source waiting for the handshake.
 	var rerr error
-	restored := make(chan struct{})
+	var restored vclock.Event
 	vclock.Go(clock, func() {
-		defer close(restored)
+		defer restored.Fire()
 		err := saved.restore(parent, img, true)
 		rerr = errors.Join(err, parent.Send(statusText(err), 0, tagRestored))
 	})
 
 	err = p.incarnation(env, img.Label, saved)
-	vclock.Await(clock, restored)
+	vclock.Await(clock, &restored)
 	if rerr != nil && err == nil {
 		err = fmt.Errorf("hpcm: lazy restoration: %w", rerr)
 	}

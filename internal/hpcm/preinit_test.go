@@ -80,7 +80,7 @@ func TestWithoutPreInitPaysSpawnLatency(t *testing.T) {
 
 func TestPreInitUnusedReleasedOnCompletion(t *testing.T) {
 	mw, _ := newMW(t, nil, 0)
-	gate := make(chan struct{})
+	gate := new(vclock.Event)
 	p, err := mw.Start("app", "ws1", func(ctx *Context) error {
 		vclock.Await(ctx.Clock(), gate) // hold the process open until the preinits exist
 		return ctx.PollPoint("only")
@@ -94,7 +94,7 @@ func TestPreInitUnusedReleasedOnCompletion(t *testing.T) {
 	if err := p.PreInit("ws3"); err != nil {
 		t.Fatal(err)
 	}
-	close(gate)
+	gate.Fire()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}

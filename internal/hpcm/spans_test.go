@@ -138,12 +138,12 @@ func TestPostCommitFailureRecordsNoRestoreOrTotal(t *testing.T) {
 	}
 	wantSpanCounts(t, reg, map[string]uint64{SpanPollWait: 1, SpanInit: 1, SpanTransfer: 1})
 
-	drained := make(chan struct{})
+	drained := new(vclock.Event)
 	vclock.Go(clock, func() {
 		u.Wait()
-		close(drained)
+		drained.Fire()
 	})
-	if !vclock.Wait(clock, time.Hour, drained) {
+	if vclock.Wait(clock, time.Hour, drained) == nil {
 		t.Fatal("the destination still waits for lazy state an hour after the stream failed")
 	}
 }

@@ -113,7 +113,7 @@ type Job struct {
 	requeues  int
 	placement []string
 	err       error
-	done      chan struct{}
+	done      vclock.Event
 }
 
 // Spec returns the job's (defaulted) spec.
@@ -140,14 +140,14 @@ func (j *Job) Requeues() int {
 // Wait blocks until the job reaches a terminal state and returns its error
 // (nil for Completed).
 func (j *Job) Wait() error {
-	vclock.Await(j.q.clock, j.done)
+	vclock.Await(j.q.clock, &j.done)
 	j.q.mu.Lock()
 	defer j.q.mu.Unlock()
 	return j.err
 }
 
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+// Done fires when the job reaches a terminal state.
+func (j *Job) Done() *vclock.Event { return &j.done }
 
 // Err returns the terminal error (nil before termination or on success).
 func (j *Job) Err() error {
@@ -213,7 +213,6 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 		spec:  spec,
 		seq:   q.seq,
 		state: StatePending,
-		done:  make(chan struct{}),
 	}
 	q.jobs[spec.Name] = j
 	q.order = append(q.order, j)
@@ -388,7 +387,7 @@ func (q *Queue) settleLocked(j *Job, to State, err error, note string) {
 	j.state = to
 	j.err = err
 	j.placement = nil
-	close(j.done)
+	j.done.Fire()
 	q.emitLocked(j, to, note)
 }
 

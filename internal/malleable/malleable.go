@@ -248,7 +248,7 @@ type Job struct {
 	err       error
 
 	wg   vclock.WaitGroup
-	done chan struct{}
+	done vclock.Event
 }
 
 // Start launches the job: one rank per initial host, rank 0 on
@@ -289,7 +289,6 @@ func Start(opts Options) (*Job, error) {
 		placement: append([]string(nil), opts.InitialHosts...),
 		dead:      make(map[string]bool),
 		live:      make(map[string][]*rankRec),
-		done:      make(chan struct{}),
 	}
 	opts.Universe.Start(opts.InitialHosts, j.rankMain)
 	return j, nil
@@ -397,15 +396,15 @@ func (j *Job) Stop() { j.settle(nil, ErrStopped) }
 // state (from App.Merge over the last world's shards) or the terminal
 // error.
 func (j *Job) Wait() ([]byte, error) {
-	vclock.Await(j.clock, j.done)
+	vclock.Await(j.clock, &j.done)
 	j.wg.Wait(j.clock)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.err
 }
 
-// Done returns a channel closed when the job settles.
-func (j *Job) Done() <-chan struct{} { return j.done }
+// Done fires when the job settles.
+func (j *Job) Done() *vclock.Event { return &j.done }
 
 // World returns the current world size.
 func (j *Job) World() int {
@@ -479,7 +478,7 @@ func (j *Job) settle(result []byte, err error) {
 	for _, r := range recs {
 		r.kill()
 	}
-	close(j.done)
+	j.done.Fire()
 }
 
 // attach binds a new incarnation to its host and registers it with the

@@ -98,8 +98,8 @@ type Monitor struct {
 	// bound, then the sample of cycle n overwrites slot (n-1) % historySize.
 	history []Sample
 	cycles  int
-	stop    chan struct{}
-	stopped chan struct{}
+	stop    *vclock.Event
+	stopped *vclock.Event
 }
 
 // Start registers the host (one-time static information) and begins the
@@ -110,8 +110,8 @@ func (m *Monitor) Start() error {
 		m.mu.Unlock()
 		return errors.New("monitor: already started")
 	}
-	m.stop = make(chan struct{})
-	m.stopped = make(chan struct{})
+	m.stop = new(vclock.Event)
+	m.stopped = new(vclock.Event)
 	stop := m.stop
 	m.mu.Unlock()
 
@@ -148,18 +148,18 @@ func (m *Monitor) Stop() {
 	if stop == nil {
 		return
 	}
-	close(stop)
+	stop.Fire()
 	vclock.Await(m.clock, stopped)
 	if m.cfg.reporter != nil {
 		_ = m.cfg.reporter.UnregisterHost(m.cfg.host)
 	}
 }
 
-func (m *Monitor) loop(stop chan struct{}) {
-	defer close(m.stopped)
+func (m *Monitor) loop(stop *vclock.Event) {
+	defer m.stopped.Fire()
 	for {
 		m.Cycle()
-		if vclock.Wait(m.clock, m.cfg.frequency, stop) {
+		if vclock.Wait(m.clock, m.cfg.frequency, stop) != nil {
 			return
 		}
 	}

@@ -215,9 +215,9 @@ func TestChargerChargedPerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	done := new(vclock.Event)
 	vclock.Go(clock, func() {
-		defer close(done)
+		defer done.Fire()
 		_, err = m.Cycle()
 	})
 	// The cycle blocks on the charge until the clock has run it.

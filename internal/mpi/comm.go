@@ -224,22 +224,22 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 // Request is a handle for a non-blocking operation.
 type Request struct {
 	clock  vclock.Clock
-	done   chan struct{}
+	done   vclock.Event
 	status Status
 	err    error
 }
 
 // Wait blocks until the operation completes and returns its status.
 func (r *Request) Wait() (Status, error) {
-	vclock.Await(r.clock, r.done)
+	vclock.Await(r.clock, &r.done)
 	return r.status, r.err
 }
 
 // Isend starts a non-blocking send.
 func (c *Comm) Isend(v any, dest, tag int) *Request {
-	r := &Request{clock: c.u.clock, done: make(chan struct{})}
+	r := &Request{clock: c.u.clock}
 	vclock.Go(c.u.clock, func() {
-		defer close(r.done)
+		defer r.done.Fire()
 		r.err = c.Send(v, dest, tag)
 	})
 	return r

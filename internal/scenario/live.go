@@ -109,7 +109,7 @@ func RunLive(s Scenario, timeout time.Duration) (LiveOutcome, error) {
 	}
 
 	for _, job := range submitted {
-		if !vclock.Wait(clock, deadline.Sub(clock.Now()), job.Done()) {
+		if vclock.Wait(clock, deadline.Sub(clock.Now()), job.Done()) == nil {
 			return out, fmt.Errorf("live: job %s stuck in %s at timeout", job.Name(), job.State())
 		}
 		if job.State() == jobs.StateCompleted {

@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,7 +52,7 @@ type Host struct {
 	cfg   Config
 
 	mu       sync.Mutex
-	procs    map[int]*Proc
+	procs    []*Proc // the process table, sorted by pid
 	nextPID  int
 	lastAdv  time.Time
 	load     [3]float64 // 1, 5, 15 minute damped run-queue averages
@@ -75,7 +75,6 @@ func NewHost(clock vclock.Clock, name string, cfg Config) *Host {
 		clock:   clock,
 		name:    name,
 		cfg:     cfg,
-		procs:   make(map[int]*Proc),
 		nextPID: 100, // leave room for "system" pids
 		lastAdv: clock.Now(),
 	}
@@ -110,7 +109,7 @@ type Proc struct {
 
 type computeReq struct {
 	remaining float64
-	done      chan struct{}
+	done      vclock.Event
 }
 
 // ProcInfo is a snapshot of one process-table entry, the unit ps/prstat
@@ -135,7 +134,7 @@ func (h *Host) Spawn(name string, memory int64) *Proc {
 		started: h.clock.Now(),
 		memory:  memory,
 	}
-	h.procs[p.pid] = p
+	h.procs = append(h.procs, p) // pids only grow: the table stays sorted
 	return p
 }
 
@@ -173,11 +172,11 @@ func (p *Proc) Compute(work float64) error {
 		return fmt.Errorf("sim: process %d already computing", p.pid)
 	}
 	h.advanceLocked(h.clock.Now())
-	req := &computeReq{remaining: work, done: make(chan struct{})}
+	req := &computeReq{remaining: work}
 	p.computing = req
 	h.scheduleLocked()
 	h.mu.Unlock()
-	vclock.Await(h.clock, req.done)
+	vclock.Await(h.clock, &req.done)
 	return nil
 }
 
@@ -193,10 +192,11 @@ func (p *Proc) Exit() {
 	h.advanceLocked(h.clock.Now())
 	p.exited = true
 	if p.computing != nil {
-		close(p.computing.done)
+		p.computing.done.Fire()
 		p.computing = nil
 	}
-	delete(h.procs, p.pid)
+	i, _ := slices.BinarySearchFunc(h.procs, p.pid, func(q *Proc, pid int) int { return q.pid - pid })
+	h.procs = slices.Delete(h.procs, i, i+1)
 	h.scheduleLocked()
 }
 
@@ -268,17 +268,17 @@ func (h *Host) Swap() (total, used int64) {
 	return total, min(max(demand-h.cfg.MemTotal, 0), total)
 }
 
-// Procs returns a snapshot of the process table sorted by pid.
-func (h *Host) Procs() []ProcInfo {
+// Procs appends a snapshot of the process table, sorted by pid, to dst and
+// returns the result: a caller that passes its last snapshot back, cut to
+// length zero, takes the next one without allocating.
+func (h *Host) Procs(dst []ProcInfo) []ProcInfo {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.advanceLocked(h.clock.Now())
-	out := make([]ProcInfo, 0, len(h.procs))
 	for _, p := range h.procs {
-		out = append(out, ProcInfo{PID: p.pid, Name: p.name, Memory: p.memory})
+		dst = append(dst, ProcInfo{PID: p.pid, Name: p.name, Memory: p.memory})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
+	return dst
 }
 
 func (h *Host) runnableLocked() int {
@@ -346,7 +346,7 @@ func (h *Host) advanceLocked(now time.Time) {
 			return
 		}
 		for _, p := range finished {
-			close(p.computing.done)
+			p.computing.done.Fire()
 			p.computing = nil
 		}
 	}

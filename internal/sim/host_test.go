@@ -109,8 +109,8 @@ func TestCPUTimesAccountBusyAndIdle(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
-	done := make(chan struct{})
-	vclock.Go(clock, func() { _ = p.Compute(100 * speed); close(done) }) // 100s of work
+	done := new(vclock.Event)
+	vclock.Go(clock, func() { _ = p.Compute(100 * speed); done.Fire() }) // 100s of work
 	vclock.Await(clock, done)
 	clock.Sleep(50 * time.Second)
 	busy, idle := h.CPUTimes()
@@ -144,8 +144,8 @@ func TestExitCancelsOutstandingCompute(t *testing.T) {
 	clock := vclock.NewAuto(vclock.Epoch)
 	h := NewHost(clock, "ws1", Config{Speed: speed})
 	p := h.Spawn("app", 0)
-	done := make(chan struct{})
-	vclock.Go(clock, func() { _ = p.Compute(1e9); close(done) })
+	done := new(vclock.Event)
+	vclock.Go(clock, func() { _ = p.Compute(1e9); done.Fire() })
 	clock.Sleep(time.Second)
 	p.Exit()
 	vclock.Await(clock, done)
@@ -224,7 +224,7 @@ func TestProcsSnapshot(t *testing.T) {
 	h, _ := newHost(Config{})
 	a := h.Spawn("alpha", 10)
 	b := h.Spawn("beta", 20)
-	infos := h.Procs()
+	infos := h.Procs(nil)
 	if len(infos) != 2 {
 		t.Fatalf("len(Procs) = %d, want 2", len(infos))
 	}

@@ -97,8 +97,8 @@ type flow struct {
 	from, to *nic
 	total    float64
 	done     float64
-	rate     float64       // current bytes/s, recomputed on membership change
-	finished chan struct{} // closed once the flow is over, err its outcome
+	rate     float64      // current bytes/s, recomputed on membership change
+	finished vclock.Event // fires once the flow is over, err its outcome
 	err      error
 }
 
@@ -277,7 +277,7 @@ func (n *Network) Transfer(from, to string, size int64) error {
 		return nil
 	}
 	n.advanceLocked(n.clock.Now())
-	f := &flow{from: src, to: dst, total: float64(size), finished: make(chan struct{})}
+	f := &flow{from: src, to: dst, total: float64(size)}
 	n.flows[f] = struct{}{}
 	src.sendFlows[f] = struct{}{}
 	dst.recvFlows[f] = struct{}{}
@@ -287,7 +287,7 @@ func (n *Network) Transfer(from, to string, size int64) error {
 	n.recomputeSideLocked(dst.recvFlows)
 	n.scheduleLocked()
 	n.mu.Unlock()
-	vclock.Await(n.clock, f.finished)
+	vclock.Await(n.clock, &f.finished)
 	return f.err
 }
 
@@ -355,7 +355,7 @@ func (n *Network) finishLocked(f *flow, err error) {
 	delete(f.from.sendFlows, f)
 	delete(f.to.recvFlows, f)
 	f.err = err
-	close(f.finished)
+	f.finished.Fire()
 }
 
 // recomputeFlowLocked refreshes one flow's rate from its two NIC directions.

@@ -44,9 +44,9 @@ func randomTopology(t *testing.T, rng *rand.Rand, nHosts int) (*Network, *vclock
 
 // startFlows launches every transfer on its own goroutine and lets one
 // nanosecond pass, so that all of them are registered as active flows and
-// still in flight. The returned channel is closed once every transfer has
+// still in flight. The returned Event fires once every transfer has
 // returned.
-func startFlows(t *testing.T, n *Network, clock *vclock.Auto, specs []flowSpec) (<-chan struct{}, []error) {
+func startFlows(t *testing.T, n *Network, clock *vclock.Auto, specs []flowSpec) (*vclock.Event, []error) {
 	t.Helper()
 	var wg vclock.WaitGroup
 	errs := make([]error, len(specs))
@@ -57,10 +57,10 @@ func startFlows(t *testing.T, n *Network, clock *vclock.Auto, specs []flowSpec) 
 			errs[i] = n.Transfer(sp.from, sp.to, sp.size)
 		})
 	}
-	done := make(chan struct{})
+	done := new(vclock.Event)
 	vclock.Go(clock, func() {
 		wg.Wait(clock)
-		close(done)
+		done.Fire()
 	})
 	clock.Sleep(time.Nanosecond)
 	if got := n.activeFlows(); got != len(specs) {
@@ -123,9 +123,9 @@ func checkRateInvariants(t *testing.T, n *Network) {
 // drain runs the clock in 2-second steps until every transfer has
 // returned, re-checking the rate invariants along the way (each completion
 // hands its freed capacity to the surviving flows).
-func drain(t *testing.T, n *Network, clock *vclock.Auto, done <-chan struct{}) {
+func drain(t *testing.T, n *Network, clock *vclock.Auto, done *vclock.Event) {
 	t.Helper()
-	for i := 0; !vclock.Wait(clock, 2*time.Second, done); i++ {
+	for i := 0; vclock.Wait(clock, 2*time.Second, done) == nil; i++ {
 		if i%8 == 0 {
 			checkRateInvariants(t, n)
 		}

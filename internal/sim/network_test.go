@@ -347,13 +347,13 @@ func TestPartitionCutsInFlightFlow(t *testing.T) {
 	}
 }
 
-// transferAsync starts a transfer on its own goroutine; done is closed when
+// transferAsync starts a transfer on its own goroutine; done fires when
 // it returned, with its error in *err.
-func transferAsync(clock vclock.Clock, n *Network, from, to string, size int64) (*error, <-chan struct{}) {
+func transferAsync(clock vclock.Clock, n *Network, from, to string, size int64) (*error, *vclock.Event) {
 	err := new(error)
-	done := make(chan struct{})
+	done := new(vclock.Event)
 	vclock.Go(clock, func() {
-		defer close(done)
+		defer done.Fire()
 		*err = n.Transfer(from, to, size)
 	})
 	return err, done

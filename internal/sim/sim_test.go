@@ -63,8 +63,8 @@ func TestWakeupInfDisarms(t *testing.T) {
 	w.armLocked(clock, &mu, 1, fire)
 	w.armLocked(clock, &mu, math.Inf(1), fire)
 	mu.Unlock()
-	if w.timer != nil {
-		t.Fatal("a timer is armed after +Inf")
+	if w.cancel != nil {
+		t.Fatal("a wake-up is armed after +Inf")
 	}
 	clock.Sleep(time.Hour)
 	waitGoroutines(t, base)

@@ -12,6 +12,8 @@ type SimSource struct {
 	host   *sim.Host
 	net    *sim.Network
 	static Static
+	rows   []sim.ProcInfo // the host's table as the last Procs read it
+	procs  []ProcStat     // the last Procs; the next one reuses both arrays
 }
 
 // NewSimSource wraps a simulated host (and optionally its network; nil
@@ -81,14 +83,15 @@ func (s *SimSource) Sockets() (int, error) {
 	return s.net.HostFlows(s.host.Name())
 }
 
-// Procs implements Source.
+// Procs implements Source. The table is valid until the next Gather: that
+// call refills the same array.
 func (s *SimSource) Procs() ([]ProcStat, error) {
-	infos := s.host.Procs()
-	out := make([]ProcStat, 0, len(infos))
-	for _, p := range infos {
-		out = append(out, ProcStat{PID: p.PID, Name: p.Name, Memory: p.Memory})
+	s.rows = s.host.Procs(s.rows[:0])
+	s.procs = s.procs[:0]
+	for _, r := range s.rows {
+		s.procs = append(s.procs, ProcStat{PID: r.PID, Name: r.Name, Memory: r.Memory})
 	}
-	return out, nil
+	return s.procs, nil
 }
 
 // RunQueue implements Source.

@@ -60,7 +60,7 @@ type Snapshot struct {
 	NetRecvBps float64
 	Sockets    int // sockets in ESTABLISHED state
 
-	// Process table (prstat/ps view), for process selection.
+	// Process table (prstat/ps view), valid until the sensor's next Gather.
 	Procs []ProcStat
 }
 
@@ -86,6 +86,8 @@ type Source interface {
 	// NetCounters returns cumulative bytes sent and received.
 	NetCounters() (sent, recv int64, err error)
 	Sockets() (established int, err error)
+	// Procs returns the process table, sorted by pid. The slice may be
+	// the source's own, valid until the next call.
 	Procs() ([]ProcStat, error)
 	RunQueue() (int, error)
 }

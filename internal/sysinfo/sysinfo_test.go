@@ -54,8 +54,8 @@ func TestSensorWindowedCPUIdle(t *testing.T) {
 
 	// Busy for 30s of a 60s window: idle should be ~50%.
 	p := host.Spawn("burn", 0)
-	done := make(chan struct{})
-	vclock.Go(clock, func() { _ = p.Compute(30 * 1000); close(done) })
+	done := new(vclock.Event)
+	vclock.Go(clock, func() { _ = p.Compute(30 * 1000); done.Fire() })
 	vclock.Await(clock, done)
 	clock.Sleep(30 * time.Second)
 
@@ -80,8 +80,8 @@ func TestSensorWindowedNetRates(t *testing.T) {
 
 	// Send 10 MB at 1 MB/s: 10s of transfer inside a 20s window = 0.5 MB/s.
 	var terr error
-	done := make(chan struct{})
-	vclock.Go(clock, func() { terr = nw.Transfer("ws1", "ws2", 10e6); close(done) })
+	done := new(vclock.Event)
+	vclock.Go(clock, func() { terr = nw.Transfer("ws1", "ws2", 10e6); done.Fire() })
 	clock.Sleep(20 * time.Second)
 	vclock.Await(clock, done)
 	if terr != nil {
@@ -129,8 +129,8 @@ func TestSimSourceSockets(t *testing.T) {
 	}
 	// An in-flight transfer (1 s of it) is one established socket on each
 	// endpoint.
-	done := make(chan struct{})
-	vclock.Go(clock, func() { _ = nw.Transfer("ws1", "ws2", 1e6); close(done) })
+	done := new(vclock.Event)
+	vclock.Go(clock, func() { _ = nw.Transfer("ws1", "ws2", 1e6); done.Fire() })
 	clock.Sleep(time.Millisecond)
 	if n, err := src.Sockets(); err != nil || n != 1 {
 		t.Fatalf("sockets = %d, %v; want 1", n, err)

@@ -3,11 +3,11 @@ package vclock
 import (
 	"container/heap"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,15 +18,15 @@ import (
 // per quiescent point.
 //
 // A goroutine runs on the clock if it created the clock or was started by
-// Go. It is blocked while it sleeps on the clock, waits in a Cond or a
-// WaitGroup, or sits between Park and Unpark. A wait is over once what it
-// waits on is ready (a timer fired, a channel closed, a Cond broadcast),
-// even before the goroutine runs again, so the advance decision needs no
-// wall time and no yields. Goroutines whose waits are over resume one at a
-// time, in the order they blocked, each once the one before blocks again:
-// one goroutine on the clock runs at a time, and the same inputs give the
-// same interleaving. Blocking anywhere else — a bare channel receive, a
-// sync.WaitGroup — looks like progress and holds the clock still.
+// Go. It is blocked while it sleeps on the clock, waits in Wait, Await, a
+// Cond or a WaitGroup. Whatever ends a wait — a timer firing, an
+// Event firing, a Cond broadcast — marks the goroutines blocked on it as
+// it happens, so the advance decision needs no wall time, no yields and no
+// polling. Marked goroutines resume one at a time, in the order they
+// blocked, each once the one before blocks again: one goroutine on the
+// clock runs at a time, and the same inputs give the same interleaving.
+// Blocking anywhere else — a bare channel receive, a sync.WaitGroup — looks
+// like progress and holds the clock still.
 //
 // When every goroutine is blocked and no timer is pending nothing can ever
 // wake them: Auto panics naming the sites they are blocked at.
@@ -35,21 +35,21 @@ type Auto struct {
 	now     time.Time
 	waiters waiterHeap // pending timers
 	wseq    int        // timers so far, the order equal deadlines fire in
-	turn    *sync.Cond // on mu: broadcast when a woken goroutine may resume
 	running int        // goroutines on the clock that are not blocked
-	parks   []wait     // blocked goroutines; a zero wait marks a free slot
-	free    []int
-	seq     uint64 // parks so far, the order woken goroutines resume in
-	closed  bool   // the driving goroutine has left; see Close
+	parks   []*wait    // every slot, for the deadlock report
+	free    []*wait
+	ready   readyHeap // marked slots, the order they resume in
+	seq     uint64    // parks so far, the order marked goroutines resume in
+	closed  bool      // the driving goroutine has left; see Close
 }
 
 // waiter is one pending timer.
 type waiter struct {
 	deadline time.Time
-	ch       chan time.Time
-	seq      int  // tie-break so equal deadlines fire in creation order
-	index    int  // heap bookkeeping; -1 once removed
-	fired    bool // the clock fired it
+	ch       chan time.Time // a Timer's C; nil for the timer of a wait
+	seq      int            // tie-break so equal deadlines fire in creation order
+	index    int            // heap bookkeeping; -1 once removed
+	parked   mark           // the timer of a wait: the wait it ends
 }
 
 type waiterHeap []*waiter
@@ -80,24 +80,40 @@ func (h *waiterHeap) Pop() any {
 	return w
 }
 
-// wait is one blocked goroutine: what ends its wait and where it waits.
+// wait is the slot of one blocked goroutine, reused once it resumes.
 type wait struct {
-	used    bool
-	granted bool               // its wait is over and it may resume
-	seq     uint64             // when it blocked
-	w       *waiter            // a timer; firing it ends the wait
-	done    [2]<-chan struct{} // closing either ends the wait
-	gen     *atomic.Uint64     // a Cond's broadcasts; moving past seen ends the wait
-	seen    uint64
-	pcs     [4]uintptr // the blocked call, for the deadlock report
+	seq    uint64        // the park's; 0 while the slot is free
+	marked bool          // the wait is over: the slot is in the ready heap
+	wake   chan struct{} // the turn to resume, one token per park
+	pcs    [4]uintptr    // the blocked call, for the deadlock report
+}
+
+// mark names one park to what can end it: the slot on clock a and the
+// park's seq, which tells a registration that outlived its wait (the slot
+// freed or reused) from a current one.
+type mark struct {
+	a   *Auto
+	p   *wait
+	seq uint64
+}
+
+// readyHeap holds the marked slots, earliest-blocked first.
+type readyHeap []*wait
+
+func (h readyHeap) Len() int           { return len(h) }
+func (h readyHeap) Less(i, j int) bool { return h[i].seq < h[j].seq }
+func (h readyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *readyHeap) Push(x any)        { *h = append(*h, x.(*wait)) }
+func (h *readyHeap) Pop() any {
+	p := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return p
 }
 
 // NewAuto returns an Auto clock whose current time is start. The calling
 // goroutine runs on it.
 func NewAuto(start time.Time) *Auto {
-	a := &Auto{now: start, running: 1}
-	a.turn = sync.NewCond(&a.mu)
-	return a
+	return &Auto{now: start, running: 1}
 }
 
 // Now returns the current virtual time.
@@ -110,18 +126,19 @@ func (a *Auto) Now() time.Time {
 // Since returns the virtual time elapsed since t.
 func (a *Auto) Since(t time.Time) time.Duration { return a.Now().Sub(t) }
 
-// NewTimer returns a timer that fires once d of virtual time has elapsed.
-// To block on it, Park on it.
+// NewTimer returns a timer that fires once d of virtual time has elapsed. A
+// goroutine on the clock waits with Sleep or Wait: blocking on C holds it.
 func (a *Auto) NewTimer(d time.Duration) *Timer {
 	a.mu.Lock()
 	w := a.addWaiterLocked(d)
+	w.ch = make(chan time.Time, 1)
 	a.mu.Unlock()
-	return &Timer{C: w.ch, stop: func() bool { return a.removeWaiter(w) }, w: w}
+	return &Timer{C: w.ch, stop: func() bool { return a.removeWaiter(w) }}
 }
 
 func (a *Auto) addWaiterLocked(d time.Duration) *waiter {
 	a.wseq++
-	w := &waiter{deadline: a.now.Add(d), ch: make(chan time.Time, 1), seq: a.wseq}
+	w := &waiter{deadline: a.now.Add(d), seq: a.wseq}
 	heap.Push(&a.waiters, w)
 	return w
 }
@@ -141,11 +158,7 @@ func (a *Auto) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	a.mu.Lock()
-	w := a.addWaiterLocked(d)
-	slot := a.parkLocked(wait{w: w})
-	<-w.ch
-	a.unpark(slot)
+	Wait(a, d)
 }
 
 // Close ends the simulation: the goroutine that created the clock leaves
@@ -161,52 +174,59 @@ func (a *Auto) Close() {
 	a.settleAndUnlock()
 }
 
-// parkLocked records a blocked goroutine, advances the clock if that left
-// nobody running, and releases a.mu. It is called from the blocking call
-// (Sleep, Park, Cond.Wait), whose caller is the first frame recorded.
-func (a *Auto) parkLocked(p wait) int {
-	p.used = true
+// parkLocked blocks the calling goroutine until w (if any) or one of evs
+// fires, and until the clock then lets it resume. It is called with a.mu
+// held from the blocking call (Await, Wait, Go), whose caller is the first
+// frame recorded, and returns with a.mu released.
+func (a *Auto) parkLocked(w *waiter, evs ...*Event) {
+	var p *wait
+	if n := len(a.free); n > 0 {
+		p, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		p = &wait{wake: make(chan struct{}, 1)}
+		a.parks = append(a.parks, p)
+	}
 	a.seq++
 	p.seq = a.seq
 	runtime.Callers(3, p.pcs[:])
-	slot := len(a.parks)
-	if n := len(a.free); n > 0 {
-		slot, a.free = a.free[n-1], a.free[:n-1]
-		a.parks[slot] = p
-	} else {
-		a.parks = append(a.parks, p)
+	m := mark{a: a, p: p, seq: p.seq}
+	if w != nil {
+		w.parked = m
+	}
+	for _, e := range evs {
+		if e.registerLocked(m) {
+			a.markLocked(m)
+		}
 	}
 	a.running--
 	a.settleAndUnlock()
-	return slot
-}
-
-// unpark returns once the clock lets the goroutine in slot resume: one
-// goroutine runs at a time, so goroutines woken together resume one after
-// another, in the order they blocked.
-func (a *Auto) unpark(slot int) {
+	<-p.wake
 	a.mu.Lock()
-	for !a.parks[slot].granted {
-		a.turn.Wait()
-	}
-	a.parks[slot] = wait{}
-	a.free = append(a.free, slot)
+	p.seq, p.marked = 0, false
+	a.free = append(a.free, p)
 	a.mu.Unlock()
 }
 
-// settleAndUnlock, once nobody runs, lets the earliest-blocked goroutine
-// whose wait is over resume, firing timers, earliest first, until there is
-// one; then it releases a.mu.
+// markLocked ends the wait m names, unless the slot has moved on to
+// another park or is marked already.
+func (a *Auto) markLocked(m mark) {
+	if m.p.seq == m.seq && !m.p.marked {
+		m.p.marked = true
+		heap.Push(&a.ready, m.p)
+	}
+}
+
+// settleAndUnlock, once nobody runs, lets the earliest-blocked marked
+// goroutine resume, firing timers, earliest first, until one is marked;
+// then it releases a.mu.
 func (a *Auto) settleAndUnlock() {
 	if a.running < 0 {
 		a.mu.Unlock()
 		panic("vclock: a goroutine the Auto clock did not start blocked on it (start it with vclock.Go)")
 	}
 	for a.running == 0 {
-		if i := a.nextLocked(); i >= 0 {
-			a.parks[i].granted = true
-			a.running++
-			a.turn.Broadcast()
+		if len(a.ready) > 0 {
+			a.resumeLocked()
 			break
 		}
 		if len(a.waiters) == 0 {
@@ -221,48 +241,30 @@ func (a *Auto) settleAndUnlock() {
 		if w.deadline.After(a.now) {
 			a.now = w.deadline
 		}
-		w.fired = true
-		w.ch <- a.now // buffered, and a popped waiter fires once
+		if w.ch != nil {
+			w.ch <- a.now // buffered, and a popped waiter fires once
+		} else {
+			a.markLocked(w.parked)
+		}
 	}
 	a.mu.Unlock()
 }
 
-// nextLocked returns the slot of the earliest-blocked goroutine whose wait
-// is over, or -1.
-func (a *Auto) nextLocked() int {
-	next := -1
-	for i := range a.parks {
-		p := &a.parks[i]
-		if p.used && !p.granted && (next < 0 || p.seq < a.parks[next].seq) && p.ready() {
-			next = i
-		}
-	}
-	return next
-}
-
-func (p *wait) ready() bool {
-	if p.w != nil && p.w.fired {
-		return true
-	}
-	for _, ch := range p.done {
-		select {
-		case <-ch: // a nil channel is never ready
-			return true
-		default:
-		}
-	}
-	return p.gen != nil && p.gen.Load() != p.seen
+// resumeLocked lets the earliest-blocked marked goroutine resume.
+func (a *Auto) resumeLocked() {
+	a.running++
+	heap.Pop(&a.ready).(*wait).wake <- struct{}{} // buffered, one token per park
 }
 
 // deadlockLocked names every blocked goroutine's site: the first frame of
 // its blocked call outside this package's non-test code.
 func (a *Auto) deadlockLocked() string {
 	var sites []string
-	for i := range a.parks {
-		if !a.parks[i].used {
+	for _, p := range a.parks {
+		if p.seq == 0 {
 			continue
 		}
-		frames := runtime.CallersFrames(a.parks[i].pcs[:])
+		frames := runtime.CallersFrames(p.pcs[:])
 		for f, more := frames.Next(); ; f, more = frames.Next() {
 			if !strings.Contains(f.File, "/internal/vclock/") || strings.HasSuffix(f.File, "_test.go") || !more {
 				sites = append(sites, fmt.Sprintf("%s (%s:%d)", f.Function, f.File[strings.LastIndex(f.File, "/")+1:], f.Line))
@@ -296,84 +298,53 @@ func Go(c Clock, f func()) {
 			a.settleAndUnlock()
 		}()
 		a.mu.Lock()
-		slot := a.parkLocked(wait{w: start})
-		<-start.ch
-		a.unpark(slot)
+		a.parkLocked(start)
 		f()
 	}()
 }
 
-// Parked is a goroutine's blocked wait on an Auto clock; see Park.
-type Parked struct {
-	a    *Auto
-	slot int
-}
-
-// Park tells c that the calling goroutine is about to block until t fires
-// or one of done is closed (t may be nil; at most two channels, each only
-// ever closed, never sent on). The goroutine must call Unpark as soon as it
-// runs again. On clocks other than Auto both are free.
-func Park(c Clock, t *Timer, done ...<-chan struct{}) Parked {
-	a, ok := c.(*Auto)
-	if !ok {
-		return Parked{}
-	}
-	p := wait{}
-	if t != nil {
-		p.w = t.w
-	}
-	if copy(p.done[:], done) < len(done) {
-		panic("vclock: Park on more than two channels")
-	}
-	a.mu.Lock()
-	return Parked{a: a, slot: a.parkLocked(p)}
-}
-
-// Unpark ends the wait Park began.
-func (p Parked) Unpark() {
-	if p.a != nil {
-		p.a.unpark(p.slot)
+// Await blocks until e fires; c is the clock the caller runs on.
+func Await(c Clock, e *Event) {
+	if a, ok := c.(*Auto); ok {
+		a.mu.Lock()
+		a.parkLocked(nil, e)
+	} else if !e.Fired() {
+		<-e.Done()
 	}
 }
 
-// Await blocks until done is closed; c is the clock the caller runs on.
-func Await(c Clock, done <-chan struct{}) {
-	p := Park(c, nil, done)
-	<-done
-	p.Unpark()
-}
-
-// Wait blocks for d of virtual time or until one of done is closed (at
-// most two, each only ever closed), whichever comes first, and reports
-// whether one of done is closed; c is the clock the caller runs on.
-func Wait(c Clock, d time.Duration, done ...<-chan struct{}) bool {
-	t := c.NewTimer(d)
-	defer t.Stop()
-	p := Park(c, t, done...)
-	var ch [2]<-chan struct{}
-	copy(ch[:], done)
-	select {
-	case <-t.C:
-	case <-ch[0]:
-	case <-ch[1]:
+// Wait blocks for d of virtual time or until one of evs fires, whichever
+// comes first, and returns the first of evs that has fired, or nil if none
+// has; c is the clock the caller runs on.
+func Wait(c Clock, d time.Duration, evs ...*Event) *Event {
+	if a, ok := c.(*Auto); ok {
+		a.mu.Lock()
+		w := a.addWaiterLocked(d)
+		a.parkLocked(w, evs...)
+		a.removeWaiter(w)
+	} else {
+		t := c.NewTimer(d)
+		cases := []reflect.SelectCase{{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(t.C)}}
+		for _, e := range evs {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(e.Done())})
+		}
+		reflect.Select(cases)
+		t.Stop()
 	}
-	p.Unpark()
-	for i := range ch {
-		select {
-		case <-ch[i]: // a nil channel is never ready
-			return true
-		default:
+	for _, e := range evs {
+		if e.Fired() {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
 // Cond is a sync.Cond whose Wait an Auto clock sees as blocked. Broadcast
 // must be called with the lock held.
 type Cond struct {
-	c   sync.Cond
-	a   *Auto
-	gen atomic.Uint64
+	c    sync.Cond
+	a    *Auto
+	next *Event // on a: what the next Broadcast fires, made by a Wait for it
 }
 
 // NewCond returns a Cond on lock l for goroutines running on c.
@@ -388,25 +359,30 @@ func (c *Cond) Wait() {
 		c.c.Wait()
 		return
 	}
-	c.a.mu.Lock()
-	slot := c.a.parkLocked(wait{gen: &c.gen, seen: c.gen.Load()})
-	c.c.Wait()
-	c.c.L.Unlock() // the goroutine that runs meanwhile may need the lock
-	c.a.unpark(slot)
+	if c.next == nil {
+		c.next = new(Event)
+	}
+	next := c.next
+	c.c.L.Unlock()
+	Await(c.a, next)
 	c.c.L.Lock()
 }
 
 // Broadcast is sync.Cond.Broadcast.
 func (c *Cond) Broadcast() {
-	c.gen.Add(1)
-	c.c.Broadcast()
+	if c.a == nil {
+		c.c.Broadcast()
+	} else if c.next != nil {
+		c.next.Fire()
+		c.next = nil
+	}
 }
 
 // WaitGroup is a sync.WaitGroup whose Wait an Auto clock sees as blocked.
 type WaitGroup struct {
 	mu   sync.Mutex
 	n    int
-	done chan struct{} // made by the first Wait that blocks, closed at zero
+	done *Event // made by the first Wait that blocks, fired at zero
 }
 
 // Add is sync.WaitGroup.Add.
@@ -417,7 +393,7 @@ func (g *WaitGroup) Add(n int) {
 		panic("vclock: negative WaitGroup counter")
 	}
 	if g.n == 0 && g.done != nil {
-		close(g.done)
+		g.done.Fire()
 		g.done = nil
 	}
 }
@@ -433,7 +409,7 @@ func (g *WaitGroup) Wait(c Clock) {
 		return
 	}
 	if g.done == nil {
-		g.done = make(chan struct{})
+		g.done = new(Event)
 	}
 	done := g.done
 	g.mu.Unlock()

@@ -161,13 +161,10 @@ func TestAutoFiresInDeadlineThenCreationOrder(t *testing.T) {
 		name string
 		d    time.Duration
 	}{{"c", 30 * time.Second}, {"a1", 10 * time.Second}, {"b", 20 * time.Second}, {"a2", 10 * time.Second}} {
-		timer := a.NewTimer(s.d)
 		wg.Add(1)
 		Go(a, func() {
 			defer wg.Done()
-			p := Park(a, timer)
-			<-timer.C
-			p.Unpark()
+			a.Sleep(s.d)
 			mu.Lock()
 			order = append(order, s.name+"@"+a.Since(Epoch).String())
 			mu.Unlock()
@@ -180,7 +177,7 @@ func TestAutoFiresInDeadlineThenCreationOrder(t *testing.T) {
 	}
 }
 
-// A wait off the clock — Park on a channel, a Cond, a WaitGroup — holds
+// A wait off the clock — Await on an Event, a Cond, a WaitGroup — holds
 // time still until the wait is over, and a timer stopped before its deadline
 // never moves the clock.
 func TestAutoSeesOffClockWaits(t *testing.T) {
@@ -188,7 +185,7 @@ func TestAutoSeesOffClockWaits(t *testing.T) {
 	var mu sync.Mutex
 	cond := NewCond(a, &mu)
 	ready := false
-	closed := make(chan struct{})
+	var closed Event
 	var wg WaitGroup
 	wg.Add(2)
 	Go(a, func() {
@@ -207,12 +204,10 @@ func TestAutoSeesOffClockWaits(t *testing.T) {
 		}
 		mu.Unlock()
 		a.Sleep(time.Second)
-		close(closed)
+		closed.Fire()
 	})
 	stopped := a.NewTimer(time.Hour)
-	p := Park(a, nil, closed)
-	<-closed
-	p.Unpark()
+	Await(a, &closed)
 	if got := a.Since(Epoch); got != 6*time.Second {
 		t.Fatalf("woke at %v, want 6s", got)
 	}
@@ -220,21 +215,18 @@ func TestAutoSeesOffClockWaits(t *testing.T) {
 		t.Fatal("Stop of a pending timer = false")
 	}
 	wg.Wait(a)
-	timer := a.NewTimer(time.Minute)
-	p = Park(a, timer)
-	at := <-timer.C
-	p.Unpark()
-	if want := Epoch.Add(6*time.Second + time.Minute); !at.Equal(want) {
-		t.Fatalf("timer delivered %v, want %v (the stopped hour must not count)", at, want)
+	a.Sleep(time.Minute)
+	if got := a.Since(Epoch); got != 6*time.Second+time.Minute {
+		t.Fatalf("woke at %v, want 6m6s (the stopped hour must not count)", got)
 	}
 }
 
-// Goroutines woken together — here by one close — resume one at a time in
+// Goroutines woken together — here by one Fire — resume one at a time in
 // the order they blocked: the second runs only once the first blocks again,
 // however long the first takes in wall time.
 func TestAutoResumesWokenGoroutinesOneAtATime(t *testing.T) {
 	a := NewAuto(Epoch)
-	gate := make(chan struct{})
+	var gate Event
 	var mu sync.Mutex
 	var order []string
 	note := func(s string) {
@@ -247,7 +239,7 @@ func TestAutoResumesWokenGoroutinesOneAtATime(t *testing.T) {
 		wg.Add(1)
 		Go(a, func() {
 			defer wg.Done()
-			Await(a, gate)
+			Await(a, &gate)
 			note(name + "1")
 			time.Sleep(5 * time.Millisecond) // wall time: the other may not run meanwhile
 			note(name + "1+")
@@ -256,7 +248,7 @@ func TestAutoResumesWokenGoroutinesOneAtATime(t *testing.T) {
 		})
 	}
 	a.Sleep(time.Second) // both start and block on the gate
-	close(gate)
+	gate.Fire()
 	wg.Wait(a)
 	if got, want := strings.Join(order, " "), "a1 a1+ b1 b1+ a2 b2"; got != want {
 		t.Fatalf("order = %s, want %s", got, want)
@@ -267,18 +259,13 @@ func TestAutoResumesWokenGoroutinesOneAtATime(t *testing.T) {
 // block panics naming every blocked site instead of hanging.
 func TestAutoDeadlockNamesBlockedSites(t *testing.T) {
 	a := NewAuto(Epoch)
-	never := make(chan struct{})
-	parked := make(chan struct{})
+	var never, parked Event
 	Go(a, func() {
-		close(parked)
-		p := Park(a, nil, never)
-		<-never
-		p.Unpark()
+		parked.Fire()
+		Await(a, &never)
 	})
 	// Wait for the goroutine to have started before blocking for good.
-	p := Park(a, nil, parked)
-	<-parked
-	p.Unpark()
+	Await(a, &parked)
 
 	var msg string
 	func() {
@@ -300,16 +287,12 @@ func TestAutoDeadlockNamesBlockedSites(t *testing.T) {
 
 // Close lets what still runs on a finished simulation's clock run out: a
 // goroutine whose start had not come starts, and its hour-long sleep fires,
-// while one blocked on a channel nobody closes stays blocked (for the rest
+// while one blocked on an Event nobody fires stays blocked (for the rest
 // of the test binary) without the deadlock panic.
 func TestAutoCloseRunsTheRestOut(t *testing.T) {
 	a := NewAuto(Epoch)
-	never := make(chan struct{})
-	Go(a, func() {
-		p := Park(a, nil, never)
-		<-never
-		p.Unpark()
-	})
+	var never Event
+	Go(a, func() { Await(a, &never) })
 	slept := make(chan time.Duration, 1)
 	Go(a, func() {
 		a.Sleep(time.Hour)

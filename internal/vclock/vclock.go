@@ -13,9 +13,8 @@
 //     steps time: the clock jumps to the next timer whenever every goroutine
 //     running on it is blocked, so a 1000-second experiment takes as long
 //     as its events take to compute, and the same inputs give the same
-//     timeline to the nanosecond. Goroutines join it through Go, their waits
-//     off the clock go through Wait, Park, Cond or WaitGroup so that it sees
-//     them, and Close ends the simulation. A test steps time by sleeping on
+//     timeline to the nanosecond. Goroutines join it through Go, wait through
+//     Wait, Await, Cond or WaitGroup, and Close ends the simulation. A test steps time by sleeping on
 //     it.
 //   - Manual: a frozen clock whose time never moves, which the end-to-end
 //     benchmark (cmd/bench) hands its registries so that their LastSeen
@@ -44,7 +43,6 @@ type Timer struct {
 	C <-chan time.Time
 
 	stop func() bool
-	w    *waiter // an Auto clock's timer, which Park can wait on
 }
 
 // Stop prevents the timer from firing. It reports whether the stop

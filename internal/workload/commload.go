@@ -30,7 +30,7 @@ type CommLoad struct {
 	opts  CommOptions
 
 	mu      sync.Mutex
-	stop    chan struct{}
+	stop    *vclock.Event
 	stopped vclock.WaitGroup
 }
 
@@ -52,7 +52,7 @@ func (c *CommLoad) Start() {
 	if c.stop != nil {
 		return
 	}
-	c.stop = make(chan struct{})
+	c.stop = new(vclock.Event)
 	c.stopped.Add(1)
 	stop := c.stop
 	vclock.Go(c.clock, func() { c.drive(stop, c.from, c.to) })
@@ -65,14 +65,12 @@ func (c *CommLoad) Start() {
 // drive pushes chunks, pacing so the average application rate approaches
 // the target: each chunk "covers" chunk/rate seconds of wall time; whatever
 // the transfer itself did not use is slept off.
-func (c *CommLoad) drive(stop chan struct{}, from, to string) {
+func (c *CommLoad) drive(stop *vclock.Event, from, to string) {
 	defer c.stopped.Done()
 	interval := time.Duration(float64(c.opts.Chunk) / c.opts.Rate * float64(time.Second))
 	for {
-		select {
-		case <-stop:
+		if stop.Fired() {
 			return
-		default:
 		}
 		start := c.clock.Now()
 		if err := c.net.Transfer(from, to, c.opts.Chunk); err != nil {
@@ -93,6 +91,6 @@ func (c *CommLoad) Stop() {
 	if stop == nil {
 		return
 	}
-	close(stop)
+	stop.Fire()
 	c.stopped.Wait(c.clock)
 }

@@ -36,7 +36,7 @@ type LoadGen struct {
 	opts LoadOptions
 
 	mu      sync.Mutex
-	stop    chan struct{}
+	stop    *vclock.Event
 	procs   []*sim.Proc
 	stopped vclock.WaitGroup
 }
@@ -66,7 +66,7 @@ func (g *LoadGen) Start() {
 	if g.stop != nil {
 		return
 	}
-	g.stop = make(chan struct{})
+	g.stop = new(vclock.Event)
 	clock := g.host.Clock()
 	for i := 0; i < g.opts.Workers; i++ {
 		g.stopped.Add(1)
@@ -79,10 +79,8 @@ func (g *LoadGen) Start() {
 			defer proc.Exit()
 			busyWork := g.opts.Duty * g.opts.Period.Seconds() * g.host.Speed()
 			for {
-				select {
-				case <-stop:
+				if stop.Fired() {
 					return
-				default:
 				}
 				// Stop unblocks an in-flight Compute by exiting the process.
 				if err := proc.Compute(busyWork); err != nil {
@@ -90,7 +88,7 @@ func (g *LoadGen) Start() {
 				}
 				idle := time.Duration((1 - g.opts.Duty) * float64(g.opts.Period))
 				jitter := time.Duration((rng.Float64() - 0.5) * loadJitter * float64(g.opts.Period))
-				if d := idle + jitter; d > 0 && vclock.Wait(clock, d, stop) {
+				if d := idle + jitter; d > 0 && vclock.Wait(clock, d, stop) != nil {
 					return
 				}
 			}
@@ -110,7 +108,7 @@ func (g *LoadGen) Stop() {
 	if stop == nil {
 		return
 	}
-	close(stop)
+	stop.Fire()
 	for _, p := range procs {
 		p.Exit()
 	}

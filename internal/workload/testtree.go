@@ -8,7 +8,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"autoresched/internal/hpcm"
 	"autoresched/internal/livemig"
@@ -163,17 +162,18 @@ func TestTree(cfg TreeConfig) hpcm.Main {
 					tree[i] = int64(rng.Uint32())
 				}
 			case phaseSort:
+				// Charged, not run: the checksum weighs each value by its
+				// position, so it sees the order a migration must carry.
 				if err := ctx.Compute(work * float64(cfg.Levels)); err != nil {
 					return err
 				}
-				slices.Sort(tree)
 			case phaseSum:
 				if err := ctx.Compute(work); err != nil {
 					return err
 				}
 				var sum int64
-				for _, v := range tree {
-					sum += v
+				for i, v := range tree {
+					sum += int64(i+1) * v // wraps
 				}
 				st.Sums = append(st.Sums, sum)
 				if paged != nil {
@@ -208,7 +208,8 @@ func TestTree(cfg TreeConfig) hpcm.Main {
 }
 
 // ExpectedSums computes the checksums a run must produce, for verification
-// independent of where the computation executed.
+// independent of where the computation executed: each round's values in
+// the order they were assigned, each weighted by its 1-based position.
 func ExpectedSums(cfg TreeConfig) []int64 {
 	sums := make([]int64, cfg.Rounds)
 	nodes := cfg.Nodes()
@@ -216,7 +217,7 @@ func ExpectedSums(cfg TreeConfig) []int64 {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(round)))
 		var sum int64
 		for i := 0; i < nodes; i++ {
-			sum += int64(rng.Uint32())
+			sum += int64(i+1) * int64(rng.Uint32())
 		}
 		sums[round] = sum
 	}

@@ -93,7 +93,7 @@ func TestTestTreeComputesCorrectSums(t *testing.T) {
 }
 
 func TestTestTreeSurvivesMigrationMidRun(t *testing.T) {
-	_, mw := testRig(t)
+	cl, mw := testRig(t)
 	cfg := smallTree()
 	cfg.Rounds = 4
 	var mu sync.Mutex
@@ -107,14 +107,20 @@ func TestTestTreeSurvivesMigrationMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Order a migration immediately: the first poll-point (after round 0's
-	// build phase) ships the run to ws2.
+	// Order the migration while round 0 sorts (5.1 to 25.5 ms: 2.55 ms a
+	// phase, eight for the sort), so the run moves to ws2 with the tree
+	// holding its values and ws2 sums what arrived, in the order it
+	// arrived.
+	cl.Clock().Sleep(10 * time.Millisecond)
 	p.Signal(hpcm.Command{DestHost: "ws2"})
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if p.Migrations() != 1 || p.Host() != "ws2" {
 		t.Fatalf("migrations=%d host=%s", p.Migrations(), p.Host())
+	}
+	if label := p.Records()[0].Label; label != "round-0/sort" {
+		t.Fatalf("migrated at %s, want round-0/sort: the tree holds values from assign to sum", label)
 	}
 	want := ExpectedSums(cfg)
 	mu.Lock()
